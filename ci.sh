@@ -34,100 +34,61 @@ if grep -rn --include='*.rs' \
   exit 1
 fi
 
-echo "== run_all --quick smoke =="
+echo "== two-binary gate =="
+# trail-bench (every experiment) and trace_tool (every trace chore) are
+# the harness's only entry points; a new experiment is a registry entry,
+# not a new binary.
+bins="$(cargo metadata --offline --no-deps --format-version 1 \
+  | grep -o '"kind":\["bin"\][^}]*"src_path":"[^"]*/crates/bench/[^"]*"' \
+  | grep -o '"name":"[^"]*"' | sort | tr '\n' ' ')"
+[ "$bins" = '"name":"trace_tool" "name":"trail-bench" ' ] \
+  || { echo "trail-bench must have exactly two bin targets, found: $bins" >&2; exit 1; }
+
+trail_bench() {
+  cargo run --release --offline -p trail-bench --bin trail-bench -- "$@"
+}
+
+echo "== trail-bench all --quick smoke =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-cargo run --release --offline -p trail-bench --bin run_all -- \
-  --quick --out-dir "$smoke_dir" >/dev/null
+trail_bench all --quick --out-dir "$smoke_dir" >/dev/null
 for name in micro table1 fig3 fig4 ablation fs_compare table2 table3 track_util \
              replay_synthetic overload_sweep replay_tpcc replaystream serve serve_sweep \
              raid recovery; do
   test -s "$smoke_dir/BENCH_$name.json" \
-    || { echo "run_all --quick did not produce BENCH_$name.json" >&2; exit 1; }
+    || { echo "trail-bench all --quick did not produce BENCH_$name.json" >&2; exit 1; }
 done
+# (Byte-identity of each artifact across entry points and against the
+# golden table, and the raid/recovery field and threshold checks, are
+# crates/bench/tests/scenario_artifacts.rs.)
 
-echo "== fault-plane gate =="
+echo "== trail-bench all, full size (the README's headline command) =="
+full_dir="$smoke_dir/full"
+trail_bench all --out-dir "$full_dir" >/dev/null
+[ "$(ls "$full_dir"/BENCH_*.json | wc -l)" -eq 17 ] \
+  || { echo "full-size trail-bench all did not write all 17 artifacts" >&2; exit 1; }
+
+echo "== fault-plane and trace-format gate =="
 # FaultPlan on the stack's FaultClock is the one way harnesses schedule
-# faults; the retired ad-hoc hooks must not creep back in. (The volume's
-# fail_member primitive stays — it is what the plane's sink drives — and
-# the ReplayOptions::fail_member shim lives in trail-trace only, folded
-# into the plan at replay time.)
+# faults, and format v3 is the one trace layout; the retired ad-hoc
+# hooks, the ReplayOptions shim and the old-version encoders must not
+# creep back in. (The volume's fail_member primitive stays — it is what
+# the plane's sink drives.)
 if grep -rn --include='*.rs' \
     'schedule_member_failure\|fail_member\|FailMember' \
-    crates/bench crates/serve src examples; then
-  echo "found an ad-hoc fault hook outside the fault plane" >&2
+    crates/bench crates/serve src examples \
+  || grep -rn --include='*.rs' \
+    'FailMember\|fail_member:\|to_binary_v1\|to_binary_v2' \
+    crates/trace crates/bench src examples; then
+  echo "found an ad-hoc fault hook or an old trace-format encoder" >&2
   exit 1
 fi
 
-echo "== serve_fleet determinism gate (byte-identical across runs) =="
-serve_a="$smoke_dir/serve_a"; serve_b="$smoke_dir/serve_b"
-mkdir -p "$serve_a" "$serve_b"
-cargo run --release --offline -p trail-bench --bin serve_fleet -- \
-  --quick --out-dir "$serve_a" >/dev/null
-cargo run --release --offline -p trail-bench --bin serve_fleet -- \
-  --quick --out-dir "$serve_b" >/dev/null
-cmp -s "$serve_a/BENCH_serve.json" "$serve_b/BENCH_serve.json" \
-  || { echo "BENCH_serve.json is not byte-identical across runs" >&2; exit 1; }
-# The run_all smoke above ran the same scenario through the threaded
-# runner; its artifact must match the standalone binary's byte for byte.
-cmp -s "$serve_a/BENCH_serve.json" "$smoke_dir/BENCH_serve.json" \
-  || { echo "BENCH_serve.json differs between serve_fleet and run_all" >&2; exit 1; }
-
-echo "== raid_sweep gate (deterministic, degraded mode, per-member stats) =="
-raid_a="$smoke_dir/raid_a"; raid_b="$smoke_dir/raid_b"
-mkdir -p "$raid_a" "$raid_b"
-cargo run --release --offline -p trail-bench --bin raid_sweep -- \
-  --quick --out-dir "$raid_a" >/dev/null
-cargo run --release --offline -p trail-bench --bin raid_sweep -- \
-  --quick --out-dir "$raid_b" >/dev/null
-cmp -s "$raid_a/BENCH_raid.json" "$raid_b/BENCH_raid.json" \
-  || { echo "BENCH_raid.json is not byte-identical across runs" >&2; exit 1; }
-cmp -s "$raid_a/BENCH_raid.json" "$smoke_dir/BENCH_raid.json" \
-  || { echo "BENCH_raid.json differs between raid_sweep and run_all" >&2; exit 1; }
-# Degraded-mode rows and per-member latency breakdowns must be present.
-for field in degraded_reads members small_write_speedup; do
-  grep -q "\"$field\"" "$raid_a/BENCH_raid.json" \
-    || { echo "BENCH_raid.json lacks $field" >&2; exit 1; }
-done
-# The headline claim: Trail-fronted RAID-5 must beat the standard stack
-# by at least 2x on small-write mean latency at recorded load.
-speedup="$(grep -o '"small_write_speedup":[0-9.]*' "$raid_a/BENCH_raid.json" \
-  | cut -d: -f2)"
-awk -v s="$speedup" 'BEGIN { exit !(s >= 2.0) }' \
-  || { echo "RAID-5 small-write speedup $speedup is below 2x" >&2; exit 1; }
-
-echo "== crash campaign gate (deterministic, zero violations, monotone curve) =="
-camp_a="$smoke_dir/camp_a"; camp_b="$smoke_dir/camp_b"
-mkdir -p "$camp_a" "$camp_b"
-cargo run --release --offline -p trail-bench --bin crash_campaign -- \
-  --quick --out-dir "$camp_a" >/dev/null
-cargo run --release --offline -p trail-bench --bin crash_campaign -- \
-  --quick --out-dir "$camp_b" >/dev/null
-cmp -s "$camp_a/BENCH_recovery.json" "$camp_b/BENCH_recovery.json" \
-  || { echo "BENCH_recovery.json is not byte-identical across runs" >&2; exit 1; }
-cmp -s "$camp_a/BENCH_recovery.json" "$smoke_dir/BENCH_recovery.json" \
-  || { echo "BENCH_recovery.json differs between crash_campaign and run_all" >&2; exit 1; }
-# Every sampled crash point must satisfy the durability contract (the
-# scenario itself asserts monotonicity of the recovery-time curve).
-grep -q '"violations":0,' "$camp_a/BENCH_recovery.json" \
-  || { echo "crash campaign reported durability-contract violations" >&2; exit 1; }
-for field in crash_points_total curve mean_total_ms mean_active_log_sectors; do
-  grep -q "\"$field\"" "$camp_a/BENCH_recovery.json" \
-    || { echo "BENCH_recovery.json lacks $field" >&2; exit 1; }
-done
-# The quick campaign still samples a real fleet of crash points.
-points="$(grep -o '"crash_points_total":[0-9]*' "$camp_a/BENCH_recovery.json" \
-  | cut -d: -f2)"
-[ "$points" -ge 64 ] \
-  || { echo "quick crash campaign sampled only $points crash points" >&2; exit 1; }
-
-echo "== perf_suite --quick gate (fields present, event counts deterministic) =="
+echo "== trail-bench perf --quick gate (fields present, event counts deterministic) =="
 perf_a="$smoke_dir/perf_a"; perf_b="$smoke_dir/perf_b"
 mkdir -p "$perf_a" "$perf_b"
-cargo run --release --offline -p trail-bench --bin perf_suite -- \
-  --quick --out-dir "$perf_a" >/dev/null
-cargo run --release --offline -p trail-bench --bin perf_suite -- \
-  --quick --out-dir "$perf_b" >/dev/null
+trail_bench perf --quick --out-dir "$perf_a" >/dev/null
+trail_bench perf --quick --out-dir "$perf_b" >/dev/null
 for field in wall_ms events_per_sec events_executed; do
   grep -q "\"$field\"" "$perf_a/BENCH_simperf.json" \
     || { echo "BENCH_simperf.json lacks $field" >&2; exit 1; }
@@ -137,7 +98,7 @@ done
 counts_a="$(grep -o '"events_executed":[0-9]*' "$perf_a/BENCH_simperf.json")"
 counts_b="$(grep -o '"events_executed":[0-9]*' "$perf_b/BENCH_simperf.json")"
 [ -n "$counts_a" ] && [ "$counts_a" = "$counts_b" ] \
-  || { echo "perf_suite event counts drifted between runs" >&2; exit 1; }
+  || { echo "trail-bench perf event counts drifted between runs" >&2; exit 1; }
 
 echo "== trace_tool smoke (generate -> replay, codec round-trip) =="
 trace_tool() {
@@ -166,13 +127,11 @@ trace_tool generate --out "$smoke_dir/big.trace" \
   --seed 42 >/dev/null
 stream_a="$smoke_dir/stream_a"; stream_b="$smoke_dir/stream_b"
 mkdir -p "$stream_a" "$stream_b"
-cargo run --release --offline -p trail-bench --bin replay_stream -- \
-  --trace "$smoke_dir/big.trace" --target trail_multi2 \
+trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 \
   --out-dir "$stream_a" >/dev/null
 # Second run cross-checks the in-memory oracle: the whole trace decoded
 # up front must produce the byte-identical report the streamed run did.
-cargo run --release --offline -p trail-bench --bin replay_stream -- \
-  --trace "$smoke_dir/big.trace" --target trail_multi2 --oracle \
+trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 --oracle \
   --out-dir "$stream_b" >/dev/null
 cmp -s "$stream_a/BENCH_replaystream.json" "$stream_b/BENCH_replaystream.json" \
   || { echo "BENCH_replaystream.json is not byte-identical across runs" >&2; exit 1; }
@@ -202,8 +161,7 @@ cmp -s "$smoke_dir/big.trace" "$smoke_dir/big_raw2.trace" \
 # count, so all three must be byte-identical.
 for t in 1 2 4; do
   mkdir -p "$smoke_dir/shard_t$t"
-  cargo run --release --offline -p trail-bench --bin replay_stream -- \
-    --trace "$smoke_dir/big_delta.trace" --target trail_multi2 \
+  trail_bench replay_stream --trace "$smoke_dir/big_delta.trace" --target trail_multi2 \
     --shards 4 --threads "$t" --out-dir "$smoke_dir/shard_t$t" >/dev/null
 done
 cmp -s "$smoke_dir/shard_t1/BENCH_replaystream.json" "$smoke_dir/shard_t2/BENCH_replaystream.json" \
@@ -213,24 +171,22 @@ cmp -s "$smoke_dir/shard_t1/BENCH_replaystream.json" "$smoke_dir/shard_t4/BENCH_
 # The chunk encoding is storage, not semantics: a sharded replay of the
 # raw trace must produce the same latency fingerprint.
 mkdir -p "$smoke_dir/shard_raw"
-cargo run --release --offline -p trail-bench --bin replay_stream -- \
-  --trace "$smoke_dir/big.trace" --target trail_multi2 \
+trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 \
   --shards 4 --threads 2 --out-dir "$smoke_dir/shard_raw" >/dev/null
 fp_delta=$(grep -o '"latency_fingerprint":"[0-9a-f]*"' "$smoke_dir/shard_t1/BENCH_replaystream.json")
 fp_raw=$(grep -o '"latency_fingerprint":"[0-9a-f]*"' "$smoke_dir/shard_raw/BENCH_replaystream.json")
 [ -n "$fp_delta" ] && [ "$fp_delta" = "$fp_raw" ] \
   || { echo "raw and delta sharded replays disagree on the fingerprint" >&2; exit 1; }
 
-echo "== replay_giga gate (10^7-record slice: generate -> compress -> replay) =="
+echo "== trail-bench giga gate (10^7-record slice: generate -> compress -> replay) =="
 giga_dir="$smoke_dir/giga"
-giga_out="$(cargo run --release --offline -p trail-bench --bin replay_giga -- \
-  --records 10000000 --out-dir "$giga_dir")"
+giga_out="$(trail_bench giga --records 10000000 --out-dir "$giga_dir")"
 echo "$giga_out" | sed 's/^/   /'
 grep -q '"requests":10000000' "$giga_dir/BENCH_replaystream.json" \
-  || { echo "replay_giga slice must cover 10^7 records" >&2; exit 1; }
+  || { echo "trail-bench giga slice must cover 10^7 records" >&2; exit 1; }
 for field in compression_ratio trace_bytes_raw shards; do
   grep -q "\"$field\"" "$giga_dir/BENCH_replaystream.json" \
-    || { echo "replay_giga artifact lacks $field" >&2; exit 1; }
+    || { echo "trail-bench giga artifact lacks $field" >&2; exit 1; }
 done
 # The >= 2x sharded speedup criterion is a wall-clock property and only
 # meaningful with real cores under the shards; assert it when this

@@ -69,11 +69,21 @@ fn bench_fig3_slice(c: &mut Criterion) {
                     gap: SimDuration::from_millis(5),
                 },
                 7,
+                None,
             ))
         })
     });
     c.bench_function("fig3_standard_clustered_1k_x50", |b| {
-        b.iter(|| black_box(sync_writes_standard(1, 50, 1024, ArrivalMode::Clustered, 9)))
+        b.iter(|| {
+            black_box(sync_writes_standard(
+                1,
+                50,
+                1024,
+                ArrivalMode::Clustered,
+                9,
+                None,
+            ))
+        })
     });
 }
 
@@ -90,6 +100,7 @@ fn bench_tpcc_slice(c: &mut Criterion) {
                         policy: FlushPolicy::EveryCommit,
                         ..TpccRig::default()
                     },
+                    None,
                 )
             },
             |mut setup| {

@@ -37,9 +37,10 @@
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::path::Path;
 use std::process::ExitCode;
 
-use trail_bench::{write_bench_json, write_bench_json_in, TpccRig};
+use trail_bench::{write_bench_json_in, Args, TpccRig};
 use trail_sim::{SimDuration, SimTime};
 use trail_tpcc::{run, ChainOn, RunConfig};
 use trail_trace::codec::{
@@ -72,32 +73,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Pulls `--flag value` out of `args`, returning the value.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn has(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
-    }
-}
-
-fn positional(args: &[String], index: usize, what: &str) -> Result<String, String> {
-    args.iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(index)
-        .cloned()
-        .ok_or_else(|| format!("missing {what}"))
 }
 
 fn is_jsonl(path: &str) -> bool {
@@ -140,44 +115,63 @@ fn store(path: &str, trace: &Trace) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let out = flag(args, "--out").ok_or("generate needs --out FILE")?;
-    let quick = has(args, "--quick");
-    let chunk = parse(args, "--chunk-records", 0u32)?;
-    let arrivals = match flag(args, "--arrival").as_deref() {
+    const FLAGS: &[(&str, bool)] = &[
+        ("--out", true),
+        ("--quick", false),
+        ("--requests", true),
+        ("--seed", true),
+        ("--streams", true),
+        ("--devices", true),
+        ("--read-frac", true),
+        ("--sectors", true),
+        ("--arrival", true),
+        ("--mean-iat-us", true),
+        ("--burst", true),
+        ("--gap-ms", true),
+        ("--spatial", true),
+        ("--skew", true),
+        ("--run-len", true),
+        ("--chunk-records", true),
+    ];
+    let args = Args::parse(args, FLAGS, 0)?;
+    let out = args.value("--out").ok_or("generate needs --out FILE")?;
+    let chunk = args.parsed("--chunk-records")?.unwrap_or(0u32);
+    let arrivals = match args.value("--arrival") {
         None | Some("poisson") => ArrivalModel::Poisson {
-            mean_iat: SimDuration::from_micros(parse(args, "--mean-iat-us", 2000u64)?),
+            mean_iat: SimDuration::from_micros(args.parsed("--mean-iat-us")?.unwrap_or(2000)),
         },
         Some("bursty") => ArrivalModel::Bursty {
-            burst: parse(args, "--burst", 16u32)?,
-            iat_in_burst: SimDuration::from_micros(parse(args, "--mean-iat-us", 100u64)?),
-            gap: SimDuration::from_millis(parse(args, "--gap-ms", 20u64)?),
+            burst: args.parsed("--burst")?.unwrap_or(16),
+            iat_in_burst: SimDuration::from_micros(args.parsed("--mean-iat-us")?.unwrap_or(100)),
+            gap: SimDuration::from_millis(args.parsed("--gap-ms")?.unwrap_or(20)),
         },
         Some(other) => return Err(format!("unknown --arrival {other}")),
     };
-    let spatial = match flag(args, "--spatial").as_deref() {
+    let spatial = match args.value("--spatial") {
         None | Some("uniform") => SpatialModel::Uniform,
         Some("zipf") => SpatialModel::Zipf {
-            skew: parse(args, "--skew", 2.0f64)?,
+            skew: args.parsed("--skew")?.unwrap_or(2.0),
         },
         Some("seq") => SpatialModel::SequentialRuns {
-            run_len: parse(args, "--run-len", 16u32)?,
+            run_len: args.parsed("--run-len")?.unwrap_or(16),
         },
         Some(other) => return Err(format!("unknown --spatial {other}")),
     };
+    let default_requests = if args.has("--quick") { 200 } else { 2000 };
     let spec = SyntheticSpec {
-        seed: parse(args, "--seed", 1u64)?,
-        requests: parse(args, "--requests", if quick { 200 } else { 2000 })?,
-        devices: parse(args, "--devices", 1u16)?,
-        streams: parse(args, "--streams", 1u32)?,
-        read_fraction: parse(args, "--read-frac", 0.3f64)?,
-        request_sectors: parse(args, "--sectors", 8u32)?,
+        seed: args.parsed("--seed")?.unwrap_or(1),
+        requests: args.parsed("--requests")?.unwrap_or(default_requests),
+        devices: args.parsed("--devices")?.unwrap_or(1),
+        streams: args.parsed("--streams")?.unwrap_or(1),
+        read_fraction: args.parsed("--read-frac")?.unwrap_or(0.3),
+        request_sectors: args.parsed("--sectors")?.unwrap_or(8),
         arrivals,
         spatial,
         ..SyntheticSpec::default()
     };
-    if is_jsonl(&out) {
+    if is_jsonl(out) {
         let trace = generate(&spec);
-        store(&out, &trace)?;
+        store(out, &trace)?;
         println!(
             "generated {} requests over {:.3} s -> {out}",
             trace.len(),
@@ -187,7 +181,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         // Records stream straight into the chunked codec; the whole
         // trace never exists in memory.
         let mut w =
-            generate_stream(&spec, chunk, create_out(&out)?).map_err(|e| format!("{out}: {e}"))?;
+            generate_stream(&spec, chunk, create_out(out)?).map_err(|e| format!("{out}: {e}"))?;
         w.flush().map_err(|e| format!("{out}: {e}"))?;
         println!("generated {} requests -> {out}", spec.requests);
     }
@@ -195,14 +189,24 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_capture(args: &[String]) -> Result<(), String> {
-    let out = flag(args, "--out").ok_or("capture needs --out FILE")?;
-    let txns = parse(args, "--txns", if has(args, "--quick") { 100 } else { 500 })?;
-    let on_trail = !has(args, "--standard");
+    const FLAGS: &[(&str, bool)] = &[
+        ("--out", true),
+        ("--txns", true),
+        ("--quick", false),
+        ("--standard", false),
+        ("--seed", true),
+        ("--chunk-records", true),
+    ];
+    let args = Args::parse(args, FLAGS, 0)?;
+    let out = args.value("--out").ok_or("capture needs --out FILE")?;
+    let default_txns = if args.has("--quick") { 100 } else { 500 };
+    let txns = args.parsed("--txns")?.unwrap_or(default_txns);
+    let on_trail = !args.has("--standard");
     let rig = TpccRig {
-        seed: parse(args, "--seed", TpccRig::default().seed)?,
+        seed: args.parsed("--seed")?.unwrap_or(TpccRig::default().seed),
         ..TpccRig::default()
     };
-    let mut setup = trail_bench::tpcc_setup(on_trail, &rig);
+    let mut setup = trail_bench::tpcc_setup(on_trail, &rig, None);
     let capture = TraceCapture::new();
     setup.stack.set_tap(capture.handle());
     let report = run(
@@ -223,11 +227,11 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         seed: rig.seed,
         devices: 0,
         note: format!("{txns} transactions, concurrency 4"),
-        chunk_records: parse(args, "--chunk-records", 0u32)?,
+        chunk_records: args.parsed("--chunk-records")?.unwrap_or(0),
         encoding: ChunkEncoding::Raw,
     });
     trace.rebase_to_first();
-    store(&out, &trace)?;
+    store(out, &trace)?;
     println!(
         "captured {} requests over {:.3} s ({:.0} tpmC) -> {out}",
         trace.len(),
@@ -238,18 +242,25 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_import(args: &[String]) -> Result<(), String> {
-    let input = positional(args, 0, "blkparse text file")?;
-    let out = flag(args, "--out").ok_or("import needs --out FILE")?;
-    let action = match flag(args, "--action") {
+    const FLAGS: &[(&str, bool)] = &[
+        ("--out", true),
+        ("--action", true),
+        ("--chunk-records", true),
+        ("--reorder-window", true),
+    ];
+    let args = Args::parse(args, FLAGS, 1)?;
+    let input = args.positional(0).ok_or("missing blkparse text file")?;
+    let out = args.value("--out").ok_or("import needs --out FILE")?;
+    let action = match args.value("--action") {
         None => 'Q',
         Some(v) if v.chars().count() == 1 => v.chars().next().expect("one char"),
         Some(v) => return Err(format!("--action wants a single letter, got {v:?}")),
     };
     let opts = ImportOptions { action };
-    if is_jsonl(&out) {
-        let text = std::fs::read_to_string(&input).map_err(|e| format!("{input}: {e}"))?;
+    if is_jsonl(out) {
+        let text = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
         let trace = import_blkparse(&text, &opts).map_err(|e| e.to_string())?;
-        store(&out, &trace)?;
+        store(out, &trace)?;
         println!(
             "imported {} '{action}' events over {:.3} s, {} devices, {} streams -> {out}",
             trace.len(),
@@ -264,14 +275,14 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
     // chunks as they fill.
     let open = || -> Result<BufReader<File>, String> {
         Ok(BufReader::new(
-            File::open(&input).map_err(|e| format!("{input}: {e}"))?,
+            File::open(input).map_err(|e| format!("{input}: {e}"))?,
         ))
     };
     let scan = scan_blkparse(open()?, &opts).map_err(|e| e.to_string())?;
-    let chunk = parse(args, "--chunk-records", 0u32)?;
-    let window = parse(args, "--reorder-window", 0usize)?;
+    let chunk = args.parsed("--chunk-records")?.unwrap_or(0);
+    let window = args.parsed("--reorder-window")?.unwrap_or(0);
     let w =
-        trail_trace::import_blkparse_into(open()?, &opts, &scan, chunk, window, create_out(&out)?)
+        trail_trace::import_blkparse_into(open()?, &opts, &scan, chunk, window, create_out(out)?)
             .map_err(|e| e.to_string())?;
     drop(w);
     println!(
@@ -334,13 +345,14 @@ fn inspect_records<I: Iterator<Item = Result<TraceRecord, String>>>(
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let path = positional(args, 0, "trace file")?;
-    let (meta, stats) = if is_jsonl(&path) {
-        let trace = load_jsonl(&path)?;
+    let args = Args::parse(args, &[], 1)?;
+    let path = args.positional(0).ok_or("missing trace file")?;
+    let (meta, stats) = if is_jsonl(path) {
+        let trace = load_jsonl(path)?;
         let stats = inspect_records(trace.records.iter().map(|r| Ok(*r)))?;
         (trace.meta, stats)
     } else {
-        let mut reader = open_binary(&path)?;
+        let mut reader = open_binary(path)?;
         let meta = reader.meta().clone();
         let stats = inspect_records(reader.records().map(|r| r.map_err(|e| e.to_string())))?;
         (meta, stats)
@@ -382,26 +394,27 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let input = positional(args, 0, "input file")?;
-    let output = positional(args, 1, "output file")?;
-    let chunk = flag(args, "--chunk-records")
-        .map(|v| {
-            v.parse::<u32>()
-                .map_err(|_| format!("bad value for --chunk-records: {v}"))
-        })
-        .transpose()?;
-    let encoding = match (has(args, "--compress"), has(args, "--raw")) {
+    const FLAGS: &[(&str, bool)] = &[
+        ("--compress", false),
+        ("--raw", false),
+        ("--chunk-records", true),
+    ];
+    let args = Args::parse(args, FLAGS, 2)?;
+    let input = args.positional(0).ok_or("missing input file")?;
+    let output = args.positional(1).ok_or("missing output file")?;
+    let chunk: Option<u32> = args.parsed("--chunk-records")?;
+    let encoding = match (args.has("--compress"), args.has("--raw")) {
         (true, true) => return Err("--compress and --raw are mutually exclusive".to_string()),
         (true, false) => Some(ChunkEncoding::Delta),
         (false, true) => Some(ChunkEncoding::Raw),
         (false, false) => None,
     };
-    let count = match (is_jsonl(&input), is_jsonl(&output)) {
+    let count = match (is_jsonl(input), is_jsonl(output)) {
         // Binary -> JSONL: decode chunk by chunk, print line by line.
         (false, true) => {
-            let mut reader = open_binary(&input)?;
+            let mut reader = open_binary(input)?;
             let meta = reader.meta().clone();
-            let mut out = create_out(&output)?;
+            let mut out = create_out(output)?;
             let oops = |e: std::io::Error| format!("{output}: {e}");
             writeln!(out, "{}", jsonl_meta_line(&meta, None)).map_err(oops)?;
             let mut count: u64 = 0;
@@ -416,7 +429,7 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         }
         // JSONL -> binary: parse line by line, write chunk by chunk.
         (true, false) => {
-            let file = File::open(&input).map_err(|e| format!("{input}: {e}"))?;
+            let file = File::open(input).map_err(|e| format!("{input}: {e}"))?;
             let mut lines = BufReader::new(file)
                 .lines()
                 .map(|l| l.map_err(|e| format!("{input}: {e}")));
@@ -439,7 +452,7 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
             if let Some(enc) = encoding {
                 meta.encoding = enc;
             }
-            let mut w = TraceWriter::new(create_out(&output)?, &meta)
+            let mut w = TraceWriter::new(create_out(output)?, &meta)
                 .map_err(|e| format!("{output}: {e}"))?;
             let mut count: u64 = 0;
             for line in lines {
@@ -462,7 +475,7 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         }
         // Binary -> binary: stream through, re-chunking if asked.
         (false, false) => {
-            let mut reader = open_binary(&input)?;
+            let mut reader = open_binary(input)?;
             let mut meta = reader.meta().clone();
             if let Some(c) = chunk {
                 meta.chunk_records = c;
@@ -470,7 +483,7 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
             if let Some(enc) = encoding {
                 meta.encoding = enc;
             }
-            let mut w = TraceWriter::new(create_out(&output)?, &meta)
+            let mut w = TraceWriter::new(create_out(output)?, &meta)
                 .map_err(|e| format!("{output}: {e}"))?;
             for r in reader.records() {
                 let r = r.map_err(|e| format!("{input}: {e}"))?;
@@ -482,8 +495,8 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         }
         // JSONL -> JSONL: the debug format, in memory is fine.
         (true, true) => {
-            let trace = load_jsonl(&input)?;
-            store(&output, &trace)?;
+            let trace = load_jsonl(input)?;
+            store(output, &trace)?;
             trace.len() as u64
         }
     };
@@ -492,12 +505,18 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let path = positional(args, 0, "trace file")?;
-    let speed = parse(args, "--speed", 1.0f64)?;
-    let quick = has(args, "--quick");
-    let out_dir = flag(args, "--out-dir");
-    let which = flag(args, "--target").unwrap_or_else(|| "all".to_string());
-    let targets: Vec<TargetKind> = match which.as_str() {
+    const FLAGS: &[(&str, bool)] = &[
+        ("--target", true),
+        ("--speed", true),
+        ("--quick", false),
+        ("--out-dir", true),
+    ];
+    let args = Args::parse(args, FLAGS, 1)?;
+    let path = args.positional(0).ok_or("missing trace file")?;
+    let speed = args.parsed("--speed")?.unwrap_or(1.0f64);
+    let quick = args.has("--quick");
+    let out_dir = Path::new(args.value("--out-dir").unwrap_or("."));
+    let targets: Vec<TargetKind> = match args.value("--target").unwrap_or("all") {
         "all" => vec![
             TargetKind::Standard,
             TargetKind::Trail,
@@ -516,8 +535,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     };
     // JSONL traces (the debug format) load whole; binary traces are
     // re-opened and streamed chunk-at-a-time once per target.
-    let in_memory: Option<Trace> = if is_jsonl(&path) {
-        let t = load_jsonl(&path)?;
+    let in_memory: Option<Trace> = if is_jsonl(path) {
+        let t = load_jsonl(path)?;
         println!(
             "replaying {} requests ({:.3} s at 1x) at {speed}x:",
             t.len(),
@@ -537,7 +556,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         };
         let rep = match &in_memory {
             Some(t) => replay(t, &opts),
-            None => replay_stream(open_binary(&path)?, &opts),
+            None => replay_stream(open_binary(path)?, &opts),
         }
         .map_err(|e| e.to_string())?;
         println!(
@@ -562,16 +581,9 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             }
         }
         let name = format!("replay_{}", rep.target);
-        match &out_dir {
-            Some(dir) => {
-                let path = write_bench_json_in(std::path::Path::new(dir), &name, &rep.to_json())
-                    .map_err(|e| e.to_string())?;
-                eprintln!("wrote {}", path.display());
-            }
-            None => {
-                write_bench_json(&name, &rep.to_json()).map_err(|e| e.to_string())?;
-            }
-        }
+        let written =
+            write_bench_json_in(out_dir, &name, &rep.to_json()).map_err(|e| e.to_string())?;
+        eprintln!("wrote {}", written.display());
     }
     Ok(())
 }

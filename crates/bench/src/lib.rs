@@ -1,8 +1,9 @@
 //! # trail-bench: shared harness code for the paper's experiments
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for
-//! paper-vs-measured results). This library holds the setups they share:
+//! `trail-bench <scenario>` regenerates one table or figure of the paper
+//! and `trail-bench all` regenerates every one (see `DESIGN.md` §3 for the
+//! index and `EXPERIMENTS.md` for paper-vs-measured results). This library
+//! holds the scenario registry and the setups the scenarios share:
 //! building the two storage stacks over the paper's drive complement, the
 //! synchronous-write workload generators of §5.1, and the TPC-C rig of
 //! §5.2.
@@ -17,7 +18,7 @@ use trail_blockio::{IoDone, IoRequest, StandardDriver};
 use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
 use trail_db::{BlockStack, Database, DbConfig, FlushPolicy, TrailStack};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
-use trail_sim::{Completion, Delivered, LatencySummary, SimDuration, SimTime, Simulator};
+use trail_sim::{Delivered, LatencySummary, SimDuration, Simulator};
 use trail_telemetry::RecorderHandle;
 use trail_tpcc::{populate, CpuModel, Scale, Workload};
 
@@ -27,7 +28,7 @@ pub mod report;
 pub mod runner;
 pub mod scenarios;
 pub use campaign::{run_campaign, CampaignFlavor, CampaignSpec, CrashPointOutcome};
-pub use report::{write_bench_json, write_bench_json_in, BenchArgs};
+pub use report::{write_bench_json_in, Args};
 pub use runner::{parallel_map, run_all_scenarios, RunAllOptions, RunAllSummary};
 pub use scenarios::{
     all_scenarios, replay_stream_json, run_scenario, ScenarioConfig, ScenarioOutput, ScenarioSpec,
@@ -47,22 +48,13 @@ pub struct Testbed {
 }
 
 /// Builds the testbed with a freshly formatted log disk and a running
-/// Trail driver.
+/// Trail driver; `recorder`, when given, is attached to the whole stack
+/// (after the format/boot noise, so traces start clean).
 ///
 /// # Panics
 ///
 /// Panics if formatting or boot fails (a harness bug).
-pub fn testbed(config: TrailConfig) -> Testbed {
-    testbed_recorded(config, None)
-}
-
-/// Like [`testbed`], with an optional telemetry recorder attached to the
-/// whole stack (after the format/boot noise, so traces start clean).
-///
-/// # Panics
-///
-/// Panics if formatting or boot fails (a harness bug).
-pub fn testbed_recorded(config: TrailConfig, recorder: Option<RecorderHandle>) -> Testbed {
+pub fn testbed(config: TrailConfig, recorder: Option<RecorderHandle>) -> Testbed {
     // The builder's default scenario *is* the paper's testbed; it also
     // resets the format/boot noise so measurements start clean.
     let built = trail::StackBuilder::new()
@@ -104,21 +96,9 @@ pub struct SyncWriteResult {
 
 /// Runs the §5.1 synchronous-write workload against Trail: `procs`
 /// concurrent writers each issue `writes_per_proc` random-target writes of
-/// `size_bytes`, in the given arrival mode.
+/// `size_bytes`, in the given arrival mode. `recorder`, when given, is
+/// attached to the Trail stack for the duration of the run.
 pub fn sync_writes_trail(
-    config: TrailConfig,
-    procs: usize,
-    writes_per_proc: usize,
-    size_bytes: usize,
-    mode: ArrivalMode,
-    seed: u64,
-) -> SyncWriteResult {
-    sync_writes_trail_recorded(config, procs, writes_per_proc, size_bytes, mode, seed, None)
-}
-
-/// [`sync_writes_trail`] with an optional telemetry recorder attached to
-/// the Trail stack for the duration of the run.
-pub fn sync_writes_trail_recorded(
     config: TrailConfig,
     procs: usize,
     writes_per_proc: usize,
@@ -127,7 +107,7 @@ pub fn sync_writes_trail_recorded(
     seed: u64,
     recorder: Option<RecorderHandle>,
 ) -> SyncWriteResult {
-    let mut tb = testbed_recorded(config, recorder);
+    let mut tb = testbed(config, recorder);
     let lat = Rc::new(RefCell::new(LatencySummary::new()));
     let capacity = tb.data_disks[0].geometry().total_sectors() - 1024;
     for p in 0..procs {
@@ -195,19 +175,9 @@ fn spawn_trail_writer(
 
 /// Runs the §5.1 synchronous-write workload against the standard disk
 /// subsystem (writes pay full seek + rotation at their random targets).
+/// `recorder`, when given, is attached to the baseline driver (and its
+/// disk) for the duration of the run.
 pub fn sync_writes_standard(
-    procs: usize,
-    writes_per_proc: usize,
-    size_bytes: usize,
-    mode: ArrivalMode,
-    seed: u64,
-) -> SyncWriteResult {
-    sync_writes_standard_recorded(procs, writes_per_proc, size_bytes, mode, seed, None)
-}
-
-/// [`sync_writes_standard`] with an optional telemetry recorder attached
-/// to the baseline driver (and its disk) for the duration of the run.
-pub fn sync_writes_standard_recorded(
     procs: usize,
     writes_per_proc: usize,
     size_bytes: usize,
@@ -326,19 +296,10 @@ pub struct TpccSetup {
 
 /// Builds a TPC-C database over Trail (`trail = true`) or the standard
 /// stack, populates it (untimed), places the images on the simulated
-/// disks, and warms the cache.
-pub fn tpcc_setup(trail: bool, rig: &TpccRig) -> TpccSetup {
-    tpcc_setup_recorded(trail, rig, None)
-}
-
-/// [`tpcc_setup`] with an optional telemetry recorder attached through
+/// disks, and warms the cache. `recorder`, when given, is attached through
 /// the database engine to the whole storage stack (after population, so
 /// the untimed bulk load does not pollute the trace).
-pub fn tpcc_setup_recorded(
-    trail: bool,
-    rig: &TpccRig,
-    recorder: Option<RecorderHandle>,
-) -> TpccSetup {
+pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) -> TpccSetup {
     let db_config = DbConfig {
         cache_pages: rig.cache_pages,
         flush_policy: rig.policy,
@@ -401,32 +362,4 @@ pub fn tpcc_setup_recorded(
         trail: trail_drv,
         stack,
     }
-}
-
-/// Formats a duration as milliseconds with three decimals.
-pub fn ms(d: SimDuration) -> String {
-    format!("{:.3}", d.as_millis_f64())
-}
-
-/// Formats an instant as seconds with three decimals.
-pub fn secs_at(t: SimTime) -> String {
-    format!("{:.3}", t.as_secs_f64())
-}
-
-/// Prints a Markdown-ish table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
-}
-
-/// Submits one standard-driver write (used by Fig. 3's baseline path).
-pub fn standard_write(
-    sim: &mut Simulator,
-    driver: &StandardDriver,
-    lba: u64,
-    data: Vec<u8>,
-    done: Completion<IoDone>,
-) {
-    driver
-        .submit(sim, IoRequest::write(lba, data), done)
-        .expect("standard write accepted");
 }

@@ -48,7 +48,7 @@ pub struct PerfOptions {
     /// Shrinks every workload to a CI-smoke size.
     pub quick: bool,
     /// Base seed mixed into each scenario's workload (0 keeps the
-    /// historical per-experiment seeds, matching `run_all`).
+    /// historical per-experiment seeds, matching `trail-bench all`).
     pub seed: u64,
 }
 

@@ -1,4 +1,4 @@
-//! The parallel scenario runner behind `run_all`.
+//! The parallel scenario runner behind `trail-bench all`.
 //!
 //! Scenarios are embarrassingly parallel: each one builds its own
 //! single-threaded [`trail_sim::Simulator`] and never touches shared
@@ -133,7 +133,6 @@ pub fn run_all_scenarios(opts: &RunAllOptions) -> std::io::Result<RunAllSummary>
         });
     let elapsed = start.elapsed();
 
-    std::fs::create_dir_all(&opts.out_dir)?;
     let mut results = Vec::with_capacity(specs.len());
     let mut serial_estimate = Duration::ZERO;
     for (spec, (out, wall, events_executed)) in specs.iter().zip(outcomes) {

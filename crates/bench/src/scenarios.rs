@@ -1,12 +1,12 @@
 //! Every table/figure experiment as a callable scenario.
 //!
 //! Each scenario function runs one paper experiment to completion and
-//! returns a [`ScenarioOutput`]: the human-readable report the old
-//! binaries printed, plus the `BENCH_<name>.json` payload. The binaries
-//! in `src/bin/` are thin wrappers over these functions, and the
-//! `run_all` runner executes the whole registry in parallel — each
-//! scenario builds its own single-threaded `Simulator`, so scenarios are
-//! embarrassingly parallel by construction.
+//! returns a [`ScenarioOutput`]: the human-readable report plus the
+//! `BENCH_<name>.json` payload. `trail-bench <name>` runs one of these
+//! functions on the main thread, and the `trail-bench all` runner
+//! executes the whole registry in parallel — each scenario builds its own
+//! single-threaded `Simulator`, so scenarios are embarrassingly parallel
+//! by construction.
 //!
 //! All randomness flows through [`ScenarioConfig::mix`], so a fixed
 //! config produces byte-identical JSON regardless of how many threads
@@ -40,10 +40,7 @@ use trail_trace::{
 };
 
 use crate::campaign::{aggregate, run_campaign, CampaignAggregate, CampaignFlavor, CampaignSpec};
-use crate::{
-    sync_writes_standard_recorded, sync_writes_trail, sync_writes_trail_recorded, testbed,
-    testbed_recorded, tpcc_setup, tpcc_setup_recorded, ArrivalMode, TpccRig,
-};
+use crate::{sync_writes_standard, sync_writes_trail, testbed, tpcc_setup, ArrivalMode, TpccRig};
 
 /// How a scenario should run.
 #[derive(Clone, Default)]
@@ -55,7 +52,7 @@ pub struct ScenarioConfig {
     /// per-experiment seeds.
     pub seed: u64,
     /// Overrides the experiment's headline count (writes for `fig3`,
-    /// transactions for the TPC-C scenarios), like the old binaries'
+    /// transactions for the TPC-C scenarios) — `trail-bench <name>`'s
     /// positional argument.
     pub scale: Option<usize>,
     /// Telemetry recorder attached to every stack the scenario builds.
@@ -91,7 +88,7 @@ impl ScenarioConfig {
 
 /// What one scenario produced.
 pub struct ScenarioOutput {
-    /// The human-readable report (what the old binary printed).
+    /// The human-readable report.
     pub report: String,
     /// The `BENCH_<name>.json` payload.
     pub json: JsonValue,
@@ -99,8 +96,8 @@ pub struct ScenarioOutput {
 
 /// A named entry in the scenario registry.
 pub struct ScenarioSpec {
-    /// The registry name (what `run_all --filter` matches and the
-    /// per-scenario binaries are called).
+    /// The registry name (the `trail-bench` subcommand, and what
+    /// `trail-bench all --filter` matches).
     pub name: &'static str,
     /// The `BENCH_<artifact>.json` stem — usually the name, but a
     /// scenario may publish under a shorter artifact stem (`serve_fleet`
@@ -113,7 +110,7 @@ pub struct ScenarioSpec {
     pub run: fn(&ScenarioConfig) -> ScenarioOutput,
 }
 
-/// The full experiment registry, in the order `run_all` reports them.
+/// The full experiment registry, in the order `trail-bench all` reports them.
 #[must_use]
 pub fn all_scenarios() -> Vec<ScenarioSpec> {
     vec![
@@ -223,8 +220,7 @@ pub fn all_scenarios() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// Runs the registered scenario called `name`; `None` if unknown. This is
-/// how the per-table binaries reach their scenario.
+/// Runs the registered scenario called `name`; `None` if unknown.
 #[must_use]
 pub fn run_scenario(name: &str, cfg: &ScenarioConfig) -> Option<ScenarioOutput> {
     all_scenarios()
@@ -245,7 +241,7 @@ fn elapsed_for_batch(batch: usize, total: usize, recorder: Option<RecorderHandle
         reposition_every_write: true,
         ..TrailConfig::default()
     };
-    let mut tb = testbed_recorded(config, recorder);
+    let mut tb = testbed(config, recorder);
     let start = tb.sim.now();
     let done_at = Rc::new(RefCell::new(start));
     fn submit_group(
@@ -376,7 +372,7 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
         for &kb in sizes_kb {
             let size = kb * 1024;
             let per_proc = (writes / procs).max(1);
-            let t_sparse = sync_writes_trail_recorded(
+            let t_sparse = sync_writes_trail(
                 TrailConfig::default(),
                 procs,
                 per_proc,
@@ -388,7 +384,7 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
             .latency
             .mean()
             .as_millis_f64();
-            let t_clustered = sync_writes_trail_recorded(
+            let t_clustered = sync_writes_trail(
                 TrailConfig::default(),
                 procs,
                 per_proc,
@@ -400,7 +396,7 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
             .latency
             .mean()
             .as_millis_f64();
-            let s_sparse = sync_writes_standard_recorded(
+            let s_sparse = sync_writes_standard(
                 procs,
                 per_proc,
                 size,
@@ -411,7 +407,7 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
             .latency
             .mean()
             .as_millis_f64();
-            let s_clustered = sync_writes_standard_recorded(
+            let s_clustered = sync_writes_standard(
                 procs,
                 per_proc,
                 size,
@@ -658,7 +654,7 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
     let sparse = ArrivalMode::Sparse {
         gap: SimDuration::from_millis(5),
     };
-    let one_sector = sync_writes_trail_recorded(
+    let one_sector = sync_writes_trail(
         TrailConfig::default(),
         1,
         n,
@@ -673,7 +669,7 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
         one_sector.latency.mean().as_millis_f64(),
         one_sector.latency.max().as_millis_f64()
     );
-    let four_kb = sync_writes_trail_recorded(
+    let four_kb = sync_writes_trail(
         TrailConfig::default(),
         1,
         n,
@@ -687,7 +683,7 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
         "4-KB sync write (sparse): mean {:.3} ms (abstract claims <1.5 ms; media-rate transfer of 8 sectors alone is ~1.0 ms — see EXPERIMENTS.md)",
         four_kb.latency.mean().as_millis_f64()
     );
-    let clustered = sync_writes_trail_recorded(
+    let clustered = sync_writes_trail(
         TrailConfig::default(),
         1,
         n,
@@ -704,7 +700,7 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
 
     // --- Residual rotational latency ----------------------------------
     // Run a sparse workload and read the log disk's rotation-wait stats.
-    let mut tb = testbed_recorded(TrailConfig::default(), cfg.handle());
+    let mut tb = testbed(TrailConfig::default(), cfg.handle());
     let mut rng = trail_sim::rng(cfg.mix(11));
     for _ in 0..(n.min(200)) {
         let lba = rng.gen_range(0..1_000_000u64);
@@ -783,7 +779,7 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             track_util_threshold: th,
             ..TrailConfig::default()
         };
-        let mut tb = testbed(config);
+        let mut tb = testbed(config, None);
         let mut rng = trail_sim::rng(cfg.mix(21));
         let lat = Rc::new(RefCell::new(LatencySummary::new()));
         for _ in 0..writes {
@@ -853,10 +849,19 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
                 gap: SimDuration::from_millis(5),
             },
             cfg.mix(31),
+            None,
         );
-        let clustered = sync_writes_trail(config, 1, n, 1024, ArrivalMode::Clustered, cfg.mix(33));
+        let clustered = sync_writes_trail(
+            config,
+            1,
+            n,
+            1024,
+            ArrivalMode::Clustered,
+            cfg.mix(33),
+            None,
+        );
         // Count repositions on a fresh clustered run.
-        let mut tb = testbed(config);
+        let mut tb = testbed(config, None);
         for i in 0..repos_n as u64 {
             let token = tb.sim.completion(|_, _: Delivered<_>| {});
             tb.trail
@@ -963,7 +968,7 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             max_batch_sectors: cap,
             ..TrailConfig::default()
         };
-        let mut tb = testbed(config);
+        let mut tb = testbed(config, None);
         let start = tb.sim.now();
         let done = Rc::new(Cell::new(0u32));
         for i in 0..u64::from(batch_writes) {
@@ -1184,6 +1189,7 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
             gap: SimDuration::from_millis(4),
         },
         cfg.mix(7),
+        None,
     )
     .latency
     .mean()
@@ -1345,7 +1351,7 @@ fn table2_config(
         seed: cfg.mix(TpccRig::default().seed),
         ..TpccRig::default()
     };
-    let mut setup = tpcc_setup_recorded(trail, &rig, cfg.handle());
+    let mut setup = tpcc_setup(trail, &rig, cfg.handle());
     run(
         &mut setup.sim,
         &setup.db,
@@ -1474,7 +1480,7 @@ fn table3(cfg: &ScenarioConfig) -> ScenarioOutput {
             seed: cfg.mix(TpccRig::default().seed),
             ..TpccRig::default()
         };
-        let mut setup = tpcc_setup(false, &rig);
+        let mut setup = tpcc_setup(false, &rig, None);
         let result = run(
             &mut setup.sim,
             &setup.db,
@@ -1529,7 +1535,7 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
             seed: cfg.mix(TpccRig::default().seed),
             ..TpccRig::default()
         };
-        let mut setup = tpcc_setup(true, &rig);
+        let mut setup = tpcc_setup(true, &rig, None);
         let trail = setup.trail.clone().expect("trail rig");
         run(
             &mut setup.sim,
@@ -1687,8 +1693,9 @@ fn replay_synthetic(cfg: &ScenarioConfig) -> ScenarioOutput {
 }
 
 /// The `BENCH_replaystream.json` payload for one streaming replay —
-/// shared with the standalone `replay_stream` binary so the artifact
-/// schema cannot drift between the registry and the CI gate. Every
+/// shared with `trail-bench replay_stream --trace` and `trail-bench giga`
+/// so the artifact schema cannot drift between the registry and the CI
+/// gates. Every
 /// field is virtual-time-derived: `records_per_sec` is records over
 /// the replay's *virtual* duration, and `peak_resident_records` is the
 /// engine's bounded-memory proxy (arrival batch + requests in flight),
@@ -2323,7 +2330,7 @@ fn replay_tpcc(cfg: &ScenarioConfig) -> ScenarioOutput {
     // Trail: the tap sees the logical request stream (WAL forces, page
     // evictions, reads), not the log-disk records, so the capture
     // replays against any stack.
-    let mut setup = tpcc_setup_recorded(true, &rig, None);
+    let mut setup = tpcc_setup(true, &rig, None);
     let capture = TraceCapture::new();
     setup.stack.set_tap(capture.handle());
     let tpcc = run(

@@ -1,10 +1,10 @@
 //! Full-stack telemetry acceptance tests: exact latency decomposition,
 //! deterministic event streams, zero perturbation when recording, and a
-//! parseable Chrome trace from the `fig3` binary.
+//! parseable Chrome trace from `trail-bench fig3`.
 
 use std::rc::Rc;
 
-use trail_bench::{sync_writes_trail, sync_writes_trail_recorded, ArrivalMode};
+use trail_bench::{sync_writes_trail, ArrivalMode};
 use trail_core::TrailConfig;
 use trail_sim::SimDuration;
 use trail_telemetry::{EventKind, JsonValue, Layer, MemoryRecorder, RecorderHandle};
@@ -22,7 +22,7 @@ fn sparse() -> ArrivalMode {
 #[test]
 fn breakdowns_sum_exactly_to_end_to_end_latency() {
     let rec = MemoryRecorder::shared();
-    let _ = sync_writes_trail_recorded(
+    let _ = sync_writes_trail(
         TrailConfig::default(),
         2,
         60,
@@ -72,7 +72,7 @@ fn breakdowns_sum_exactly_to_end_to_end_latency() {
 fn identically_seeded_runs_produce_identical_streams() {
     let run = || {
         let rec = MemoryRecorder::shared();
-        let _ = sync_writes_trail_recorded(
+        let _ = sync_writes_trail(
             TrailConfig::default(),
             4,
             25,
@@ -90,7 +90,7 @@ fn identically_seeded_runs_produce_identical_streams() {
     // A different seed must produce a different stream — otherwise the
     // fingerprint is vacuous.
     let rec = MemoryRecorder::shared();
-    let _ = sync_writes_trail_recorded(
+    let _ = sync_writes_trail(
         TrailConfig::default(),
         4,
         25,
@@ -107,9 +107,9 @@ fn identically_seeded_runs_produce_identical_streams() {
 /// a live `MemoryRecorder` — and therefore unchanged from the seed.
 #[test]
 fn recording_does_not_perturb_latency_results() {
-    let plain = sync_writes_trail(TrailConfig::default(), 2, 40, 512, sparse(), 7);
+    let plain = sync_writes_trail(TrailConfig::default(), 2, 40, 512, sparse(), 7, None);
     let rec = MemoryRecorder::shared();
-    let recorded = sync_writes_trail_recorded(
+    let recorded = sync_writes_trail(
         TrailConfig::default(),
         2,
         40,
@@ -125,7 +125,7 @@ fn recording_does_not_perturb_latency_results() {
     assert_eq!(plain.latency.max(), recorded.latency.max());
 }
 
-/// Acceptance: `fig3 --trace-out` produces a Chrome trace-event JSON that
+/// Acceptance: `trail-bench fig3 --trace-out` produces a Chrome trace-event JSON that
 /// parses, survives a serialize/parse round trip, and contains at least
 /// one event of every disk, blockio, and core event kind.
 #[test]
@@ -134,7 +134,8 @@ fn fig3_trace_out_round_trips_and_covers_all_kinds() {
     std::fs::create_dir_all(dir).expect("tmpdir");
     let trace_path = dir.join("fig3_trace.json");
     let metrics_path = dir.join("fig3_metrics.json");
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_fig3"))
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_trail-bench"))
+        .arg("fig3")
         .arg("40")
         .arg("--trace-out")
         .arg(&trace_path)
@@ -142,8 +143,8 @@ fn fig3_trace_out_round_trips_and_covers_all_kinds() {
         .arg(&metrics_path)
         .current_dir(dir)
         .status()
-        .expect("run fig3");
-    assert!(status.success(), "fig3 exited with {status}");
+        .expect("run trail-bench fig3");
+    assert!(status.success(), "trail-bench fig3 exited with {status}");
 
     let text = std::fs::read_to_string(&trace_path).expect("read trace");
     let trace = JsonValue::parse(&text).expect("trace parses");

@@ -155,9 +155,37 @@ impl Lfs {
             .map(|(i, _)| i as u32)
     }
 
+    /// Makes `current_seg` a segment the next flush may write. It already
+    /// is one unless the log filled up (a flush found no free segment to
+    /// advance to); then segments whose slots are all dead are reclaimed —
+    /// nothing live to copy, so no I/O — and the first one is taken.
+    /// `false` when every segment still holds live data.
+    fn ensure_free_segment(d: &mut Inner) -> bool {
+        let written = |d: &Inner| d.segments[d.current_seg as usize].is_some();
+        if written(d) && Self::first_free_segment(d).is_none() {
+            for s in &mut d.segments {
+                if s.as_ref()
+                    .is_some_and(|seg| seg.slots.iter().all(Option::is_none))
+                {
+                    *s = None;
+                    d.lfs_stats.segments_cleaned += 1;
+                }
+            }
+        }
+        if written(d) {
+            let Some(next) = Self::first_free_segment(d) else {
+                return false;
+            };
+            d.current_seg = next;
+        }
+        true
+    }
+
     /// Flushes the segment buffer to `current_seg` as one sequential
     /// write; `on_done` is delivered at completion (or cancelled if the
-    /// device dies mid-flush).
+    /// device dies mid-flush). A written segment is never overwritten:
+    /// with the log full of live data `on_done` gets [`FsError::NoSpace`]
+    /// and the blocks stay buffered.
     fn flush_segment(
         &self,
         sim: &mut Simulator,
@@ -171,6 +199,11 @@ impl Lfs {
                 // serialize forces behind pending_work instead).
                 drop(d);
                 on_done.complete(sim, Ok(()));
+                return;
+            }
+            if !Self::ensure_free_segment(&mut d) {
+                drop(d);
+                on_done.complete(sim, Err(FsError::NoSpace));
                 return;
             }
             d.flush_in_flight = true;
@@ -446,6 +479,11 @@ impl FileSystem for Lfs {
                 .is_none()
             {
                 return Err(FsError::BadHandle);
+            }
+            // Reject before touching any state: buffering would kill the
+            // blocks' previous locations for a write that cannot land.
+            if !Self::ensure_free_segment(&mut d) {
+                return Err(FsError::NoSpace);
             }
             let first = (offset / FS_BLOCK_SIZE as u64) as usize;
             let nblocks = data.len().div_ceil(FS_BLOCK_SIZE);

@@ -387,3 +387,72 @@ fn lfs_delete_frees_segments_without_io() {
         "fully-dead segments reclaim for free"
     );
 }
+
+#[test]
+fn lfs_sync_overwrites_outlast_the_segment_count() {
+    // Each sync write forces a one-block partial segment, so overwriting
+    // one block more often than there are segments fills the log with
+    // dead segments; they must be reclaimed, never written over.
+    let (mut sim, stack, _) = stack();
+    let fs = Lfs::new(
+        stack,
+        0,
+        LfsConfig {
+            segment_blocks: 8,
+            segments: 4,
+        },
+    );
+    let hot = fs.create("hot").unwrap();
+    let cold = fs.create("cold").unwrap();
+    // A second block in the first segment gives a stale map entry a
+    // non-zero offset to trip over.
+    write_all(&mut sim, &fs, cold, 0, vec![0xC0; BLK], false);
+    for round in 0..20u8 {
+        write_all(&mut sim, &fs, hot, 0, vec![round; BLK], true);
+        write_all(&mut sim, &fs, cold, 0, vec![0xC0 ^ round; BLK], true);
+    }
+    assert_eq!(read_all(&mut sim, &fs, hot, 0, BLK), vec![19u8; BLK]);
+    assert_eq!(read_all(&mut sim, &fs, cold, 0, BLK), vec![0xC0 ^ 19; BLK]);
+    assert!(
+        fs.lfs_stats().segments_cleaned > 0,
+        "dead segments reclaimed"
+    );
+}
+
+#[test]
+fn lfs_full_of_live_data_rejects_writes_with_no_space() {
+    let (mut sim, stack, _) = stack();
+    let fs = Lfs::new(
+        stack,
+        0,
+        LfsConfig {
+            segment_blocks: 8,
+            segments: 4,
+        },
+    );
+    let f = fs.create("live").unwrap();
+    // Four distinct blocks, one forced segment each: every segment ends
+    // up holding live data.
+    for i in 0..4u64 {
+        write_all(
+            &mut sim,
+            &fs,
+            f,
+            i * BLK as u64,
+            vec![i as u8 + 1; BLK],
+            true,
+        );
+    }
+    let token = sim.completion(|_, _: Delivered<Result<(), FsError>>| {});
+    assert_eq!(
+        fs.write(&mut sim, f, 4 * BLK as u64, vec![9; BLK], true, token)
+            .unwrap_err(),
+        FsError::NoSpace
+    );
+    // The rejected write changed nothing.
+    assert_eq!(fs.file_size(f).unwrap(), 4 * BLK as u64);
+    let back = read_all(&mut sim, &fs, f, 0, 4 * BLK);
+    for i in 0..4usize {
+        assert_eq!(back[i * BLK], i as u8 + 1, "block {i}");
+    }
+}

@@ -5,8 +5,8 @@
 //! parallel *across* simulations: each work item boots its own
 //! [`Simulator`](crate::Simulator) and never touches shared state. This
 //! module provides the one fan-out primitive those harnesses share —
-//! `run_all`, the crash campaigns, and sharded trace replay all drain the
-//! same kind of queue.
+//! `trail-bench all`, the crash campaigns, and sharded trace replay all
+//! drain the same kind of queue.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

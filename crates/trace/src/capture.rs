@@ -118,7 +118,7 @@ struct StreamingInner<W: Write> {
 }
 
 impl<W: Write + 'static> StreamingCapture<W> {
-    /// Opens a streaming capture over `w`: writes the v2 header for
+    /// Opens a streaming capture over `w`: writes the header for
     /// `meta` immediately and returns the tap, shareable as a
     /// [`TapHandle`]. `meta.devices` must already cover the devices the
     /// stack will submit to (a streamed header cannot be patched

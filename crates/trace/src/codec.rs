@@ -4,14 +4,14 @@
 //!
 //! - **Binary** (`.trace`): an 8-byte magic, a little-endian header, a
 //!   canonical-JSON metadata blob, then the records in **length-prefixed
-//!   chunks** (format v3) — each chunk carries its record count, a
+//!   chunks** — each chunk carries its record count, a
 //!   CRC-32 over its *decoded* payload, and a [`ChunkEncoding`] tag
 //!   ([`ChunkEncoding::Delta`] chunks store a column-split
 //!   delta/zigzag/varint compression of the records); a footer chunk
 //!   index closes the file. Encoding is canonical, so decode → re-encode
-//!   reproduces the input byte for byte. Version-2 files (12-byte chunk
-//!   headers, raw payloads only) and version-1 files (a bare `u64`
-//!   record count followed by a flat record array) remain readable.
+//!   reproduces the input byte for byte. [`TRACE_VERSION`] is the only
+//!   layout: any other version in a header is
+//!   [`TraceError::UnsupportedVersion`].
 //! - **JSONL** (`.jsonl`): the first line is the metadata object, each
 //!   following line one record. This is the greppable/diffable export;
 //!   it is exact for values below 2⁵³ (encoding larger timestamps or
@@ -31,8 +31,7 @@
 //! |---|---|---|---|---|---|---|
 //! | `at_ns` u64 | `lba` u64 | `sectors` u32 | `stream` u32 | `dev` u16 | `op` u8 | reserved (0) |
 //!
-//! Layout of a v3 chunk frame (all little-endian; v2 frames are the
-//! same minus the `encoding` byte):
+//! Layout of a chunk frame (all little-endian):
 //!
 //! | 0..4 | 4..8 | 8..12 | 12 | 13.. |
 //! |---|---|---|---|---|
@@ -69,12 +68,13 @@ pub const DEFAULT_CHUNK_RECORDS: u32 = 4096;
 /// matter what the frame header claims).
 pub const MAX_CHUNK_RECORDS: u32 = 1 << 20;
 
-/// Size of a v3 chunk frame header (`records`, `payload_len`, `crc32`,
+/// Size of a chunk frame header (`records`, `payload_len`, `crc32`,
 /// `encoding`).
 const CHUNK_HEADER_BYTES: usize = 13;
 
-/// Size of a v2 chunk frame header (no `encoding` byte).
-const V2_CHUNK_HEADER_BYTES: usize = 12;
+/// Ceiling on the header's metadata blob (bounds a reader's allocation
+/// no matter what the length field claims; real blobs are ~150 bytes).
+const MAX_META_BYTES: usize = 1 << 20;
 
 /// Worst-case delta-encoded size of one record: two 10-byte varints
 /// (`at`, `lba`), two 5-byte varints (`sectors`, `stream`), one 3-byte
@@ -90,7 +90,7 @@ const JSON_EXACT_MAX: u64 = 1 << 53;
 pub enum TraceError {
     /// The input does not start with [`TRACE_MAGIC`].
     BadMagic,
-    /// The input's version is newer than this build understands.
+    /// The input's version is not [`TRACE_VERSION`].
     UnsupportedVersion(u16),
     /// The input ended before the declared content did.
     Truncated(String),
@@ -103,7 +103,7 @@ pub enum TraceError {
         /// What was wrong with it.
         reason: String,
     },
-    /// A chunk (v2/v3) is malformed: truncated payload, CRC mismatch,
+    /// A chunk is malformed: truncated payload, CRC mismatch,
     /// an unknown encoding, a malformed delta payload, or an impossible
     /// frame header.
     BadChunk {
@@ -122,7 +122,10 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::BadMagic => write!(f, "not a trail trace (bad magic)"),
             TraceError::UnsupportedVersion(v) => {
-                write!(f, "trace version {v} unsupported (max {TRACE_VERSION})")
+                write!(
+                    f,
+                    "trace version {v} unsupported (this build reads {TRACE_VERSION})"
+                )
             }
             TraceError::Truncated(what) => write!(f, "truncated trace: {what}"),
             TraceError::BadMeta(why) => write!(f, "bad trace metadata: {why}"),
@@ -189,26 +192,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// The canonical metadata object both codecs embed. `seed` is carried as
 /// a decimal string so 64-bit seeds survive the f64 JSON number space.
 /// `records` is present when the producer knows the total up front (the
-/// JSONL codec and the legacy v1 binary); a streaming v2 writer leaves
-/// it out — the total lives in the footer index instead.
-fn meta_json(meta: &TraceMeta, version: u16, records: Option<u64>) -> JsonValue {
+/// JSONL codec); the streaming binary writer leaves it out — the total
+/// lives in the footer index instead.
+fn meta_json(meta: &TraceMeta, records: Option<u64>) -> JsonValue {
     let mut fields = vec![
         ("format", JsonValue::str("trail-trace")),
-        ("version", JsonValue::Num(f64::from(version))),
+        ("version", JsonValue::Num(f64::from(TRACE_VERSION))),
         ("source", JsonValue::str(meta.source.clone())),
         ("seed", JsonValue::str(meta.seed.to_string())),
         ("devices", JsonValue::Num(f64::from(meta.devices))),
         ("note", JsonValue::str(meta.note.clone())),
-    ];
-    if version >= 2 {
-        fields.push((
+        (
             "chunk_records",
             JsonValue::Num(f64::from(meta.chunk_records)),
-        ));
-    }
-    if version >= 3 {
-        fields.push(("encoding", JsonValue::str(meta.encoding.name())));
-    }
+        ),
+        ("encoding", JsonValue::str(meta.encoding.name())),
+    ];
     if let Some(records) = records {
         fields.push(("records", JsonValue::Num(records as f64)));
     }
@@ -228,7 +227,7 @@ fn parse_meta(v: &JsonValue) -> Result<(TraceMeta, Option<u64>), TraceError> {
         .get("version")
         .and_then(JsonValue::as_f64)
         .ok_or_else(|| bad("missing version"))? as u16;
-    if version == 0 || version > TRACE_VERSION {
+    if version != TRACE_VERSION {
         return Err(TraceError::UnsupportedVersion(version));
     }
     let seed = match v.get("seed") {
@@ -446,7 +445,7 @@ pub struct TraceWriter<W: Write> {
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Writes the v3 header (magic, version, flags, metadata) and
+    /// Writes the header (magic, version, flags, metadata) and
     /// returns a writer ready for records. Every flushed chunk is
     /// encoded per [`TraceMeta::encoding`].
     ///
@@ -459,7 +458,7 @@ impl<W: Write> TraceWriter<W> {
         } else {
             meta.chunk_records.min(MAX_CHUNK_RECORDS)
         };
-        let meta_text = meta_json(meta, TRACE_VERSION, None).to_json();
+        let meta_text = meta_json(meta, None).to_json();
         let meta_bytes = meta_text.as_bytes();
         w.write_all(&TRACE_MAGIC)?;
         w.write_all(&TRACE_VERSION.to_le_bytes())?;
@@ -578,19 +577,14 @@ impl<W: Write> TraceWriter<W> {
 /// Streaming chunked decoder over any [`io::Read`]: the header and
 /// metadata are parsed on construction, records are decoded one chunk
 /// at a time as [`next_record`] / [`records`] demand them, and the
-/// footer index is verified against the records actually read. Reads
-/// both format versions — v1 files are streamed in
-/// [`DEFAULT_CHUNK_RECORDS`]-sized bites, so memory stays bounded by
-/// one chunk either way.
+/// footer index is verified against the records actually read, so
+/// memory stays bounded by one chunk.
 ///
 /// [`next_record`]: TraceReader::next_record
 /// [`records`]: TraceReader::records
 pub struct TraceReader<R: Read> {
     r: R,
     meta: TraceMeta,
-    version: u16,
-    /// v1 only: the record count the header declared.
-    declared: Option<u64>,
     chunk: Vec<u8>,
     scratch: Vec<u8>,
     pos: usize,
@@ -617,13 +611,18 @@ impl<R: Read> TraceReader<R> {
         r.read_exact(&mut halves)
             .map_err(|e| read_err("version", &e))?;
         let version = u16::from_le_bytes(halves[0..2].try_into().expect("2 bytes"));
-        if version == 0 || version > TRACE_VERSION {
+        if version != TRACE_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let mut len = [0u8; 4];
         r.read_exact(&mut len)
             .map_err(|e| read_err("meta length", &e))?;
         let meta_len = u32::from_le_bytes(len) as usize;
+        if meta_len > MAX_META_BYTES {
+            return Err(TraceError::BadMeta(format!(
+                "metadata blob claims {meta_len} bytes (max {MAX_META_BYTES})"
+            )));
+        }
         let mut meta_bytes = vec![0u8; meta_len];
         r.read_exact(&mut meta_bytes)
             .map_err(|e| read_err("metadata blob", &e))?;
@@ -632,19 +631,9 @@ impl<R: Read> TraceReader<R> {
         let meta_value =
             JsonValue::parse(meta_text).map_err(|e| TraceError::BadMeta(e.to_string()))?;
         let (meta, _) = parse_meta(&meta_value)?;
-        let declared = if version == 1 {
-            let mut count = [0u8; 8];
-            r.read_exact(&mut count)
-                .map_err(|e| read_err("record count", &e))?;
-            Some(u64::from_le_bytes(count))
-        } else {
-            None
-        };
         Ok(TraceReader {
             r,
             meta,
-            version,
-            declared,
             chunk: Vec::new(),
             scratch: Vec::new(),
             pos: 0,
@@ -658,12 +647,6 @@ impl<R: Read> TraceReader<R> {
     #[must_use]
     pub fn meta(&self) -> &TraceMeta {
         &self.meta
-    }
-
-    /// The on-disk format version (1, 2, or 3).
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Records decoded so far.
@@ -680,53 +663,31 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Loads the next chunk into `self.chunk`, or marks the stream done
-    /// at a clean footer (v2) / declared count (v1).
+    /// at a clean footer.
     fn refill(&mut self) -> Result<(), TraceError> {
-        if self.version == 1 {
-            let remaining = self
-                .declared
-                .expect("v1 declares a count")
-                .saturating_sub(self.records_read);
-            if remaining == 0 {
-                self.done = true;
-                return Ok(());
-            }
-            let take = remaining.min(u64::from(DEFAULT_CHUNK_RECORDS)) as usize;
-            self.chunk.resize(take * RECORD_BYTES, 0);
-            self.r
-                .read_exact(&mut self.chunk)
-                .map_err(|e| read_err("record data", &e))?;
-            self.pos = 0;
-            self.chunks_read += 1;
-            return Ok(());
-        }
         let chunk = self.chunks_read as usize;
-        let header_len = if self.version >= 3 {
-            CHUNK_HEADER_BYTES
-        } else {
-            V2_CHUNK_HEADER_BYTES
-        };
         let mut header = [0u8; CHUNK_HEADER_BYTES];
         self.r
-            .read_exact(&mut header[..header_len])
+            .read_exact(&mut header)
             .map_err(|e| read_err("chunk header (unfinished trace is missing its footer)", &e))?;
         let records = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         let payload_len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
         let stored_crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
         let bad = |reason: String| TraceError::BadChunk { chunk, reason };
-        let encoding = if self.version >= 3 {
-            ChunkEncoding::from_code(header[12])
-                .ok_or_else(|| bad(format!("unknown chunk encoding {}", header[12])))?
-        } else {
-            ChunkEncoding::Raw
-        };
+        let encoding = ChunkEncoding::from_code(header[12])
+            .ok_or_else(|| bad(format!("unknown chunk encoding {}", header[12])))?;
         if records == 0 {
             // Footer: verify the index against what was actually read.
             if encoding != ChunkEncoding::Raw {
                 return Err(bad("footer frame is not raw".to_string()));
             }
-            if !(12..=12 + (1 << 28)).contains(&payload_len) {
-                return Err(bad(format!("impossible footer length {payload_len}")));
+            // The index holds one 12-byte entry per data chunk read, so
+            // its length is known before it is trusted for an allocation.
+            if payload_len as u64 != 12 + 12 * self.chunks_read {
+                return Err(bad(format!(
+                    "footer length {payload_len} does not index the {} chunks read",
+                    self.chunks_read
+                )));
             }
             let mut footer = vec![0u8; payload_len];
             self.r
@@ -865,7 +826,7 @@ impl<R: Read> Iterator for Records<'_, R> {
 
 // -------------------------------------------------- in-memory adapters
 
-/// Encodes a trace to the canonical (v3 chunked) binary form — a thin
+/// Encodes a trace to the canonical chunked binary form — a thin
 /// adapter over [`TraceWriter`] for small traces and tests. Chunk
 /// payloads follow [`TraceMeta::encoding`].
 #[must_use]
@@ -879,74 +840,7 @@ pub fn to_binary(trace: &Trace) -> Vec<u8> {
     w.finish().expect("Vec writes are infallible")
 }
 
-/// Encodes a trace in the legacy v1 layout (flat record array, no
-/// chunks). Kept so compatibility with already-stored v1 files stays
-/// testable; new code should write v2 via [`to_binary`] or
-/// [`TraceWriter`].
-#[must_use]
-pub fn to_binary_v1(trace: &Trace) -> Vec<u8> {
-    let meta = meta_json(&trace.meta, 1, Some(trace.records.len() as u64)).to_json();
-    let meta = meta.as_bytes();
-    let mut out = Vec::with_capacity(24 + meta.len() + RECORD_BYTES * trace.records.len());
-    out.extend_from_slice(&TRACE_MAGIC);
-    out.extend_from_slice(&1u16.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-    out.extend_from_slice(meta);
-    out.extend_from_slice(&(trace.records.len() as u64).to_le_bytes());
-    for r in &trace.records {
-        encode_record(&mut out, r);
-    }
-    out
-}
-
-/// Encodes a trace in the v2 layout (12-byte chunk headers, raw
-/// payloads only, no encoding byte). Kept so compatibility with
-/// already-stored v2 files stays testable; new code should write v3 via
-/// [`to_binary`] or [`TraceWriter`].
-#[must_use]
-pub fn to_binary_v2(trace: &Trace) -> Vec<u8> {
-    let chunk_records = if trace.meta.chunk_records == 0 {
-        DEFAULT_CHUNK_RECORDS
-    } else {
-        trace.meta.chunk_records.min(MAX_CHUNK_RECORDS)
-    };
-    let meta = meta_json(&trace.meta, 2, None).to_json();
-    let meta = meta.as_bytes();
-    let mut out = Vec::with_capacity(64 + meta.len() + RECORD_BYTES * trace.records.len());
-    out.extend_from_slice(&TRACE_MAGIC);
-    out.extend_from_slice(&2u16.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-    out.extend_from_slice(meta);
-    let mut index = Vec::new();
-    let mut payload = Vec::new();
-    for chunk in trace.records.chunks(chunk_records as usize) {
-        payload.clear();
-        for r in chunk {
-            encode_record(&mut payload, r);
-        }
-        index.push((out.len() as u64, chunk.len() as u32));
-        out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-    }
-    let mut footer = Vec::with_capacity(12 + index.len() * 12);
-    footer.extend_from_slice(&(trace.records.len() as u64).to_le_bytes());
-    footer.extend_from_slice(&(index.len() as u32).to_le_bytes());
-    for (offset, records) in &index {
-        footer.extend_from_slice(&offset.to_le_bytes());
-        footer.extend_from_slice(&records.to_le_bytes());
-    }
-    out.extend_from_slice(&0u32.to_le_bytes()); // records = 0: footer
-    out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&footer).to_le_bytes());
-    out.extend_from_slice(&footer);
-    out
-}
-
-/// Decodes a binary trace (either format version) — a thin adapter over
+/// Decodes a binary trace — a thin adapter over
 /// [`TraceReader`].
 ///
 /// # Errors
@@ -964,7 +858,7 @@ pub fn from_binary(bytes: &[u8]) -> Result<Trace, TraceError> {
 /// only cross-check the count when it is present.
 #[must_use]
 pub fn jsonl_meta_line(meta: &TraceMeta, records: Option<u64>) -> String {
-    meta_json(meta, TRACE_VERSION, records).to_json()
+    meta_json(meta, records).to_json()
 }
 
 /// One JSONL record line (no trailing newline).
@@ -1150,23 +1044,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_remain_readable() {
-        let t = sample();
-        let v1 = to_binary_v1(&t);
-        let back = from_binary(&v1).expect("v1 decode");
-        assert_eq!(back, t);
-        // And re-encoding a v1 decode produces the canonical v2 bytes.
-        assert_eq!(to_binary(&back), to_binary(&t));
-    }
-
-    #[test]
     fn streaming_reader_decodes_one_chunk_at_a_time() {
         let mut t = sample();
         t.meta.chunk_records = 1;
         let bytes = to_binary(&t);
         let mut reader = TraceReader::new(bytes.as_slice()).expect("header");
         assert_eq!(reader.meta().devices, 3);
-        assert_eq!(reader.version(), TRACE_VERSION);
         let records: Vec<TraceRecord> = reader.records().map(|r| r.expect("record")).collect();
         assert_eq!(records, t.records);
         assert_eq!(reader.records_read(), 2);
@@ -1207,6 +1090,53 @@ mod tests {
             from_binary(&bytes[..bytes.len() - 3]),
             Err(TraceError::Truncated(_))
         ));
+    }
+
+    #[test]
+    fn v1_and_v2_headers_are_rejected_as_unsupported() {
+        for old in [1u16, 2] {
+            let mut bytes = to_binary(&sample());
+            bytes[8..10].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                TraceReader::new(bytes.as_slice()).err(),
+                Some(TraceError::UnsupportedVersion(old))
+            );
+            let line = jsonl_meta_line(&TraceMeta::default(), None)
+                .replace("\"version\":3", &format!("\"version\":{old}"));
+            assert_eq!(
+                parse_jsonl_meta(&line).err(),
+                Some(TraceError::UnsupportedVersion(old))
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_meta_length_is_rejected_before_allocating() {
+        // A 16-byte file whose header claims a 4-GiB metadata blob.
+        let mut bytes = TRACE_MAGIC.to_vec();
+        bytes.extend_from_slice(&TRACE_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            TraceReader::new(bytes.as_slice()).err(),
+            Some(TraceError::BadMeta(_))
+        ));
+    }
+
+    #[test]
+    fn footer_length_must_match_the_chunks_read() {
+        let bytes = to_binary(&sample());
+        // One data chunk, so the footer frame is the last 13 + 24 bytes;
+        // claim a 256-MiB index instead.
+        let footer = bytes.len() - (CHUNK_HEADER_BYTES + 24);
+        let mut bad = bytes[..footer + CHUNK_HEADER_BYTES].to_vec();
+        bad[footer + 4..footer + 8].copy_from_slice(&(1u32 << 28).to_le_bytes());
+        match from_binary(&bad) {
+            Err(TraceError::BadChunk { chunk: 1, reason }) => {
+                assert!(reason.contains("footer length"), "{reason}");
+            }
+            other => panic!("expected a footer-length error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1405,16 +1335,6 @@ mod tests {
             }
             other => panic!("expected a chunk-1 truncation error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn v2_files_remain_readable() {
-        let t = sample();
-        let v2 = to_binary_v2(&t);
-        let back = from_binary(&v2).expect("v2 decode");
-        assert_eq!(back, t);
-        // And re-encoding a v2 decode produces the canonical v3 bytes.
-        assert_eq!(to_binary(&back), to_binary(&t));
     }
 
     #[test]

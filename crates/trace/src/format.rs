@@ -13,26 +13,14 @@ use trail_disk::Lba;
 use trail_sim::{SimDuration, SimTime};
 use trail_telemetry::StreamId;
 
-/// The current trace format version, written by both codecs.
-///
-/// Version history:
-/// - **1** — initial format: 28-byte little-endian records, JSON meta
-///   header (see `DESIGN.md`, "Workload trace format").
-/// - **2** — chunked records: the flat record array is replaced by
-///   length-prefixed chunks with per-chunk CRC-32 and record count plus
-///   a footer chunk index, so traces stream at bounded memory (see
-///   `DESIGN.md`, "Trace format v2 (chunked)"). v1 files remain
-///   readable.
-/// - **3** — per-chunk encoding byte: each chunk header grows a
-///   [`ChunkEncoding`] tag so chunk payloads may be delta-compressed
-///   (column split + delta + zigzag/varint — see `DESIGN.md`, "Trace
-///   format v3 (delta-compressed chunks)"). The CRC still covers the
-///   *decoded* 28-byte record payload, so a Raw and a Delta chunk of
-///   the same records carry the same checksum. v1 and v2 files remain
-///   readable.
+/// The trace format version, written by both codecs and the only one
+/// they read (see `DESIGN.md`, "Workload trace format"): 28-byte
+/// little-endian records in length-prefixed chunks, each with a record
+/// count, a CRC-32 over its decoded payload and a [`ChunkEncoding`] tag,
+/// closed by a footer chunk index. Any other version is rejected.
 pub const TRACE_VERSION: u16 = 3;
 
-/// How a v3 chunk's record payload is laid out on disk.
+/// How a chunk's record payload is laid out on disk.
 ///
 /// The tag travels in every chunk header, so a single file may mix
 /// encodings and a reader never guesses; [`TraceMeta::encoding`] names
@@ -40,7 +28,7 @@ pub const TRACE_VERSION: u16 = 3;
 /// encode→decode→re-encode canonical.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ChunkEncoding {
-    /// The flat 28-byte little-endian record array, as in v2.
+    /// The flat 28-byte little-endian record array.
     #[default]
     Raw,
     /// Column split + per-column delta + zigzag/varint. Arrival times

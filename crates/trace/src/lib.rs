@@ -45,8 +45,8 @@ pub mod shard;
 
 pub use capture::{StreamingCapture, TraceCapture};
 pub use codec::{
-    from_binary, from_jsonl, to_binary, to_binary_v1, to_binary_v2, to_jsonl, TraceError,
-    TraceReader, TraceWriter, DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
+    crc32, from_binary, from_jsonl, to_binary, to_jsonl, TraceError, TraceReader, TraceWriter,
+    DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
 };
 pub use format::{
     ChunkEncoding, StreamSummary, StreamSummaryBuilder, StreamView, Trace, TraceMeta, TraceOp,
@@ -56,8 +56,6 @@ pub use gen::{generate, generate_stream, ArrivalModel, SpatialModel, SyntheticSp
 pub use import::{
     import_blkparse, import_blkparse_into, scan_blkparse, BlkparseScan, ImportError, ImportOptions,
 };
-pub use replay::{
-    replay, replay_stream, FailMember, ReplayError, ReplayOptions, ReplayReport, TargetKind,
-};
+pub use replay::{replay, replay_stream, ReplayError, ReplayOptions, ReplayReport, TargetKind};
 pub use shard::{replay_stream_sharded, ShardPlan};
 pub use trail_telemetry::StreamId;

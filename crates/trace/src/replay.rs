@@ -67,10 +67,7 @@ use trail_blockio::TapHandle;
 use trail_db::BlockStack;
 use trail_disk::{Lba, SECTOR_SIZE};
 use trail_fs::{FsError, FS_BLOCK_SIZE};
-use trail_sim::{
-    Completion, Delivered, Fault, FaultKind, FaultPlan, FaultTarget, SimDuration, SimTime,
-    Simulator,
-};
+use trail_sim::{Completion, Delivered, FaultPlan, SimDuration, SimTime, Simulator};
 use trail_telemetry::{DurationHistogram, JsonValue, RecorderHandle, StreamId, StreamMetrics};
 
 pub use trail::TargetKind;
@@ -118,27 +115,6 @@ pub struct ReplayOptions {
     /// submission, not arrival. `None` (the default) leaves the replay
     /// fully open-loop; `Some(0)` is raised to 1.
     pub max_in_flight: Option<u32>,
-    /// Whole-member failure injection for RAID targets — a **shim**
-    /// kept for source compatibility, folded into
-    /// [`ReplayOptions::faults`] as a [`FaultKind::Fail`] member fault
-    /// before the target is built. New code should put the fault in
-    /// `faults` directly.
-    pub fail_member: Option<FailMember>,
-}
-
-/// One scheduled member failure (see [`ReplayOptions::fail_member`]).
-///
-/// Superseded by [`FaultPlan::member_fail`], which expresses the same
-/// fault inside the unified plan; this type survives as the shim's
-/// argument.
-#[derive(Clone, Copy, Debug)]
-pub struct FailMember {
-    /// Index into the target's volume list.
-    pub volume: usize,
-    /// Member index within that volume.
-    pub member: usize,
-    /// When to fail it, in virtual time from the replay's start.
-    pub after: SimDuration,
 }
 
 impl Default for ReplayOptions {
@@ -154,7 +130,6 @@ impl Default for ReplayOptions {
             tap: None,
             faults: FaultPlan::new(),
             max_in_flight: None,
-            fail_member: None,
         }
     }
 }
@@ -863,26 +838,6 @@ pub fn replay_stream<R: Read + 'static>(
     run_engine(Box::new(reader), devices_hint, opts)
 }
 
-/// The plan the target is armed with: [`ReplayOptions::faults`] plus
-/// the [`ReplayOptions::fail_member`] shim folded in as a member-fail
-/// fault. Faults addressing hardware the target lacks stay unhandled on
-/// the clock (a sweep can name member 2 while also replaying against
-/// non-RAID targets).
-fn effective_faults(opts: &ReplayOptions) -> FaultPlan {
-    let mut plan = opts.faults.clone();
-    if let Some(f) = opts.fail_member {
-        plan.push(Fault {
-            at: f.after,
-            target: FaultTarget::Member {
-                volume: f.volume,
-                member: f.member,
-            },
-            kind: FaultKind::Fail,
-        });
-    }
-    plan
-}
-
 pub(crate) fn run_engine(
     cursor: Box<dyn RecordCursor>,
     devices_hint: usize,
@@ -899,7 +854,7 @@ pub(crate) fn run_engine(
     } = StackBuilder::new()
         .data_disks(ndisks)
         .fs_file_blocks(opts.fs_file_blocks)
-        .faults(effective_faults(opts))
+        .faults(opts.faults.clone())
         .build_target(opts.target)?;
     if let Some(recorder) = &opts.recorder {
         stack.set_recorder(Rc::clone(recorder));
@@ -982,7 +937,7 @@ pub fn replay_single_issuer(
     } = StackBuilder::new()
         .data_disks(ndisks)
         .fs_file_blocks(opts.fs_file_blocks)
-        .faults(effective_faults(opts))
+        .faults(opts.faults.clone())
         .build_target(opts.target)?;
     if let Some(recorder) = &opts.recorder {
         stack.set_recorder(Rc::clone(recorder));
@@ -1367,50 +1322,6 @@ mod tests {
         assert!(ds.stride > 1, "stride doubled under pressure");
         // Retained samples stay in time order and on the stride grid.
         assert!(ds.samples.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn fail_member_shim_is_the_fault_plan() {
-        // The deprecated shim and the declarative plan must drive the
-        // identical degraded-mode replay, byte for byte.
-        let t = generate(&SyntheticSpec {
-            requests: 50,
-            read_fraction: 0.3,
-            ..SyntheticSpec::default()
-        });
-        let target = TargetKind::Raid {
-            layout: trail::volume::VolumeLayout::Raid5 { chunk_sectors: 8 },
-            members: 3,
-            trail: false,
-        };
-        let after = SimDuration::from_millis(5);
-        let shim = replay(
-            &t,
-            &ReplayOptions {
-                target,
-                fail_member: Some(FailMember {
-                    volume: 0,
-                    member: 1,
-                    after,
-                }),
-                ..ReplayOptions::default()
-            },
-        )
-        .expect("shim replay");
-        let plan = replay(
-            &t,
-            &ReplayOptions {
-                target,
-                faults: FaultPlan::member_fail(0, 1, after),
-                ..ReplayOptions::default()
-            },
-        )
-        .expect("plan replay");
-        assert_eq!(shim.to_json().to_json(), plan.to_json().to_json());
-        // The failure actually landed: the volume counted it.
-        assert!(shim.volume_stats[0]
-            .to_json()
-            .contains("\"member_failures\":1"));
     }
 
     #[test]

@@ -113,16 +113,36 @@ where
     );
     let shards = plan.shards.max(1);
     // The handles above are `Rc`-based, so `ReplayOptions` itself is
-    // not `Sync`; carry the plain-data fields across threads and
-    // rebuild the options per worker.
-    let base = PlainOpts::of(opts);
+    // not `Sync`: the workers borrow its plain-data fields one by one
+    // and rebuild the options around them.
+    let ReplayOptions {
+        target,
+        data_disks,
+        speed,
+        sample_every,
+        fs_file_blocks,
+        recorder: _,
+        tap: _,
+        faults,
+        max_in_flight,
+    } = opts;
     let results = parallel_map(
         (0..shards).collect::<Vec<u32>>(),
         plan.threads.max(1),
         |shard| -> Result<Option<ReplayReport>, ReplayError> {
             let reader = open().map_err(ReplayError::Trace)?;
             let devices_hint = usize::from(reader.meta().devices).max(1);
-            let opts = base.to_options();
+            let opts = ReplayOptions {
+                target: *target,
+                data_disks: *data_disks,
+                speed: *speed,
+                sample_every: *sample_every,
+                fs_file_blocks: *fs_file_blocks,
+                recorder: None,
+                tap: None,
+                faults: faults.clone(),
+                max_in_flight: *max_in_flight,
+            };
             match run_engine(
                 Box::new(ShardCursor::new(reader, shard, shards)),
                 devices_hint,
@@ -143,48 +163,6 @@ where
         });
     }
     merged.ok_or(ReplayError::EmptyTrace)
-}
-
-/// The `Send + Sync` subset of [`ReplayOptions`] a shard worker needs.
-struct PlainOpts {
-    target: crate::replay::TargetKind,
-    data_disks: Option<usize>,
-    speed: f64,
-    sample_every: trail_sim::SimDuration,
-    fs_file_blocks: u32,
-    faults: trail_sim::FaultPlan,
-    max_in_flight: Option<u32>,
-    fail_member: Option<crate::replay::FailMember>,
-}
-
-impl PlainOpts {
-    fn of(opts: &ReplayOptions) -> PlainOpts {
-        PlainOpts {
-            target: opts.target,
-            data_disks: opts.data_disks,
-            speed: opts.speed,
-            sample_every: opts.sample_every,
-            fs_file_blocks: opts.fs_file_blocks,
-            faults: opts.faults.clone(),
-            max_in_flight: opts.max_in_flight,
-            fail_member: opts.fail_member,
-        }
-    }
-
-    fn to_options(&self) -> ReplayOptions {
-        ReplayOptions {
-            target: self.target,
-            data_disks: self.data_disks,
-            speed: self.speed,
-            sample_every: self.sample_every,
-            fs_file_blocks: self.fs_file_blocks,
-            recorder: None,
-            tap: None,
-            faults: self.faults.clone(),
-            max_in_flight: self.max_in_flight,
-            fail_member: self.fail_member,
-        }
-    }
 }
 
 /// Folds `b` into `a` per the module-doc merge rules. Merging a single

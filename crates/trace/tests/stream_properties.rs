@@ -16,9 +16,9 @@ use trail_sim::{Fault, FaultKind, FaultPlan, FaultTarget, SimDuration, SimTime};
 use trail_trace::replay::replay_single_issuer;
 use trail_trace::{
     from_binary, generate, generate_stream, import_blkparse, replay, replay_stream,
-    replay_stream_sharded, to_binary, to_binary_v1, ArrivalModel, ChunkEncoding, ImportOptions,
-    ReplayOptions, ShardPlan, StreamId, StreamView, SyntheticSpec, TargetKind, Trace, TraceMeta,
-    TraceOp, TraceReader, TraceRecord,
+    replay_stream_sharded, to_binary, ArrivalModel, ChunkEncoding, ImportOptions, ReplayOptions,
+    ShardPlan, StreamId, StreamView, SyntheticSpec, TargetKind, Trace, TraceMeta, TraceOp,
+    TraceReader, TraceRecord,
 };
 
 fn four_stream_trace(requests: usize) -> Trace {
@@ -313,21 +313,6 @@ proptest! {
         let decoded = from_binary(&bytes).unwrap();
         prop_assert_eq!(&decoded, &trace);
         prop_assert_eq!(to_binary(&decoded), bytes);
-    }
-
-    /// A v1 (flat) encoding and a v2 (chunked) encoding of the same
-    /// trace decode to the same trace — the convert path cannot lose
-    /// anything either way.
-    #[test]
-    fn v1_and_v2_encodings_decode_identically(
-        records in proptest::collection::vec(arb_record(), 1..80)
-    ) {
-        let mut trace = Trace { meta: TraceMeta::default(), records };
-        trace.normalize();
-        let via_v1 = from_binary(&to_binary_v1(&trace)).unwrap();
-        let via_v2 = from_binary(&to_binary(&trace)).unwrap();
-        prop_assert_eq!(&via_v1, &trace);
-        prop_assert_eq!(via_v1, via_v2);
     }
 
     /// Any record soup survives the delta chunk codec exactly, at every

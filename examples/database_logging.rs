@@ -111,8 +111,6 @@ fn main() -> Result<(), TrailError> {
             report.group_commits,
         );
     }
-    println!(
-        "\n(The paper's Table 2 at full scale: cargo run --release -p trail-bench --bin table2)"
-    );
+    println!("\n(The paper's Table 2 at full scale: cargo run --release -p trail-bench -- table2)");
     Ok(())
 }

@@ -56,10 +56,10 @@
 //!
 //! # Reproducing the paper
 //!
-//! Every table and figure has a harness binary in `trail-bench`; run the
-//! whole suite in parallel with
-//! `cargo run --release -p trail-bench --bin run_all`, or one experiment
-//! with `cargo run --release -p trail-bench --bin table2`. See
+//! Every table and figure is a scenario of the `trail-bench` binary; run
+//! the whole suite in parallel with
+//! `cargo run --release -p trail-bench -- all`, or one experiment
+//! with `cargo run --release -p trail-bench -- table2`. See
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured results.
 
