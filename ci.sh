@@ -188,6 +188,17 @@ for field in compression_ratio trace_bytes_raw shards; do
   grep -q "\"$field\"" "$giga_dir/BENCH_replaystream.json" \
     || { echo "trail-bench giga artifact lacks $field" >&2; exit 1; }
 done
+# The run itself asserts that the sharded replay's merged latency artifacts
+# equal the single engine's; require the line that says it did.
+grep -q 'fingerprint: [0-9a-f]\{16\} (single == sharded)' <<<"$giga_out" \
+  || { echo "trail-bench giga did not report single == sharded" >&2; exit 1; }
+# Bounded memory, measured: the medium keeps each distinct sector image
+# once, so 5.6x10^7 written sectors must not show in the process's real
+# peak RSS. The last VmHWM printed covers both replays (measured ~340 MB,
+# most of it per-command latency samples; a per-sector store needs GBs).
+hwm=$(grep -o 'VmHWM [0-9.]* MB' <<<"$giga_out" | tail -1 | grep -o '[0-9.]*' || true)
+[ -n "$hwm" ] && awk -v m="$hwm" 'BEGIN { exit !(m <= 1024) }' \
+  || { echo "trail-bench giga peak RSS '${hwm}' MB missing or above 1024 MB" >&2; exit 1; }
 # The >= 2x sharded speedup criterion is a wall-clock property and only
 # meaningful with real cores under the shards; assert it when this
 # machine has at least 4, otherwise record the measurement and move on.

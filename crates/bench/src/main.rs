@@ -41,7 +41,8 @@
 //!   engine, merging the reports deterministically; `--threads N` caps
 //!   the worker threads (default: one per shard). The artifact records
 //!   the shard count — never the thread count — so it is byte-identical
-//!   for any `--threads`. Wall-clock throughput goes to the console only.
+//!   for any `--threads`. Wall-clock throughput and the process's real
+//!   peak RSS (`VmHWM`, printed beside the proxy) go to the console only.
 //! - **`perf`** times the simulator hot path in wall-clock terms and
 //!   writes `BENCH_simperf.json`. Unlike every other artifact, its
 //!   headline numbers measure the executor, not the simulated hardware;
@@ -55,8 +56,9 @@
 //!   arrivals at 20 ms mean, 30 % reads, 4-KB requests, standard target)
 //!   and its routing shared-nothing, so the sharded replay's merged
 //!   latency artifacts must equal the single engine's exactly, and the
-//!   run asserts that they do. The console reports sizes, records/sec and
-//!   a `speedup:` line (wall-clock, machine-dependent);
+//!   run asserts that they do. The console reports sizes, records/sec,
+//!   the real peak RSS (`VmHWM`) after each replay and a `speedup:` line
+//!   (wall-clock, machine-dependent);
 //!   `BENCH_replaystream.json` holds only virtual-time-derived fields plus
 //!   the two file sizes. Generation, conversion and both replays all
 //!   stream; `--keep` leaves the two trace files in `--out-dir`.
@@ -113,6 +115,23 @@ fn main() -> ExitCode {
 /// `--out-dir`, defaulting to the current directory.
 fn out_dir(args: &Args) -> PathBuf {
     PathBuf::from(args.value("--out-dir").unwrap_or("."))
+}
+
+/// The process's real peak resident set (`VmHWM` of `/proc/self/status`)
+/// as a console fragment; says so where the file or field is missing.
+/// Host-side: it goes next to the `peak resident … records` proxy on the
+/// console and never into an artifact.
+fn vm_hwm() -> String {
+    let kb = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let rest = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            rest.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+        });
+    match kb {
+        Some(kb) => format!("VmHWM {:.1} MB", kb as f64 / 1024.0),
+        None => "VmHWM unavailable".to_string(),
+    }
 }
 
 /// Writes `BENCH_<name>.json` into `dir` and says so.
@@ -260,7 +279,7 @@ fn cmd_replay_file(args: &[String]) -> Result<(), String> {
     println!(
         "replayed {} records from {path} against {}{}: \
          {:.0} records/s wall, {:.0} records/s virtual, \
-         peak resident {} records, max QD {}",
+         peak resident {} records ({}), max QD {}",
         rep.requests,
         rep.target,
         match shards {
@@ -270,6 +289,7 @@ fn cmd_replay_file(args: &[String]) -> Result<(), String> {
         rep.requests as f64 / wall.as_secs_f64().max(1e-9),
         rep.requests as f64 / rep.duration.as_secs_f64().max(1e-9),
         rep.peak_resident_records,
+        vm_hwm(),
         rep.max_queue_depth,
     );
     if args.has("--oracle") {
@@ -386,8 +406,10 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("single replay: {e}"))?;
     let single_rps = single.requests as f64 / wall.elapsed().as_secs_f64().max(1e-9);
     println!(
-        "single engine: {:.0} records/s wall, peak resident {} records",
-        single_rps, single.peak_resident_records
+        "single engine: {:.0} records/s wall, peak resident {} records ({})",
+        single_rps,
+        single.peak_resident_records,
+        vm_hwm()
     );
 
     let wall = Instant::now();
@@ -395,8 +417,13 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
         replay_stream_sharded(open, plan, &opts).map_err(|e| format!("sharded replay: {e}"))?;
     let sharded_rps = sharded.requests as f64 / wall.elapsed().as_secs_f64().max(1e-9);
     println!(
-        "sharded ({} shards, {} threads): {:.0} records/s wall, peak resident {} records/shard",
-        plan.shards, plan.threads, sharded_rps, sharded.peak_resident_records
+        "sharded ({} shards, {} threads): {:.0} records/s wall, \
+         peak resident {} records/shard ({})",
+        plan.shards,
+        plan.threads,
+        sharded_rps,
+        sharded.peak_resident_records,
+        vm_hwm()
     );
     println!("speedup: {:.2}x", sharded_rps / single_rps.max(1e-9));
 

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use trail_disk::{Disk, DiskCommand, DiskError, DiskResult, SECTOR_SIZE};
+use trail_disk::{Disk, DiskCommand, DiskError, DiskGeometry, DiskResult, SECTOR_SIZE};
 use trail_sim::{Completion, Delivered, LatencySummary, SimTime, Simulator};
 use trail_telemetry::{Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown};
 
@@ -45,6 +45,9 @@ struct Queued {
 
 struct Inner {
     disk: Disk,
+    // The disk's geometry, copied once: `Disk::geometry` clones three
+    // zone tables, which is not for the submit path.
+    geometry: DiskGeometry,
     scheduler: Box<dyn Scheduler>,
     priority: Priority,
     // Queued requests keyed by arrival seq; the scheduler indexes the
@@ -65,6 +68,16 @@ struct Inner {
     lifecycle: LifecycleEmitter,
     // Workload-capture tap plus the stack-level device index it reports.
     tap: Option<(TapHandle, u32)>,
+}
+
+impl Inner {
+    /// Frees the dispatch slot and drops every queued request, delivering
+    /// `Err(Cancelled)` to each submitter on the next simulator step.
+    fn cancel_all(&mut self) {
+        self.in_flight = false;
+        self.queue.clear();
+        self.scheduler.clear();
+    }
 }
 
 /// A queueing block driver over one [`Disk`]. Clones share the driver.
@@ -104,6 +117,7 @@ impl StandardDriver {
         let lifecycle = LifecycleEmitter::new(Layer::BlockIo, disk.name());
         StandardDriver {
             inner: Rc::new(RefCell::new(Inner {
+                geometry: disk.geometry(),
                 disk,
                 scheduler,
                 priority,
@@ -174,7 +188,7 @@ impl StandardDriver {
             if d.disk.is_failed() {
                 return Err(DiskError::Failed);
             }
-            let total = d.disk.geometry().total_sectors();
+            let total = d.geometry.total_sectors();
             let sectors = req.kind.sectors();
             match &req.kind {
                 IoKind::Read { count } if *count == 0 => return Err(DiskError::OutOfRange),
@@ -200,14 +214,18 @@ impl StandardDriver {
             d.next_id += 1;
             let seq = d.next_seq;
             d.next_seq += 1;
-            let geometry = d.disk.geometry();
-            d.scheduler.insert(
+            let Inner {
+                scheduler,
+                geometry,
+                ..
+            } = &mut *d;
+            scheduler.insert(
                 QueuedIo {
                     lba: req.lba,
                     is_read: req.kind.is_read(),
                     seq,
                 },
-                &geometry,
+                geometry,
             );
             d.queue.insert(
                 seq,
@@ -268,10 +286,9 @@ impl StandardDriver {
             let res = match res {
                 Ok(res) => res,
                 // The disk lost power or failed with this command in
-                // flight. Clear the dispatch slot and drop `queued`, which
-                // cascades the cancellation to the request's own
-                // `Completion`. A failed member also drains the queue —
-                // nothing behind this command can ever be serviced.
+                // flight. Drop `queued`, which cascades the cancellation
+                // to the request's own `Completion`, and drain the queue:
+                // nothing behind this command will be serviced either.
                 Err(_) => {
                     let mut d = driver.inner.borrow_mut();
                     if d.transient_cancels_pending > 0 {
@@ -282,11 +299,7 @@ impl StandardDriver {
                         d.transient_cancels_pending -= 1;
                         return;
                     }
-                    d.in_flight = false;
-                    if d.disk.is_failed() {
-                        d.queue.clear();
-                        d.scheduler.clear();
-                    }
+                    d.cancel_all();
                     return;
                 }
             };
@@ -337,17 +350,14 @@ impl StandardDriver {
         // the next step instead of waiting forever.
         match submit_result {
             Ok(()) => {}
-            Err(DiskError::PoweredOff) => {
-                self.inner.borrow_mut().in_flight = false;
-            }
-            Err(DiskError::Failed) => {
-                // The member failed between queueing and dispatch. Every
-                // queued request is undeliverable; drop them all so their
-                // completions cancel-cascade instead of hanging.
-                let mut d = self.inner.borrow_mut();
-                d.in_flight = false;
-                d.queue.clear();
-                d.scheduler.clear();
+            Err(DiskError::PoweredOff | DiskError::Failed) => {
+                // Power was lost or the member failed between queueing and
+                // dispatch. Every queued request is undeliverable; drop
+                // them all so their completions cancel-cascade instead of
+                // hanging (and instead of keeping their submitters alive:
+                // Trail's write-back completions hold the driver that
+                // owns this one).
+                self.inner.borrow_mut().cancel_all();
             }
             Err(DiskError::Transient) => {
                 // An injected transient error consumed only this command
@@ -570,6 +580,41 @@ mod tests {
             Err(DiskError::Failed)
         ));
         sim.run();
+    }
+
+    #[test]
+    fn power_cut_cancels_queued_requests() {
+        let (mut sim, drv) = setup();
+        let outcomes = StdRc::new(StdRefCell::new(Vec::new()));
+        let submit = |sim: &mut Simulator, lba: u64| {
+            let outcomes = StdRc::clone(&outcomes);
+            let c = sim.completion(move |_, d: trail_sim::Delivered<IoDone>| {
+                outcomes.borrow_mut().push(d.is_ok());
+            });
+            drv.submit(sim, IoRequest::write(lba, vec![0; SECTOR_SIZE]), c)
+        };
+        for i in 0..6u64 {
+            submit(&mut sim, i * 300).unwrap();
+        }
+        assert_eq!(drv.queue_depth(), 5);
+        // Lights out with one request in flight and five queued: all six
+        // submitters must hear `Err(Cancelled)`, none may stay queued.
+        drv.disk().power_cut(sim.now());
+        sim.run();
+        assert_eq!(outcomes.borrow().len(), 6, "every completion delivered");
+        assert!(outcomes.borrow().iter().all(|ok| !ok), "all cancelled");
+        assert_eq!(drv.queue_depth(), 0);
+        assert!(!drv.is_busy());
+        // A request offered to the dark disk is accepted, then cancelled.
+        submit(&mut sim, 0).unwrap();
+        sim.run();
+        assert_eq!(outcomes.borrow().len(), 7);
+        assert_eq!(drv.queue_depth(), 0);
+        // The driver serves again once power returns.
+        drv.disk().power_on();
+        submit(&mut sim, 0).unwrap();
+        sim.run();
+        assert_eq!(outcomes.borrow().last(), Some(&true));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use trail_sim::{
     BusyMeter, Completion, Fault, FaultKind, FaultSink, FaultTarget, LatencySummary, SimDuration,
     SimTime, Simulator,
 };
-use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle};
+use trail_telemetry::{null_recorder, Event, EventKind, JsonValue, Layer, RecorderHandle};
 
 use crate::geometry::{DiskGeometry, Lba, SECTOR_SIZE};
 use crate::mechanics::{CommandKind, HeadPosition, MechanicalModel, ServiceBreakdown};
@@ -153,6 +153,39 @@ pub struct DiskStats {
     pub injected_delay: SimDuration,
 }
 
+/// Host-side counters of one disk's recording medium: what the simulated
+/// bytes cost the simulating process. They describe the host, not the
+/// simulated hardware, so they belong on consoles and in host-side
+/// reports, never in a deterministic `BENCH_*.json`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MediumStats {
+    /// Sectors ever written ([`SectorStore::written_sectors`]).
+    pub written_sectors: u64,
+    /// Sector images kept for them ([`SectorStore::distinct_sectors`]).
+    pub distinct_sectors: u64,
+    /// Host bytes the medium keeps allocated
+    /// ([`SectorStore::resident_bytes`]).
+    pub resident_bytes: u64,
+}
+
+impl MediumStats {
+    /// The counters as a JSON object.
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj(vec![
+            (
+                "written_sectors",
+                JsonValue::Num(self.written_sectors as f64),
+            ),
+            (
+                "distinct_sectors",
+                JsonValue::Num(self.distinct_sectors as f64),
+            ),
+            ("resident_bytes", JsonValue::Num(self.resident_bytes as f64)),
+        ])
+    }
+}
+
 /// The in-flight write's payload, staged whole (moved from the command,
 /// never copied) with per-sector media-completion instants so a power cut
 /// can persist exactly the sectors already on the medium.
@@ -283,6 +316,18 @@ impl Disk {
     /// Runs `f` against the accumulated statistics.
     pub fn with_stats<R>(&self, f: impl FnOnce(&DiskStats) -> R) -> R {
         f(&self.inner.borrow().stats)
+    }
+
+    /// Host-side counters of the recording medium. Unlike
+    /// [`with_stats`](Self::with_stats) they are not reset by
+    /// [`reset_stats`](Self::reset_stats): they describe what is stored.
+    pub fn medium_stats(&self) -> MediumStats {
+        let d = self.inner.borrow();
+        MediumStats {
+            written_sectors: d.store.written_sectors() as u64,
+            distinct_sectors: d.store.distinct_sectors() as u64,
+            resident_bytes: d.store.resident_bytes() as u64,
+        }
     }
 
     /// Resets the accumulated statistics (the medium is untouched).
@@ -909,6 +954,70 @@ mod tests {
             .unwrap();
         sim.run();
         assert!(ok.get());
+    }
+
+    #[test]
+    fn power_cut_tears_a_write_of_identical_sectors_at_the_sector_boundary() {
+        // Eight sectors holding one shared old image are overwritten by
+        // eight copies of one new image. The medium keeps each image once,
+        // so a cut after k sectors must still leave exactly k new sectors:
+        // sharing a slot may not leak the new image to the sectors whose
+        // transfer had not finished, nor the old one to those that had.
+        let (old, new) = ([0x11u8; SECTOR_SIZE], [0x99u8; SECTOR_SIZE]);
+        for k in 0..=8u64 {
+            let (mut sim, disk) = setup();
+            for lba in 0..8 {
+                disk.poke_sector(lba, &old);
+            }
+            let token = sim.completion(|_, _: Delivered<DiskResult>| {});
+            let data = write_buf(0x99, 8);
+            disk.submit(&mut sim, DiskCommand::Write { lba: 0, data }, token)
+                .unwrap();
+            let mech = disk.mechanics();
+            let g = disk.geometry();
+            let t0 = SimTime::ZERO + mech.overhead(CommandKind::Write, false);
+            let rot = mech.time_until_angle(t0, g.sector_angle(0, 0));
+            // Exactly when sector k - 1 lands (`sector_done <= now`
+            // persists it); one nanosecond short of sector 0 for k = 0.
+            let landed = t0 + rot + mech.sector_time(g.spt_of_track(0)) * k;
+            let cut = if k == 0 {
+                landed + mech.sector_time(g.spt_of_track(0)) - SimDuration::from_nanos(1)
+            } else {
+                landed
+            };
+            sim.run_until(cut);
+            disk.power_cut(sim.now());
+            sim.run();
+            for lba in 0..8 {
+                let want = if lba < k { new } else { old };
+                assert_eq!(disk.peek_sector(lba), want, "cut after {k}: lba {lba}");
+            }
+            let m = disk.medium_stats();
+            assert_eq!(m.written_sectors, 8);
+            assert_eq!(m.distinct_sectors, if k == 0 || k == 8 { 1 } else { 2 });
+        }
+    }
+
+    #[test]
+    fn medium_stats_describe_the_store_and_survive_a_stats_reset() {
+        let (mut sim, disk) = setup();
+        assert_eq!(disk.medium_stats(), MediumStats::default());
+        let token = sim.completion(|_, _: Delivered<DiskResult>| {});
+        let data = write_buf(0x42, 8);
+        disk.submit(&mut sim, DiskCommand::Write { lba: 16, data }, token)
+            .unwrap();
+        sim.run();
+        disk.reset_stats();
+        let m = disk.medium_stats();
+        assert_eq!((m.written_sectors, m.distinct_sectors), (8, 1));
+        assert!(m.resident_bytes > 0);
+        assert_eq!(
+            m.to_json().to_json(),
+            format!(
+                "{{\"written_sectors\":8,\"distinct_sectors\":1,\"resident_bytes\":{}}}",
+                m.resident_bytes
+            )
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod mechanics;
 pub mod profiles;
 mod store;
 
-pub use device::{Disk, DiskCommand, DiskError, DiskResult, DiskRole, DiskStats};
+pub use device::{Disk, DiskCommand, DiskError, DiskResult, DiskRole, DiskStats, MediumStats};
 pub use geometry::{Chs, DiskGeometry, Lba, TrackRun, Zone, SECTOR_SIZE};
 pub use mechanics::{
     CommandKind, HeadPosition, MechanicalModel, SeekModel, ServiceBreakdown, ServicePlan,
