@@ -84,6 +84,16 @@ if grep -rn --include='*.rs' \
   exit 1
 fi
 
+echo "== record-path gate =="
+# format::payload_checksum is the one record checksum and
+# format::build_record the one place a record is assembled (DESIGN.md,
+# "copy budget"); the byte-serial hash and the per-sector staging struct
+# they replaced must not come back beside them.
+if grep -rn --include='*.rs' 'fn fnv1a\|struct PayloadSector' crates/core/src; then
+  echo "found a second record checksum or record-assembly path in trail-core" >&2
+  exit 1
+fi
+
 echo "== trail-bench perf --quick gate (fields present, event counts deterministic) =="
 perf_a="$smoke_dir/perf_a"; perf_b="$smoke_dir/perf_b"
 mkdir -p "$perf_a" "$perf_b"

@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use trail_bench::{sync_writes_standard, sync_writes_trail, tpcc_setup, ArrivalMode, TpccRig};
-use trail_core::format::{build_record, PayloadSector, RecordHeader};
+use trail_core::format::{build_record, payload_checksum, RecordHeader, RecordWrite};
 use trail_core::{HeadPredictor, TrailConfig};
 use trail_db::FlushPolicy;
 use trail_disk::{profiles, SectorBuf, SECTOR_SIZE};
@@ -39,18 +39,25 @@ fn bench_prediction(c: &mut Criterion) {
 }
 
 fn bench_record_codec(c: &mut Criterion) {
-    let payload: Vec<PayloadSector> = (0..32)
-        .map(|i| PayloadSector {
+    // Four 4-KB writes, as a full batch of queued writes would arrive.
+    let buffers: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8 * SECTOR_SIZE]).collect();
+    let payload: Vec<RecordWrite<'_>> = buffers
+        .iter()
+        .enumerate()
+        .map(|(i, data)| RecordWrite {
             data_major: 1,
             data_minor: 0,
-            data_lba: 1000 + i,
-            data: [i as u8; SECTOR_SIZE],
+            data_lba: 1000 + 8 * i as u32,
+            data,
         })
         .collect();
     c.bench_function("build_record_32_sectors", |b| {
         b.iter(|| black_box(build_record(3, 42, Some(77), 50, 40, 2000, &payload).unwrap()))
     });
     let (_, bytes) = build_record(3, 42, Some(77), 50, 40, 2000, &payload).unwrap();
+    c.bench_function("payload_checksum_16kb", |b| {
+        b.iter(|| black_box(payload_checksum(black_box(&bytes[SECTOR_SIZE..]))))
+    });
     let header: SectorBuf = bytes[..SECTOR_SIZE].try_into().unwrap();
     c.bench_function("decode_record_header", |b| {
         b.iter(|| black_box(RecordHeader::decode(&header).unwrap()))

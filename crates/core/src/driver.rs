@@ -32,8 +32,7 @@ use trail_blockio::{
     Clook, IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver, TapHandle,
 };
 use trail_disk::{
-    CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, Lba, SectorBuf, ServiceBreakdown,
-    SECTOR_SIZE,
+    CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, Lba, ServiceBreakdown, SECTOR_SIZE,
 };
 use trail_sim::{Completion, Delivered, EventId, LatencySummary, SimDuration, SimTime, Simulator};
 use trail_telemetry::{
@@ -43,7 +42,7 @@ use trail_telemetry::{
 use crate::buffer::{BlockKey, BufferTable, WritebackOutcome};
 use crate::config::TrailConfig;
 use crate::error::TrailError;
-use crate::format::{build_record, LogDiskHeader, PayloadSector};
+use crate::format::{build_record, LogDiskHeader, RecordWrite};
 use crate::formatter::{data_track_range, read_header, write_header};
 use crate::predict::HeadPredictor;
 use crate::recovery::{recover, RecoveryOptions, RecoveryReport};
@@ -520,24 +519,34 @@ impl TrailDriver {
                 tap.on_submit(sim.now(), dev as u32, lba, sectors as u32, false, stream);
             }
             let req = done.id().raw();
-            let chunk_sectors = d.effective_max_batch as usize;
-            let chunks: Vec<&[u8]> = data.chunks(chunk_sectors * SECTOR_SIZE).collect();
+            let chunk_bytes = d.effective_max_batch as usize * SECTOR_SIZE;
             let ack = Rc::new(RefCell::new(AckState {
-                remaining: chunks.len(),
+                remaining: data.len().div_ceil(chunk_bytes),
                 done: Some(done),
                 issued: sim.now(),
                 dev: dev as u8,
                 lba,
             }));
-            let mut off = lba;
-            for chunk in chunks {
+            if data.len() <= chunk_bytes {
+                // Fits one record: the caller's buffer is queued as is and
+                // later becomes the pinned block.
                 d.log_queue.push_back(QueuedWrite {
                     dev: dev as u8,
-                    lba: off,
-                    data: chunk.to_vec(),
-                    ack: Rc::clone(&ack),
+                    lba,
+                    data,
+                    ack,
                 });
-                off += (chunk.len() / SECTOR_SIZE) as u64;
+            } else {
+                let mut off = lba;
+                for chunk in data.chunks(chunk_bytes) {
+                    d.log_queue.push_back(QueuedWrite {
+                        dev: dev as u8,
+                        lba: off,
+                        data: chunk.to_vec(),
+                        ack: Rc::clone(&ack),
+                    });
+                    off += (chunk.len() / SECTOR_SIZE) as u64;
+                }
             }
             d.lifecycle
                 .enqueue(sim.now(), req, d.log_queue.len() as u32);
@@ -855,22 +864,13 @@ impl TrailDriver {
             Some((&oldest_seq, rec)) => (rec.header_lba, oldest_seq),
             None => (header_lba as u32, seq),
         };
-        let payload: Vec<PayloadSector> = batch
+        let writes: Vec<RecordWrite<'_>> = batch
             .iter()
-            .flat_map(|w| {
-                w.data
-                    .chunks_exact(SECTOR_SIZE)
-                    .enumerate()
-                    .map(move |(i, chunk)| {
-                        let mut buf: SectorBuf = [0u8; SECTOR_SIZE];
-                        buf.copy_from_slice(chunk);
-                        PayloadSector {
-                            data_major: w.dev,
-                            data_minor: 0,
-                            data_lba: (w.lba + i as u64) as u32,
-                            data: buf,
-                        }
-                    })
+            .map(|w| RecordWrite {
+                data_major: w.dev,
+                data_minor: 0,
+                data_lba: w.lba as u32,
+                data: &w.data,
             })
             .collect();
         let (_, bytes) = build_record(
@@ -880,7 +880,7 @@ impl TrailDriver {
             log_head_lba,
             log_head_seq,
             header_lba as u32,
-            &payload,
+            &writes,
         )
         .expect("batch bounded by MAX_TRAIL_BATCH");
         d.prev_record_lba = Some(header_lba as u32);
@@ -901,6 +901,7 @@ impl TrailDriver {
 
     fn on_log_write_done(&self, sim: &mut Simulator, res: DiskResult, ctx: RecordCtx) {
         let completed = res.completed;
+        let batch_len = ctx.batch.len() as u32;
         let mut acks: Vec<(Completion<IoDone>, IoDone)> = Vec::new();
         let mut writebacks: Vec<BlockKey> = Vec::new();
         let reposition_next;
@@ -917,29 +918,17 @@ impl TrailDriver {
             d.stats.batch_sizes.push(ctx.total_sectors);
 
             let mut pending = HashSet::new();
-            for w in &ctx.batch {
+            for w in ctx.batch {
                 let key = BlockKey {
                     dev: w.dev,
                     lba: w.lba,
                 };
-                let (_, already_queued) = d.buffers.insert_write(key, w.data.clone(), ctx.seq);
+                // The queued buffer itself becomes the pinned block.
+                let (_, already_queued) = d.buffers.insert_write(key, w.data, ctx.seq);
                 pending.insert(key);
                 if !already_queued {
                     writebacks.push(key);
                 }
-            }
-            let header_lba_u32 =
-                (d.geometry.track_first_lba(ctx.track) + u64::from(ctx.header_sector)) as u32;
-            d.active_records.insert(
-                ctx.seq,
-                ActiveRecord {
-                    track: ctx.track,
-                    header_lba: header_lba_u32,
-                    pending,
-                },
-            );
-
-            for w in &ctx.batch {
                 let mut ack = w.ack.borrow_mut();
                 ack.remaining -= 1;
                 if ack.remaining == 0 {
@@ -971,6 +960,16 @@ impl TrailDriver {
                     acks.push((done_c, done));
                 }
             }
+            let header_lba_u32 =
+                (d.geometry.track_first_lba(ctx.track) + u64::from(ctx.header_sector)) as u32;
+            d.active_records.insert(
+                ctx.seq,
+                ActiveRecord {
+                    track: ctx.track,
+                    header_lba: header_lba_u32,
+                    pending,
+                },
+            );
             d.log_busy = false;
             let cur = d.current.as_ref().expect("still current");
             reposition_next = d.config.reposition_every_write
@@ -979,9 +978,7 @@ impl TrailDriver {
         self.emit(
             res.issued,
             completed.duration_since(res.issued),
-            EventKind::BatchFlush {
-                batch: ctx.batch.len() as u32,
-            },
+            EventKind::BatchFlush { batch: batch_len },
         );
         self.emit(
             completed,

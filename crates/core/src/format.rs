@@ -11,7 +11,13 @@
 //!   first bytes are forced to `0x00` (the displaced bytes ride in the
 //!   header's `first_data_byte[]` array). This first-byte transposition is
 //!   the paper's trick for distinguishing headers from arbitrary user data
-//!   without bit stuffing.
+//!   without bit stuffing. The header also carries a 32-bit checksum of
+//!   the payload as it lies on disk ([`payload_checksum`], an extension
+//!   over the paper), which is how recovery tells a torn record from a
+//!   whole one.
+//!
+//! Records are assembled by [`build_record`] and nowhere else, and checked
+//! by `recover` with the same [`payload_checksum`].
 //!
 //! A record is *valid* only under the current epoch; formatting or driver
 //! restart bumps the epoch, which retires every older record without
@@ -47,20 +53,55 @@ pub const NO_PREV_SECT: u32 = u32::MAX;
 const HEADER_FIXED_LEN: usize = 49;
 const ENTRY_LEN: usize = 11;
 
-/// FNV-1a 32-bit hash, used as the payload checksum.
+/// The payload checksum of a write record: four independent 64-bit
+/// multiply-rotate lanes over the payload's little-endian words, folded to
+/// the 32 bits the header has room for.
 ///
 /// This field is an extension over the paper's format: the record header
 /// is the *first* sector of the physical record write, so a power failure
 /// mid-record can persist a valid header with torn payload. The checksum
 /// lets recovery detect and drop such a torn youngest record (only the
 /// in-flight record can be torn — the log disk serializes record writes).
-pub fn fnv1a(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+///
+/// Every step is a bijection of its lane for a fixed word and of the word
+/// for a fixed lane (xor, multiply by an odd constant, rotate), and so is
+/// each lane's entry into the fold. Two payloads of equal length that
+/// differ in exactly one word therefore always differ in the 64-bit fold,
+/// and a torn record — some suffix of sectors still holding stale bytes —
+/// slips through only when the final 64 → 32 truncation collides (2⁻³²),
+/// the same strength the byte-serial hash it replaced had. The four lanes
+/// carry no dependency on one another, which is the whole point: the
+/// multiplies of one 32-byte block overlap instead of queueing behind a
+/// one-byte-at-a-time chain. The length is folded in, so dropping or
+/// appending sectors changes the value as well.
+///
+/// Word `i` of each 32-byte block feeds lane `i`; a tail shorter than a
+/// block is zero-padded (record payloads are whole sectors and never have
+/// one).
+pub fn payload_checksum(data: &[u8]) -> u32 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    fn mix(lanes: &mut [u64; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("chunk is exactly 8 bytes"));
+            *lane = (*lane ^ word).wrapping_mul(K).rotate_left(29);
+        }
     }
-    h
+    let mut lanes = [K, K.rotate_left(16), K.rotate_left(32), K.rotate_left(48)];
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        mix(&mut lanes, block);
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut block = [0u8; 32];
+        block[..tail.len()].copy_from_slice(tail);
+        mix(&mut lanes, &block);
+    }
+    let h = lanes.iter().fold(data.len() as u64, |h, lane| {
+        let h = (h ^ lane).wrapping_mul(K);
+        h ^ (h >> 32)
+    });
+    h as u32
 }
 
 /// Errors decoding on-disk structures.
@@ -222,8 +263,8 @@ pub struct RecordHeader {
     pub log_head_lba: u32,
     /// Sequence id of that oldest record.
     pub log_head_seq: u64,
-    /// FNV-1a checksum of the on-disk payload bytes (after first-byte
-    /// transposition); see [`fnv1a`].
+    /// Checksum of the on-disk payload bytes (after first-byte
+    /// transposition); see [`payload_checksum`].
     pub payload_checksum: u32,
     /// Per-payload-sector bookkeeping.
     pub entries: Vec<RecordEntry>,
@@ -313,27 +354,33 @@ impl RecordHeader {
     }
 }
 
-/// One payload sector queued for logging, before transposition.
-#[derive(Clone, Debug)]
-pub struct PayloadSector {
+/// One queued write's share of a record: whole sectors of `data`, borrowed
+/// from the caller, headed for `data_lba..` on one data disk.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordWrite<'a> {
     /// Target data-disk major number.
     pub data_major: u8,
     /// Target data-disk minor number.
     pub data_minor: u8,
-    /// Target sector on the data disk.
+    /// Target sector of the first payload sector on the data disk.
     pub data_lba: u32,
-    /// The sector contents.
-    pub data: SectorBuf,
+    /// The sector contents, before transposition.
+    pub data: &'a [u8],
 }
 
 /// Builds the raw bytes of a complete write record: the header sector
-/// followed by the transposed payload sectors, laid out contiguously from
-/// `header_lba` on the log disk.
+/// followed by the transposed payload sectors of `writes` in order, laid
+/// out contiguously from `header_lba` on the log disk.
+///
+/// The record is assembled in place: each payload byte is copied once,
+/// from its write's slice into the returned `Vec`, and read once more by
+/// [`payload_checksum`].
 ///
 /// # Errors
 ///
-/// Returns [`FormatError::BatchTooLarge`] / [`FormatError::Corrupt`] under
-/// the same conditions as [`RecordHeader::encode`].
+/// Returns [`FormatError::BatchTooLarge`] if the writes add up to more
+/// than [`MAX_TRAIL_BATCH`] sectors, and [`FormatError::Corrupt`] if they
+/// add up to none or one of them is not a whole number of sectors.
 pub fn build_record(
     epoch: u64,
     sequence_id: u64,
@@ -341,24 +388,35 @@ pub fn build_record(
     log_head_lba: u32,
     log_head_seq: u64,
     header_lba: u32,
-    payload: &[PayloadSector],
+    writes: &[RecordWrite<'_>],
 ) -> Result<(RecordHeader, Vec<u8>), FormatError> {
-    let entries: Vec<RecordEntry> = payload
-        .iter()
-        .enumerate()
-        .map(|(i, p)| RecordEntry {
-            first_data_byte: p.data[0],
-            data_major: p.data_major,
-            data_minor: p.data_minor,
-            data_lba: p.data_lba,
-            log_lba: header_lba + 1 + i as u32,
-        })
-        .collect();
-    let mut payload_bytes = Vec::with_capacity(payload.len() * SECTOR_SIZE);
-    for p in payload {
-        let mut sector = p.data;
-        sector[0] = PAYLOAD_FIRST_BYTE;
-        payload_bytes.extend_from_slice(&sector);
+    if writes.iter().any(|w| w.data.len() % SECTOR_SIZE != 0) {
+        return Err(FormatError::Corrupt);
+    }
+    let sectors: usize = writes.iter().map(|w| w.data.len() / SECTOR_SIZE).sum();
+    if sectors > MAX_TRAIL_BATCH {
+        return Err(FormatError::BatchTooLarge);
+    }
+    if sectors == 0 {
+        return Err(FormatError::Corrupt);
+    }
+    let mut bytes = Vec::with_capacity((sectors + 1) * SECTOR_SIZE);
+    // The header sector is encoded last, once the checksum is known.
+    bytes.resize(SECTOR_SIZE, 0);
+    let mut entries = Vec::with_capacity(sectors);
+    for w in writes {
+        let at = bytes.len();
+        bytes.extend_from_slice(w.data);
+        for (i, sector) in bytes[at..].chunks_exact_mut(SECTOR_SIZE).enumerate() {
+            entries.push(RecordEntry {
+                first_data_byte: sector[0],
+                data_major: w.data_major,
+                data_minor: w.data_minor,
+                data_lba: w.data_lba + i as u32,
+                log_lba: header_lba + 1 + entries.len() as u32,
+            });
+            sector[0] = PAYLOAD_FIRST_BYTE;
+        }
     }
     let header = RecordHeader {
         epoch,
@@ -366,12 +424,10 @@ pub fn build_record(
         prev_sect,
         log_head_lba,
         log_head_seq,
-        payload_checksum: fnv1a(&payload_bytes),
+        payload_checksum: payload_checksum(&bytes[SECTOR_SIZE..]),
         entries,
     };
-    let mut bytes = Vec::with_capacity((payload.len() + 1) * SECTOR_SIZE);
-    bytes.extend_from_slice(&header.encode()?);
-    bytes.extend_from_slice(&payload_bytes);
+    bytes[..SECTOR_SIZE].copy_from_slice(&header.encode()?);
     Ok((header, bytes))
 }
 
@@ -416,19 +472,29 @@ mod tests {
         assert_eq!(LogDiskHeader::decode(&bad_flag), Err(FormatError::Corrupt));
     }
 
-    fn payload(n: usize) -> Vec<PayloadSector> {
+    /// `n` one-sector writes with distinct nonzero first bytes.
+    fn payload(n: usize) -> Vec<Vec<u8>> {
         (0..n)
             .map(|i| {
-                let mut data = [0u8; SECTOR_SIZE];
+                let mut data = vec![0u8; SECTOR_SIZE];
                 data[0] = 0xAA ^ (i as u8); // nonzero first byte to transpose
                 data[1] = i as u8;
                 data[SECTOR_SIZE - 1] = 0x5A;
-                PayloadSector {
-                    data_major: 1,
-                    data_minor: 0,
-                    data_lba: 1000 + i as u32,
-                    data,
-                }
+                data
+            })
+            .collect()
+    }
+
+    /// Borrows `sectors` as one-sector writes to consecutive LBAs from 1000.
+    fn writes(sectors: &[Vec<u8>]) -> Vec<RecordWrite<'_>> {
+        sectors
+            .iter()
+            .enumerate()
+            .map(|(i, data)| RecordWrite {
+                data_major: 1,
+                data_minor: 0,
+                data_lba: 1000 + i as u32,
+                data,
             })
             .collect()
     }
@@ -436,7 +502,7 @@ mod tests {
     #[test]
     fn record_round_trips_with_transposition() {
         let p = payload(3);
-        let (header, bytes) = build_record(5, 42, Some(900), 880, 40, 2000, &p).unwrap();
+        let (header, bytes) = build_record(5, 42, Some(900), 880, 40, 2000, &writes(&p)).unwrap();
         assert_eq!(bytes.len(), 4 * SECTOR_SIZE);
         // Header sector parses back.
         let hsec: SectorBuf = bytes[0..SECTOR_SIZE].try_into().unwrap();
@@ -460,8 +526,80 @@ mod tests {
                 .try_into()
                 .unwrap();
             restore_payload(e, &mut sec);
-            assert_eq!(sec, p[i].data, "payload sector {i} restored exactly");
+            assert_eq!(sec[..], p[i][..], "payload sector {i} restored exactly");
         }
+    }
+
+    /// Writes of different lengths, borrowed from separate buffers, come
+    /// back sector for sector — including sectors whose first byte already
+    /// is one of the two marker values.
+    #[test]
+    fn multi_sector_writes_round_trip_with_marker_first_bytes() {
+        let mut a = vec![0x11u8; 3 * SECTOR_SIZE];
+        a[0] = PAYLOAD_FIRST_BYTE;
+        a[SECTOR_SIZE] = HEADER_FIRST_BYTE;
+        let b = vec![HEADER_FIRST_BYTE; SECTOR_SIZE];
+        let c = vec![PAYLOAD_FIRST_BYTE; 2 * SECTOR_SIZE];
+        let ws = [
+            RecordWrite {
+                data_major: 0,
+                data_minor: 0,
+                data_lba: 64,
+                data: &a,
+            },
+            RecordWrite {
+                data_major: 2,
+                data_minor: 1,
+                data_lba: 7,
+                data: &b,
+            },
+            RecordWrite {
+                data_major: 1,
+                data_minor: 0,
+                data_lba: 900,
+                data: &c,
+            },
+        ];
+        let (header, bytes) = build_record(3, 9, None, 500, 9, 500, &ws).unwrap();
+        assert_eq!(bytes.len(), 7 * SECTOR_SIZE);
+        let parsed = RecordHeader::decode(bytes[..SECTOR_SIZE].try_into().unwrap())
+            .unwrap()
+            .expect("is a header");
+        assert_eq!(parsed, header);
+        let targets: Vec<(u8, u8, u32)> = parsed
+            .entries
+            .iter()
+            .map(|e| (e.data_major, e.data_minor, e.data_lba))
+            .collect();
+        assert_eq!(
+            targets,
+            [
+                (0, 0, 64),
+                (0, 0, 65),
+                (0, 0, 66),
+                (2, 1, 7),
+                (1, 0, 900),
+                (1, 0, 901)
+            ]
+        );
+        let submitted: Vec<u8> = [&a[..], &b[..], &c[..]].concat();
+        let mut restored = bytes[SECTOR_SIZE..].to_vec();
+        for (i, (e, sector)) in parsed
+            .entries
+            .iter()
+            .zip(restored.chunks_exact_mut(SECTOR_SIZE))
+            .enumerate()
+        {
+            assert_eq!(e.log_lba, 501 + i as u32);
+            assert_eq!(sector[0], PAYLOAD_FIRST_BYTE, "sector {i} marked on disk");
+            restore_payload(e, sector.try_into().unwrap());
+        }
+        assert_eq!(restored, submitted);
+        assert_eq!(
+            header.payload_checksum,
+            payload_checksum(&bytes[SECTOR_SIZE..]),
+            "the checksum covers the on-disk (transposed) payload"
+        );
     }
 
     #[test]
@@ -479,7 +617,7 @@ mod tests {
 
     #[test]
     fn record_decode_flags_corrupt_signed_header() {
-        let (_, bytes) = build_record(1, 1, None, 0, 0, 100, &payload(1)).unwrap();
+        let (_, bytes) = build_record(1, 1, None, 0, 0, 100, &writes(&payload(1))).unwrap();
         let mut hsec: SectorBuf = bytes[0..SECTOR_SIZE].try_into().unwrap();
         hsec[41..45].copy_from_slice(&0u32.to_le_bytes()); // batch = 0
         assert_eq!(RecordHeader::decode(&hsec), Err(FormatError::Corrupt));
@@ -490,23 +628,85 @@ mod tests {
     #[test]
     fn record_limits_enforced() {
         assert!(matches!(
-            build_record(1, 1, None, 0, 0, 0, &payload(MAX_TRAIL_BATCH + 1)),
+            build_record(1, 1, None, 0, 0, 0, &writes(&payload(MAX_TRAIL_BATCH + 1))),
             Err(FormatError::BatchTooLarge)
         ));
         assert!(matches!(
-            build_record(1, 1, None, 0, 0, 0, &payload(0)),
+            build_record(1, 1, None, 0, 0, 0, &[]),
+            Err(FormatError::Corrupt)
+        ));
+        // One multi-sector write counts by its sectors, not as one entry.
+        let big = vec![7u8; (MAX_TRAIL_BATCH + 1) * SECTOR_SIZE];
+        let mut w = RecordWrite {
+            data_major: 0,
+            data_minor: 0,
+            data_lba: 0,
+            data: &big,
+        };
+        assert!(matches!(
+            build_record(1, 1, None, 0, 0, 0, &[w]),
+            Err(FormatError::BatchTooLarge)
+        ));
+        // A write that is not whole sectors is refused, not padded.
+        w.data = &big[..SECTOR_SIZE + 1];
+        assert!(matches!(
+            build_record(1, 1, None, 0, 0, 0, &[w]),
             Err(FormatError::Corrupt)
         ));
         // Exactly MAX_TRAIL_BATCH fits a sector.
-        let (h, _) = build_record(1, 1, None, 0, 0, 0, &payload(MAX_TRAIL_BATCH)).unwrap();
+        w.data = &big[..MAX_TRAIL_BATCH * SECTOR_SIZE];
+        let (h, bytes) = build_record(1, 1, None, 0, 0, 0, &[w]).unwrap();
         assert!(h.encode().is_ok());
+        assert_eq!(bytes.len(), (MAX_TRAIL_BATCH + 1) * SECTOR_SIZE);
     }
 
     #[test]
     fn no_prev_sect_round_trips() {
-        let (_, bytes) = build_record(1, 0, None, 0, 0, 64, &payload(1)).unwrap();
+        let (_, bytes) = build_record(1, 0, None, 0, 0, 64, &writes(&payload(1))).unwrap();
         let hsec: SectorBuf = bytes[0..SECTOR_SIZE].try_into().unwrap();
         let parsed = RecordHeader::decode(&hsec).unwrap().unwrap();
         assert_eq!(parsed.prev_sect, None);
+    }
+
+    // ---- The checksum's contract (not its value); the torn-record and
+    // reordering properties live in `tests/proptest_invariants.rs`. --------
+
+    fn random_sectors(seed: u64, sectors: usize) -> Vec<u8> {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..sectors * SECTOR_SIZE).map(|_| rng.gen()).collect()
+    }
+
+    #[test]
+    fn checksum_sees_every_single_bit() {
+        let data = random_sectors(1, 2);
+        let sum = payload_checksum(&data);
+        let mut flipped = data.clone();
+        for bit in 0..data.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(payload_checksum(&flipped), sum, "bit {bit} went unseen");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(payload_checksum(&flipped), sum);
+    }
+
+    #[test]
+    fn checksum_tells_lengths_apart() {
+        // Ragged lengths are not a record-path case, but a public function
+        // must neither panic on one nor ignore the tail.
+        let data = random_sectors(9, 1);
+        let mut seen = std::collections::HashSet::new();
+        for len in [0usize, 1, 7, 8, 31, 32, 33, 63, 511, 512] {
+            assert!(seen.insert(payload_checksum(&data[..len])), "length {len}");
+        }
+        let mut tail = data[..33].to_vec();
+        tail[32] ^= 1;
+        assert_ne!(payload_checksum(&tail), payload_checksum(&data[..33]));
+        // Zero sectors leave a lane's state to the length fold alone.
+        let zeros = vec![0u8; 3 * SECTOR_SIZE];
+        let sums: std::collections::HashSet<u32> = (1..=3)
+            .map(|n| payload_checksum(&zeros[..n * SECTOR_SIZE]))
+            .collect();
+        assert_eq!(sums.len(), 3);
     }
 }

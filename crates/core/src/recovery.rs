@@ -32,7 +32,7 @@ use trail_probe::run_blocking;
 use trail_sim::{Delivered, SimDuration, Simulator};
 
 use crate::error::TrailError;
-use crate::format::{restore_payload, LogDiskHeader, RecordHeader};
+use crate::format::{payload_checksum, restore_payload, LogDiskHeader, RecordHeader};
 use crate::formatter::data_track_range;
 
 /// Options for [`recover`].
@@ -306,7 +306,7 @@ fn recover_inner(
         .expect("read returns data");
         let seq = cur.header.sequence_id;
         let prev = cur.header.prev_sect;
-        if crate::format::fnv1a(&payload) != cur.header.payload_checksum {
+        if payload_checksum(&payload) != cur.header.payload_checksum {
             if chain.is_empty() {
                 // The record in flight at the crash persisted its header
                 // but not all payload sectors. It was never acknowledged;
@@ -394,13 +394,12 @@ fn recover_inner(
                 {
                     j += 1;
                 }
-                let mut data = Vec::with_capacity((j - i + 1) * SECTOR_SIZE);
-                for (k, entry) in rec.entries[i..=j].iter().enumerate() {
-                    let off = (i + k) * SECTOR_SIZE;
-                    let mut sector: SectorBuf =
-                        payload[off..off + SECTOR_SIZE].try_into().expect("sector");
-                    restore_payload(entry, &mut sector);
-                    data.extend_from_slice(&sector);
+                let mut data = payload[i * SECTOR_SIZE..(j + 1) * SECTOR_SIZE].to_vec();
+                for (entry, sector) in rec.entries[i..=j]
+                    .iter()
+                    .zip(data.chunks_exact_mut(SECTOR_SIZE))
+                {
+                    restore_payload(entry, sector.try_into().expect("sector"));
                 }
                 report.sectors_replayed += (j - i + 1) as u64;
                 write_sink(sim, dev, u64::from(start_lba), data)?;

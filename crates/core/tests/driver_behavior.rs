@@ -480,3 +480,141 @@ fn sync_writes_remain_fast_after_many_records() {
         "late-run mean {late_mean} ms should stay near the anchor"
     );
 }
+
+/// The write path moves buffers instead of cloning them: a write that fits
+/// one record is queued, logged and pinned as the caller's own `Vec`, a
+/// larger one is copied per chunk, and two writes to one block in a single
+/// batch leave the newer pinned. Whatever was moved, reads served from
+/// pinned memory and the data disks must see exactly the submitted bytes.
+#[test]
+fn moved_and_split_buffers_are_the_right_buffers() {
+    let mut sim = Simulator::new();
+    let (drv, data) = boot(
+        &mut sim,
+        profiles::tiny_test_disk(),
+        1,
+        TrailConfig::default(),
+    );
+    // Every sector distinct, so a misplaced or stale buffer cannot pass.
+    let distinct = |tag: u8, sectors: usize| -> Vec<u8> {
+        (0..sectors * SECTOR_SIZE)
+            .map(|i| tag ^ (i / SECTOR_SIZE) as u8 ^ (i % 251) as u8)
+            .collect()
+    };
+    let split = distinct(0xA0, 40); // > the 31-sector record limit: copied per chunk
+    let fits = distinct(0xB0, 4); // moved
+    let older = distinct(0xC0, 2); // same block twice in one batch
+    let newer = distinct(0xD0, 2);
+
+    let acks = Rc::new(Cell::new(0u32));
+    let reads: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+    let count_ack = |sim: &Simulator| {
+        let a = Rc::clone(&acks);
+        sim.completion(move |_, d: Delivered<IoDone>| {
+            d.expect("durable");
+            a.set(a.get() + 1);
+        })
+    };
+    let done = count_ack(&sim);
+    drv.write(&mut sim, 0, 0, split.clone(), done).unwrap();
+    let done = count_ack(&sim);
+    drv.write(&mut sim, 0, 200, fits.clone(), done).unwrap();
+    let done = count_ack(&sim);
+    drv.write(&mut sim, 0, 300, older, done).unwrap();
+    // The last acknowledgement arrives with everything logged and nothing
+    // written back yet: read each block back from pinned memory.
+    let (drv2, acks2, reads2) = (drv.clone(), Rc::clone(&acks), Rc::clone(&reads));
+    let done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
+        d.expect("durable");
+        acks2.set(acks2.get() + 1);
+        for (lba, count) in [(0, 31), (31, 9), (200, 4), (300, 2)] {
+            let out = Rc::clone(&reads2);
+            let read_done = sim.completion(move |_, d: Delivered<IoDone>| {
+                let data = d.expect("read delivered").data.expect("read data");
+                out.borrow_mut().push(data);
+            });
+            drv2.read(sim, 0, lba, count, read_done).unwrap();
+        }
+    });
+    drv.write(&mut sim, 0, 300, newer.clone(), done).unwrap();
+    drv.run_until_quiescent(&mut sim);
+
+    assert_eq!(acks.get(), 4, "the split write acknowledges exactly once");
+    drv.with_stats(|s| {
+        assert_eq!(
+            s.batch_sizes,
+            [31, 9 + 4 + 2 + 2],
+            "the second record carries both writes to block 300"
+        );
+        assert_eq!((s.read_hits, s.read_misses), (4, 0));
+        assert_eq!(s.writebacks, 4, "one write-back per pinned block");
+    });
+    let reads = reads.borrow();
+    assert_eq!(reads[0], split[..31 * SECTOR_SIZE]);
+    assert_eq!(reads[1], split[31 * SECTOR_SIZE..]);
+    assert_eq!(reads[2], fits);
+    assert_eq!(reads[3], newer, "the newer of two writes in one batch wins");
+
+    assert_eq!(drv.pinned_blocks(), 0);
+    let on_disk = |lba: u64, sectors: usize| -> Vec<u8> {
+        (0..sectors as u64)
+            .flat_map(|i| data[0].peek_sector(lba + i))
+            .collect()
+    };
+    assert_eq!(on_disk(0, 40), split);
+    assert_eq!(on_disk(200, 4), fits);
+    assert_eq!(on_disk(300, 2), newer);
+}
+
+/// Known gap, recorded rather than fixed here (the fix moves virtual-time
+/// numbers): pinned memory is looked up by exact `(dev, lba, length)`, so
+/// an acknowledged write is invisible to a later read of an *overlapping*
+/// extent, and two overlapping pinned blocks reach the data disk in
+/// scheduler order rather than acknowledgement order.
+#[test]
+#[ignore = "overlapping-extent reads: ROADMAP correctness item"]
+fn overlapping_pinned_extents_serve_the_newest_bytes() {
+    let mut sim = Simulator::new();
+    let (drv, data) = boot(
+        &mut sim,
+        profiles::tiny_test_disk(),
+        1,
+        TrailConfig::default(),
+    );
+    // One batch, acknowledged in this order. The first write only keeps the
+    // data disk busy, so the others' write-backs queue behind it and C-LOOK
+    // sweeps them by cylinder: 156.. (cylinder 1) goes out before the older
+    // 160.. (cylinder 2), whose stale 0xBB then lands on top of 0xAA.
+    for (lba, sectors, fill) in [(0, 2, 0x11), (160, 2, 0xBB), (156, 8, 0xAA)] {
+        let done = sim.completion(|_, _| {});
+        drv.write(&mut sim, 0, lba, vec![fill; sectors * SECTOR_SIZE], done)
+            .unwrap();
+    }
+    let read_back: Rc<RefCell<Vec<u8>>> = Rc::default();
+    let (drv2, out) = (drv.clone(), Rc::clone(&read_back));
+    let done = sim.completion(move |sim: &mut Simulator, _| {
+        // Every block is still pinned: nothing has been written back yet.
+        assert_eq!(drv2.pinned_blocks(), 4);
+        let read_done = sim.completion(move |_, d: Delivered<IoDone>| {
+            *out.borrow_mut() = d.expect("read delivered").data.expect("read data");
+        });
+        drv2.read(sim, 0, 156, 8, read_done).unwrap();
+    });
+    drv.write(&mut sim, 0, 158, vec![0xDD; 2 * SECTOR_SIZE], done)
+        .unwrap();
+    drv.run_until_quiescent(&mut sim);
+    let newest = [0xAA, 0xAA, 0xDD, 0xDD, 0xAA, 0xAA, 0xAA, 0xAA];
+    let read: Vec<u8> = read_back
+        .borrow()
+        .iter()
+        .copied()
+        .step_by(SECTOR_SIZE)
+        .collect();
+    let on_disk: Vec<u8> = (156..164).map(|lba| data[0].peek_sector(lba)[0]).collect();
+    assert_eq!(
+        (&read[..], &on_disk[..]),
+        (&newest[..], &newest[..]),
+        "a read, and the data disk after write-back, must hold every \
+         acknowledged overlapping write's newest bytes"
+    );
+}

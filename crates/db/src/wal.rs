@@ -73,6 +73,16 @@ pub const CHUNK_MAGIC: u32 = 0x5741_4C21; // "WAL!"
 const CHUNK_HDR: usize = 16; // magic u32, chunk_seq u64, len u32
 
 impl WalRecord {
+    /// Length of the record's wire form, as [`encode`](Self::encode) and
+    /// [`decode`](Self::decode) lay it out.
+    fn encoded_len(&self) -> usize {
+        9 + match self {
+            WalRecord::Put { value, .. } => 17 + value.len(),
+            WalRecord::Delete { .. } => 13,
+            WalRecord::Commit { .. } | WalRecord::Abort { .. } => 4,
+        }
+    }
+
     /// Appends the record's wire form (with `lsn`) to `out`.
     fn encode(&self, lsn: u64, out: &mut Vec<u8>) {
         out.extend_from_slice(&lsn.to_le_bytes());
@@ -238,8 +248,10 @@ pub struct Wal {
     append_pos: u64,
     next_lsn: u64,
     chunk_seq: u64,
-    /// Encoded records awaiting a force, in append order.
-    pending: std::collections::VecDeque<Vec<u8>>,
+    /// Records awaiting a force, in append (= LSN) order; each is encoded
+    /// once, straight into the chunk that flushes it.
+    pending: std::collections::VecDeque<(u64, WalRecord)>,
+    /// Their total encoded length.
     pending_bytes: usize,
     /// Cumulative bytes ever appended / flushed (durability watermark).
     appended_bytes: u64,
@@ -306,11 +318,10 @@ impl Wal {
     pub fn append(&mut self, record: WalRecord) -> u64 {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let mut bytes = Vec::new();
-        record.encode(lsn, &mut bytes);
-        self.pending_bytes += bytes.len();
-        self.appended_bytes += bytes.len() as u64;
-        self.pending.push_back(bytes);
+        let len = record.encoded_len();
+        self.pending_bytes += len;
+        self.appended_bytes += len as u64;
+        self.pending.push_back((lsn, record));
         self.stats.records += 1;
         lsn
     }
@@ -367,27 +378,33 @@ impl Wal {
             (true, _) | (_, FlushPolicy::EveryCommit) => usize::MAX,
             (false, FlushPolicy::GroupCommit { buffer_bytes }) => buffer_bytes,
         };
-        let mut payload = Vec::new();
-        while let Some(front) = self.pending.front() {
-            if !payload.is_empty() && payload.len() + front.len() > cap {
+        // How many records this force takes, and their encoded length.
+        let (mut taken, mut payload_len) = (0, 0usize);
+        for (_, rec) in &self.pending {
+            let len = rec.encoded_len();
+            if taken > 0 && payload_len + len > cap {
                 break;
             }
-            let rec = self.pending.pop_front().expect("front observed");
-            self.pending_bytes -= rec.len();
-            payload.extend_from_slice(&rec);
-            if payload.len() >= cap {
+            taken += 1;
+            payload_len += len;
+            if payload_len >= cap {
                 break;
             }
         }
-        let covers = self.flushed_bytes + payload.len() as u64;
-        let mut data = Vec::with_capacity(CHUNK_HDR + payload.len() + SECTOR_SIZE);
+        self.pending_bytes -= payload_len;
+        let covers = self.flushed_bytes + payload_len as u64;
+        // The chunk is built in place: header, then each record encoded
+        // once behind it, then zero padding to a whole sector.
+        let sectors = Self::chunk_sectors(payload_len);
+        let mut data = Vec::with_capacity(sectors as usize * SECTOR_SIZE);
         data.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
         data.extend_from_slice(&self.chunk_seq.to_le_bytes());
-        data.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        data.extend_from_slice(&payload);
-        let pad = (SECTOR_SIZE - data.len() % SECTOR_SIZE) % SECTOR_SIZE;
-        data.resize(data.len() + pad, 0);
-        let sectors = (data.len() / SECTOR_SIZE) as u64;
+        data.extend_from_slice(&(payload_len as u32).to_le_bytes());
+        for (lsn, rec) in self.pending.drain(..taken) {
+            rec.encode(lsn, &mut data);
+        }
+        debug_assert_eq!(data.len(), CHUNK_HDR + payload_len);
+        data.resize(sectors as usize * SECTOR_SIZE, 0);
         assert!(
             self.append_pos + sectors <= self.capacity_sectors,
             "log file wrapped its region; enlarge the log device allocation"
@@ -616,6 +633,109 @@ mod tests {
         assert_eq!(job2.lba, 64 + sectors);
         assert!(Wal::parse_chunk(&job2.data, 0).is_none(), "wrong seq");
         assert!(Wal::parse_chunk(&job2.data, 1).is_some());
+    }
+
+    /// The chunk image built the way `begin_flush` used to: every record
+    /// encoded into a `Vec` of its own at append time, the taken ones
+    /// concatenated into a payload, the payload copied behind the header.
+    fn staged_chunk(
+        pending: &mut std::collections::VecDeque<Vec<u8>>,
+        cap: usize,
+        chunk_seq: u64,
+    ) -> Vec<u8> {
+        let mut payload = Vec::new();
+        while let Some(front) = pending.front() {
+            if !payload.is_empty() && payload.len() + front.len() > cap {
+                break;
+            }
+            payload.extend_from_slice(&pending.pop_front().expect("front observed"));
+            if payload.len() >= cap {
+                break;
+            }
+        }
+        let mut data = Vec::new();
+        data.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
+        data.extend_from_slice(&chunk_seq.to_le_bytes());
+        data.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        data.extend_from_slice(&payload);
+        let pad = (SECTOR_SIZE - data.len() % SECTOR_SIZE) % SECTOR_SIZE;
+        data.resize(data.len() + pad, 0);
+        data
+    }
+
+    #[test]
+    fn chunks_encoded_in_place_match_the_staged_image_byte_for_byte() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(15);
+        let mut next = move |n: u64| rng.gen_range(0..n);
+        for policy in [
+            FlushPolicy::EveryCommit,
+            FlushPolicy::GroupCommit { buffer_bytes: 300 },
+            FlushPolicy::GroupCommit { buffer_bytes: 4096 },
+        ] {
+            let cap = match policy {
+                FlushPolicy::EveryCommit => usize::MAX,
+                FlushPolicy::GroupCommit { buffer_bytes } => buffer_bytes,
+            };
+            let mut wal = Wal::new(0, 64, 100_000, policy);
+            let mut staged = std::collections::VecDeque::new();
+            let (mut lsn, mut chunk_seq, mut flushed) = (0u64, 0u64, 0u64);
+            for round in 0..40 {
+                for _ in 0..=next(12) {
+                    let txn = next(1000) as u32;
+                    let record = match next(4) {
+                        0 => WalRecord::Commit { txn },
+                        1 => WalRecord::Abort { txn },
+                        2 => WalRecord::Delete {
+                            txn,
+                            table: next(9) as u8,
+                            key: next(u64::MAX),
+                        },
+                        _ => WalRecord::Put {
+                            txn,
+                            table: next(9) as u8,
+                            key: next(u64::MAX),
+                            value: (0..next(700)).map(|_| next(256) as u8).collect(),
+                        },
+                    };
+                    let mut bytes = Vec::new();
+                    record.encode(lsn, &mut bytes);
+                    assert_eq!(record.encoded_len(), bytes.len(), "{record:?}");
+                    staged.push_back(bytes);
+                    assert_eq!(wal.append(record), lsn);
+                    lsn += 1;
+                }
+                let staged_bytes = |staged: &std::collections::VecDeque<Vec<u8>>| {
+                    staged.iter().map(Vec::len).sum::<usize>()
+                };
+                assert_eq!(wal.buffered_bytes(), staged_bytes(&staged));
+                // Force when the policy would, and everything on the last round.
+                let force_all = round == 39;
+                let threshold = if force_all || cap == usize::MAX {
+                    1
+                } else {
+                    cap
+                };
+                while wal.buffered_bytes() >= threshold {
+                    let job = wal
+                        .begin_flush(SimTime::ZERO, force_all)
+                        .expect("records are pending");
+                    let cap = if force_all { usize::MAX } else { cap };
+                    let expected = staged_chunk(&mut staged, cap, chunk_seq);
+                    assert_eq!(job.data, expected, "chunk {chunk_seq} under {policy:?}");
+                    assert_eq!(job.lba, 64 + flushed / SECTOR_SIZE as u64);
+                    chunk_seq += 1;
+                    flushed += expected.len() as u64;
+                    wal.finish_flush(SimTime::ZERO, job.issued);
+                    assert_eq!(wal.buffered_bytes(), staged_bytes(&staged));
+                }
+            }
+            assert_eq!(wal.buffered_bytes(), 0);
+            assert!(staged.is_empty());
+            assert_eq!(wal.stats().flushes, chunk_seq);
+            assert_eq!(wal.stats().bytes_flushed, flushed);
+            assert_eq!(wal.stats().records, lsn);
+        }
     }
 
     #[test]

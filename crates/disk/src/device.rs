@@ -437,14 +437,15 @@ impl Disk {
                 DiskCommand::Write { data, .. } => (data.len() / SECTOR_SIZE) as u32,
                 DiskCommand::Seek { .. } => 0,
             };
-            // Stage the write payload by moving it out of the command —
-            // no per-sector copies on the happy path.
+            // Stage the write payload and its per-sector instants by moving
+            // them out of the command and the plan — no copies on the happy
+            // path. (`count` keeps the transfer length for telemetry.)
             if let DiskCommand::Write { lba, data } = cmd {
                 debug_assert!(d.in_flight.is_none(), "one command in flight at a time");
                 d.in_flight = Some(StagedWrite {
                     lba,
                     data,
-                    sector_done: plan.sector_done.clone(),
+                    sector_done: std::mem::take(&mut plan.sector_done),
                 });
             }
             d.busy = true;
@@ -517,10 +518,10 @@ impl Disk {
                     &*recorder,
                     &name,
                     &result,
-                    &plan,
+                    count,
+                    plan.track_switches,
                     rotation_period,
-                    from_cyl,
-                    to_cyl,
+                    (from_cyl, to_cyl),
                 );
             }
             done.complete(sim, result);
@@ -647,10 +648,10 @@ fn emit_phase_events(
     recorder: &dyn trail_telemetry::Recorder,
     name: &str,
     result: &DiskResult,
-    plan: &crate::mechanics::ServicePlan,
+    sectors: u32,
+    track_switches: u32,
     rotation_period: SimDuration,
-    from_cyl: u32,
-    to_cyl: u32,
+    (from_cyl, to_cyl): (u32, u32),
 ) {
     let b = result.breakdown;
     let ev = |at: SimTime, dur: SimDuration, kind: EventKind| Event {
@@ -676,19 +677,13 @@ fn emit_phase_events(
         recorder.record(ev(t, SimDuration::ZERO, EventKind::FullRotationMiss));
     }
     t += b.rotation;
-    recorder.record(ev(
-        t,
-        b.transfer,
-        EventKind::Transfer {
-            sectors: plan.sector_done.len() as u32,
-        },
-    ));
-    if plan.track_switches > 0 {
+    recorder.record(ev(t, b.transfer, EventKind::Transfer { sectors }));
+    if track_switches > 0 {
         recorder.record(ev(
             t,
             SimDuration::ZERO,
             EventKind::TrackSwitch {
-                switches: plan.track_switches,
+                switches: track_switches,
             },
         ));
     }

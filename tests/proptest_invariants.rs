@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use trail::core::format::{build_record, restore_payload, PayloadSector, RecordHeader};
+use trail::core::format::{
+    build_record, payload_checksum, restore_payload, RecordHeader, RecordWrite,
+};
 use trail::core::{HeadPredictor, TrackPool};
 use trail::db::Page;
 use trail::disk::{DiskGeometry, SectorBuf, Zone, SECTOR_SIZE};
@@ -27,6 +29,26 @@ fn arb_geometry() -> impl Strategy<Value = DiskGeometry> {
                 cyl_skew,
             )
         })
+}
+
+/// One payload sector: mostly random, but often enough all zeros, all
+/// ones, or random behind a first byte that already is a marker value.
+fn arb_sector() -> impl Strategy<Value = Vec<u8>> {
+    let random = || proptest::collection::vec(any::<u8>(), SECTOR_SIZE);
+    let starting_with = move |first: u8| {
+        random().prop_map(move |mut s| {
+            s[0] = first;
+            s
+        })
+    };
+    prop_oneof![
+        random(),
+        random(),
+        starting_with(0x00),
+        starting_with(0xFF),
+        Just(vec![0x00; SECTOR_SIZE]),
+        Just(vec![0xFF; SECTOR_SIZE]),
+    ]
 }
 
 proptest! {
@@ -60,51 +82,118 @@ proptest! {
         }
     }
 
-    /// Write records survive encode -> raw sectors -> decode -> restore.
+    /// Write records survive encode -> raw sectors -> decode -> restore,
+    /// for writes of different lengths borrowed from separate buffers and
+    /// for sectors that already start with a marker byte.
     #[test]
     fn record_format_round_trips(
-        payload_bytes in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), SECTOR_SIZE),
-            1..=32
-        ),
+        sectors in proptest::collection::vec(arb_sector(), 1..=32),
+        cuts in proptest::collection::vec(1usize..=8, 32),
         epoch in any::<u64>(),
         seq in any::<u64>(),
         header_lba in 0u32..1_000_000,
     ) {
-        let payload: Vec<PayloadSector> = payload_bytes
+        // Group the sectors into writes of 1..=8 sectors, each its own Vec.
+        let mut buffers: Vec<Vec<u8>> = Vec::new();
+        let mut rest = &sectors[..];
+        for &cut in &cuts {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at(cut.min(rest.len()));
+            buffers.push(now.concat());
+            rest = later;
+        }
+        let writes: Vec<RecordWrite<'_>> = buffers
             .iter()
             .enumerate()
-            .map(|(i, bytes)| PayloadSector {
+            .map(|(i, data)| RecordWrite {
                 data_major: (i % 3) as u8,
                 data_minor: 0,
                 data_lba: i as u32 * 8,
-                data: bytes[..].try_into().expect("sector-sized"),
+                data,
             })
             .collect();
         let (header, raw) =
-            build_record(epoch, seq, Some(7), 3, 1, header_lba, &payload).expect("builds");
+            build_record(epoch, seq, Some(7), 3, 1, header_lba, &writes).expect("builds");
         let hsec: SectorBuf = raw[..SECTOR_SIZE].try_into().expect("sector");
         let parsed = RecordHeader::decode(&hsec).expect("valid").expect("is header");
         prop_assert_eq!(&parsed, &header);
-        prop_assert_eq!(parsed.entries.len(), payload.len());
+        prop_assert_eq!(parsed.entries.len(), sectors.len());
+        prop_assert_eq!(raw.len(), (sectors.len() + 1) * SECTOR_SIZE);
+        let mut targets = writes.iter().flat_map(|w| {
+            (0..w.data.len() / SECTOR_SIZE).map(move |i| (w.data_major, w.data_lba + i as u32))
+        });
         for (i, entry) in parsed.entries.iter().enumerate() {
+            prop_assert_eq!(Some((entry.data_major, entry.data_lba)), targets.next());
+            prop_assert_eq!(entry.log_lba, header_lba + 1 + i as u32);
             let mut sector: SectorBuf = raw
                 [(i + 1) * SECTOR_SIZE..(i + 2) * SECTOR_SIZE]
                 .try_into()
                 .expect("sector");
+            prop_assert_eq!(sector[0], 0x00);
             restore_payload(entry, &mut sector);
-            prop_assert_eq!(&sector[..], &payload_bytes[i][..]);
+            prop_assert_eq!(&sector[..], &sectors[i][..]);
         }
-        // The checksum covers the on-disk payload: flipping any byte in it
-        // must be detected.
-        let flip = (epoch as usize % (payload.len() * SECTOR_SIZE)) + SECTOR_SIZE;
-        let mut torn = raw.clone();
-        torn[flip] ^= 0xFF;
-        let torn_payload = &torn[SECTOR_SIZE..];
+        // The checksum covers the on-disk payload: flipping any bit of it,
+        // swapping two unequal sectors, or losing or gaining a sector must
+        // be detected.
+        let payload = &raw[SECTOR_SIZE..];
+        prop_assert_eq!(payload_checksum(payload), header.payload_checksum);
+        let bit = seq as usize % (payload.len() * 8);
+        let mut torn = payload.to_vec();
+        torn[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_ne!(payload_checksum(&torn), header.payload_checksum);
+        let (a, b) = (epoch as usize % sectors.len(), seq as usize % sectors.len());
+        let (ra, rb) = (a * SECTOR_SIZE..(a + 1) * SECTOR_SIZE, b * SECTOR_SIZE..(b + 1) * SECTOR_SIZE);
+        if payload[ra.clone()] != payload[rb.clone()] {
+            let mut swapped = payload.to_vec();
+            swapped[ra.clone()].copy_from_slice(&payload[rb.clone()]);
+            swapped[rb].copy_from_slice(&payload[ra]);
+            prop_assert_ne!(payload_checksum(&swapped), header.payload_checksum);
+        }
         prop_assert_ne!(
-            trail::core::format::fnv1a(torn_payload),
+            payload_checksum(&payload[..payload.len() - SECTOR_SIZE]),
             header.payload_checksum
         );
+        let longer = [payload, &payload[payload.len() - SECTOR_SIZE..]].concat();
+        prop_assert_ne!(payload_checksum(&longer), header.payload_checksum);
+    }
+
+    /// A record torn at any sector boundary — its first `k` payload
+    /// sectors new, the rest still holding whatever the track held before —
+    /// fails its checksum, whatever the stale bytes are: random, a
+    /// never-written track's zeros, or the previous record's payload. The
+    /// one exception is no tear at all: a stale suffix equal to the new one.
+    #[test]
+    fn torn_records_are_detected_at_every_sector_boundary(
+        new in proptest::collection::vec(arb_sector(), 1..=32),
+        previous in proptest::collection::vec(arb_sector(), 32),
+        random in proptest::collection::vec(any::<u8>(), 32 * SECTOR_SIZE),
+    ) {
+        let record = |sectors: &[Vec<u8>], seq: u64| {
+            let data = sectors.concat();
+            let write = RecordWrite { data_major: 0, data_minor: 0, data_lba: 64, data: &data };
+            build_record(1, seq, None, 0, 0, 100, &[write]).expect("builds")
+        };
+        let (header, raw) = record(&new, 1);
+        let payload = &raw[SECTOR_SIZE..];
+        let (_, previous) = record(&previous, 0);
+        let zeros = vec![0u8; payload.len()];
+        for stale in [&random[..], &zeros[..], &previous[SECTOR_SIZE..]] {
+            for k in 0..new.len() {
+                let cut = k * SECTOR_SIZE;
+                let stale_suffix = &stale[cut..payload.len()];
+                let torn = [&payload[..cut], stale_suffix].concat();
+                prop_assert!(
+                    (payload_checksum(&torn) == header.payload_checksum)
+                        == (stale_suffix == &payload[cut..]),
+                    "tear after {} of {} sectors",
+                    k,
+                    new.len()
+                );
+            }
+        }
     }
 
     /// The predictor's same-track output is always a sector on the
