@@ -33,6 +33,23 @@ if grep -rn --include='*.rs' \
   echo "found a private stack factory outside the umbrella crate" >&2
   exit 1
 fi
+# The harness boots Trail through StackBuilder too. The one exception is
+# the delta-sensitivity ablation, which formats with a delta override the
+# builder has no business offering.
+starts="$(grep -rn --include='*.rs' 'TrailDriver::start' crates/bench || true)"
+if [ "$(cut -d: -f1 <<<"$starts")" != crates/bench/src/scenarios.rs ]; then
+  echo "crates/bench boots Trail by hand outside the delta-override ablation:" >&2
+  echo "$starts" >&2
+  exit 1
+fi
+
+echo "== tables-as-data gate =="
+# report::Table renders every scenario table, markdown and JSON alike; a
+# hand-typed separator row means a scenario formats its own table again.
+if grep -n '|---' crates/bench/src/scenarios.rs; then
+  echo "scenarios.rs hand-formats a markdown table; declare it as a report::Table" >&2
+  exit 1
+fi
 
 echo "== two-binary gate =="
 # trail-bench (every experiment) and trace_tool (every trace chore) are
@@ -94,21 +111,14 @@ if grep -rn --include='*.rs' 'fn fnv1a\|struct PayloadSector' crates/core/src; t
   exit 1
 fi
 
-echo "== trail-bench perf --quick gate (fields present, event counts deterministic) =="
-perf_a="$smoke_dir/perf_a"; perf_b="$smoke_dir/perf_b"
-mkdir -p "$perf_a" "$perf_b"
-trail_bench perf --quick --out-dir "$perf_a" >/dev/null
-trail_bench perf --quick --out-dir "$perf_b" >/dev/null
-for field in wall_ms events_per_sec events_executed; do
-  grep -q "\"$field\"" "$perf_a/BENCH_simperf.json" \
-    || { echo "BENCH_simperf.json lacks $field" >&2; exit 1; }
-done
-# events_executed is virtual-time: two runs must agree exactly, even
-# though the wall-clock fields differ run to run.
-counts_a="$(grep -o '"events_executed":[0-9]*' "$perf_a/BENCH_simperf.json")"
-counts_b="$(grep -o '"events_executed":[0-9]*' "$perf_b/BENCH_simperf.json")"
-[ -n "$counts_a" ] && [ "$counts_a" = "$counts_b" ] \
-  || { echo "trail-bench perf event counts drifted between runs" >&2; exit 1; }
+echo "== retired-subcommand gate =="
+# Host-side cost is the repo benchmark's job (benchmark/README.md); the
+# old wall-clock suite must not come back as a subcommand.
+if perf_err="$(trail_bench perf 2>&1 >/dev/null)"; then
+  echo "trail-bench perf should no longer exist" >&2; exit 1
+fi
+grep -q 'unknown scenario "perf"' <<<"$perf_err" \
+  || { echo "trail-bench perf failed for another reason: $perf_err" >&2; exit 1; }
 
 echo "== trace_tool smoke (generate -> replay, codec round-trip) =="
 trace_tool() {
@@ -233,5 +243,10 @@ trace_tool replay "$smoke_dir/import.trace" --quick --target trail_multi2 \
   --out-dir "$smoke_dir" >/dev/null
 grep -q '"streams"' "$smoke_dir/BENCH_replay_trail_multi2.json" \
   || { echo "replay of imported trace lacks per-stream metrics" >&2; exit 1; }
+
+echo "== repo benchmark gate (benchmark/check.sh) =="
+# The benchmark crate is its own workspace, so nothing above compiles it:
+# this is where a public-API break in the library crates shows up.
+benchmark/check.sh
 
 echo "CI gate passed."

@@ -11,8 +11,8 @@
 //! trace_tool inspect  t.trace
 //! trace_tool convert  in.trace out.jsonl      (direction by extension)
 //!                     [--compress | --raw] [--chunk-records C]
-//! trace_tool replay   t.trace [--target all|standard|trail|trail_multi2|ext2|lfs]
-//!                     [--speed X] [--quick] [--out-dir DIR]
+//! trace_tool replay   t.trace [--target all|standard|trail|trail_multiN|ext2|ext2_trail
+//!                     |lfs|lfs_trail] [--speed X] [--quick] [--out-dir DIR]
 //! ```
 //!
 //! Binary traces are processed **chunk at a time**: `generate`,
@@ -524,14 +524,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             TargetKind::Ext2 { trail: false },
             TargetKind::Lfs { trail: false },
         ],
-        "standard" => vec![TargetKind::Standard],
-        "trail" => vec![TargetKind::Trail],
-        "trail_multi2" => vec![TargetKind::TrailMulti { logs: 2 }],
-        "ext2" => vec![TargetKind::Ext2 { trail: false }],
-        "ext2_trail" => vec![TargetKind::Ext2 { trail: true }],
-        "lfs" => vec![TargetKind::Lfs { trail: false }],
-        "lfs_trail" => vec![TargetKind::Lfs { trail: true }],
-        other => return Err(format!("unknown --target {other}")),
+        one => vec![one.parse()?],
     };
     // JSONL traces (the debug format) load whole; binary traces are
     // re-opened and streamed chunk-at-a-time once per target.

@@ -14,16 +14,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use trail_blockio::{IoDone, IoRequest, StandardDriver};
-use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
-use trail_db::{BlockStack, Database, DbConfig, FlushPolicy, TrailStack};
-use trail_disk::{profiles, Disk, SECTOR_SIZE};
+use trail_blockio::IoDone;
+use trail_core::{TrailConfig, TrailDriver};
+use trail_db::{BlockStack, Database, DbConfig, FlushPolicy};
+use trail_disk::{Disk, SECTOR_SIZE};
 use trail_sim::{Delivered, LatencySummary, SimDuration, Simulator};
 use trail_telemetry::RecorderHandle;
 use trail_tpcc::{populate, CpuModel, Scale, Workload};
 
 pub mod campaign;
-pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
@@ -107,70 +106,16 @@ pub fn sync_writes_trail(
     seed: u64,
     recorder: Option<RecorderHandle>,
 ) -> SyncWriteResult {
-    let mut tb = testbed(config, recorder);
-    let lat = Rc::new(RefCell::new(LatencySummary::new()));
-    let capacity = tb.data_disks[0].geometry().total_sectors() - 1024;
-    for p in 0..procs {
-        spawn_trail_writer(
-            &mut tb.sim,
-            tb.trail.clone(),
-            Rc::clone(&lat),
-            WriterParams {
-                remaining: writes_per_proc,
-                size_bytes,
-                mode,
-                seed: seed ^ (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                capacity,
-            },
-        );
-    }
-    tb.sim.run();
-    tb.trail.run_until_quiescent(&mut tb.sim);
-    let latency = lat.borrow().clone();
-    SyncWriteResult { latency }
-}
-
-struct WriterParams {
-    remaining: usize,
-    size_bytes: usize,
-    mode: ArrivalMode,
-    seed: u64,
-    capacity: u64,
-}
-
-fn spawn_trail_writer(
-    sim: &mut Simulator,
-    trail: TrailDriver,
-    lat: Rc<RefCell<LatencySummary>>,
-    params: WriterParams,
-) {
-    use rand::Rng;
-    if params.remaining == 0 {
-        return;
-    }
-    let mut rng = trail_sim::rng(params.seed);
-    let sectors = params.size_bytes.div_ceil(SECTOR_SIZE).max(1);
-    let lba = rng.gen_range(0..params.capacity - sectors as u64);
-    let data = vec![rng.gen::<u8>(); sectors * SECTOR_SIZE];
-    let next = WriterParams {
-        remaining: params.remaining - 1,
-        seed: rng.gen(),
-        ..params
-    };
-    let respawn = trail.clone();
-    let done = sim.completion(move |sim: &mut Simulator, del: Delivered<IoDone>| {
-        let Ok(done) = del else { return };
-        lat.borrow_mut().record(done.latency());
-        match next.mode {
-            ArrivalMode::Clustered => spawn_trail_writer(sim, respawn, lat, next),
-            ArrivalMode::Sparse { gap } => {
-                sim.schedule_in(gap, move |sim| spawn_trail_writer(sim, respawn, lat, next));
-            }
-        }
-    });
-    trail
-        .write(sim, 0, lba, data, done)
-        .expect("trail write accepted");
+    let builder = trail::StackBuilder::new().trail(config);
+    sync_writes(
+        builder,
+        procs,
+        writes_per_proc,
+        size_bytes,
+        mode,
+        seed,
+        recorder,
+    )
 }
 
 /// Runs the §5.1 synchronous-write workload against the standard disk
@@ -185,18 +130,37 @@ pub fn sync_writes_standard(
     seed: u64,
     recorder: Option<RecorderHandle>,
 ) -> SyncWriteResult {
-    let mut sim = Simulator::new();
-    let disk = Disk::new("data0", profiles::wd_caviar_10gb());
-    let driver = StandardDriver::new(disk.clone());
+    let builder = trail::StackBuilder::new().data_disks(1).standard();
+    sync_writes(
+        builder,
+        procs,
+        writes_per_proc,
+        size_bytes,
+        mode,
+        seed,
+        recorder,
+    )
+}
+
+fn sync_writes(
+    builder: trail::StackBuilder,
+    procs: usize,
+    writes_per_proc: usize,
+    size_bytes: usize,
+    mode: ArrivalMode,
+    seed: u64,
+    recorder: Option<RecorderHandle>,
+) -> SyncWriteResult {
+    let mut built = builder.build().expect("boot the stack");
     if let Some(r) = recorder {
-        driver.set_recorder(r);
+        built.stack.set_recorder(r);
     }
     let lat = Rc::new(RefCell::new(LatencySummary::new()));
-    let capacity = disk.geometry().total_sectors() - 1024;
+    let capacity = built.data_disks[0].geometry().total_sectors() - 1024;
     for p in 0..procs {
-        spawn_standard_writer(
-            &mut sim,
-            driver.clone(),
+        spawn_writer(
+            &mut built.sim,
+            Rc::clone(&built.stack),
             Rc::clone(&lat),
             WriterParams {
                 remaining: writes_per_proc,
@@ -207,14 +171,25 @@ pub fn sync_writes_standard(
             },
         );
     }
-    sim.run();
+    built.sim.run();
+    assert_eq!(built.stack.pending_work(), 0, "stack drained");
     let latency = lat.borrow().clone();
     SyncWriteResult { latency }
 }
 
-fn spawn_standard_writer(
+struct WriterParams {
+    remaining: usize,
+    size_bytes: usize,
+    mode: ArrivalMode,
+    seed: u64,
+    capacity: u64,
+}
+
+/// One closed-loop writer: a random-target write to device 0, the next
+/// one issued when (or `gap` after) it is acknowledged.
+fn spawn_writer(
     sim: &mut Simulator,
-    driver: StandardDriver,
+    stack: Rc<dyn BlockStack>,
     lat: Rc<RefCell<LatencySummary>>,
     params: WriterParams,
 ) {
@@ -231,22 +206,20 @@ fn spawn_standard_writer(
         seed: rng.gen(),
         ..params
     };
-    let respawn_driver = driver.clone();
+    let respawn = Rc::clone(&stack);
     let done = sim.completion(move |sim: &mut Simulator, del: Delivered<IoDone>| {
         let Ok(done) = del else { return };
         lat.borrow_mut().record(done.latency());
         match next.mode {
-            ArrivalMode::Clustered => spawn_standard_writer(sim, respawn_driver, lat, next),
+            ArrivalMode::Clustered => spawn_writer(sim, respawn, lat, next),
             ArrivalMode::Sparse { gap } => {
-                sim.schedule_in(gap, move |sim| {
-                    spawn_standard_writer(sim, respawn_driver, lat, next)
-                });
+                sim.schedule_in(gap, move |sim| spawn_writer(sim, respawn, lat, next));
             }
         }
     });
-    driver
-        .submit(sim, IoRequest::write(lba, data), done)
-        .expect("standard write accepted");
+    stack
+        .write(sim, 0, lba, data, done)
+        .expect("write accepted");
 }
 
 /// TPC-C rig configuration shared by the Table 2/3 and track-utilization
@@ -320,20 +293,16 @@ pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) 
         // commits into the bursts that drive §5.2's utilization numbers.
         single_cpu: true,
     };
-    let mut sim = Simulator::new();
-    let disks: Vec<Disk> = (0..3)
-        .map(|i| Disk::new(format!("data{i}"), profiles::wd_caviar_10gb()))
-        .collect();
-    let (stack, trail_drv): (Rc<dyn BlockStack>, Option<TrailDriver>) = if trail {
-        let log = Disk::new("trail-log", profiles::seagate_st41601n());
-        format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
-        let (drv, _) = TrailDriver::start(&mut sim, log, disks.clone(), TrailConfig::default())
-            .expect("boot Trail");
-        (Rc::new(TrailStack::new(drv.clone(), 3)), Some(drv))
+    // The builder's default is the paper's three data disks.
+    let builder = trail::StackBuilder::new();
+    let built = if trail {
+        builder.trail_default().build()
     } else {
-        (Rc::new(trail_db::StandardStack::new(disks.clone())), None)
-    };
-    let db = Database::new(Rc::clone(&stack), db_config);
+        builder.standard().build()
+    }
+    .expect("boot the stack");
+    let disks = &built.data_disks;
+    let db = built.database(db_config);
     let images = populate(&db, &rig.scale);
     for (pid, bytes) in &images {
         let disk = &disks[pid.dev as usize];
@@ -356,10 +325,10 @@ pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) 
     }
     let workload = Workload::new(rig.scale, rig.seed, CpuModel::default());
     TpccSetup {
-        sim,
+        sim: built.sim,
         db,
         workload,
-        trail: trail_drv,
-        stack,
+        trail: built.trail,
+        stack: built.stack,
     }
 }

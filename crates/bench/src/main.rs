@@ -1,13 +1,13 @@
 //! `trail-bench` — every experiment of the reproduction behind one
-//! command.
+//! command. (What the harness itself costs in host time and memory is
+//! not measured here: that is the repo benchmark, `benchmark/README.md`.)
 //!
 //! ```text
 //! trail-bench all        [--quick] [--seed S] [--out-dir DIR] [--threads N] [--filter SUB]
 //! trail-bench <scenario> [scale] [--quick] [--seed S] [--out-dir DIR]
 //!                        [--trace-out FILE] [--metrics-out FILE]
-//! trail-bench replay_stream --trace FILE [--target standard|trail|trail_multi2]
+//! trail-bench replay_stream --trace FILE [--target standard|trail|trail_multiN|ext2|lfs|…]
 //!                        [--shards N] [--threads N] [--oracle] [--quick] [--out-dir DIR]
-//! trail-bench perf       [--quick] [--seed S] [--out-dir DIR]
 //! trail-bench giga       [--records N] [--shards N] [--threads N] [--out-dir DIR] [--keep]
 //! ```
 //!
@@ -43,12 +43,6 @@
 //!   the shard count — never the thread count — so it is byte-identical
 //!   for any `--threads`. Wall-clock throughput and the process's real
 //!   peak RSS (`VmHWM`, printed beside the proxy) go to the console only.
-//! - **`perf`** times the simulator hot path in wall-clock terms and
-//!   writes `BENCH_simperf.json`. Unlike every other artifact, its
-//!   headline numbers measure the executor, not the simulated hardware;
-//!   the `events_executed` column is virtual-time-derived and therefore
-//!   deterministic, and CI compares it across two runs to prove the suite
-//!   times a stable workload.
 //! - **`giga`** is the giga-trace scale demonstration: generate a
 //!   10⁸-record synthetic trace (`--records N`), delta-compress it, and
 //!   replay it both single-engine and sharded. The workload is fixed
@@ -69,7 +63,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use trail_bench::perf::{run_perf_suite, simperf_json, PerfOptions};
 use trail_bench::{
     all_scenarios, replay_stream_json, run_all_scenarios, write_bench_json_in, Args, RunAllOptions,
     ScenarioConfig, ScenarioSpec,
@@ -90,7 +83,6 @@ fn main() -> ExitCode {
     let result = match args.split_first() {
         Some((sub, rest)) => match sub.as_str() {
             "all" => cmd_all(rest),
-            "perf" => cmd_perf(rest),
             "giga" => cmd_giga(rest),
             "replay_stream" if rest.iter().any(|a| a == "--trace") => cmd_replay_file(rest),
             name => match scenarios.iter().find(|s| s.name == name) {
@@ -105,7 +97,7 @@ fn main() -> ExitCode {
         Err(e) => {
             let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
             eprintln!("trail-bench: {e}");
-            eprintln!("usage: trail-bench <all|perf|giga|SCENARIO> [flags]");
+            eprintln!("usage: trail-bench <all|giga|SCENARIO> [flags]");
             eprintln!("scenarios: {}", names.join(" "));
             ExitCode::FAILURE
         }
@@ -131,6 +123,15 @@ fn vm_hwm() -> String {
     match kb {
         Some(kb) => format!("VmHWM {:.1} MB", kb as f64 / 1024.0),
         None => "VmHWM unavailable".to_string(),
+    }
+}
+
+/// `--shards N`, when given. `ShardPlan` would quietly run 0 as one
+/// shard, and the console line and the artifact would still say 0.
+fn shard_count(args: &Args) -> Result<Option<u32>, String> {
+    match args.parsed("--shards")? {
+        Some(0) => Err("--shards must be at least 1".to_string()),
+        n => Ok(n),
     }
 }
 
@@ -192,13 +193,18 @@ fn cmd_scenario(spec: &ScenarioSpec, args: &[String]) -> Result<(), String> {
         ("--metrics-out", true),
     ];
     let args = Args::parse(args, FLAGS, 1)?;
-    let scale = args
+    let scale: Option<usize> = args
         .positional(0)
         .map(|s| {
             s.parse()
                 .map_err(|_| format!("bad scale {s:?} (expected a number)"))
         })
         .transpose()?;
+    // No experiment has a zero-sized form: an empty trace, a campaign
+    // without crash points or a 0/0 ratio is a usage error, not a result.
+    if scale == Some(0) {
+        return Err("scale must be at least 1".to_string());
+    }
     let (trace_out, metrics_out) = (args.value("--trace-out"), args.value("--metrics-out"));
     // Without either output the run keeps the zero-cost `NullRecorder`.
     let recorder = (trace_out.is_some() || metrics_out.is_some()).then(MemoryRecorder::shared);
@@ -237,13 +243,10 @@ fn cmd_replay_file(args: &[String]) -> Result<(), String> {
     ];
     let args = Args::parse(args, FLAGS, 0)?;
     let path = args.value("--trace").expect("dispatched on --trace");
-    let target = match args.value("--target") {
-        None | Some("trail") => TargetKind::Trail,
-        Some("standard") => TargetKind::Standard,
-        Some("trail_multi2") => TargetKind::TrailMulti { logs: 2 },
-        Some(other) => return Err(format!("unknown --target {other}")),
-    };
-    let shards: Option<u32> = args.parsed("--shards")?;
+    let target: TargetKind = args
+        .value("--target")
+        .map_or(Ok(TargetKind::Trail), str::parse)?;
+    let shards = shard_count(&args)?;
     let threads: Option<usize> = args.parsed("--threads")?;
     if threads.is_some() && shards.is_none() {
         return Err("--threads applies to a sharded replay (--shards N)".to_string());
@@ -310,33 +313,6 @@ fn cmd_replay_file(args: &[String]) -> Result<(), String> {
     write_artifact(&out_dir(&args), "replaystream", &json)
 }
 
-fn cmd_perf(args: &[String]) -> Result<(), String> {
-    const FLAGS: &[(&str, bool)] = &[("--quick", false), ("--seed", true), ("--out-dir", true)];
-    let args = Args::parse(args, FLAGS, 0)?;
-    let opts = PerfOptions {
-        quick: args.has("--quick"),
-        seed: args.parsed("--seed")?.unwrap_or(0),
-    };
-    let results = run_perf_suite(&opts);
-
-    println!(
-        "== perf_suite ({} mode) — executor wall-clock throughput ==",
-        if opts.quick { "quick" } else { "full" }
-    );
-    println!("| scenario | events | wall (ms) | events/sec |");
-    println!("|---|---|---|---|");
-    for r in &results {
-        println!(
-            "| {} | {} | {:.1} | {:.0} |",
-            r.name,
-            r.events_executed,
-            r.wall.as_secs_f64() * 1e3,
-            r.events_per_sec()
-        );
-    }
-    write_artifact(&out_dir(&args), "simperf", &simperf_json(&opts, &results))
-}
-
 fn cmd_giga(args: &[String]) -> Result<(), String> {
     const FLAGS: &[(&str, bool)] = &[
         ("--records", true),
@@ -347,7 +323,7 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
     ];
     let args = Args::parse(args, FLAGS, 0)?;
     let records: usize = args.parsed("--records")?.unwrap_or(100_000_000);
-    let mut plan = ShardPlan::new(args.parsed("--shards")?.unwrap_or(4));
+    let mut plan = ShardPlan::new(shard_count(&args)?.unwrap_or(4));
     if let Some(t) = args.parsed("--threads")? {
         plan.threads = t;
     }

@@ -22,9 +22,9 @@ use trail_core::{
     format_log_disk, read_header, recover, FormatOptions, LogRouting, MultiTrail, RecoveryOptions,
     TrailConfig, TrailDriver,
 };
-use trail_db::{BlockStack, FlushPolicy, StandardStack, StorageService, TrailStack};
+use trail_db::{FlushPolicy, StorageService};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
-use trail_fs::{ExtFs, FileSystem, FsError, Lfs, LfsConfig};
+use trail_fs::{FileSystem, FsError, Lfs, LfsConfig};
 use trail_probe::{calibrate_delta, estimate_write_overhead, measure_rotation_period};
 use trail_serve::{
     run_fleet, AdmissionPolicy, FleetMode, FleetReport, FleetSpec, Server, ServerConfig,
@@ -40,6 +40,8 @@ use trail_trace::{
 };
 
 use crate::campaign::{aggregate, run_campaign, CampaignAggregate, CampaignFlavor, CampaignSpec};
+use crate::report::{Column, Fmt, Table};
+use crate::row;
 use crate::{sync_writes_standard, sync_writes_trail, testbed, tpcc_setup, ArrivalMode, TpccRig};
 
 /// How a scenario should run.
@@ -306,26 +308,24 @@ fn table1(cfg: &ScenarioConfig) -> ScenarioOutput {
             (32, 8.4),
         ]
     };
+    let mut table = Table::new(vec![
+        Column::both("batch size", "batch", Fmt::Plain),
+        Column::both("elapsed (ms)", "elapsed_ms", Fmt::Fixed(1)),
+        Column::both("paper (ms)", "paper_ms", Fmt::Plain),
+    ]);
+    let mut elapsed: Vec<f64> = Vec::new();
+    for &(batch, paper_ms) in batches {
+        let ms = elapsed_for_batch(batch, total, cfg.handle());
+        elapsed.push(ms);
+        table.push(row![batch, ms, paper_ms]);
+    }
+    let ratio = elapsed.first().copied().unwrap_or(1.0) / elapsed.last().copied().unwrap_or(1.0);
     let mut report = String::new();
     let _ = writeln!(
         report,
         "== Table 1 — elapsed time for {total} one-sector writes vs. batch size =="
     );
-    let _ = writeln!(report, "| batch size | elapsed (ms) | paper (ms) |");
-    let _ = writeln!(report, "|---|---|---|");
-    let mut rows: Vec<JsonValue> = Vec::new();
-    let mut elapsed: Vec<f64> = Vec::new();
-    for &(batch, paper_ms) in batches {
-        let ms = elapsed_for_batch(batch, total, cfg.handle());
-        let _ = writeln!(report, "| {batch} | {ms:.1} | {paper_ms} |");
-        elapsed.push(ms);
-        rows.push(JsonValue::obj(vec![
-            ("batch", JsonValue::Num(batch as f64)),
-            ("elapsed_ms", JsonValue::Num(ms)),
-            ("paper_ms", JsonValue::Num(paper_ms)),
-        ]));
-    }
-    let ratio = elapsed.first().copied().unwrap_or(1.0) / elapsed.last().copied().unwrap_or(1.0);
+    report += &table.markdown();
     let _ = writeln!(report);
     let _ = writeln!(
         report,
@@ -335,7 +335,7 @@ fn table1(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
             ("bench", JsonValue::str("table1")),
-            ("rows", JsonValue::Arr(rows)),
+            ("rows", table.json()),
             ("extremes_ratio", JsonValue::Num(ratio)),
         ]),
     }
@@ -364,11 +364,15 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
             "== Figure 3({}) — average synchronous write latency, {procs} process(es) ==",
             if procs == 1 { 'a' } else { 'b' }
         );
-        let _ = writeln!(
-            report,
-            "| size (KB) | Trail sparse (ms) | Trail clustered (ms) | Std sparse (ms) | Std clustered (ms) | best speedup |"
-        );
-        let _ = writeln!(report, "|---|---|---|---|---|---|");
+        let mut table = Table::new(vec![
+            Column::json("procs"),
+            Column::both("size (KB)", "size_kb", Fmt::Plain),
+            Column::both("Trail sparse (ms)", "trail_sparse_ms", Fmt::Fixed(3)),
+            Column::both("Trail clustered (ms)", "trail_clustered_ms", Fmt::Fixed(3)),
+            Column::both("Std sparse (ms)", "std_sparse_ms", Fmt::Fixed(3)),
+            Column::both("Std clustered (ms)", "std_clustered_ms", Fmt::Fixed(3)),
+            Column::both("best speedup", "best_speedup", Fmt::FixedTimes(2)),
+        ]);
         for &kb in sizes_kb {
             let size = kb * 1024;
             let per_proc = (writes / procs).max(1);
@@ -419,20 +423,18 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
             .mean()
             .as_millis_f64();
             let speedup = (s_sparse / t_sparse).max(s_clustered / t_clustered);
-            let _ = writeln!(
-                report,
-                "| {kb} | {t_sparse:.3} | {t_clustered:.3} | {s_sparse:.3} | {s_clustered:.3} | {speedup:.2}x |"
-            );
-            rows.push(JsonValue::obj(vec![
-                ("procs", JsonValue::Num(procs as f64)),
-                ("size_kb", JsonValue::Num(kb as f64)),
-                ("trail_sparse_ms", JsonValue::Num(t_sparse)),
-                ("trail_clustered_ms", JsonValue::Num(t_clustered)),
-                ("std_sparse_ms", JsonValue::Num(s_sparse)),
-                ("std_clustered_ms", JsonValue::Num(s_clustered)),
-                ("best_speedup", JsonValue::Num(speedup)),
-            ]));
+            table.push(row![
+                procs,
+                kb,
+                t_sparse,
+                t_clustered,
+                s_sparse,
+                s_clustered,
+                speedup
+            ]);
         }
+        report += &table.markdown();
+        rows.extend(table.json_rows());
     }
     let _ = writeln!(report);
     let _ = writeln!(
@@ -458,15 +460,11 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
 /// Runs a burst of `q` 4-KB writes and cuts power the moment the last one
 /// is acknowledged. Returns the crashed devices and the pending count.
 fn crash_with_pending(q: usize, seed: u64) -> (Disk, Vec<Disk>, usize) {
-    let mut sim = Simulator::new();
-    let log = Disk::new("trail-log", profiles::seagate_st41601n());
-    let data: Vec<Disk> = (0..3)
-        .map(|i| Disk::new(format!("data{i}"), profiles::wd_caviar_10gb()))
-        .collect();
-    format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
-    let (trail, _) =
-        TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default())
-            .expect("boot");
+    let built = trail::StackBuilder::new().build().expect("boot");
+    let mut sim = built.sim;
+    let trail = built.trail.expect("the default stack runs Trail");
+    let log = built.log_disk.expect("Trail has a log disk");
+    let data = built.data_disks;
     let mut rng = trail_sim::rng(seed);
     let acked = Rc::new(Cell::new(0usize));
     let capacity = data[0].geometry().total_sectors() - 64;
@@ -506,17 +504,16 @@ fn fig4(cfg: &ScenarioConfig) -> ScenarioOutput {
     } else {
         &[32, 64, 128, 256]
     };
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "== Figure 4 — recovery overhead vs. pending requests Q =="
-    );
-    let _ = writeln!(
-        report,
-        "| Q | pending at crash | locate (ms) | rebuild (ms) | write-back (ms) | total (ms) | total w/o WB (ms) | WB/no-WB |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|---|---|");
-    let mut rows: Vec<JsonValue> = Vec::new();
+    let mut table = Table::new(vec![
+        Column::both("Q", "q", Fmt::Plain),
+        Column::both("pending at crash", "pending", Fmt::Plain),
+        Column::both("locate (ms)", "locate_ms", Fmt::Fixed(1)),
+        Column::both("rebuild (ms)", "rebuild_ms", Fmt::Fixed(1)),
+        Column::both("write-back (ms)", "writeback_ms", Fmt::Fixed(1)),
+        Column::both("total (ms)", "total_ms", Fmt::Fixed(1)),
+        Column::both("total w/o WB (ms)", "total_no_wb_ms", Fmt::Fixed(1)),
+        Column::md("WB/no-WB", Fmt::FixedTimes(2)),
+    ]);
     for &q in qs {
         // Two identically-seeded crashes: one recovered with write-back,
         // one without (recovery mutates the disks).
@@ -555,41 +552,23 @@ fn fig4(cfg: &ScenarioConfig) -> ScenarioOutput {
             )
             .expect("recovery")
         };
-        let _ = writeln!(
-            report,
-            "| {q} | {pending} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2}x |",
+        table.push(row![
+            q,
+            pending,
             with_wb.locate_time.as_millis_f64(),
             with_wb.rebuild_time.as_millis_f64(),
             with_wb.writeback_time.as_millis_f64(),
             with_wb.total_time().as_millis_f64(),
             without_wb.total_time().as_millis_f64(),
             with_wb.total_time() / without_wb.total_time(),
-        );
-        rows.push(JsonValue::obj(vec![
-            ("q", JsonValue::Num(q as f64)),
-            ("pending", JsonValue::Num(pending as f64)),
-            (
-                "locate_ms",
-                JsonValue::Num(with_wb.locate_time.as_millis_f64()),
-            ),
-            (
-                "rebuild_ms",
-                JsonValue::Num(with_wb.rebuild_time.as_millis_f64()),
-            ),
-            (
-                "writeback_ms",
-                JsonValue::Num(with_wb.writeback_time.as_millis_f64()),
-            ),
-            (
-                "total_ms",
-                JsonValue::Num(with_wb.total_time().as_millis_f64()),
-            ),
-            (
-                "total_no_wb_ms",
-                JsonValue::Num(without_wb.total_time().as_millis_f64()),
-            ),
-        ]));
+        ]);
     }
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "== Figure 4 — recovery overhead vs. pending requests Q =="
+    );
+    report += &table.markdown();
     let _ = writeln!(report);
     let _ = writeln!(
         report,
@@ -603,7 +582,7 @@ fn fig4(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
             ("bench", JsonValue::str("fig4")),
-            ("rows", JsonValue::Arr(rows)),
+            ("rows", table.json()),
         ]),
     }
 }
@@ -634,15 +613,18 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
         "delta calibration: minimal {} sectors, recommended {} (paper: < 15 on this drive)",
         cal.minimal, cal.recommended
     );
-    let _ = writeln!(report, "| delta | single-sector write latency (ms) |");
-    let _ = writeln!(report, "|---|---|");
+    let mut near_minimal = Table::new(vec![
+        Column::md("delta", Fmt::Plain),
+        Column::md("single-sector write latency (ms)", Fmt::Fixed(3)),
+    ]);
     for s in cal
         .samples
         .iter()
         .filter(|s| s.delta + 4 >= cal.minimal && s.delta <= cal.minimal + 4)
     {
-        let _ = writeln!(report, "| {} | {:.3} |", s.delta, s.latency.as_millis_f64());
+        near_minimal.push(row![s.delta, s.latency.as_millis_f64()]);
     }
+    report += &near_minimal.markdown();
     let overhead = estimate_write_overhead(&mut sim, &disk, 3, 90).expect("overhead probe");
     let _ = writeln!(
         report,
@@ -768,12 +750,16 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== Ablation 1 — track-utilization threshold (paper fixes 30%) =="
     );
-    let _ = writeln!(
-        report,
-        "| threshold | clustered mean latency (ms) | repositions | mean track util |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|");
-    let mut threshold_rows = Vec::new();
+    let mut thresholds = Table::new(vec![
+        Column::both("threshold", "threshold", Fmt::Fixed(2)),
+        Column::both(
+            "clustered mean latency (ms)",
+            "clustered_mean_ms",
+            Fmt::Fixed(3),
+        ),
+        Column::both("repositions", "repositions", Fmt::Plain),
+        Column::both("mean track util", "mean_track_util", Fmt::Percent(1)),
+    ]);
     for &th in &[0.10f64, 0.30, 0.50, 0.90] {
         let config = TrailConfig {
             track_util_threshold: th,
@@ -807,19 +793,10 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             (s.repositions, u)
         });
         let mean = lat.borrow().mean().as_millis_f64();
-        let _ = writeln!(
-            report,
-            "| {th:.2} | {mean:.3} | {repos} | {:.1}% |",
-            util * 100.0
-        );
-        threshold_rows.push(JsonValue::obj(vec![
-            ("threshold", JsonValue::Num(th)),
-            ("clustered_mean_ms", JsonValue::Num(mean)),
-            ("repositions", JsonValue::Num(repos as f64)),
-            ("mean_track_util", JsonValue::Num(util)),
-        ]));
+        thresholds.push(row![th, mean, repos, util]);
     }
-    json.push(("threshold_sweep", JsonValue::Arr(threshold_rows)));
+    report += &thresholds.markdown();
+    json.push(("threshold_sweep", thresholds.json()));
     let _ = writeln!(report);
 
     // --- 2: reposition policy -----------------------------------------
@@ -829,12 +806,12 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== Ablation 2 — reposition-every-write (ICCD'93) vs. 30% threshold (DSN'02) =="
     );
-    let _ = writeln!(
-        report,
-        "| policy | sparse mean (ms) | clustered mean (ms) | repositions/write |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|");
-    let mut policy_rows = Vec::new();
+    let mut policies = Table::new(vec![
+        Column::both("policy", "policy", Fmt::Plain),
+        Column::both("sparse mean (ms)", "sparse_mean_ms", Fmt::Fixed(3)),
+        Column::both("clustered mean (ms)", "clustered_mean_ms", Fmt::Fixed(3)),
+        Column::both("repositions/write", "repositions_per_write", Fmt::Fixed(2)),
+    ]);
     for (name, every) in [("threshold 30%", false), ("every write", true)] {
         let config = TrailConfig {
             reposition_every_write: every,
@@ -870,20 +847,15 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             tb.trail.run_until_quiescent(&mut tb.sim);
         }
         let repos = tb.trail.with_stats(|s| s.repositions) as f64 / repos_n as f64;
-        let sparse_ms = sparse.latency.mean().as_millis_f64();
-        let clustered_ms = clustered.latency.mean().as_millis_f64();
-        let _ = writeln!(
-            report,
-            "| {name} | {sparse_ms:.3} | {clustered_ms:.3} | {repos:.2} |"
-        );
-        policy_rows.push(JsonValue::obj(vec![
-            ("policy", JsonValue::str(name)),
-            ("sparse_mean_ms", JsonValue::Num(sparse_ms)),
-            ("clustered_mean_ms", JsonValue::Num(clustered_ms)),
-            ("repositions_per_write", JsonValue::Num(repos)),
-        ]));
+        policies.push(row![
+            name,
+            sparse.latency.mean().as_millis_f64(),
+            clustered.latency.mean().as_millis_f64(),
+            repos,
+        ]);
     }
-    json.push(("reposition_policy", JsonValue::Arr(policy_rows)));
+    report += &policies.markdown();
+    json.push(("reposition_policy", policies.json()));
     let _ = writeln!(report);
 
     // --- 3: delta sensitivity ------------------------------------------
@@ -900,8 +872,10 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         "(calibrated minimal = {}, recommended = {})",
         cal.minimal, cal.recommended
     );
-    let _ = writeln!(report, "| delta | sparse mean latency (ms) |");
-    let _ = writeln!(report, "|---|---|");
+    let mut deltas = Table::new(vec![
+        Column::both("delta", "delta", Fmt::Plain),
+        Column::both("sparse mean latency (ms)", "sparse_mean_ms", Fmt::Fixed(3)),
+    ]);
     let candidates = [
         cal.minimal.saturating_sub(4),
         cal.minimal.saturating_sub(2),
@@ -910,8 +884,9 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         cal.recommended + 4,
         cal.recommended + 12,
     ];
-    let mut delta_rows = Vec::new();
     for &delta in &candidates {
+        // The one stack built by hand: `StackBuilder` formats with the
+        // calibrated delta, and overriding it is this ablation's point.
         let mut sim = Simulator::new();
         let log = Disk::new("log", profiles::seagate_st41601n());
         let data = Disk::new("data", profiles::wd_caviar_10gb());
@@ -941,14 +916,10 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             trail.run_until_quiescent(&mut sim);
             sim.run_for(SimDuration::from_millis(4));
         }
-        let mean = lat.borrow().mean().as_millis_f64();
-        let _ = writeln!(report, "| {delta} | {mean:.3} |");
-        delta_rows.push(JsonValue::obj(vec![
-            ("delta", JsonValue::Num(delta as f64)),
-            ("sparse_mean_ms", JsonValue::Num(mean)),
-        ]));
+        deltas.push(row![delta, lat.borrow().mean().as_millis_f64()]);
     }
-    json.push(("delta_sensitivity", JsonValue::Arr(delta_rows)));
+    report += &deltas.markdown();
+    json.push(("delta_sensitivity", deltas.json()));
     let _ = writeln!(report);
 
     // --- 4: batch cap ---------------------------------------------------
@@ -957,12 +928,14 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== Ablation 4 — batched-write optimization (cap the batch) =="
     );
-    let _ = writeln!(
-        report,
-        "| max batch sectors | elapsed for {batch_writes} clustered 1-sector writes (ms) |"
-    );
-    let _ = writeln!(report, "|---|---|");
-    let mut cap_rows = Vec::new();
+    let mut caps = Table::new(vec![
+        Column::both("max batch sectors", "max_batch_sectors", Fmt::Plain),
+        Column::both(
+            format!("elapsed for {batch_writes} clustered 1-sector writes (ms)"),
+            "elapsed_ms",
+            Fmt::Fixed(1),
+        ),
+    ]);
     for &cap in &[1u32, 4, 16, 32] {
         let config = TrailConfig {
             max_batch_sectors: cap,
@@ -984,14 +957,13 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         while done.get() < batch_writes {
             assert!(tb.sim.step(), "writes did not complete");
         }
-        let elapsed = tb.sim.now().duration_since(start).as_millis_f64();
-        let _ = writeln!(report, "| {cap} | {elapsed:.1} |");
-        cap_rows.push(JsonValue::obj(vec![
-            ("max_batch_sectors", JsonValue::Num(f64::from(cap))),
-            ("elapsed_ms", JsonValue::Num(elapsed)),
-        ]));
+        caps.push(row![
+            cap,
+            tb.sim.now().duration_since(start).as_millis_f64()
+        ]);
     }
-    json.push(("batch_cap", JsonValue::Arr(cap_rows)));
+    report += &caps.markdown();
+    json.push(("batch_cap", caps.json()));
 
     // --- 5: multiple log disks -----------------------------------------
     let multi_writes: u32 = if cfg.quick { 60 } else { 200 };
@@ -1000,12 +972,19 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== Ablation 5 — multiple log disks hide repositioning =="
     );
-    let _ = writeln!(
-        report,
-        "| log disks | clustered mean latency (ms) | elapsed for {multi_writes} writes (ms) |"
-    );
-    let _ = writeln!(report, "|---|---|---|");
-    let mut multi_rows = Vec::new();
+    let mut log_disks = Table::new(vec![
+        Column::both("log disks", "log_disks", Fmt::Plain),
+        Column::both(
+            "clustered mean latency (ms)",
+            "clustered_mean_ms",
+            Fmt::Fixed(3),
+        ),
+        Column::both(
+            format!("elapsed for {multi_writes} writes (ms)"),
+            "elapsed_ms",
+            Fmt::Fixed(1),
+        ),
+    ]);
     for n_logs in [1usize, 2, 3] {
         let config = TrailConfig {
             reposition_every_write: true,
@@ -1063,16 +1042,14 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         while done.get() < multi_writes {
             assert!(sim.step(), "stalled");
         }
-        let elapsed = sim.now().duration_since(start).as_millis_f64();
-        let mean = lat.borrow().mean().as_millis_f64();
-        let _ = writeln!(report, "| {n_logs} | {mean:.3} | {elapsed:.1} |");
-        multi_rows.push(JsonValue::obj(vec![
-            ("log_disks", JsonValue::Num(n_logs as f64)),
-            ("clustered_mean_ms", JsonValue::Num(mean)),
-            ("elapsed_ms", JsonValue::Num(elapsed)),
-        ]));
+        log_disks.push(row![
+            n_logs,
+            lat.borrow().mean().as_millis_f64(),
+            sim.now().duration_since(start).as_millis_f64(),
+        ]);
     }
-    json.push(("multi_log_disks", JsonValue::Arr(multi_rows)));
+    report += &log_disks.markdown();
+    json.push(("multi_log_disks", log_disks.json()));
 
     ScenarioOutput {
         report,
@@ -1084,22 +1061,16 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 const FS_BLK: usize = 4096;
 
-fn fs_standard_stack() -> (Simulator, Rc<dyn BlockStack>, Disk) {
-    let sim = Simulator::new();
-    let disk = Disk::new("fsdev", profiles::wd_caviar_10gb());
-    let stack: Rc<dyn BlockStack> = Rc::new(StandardStack::new(vec![disk.clone()]));
-    (sim, stack, disk)
-}
-
-fn fs_trail_stack() -> (Simulator, Rc<dyn BlockStack>, TrailDriver, Disk) {
-    let mut sim = Simulator::new();
-    let log = Disk::new("trail-log", profiles::seagate_st41601n());
-    let disk = Disk::new("fsdev", profiles::wd_caviar_10gb());
-    format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
-    let (drv, _) = TrailDriver::start(&mut sim, log, vec![disk.clone()], TrailConfig::default())
-        .expect("boot");
-    let stack: Rc<dyn BlockStack> = Rc::new(TrailStack::new(drv.clone(), 1));
-    (sim, stack, drv, disk)
+/// One data disk for a file system to mount on, behind Trail or the
+/// standard driver.
+fn fs_stack(trail: bool) -> trail::BuiltStack {
+    let builder = trail::StackBuilder::new().data_disks(1);
+    if trail {
+        builder.trail_default().build()
+    } else {
+        builder.standard().build()
+    }
+    .expect("boot")
 }
 
 /// Issues `n` synchronous 4-KB writes into a **preallocated** log file (as
@@ -1160,23 +1131,26 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== FS comparison 1 — synchronous 4-KB file appends (mean latency) =="
     );
-    let _ = writeln!(report, "| file system | stack | mean sync write (ms) |");
-    let _ = writeln!(report, "|---|---|---|");
+    let mut appends = Table::new(vec![
+        Column::md("file system", Fmt::Plain),
+        Column::md("stack", Fmt::Plain),
+        Column::md("mean sync write (ms)", Fmt::Fixed(3)),
+    ]);
 
-    let (mut sim, stack, _) = fs_standard_stack();
-    let extfs = ExtFs::format(&mut sim, Rc::clone(&stack), 0, 1_000_000).expect("format");
-    let ext_std = sync_appends(&mut sim, &extfs, n);
-    let _ = writeln!(report, "| ext2-like | standard | {ext_std:.3} |");
+    let mut built = fs_stack(false);
+    let extfs = built.extfs(0, 1_000_000).expect("format");
+    let ext_std = sync_appends(&mut built.sim, &extfs, n);
+    appends.push(row!["ext2-like", "standard", ext_std]);
 
-    let (mut sim, stack, _drv, _) = fs_trail_stack();
-    let extfs = ExtFs::format(&mut sim, Rc::clone(&stack), 0, 1_000_000).expect("format");
-    let ext_trail = sync_appends(&mut sim, &extfs, n);
-    let _ = writeln!(report, "| ext2-like | **Trail** | {ext_trail:.3} |");
+    let mut built = fs_stack(true);
+    let extfs = built.extfs(0, 1_000_000).expect("format");
+    let ext_trail = sync_appends(&mut built.sim, &extfs, n);
+    appends.push(row!["ext2-like", "**Trail**", ext_trail]);
 
-    let (mut sim, stack, _) = fs_standard_stack();
-    let lfs = Lfs::new(Rc::clone(&stack), 0, LfsConfig::default());
-    let lfs_std = sync_appends(&mut sim, &lfs, n);
-    let _ = writeln!(report, "| LFS | standard | {lfs_std:.3} |");
+    let mut built = fs_stack(false);
+    let lfs = built.lfs(0, LfsConfig::default());
+    let lfs_std = sync_appends(&mut built.sim, &lfs, n);
+    appends.push(row!["LFS", "standard", lfs_std]);
 
     // The paper's own §2 comparison is at the block level: a Trail log
     // write vs. an LFS partial-segment force.
@@ -1194,7 +1168,8 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
     .latency
     .mean()
     .as_millis_f64();
-    let _ = writeln!(report, "| raw block device | **Trail** | {raw_trail:.3} |");
+    appends.push(row!["raw block device", "**Trail**", raw_trail]);
+    report += &appends.markdown();
     let _ = writeln!(report);
     let _ = writeln!(
         report,
@@ -1218,8 +1193,9 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== FS comparison 2 — {async_n} asynchronous 4-KB writes (LFS's home turf) =="
     );
-    let (mut sim, stack, disk) = fs_standard_stack();
-    let lfs = Lfs::new(Rc::clone(&stack), 0, LfsConfig::default());
+    let built = fs_stack(false);
+    let (mut sim, disk) = (built.sim, &built.data_disks[0]);
+    let lfs = Lfs::new(Rc::clone(&built.stack), 0, LfsConfig::default());
     let f = lfs.create("bulk").expect("create");
     disk.reset_stats();
     let t0 = sim.now();
@@ -1249,9 +1225,10 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== FS comparison 3 — reclaiming overwritten space =="
     );
-    let (mut sim, stack, disk) = fs_standard_stack();
+    let built = fs_stack(false);
+    let (mut sim, disk) = (built.sim, &built.data_disks[0]);
     let lfs = Lfs::new(
-        Rc::clone(&stack),
+        Rc::clone(&built.stack),
         0,
         LfsConfig {
             segment_blocks: 16,
@@ -1378,40 +1355,46 @@ fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
         txns,
     );
 
+    // One row per configuration, as the artifact has them; the report
+    // prints the paper's layout, one line per metric.
+    let mut table = Table::new(vec![
+        Column::md("metric", Fmt::Plain),
+        Column::json("config"),
+        Column::both("avg response time (s)", "avg_response_s", Fmt::Fixed(3)),
+        Column::both(
+            "disk I/O time for logging (s)",
+            "logging_io_s",
+            Fmt::Fixed(1),
+        ),
+        Column::both("throughput (tpmC)", "tpmc", Fmt::Fixed(0)),
+        Column::both("group commits", "group_commits", Fmt::Plain),
+    ]);
+    for (heading, config, r) in [
+        ("EXT2+Trail", "ext2+trail", &trail),
+        ("EXT2", "ext2", &plain),
+        ("EXT2+GC", "ext2+gc", &gc),
+    ] {
+        table.push(row![
+            heading,
+            config,
+            r.response.mean().as_secs_f64(),
+            r.logging_io_time.as_secs_f64(),
+            r.tpmc,
+            r.group_commits,
+        ]);
+    }
     let mut report = String::new();
     let _ = writeln!(
         report,
         "== Table 2 — TPC-C, {txns} transactions, concurrency 1, w=1, 50 KB log buffer =="
     );
-    let _ = writeln!(
-        report,
-        "| metric | EXT2+Trail | EXT2 | EXT2+GC | paper (Trail/EXT2/GC) |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|");
-    let _ = writeln!(
-        report,
-        "| avg response time (s) | {:.3} | {:.3} | {:.3} | 0.059 / 0.097 / 0.90 |",
-        trail.response.mean().as_secs_f64(),
-        plain.response.mean().as_secs_f64(),
-        gc.response.mean().as_secs_f64(),
-    );
-    let _ = writeln!(
-        report,
-        "| disk I/O time for logging (s) | {:.1} | {:.1} | {:.1} | 17.6 / 30.4 / 28.8 |",
-        trail.logging_io_time.as_secs_f64(),
-        plain.logging_io_time.as_secs_f64(),
-        gc.logging_io_time.as_secs_f64(),
-    );
-    let _ = writeln!(
-        report,
-        "| throughput (tpmC) | {:.0} | {:.0} | {:.0} | 1004 / 616 / 663 |",
-        trail.tpmc, plain.tpmc, gc.tpmc,
-    );
-    let _ = writeln!(
-        report,
-        "| group commits | {} | {} | {} | — |",
-        trail.group_commits, plain.group_commits, gc.group_commits,
-    );
+    report += &table.markdown_transposed(&[
+        "paper (Trail/EXT2/GC)",
+        "0.059 / 0.097 / 0.90",
+        "17.6 / 30.4 / 28.8",
+        "1004 / 616 / 663",
+        "—",
+    ]);
     let _ = writeln!(report);
     let _ = writeln!(
         report,
@@ -1423,34 +1406,12 @@ fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
         gc.response.mean().as_secs_f64() / plain.response.mean().as_secs_f64(),
     );
 
-    let config_json = |name: &str, r: &TpccReport| {
-        JsonValue::obj(vec![
-            ("config", JsonValue::str(name)),
-            (
-                "avg_response_s",
-                JsonValue::Num(r.response.mean().as_secs_f64()),
-            ),
-            (
-                "logging_io_s",
-                JsonValue::Num(r.logging_io_time.as_secs_f64()),
-            ),
-            ("tpmc", JsonValue::Num(r.tpmc)),
-            ("group_commits", JsonValue::Num(r.group_commits as f64)),
-        ])
-    };
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
             ("bench", JsonValue::str("table2")),
             ("transactions", JsonValue::Num(txns as f64)),
-            (
-                "rows",
-                JsonValue::Arr(vec![
-                    config_json("ext2+trail", &trail),
-                    config_json("ext2", &plain),
-                    config_json("ext2+gc", &gc),
-                ]),
-            ),
+            ("rows", table.json()),
         ]),
     }
 }
@@ -1464,14 +1425,11 @@ fn table3(cfg: &ScenarioConfig) -> ScenarioOutput {
     } else {
         &[(4, 10_960), (100, 448), (400, 113), (800, 57), (1200, 39)]
     };
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "== Table 3 — group commits in a {txns}-transaction run, concurrency 4, w=1 =="
-    );
-    let _ = writeln!(report, "| log buffer (KB) | group commits | paper |");
-    let _ = writeln!(report, "|---|---|---|");
-    let mut rows = Vec::new();
+    let mut table = Table::new(vec![
+        Column::both("log buffer (KB)", "buffer_kb", Fmt::Plain),
+        Column::both("group commits", "group_commits", Fmt::Plain),
+        Column::both("paper", "paper", Fmt::Plain),
+    ]);
     for &(kb, paper_count) in buffers {
         let rig = TpccRig {
             policy: FlushPolicy::GroupCommit {
@@ -1491,23 +1449,20 @@ fn table3(cfg: &ScenarioConfig) -> ScenarioOutput {
                 chain_on: ChainOn::Control,
             },
         );
-        let _ = writeln!(
-            report,
-            "| {kb} | {} | {paper_count} |",
-            result.group_commits
-        );
-        rows.push(JsonValue::obj(vec![
-            ("buffer_kb", JsonValue::Num(kb as f64)),
-            ("group_commits", JsonValue::Num(result.group_commits as f64)),
-            ("paper", JsonValue::Num(paper_count as f64)),
-        ]));
+        table.push(row![kb, result.group_commits, paper_count]);
     }
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "== Table 3 — group commits in a {txns}-transaction run, concurrency 4, w=1 =="
+    );
+    report += &table.markdown();
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
             ("bench", JsonValue::str("table3")),
             ("transactions", JsonValue::Num(txns as f64)),
-            ("rows", JsonValue::Arr(rows)),
+            ("rows", table.json()),
         ]),
     }
 }
@@ -1521,14 +1476,13 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
     } else {
         &[(1, "—"), (4, "12%"), (8, "21%"), (12, ">30%")]
     };
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "== Log-disk per-track utilization vs. TPC-C concurrency ({txns} txns) =="
-    );
-    let _ = writeln!(report, "| concurrency | mean track utilization | paper |");
-    let _ = writeln!(report, "|---|---|---|");
-    let mut rows = Vec::new();
+    let mut table = Table::new(vec![
+        Column::both("concurrency", "concurrency", Fmt::Plain),
+        Column::md("mean track utilization", Fmt::Plain),
+        Column::json("batch_util"),
+        Column::json("track_fill"),
+        Column::md("paper", Fmt::Plain),
+    ]);
     for &(conc, paper_val) in confs {
         let rig = TpccRig {
             policy: FlushPolicy::EveryCommit,
@@ -1570,74 +1524,83 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
                 s.track_utilization.iter().sum::<f64>() / s.track_utilization.len() as f64
             }
         });
-        let _ = writeln!(
-            report,
-            "| {conc} | {:.1}% (actual track fill: {:.1}%) | {paper_val} |",
-            batch_util * 100.0,
-            track_fill * 100.0
-        );
-        rows.push(JsonValue::obj(vec![
-            ("concurrency", JsonValue::Num(conc as f64)),
-            ("batch_util", JsonValue::Num(batch_util)),
-            ("track_fill", JsonValue::Num(track_fill)),
-        ]));
+        table.push(row![
+            conc,
+            format!(
+                "{:.1}% (actual track fill: {:.1}%)",
+                batch_util * 100.0,
+                track_fill * 100.0
+            ),
+            batch_util,
+            track_fill,
+            paper_val,
+        ]);
     }
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "== Log-disk per-track utilization vs. TPC-C concurrency ({txns} txns) =="
+    );
+    report += &table.markdown();
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
             ("bench", JsonValue::str("track_util")),
             ("transactions", JsonValue::Num(txns as f64)),
-            ("rows", JsonValue::Arr(rows)),
+            ("rows", table.json()),
         ]),
     }
 }
 
 // ------------------------------------------------------- trace replay
 
-/// Replays `trace` against one target and renders a report row plus the
-/// JSON payload (the full `ReplayReport::to_json` document).
-fn replay_target_row(
+/// Replays `trace` against each `(target, speed)` in turn, one table row
+/// per replay: the report shows the tail, the artifact row is the whole
+/// `ReplayReport::to_json` document.
+fn replay_targets(
     trace: &Trace,
-    target: TargetKind,
-    speed: f64,
+    targets: &[(TargetKind, f64)],
     recorder: Option<RecorderHandle>,
-    report: &mut String,
-) -> JsonValue {
-    let rep = trace_replay(
-        trace,
-        &ReplayOptions {
-            target,
-            speed,
-            fs_file_blocks: 256,
-            recorder,
-            ..ReplayOptions::default()
-        },
-    )
-    .expect("replay target");
-    let label = if speed == 1.0 {
-        rep.target.clone()
-    } else {
-        format!("{}@{speed}x", rep.target)
-    };
-    let _ = writeln!(
-        report,
-        "| {label} | {:.3} | {:.3} | {:.3} | {:.3} | {} | {} |",
-        rep.latency.percentile(50.0).as_millis_f64(),
-        rep.latency.percentile(99.0).as_millis_f64(),
-        rep.latency.percentile(99.9).as_millis_f64(),
-        rep.latency.max().as_millis_f64(),
-        rep.max_queue_depth,
-        rep.errors,
-    );
-    rep.to_json()
-}
-
-fn replay_table_header(report: &mut String) {
-    let _ = writeln!(
-        report,
-        "| target | p50 (ms) | p99 (ms) | p99.9 (ms) | max (ms) | max QD | errors |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|---|");
+) -> Table {
+    let mut table = Table::new(vec![
+        Column::md("target", Fmt::Plain),
+        Column::md("p50 (ms)", Fmt::Fixed(3)),
+        Column::md("p99 (ms)", Fmt::Fixed(3)),
+        Column::md("p99.9 (ms)", Fmt::Fixed(3)),
+        Column::md("max (ms)", Fmt::Fixed(3)),
+        Column::md("max QD", Fmt::Plain),
+        Column::md("errors", Fmt::Plain),
+        Column::flattened(),
+    ]);
+    for &(target, speed) in targets {
+        let rep = trace_replay(
+            trace,
+            &ReplayOptions {
+                target,
+                speed,
+                fs_file_blocks: 256,
+                recorder: recorder.clone(),
+                ..ReplayOptions::default()
+            },
+        )
+        .expect("replay target");
+        let label = if speed == 1.0 {
+            rep.target.clone()
+        } else {
+            format!("{}@{speed}x", rep.target)
+        };
+        table.push(row![
+            label,
+            rep.latency.percentile(50.0).as_millis_f64(),
+            rep.latency.percentile(99.0).as_millis_f64(),
+            rep.latency.percentile(99.9).as_millis_f64(),
+            rep.latency.max().as_millis_f64(),
+            rep.max_queue_depth,
+            rep.errors,
+            rep.to_json(),
+        ]);
+    }
+    table
 }
 
 fn replay_synthetic(cfg: &ScenarioConfig) -> ScenarioOutput {
@@ -1662,7 +1625,6 @@ fn replay_synthetic(cfg: &ScenarioConfig) -> ScenarioOutput {
         "== Trace replay — {requests} synthetic requests (4 Poisson streams, \
          Zipf skew 2, 30% reads) against every stack =="
     );
-    replay_table_header(&mut report);
     let targets: &[(TargetKind, f64)] = &[
         (TargetKind::Standard, 1.0),
         (TargetKind::Trail, 1.0),
@@ -1674,10 +1636,8 @@ fn replay_synthetic(cfg: &ScenarioConfig) -> ScenarioOutput {
         (TargetKind::Trail, 4.0),
         (TargetKind::Standard, 4.0),
     ];
-    let rows: Vec<JsonValue> = targets
-        .iter()
-        .map(|&(t, speed)| replay_target_row(&trace, t, speed, cfg.handle(), &mut report))
-        .collect();
+    let table = replay_targets(&trace, targets, cfg.handle());
+    report += &table.markdown();
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
@@ -1687,21 +1647,18 @@ fn replay_synthetic(cfg: &ScenarioConfig) -> ScenarioOutput {
                 "trace_duration_ms",
                 JsonValue::Num(trace.duration().as_millis_f64()),
             ),
-            ("rows", JsonValue::Arr(rows)),
+            ("rows", table.json()),
         ]),
     }
 }
 
-/// The `BENCH_replaystream.json` payload for one streaming replay —
-/// shared with `trail-bench replay_stream --trace` and `trail-bench giga`
-/// so the artifact schema cannot drift between the registry and the CI
-/// gates. Every
-/// field is virtual-time-derived: `records_per_sec` is records over
-/// the replay's *virtual* duration, and `peak_resident_records` is the
-/// engine's bounded-memory proxy (arrival batch + requests in flight),
-/// so a fixed trace produces identical bytes on every run.
-#[must_use]
-pub fn replay_stream_json(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64) -> JsonValue {
+/// One streaming replay as a one-row table: the line `replay_stream`
+/// prints and the `BENCH_replaystream.json` document. Every field is
+/// virtual-time-derived: `records_per_sec` is records over the replay's
+/// *virtual* duration, and `peak_resident_records` is the engine's
+/// bounded-memory proxy (arrival batch + requests in flight), so a fixed
+/// trace produces identical bytes on every run.
+fn replay_stream_table(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64) -> Table {
     let chunk = if chunk_records == 0 {
         DEFAULT_CHUNK_RECORDS
     } else {
@@ -1713,49 +1670,50 @@ pub fn replay_stream_json(rep: &ReplayReport, chunk_records: u32, trace_bytes: u
     } else {
         0.0
     };
-    JsonValue::obj(vec![
-        ("bench", JsonValue::str("replay_stream")),
-        ("target", JsonValue::str(rep.target.clone())),
-        ("requests", JsonValue::Num(rep.requests as f64)),
-        ("chunk_records", JsonValue::Num(f64::from(chunk))),
-        ("trace_bytes", JsonValue::Num(trace_bytes as f64)),
-        ("duration_ms", JsonValue::Num(rep.duration.as_millis_f64())),
-        ("records_per_sec", JsonValue::Num(records_per_sec)),
-        (
-            "peak_resident_records",
-            JsonValue::Num(rep.peak_resident_records as f64),
-        ),
-        (
-            "latency_fingerprint",
-            JsonValue::str(format!("{:016x}", rep.latency_fingerprint)),
-        ),
-        ("latency", rep.latency.to_json()),
-        (
-            "max_queue_depth",
-            JsonValue::Num(f64::from(rep.max_queue_depth)),
-        ),
-        ("errors", JsonValue::Num(rep.errors as f64)),
-    ])
-}
-
-/// Renders the one-line summary `replay_stream` prints per replay.
-fn replay_stream_row(report: &mut String, rep: &ReplayReport, trace_bytes: u64) {
-    let secs = rep.duration.as_secs_f64();
-    let _ = writeln!(
-        report,
-        "| {} | {:.0} | {} | {} | {:.3} | {:.3} | {} |",
-        rep.target,
-        if secs > 0.0 {
-            rep.requests as f64 / secs
-        } else {
-            0.0
-        },
+    let mut table = Table::new(vec![
+        Column::json("bench"),
+        Column::both("target", "target", Fmt::Plain),
+        Column::json("requests"),
+        Column::json("chunk_records"),
+        Column::both("trace bytes", "trace_bytes", Fmt::Plain).markdown_last(),
+        Column::json("duration_ms"),
+        Column::both("records/s (virtual)", "records_per_sec", Fmt::Fixed(0)),
+        Column::both("peak resident", "peak_resident_records", Fmt::Plain),
+        Column::json("latency_fingerprint"),
+        Column::json("latency"),
+        Column::both("max QD", "max_queue_depth", Fmt::Plain),
+        Column::md("p50 (ms)", Fmt::Fixed(3)),
+        Column::md("p99 (ms)", Fmt::Fixed(3)),
+        Column::json("errors"),
+    ]);
+    table.push(row![
+        "replay_stream",
+        rep.target.clone(),
+        rep.requests,
+        chunk,
+        trace_bytes,
+        rep.duration.as_millis_f64(),
+        records_per_sec,
         rep.peak_resident_records,
+        format!("{:016x}", rep.latency_fingerprint),
+        rep.latency.to_json(),
         rep.max_queue_depth,
         rep.latency.percentile(50.0).as_millis_f64(),
         rep.latency.percentile(99.0).as_millis_f64(),
-        trace_bytes,
-    );
+        rep.errors,
+    ]);
+    table
+}
+
+/// The `BENCH_replaystream.json` payload for one streaming replay —
+/// shared with `trail-bench replay_stream --trace` and `trail-bench giga`
+/// so the artifact schema cannot drift between the registry and the CI
+/// gates.
+#[must_use]
+pub fn replay_stream_json(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64) -> JsonValue {
+    replay_stream_table(rep, chunk_records, trace_bytes)
+        .json_rows()
+        .remove(0)
 }
 
 /// Streams a chunked synthetic trace through the bounded-memory replay
@@ -1829,12 +1787,8 @@ fn replay_stream_bench(cfg: &ScenarioConfig) -> ScenarioOutput {
         "== Streaming replay — {requests} records decoded chunk-at-a-time \
          ({DEFAULT_CHUNK_RECORDS}/chunk) through the bounded-memory engine =="
     );
-    let _ = writeln!(
-        report,
-        "| target | records/s (virtual) | peak resident | max QD | p50 (ms) | p99 (ms) | trace bytes |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|---|");
-    replay_stream_row(&mut report, &rep, trace_bytes);
+    let table = replay_stream_table(&rep, 0, trace_bytes);
+    report += &table.markdown();
     let oracle_checked = cfg.quick;
     if oracle_checked {
         // The acceptance property, exercised at smoke size: the
@@ -1899,7 +1853,7 @@ fn replay_stream_bench(cfg: &ScenarioConfig) -> ScenarioOutput {
         sharded.latency_fingerprint,
     );
 
-    let mut json = replay_stream_json(&rep, 0, trace_bytes);
+    let mut json = table.json_rows().remove(0);
     if let JsonValue::Obj(fields) = &mut json {
         fields.push((
             "oracle_checked".to_string(),
@@ -1961,14 +1915,18 @@ fn overload_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
         "== Overload sweep — {requests} synthetic requests (4 Poisson streams) \
          replayed at {speeds:?}x against every stack =="
     );
-    let _ = writeln!(
-        report,
-        "| target | speed | p50 (ms) | p95 (ms) | p99 (ms) | p99.9 (ms) | mean (ms) | max QD | errors |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|---|---|---|");
-    let mut series = Vec::new();
+    let mut table = Table::new(vec![
+        Column::md("target", Fmt::Plain),
+        Column::both("speed", "speed", Fmt::Times),
+        Column::both("p50 (ms)", "p50_ms", Fmt::Fixed(3)),
+        Column::both("p95 (ms)", "p95_ms", Fmt::Fixed(3)),
+        Column::both("p99 (ms)", "p99_ms", Fmt::Fixed(3)),
+        Column::both("p99.9 (ms)", "p999_ms", Fmt::Fixed(3)),
+        Column::both("mean (ms)", "mean_ms", Fmt::Fixed(3)),
+        Column::both("max QD", "max_queue_depth", Fmt::Plain),
+        Column::both("errors", "errors", Fmt::Plain),
+    ]);
     for &target in targets {
-        let mut points = Vec::new();
         for &speed in speeds {
             let rep = trace_replay(
                 &trace,
@@ -1981,10 +1939,9 @@ fn overload_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
                 },
             )
             .expect("overload replay");
-            let _ = writeln!(
-                report,
-                "| {} | {speed}x | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {} | {} |",
-                rep.target,
+            table.push(row![
+                rep.target.clone(),
+                speed,
                 rep.latency.percentile(50.0).as_millis_f64(),
                 rep.latency.percentile(95.0).as_millis_f64(),
                 rep.latency.percentile(99.0).as_millis_f64(),
@@ -1992,41 +1949,21 @@ fn overload_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
                 rep.latency.mean().as_millis_f64(),
                 rep.max_queue_depth,
                 rep.errors,
-            );
-            points.push(JsonValue::obj(vec![
-                ("speed", JsonValue::Num(speed)),
-                (
-                    "p50_ms",
-                    JsonValue::Num(rep.latency.percentile(50.0).as_millis_f64()),
-                ),
-                (
-                    "p95_ms",
-                    JsonValue::Num(rep.latency.percentile(95.0).as_millis_f64()),
-                ),
-                (
-                    "p99_ms",
-                    JsonValue::Num(rep.latency.percentile(99.0).as_millis_f64()),
-                ),
-                (
-                    "p999_ms",
-                    JsonValue::Num(rep.latency.percentile(99.9).as_millis_f64()),
-                ),
-                (
-                    "mean_ms",
-                    JsonValue::Num(rep.latency.mean().as_millis_f64()),
-                ),
-                (
-                    "max_queue_depth",
-                    JsonValue::Num(f64::from(rep.max_queue_depth)),
-                ),
-                ("errors", JsonValue::Num(rep.errors as f64)),
-            ]));
+            ]);
         }
-        series.push(JsonValue::obj(vec![
-            ("target", JsonValue::str(target.label())),
-            ("points", JsonValue::Arr(points)),
-        ]));
     }
+    report += &table.markdown();
+    // The artifact groups the rows by target: one series of points each.
+    let series = targets
+        .iter()
+        .zip(table.json_rows().chunks(speeds.len()))
+        .map(|(target, points)| {
+            JsonValue::obj(vec![
+                ("target", JsonValue::str(target.label())),
+                ("points", JsonValue::Arr(points.to_vec())),
+            ])
+        })
+        .collect();
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
@@ -2043,19 +1980,17 @@ fn overload_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------------ raid sweep
 
-/// Reads one numeric field out of a JSON object (0.0 when absent) —
-/// used to lift headline counters back out of volume statistics.
-fn json_field_num(v: &JsonValue, key: &str) -> f64 {
-    if let JsonValue::Obj(fields) = v {
-        for (k, val) in fields {
-            if k == key {
-                if let JsonValue::Num(n) = val {
-                    return *n;
-                }
-            }
-        }
-    }
-    0.0
+/// Spans a failed member forced onto a degraded path, over all volumes:
+/// reads reconstructed from parity, and writes without the data member
+/// or without the parity member.
+fn degraded_ops(rep: &ReplayReport) -> (u64, u64) {
+    let reads = rep.volume_stats.iter().map(|v| v.degraded_reads).sum();
+    let writes = rep
+        .volume_stats
+        .iter()
+        .map(|v| v.reconstruct_writes + v.parityless_writes)
+        .sum();
+    (reads, writes)
 }
 
 /// One sweep row: replay the shared small-write trace against `target`
@@ -2067,8 +2002,8 @@ fn raid_sweep_row(
     speed: f64,
     faults: FaultPlan,
     cfg: &ScenarioConfig,
-    report: &mut String,
-) -> (JsonValue, ReplayReport) {
+    table: &mut Table,
+) -> ReplayReport {
     let degraded = !faults.is_empty();
     let rep = trace_replay(
         trace,
@@ -2081,21 +2016,15 @@ fn raid_sweep_row(
         },
     )
     .expect("raid replay");
-    let degraded_reads: f64 = rep
-        .volume_stats
-        .iter()
-        .map(|v| json_field_num(v, "degraded_reads"))
-        .sum();
-    let reconstruct_writes: f64 = rep
-        .volume_stats
-        .iter()
-        .map(|v| json_field_num(v, "reconstruct_writes") + json_field_num(v, "parityless_writes"))
-        .sum();
-    let _ = writeln!(
-        report,
-        "| {} | {speed}x | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.0} | {:.0} | {} | {} |",
-        rep.target,
+    let (degraded_reads, reconstruct_writes) = degraded_ops(&rep);
+    table.push(row![
+        rep.target.clone(),
+        speed,
         if degraded { "degraded" } else { "healthy" },
+        degraded,
+        rep.requests,
+        rep.writes,
+        rep.errors,
         rep.write_latency.mean().as_millis_f64(),
         rep.write_latency.percentile(50.0).as_millis_f64(),
         rep.write_latency.percentile(99.0).as_millis_f64(),
@@ -2103,39 +2032,9 @@ fn raid_sweep_row(
         degraded_reads,
         reconstruct_writes,
         rep.max_queue_depth,
-        rep.errors,
-    );
-    let row = JsonValue::obj(vec![
-        ("target", JsonValue::str(rep.target.clone())),
-        ("speed", JsonValue::Num(speed)),
-        ("degraded", JsonValue::Num(f64::from(u8::from(degraded)))),
-        ("requests", JsonValue::Num(rep.requests as f64)),
-        ("writes", JsonValue::Num(rep.writes as f64)),
-        ("errors", JsonValue::Num(rep.errors as f64)),
-        (
-            "write_mean_ms",
-            JsonValue::Num(rep.write_latency.mean().as_millis_f64()),
-        ),
-        (
-            "write_p50_ms",
-            JsonValue::Num(rep.write_latency.percentile(50.0).as_millis_f64()),
-        ),
-        (
-            "write_p99_ms",
-            JsonValue::Num(rep.write_latency.percentile(99.0).as_millis_f64()),
-        ),
-        (
-            "read_mean_ms",
-            JsonValue::Num(rep.read_latency.mean().as_millis_f64()),
-        ),
-        ("degraded_reads", JsonValue::Num(degraded_reads)),
-        (
-            "max_queue_depth",
-            JsonValue::Num(f64::from(rep.max_queue_depth)),
-        ),
-        ("volumes", JsonValue::Arr(rep.volume_stats.clone())),
+        rep.volumes_json(),
     ]);
-    (row, rep)
+    rep
 }
 
 /// The volume-layer sweep: one small-write-heavy trace offered to RAID
@@ -2181,14 +2080,23 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
         "== RAID sweep — {requests} small writes (1 KB, 25% reads) vs. \
          geometry x Trail-fronting x load =="
     );
-    let _ = writeln!(
-        report,
-        "| target | speed | mode | write mean (ms) | write p50 | write p99 | read mean | \
-         degraded reads | reconstructed writes | max QD | errors |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|---|---|---|---|---|");
-
-    let mut rows = Vec::new();
+    let mut table = Table::new(vec![
+        Column::both("target", "target", Fmt::Plain),
+        Column::both("speed", "speed", Fmt::Times),
+        Column::md("mode", Fmt::Plain),
+        Column::json("degraded"),
+        Column::json("requests"),
+        Column::json("writes"),
+        Column::both("errors", "errors", Fmt::Plain).markdown_last(),
+        Column::both("write mean (ms)", "write_mean_ms", Fmt::Fixed(3)),
+        Column::both("write p50", "write_p50_ms", Fmt::Fixed(3)),
+        Column::both("write p99", "write_p99_ms", Fmt::Fixed(3)),
+        Column::both("read mean", "read_mean_ms", Fmt::Fixed(3)),
+        Column::both("degraded reads", "degraded_reads", Fmt::Plain),
+        Column::md("reconstructed writes", Fmt::Plain),
+        Column::both("max QD", "max_queue_depth", Fmt::Plain),
+        Column::json("volumes"),
+    ]);
     let mut std5_mean = 0.0f64;
     let mut trail5_mean = 0.0f64;
 
@@ -2215,8 +2123,7 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
                 members,
                 trail: trail_front,
             };
-            let (row, rep) =
-                raid_sweep_row(&trace, target, 1.0, FaultPlan::new(), cfg, &mut report);
+            let rep = raid_sweep_row(&trace, target, 1.0, FaultPlan::new(), cfg, &mut table);
             if layout == layout5 {
                 let mean = rep.write_latency.mean().as_millis_f64();
                 if trail_front {
@@ -2225,7 +2132,6 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
                     std5_mean = mean;
                 }
             }
-            rows.push(row);
         }
     }
 
@@ -2238,15 +2144,13 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
                 members: 3,
                 trail: trail_front,
             };
-            let (row, _) =
-                raid_sweep_row(&trace, target, speed, FaultPlan::new(), cfg, &mut report);
-            rows.push(row);
+            raid_sweep_row(&trace, target, speed, FaultPlan::new(), cfg, &mut table);
         }
     }
 
     // Per-stream placement: each Trail instance owns its own RAID-5
     // set, so every routed stream's data lands on its own members.
-    let (row, _) = raid_sweep_row(
+    raid_sweep_row(
         &trace,
         TargetKind::RaidPerStream {
             layout: layout5,
@@ -2256,9 +2160,8 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
         1.0,
         FaultPlan::new(),
         cfg,
-        &mut report,
+        &mut table,
     );
-    rows.push(row);
 
     // Degraded mode: the RAID-5 pair with a member failing mid-trace.
     for trail_front in [false, true] {
@@ -2267,23 +2170,15 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
             members: 3,
             trail: trail_front,
         };
-        let (row, rep) = raid_sweep_row(&trace, target, 1.0, fail.clone(), cfg, &mut report);
-        let survived: f64 = rep
-            .volume_stats
-            .iter()
-            .map(|v| {
-                json_field_num(v, "degraded_reads")
-                    + json_field_num(v, "reconstruct_writes")
-                    + json_field_num(v, "parityless_writes")
-            })
-            .sum();
+        let rep = raid_sweep_row(&trace, target, 1.0, fail.clone(), cfg, &mut table);
+        let (reads, writes) = degraded_ops(&rep);
         assert!(
-            survived > 0.0,
+            reads + writes > 0,
             "degraded {} run never exercised a degraded path",
             rep.target
         );
-        rows.push(row);
     }
+    report += &table.markdown();
 
     let speedup = if trail5_mean > 0.0 {
         std5_mean / trail5_mean
@@ -2307,7 +2202,7 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
                 "trace_duration_ms",
                 JsonValue::Num(trace.duration().as_millis_f64()),
             ),
-            ("rows", JsonValue::Arr(rows)),
+            ("rows", table.json()),
             (
                 "headline",
                 JsonValue::obj(vec![
@@ -2366,16 +2261,13 @@ fn replay_tpcc(cfg: &ScenarioConfig) -> ScenarioOutput {
         "capture source: {} ({:.0} tpmC while recording)",
         trace.meta.source, tpcc.tpmc
     );
-    replay_table_header(&mut report);
     let targets: &[(TargetKind, f64)] = &[
         (TargetKind::Standard, 1.0),
         (TargetKind::Trail, 1.0),
         (TargetKind::TrailMulti { logs: 2 }, 1.0),
     ];
-    let rows: Vec<JsonValue> = targets
-        .iter()
-        .map(|&(t, speed)| replay_target_row(&trace, t, speed, cfg.handle(), &mut report))
-        .collect();
+    let table = replay_targets(&trace, targets, cfg.handle());
+    report += &table.markdown();
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
@@ -2387,7 +2279,7 @@ fn replay_tpcc(cfg: &ScenarioConfig) -> ScenarioOutput {
                 JsonValue::Num(trace.duration().as_millis_f64()),
             ),
             ("tpmc_while_recording", JsonValue::Num(tpcc.tpmc)),
-            ("rows", JsonValue::Arr(rows)),
+            ("rows", table.json()),
         ]),
     }
 }
@@ -2449,17 +2341,38 @@ const SERVE_ADMISSIONS: [AdmissionPolicy; 3] = [
     },
 ];
 
+/// The per-cell table of the serving scenarios: the report shows the
+/// headline counters and the served tail, the artifact cell is the whole
+/// `FleetReport` document behind the three sweep coordinates.
+fn serve_table() -> Table {
+    Table::new(vec![
+        Column::both("mode", "mode", Fmt::Plain),
+        Column::both("admission", "admission", Fmt::Plain),
+        Column::both("load", "overload", Fmt::Times),
+        Column::md("issued", Fmt::Plain),
+        Column::md("served", Fmt::Plain),
+        Column::md("rejected", Fmt::Plain),
+        Column::md("shed", Fmt::Plain),
+        Column::md("cancelled", Fmt::Plain),
+        Column::md("p50 (ms)", Fmt::Fixed(3)),
+        Column::md("p99 (ms)", Fmt::Fixed(3)),
+        Column::md("p99.9 (ms)", Fmt::Fixed(3)),
+        Column::md("max QD", Fmt::Plain),
+        Column::flattened(),
+    ])
+}
+
 fn serve_row(
-    report: &mut String,
+    table: &mut Table,
     label: &str,
     admission: &AdmissionPolicy,
     overload: f64,
     rep: &FleetReport,
 ) {
-    let _ = writeln!(
-        report,
-        "| {label} | {} | {overload}x | {} | {} | {} | {} | {} | {:.3} | {:.3} | {:.3} | {} |",
+    table.push(row![
+        label,
         admission.label(),
+        overload,
         rep.issued,
         rep.served,
         rep.rejected,
@@ -2469,37 +2382,8 @@ fn serve_row(
         rep.latency.percentile(99.0).as_millis_f64(),
         rep.latency.percentile(99.9).as_millis_f64(),
         rep.server.max_queue_depth,
-    );
-}
-
-fn serve_cell_json(
-    mode_label: &str,
-    admission: &AdmissionPolicy,
-    overload: f64,
-    rep: &FleetReport,
-) -> JsonValue {
-    let fields = vec![
-        ("mode", JsonValue::str(mode_label)),
-        ("admission", JsonValue::str(admission.label())),
-        ("overload", JsonValue::Num(overload)),
-    ];
-    let JsonValue::Obj(body) = rep.to_json_with_clients(4) else {
-        unreachable!("fleet reports are objects");
-    };
-    let mut out = JsonValue::obj(fields);
-    if let JsonValue::Obj(dst) = &mut out {
-        dst.extend(body);
-    }
-    out
-}
-
-fn serve_table_header(report: &mut String) {
-    let _ = writeln!(
-        report,
-        "| mode | admission | load | issued | served | rejected | shed | cancelled \
-         | p50 (ms) | p99 (ms) | p99.9 (ms) | max QD |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|---|---|---|---|---|---|");
+        rep.to_json_with_clients(4),
+    ]);
 }
 
 /// The serving-layer fleet benchmark (`BENCH_serve.json`): open- and
@@ -2525,8 +2409,7 @@ fn serve_fleet(cfg: &ScenarioConfig) -> ScenarioOutput {
         "== Serving layer — {sessions} sessions, {per_cell} requests per cell, \
          worker pool of 8 over a Trail log, overload {overloads:?} =="
     );
-    serve_table_header(&mut report);
-    let mut cells = Vec::new();
+    let mut table = serve_table();
     for (mode_idx, &mode) in modes.iter().enumerate() {
         for &overload in overloads {
             for admission in &SERVE_ADMISSIONS {
@@ -2550,11 +2433,11 @@ fn serve_fleet(cfg: &ScenarioConfig) -> ScenarioOutput {
                         spatial: SpatialModel::Zipf { skew: 2.0 },
                     },
                 );
-                serve_row(&mut report, mode.label(), admission, overload, &rep);
-                cells.push(serve_cell_json(mode.label(), admission, overload, &rep));
+                serve_row(&mut table, mode.label(), admission, overload, &rep);
             }
         }
     }
+    report += &table.markdown();
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
@@ -2562,7 +2445,7 @@ fn serve_fleet(cfg: &ScenarioConfig) -> ScenarioOutput {
             ("sessions", JsonValue::Num(f64::from(sessions))),
             ("requests_per_cell", JsonValue::Num(per_cell as f64)),
             ("worker_slots", JsonValue::Num(8.0)),
-            ("cells", JsonValue::Arr(cells)),
+            ("cells", table.json()),
         ]),
     }
 }
@@ -2590,10 +2473,8 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
         "== Serving-layer routing sweep — {sessions} open-loop sessions on a \
          2-log Trail array, {per_cell} requests per cell =="
     );
-    serve_table_header(&mut report);
-    let mut series = Vec::new();
+    let mut table = serve_table();
     for (routing_label, routing) in routings {
-        let mut cells = Vec::new();
         for &overload in overloads {
             for admission in &SERVE_ADMISSIONS {
                 let (mut sim, server) = serve_testbed(2, routing, *admission, 8);
@@ -2614,15 +2495,26 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
                         spatial: SpatialModel::Zipf { skew: 2.0 },
                     },
                 );
-                serve_row(&mut report, routing_label, admission, overload, &rep);
-                cells.push(serve_cell_json(routing_label, admission, overload, &rep));
+                serve_row(&mut table, routing_label, admission, overload, &rep);
             }
         }
-        series.push(JsonValue::obj(vec![
-            ("routing", JsonValue::str(routing_label)),
-            ("cells", JsonValue::Arr(cells)),
-        ]));
     }
+    report += &table.markdown();
+    // The artifact groups the cells by routing.
+    let series = routings
+        .iter()
+        .zip(
+            table
+                .json_rows()
+                .chunks(overloads.len() * SERVE_ADMISSIONS.len()),
+        )
+        .map(|((routing_label, _), cells)| {
+            JsonValue::obj(vec![
+                ("routing", JsonValue::str(*routing_label)),
+                ("cells", JsonValue::Arr(cells.to_vec())),
+            ])
+        })
+        .collect();
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
@@ -2636,51 +2528,25 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------ crash campaign
 
-/// One curve point of the crash campaign as a JSON row.
-fn campaign_point_json(flavor: CampaignFlavor, agg: &CampaignAggregate) -> JsonValue {
-    JsonValue::obj(vec![
-        ("flavor", JsonValue::str(flavor.label())),
-        ("q", JsonValue::Num(agg.writes as f64)),
-        ("crash_points", JsonValue::Num(agg.points as f64)),
-        ("violations", JsonValue::Num(agg.violations as f64)),
-        ("mean_acked", JsonValue::Num(agg.mean_acked)),
-        ("mean_pending", JsonValue::Num(agg.mean_pending)),
-        (
-            "mean_active_log_sectors",
-            JsonValue::Num(agg.mean_active_log_sectors),
-        ),
-        ("mean_log_head_span", JsonValue::Num(agg.mean_log_head_span)),
-        ("mean_records", JsonValue::Num(agg.mean_records)),
-        (
-            "mean_sectors_replayed",
-            JsonValue::Num(agg.mean_sectors_replayed),
-        ),
-        ("mean_locate_ms", JsonValue::Num(agg.mean_locate_ms)),
-        ("mean_rebuild_ms", JsonValue::Num(agg.mean_rebuild_ms)),
-        ("mean_writeback_ms", JsonValue::Num(agg.mean_writeback_ms)),
-        ("mean_total_ms", JsonValue::Num(agg.mean_total_ms)),
-        ("max_total_ms", JsonValue::Num(agg.max_total_ms)),
-    ])
-}
-
-/// Appends one campaign table row to the report.
-fn campaign_row(report: &mut String, flavor: CampaignFlavor, agg: &CampaignAggregate) {
-    let _ = writeln!(
-        report,
-        "| {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {} |",
+/// Appends one curve point of the crash campaign to `table`.
+fn campaign_row(table: &mut Table, flavor: CampaignFlavor, agg: &CampaignAggregate) {
+    table.push(row![
         flavor.label(),
         agg.writes,
         agg.points,
+        agg.violations,
         agg.mean_acked,
         agg.mean_pending,
         agg.mean_active_log_sectors,
+        agg.mean_log_head_span,
+        agg.mean_records,
+        agg.mean_sectors_replayed,
         agg.mean_locate_ms,
         agg.mean_rebuild_ms,
         agg.mean_writeback_ms,
         agg.mean_total_ms,
         agg.max_total_ms,
-        agg.violations,
-    );
+    ]);
 }
 
 fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
@@ -2696,18 +2562,27 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
     let raid_qs: &[usize] = if cfg.quick { &[16] } else { &[32, 64] };
     let raid_points = (raw_points / 3 * 2).max(4);
 
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "== Crash campaign — recovery time vs. log size over the fault plane =="
-    );
-    let _ = writeln!(
-        report,
-        "| flavor | Q | crash points | mean acked | mean pending | mean active log sectors | \
-         locate (ms) | rebuild (ms) | write-back (ms) | total mean (ms) | total max (ms) | \
-         violations |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|---|---|---|---|---|---|");
+    let mut table = Table::new(vec![
+        Column::both("flavor", "flavor", Fmt::Plain),
+        Column::both("Q", "q", Fmt::Plain),
+        Column::both("crash points", "crash_points", Fmt::Plain),
+        Column::both("violations", "violations", Fmt::Plain).markdown_last(),
+        Column::both("mean acked", "mean_acked", Fmt::Fixed(1)),
+        Column::both("mean pending", "mean_pending", Fmt::Fixed(1)),
+        Column::both(
+            "mean active log sectors",
+            "mean_active_log_sectors",
+            Fmt::Fixed(1),
+        ),
+        Column::json("mean_log_head_span"),
+        Column::json("mean_records"),
+        Column::json("mean_sectors_replayed"),
+        Column::both("locate (ms)", "mean_locate_ms", Fmt::Fixed(1)),
+        Column::both("rebuild (ms)", "mean_rebuild_ms", Fmt::Fixed(1)),
+        Column::both("write-back (ms)", "mean_writeback_ms", Fmt::Fixed(1)),
+        Column::both("total mean (ms)", "mean_total_ms", Fmt::Fixed(1)),
+        Column::both("total max (ms)", "max_total_ms", Fmt::Fixed(1)),
+    ]);
 
     let run_flavor = |flavor: CampaignFlavor, qs: &[usize], points: usize| {
         qs.iter()
@@ -2725,11 +2600,17 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
     let curve = run_flavor(CampaignFlavor::RawDisks, raw_qs, raw_points);
     let raid = run_flavor(CampaignFlavor::Raid5, raid_qs, raid_points);
     for agg in &curve {
-        campaign_row(&mut report, CampaignFlavor::RawDisks, agg);
+        campaign_row(&mut table, CampaignFlavor::RawDisks, agg);
     }
     for agg in &raid {
-        campaign_row(&mut report, CampaignFlavor::Raid5, agg);
+        campaign_row(&mut table, CampaignFlavor::Raid5, agg);
     }
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "== Crash campaign — recovery time vs. log size over the fault plane =="
+    );
+    report += &table.markdown();
 
     let total_points: usize = curve.iter().chain(&raid).map(|a| a.points).sum();
     let violations: usize = curve.iter().chain(&raid).map(|a| a.violations).sum();
@@ -2764,29 +2645,16 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "and every RAID-5 stripe the workload touched XORs to zero across the members."
     );
+    let mut curve_rows = table.json_rows();
+    let raid_rows = curve_rows.split_off(curve.len());
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
             ("bench", JsonValue::str("crash_campaign")),
             ("crash_points_total", JsonValue::Num(total_points as f64)),
             ("violations", JsonValue::Num(violations as f64)),
-            (
-                "curve",
-                JsonValue::Arr(
-                    curve
-                        .iter()
-                        .map(|a| campaign_point_json(CampaignFlavor::RawDisks, a))
-                        .collect(),
-                ),
-            ),
-            (
-                "raid5",
-                JsonValue::Arr(
-                    raid.iter()
-                        .map(|a| campaign_point_json(CampaignFlavor::Raid5, a))
-                        .collect(),
-                ),
-            ),
+            ("curve", JsonValue::Arr(curve_rows)),
+            ("raid5", JsonValue::Arr(raid_rows)),
         ]),
     }
 }

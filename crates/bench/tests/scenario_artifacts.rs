@@ -1,8 +1,8 @@
 //! Acceptance for the artifacts themselves, over the whole registry:
-//! `trail-bench <scenario>` and `trail-bench all` write the same bytes,
-//! those bytes are the checked-in golden ones, and the artifacts that
-//! back a headline claim carry the fields and clear the floors the claim
-//! rests on.
+//! `trail-bench <scenario>` and `trail-bench all` write the same bytes
+//! and print the same report, those bytes are the checked-in golden
+//! ones, and the artifacts that back a headline claim carry the fields
+//! and clear the floors the claim rests on.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -32,6 +32,30 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("serve_sweep", 40821, 0x9c4c05e7),
     ("raid", 11010, 0x02a21a96),
     ("recovery", 1304, 0x0ef4dff6),
+];
+
+/// `(registry name, byte length, CRC-32)` of every `--quick`, seed-0
+/// report as `trail-bench <name>` prints it, in registry order — the
+/// markdown half of what [`GOLDEN`] pins for the JSON half, and moved
+/// under the same rule.
+const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
+    ("micro", 990, 0x389c30ef),
+    ("table1", 247, 0x26c7f730),
+    ("fig3", 874, 0xc24c1da7),
+    ("fig4", 474, 0x2cbcc808),
+    ("ablation", 1196, 0xe69a4878),
+    ("fs_compare", 934, 0xd6c21d4c),
+    ("table2", 564, 0xf41c9b03),
+    ("table3", 173, 0x64eca0e5),
+    ("track_util", 227, 0x61d835fe),
+    ("replay_synthetic", 624, 0x44fb4690),
+    ("overload_sweep", 1349, 0x487197d8),
+    ("replay_tpcc", 424, 0x44a5d726),
+    ("replay_stream", 445, 0x01801081),
+    ("serve_fleet", 1297, 0x898f1320),
+    ("serve_sweep", 1374, 0x146243e7),
+    ("raid_sweep", 1295, 0x7b36d408),
+    ("crash_campaign", 719, 0x63f9f9b8),
 ];
 
 /// What an artifact must show for the headline claim it backs to hold.
@@ -68,19 +92,34 @@ const CLAIMS: &[Claim] = &[
     },
 ];
 
-fn trail_bench(args: &[&str], out_dir: &Path) {
-    let status = Command::new(env!("CARGO_BIN_EXE_trail-bench"))
+/// Runs `trail-bench args --out-dir out_dir` and returns what it printed.
+fn trail_bench(args: &[&str], out_dir: &Path) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_trail-bench"))
         .args(args)
         .arg("--out-dir")
         .arg(out_dir)
-        .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
-        .status()
+        .output()
         .expect("run trail-bench");
     assert!(
-        status.success(),
-        "trail-bench {args:?} exited with {status}"
+        out.status.success(),
+        "trail-bench {args:?} exited with {}",
+        out.status
     );
+    String::from_utf8(out.stdout).expect("reports are UTF-8")
+}
+
+/// The report `trail-bench all` printed under the `name — title` banner:
+/// everything up to the next banner or the closing summary line.
+fn section<'a>(all: &'a str, name: &str, title: &str) -> &'a str {
+    let banner = format!("\n######## {name} — {title}\n\n");
+    let start = all.find(&banner).expect("scenario banner") + banner.len();
+    let rest = &all[start..];
+    let end = rest
+        .find("\n######## ")
+        .or_else(|| rest.rfind("\n== trail-bench all:"))
+        .expect("a banner or the summary follows every report");
+    &rest[..end]
 }
 
 /// The number following the first `"field":` in `text`.
@@ -100,11 +139,18 @@ fn every_artifact_is_path_independent_golden_and_backs_its_claims() {
     // A stale artifact from an earlier run must not stand in for one this
     // run failed to write.
     let _ = std::fs::remove_dir_all(&base);
-    trail_bench(&["all", "--quick"], &all_dir);
+    let all_stdout = trail_bench(&["all", "--quick"], &all_dir);
 
     let mut table = Vec::new();
+    let mut reports = Vec::new();
     for spec in all_scenarios() {
-        trail_bench(&[spec.name, "--quick"], &single_dir);
+        let report = trail_bench(&[spec.name, "--quick"], &single_dir);
+        assert!(
+            report == section(&all_stdout, spec.name, spec.title),
+            "`trail-bench {0}` and the {0} section of `trail-bench all` print different reports",
+            spec.name
+        );
+        reports.push((spec.name, report.len(), crc32(report.as_bytes())));
         let file = format!("BENCH_{}.json", spec.artifact);
         let bytes = std::fs::read(all_dir.join(&file)).expect("artifact from `all`");
         let single = std::fs::read(single_dir.join(&file)).expect("artifact from the scenario");
@@ -142,5 +188,13 @@ fn every_artifact_is_path_independent_golden_and_backs_its_claims() {
         }
         eprintln!("];");
         panic!("--quick artifacts differ from the golden table; the new table is printed above");
+    }
+    if reports != REPORT_GOLDEN {
+        eprintln!("const REPORT_GOLDEN: &[(&str, usize, u32)] = &[");
+        for (name, len, crc) in &reports {
+            eprintln!("    ({name:?}, {len}, {crc:#010x}),");
+        }
+        eprintln!("];");
+        panic!("--quick reports differ from the golden table; the new table is printed above");
     }
 }

@@ -226,7 +226,7 @@ pub struct ReplayReport {
     /// Per-volume statistics for RAID targets (member latency
     /// breakdowns, RMW/full-stripe counters, degraded reads), in the
     /// target's volume order; empty for targets without volumes.
-    pub volume_stats: Vec<JsonValue>,
+    pub volume_stats: Vec<trail::volume::VolumeStats>,
 }
 
 impl ReplayReport {
@@ -278,8 +278,22 @@ impl ReplayReport {
                         .collect(),
                 ),
             ),
-            ("volumes", JsonValue::Arr(self.volume_stats.clone())),
+            ("volumes", self.volumes_json()),
         ])
+    }
+
+    /// The `"volumes"` array of [`to_json`](ReplayReport::to_json): each
+    /// volume's [`summary_json`](trail::volume::VolumeStats::summary_json),
+    /// in order.
+    #[must_use]
+    pub fn volumes_json(&self) -> JsonValue {
+        // Percentiles sort the samples in place, hence the copy.
+        JsonValue::Arr(
+            self.volume_stats
+                .iter()
+                .map(|v| v.clone().summary_json())
+                .collect(),
+        )
     }
 }
 
@@ -905,7 +919,7 @@ pub(crate) fn run_engine(
         );
     }
     let mut report = ctx.state.borrow().report(&opts.target, speed, start);
-    report.volume_stats = volumes.iter().map(|v| v.stats_json()).collect();
+    report.volume_stats = volumes.iter().map(|v| v.with_stats(Clone::clone)).collect();
     Ok(report)
 }
 
@@ -990,7 +1004,7 @@ pub fn replay_single_issuer(
     }
 
     let mut report = state.borrow().report(&opts.target, speed, start);
-    report.volume_stats = volumes.iter().map(|v| v.stats_json()).collect();
+    report.volume_stats = volumes.iter().map(|v| v.with_stats(Clone::clone)).collect();
     Ok(report)
 }
 

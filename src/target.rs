@@ -110,6 +110,33 @@ impl TargetKind {
     }
 }
 
+impl std::str::FromStr for TargetKind {
+    type Err = String;
+
+    /// The inverse of [`label`](TargetKind::label) for the targets a
+    /// command line can name: `standard`, `trail`, `trail_multiN` (N ≥ 1),
+    /// `ext2`, `ext2_trail`, `lfs`, `lfs_trail`. RAID targets carry a
+    /// layout a label does not spell out and are built in code only.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let multi = s.strip_prefix("trail_multi").map(str::parse::<usize>);
+        Ok(match (s, multi) {
+            ("standard", _) => TargetKind::Standard,
+            ("trail", _) => TargetKind::Trail,
+            (_, Some(Ok(logs))) if logs >= 1 => TargetKind::TrailMulti { logs },
+            ("ext2", _) => TargetKind::Ext2 { trail: false },
+            ("ext2_trail", _) => TargetKind::Ext2 { trail: true },
+            ("lfs", _) => TargetKind::Lfs { trail: false },
+            ("lfs_trail", _) => TargetKind::Lfs { trail: true },
+            _ => {
+                return Err(format!(
+                    "unknown target {s:?} (expected standard, trail, trail_multiN, \
+                     ext2, ext2_trail, lfs or lfs_trail)"
+                ))
+            }
+        })
+    }
+}
+
 /// Why a target could not be built.
 #[derive(Debug)]
 pub enum TargetError {
@@ -419,6 +446,34 @@ mod tests {
             .label(),
             "raid5x3_ps2"
         );
+    }
+
+    #[test]
+    fn every_non_raid_label_parses_back_to_its_kind() {
+        for kind in [
+            TargetKind::Standard,
+            TargetKind::Trail,
+            TargetKind::TrailMulti { logs: 1 },
+            TargetKind::TrailMulti { logs: 12 },
+            TargetKind::Ext2 { trail: false },
+            TargetKind::Ext2 { trail: true },
+            TargetKind::Lfs { trail: false },
+            TargetKind::Lfs { trail: true },
+        ] {
+            assert_eq!(kind.label().parse(), Ok(kind), "{kind:?}");
+        }
+        for bad in [
+            "",
+            "trial",
+            "Trail",
+            "trail_multi",
+            "trail_multi0",
+            "trail_multi-1",
+            "raid5x3",
+        ] {
+            let err = bad.parse::<TargetKind>().unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]
