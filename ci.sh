@@ -43,6 +43,22 @@ if [ "$(cut -d: -f1 <<<"$starts")" != crates/bench/src/scenarios.rs ]; then
   exit 1
 fi
 
+# Every data device is a block target: one build path, one boot path, one
+# recovery sink, and three BlockStack implementations (TrailDriver,
+# MultiTrail, StandardStack). The raw-disk twins must not come back.
+if grep -rnE --include='*.rs' \
+    'fn build_with_volumes|fn start_with_data_drivers|struct VolumeStack|struct TrailStack|struct MultiTrailStack|type WriteSink' \
+    crates src; then
+  echo "found a raw-disk twin of the block-target path" >&2
+  exit 1
+fi
+impls="$(grep -rn --include='*.rs' 'impl BlockStack for' crates src || true)"
+if [ "$(grep -c . <<<"$impls")" -gt 3 ]; then
+  echo "more than three BlockStack implementations:" >&2
+  echo "$impls" >&2
+  exit 1
+fi
+
 echo "== tables-as-data gate =="
 # report::Table renders every scenario table, markdown and JSON alike; a
 # hand-typed separator row means a scenario formats its own table again.

@@ -17,10 +17,10 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use trail::volume::{raid5_map, RaidVolume, VolumeLayout};
+use trail::volume::{raid5_map, VolumeLayout};
 use trail::StackBuilder;
 use trail_blockio::{IoDone, SharedBlockDevice};
-use trail_core::{read_header, recover, recover_with_targets, RecoveryOptions, RecoveryReport};
+use trail_core::{read_header, recover_with_targets, RecoveryOptions, RecoveryReport};
 use trail_disk::{Disk, SECTOR_SIZE};
 use trail_sim::{
     Delivered, Fault, FaultKind, FaultPlan, FaultSink, FaultTarget, SimDuration, Simulator,
@@ -197,7 +197,9 @@ impl FaultSink for CrashFlag {
 struct WorkloadRun {
     log: Disk,
     data: Vec<Disk>,
-    volumes: Vec<RaidVolume>,
+    /// The block targets Trail served (raw-disk drivers or the volume),
+    /// which recovery replays through.
+    targets: Vec<SharedBlockDevice>,
     /// `(dev, lba, tag)` for every write acknowledged OK, in ack order.
     acked: Vec<(usize, u64, u8)>,
     /// `(dev, lba, tag)` for every write submitted, in submission order.
@@ -243,7 +245,7 @@ fn run_workload(spec: &CampaignSpec, cut: Option<SimDuration>) -> WorkloadRun {
     let trail = built.trail.expect("campaign stack runs Trail");
     let log = built.log_disk.expect("campaign stack has a log disk");
     let data = built.data_disks;
-    let volumes = built.volumes;
+    let targets = built.targets;
     let crashed = Rc::new(Cell::new(false));
     built
         .fault_clock
@@ -252,10 +254,7 @@ fn run_workload(spec: &CampaignSpec, cut: Option<SimDuration>) -> WorkloadRun {
     // The workload: a burst of distinct-block 4-KB tagged writes, all
     // submitted at measurement start (the fig4 shape — Trail absorbs the
     // queue, so the active log grows with the burst size).
-    let devs = match spec.flavor {
-        CampaignFlavor::RawDisks => data.len(),
-        CampaignFlavor::Raid5 => volumes.len(),
-    };
+    let devs = targets.len();
     let sectors = u64::from(RAID_CHUNK_SECTORS);
     let acked: Rc<RefCell<Vec<(usize, u64, u8)>>> = Rc::new(RefCell::new(Vec::new()));
     let last_ack = Rc::new(Cell::new(SimDuration::ZERO));
@@ -290,7 +289,7 @@ fn run_workload(spec: &CampaignSpec, cut: Option<SimDuration>) -> WorkloadRun {
     WorkloadRun {
         log,
         data,
-        volumes,
+        targets,
         acked,
         submitted,
         last_ack: last_ack.get(),
@@ -311,29 +310,13 @@ fn crash_point(spec: &CampaignSpec, cut: SimDuration) -> CrashPointOutcome {
     }
     let mut sim = Simulator::new();
     let header = read_header(&mut sim, &run.log).expect("log header readable after crash");
-    let report = match spec.flavor {
-        CampaignFlavor::RawDisks => recover(
-            &mut sim,
-            &run.log,
-            &run.data,
-            &header,
-            RecoveryOptions::default(),
-        ),
-        CampaignFlavor::Raid5 => {
-            let targets: Vec<SharedBlockDevice> = run
-                .volumes
-                .iter()
-                .map(|v| Rc::new(v.clone()) as SharedBlockDevice)
-                .collect();
-            recover_with_targets(
-                &mut sim,
-                &run.log,
-                &targets,
-                &header,
-                RecoveryOptions::default(),
-            )
-        }
-    }
+    let report = recover_with_targets(
+        &mut sim,
+        &run.log,
+        &run.targets,
+        &header,
+        RecoveryOptions::default(),
+    )
     .expect("recovery succeeds");
 
     let violations = match spec.flavor {

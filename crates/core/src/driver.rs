@@ -45,7 +45,7 @@ use crate::error::TrailError;
 use crate::format::{build_record, LogDiskHeader, RecordWrite};
 use crate::formatter::{data_track_range, read_header, write_header};
 use crate::predict::HeadPredictor;
-use crate::recovery::{recover, RecoveryOptions, RecoveryReport};
+use crate::recovery::{recover_with_targets, RecoveryOptions, RecoveryReport};
 use crate::tracks::TrackPool;
 
 /// Aggregate driver measurements.
@@ -258,18 +258,14 @@ pub struct TrailDriver {
 }
 
 impl TrailDriver {
-    /// Boots the driver: reads the log-disk header, runs crash recovery if
-    /// the previous mount was not clean, bumps the epoch, and positions the
-    /// head on a free track.
-    ///
-    /// Runs boot I/O in blocking style (drains the event queue); construct
-    /// the driver before starting workload actors.
+    /// Boots the driver over raw data disks:
+    /// [`start_with_targets`](Self::start_with_targets) over one
+    /// read-prioritized C-LOOK queueing driver per disk (paper §4.3).
     ///
     /// # Errors
     ///
-    /// Returns [`TrailError::NotFormatted`] for an unformatted log disk,
-    /// [`TrailError::BadDevice`] if `data_disks` is empty, and propagates
-    /// device errors.
+    /// As [`start_with_targets`](Self::start_with_targets);
+    /// [`TrailError::BadDevice`] if `data_disks` is empty.
     ///
     /// # Panics
     ///
@@ -280,74 +276,37 @@ impl TrailDriver {
         data_disks: Vec<Disk>,
         config: TrailConfig,
     ) -> Result<(TrailDriver, BootReport), TrailError> {
-        let data = data_disks
-            .iter()
-            .map(|d| {
-                StandardDriver::with_policy(
-                    d.clone(),
-                    Box::new(Clook::default()),
-                    Priority::ReadsFirst,
-                )
-            })
-            .collect();
-        Self::start_with_data_drivers(sim, log_disk, data_disks, data, config)
+        Self::start_with_targets(sim, log_disk, raw_targets(&data_disks), config)
     }
 
-    /// Like [`start`](Self::start), but over pre-built data-disk drivers —
-    /// required when several Trail instances share the same data disks
-    /// (see [`MultiTrail`](crate::MultiTrail)): each physical disk must
-    /// have exactly one queueing driver.
+    /// Boots the driver over arbitrary block targets — single-disk
+    /// drivers, `trail-volume` RAID arrays, or a mix: reads the log-disk
+    /// header, runs crash recovery if the previous mount was not clean
+    /// (replaying through the targets' own submission paths, see
+    /// [`crate::recover_with_targets`]), bumps the epoch, and positions the
+    /// head on a free track.
     ///
-    /// `data_disks[i]` must be the disk behind `data[i]`.
+    /// Trail's write-back path submits to each target's
+    /// [`trail_blockio::BlockDevice`] face, so a RAID-5 target pays its
+    /// read-modify-write parity cycles in the background while the log
+    /// front end keeps acknowledging at track speed. Several Trail
+    /// instances may share data devices (see
+    /// [`MultiTrail`](crate::MultiTrail)) only by sharing clones of the
+    /// *same* `Rc` targets: each physical disk must have exactly one
+    /// queueing driver.
+    ///
+    /// Runs boot I/O in blocking style (drains the event queue); construct
+    /// the driver before starting workload actors.
     ///
     /// # Errors
     ///
-    /// As [`start`](Self::start).
-    pub fn start_with_data_drivers(
-        sim: &mut Simulator,
-        log_disk: Disk,
-        data_disks: Vec<Disk>,
-        data: Vec<StandardDriver>,
-        config: TrailConfig,
-    ) -> Result<(TrailDriver, BootReport), TrailError> {
-        config.validate();
-        if data_disks.is_empty()
-            || data_disks.len() > u8::MAX as usize
-            || data.len() != data_disks.len()
-        {
-            return Err(TrailError::BadDevice);
-        }
-        let header = read_header(sim, &log_disk)?;
-        let mut recovered = None;
-        if !header.clean {
-            recovered = Some(recover(
-                sim,
-                &log_disk,
-                &data_disks,
-                &header,
-                RecoveryOptions::default(),
-            )?);
-        }
-        let targets: Vec<SharedBlockDevice> = data
-            .into_iter()
-            .map(|d| Rc::new(d) as SharedBlockDevice)
-            .collect();
-        Self::boot_over_targets(sim, log_disk, header, recovered, targets, config)
-    }
-
-    /// Like [`start`](Self::start), but over arbitrary block targets —
-    /// single-disk drivers, `trail-volume` RAID arrays, or a mix. Trail's
-    /// write-back path submits to each target's [`trail_blockio::
-    /// BlockDevice`] face, so a RAID-5 target pays its read-modify-write
-    /// parity cycles in the background while the log front end keeps
-    /// acknowledging at track speed.
+    /// Returns [`TrailError::NotFormatted`] for an unformatted log disk,
+    /// [`TrailError::BadDevice`] if `targets` is empty or holds more than
+    /// 255 devices, and propagates device errors.
     ///
-    /// Crash recovery replays through the targets' own submission paths
-    /// (see [`crate::recover_with_targets`]).
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// As [`start`](Self::start).
+    /// Panics if `config` is invalid (see [`TrailConfig::validate`]).
     pub fn start_with_targets(
         sim: &mut Simulator,
         log_disk: Disk,
@@ -361,7 +320,7 @@ impl TrailDriver {
         let header = read_header(sim, &log_disk)?;
         let mut recovered = None;
         if !header.clean {
-            recovered = Some(crate::recovery::recover_with_targets(
+            recovered = Some(recover_with_targets(
                 sim,
                 &log_disk,
                 &targets,
@@ -369,19 +328,6 @@ impl TrailDriver {
                 RecoveryOptions::default(),
             )?);
         }
-        Self::boot_over_targets(sim, log_disk, header, recovered, targets, config)
-    }
-
-    /// Shared boot tail: bump the epoch, persist the dirty header, and
-    /// assemble the driver over `targets`.
-    fn boot_over_targets(
-        sim: &mut Simulator,
-        log_disk: Disk,
-        header: LogDiskHeader,
-        recovered: Option<RecoveryReport>,
-        targets: Vec<SharedBlockDevice>,
-        config: TrailConfig,
-    ) -> Result<(TrailDriver, BootReport), TrailError> {
         assert!(
             header.geometry.total_sectors() <= u64::from(u32::MAX),
             "log disk too large for the on-disk u32 LBA format"
@@ -708,6 +654,11 @@ impl TrailDriver {
     /// The underlying log disk (for device-level statistics).
     pub fn log_disk(&self) -> Disk {
         self.inner.borrow().log_disk.clone()
+    }
+
+    /// Number of data devices the driver was started over.
+    pub fn devices(&self) -> usize {
+        self.inner.borrow().data.len()
     }
 
     /// The block target behind data device `dev` — a single-disk driver or
@@ -1193,6 +1144,21 @@ impl TrailDriver {
             self.reposition(sim);
         }
     }
+}
+
+/// The block targets Trail runs raw data disks behind: one queueing driver
+/// per disk, C-LOOK with reads ahead of write-backs (paper §4.3).
+pub(crate) fn raw_targets(disks: &[Disk]) -> Vec<SharedBlockDevice> {
+    disks
+        .iter()
+        .map(|d| {
+            Rc::new(StandardDriver::with_policy(
+                d.clone(),
+                Box::new(Clook::default()),
+                Priority::ReadsFirst,
+            )) as SharedBlockDevice
+        })
+        .collect()
 }
 
 /// Resolves an internal submission: power loss while a command was being

@@ -23,13 +23,13 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use trail_blockio::{Clook, IoDone, Priority, StandardDriver};
+use trail_blockio::IoDone;
 use trail_disk::{Disk, Lba};
 use trail_sim::{Completion, Simulator};
 use trail_telemetry::StreamId;
 
 use crate::config::TrailConfig;
-use crate::driver::{BootReport, TrailDriver, TrailStats};
+use crate::driver::{raw_targets, BootReport, TrailDriver, TrailStats};
 use crate::error::TrailError;
 
 /// A Trail array: one driver per log disk over shared data disks.
@@ -86,55 +86,22 @@ pub enum LogRouting {
 }
 
 impl MultiTrail {
-    /// Boots one Trail instance per formatted log disk, sharing the data
-    /// disks.
+    /// Boots one Trail instance per formatted log disk over shared raw
+    /// data disks: [`start_with_targets`](Self::start_with_targets) with
+    /// every instance holding clones of the *same* targets, so each
+    /// physical data disk keeps exactly one queueing driver.
     ///
     /// # Errors
     ///
-    /// Returns [`TrailError::BadDevice`] for an empty log-disk list and
-    /// propagates each instance's boot errors (including per-log
-    /// recovery).
+    /// As [`start_with_targets`](Self::start_with_targets).
     pub fn start(
         sim: &mut Simulator,
         log_disks: Vec<Disk>,
         data_disks: Vec<Disk>,
         config: TrailConfig,
     ) -> Result<(MultiTrail, Vec<BootReport>), TrailError> {
-        if log_disks.is_empty() {
-            return Err(TrailError::BadDevice);
-        }
-        // One queueing driver per physical data disk, shared by every
-        // Trail instance.
-        let data: Vec<StandardDriver> = data_disks
-            .iter()
-            .map(|d| {
-                StandardDriver::with_policy(
-                    d.clone(),
-                    Box::new(Clook::default()),
-                    Priority::ReadsFirst,
-                )
-            })
-            .collect();
-        let mut drivers = Vec::with_capacity(log_disks.len());
-        let mut boots = Vec::with_capacity(log_disks.len());
-        for log in log_disks {
-            let (drv, boot) = TrailDriver::start_with_data_drivers(
-                sim,
-                log,
-                data_disks.clone(),
-                data.clone(),
-                config,
-            )?;
-            drivers.push(drv);
-            boots.push(boot);
-        }
-        Ok((
-            MultiTrail {
-                drivers,
-                routing: Rc::new(Cell::new(LogRouting::BlockHash)),
-            },
-            boots,
-        ))
+        let shared = vec![raw_targets(&data_disks); log_disks.len()];
+        Self::start_with_targets(sim, log_disks, shared, config)
     }
 
     /// Boots one Trail instance per formatted log disk, each over its
@@ -147,15 +114,15 @@ impl MultiTrail {
     /// stream's data on its own array. The placement is coherent only if
     /// each stream addresses blocks backed by its own instance's targets
     /// (or every instance receives clones of one shared target list, as
-    /// [`start`](Self::start) arranges) — targets here are *not* shared
-    /// between instances, so a block written via instance 0 and read via
-    /// instance 1 would touch two different devices.
+    /// [`start`](Self::start) arranges) — otherwise a block written via
+    /// instance 0 and read via instance 1 would touch two different
+    /// devices.
     ///
     /// # Errors
     ///
     /// Returns [`TrailError::BadDevice`] for an empty log-disk list or a
     /// `targets` list whose length differs, and propagates each
-    /// instance's boot errors.
+    /// instance's boot errors (including per-log recovery).
     pub fn start_with_targets(
         sim: &mut Simulator,
         log_disks: Vec<Disk>,
@@ -184,6 +151,11 @@ impl MultiTrail {
     /// Number of log disks.
     pub fn log_disks(&self) -> usize {
         self.drivers.len()
+    }
+
+    /// Number of data devices each instance serves.
+    pub fn devices(&self) -> usize {
+        self.drivers[0].devices()
     }
 
     /// The Trail instance serving block `(dev, lba)` for an untagged

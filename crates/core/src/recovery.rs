@@ -31,6 +31,7 @@ use trail_disk::{Disk, DiskCommand, DiskError, Lba, SectorBuf, SECTOR_SIZE};
 use trail_probe::run_blocking;
 use trail_sim::{Delivered, SimDuration, Simulator};
 
+use crate::driver::raw_targets;
 use crate::error::TrailError;
 use crate::format::{payload_checksum, restore_payload, LogDiskHeader, RecordHeader};
 use crate::formatter::data_track_range;
@@ -154,7 +155,9 @@ fn scan_track(
     Ok(best)
 }
 
-/// Runs the recovery procedure against a crashed Trail log disk.
+/// Runs the recovery procedure against a crashed Trail log disk whose
+/// data devices are raw disks: [`recover_with_targets`] over one queueing
+/// driver per disk.
 ///
 /// `header` is the decoded log-disk header (whose `epoch` identifies the
 /// records to recover) and `data_disks` the same device list, in the same
@@ -162,8 +165,7 @@ fn scan_track(
 ///
 /// # Errors
 ///
-/// Propagates device errors; returns [`TrailError::BadDevice`] if a
-/// recovered record names a data disk that does not exist.
+/// As [`recover_with_targets`].
 ///
 /// # Examples
 ///
@@ -176,45 +178,7 @@ pub fn recover(
     header: &LogDiskHeader,
     options: RecoveryOptions,
 ) -> Result<RecoveryReport, TrailError> {
-    recover_inner(
-        sim,
-        log_disk,
-        header,
-        options,
-        &mut |sim, dev, lba, data| {
-            let disk = data_disks.get(dev).ok_or(TrailError::BadDevice)?;
-            run_blocking(sim, disk, DiskCommand::Write { lba, data })?;
-            Ok(())
-        },
-    )
-}
-
-/// [`recover`] over arbitrary block targets (e.g. `trail-volume` arrays)
-/// instead of raw disks: stage 3 replays each recovered run through the
-/// target's own submission path, so a RAID-5 target performs its parity
-/// maintenance during recovery exactly as it would in normal operation.
-///
-/// # Errors
-///
-/// As [`recover`]; a target that cancels a write-back (a member failure
-/// the array cannot absorb) surfaces as [`TrailError::Disk`].
-pub fn recover_with_targets(
-    sim: &mut Simulator,
-    log_disk: &Disk,
-    targets: &[SharedBlockDevice],
-    header: &LogDiskHeader,
-    options: RecoveryOptions,
-) -> Result<RecoveryReport, TrailError> {
-    recover_inner(
-        sim,
-        log_disk,
-        header,
-        options,
-        &mut |sim, dev, lba, data| {
-            let target = targets.get(dev).ok_or(TrailError::BadDevice)?;
-            blocking_target_write(sim, target, lba, data)
-        },
-    )
+    recover_with_targets(sim, log_disk, &raw_targets(data_disks), header, options)
 }
 
 /// Runs one write against a block target to completion (the boot-time
@@ -241,17 +205,27 @@ fn blocking_target_write(
     Ok(())
 }
 
-/// Write-back sink shared by the disk-backed and target-backed recovery
-/// paths: (sim, device index, lba, payload) → durable or error.
-type WriteSink<'a> =
-    &'a mut dyn FnMut(&mut Simulator, usize, Lba, Vec<u8>) -> Result<(), TrailError>;
-
-fn recover_inner(
+/// Runs the recovery procedure against a crashed Trail log disk.
+///
+/// `header` is the decoded log-disk header (whose `epoch` identifies the
+/// records to recover) and `targets` the same block targets — single-disk
+/// drivers, `trail-volume` arrays, or a mix — in the same order, that the
+/// crashed driver served. Stage 3 replays each recovered run through the
+/// target's own submission path, so a RAID-5 target performs its parity
+/// maintenance during recovery exactly as it would in normal operation.
+///
+/// # Errors
+///
+/// Propagates device errors; returns [`TrailError::BadDevice`] if a
+/// recovered record names a data device that does not exist. A target
+/// that cancels a write-back (a member failure the array cannot absorb)
+/// surfaces as [`TrailError::Disk`].
+pub fn recover_with_targets(
     sim: &mut Simulator,
     log_disk: &Disk,
+    targets: &[SharedBlockDevice],
     header: &LogDiskHeader,
     options: RecoveryOptions,
-    write_sink: WriteSink<'_>,
 ) -> Result<RecoveryReport, TrailError> {
     let g = &header.geometry;
     let (first_track, last_track) = data_track_range(g);
@@ -402,7 +376,8 @@ fn recover_inner(
                     restore_payload(entry, sector.try_into().expect("sector"));
                 }
                 report.sectors_replayed += (j - i + 1) as u64;
-                write_sink(sim, dev, u64::from(start_lba), data)?;
+                let target = targets.get(dev).ok_or(TrailError::BadDevice)?;
+                blocking_target_write(sim, target, u64::from(start_lba), data)?;
                 i = j + 1;
             }
         }

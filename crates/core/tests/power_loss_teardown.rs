@@ -22,11 +22,10 @@ fn power_cut_with_write_backs_queued_cancels_them_and_frees_the_stack() {
     let data = Disk::new("data", profiles::wd_caviar_10gb());
     let data_drv = StandardDriver::new(data.clone());
     format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
-    let (trail, _) = TrailDriver::start_with_data_drivers(
+    let (trail, _) = TrailDriver::start_with_targets(
         &mut sim,
         log.clone(),
-        vec![data.clone()],
-        vec![data_drv.clone()],
+        vec![Rc::new(data_drv.clone())],
         TrailConfig::default(),
     )
     .unwrap();

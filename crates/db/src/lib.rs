@@ -8,8 +8,9 @@
 //! and background dirty-page write-back — all of which this crate
 //! reproduces over a pluggable storage stack:
 //!
-//! - [`BlockStack`] with [`TrailStack`] / [`StandardStack`] — the same
-//!   engine binary-compares `EXT2+Trail`, `EXT2`, and `EXT2+GC`;
+//! - [`BlockStack`], implemented by [`trail_core::TrailDriver`],
+//!   [`trail_core::MultiTrail`] and [`StandardStack`] — the same engine
+//!   binary-compares `EXT2+Trail`, `EXT2`, and `EXT2+GC`;
 //! - [`Page`] / [`BufferPool`] — 4-KiB slotted pages under a clock cache;
 //! - [`Wal`] with [`FlushPolicy::EveryCommit`] and
 //!   [`FlushPolicy::GroupCommit`] — Table 3 counts the group commits;
@@ -41,5 +42,5 @@ pub use recovery::{
     read_blocking, recover_committed, replay_committed, scan_wal, RecoveredImage, WalRecoveryReport,
 };
 pub use service::StorageService;
-pub use stack::{BlockStack, MultiTrailStack, SharedStack, StandardStack, TrailStack, VolumeStack};
+pub use stack::{BlockStack, SharedStack, StandardStack};
 pub use wal::{FlushJob, FlushPolicy, PendingCommit, Wal, WalRecord, WalStats, CHUNK_MAGIC};

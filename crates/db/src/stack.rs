@@ -4,7 +4,7 @@
 
 use std::rc::Rc;
 
-use trail_blockio::{Clook, IoDone, IoRequest, Priority, Scheduler, StandardDriver, TapHandle};
+use trail_blockio::{IoDone, IoRequest, SharedBlockDevice, StandardDriver, TapHandle};
 use trail_core::{MultiTrail, TrailDriver, TrailError};
 use trail_disk::{Disk, Lba};
 use trail_sim::{Completion, Simulator};
@@ -16,44 +16,19 @@ use trail_telemetry::{RecorderHandle, StreamId};
 /// synchronous in the database's sense — the completion is delivered when
 /// the stack guarantees durability (for Trail, that is the *log-disk*
 /// write). A rejected or abandoned submission cancels its token.
+///
+/// The stream-tagged pair is what a stack implements; the untagged pair
+/// is provided on top of it. Three stacks exist: [`TrailDriver`],
+/// [`MultiTrail`] (whose router reads the tag under
+/// [`trail_core::LogRouting::StreamAffinity`]) and [`StandardStack`].
 pub trait BlockStack {
-    /// Submits a durable write of `data` at `lba` on device `dev`.
+    /// Submits a durable write of `data` at `lba` on device `dev`, tagged
+    /// with the stream it belongs to. The tag reaches the stack's taps and
+    /// routing decisions; it never changes durability semantics.
     ///
     /// # Errors
     ///
     /// Rejects malformed requests without side effects.
-    fn write(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError>;
-
-    /// Submits a read of `count` sectors at `lba` on device `dev`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed requests without side effects.
-    fn read(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError>;
-
-    /// [`write`](BlockStack::write) with an explicit stream tag.
-    ///
-    /// The default implementation drops the tag and delegates to
-    /// [`write`](BlockStack::write); stacks that can carry streams to
-    /// their taps or routing decisions override it.
-    ///
-    /// # Errors
-    ///
-    /// As [`write`](BlockStack::write).
     fn write_tagged(
         &self,
         sim: &mut Simulator,
@@ -62,17 +37,14 @@ pub trait BlockStack {
         data: Vec<u8>,
         stream: StreamId,
         done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        let _ = stream;
-        self.write(sim, dev, lba, data, done)
-    }
+    ) -> Result<(), TrailError>;
 
-    /// [`read`](BlockStack::read) with an explicit stream tag; defaults
-    /// to dropping the tag like [`write_tagged`](BlockStack::write_tagged).
+    /// Submits a read of `count` sectors at `lba` on device `dev`, tagged
+    /// with the stream it belongs to.
     ///
     /// # Errors
     ///
-    /// As [`read`](BlockStack::read).
+    /// Rejects malformed requests without side effects.
     fn read_tagged(
         &self,
         sim: &mut Simulator,
@@ -81,9 +53,39 @@ pub trait BlockStack {
         count: u32,
         stream: StreamId,
         done: Completion<IoDone>,
+    ) -> Result<(), TrailError>;
+
+    /// [`write_tagged`](BlockStack::write_tagged) as
+    /// [`StreamId::UNTAGGED`].
+    ///
+    /// # Errors
+    ///
+    /// As [`write_tagged`](BlockStack::write_tagged).
+    fn write(
+        &self,
+        sim: &mut Simulator,
+        dev: usize,
+        lba: Lba,
+        data: Vec<u8>,
+        done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        let _ = stream;
-        self.read(sim, dev, lba, count, done)
+        self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
+    }
+
+    /// [`read_tagged`](BlockStack::read_tagged) as [`StreamId::UNTAGGED`].
+    ///
+    /// # Errors
+    ///
+    /// As [`read_tagged`](BlockStack::read_tagged).
+    fn read(
+        &self,
+        sim: &mut Simulator,
+        dev: usize,
+        lba: Lba,
+        count: u32,
+        done: Completion<IoDone>,
+    ) -> Result<(), TrailError> {
+        self.read_tagged(sim, dev, lba, count, StreamId::UNTAGGED, done)
     }
 
     /// Outstanding work inside the stack (used to drain at shutdown).
@@ -93,58 +95,17 @@ pub trait BlockStack {
     fn devices(&self) -> usize;
 
     /// Attaches a telemetry recorder to every layer below this stack.
-    /// The default implementation drops the recorder (no instrumentation).
-    fn set_recorder(&self, _recorder: RecorderHandle) {}
+    fn set_recorder(&self, recorder: RecorderHandle);
 
     /// Installs a workload-capture tap ([`trail_blockio::SubmitTap`]) that
     /// observes every request submitted through this stack, tagged with
-    /// the stack-level device index. The default implementation drops the
-    /// tap (no capture).
-    fn set_tap(&self, _tap: TapHandle) {}
+    /// the stack-level device index.
+    fn set_tap(&self, tap: TapHandle);
 }
 
-/// The Trail stack: every device sits behind one [`TrailDriver`].
-#[derive(Clone)]
-pub struct TrailStack {
-    driver: TrailDriver,
-    devices: usize,
-}
-
-impl TrailStack {
-    /// Wraps a running Trail driver serving `devices` data disks.
-    pub fn new(driver: TrailDriver, devices: usize) -> Self {
-        TrailStack { driver, devices }
-    }
-
-    /// The wrapped driver (for statistics).
-    pub fn driver(&self) -> &TrailDriver {
-        &self.driver
-    }
-}
-
-impl BlockStack for TrailStack {
-    fn write(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.driver.write(sim, dev, lba, data, done)
-    }
-
-    fn read(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.driver.read(sim, dev, lba, count, done)
-    }
-
+// The Trail stack: every device sits behind the driver. Each method
+// resolves to the inherent one of the same name, not to this impl.
+impl BlockStack for TrailDriver {
     fn write_tagged(
         &self,
         sim: &mut Simulator,
@@ -154,7 +115,7 @@ impl BlockStack for TrailStack {
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        self.driver.write_tagged(sim, dev, lba, data, stream, done)
+        TrailDriver::write_tagged(self, sim, dev, lba, data, stream, done)
     }
 
     fn read_tagged(
@@ -166,88 +127,112 @@ impl BlockStack for TrailStack {
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        self.driver.read_tagged(sim, dev, lba, count, stream, done)
+        TrailDriver::read_tagged(self, sim, dev, lba, count, stream, done)
     }
 
     fn pending_work(&self) -> usize {
-        self.driver.pending_work()
+        TrailDriver::pending_work(self)
     }
 
     fn devices(&self) -> usize {
-        self.devices
+        TrailDriver::devices(self)
     }
 
     fn set_recorder(&self, recorder: RecorderHandle) {
-        self.driver.set_recorder(recorder);
+        TrailDriver::set_recorder(self, recorder);
     }
 
     fn set_tap(&self, tap: TapHandle) {
-        self.driver.set_tap(tap);
+        TrailDriver::set_tap(self, tap);
     }
 }
 
-/// The baseline stack: each device is a plain queueing driver; writes pay
-/// full seek + rotational latency at their target address.
+// The Trail-array stack: stream tags reach the array's router, so
+// `LogRouting::StreamAffinity` can pin each stream to one log disk.
+impl BlockStack for MultiTrail {
+    fn write_tagged(
+        &self,
+        sim: &mut Simulator,
+        dev: usize,
+        lba: Lba,
+        data: Vec<u8>,
+        stream: StreamId,
+        done: Completion<IoDone>,
+    ) -> Result<(), TrailError> {
+        MultiTrail::write_tagged(self, sim, dev, lba, data, stream, done)
+    }
+
+    fn read_tagged(
+        &self,
+        sim: &mut Simulator,
+        dev: usize,
+        lba: Lba,
+        count: u32,
+        stream: StreamId,
+        done: Completion<IoDone>,
+    ) -> Result<(), TrailError> {
+        MultiTrail::read_tagged(self, sim, dev, lba, count, stream, done)
+    }
+
+    fn pending_work(&self) -> usize {
+        MultiTrail::pending_work(self)
+    }
+
+    fn devices(&self) -> usize {
+        MultiTrail::devices(self)
+    }
+
+    fn set_recorder(&self, recorder: RecorderHandle) {
+        MultiTrail::set_recorder(self, recorder);
+    }
+
+    fn set_tap(&self, tap: TapHandle) {
+        MultiTrail::set_tap(self, tap);
+    }
+}
+
+/// The baseline stack: device `dev` is one block target — a plain
+/// queueing driver over a disk, or a `trail-volume` array — and every
+/// write pays the target's full cost synchronously (seek + rotational
+/// latency at the target address; for RAID-5, the read-modify-write parity
+/// cycle).
 #[derive(Clone)]
 pub struct StandardStack {
-    drivers: Vec<StandardDriver>,
+    targets: Vec<SharedBlockDevice>,
 }
 
 impl StandardStack {
-    /// Builds a baseline stack over `disks` with C-LOOK scheduling and no
-    /// read priority (Linux-of-the-era behavior).
+    /// Builds a baseline stack over raw `disks` with C-LOOK scheduling and
+    /// no read priority (Linux-of-the-era behavior).
     pub fn new(disks: Vec<Disk>) -> Self {
-        Self::with_policy(disks, || Box::new(Clook::default()), Priority::None)
-    }
-
-    /// Builds a baseline stack with an explicit scheduling policy;
-    /// `make_scheduler` is called once per disk.
-    pub fn with_policy(
-        disks: Vec<Disk>,
-        mut make_scheduler: impl FnMut() -> Box<dyn Scheduler>,
-        priority: Priority,
-    ) -> Self {
-        StandardStack {
-            drivers: disks
+        Self::over(
+            disks
                 .into_iter()
-                .map(|d| StandardDriver::with_policy(d, make_scheduler(), priority))
+                .map(|d| Rc::new(StandardDriver::new(d)) as SharedBlockDevice)
                 .collect(),
-        }
+        )
     }
 
-    /// The driver for device `dev` (for statistics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dev` is out of range.
-    pub fn driver(&self, dev: usize) -> &StandardDriver {
-        &self.drivers[dev]
+    /// Builds a stack where device `dev` is `targets[dev]`.
+    pub fn over(targets: Vec<SharedBlockDevice>) -> Self {
+        StandardStack { targets }
+    }
+
+    fn submit(
+        &self,
+        sim: &mut Simulator,
+        dev: usize,
+        req: IoRequest,
+        done: Completion<IoDone>,
+    ) -> Result<(), TrailError> {
+        let tgt = self.targets.get(dev).ok_or(TrailError::BadDevice)?;
+        tgt.submit(sim, req, done)
+            .map(|_| ())
+            .map_err(TrailError::Disk)
     }
 }
 
 impl BlockStack for StandardStack {
-    fn write(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
-    }
-
-    fn read(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.read_tagged(sim, dev, lba, count, StreamId::UNTAGGED, done)
-    }
-
     fn write_tagged(
         &self,
         sim: &mut Simulator,
@@ -257,10 +242,7 @@ impl BlockStack for StandardStack {
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        let drv = self.drivers.get(dev).ok_or(TrailError::BadDevice)?;
-        drv.submit(sim, IoRequest::write(lba, data).tagged(stream), done)
-            .map(|_| ())
-            .map_err(TrailError::Disk)
+        self.submit(sim, dev, IoRequest::write(lba, data).tagged(stream), done)
     }
 
     fn read_tagged(
@@ -272,112 +254,7 @@ impl BlockStack for StandardStack {
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        let drv = self.drivers.get(dev).ok_or(TrailError::BadDevice)?;
-        drv.submit(sim, IoRequest::read(lba, count).tagged(stream), done)
-            .map(|_| ())
-            .map_err(TrailError::Disk)
-    }
-
-    fn pending_work(&self) -> usize {
-        self.drivers
-            .iter()
-            .map(|d| d.queue_depth() + usize::from(d.is_busy()))
-            .sum()
-    }
-
-    fn devices(&self) -> usize {
-        self.drivers.len()
-    }
-
-    fn set_recorder(&self, recorder: RecorderHandle) {
-        for d in &self.drivers {
-            d.set_recorder(Rc::clone(&recorder));
-        }
-    }
-
-    fn set_tap(&self, tap: TapHandle) {
-        for (dev, d) in self.drivers.iter().enumerate() {
-            d.set_tap(Rc::clone(&tap), dev as u32);
-        }
-    }
-}
-
-/// A baseline stack over arbitrary block targets — typically
-/// `trail-volume` RAID arrays. Every write pays the target's full cost
-/// synchronously (for RAID-5, the read-modify-write parity cycle), which
-/// is the standard-stack side of the Trail-vs-RAID comparison.
-#[derive(Clone)]
-pub struct VolumeStack {
-    targets: Vec<trail_blockio::SharedBlockDevice>,
-}
-
-impl VolumeStack {
-    /// Builds a stack where device `dev` is `targets[dev]`.
-    pub fn new(targets: Vec<trail_blockio::SharedBlockDevice>) -> Self {
-        VolumeStack { targets }
-    }
-
-    /// The target behind device `dev` (for statistics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dev` is out of range.
-    pub fn target(&self, dev: usize) -> &trail_blockio::SharedBlockDevice {
-        &self.targets[dev]
-    }
-}
-
-impl BlockStack for VolumeStack {
-    fn write(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
-    }
-
-    fn read(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.read_tagged(sim, dev, lba, count, StreamId::UNTAGGED, done)
-    }
-
-    fn write_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        let tgt = self.targets.get(dev).ok_or(TrailError::BadDevice)?;
-        tgt.submit(sim, IoRequest::write(lba, data).tagged(stream), done)
-            .map(|_| ())
-            .map_err(TrailError::Disk)
-    }
-
-    fn read_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        let tgt = self.targets.get(dev).ok_or(TrailError::BadDevice)?;
-        tgt.submit(sim, IoRequest::read(lba, count).tagged(stream), done)
-            .map(|_| ())
-            .map_err(TrailError::Disk)
+        self.submit(sim, dev, IoRequest::read(lba, count).tagged(stream), done)
     }
 
     fn pending_work(&self) -> usize {
@@ -398,92 +275,6 @@ impl BlockStack for VolumeStack {
         for (dev, t) in self.targets.iter().enumerate() {
             t.set_tap(Rc::clone(&tap), dev as u32);
         }
-    }
-}
-
-/// A Trail-array stack: every device sits behind a [`MultiTrail`] (one
-/// Trail instance per log disk, shared data disks). Stream tags reach the
-/// array's router, so [`trail_core::LogRouting::StreamAffinity`] can pin
-/// each stream to one log disk.
-#[derive(Clone)]
-pub struct MultiTrailStack {
-    multi: MultiTrail,
-    devices: usize,
-}
-
-impl MultiTrailStack {
-    /// Wraps a running Trail array serving `devices` data disks.
-    pub fn new(multi: MultiTrail, devices: usize) -> Self {
-        MultiTrailStack { multi, devices }
-    }
-
-    /// The wrapped array (for statistics and routing control).
-    pub fn multi(&self) -> &MultiTrail {
-        &self.multi
-    }
-}
-
-impl BlockStack for MultiTrailStack {
-    fn write(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.multi.write(sim, dev, lba, data, done)
-    }
-
-    fn read(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.multi.read(sim, dev, lba, count, done)
-    }
-
-    fn write_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.multi.write_tagged(sim, dev, lba, data, stream, done)
-    }
-
-    fn read_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.multi.read_tagged(sim, dev, lba, count, stream, done)
-    }
-
-    fn pending_work(&self) -> usize {
-        self.multi.pending_work()
-    }
-
-    fn devices(&self) -> usize {
-        self.devices
-    }
-
-    fn set_recorder(&self, recorder: RecorderHandle) {
-        self.multi.set_recorder(recorder);
-    }
-
-    fn set_tap(&self, tap: TapHandle) {
-        self.multi.set_tap(tap);
     }
 }
 
@@ -546,7 +337,8 @@ mod tests {
         format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
         let (drv, _) =
             TrailDriver::start(&mut sim, log, vec![data], TrailConfig::default()).unwrap();
-        let stack = TrailStack::new(drv.clone(), 1);
+        let stack: SharedStack = Rc::new(drv.clone());
+        assert_eq!(stack.devices(), 1);
         let done = sim.completion(|_, d: trail_sim::Delivered<IoDone>| {
             assert!(d.expect("durable").latency().as_millis_f64() < 5.0);
         });

@@ -6,9 +6,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
-use trail_db::{
-    Database, DbConfig, FlushPolicy, Op, StandardStack, TrailStack, TxnResult, TxnSpec,
-};
+use trail_db::{Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec};
 use trail_disk::{profiles, Disk};
 use trail_sim::{Delivered, SimDuration, Simulator};
 
@@ -53,8 +51,7 @@ fn trail_setup(policy: FlushPolicy) -> (Simulator, Database, TrailDriver, Vec<Di
     format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
     let (drv, _) =
         TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default()).unwrap();
-    let stack = TrailStack::new(drv.clone(), 2);
-    let db = Database::new(Rc::new(stack), db_config(policy));
+    let db = Database::new(Rc::new(drv.clone()), db_config(policy));
     let mut disks = data;
     disks.push(log);
     (sim, db, drv, disks)
@@ -330,7 +327,7 @@ fn full_stack_crash_recovers_committed_transactions() {
     let (drv2, boot) =
         TrailDriver::start(&mut sim2, trail_log, data, TrailConfig::default()).unwrap();
     assert!(boot.recovered.is_some(), "dirty Trail disk must recover");
-    let stack = TrailStack::new(drv2, 2);
+    let stack = drv2;
     // WAL redo on top, with the structured report.
     let (image, report) = trail_db::recover_committed(
         &mut sim2,

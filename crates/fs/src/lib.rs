@@ -14,7 +14,7 @@
 //!   real metadata I/O: the data block(s), the inode sector, and any
 //!   touched indirect block are separate synchronous writes — exactly the
 //!   `O_SYNC`-on-ext2 cost the paper's `EXT2` rows measure. Mounted over
-//!   [`trail_db::TrailStack`], every one of those writes is absorbed by
+//!   [`trail_core::TrailDriver`], every one of those writes is absorbed by
 //!   the log disk ("EXT2+Trail").
 //! - [`Lfs`] — a log-structured file system: writes accumulate in a
 //!   segment buffer and go to disk as large sequential segment writes; a

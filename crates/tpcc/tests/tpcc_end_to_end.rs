@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
-use trail_db::{Database, DbConfig, FlushPolicy, StandardStack, TrailStack};
+use trail_db::{Database, DbConfig, FlushPolicy, StandardStack};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::Simulator;
 use trail_tpcc::{populate, run, ChainOn, CpuModel, RunConfig, Scale, TpccReport, Workload};
@@ -53,7 +53,7 @@ fn run_tpcc(
         format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
         let (drv, _) =
             TrailDriver::start(&mut sim, log, disks.clone(), TrailConfig::default()).unwrap();
-        Database::new(Rc::new(TrailStack::new(drv, 3)), db_config(policy))
+        Database::new(Rc::new(drv), db_config(policy))
     } else {
         Database::new(
             Rc::new(StandardStack::new(disks.clone())),
@@ -183,10 +183,7 @@ fn concurrency_increases_trail_track_utilization() {
         format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
         let (drv, _) =
             TrailDriver::start(&mut sim, log, disks.clone(), TrailConfig::default()).unwrap();
-        let db = Database::new(
-            Rc::new(TrailStack::new(drv.clone(), 3)),
-            db_config(FlushPolicy::EveryCommit),
-        );
+        let db = Database::new(Rc::new(drv.clone()), db_config(FlushPolicy::EveryCommit));
         let scale = Scale::tiny();
         let images = populate(&db, &scale);
         for (pid, bytes) in &images {

@@ -21,7 +21,7 @@
 //! - the **CPU column becomes the stream tag**, offset by one (CPU *k*
 //!   → stream *k + 1*) because stream 0 is reserved for "source did not
 //!   distinguish streams" — a single-CPU trace still names one real
-//!   stream;
+//!   stream; a CPU number with no stream left to map to is a line error;
 //! - RWBS flags classify direction (`W` → write, else `R`/`A` → read);
 //!   flag-only events (flush/barrier) are skipped;
 //! - the result is normalized: sorted by `(arrival, stream)` and
@@ -33,7 +33,7 @@
 //! cannot be parsed is an error naming the line, not a silent skip.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -123,7 +123,7 @@ fn is_dev_token(token: &str) -> bool {
 /// One kept `blkparse` event, before device renumbering and rebasing.
 struct Event {
     dev_key: (u32, u32),
-    cpu: u32,
+    stream: StreamId,
     at_ns: u64,
     op: TraceOp,
     lba: u64,
@@ -149,9 +149,12 @@ fn parse_event(number: usize, line: &str, action: char) -> Result<Option<Event>,
     let (maj, min) = fields[0].split_once(',').expect("dev token shape");
     let maj: u32 = maj.parse().map_err(|_| bad("bad major number".into()))?;
     let min: u32 = min.parse().map_err(|_| bad("bad minor number".into()))?;
-    let cpu: u32 = fields[1]
-        .parse()
-        .map_err(|_| bad(format!("bad CPU column {:?}", fields[1])))?;
+    let stream = fields[1]
+        .parse::<u32>()
+        .ok()
+        .and_then(|cpu| cpu.checked_add(1))
+        .map(StreamId)
+        .ok_or_else(|| bad(format!("bad CPU column {:?}", fields[1])))?;
     let seconds: f64 = fields[3]
         .parse()
         .map_err(|_| bad(format!("bad timestamp {:?}", fields[3])))?;
@@ -188,7 +191,7 @@ fn parse_event(number: usize, line: &str, action: char) -> Result<Option<Event>,
     }
     Ok(Some(Event {
         dev_key: (maj, min),
-        cpu,
+        stream,
         at_ns: (seconds * 1e9).round() as u64,
         op,
         lba,
@@ -210,15 +213,21 @@ pub fn import_blkparse(text: &str, opts: &ImportOptions) -> Result<Trace, Import
         let Some(ev) = parse_event(number + 1, line, opts.action)? else {
             continue;
         };
-        let next = dev_index.len() as u16;
-        let dev = *dev_index.entry(ev.dev_key).or_insert(next);
+        let dev = match dev_index.get(&ev.dev_key) {
+            Some(&dev) => dev,
+            None => {
+                let dev = next_device(dev_index.len(), number + 1)?;
+                dev_index.insert(ev.dev_key, dev);
+                dev
+            }
+        };
         records.push(TraceRecord {
             at: SimTime::from_nanos(ev.at_ns),
             op: ev.op,
             dev,
             lba: ev.lba,
             sectors: ev.sectors,
-            stream: StreamId(ev.cpu + 1),
+            stream: ev.stream,
         });
     }
     if records.is_empty() {
@@ -231,6 +240,18 @@ pub fn import_blkparse(text: &str, opts: &ImportOptions) -> Result<Trace, Import
     };
     trace.normalize();
     Ok(trace)
+}
+
+/// The dense index for the next distinct device after `seen` of them, or
+/// a line error once the trace header's `u16` device count is exhausted.
+fn next_device(seen: usize, number: usize) -> Result<u16, ImportError> {
+    u16::try_from(seen)
+        .ok()
+        .filter(|&index| index < u16::MAX)
+        .ok_or_else(|| ImportError::Line {
+            number,
+            reason: format!("more than {} distinct devices", u16::MAX),
+        })
 }
 
 fn import_meta(devices: u16, action: char, chunk_records: u32) -> TraceMeta {
@@ -278,6 +299,7 @@ pub fn scan_blkparse<R: BufRead>(
         epoch_ns: u64::MAX,
         devices: Vec::new(),
     };
+    let mut seen = HashSet::new();
     for (number, line) in input.lines().enumerate() {
         let line = line.map_err(|e| ImportError::Io(e.to_string()))?;
         let Some(ev) = parse_event(number + 1, &line, opts.action)? else {
@@ -285,7 +307,8 @@ pub fn scan_blkparse<R: BufRead>(
         };
         scan.records += 1;
         scan.epoch_ns = scan.epoch_ns.min(ev.at_ns);
-        if !scan.devices.contains(&ev.dev_key) {
+        if seen.insert(ev.dev_key) {
+            next_device(scan.devices.len(), number + 1)?;
             scan.devices.push(ev.dev_key);
         }
     }
@@ -349,13 +372,14 @@ pub fn import_blkparse_into<R: BufRead, W: Write>(
         reorder_window
     };
     let io = |e: std::io::Error| ImportError::Io(e.to_string());
-    let dev_index: HashMap<(u32, u32), u16> = scan
-        .devices
-        .iter()
-        .enumerate()
-        .map(|(i, &key)| (key, i as u16))
-        .collect();
-    let meta = import_meta(scan.devices.len() as u16, opts.action, chunk_records);
+    // A scan from `scan_blkparse` always fits; one built by hand may not.
+    let devices = u16::try_from(scan.devices.len()).map_err(|_| ImportError::Line {
+        number: 0,
+        reason: format!("the scan names more than {} devices", u16::MAX),
+    })?;
+    let dev_index: HashMap<(u32, u32), u16> =
+        scan.devices.iter().copied().zip(0..devices).collect();
+    let meta = import_meta(devices, opts.action, chunk_records);
     let mut writer = TraceWriter::new(w, &meta).map_err(io)?;
     let mut heap: BinaryHeap<PendingRecord> = BinaryHeap::with_capacity(window + 1);
     let mut last_key: Option<(SimTime, StreamId, u64)> = None;
@@ -384,7 +408,7 @@ pub fn import_blkparse_into<R: BufRead, W: Write>(
             dev,
             lba: ev.lba,
             sectors: ev.sectors,
-            stream: StreamId(ev.cpu + 1),
+            stream: ev.stream,
         };
         heap.push(PendingRecord {
             key: (record.at, record.stream, seq),
@@ -463,6 +487,68 @@ Total (sda):
             }
             other => panic!("expected a line error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_cpu_with_no_stream_to_map_to_is_a_line_error() {
+        // CPU k becomes stream k + 1; u32::MAX has no successor.
+        let text = "8,0 4294967295 1 0.000000000 1 Q W 0 + 8 [x]\n";
+        let opts = ImportOptions::default();
+        for got in [
+            import_blkparse(text, &opts).err(),
+            scan_blkparse(text.as_bytes(), &opts).err(),
+        ] {
+            match got {
+                Some(ImportError::Line { number: 1, reason }) => {
+                    assert!(reason.contains("CPU"), "{reason}");
+                }
+                other => panic!("expected a line error, got {other:?}"),
+            }
+        }
+        // The largest mappable CPU still imports.
+        let text = "8,0 4294967294 1 0.000000000 1 Q W 0 + 8 [x]\n";
+        let t = import_blkparse(text, &opts).expect("import");
+        assert_eq!(t.records[0].stream, StreamId(u32::MAX));
+    }
+
+    #[test]
+    fn more_devices_than_the_header_can_count_is_a_line_error() {
+        let line = |minor: u32| format!("8,{minor} 0 1 0.000000000 1 Q W 0 + 8 [x]\n");
+        let opts = ImportOptions::default();
+        // 65 535 distinct devices is the most `TraceMeta::devices` holds.
+        let mut text: String = (0..u32::from(u16::MAX)).map(line).collect();
+        let t = import_blkparse(&text, &opts).expect("import");
+        assert_eq!(t.meta.devices, u16::MAX);
+        assert_eq!(
+            scan_blkparse(text.as_bytes(), &opts).unwrap().devices.len(),
+            65_535
+        );
+        // One more wraps the count to zero unless it is refused.
+        text.push_str(&line(u32::from(u16::MAX)));
+        for got in [
+            import_blkparse(&text, &opts).err(),
+            scan_blkparse(text.as_bytes(), &opts).err(),
+        ] {
+            match got {
+                Some(ImportError::Line {
+                    number: 65_536,
+                    reason,
+                }) => {
+                    assert!(reason.contains("devices"), "{reason}");
+                }
+                other => panic!("expected a line error, got {other:?}"),
+            }
+        }
+        // A hand-built scan gets the same answer from the writing pass.
+        let scan = BlkparseScan {
+            records: 1,
+            epoch_ns: 0,
+            devices: (0..=u32::from(u16::MAX)).map(|minor| (8, minor)).collect(),
+        };
+        assert!(matches!(
+            import_blkparse_into(line(0).as_bytes(), &opts, &scan, 0, 0, Vec::new()),
+            Err(ImportError::Line { .. })
+        ));
     }
 
     #[test]

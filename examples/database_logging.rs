@@ -6,7 +6,7 @@
 
 use std::rc::Rc;
 
-use trail::db::{Database, DbConfig, FlushPolicy, StandardStack, TrailStack};
+use trail::db::{Database, DbConfig, FlushPolicy, StandardStack};
 use trail::prelude::*;
 use trail::tpcc::{populate, run, ChainOn, CpuModel, RunConfig, Scale, Workload};
 
@@ -84,7 +84,7 @@ fn main() -> Result<(), TrailError> {
             format_log_disk(&mut sim, &log, FormatOptions::default())?;
             let (drv, _) =
                 TrailDriver::start(&mut sim, log, disks.clone(), TrailConfig::default())?;
-            Database::new(Rc::new(TrailStack::new(drv, 3)), db_config(policy))
+            Database::new(Rc::new(drv), db_config(policy))
         } else {
             Database::new(
                 Rc::new(StandardStack::new(disks.clone())),

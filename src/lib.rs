@@ -45,7 +45,9 @@
 //! # Ok::<(), trail::core::TrailError>(())
 //! ```
 //!
-//! Or let a [`Scenario`] build the whole testbed in one line:
+//! Or let a [`Scenario`] build the whole testbed in one line (every data
+//! device — raw disk or RAID volume — is made once as a block target and
+//! the chosen front end is booted over them):
 //!
 //! ```
 //! use trail::StackBuilder;

@@ -5,6 +5,9 @@
 //! A [`Scenario`] is the declarative description of a stack — disk
 //! profiles, scheduler policy, Trail-vs-standard log device, seed — and
 //! [`StackBuilder`] is the fluent way to put one together. [`build`]
+//! makes every data device once, as a block target
+//! ([`trail_blockio::SharedBlockDevice`]: a queueing driver over a raw
+//! disk, or a RAID volume), boots the front end over the targets, and
 //! yields a [`BuiltStack`] whose disks have clean statistics (format and
 //! boot noise is reset), ready for measurement; file systems and a
 //! database engine mount on top with one call each.
@@ -30,9 +33,7 @@ use trail_blockio::{Clook, Fifo, Priority, Scheduler, SharedBlockDevice, Standar
 use trail_core::{
     format_log_disk, FormatOptions, MultiTrail, TrailConfig, TrailDriver, TrailError,
 };
-use trail_db::{
-    BlockStack, Database, DbConfig, MultiTrailStack, StandardStack, TrailStack, VolumeStack,
-};
+use trail_db::{BlockStack, Database, DbConfig, StandardStack};
 use trail_disk::profiles::{self, DriveProfile};
 use trail_disk::{Disk, DiskRole};
 use trail_fs::{ExtFs, FsError, Lfs, LfsConfig};
@@ -110,9 +111,14 @@ pub struct Scenario {
     pub data_profile: DriveProfile,
     /// The log-disk model (used only with [`LogDevice::Trail`]).
     pub log_profile: DriveProfile,
-    /// Request scheduling on the standard per-disk drivers.
+    /// Request scheduling on the standard stack's per-disk drivers and on
+    /// every volume's member drivers. The drivers Trail itself puts over
+    /// *raw* data disks ignore it: they are always C-LOOK (paper §4.3).
     pub scheduler: SchedulerKind,
-    /// Read-vs-write priority on the standard per-disk drivers.
+    /// Read-vs-write priority on the same drivers as
+    /// [`scheduler`](Scenario::scheduler). Trail's own raw data-disk
+    /// drivers are always [`Priority::ReadsFirst`]: reads overtake queued
+    /// write-backs (paper §4.3).
     pub priority: Priority,
     /// Trail or the baseline.
     pub log_device: LogDevice,
@@ -148,233 +154,123 @@ impl Default for Scenario {
 impl Scenario {
     /// Builds the stack this scenario describes.
     ///
+    /// Every data device is made once, as a block target — a
+    /// [`StandardDriver`] over one raw disk, or a [`RaidVolume`] over
+    /// `members` disks when the scenario has a [`VolumeSpec`] — and the
+    /// front end ([`LogDevice`]) is booted over the targets without
+    /// knowing which it got.
+    ///
     /// # Errors
     ///
     /// Propagates log-disk format or Trail boot failures.
     pub fn build(&self) -> Result<BuiltStack, TrailError> {
-        if let Some(spec) = self.volume {
-            return self.build_with_volumes(spec);
-        }
-        let mut sim = Simulator::new();
-        let data_disks: Vec<Disk> = (0..self.data_disks)
-            .map(|i| Disk::new(format!("data{i}"), self.data_profile.clone()))
-            .collect();
-        let (stack, trail, multi, log_disks): (Rc<dyn BlockStack>, _, _, Vec<Disk>) = match &self
-            .log_device
-        {
-            LogDevice::Trail { config } => {
-                let log = Disk::new("trail-log", self.log_profile.clone());
-                format_log_disk(&mut sim, &log, FormatOptions::default())?;
-                let (drv, _) =
-                    TrailDriver::start(&mut sim, log.clone(), data_disks.clone(), *config)?;
-                (
-                    Rc::new(TrailStack::new(drv.clone(), self.data_disks)),
-                    Some(drv),
-                    None,
-                    vec![log],
-                )
-            }
-            LogDevice::TrailMulti { logs, config } => {
-                let logs_disks: Vec<Disk> = (0..(*logs).max(1))
-                    .map(|i| Disk::new(format!("log{i}"), self.log_profile.clone()))
-                    .collect();
-                for log in &logs_disks {
-                    format_log_disk(&mut sim, log, FormatOptions::default())?;
-                }
-                let (array, _) =
-                    MultiTrail::start(&mut sim, logs_disks.clone(), data_disks.clone(), *config)?;
-                (
-                    Rc::new(MultiTrailStack::new(array.clone(), self.data_disks)),
-                    None,
-                    Some(array),
-                    logs_disks,
-                )
-            }
-            LogDevice::Standard => (
-                Rc::new(StandardStack::with_policy(
-                    data_disks.clone(),
-                    || self.scheduler.instantiate(),
-                    self.priority,
-                )),
-                None,
-                None,
-                Vec::new(),
-            ),
-        };
-        // Formatting runs the δ-calibration sweep, whose under-compensated
-        // probes pay full rotations by design; start measurements clean.
-        for log in &log_disks {
-            log.reset_stats();
-        }
-        for d in &data_disks {
-            d.reset_stats();
-        }
-        let log_disk = match &self.log_device {
-            LogDevice::Trail { .. } => log_disks.first().cloned(),
-            _ => None,
-        };
-        let fault_clock = self.arm_faults(&mut sim, &data_disks, &log_disks, &[]);
-        Ok(BuiltStack {
-            seed: self.seed,
-            sim,
-            data_disks,
-            log_disk,
-            log_disks,
-            trail,
-            multi,
-            volumes: Vec::new(),
-            stack,
-            fault_clock,
-        })
-    }
-
-    /// Registers every device on a fresh [`FaultClock`] and arms the
-    /// scenario's [`faults`](Scenario::faults) plan. This runs at the very
-    /// end of [`build`](Scenario::build), after boot noise is reset, so
-    /// fault offsets are relative to the instant measurements start.
-    fn arm_faults(
-        &self,
-        sim: &mut Simulator,
-        data_disks: &[Disk],
-        log_disks: &[Disk],
-        volumes: &[RaidVolume],
-    ) -> FaultClock {
-        let clock = FaultClock::new();
-        for (i, d) in data_disks.iter().enumerate() {
-            clock.register(d.fault_sink(DiskRole::Data(i)));
-        }
-        for (i, d) in log_disks.iter().enumerate() {
-            clock.register(d.fault_sink(DiskRole::Log(i)));
-        }
-        for (i, v) in volumes.iter().enumerate() {
-            clock.register(v.fault_sink(i));
-        }
-        clock.arm(sim, &self.faults);
-        clock
-    }
-
-    /// Builds the volume-layer variant: each device is a
-    /// [`RaidVolume`] over `spec.members` fresh member disks.
-    fn build_with_volumes(&self, spec: VolumeSpec) -> Result<BuiltStack, TrailError> {
         let mut sim = Simulator::new();
         let mut data_disks: Vec<Disk> = Vec::new();
-        // One volume per logical device; `tag` distinguishes per-instance
-        // sets under a Trail array.
-        let make_set = |tag: &str, data_disks: &mut Vec<Disk>| -> Vec<RaidVolume> {
+        let mut volumes: Vec<RaidVolume> = Vec::new();
+        // Raw disks under a Trail front end get Trail's own data-driver
+        // policy (paper §4.3); everything else runs the scenario's.
+        let (raw_scheduler, raw_priority) = match self.log_device {
+            LogDevice::Standard => (self.scheduler, self.priority),
+            _ => (SchedulerKind::Clook, Priority::ReadsFirst),
+        };
+        // One target per logical device; `tag` distinguishes per-instance
+        // volume sets under a Trail array.
+        let mut make_set = |tag: &str| -> Vec<SharedBlockDevice> {
+            let mut disk = |name: String, scheduler: SchedulerKind, priority| {
+                let d = Disk::new(name, self.data_profile.clone());
+                data_disks.push(d.clone());
+                StandardDriver::with_policy(d, scheduler.instantiate(), priority)
+            };
             (0..self.data_disks)
-                .map(|dev| {
-                    let members: Vec<StandardDriver> = (0..spec.members)
-                        .map(|m| {
-                            let d =
-                                Disk::new(format!("data{dev}{tag}m{m}"), self.data_profile.clone());
-                            data_disks.push(d.clone());
-                            StandardDriver::with_policy(
-                                d,
-                                self.scheduler.instantiate(),
-                                self.priority,
-                            )
-                        })
-                        .collect();
-                    RaidVolume::new(&format!("vol{dev}{tag}"), spec.layout, members)
+                .map(|dev| match self.volume {
+                    None => Rc::new(disk(format!("data{dev}"), raw_scheduler, raw_priority)) as _,
+                    Some(spec) => {
+                        let members = (0..spec.members)
+                            .map(|m| {
+                                let name = format!("data{dev}{tag}m{m}");
+                                disk(name, self.scheduler, self.priority)
+                            })
+                            .collect();
+                        let vol = RaidVolume::new(&format!("vol{dev}{tag}"), spec.layout, members);
+                        volumes.push(vol.clone());
+                        Rc::new(vol) as _
+                    }
                 })
                 .collect()
         };
-        let shared = |vols: &[RaidVolume]| -> Vec<SharedBlockDevice> {
-            vols.iter()
-                .map(|v| Rc::new(v.clone()) as SharedBlockDevice)
-                .collect()
+        let mut log_disks: Vec<Disk> = Vec::new();
+        let mut format_log = |sim: &mut Simulator, name: String| -> Result<Disk, TrailError> {
+            let log = Disk::new(name, self.log_profile.clone());
+            format_log_disk(sim, &log, FormatOptions::default())?;
+            log_disks.push(log.clone());
+            Ok(log)
         };
-        let (stack, trail, multi, volumes, log_disks): (
-            Rc<dyn BlockStack>,
-            _,
-            _,
-            Vec<RaidVolume>,
-            Vec<Disk>,
-        ) = match &self.log_device {
+        let (stack, trail, multi, targets): (Rc<dyn BlockStack>, _, _, _) = match &self.log_device {
             LogDevice::Trail { config } => {
-                let volumes = make_set("", &mut data_disks);
-                let log = Disk::new("trail-log", self.log_profile.clone());
-                format_log_disk(&mut sim, &log, FormatOptions::default())?;
-                let (drv, _) = TrailDriver::start_with_targets(
-                    &mut sim,
-                    log.clone(),
-                    shared(&volumes),
-                    *config,
-                )?;
-                (
-                    Rc::new(TrailStack::new(drv.clone(), self.data_disks)),
-                    Some(drv),
-                    None,
-                    volumes,
-                    vec![log],
-                )
+                let targets = make_set("");
+                let log = format_log(&mut sim, "trail-log".to_string())?;
+                let (drv, _) =
+                    TrailDriver::start_with_targets(&mut sim, log, targets.clone(), *config)?;
+                (Rc::new(drv.clone()), Some(drv), None, targets)
             }
             LogDevice::TrailMulti { logs, config } => {
                 let logs = (*logs).max(1);
-                let logs_disks: Vec<Disk> = (0..logs)
-                    .map(|i| Disk::new(format!("log{i}"), self.log_profile.clone()))
-                    .collect();
-                for log in &logs_disks {
-                    format_log_disk(&mut sim, log, FormatOptions::default())?;
-                }
-                let (volumes, targets): (Vec<RaidVolume>, Vec<Vec<SharedBlockDevice>>) =
-                    if spec.per_instance {
-                        // Instance-major: volumes[i * devices + dev] is
-                        // instance i's array for device dev.
-                        let mut volumes = Vec::new();
-                        let mut targets = Vec::new();
-                        for i in 0..logs {
-                            let set = make_set(&format!("i{i}"), &mut data_disks);
-                            targets.push(shared(&set));
-                            volumes.extend(set);
-                        }
-                        (volumes, targets)
+                let formatted = (0..logs)
+                    .map(|i| format_log(&mut sim, format!("log{i}")))
+                    .collect::<Result<Vec<Disk>, _>>()?;
+                // Per-instance sets are instance-major in `data_disks` and
+                // `volumes`; a shared set hands every instance clones of
+                // the same `Rc` targets, so each physical disk keeps
+                // exactly one queueing driver.
+                let sets: Vec<Vec<SharedBlockDevice>> =
+                    if self.volume.is_some_and(|spec| spec.per_instance) {
+                        (0..logs).map(|i| make_set(&format!("i{i}"))).collect()
                     } else {
-                        let volumes = make_set("", &mut data_disks);
-                        let targets = (0..logs).map(|_| shared(&volumes)).collect();
-                        (volumes, targets)
+                        vec![make_set(""); logs]
                     };
+                let first = sets[0].clone();
                 let (array, _) =
-                    MultiTrail::start_with_targets(&mut sim, logs_disks.clone(), targets, *config)?;
-                (
-                    Rc::new(MultiTrailStack::new(array.clone(), self.data_disks)),
-                    None,
-                    Some(array),
-                    volumes,
-                    logs_disks,
-                )
+                    MultiTrail::start_with_targets(&mut sim, formatted, sets, *config)?;
+                (Rc::new(array.clone()), None, Some(array), first)
             }
             LogDevice::Standard => {
-                let volumes = make_set("", &mut data_disks);
+                let targets = make_set("");
                 (
-                    Rc::new(VolumeStack::new(shared(&volumes))),
+                    Rc::new(StandardStack::over(targets.clone())),
                     None,
                     None,
-                    volumes,
-                    Vec::new(),
+                    targets,
                 )
             }
         };
-        for log in &log_disks {
-            log.reset_stats();
-        }
-        for d in &data_disks {
+        // Formatting runs the δ-calibration sweep, whose under-compensated
+        // probes pay full rotations by design; start measurements clean.
+        for d in log_disks.iter().chain(&data_disks) {
             d.reset_stats();
         }
-        let log_disk = match &self.log_device {
-            LogDevice::Trail { .. } => log_disks.first().cloned(),
-            _ => None,
-        };
-        let fault_clock = self.arm_faults(&mut sim, &data_disks, &log_disks, &volumes);
+        // Fault offsets are relative to this instant: post-format,
+        // post-boot, stats reset — where measurements start.
+        let fault_clock = FaultClock::new();
+        for (i, d) in data_disks.iter().enumerate() {
+            fault_clock.register(d.fault_sink(DiskRole::Data(i)));
+        }
+        for (i, d) in log_disks.iter().enumerate() {
+            fault_clock.register(d.fault_sink(DiskRole::Log(i)));
+        }
+        for (i, v) in volumes.iter().enumerate() {
+            fault_clock.register(v.fault_sink(i));
+        }
+        fault_clock.arm(&mut sim, &self.faults);
         Ok(BuiltStack {
             seed: self.seed,
             sim,
             data_disks,
-            log_disk,
+            log_disk: trail.as_ref().map(TrailDriver::log_disk),
             log_disks,
             trail,
             multi,
             volumes,
+            targets,
             stack,
             fault_clock,
         })
@@ -543,6 +439,11 @@ pub struct BuiltStack {
     /// (`volumes[i * devices + dev]`). Empty otherwise. Their member
     /// disks are [`data_disks`](BuiltStack::data_disks).
     pub volumes: Vec<RaidVolume>,
+    /// The block target behind each device, in device order: a
+    /// [`StandardDriver`] over `data_disks[dev]` or the volume
+    /// `volumes[dev]`. With per-instance volumes, the first instance's
+    /// set (every set has the same shape).
+    pub targets: Vec<SharedBlockDevice>,
     /// The block stack (Trail, Trail array, or standard) the upper layers
     /// submit to.
     pub stack: Rc<dyn BlockStack>,
@@ -612,6 +513,107 @@ mod tests {
             .expect("build");
         assert!(built.trail.is_none());
         assert_eq!(built.seed, 7);
+    }
+
+    #[test]
+    fn one_build_path_shapes_every_front_end_over_every_device_kind() {
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Front {
+            Trail,
+            Multi,
+            Standard,
+        }
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Devices {
+            Raw,
+            Raid5,
+            Raid5PerInstance,
+        }
+        for front in [Front::Trail, Front::Multi, Front::Standard] {
+            for devices in [Devices::Raw, Devices::Raid5, Devices::Raid5PerInstance] {
+                if devices == Devices::Raid5PerInstance && front != Front::Multi {
+                    continue; // per-instance sets exist only under a Trail array
+                }
+                let b = StackBuilder::new()
+                    .data_disks(2)
+                    .data_profile(profiles::tiny_test_disk())
+                    .log_profile(profiles::tiny_test_disk());
+                let b = match front {
+                    Front::Trail => b.trail_default(),
+                    Front::Multi => b.trail_multi(2, TrailConfig::default()),
+                    Front::Standard => b.standard(),
+                };
+                let raid5 = VolumeLayout::Raid5 { chunk_sectors: 8 };
+                let b = match devices {
+                    Devices::Raw => b,
+                    Devices::Raid5 => b.volumes(raid5, 3),
+                    Devices::Raid5PerInstance => b.volumes(raid5, 3).per_instance_volumes(),
+                };
+                let built = b
+                    .build()
+                    .unwrap_or_else(|e| panic!("{front:?}/{devices:?}: {e}"));
+                let case = format!("{front:?} over {devices:?}");
+
+                // Disks and volumes: device order, instance-major.
+                let tags: &[&str] = match devices {
+                    Devices::Raw => &[],
+                    Devices::Raid5 => &[""],
+                    Devices::Raid5PerInstance => &["i0", "i1"],
+                };
+                let mut disk_names: Vec<String> = Vec::new();
+                let mut volume_names: Vec<String> = Vec::new();
+                for tag in tags {
+                    for dev in 0..2 {
+                        volume_names.push(format!("vol{dev}{tag}"));
+                        disk_names.extend((0..3).map(|m| format!("data{dev}{tag}m{m}")));
+                    }
+                }
+                if devices == Devices::Raw {
+                    disk_names = vec!["data0".to_string(), "data1".to_string()];
+                }
+                let names = |disks: &[Disk]| disks.iter().map(Disk::name).collect::<Vec<_>>();
+                assert_eq!(names(&built.data_disks), disk_names, "{case}");
+                assert_eq!(
+                    built
+                        .volumes
+                        .iter()
+                        .map(RaidVolume::name)
+                        .collect::<Vec<_>>(),
+                    volume_names,
+                    "{case}"
+                );
+                let log_names: &[&str] = match front {
+                    Front::Trail => &["trail-log"],
+                    Front::Multi => &["log0", "log1"],
+                    Front::Standard => &[],
+                };
+                assert_eq!(names(&built.log_disks), log_names, "{case}");
+
+                // The front end, and what it reports about itself.
+                assert_eq!(built.stack.devices(), 2, "{case}");
+                assert_eq!(built.targets.len(), 2, "{case}");
+                assert_eq!(built.log_disk.is_some(), front == Front::Trail, "{case}");
+                assert_eq!(built.trail.is_some(), front == Front::Trail, "{case}");
+                assert_eq!(built.multi.is_some(), front == Front::Multi, "{case}");
+                for dev in 0..2 {
+                    if let Some(trail) = &built.trail {
+                        assert!(Rc::ptr_eq(&trail.data_target(dev), &built.targets[dev]));
+                    }
+                    // One queueing driver per physical disk: instances
+                    // over a shared set hold the very same targets;
+                    // per-instance sets are distinct arrays.
+                    if let Some(multi) = &built.multi {
+                        let [a, b] = [0, 1].map(|i| multi.drivers()[i].data_target(dev));
+                        assert!(Rc::ptr_eq(&a, &built.targets[dev]), "{case}");
+                        assert_eq!(
+                            Rc::ptr_eq(&a, &b),
+                            devices != Devices::Raid5PerInstance,
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -267,20 +267,9 @@ impl StackBuilder {
             | TargetKind::TrailMulti { .. }
             | TargetKind::Raid { .. }
             | TargetKind::RaidPerStream { .. } => {
-                let capacity = if built.volumes.is_empty() {
-                    built
-                        .data_disks
-                        .iter()
-                        .map(|d| d.geometry().total_sectors())
-                        .collect()
-                } else {
-                    // Per-instance sets are identical in shape; the first
-                    // `devices` volumes describe the logical address space.
-                    built.volumes[..built.stack.devices()]
-                        .iter()
-                        .map(trail_volume::RaidVolume::capacity_sectors)
-                        .collect()
-                };
+                // Per-instance sets are identical in shape; the first
+                // describes the logical address space.
+                let capacity = built.targets.iter().map(|t| t.capacity_sectors()).collect();
                 let BuiltStack {
                     sim,
                     stack,
