@@ -127,6 +127,21 @@ if grep -rn --include='*.rs' 'fn fnv1a\|struct PayloadSector' crates/core/src; t
   exit 1
 fi
 
+echo "== payload-path gate =="
+# trail_disk::PayloadBuf is the one type a write's bytes travel in, from
+# the layer that accepts them to the medium (DESIGN.md, "copy budget"):
+# holders share the buffer, nobody copies it. The four copies it replaced
+# — the write-back snapshot, the volume's private Rc plus per-member
+# to_vec, the db's second copy of every evicted page — must not come back.
+# (benchmark/check.sh below is what notices if the conversion breaks an
+# API the benchmark compiles against.)
+if grep -rnE --include='*.rs' \
+    'fn snapshot\(&self, key: BlockKey\) -> \(Vec<u8>|Payload::Write\(Rc::new\(|fn slice_payload\(.*\) -> Vec<u8>|flushing\.insert\(pid, bytes\.clone\(\)\)' \
+    crates; then
+  echo "found a per-layer copy of a write payload; share the PayloadBuf handle instead" >&2
+  exit 1
+fi
+
 echo "== retired-subcommand gate =="
 # Host-side cost is the repo benchmark's job (benchmark/README.md); the
 # old wall-clock suite must not come back as a subcommand.

@@ -264,9 +264,10 @@ impl StandardDriver {
                 .queue
                 .remove(&seq)
                 .expect("scheduler popped a seq the queue does not hold");
-            // Move the write payload into the command instead of cloning:
-            // nothing reads it from the queue entry after dispatch, and a
-            // power-cut cancellation only needs `queued.done`'s drop.
+            // Move the payload handle into the command: nothing reads it
+            // from the queue entry after dispatch (a power-cut cancellation
+            // only needs `queued.done`'s drop), and moving keeps a payload
+            // with one owner at one owner — no reference count allocated.
             let cmd = match &mut queued.req.kind {
                 IoKind::Read { count } => DiskCommand::Read {
                     lba: queued.req.lba,

@@ -1,6 +1,6 @@
 //! Block-level request and completion types shared by all drivers.
 
-use trail_disk::{CommandKind, Lba, ServiceBreakdown, SECTOR_SIZE};
+use trail_disk::{CommandKind, Lba, PayloadBuf, ServiceBreakdown, SECTOR_SIZE};
 use trail_sim::SimTime;
 use trail_telemetry::StreamId;
 
@@ -9,7 +9,7 @@ use trail_telemetry::StreamId;
 pub struct RequestId(pub u64);
 
 /// The payload side of a block request.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum IoKind {
     /// Read `count` sectors.
     Read {
@@ -20,7 +20,7 @@ pub enum IoKind {
     Write {
         /// The data to write; length must be a positive multiple of
         /// [`SECTOR_SIZE`].
-        data: Vec<u8>,
+        data: PayloadBuf,
     },
 }
 
@@ -52,7 +52,7 @@ impl IoKind {
 /// assert!(r.stream.is_untagged());
 /// assert_eq!(r.tagged(StreamId(3)).stream, StreamId(3));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct IoRequest {
     /// First sector addressed.
     pub lba: Lba,
@@ -76,12 +76,14 @@ impl IoRequest {
         }
     }
 
-    /// An untagged write of `data` at `lba`.
+    /// An untagged write of `data` at `lba`. A `Vec<u8>` becomes the
+    /// payload as is; a [`PayloadBuf`] handle shares its allocation with
+    /// whoever else holds it.
     #[must_use]
-    pub fn write(lba: Lba, data: Vec<u8>) -> IoRequest {
+    pub fn write(lba: Lba, data: impl Into<PayloadBuf>) -> IoRequest {
         IoRequest {
             lba,
-            kind: IoKind::Write { data },
+            kind: IoKind::Write { data: data.into() },
             stream: StreamId::UNTAGGED,
         }
     }
@@ -130,13 +132,16 @@ mod tests {
         assert_eq!(IoKind::Read { count: 3 }.sectors(), 3);
         assert_eq!(
             IoKind::Write {
-                data: vec![0; 2 * SECTOR_SIZE]
+                data: vec![0; 2 * SECTOR_SIZE].into()
             }
             .sectors(),
             2
         );
         assert!(IoKind::Read { count: 1 }.is_read());
-        assert!(!IoKind::Write { data: vec![] }.is_read());
+        assert!(!IoKind::Write {
+            data: Vec::new().into()
+        }
+        .is_read());
     }
 
     #[test]

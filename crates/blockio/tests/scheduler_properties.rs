@@ -59,7 +59,7 @@ fn run_workload(
                 IoKind::Read { count: 1 }
             } else {
                 IoKind::Write {
-                    data: vec![r.tag; SECTOR_SIZE],
+                    data: vec![r.tag; SECTOR_SIZE].into(),
                 }
             };
             let c2 = Rc::clone(&completions);

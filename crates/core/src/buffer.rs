@@ -5,13 +5,17 @@
 //! memory**, never from the log disk, which is why Trail's garbage
 //! collection is free. The table also implements the paper's overwrite
 //! rules: a new write to a pinned block replaces its contents immediately
-//! (the page is unlocked as soon as the log write finishes), at most one
-//! write-back per block is ever queued, and a write-back that raced with a
-//! newer overwrite is *cancelled* — its log tracks stay live until a
-//! write-back of the current contents succeeds, at which point every log
-//! record that ever logged this block is released at once.
+//! (the page is unlocked as soon as the log write finishes) — by swapping
+//! in the new payload handle, never by touching bytes a queued write-back
+//! may still be holding — at most one write-back per block is ever queued,
+//! and a write-back that raced with a newer overwrite is *cancelled* — its
+//! log tracks stay live until a write-back of the current contents
+//! succeeds, at which point every log record that ever logged this block
+//! is released at once.
 
 use std::collections::HashMap;
+
+use trail_disk::PayloadBuf;
 
 /// Identifies a pinned block: which data disk and which starting sector.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -23,9 +27,9 @@ pub struct BlockKey {
 }
 
 /// One pinned block.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct BufferEntry {
-    data: Vec<u8>,
+    data: PayloadBuf,
     version: u64,
     writeback_queued: bool,
     /// Sequence ids of every log record that logged (any version of) this
@@ -65,7 +69,7 @@ pub enum WritebackOutcome {
 /// );
 /// assert!(t.lookup(key).is_none());
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct BufferTable {
     entries: HashMap<BlockKey, BufferEntry>,
     next_version: u64,
@@ -107,7 +111,13 @@ impl BufferTable {
     /// Returns the block's new version and whether a write-back is already
     /// queued (in which case the caller must *not* queue another — "only
     /// one request for the buffer is kept in the queue").
-    pub fn insert_write(&mut self, key: BlockKey, data: Vec<u8>, log_seq: u64) -> (u64, bool) {
+    pub fn insert_write(
+        &mut self,
+        key: BlockKey,
+        data: impl Into<PayloadBuf>,
+        log_seq: u64,
+    ) -> (u64, bool) {
+        let data = data.into();
         self.next_version += 1;
         let version = self.next_version;
         let len = data.len();
@@ -144,15 +154,20 @@ impl BufferTable {
     }
 
     /// The data to ship in a write-back of `key` right now, with the
-    /// version it represents.
+    /// version it represents: a second handle to the pinned bytes, not a
+    /// copy of them. A later overwrite replaces the table's handle and
+    /// leaves this one reading the version it was taken at.
     ///
     /// # Panics
     ///
     /// Panics if the block is not pinned (a write-back must have been
     /// queued by [`insert_write`](Self::insert_write)).
-    pub fn snapshot(&self, key: BlockKey) -> (Vec<u8>, u64) {
-        let e = self.entries.get(&key).expect("snapshot of unpinned block");
-        (e.data.clone(), e.version)
+    pub fn snapshot(&mut self, key: BlockKey) -> (PayloadBuf, u64) {
+        let e = self
+            .entries
+            .get_mut(&key)
+            .expect("snapshot of unpinned block");
+        (e.data.share(), e.version)
     }
 
     /// Resolves a completed write-back of `key` that shipped `version`.
@@ -179,8 +194,8 @@ impl BufferTable {
 
     /// Returns the pinned contents of `key`, if present (the read-path
     /// fast hit).
-    pub fn lookup(&self, key: BlockKey) -> Option<&[u8]> {
-        self.entries.get(&key).map(|e| e.data.as_slice())
+    pub fn lookup(&self, key: BlockKey) -> Option<&PayloadBuf> {
+        self.entries.get(&key).map(|e| &e.data)
     }
 
     /// Iterates over the pinned block keys (diagnostics, shutdown flush).
@@ -202,7 +217,7 @@ mod tests {
         assert!(!queued);
         assert_eq!(t.pinned_blocks(), 1);
         assert_eq!(t.pinned_bytes(), 3);
-        assert_eq!(t.lookup(K), Some(&[1u8, 2, 3][..]));
+        assert_eq!(t.lookup(K).map(|d| &**d), Some(&[1u8, 2, 3][..]));
     }
 
     #[test]
@@ -211,11 +226,34 @@ mod tests {
         t.insert_write(K, vec![1; 512], 5);
         let (v2, queued) = t.insert_write(K, vec![2; 512], 6);
         assert!(queued, "second write must not queue another write-back");
-        assert_eq!(t.lookup(K), Some(&vec![2u8; 512][..]));
+        assert_eq!(t.lookup(K).map(|d| &**d), Some(&vec![2u8; 512][..]));
         assert_eq!(t.pinned_blocks(), 1);
         let (snap, v) = t.snapshot(K);
         assert_eq!(v, v2);
         assert_eq!(snap[0], 2);
+    }
+
+    #[test]
+    fn a_snapshot_shares_the_pinned_bytes_and_outlives_an_overwrite() {
+        let mut t = BufferTable::new();
+        t.insert_write(K, vec![1; 512], 5);
+        let (snap, v1) = t.snapshot(K);
+        assert!(snap.ptr_eq(t.lookup(K).unwrap()), "a handle, not a copy");
+        assert_eq!(t.pinned_bytes(), 512, "one buffer, counted once");
+        // The overwrite swaps the table's handle; the snapshot still reads
+        // the version it was taken at.
+        let (v2, _) = t.insert_write(K, vec![2; 512], 6);
+        assert_eq!(&snap[..], &[1u8; 512][..]);
+        assert!(!snap.ptr_eq(t.lookup(K).unwrap()));
+        assert_eq!(
+            t.complete_writeback(K, v1),
+            WritebackOutcome::Superseded {
+                current_version: v2
+            }
+        );
+        let (retry, v) = t.snapshot(K);
+        assert_eq!((v, &retry[..]), (v2, &[2u8; 512][..]));
+        assert_eq!(t.peak_pinned_bytes(), 512);
     }
 
     #[test]

@@ -32,7 +32,8 @@ use trail_blockio::{
     Clook, IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver, TapHandle,
 };
 use trail_disk::{
-    CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, Lba, ServiceBreakdown, SECTOR_SIZE,
+    CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, Lba, PayloadBuf, ServiceBreakdown,
+    SECTOR_SIZE,
 };
 use trail_sim::{Completion, Delivered, EventId, LatencySummary, SimDuration, SimTime, Simulator};
 use trail_telemetry::{
@@ -88,7 +89,7 @@ struct AckState {
 struct QueuedWrite {
     dev: u8,
     lba: u64,
-    data: Vec<u8>,
+    data: PayloadBuf,
     ack: Rc<RefCell<AckState>>,
 }
 
@@ -430,7 +431,7 @@ impl TrailDriver {
         sim: &mut Simulator,
         dev: usize,
         lba: Lba,
-        data: Vec<u8>,
+        data: impl Into<PayloadBuf>,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
         self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
@@ -445,10 +446,11 @@ impl TrailDriver {
         sim: &mut Simulator,
         dev: usize,
         lba: Lba,
-        data: Vec<u8>,
+        data: impl Into<PayloadBuf>,
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
+        let mut data = data.into();
         {
             let mut d = self.inner.borrow_mut();
             if dev >= d.data.len() {
@@ -465,15 +467,15 @@ impl TrailDriver {
                 tap.on_submit(sim.now(), dev as u32, lba, sectors as u32, false, stream);
             }
             let req = done.id().raw();
-            let chunk_bytes = d.effective_max_batch as usize * SECTOR_SIZE;
+            let chunk = u64::from(d.effective_max_batch);
             let ack = Rc::new(RefCell::new(AckState {
-                remaining: data.len().div_ceil(chunk_bytes),
+                remaining: sectors.div_ceil(chunk) as usize,
                 done: Some(done),
                 issued: sim.now(),
                 dev: dev as u8,
                 lba,
             }));
-            if data.len() <= chunk_bytes {
+            if sectors <= chunk {
                 // Fits one record: the caller's buffer is queued as is and
                 // later becomes the pinned block.
                 d.log_queue.push_back(QueuedWrite {
@@ -483,15 +485,15 @@ impl TrailDriver {
                     ack,
                 });
             } else {
-                let mut off = lba;
-                for chunk in data.chunks(chunk_bytes) {
+                // One record-sized view of the caller's buffer per piece.
+                for first in (0..sectors).step_by(chunk as usize) {
+                    let count = chunk.min(sectors - first);
                     d.log_queue.push_back(QueuedWrite {
                         dev: dev as u8,
-                        lba: off,
-                        data: chunk.to_vec(),
+                        lba: lba + first,
+                        data: data.sectors(first as usize, count as usize),
                         ack: Rc::clone(&ack),
                     });
-                    off += (chunk.len() / SECTOR_SIZE) as u64;
                 }
             }
             d.lifecycle
@@ -740,7 +742,14 @@ impl TrailDriver {
                         }
                     });
                 tolerate_power_loss(
-                    log_disk.submit(sim, DiskCommand::Write { lba, data: bytes }, done),
+                    log_disk.submit(
+                        sim,
+                        DiskCommand::Write {
+                            lba,
+                            data: bytes.into(),
+                        },
+                        done,
+                    ),
                     "log disk rejected a planned record write",
                 );
             }
@@ -1182,5 +1191,149 @@ impl fmt::Debug for TrailDriver {
             .field("active_records", &d.active_records.len())
             .field("stalled", &d.stalled)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{format_log_disk, FormatOptions};
+    use trail_blockio::{BlockDevice, IoKind, RequestId};
+    use trail_disk::{profiles, DiskError};
+
+    /// A data target that accepts every write and holds it — request and
+    /// completion — until the test releases it, so what sits "in the data
+    /// disk's queue" can be looked at.
+    #[derive(Debug, Default)]
+    struct HoldingTarget {
+        held: RefCell<VecDeque<(IoRequest, Completion<IoDone>)>>,
+        landed: RefCell<Vec<(Lba, Vec<u8>)>>,
+    }
+
+    impl HoldingTarget {
+        /// Services the oldest held write: its bytes land, its submitter
+        /// hears about it on the next step.
+        fn release_one(&self, sim: &mut Simulator) {
+            let (req, done) = self.held.borrow_mut().pop_front().expect("a held write");
+            let IoKind::Write { data } = &req.kind else {
+                unreachable!("only writes are held")
+            };
+            self.landed.borrow_mut().push((req.lba, data.to_vec()));
+            let now = sim.now();
+            done.complete(
+                sim,
+                IoDone {
+                    id: RequestId(0),
+                    lba: req.lba,
+                    kind: CommandKind::Write,
+                    data: None,
+                    issued: now,
+                    completed: now,
+                    breakdown: ServiceBreakdown::default(),
+                },
+            );
+        }
+    }
+
+    impl BlockDevice for HoldingTarget {
+        fn submit(
+            &self,
+            _: &mut Simulator,
+            req: IoRequest,
+            done: Completion<IoDone>,
+        ) -> Result<RequestId, DiskError> {
+            assert!(!req.kind.is_read(), "the test issues no read miss");
+            self.held.borrow_mut().push_back((req, done));
+            Ok(RequestId(0))
+        }
+
+        fn capacity_sectors(&self) -> u64 {
+            1 << 20
+        }
+
+        fn pending(&self) -> usize {
+            self.held.borrow().len()
+        }
+
+        fn set_recorder(&self, _: RecorderHandle) {}
+
+        fn set_tap(&self, _: TapHandle, _: u32) {}
+    }
+
+    #[test]
+    fn a_pinned_block_and_its_queued_write_back_are_one_buffer() {
+        let mut sim = Simulator::new();
+        let log = Disk::new("log", profiles::tiny_test_disk());
+        format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
+        let target = Rc::new(HoldingTarget::default());
+        let (drv, _) = TrailDriver::start_with_targets(
+            &mut sim,
+            log,
+            vec![Rc::clone(&target) as SharedBlockDevice],
+            TrailConfig::default(),
+        )
+        .expect("boot");
+        let key = BlockKey { dev: 0, lba: 64 };
+        let block = 8 * SECTOR_SIZE;
+        let write = |sim: &mut Simulator, fill: u8| {
+            let buf = vec![fill; block];
+            let at = buf.as_ptr();
+            let done = sim.completion(|_, d: Delivered<IoDone>| drop(d.expect("durable")));
+            drv.write(sim, 0, key.lba, buf, done).expect("accepted");
+            sim.run();
+            at
+        };
+        // What the table pins for `key`, compared against a held request.
+        let pinned_is = |req: &IoRequest| {
+            let IoKind::Write { data } = &req.kind else {
+                unreachable!("only writes are held")
+            };
+            let d = drv.inner.borrow();
+            let pinned = d.buffers.lookup(key).expect("pinned");
+            (pinned.ptr_eq(data), pinned.as_ptr() == data.as_ptr())
+        };
+
+        // Acknowledged, write-back queued: the caller's allocation is the
+        // pinned block *and* the queued request, and is counted once.
+        let first_at = write(&mut sim, 0xA1);
+        assert_eq!(target.pending(), 1);
+        assert_eq!(pinned_is(&target.held.borrow()[0].0), (true, true));
+        assert_eq!(
+            drv.inner.borrow().buffers.lookup(key).unwrap().as_ptr(),
+            first_at
+        );
+        assert_eq!(drv.inner.borrow().buffers.peak_pinned_bytes(), block);
+
+        // Overwritten while that write-back is still queued: the table's
+        // handle is replaced, the queued request keeps the bytes it was
+        // enqueued with, and no second write-back joins it.
+        let second_at = write(&mut sim, 0xB2);
+        assert_eq!(target.pending(), 1);
+        assert_eq!(pinned_is(&target.held.borrow()[0].0), (false, false));
+        assert_eq!(
+            drv.inner.borrow().buffers.lookup(key).unwrap().as_ptr(),
+            second_at
+        );
+        assert_eq!(drv.inner.borrow().buffers.peak_pinned_bytes(), block);
+
+        // The stale write-back lands the old version and is superseded;
+        // its retry ships the pinned buffer itself.
+        target.release_one(&mut sim);
+        sim.run();
+        assert_eq!(drv.with_stats(|s| s.superseded_writebacks), 1);
+        assert_eq!(drv.pinned_blocks(), 1);
+        assert_eq!(target.pending(), 1);
+        assert_eq!(pinned_is(&target.held.borrow()[0].0), (true, true));
+        target.release_one(&mut sim);
+        sim.run();
+        assert_eq!(drv.pinned_blocks(), 0);
+        assert_eq!(
+            drv.with_stats(|s| (s.writebacks, s.superseded_writebacks)),
+            (2, 1)
+        );
+        assert_eq!(
+            *target.landed.borrow(),
+            [(64, vec![0xA1; block]), (64, vec![0xB2; block])]
+        );
     }
 }

@@ -113,7 +113,7 @@ pub fn write_header(
         disk,
         DiskCommand::Write {
             lba: 0,
-            data: sector.to_vec(),
+            data: sector.to_vec().into(),
         },
     )?;
     run_blocking(
@@ -121,7 +121,7 @@ pub fn write_header(
         disk,
         DiskCommand::Write {
             lba: replica_lba(&header.geometry),
-            data: sector.to_vec(),
+            data: sector.to_vec().into(),
         },
     )?;
     Ok(())

@@ -24,7 +24,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
-use trail_disk::{Disk, Lba};
+use trail_disk::{Disk, Lba, PayloadBuf};
 use trail_sim::{Completion, Simulator};
 use trail_telemetry::StreamId;
 
@@ -238,7 +238,7 @@ impl MultiTrail {
         sim: &mut Simulator,
         dev: usize,
         lba: Lba,
-        data: Vec<u8>,
+        data: impl Into<PayloadBuf>,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
         self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
@@ -255,7 +255,7 @@ impl MultiTrail {
         sim: &mut Simulator,
         dev: usize,
         lba: Lba,
-        data: Vec<u8>,
+        data: impl Into<PayloadBuf>,
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {

@@ -254,7 +254,7 @@ mod tests {
                 &disk,
                 DiskCommand::Write {
                     lba: target,
-                    data: vec![0u8; SECTOR_SIZE],
+                    data: vec![0u8; SECTOR_SIZE].into(),
                 },
             )
             .unwrap();

@@ -483,7 +483,7 @@ fn sync_writes_remain_fast_after_many_records() {
 
 /// The write path moves buffers instead of cloning them: a write that fits
 /// one record is queued, logged and pinned as the caller's own `Vec`, a
-/// larger one is copied per chunk, and two writes to one block in a single
+/// larger one as one view of it per chunk, and two writes to one block in a single
 /// batch leave the newer pinned. Whatever was moved, reads served from
 /// pinned memory and the data disks must see exactly the submitted bytes.
 #[test]
@@ -501,7 +501,7 @@ fn moved_and_split_buffers_are_the_right_buffers() {
             .map(|i| tag ^ (i / SECTOR_SIZE) as u8 ^ (i % 251) as u8)
             .collect()
     };
-    let split = distinct(0xA0, 40); // > the 31-sector record limit: copied per chunk
+    let split = distinct(0xA0, 40); // > the 31-sector record limit: one view per chunk
     let fits = distinct(0xB0, 4); // moved
     let older = distinct(0xC0, 2); // same block twice in one batch
     let newer = distinct(0xD0, 2);
@@ -564,6 +564,68 @@ fn moved_and_split_buffers_are_the_right_buffers() {
     assert_eq!(on_disk(0, 40), split);
     assert_eq!(on_disk(200, 4), fits);
     assert_eq!(on_disk(300, 2), newer);
+}
+
+/// The paper's cancellation case (§4.2), followed down to the platter: a
+/// block overwritten while its write-back is still queued ships the bytes
+/// it was enqueued with, that stale write-back is superseded, and the
+/// retry ships the new ones. Pinned block and queued request share one
+/// buffer, so this holds only because an overwrite replaces the pinned
+/// handle instead of writing through it.
+#[test]
+fn an_overwrite_during_write_back_ships_the_old_bytes_then_the_new() {
+    let mut sim = Simulator::new();
+    let (drv, data) = boot(
+        &mut sim,
+        profiles::tiny_test_disk(),
+        1,
+        TrailConfig::default(),
+    );
+    let distinct = |tag: u8| -> Vec<u8> {
+        (0..8 * SECTOR_SIZE)
+            .map(|i| tag ^ (i / SECTOR_SIZE) as u8 ^ (i % 251) as u8)
+            .collect()
+    };
+    let (old, new) = (distinct(0x50), distinct(0x60));
+    let on_disk =
+        |lba: u64| -> Vec<u8> { (0..8).flat_map(|i| data[0].peek_sector(lba + i)).collect() };
+    // One batch: a far-away block whose write-back occupies the data disk,
+    // then the block under test, whose write-back queues behind it.
+    let done = sim.completion(|_, _: Delivered<IoDone>| {});
+    drv.write(&mut sim, 0, 4000, distinct(0x40), done).unwrap();
+    let (drv2, disk, new2) = (drv.clone(), data[0].clone(), new.clone());
+    let done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
+        d.expect("durable");
+        let done = sim.completion(move |_, d: Delivered<IoDone>| {
+            d.expect("durable");
+            // The overwrite is acknowledged with the first version's
+            // write-back still waiting in the data disk's queue.
+            assert_eq!(disk.peek_sector(64), [0u8; SECTOR_SIZE]);
+        });
+        drv2.write(sim, 0, 64, new2, done).unwrap();
+    });
+    drv.write(&mut sim, 0, 64, old.clone(), done).unwrap();
+
+    while drv.with_stats(|s| s.superseded_writebacks) == 0 {
+        assert!(sim.step(), "the stale write-back never completed");
+    }
+    assert_eq!(
+        on_disk(64),
+        old,
+        "the queued write-back shipped its own version"
+    );
+    assert_eq!(
+        drv.pinned_blocks(),
+        1,
+        "the block stays pinned for the retry"
+    );
+    drv.run_until_quiescent(&mut sim);
+    drv.with_stats(|s| {
+        assert_eq!(s.superseded_writebacks, 1);
+        assert_eq!(s.writebacks, 3, "blocker, stale version, retry");
+    });
+    assert_eq!(on_disk(64), new);
+    assert_eq!(drv.pinned_blocks(), 0);
 }
 
 /// Known gap, recorded rather than fixed here (the fix moves virtual-time

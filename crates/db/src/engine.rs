@@ -17,9 +17,9 @@ use std::rc::Rc;
 
 use trail_blockio::IoDone;
 use trail_core::TrailError;
-use trail_disk::{Lba, SECTOR_SIZE};
+use trail_disk::{Lba, PayloadBuf, SECTOR_SIZE};
 use trail_sim::{Completion, Delivered, LatencySummary, SimDuration, SimTime, Simulator};
-use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle};
+use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle, StreamId};
 
 use crate::cache::{BufferPool, CacheStats};
 use crate::page::{Page, PageId, Rid, PAGE_SIZE, SECTORS_PER_PAGE};
@@ -162,7 +162,7 @@ struct DbInner {
     next_page: HashMap<usize, u64>,
     /// Pages with an in-flight write-back; reads are served from these
     /// copies so a racing disk read cannot observe stale bytes.
-    flushing: HashMap<PageId, Vec<u8>>,
+    flushing: HashMap<PageId, PayloadBuf>,
     /// Control tokens of commits that triggered a force and therefore
     /// block until the next force completes.
     control_waiters: Vec<Completion<()>>,
@@ -173,6 +173,18 @@ struct DbInner {
     cpu_free_at: SimTime,
     stats: DbStats,
     recorder: RecorderHandle,
+}
+
+/// A WAL force on its way to the log device: one buffer, written as a
+/// chain of `piece_sectors`-sized synchronous writes, each issued when the
+/// one before it is durable.
+struct FlushChain {
+    lba: Lba,
+    data: PayloadBuf,
+    piece_sectors: usize,
+    next_sector: usize,
+    commits: Vec<PendingCommit>,
+    issued: SimTime,
 }
 
 enum StepOutcome {
@@ -402,17 +414,15 @@ impl Database {
                 // Serve from an in-flight write-back copy if present.
                 let from_flushing = {
                     let d = self.inner.borrow();
-                    d.flushing.get(&pid).cloned()
+                    d.flushing.get(&pid).map(|bytes| Page::from_bytes(bytes))
                 };
                 match from_flushing {
-                    Some(bytes) => {
+                    Some(page) => {
                         let mut more_evictions = Vec::new();
                         {
                             let mut d = self.inner.borrow_mut();
                             if !d.cache.contains(pid) {
-                                if let Some((vid, vbytes, dirty)) =
-                                    d.cache.insert(pid, Page::from_bytes(&bytes))
-                                {
+                                if let Some((vid, vbytes, dirty)) = d.cache.insert(pid, page) {
                                     if dirty {
                                         more_evictions.push((vid, vbytes));
                                     }
@@ -512,14 +522,38 @@ impl Database {
         }
     }
 
-    /// Issues a page write-back, tracking it for read consistency.
-    fn write_page(&self, sim: &mut Simulator, pid: PageId, bytes: Vec<u8>) {
+    /// Submits the write-back of `pid`, keeping `bytes` readable in
+    /// `flushing` until `done` removes them: the map and the write hold
+    /// two handles to one buffer.
+    fn submit_page_write(
+        &self,
+        sim: &mut Simulator,
+        pid: PageId,
+        bytes: Vec<u8>,
+        done: Completion<IoDone>,
+    ) {
+        let mut bytes = PayloadBuf::from(bytes);
+        let in_flight = bytes.share();
         let stack = {
             let mut d = self.inner.borrow_mut();
-            d.flushing.insert(pid, bytes.clone());
+            d.flushing.insert(pid, bytes);
             d.stats.page_flushes += 1;
             Rc::clone(&d.stack)
         };
+        stack
+            .write_tagged(
+                sim,
+                pid.dev as usize,
+                pid.first_lba(),
+                in_flight,
+                StreamId::UNTAGGED,
+                done,
+            )
+            .expect("page write within device bounds");
+    }
+
+    /// Issues a page write-back, tracking it for read consistency.
+    fn write_page(&self, sim: &mut Simulator, pid: PageId, bytes: Vec<u8>) {
         let db = self.clone();
         let done = sim.completion(move |sim, d: Delivered<IoDone>| {
             {
@@ -530,9 +564,7 @@ impl Database {
                 db.maybe_flush_pages(sim);
             }
         });
-        stack
-            .write(sim, pid.dev as usize, pid.first_lba(), bytes, done)
-            .expect("page write within device bounds");
+        self.submit_page_write(sim, pid, bytes, done);
     }
 
     /// Forces the WAL if the policy calls for it.
@@ -566,54 +598,42 @@ impl Database {
     /// rotational window and pays nearly a full revolution; on Trail each
     /// piece costs only transfer + command overhead.
     fn submit_flush(&self, sim: &mut Simulator, job: crate::wal::FlushJob) {
-        let granularity = {
-            let d = self.inner.borrow();
-            let g = d.config.flush_write_bytes;
-            g - g % SECTOR_SIZE
+        let piece_sectors = self.inner.borrow().config.flush_write_bytes / SECTOR_SIZE;
+        let chain = FlushChain {
+            lba: job.lba,
+            data: job.data.into(),
+            piece_sectors,
+            next_sector: 0,
+            commits: job.commits,
+            issued: job.issued,
         };
-        let pieces: Vec<(u64, Vec<u8>)> = job
-            .data
-            .chunks(granularity)
-            .scan(job.lba, |lba, chunk| {
-                let this = *lba;
-                *lba += (chunk.len() / SECTOR_SIZE) as u64;
-                Some((this, chunk.to_vec()))
-            })
-            .collect();
-        self.write_flush_pieces(sim, pieces, 0, job.commits, job.issued);
+        self.write_flush_pieces(sim, chain);
     }
 
-    fn write_flush_pieces(
-        &self,
-        sim: &mut Simulator,
-        pieces: Vec<(u64, Vec<u8>)>,
-        next: usize,
-        commits: Vec<PendingCommit>,
-        issued: SimTime,
-    ) {
-        if next >= pieces.len() {
+    fn write_flush_pieces(&self, sim: &mut Simulator, mut chain: FlushChain) {
+        let total_sectors = chain.data.len() / SECTOR_SIZE;
+        if chain.next_sector >= total_sectors {
             let durable_at = sim.now();
             let waiters = {
                 let mut d = self.inner.borrow_mut();
-                d.wal.finish_flush(durable_at, issued);
+                d.wal.finish_flush(durable_at, chain.issued);
                 std::mem::take(&mut d.control_waiters)
             };
-            let flushed_bytes: usize = pieces.iter().map(|(_, data)| data.len()).sum();
             self.emit(
-                issued,
-                durable_at.duration_since(issued),
+                chain.issued,
+                durable_at.duration_since(chain.issued),
                 EventKind::WalForce {
-                    bytes: flushed_bytes as u64,
+                    bytes: chain.data.len() as u64,
                 },
             );
             self.emit(
                 durable_at,
                 SimDuration::ZERO,
                 EventKind::GroupCommit {
-                    group: commits.len() as u32,
+                    group: chain.commits.len() as u32,
                 },
             );
-            for c in commits {
+            for c in chain.commits {
                 self.emit(
                     durable_at,
                     SimDuration::ZERO,
@@ -635,17 +655,22 @@ impl Database {
             let d = self.inner.borrow();
             (Rc::clone(&d.stack), d.wal.dev())
         };
-        let (lba, data) = pieces[next].clone();
+        // The next piece is a view of the job's one buffer.
+        let first = chain.next_sector;
+        let count = chain.piece_sectors.min(total_sectors - first);
+        let piece = chain.data.sectors(first, count);
+        let lba = chain.lba + first as u64;
+        chain.next_sector += count;
         let db = self.clone();
         let done = sim.completion(move |sim, d: Delivered<IoDone>| {
             // A cancelled piece (teardown) drops the pending commits,
             // cascade-cancelling their durability tokens.
             if d.is_ok() {
-                db.write_flush_pieces(sim, pieces, next + 1, commits, issued);
+                db.write_flush_pieces(sim, chain);
             }
         });
         stack
-            .write(sim, dev, lba, data, done)
+            .write_tagged(sim, dev, lba, piece, StreamId::UNTAGGED, done)
             .expect("log chunk write within device bounds");
     }
 
@@ -670,12 +695,6 @@ impl Database {
         for (pid, bytes) in batch {
             let db = self.clone();
             let remaining = Rc::clone(&remaining);
-            let stack = {
-                let mut d = self.inner.borrow_mut();
-                d.flushing.insert(pid, bytes.clone());
-                d.stats.page_flushes += 1;
-                Rc::clone(&d.stack)
-            };
             let done = sim.completion(move |sim, d: Delivered<IoDone>| {
                 {
                     let mut inner = db.inner.borrow_mut();
@@ -689,9 +708,7 @@ impl Database {
                     }
                 }
             });
-            stack
-                .write(sim, pid.dev as usize, pid.first_lba(), bytes, done)
-                .expect("page write within device bounds");
+            self.submit_page_write(sim, pid, bytes, done);
         }
     }
 
@@ -791,9 +808,9 @@ impl DbInner {
                             if !self.cache.contains(rid.page) {
                                 // Re-admit the in-flight copy so repeated
                                 // reads stay hits.
-                                let bytes = self.flushing[&rid.page].clone();
+                                let page = Page::from_bytes(&self.flushing[&rid.page]);
                                 if let Some((vid, vbytes, dirty)) =
-                                    self.cache.insert(rid.page, Page::from_bytes(&bytes))
+                                    self.cache.insert(rid.page, page)
                                 {
                                     if dirty {
                                         evict_writes.push((vid, vbytes));
@@ -808,9 +825,10 @@ impl DbInner {
                     match self.index.get(&(table, key)).copied() {
                         Some(rid) => {
                             if !self.cache.contains(rid.page) {
-                                if let Some(bytes) = self.flushing.get(&rid.page).cloned() {
+                                if let Some(bytes) = self.flushing.get(&rid.page) {
+                                    let page = Page::from_bytes(bytes);
                                     if let Some((vid, vbytes, dirty)) =
-                                        self.cache.insert(rid.page, Page::from_bytes(&bytes))
+                                        self.cache.insert(rid.page, page)
                                     {
                                         if dirty {
                                             evict_writes.push((vid, vbytes));
@@ -869,9 +887,10 @@ impl DbInner {
                 Op::Delete(table, key) => {
                     if let Some(rid) = self.index.get(&(table, key)).copied() {
                         if !self.cache.contains(rid.page) {
-                            if let Some(bytes) = self.flushing.get(&rid.page).cloned() {
+                            if let Some(bytes) = self.flushing.get(&rid.page) {
+                                let page = Page::from_bytes(bytes);
                                 if let Some((vid, vbytes, dirty)) =
-                                    self.cache.insert(rid.page, Page::from_bytes(&bytes))
+                                    self.cache.insert(rid.page, page)
                                 {
                                     if dirty {
                                         evict_writes.push((vid, vbytes));

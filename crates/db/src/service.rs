@@ -185,7 +185,7 @@ impl StorageService {
             .outstanding
             .entry(stream)
             .or_insert(0) += 1;
-        stack.write_tagged(sim, dev, lba, data, stream, tracked)
+        stack.write_tagged(sim, dev, lba, data.into(), stream, tracked)
     }
 
     /// Completes `done` when every `put` the stream issued before this

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use trail_blockio::{IoDone, IoRequest, SharedBlockDevice, StandardDriver, TapHandle};
 use trail_core::{MultiTrail, TrailDriver, TrailError};
-use trail_disk::{Disk, Lba};
+use trail_disk::{Disk, Lba, PayloadBuf};
 use trail_sim::{Completion, Simulator};
 use trail_telemetry::{RecorderHandle, StreamId};
 
@@ -24,7 +24,9 @@ use trail_telemetry::{RecorderHandle, StreamId};
 pub trait BlockStack {
     /// Submits a durable write of `data` at `lba` on device `dev`, tagged
     /// with the stream it belongs to. The tag reaches the stack's taps and
-    /// routing decisions; it never changes durability semantics.
+    /// routing decisions; it never changes durability semantics. `data` is
+    /// the handle every layer below passes on: a caller that keeps a
+    /// [`share`](PayloadBuf::share) of it holds the very bytes in flight.
     ///
     /// # Errors
     ///
@@ -34,7 +36,7 @@ pub trait BlockStack {
         sim: &mut Simulator,
         dev: usize,
         lba: Lba,
-        data: Vec<u8>,
+        data: PayloadBuf,
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError>;
@@ -69,7 +71,7 @@ pub trait BlockStack {
         data: Vec<u8>,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
+        self.write_tagged(sim, dev, lba, data.into(), StreamId::UNTAGGED, done)
     }
 
     /// [`read_tagged`](BlockStack::read_tagged) as [`StreamId::UNTAGGED`].
@@ -111,7 +113,7 @@ impl BlockStack for TrailDriver {
         sim: &mut Simulator,
         dev: usize,
         lba: Lba,
-        data: Vec<u8>,
+        data: PayloadBuf,
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
@@ -155,7 +157,7 @@ impl BlockStack for MultiTrail {
         sim: &mut Simulator,
         dev: usize,
         lba: Lba,
-        data: Vec<u8>,
+        data: PayloadBuf,
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
@@ -238,7 +240,7 @@ impl BlockStack for StandardStack {
         sim: &mut Simulator,
         dev: usize,
         lba: Lba,
-        data: Vec<u8>,
+        data: PayloadBuf,
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {

@@ -20,10 +20,11 @@ use trail_telemetry::{null_recorder, Event, EventKind, JsonValue, Layer, Recorde
 
 use crate::geometry::{DiskGeometry, Lba, SECTOR_SIZE};
 use crate::mechanics::{CommandKind, HeadPosition, MechanicalModel, ServiceBreakdown};
+use crate::payload::PayloadBuf;
 use crate::store::{SectorBuf, SectorStore};
 
 /// A command submitted to a disk.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum DiskCommand {
     /// Read `count` sectors starting at `lba`.
     Read {
@@ -37,7 +38,7 @@ pub enum DiskCommand {
         /// First sector.
         lba: Lba,
         /// Sector-aligned payload.
-        data: Vec<u8>,
+        data: PayloadBuf,
     },
     /// Move the arm to the track containing `lba` without transferring.
     Seek {
@@ -186,12 +187,12 @@ impl MediumStats {
     }
 }
 
-/// The in-flight write's payload, staged whole (moved from the command,
-/// never copied) with per-sector media-completion instants so a power cut
+/// The in-flight write's payload handle, staged whole (moved from the
+/// command; the bytes are copied once, onto the medium) with per-sector media-completion instants so a power cut
 /// can persist exactly the sectors already on the medium.
 struct StagedWrite {
     lba: Lba,
-    data: Vec<u8>,
+    data: PayloadBuf,
     sector_done: Vec<SimTime>,
 }
 
@@ -237,7 +238,7 @@ struct DiskInner {
 /// });
 /// disk.submit(
 ///     &mut sim,
-///     DiskCommand::Write { lba: 0, data: vec![0xAB; SECTOR_SIZE] },
+///     DiskCommand::Write { lba: 0, data: vec![0xAB; SECTOR_SIZE].into() },
 ///     token,
 /// )
 /// .unwrap();
@@ -750,8 +751,8 @@ mod tests {
         (Simulator::new(), Disk::new("t", profiles::tiny_test_disk()))
     }
 
-    fn write_buf(byte: u8, sectors: usize) -> Vec<u8> {
-        vec![byte; sectors * SECTOR_SIZE]
+    fn write_buf(byte: u8, sectors: usize) -> PayloadBuf {
+        vec![byte; sectors * SECTOR_SIZE].into()
     }
 
     #[test]
@@ -826,7 +827,7 @@ mod tests {
                 &mut sim,
                 DiskCommand::Write {
                     lba: 0,
-                    data: vec![1, 2, 3]
+                    data: vec![1, 2, 3].into(),
                 },
                 token
             )
@@ -839,7 +840,7 @@ mod tests {
                 &mut sim,
                 DiskCommand::Write {
                     lba: 0,
-                    data: vec![]
+                    data: Vec::new().into(),
                 },
                 token
             )

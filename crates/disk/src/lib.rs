@@ -13,6 +13,8 @@
 //! - [`Disk`]: the device actor — one command at a time, sector-atomic
 //!   persistence, statistics, and **power-failure injection** (a crash
 //!   persists exactly the sectors already transferred);
+//! - [`PayloadBuf`]: the immutable, shareable buffer a write's bytes
+//!   travel in, from the layer that accepts them to the medium;
 //! - [`profiles`]: drive profiles calibrated to the paper's testbed
 //!   (Seagate ST41601N log disk, WD Caviar data disks).
 //!
@@ -30,7 +32,7 @@
 //! });
 //! disk.submit(
 //!     &mut sim,
-//!     DiskCommand::Write { lba: 100, data: vec![1u8; SECTOR_SIZE] },
+//!     DiskCommand::Write { lba: 100, data: vec![1u8; SECTOR_SIZE].into() },
 //!     done,
 //! )?;
 //! sim.run();
@@ -44,6 +46,7 @@
 mod device;
 mod geometry;
 mod mechanics;
+mod payload;
 pub mod profiles;
 mod store;
 
@@ -52,4 +55,5 @@ pub use geometry::{Chs, DiskGeometry, Lba, TrackRun, Zone, SECTOR_SIZE};
 pub use mechanics::{
     CommandKind, HeadPosition, MechanicalModel, SeekModel, ServiceBreakdown, ServicePlan,
 };
+pub use payload::PayloadBuf;
 pub use store::{SectorBuf, SectorStore};

@@ -16,6 +16,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
 
 use crate::geometry::{Lba, SECTOR_SIZE};
@@ -38,6 +39,31 @@ const PAGE_LBAS: u64 = 64;
 const UNWRITTEN: u32 = u32::MAX;
 
 type IndexPage = [u32; PAGE_LBAS as usize];
+
+/// The hasher of both maps below: one multiplication. Their keys are an
+/// index-page number and a content hash that is already mixed, neither of
+/// them chosen by anyone outside the process, so SipHash's keyed rounds
+/// buy nothing here; the odd multiplier keeps consecutive page numbers in
+/// consecutive buckets and spreads them over the table's tag bits, which
+/// it reads from the top of the hash.
+#[derive(Clone, Copy, Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the medium's maps are keyed by u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type MediumMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
 /// The default content hash: four interleaved multiply-rotate lanes over
 /// the sector's 64 little-endian words, folded at the end. Quality only
@@ -68,7 +94,7 @@ struct Pool {
     hashes: Vec<u64>,
     // Content hash → the one slot registered under it. Only ever names a
     // live slot whose image has that hash.
-    by_hash: HashMap<u64, u32>,
+    by_hash: MediumMap<u64, u32>,
     free: Vec<u32>,
     hash: fn(&SectorBuf) -> u64,
 }
@@ -79,7 +105,7 @@ impl Pool {
             chunks: Vec::new(),
             refs: Vec::new(),
             hashes: Vec::new(),
-            by_hash: HashMap::new(),
+            by_hash: MediumMap::default(),
             free: Vec::new(),
             hash,
         }
@@ -152,7 +178,7 @@ impl Pool {
 /// Bytes a `HashMap<K, V>` of this capacity keeps allocated: one `(K, V)`
 /// bucket plus one control byte per slot at 7/8 load. An estimate of the
 /// standard library's layout, good to a few percent.
-fn map_bytes<K, V>(map: &HashMap<K, V>) -> usize {
+fn map_bytes<K, V>(map: &MediumMap<K, V>) -> usize {
     map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
 }
 
@@ -176,7 +202,7 @@ fn map_bytes<K, V>(map: &HashMap<K, V>) -> usize {
 pub struct SectorStore {
     // `pages[lba / PAGE_LBAS][lba % PAGE_LBAS]` is the LBA's pool slot, or
     // `UNWRITTEN`.
-    pages: HashMap<u64, Box<IndexPage>>,
+    pages: MediumMap<u64, Box<IndexPage>>,
     written: usize,
     pool: Pool,
     capacity: u64,
@@ -199,7 +225,7 @@ impl SectorStore {
     /// image to collide.
     fn with_hash(capacity: u64, hash: fn(&SectorBuf) -> u64) -> Self {
         SectorStore {
-            pages: HashMap::new(),
+            pages: MediumMap::default(),
             written: 0,
             pool: Pool::new(hash),
             capacity,

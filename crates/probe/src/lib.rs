@@ -237,7 +237,7 @@ pub fn calibrate_delta(
             disk,
             DiskCommand::Write {
                 lba: target,
-                data: vec![0u8; SECTOR_SIZE],
+                data: vec![0u8; SECTOR_SIZE].into(),
             },
         )?;
         let latency = res.completed.duration_since(res.issued);
@@ -294,7 +294,7 @@ pub fn estimate_write_overhead(
             disk,
             DiskCommand::Write {
                 lba,
-                data: vec![0u8; SECTOR_SIZE],
+                data: vec![0u8; SECTOR_SIZE].into(),
             },
         )?;
         best = best.min(res.completed.duration_since(res.issued));

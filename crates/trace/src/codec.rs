@@ -154,11 +154,13 @@ fn read_err(what: &str, e: &io::Error) -> TraceError {
 
 // ----------------------------------------------------------------- crc
 
-/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`), table-driven. Kept
-/// local: the workspace vendors no checksum crate, and 20 lines beat a
-/// dependency.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`), slicing-by-8. Kept
+/// local: the workspace vendors no checksum crate. `CRC32_TABLES[0]` is
+/// the classic one-byte table; `CRC32_TABLES[k][b]` is the CRC of byte
+/// `b` followed by `k` zero bytes, which lets eight input bytes be folded
+/// with eight independent lookups instead of a chain of eight.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -171,18 +173,41 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// The CRC-32 each chunk frame carries over its payload.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -404,9 +429,7 @@ fn decode_delta_chunk(encoded: &[u8], records: usize, raw: &mut Vec<u8>) -> bool
                 return false;
             }
             let base = i * RECORD_BYTES + off;
-            for k in 0..width {
-                raw[base + k] = (v >> (8 * k)) as u8;
-            }
+            raw[base..base + width].copy_from_slice(&v.to_le_bytes()[..width]);
             prev = v;
         }
     }
@@ -1024,6 +1047,25 @@ mod tests {
         // The classic "123456789" check value for reflected 0xEDB88320.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_by_words_equals_byte_at_a_time_at_every_length() {
+        // The textbook one-table loop, as the reference.
+        let bytewise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let data: Vec<u8> = (0..97u32).map(|i| (i * 151 + 43) as u8).collect();
+        for start in 0..9 {
+            for end in start..=data.len() {
+                let slice = &data[start..end];
+                assert_eq!(crc32(slice), bytewise(slice), "bytes {start}..{end}");
+            }
+        }
     }
 
     #[test]

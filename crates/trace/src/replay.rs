@@ -1055,7 +1055,7 @@ fn submit(
                 stack.read_tagged(sim, dev, lba, sectors, stream, done)
             } else {
                 let data = vec![fill_byte(idx); sectors as usize * SECTOR_SIZE];
-                stack.write_tagged(sim, dev, lba, data, stream, done)
+                stack.write_tagged(sim, dev, lba, data.into(), stream, done)
             };
         }
         TargetDrive::Fs {

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use trail_blockio::{
     BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver, StreamId, TapHandle,
 };
-use trail_disk::{CommandKind, Disk, DiskError, Lba, ServiceBreakdown, SECTOR_SIZE};
+use trail_disk::{CommandKind, Disk, DiskError, Lba, PayloadBuf, ServiceBreakdown, SECTOR_SIZE};
 use trail_sim::{
     Completion, Delivered, Fault, FaultKind, FaultSink, FaultTarget, LatencySummary, SimTime,
     Simulator,
@@ -408,7 +408,7 @@ impl RaidVolume {
             }
             let payload = match req.kind {
                 IoKind::Read { .. } => Payload::Read,
-                IoKind::Write { data } => Payload::Write(Rc::new(data)),
+                IoKind::Write { data } => Payload::Write(data),
             };
             Rc::new(RefCell::new(Op {
                 id,
@@ -513,9 +513,10 @@ impl BlockDevice for RaidVolume {
 
 enum Payload {
     Read,
-    // Shared so a retry after a mid-operation member failure can replan
-    // from the original bytes.
-    Write(Rc<Vec<u8>>),
+    // The logical write's one buffer: every member sub-write is a handle
+    // to it or to a sector range of it, and a retry after a mid-operation
+    // member failure replans from the same bytes.
+    Write(PayloadBuf),
 }
 
 struct Op {
@@ -716,13 +717,16 @@ fn after_failure(
     restart(vol, sim, op);
 }
 
+/// Sub-requests of one operation, each with the member it goes to.
+type MemberIos = Vec<(usize, IoRequest)>;
+
 /// Submits `ios` to their members and completes `token` with the results
 /// once all of them resolve (`None` for cancelled sub-operations). Member
 /// latencies are recorded as each sub-operation completes.
 fn submit_batch(
     vol: &RaidVolume,
     sim: &mut Simulator,
-    ios: Vec<(usize, IoRequest)>,
+    ios: MemberIos,
     token: Completion<Vec<Option<IoDone>>>,
 ) {
     struct Gather {
@@ -774,10 +778,9 @@ fn submit_batch(
     }
 }
 
-fn slice_payload(payload: &Rc<Vec<u8>>, logical_off: u64, sectors: u32) -> Vec<u8> {
-    let a = logical_off as usize * SECTOR_SIZE;
-    let b = a + sectors as usize * SECTOR_SIZE;
-    payload[a..b].to_vec()
+/// The member's part of the logical write, as a view of its buffer.
+fn slice_payload(payload: &mut PayloadBuf, logical_off: u64, sectors: u32) -> PayloadBuf {
+    payload.sectors(logical_off as usize, sectors as usize)
 }
 
 /// Breakdown of the critical-path (latest-finishing) sub-operation.
@@ -807,7 +810,7 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
     }
     let act = {
         let v = vol.inner.borrow();
-        let o = op.borrow();
+        let o = &mut *op.borrow_mut();
         let frags = match v.layout {
             VolumeLayout::Linear => layout::linear_map(&v.member_caps, o.lba, o.sectors),
             VolumeLayout::Raid0 { chunk_sectors } => {
@@ -823,7 +826,7 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
             let mut ios = Vec::with_capacity(frags.len());
             let mut metas = Vec::with_capacity(frags.len());
             for f in &frags {
-                let req = match &o.payload {
+                let req = match &mut o.payload {
                     Payload::Read => IoRequest::read(f.member_lba, f.sectors),
                     Payload::Write(data) => IoRequest::write(
                         f.member_lba,
@@ -936,19 +939,15 @@ fn plan_mirror_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, policy: R
     let op2 = Rc::clone(op);
     let slot_members = vec![member];
     let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
-        let results = match d {
+        let mut results = match d {
             Ok(r) => r,
             Err(_) => {
                 finish_abort(&vol2, sim, &op2);
                 return;
             }
         };
-        match &results[0] {
-            Some(done) => {
-                let data = done.data.clone();
-                let breakdown = done.breakdown;
-                finish_ok(&vol2, sim, &op2, data, breakdown);
-            }
+        match results[0].take() {
+            Some(done) => finish_ok(&vol2, sim, &op2, done.data, done.breakdown),
             None => after_failure(&vol2, sim, &op2, &slot_members, &results),
         }
     });
@@ -956,27 +955,22 @@ fn plan_mirror_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, policy: R
     submit_batch(vol, sim, ios, token);
 }
 
-fn plan_mirror_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
-    let ios = {
-        let v = vol.inner.borrow();
-        let o = op.borrow();
-        let Payload::Write(data) = &o.payload else {
-            unreachable!("mirror write plan requires a write payload")
-        };
-        let ios: Vec<(usize, IoRequest)> = v
-            .members
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.failed)
-            .map(|(i, _)| {
-                (
-                    i,
-                    IoRequest::write(o.lba, data.as_ref().clone()).tagged(o.stream),
-                )
-            })
-            .collect();
-        ios
+/// One write per surviving member, every one a handle to the logical
+/// write's buffer.
+fn mirror_write_ios(v: &VolInner, o: &mut Op) -> MemberIos {
+    let Payload::Write(data) = &mut o.payload else {
+        unreachable!("mirror write plan requires a write payload")
     };
+    v.members
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| !m.failed)
+        .map(|(i, _)| (i, IoRequest::write(o.lba, data.share()).tagged(o.stream)))
+        .collect()
+}
+
+fn plan_mirror_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
+    let ios = mirror_write_ios(&vol.inner.borrow(), &mut op.borrow_mut());
     if ios.is_empty() {
         finish_abort(vol, sim, op);
         return;
@@ -1159,85 +1153,86 @@ struct SpanPlan {
     mode: SpanMode,
 }
 
-fn plan_raid5_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32) {
-    let planned = {
-        let mut v = vol.inner.borrow_mut();
-        let o = op.borrow();
-        let n = v.members.len();
-        let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
-        if failed.iter().filter(|f| **f).count() >= 2 {
-            None
-        } else {
-            let c64 = u64::from(chunk);
-            let mut reads: Vec<(usize, IoRequest)> = Vec::new();
-            let mut plans: Vec<SpanPlan> = Vec::new();
-            for span in layout::raid5_write_stripes(n, chunk, o.lba, o.sectors) {
-                let range_sectors = (span.hi - span.lo) as u32;
-                let range_lba = span.stripe * c64 + span.lo;
-                let mode = if failed[span.parity_member] {
-                    v.stats.parityless_writes += 1;
-                    SpanMode::ParityLess
-                } else if span.full {
-                    v.stats.full_stripe_writes += 1;
-                    SpanMode::Full
-                } else if let Some(fc) =
-                    span.segs.iter().find(|s| failed[s.member]).map(|s| s.chunk)
-                {
-                    v.stats.reconstruct_writes += 1;
-                    let mut chunk_slots = Vec::with_capacity(n - 2);
-                    for ch in 0..n - 1 {
-                        if ch == fc {
-                            continue;
-                        }
-                        let m = layout::raid5_data_member(n, span.stripe, ch);
-                        chunk_slots.push((ch, reads.len()));
-                        reads.push((
-                            m,
-                            IoRequest::read(range_lba, range_sectors).tagged(o.stream),
-                        ));
+/// Phase 1 of a RAID-5 write: how each touched stripe will be written
+/// and which old blocks that needs read first. `None` when two members
+/// are gone.
+fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> Option<(MemberIos, Vec<SpanPlan>)> {
+    let n = v.members.len();
+    let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
+    if failed.iter().filter(|f| **f).count() >= 2 {
+        None
+    } else {
+        let c64 = u64::from(chunk);
+        let mut reads: Vec<(usize, IoRequest)> = Vec::new();
+        let mut plans: Vec<SpanPlan> = Vec::new();
+        for span in layout::raid5_write_stripes(n, chunk, o.lba, o.sectors) {
+            let range_sectors = (span.hi - span.lo) as u32;
+            let range_lba = span.stripe * c64 + span.lo;
+            let mode = if failed[span.parity_member] {
+                v.stats.parityless_writes += 1;
+                SpanMode::ParityLess
+            } else if span.full {
+                v.stats.full_stripe_writes += 1;
+                SpanMode::Full
+            } else if let Some(fc) = span.segs.iter().find(|s| failed[s.member]).map(|s| s.chunk) {
+                v.stats.reconstruct_writes += 1;
+                let mut chunk_slots = Vec::with_capacity(n - 2);
+                for ch in 0..n - 1 {
+                    if ch == fc {
+                        continue;
                     }
-                    let parity_slot = reads.len();
+                    let m = layout::raid5_data_member(n, span.stripe, ch);
+                    chunk_slots.push((ch, reads.len()));
                     reads.push((
-                        span.parity_member,
+                        m,
                         IoRequest::read(range_lba, range_sectors).tagged(o.stream),
                     ));
-                    SpanMode::Reconstruct {
-                        failed_chunk: fc,
-                        chunk_slots,
-                        parity_slot,
-                    }
-                } else {
-                    v.stats.rmw_cycles += 1;
-                    let mut seg_slots = Vec::with_capacity(span.segs.len());
-                    for seg in &span.segs {
-                        seg_slots.push(reads.len());
-                        reads.push((
-                            seg.member,
-                            IoRequest::read(seg.member_lba(chunk), seg.sectors).tagged(o.stream),
-                        ));
-                    }
-                    let parity_slot = reads.len();
+                }
+                let parity_slot = reads.len();
+                reads.push((
+                    span.parity_member,
+                    IoRequest::read(range_lba, range_sectors).tagged(o.stream),
+                ));
+                SpanMode::Reconstruct {
+                    failed_chunk: fc,
+                    chunk_slots,
+                    parity_slot,
+                }
+            } else {
+                v.stats.rmw_cycles += 1;
+                let mut seg_slots = Vec::with_capacity(span.segs.len());
+                for seg in &span.segs {
+                    seg_slots.push(reads.len());
                     reads.push((
-                        span.parity_member,
-                        IoRequest::read(range_lba, range_sectors).tagged(o.stream),
+                        seg.member,
+                        IoRequest::read(seg.member_lba(chunk), seg.sectors).tagged(o.stream),
                     ));
-                    SpanMode::Rmw {
-                        seg_slots,
-                        parity_slot,
-                    }
-                };
-                plans.push(SpanPlan {
-                    stripe: span.stripe,
-                    parity_member: span.parity_member,
-                    lo: span.lo,
-                    hi: span.hi,
-                    segs: span.segs,
-                    mode,
-                });
-            }
-            Some((reads, plans))
+                }
+                let parity_slot = reads.len();
+                reads.push((
+                    span.parity_member,
+                    IoRequest::read(range_lba, range_sectors).tagged(o.stream),
+                ));
+                SpanMode::Rmw {
+                    seg_slots,
+                    parity_slot,
+                }
+            };
+            plans.push(SpanPlan {
+                stripe: span.stripe,
+                parity_member: span.parity_member,
+                lo: span.lo,
+                hi: span.hi,
+                segs: span.segs,
+                mode,
+            });
         }
-    };
+        Some((reads, plans))
+    }
+}
+
+fn plan_raid5_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32) {
+    let planned = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op.borrow(), chunk);
     let Some((reads, plans)) = planned else {
         finish_abort(vol, sim, op);
         return;
@@ -1273,6 +1268,116 @@ fn read_bytes(results: &[Option<IoDone>], slot: usize) -> &[u8] {
         .expect("phase-1 reads carry data")
 }
 
+/// Phase 2 of a RAID-5 write: the member writes, given phase 1's plans
+/// and the old blocks it read. Data segments go out as views of the
+/// logical write's buffer; only parity is computed into new memory.
+fn raid5_phase2_writes(
+    v: &VolInner,
+    o: &mut Op,
+    plans: &[SpanPlan],
+    results: &[Option<IoDone>],
+    chunk: u32,
+) -> MemberIos {
+    let Payload::Write(payload) = &mut o.payload else {
+        unreachable!("raid5 phase 2 requires a write payload")
+    };
+    let n = v.members.len();
+    let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
+    let c64 = u64::from(chunk);
+    let mut writes: Vec<(usize, IoRequest)> = Vec::new();
+    for plan in plans {
+        let range_lba = plan.stripe * c64 + plan.lo;
+        let range_bytes = (plan.hi - plan.lo) as usize * SECTOR_SIZE;
+        match &plan.mode {
+            SpanMode::Full => {
+                let mut parity = vec![0u8; chunk as usize * SECTOR_SIZE];
+                for seg in &plan.segs {
+                    let new = slice_payload(payload, seg.logical_off, seg.sectors);
+                    layout::xor_into(&mut parity, &new);
+                    if !failed[seg.member] {
+                        writes.push((
+                            seg.member,
+                            IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
+                        ));
+                    }
+                }
+                writes.push((
+                    plan.parity_member,
+                    IoRequest::write(plan.stripe * c64, parity).tagged(o.stream),
+                ));
+            }
+            SpanMode::ParityLess => {
+                for seg in &plan.segs {
+                    let new = slice_payload(payload, seg.logical_off, seg.sectors);
+                    writes.push((
+                        seg.member,
+                        IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
+                    ));
+                }
+            }
+            SpanMode::Rmw {
+                seg_slots,
+                parity_slot,
+            } => {
+                let mut parity = read_bytes(results, *parity_slot).to_vec();
+                for (i, seg) in plan.segs.iter().enumerate() {
+                    let old = read_bytes(results, seg_slots[i]);
+                    let new = slice_payload(payload, seg.logical_off, seg.sectors);
+                    let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
+                    for (j, (ob, nb)) in old.iter().zip(new.iter()).enumerate() {
+                        parity[base + j] ^= ob ^ nb;
+                    }
+                    writes.push((
+                        seg.member,
+                        IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
+                    ));
+                }
+                writes.push((
+                    plan.parity_member,
+                    IoRequest::write(range_lba, parity).tagged(o.stream),
+                ));
+            }
+            SpanMode::Reconstruct {
+                failed_chunk,
+                chunk_slots,
+                parity_slot,
+            } => {
+                // Old contents of every data chunk row over [lo, hi):
+                // survivors are read directly, the failed one is parity
+                // XOR the survivors.
+                let mut rows: Vec<Vec<u8>> = vec![Vec::new(); n - 1];
+                let mut failed_old = read_bytes(results, *parity_slot).to_vec();
+                for (ch, slot) in chunk_slots {
+                    let bytes = read_bytes(results, *slot);
+                    layout::xor_into(&mut failed_old, bytes);
+                    rows[*ch] = bytes.to_vec();
+                }
+                rows[*failed_chunk] = failed_old;
+                for seg in &plan.segs {
+                    let new = slice_payload(payload, seg.logical_off, seg.sectors);
+                    let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
+                    rows[seg.chunk][base..base + new.len()].copy_from_slice(&new);
+                    if !failed[seg.member] {
+                        writes.push((
+                            seg.member,
+                            IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
+                        ));
+                    }
+                }
+                let mut parity = vec![0u8; range_bytes];
+                for row in &rows {
+                    layout::xor_into(&mut parity, row);
+                }
+                writes.push((
+                    plan.parity_member,
+                    IoRequest::write(range_lba, parity).tagged(o.stream),
+                ));
+            }
+        }
+    }
+    writes
+}
+
 fn raid5_phase2(
     vol: &RaidVolume,
     sim: &mut Simulator,
@@ -1281,108 +1386,13 @@ fn raid5_phase2(
     results: &[Option<IoDone>],
     chunk: u32,
 ) {
-    let writes = {
-        let v = vol.inner.borrow();
-        let o = op.borrow();
-        let Payload::Write(payload) = &o.payload else {
-            unreachable!("raid5 phase 2 requires a write payload")
-        };
-        let n = v.members.len();
-        let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
-        let c64 = u64::from(chunk);
-        let mut writes: Vec<(usize, IoRequest)> = Vec::new();
-        for plan in plans {
-            let range_lba = plan.stripe * c64 + plan.lo;
-            let range_bytes = (plan.hi - plan.lo) as usize * SECTOR_SIZE;
-            match &plan.mode {
-                SpanMode::Full => {
-                    let mut parity = vec![0u8; chunk as usize * SECTOR_SIZE];
-                    for seg in &plan.segs {
-                        let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                        layout::xor_into(&mut parity, &new);
-                        if !failed[seg.member] {
-                            writes.push((
-                                seg.member,
-                                IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
-                            ));
-                        }
-                    }
-                    writes.push((
-                        plan.parity_member,
-                        IoRequest::write(plan.stripe * c64, parity).tagged(o.stream),
-                    ));
-                }
-                SpanMode::ParityLess => {
-                    for seg in &plan.segs {
-                        let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                        writes.push((
-                            seg.member,
-                            IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
-                        ));
-                    }
-                }
-                SpanMode::Rmw {
-                    seg_slots,
-                    parity_slot,
-                } => {
-                    let mut parity = read_bytes(results, *parity_slot).to_vec();
-                    for (i, seg) in plan.segs.iter().enumerate() {
-                        let old = read_bytes(results, seg_slots[i]);
-                        let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                        let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
-                        for (j, (ob, nb)) in old.iter().zip(&new).enumerate() {
-                            parity[base + j] ^= ob ^ nb;
-                        }
-                        writes.push((
-                            seg.member,
-                            IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
-                        ));
-                    }
-                    writes.push((
-                        plan.parity_member,
-                        IoRequest::write(range_lba, parity).tagged(o.stream),
-                    ));
-                }
-                SpanMode::Reconstruct {
-                    failed_chunk,
-                    chunk_slots,
-                    parity_slot,
-                } => {
-                    // Old contents of every data chunk row over [lo, hi):
-                    // survivors are read directly, the failed one is parity
-                    // XOR the survivors.
-                    let mut rows: Vec<Vec<u8>> = vec![Vec::new(); n - 1];
-                    let mut failed_old = read_bytes(results, *parity_slot).to_vec();
-                    for (ch, slot) in chunk_slots {
-                        let bytes = read_bytes(results, *slot);
-                        layout::xor_into(&mut failed_old, bytes);
-                        rows[*ch] = bytes.to_vec();
-                    }
-                    rows[*failed_chunk] = failed_old;
-                    for seg in &plan.segs {
-                        let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                        let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
-                        rows[seg.chunk][base..base + new.len()].copy_from_slice(&new);
-                        if !failed[seg.member] {
-                            writes.push((
-                                seg.member,
-                                IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
-                            ));
-                        }
-                    }
-                    let mut parity = vec![0u8; range_bytes];
-                    for row in &rows {
-                        layout::xor_into(&mut parity, row);
-                    }
-                    writes.push((
-                        plan.parity_member,
-                        IoRequest::write(range_lba, parity).tagged(o.stream),
-                    ));
-                }
-            }
-        }
-        writes
-    };
+    let writes = raid5_phase2_writes(
+        &vol.inner.borrow(),
+        &mut op.borrow_mut(),
+        plans,
+        results,
+        chunk,
+    );
     let slot_members: Vec<usize> = writes.iter().map(|(m, _)| *m).collect();
     let vol2 = vol.clone();
     let op2 = Rc::clone(op);
@@ -1604,6 +1614,167 @@ mod tests {
         );
         sim.run();
         assert_eq!(vol.with_stats(|s| s.logical_reads + s.logical_writes), 0);
+    }
+
+    /// A write operation as `submit` would build it, for driving the
+    /// planning functions directly.
+    fn write_op(lba: Lba, data: Vec<u8>) -> Op {
+        Op {
+            id: RequestId(0),
+            lba,
+            sectors: (data.len() / SECTOR_SIZE) as u32,
+            payload: Payload::Write(data.into()),
+            stream: StreamId::UNTAGGED,
+            issued: SimTime::ZERO,
+            attempt: 0,
+            keys: Vec::new(),
+            keys_held: false,
+            done: None,
+        }
+    }
+
+    fn write_data(req: &IoRequest) -> &PayloadBuf {
+        match &req.kind {
+            IoKind::Write { data } => data,
+            IoKind::Read { .. } => panic!("expected a write sub-request"),
+        }
+    }
+
+    #[test]
+    fn mirror_sub_writes_share_the_logical_writes_buffer() {
+        let vol = volume(
+            VolumeLayout::Raid1 {
+                read_policy: ReadPolicy::RoundRobin,
+            },
+            3,
+        );
+        let data = pattern(6, 17);
+        let submitted = data.clone();
+        let at = submitted.as_ptr();
+        let mut op = write_op(9, submitted);
+        let ios = mirror_write_ios(&vol.inner.borrow(), &mut op);
+        assert_eq!(ios.iter().map(|(m, _)| *m).collect::<Vec<_>>(), [0, 1, 2]);
+        let Payload::Write(parent) = &op.payload else {
+            unreachable!()
+        };
+        for (_, req) in &ios {
+            assert_eq!(req.lba, 9);
+            assert!(write_data(req).ptr_eq(parent), "a handle, not a copy");
+            assert_eq!(write_data(req).as_ptr(), at, "of the submitter's own Vec");
+            assert_eq!(&write_data(req)[..], &data[..]);
+        }
+        // A failed mirror gets no sub-write; the others still share.
+        vol.fail_member(SimTime::ZERO, 1);
+        let ios = mirror_write_ios(&vol.inner.borrow(), &mut op);
+        assert_eq!(ios.iter().map(|(m, _)| *m).collect::<Vec<_>>(), [0, 2]);
+        assert!(write_data(&ios[0].1).ptr_eq(write_data(&ios[1].1)));
+    }
+
+    /// Runs `extents` random writes through the RAID-5 planning functions
+    /// against the members' real contents. Every data sub-write must be a
+    /// view of the logical write's buffer reading exactly the parent's
+    /// bytes for its segment, every other sub-write a parity block, and —
+    /// once the sub-writes are applied — every touched row must XOR to
+    /// zero across the members.
+    fn check_raid5_sub_writes(members: usize, chunk: u32, extents: usize, seed: u64) {
+        use rand::Rng;
+        let mut sim = Simulator::new();
+        let vol = volume(
+            VolumeLayout::Raid5 {
+                chunk_sectors: chunk,
+            },
+            members,
+        );
+        let disks = vol.member_disks();
+        let span = 6 * u64::from(chunk) * (members as u64 - 1);
+        // Non-zero old contents with consistent parity under them.
+        write_ok(&mut sim, &vol, 0, pattern(span as usize, 91));
+        let before = vol.with_stats(|s| (s.full_stripe_writes, s.rmw_cycles));
+        let peek = |member: usize, lba: Lba, sectors: u32| -> Vec<u8> {
+            (0..u64::from(sectors))
+                .flat_map(|i| disks[member].peek_sector(lba + i))
+                .collect()
+        };
+        let mut rng = trail_sim::rng(seed);
+        for _ in 0..extents {
+            let sectors = rng.gen_range(1..=3 * u64::from(chunk) * (members as u64 - 1));
+            let lba = rng.gen_range(0..=span - sectors);
+            let data = pattern(sectors as usize, rng.gen());
+            let mut op = write_op(lba, data.clone());
+            let (reads, plans) = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op, chunk)
+                .expect("no member has failed");
+            let results: Vec<Option<IoDone>> = reads
+                .iter()
+                .map(|(member, req)| {
+                    Some(IoDone {
+                        id: RequestId(0),
+                        lba: req.lba,
+                        kind: CommandKind::Read,
+                        data: Some(peek(*member, req.lba, req.kind.sectors())),
+                        issued: SimTime::ZERO,
+                        completed: SimTime::ZERO,
+                        breakdown: ServiceBreakdown::default(),
+                    })
+                })
+                .collect();
+            let writes = raid5_phase2_writes(&vol.inner.borrow(), &mut op, &plans, &results, chunk);
+            let Payload::Write(parent) = &op.payload else {
+                unreachable!()
+            };
+
+            let segs = layout::raid5_map(members, chunk, lba, sectors as u32);
+            let mut views = 0;
+            for seg in &segs {
+                let (_, req) = writes
+                    .iter()
+                    .find(|(m, r)| *m == seg.member && r.lba == seg.member_lba(chunk))
+                    .expect("every segment has its sub-write");
+                let a = seg.logical_off as usize * SECTOR_SIZE;
+                let b = a + seg.sectors as usize * SECTOR_SIZE;
+                assert_eq!(&write_data(req)[..], &data[a..b], "segment {seg:?}");
+                assert!(write_data(req).ptr_eq(parent), "a view, not a copy");
+                views += 1;
+            }
+            let parity_writes: Vec<_> = writes
+                .iter()
+                .filter(|(_, r)| !write_data(r).ptr_eq(parent))
+                .collect();
+            assert_eq!(views + parity_writes.len(), writes.len());
+            assert_eq!(
+                parity_writes.len(),
+                plans.len(),
+                "one parity block per stripe"
+            );
+
+            for (member, req) in &writes {
+                for (i, sector) in write_data(req).chunks_exact(SECTOR_SIZE).enumerate() {
+                    let buf: &[u8; SECTOR_SIZE] = sector.try_into().expect("one sector");
+                    disks[*member].poke_sector(req.lba + i as u64, buf);
+                }
+            }
+            for plan in &plans {
+                let mut row = vec![0u8; chunk as usize * SECTOR_SIZE];
+                for member in 0..members {
+                    layout::xor_into(
+                        &mut row,
+                        &peek(member, plan.stripe * u64::from(chunk), chunk),
+                    );
+                }
+                assert!(row.iter().all(|b| *b == 0), "stripe {} parity", plan.stripe);
+            }
+            assert_eq!(read_back(&mut sim, &vol, lba, sectors as u32), data);
+        }
+        let after = vol.with_stats(|s| (s.full_stripe_writes, s.rmw_cycles));
+        assert!(
+            after.0 > before.0 && after.1 > before.1,
+            "the extents exercised both full-stripe and read-modify-write spans"
+        );
+    }
+
+    #[test]
+    fn raid5_sub_writes_are_views_of_the_parent_with_its_bytes() {
+        check_raid5_sub_writes(4, 4, 120, 7);
+        check_raid5_sub_writes(3, 8, 60, 11);
     }
 
     #[test]
