@@ -142,6 +142,29 @@ if grep -rnE --include='*.rs' \
   exit 1
 fi
 
+echo "== medium gate =="
+# SectorStore keeps its index pages in a slab found through a table of
+# positions, and range I/O probes that table once per page a run crosses
+# (DESIGN.md, "The recording medium"). The separately boxed page and the
+# sector-at-a-time loops it replaced — in write_range and in the power
+# cut's torn prefix — must not come back.
+if grep -rn --include='*.rs' 'Box<IndexPage>' crates/disk/src; then
+  echo "found a separately boxed index page; pages live in Index::slab" >&2
+  exit 1
+fi
+body_of() { awk -v sig="fn $2(" 'index($0, sig) { on = 1 } on { print } on && /^    }$/ { exit }' "$1"; }
+while read -r file name; do
+  [ -n "$(body_of "$file" "$name")" ] \
+    || { echo "medium gate cannot find fn $name in $file" >&2; exit 1; }
+  if body_of "$file" "$name" | grep -n 'write_sector('; then
+    echo "$file: fn $name writes sector by sector; probe the index once per page" >&2
+    exit 1
+  fi
+done <<'SITES'
+crates/disk/src/store.rs write_range
+crates/disk/src/device.rs power_cut
+SITES
+
 echo "== retired-subcommand gate =="
 # Host-side cost is the repo benchmark's job (benchmark/README.md); the
 # old wall-clock suite must not come back as a subcommand.
@@ -178,8 +201,8 @@ trace_tool generate --out "$smoke_dir/big.trace" \
   --seed 42 >/dev/null
 stream_a="$smoke_dir/stream_a"; stream_b="$smoke_dir/stream_b"
 mkdir -p "$stream_a" "$stream_b"
-trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 \
-  --out-dir "$stream_a" >/dev/null
+stream_out="$(trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 \
+  --out-dir "$stream_a")"
 # Second run cross-checks the in-memory oracle: the whole trace decoded
 # up front must produce the byte-identical report the streamed run did.
 trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 --oracle \
@@ -192,6 +215,15 @@ for field in records_per_sec peak_resident_records latency_fingerprint; do
   grep -q "\"$field\"" "$stream_a/BENCH_replaystream.json" \
     || { echo "BENCH_replaystream.json lacks $field" >&2; exit 1; }
 done
+# Bounded memory on a Trail target, measured: one unique header sector and
+# a mostly-empty index page per log record are what this replay's media
+# hold, so its real peak RSS says whether the medium is still laid out
+# for that (measured 229.5 MB; 330 MB with 256-byte index pages and
+# whole-sector slots). The gate is the measurement + 25 %.
+peak_rss_mb() { grep -o 'VmHWM [0-9.]* MB' <<<"$1" | tail -1 | grep -o '[0-9.]*' || true; }
+hwm="$(peak_rss_mb "$stream_out")"
+[ -n "$hwm" ] && awk -v m="$hwm" 'BEGIN { exit !(m <= 287) }' \
+  || { echo "streaming replay peak RSS '${hwm}' MB missing or above 287 MB" >&2; exit 1; }
 
 echo "== compressed + sharded replay gate (delta <= 60%, thread-count byte-identity) =="
 # Delta-compress the million-record trace and require the promised
@@ -245,11 +277,12 @@ grep -q 'fingerprint: [0-9a-f]\{16\} (single == sharded)' <<<"$giga_out" \
   || { echo "trail-bench giga did not report single == sharded" >&2; exit 1; }
 # Bounded memory, measured: the medium keeps each distinct sector image
 # once, so 5.6x10^7 written sectors must not show in the process's real
-# peak RSS. The last VmHWM printed covers both replays (measured ~340 MB,
-# most of it per-command latency samples; a per-sector store needs GBs).
-hwm=$(grep -o 'VmHWM [0-9.]* MB' <<<"$giga_out" | tail -1 | grep -o '[0-9.]*' || true)
-[ -n "$hwm" ] && awk -v m="$hwm" 'BEGIN { exit !(m <= 1024) }' \
-  || { echo "trail-bench giga peak RSS '${hwm}' MB missing or above 1024 MB" >&2; exit 1; }
+# peak RSS. The last VmHWM printed covers both replays (measured
+# 367–397 MB, most of it per-command latency samples; a per-sector store
+# needs GBs). The gate is the measurement + 25 %.
+hwm="$(peak_rss_mb "$giga_out")"
+[ -n "$hwm" ] && awk -v m="$hwm" 'BEGIN { exit !(m <= 497) }' \
+  || { echo "trail-bench giga peak RSS '${hwm}' MB missing or above 497 MB" >&2; exit 1; }
 # The >= 2x sharded speedup criterion is a wall-clock property and only
 # meaningful with real cores under the shards; assert it when this
 # machine has at least 4, otherwise record the measurement and move on.

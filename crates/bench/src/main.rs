@@ -51,8 +51,10 @@
 //!   and its routing shared-nothing, so the sharded replay's merged
 //!   latency artifacts must equal the single engine's exactly, and the
 //!   run asserts that they do. The console reports sizes, records/sec,
-//!   the real peak RSS (`VmHWM`) after each replay and a `speedup:` line
-//!   (wall-clock, machine-dependent);
+//!   the real peak RSS (`VmHWM`) and a `media:` line (what the simulated
+//!   platters hold and what that costs the host, index and pool apart)
+//!   after each replay, and a `speedup:` line (wall-clock,
+//!   machine-dependent);
 //!   `BENCH_replaystream.json` holds only virtual-time-derived fields plus
 //!   the two file sizes. Generation, conversion and both replays all
 //!   stream; `--keep` leaves the two trace files in `--out-dir`.
@@ -67,6 +69,7 @@ use trail_bench::{
     all_scenarios, replay_stream_json, run_all_scenarios, write_bench_json_in, Args, RunAllOptions,
     ScenarioConfig, ScenarioSpec,
 };
+use trail_disk::MediumStats;
 use trail_sim::SimDuration;
 use trail_telemetry::{
     chrome_trace_string, metrics_json_string, JsonValue, MemoryRecorder, RecorderHandle,
@@ -231,6 +234,22 @@ fn cmd_scenario(spec: &ScenarioSpec, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The `media:` console line of a replay: what its disks hold and where
+/// the host bytes that hold it are. Host-side, like [`vm_hwm`].
+fn media_line(m: &MediumStats) -> String {
+    let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+    format!(
+        "  media: {} written / {} distinct sectors ({} short); \
+         index {:.1} MB + pool {:.1} MB = {:.1} MB resident",
+        m.written_sectors,
+        m.distinct_sectors,
+        m.short_images,
+        mb(m.index_bytes),
+        mb(m.pool_bytes),
+        mb(m.resident_bytes),
+    )
+}
+
 fn cmd_replay_file(args: &[String]) -> Result<(), String> {
     const FLAGS: &[(&str, bool)] = &[
         ("--trace", true),
@@ -295,6 +314,7 @@ fn cmd_replay_file(args: &[String]) -> Result<(), String> {
         vm_hwm(),
         rep.max_queue_depth,
     );
+    println!("{}", media_line(&rep.media));
     if args.has("--oracle") {
         let bytes = std::fs::read(path).map_err(|e| oops(&e))?;
         let trace = from_binary(&bytes).map_err(|e| oops(&e))?;
@@ -387,6 +407,7 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
         single.peak_resident_records,
         vm_hwm()
     );
+    println!("{}", media_line(&single.media));
 
     let wall = Instant::now();
     let sharded =
@@ -401,6 +422,7 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
         sharded.peak_resident_records,
         vm_hwm()
     );
+    println!("{}", media_line(&sharded.media));
     println!("speedup: {:.2}x", sharded_rps / single_rps.max(1e-9));
 
     assert_eq!(single.requests, sharded.requests, "request counts differ");

@@ -165,25 +165,43 @@ pub struct MediumStats {
     /// Sector images kept for them ([`SectorStore::distinct_sectors`]).
     pub distinct_sectors: u64,
     /// Host bytes the medium keeps allocated
-    /// ([`SectorStore::resident_bytes`]).
+    /// ([`SectorStore::resident_bytes`]): `index_bytes + pool_bytes`.
     pub resident_bytes: u64,
+    /// The LBA index's share of them ([`SectorStore::index_bytes`]).
+    pub index_bytes: u64,
+    /// The image pool's share of them ([`SectorStore::pool_bytes`]).
+    pub pool_bytes: u64,
+    /// Images kept in half a slot because their second half is zero
+    /// ([`SectorStore::short_images`]).
+    pub short_images: u64,
 }
 
 impl MediumStats {
     /// The counters as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
+        let num = |v: u64| JsonValue::Num(v as f64);
         JsonValue::obj(vec![
-            (
-                "written_sectors",
-                JsonValue::Num(self.written_sectors as f64),
-            ),
-            (
-                "distinct_sectors",
-                JsonValue::Num(self.distinct_sectors as f64),
-            ),
-            ("resident_bytes", JsonValue::Num(self.resident_bytes as f64)),
+            ("written_sectors", num(self.written_sectors)),
+            ("distinct_sectors", num(self.distinct_sectors)),
+            ("resident_bytes", num(self.resident_bytes)),
+            ("index_bytes", num(self.index_bytes)),
+            ("pool_bytes", num(self.pool_bytes)),
+            ("short_images", num(self.short_images)),
         ])
+    }
+}
+
+impl std::ops::AddAssign for MediumStats {
+    /// Sums two media, field by field: the medium of a stack is the sum
+    /// over its disks.
+    fn add_assign(&mut self, other: Self) {
+        self.written_sectors += other.written_sectors;
+        self.distinct_sectors += other.distinct_sectors;
+        self.resident_bytes += other.resident_bytes;
+        self.index_bytes += other.index_bytes;
+        self.pool_bytes += other.pool_bytes;
+        self.short_images += other.short_images;
     }
 }
 
@@ -328,6 +346,9 @@ impl Disk {
             written_sectors: d.store.written_sectors() as u64,
             distinct_sectors: d.store.distinct_sectors() as u64,
             resident_bytes: d.store.resident_bytes() as u64,
+            index_bytes: d.store.index_bytes() as u64,
+            pool_bytes: d.store.pool_bytes() as u64,
+            short_images: d.store.short_images() as u64,
         }
     }
 
@@ -542,13 +563,11 @@ impl Disk {
         d.powered = false;
         d.power_epoch += 1;
         if let Some(w) = d.in_flight.take() {
-            for (i, done_at) in w.sector_done.iter().enumerate() {
-                if *done_at <= now {
-                    let chunk = &w.data[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE];
-                    let buf: &SectorBuf = chunk.try_into().expect("chunk is exactly one sector");
-                    d.store.write_sector(w.lba + i as u64, buf);
-                }
-            }
+            // Sectors land in order, so those already on the medium are a
+            // prefix of the staged payload.
+            debug_assert!(w.sector_done.is_sorted());
+            let landed = w.sector_done.iter().take_while(|&&at| at <= now).count();
+            d.store.write_range(w.lba, &w.data[..landed * SECTOR_SIZE]);
         }
         if d.busy {
             d.busy = false;
@@ -995,6 +1014,37 @@ mod tests {
     }
 
     #[test]
+    fn power_cut_prefix_may_end_inside_the_second_index_page_it_crosses() {
+        // 24 sectors from LBA 8 cross the medium's 16-LBA index pages at
+        // LBA 16; the cut lands 12 of them, so the persisted prefix fills
+        // the rest of one page and stops four entries into the next.
+        let (mut sim, disk) = setup();
+        let token = sim.completion(|_, _: Delivered<DiskResult>| {});
+        let data: PayloadBuf = (0..24 * SECTOR_SIZE)
+            .map(|i| 1 + (i / SECTOR_SIZE) as u8)
+            .collect::<Vec<u8>>()
+            .into();
+        disk.submit(&mut sim, DiskCommand::Write { lba: 8, data }, token)
+            .unwrap();
+        let mech = disk.mechanics();
+        let g = disk.geometry();
+        let t0 = SimTime::ZERO + mech.overhead(CommandKind::Write, false);
+        let rot = mech.time_until_angle(t0, g.sector_angle(0, 8));
+        sim.run_until(t0 + rot + mech.sector_time(g.spt_of_track(0)) * 12);
+        disk.power_cut(sim.now());
+        sim.run();
+        for lba in 0..40u64 {
+            let want = if (8..20).contains(&lba) {
+                [1 + (lba - 8) as u8; SECTOR_SIZE]
+            } else {
+                [0u8; SECTOR_SIZE]
+            };
+            assert_eq!(disk.peek_sector(lba), want, "lba {lba}");
+        }
+        assert_eq!(disk.medium_stats().written_sectors, 12);
+    }
+
+    #[test]
     fn medium_stats_describe_the_store_and_survive_a_stats_reset() {
         let (mut sim, disk) = setup();
         assert_eq!(disk.medium_stats(), MediumStats::default());
@@ -1006,12 +1056,14 @@ mod tests {
         disk.reset_stats();
         let m = disk.medium_stats();
         assert_eq!((m.written_sectors, m.distinct_sectors), (8, 1));
-        assert!(m.resident_bytes > 0);
+        assert!(m.index_bytes > 0 && m.pool_bytes > 0);
+        assert_eq!(m.resident_bytes, m.index_bytes + m.pool_bytes);
         assert_eq!(
             m.to_json().to_json(),
             format!(
-                "{{\"written_sectors\":8,\"distinct_sectors\":1,\"resident_bytes\":{}}}",
-                m.resident_bytes
+                "{{\"written_sectors\":8,\"distinct_sectors\":1,\"resident_bytes\":{},\
+                 \"index_bytes\":{},\"pool_bytes\":{},\"short_images\":0}}",
+                m.resident_bytes, m.index_bytes, m.pool_bytes
             )
         );
     }

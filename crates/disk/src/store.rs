@@ -9,36 +9,74 @@
 //! Every byte written reads back exactly, but each *distinct* sector image
 //! is kept once: a paged index maps an LBA to a slot in a pool of images, a
 //! 64-bit content hash finds an existing identical image, and slots are
-//! reference-counted. Workloads whose payloads repeat (trace replays carry
-//! synthetic fills, logs carry padding) therefore cost under five index
-//! bytes per written LBA instead of 512; workloads whose payloads are
-//! unique cost what a plain `LBA → bytes` map would.
+//! reference-counted. The layout is sized for what Trail writes — short
+//! runs scattered over the platter, each led by a unique, mostly-zero
+//! header sector: an index page is one cache line, and an image whose
+//! second half is zero occupies half a slot. Workloads whose payloads
+//! repeat (trace replays carry synthetic fills, logs carry padding) cost
+//! about six index bytes per densely written LBA instead of 512; workloads
+//! whose payloads are unique cost what a plain `LBA → bytes` map would.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::size_of;
+use std::ops::Range;
 
 use crate::geometry::{Lba, SECTOR_SIZE};
 
 /// One sector's payload.
 pub type SectorBuf = [u8; SECTOR_SIZE];
 
-/// Images per pool chunk (16 KB). The pool grows one chunk at a time and a
-/// chunk never moves, so a stored image is written once and growth never
-/// copies the medium. Small enough that the first write to a fresh disk
-/// (every crash point boots several) stays a few microseconds.
-const CHUNK_SECTORS: usize = 32;
+/// Images per pool chunk (8 KB of whole sectors, 4 KB of short ones). A
+/// class of the pool grows one chunk at a time and a chunk never moves, so
+/// a stored image is written once and growth never copies the medium.
+/// Small enough that the first write to a fresh disk (every crash point
+/// boots several) asks for no more memory than its index page, one chunk
+/// of each class and a few table entries: about 16 KB.
+const CHUNK_SLOTS: usize = 16;
 
-/// LBAs per index page (256 B of slot numbers). A page exists once any of
-/// its LBAs is written, so the index costs under five bytes per sector of
-/// capacity however long the run, and ~300 B for an isolated write.
-const PAGE_LBAS: u64 = 64;
+/// Bytes kept for an image whose remaining bytes are all zero. Trail's
+/// record headers, the most numerous unique images a log disk holds, end
+/// well before it.
+const SHORT_BYTES: usize = SECTOR_SIZE / 2;
 
-/// The index entry of an LBA that was never written.
-const UNWRITTEN: u32 = u32::MAX;
+/// LBAs per index page: 16 entries of four bytes, one cache line. A page
+/// exists once any of its LBAs is written, so a densely written region
+/// costs four index bytes per sector plus its share of a table entry, and
+/// an isolated write under a hundred.
+const PAGE_LBAS: u64 = 16;
+
+/// Index pages per slab chunk (4 KB). Like the pool, the slab grows a
+/// chunk at a time and never moves a page.
+const SLAB_PAGES: usize = 64;
+
+/// The index entry of an LBA that was never written. Zero, so fresh slab
+/// chunks come zeroed from the allocator and a page of memory is first
+/// touched when an LBA on it is first written.
+const UNWRITTEN: u32 = 0;
 
 type IndexPage = [u32; PAGE_LBAS as usize];
+
+/// The two slot classes of the pool (see [`Image`]), as the low bit of an
+/// index entry.
+const FULL: usize = 0;
+const SHORT: usize = 1;
+
+/// Slot numbers a class can hand out: an entry is a `u32` that spends one
+/// bit on the class and the value zero on [`UNWRITTEN`].
+const MAX_SLOTS: usize = (u32::MAX >> 1) as usize;
+
+/// The index entry naming slot `number` of `class`.
+fn entry_of(class: usize, number: usize) -> u32 {
+    ((number as u32 + 1) << 1) | class as u32
+}
+
+/// The `(class, number)` a written entry names.
+fn slot_of(entry: u32) -> (usize, usize) {
+    debug_assert_ne!(entry >> 1, 0, "entry names no slot");
+    ((entry & 1) as usize, (entry >> 1) as usize - 1)
+}
 
 /// The hasher of both maps below: one multiplication. Their keys are an
 /// index-page number and a content hash that is already mixed, neither of
@@ -65,6 +103,13 @@ impl Hasher for MulHasher {
 
 type MediumMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
+/// Bytes a `HashMap<K, V>` of this capacity keeps allocated: one `(K, V)`
+/// bucket plus one control byte per slot at 7/8 load. An estimate of the
+/// standard library's layout, good to a few percent.
+fn map_bytes<K, V>(map: &MediumMap<K, V>) -> usize {
+    map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
+}
+
 /// The default content hash: four interleaved multiply-rotate lanes over
 /// the sector's 64 little-endian words, folded at the end. Quality only
 /// affects how often identical images are found; see [`Pool::acquire`].
@@ -83,103 +128,305 @@ fn content_hash(data: &SectorBuf) -> u64 {
     })
 }
 
-/// The pool of distinct sector images. A slot is live while `refs[slot]`
-/// LBAs point at it and is recycled through `free` afterwards.
-#[derive(Clone, Debug)]
-struct Pool {
-    chunks: Vec<Box<[SectorBuf]>>,
+/// An index-page number in two halves, so that a table bucket is twelve
+/// bytes instead of the sixteen a `u64` key would align it to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PageNo {
+    high: u32,
+    low: u32,
+}
+
+impl PageNo {
+    fn of(lba: Lba) -> Self {
+        let number = lba / PAGE_LBAS;
+        PageNo {
+            high: (number >> 32) as u32,
+            low: number as u32,
+        }
+    }
+
+    fn number(self) -> u64 {
+        (u64::from(self.high) << 32) | u64::from(self.low)
+    }
+}
+
+impl Hash for PageNo {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.number());
+    }
+}
+
+/// The LBA index: one page of entries per [`PAGE_LBAS`] LBAs of which any
+/// was written, kept in a slab and found through a table of positions.
+#[derive(Clone, Debug, Default)]
+struct Index {
+    // Page number → the page's position in `slab`. Pages are handed out
+    // in order and never returned, so the positions are `0..at.len()`.
+    at: MediumMap<PageNo, u32>,
+    slab: Vec<Box<[IndexPage]>>,
+}
+
+impl Index {
+    fn page(&self, lba: Lba) -> Option<&IndexPage> {
+        let at = *self.at.get(&PageNo::of(lba))? as usize;
+        Some(&self.slab[at / SLAB_PAGES][at % SLAB_PAGES])
+    }
+
+    /// The page of `lba`, created with every entry [`UNWRITTEN`] if no LBA
+    /// on it was written before.
+    fn page_mut(&mut self, lba: Lba) -> &mut IndexPage {
+        let next = self.at.len();
+        let at = *self
+            .at
+            .entry(PageNo::of(lba))
+            .or_insert_with(|| u32::try_from(next).expect("index is out of page positions"))
+            as usize;
+        if at == self.slab.len() * SLAB_PAGES {
+            self.slab
+                .push(vec![[UNWRITTEN; PAGE_LBAS as usize]; SLAB_PAGES].into_boxed_slice());
+        }
+        &mut self.slab[at / SLAB_PAGES][at % SLAB_PAGES]
+    }
+
+    fn bytes(&self) -> usize {
+        self.slab.len() * SLAB_PAGES * size_of::<IndexPage>()
+            + self.slab.capacity() * size_of::<Box<[IndexPage]>>()
+            + map_bytes(&self.at)
+    }
+}
+
+/// Splits `count` sectors starting at `lba` into one run per index page
+/// they cross: the first LBA of the run and the entries it covers within
+/// its page.
+fn page_runs(lba: Lba, count: u64) -> impl Iterator<Item = (Lba, Range<usize>)> {
+    let (mut at, mut left) = (lba, count);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let first = at % PAGE_LBAS;
+        let run = (PAGE_LBAS - first).min(left);
+        let item = (at, first as usize..(first + run) as usize);
+        at += run;
+        left -= run;
+        Some(item)
+    })
+}
+
+/// One slot class of the pool: images of `N` bytes. A slot is live while
+/// `refs[slot]` LBAs point at it and is recycled through `free` afterwards.
+#[derive(Clone, Debug, Default)]
+struct Slots<const N: usize> {
+    // `CHUNK_SLOTS` images each, as bytes so that a chunk comes zeroed
+    // from the allocator and is first touched when an image lands on it.
+    chunks: Vec<Box<[u8]>>,
     // Per allocated slot: how many LBAs hold it, and its image's hash (so
-    // a release can drop the `by_hash` entry without rehashing 512 bytes).
+    // a release can drop the `by_hash` entry without rehashing the image).
     refs: Vec<u32>,
     hashes: Vec<u64>,
-    // Content hash → the one slot registered under it. Only ever names a
-    // live slot whose image has that hash.
-    by_hash: MediumMap<u64, u32>,
     free: Vec<u32>,
+}
+
+impl<const N: usize> Slots<N> {
+    fn image(&self, slot: usize) -> &[u8; N] {
+        &self.chunks[slot / CHUNK_SLOTS].as_chunks().0[slot % CHUNK_SLOTS]
+    }
+
+    /// Whether `slot` already holds exactly `image`.
+    fn holds(&self, slot: usize, hash: u64, image: &[u8; N]) -> bool {
+        self.hashes[slot] == hash && self.image(slot) == image
+    }
+
+    /// A slot holding `image` under one reference: a recycled one if any
+    /// is free, else the next of the newest chunk.
+    fn take(&mut self, hash: u64, image: &[u8; N]) -> usize {
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
+            None => {
+                let slot = self.refs.len();
+                assert!(slot < MAX_SLOTS, "pool is out of slot numbers");
+                if slot == self.chunks.len() * CHUNK_SLOTS {
+                    self.chunks
+                        .push(vec![0u8; CHUNK_SLOTS * N].into_boxed_slice());
+                }
+                self.refs.push(0);
+                self.hashes.push(0);
+                slot
+            }
+        };
+        self.chunks[slot / CHUNK_SLOTS].as_chunks_mut().0[slot % CHUNK_SLOTS] = *image;
+        self.refs[slot] = 1;
+        self.hashes[slot] = hash;
+        slot
+    }
+
+    /// Drops one reference to `slot`; the last one frees it and returns
+    /// the hash its image was kept under.
+    fn release(&mut self, slot: usize) -> Option<u64> {
+        self.refs[slot] -= 1;
+        (self.refs[slot] == 0).then(|| {
+            self.free.push(slot as u32);
+            self.hashes[slot]
+        })
+    }
+
+    fn live(&self) -> usize {
+        self.refs.len() - self.free.len()
+    }
+
+    fn bytes(&self) -> usize {
+        self.chunks.len() * CHUNK_SLOTS * N
+            + self.chunks.capacity() * size_of::<Box<[u8]>>()
+            + self.refs.capacity() * size_of::<u32>()
+            + self.hashes.capacity() * size_of::<u64>()
+            + self.free.capacity() * size_of::<u32>()
+    }
+}
+
+/// A sector image as the pool keeps it: whole, or its first half when the
+/// second half is zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Image<'a> {
+    Full(&'a SectorBuf),
+    Short(&'a [u8; SHORT_BYTES]),
+}
+
+impl<'a> Image<'a> {
+    fn of(data: &'a SectorBuf) -> Self {
+        match data.split_first_chunk() {
+            Some((head, tail)) if tail == [0u8; SECTOR_SIZE - SHORT_BYTES] => Image::Short(head),
+            _ => Image::Full(data),
+        }
+    }
+
+    /// The sector this is the image of. (Reads of one sector return it by
+    /// value; writing through [`copy_to`](Self::copy_to) into a zeroed
+    /// local first is measurably slower there.)
+    fn sector(self) -> SectorBuf {
+        match self {
+            Image::Full(bytes) => *bytes,
+            Image::Short(bytes) => {
+                let mut padded = [0u8; SECTOR_SIZE];
+                padded[..SHORT_BYTES].copy_from_slice(bytes);
+                padded
+            }
+        }
+    }
+
+    /// Writes the sector this is the image of into a caller's buffer.
+    fn copy_to(self, out: &mut SectorBuf) {
+        match self {
+            Image::Full(bytes) => *out = *bytes,
+            Image::Short(bytes) => {
+                let (head, tail) = out.split_at_mut(SHORT_BYTES);
+                head.copy_from_slice(bytes);
+                tail.fill(0);
+            }
+        }
+    }
+}
+
+/// The pool of distinct sector images, one class of slots per kind of
+/// [`Image`]. The class of an image follows from its bytes, so equal
+/// images always meet in one class.
+#[derive(Clone, Debug)]
+struct Pool {
+    full: Slots<SECTOR_SIZE>,
+    short: Slots<SHORT_BYTES>,
+    // Content hash → the index entry of the one slot registered under it.
+    // Only ever names a live slot whose image has that hash.
+    by_hash: MediumMap<u64, u32>,
     hash: fn(&SectorBuf) -> u64,
 }
 
 impl Pool {
     fn new(hash: fn(&SectorBuf) -> u64) -> Self {
         Pool {
-            chunks: Vec::new(),
-            refs: Vec::new(),
-            hashes: Vec::new(),
+            full: Slots::default(),
+            short: Slots::default(),
             by_hash: MediumMap::default(),
-            free: Vec::new(),
             hash,
         }
     }
 
-    fn image(&self, slot: u32) -> &SectorBuf {
-        let slot = slot as usize;
-        &self.chunks[slot / CHUNK_SECTORS][slot % CHUNK_SECTORS]
+    /// The image `entry` names; none if its LBA was never written.
+    fn image(&self, entry: u32) -> Option<Image<'_>> {
+        (entry != UNWRITTEN).then(|| match slot_of(entry) {
+            (FULL, slot) => Image::Full(self.full.image(slot)),
+            (_, slot) => Image::Short(self.short.image(slot)),
+        })
     }
 
-    /// Whether `slot` already holds exactly `data`.
-    fn holds(&self, slot: u32, hash: u64, data: &SectorBuf) -> bool {
-        self.hashes[slot as usize] == hash && self.image(slot) == data
+    /// Whether `entry`'s slot already holds exactly `image`.
+    fn holds(&self, entry: u32, hash: u64, image: Image) -> bool {
+        match (slot_of(entry), image) {
+            ((FULL, slot), Image::Full(bytes)) => self.full.holds(slot, hash, bytes),
+            ((SHORT, slot), Image::Short(bytes)) => self.short.holds(slot, hash, bytes),
+            _ => false,
+        }
     }
 
-    /// Returns a slot holding `data`, with one more reference on it: the
-    /// slot registered under `hash` if its 512 bytes compare equal, else a
-    /// fresh one. Two different images with one hash therefore never share
-    /// a slot; the second merely stays unregistered, so a later copy of it
-    /// misses the share — a collision costs memory, never a wrong byte.
-    fn acquire(&mut self, hash: u64, data: &SectorBuf) -> u32 {
+    /// Makes `entry` name a slot holding `data`; returns whether the LBA
+    /// it belongs to was unwritten before.
+    fn write(&mut self, entry: &mut u32, data: &SectorBuf) -> bool {
+        let hash = (self.hash)(data);
+        let image = Image::of(data);
+        let fresh = *entry == UNWRITTEN;
+        if !fresh {
+            if self.holds(*entry, hash, image) {
+                return false;
+            }
+            // Release first: a sole owner's slot is recycled for the new
+            // image (if it is of the same class) instead of growing the
+            // pool.
+            self.release(*entry);
+        }
+        *entry = self.acquire(hash, image);
+        fresh
+    }
+
+    /// Returns the entry of a slot holding `image`, with one more
+    /// reference on it: the slot registered under `hash` if it is of the
+    /// same class and its stored bytes compare equal, else a fresh one.
+    /// Two different images with one hash therefore never share a slot;
+    /// the second merely stays unregistered, so a later copy of it misses
+    /// the share — a collision costs memory, never a wrong byte.
+    fn acquire(&mut self, hash: u64, image: Image) -> u32 {
         let registered = self.by_hash.get(&hash).copied();
-        if let Some(slot) = registered {
-            if self.image(slot) == data {
-                self.refs[slot as usize] += 1;
-                return slot;
-            }
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = self.refs.len();
-                if slot == self.chunks.len() * CHUNK_SECTORS {
-                    self.chunks
-                        .push(vec![[0u8; SECTOR_SIZE]; CHUNK_SECTORS].into_boxed_slice());
+        if let Some(entry) = registered {
+            if self.holds(entry, hash, image) {
+                match slot_of(entry) {
+                    (FULL, slot) => self.full.refs[slot] += 1,
+                    (_, slot) => self.short.refs[slot] += 1,
                 }
-                assert!(slot < UNWRITTEN as usize, "pool is out of slot numbers");
-                self.refs.push(0);
-                self.hashes.push(0);
-                slot as u32
+                return entry;
             }
-        };
-        let at = slot as usize;
-        self.chunks[at / CHUNK_SECTORS][at % CHUNK_SECTORS] = *data;
-        self.refs[at] = 1;
-        self.hashes[at] = hash;
-        if registered.is_none() {
-            self.by_hash.insert(hash, slot);
         }
-        slot
+        let entry = match image {
+            Image::Full(bytes) => entry_of(FULL, self.full.take(hash, bytes)),
+            Image::Short(bytes) => entry_of(SHORT, self.short.take(hash, bytes)),
+        };
+        if registered.is_none() {
+            self.by_hash.insert(hash, entry);
+        }
+        entry
     }
 
     /// Drops one reference; the last one frees the slot and its `by_hash`
     /// entry, so a recycled slot can never be found under its old hash.
-    fn release(&mut self, slot: u32) {
-        let at = slot as usize;
-        self.refs[at] -= 1;
-        if self.refs[at] == 0 {
-            // An unregistered (collided) slot leaves the entry to its owner.
-            if let Entry::Occupied(e) = self.by_hash.entry(self.hashes[at]) {
-                if *e.get() == slot {
-                    e.remove();
-                }
+    fn release(&mut self, entry: u32) {
+        let freed = match slot_of(entry) {
+            (FULL, slot) => self.full.release(slot),
+            (_, slot) => self.short.release(slot),
+        };
+        let Some(hash) = freed else { return };
+        // An unregistered (collided) slot leaves the entry to its owner.
+        if let Entry::Occupied(e) = self.by_hash.entry(hash) {
+            if *e.get() == entry {
+                e.remove();
             }
-            self.free.push(slot);
         }
     }
-}
-
-/// Bytes a `HashMap<K, V>` of this capacity keeps allocated: one `(K, V)`
-/// bucket plus one control byte per slot at 7/8 load. An estimate of the
-/// standard library's layout, good to a few percent.
-fn map_bytes<K, V>(map: &MediumMap<K, V>) -> usize {
-    map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
 }
 
 /// A sparse map from LBA to sector contents. Unwritten sectors read as
@@ -200,9 +447,7 @@ fn map_bytes<K, V>(map: &MediumMap<K, V>) -> usize {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SectorStore {
-    // `pages[lba / PAGE_LBAS][lba % PAGE_LBAS]` is the LBA's pool slot, or
-    // `UNWRITTEN`.
-    pages: MediumMap<u64, Box<IndexPage>>,
+    index: Index,
     written: usize,
     pool: Pool,
     capacity: u64,
@@ -225,17 +470,11 @@ impl SectorStore {
     /// image to collide.
     fn with_hash(capacity: u64, hash: fn(&SectorBuf) -> u64) -> Self {
         SectorStore {
-            pages: MediumMap::default(),
+            index: Index::default(),
             written: 0,
             pool: Pool::new(hash),
             capacity,
         }
-    }
-
-    /// The pool slot `lba` points at, if it was ever written.
-    fn slot_of(&self, lba: Lba) -> Option<u32> {
-        let page = self.pages.get(&(lba / PAGE_LBAS))?;
-        Some(page[(lba % PAGE_LBAS) as usize]).filter(|&slot| slot != UNWRITTEN)
     }
 
     /// The store's capacity in sectors.
@@ -252,22 +491,48 @@ impl SectorStore {
     /// contents among the written sectors (a hash collision, which keeps
     /// two equal images apart, can only make it larger).
     pub fn distinct_sectors(&self) -> usize {
-        self.pool.refs.len() - self.pool.free.len()
+        self.pool.full.live() + self.pool.short.live()
     }
 
-    /// Host memory the medium keeps allocated, in bytes: pool chunks, the
-    /// LBA index, the hash table, reference counts and the free list. The
-    /// two hash maps are estimated from their capacity.
+    /// How many of the [`distinct_sectors`](Self::distinct_sectors) are
+    /// kept in half a slot because their second half is zero.
+    pub fn short_images(&self) -> usize {
+        self.pool.short.live()
+    }
+
+    /// Host memory the LBA index keeps allocated, in bytes: the slab of
+    /// pages and the table that finds them (estimated from its capacity).
+    pub fn index_bytes(&self) -> usize {
+        self.index.bytes()
+    }
+
+    /// Host memory the image pool keeps allocated, in bytes: chunks of
+    /// both classes, reference counts, hashes, free lists and the content
+    /// hash table (estimated from its capacity).
+    pub fn pool_bytes(&self) -> usize {
+        self.pool.full.bytes() + self.pool.short.bytes() + map_bytes(&self.pool.by_hash)
+    }
+
+    /// Host memory the medium keeps allocated, in bytes:
+    /// [`index_bytes`](Self::index_bytes) plus
+    /// [`pool_bytes`](Self::pool_bytes).
     pub fn resident_bytes(&self) -> usize {
-        let p = &self.pool;
-        p.chunks.len() * CHUNK_SECTORS * SECTOR_SIZE
-            + p.chunks.capacity() * size_of::<Box<[SectorBuf]>>()
-            + self.pages.len() * size_of::<IndexPage>()
-            + map_bytes(&self.pages)
-            + map_bytes(&p.by_hash)
-            + p.refs.capacity() * size_of::<u32>()
-            + p.hashes.capacity() * size_of::<u64>()
-            + p.free.capacity() * size_of::<u32>()
+        self.index_bytes() + self.pool_bytes()
+    }
+
+    /// Checks that a buffer of `bytes` bytes read or written at `lba` is
+    /// whole sectors within capacity.
+    fn check_range(&self, what: &str, lba: Lba, bytes: usize) {
+        assert!(
+            bytes.is_multiple_of(SECTOR_SIZE),
+            "{what} buffer must be sector-aligned, got {bytes} bytes"
+        );
+        let count = (bytes / SECTOR_SIZE) as u64;
+        assert!(
+            lba.checked_add(count)
+                .is_some_and(|end| end <= self.capacity),
+            "{what} beyond capacity: lba {lba} count {count}"
+        );
     }
 
     /// Reads one sector (zeros if never written).
@@ -276,11 +541,10 @@ impl SectorStore {
     ///
     /// Panics if `lba` is beyond the capacity.
     pub fn read_sector(&self, lba: Lba) -> SectorBuf {
-        assert!(lba < self.capacity, "read beyond capacity: lba {lba}");
-        match self.slot_of(lba) {
-            Some(slot) => *self.pool.image(slot),
-            None => [0u8; SECTOR_SIZE],
-        }
+        self.check_range("read", lba, SECTOR_SIZE);
+        let page = self.index.page(lba);
+        let image = page.and_then(|page| self.pool.image(page[(lba % PAGE_LBAS) as usize]));
+        image.map_or([0u8; SECTOR_SIZE], Image::sector)
     }
 
     /// Overwrites one sector.
@@ -289,26 +553,12 @@ impl SectorStore {
     ///
     /// Panics if `lba` is beyond the capacity.
     pub fn write_sector(&mut self, lba: Lba, data: &SectorBuf) {
-        assert!(lba < self.capacity, "write beyond capacity: lba {lba}");
-        let hash = (self.pool.hash)(data);
-        let page = self.pages.entry(lba / PAGE_LBAS);
-        let entry = &mut page.or_insert_with(|| Box::new([UNWRITTEN; PAGE_LBAS as usize]))
-            [(lba % PAGE_LBAS) as usize];
-        if *entry == UNWRITTEN {
-            self.written += 1;
-        } else if self.pool.holds(*entry, hash, data) {
-            return;
-        } else {
-            // Release first: a sole owner's slot is recycled for the new
-            // image instead of growing the pool.
-            self.pool.release(*entry);
-        }
-        *entry = self.pool.acquire(hash, data);
+        self.write_range(lba, data);
     }
 
     /// Reads consecutive sectors directly into `out` (one whole number of
     /// sectors), without intermediate per-sector copies. Unwritten sectors
-    /// read as zeros.
+    /// read as zeros. The index is probed once per page the range crosses.
     ///
     /// This is the borrowed-read primitive the data path is built on:
     /// callers that already own a destination buffer (device DMA targets,
@@ -320,20 +570,21 @@ impl SectorStore {
     /// Panics if `out` is not a whole number of sectors or the range
     /// exceeds the capacity.
     pub fn read_into(&self, lba: Lba, out: &mut [u8]) {
-        assert!(
-            out.len().is_multiple_of(SECTOR_SIZE),
-            "buffer must be sector-aligned, got {} bytes",
-            out.len()
-        );
-        let count = (out.len() / SECTOR_SIZE) as u64;
-        assert!(
-            lba + count <= self.capacity,
-            "read beyond capacity: lba {lba} count {count}"
-        );
-        for (i, chunk) in out.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-            match self.slot_of(lba + i as u64) {
-                Some(slot) => chunk.copy_from_slice(self.pool.image(slot)),
-                None => chunk.fill(0),
+        self.check_range("read", lba, out.len());
+        let mut sectors = out.as_chunks_mut::<SECTOR_SIZE>().0;
+        for (at, within) in page_runs(lba, sectors.len() as u64) {
+            let (run, rest) = sectors.split_at_mut(within.len());
+            sectors = rest;
+            match self.index.page(at) {
+                Some(page) => {
+                    for (entry, sector) in page[within].iter().zip(run) {
+                        match self.pool.image(*entry) {
+                            Some(image) => image.copy_to(sector),
+                            None => sector.fill(0),
+                        }
+                    }
+                }
+                None => run.as_flattened_mut().fill(0),
             }
         }
     }
@@ -349,21 +600,23 @@ impl SectorStore {
         out
     }
 
-    /// Writes a contiguous buffer as consecutive sectors.
+    /// Writes a contiguous buffer as consecutive sectors, probing the
+    /// index once per page the range crosses.
     ///
     /// # Panics
     ///
     /// Panics if `data` is not a whole number of sectors or the range
-    /// exceeds the capacity.
+    /// exceeds the capacity; nothing is written then.
     pub fn write_range(&mut self, lba: Lba, data: &[u8]) {
-        assert!(
-            data.len().is_multiple_of(SECTOR_SIZE),
-            "data must be sector-aligned, got {} bytes",
-            data.len()
-        );
-        for (i, chunk) in data.chunks_exact(SECTOR_SIZE).enumerate() {
-            let buf: &SectorBuf = chunk.try_into().expect("chunk is exactly one sector");
-            self.write_sector(lba + i as u64, buf);
+        self.check_range("write", lba, data.len());
+        let mut sectors = data.as_chunks::<SECTOR_SIZE>().0;
+        for (at, within) in page_runs(lba, sectors.len() as u64) {
+            let (run, rest) = sectors.split_at(within.len());
+            sectors = rest;
+            let page = self.index.page_mut(at);
+            for (entry, sector) in page[within].iter_mut().zip(run) {
+                self.written += usize::from(self.pool.write(entry, sector));
+            }
         }
     }
 }
@@ -373,37 +626,96 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Every structural condition the pool relies on.
-    fn check_invariants(s: &SectorStore) {
-        let p = &s.pool;
-        assert_eq!(p.refs.len(), p.hashes.len());
-        assert!(p.refs.len() <= p.chunks.len() * CHUNK_SECTORS);
-        let total: u64 = p.refs.iter().map(|&r| u64::from(r)).sum();
-        assert_eq!(total, s.written_sectors() as u64, "refcounts sum to LBAs");
-        let mut pointed = vec![0u32; p.refs.len()];
-        let entries = s.pages.values().flat_map(|page| page.iter());
-        for &slot in entries.filter(|&&slot| slot != UNWRITTEN) {
-            pointed[slot as usize] += 1;
-        }
-        assert_eq!(pointed, p.refs, "refcount = LBAs pointing at the slot");
-        let mut free = p.free.clone();
+    /// The index entry of `lba` (`UNWRITTEN` if it was never written).
+    fn entry_at(s: &SectorStore, lba: Lba) -> u32 {
+        s.index
+            .page(lba)
+            .map_or(UNWRITTEN, |page| page[(lba % PAGE_LBAS) as usize])
+    }
+
+    /// The refcounts of both classes, `[FULL, SHORT]`.
+    fn refs(s: &SectorStore) -> [Vec<u32>; 2] {
+        [s.pool.full.refs.clone(), s.pool.short.refs.clone()]
+    }
+
+    /// What one slot class relies on; `pointed[slot]` is how many LBAs
+    /// the index has pointing at `slot`. Returns their total.
+    fn check_class<const N: usize>(slots: &Slots<N>, pointed: &[u32]) -> u64 {
+        assert_eq!(slots.refs.len(), slots.hashes.len());
+        assert!(slots.refs.len() <= slots.chunks.len() * CHUNK_SLOTS);
+        assert!(slots.chunks.iter().all(|c| c.len() == CHUNK_SLOTS * N));
+        assert_eq!(pointed, slots.refs, "refcount = LBAs pointing at the slot");
+        let mut free = slots.free.clone();
         free.sort_unstable();
         free.dedup();
-        assert_eq!(free.len(), p.free.len(), "no slot is free twice");
-        let dead: Vec<u32> = (0..p.refs.len() as u32)
-            .filter(|&slot| p.refs[slot as usize] == 0)
+        assert_eq!(free.len(), slots.free.len(), "no slot is free twice");
+        let dead: Vec<u32> = (0..slots.refs.len() as u32)
+            .filter(|&slot| slots.refs[slot as usize] == 0)
             .collect();
         assert_eq!(free, dead, "exactly the unreferenced slots are free");
-        for (&hash, &slot) in &p.by_hash {
-            assert!(p.refs[slot as usize] > 0, "hash entry names a live slot");
-            assert_eq!(p.hashes[slot as usize], hash);
-            assert_eq!((p.hash)(p.image(slot)), hash);
+        assert_eq!(slots.live(), slots.refs.len() - dead.len());
+        slots.refs.iter().map(|&r| u64::from(r)).sum()
+    }
+
+    /// Every structural condition the index and the pool rely on.
+    fn check_invariants(s: &SectorStore) {
+        // The slab: map values are exactly the positions handed out so
+        // far, and nothing beyond them was touched.
+        let ix = &s.index;
+        let mut positions: Vec<u32> = ix.at.values().copied().collect();
+        positions.sort_unstable();
+        let handed_out: Vec<u32> = (0..ix.at.len() as u32).collect();
+        assert_eq!(positions, handed_out, "map values are distinct slab pages");
+        assert!(ix.at.len() <= ix.slab.len() * SLAB_PAGES);
+        assert!(ix.slab.iter().all(|chunk| chunk.len() == SLAB_PAGES));
+        let unused = ix.slab.iter().flatten().skip(ix.at.len());
+        assert!(unused.flatten().all(|&e| e == UNWRITTEN));
+
+        // Every written LBA names a slot of the class its bytes belong
+        // in, and reads back as that slot's image, zero-padded.
+        let p = &s.pool;
+        let mut pointed = refs(s).map(|refs| vec![0u32; refs.len()]);
+        for (page_no, &at) in &ix.at {
+            let page = &ix.slab[at as usize / SLAB_PAGES][at as usize % SLAB_PAGES];
+            for (i, &entry) in page.iter().enumerate() {
+                if entry == UNWRITTEN {
+                    continue;
+                }
+                let (class, slot) = slot_of(entry);
+                pointed[class][slot] += 1;
+                let read = s.read_sector(page_no.number() * PAGE_LBAS + i as u64);
+                let kept = p.image(entry).expect("written");
+                assert_eq!(Image::of(&read), kept, "a read is the kept image, padded");
+                assert_eq!(matches!(kept, Image::Short(_)), class == SHORT);
+            }
         }
-        assert_eq!(s.distinct_sectors(), p.refs.len() - dead.len());
+        let written = check_class(&p.full, &pointed[FULL]) + check_class(&p.short, &pointed[SHORT]);
+        assert_eq!(written, s.written_sectors() as u64, "refcounts sum to LBAs");
+
+        for (&hash, &entry) in &p.by_hash {
+            let (live, kept_under) = match slot_of(entry) {
+                (FULL, slot) => (p.full.refs[slot], p.full.hashes[slot]),
+                (_, slot) => (p.short.refs[slot], p.short.hashes[slot]),
+            };
+            assert!(live > 0, "hash entry names a live slot");
+            assert_eq!(kept_under, hash);
+            let kept = p.image(entry).expect("registered");
+            assert_eq!((p.hash)(&kept.sector()), hash);
+        }
+        assert_eq!(s.distinct_sectors(), p.full.live() + p.short.live());
+        assert_eq!(s.short_images(), p.short.live());
+        assert_eq!(s.resident_bytes(), s.index_bytes() + s.pool_bytes());
     }
 
     fn image(fill: u8) -> SectorBuf {
         [fill; SECTOR_SIZE]
+    }
+
+    /// `fill` up to `len`, zeros after: short once `len <= SHORT_BYTES`.
+    fn image_of_len(fill: u8, len: usize) -> SectorBuf {
+        let mut img = [0u8; SECTOR_SIZE];
+        img[..len].fill(fill);
+        img
     }
 
     #[test]
@@ -468,6 +780,49 @@ mod tests {
     }
 
     #[test]
+    fn the_last_sector_of_the_largest_store_is_addressable() {
+        let mut s = SectorStore::new(u64::MAX);
+        s.write_sector(u64::MAX - 1, &image(3));
+        assert_eq!(s.read_range(u64::MAX - 2, 2)[SECTOR_SIZE..], image(3));
+        check_invariants(&s);
+    }
+
+    #[test]
+    fn range_io_across_three_pages_equals_the_per_sector_loop() {
+        // Starts and ends mid-page and covers the whole page in between.
+        let (lba, count) = (PAGE_LBAS - 5, 5 + PAGE_LBAS + 7);
+        let data: Vec<u8> = (0..count)
+            .flat_map(|i| model_image(i as u8, lba + i))
+            .collect();
+        let mut ranged = SectorStore::new(100);
+        let mut looped = SectorStore::new(100);
+        // Something underneath, so the range overwrites, shares and adds.
+        for s in [&mut ranged, &mut looped] {
+            s.write_range(lba + 3, &data[..4 * SECTOR_SIZE]);
+        }
+        ranged.write_range(lba, &data);
+        for (i, sector) in data.chunks_exact(SECTOR_SIZE).enumerate() {
+            looped.write_sector(lba + i as u64, sector.try_into().unwrap());
+        }
+        assert_eq!(ranged.index.at.len(), 3);
+        assert_eq!(ranged.written_sectors(), count as usize);
+        assert_eq!(looped.written_sectors(), count as usize);
+        assert_eq!(ranged.distinct_sectors(), looped.distinct_sectors());
+        let mut into = vec![0xEEu8; data.len()];
+        ranged.read_into(lba, &mut into);
+        assert_eq!(into, data);
+        let per_sector: Vec<u8> = (0..count)
+            .flat_map(|i| looped.read_sector(lba + i))
+            .collect();
+        assert_eq!(per_sector, data);
+        // One sector either side of the range is still unwritten.
+        assert_eq!(ranged.read_sector(lba - 1), image(0));
+        assert_eq!(ranged.read_sector(lba + count), image(0));
+        check_invariants(&ranged);
+        check_invariants(&looped);
+    }
+
+    #[test]
     fn identical_images_share_one_slot() {
         let mut s = SectorStore::new(1000);
         for lba in 0..1000 {
@@ -475,11 +830,15 @@ mod tests {
         }
         assert_eq!(s.written_sectors(), 1000);
         assert_eq!(s.distinct_sectors(), 4);
-        assert_eq!(s.pool.chunks.len(), 1, "four images fit one chunk");
-        assert_eq!(s.pages.len(), 1000usize.div_ceil(PAGE_LBAS as usize));
+        // Three whole-sector images and the all-zero one, which is short.
+        assert_eq!(s.short_images(), 1);
+        assert_eq!(s.pool.full.chunks.len(), 1);
+        assert_eq!(s.pool.short.chunks.len(), 1);
+        assert_eq!(s.index.at.len(), 1000usize.div_ceil(PAGE_LBAS as usize));
         // An explicitly written zero sector is a written sector like any
         // other, not an unwritten one.
         assert_eq!(s.read_sector(4), image(0));
+        assert_ne!(entry_at(&s, 4), UNWRITTEN);
         check_invariants(&s);
     }
 
@@ -492,14 +851,14 @@ mod tests {
             s.write_sector(lba, &unique);
         }
         assert_eq!(s.distinct_sectors(), 300);
-        let chunks = s.pool.chunks.len();
-        assert_eq!(chunks, 300usize.div_ceil(CHUNK_SECTORS));
+        let chunks = s.pool.full.chunks.len();
+        assert_eq!(chunks, 300usize.div_ceil(CHUNK_SLOTS));
         for lba in 0..300 {
             s.write_sector(lba, &image(9));
         }
         assert_eq!(s.written_sectors(), 300);
         assert_eq!(s.distinct_sectors(), 1);
-        assert_eq!(s.pool.free.len(), 299);
+        assert_eq!(s.pool.full.free.len(), 299);
         assert_eq!(s.pool.by_hash.len(), 1);
         check_invariants(&s);
         // Fresh unique images reuse the freed slots: the pool does not grow.
@@ -508,8 +867,9 @@ mod tests {
             unique[..8].copy_from_slice(&lba.to_le_bytes());
             s.write_sector(lba, &unique);
         }
-        assert_eq!(s.pool.chunks.len(), chunks);
-        assert!(s.pool.free.is_empty());
+        assert_eq!(s.pool.full.chunks.len(), chunks);
+        assert!(s.pool.full.free.is_empty());
+        assert!(s.pool.short.chunks.is_empty());
         check_invariants(&s);
     }
 
@@ -517,16 +877,67 @@ mod tests {
     fn recycled_slot_is_not_found_under_its_old_hash() {
         let mut s = SectorStore::new(10);
         s.write_sector(0, &image(1));
-        let slot = s.slot_of(0).unwrap();
+        let entry = entry_at(&s, 0);
         // The sole owner is overwritten: the slot is recycled for image 2.
         s.write_sector(0, &image(2));
-        assert_eq!(s.slot_of(0), Some(slot));
+        assert_eq!(entry_at(&s, 0), entry);
         assert!(!s.pool.by_hash.contains_key(&content_hash(&image(1))));
         // Image 1 again must get a slot of its own, not alias the recycled one.
         s.write_sector(1, &image(1));
-        assert_ne!(s.slot_of(1), Some(slot));
+        assert_ne!(entry_at(&s, 1), entry);
         assert_eq!(s.read_sector(0), image(2));
         assert_eq!(s.read_sector(1), image(1));
+        check_invariants(&s);
+    }
+
+    #[test]
+    fn the_class_boundary_is_the_last_non_zero_byte() {
+        let mut s = SectorStore::new(10);
+        // Last non-zero byte at offset 255: short. At offset 256: full,
+        // though the two agree on their first 256 bytes.
+        let (short, full) = (
+            image_of_len(7, SHORT_BYTES),
+            image_of_len(7, SHORT_BYTES + 1),
+        );
+        s.write_sector(0, &short);
+        s.write_sector(1, &full);
+        s.write_sector(2, &short);
+        assert_eq!(slot_of(entry_at(&s, 0)).0, SHORT);
+        assert_eq!(slot_of(entry_at(&s, 1)).0, FULL);
+        assert_eq!(entry_at(&s, 2), entry_at(&s, 0));
+        assert_eq!((s.distinct_sectors(), s.short_images()), (2, 1));
+        assert_eq!(s.read_sector(0), short);
+        assert_eq!(s.read_sector(1), full);
+        check_invariants(&s);
+        // The same pair under one hash: the prefix compare alone would
+        // call them equal, the class keeps them apart.
+        let mut c = SectorStore::with_hash(10, |_| 0);
+        c.write_sector(0, &full);
+        c.write_sector(1, &short);
+        assert_eq!(c.read_sector(0), full);
+        assert_eq!(c.read_sector(1), short);
+        assert_eq!(c.distinct_sectors(), 2);
+        check_invariants(&c);
+    }
+
+    #[test]
+    fn class_changing_overwrite_of_a_sole_owner_frees_its_slot() {
+        let mut s = SectorStore::new(10);
+        let (short, full) = (image_of_len(1, 150), image(2));
+        s.write_sector(0, &short);
+        s.write_sector(0, &full);
+        assert_eq!(s.read_sector(0), full);
+        assert_eq!((s.distinct_sectors(), s.short_images()), (1, 0));
+        assert_eq!(s.pool.short.free, [0]);
+        assert!(!s.pool.by_hash.contains_key(&content_hash(&short)));
+        check_invariants(&s);
+        // And back: the freed short slot is the one reused.
+        s.write_sector(0, &image_of_len(3, 10));
+        assert_eq!(s.read_sector(0), image_of_len(3, 10));
+        assert_eq!((s.distinct_sectors(), s.short_images()), (1, 1));
+        assert!(s.pool.short.free.is_empty());
+        assert_eq!(s.pool.full.free, [0]);
+        assert_eq!(s.written_sectors(), 1);
         check_invariants(&s);
     }
 
@@ -535,16 +946,17 @@ mod tests {
         let mut s = SectorStore::new(10);
         s.write_sector(0, &image(5));
         s.write_sector(1, &image(5));
-        let before = (s.pages.clone(), s.pool.refs.clone());
+        let state = |s: &SectorStore| (entry_at(s, 0), entry_at(s, 1), refs(s));
+        let before = state(&s);
         s.write_sector(0, &image(5));
-        assert_eq!((s.pages.clone(), s.pool.refs.clone()), before);
+        assert_eq!(state(&s), before);
         check_invariants(&s);
     }
 
     #[test]
     fn colliding_images_stay_byte_exact() {
         // Every image hashes alike: only the first can be registered, the
-        // rest must be kept apart by the 512-byte compare.
+        // rest must be kept apart by the byte compare.
         let mut s = SectorStore::with_hash(64, |_| 0);
         for lba in 0..64 {
             s.write_sector(lba, &image((lba % 8) as u8));
@@ -553,7 +965,8 @@ mod tests {
             assert_eq!(s.read_sector(lba), image((lba % 8) as u8));
         }
         // Image 0 is registered and shared; the other seven are not.
-        assert_eq!(s.pool.refs[s.slot_of(0).unwrap() as usize], 8);
+        let (class, slot) = slot_of(entry_at(&s, 0));
+        assert_eq!(refs(&s)[class][slot], 8);
         assert_eq!(s.distinct_sectors(), 1 + 7 * 8);
         check_invariants(&s);
         // Freeing the registered slot unregisters the hash; the next image
@@ -594,21 +1007,61 @@ mod tests {
         let mut s = SectorStore::new(100_000);
         assert_eq!(s.resident_bytes(), 0);
         for lba in 0..10_000 {
-            s.write_sector(lba, &image((lba % 16) as u8));
+            s.write_sector(lba, &image(1 + (lba % 16) as u8));
         }
         assert_eq!(s.distinct_sectors(), 16);
         let shared = s.resident_bytes();
         // One chunk of images; the rest is the index, well under the 512
         // bytes per sector a plain map would hold.
-        assert!(shared >= CHUNK_SECTORS * SECTOR_SIZE);
-        assert!(shared < 10_000 * 64, "resident {shared} B");
+        assert!(s.pool_bytes() >= CHUNK_SLOTS * SECTOR_SIZE);
+        assert!(shared < 10_000 * 16, "resident {shared} B");
         for lba in 0..10_000u64 {
-            let mut unique = image(0);
+            let mut unique = image(1);
             unique[..8].copy_from_slice(&lba.to_le_bytes());
             s.write_sector(lba, &unique);
         }
         assert_eq!(s.distinct_sectors(), 10_000);
-        assert!(s.resident_bytes() >= 10_000 * SECTOR_SIZE);
+        assert!(s.pool_bytes() >= 10_000 * SECTOR_SIZE);
+    }
+
+    #[test]
+    fn isolated_runs_cost_a_cache_line_and_a_table_entry() {
+        // What a replay's data disk sees: 4 KB writes scattered so that no
+        // two share an index page.
+        let mut s = SectorStore::new(u64::MAX);
+        let block = [0x5Au8; 8 * SECTOR_SIZE];
+        for i in 0..10_000u64 {
+            s.write_range(i * 64, &block);
+        }
+        let per_sector = s.resident_bytes() as f64 / s.written_sectors() as f64;
+        assert!(per_sector <= 16.0, "{per_sector:.1} B per written sector");
+    }
+
+    #[test]
+    fn dense_writes_cost_about_six_index_bytes_per_lba() {
+        // Just past a doubling of the page table, where it is emptiest.
+        let lbas = (7 * 1024 + 1) * PAGE_LBAS;
+        let mut s = SectorStore::new(lbas);
+        for lba in 0..lbas {
+            s.write_sector(lba, &image(1));
+        }
+        let per_lba = s.index_bytes() as f64 / lbas as f64;
+        assert!(per_lba <= 6.5, "{per_lba:.2} index bytes per LBA");
+    }
+
+    #[test]
+    fn header_like_images_cost_half_a_sector() {
+        // Unique images that are non-zero only below byte 192, as Trail's
+        // record headers are.
+        let mut s = SectorStore::new(10_000);
+        for lba in 0..10_000u64 {
+            let mut header = image_of_len(0xA5, 192);
+            header[..8].copy_from_slice(&lba.to_le_bytes());
+            s.write_sector(lba, &header);
+        }
+        assert_eq!(s.short_images(), 10_000);
+        let share = s.resident_bytes() as f64 / (10_000 * SECTOR_SIZE) as f64;
+        assert!(share <= 0.65, "{:.1} % of whole sectors", share * 100.0);
     }
 
     const MODEL_CAPACITY: u64 = 48;
@@ -617,8 +1070,14 @@ mod tests {
     /// sharing, overwrites with equal bytes and slot recycling all occur.
     type Step = (u8, u64, u64, u8);
 
+    /// One of five fills over one of four lengths: a whole sector, a
+    /// header's worth, and the two either side of the class boundary (last
+    /// non-zero byte at offset 255 and at 256), so both classes occur, an
+    /// overwrite may change class, and a short and a full image may agree
+    /// on their first half. Fill 0 is the all-zero image at every length.
     fn model_image(content: u8, i: u64) -> SectorBuf {
-        let mut img = image(content % 5);
+        let len = [SECTOR_SIZE, 192, SHORT_BYTES, SHORT_BYTES + 1][usize::from(content / 5 % 4)];
+        let mut img = image_of_len(content % 5, len);
         // Every third content value is unique per position.
         if content.is_multiple_of(3) {
             img[100] = i as u8;
@@ -675,7 +1134,7 @@ mod tests {
 
     fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
         proptest::collection::vec(
-            (any::<u8>(), 0..MODEL_CAPACITY, 1u64..12, any::<u8>()),
+            (any::<u8>(), 0..MODEL_CAPACITY, 1u64..20, any::<u8>()),
             1..120,
         )
     }

@@ -1,0 +1,132 @@
+//! `SectorStore::resident_bytes` held against the allocator: what the
+//! medium says it keeps must be what the process was asked to give it,
+//! and a fresh store's first write must stay cheap.
+//!
+//! One test, alone in its binary, because the counter is the process's
+//! global allocator: a second test running on another thread would be
+//! counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use trail_disk::{SectorStore, SECTOR_SIZE};
+
+// Statistics: nothing is published through them, so `Relaxed` is enough.
+// `LIVE` wraps on a free that precedes its allocation in the count; only
+// differences are read.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+/// Forwards to the system allocator, counting live and requested bytes.
+struct CountingAlloc;
+
+fn count(size: usize) {
+    LIVE.fetch_add(size as u64, Ordering::Relaxed);
+    REQUESTED.fetch_add(size as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters never touch the memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator with the
+        // same `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        count(new_size);
+        // SAFETY: `ptr`/`layout` describe a live block from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `fill` on a fresh store and returns the store with the bytes that
+/// stayed allocated because of it.
+fn filled(fill: impl FnOnce(&mut SectorStore)) -> (SectorStore, u64) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut store = SectorStore::new(u64::MAX);
+    fill(&mut store);
+    let live = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
+    (store, live)
+}
+
+fn assert_within_a_tenth(what: &str, store: &SectorStore, live: u64) {
+    let said = store.resident_bytes() as u64;
+    assert!(
+        said.abs_diff(live) * 10 <= live,
+        "{what}: resident_bytes() says {said} B, the allocator holds {live} B"
+    );
+}
+
+/// A sector that is non-zero below byte 192 only, unique per `n`: the
+/// shape of a Trail record header.
+fn header(n: u64) -> [u8; SECTOR_SIZE] {
+    let mut sector = [0u8; SECTOR_SIZE];
+    sector[..192].fill(0xA5);
+    sector[..8].copy_from_slice(&n.to_le_bytes());
+    sector
+}
+
+#[test]
+fn resident_bytes_is_what_the_allocator_holds() {
+    // Sparse: one record per 64 LBAs, a unique header and seven sectors
+    // of a fill that repeats — what a Trail log disk is written like.
+    let (sparse, live) = filled(|s| {
+        let mut record = [0x3Cu8; 8 * SECTOR_SIZE];
+        for n in 0..20_000u64 {
+            record[..SECTOR_SIZE].copy_from_slice(&header(n));
+            s.write_range(n * 64 + 5, &record);
+        }
+    });
+    assert_eq!(sparse.written_sectors(), 160_000);
+    assert_eq!(sparse.short_images(), 20_000);
+    assert_within_a_tenth("sparse fill", &sparse, live);
+    drop(sparse);
+
+    // Dense: consecutive LBAs, every sector a whole unique image.
+    let (dense, live) = filled(|s| {
+        let mut sector = [0x77u8; SECTOR_SIZE];
+        for lba in 0..100_000u64 {
+            sector[..8].copy_from_slice(&lba.to_le_bytes());
+            s.write_sector(lba, &sector);
+        }
+    });
+    assert_eq!(dense.distinct_sectors(), 100_000);
+    assert_within_a_tenth("dense fill", &dense, live);
+    drop(dense);
+
+    // A fresh store costs nothing until it is written, and its first
+    // write — here one of each image class, the most it can ask for —
+    // stays at what one 16 KB pool chunk and a 256-byte index page used
+    // to cost: every crash point and every ladder rung boots several.
+    let before = REQUESTED.load(Ordering::Relaxed);
+    let mut fresh = SectorStore::new(u64::MAX);
+    assert_eq!(REQUESTED.load(Ordering::Relaxed), before);
+    let mut first = [0x11u8; 2 * SECTOR_SIZE];
+    first[..SECTOR_SIZE].copy_from_slice(&header(0));
+    fresh.write_range(1 << 40, &first);
+    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    assert!(
+        requested <= 16_896,
+        "first write to an empty store requested {requested} B"
+    );
+    assert_eq!(fresh.read_range(1 << 40, 2), first);
+}

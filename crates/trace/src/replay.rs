@@ -65,7 +65,7 @@ use std::rc::Rc;
 use trail::{BuiltTarget, StackBuilder, TargetDrive, TargetError};
 use trail_blockio::TapHandle;
 use trail_db::BlockStack;
-use trail_disk::{Lba, SECTOR_SIZE};
+use trail_disk::{Disk, Lba, MediumStats, SECTOR_SIZE};
 use trail_fs::{FsError, FS_BLOCK_SIZE};
 use trail_sim::{Completion, Delivered, FaultPlan, SimDuration, SimTime, Simulator};
 use trail_telemetry::{DurationHistogram, JsonValue, RecorderHandle, StreamId, StreamMetrics};
@@ -227,6 +227,11 @@ pub struct ReplayReport {
     /// breakdowns, RMW/full-stripe counters, degraded reads), in the
     /// target's volume order; empty for targets without volumes.
     pub volume_stats: Vec<trail::volume::VolumeStats>,
+    /// What the stack's recording media cost the host when the replay
+    /// ended, summed over its disks (and over shards): a host-side
+    /// figure for consoles, deliberately absent from
+    /// [`to_json`](ReplayReport::to_json).
+    pub media: MediumStats,
 }
 
 impl ReplayReport {
@@ -634,8 +639,17 @@ impl State {
             max_queue_depth: self.max_inflight,
             queue_depth: self.samples.samples.clone(),
             volume_stats: Vec::new(),
+            media: MediumStats::default(),
         }
     }
+}
+
+/// The sum of the disks' [`Disk::medium_stats`].
+fn media_of(disks: &[Disk]) -> MediumStats {
+    disks.iter().fold(MediumStats::default(), |mut sum, d| {
+        sum += d.medium_stats();
+        sum
+    })
 }
 
 /// Everything a dispatcher event needs, cheaply cloneable.
@@ -864,6 +878,7 @@ pub(crate) fn run_engine(
         stack,
         drive,
         volumes,
+        disks,
         ..
     } = StackBuilder::new()
         .data_disks(ndisks)
@@ -920,6 +935,7 @@ pub(crate) fn run_engine(
     }
     let mut report = ctx.state.borrow().report(&opts.target, speed, start);
     report.volume_stats = volumes.iter().map(|v| v.with_stats(Clone::clone)).collect();
+    report.media = media_of(&disks);
     Ok(report)
 }
 
@@ -947,6 +963,7 @@ pub fn replay_single_issuer(
         stack,
         drive,
         volumes,
+        disks,
         ..
     } = StackBuilder::new()
         .data_disks(ndisks)
@@ -1005,6 +1022,7 @@ pub fn replay_single_issuer(
 
     let mut report = state.borrow().report(&opts.target, speed, start);
     report.volume_stats = volumes.iter().map(|v| v.with_stats(Clone::clone)).collect();
+    report.media = media_of(&disks);
     Ok(report)
 }
 

@@ -20,7 +20,8 @@
 //! # What the merge does
 //!
 //! - **Summed**: request/read/write/error counts; latency histograms
-//!   (bucket-wise — a histogram is order-free by construction).
+//!   (bucket-wise — a histogram is order-free by construction); the
+//!   host-side `media` ledger (every shard owns its disks).
 //! - **Concatenated**: per-stream metrics (streams are partitioned
 //!   across shards, so each lane comes from exactly one shard);
 //!   per-volume stats, in shard order.
@@ -196,5 +197,6 @@ fn merge_reports(mut a: ReplayReport, b: &ReplayReport) -> ReplayReport {
     }
     a.queue_depth = by_instant.into_iter().collect();
     a.volume_stats.extend(b.volume_stats.iter().cloned());
+    a.media += b.media;
     a
 }

@@ -26,6 +26,7 @@ use std::rc::Rc;
 
 use trail_core::{TrailConfig, TrailError};
 use trail_db::BlockStack;
+use trail_disk::Disk;
 use trail_fs::{FileHandle, FileSystem, FsError, LfsConfig, FS_BLOCK_SIZE};
 use trail_sim::{Delivered, Simulator};
 
@@ -197,6 +198,9 @@ pub struct BuiltTarget {
     /// member failure injection and per-member statistics. Empty for
     /// every other kind.
     pub volumes: Vec<trail_volume::RaidVolume>,
+    /// Every disk of the stack, log disks first, then data disks: what a
+    /// host-side ledger sums [`Disk::medium_stats`] over.
+    pub disks: Vec<Disk>,
     /// The fault clock the scenario's plan was armed on (see
     /// [`BuiltStack::fault_clock`](crate::BuiltStack::fault_clock)).
     pub fault_clock: trail_sim::FaultClock,
@@ -261,6 +265,7 @@ impl StackBuilder {
                 .expect("per-stream RAID builds a Trail array")
                 .set_routing(trail_core::LogRouting::StreamAffinity);
         }
+        let disks = [&built.log_disks[..], &built.data_disks[..]].concat();
         match kind {
             TargetKind::Standard
             | TargetKind::Trail
@@ -282,6 +287,7 @@ impl StackBuilder {
                     stack,
                     drive: TargetDrive::Block { capacity },
                     volumes,
+                    disks,
                     fault_clock,
                 })
             }
@@ -315,6 +321,7 @@ impl StackBuilder {
                         file_blocks: u64::from(file_blocks),
                     },
                     volumes: Vec::new(),
+                    disks,
                     fault_clock,
                 })
             }
