@@ -173,6 +173,43 @@ if perf_err="$(trail_bench perf 2>&1 >/dev/null)"; then
 fi
 grep -q 'unknown scenario "perf"' <<<"$perf_err" \
   || { echo "trail-bench perf failed for another reason: $perf_err" >&2; exit 1; }
+# Replaying a trace file is trace_tool replay's job alone; the second
+# command that did it must stay gone and say where the job went.
+if file_err="$(trail_bench replay_stream --trace x 2>&1 >/dev/null)"; then
+  echo "trail-bench replay_stream --trace should no longer exist" >&2; exit 1
+fi
+grep -q 'trace_tool replay' <<<"$file_err" \
+  || { echo "trail-bench replay_stream --trace does not point at trace_tool replay: $file_err" >&2; exit 1; }
+
+echo "== one-entry-point gate =="
+# One perf instrument (benchmark/), one binary->binary trace re-encoder
+# (trail_trace::recode), no capability without a caller: what PR 22
+# deleted must not come back.
+if [ -e vendor/criterion ] || grep -n '^\[\[bench\]\]' crates/bench/Cargo.toml; then
+  echo "found a cargo-bench instrument; host cost is benchmark/'s job" >&2
+  exit 1
+fi
+if grep -rn --include='*.rs' 'struct StreamingCapture\|enum SchedulerKind' crates src; then
+  echo "found a capability nothing calls (StreamingCapture / SchedulerKind)" >&2
+  exit 1
+fi
+if grep -rn --include='*.rs' 'fn compress\|meta\.encoding = ChunkEncoding::Delta' \
+    crates src examples | grep -v '^crates/trace/'; then
+  echo "found a hand-written trace re-encode loop; call trail_trace::recode" >&2
+  exit 1
+fi
+# Simulator::block_on is the one way to wait for one request: outside
+# trail-sim, no non-test function arms a completion whose handler only
+# fills a captured slot (`*slot.borrow_mut() = …` / `flag.set(true)`), the
+# signature of a private blocking helper that then drives the simulator.
+slot_only='\.completion\(\s*move \|_, [^|]*\|\s*(\{\s*(if [^{;]*\{\s*)?)?(\*\w+\.borrow_mut\(\) = [^;]*|\w+\.set\((true|Some\()[^;]*\))(;\s*(\}\s*)?\})?\s*\)'
+for f in $(grep -rl --include='*.rs' '\.completion(' crates/*/src src | grep -v '^crates/sim/'); do
+  if awk '/#\[cfg\(test\)\]/ { exit } !/^\s*\/\/[\/!]/ { print }' "$f" \
+      | grep -Pzo "$slot_only" | tr '\0' '\n' | grep -q .; then
+    echo "$f: a completion handler that only fills a slot; wait with Simulator::block_on" >&2
+    exit 1
+  fi
+done
 
 echo "== trace_tool smoke (generate -> replay, codec round-trip) =="
 trace_tool() {
@@ -201,19 +238,20 @@ trace_tool generate --out "$smoke_dir/big.trace" \
   --seed 42 >/dev/null
 stream_a="$smoke_dir/stream_a"; stream_b="$smoke_dir/stream_b"
 mkdir -p "$stream_a" "$stream_b"
-stream_out="$(trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 \
+replay_json=BENCH_replay_trail_multi2.json
+stream_out="$(trace_tool replay "$smoke_dir/big.trace" --target trail_multi2 \
   --out-dir "$stream_a")"
 # Second run cross-checks the in-memory oracle: the whole trace decoded
 # up front must produce the byte-identical report the streamed run did.
-trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 --oracle \
+trace_tool replay "$smoke_dir/big.trace" --target trail_multi2 --oracle \
   --out-dir "$stream_b" >/dev/null
-cmp -s "$stream_a/BENCH_replaystream.json" "$stream_b/BENCH_replaystream.json" \
-  || { echo "BENCH_replaystream.json is not byte-identical across runs" >&2; exit 1; }
-grep -q '"requests":1000000' "$stream_a/BENCH_replaystream.json" \
+cmp -s "$stream_a/$replay_json" "$stream_b/$replay_json" \
+  || { echo "$replay_json is not byte-identical across runs" >&2; exit 1; }
+grep -q '"requests":1000000' "$stream_a/$replay_json" \
   || { echo "streaming replay gate must cover 10^6 records" >&2; exit 1; }
-for field in records_per_sec peak_resident_records latency_fingerprint; do
-  grep -q "\"$field\"" "$stream_a/BENCH_replaystream.json" \
-    || { echo "BENCH_replaystream.json lacks $field" >&2; exit 1; }
+for field in peak_resident_records latency_fingerprint; do
+  grep -q "\"$field\"" "$stream_a/$replay_json" \
+    || { echo "$replay_json lacks $field" >&2; exit 1; }
 done
 # Bounded memory on a Trail target, measured: one unique header sector and
 # a mostly-empty index page per log record are what this replay's media
@@ -244,20 +282,22 @@ cmp -s "$smoke_dir/big.trace" "$smoke_dir/big_raw2.trace" \
 # count, so all three must be byte-identical.
 for t in 1 2 4; do
   mkdir -p "$smoke_dir/shard_t$t"
-  trail_bench replay_stream --trace "$smoke_dir/big_delta.trace" --target trail_multi2 \
+  trace_tool replay "$smoke_dir/big_delta.trace" --target trail_multi2 \
     --shards 4 --threads "$t" --out-dir "$smoke_dir/shard_t$t" >/dev/null
 done
-cmp -s "$smoke_dir/shard_t1/BENCH_replaystream.json" "$smoke_dir/shard_t2/BENCH_replaystream.json" \
+cmp -s "$smoke_dir/shard_t1/$replay_json" "$smoke_dir/shard_t2/$replay_json" \
   || { echo "sharded artifact differs between 1 and 2 threads" >&2; exit 1; }
-cmp -s "$smoke_dir/shard_t1/BENCH_replaystream.json" "$smoke_dir/shard_t4/BENCH_replaystream.json" \
+cmp -s "$smoke_dir/shard_t1/$replay_json" "$smoke_dir/shard_t4/$replay_json" \
   || { echo "sharded artifact differs between 1 and 4 threads" >&2; exit 1; }
+grep -q '"shards":4' "$smoke_dir/shard_t1/$replay_json" \
+  || { echo "sharded artifact does not record its shard count" >&2; exit 1; }
 # The chunk encoding is storage, not semantics: a sharded replay of the
 # raw trace must produce the same latency fingerprint.
 mkdir -p "$smoke_dir/shard_raw"
-trail_bench replay_stream --trace "$smoke_dir/big.trace" --target trail_multi2 \
+trace_tool replay "$smoke_dir/big.trace" --target trail_multi2 \
   --shards 4 --threads 2 --out-dir "$smoke_dir/shard_raw" >/dev/null
-fp_delta=$(grep -o '"latency_fingerprint":"[0-9a-f]*"' "$smoke_dir/shard_t1/BENCH_replaystream.json")
-fp_raw=$(grep -o '"latency_fingerprint":"[0-9a-f]*"' "$smoke_dir/shard_raw/BENCH_replaystream.json")
+fp_delta=$(grep -o '"latency_fingerprint":"[0-9a-f]*"' "$smoke_dir/shard_t1/$replay_json")
+fp_raw=$(grep -o '"latency_fingerprint":"[0-9a-f]*"' "$smoke_dir/shard_raw/$replay_json")
 [ -n "$fp_delta" ] && [ "$fp_delta" = "$fp_raw" ] \
   || { echo "raw and delta sharded replays disagree on the fingerprint" >&2; exit 1; }
 

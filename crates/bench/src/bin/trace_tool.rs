@@ -13,6 +13,7 @@
 //!                     [--compress | --raw] [--chunk-records C]
 //! trace_tool replay   t.trace [--target all|standard|trail|trail_multiN|ext2|ext2_trail
 //!                     |lfs|lfs_trail] [--speed X] [--quick] [--out-dir DIR]
+//!                     [--shards N [--threads N]] [--oracle]
 //! ```
 //!
 //! Binary traces are processed **chunk at a time**: `generate`,
@@ -26,8 +27,19 @@
 //! `import` parses `blkparse` text output, tagging each request with a
 //! stream derived from the CPU column; `inspect` prints a per-stream
 //! breakdown; `replay` writes one `BENCH_replay_<target>.json` per
-//! target with p50/p99/p99.9 latency (aggregate and per stream) and the
-//! queue-depth trajectory.
+//! target with p50/p99/p99.9 latency (aggregate and per stream), the
+//! latency fingerprint, the peak-resident-records memory proxy and the
+//! queue-depth trajectory — every field virtual-time-derived, so a fixed
+//! trace produces identical bytes on every run. `--shards N` partitions a
+//! binary trace by stream and replays each shard on its own engine,
+//! merging the reports deterministically; `--threads N` caps the worker
+//! threads (default: one per shard). The artifact records the shard
+//! count — never the thread count — so it is byte-identical for any
+//! `--threads`. `--oracle` additionally decodes the whole file into
+//! memory, replays it through the in-memory engine, and asserts the two
+//! reports are byte-identical. Wall-clock throughput, the process's real
+//! peak RSS (`VmHWM`) and the `media:` line (what the simulated platters
+//! hold and what that costs the host) go to the console only.
 //!
 //! `convert --compress` rewrites a trace with delta-compressed chunks
 //! (column split + delta + varint, see DESIGN.md); `--raw` rewrites
@@ -39,18 +51,23 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
-use trail_bench::{write_bench_json_in, Args, TpccRig};
+use trail_bench::{
+    media_line, open_trace, shard_count, vm_hwm, write_bench_json_in, Args, TpccRig,
+};
 use trail_sim::{SimDuration, SimTime};
+use trail_telemetry::JsonValue;
 use trail_tpcc::{run, ChainOn, RunConfig};
 use trail_trace::codec::{
     jsonl_meta_line, jsonl_record_line, parse_jsonl_meta, parse_jsonl_record,
 };
 use trail_trace::{
-    from_jsonl, generate, generate_stream, import_blkparse, replay, replay_stream, scan_blkparse,
-    to_jsonl, ArrivalModel, ChunkEncoding, ImportOptions, ReplayOptions, SpatialModel,
-    StreamSummary, StreamSummaryBuilder, SyntheticSpec, TargetKind, Trace, TraceCapture, TraceMeta,
-    TraceReader, TraceRecord, TraceWriter,
+    from_binary, from_jsonl, generate, generate_stream, import_blkparse, recode, replay,
+    replay_stream, replay_stream_sharded, scan_blkparse, to_jsonl, ArrivalModel, ChunkEncoding,
+    ImportOptions, ReplayOptions, ShardPlan, SpatialModel, StreamSummary, StreamSummaryBuilder,
+    SyntheticSpec, TargetKind, Trace, TraceCapture, TraceMeta, TraceReader, TraceRecord,
+    TraceWriter,
 };
 
 fn main() -> ExitCode {
@@ -79,10 +96,9 @@ fn is_jsonl(path: &str) -> bool {
     path.ends_with(".jsonl")
 }
 
-/// Opens a binary trace for chunk-at-a-time reading.
+/// [`open_trace`] with the path in the error.
 fn open_binary(path: &str) -> Result<TraceReader<BufReader<File>>, String> {
-    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
+    open_trace(path).map_err(|e| format!("{path}: {e}"))
 }
 
 fn create_out(path: &str) -> Result<BufWriter<File>, String> {
@@ -476,22 +492,11 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         // Binary -> binary: stream through, re-chunking if asked.
         (false, false) => {
             let mut reader = open_binary(input)?;
-            let mut meta = reader.meta().clone();
-            if let Some(c) = chunk {
-                meta.chunk_records = c;
-            }
-            if let Some(enc) = encoding {
-                meta.encoding = enc;
-            }
-            let mut w = TraceWriter::new(create_out(output)?, &meta)
-                .map_err(|e| format!("{output}: {e}"))?;
-            for r in reader.records() {
-                let r = r.map_err(|e| format!("{input}: {e}"))?;
-                w.write_record(&r).map_err(|e| format!("{output}: {e}"))?;
-            }
-            let total = w.records_written();
-            w.finish().map_err(|e| format!("{output}: {e}"))?;
-            total
+            let encoding = encoding.unwrap_or(reader.meta().encoding);
+            let chunk = chunk.unwrap_or(reader.meta().chunk_records);
+            recode(&mut reader, encoding, chunk, create_out(output)?)
+                .map_err(|e| format!("{input} -> {output}: {e}"))?;
+            reader.records_read()
         }
         // JSONL -> JSONL: the debug format, in memory is fine.
         (true, true) => {
@@ -510,12 +515,30 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         ("--speed", true),
         ("--quick", false),
         ("--out-dir", true),
+        ("--shards", true),
+        ("--threads", true),
+        ("--oracle", false),
     ];
     let args = Args::parse(args, FLAGS, 1)?;
     let path = args.positional(0).ok_or("missing trace file")?;
     let speed = args.parsed("--speed")?.unwrap_or(1.0f64);
     let quick = args.has("--quick");
     let out_dir = Path::new(args.value("--out-dir").unwrap_or("."));
+    let mut plan = shard_count(&args)?.map(ShardPlan::new);
+    match (&mut plan, args.parsed("--threads")?) {
+        (Some(plan), Some(threads)) => plan.threads = threads,
+        (None, Some(_)) => {
+            return Err("--threads applies to a sharded replay (--shards N)".to_string())
+        }
+        _ => {}
+    }
+    let oracle = args.has("--oracle");
+    if oracle && plan.is_some() {
+        return Err("--oracle checks the single engine; run it without --shards".to_string());
+    }
+    if is_jsonl(path) && (oracle || plan.is_some()) {
+        return Err("--shards and --oracle apply to binary traces".to_string());
+    }
     let targets: Vec<TargetKind> = match args.value("--target").unwrap_or("all") {
         "all" => vec![
             TargetKind::Standard,
@@ -527,7 +550,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         one => vec![one.parse()?],
     };
     // JSONL traces (the debug format) load whole; binary traces are
-    // re-opened and streamed chunk-at-a-time once per target.
+    // re-opened and streamed chunk-at-a-time once per target (and per
+    // shard), and decoded whole only for the oracle.
     let in_memory: Option<Trace> = if is_jsonl(path) {
         let t = load_jsonl(path)?;
         println!(
@@ -540,6 +564,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         println!("replaying {path} at {speed}x:");
         None
     };
+    // Decoded after the first streamed replay has printed its VmHWM.
+    let mut oracle_trace: Option<Trace> = None;
     for target in targets {
         let opts = ReplayOptions {
             target,
@@ -547,11 +573,14 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             fs_file_blocks: if quick { 128 } else { 1024 },
             ..ReplayOptions::default()
         };
-        let rep = match &in_memory {
-            Some(t) => replay(t, &opts),
-            None => replay_stream(open_binary(path)?, &opts),
+        let wall_start = Instant::now();
+        let rep = match (&in_memory, plan) {
+            (Some(t), _) => replay(t, &opts),
+            (None, None) => replay_stream(open_binary(path)?, &opts),
+            (None, Some(plan)) => replay_stream_sharded(|| open_trace(path), plan, &opts),
         }
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("{path}: {e}"))?;
+        let wall = wall_start.elapsed();
         println!(
             "  {:<14} p50 {:>8.3} ms  p99 {:>8.3} ms  p99.9 {:>8.3} ms  maxQD {:>4}  errors {}",
             rep.target,
@@ -573,9 +602,37 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
                 );
             }
         }
+        println!(
+            "    {} records{}: {:.0} records/s wall, {:.0} records/s virtual, \
+             peak resident {} records ({})",
+            rep.requests,
+            plan.map_or(String::new(), |p| format!(" ({} shards)", p.shards)),
+            rep.requests as f64 / wall.as_secs_f64().max(1e-9),
+            rep.requests as f64 / rep.duration.as_secs_f64().max(1e-9),
+            rep.peak_resident_records,
+            vm_hwm(),
+        );
+        println!("  {}", media_line(&rep.media));
+        if oracle {
+            if oracle_trace.is_none() {
+                let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+                oracle_trace = Some(from_binary(&bytes).map_err(|e| format!("{path}: {e}"))?);
+            }
+            let trace = oracle_trace.as_ref().expect("just decoded");
+            let mem = replay(trace, &opts).map_err(|e| format!("{path}: {e}"))?;
+            assert_eq!(
+                rep.to_json().to_json(),
+                mem.to_json().to_json(),
+                "streamed report differs from the in-memory oracle"
+            );
+            println!("    oracle: streamed report byte-identical to the in-memory replay");
+        }
+        let mut json = rep.to_json();
+        if let (Some(plan), JsonValue::Obj(fields)) = (plan, &mut json) {
+            fields.push(("shards".to_string(), JsonValue::Num(f64::from(plan.shards))));
+        }
         let name = format!("replay_{}", rep.target);
-        let written =
-            write_bench_json_in(out_dir, &name, &rep.to_json()).map_err(|e| e.to_string())?;
+        let written = write_bench_json_in(out_dir, &name, &json).map_err(|e| e.to_string())?;
         eprintln!("wrote {}", written.display());
     }
     Ok(())

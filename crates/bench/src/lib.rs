@@ -27,7 +27,7 @@ pub mod report;
 pub mod runner;
 pub mod scenarios;
 pub use campaign::{run_campaign, CampaignFlavor, CampaignSpec, CrashPointOutcome};
-pub use report::{write_bench_json_in, Args};
+pub use report::{media_line, open_trace, shard_count, vm_hwm, write_bench_json_in, Args};
 pub use runner::{parallel_map, run_all_scenarios, RunAllOptions, RunAllSummary};
 pub use scenarios::{
     all_scenarios, replay_stream_json, run_scenario, ScenarioConfig, ScenarioOutput, ScenarioSpec,

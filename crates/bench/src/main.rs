@@ -6,8 +6,6 @@
 //! trail-bench all        [--quick] [--seed S] [--out-dir DIR] [--threads N] [--filter SUB]
 //! trail-bench <scenario> [scale] [--quick] [--seed S] [--out-dir DIR]
 //!                        [--trace-out FILE] [--metrics-out FILE]
-//! trail-bench replay_stream --trace FILE [--target standard|trail|trail_multiN|ext2|lfs|…]
-//!                        [--shards N] [--threads N] [--oracle] [--quick] [--out-dir DIR]
 //! trail-bench giga       [--records N] [--shards N] [--threads N] [--out-dir DIR] [--keep]
 //! ```
 //!
@@ -30,19 +28,6 @@
 //!   TPC-C tables, …). `--trace-out` writes a Chrome trace-event JSON
 //!   (loadable in Perfetto) and `--metrics-out` a compact metrics JSON of
 //!   the run.
-//! - **`replay_stream --trace FILE`** replays a trace file instead of the
-//!   scenario's self-generated one, decoding it **chunk at a time** — the
-//!   whole trace is never read into memory — and publishes
-//!   `BENCH_replaystream.json` (virtual records/sec, peak-resident-records
-//!   memory proxy, latency fingerprint). `--oracle` additionally decodes
-//!   the whole file into memory, replays it through the in-memory path,
-//!   and asserts the two reports are byte-identical. `--shards N`
-//!   partitions the trace by stream and replays each shard on its own
-//!   engine, merging the reports deterministically; `--threads N` caps
-//!   the worker threads (default: one per shard). The artifact records
-//!   the shard count — never the thread count — so it is byte-identical
-//!   for any `--threads`. Wall-clock throughput and the process's real
-//!   peak RSS (`VmHWM`, printed beside the proxy) go to the console only.
 //! - **`giga`** is the giga-trace scale demonstration: generate a
 //!   10⁸-record synthetic trace (`--records N`), delta-compress it, and
 //!   replay it both single-engine and sharded. The workload is fixed
@@ -58,26 +43,26 @@
 //!   `BENCH_replaystream.json` holds only virtual-time-derived fields plus
 //!   the two file sizes. Generation, conversion and both replays all
 //!   stream; `--keep` leaves the two trace files in `--out-dir`.
+//!
+//! Replaying a trace *file* is `trace_tool replay FILE`.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use trail_bench::{
-    all_scenarios, replay_stream_json, run_all_scenarios, write_bench_json_in, Args, RunAllOptions,
-    ScenarioConfig, ScenarioSpec,
+    all_scenarios, media_line, open_trace, replay_stream_json, run_all_scenarios, shard_count,
+    vm_hwm, write_bench_json_in, Args, RunAllOptions, ScenarioConfig, ScenarioSpec,
 };
-use trail_disk::MediumStats;
 use trail_sim::SimDuration;
 use trail_telemetry::{
     chrome_trace_string, metrics_json_string, JsonValue, MemoryRecorder, RecorderHandle,
 };
 use trail_trace::{
-    from_binary, generate_stream, replay, replay_stream, replay_stream_sharded, ArrivalModel,
-    ChunkEncoding, ReplayOptions, ShardPlan, SpatialModel, SyntheticSpec, TargetKind, TraceError,
-    TraceReader, TraceWriter, DEFAULT_CHUNK_RECORDS,
+    generate_stream, recode, replay_stream, replay_stream_sharded, ArrivalModel, ChunkEncoding,
+    ReplayOptions, ShardPlan, SpatialModel, SyntheticSpec, TargetKind, DEFAULT_CHUNK_RECORDS,
 };
 
 fn main() -> ExitCode {
@@ -87,7 +72,6 @@ fn main() -> ExitCode {
         Some((sub, rest)) => match sub.as_str() {
             "all" => cmd_all(rest),
             "giga" => cmd_giga(rest),
-            "replay_stream" if rest.iter().any(|a| a == "--trace") => cmd_replay_file(rest),
             name => match scenarios.iter().find(|s| s.name == name) {
                 Some(spec) => cmd_scenario(spec, rest),
                 None => Err(format!("unknown scenario {name:?}")),
@@ -101,6 +85,7 @@ fn main() -> ExitCode {
             let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
             eprintln!("trail-bench: {e}");
             eprintln!("usage: trail-bench <all|giga|SCENARIO> [flags]");
+            eprintln!("       (a trace file replays with `trace_tool replay FILE`)");
             eprintln!("scenarios: {}", names.join(" "));
             ExitCode::FAILURE
         }
@@ -110,32 +95,6 @@ fn main() -> ExitCode {
 /// `--out-dir`, defaulting to the current directory.
 fn out_dir(args: &Args) -> PathBuf {
     PathBuf::from(args.value("--out-dir").unwrap_or("."))
-}
-
-/// The process's real peak resident set (`VmHWM` of `/proc/self/status`)
-/// as a console fragment; says so where the file or field is missing.
-/// Host-side: it goes next to the `peak resident … records` proxy on the
-/// console and never into an artifact.
-fn vm_hwm() -> String {
-    let kb = std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            let rest = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-            rest.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
-        });
-    match kb {
-        Some(kb) => format!("VmHWM {:.1} MB", kb as f64 / 1024.0),
-        None => "VmHWM unavailable".to_string(),
-    }
-}
-
-/// `--shards N`, when given. `ShardPlan` would quietly run 0 as one
-/// shard, and the console line and the artifact would still say 0.
-fn shard_count(args: &Args) -> Result<Option<u32>, String> {
-    match args.parsed("--shards")? {
-        Some(0) => Err("--shards must be at least 1".to_string()),
-        n => Ok(n),
-    }
 }
 
 /// Writes `BENCH_<name>.json` into `dir` and says so.
@@ -234,105 +193,6 @@ fn cmd_scenario(spec: &ScenarioSpec, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The `media:` console line of a replay: what its disks hold and where
-/// the host bytes that hold it are. Host-side, like [`vm_hwm`].
-fn media_line(m: &MediumStats) -> String {
-    let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
-    format!(
-        "  media: {} written / {} distinct sectors ({} short); \
-         index {:.1} MB + pool {:.1} MB = {:.1} MB resident",
-        m.written_sectors,
-        m.distinct_sectors,
-        m.short_images,
-        mb(m.index_bytes),
-        mb(m.pool_bytes),
-        mb(m.resident_bytes),
-    )
-}
-
-fn cmd_replay_file(args: &[String]) -> Result<(), String> {
-    const FLAGS: &[(&str, bool)] = &[
-        ("--trace", true),
-        ("--target", true),
-        ("--shards", true),
-        ("--threads", true),
-        ("--oracle", false),
-        ("--quick", false),
-        ("--out-dir", true),
-    ];
-    let args = Args::parse(args, FLAGS, 0)?;
-    let path = args.value("--trace").expect("dispatched on --trace");
-    let target: TargetKind = args
-        .value("--target")
-        .map_or(Ok(TargetKind::Trail), str::parse)?;
-    let shards = shard_count(&args)?;
-    let threads: Option<usize> = args.parsed("--threads")?;
-    if threads.is_some() && shards.is_none() {
-        return Err("--threads applies to a sharded replay (--shards N)".to_string());
-    }
-    let oops = |e: &dyn std::fmt::Display| format!("{path}: {e}");
-
-    let trace_bytes = std::fs::metadata(path).map_err(|e| oops(&e))?.len();
-    let open = || {
-        let f = File::open(path).map_err(|e| TraceError::Io(e.to_string()))?;
-        TraceReader::new(BufReader::new(f))
-    };
-    let reader = open().map_err(|e| oops(&e))?;
-    let chunk = reader.meta().chunk_records;
-    let opts = ReplayOptions {
-        target,
-        fs_file_blocks: if args.has("--quick") { 128 } else { 1024 },
-        ..ReplayOptions::default()
-    };
-    let wall_start = Instant::now();
-    let rep = match shards {
-        None => replay_stream(reader, &opts),
-        Some(n) => {
-            drop(reader);
-            let mut plan = ShardPlan::new(n);
-            if let Some(t) = threads {
-                plan.threads = t;
-            }
-            replay_stream_sharded(open, plan, &opts)
-        }
-    }
-    .map_err(|e| oops(&e))?;
-    let wall = wall_start.elapsed();
-    println!(
-        "replayed {} records from {path} against {}{}: \
-         {:.0} records/s wall, {:.0} records/s virtual, \
-         peak resident {} records ({}), max QD {}",
-        rep.requests,
-        rep.target,
-        match shards {
-            Some(n) => format!(" ({n} shards)"),
-            None => String::new(),
-        },
-        rep.requests as f64 / wall.as_secs_f64().max(1e-9),
-        rep.requests as f64 / rep.duration.as_secs_f64().max(1e-9),
-        rep.peak_resident_records,
-        vm_hwm(),
-        rep.max_queue_depth,
-    );
-    println!("{}", media_line(&rep.media));
-    if args.has("--oracle") {
-        let bytes = std::fs::read(path).map_err(|e| oops(&e))?;
-        let trace = from_binary(&bytes).map_err(|e| oops(&e))?;
-        let mem = replay(&trace, &opts).map_err(|e| oops(&e))?;
-        assert_eq!(
-            rep.to_json().to_json(),
-            mem.to_json().to_json(),
-            "streamed report differs from the in-memory oracle"
-        );
-        println!("oracle: streamed report byte-identical to the in-memory replay");
-    }
-    let mut json = replay_stream_json(&rep, chunk, trace_bytes);
-    if let (Some(n), JsonValue::Obj(fields)) = (shards, &mut json) {
-        fields.push(("shards".to_string(), JsonValue::Num(f64::from(n))));
-    }
-    write_artifact(&out_dir(&args), "replaystream", &json)
-}
-
 fn cmd_giga(args: &[String]) -> Result<(), String> {
     const FLAGS: &[(&str, bool)] = &[
         ("--records", true),
@@ -379,8 +239,17 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
     );
 
     let wall = Instant::now();
-    let delta_bytes =
-        compress(&raw_path, &delta_path).map_err(|e| format!("compress trace: {e}"))?;
+    let delta_file =
+        File::create(&delta_path).map_err(|e| format!("{}: {e}", delta_path.display()))?;
+    open_trace(&raw_path)
+        .and_then(|mut raw| {
+            let out = BufWriter::new(delta_file);
+            recode(&mut raw, ChunkEncoding::Delta, DEFAULT_CHUNK_RECORDS, out)
+        })
+        .map_err(|e| format!("compress trace: {e}"))?;
+    let delta_bytes = std::fs::metadata(&delta_path)
+        .map_err(|e| format!("{}: {e}", delta_path.display()))?
+        .len();
     let ratio = delta_bytes as f64 / raw_bytes as f64;
     println!(
         "delta-compressed in {:.1}s: {delta_bytes} bytes ({:.1}% of raw)",
@@ -392,10 +261,7 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
         target: TargetKind::Standard,
         ..ReplayOptions::default()
     };
-    let open = || {
-        let f = File::open(&delta_path).map_err(|e| TraceError::Io(e.to_string()))?;
-        TraceReader::new(BufReader::new(f))
-    };
+    let open = || open_trace(&delta_path);
 
     let wall = Instant::now();
     let single = replay_stream(open().map_err(|e| e.to_string())?, &opts)
@@ -457,21 +323,4 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
         let _ = std::fs::remove_file(&delta_path);
     }
     Ok(())
-}
-
-/// Streams `src` into `dst` with delta-compressed chunks; returns the
-/// compressed file's size in bytes.
-fn compress(src: &Path, dst: &Path) -> Result<u64, String> {
-    let file = File::open(src).map_err(|e| e.to_string())?;
-    let mut reader = TraceReader::new(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let mut meta = reader.meta().clone();
-    meta.encoding = ChunkEncoding::Delta;
-    let out = File::create(dst).map_err(|e| e.to_string())?;
-    let mut w = TraceWriter::new(BufWriter::new(out), &meta).map_err(|e| e.to_string())?;
-    for r in reader.records() {
-        let r = r.map_err(|e| e.to_string())?;
-        w.write_record(&r).map_err(|e| e.to_string())?;
-    }
-    w.finish().map_err(|e| e.to_string())?;
-    Ok(std::fs::metadata(dst).map_err(|e| e.to_string())?.len())
 }

@@ -1,13 +1,19 @@
 //! What both binaries share at their edges: the one command-line parser
 //! ([`Args`]), the one table renderer ([`Table`]: columns declared once,
 //! the markdown report and the `BENCH_*.json` rows both derived from
-//! them) and the `BENCH_<name>.json` artifact writer
-//! ([`write_bench_json_in`]).
+//! them), the `BENCH_<name>.json` artifact writer
+//! ([`write_bench_json_in`]), the trace-file opener ([`open_trace`]) and
+//! the host-side console fragments of a replay ([`vm_hwm`],
+//! [`media_line`]).
 
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
+use trail_disk::MediumStats;
 use trail_telemetry::JsonValue;
+use trail_trace::{TraceError, TraceReader};
 
 /// Command-line arguments parsed against a declared flag table.
 ///
@@ -93,6 +99,65 @@ impl Args {
     pub fn positional(&self, index: usize) -> Option<&str> {
         self.positional.get(index).map(String::as_str)
     }
+}
+
+/// Opens a binary trace for chunk-at-a-time reading.
+///
+/// # Errors
+///
+/// The file does not open ([`TraceError::Io`]) or its header does not
+/// parse.
+pub fn open_trace(path: impl AsRef<Path>) -> Result<TraceReader<BufReader<File>>, TraceError> {
+    let file = File::open(path).map_err(|e| TraceError::Io(e.to_string()))?;
+    TraceReader::new(BufReader::new(file))
+}
+
+/// `--shards N`, when given. `ShardPlan` would quietly run 0 as one
+/// shard, and the console line and the artifact would still say 0.
+///
+/// # Errors
+///
+/// A value that is not a number, or 0.
+pub fn shard_count(args: &Args) -> Result<Option<u32>, String> {
+    match args.parsed("--shards")? {
+        Some(0) => Err("--shards must be at least 1".to_string()),
+        n => Ok(n),
+    }
+}
+
+/// The process's real peak resident set (`VmHWM` of `/proc/self/status`)
+/// as a console fragment; says so where the file or field is missing.
+/// Host-side: it goes next to the `peak resident … records` proxy on the
+/// console and never into an artifact.
+#[must_use]
+pub fn vm_hwm() -> String {
+    let kb = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let rest = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            rest.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+        });
+    match kb {
+        Some(kb) => format!("VmHWM {:.1} MB", kb as f64 / 1024.0),
+        None => "VmHWM unavailable".to_string(),
+    }
+}
+
+/// The `media:` console line of a replay: what its disks hold and where
+/// the host bytes that hold it are. Host-side, like [`vm_hwm`].
+#[must_use]
+pub fn media_line(m: &MediumStats) -> String {
+    let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+    format!(
+        "  media: {} written / {} distinct sectors ({} short); \
+         index {:.1} MB + pool {:.1} MB = {:.1} MB resident",
+        m.written_sectors,
+        m.distinct_sectors,
+        m.short_images,
+        mb(m.index_bytes),
+        mb(m.pool_bytes),
+        mb(m.resident_bytes),
+    )
 }
 
 /// How a numeric cell prints in the markdown report; the JSON row always

@@ -33,10 +33,10 @@ use trail_sim::{Delivered, FaultPlan, LatencySummary, SimDuration, Simulator};
 use trail_telemetry::{JsonValue, RecorderHandle};
 use trail_tpcc::{run, ChainOn, RunConfig, TpccReport};
 use trail_trace::{
-    generate, generate_stream, replay as trace_replay, replay_stream as trace_replay_stream,
-    replay_stream_sharded, ArrivalModel, ChunkEncoding, ReplayOptions, ReplayReport, ShardPlan,
-    SpatialModel, SyntheticSpec, TargetKind, Trace, TraceCapture, TraceMeta, TraceReader,
-    TraceWriter, DEFAULT_CHUNK_RECORDS,
+    generate, generate_stream, recode, replay as trace_replay,
+    replay_stream as trace_replay_stream, replay_stream_sharded, ArrivalModel, ChunkEncoding,
+    ReplayOptions, ReplayReport, ShardPlan, SpatialModel, SyntheticSpec, TargetKind, Trace,
+    TraceCapture, TraceMeta, TraceReader, DEFAULT_CHUNK_RECORDS,
 };
 
 use crate::campaign::{aggregate, run_campaign, CampaignAggregate, CampaignFlavor, CampaignSpec};
@@ -1080,48 +1080,24 @@ fn fs_stack(trail: bool) -> trail::BuiltStack {
 fn sync_appends(sim: &mut Simulator, fs: &dyn FileSystem, n: usize) -> f64 {
     let file = fs.create("synclog").expect("create");
     // Preallocate: one bulk write sizes the file and allocates its blocks.
-    let done = Rc::new(Cell::new(false));
-    let d = Rc::clone(&done);
-    let token = sim.completion(move |_, r: Delivered<Result<(), FsError>>| {
-        r.expect("delivered").expect("preallocate");
-        d.set(true);
-    });
-    fs.write(sim, file, 0, vec![0u8; n * FS_BLK], false, token)
-        .expect("accepted");
-    while !done.get() {
-        assert!(sim.step(), "preallocate stalled");
-    }
+    sim.block_on(|sim, token| fs.write(sim, file, 0, vec![0u8; n * FS_BLK], false, token))
+        .expect("accepted")
+        .expect("delivered")
+        .expect("preallocate");
     sim.run();
-    let lat = Rc::new(RefCell::new(LatencySummary::new()));
+    let mut lat = LatencySummary::new();
     for i in 0..n {
         let start = sim.now();
-        let l = Rc::clone(&lat);
-        let done = Rc::new(Cell::new(false));
-        let d = Rc::clone(&done);
-        let token = sim.completion(
-            move |sim: &mut Simulator, r: Delivered<Result<(), FsError>>| {
-                r.expect("delivered").expect("sync write");
-                l.borrow_mut().record(sim.now().duration_since(start));
-                d.set(true);
-            },
-        );
-        fs.write(
-            sim,
-            file,
-            (i * FS_BLK) as u64,
-            vec![(i % 251) as u8; FS_BLK],
-            true,
-            token,
-        )
-        .expect("accepted");
-        while !done.get() {
-            assert!(sim.step(), "write stalled");
-        }
+        let block = vec![(i % 251) as u8; FS_BLK];
+        sim.block_on(|sim, token| fs.write(sim, file, (i * FS_BLK) as u64, block, true, token))
+            .expect("accepted")
+            .expect("delivered")
+            .expect("sync write");
+        lat.record(sim.now().duration_since(start));
         // Sparse arrivals (past the repositioning window).
         sim.run_for(SimDuration::from_millis(4));
     }
-    let out = lat.borrow().mean().as_millis_f64();
-    out
+    lat.mean().as_millis_f64()
 }
 
 fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
@@ -1263,12 +1239,11 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
     }
     sim.run();
     disk.reset_stats();
-    let done = Rc::new(Cell::new(false));
-    let d = Rc::clone(&done);
-    let token = sim.completion(move |_, _: Delivered<Result<(), FsError>>| d.set(true));
-    lfs.clean(&mut sim, 8, token);
+    let _ = sim.block_on(|sim, token| {
+        lfs.clean(sim, 8, token);
+        Ok::<(), FsError>(())
+    });
     sim.run();
-    assert!(done.get());
     let s = lfs.lfs_stats();
     let _ = writeln!(
         report,
@@ -1706,9 +1681,8 @@ fn replay_stream_table(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64)
 }
 
 /// The `BENCH_replaystream.json` payload for one streaming replay —
-/// shared with `trail-bench replay_stream --trace` and `trail-bench giga`
-/// so the artifact schema cannot drift between the registry and the CI
-/// gates.
+/// shared with `trail-bench giga` so the artifact schema cannot drift
+/// between the registry and the CI gate.
 #[must_use]
 pub fn replay_stream_json(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64) -> JsonValue {
     replay_stream_table(rep, chunk_records, trace_bytes)
@@ -1747,20 +1721,9 @@ fn replay_stream_bench(cfg: &ScenarioConfig) -> ScenarioOutput {
     // file. The replay below reads the *compressed* buffer, so the
     // oracle check also proves the codec transparent end to end.
     let delta = {
-        let mut reader =
-            TraceReader::new(std::io::Cursor::new(bytes.clone())).expect("trace header");
-        let mut meta = reader.meta().clone();
-        meta.encoding = ChunkEncoding::Delta;
-        let mut w = TraceWriter::new(Vec::new(), &meta).expect("delta writer");
-        loop {
-            match reader.next_record() {
-                None => break,
-                Some(r) => w
-                    .write_record(&r.expect("decode record"))
-                    .expect("re-encode record"),
-            }
-        }
-        w.finish().expect("finish delta trace")
+        let mut reader = TraceReader::new(bytes.as_slice()).expect("trace header");
+        let chunk = reader.meta().chunk_records;
+        recode(&mut reader, ChunkEncoding::Delta, chunk, Vec::new()).expect("re-encode trace")
     };
     let trace_bytes_delta = delta.len() as u64;
     let compression_ratio = trace_bytes_delta as f64 / trace_bytes as f64;

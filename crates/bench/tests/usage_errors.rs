@@ -1,53 +1,130 @@
-//! A size of zero is a usage error, reported like any other: one line on
-//! stderr, a failing exit, no panic. Before the check, `<scenario> 0`
-//! aborted inside seven scenarios (an empty trace, a campaign without
-//! crash points, a compression-ratio assert) and `table1 0` published a
-//! `NaN`; `--shards 0` ran one shard and recorded `"shards":0`.
+//! Usage errors are reported like any other: one message on stderr, a
+//! failing exit, no panic. Before the checks, `<scenario> 0` aborted
+//! inside seven scenarios (an empty trace, a campaign without crash
+//! points, a compression-ratio assert) and `table1 0` published a `NaN`;
+//! `--shards 0` ran one shard and recorded `"shards":0`. Replaying a trace
+//! file is `trace_tool replay`'s job alone, so its sharding flags are
+//! checked here too, error and success path.
 
-use std::path::Path;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
-/// Runs `trail-bench args` and returns `(succeeded, stderr)`.
-fn trail_bench(args: &[&str]) -> (bool, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_trail-bench"))
-        .args(args)
-        .arg("--out-dir")
-        .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join("usage_errors"))
-        .output()
-        .expect("run trail-bench");
-    (
-        out.status.success(),
-        String::from_utf8(out.stderr).expect("stderr is UTF-8"),
-    )
+fn scratch(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("usage_errors")
+        .join(name)
 }
 
-fn assert_usage_error(args: &[&str], message: &str) {
-    let (ok, stderr) = trail_bench(args);
-    assert!(!ok, "trail-bench {args:?} must fail");
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("run binary")
+}
+
+fn trace_tool(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_trace_tool"), args)
+}
+
+/// `args` must fail with `message` on stderr and without a panic;
+/// returns stderr.
+fn assert_usage_error(bin: &str, args: &[&str], message: &str) -> String {
+    let out = run(bin, args);
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(!out.status.success(), "{bin} {args:?} must fail");
     assert!(
         stderr.contains(message),
-        "trail-bench {args:?} stderr lacks {message:?}: {stderr}"
+        "{bin} {args:?} stderr lacks {message:?}: {stderr}"
     );
     assert!(
         !stderr.contains("panicked"),
-        "trail-bench {args:?} panicked: {stderr}"
+        "{bin} {args:?} panicked: {stderr}"
     );
+    stderr
+}
+
+fn trail_bench_usage_error(args: &[&str], message: &str) {
+    // Should a check regress, the run's artifacts land here, not in cwd.
+    let out_dir = scratch("trail-bench");
+    let mut args = args.to_vec();
+    args.extend_from_slice(&["--out-dir", out_dir.to_str().expect("UTF-8 path")]);
+    assert_usage_error(env!("CARGO_BIN_EXE_trail-bench"), &args, message);
+}
+
+fn trace_tool_usage_error(args: &[&str], message: &str) {
+    let stderr = assert_usage_error(env!("CARGO_BIN_EXE_trace_tool"), args, message);
+    assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
 }
 
 #[test]
 fn scale_zero_is_rejected_for_every_scenario() {
     for spec in trail_bench::all_scenarios() {
-        assert_usage_error(&[spec.name, "0", "--quick"], "scale must be at least 1");
+        trail_bench_usage_error(&[spec.name, "0", "--quick"], "scale must be at least 1");
     }
 }
 
 #[test]
 fn shards_zero_is_rejected() {
     let shards = "--shards must be at least 1";
-    assert_usage_error(&["giga", "--records", "100", "--shards", "0"], shards);
+    trail_bench_usage_error(&["giga", "--records", "100", "--shards", "0"], shards);
     // Rejected before the trace is opened, so no file is needed.
-    assert_usage_error(
-        &["replay_stream", "--trace", "none.trace", "--shards", "0"],
-        shards,
+    trace_tool_usage_error(&["replay", "none.trace", "--shards", "0"], shards);
+}
+
+#[test]
+fn threads_without_shards_is_rejected() {
+    trace_tool_usage_error(
+        &["replay", "none.trace", "--threads", "2"],
+        "--threads applies to a sharded replay",
     );
+}
+
+#[test]
+fn trail_bench_points_a_trace_file_at_trace_tool() {
+    trail_bench_usage_error(&["replay_stream", "--trace", "x"], "trace_tool replay");
+}
+
+#[test]
+fn sharded_file_replay_ignores_the_thread_count_and_the_oracle_agrees() {
+    let dir = scratch("sharded");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let trace = dir.join("t.trace");
+    let trace = trace.to_str().expect("UTF-8 path");
+    let generated = trace_tool(&[
+        "generate",
+        "--out",
+        trace,
+        "--requests",
+        "2000",
+        "--streams",
+        "4",
+        "--devices",
+        "2",
+        "--mean-iat-us",
+        "20000",
+    ]);
+    assert!(generated.status.success(), "{generated:?}");
+    let replay = |out: &str, extra: &[&str]| -> (Vec<u8>, String) {
+        let out_dir = dir.join(out);
+        let mut args = vec!["replay", trace, "--target", "trail_multi2", "--out-dir"];
+        args.push(out_dir.to_str().expect("UTF-8 path"));
+        args.extend_from_slice(extra);
+        let run = trace_tool(&args);
+        assert!(run.status.success(), "trace_tool {args:?}: {run:?}");
+        let artifact = std::fs::read(out_dir.join("BENCH_replay_trail_multi2.json"));
+        (
+            artifact.expect("artifact written"),
+            String::from_utf8(run.stdout).expect("stdout is UTF-8"),
+        )
+    };
+    let (one, stdout) = replay("t1", &["--shards", "4", "--threads", "1"]);
+    let (two, _) = replay("t2", &["--shards", "4", "--threads", "2"]);
+    assert_eq!(one, two, "the artifact must not depend on --threads");
+    let json = String::from_utf8(one).expect("artifact is UTF-8");
+    assert!(json.contains("\"requests\":2000"), "{json}");
+    assert!(json.ends_with("\"shards\":4}"), "{json}");
+    assert!(!json.contains("threads"), "{json}");
+    for line in ["(4 shards)", "records/s wall", "VmHWM", "media:"] {
+        assert!(stdout.contains(line), "stdout lacks {line:?}: {stdout}");
+    }
+    let (plain, stdout) = replay("plain", &["--oracle"]);
+    assert!(stdout.contains("oracle: streamed report byte-identical"));
+    assert!(!String::from_utf8(plain).expect("UTF-8").contains("shards"));
 }

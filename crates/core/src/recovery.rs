@@ -23,13 +23,10 @@
 //! interface as normal operation, so Figure 4's delays are measured, not
 //! asserted.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use trail_blockio::{IoDone, IoRequest, SharedBlockDevice};
+use trail_blockio::{IoRequest, SharedBlockDevice};
 use trail_disk::{Disk, DiskCommand, DiskError, Lba, SectorBuf, SECTOR_SIZE};
 use trail_probe::run_blocking;
-use trail_sim::{Delivered, SimDuration, Simulator};
+use trail_sim::{SimDuration, Simulator};
 
 use crate::driver::raw_targets;
 use crate::error::TrailError;
@@ -182,26 +179,16 @@ pub fn recover(
 }
 
 /// Runs one write against a block target to completion (the boot-time
-/// blocking idiom; see [`trail_probe::run_blocking`]).
+/// blocking idiom, [`Simulator::block_on`]).
 fn blocking_target_write(
     sim: &mut Simulator,
     target: &SharedBlockDevice,
     lba: Lba,
     data: Vec<u8>,
 ) -> Result<(), TrailError> {
-    let slot: Rc<RefCell<Option<Delivered<IoDone>>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&slot);
-    let done = sim.completion(move |_, res: Delivered<IoDone>| {
-        *out.borrow_mut() = Some(res);
-    });
-    target
-        .submit(sim, IoRequest::write(lba, data), done)
-        .map_err(TrailError::Disk)?;
-    while slot.borrow().is_none() {
-        assert!(sim.step(), "recovery write-back never completed");
-    }
-    let res = slot.borrow_mut().take().expect("slot just filled");
-    res.map_err(|_| TrailError::Disk(DiskError::Failed))?;
+    sim.block_on(|sim, done| target.submit(sim, IoRequest::write(lba, data), done))
+        .map_err(TrailError::Disk)?
+        .map_err(|_| TrailError::Disk(DiskError::Failed))?;
     Ok(())
 }
 

@@ -7,7 +7,8 @@ use std::rc::Rc;
 
 use rand::Rng;
 use trail_core::{
-    format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, TrailConfig, TrailDriver,
+    format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, TrailConfig,
+    TrailDriver, TrailError,
 };
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::{SimDuration, Simulator};
@@ -369,4 +370,93 @@ fn torn_record_is_detected_and_dropped() {
         found_torn,
         "the crash sweep never landed inside a record transfer"
     );
+}
+
+/// The disks of a crashed 60-write workload, powered back on.
+fn crashed_disks() -> (Disk, Vec<Disk>) {
+    let (_, log, data) = run_workload_and_crash(5, SimDuration::from_millis(40), 60);
+    log.power_on();
+    for d in &data {
+        d.power_on();
+    }
+    (log, data)
+}
+
+/// Cuts power to [`crashed_disks`] a second time, `offset` into `boot` (a
+/// fresh simulator, so `offset` is also the absolute instant). Returns
+/// what `boot` returned and whether it returned only after the cut.
+fn boot_under_a_second_cut<T>(
+    offset: SimDuration,
+    boot: impl FnOnce(&mut Simulator, &Disk, &[Disk]) -> Result<T, TrailError>,
+) -> (Result<T, TrailError>, bool) {
+    let (log, data) = crashed_disks();
+    let mut sim = Simulator::new();
+    let (log2, data2) = (log.clone(), data.clone());
+    sim.schedule_in(offset, move |sim| {
+        log2.power_cut(sim.now());
+        for d in &data2 {
+            d.power_cut(sim.now());
+        }
+    });
+    let result = boot(&mut sim, &log, &data);
+    (result, !log.is_powered())
+}
+
+/// The second-cut instants: 0 to 59.5 ms in 1.7 ms steps, which land
+/// between commands and inside them alike.
+fn second_cut_offsets() -> impl Iterator<Item = SimDuration> {
+    (0..36).map(|i| SimDuration::from_micros(i * 1_700))
+}
+
+#[test]
+fn a_power_cut_during_recovery_is_an_error_never_a_panic() {
+    for offset in second_cut_offsets() {
+        let (result, cut) = boot_under_a_second_cut(offset, |sim, log, data| {
+            let header = read_header(sim, log)?;
+            recover(sim, log, data, &header, RecoveryOptions::default())
+        });
+        assert!(cut, "recovery outlasts a cut at {offset:?}");
+        assert!(
+            matches!(result, Err(TrailError::Disk(_))),
+            "cut at {offset:?}: {result:?}"
+        );
+    }
+}
+
+#[test]
+fn a_power_cut_during_the_header_read_is_an_error() {
+    // One sector read from a cold start: cut at its first event, in the
+    // middle of it, and a nanosecond before it would complete.
+    let whole = {
+        let mut sim = Simulator::new();
+        read_header(&mut sim, &crashed_disks().0).expect("an undisturbed header read");
+        sim.now().duration_since(trail_sim::SimTime::ZERO)
+    };
+    for offset in [
+        SimDuration::ZERO,
+        whole / 2,
+        whole - SimDuration::from_nanos(1),
+    ] {
+        let (result, cut) = boot_under_a_second_cut(offset, |sim, log, _| read_header(sim, log));
+        assert!(cut);
+        assert!(
+            matches!(result, Err(TrailError::Disk(_))),
+            "cut at {offset:?}: {result:?}"
+        );
+    }
+}
+
+#[test]
+fn a_power_cut_during_boot_on_a_dirty_log_is_an_error() {
+    for offset in second_cut_offsets() {
+        let (result, cut) = boot_under_a_second_cut(offset, |sim, log, data| {
+            TrailDriver::start(sim, log.clone(), data.to_vec(), TrailConfig::default())
+        });
+        assert!(cut, "boot-time recovery outlasts a cut at {offset:?}");
+        assert!(
+            matches!(result, Err(TrailError::Disk(_))),
+            "cut at {offset:?}: {:?}",
+            result.map(|(_, boot)| boot)
+        );
+    }
 }

@@ -8,12 +8,10 @@
 //! device's durability guarantee, then WAL redo restores *transaction*
 //! atomicity on top of it.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 
 use trail_core::TrailError;
-use trail_disk::Lba;
+use trail_disk::{DiskError, Lba};
 use trail_sim::Simulator;
 
 use crate::engine::TableId;
@@ -57,11 +55,8 @@ impl WalRecoveryReport {
 ///
 /// # Errors
 ///
-/// Propagates stack errors.
-///
-/// # Panics
-///
-/// Panics if the read never completes.
+/// Propagates stack errors; a read the stack dropped before completing
+/// (power loss, a failed device) is `TrailError::Disk(DiskError::Failed)`.
 pub fn read_blocking(
     sim: &mut Simulator,
     stack: &dyn BlockStack,
@@ -69,17 +64,11 @@ pub fn read_blocking(
     lba: Lba,
     count: u32,
 ) -> Result<Vec<u8>, TrailError> {
-    let slot: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&slot);
-    let done = sim.completion(move |_, d: trail_sim::Delivered<trail_blockio::IoDone>| {
-        if let Ok(done) = d {
-            *out.borrow_mut() = done.data;
-        }
-    });
-    stack.read(sim, dev, lba, count, done)?;
+    let res = sim.block_on(|sim, done| stack.read(sim, dev, lba, count, done))?;
     sim.run();
-    let data = slot.borrow_mut().take();
-    Ok(data.expect("recovery read did not complete"))
+    res.ok()
+        .and_then(|done| done.data)
+        .ok_or(TrailError::Disk(DiskError::Failed))
 }
 
 /// Scans the log region, returning every record of every chunk in LSN

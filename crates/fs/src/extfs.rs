@@ -13,7 +13,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
+use trail_core::TrailError;
 use trail_db::BlockStack;
+use trail_disk::DiskError;
 use trail_sim::{Completion, Delivered, Simulator};
 
 use crate::vfs::{FileHandle, FileSystem, FsError, FsStats, FS_BLOCK_SIZE};
@@ -104,6 +106,8 @@ pub struct ExtFs {
     inner: Rc<RefCell<Inner>>,
 }
 
+/// One write through the stack, to completion and until everything it
+/// set in motion has settled (format and mount run as offline tools).
 fn write_blocking(
     sim: &mut Simulator,
     stack: &dyn BlockStack,
@@ -111,18 +115,11 @@ fn write_blocking(
     lba: u64,
     data: Vec<u8>,
 ) -> Result<(), FsError> {
-    let done = Rc::new(std::cell::Cell::new(false));
-    let d2 = Rc::clone(&done);
-    let token = sim.completion(move |_, d: Delivered<IoDone>| {
-        if d.is_ok() {
-            d2.set(true);
-        }
-    });
-    stack
-        .write(sim, dev, lba, data, token)
+    let res = sim
+        .block_on(|sim, token| stack.write(sim, dev, lba, data, token))
         .map_err(FsError::Storage)?;
     sim.run();
-    assert!(done.get(), "blocking write did not complete");
+    res.map_err(|_| FsError::Storage(TrailError::Disk(DiskError::Failed)))?;
     Ok(())
 }
 

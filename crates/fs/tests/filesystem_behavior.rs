@@ -26,16 +26,11 @@ fn write_all(
     data: Vec<u8>,
     sync: bool,
 ) {
-    let done = Rc::new(Cell::new(false));
-    let d = Rc::clone(&done);
-    let token = sim.completion(move |_, del: Delivered<Result<(), FsError>>| {
-        del.expect("delivered").expect("write succeeds");
-        d.set(true);
-    });
-    fs.write(sim, file, offset, data, sync, token)
-        .expect("accepted");
+    sim.block_on(|sim, token| fs.write(sim, file, offset, data, sync, token))
+        .expect("accepted")
+        .expect("delivered")
+        .expect("write succeeds");
     sim.run();
-    assert!(done.get(), "write completed");
 }
 
 fn read_all(
@@ -45,15 +40,13 @@ fn read_all(
     offset: u64,
     len: usize,
 ) -> Vec<u8> {
-    let out = Rc::new(RefCell::new(None));
-    let o = Rc::clone(&out);
-    let token = sim.completion(move |_, del: Delivered<Result<Vec<u8>, FsError>>| {
-        *o.borrow_mut() = Some(del.expect("delivered").expect("read succeeds"));
-    });
-    fs.read(sim, file, offset, len, token).expect("accepted");
+    let data = sim
+        .block_on(|sim, token| fs.read(sim, file, offset, len, token))
+        .expect("accepted")
+        .expect("delivered")
+        .expect("read succeeds");
     sim.run();
-    let data = out.borrow_mut().take();
-    data.expect("read completed")
+    data
 }
 
 // ---------------------------------------------------------------- ExtFs
@@ -71,6 +64,21 @@ fn extfs_write_read_round_trip() {
     // Block-aligned partial read.
     let mid = read_all(&mut sim, &fs, f, BLK as u64, BLK);
     assert_eq!(mid, &payload[BLK..2 * BLK]);
+}
+
+#[test]
+fn extfs_format_over_a_disk_that_fails_mid_format_is_a_storage_error() {
+    let (mut sim, stack, disk) = stack();
+    // The first format write is still seeking a millisecond in.
+    sim.schedule_in(trail_sim::SimDuration::from_millis(1), move |sim| {
+        disk.fail(sim.now());
+    });
+    let res = ExtFs::format(&mut sim, stack, 0, 10_000);
+    assert!(
+        matches!(res, Err(FsError::Storage(_))),
+        "{:?}",
+        res.map(|_| "formatted")
+    );
 }
 
 #[test]

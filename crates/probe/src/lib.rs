@@ -22,11 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use trail_disk::{Disk, DiskCommand, DiskError, DiskResult, SECTOR_SIZE};
-use trail_sim::{Delivered, SimDuration, Simulator};
+use trail_sim::{SimDuration, Simulator};
 
 /// Runs one disk command to completion, returning its result.
 ///
@@ -36,27 +33,23 @@ use trail_sim::{Delivered, SimDuration, Simulator};
 ///
 /// # Errors
 ///
-/// Propagates submission errors from [`Disk::submit`].
-///
-/// # Panics
-///
-/// Panics if the command never completes (e.g. power was cut).
+/// Propagates submission errors from [`Disk::submit`]. A command the disk
+/// dropped before completing is [`DiskError::PoweredOff`] when power was
+/// cut under it, [`DiskError::Failed`] otherwise.
 pub fn run_blocking(
     sim: &mut Simulator,
     disk: &Disk,
     cmd: DiskCommand,
 ) -> Result<DiskResult, DiskError> {
-    let slot: Rc<RefCell<Option<DiskResult>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&slot);
-    let done = sim.completion(move |_, res: Delivered<DiskResult>| {
-        if let Ok(res) = res {
-            *out.borrow_mut() = Some(res);
-        }
-    });
-    disk.submit(sim, cmd, done)?;
+    let res = sim.block_on(|sim, done| disk.submit(sim, cmd, done))?;
     sim.run();
-    let res = slot.borrow_mut().take();
-    Ok(res.expect("calibration command did not complete"))
+    res.map_err(|_| {
+        if disk.is_powered() {
+            DiskError::Failed
+        } else {
+            DiskError::PoweredOff
+        }
+    })
 }
 
 /// Measures the spindle rotation period by timing `samples` back-to-back

@@ -13,8 +13,9 @@
 //! steady-state schedule→fire loop touches no allocator at all. See
 //! DESIGN.md §"Executor performance".
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::rc::Rc;
 
 use crate::completion::{Completion, CompletionSink, Delivered};
 use crate::payload::EventPayload;
@@ -231,6 +232,46 @@ impl Simulator {
         while self.step() {}
     }
 
+    /// Submits one request and steps the simulation until its completion
+    /// token is delivered: the one way boot-time and harness code waits.
+    ///
+    /// `submit` receives a freshly minted token and hands it down with the
+    /// request (what it returns on acceptance, a request id say, is
+    /// dropped). The return value is the delivery — `Ok(Ok(value))`, or
+    /// `Ok(Err(Cancelled))` when the token was dropped or cancelled (power
+    /// loss, a failed device) — and the clock stands at the delivery
+    /// instant: events scheduled after it have not run. Every other actor's
+    /// events up to that instant do run, so call [`run`](Simulator::run)
+    /// afterwards where the caller means "and let everything settle".
+    ///
+    /// # Errors
+    ///
+    /// A synchronous rejection: `submit`'s own error, returned without
+    /// stepping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event queue drains before the token is delivered
+    /// (the token was leaked, not dropped — a bug in the layer holding it).
+    pub fn block_on<T: 'static, A, E>(
+        &mut self,
+        submit: impl FnOnce(&mut Simulator, Completion<T>) -> Result<A, E>,
+    ) -> Result<Delivered<T>, E> {
+        let slot = Rc::new(RefCell::new(None));
+        let out = Rc::clone(&slot);
+        let done = self.completion(move |_, d: Delivered<T>| *out.borrow_mut() = Some(d));
+        submit(self, done)?;
+        loop {
+            if let Some(d) = slot.borrow_mut().take() {
+                return Ok(d);
+            }
+            assert!(
+                self.step(),
+                "block_on: event queue drained before the token was delivered"
+            );
+        }
+    }
+
     /// Runs events with timestamps `<= until`, then advances the clock to
     /// `until` (even if the queue drained earlier or later events remain).
     pub fn run_until(&mut self, until: SimTime) {
@@ -274,8 +315,7 @@ impl fmt::Debug for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::completion::Cancelled;
 
     #[test]
     fn events_run_in_time_order() {
@@ -460,5 +500,67 @@ mod tests {
         sim.schedule_in(SimDuration::from_millis(1), |_| {});
         sim.run();
         sim.schedule_at(SimTime::ZERO, |_| {});
+    }
+
+    #[test]
+    fn block_on_returns_the_delivered_value() {
+        let mut sim = Simulator::new();
+        let got = sim.block_on(|sim, done: Completion<u32>| {
+            sim.schedule_in(SimDuration::from_millis(3), move |sim| {
+                done.complete(sim, 7)
+            });
+            Ok::<(), ()>(())
+        });
+        assert_eq!(got, Ok(Ok(7)));
+    }
+
+    #[test]
+    fn block_on_returns_a_synchronous_rejection_without_stepping() {
+        let mut sim = Simulator::new();
+        let ran = Rc::new(Cell::new(false));
+        let r = Rc::clone(&ran);
+        sim.schedule_now(move |_| r.set(true));
+        let got = sim.block_on(|_, _done: Completion<u32>| Err::<(), _>("rejected"));
+        assert_eq!(got, Err("rejected"));
+        assert!(!ran.get(), "a rejected submission must not step");
+        assert_eq!(sim.events_executed(), 0);
+    }
+
+    #[test]
+    fn block_on_reports_a_dropped_token_as_cancelled() {
+        let mut sim = Simulator::new();
+        let got = sim.block_on(|sim, done: Completion<u32>| {
+            sim.schedule_in(SimDuration::from_millis(1), move |_| drop(done));
+            Ok::<(), ()>(())
+        });
+        assert_eq!(got, Ok(Err(Cancelled)));
+    }
+
+    #[test]
+    fn block_on_stops_at_the_delivery_instant() {
+        let mut sim = Simulator::new();
+        let later = Rc::new(Cell::new(false));
+        let l = Rc::clone(&later);
+        sim.schedule_in(SimDuration::from_millis(5), move |_| l.set(true));
+        let got = sim.block_on(|sim, done: Completion<()>| {
+            sim.schedule_in(SimDuration::from_millis(2), move |sim| {
+                done.complete(sim, ())
+            });
+            Ok::<(), ()>(())
+        });
+        assert_eq!(got, Ok(Ok(())));
+        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_millis(2));
+        assert!(!later.get(), "block_on must not drain past the delivery");
+        assert_eq!(sim.events_pending(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "event queue drained before the token was delivered")]
+    fn block_on_panics_on_a_leaked_token() {
+        let mut sim = Simulator::new();
+        let _ = sim.block_on(|_, done: Completion<()>| {
+            std::mem::forget(done);
+            Ok::<(), ()>(())
+        });
     }
 }

@@ -874,6 +874,36 @@ pub fn from_binary(bytes: &[u8]) -> Result<Trace, TraceError> {
     TraceReader::new(bytes)?.into_trace()
 }
 
+/// Re-encodes a binary trace: streams every record of `reader` into a
+/// new trace on `writer` that carries the same metadata except for
+/// `encoding` and `chunk_records` (pass the reader's own to keep them),
+/// holding one chunk of each side at a time. The records are identical
+/// whatever the two say — they are storage choices — and
+/// [`TraceReader::records_read`] afterwards is how many there were.
+///
+/// # Errors
+///
+/// Any [`TraceError`] from decoding; a failed write is
+/// [`TraceError::Io`].
+pub fn recode<R: Read, W: Write>(
+    reader: &mut TraceReader<R>,
+    encoding: ChunkEncoding,
+    chunk_records: u32,
+    writer: W,
+) -> Result<W, TraceError> {
+    let io_err = |e: io::Error| TraceError::Io(format!("writing trace: {e}"));
+    let meta = TraceMeta {
+        encoding,
+        chunk_records,
+        ..reader.meta().clone()
+    };
+    let mut w = TraceWriter::new(writer, &meta).map_err(io_err)?;
+    for r in reader.records() {
+        w.write_record(&r?).map_err(io_err)?;
+    }
+    w.finish().map_err(io_err)
+}
+
 // --------------------------------------------------------------- jsonl
 
 /// The JSONL metadata line. Pass `records` when the total is known up
@@ -1274,6 +1304,35 @@ mod tests {
         raw_twin.meta.encoding = ChunkEncoding::Raw;
         let raw_back = from_binary(&to_binary(&raw_twin)).expect("raw decode");
         assert_eq!(raw_back.records, back.records);
+    }
+
+    #[test]
+    fn recode_changes_storage_never_records() {
+        let mut t = delta_sample();
+        t.meta.encoding = ChunkEncoding::Raw;
+        t.meta.chunk_records = 3;
+        let raw = to_binary(&t);
+        let pass = |bytes: &[u8], encoding, chunk_records| {
+            let mut reader = TraceReader::new(bytes).expect("header");
+            let out = recode(&mut reader, encoding, chunk_records, Vec::new()).expect("recode");
+            assert_eq!(reader.records_read(), t.records.len() as u64);
+            out
+        };
+        // Raw -> delta -> raw is the identity on bytes.
+        let delta = pass(&raw, ChunkEncoding::Delta, 3);
+        assert_ne!(delta, raw);
+        assert_eq!(pass(&delta, ChunkEncoding::Raw, 3), raw);
+        // The output is what the in-memory encoder writes for the
+        // decoded trace under the same metadata.
+        let mut twin = t.clone();
+        twin.meta.encoding = ChunkEncoding::Delta;
+        assert_eq!(delta, to_binary(&twin));
+        // A chunk size is layout, not content.
+        let rechunked = pass(&raw, ChunkEncoding::Raw, 2);
+        assert_ne!(rechunked, raw);
+        let back = from_binary(&rechunked).expect("decode");
+        assert_eq!(back.records, t.records);
+        assert_eq!(back.meta.chunk_records, 2);
     }
 
     #[test]

@@ -43,10 +43,10 @@ pub mod import;
 pub mod replay;
 pub mod shard;
 
-pub use capture::{StreamingCapture, TraceCapture};
+pub use capture::TraceCapture;
 pub use codec::{
-    crc32, from_binary, from_jsonl, to_binary, to_jsonl, TraceError, TraceReader, TraceWriter,
-    DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
+    crc32, from_binary, from_jsonl, recode, to_binary, to_jsonl, TraceError, TraceReader,
+    TraceWriter, DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
 };
 pub use format::{
     ChunkEncoding, StreamSummary, StreamSummaryBuilder, StreamView, Trace, TraceMeta, TraceOp,

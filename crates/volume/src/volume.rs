@@ -778,16 +778,45 @@ fn submit_batch(
     }
 }
 
+/// [`submit_batch`] plus the continuation every plan shares: a cancelled
+/// gather aborts the operation, a missing sub-result goes to
+/// [`after_failure`], and otherwise `on_ok` gets every sub-result, in
+/// `ios` order.
+fn gather(
+    vol: &RaidVolume,
+    sim: &mut Simulator,
+    op: &OpRef,
+    ios: MemberIos,
+    on_ok: impl FnOnce(&RaidVolume, &mut Simulator, &OpRef, Vec<IoDone>) + 'static,
+) {
+    let slot_members: Vec<usize> = ios.iter().map(|(m, _)| *m).collect();
+    let vol2 = vol.clone();
+    let op2 = Rc::clone(op);
+    let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
+        let Ok(results) = d else {
+            finish_abort(&vol2, sim, &op2);
+            return;
+        };
+        if results.iter().any(Option::is_none) {
+            after_failure(&vol2, sim, &op2, &slot_members, &results);
+            return;
+        }
+        // (`map`, not `flatten`: this collect reuses the allocation.)
+        let results = results.into_iter().map(|r| r.expect("checked above"));
+        on_ok(&vol2, sim, &op2, results.collect());
+    });
+    submit_batch(vol, sim, ios, token);
+}
+
 /// The member's part of the logical write, as a view of its buffer.
 fn slice_payload(payload: &mut PayloadBuf, logical_off: u64, sectors: u32) -> PayloadBuf {
     payload.sectors(logical_off as usize, sectors as usize)
 }
 
 /// Breakdown of the critical-path (latest-finishing) sub-operation.
-fn latest_breakdown(results: &[Option<IoDone>]) -> ServiceBreakdown {
+fn latest_breakdown(results: &[IoDone]) -> ServiceBreakdown {
     results
         .iter()
-        .flatten()
         .max_by_key(|d| d.completed)
         .map(|d| d.breakdown)
         .unwrap_or_default()
@@ -802,7 +831,6 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
         Cancel,
         Go {
             ios: Vec<(usize, IoRequest)>,
-            slot_members: Vec<usize>,
             metas: Vec<(u64, u32)>,
             is_read: bool,
             total_sectors: u32,
@@ -837,7 +865,6 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
                 metas.push((f.logical_off, f.sectors));
             }
             Act::Go {
-                slot_members: frags.iter().map(|f| f.member).collect(),
                 ios,
                 metas,
                 is_read: matches!(o.payload, Payload::Read),
@@ -849,44 +876,22 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
         Act::Cancel => finish_abort(vol, sim, op),
         Act::Go {
             ios,
-            slot_members,
             metas,
             is_read,
             total_sectors,
-        } => {
-            let vol2 = vol.clone();
-            let op2 = Rc::clone(op);
-            let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
-                let results = match d {
-                    Ok(r) => r,
-                    Err(_) => {
-                        finish_abort(&vol2, sim, &op2);
-                        return;
-                    }
-                };
-                if results.iter().any(|r| r.is_none()) {
-                    after_failure(&vol2, sim, &op2, &slot_members, &results);
-                    return;
+        } => gather(vol, sim, op, ios, move |vol, sim, op, results| {
+            let breakdown = latest_breakdown(&results);
+            let data = is_read.then(|| {
+                let mut buf = vec![0u8; total_sectors as usize * SECTOR_SIZE];
+                for (slot, (logical_off, sectors)) in metas.iter().enumerate() {
+                    let a = *logical_off as usize * SECTOR_SIZE;
+                    buf[a..a + *sectors as usize * SECTOR_SIZE]
+                        .copy_from_slice(read_bytes(&results, slot));
                 }
-                let breakdown = latest_breakdown(&results);
-                let data = if is_read {
-                    let mut buf = vec![0u8; total_sectors as usize * SECTOR_SIZE];
-                    for (slot, (logical_off, sectors)) in metas.iter().enumerate() {
-                        let bytes = results[slot]
-                            .as_ref()
-                            .and_then(|d| d.data.as_deref())
-                            .expect("read sub-operations carry data");
-                        let a = *logical_off as usize * SECTOR_SIZE;
-                        buf[a..a + *sectors as usize * SECTOR_SIZE].copy_from_slice(bytes);
-                    }
-                    Some(buf)
-                } else {
-                    None
-                };
-                finish_ok(&vol2, sim, &op2, data, breakdown);
+                buf
             });
-            submit_batch(vol, sim, ios, token);
-        }
+            finish_ok(vol, sim, op, data, breakdown);
+        }),
     }
 }
 
@@ -935,24 +940,11 @@ fn plan_mirror_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, policy: R
         finish_abort(vol, sim, op);
         return;
     };
-    let vol2 = vol.clone();
-    let op2 = Rc::clone(op);
-    let slot_members = vec![member];
-    let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
-        let mut results = match d {
-            Ok(r) => r,
-            Err(_) => {
-                finish_abort(&vol2, sim, &op2);
-                return;
-            }
-        };
-        match results[0].take() {
-            Some(done) => finish_ok(&vol2, sim, &op2, done.data, done.breakdown),
-            None => after_failure(&vol2, sim, &op2, &slot_members, &results),
-        }
-    });
     let ios = vec![(member, IoRequest::read(lba, sectors).tagged(stream))];
-    submit_batch(vol, sim, ios, token);
+    gather(vol, sim, op, ios, |vol, sim, op, mut results| {
+        let done = results.remove(0);
+        finish_ok(vol, sim, op, done.data, done.breakdown);
+    });
 }
 
 /// One write per surviving member, every one a handle to the logical
@@ -975,25 +967,9 @@ fn plan_mirror_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
         finish_abort(vol, sim, op);
         return;
     }
-    let slot_members: Vec<usize> = ios.iter().map(|(m, _)| *m).collect();
-    let vol2 = vol.clone();
-    let op2 = Rc::clone(op);
-    let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
-        let results = match d {
-            Ok(r) => r,
-            Err(_) => {
-                finish_abort(&vol2, sim, &op2);
-                return;
-            }
-        };
-        if results.iter().any(|r| r.is_none()) {
-            after_failure(&vol2, sim, &op2, &slot_members, &results);
-            return;
-        }
-        let breakdown = latest_breakdown(&results);
-        finish_ok(&vol2, sim, &op2, None, breakdown);
+    gather(vol, sim, op, ios, |vol, sim, op, results| {
+        finish_ok(vol, sim, op, None, latest_breakdown(&results));
     });
-    submit_batch(vol, sim, ios, token);
 }
 
 // ---------------------------------------------------------------------------
@@ -1071,21 +1047,7 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
         finish_abort(vol, sim, op);
         return;
     };
-    let slot_members: Vec<usize> = ios.iter().map(|(m, _)| *m).collect();
-    let vol2 = vol.clone();
-    let op2 = Rc::clone(op);
-    let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
-        let results = match d {
-            Ok(r) => r,
-            Err(_) => {
-                finish_abort(&vol2, sim, &op2);
-                return;
-            }
-        };
-        if results.iter().any(|r| r.is_none()) {
-            after_failure(&vol2, sim, &op2, &slot_members, &results);
-            return;
-        }
+    gather(vol, sim, op, ios, move |vol, sim, op, results| {
         let mut buf = vec![0u8; total_sectors as usize * SECTOR_SIZE];
         for piece in &pieces {
             match piece {
@@ -1094,12 +1056,9 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
                     logical_off,
                     sectors,
                 } => {
-                    let bytes = results[*slot]
-                        .as_ref()
-                        .and_then(|d| d.data.as_deref())
-                        .expect("read sub-operations carry data");
                     let a = *logical_off as usize * SECTOR_SIZE;
-                    buf[a..a + *sectors as usize * SECTOR_SIZE].copy_from_slice(bytes);
+                    buf[a..a + *sectors as usize * SECTOR_SIZE]
+                        .copy_from_slice(read_bytes(&results, *slot));
                 }
                 ReadPiece::Recon {
                     slots,
@@ -1109,19 +1068,13 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
                     let a = *logical_off as usize * SECTOR_SIZE;
                     let out = &mut buf[a..a + *sectors as usize * SECTOR_SIZE];
                     for slot in slots {
-                        let bytes = results[*slot]
-                            .as_ref()
-                            .and_then(|d| d.data.as_deref())
-                            .expect("read sub-operations carry data");
-                        layout::xor_into(out, bytes);
+                        layout::xor_into(out, read_bytes(&results, *slot));
                     }
                 }
             }
         }
-        let breakdown = latest_breakdown(&results);
-        finish_ok(&vol2, sim, &op2, Some(buf), breakdown);
+        finish_ok(vol, sim, op, Some(buf), latest_breakdown(&results));
     });
-    submit_batch(vol, sim, ios, token);
 }
 
 enum SpanMode {
@@ -1241,31 +1194,17 @@ fn plan_raid5_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u3
         raid5_phase2(vol, sim, op, &plans, &[], chunk);
         return;
     }
-    let slot_members: Vec<usize> = reads.iter().map(|(m, _)| *m).collect();
-    let vol2 = vol.clone();
-    let op2 = Rc::clone(op);
-    let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
-        let results = match d {
-            Ok(r) => r,
-            Err(_) => {
-                finish_abort(&vol2, sim, &op2);
-                return;
-            }
-        };
-        if results.iter().any(|r| r.is_none()) {
-            after_failure(&vol2, sim, &op2, &slot_members, &results);
-            return;
-        }
-        raid5_phase2(&vol2, sim, &op2, &plans, &results, chunk);
+    gather(vol, sim, op, reads, move |vol, sim, op, results| {
+        raid5_phase2(vol, sim, op, &plans, &results, chunk);
     });
-    submit_batch(vol, sim, reads, token);
 }
 
-fn read_bytes(results: &[Option<IoDone>], slot: usize) -> &[u8] {
+/// The bytes sub-read `slot` of a gather returned.
+fn read_bytes(results: &[IoDone], slot: usize) -> &[u8] {
     results[slot]
-        .as_ref()
-        .and_then(|d| d.data.as_deref())
-        .expect("phase-1 reads carry data")
+        .data
+        .as_deref()
+        .expect("read sub-operations carry data")
 }
 
 /// Phase 2 of a RAID-5 write: the member writes, given phase 1's plans
@@ -1275,7 +1214,7 @@ fn raid5_phase2_writes(
     v: &VolInner,
     o: &mut Op,
     plans: &[SpanPlan],
-    results: &[Option<IoDone>],
+    results: &[IoDone],
     chunk: u32,
 ) -> MemberIos {
     let Payload::Write(payload) = &mut o.payload else {
@@ -1383,7 +1322,7 @@ fn raid5_phase2(
     sim: &mut Simulator,
     op: &OpRef,
     plans: &[SpanPlan],
-    results: &[Option<IoDone>],
+    results: &[IoDone],
     chunk: u32,
 ) {
     let writes = raid5_phase2_writes(
@@ -1393,25 +1332,9 @@ fn raid5_phase2(
         results,
         chunk,
     );
-    let slot_members: Vec<usize> = writes.iter().map(|(m, _)| *m).collect();
-    let vol2 = vol.clone();
-    let op2 = Rc::clone(op);
-    let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
-        let results = match d {
-            Ok(r) => r,
-            Err(_) => {
-                finish_abort(&vol2, sim, &op2);
-                return;
-            }
-        };
-        if results.iter().any(|r| r.is_none()) {
-            after_failure(&vol2, sim, &op2, &slot_members, &results);
-            return;
-        }
-        let breakdown = latest_breakdown(&results);
-        finish_ok(&vol2, sim, &op2, None, breakdown);
+    gather(vol, sim, op, writes, |vol, sim, op, results| {
+        finish_ok(vol, sim, op, None, latest_breakdown(&results));
     });
-    submit_batch(vol, sim, writes, token);
 }
 
 #[cfg(test)]
@@ -1434,25 +1357,19 @@ mod tests {
     }
 
     fn write_ok(sim: &mut Simulator, vol: &RaidVolume, lba: Lba, data: Vec<u8>) {
-        let done = sim.completion(|_, d: Delivered<IoDone>| {
-            d.expect("write completes");
-        });
-        vol.submit(sim, IoRequest::write(lba, data), done)
-            .expect("write accepted");
+        sim.block_on(|sim, done| vol.submit(sim, IoRequest::write(lba, data), done))
+            .expect("write accepted")
+            .expect("write completes");
         sim.run();
     }
 
     fn read_back(sim: &mut Simulator, vol: &RaidVolume, lba: Lba, count: u32) -> Vec<u8> {
-        let out: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&out);
-        let done = sim.completion(move |_, d: Delivered<IoDone>| {
-            let done = d.expect("read completes");
-            *sink.borrow_mut() = done.data.expect("read returns data");
-        });
-        vol.submit(sim, IoRequest::read(lba, count), done)
-            .expect("read accepted");
+        let done = sim
+            .block_on(|sim, done| vol.submit(sim, IoRequest::read(lba, count), done))
+            .expect("read accepted")
+            .expect("read completes");
         sim.run();
-        Rc::try_unwrap(out).expect("read landed").into_inner()
+        done.data.expect("read returns data")
     }
 
     #[test]
@@ -1703,18 +1620,16 @@ mod tests {
             let mut op = write_op(lba, data.clone());
             let (reads, plans) = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op, chunk)
                 .expect("no member has failed");
-            let results: Vec<Option<IoDone>> = reads
+            let results: Vec<IoDone> = reads
                 .iter()
-                .map(|(member, req)| {
-                    Some(IoDone {
-                        id: RequestId(0),
-                        lba: req.lba,
-                        kind: CommandKind::Read,
-                        data: Some(peek(*member, req.lba, req.kind.sectors())),
-                        issued: SimTime::ZERO,
-                        completed: SimTime::ZERO,
-                        breakdown: ServiceBreakdown::default(),
-                    })
+                .map(|(member, req)| IoDone {
+                    id: RequestId(0),
+                    lba: req.lba,
+                    kind: CommandKind::Read,
+                    data: Some(peek(*member, req.lba, req.kind.sectors())),
+                    issued: SimTime::ZERO,
+                    completed: SimTime::ZERO,
+                    breakdown: ServiceBreakdown::default(),
                 })
                 .collect();
             let writes = raid5_phase2_writes(&vol.inner.borrow(), &mut op, &plans, &results, chunk);

@@ -2,14 +2,11 @@
 //! built on, checked against the raw member disks after arbitrary
 //! workloads rather than against the volume's own read path.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use proptest::prelude::*;
 use rand::Rng;
-use trail_blockio::{IoDone, IoRequest, StandardDriver};
+use trail_blockio::{IoRequest, StandardDriver};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
-use trail_sim::{Delivered, Simulator};
+use trail_sim::Simulator;
 use trail_volume::{RaidVolume, VolumeLayout};
 
 fn volume(layout: VolumeLayout, members: usize) -> RaidVolume {
@@ -20,25 +17,19 @@ fn volume(layout: VolumeLayout, members: usize) -> RaidVolume {
 }
 
 fn write_ok(sim: &mut Simulator, vol: &RaidVolume, lba: u64, data: Vec<u8>) {
-    let done = sim.completion(|_, d: Delivered<IoDone>| {
-        d.expect("write completes");
-    });
-    vol.submit(sim, IoRequest::write(lba, data), done)
-        .expect("write accepted");
+    sim.block_on(|sim, done| vol.submit(sim, IoRequest::write(lba, data), done))
+        .expect("write accepted")
+        .expect("write completes");
     sim.run();
 }
 
 fn read_back(sim: &mut Simulator, vol: &RaidVolume, lba: u64, count: u32) -> Vec<u8> {
-    let out: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
-    let sink = Rc::clone(&out);
-    let done = sim.completion(move |_, d: Delivered<IoDone>| {
-        let done = d.expect("read completes");
-        *sink.borrow_mut() = done.data.expect("read returns data");
-    });
-    vol.submit(sim, IoRequest::read(lba, count), done)
-        .expect("read accepted");
+    let done = sim
+        .block_on(|sim, done| vol.submit(sim, IoRequest::read(lba, count), done))
+        .expect("read accepted")
+        .expect("read completes");
     sim.run();
-    Rc::try_unwrap(out).expect("read landed").into_inner()
+    done.data.expect("read returns data")
 }
 
 /// Writes a random workload into the low LBAs of `vol`, maintaining a

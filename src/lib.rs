@@ -80,14 +80,12 @@ pub use trail_volume as volume;
 
 mod scenario;
 mod target;
-pub use scenario::{BuiltStack, LogDevice, Scenario, SchedulerKind, StackBuilder, VolumeSpec};
+pub use scenario::{BuiltStack, LogDevice, Scenario, StackBuilder, VolumeSpec};
 pub use target::{BuiltTarget, TargetDrive, TargetError, TargetKind};
 
 /// The names most programs need, in one import.
 pub mod prelude {
-    pub use crate::scenario::{
-        BuiltStack, LogDevice, Scenario, SchedulerKind, StackBuilder, VolumeSpec,
-    };
+    pub use crate::scenario::{BuiltStack, LogDevice, Scenario, StackBuilder, VolumeSpec};
     pub use crate::target::{BuiltTarget, TargetDrive, TargetError, TargetKind};
     pub use trail_blockio::{
         IoDone, IoKind, IoRequest, StandardDriver, StreamId, SubmitTap, TapHandle,

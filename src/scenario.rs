@@ -3,7 +3,7 @@
 //! Every harness used to assemble its simulator, disks, drivers, file
 //! system, and database by hand, each with slightly different boilerplate.
 //! A [`Scenario`] is the declarative description of a stack — disk
-//! profiles, scheduler policy, Trail-vs-standard log device, seed — and
+//! profiles, Trail-vs-standard log device, seed — and
 //! [`StackBuilder`] is the fluent way to put one together. [`build`]
 //! makes every data device once, as a block target
 //! ([`trail_blockio::SharedBlockDevice`]: a queueing driver over a raw
@@ -29,7 +29,7 @@
 
 use std::rc::Rc;
 
-use trail_blockio::{Clook, Fifo, Priority, Scheduler, SharedBlockDevice, StandardDriver};
+use trail_blockio::{Clook, Priority, SharedBlockDevice, StandardDriver};
 use trail_core::{
     format_log_disk, FormatOptions, MultiTrail, TrailConfig, TrailDriver, TrailError,
 };
@@ -60,24 +60,6 @@ pub enum LogDevice {
     /// The standard disk subsystem: writes pay full seek + rotation at
     /// their target addresses.
     Standard,
-}
-
-/// Which request scheduler the per-disk drivers run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SchedulerKind {
-    /// First-in, first-out.
-    Fifo,
-    /// C-LOOK elevator (Linux-of-the-era default).
-    Clook,
-}
-
-impl SchedulerKind {
-    fn instantiate(self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::Fifo => Box::new(Fifo::default()),
-            SchedulerKind::Clook => Box::new(Clook::default()),
-        }
-    }
 }
 
 /// A RAID volume layer under the stack: each logical device becomes a
@@ -111,15 +93,6 @@ pub struct Scenario {
     pub data_profile: DriveProfile,
     /// The log-disk model (used only with [`LogDevice::Trail`]).
     pub log_profile: DriveProfile,
-    /// Request scheduling on the standard stack's per-disk drivers and on
-    /// every volume's member drivers. The drivers Trail itself puts over
-    /// *raw* data disks ignore it: they are always C-LOOK (paper §4.3).
-    pub scheduler: SchedulerKind,
-    /// Read-vs-write priority on the same drivers as
-    /// [`scheduler`](Scenario::scheduler). Trail's own raw data-disk
-    /// drivers are always [`Priority::ReadsFirst`]: reads overtake queued
-    /// write-backs (paper §4.3).
-    pub priority: Priority,
     /// Trail or the baseline.
     pub log_device: LogDevice,
     /// When set, each device is a RAID volume over `members` disks of
@@ -140,8 +113,6 @@ impl Default for Scenario {
             data_disks: 3,
             data_profile: profiles::wd_caviar_10gb(),
             log_profile: profiles::seagate_st41601n(),
-            scheduler: SchedulerKind::Clook,
-            priority: Priority::None,
             log_device: LogDevice::Trail {
                 config: TrailConfig::default(),
             },
@@ -158,7 +129,9 @@ impl Scenario {
     /// [`StandardDriver`] over one raw disk, or a [`RaidVolume`] over
     /// `members` disks when the scenario has a [`VolumeSpec`] — and the
     /// front end ([`LogDevice`]) is booted over the targets without
-    /// knowing which it got.
+    /// knowing which it got. Every driver is C-LOOK; the ones Trail puts
+    /// over *raw* data disks are also [`Priority::ReadsFirst`], so reads
+    /// overtake queued write-backs (paper §4.3).
     ///
     /// # Errors
     ///
@@ -167,29 +140,24 @@ impl Scenario {
         let mut sim = Simulator::new();
         let mut data_disks: Vec<Disk> = Vec::new();
         let mut volumes: Vec<RaidVolume> = Vec::new();
-        // Raw disks under a Trail front end get Trail's own data-driver
-        // policy (paper §4.3); everything else runs the scenario's.
-        let (raw_scheduler, raw_priority) = match self.log_device {
-            LogDevice::Standard => (self.scheduler, self.priority),
-            _ => (SchedulerKind::Clook, Priority::ReadsFirst),
+        let raw_priority = match self.log_device {
+            LogDevice::Standard => Priority::None,
+            _ => Priority::ReadsFirst,
         };
         // One target per logical device; `tag` distinguishes per-instance
         // volume sets under a Trail array.
         let mut make_set = |tag: &str| -> Vec<SharedBlockDevice> {
-            let mut disk = |name: String, scheduler: SchedulerKind, priority| {
+            let mut disk = |name: String, priority| {
                 let d = Disk::new(name, self.data_profile.clone());
                 data_disks.push(d.clone());
-                StandardDriver::with_policy(d, scheduler.instantiate(), priority)
+                StandardDriver::with_policy(d, Box::new(Clook::default()), priority)
             };
             (0..self.data_disks)
                 .map(|dev| match self.volume {
-                    None => Rc::new(disk(format!("data{dev}"), raw_scheduler, raw_priority)) as _,
+                    None => Rc::new(disk(format!("data{dev}"), raw_priority)) as _,
                     Some(spec) => {
                         let members = (0..spec.members)
-                            .map(|m| {
-                                let name = format!("data{dev}{tag}m{m}");
-                                disk(name, self.scheduler, self.priority)
-                            })
+                            .map(|m| disk(format!("data{dev}{tag}m{m}"), Priority::None))
                             .collect();
                         let vol = RaidVolume::new(&format!("vol{dev}{tag}"), spec.layout, members);
                         volumes.push(vol.clone());
@@ -318,20 +286,6 @@ impl StackBuilder {
     #[must_use]
     pub fn log_profile(mut self, profile: DriveProfile) -> Self {
         self.scenario.log_profile = profile;
-        self
-    }
-
-    /// Sets the per-disk scheduler for the standard stack.
-    #[must_use]
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scenario.scheduler = kind;
-        self
-    }
-
-    /// Sets read-vs-write priority for the standard stack.
-    #[must_use]
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.scenario.priority = priority;
         self
     }
 
@@ -506,7 +460,6 @@ mod tests {
     fn standard_scenario_has_no_log_device() {
         let built = StackBuilder::new()
             .standard()
-            .scheduler(SchedulerKind::Fifo)
             .data_disks(1)
             .seed(7)
             .build()

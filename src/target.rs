@@ -20,15 +20,14 @@
 //! # Ok::<(), trail::TargetError>(())
 //! ```
 
-use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
 use trail_core::{TrailConfig, TrailError};
 use trail_db::BlockStack;
-use trail_disk::Disk;
+use trail_disk::{Disk, DiskError};
 use trail_fs::{FileHandle, FileSystem, FsError, LfsConfig, FS_BLOCK_SIZE};
-use trail_sim::{Delivered, Simulator};
+use trail_sim::Simulator;
 
 use crate::scenario::{BuiltStack, StackBuilder};
 
@@ -218,9 +217,8 @@ impl StackBuilder {
 
     /// Builds the stack `kind` names, ready to drive: disks formatted,
     /// drivers booted, file systems mounted and their workload files
-    /// preallocated, disk statistics reset. The builder's disk profiles,
-    /// scheduler, and seed apply; its log-device selection is overridden
-    /// by `kind`.
+    /// preallocated, disk statistics reset. The builder's disk profiles
+    /// and seed apply; its log-device selection is overridden by `kind`.
     ///
     /// # Errors
     ///
@@ -337,30 +335,12 @@ fn prealloc(
     file: FileHandle,
     blocks: u32,
 ) -> Result<(), TargetError> {
-    let outcome: Rc<Cell<Option<bool>>> = Rc::new(Cell::new(None));
-    let seen = Rc::clone(&outcome);
-    let done = sim.completion(move |_, d: Delivered<Result<(), FsError>>| {
-        seen.set(Some(matches!(d, Ok(Ok(())))));
-    });
-    fs.write(
-        sim,
-        file,
-        0,
-        vec![0u8; blocks as usize * FS_BLOCK_SIZE],
-        true,
-        done,
-    )
-    .map_err(TargetError::Fs)?;
-    while outcome.get().is_none() {
-        if !sim.step() {
-            return Err(TargetError::Prealloc("simulation stalled".to_string()));
-        }
-    }
-    if outcome.get() != Some(true) {
-        return Err(TargetError::Prealloc(
-            "preallocation write failed".to_string(),
-        ));
-    }
+    let zeros = vec![0u8; blocks as usize * FS_BLOCK_SIZE];
+    sim.block_on(|sim, done| fs.write(sim, file, 0, zeros, true, done))
+        .and_then(|delivered| {
+            delivered.unwrap_or(Err(FsError::Storage(TrailError::Disk(DiskError::Failed))))
+        })
+        .map_err(TargetError::Fs)?;
     while fs.pending_work() > 0 {
         if !sim.step() {
             return Err(TargetError::Prealloc("drain stalled".to_string()));
