@@ -223,18 +223,14 @@ fn spawn_writer(
 }
 
 /// TPC-C rig configuration shared by the Table 2/3 and track-utilization
-/// harnesses.
+/// harnesses. Everything else about the rig is the paper's configuration,
+/// fixed in [`tpcc_setup`]: warehouse-1 scale, an 8 000-page buffer pool
+/// (the paper's 300 MB, scaled to keep the same cache:database ratio; see
+/// `EXPERIMENTS.md`) and 8-KB log-force writes.
 #[derive(Clone, Debug)]
 pub struct TpccRig {
-    /// Warehouse-1 scale (see `EXPERIMENTS.md` for the scaling note).
-    pub scale: Scale,
-    /// Buffer-pool pages (paper: 300 MB; scaled to keep the same
-    /// cache:database ratio).
-    pub cache_pages: usize,
     /// The flush policy.
     pub policy: FlushPolicy,
-    /// Log-force write granularity in bytes.
-    pub flush_write_bytes: usize,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -242,10 +238,7 @@ pub struct TpccRig {
 impl Default for TpccRig {
     fn default() -> Self {
         TpccRig {
-            scale: Scale::standard_w1(),
-            cache_pages: 8_000,
             policy: FlushPolicy::EveryCommit,
-            flush_write_bytes: 8 * 1024,
             seed: 20020623,
         }
     }
@@ -273,15 +266,16 @@ pub struct TpccSetup {
 /// the database engine to the whole storage stack (after population, so
 /// the untimed bulk load does not pollute the trace).
 pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) -> TpccSetup {
+    let scale = Scale::standard_w1();
     let db_config = DbConfig {
-        cache_pages: rig.cache_pages,
+        cache_pages: 8_000,
         flush_policy: rig.policy,
         log_dev: 0,
         log_region_start: 64,
         // The dedicated 10-GB log disk gives the WAL millions of sectors;
         // 2 M sectors ≈ 1 GB covers any run here without wrapping.
         log_region_sectors: 2_000_000,
-        flush_write_bytes: rig.flush_write_bytes,
+        flush_write_bytes: 8 * 1024,
         table_devices: vec![1, 2],
         // The paper's 300-MB cache absorbed all checkpoint pressure over
         // 5000-transaction runs; dirty pages leave via eviction only.
@@ -303,7 +297,7 @@ pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) 
     .expect("boot the stack");
     let disks = &built.data_disks;
     let db = built.database(db_config);
-    let images = populate(&db, &rig.scale);
+    let images = populate(&db, &scale);
     for (pid, bytes) in &images {
         let disk = &disks[pid.dev as usize];
         for (i, chunk) in bytes.chunks(SECTOR_SIZE).enumerate() {
@@ -323,7 +317,7 @@ pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) 
     if let Some(r) = recorder {
         db.set_recorder(r);
     }
-    let workload = Workload::new(rig.scale, rig.seed, CpuModel::default());
+    let workload = Workload::new(scale, rig.seed, CpuModel::default());
     TpccSetup {
         sim: built.sim,
         db,

@@ -1301,7 +1301,6 @@ fn table2_config(
     let rig = TpccRig {
         policy,
         seed: cfg.mix(TpccRig::default().seed),
-        ..TpccRig::default()
     };
     let mut setup = tpcc_setup(trail, &rig, cfg.handle());
     run(
@@ -1411,7 +1410,6 @@ fn table3(cfg: &ScenarioConfig) -> ScenarioOutput {
                 buffer_bytes: kb * 1024,
             },
             seed: cfg.mix(TpccRig::default().seed),
-            ..TpccRig::default()
         };
         let mut setup = tpcc_setup(false, &rig, None);
         let result = run(
@@ -1462,7 +1460,6 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
         let rig = TpccRig {
             policy: FlushPolicy::EveryCommit,
             seed: cfg.mix(TpccRig::default().seed),
-            ..TpccRig::default()
         };
         let mut setup = tpcc_setup(true, &rig, None);
         let trail = setup.trail.clone().expect("trail rig");

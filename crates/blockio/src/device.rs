@@ -14,7 +14,6 @@ use trail_sim::{Completion, Simulator};
 use trail_telemetry::RecorderHandle;
 
 use crate::request::{IoDone, IoRequest, RequestId};
-use crate::tap::TapHandle;
 
 /// An addressable, asynchronous block target.
 ///
@@ -46,10 +45,6 @@ pub trait BlockDevice: std::fmt::Debug {
     /// Attaches a telemetry recorder to this device and everything under
     /// it.
     fn set_recorder(&self, recorder: RecorderHandle);
-
-    /// Installs a workload-capture tap reporting this device's requests
-    /// under stack-level device index `dev`.
-    fn set_tap(&self, tap: TapHandle, dev: u32);
 }
 
 /// A shared handle to any block target.
@@ -76,9 +71,5 @@ impl BlockDevice for crate::StandardDriver {
 
     fn set_recorder(&self, recorder: RecorderHandle) {
         crate::StandardDriver::set_recorder(self, recorder);
-    }
-
-    fn set_tap(&self, tap: TapHandle, dev: u32) {
-        crate::StandardDriver::set_tap(self, tap, dev);
     }
 }

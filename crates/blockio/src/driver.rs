@@ -14,20 +14,17 @@ use std::fmt;
 use std::rc::Rc;
 
 use trail_disk::{Disk, DiskCommand, DiskError, DiskGeometry, DiskResult, SECTOR_SIZE};
-use trail_sim::{Completion, Delivered, LatencySummary, SimTime, Simulator};
+use trail_sim::{Completion, Delivered, SimTime, Simulator};
 use trail_telemetry::{Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown};
 
 use crate::request::{IoDone, IoKind, IoRequest, RequestId};
 use crate::sched::{Clook, Priority, QueuedIo, Scheduler};
-use crate::tap::TapHandle;
 
-/// Aggregate driver measurements.
+/// Aggregate driver measurements. Per-request latency is not kept here:
+/// each request's `Complete` event carries it, and a volume's
+/// `MemberStats` own it for array members.
 #[derive(Clone, Debug, Default)]
 pub struct DriverStats {
-    /// End-to-end read latencies (queueing + service).
-    pub read_latency: LatencySummary,
-    /// End-to-end write latencies (queueing + service).
-    pub write_latency: LatencySummary,
     /// Requests submitted.
     pub submitted: u64,
     /// Requests completed.
@@ -66,8 +63,6 @@ struct Inner {
     stats: DriverStats,
     // The driver's name for trace purposes is its disk's name.
     lifecycle: LifecycleEmitter,
-    // Workload-capture tap plus the stack-level device index it reports.
-    tap: Option<(TapHandle, u32)>,
 }
 
 impl Inner {
@@ -128,7 +123,6 @@ impl StandardDriver {
                 next_seq: 0,
                 stats: DriverStats::default(),
                 lifecycle,
-                tap: None,
             })),
         }
     }
@@ -140,12 +134,6 @@ impl StandardDriver {
         let mut d = self.inner.borrow_mut();
         d.disk.set_recorder(Rc::clone(&recorder));
         d.lifecycle.set_recorder(recorder);
-    }
-
-    /// Installs a workload-capture tap reporting this driver's requests
-    /// under stack-level device index `dev`. See [`crate::SubmitTap`].
-    pub fn set_tap(&self, tap: TapHandle, dev: u32) {
-        self.inner.borrow_mut().tap = Some((tap, dev));
     }
 
     /// The underlying disk.
@@ -199,16 +187,6 @@ impl StandardDriver {
             }
             if req.lba + u64::from(sectors) > total {
                 return Err(DiskError::OutOfRange);
-            }
-            if let Some((tap, dev)) = &d.tap {
-                tap.on_submit(
-                    sim.now(),
-                    *dev,
-                    req.lba,
-                    sectors,
-                    req.kind.is_read(),
-                    req.stream,
-                );
             }
             let id = RequestId(d.next_id);
             d.next_id += 1;
@@ -318,11 +296,6 @@ impl StandardDriver {
                 d.in_flight = false;
                 d.stats.completed += 1;
                 let lat = done.latency();
-                if done.kind == trail_disk::CommandKind::Read {
-                    d.stats.read_latency.record(lat);
-                } else {
-                    d.stats.write_latency.record(lat);
-                }
                 // The queue wait is the end-to-end latency minus the
                 // mechanical service time; both are integer-nanosecond
                 // differences of the same virtual clock, so the five
@@ -456,7 +429,6 @@ mod tests {
         drv.with_stats(|s| {
             assert_eq!(s.submitted, 20);
             assert_eq!(s.completed, 20);
-            assert_eq!(s.write_latency.count(), 20);
             assert!(s.max_queue_depth >= 19);
         });
     }

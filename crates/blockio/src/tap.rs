@@ -1,6 +1,6 @@
 //! Submission taps: observation hooks on the request submission path.
 //!
-//! A [`SubmitTap`] sees every request the moment a driver accepts it —
+//! A [`SubmitTap`] sees every request the moment a stack accepts it —
 //! arrival instant, device, address, length, direction — which is exactly
 //! the information a workload trace needs. The tap sits on the *submission*
 //! side (not completion), so what it records is the offered load, not the
@@ -9,9 +9,11 @@
 //!
 //! Like telemetry recorders, taps default to absent and cost nothing when
 //! uninstalled. Unlike recorders, a tap carries the full request address
-//! vocabulary, so it lives here in `trail-blockio` where that vocabulary
-//! is defined, and every driver above (the baseline driver here, the Trail
-//! driver in `trail-core`, the stacks in `trail-db`) forwards to it.
+//! vocabulary, so it is defined here in `trail-blockio` where that
+//! vocabulary is. It is installed only at a stack's front end (`trail-db`'s
+//! `BlockStack::set_tap`: the Trail driver, the Trail array, the standard
+//! stack), never on the block targets beneath, so each logical request is
+//! reported once with the stack-level device index it addressed.
 
 use std::rc::Rc;
 
@@ -22,13 +24,12 @@ use trail_telemetry::StreamId;
 /// Observes accepted request submissions.
 ///
 /// Implementors must not submit I/O from inside the hook: it is called
-/// with the driver's internals borrowed. Recording into owned state (a
+/// with the front end's internals borrowed. Recording into owned state (a
 /// `RefCell<Vec<_>>`) is the intended use.
 pub trait SubmitTap {
     /// Called once per accepted request, at submission time.
     ///
-    /// `dev` is the stack-level device index the submitter addressed (a
-    /// single-disk driver reports the index it was installed with),
+    /// `dev` is the stack-level device index the submitter addressed,
     /// `sectors` the request length, `is_read` the direction, and
     /// `stream` the submitter's stream tag
     /// ([`StreamId::UNTAGGED`] when the submitter does not distinguish
@@ -44,54 +45,5 @@ pub trait SubmitTap {
     );
 }
 
-/// Shared handle to a tap, as stored by instrumented drivers.
+/// Shared handle to a tap, as stored by the stack front ends.
 pub type TapHandle = Rc<dyn SubmitTap>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::RefCell;
-
-    #[derive(Default)]
-    struct CountingTap {
-        seen: RefCell<Vec<(u64, u32, bool, StreamId)>>,
-    }
-
-    impl SubmitTap for CountingTap {
-        fn on_submit(
-            &self,
-            _at: SimTime,
-            _dev: u32,
-            lba: Lba,
-            sectors: u32,
-            is_read: bool,
-            stream: StreamId,
-        ) {
-            self.seen.borrow_mut().push((lba, sectors, is_read, stream));
-        }
-    }
-
-    #[test]
-    fn standard_driver_reports_accepted_submissions_only() {
-        use crate::{IoRequest, StandardDriver};
-        use trail_disk::{profiles, Disk, SECTOR_SIZE};
-        use trail_sim::Simulator;
-
-        let mut sim = Simulator::new();
-        let drv = StandardDriver::new(Disk::new("t", profiles::tiny_test_disk()));
-        let tap = Rc::new(CountingTap::default());
-        drv.set_tap(Rc::clone(&tap) as TapHandle, 3);
-        let c = sim.completion(|_, _| {});
-        drv.submit(
-            &mut sim,
-            IoRequest::write(5, vec![1; 2 * SECTOR_SIZE]).tagged(StreamId(7)),
-            c,
-        )
-        .unwrap();
-        let c = sim.completion(|_, d| assert!(d.is_err()));
-        // Rejected requests must not reach the tap.
-        assert!(drv.submit(&mut sim, IoRequest::read(0, 0), c).is_err());
-        sim.run();
-        assert_eq!(&*tap.seen.borrow(), &[(5, 2, false, StreamId(7))]);
-    }
-}

@@ -24,7 +24,7 @@
 //! - **idle-time reference refresh** (§3.1's periodic repositioning).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -82,7 +82,6 @@ struct AckState {
     remaining: usize,
     done: Option<Completion<IoDone>>,
     issued: SimTime,
-    dev: u8,
     lba: u64,
 }
 
@@ -166,7 +165,9 @@ impl CurrentTrack {
 struct ActiveRecord {
     track: u64,
     header_lba: u32,
-    pending: HashSet<BlockKey>,
+    /// Distinct blocks the record logged that are not yet written back
+    /// (§4.2: the record stays live until every one of them is).
+    pending: usize,
 }
 
 struct Inner {
@@ -472,7 +473,6 @@ impl TrailDriver {
                 remaining: sectors.div_ceil(chunk) as usize,
                 done: Some(done),
                 issued: sim.now(),
-                dev: dev as u8,
                 lba,
             }));
             if sectors <= chunk {
@@ -678,11 +678,6 @@ impl TrailDriver {
         self.inner.borrow().epoch
     }
 
-    /// Depth of the log-disk write queue.
-    pub fn log_queue_depth(&self) -> usize {
-        self.inner.borrow().log_queue.len()
-    }
-
     /// Number of blocks pinned in buffer memory.
     pub fn pinned_blocks(&self) -> usize {
         self.inner.borrow().buffers.pinned_blocks()
@@ -877,7 +872,18 @@ impl TrailDriver {
             d.stats.log_records += 1;
             d.stats.batch_sizes.push(ctx.total_sectors);
 
-            let mut pending = HashSet::new();
+            // One batch can log a block twice; the record waits on it once.
+            let mut keys: Vec<BlockKey> = ctx
+                .batch
+                .iter()
+                .map(|w| BlockKey {
+                    dev: w.dev,
+                    lba: w.lba,
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let pending = keys.len();
             for w in ctx.batch {
                 let key = BlockKey {
                     dev: w.dev,
@@ -885,7 +891,6 @@ impl TrailDriver {
                 };
                 // The queued buffer itself becomes the pinned block.
                 let (_, already_queued) = d.buffers.insert_write(key, w.data, ctx.seq);
-                pending.insert(key);
                 if !already_queued {
                     writebacks.push(key);
                 }
@@ -916,7 +921,6 @@ impl TrailDriver {
                             total: lat,
                         },
                     );
-                    let _ = ack.dev;
                     acks.push((done_c, done));
                 }
             }
@@ -1128,8 +1132,8 @@ impl TrailDriver {
                                 .active_records
                                 .get_mut(&seq)
                                 .expect("committed ref names an active record");
-                            rec.pending.remove(&key);
-                            rec.pending.is_empty()
+                            rec.pending -= 1;
+                            rec.pending == 0
                         };
                         if done {
                             let rec = d.active_records.remove(&seq).expect("record present");
@@ -1256,8 +1260,6 @@ mod tests {
         }
 
         fn set_recorder(&self, _: RecorderHandle) {}
-
-        fn set_tap(&self, _: TapHandle, _: u32) {}
     }
 
     #[test]

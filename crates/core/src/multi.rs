@@ -158,12 +158,6 @@ impl MultiTrail {
         self.drivers[0].devices()
     }
 
-    /// The Trail instance serving block `(dev, lba)` for an untagged
-    /// request.
-    pub fn driver_for(&self, dev: usize, lba: Lba) -> &TrailDriver {
-        &self.drivers[self.route_for(dev, lba, StreamId::UNTAGGED)]
-    }
-
     /// The routing policy currently in effect.
     pub fn routing(&self) -> LogRouting {
         self.routing.get()

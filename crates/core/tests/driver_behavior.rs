@@ -564,6 +564,40 @@ fn moved_and_split_buffers_are_the_right_buffers() {
     assert_eq!(on_disk(0, 40), split);
     assert_eq!(on_disk(200, 4), fits);
     assert_eq!(on_disk(300, 2), newer);
+
+    // A record that logs one block twice waits on that block once: on a
+    // two-track log, any record left live after its blocks are written
+    // back pins its track and stalls the ring within a few rounds.
+    let mut sim = Simulator::new();
+    let (drv, data) = boot(
+        &mut sim,
+        profiles::tiny_test_disk(),
+        1,
+        TrailConfig {
+            log_track_limit: Some(2),
+            ..TrailConfig::default()
+        },
+    );
+    for round in 0..60u8 {
+        for (lba, tag) in [(300, round), (200, round ^ 0x55), (300, round ^ 0xAA)] {
+            let done = sim.completion(|_, d: Delivered<IoDone>| {
+                d.expect("durable");
+            });
+            drv.write(&mut sim, 0, lba, distinct(tag, 2), done).unwrap();
+        }
+        drv.run_until_quiescent(&mut sim);
+        assert_eq!(
+            data[0].peek_sector(300),
+            distinct(round ^ 0xAA, 2)[..SECTOR_SIZE]
+        );
+    }
+    drv.with_stats(|s| {
+        let whole_rounds = s.batch_sizes.iter().filter(|&&n| n == 6).count();
+        assert!(whole_rounds >= 30, "{whole_rounds} rounds logged 300 twice");
+        assert!(s.repositions > 2, "the two-track ring wrapped");
+        assert_eq!(s.stalls, 0, "every record was released");
+    });
+    assert_eq!(drv.pinned_blocks(), 0);
 }
 
 /// The paper's cancellation case (§4.2), followed down to the platter: a

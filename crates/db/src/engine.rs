@@ -18,7 +18,7 @@ use std::rc::Rc;
 use trail_blockio::IoDone;
 use trail_core::TrailError;
 use trail_disk::{Lba, PayloadBuf, SECTOR_SIZE};
-use trail_sim::{Completion, Delivered, LatencySummary, SimDuration, SimTime, Simulator};
+use trail_sim::{Completion, Delivered, SimDuration, SimTime, Simulator};
 use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle, StreamId};
 
 use crate::cache::{BufferPool, CacheStats};
@@ -129,13 +129,12 @@ impl DbConfig {
     }
 }
 
-/// Engine counters.
+/// Engine counters. Response times are not kept here: each
+/// transaction's [`TxnResult`] carries its own.
 #[derive(Clone, Debug, Default)]
 pub struct DbStats {
     /// Transactions made durable.
     pub committed: u64,
-    /// Response times (start → durable).
-    pub response: LatencySummary,
     /// Reads of keys that do not exist.
     pub missing_reads: u64,
     /// Background page write-backs issued.
@@ -412,63 +411,41 @@ impl Database {
         match outcome {
             StepOutcome::NeedPage(pid) => {
                 // Serve from an in-flight write-back copy if present.
+                let mut evictions = Vec::new();
                 let from_flushing = {
-                    let d = self.inner.borrow();
-                    d.flushing.get(&pid).map(|bytes| Page::from_bytes(bytes))
+                    let d = &mut *self.inner.borrow_mut();
+                    let copy = d.flushing.get(&pid);
+                    if let Some(bytes) = copy {
+                        admit(&mut d.cache, pid, bytes, &mut evictions);
+                    }
+                    copy.is_some()
                 };
-                match from_flushing {
-                    Some(page) => {
-                        let mut more_evictions = Vec::new();
-                        {
-                            let mut d = self.inner.borrow_mut();
-                            if !d.cache.contains(pid) {
-                                if let Some((vid, vbytes, dirty)) = d.cache.insert(pid, page) {
-                                    if dirty {
-                                        more_evictions.push((vid, vbytes));
-                                    }
-                                }
-                            }
-                        }
-                        for (vid, vbytes) in more_evictions {
-                            self.write_page(sim, vid, vbytes);
-                        }
-                        self.advance(sim, ctx, on_control);
-                    }
-                    None => {
-                        let db = self.clone();
-                        let (stack, lba) = {
-                            let mut d = self.inner.borrow_mut();
-                            d.stats.page_reads += 1;
-                            (Rc::clone(&d.stack), pid.first_lba())
-                        };
-                        let done = sim.completion(move |sim, d: Delivered<IoDone>| {
-                            // A cancelled read (teardown) drops the txn
-                            // context, cascade-cancelling its tokens.
-                            let Ok(done) = d else { return };
-                            let bytes = done.data.expect("page read returns data");
-                            let mut evictions = Vec::new();
-                            {
-                                let mut d = db.inner.borrow_mut();
-                                if !d.cache.contains(pid) {
-                                    if let Some((vid, vbytes, dirty)) =
-                                        d.cache.insert(pid, Page::from_bytes(&bytes))
-                                    {
-                                        if dirty {
-                                            evictions.push((vid, vbytes));
-                                        }
-                                    }
-                                }
-                            }
-                            for (vid, vbytes) in evictions {
-                                db.write_page(sim, vid, vbytes);
-                            }
-                            db.advance(sim, ctx, on_control);
-                        });
-                        stack
-                            .read(sim, pid.dev as usize, lba, SECTORS_PER_PAGE, done)
-                            .expect("page read within device bounds");
-                    }
+                if from_flushing {
+                    self.resume(sim, evictions, ctx, on_control);
+                    return;
                 }
+                let db = self.clone();
+                let (stack, lba) = {
+                    let mut d = self.inner.borrow_mut();
+                    d.stats.page_reads += 1;
+                    (Rc::clone(&d.stack), pid.first_lba())
+                };
+                let done = sim.completion(move |sim, d: Delivered<IoDone>| {
+                    // A cancelled read (teardown) drops the txn context,
+                    // cascade-cancelling its tokens.
+                    let Ok(done) = d else { return };
+                    let bytes = done.data.expect("page read returns data");
+                    admit(
+                        &mut db.inner.borrow_mut().cache,
+                        pid,
+                        &bytes,
+                        &mut evictions,
+                    );
+                    db.resume(sim, evictions, ctx, on_control);
+                });
+                stack
+                    .read(sim, pid.dev as usize, lba, SECTORS_PER_PAGE, done)
+                    .expect("page read within device bounds");
             }
             StepOutcome::Committed => {
                 let deferred_control = {
@@ -493,7 +470,6 @@ impl Database {
                         {
                             let mut d = db.inner.borrow_mut();
                             d.stats.committed += 1;
-                            d.stats.response.record(result.response());
                             d.active_txns -= 1;
                         }
                         user_done.complete(sim, result);
@@ -520,6 +496,21 @@ impl Database {
                 self.maybe_flush_pages(sim);
             }
         }
+    }
+
+    /// Writes back the dirty pages a fetch evicted, then carries on with
+    /// the transaction that needed the fetch.
+    fn resume(
+        &self,
+        sim: &mut Simulator,
+        evictions: Vec<(PageId, Vec<u8>)>,
+        ctx: TxnCtx,
+        on_control: Completion<()>,
+    ) {
+        for (vid, vbytes) in evictions {
+            self.write_page(sim, vid, vbytes);
+        }
+        self.advance(sim, ctx, on_control);
     }
 
     /// Submits the write-back of `pid`, keeping `bytes` readable in
@@ -712,18 +703,6 @@ impl Database {
         }
     }
 
-    /// Flushes every dirty page (end-of-run checkpoint).
-    pub fn flush_all_pages(&self, sim: &mut Simulator) {
-        let batch = {
-            let mut d = self.inner.borrow_mut();
-            let n = d.cache.dirty_pages();
-            d.cache.take_dirty_batch(n)
-        };
-        for (pid, bytes) in batch {
-            self.write_page(sim, pid, bytes);
-        }
-    }
-
     /// Work outstanding anywhere in the engine or the stack below it.
     pub fn pending_work(&self) -> usize {
         let d = self.inner.borrow();
@@ -779,9 +758,41 @@ impl Database {
     }
 }
 
+/// Makes `pid` resident from its fetched `bytes` unless it already is,
+/// queueing the dirty victim it evicts (if any) on `evictions` for the
+/// caller to write back.
+fn admit(
+    cache: &mut BufferPool,
+    pid: PageId,
+    bytes: &[u8],
+    evictions: &mut Vec<(PageId, Vec<u8>)>,
+) {
+    if cache.contains(pid) {
+        return;
+    }
+    if let Some((vid, vbytes, true)) = cache.insert(pid, Page::from_bytes(bytes)) {
+        evictions.push((vid, vbytes));
+    }
+}
+
 impl DbInner {
     fn table_device(&self, table: TableId) -> usize {
         self.config.table_devices[table as usize % self.config.table_devices.len()]
+    }
+
+    /// Whether `pid` is resident once an in-flight write-back copy, if
+    /// there is one, has been re-admitted; `false` means it must be read.
+    fn resident(&mut self, pid: PageId, evictions: &mut Vec<(PageId, Vec<u8>)>) -> bool {
+        if self.cache.contains(pid) {
+            return true;
+        }
+        match self.flushing.get(&pid) {
+            Some(bytes) => {
+                admit(&mut self.cache, pid, bytes, evictions);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Processes ops until a page miss or completion. Dirty evictions are
@@ -800,22 +811,13 @@ impl DbInner {
                             self.stats.missing_reads += 1;
                         }
                         Some(rid) => {
+                            // `get_mut` counts the lookup; on a miss the
+                            // in-flight copy is re-admitted so repeated
+                            // reads stay hits.
                             if self.cache.get_mut(rid.page).is_none()
-                                && !self.flushing.contains_key(&rid.page)
+                                && !self.resident(rid.page, evict_writes)
                             {
                                 return StepOutcome::NeedPage(rid.page);
-                            }
-                            if !self.cache.contains(rid.page) {
-                                // Re-admit the in-flight copy so repeated
-                                // reads stay hits.
-                                let page = Page::from_bytes(&self.flushing[&rid.page]);
-                                if let Some((vid, vbytes, dirty)) =
-                                    self.cache.insert(rid.page, page)
-                                {
-                                    if dirty {
-                                        evict_writes.push((vid, vbytes));
-                                    }
-                                }
                             }
                         }
                     }
@@ -824,19 +826,8 @@ impl DbInner {
                 Op::Write(table, key, value) => {
                     match self.index.get(&(table, key)).copied() {
                         Some(rid) => {
-                            if !self.cache.contains(rid.page) {
-                                if let Some(bytes) = self.flushing.get(&rid.page) {
-                                    let page = Page::from_bytes(bytes);
-                                    if let Some((vid, vbytes, dirty)) =
-                                        self.cache.insert(rid.page, page)
-                                    {
-                                        if dirty {
-                                            evict_writes.push((vid, vbytes));
-                                        }
-                                    }
-                                } else {
-                                    return StepOutcome::NeedPage(rid.page);
-                                }
+                            if !self.resident(rid.page, evict_writes) {
+                                return StepOutcome::NeedPage(rid.page);
                             }
                             if self.config.log_before_images {
                                 let before = self
@@ -886,19 +877,8 @@ impl DbInner {
                 }
                 Op::Delete(table, key) => {
                     if let Some(rid) = self.index.get(&(table, key)).copied() {
-                        if !self.cache.contains(rid.page) {
-                            if let Some(bytes) = self.flushing.get(&rid.page) {
-                                let page = Page::from_bytes(bytes);
-                                if let Some((vid, vbytes, dirty)) =
-                                    self.cache.insert(rid.page, page)
-                                {
-                                    if dirty {
-                                        evict_writes.push((vid, vbytes));
-                                    }
-                                }
-                            } else {
-                                return StepOutcome::NeedPage(rid.page);
-                            }
+                        if !self.resident(rid.page, evict_writes) {
+                            return StepOutcome::NeedPage(rid.page);
                         }
                         self.cache
                             .get_mut(rid.page)

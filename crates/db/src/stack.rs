@@ -2,6 +2,7 @@
 //! or on the standard disk subsystem, which is exactly the comparison
 //! Table 2 makes (`EXT2+Trail` vs. `EXT2` vs. `EXT2+GC`).
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use trail_blockio::{IoDone, IoRequest, SharedBlockDevice, StandardDriver, TapHandle};
@@ -100,8 +101,9 @@ pub trait BlockStack {
     fn set_recorder(&self, recorder: RecorderHandle);
 
     /// Installs a workload-capture tap ([`trail_blockio::SubmitTap`]) that
-    /// observes every request submitted through this stack, tagged with
-    /// the stack-level device index.
+    /// observes every request this stack accepts, tagged with the
+    /// stack-level device index. The stack front end is the one place a
+    /// request is reported; the block targets beneath never see the tap.
     fn set_tap(&self, tap: TapHandle);
 }
 
@@ -198,9 +200,9 @@ impl BlockStack for MultiTrail {
 /// write pays the target's full cost synchronously (seek + rotational
 /// latency at the target address; for RAID-5, the read-modify-write parity
 /// cycle).
-#[derive(Clone)]
 pub struct StandardStack {
     targets: Vec<SharedBlockDevice>,
+    tap: RefCell<Option<TapHandle>>,
 }
 
 impl StandardStack {
@@ -217,7 +219,10 @@ impl StandardStack {
 
     /// Builds a stack where device `dev` is `targets[dev]`.
     pub fn over(targets: Vec<SharedBlockDevice>) -> Self {
-        StandardStack { targets }
+        StandardStack {
+            targets,
+            tap: RefCell::new(None),
+        }
     }
 
     fn submit(
@@ -228,9 +233,13 @@ impl StandardStack {
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
         let tgt = self.targets.get(dev).ok_or(TrailError::BadDevice)?;
-        tgt.submit(sim, req, done)
-            .map(|_| ())
-            .map_err(TrailError::Disk)
+        let (lba, sectors, is_read, stream) =
+            (req.lba, req.kind.sectors(), req.kind.is_read(), req.stream);
+        tgt.submit(sim, req, done).map_err(TrailError::Disk)?;
+        if let Some(tap) = &*self.tap.borrow() {
+            tap.on_submit(sim.now(), dev as u32, lba, sectors, is_read, stream);
+        }
+        Ok(())
     }
 }
 
@@ -274,9 +283,7 @@ impl BlockStack for StandardStack {
     }
 
     fn set_tap(&self, tap: TapHandle) {
-        for (dev, t) in self.targets.iter().enumerate() {
-            t.set_tap(Rc::clone(&tap), dev as u32);
-        }
+        *self.tap.borrow_mut() = Some(tap);
     }
 }
 
@@ -328,6 +335,75 @@ mod tests {
             stack.read(&mut sim, 7, 0, 1, done),
             Err(TrailError::BadDevice)
         ));
+    }
+
+    /// `(dev, lba, sectors, is_read, stream)` of one reported submission.
+    type Seen = (u32, Lba, u32, bool, StreamId);
+
+    #[derive(Default)]
+    struct CountingTap {
+        seen: RefCell<Vec<Seen>>,
+    }
+
+    impl trail_blockio::SubmitTap for CountingTap {
+        fn on_submit(
+            &self,
+            _at: trail_sim::SimTime,
+            dev: u32,
+            lba: Lba,
+            sectors: u32,
+            is_read: bool,
+            stream: StreamId,
+        ) {
+            self.seen
+                .borrow_mut()
+                .push((dev, lba, sectors, is_read, stream));
+        }
+    }
+
+    #[test]
+    fn standard_stack_reports_accepted_submissions_only() {
+        use trail_volume::{RaidVolume, VolumeLayout};
+        let mut sim = Simulator::new();
+        let members = (0..3)
+            .map(|i| StandardDriver::new(Disk::new(format!("m{i}"), profiles::tiny_test_disk())))
+            .collect();
+        let raid5 = RaidVolume::new("r5", VolumeLayout::Raid5 { chunk_sectors: 8 }, members);
+        let stack = StandardStack::over(vec![
+            Rc::new(StandardDriver::new(Disk::new(
+                "raw",
+                profiles::tiny_test_disk(),
+            ))),
+            Rc::new(raid5),
+        ]);
+        let tap = Rc::new(CountingTap::default());
+        stack.set_tap(Rc::clone(&tap) as TapHandle);
+        for dev in 0..2 {
+            let done = sim.completion(|_, d| assert!(d.is_ok()));
+            let data = vec![1; 2 * SECTOR_SIZE].into();
+            stack
+                .write_tagged(&mut sim, dev, 5, data, StreamId(7), done)
+                .unwrap();
+            let done = sim.completion(|_, d| assert!(d.is_ok()));
+            stack
+                .read_tagged(&mut sim, dev, 9, 1, StreamId(2), done)
+                .unwrap();
+            // Rejected requests must not reach the tap.
+            let done = sim.completion(|_, d| assert!(d.is_err()));
+            assert!(stack.read(&mut sim, dev, 0, 0, done).is_err());
+        }
+        let done = sim.completion(|_, d| assert!(d.is_err()));
+        assert!(stack.read(&mut sim, 2, 0, 1, done).is_err());
+        sim.run();
+        assert_eq!(
+            &*tap.seen.borrow(),
+            &[
+                (0, 5, 2, false, StreamId(7)),
+                (0, 9, 1, true, StreamId(2)),
+                (1, 5, 2, false, StreamId(7)),
+                (1, 9, 1, true, StreamId(2)),
+            ]
+        );
     }
 
     #[test]

@@ -304,11 +304,6 @@ impl Wal {
         self.pending_bytes
     }
 
-    /// Commits currently waiting for a force.
-    pub fn waiting_commits(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Whether a flush is outstanding.
     pub fn flush_inflight(&self) -> bool {
         self.flush_inflight

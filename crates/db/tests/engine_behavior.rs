@@ -8,7 +8,7 @@ use std::rc::Rc;
 use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
 use trail_db::{Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec};
 use trail_disk::{profiles, Disk};
-use trail_sim::{Delivered, SimDuration, Simulator};
+use trail_sim::{Delivered, LatencySummary, SimDuration, Simulator};
 
 const LOG_DEV: usize = 0;
 const TABLE_DEV: usize = 1;
@@ -31,13 +31,13 @@ fn db_config(policy: FlushPolicy) -> DbConfig {
     }
 }
 
-fn standard_setup(policy: FlushPolicy) -> (Simulator, Database, StandardStack) {
+fn standard_setup(policy: FlushPolicy) -> (Simulator, Database, Rc<StandardStack>) {
     let sim = Simulator::new();
-    let stack = StandardStack::new(vec![
+    let stack = Rc::new(StandardStack::new(vec![
         Disk::new("logfile", profiles::tiny_test_disk()),
         Disk::new("tables", profiles::tiny_test_disk()),
-    ]);
-    let db = Database::new(Rc::new(stack.clone()), db_config(policy));
+    ]));
+    let db = Database::new(stack.clone(), db_config(policy));
     (sim, db, stack)
 }
 
@@ -253,23 +253,28 @@ fn trail_stack_commits_much_faster_than_standard() {
     // must be a small fraction of the baseline's.
     fn run(mk: &dyn Fn() -> (Simulator, Database)) -> f64 {
         let (mut sim, db) = mk();
-        fn chain(db: Database, sim: &mut Simulator, i: u64, n: u64) {
+        type Responses = Rc<RefCell<LatencySummary>>;
+        fn chain(db: Database, sim: &mut Simulator, out: Responses, i: u64, n: u64) {
             if i == n {
                 return;
             }
             let db2 = db.clone();
             let ctrl = sim.completion(|_, _| {});
             let dur = sim.completion(move |sim: &mut Simulator, del: Delivered<TxnResult>| {
-                if del.is_ok() {
-                    chain(db2, sim, i + 1, n);
+                if let Ok(res) = del {
+                    out.borrow_mut().record(res.response());
+                    chain(db2, sim, out, i + 1, n);
                 }
             });
             db.execute(sim, put_txn(0, i % 40, i as u8, 200), ctrl, dur)
                 .unwrap();
         }
-        chain(db.clone(), &mut sim, 0, 40);
+        let responses = Responses::default();
+        chain(db.clone(), &mut sim, Rc::clone(&responses), 0, 40);
         db.run_until_quiescent(&mut sim);
-        db.with_stats(|s| s.response.mean().as_millis_f64())
+        assert_eq!(responses.borrow().count(), 40);
+        let mean = responses.borrow().mean().as_millis_f64();
+        mean
     }
     let standard = run(&|| {
         let (sim, db, _) = standard_setup(FlushPolicy::EveryCommit);

@@ -197,14 +197,6 @@ impl DiskGeometry {
         self.zones[self.zone_of_cylinder(cylinder)].spt
     }
 
-    /// Sectors per track for the track containing `lba`.
-    ///
-    /// Returns `None` if `lba` is out of range.
-    pub fn spt_of_lba(&self, lba: Lba) -> Option<u32> {
-        let chs = self.lba_to_chs(lba)?;
-        Some(self.spt_of_cylinder(chs.cylinder))
-    }
-
     /// The global track index of a physical address: `cylinder × heads +
     /// head`. Track indexes order tracks in LBA order.
     pub fn track_index(&self, chs: Chs) -> u64 {

@@ -128,7 +128,8 @@ pub struct FleetReport {
     pub commits_ok: u64,
     /// Open-loop churn reopens.
     pub reopened: u64,
-    /// Fleet-wide latency over served requests, measured at the client.
+    /// Fleet-wide latency over served requests, measured at the client:
+    /// the client lanes summed.
     pub latency: DurationHistogram,
     /// Per-client lanes (one per session stream).
     pub clients: StreamMetrics,
@@ -222,10 +223,10 @@ impl FleetReport {
     }
 }
 
-/// Mutable run state shared by every client closure.
+/// Mutable run state shared by every client closure. A served request's
+/// latency is recorded once, in its client's lane.
 struct FleetState {
     clients: StreamMetrics,
-    latency: DurationHistogram,
     issued: u64,
     served: u64,
     rejected: u64,
@@ -242,7 +243,6 @@ impl FleetState {
     fn new() -> Self {
         FleetState {
             clients: StreamMetrics::new(),
-            latency: DurationHistogram::new(),
             issued: 0,
             served: 0,
             rejected: 0,
@@ -275,9 +275,8 @@ impl FleetState {
                     .unwrap_or(Status::BadRequest);
                 match status {
                     Status::Ok => {
-                        let lat = now - issued_at;
-                        self.latency.record(lat);
-                        self.clients.on_complete(stream, is_read, Some(lat));
+                        self.clients
+                            .on_complete(stream, is_read, Some(now - issued_at));
                         self.served += 1;
                         true
                     }
@@ -468,7 +467,7 @@ pub fn run_fleet(sim: &mut Simulator, server: &Server, spec: &FleetSpec) -> Flee
         cancelled: st.cancelled,
         commits_ok: st.commits_ok,
         reopened: st.reopened,
-        latency: st.latency.clone(),
+        latency: st.clients.total().latency,
         clients: st.clients.clone(),
         server: server.stats(),
         wire_tx: st.tx,
@@ -675,6 +674,15 @@ mod tests {
         assert_eq!(report.rejected + report.shed + report.cancelled, 0);
         assert_eq!(report.latency.count(), 64);
         assert_eq!(report.clients.streams(), 4);
+        // The fleet-wide histogram is the client lanes, summed.
+        let mut merged = DurationHistogram::new();
+        for (_, lane) in report.clients.iter() {
+            merged.merge(&lane.latency);
+        }
+        assert_eq!(
+            merged.to_json().to_json(),
+            report.latency.to_json().to_json()
+        );
         assert!(report.wire_tx > 0 && report.wire_rx > 0);
         assert_eq!(sim.events_pending(), 0);
     }

@@ -815,6 +815,26 @@ mod tests {
     }
 
     #[test]
+    fn connect_opens_on_an_open_frame_and_refuses_anything_else() {
+        let (_sim, srv) = server(ServerConfig::default());
+        let (session, opened) = srv
+            .connect(&Request::Open { stream: 9 }.encode())
+            .expect("an Open frame opens a session");
+        assert_eq!(session.stream, StreamId(9));
+        assert!(matches!(
+            Response::decode(&opened),
+            Ok((Response::Opened { session: 1 }, _))
+        ));
+        for garbage in [vec![], vec![0xFF; 5], Request::Commit.encode()] {
+            let refused = srv.connect(&garbage).map(|_| ()).expect_err("not an Open");
+            let (resp, _) = Response::decode(&refused).expect("decodes");
+            assert_eq!(resp.status(), Status::BadRequest);
+        }
+        let stats = srv.stats();
+        assert_eq!((stats.opened, stats.bad_frames), (1, 3));
+    }
+
+    #[test]
     fn throughput_accounting_is_consistent() {
         let (mut sim, srv) = server(ServerConfig::default());
         let completed = ok_count(&mut sim, &srv, 32);

@@ -11,8 +11,8 @@
 //! - [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
 //! - [`Simulator`] — a single-threaded event executor; components share
 //!   state through `Rc<RefCell<_>>` and communicate by scheduling closures.
-//! - [`LatencySummary`], [`BusyMeter`], [`Counter`] — the measurement
-//!   collectors used by every experiment harness.
+//! - [`LatencySummary`], [`BusyMeter`] — the measurement collectors used
+//!   by every experiment harness (counts are plain integer fields).
 //! - [`rng`] — seeded small RNG for reproducible workloads.
 //!
 //! # Examples
@@ -65,7 +65,7 @@ pub use fault::{
 };
 pub use parallel::parallel_map;
 pub use payload::INLINE_EVENT_BYTES;
-pub use stats::{BusyMeter, Counter, LatencySummary};
+pub use stats::{BusyMeter, LatencySummary};
 pub use time::{SimDuration, SimTime};
 
 use rand::rngs::SmallRng;

@@ -1,8 +1,9 @@
-//! Measurement helpers: latency summaries, busy-time accounting, counters.
+//! Measurement helpers: latency summaries and busy-time accounting.
 //!
 //! Every experiment in the paper reports either a latency distribution
 //! (Figures 3 and 4), a total elapsed/busy time (Tables 1 and 2), or a count
-//! (Table 3). These small collectors are shared by all benches and tests.
+//! (Table 3, a plain integer field). These small collectors are shared by
+//! all benches and tests.
 
 use std::fmt;
 
@@ -29,7 +30,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Debug, Default)]
 pub struct LatencySummary {
     samples: Vec<SimDuration>,
-    sorted: bool,
 }
 
 impl LatencySummary {
@@ -41,7 +41,6 @@ impl LatencySummary {
     /// Adds one sample.
     pub fn record(&mut self, sample: SimDuration) {
         self.samples.push(sample);
-        self.sorted = false;
     }
 
     /// Returns the number of samples recorded.
@@ -111,51 +110,28 @@ impl LatencySummary {
     /// # Panics
     ///
     /// Panics if `p` is outside `0.0..=100.0`.
-    pub fn percentile(&mut self, p: f64) -> SimDuration {
+    pub fn percentile(&self, p: f64) -> SimDuration {
         self.try_percentile(p).unwrap_or(SimDuration::ZERO)
     }
 
     /// Returns the `p`-th percentile (0.0ᅳ100.0) by nearest-rank, or `None`
-    /// if no samples were recorded.
+    /// if no samples were recorded. Selects on a copy, so the samples
+    /// keep their insertion order.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `0.0..=100.0`.
-    pub fn try_percentile(&mut self, p: f64) -> Option<SimDuration> {
+    pub fn try_percentile(&self, p: f64) -> Option<SimDuration> {
         assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
         if self.samples.is_empty() {
             return None;
         }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
         let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        Some(self.samples[rank.saturating_sub(1)])
+        let mut copy = self.samples.clone();
+        Some(*copy.select_nth_unstable(rank.saturating_sub(1)).1)
     }
 
-    /// Returns the sample standard deviation in milliseconds, or zero for
-    /// fewer than two samples.
-    pub fn stddev_millis(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean().as_millis_f64();
-        let var = self
-            .samples
-            .iter()
-            .map(|d| {
-                let x = d.as_millis_f64() - mean;
-                x * x
-            })
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
-    }
-
-    /// Iterates over the recorded samples in insertion order (or sorted
-    /// order if a percentile has been computed).
+    /// Iterates over the recorded samples in insertion order.
     pub fn iter(&self) -> std::slice::Iter<'_, SimDuration> {
         self.samples.iter()
     }
@@ -163,14 +139,12 @@ impl LatencySummary {
     /// Merges another summary's samples into this one.
     pub fn merge(&mut self, other: &LatencySummary) {
         self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
     }
 }
 
 impl Extend<SimDuration> for LatencySummary {
     fn extend<T: IntoIterator<Item = SimDuration>>(&mut self, iter: T) {
         self.samples.extend(iter);
-        self.sorted = false;
     }
 }
 
@@ -269,51 +243,6 @@ impl BusyMeter {
     }
 }
 
-/// A monotonically increasing event counter. Saturates at `u64::MAX`
-/// instead of wrapping, so a runaway count can never masquerade as a
-/// small one.
-///
-/// # Examples
-///
-/// ```
-/// use trail_sim::Counter;
-///
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one (saturating).
-    pub fn incr(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Adds `n` (saturating).
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Returns the current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,11 +264,26 @@ mod tests {
 
     #[test]
     fn summary_percentiles() {
-        let mut s: LatencySummary = (1..=100).map(SimDuration::from_millis).collect();
+        let s: LatencySummary = (1..=100).map(SimDuration::from_millis).collect();
         assert_eq!(s.percentile(50.0).as_millis_f64(), 50.0);
         assert_eq!(s.percentile(99.0).as_millis_f64(), 99.0);
         assert_eq!(s.percentile(100.0).as_millis_f64(), 100.0);
         assert_eq!(s.percentile(0.0).as_millis_f64(), 1.0);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank_and_keeps_insertion_order() {
+        let ms = [7u64, 3, 9, 1, 5, 8, 2, 6, 4, 10, 3];
+        let s: LatencySummary = ms.iter().map(|&m| SimDuration::from_millis(m)).collect();
+        let mut sorted = ms;
+        sorted.sort_unstable();
+        for p in [0.0, 1.0, 10.0, 25.0, 50.0, 63.6, 90.0, 99.0, 100.0] {
+            let rank = ((p / 100.0) * ms.len() as f64).ceil() as usize;
+            let want = SimDuration::from_millis(sorted[rank.saturating_sub(1)]);
+            assert_eq!(s.percentile(p), want, "p{p}");
+        }
+        let order: Vec<u64> = s.iter().map(|d| d.as_millis_f64() as u64).collect();
+        assert_eq!(order, ms, "a percentile must not reorder the samples");
     }
 
     #[test]
@@ -348,15 +292,6 @@ mod tests {
         let mut s = LatencySummary::new();
         s.record(SimDuration::from_millis(1));
         let _ = s.percentile(101.0);
-    }
-
-    #[test]
-    fn summary_stddev() {
-        let mut s = LatencySummary::new();
-        s.record(SimDuration::from_millis(2));
-        assert_eq!(s.stddev_millis(), 0.0);
-        s.record(SimDuration::from_millis(4));
-        assert!((s.stddev_millis() - std::f64::consts::SQRT_2).abs() < 1e-9);
     }
 
     #[test]
@@ -403,22 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.to_string(), "11");
-    }
-
-    #[test]
     fn empty_summary_is_fully_defined() {
-        let mut s = LatencySummary::new();
+        let s = LatencySummary::new();
         assert_eq!(s.mean(), SimDuration::ZERO);
         assert_eq!(s.min(), SimDuration::ZERO);
         assert_eq!(s.max(), SimDuration::ZERO);
         assert_eq!(s.total(), SimDuration::ZERO);
-        assert_eq!(s.stddev_millis(), 0.0);
         for p in [0.0, 50.0, 99.9, 100.0] {
             assert_eq!(s.percentile(p), SimDuration::ZERO);
             assert_eq!(s.try_percentile(p), None);
@@ -436,7 +361,6 @@ mod tests {
         assert_eq!(s.mean(), only);
         assert_eq!(s.min(), only);
         assert_eq!(s.max(), only);
-        assert_eq!(s.stddev_millis(), 0.0);
         for p in [0.0, 50.0, 99.9, 100.0] {
             assert_eq!(s.percentile(p), only, "p{p} of a single sample");
             assert_eq!(s.try_percentile(p), Some(only));
@@ -444,17 +368,5 @@ mod tests {
         assert_eq!(s.try_mean(), Some(only));
         assert_eq!(s.try_min(), Some(only));
         assert_eq!(s.try_max(), Some(only));
-    }
-
-    #[test]
-    fn counter_saturates_instead_of_wrapping() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX, "incr saturates");
-        c.add(1_000);
-        assert_eq!(c.get(), u64::MAX, "add saturates");
     }
 }

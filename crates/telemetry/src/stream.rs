@@ -171,6 +171,18 @@ impl StreamMetrics {
         }
     }
 
+    /// Every lane folded into one: the counts and histograms a single
+    /// observer of all streams would have recorded (histograms merge
+    /// exactly), so an aggregate never needs recording beside its lanes.
+    #[must_use]
+    pub fn total(&self) -> StreamLane {
+        let mut all = StreamLane::default();
+        for lane in self.lanes.values() {
+            all.merge(lane);
+        }
+        all
+    }
+
     /// Records a request entering flight on `stream`.
     pub fn on_issue(&mut self, stream: StreamId, is_read: bool) {
         let lane = self.lanes.entry(stream).or_default();
@@ -250,6 +262,9 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged.streams(), 2);
         assert_eq!(merged.to_json().to_json(), one.to_json().to_json());
+        let total = merged.total();
+        assert_eq!((total.requests, total.reads, total.errors), (4, 2, 2));
+        assert_eq!(total.read_latency.count(), 2);
     }
 
     #[test]

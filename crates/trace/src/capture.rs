@@ -1,11 +1,11 @@
 //! Capturing a live workload from a running stack.
 //!
 //! [`TraceCapture`] implements [`SubmitTap`], the observation hook every
-//! stack exposes through `set_tap` (on `BlockStack`, `TrailDriver`,
-//! `MultiTrail`, `StandardDriver`, and the umbrella `BuiltStack`).
-//! Install one before driving a scenario and every request submitted to
-//! the stack — directly, from a file system, or from the database
-//! engine — is recorded at its arrival instant. The result is the
+//! stack front end exposes through `set_tap` (`BlockStack` — `TrailDriver`,
+//! `MultiTrail`, `StandardStack` — and the umbrella `BuiltStack`).
+//! Install one before driving a scenario and every request the stack
+//! accepts — directly, from a file system, or from the database engine —
+//! is recorded once, at its arrival instant. The result is the
 //! *offered* workload, independent of how the stack serviced it, which
 //! is exactly what open-loop replay needs.
 

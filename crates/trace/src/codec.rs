@@ -507,12 +507,6 @@ impl<W: Write> TraceWriter<W> {
         self.chunk_records
     }
 
-    /// Records accepted so far.
-    #[must_use]
-    pub fn records_written(&self) -> u64 {
-        self.total + u64::from(self.buf_records)
-    }
-
     /// Switches the encoding applied to subsequently flushed chunks,
     /// flushing the current partial chunk first.
     ///

@@ -252,53 +252,6 @@ impl Trace {
         set.into_iter().collect()
     }
 
-    /// Splits the trace into one [`StreamView`] per stream, ascending by
-    /// stream tag. Views borrow the parent — no metadata clone, no record
-    /// copies, just one index per record — and preserve the parent's
-    /// record order, so [`Trace::merge`] over materialized parts
-    /// reconstructs the original exactly.
-    #[must_use]
-    pub fn split_by_stream(&self) -> Vec<StreamView<'_>> {
-        let mut parts: std::collections::BTreeMap<StreamId, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, r) in self.records.iter().enumerate() {
-            parts.entry(r.stream).or_default().push(i);
-        }
-        parts
-            .into_iter()
-            .map(|(stream, indices)| StreamView {
-                stream,
-                trace: self,
-                indices,
-            })
-            .collect()
-    }
-
-    /// Merges several traces into one, re-sorted to canonical
-    /// `(arrival, stream)` order. Metadata comes from the first part
-    /// (materialized parts of a [`Trace::split_by_stream`] all share
-    /// it).
-    #[must_use]
-    pub fn merge(parts: impl IntoIterator<Item = Trace>) -> Trace {
-        let mut parts = parts.into_iter();
-        let mut out = parts.next().unwrap_or_default();
-        for p in parts {
-            out.records.extend(p.records);
-        }
-        out.sort();
-        out
-    }
-
-    /// Per-stream workload breakdown, ascending by stream tag.
-    #[must_use]
-    pub fn per_stream_summary(&self) -> Vec<StreamSummary> {
-        let mut builder = StreamSummaryBuilder::new();
-        for r in &self.records {
-            builder.record(r);
-        }
-        builder.finish()
-    }
-
     /// Checks the invariants stored traces must satisfy: records sorted
     /// by `(arrival, stream)` and every record non-empty.
     ///
@@ -320,62 +273,15 @@ impl Trace {
     }
 }
 
-/// A borrowed, index-based view of one stream's records inside a parent
-/// [`Trace`] (see [`Trace::split_by_stream`]). Holds one `usize` per
-/// record instead of copying records and metadata; call
-/// [`StreamView::to_trace`] only when an owned sub-trace is genuinely
-/// needed.
-#[derive(Clone, Debug)]
-pub struct StreamView<'a> {
-    stream: StreamId,
-    trace: &'a Trace,
-    indices: Vec<usize>,
-}
-
-impl<'a> StreamView<'a> {
-    /// The stream tag this view selects.
-    #[must_use]
-    pub fn stream(&self) -> StreamId {
-        self.stream
-    }
-
-    /// Number of records in the stream.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// `true` when the stream holds no records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// The records of this stream, in the parent's order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a TraceRecord> + '_ {
-        self.indices.iter().map(|&i| &self.trace.records[i])
-    }
-
-    /// Materializes the view as an owned [`Trace`] sharing the parent's
-    /// metadata — this is where the clone happens, on demand.
-    #[must_use]
-    pub fn to_trace(&self) -> Trace {
-        Trace {
-            meta: self.trace.meta.clone(),
-            records: self.iter().copied().collect(),
-        }
-    }
-}
-
 /// Fragment budget per stream for [`StreamSummaryBuilder`]'s footprint
 /// interval map. Below it the footprint is exact; past it the builder
 /// coarsens its quantum (doubling it) so memory stays bounded on
 /// arbitrarily long traces.
 pub const FOOTPRINT_FRAGMENT_BUDGET: usize = 65_536;
 
-/// Streaming accumulator behind [`Trace::per_stream_summary`]: feed it
-/// records one at a time (in any order) and [`finish`] into the
-/// per-stream summaries without ever materializing the trace. Footprints
+/// Per-stream workload breakdown of a trace: feed it records one at a
+/// time (in any order) and [`finish`] into the per-stream summaries
+/// without ever materializing the trace. Footprints
 /// are exact until a stream's interval map exceeds
 /// [`FOOTPRINT_FRAGMENT_BUDGET`] fragments, after which the stream's
 /// addresses are rounded to a power-of-two quantum (doubling on each
@@ -480,8 +386,7 @@ impl StreamAccum {
     }
 }
 
-/// What one stream of a trace looks like (see
-/// [`Trace::per_stream_summary`]).
+/// What one stream of a trace looks like (see [`StreamSummaryBuilder`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StreamSummary {
     /// The stream tag.
@@ -584,40 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn split_then_merge_is_the_identity_on_normalized_traces() {
-        let mut t = Trace {
-            meta: TraceMeta::default(),
-            records: vec![rec(5, 2), rec(5, 1), rec(1, 2), rec(9, 0)],
-        };
-        t.normalize();
-        let parts = t.split_by_stream();
-        assert_eq!(parts.len(), 3);
-        assert!(parts.windows(2).all(|w| w[0].stream() < w[1].stream()));
-        let total: usize = parts.iter().map(StreamView::len).sum();
-        assert_eq!(total, t.len());
-        let back = Trace::merge(parts.iter().map(StreamView::to_trace));
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn stream_views_borrow_rather_than_copy() {
-        let mut t = Trace {
-            meta: TraceMeta::default(),
-            records: vec![rec(1, 0), rec(2, 1), rec(3, 0)],
-        };
-        t.normalize();
-        let parts = t.split_by_stream();
-        let zero = &parts[0];
-        assert_eq!(zero.stream(), StreamId(0));
-        assert_eq!(zero.len(), 2);
-        assert!(!zero.is_empty());
-        // The view hands out references into the parent's storage.
-        let first = zero.iter().next().expect("two records");
-        assert!(std::ptr::eq(first, &t.records[0]));
-        assert_eq!(zero.to_trace().records, vec![t.records[0], t.records[2]]);
-    }
-
-    #[test]
     fn summary_builder_coarsens_past_the_fragment_budget() {
         let mut accum = StreamAccum {
             summary: StreamSummary::empty(StreamId(1)),
@@ -670,7 +541,11 @@ mod tests {
             ],
         };
         t.normalize();
-        let summary = t.per_stream_summary();
+        let mut builder = StreamSummaryBuilder::new();
+        for r in &t.records {
+            builder.record(r);
+        }
+        let summary = builder.finish();
         assert_eq!(summary.len(), 2);
         assert_eq!(summary[0].stream, StreamId(1));
         assert_eq!(summary[0].requests, 2);

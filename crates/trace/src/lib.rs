@@ -49,8 +49,8 @@ pub use codec::{
     TraceWriter, DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
 };
 pub use format::{
-    ChunkEncoding, StreamSummary, StreamSummaryBuilder, StreamView, Trace, TraceMeta, TraceOp,
-    TraceRecord, TRACE_VERSION,
+    ChunkEncoding, StreamSummary, StreamSummaryBuilder, Trace, TraceMeta, TraceOp, TraceRecord,
+    TRACE_VERSION,
 };
 pub use gen::{generate, generate_stream, ArrivalModel, SpatialModel, SyntheticSpec};
 pub use import::{

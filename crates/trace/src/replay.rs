@@ -76,23 +76,20 @@ use trail_blockio::IoDone;
 use crate::codec::{TraceError, TraceReader};
 use crate::format::{Trace, TraceRecord};
 
-/// How to replay.
+/// Queue-depth sampling period of every replay, in virtual time.
+const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(10);
+
+/// How to replay. The target is built with one data disk per device the
+/// trace addresses (for streaming replay, the header's device count — the
+/// header cannot know more than it declares).
 #[derive(Clone)]
 pub struct ReplayOptions {
     /// The stack to drive.
     pub target: TargetKind,
-    /// Data disks to build; defaults to (and is raised to) the highest
-    /// device index the trace addresses plus one (for streaming replay,
-    /// the header's device count — the header cannot know more than it
-    /// declares).
-    pub data_disks: Option<usize>,
     /// Time-scale knob: arrivals are compressed by this factor (2.0
     /// offers the load twice as fast). Clamped to `0.5..=8.0`; `1.0`
     /// replays at recorded speed.
     pub speed: f64,
-    /// Queue-depth sampling period ([`SimDuration::ZERO`] disables
-    /// sampling).
-    pub sample_every: SimDuration,
     /// File size, in 4-KB blocks, of the per-device file that file-system
     /// targets replay into (raised to at least 64).
     pub fs_file_blocks: u32,
@@ -118,13 +115,11 @@ pub struct ReplayOptions {
 }
 
 impl Default for ReplayOptions {
-    /// Standard stack, recorded speed, 10-ms queue sampling, 4-MB files.
+    /// Standard stack, recorded speed, 4-MB files.
     fn default() -> Self {
         ReplayOptions {
             target: TargetKind::Standard,
-            data_disks: None,
             speed: 1.0,
-            sample_every: SimDuration::from_millis(10),
             fs_file_blocks: 1024,
             recorder: None,
             tap: None,
@@ -177,7 +172,10 @@ impl From<TargetError> for ReplayError {
     }
 }
 
-/// What a replay measured.
+/// What a replay measured. The per-stream lanes in
+/// [`streams`](ReplayReport::streams) are where each completion is
+/// recorded; the aggregate counts and histograms are those lanes summed
+/// (exactly — histograms merge bucket-wise).
 pub struct ReplayReport {
     /// The target's [`TargetKind::label`].
     pub target: String,
@@ -219,9 +217,8 @@ pub struct ReplayReport {
     pub peak_resident_records: u64,
     /// Highest concurrent in-flight count observed.
     pub max_queue_depth: u32,
-    /// Sampled `(instant, in-flight)` pairs, every
-    /// [`ReplayOptions::sample_every`] — downsampled by stride doubling
-    /// to a fixed budget on long runs.
+    /// Sampled `(instant, in-flight)` pairs, every 10 ms of virtual time
+    /// — downsampled by stride doubling to a fixed budget on long runs.
     pub queue_depth: Vec<(SimTime, u32)>,
     /// Per-volume statistics for RAID targets (member latency
     /// breakdowns, RMW/full-stripe counters, degraded reads), in the
@@ -292,13 +289,24 @@ impl ReplayReport {
     /// in order.
     #[must_use]
     pub fn volumes_json(&self) -> JsonValue {
-        // Percentiles sort the samples in place, hence the copy.
         JsonValue::Arr(
             self.volume_stats
                 .iter()
-                .map(|v| v.clone().summary_json())
+                .map(trail::volume::VolumeStats::summary_json)
                 .collect(),
         )
+    }
+
+    /// Derives the aggregate counts and histograms from the stream lanes,
+    /// their one home.
+    pub(crate) fn sum_lanes(&mut self) {
+        let all = self.streams.total();
+        self.reads = all.reads;
+        self.writes = all.writes;
+        self.errors = all.errors;
+        self.latency = all.latency;
+        self.read_latency = all.read_latency;
+        self.write_latency = all.write_latency;
     }
 }
 
@@ -497,10 +505,11 @@ impl DepthSamples {
     }
 }
 
-/// One accepted arrival waiting in the admission queue because the
-/// [`ReplayOptions::max_in_flight`] bound is reached.
+/// One accepted arrival: what [`submit`] needs, and what waits in the
+/// admission queue while the [`ReplayOptions::max_in_flight`] bound is
+/// reached.
 #[derive(Clone, Copy)]
-struct DeferredReq {
+struct Arrival {
     idx: u64,
     dev: usize,
     lba: Lba,
@@ -509,23 +518,32 @@ struct DeferredReq {
     stream: StreamId,
 }
 
-/// Shared mutable replay accounting.
+impl Arrival {
+    /// Record `r`, at global file-order index `idx`.
+    fn new(idx: u64, r: &TraceRecord) -> Arrival {
+        Arrival {
+            idx,
+            dev: usize::from(r.dev),
+            lba: r.lba,
+            sectors: r.sectors,
+            is_read: r.op.is_read(),
+            stream: r.stream,
+        }
+    }
+}
+
+/// Shared mutable replay accounting. Each completion is recorded once, in
+/// its stream's lane; the report sums the lanes.
 struct State {
     issued: u64,
     completed: u64,
-    reads: u64,
-    writes: u64,
-    errors: u64,
     inflight: u32,
     max_inflight: u32,
     /// Admission bound; `u32::MAX` when the replay is fully open-loop.
     bound: u32,
     /// Arrivals admitted past the cursor but waiting for an in-flight
     /// slot. Always empty on the open-loop path.
-    deferred: VecDeque<DeferredReq>,
-    latency: DurationHistogram,
-    read_latency: DurationHistogram,
-    write_latency: DurationHistogram,
+    deferred: VecDeque<Arrival>,
     streams: StreamMetrics,
     fingerprint: u64,
     peak_resident: u64,
@@ -541,16 +559,10 @@ impl State {
         State {
             issued: 0,
             completed: 0,
-            reads: 0,
-            writes: 0,
-            errors: 0,
             inflight: 0,
             max_inflight: 0,
             bound: bound.map_or(u32::MAX, |b| b.max(1)),
             deferred: VecDeque::new(),
-            latency: DurationHistogram::new(),
-            read_latency: DurationHistogram::new(),
-            write_latency: DurationHistogram::new(),
             streams: StreamMetrics::new(),
             fingerprint: 0,
             peak_resident: 0,
@@ -579,11 +591,6 @@ impl State {
         self.issued += 1;
         self.inflight += 1;
         self.max_inflight = self.max_inflight.max(self.inflight);
-        if is_read {
-            self.reads += 1;
-        } else {
-            self.writes += 1;
-        }
         self.streams.on_issue(stream, is_read);
     }
 
@@ -599,40 +606,25 @@ impl State {
         self.completed += 1;
         self.last_done = self.last_done.max(at);
         self.streams.on_complete(stream, is_read, outcome);
-        match outcome {
-            Some(lat) => {
-                self.latency.record(lat);
-                if is_read {
-                    self.read_latency.record(lat);
-                } else {
-                    self.write_latency.record(lat);
-                }
-                self.fingerprint = self
-                    .fingerprint
-                    .wrapping_add(fingerprint_one(idx, lat.as_nanos()));
-            }
-            None => {
-                self.errors += 1;
-                self.fingerprint = self
-                    .fingerprint
-                    .wrapping_add(fingerprint_one(idx, u64::MAX));
-            }
-        }
+        let latency_ns = outcome.map_or(u64::MAX, SimDuration::as_nanos);
+        self.fingerprint = self
+            .fingerprint
+            .wrapping_add(fingerprint_one(idx, latency_ns));
     }
 
     fn report(&self, target: &TargetKind, speed: f64, start: SimTime) -> ReplayReport {
-        ReplayReport {
+        let mut report = ReplayReport {
             target: target.label(),
             speed,
             requests: self.issued,
-            reads: self.reads,
-            writes: self.writes,
-            errors: self.errors,
+            reads: 0,
+            writes: 0,
+            errors: 0,
             started_at: start,
             duration: self.last_done.saturating_duration_since(start),
-            latency: self.latency.clone(),
-            read_latency: self.read_latency.clone(),
-            write_latency: self.write_latency.clone(),
+            latency: DurationHistogram::new(),
+            read_latency: DurationHistogram::new(),
+            write_latency: DurationHistogram::new(),
             streams: self.streams.clone(),
             latency_fingerprint: self.fingerprint,
             peak_resident_records: self.peak_resident,
@@ -640,7 +632,9 @@ impl State {
             queue_depth: self.samples.samples.clone(),
             volume_stats: Vec::new(),
             media: MediumStats::default(),
-        }
+        };
+        report.sum_lanes();
+        report
     }
 }
 
@@ -652,25 +646,21 @@ fn media_of(disks: &[Disk]) -> MediumStats {
     })
 }
 
-/// Everything a dispatcher event needs, cheaply cloneable.
-struct EngineCtx {
-    source: Rc<RefCell<Source>>,
-    state: Rc<RefCell<State>>,
+/// What issuing a request needs, cheaply cloneable: the stack, how to
+/// drive it, and the accounting.
+#[derive(Clone)]
+struct Issuer {
     stack: Rc<dyn BlockStack>,
     drive: Rc<TargetDrive>,
-    ndisks: usize,
+    state: Rc<RefCell<State>>,
 }
 
-impl Clone for EngineCtx {
-    fn clone(&self) -> EngineCtx {
-        EngineCtx {
-            source: Rc::clone(&self.source),
-            state: Rc::clone(&self.state),
-            stack: Rc::clone(&self.stack),
-            drive: Rc::clone(&self.drive),
-            ndisks: self.ndisks,
-        }
-    }
+/// Everything a dispatcher event needs, cheaply cloneable.
+#[derive(Clone)]
+struct EngineCtx {
+    source: Rc<RefCell<Source>>,
+    issuer: Issuer,
+    ndisks: usize,
 }
 
 /// The dispatcher: fires at the next pending arrival, drains everything
@@ -690,8 +680,7 @@ fn schedule_pump(sim: &mut Simulator, at: SimTime, ctx: EngineCtx) {
 
 fn issue_batch(sim: &mut Simulator, ctx: &EngineCtx, batch: Vec<(u64, TraceRecord)>) {
     for (idx, r) in batch {
-        let dev = usize::from(r.dev);
-        if dev >= ctx.ndisks {
+        if usize::from(r.dev) >= ctx.ndisks {
             let mut src = ctx.source.borrow_mut();
             src.failure = Some(ReplayError::BadDevice {
                 dev: r.dev,
@@ -701,21 +690,7 @@ fn issue_batch(sim: &mut Simulator, ctx: &EngineCtx, batch: Vec<(u64, TraceRecor
             src.pending = None;
             return;
         }
-        let (is_read, stream) = (r.op.is_read(), r.stream);
-        offer(
-            sim,
-            &ctx.stack,
-            &ctx.drive,
-            &ctx.state,
-            DeferredReq {
-                idx,
-                dev,
-                lba: r.lba,
-                sectors: r.sectors,
-                is_read,
-                stream,
-            },
-        );
+        offer(sim, &ctx.issuer, Arrival::new(idx, &r));
     }
 }
 
@@ -723,15 +698,9 @@ fn issue_batch(sim: &mut Simulator, ctx: &EngineCtx, batch: Vec<(u64, TraceRecor
 /// reached, in which case it joins the deferred queue and is submitted
 /// by [`drain_deferred`] as completions free slots. On the open-loop
 /// path (bound `u32::MAX`) this is exactly issue-then-submit.
-fn offer(
-    sim: &mut Simulator,
-    stack: &Rc<dyn BlockStack>,
-    drv: &Rc<TargetDrive>,
-    st: &Rc<RefCell<State>>,
-    req: DeferredReq,
-) {
+fn offer(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
     {
-        let mut s = st.borrow_mut();
+        let mut s = issuer.state.borrow_mut();
         if s.inflight >= s.bound {
             s.deferred.push_back(req);
             s.peak_resident = s
@@ -741,31 +710,15 @@ fn offer(
         }
         s.issue(sim.now(), req.stream, req.is_read);
     }
-    submit(
-        sim,
-        stack,
-        drv,
-        st,
-        req.idx,
-        req.dev,
-        req.lba,
-        req.sectors,
-        req.is_read,
-        req.stream,
-    );
+    submit(sim, issuer, req);
 }
 
 /// Submits deferred arrivals while slots are free. Called from every
 /// completion; a no-op when the deferred queue is empty.
-fn drain_deferred(
-    sim: &mut Simulator,
-    stack: &Rc<dyn BlockStack>,
-    drv: &Rc<TargetDrive>,
-    st: &Rc<RefCell<State>>,
-) {
+fn drain_deferred(sim: &mut Simulator, issuer: &Issuer) {
     loop {
         let req = {
-            let mut s = st.borrow_mut();
+            let mut s = issuer.state.borrow_mut();
             if s.inflight >= s.bound {
                 return;
             }
@@ -777,36 +730,25 @@ fn drain_deferred(
                 None => return,
             }
         };
-        submit(
-            sim,
-            stack,
-            drv,
-            st,
-            req.idx,
-            req.dev,
-            req.lba,
-            req.sectors,
-            req.is_read,
-            req.stream,
-        );
+        submit(sim, issuer, req);
     }
 }
 
 /// Engine-side queue-depth sampler. Arrivals due at the sample instant
 /// are drained first, reproducing the oracle's arrivals-before-sampler
 /// event order at tied instants.
-fn schedule_engine_sampler(sim: &mut Simulator, ctx: EngineCtx, every: SimDuration) {
-    sim.schedule_in(every, move |sim| {
+fn schedule_engine_sampler(sim: &mut Simulator, ctx: EngineCtx) {
+    sim.schedule_in(SAMPLE_EVERY, move |sim| {
         let batch = ctx.source.borrow_mut().take_due(sim.now());
         issue_batch(sim, &ctx, batch);
         let finished = {
-            let mut s = ctx.state.borrow_mut();
+            let mut s = ctx.issuer.state.borrow_mut();
             let depth = s.inflight;
             s.samples.push(sim.now(), depth);
             ctx.source.borrow().exhausted() && s.completed >= s.issued
         };
         if !finished {
-            schedule_engine_sampler(sim, ctx.clone(), every);
+            schedule_engine_sampler(sim, ctx.clone());
         }
     });
 }
@@ -828,13 +770,13 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport, Repla
     if trace.is_empty() {
         return Err(ReplayError::EmptyTrace);
     }
-    let devices_hint = usize::from(trace.max_dev().unwrap_or(0)) + 1;
+    let ndisks = usize::from(trace.max_dev().unwrap_or(0)) + 1;
     run_engine(
         Box::new(VecCursor {
             iter: trace.records.clone().into_iter(),
             idx: 0,
         }),
-        devices_hint,
+        ndisks,
         opts,
     )
 }
@@ -842,8 +784,8 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport, Repla
 /// Replays a binary trace stream chunk-by-chunk without ever holding
 /// the whole trace: the bounded-memory path for traces too big for
 /// [`replay`]. The target is sized from the stream header's device
-/// count (raised by [`ReplayOptions::data_disks`]); a record addressing
-/// a device beyond that fails with [`ReplayError::BadDevice`].
+/// count; a record addressing a device beyond that fails with
+/// [`ReplayError::BadDevice`].
 ///
 /// On seed-sized traces the report is byte-identical to [`replay`] of
 /// the decoded trace — `cargo test -p trail-trace` holds this as a
@@ -862,17 +804,33 @@ pub fn replay_stream<R: Read + 'static>(
     reader: TraceReader<R>,
     opts: &ReplayOptions,
 ) -> Result<ReplayReport, ReplayError> {
-    let devices_hint = usize::from(reader.meta().devices).max(1);
-    run_engine(Box::new(reader), devices_hint, opts)
+    let ndisks = usize::from(reader.meta().devices).max(1);
+    run_engine(Box::new(reader), ndisks, opts)
+}
+
+/// The target `opts` names over `ndisks` data disks, booted with the
+/// options' recorder and tap installed.
+fn build(opts: &ReplayOptions, ndisks: usize) -> Result<BuiltTarget, ReplayError> {
+    let built = StackBuilder::new()
+        .data_disks(ndisks)
+        .fs_file_blocks(opts.fs_file_blocks)
+        .faults(opts.faults.clone())
+        .build_target(opts.target)?;
+    if let Some(recorder) = &opts.recorder {
+        built.stack.set_recorder(Rc::clone(recorder));
+    }
+    if let Some(tap) = &opts.tap {
+        built.stack.set_tap(Rc::clone(tap));
+    }
+    Ok(built)
 }
 
 pub(crate) fn run_engine(
     cursor: Box<dyn RecordCursor>,
-    devices_hint: usize,
+    ndisks: usize,
     opts: &ReplayOptions,
 ) -> Result<ReplayReport, ReplayError> {
     let speed = opts.speed.clamp(0.5, 8.0);
-    let ndisks = opts.data_disks.unwrap_or(0).max(devices_hint).max(1);
     let BuiltTarget {
         mut sim,
         stack,
@@ -880,18 +838,7 @@ pub(crate) fn run_engine(
         volumes,
         disks,
         ..
-    } = StackBuilder::new()
-        .data_disks(ndisks)
-        .fs_file_blocks(opts.fs_file_blocks)
-        .faults(opts.faults.clone())
-        .build_target(opts.target)?;
-    if let Some(recorder) = &opts.recorder {
-        stack.set_recorder(Rc::clone(recorder));
-    }
-    if let Some(tap) = &opts.tap {
-        stack.set_tap(Rc::clone(tap));
-    }
-    let drive = Rc::new(drive);
+    } = build(opts, ndisks)?;
     let start = sim.now();
 
     let mut source = Source::new(cursor, speed, start);
@@ -903,22 +850,22 @@ pub(crate) fn run_engine(
     };
     let ctx = EngineCtx {
         source: Rc::new(RefCell::new(source)),
-        state: Rc::new(RefCell::new(State::new(start, opts.max_in_flight))),
-        stack,
-        drive,
+        issuer: Issuer {
+            stack,
+            drive: Rc::new(drive),
+            state: Rc::new(RefCell::new(State::new(start, opts.max_in_flight))),
+        },
         ndisks,
     };
     schedule_pump(&mut sim, first_at, ctx.clone());
-    if !opts.sample_every.is_zero() {
-        schedule_engine_sampler(&mut sim, ctx.clone(), opts.sample_every);
-    }
+    schedule_engine_sampler(&mut sim, ctx.clone());
 
     loop {
         if let Some(f) = ctx.source.borrow_mut().failure.take() {
             return Err(f);
         }
         let (finished, outstanding) = {
-            let s = ctx.state.borrow();
+            let s = ctx.issuer.state.borrow();
             let src = ctx.source.borrow();
             (
                 src.exhausted() && s.completed >= s.issued,
@@ -933,7 +880,7 @@ pub(crate) fn run_engine(
             "replay stalled: event queue drained with {outstanding} requests outstanding",
         );
     }
-    let mut report = ctx.state.borrow().report(&opts.target, speed, start);
+    let mut report = ctx.issuer.state.borrow().report(&opts.target, speed, start);
     report.volume_stats = volumes.iter().map(|v| v.with_stats(Clone::clone)).collect();
     report.media = media_of(&disks);
     Ok(report)
@@ -956,8 +903,7 @@ pub fn replay_single_issuer(
         return Err(ReplayError::EmptyTrace);
     }
     let speed = opts.speed.clamp(0.5, 8.0);
-    let trace_devs = usize::from(trace.max_dev().unwrap_or(0)) + 1;
-    let ndisks = opts.data_disks.unwrap_or(0).max(trace_devs);
+    let ndisks = usize::from(trace.max_dev().unwrap_or(0)) + 1;
     let BuiltTarget {
         mut sim,
         stack,
@@ -965,51 +911,24 @@ pub fn replay_single_issuer(
         volumes,
         disks,
         ..
-    } = StackBuilder::new()
-        .data_disks(ndisks)
-        .fs_file_blocks(opts.fs_file_blocks)
-        .faults(opts.faults.clone())
-        .build_target(opts.target)?;
-    if let Some(recorder) = &opts.recorder {
-        stack.set_recorder(Rc::clone(recorder));
-    }
-    if let Some(tap) = &opts.tap {
-        stack.set_tap(Rc::clone(tap));
-    }
-    let drive = Rc::new(drive);
+    } = build(opts, ndisks)?;
     let start = sim.now();
     let state = Rc::new(RefCell::new(State::new(start, opts.max_in_flight)));
+    let issuer = Issuer {
+        stack,
+        drive: Rc::new(drive),
+        state: Rc::clone(&state),
+    };
     let total = trace.len() as u64;
 
     for (idx, r) in trace.records.iter().enumerate() {
         let arrival = start + SimDuration::from_nanos(scale_ns(r.at.as_nanos(), speed));
-        let (dev, lba, sectors) = (usize::from(r.dev), r.lba, r.sectors);
-        let (is_read, stream) = (r.op.is_read(), r.stream);
-        let idx = idx as u64;
-        let stack = Rc::clone(&stack);
-        let drv = Rc::clone(&drive);
-        let st = Rc::clone(&state);
-        sim.schedule_at(arrival, move |sim| {
-            offer(
-                sim,
-                &stack,
-                &drv,
-                &st,
-                DeferredReq {
-                    idx,
-                    dev,
-                    lba,
-                    sectors,
-                    is_read,
-                    stream,
-                },
-            );
-        });
+        let req = Arrival::new(idx as u64, r);
+        let issuer = issuer.clone();
+        sim.schedule_at(arrival, move |sim| offer(sim, &issuer, req));
     }
 
-    if !opts.sample_every.is_zero() {
-        schedule_oracle_sampler(&mut sim, Rc::clone(&state), opts.sample_every, total);
-    }
+    schedule_oracle_sampler(&mut sim, Rc::clone(&state), total);
 
     while state.borrow().completed < total {
         assert!(
@@ -1040,40 +959,53 @@ fn fill_byte(idx: u64) -> u8 {
     (idx as u8).wrapping_mul(31) ^ 0xA5
 }
 
-#[allow(clippy::too_many_arguments)]
-fn submit(
-    sim: &mut Simulator,
-    stack: &Rc<dyn BlockStack>,
-    drv: &Rc<TargetDrive>,
-    st: &Rc<RefCell<State>>,
-    idx: u64,
-    dev: usize,
-    lba: Lba,
-    sectors: u32,
-    is_read: bool,
-    stream: StreamId,
-) {
+/// The one completion every replayed request reports through, whatever
+/// the target hands back: `ok` says whether delivery `T` is a success.
+/// Accounts the outcome, then lets a deferred arrival take the slot.
+fn accounting<T: 'static>(
+    sim: &Simulator,
+    issuer: &Issuer,
+    req: Arrival,
+    ok: fn(&Delivered<T>) -> bool,
+) -> Completion<T> {
     let issued = sim.now();
-    match &**drv {
+    let issuer = issuer.clone();
+    sim.completion(move |sim, d: Delivered<T>| {
+        let now = sim.now();
+        let outcome = ok(&d).then(|| now - issued);
+        issuer
+            .state
+            .borrow_mut()
+            .finish(now, req.idx, req.stream, req.is_read, outcome);
+        drain_deferred(sim, &issuer);
+    })
+}
+
+fn submit(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
+    let Arrival {
+        idx,
+        dev,
+        lba,
+        sectors,
+        is_read,
+        stream,
+    } = req;
+    match &*issuer.drive {
         TargetDrive::Block { capacity } => {
             let headroom = capacity[dev].saturating_sub(u64::from(sectors)) + 1;
             let lba = lba % headroom;
-            let st2 = Rc::clone(st);
-            let stack2 = Rc::clone(stack);
-            let drv2 = Rc::clone(drv);
-            let done: Completion<IoDone> = sim.completion(move |sim, d: Delivered<IoDone>| {
-                let now = sim.now();
-                let outcome = d.is_ok().then(|| now - issued);
-                st2.borrow_mut().finish(now, idx, stream, is_read, outcome);
-                drain_deferred(sim, &stack2, &drv2, &st2);
-            });
+            let done = accounting(sim, issuer, req, |d: &Delivered<IoDone>| d.is_ok());
             // A rejected submission drops the armed token, which cancels
-            // it — the handler above counts that as an error.
+            // it — the accounting counts that as an error.
             let _ = if is_read {
-                stack.read_tagged(sim, dev, lba, sectors, stream, done)
+                issuer
+                    .stack
+                    .read_tagged(sim, dev, lba, sectors, stream, done)
             } else {
                 let data = vec![fill_byte(idx); sectors as usize * SECTOR_SIZE];
-                stack.write_tagged(sim, dev, lba, data.into(), stream, done)
+                issuer
+                    .stack
+                    .write_tagged(sim, dev, lba, data.into(), stream, done)
             };
         }
         TargetDrive::Fs {
@@ -1091,25 +1023,16 @@ fn submit(
                 % (file_blocks.saturating_sub(blocks_needed) + 1);
             let offset = block * FS_BLOCK_SIZE as u64;
             if is_read {
-                let st2 = Rc::clone(st);
-                let stack2 = Rc::clone(stack);
-                let drv2 = Rc::clone(drv);
-                let done = sim.completion(move |sim, d: Delivered<Result<Vec<u8>, FsError>>| {
-                    let now = sim.now();
-                    let outcome = matches!(d, Ok(Ok(_))).then(|| now - issued);
-                    st2.borrow_mut().finish(now, idx, stream, is_read, outcome);
-                    drain_deferred(sim, &stack2, &drv2, &st2);
-                });
+                let done = accounting(
+                    sim,
+                    issuer,
+                    req,
+                    |d: &Delivered<Result<Vec<u8>, FsError>>| matches!(d, Ok(Ok(_))),
+                );
                 let _ = fs.read(sim, *file, offset, bytes, done);
             } else {
-                let st2 = Rc::clone(st);
-                let stack2 = Rc::clone(stack);
-                let drv2 = Rc::clone(drv);
-                let done = sim.completion(move |sim, d: Delivered<Result<(), FsError>>| {
-                    let now = sim.now();
-                    let outcome = matches!(d, Ok(Ok(()))).then(|| now - issued);
-                    st2.borrow_mut().finish(now, idx, stream, is_read, outcome);
-                    drain_deferred(sim, &stack2, &drv2, &st2);
+                let done = accounting(sim, issuer, req, |d: &Delivered<Result<(), FsError>>| {
+                    matches!(d, Ok(Ok(())))
                 });
                 let data = vec![fill_byte(idx); bytes];
                 let _ = fs.write(sim, *file, offset, data, true, done);
@@ -1118,13 +1041,8 @@ fn submit(
     }
 }
 
-fn schedule_oracle_sampler(
-    sim: &mut Simulator,
-    st: Rc<RefCell<State>>,
-    every: SimDuration,
-    total: u64,
-) {
-    sim.schedule_in(every, move |sim| {
+fn schedule_oracle_sampler(sim: &mut Simulator, st: Rc<RefCell<State>>, total: u64) {
+    sim.schedule_in(SAMPLE_EVERY, move |sim| {
         let finished = {
             let mut s = st.borrow_mut();
             let depth = s.inflight;
@@ -1132,7 +1050,7 @@ fn schedule_oracle_sampler(
             s.completed >= total
         };
         if !finished {
-            schedule_oracle_sampler(sim, st, every, total);
+            schedule_oracle_sampler(sim, st, total);
         }
     });
 }
@@ -1332,14 +1250,7 @@ mod tests {
             read_fraction: 0.0,
             ..SyntheticSpec::default()
         });
-        let r = replay(
-            &t,
-            &ReplayOptions {
-                sample_every: SimDuration::from_millis(1),
-                ..ReplayOptions::default()
-            },
-        )
-        .expect("replay");
+        let r = replay(&t, &ReplayOptions::default()).expect("replay");
         assert!(!r.queue_depth.is_empty());
         assert!(r.max_queue_depth > 1, "bursts should overlap service");
     }
@@ -1418,27 +1329,60 @@ mod tests {
         assert_eq!(open.to_json().to_json(), slack.to_json().to_json());
     }
 
+    /// Every count and histogram of the report is its stream lanes
+    /// summed, whether one engine replayed the trace or four shards did.
+    fn assert_lanes_partition(r: &ReplayReport) {
+        let (mut requests, mut reads, mut writes, mut errors) = (0, 0, 0, 0);
+        let mut latency = DurationHistogram::new();
+        let mut read_latency = DurationHistogram::new();
+        let mut write_latency = DurationHistogram::new();
+        for (_, lane) in r.streams.iter() {
+            requests += lane.requests;
+            reads += lane.reads;
+            writes += lane.writes;
+            errors += lane.errors;
+            latency.merge(&lane.latency);
+            read_latency.merge(&lane.read_latency);
+            write_latency.merge(&lane.write_latency);
+        }
+        assert_eq!(
+            (requests, reads, writes, errors),
+            (r.requests, r.reads, r.writes, r.errors)
+        );
+        for (merged, aggregate) in [
+            (latency, &r.latency),
+            (read_latency, &r.read_latency),
+            (write_latency, &r.write_latency),
+        ] {
+            assert_eq!(merged.to_json().to_json(), aggregate.to_json().to_json());
+        }
+    }
+
     #[test]
     fn per_stream_lanes_partition_the_aggregate() {
-        let t = generate(&SyntheticSpec {
+        let spec = SyntheticSpec {
             requests: 60,
             streams: 3,
             read_fraction: 0.3,
             ..SyntheticSpec::default()
-        });
-        let r = replay(&t, &ReplayOptions::default()).expect("replay");
+        };
+        let r = replay(&generate(&spec), &ReplayOptions::default()).expect("replay");
         assert_eq!(r.streams.streams(), 3);
-        let mut requests = 0;
-        let mut lat_count = 0;
-        for (_, lane) in r.streams.iter() {
-            requests += lane.requests;
-            lat_count += lane.latency.count();
-        }
-        assert_eq!(requests, r.requests);
-        assert_eq!(lat_count, r.latency.count());
+        assert_lanes_partition(&r);
         let json = r.to_json().to_json();
         assert!(json.contains("\"streams\""), "streams section in JSON");
         assert!(json.contains("\"latency_fingerprint\""));
         assert!(json.contains("\"peak_resident_records\""));
+
+        let spec = SyntheticSpec { streams: 6, ..spec };
+        let bytes = generate_stream(&spec, 16, Vec::new()).expect("encode");
+        let sharded = crate::replay_stream_sharded(
+            || TraceReader::new(std::io::Cursor::new(bytes.clone())),
+            crate::ShardPlan::new(4),
+            &ReplayOptions::default(),
+        )
+        .expect("sharded replay");
+        assert_eq!(sharded.streams.streams(), 6);
+        assert_lanes_partition(&sharded);
     }
 }

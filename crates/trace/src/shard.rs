@@ -19,12 +19,13 @@
 //!
 //! # What the merge does
 //!
-//! - **Summed**: request/read/write/error counts; latency histograms
-//!   (bucket-wise — a histogram is order-free by construction); the
-//!   host-side `media` ledger (every shard owns its disks).
+//! - **Summed**: request counts; the host-side `media` ledger (every
+//!   shard owns its disks).
 //! - **Concatenated**: per-stream metrics (streams are partitioned
 //!   across shards, so each lane comes from exactly one shard);
-//!   per-volume stats, in shard order.
+//!   per-volume stats, in shard order. The read/write/error counts and
+//!   the latency histograms are then re-derived from the merged lanes,
+//!   exactly as a single engine derives them.
 //! - **Order-independent fold**: the latency fingerprint, a
 //!   wrapping sum of per-record mixes over *global* record indices —
 //!   shard cursors preserve file-order indices (see
@@ -118,9 +119,7 @@ where
     // and rebuild the options around them.
     let ReplayOptions {
         target,
-        data_disks,
         speed,
-        sample_every,
         fs_file_blocks,
         recorder: _,
         tap: _,
@@ -132,12 +131,10 @@ where
         plan.threads.max(1),
         |shard| -> Result<Option<ReplayReport>, ReplayError> {
             let reader = open().map_err(ReplayError::Trace)?;
-            let devices_hint = usize::from(reader.meta().devices).max(1);
+            let ndisks = usize::from(reader.meta().devices).max(1);
             let opts = ReplayOptions {
                 target: *target,
-                data_disks: *data_disks,
                 speed: *speed,
-                sample_every: *sample_every,
                 fs_file_blocks: *fs_file_blocks,
                 recorder: None,
                 tap: None,
@@ -146,7 +143,7 @@ where
             };
             match run_engine(
                 Box::new(ShardCursor::new(reader, shard, shards)),
-                devices_hint,
+                ndisks,
                 &opts,
             ) {
                 Ok(report) => Ok(Some(report)),
@@ -180,14 +177,9 @@ fn merge_reports(mut a: ReplayReport, b: &ReplayReport) -> ReplayReport {
          deterministic boot invariant is broken"
     );
     a.requests += b.requests;
-    a.reads += b.reads;
-    a.writes += b.writes;
-    a.errors += b.errors;
     a.duration = a.duration.max(b.duration);
-    a.latency.merge(&b.latency);
-    a.read_latency.merge(&b.read_latency);
-    a.write_latency.merge(&b.write_latency);
     a.streams.merge(&b.streams);
+    a.sum_lanes();
     a.latency_fingerprint = a.latency_fingerprint.wrapping_add(b.latency_fingerprint);
     a.peak_resident_records = a.peak_resident_records.max(b.peak_resident_records);
     a.max_queue_depth = a.max_queue_depth.max(b.max_queue_depth);

@@ -1,5 +1,5 @@
-//! Properties of the streaming replay dispatcher and the stream
-//! utilities on `Trace`.
+//! Properties of the streaming replay dispatcher and of the canonical
+//! `(arrival, stream)` record order.
 //!
 //! The load-bearing claim: replacing the pre-scheduled O(trace) issue
 //! path with the bounded-memory dispatcher changes *nothing
@@ -17,8 +17,8 @@ use trail_trace::replay::replay_single_issuer;
 use trail_trace::{
     from_binary, generate, generate_stream, import_blkparse, replay, replay_stream,
     replay_stream_sharded, to_binary, ArrivalModel, ChunkEncoding, ImportOptions, ReplayOptions,
-    ShardPlan, StreamId, StreamView, SyntheticSpec, TargetKind, Trace, TraceMeta, TraceOp,
-    TraceReader, TraceRecord,
+    ShardPlan, StreamId, StreamSummaryBuilder, SyntheticSpec, TargetKind, Trace, TraceMeta,
+    TraceOp, TraceReader, TraceRecord,
 };
 
 fn four_stream_trace(requests: usize) -> Trace {
@@ -116,7 +116,11 @@ fn imported_fixture_replays_with_cpu_streams() {
     )
     .expect("import fixture");
     assert_eq!(trace.meta.devices, 2);
-    let summary = trace.per_stream_summary();
+    let mut builder = StreamSummaryBuilder::new();
+    for r in &trace.records {
+        builder.record(r);
+    }
+    let summary = builder.finish();
     assert_eq!(summary.len(), 4, "four CPUs in the fixture");
     assert!(summary.iter().all(|s| !s.stream.is_untagged()));
     let report = replay(&trace, &ReplayOptions::default()).expect("replay import");
@@ -265,7 +269,8 @@ proptest! {
 
     /// `normalize` puts any record soup into canonical `(at, stream)`
     /// order, and that order survives a split-by-stream / merge round
-    /// trip exactly.
+    /// trip exactly: each stream's records keep their arrival order, and
+    /// re-sorting the concatenated streams rebuilds the trace.
     #[test]
     fn normalize_order_survives_split_merge_round_trips(
         records in proptest::collection::vec(arb_record(), 1..80)
@@ -273,27 +278,31 @@ proptest! {
         let mut trace = Trace { meta: TraceMeta::default(), records };
         trace.normalize();
         prop_assert!(trace.validate().is_ok());
-        let parts = trace.split_by_stream();
-        // Views are keyed ascending and preserve within-stream order.
-        for part in &parts {
-            prop_assert!(part.iter().all(|r| r.stream == part.stream()));
-            let ats: Vec<_> = part.iter().map(|r| r.at).collect();
-            prop_assert!(ats.windows(2).all(|w| w[0] <= w[1]));
+        let mut merged = Trace { meta: trace.meta.clone(), records: Vec::new() };
+        for stream in trace.streams() {
+            let part: Vec<TraceRecord> =
+                trace.records.iter().filter(|r| r.stream == stream).copied().collect();
+            prop_assert!(part.windows(2).all(|w| w[0].at <= w[1].at));
+            merged.records.extend(part);
         }
-        let merged = Trace::merge(parts.iter().map(StreamView::to_trace));
+        merged.sort();
         prop_assert_eq!(merged, trace);
     }
 
-    /// Splitting never loses or invents records.
+    /// `streams` names every stream present exactly once, ascending: the
+    /// split by stream never loses or invents records.
     #[test]
     fn split_partitions_the_records(
         records in proptest::collection::vec(arb_record(), 0..60)
     ) {
         let trace = Trace { meta: TraceMeta::default(), records };
-        let parts = trace.split_by_stream();
-        let total: usize = parts.iter().map(StreamView::len).sum();
+        let streams = trace.streams();
+        prop_assert!(streams.windows(2).all(|w| w[0] < w[1]));
+        let total: usize = streams
+            .iter()
+            .map(|s| trace.records.iter().filter(|r| r.stream == *s).count())
+            .sum();
         prop_assert_eq!(total, trace.len());
-        prop_assert_eq!(parts.len(), trace.streams().len());
     }
 
     /// Any record soup encodes through the chunked codec and decodes

@@ -19,9 +19,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use trail_blockio::{
-    BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver, StreamId, TapHandle,
-};
+use trail_blockio::{BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver, StreamId};
 use trail_disk::{CommandKind, Disk, DiskError, Lba, PayloadBuf, ServiceBreakdown, SECTOR_SIZE};
 use trail_sim::{
     Completion, Delivered, Fault, FaultKind, FaultSink, FaultTarget, LatencySummary, SimTime,
@@ -51,7 +49,7 @@ pub struct MemberStats {
 }
 
 impl MemberStats {
-    fn summary_json(&mut self) -> JsonValue {
+    fn summary_json(&self) -> JsonValue {
         JsonValue::obj(vec![
             ("reads", JsonValue::Num(self.read_latency.count() as f64)),
             ("writes", JsonValue::Num(self.write_latency.count() as f64)),
@@ -109,8 +107,8 @@ pub struct VolumeStats {
 
 impl VolumeStats {
     /// Serializes the stats (per-member breakdowns included) to JSON.
-    pub fn summary_json(&mut self) -> JsonValue {
-        let members: Vec<JsonValue> = self.members.iter_mut().map(|m| m.summary_json()).collect();
+    pub fn summary_json(&self) -> JsonValue {
+        let members: Vec<JsonValue> = self.members.iter().map(MemberStats::summary_json).collect();
         JsonValue::obj(vec![
             ("logical_reads", JsonValue::Num(self.logical_reads as f64)),
             ("logical_writes", JsonValue::Num(self.logical_writes as f64)),
@@ -167,7 +165,6 @@ struct VolInner {
     gate: Gate,
     outstanding: usize,
     stats: VolumeStats,
-    tap: Option<(TapHandle, u32)>,
 }
 
 /// A software array over several member drivers. Clones share the volume.
@@ -251,7 +248,6 @@ impl RaidVolume {
                 gate: Gate::new(),
                 outstanding: 0,
                 stats,
-                tap: None,
             })),
         }
     }
@@ -278,16 +274,6 @@ impl RaidVolume {
             .members
             .iter()
             .map(|m| m.disk.clone())
-            .collect()
-    }
-
-    /// Handles to the member drivers, in member order.
-    pub fn member_drivers(&self) -> Vec<StandardDriver> {
-        self.inner
-            .borrow()
-            .members
-            .iter()
-            .map(|m| m.driver.clone())
             .collect()
     }
 
@@ -343,11 +329,6 @@ impl RaidVolume {
         f(&self.inner.borrow().stats)
     }
 
-    /// Serializes the accumulated statistics to JSON.
-    pub fn stats_json(&self) -> JsonValue {
-        self.inner.borrow_mut().stats.summary_json()
-    }
-
     /// Submits a logical request against the volume's address space;
     /// `done` is delivered when every member I/O it expands to (including
     /// parity maintenance) has completed.
@@ -397,14 +378,10 @@ impl RaidVolume {
             let id = RequestId(v.next_id);
             v.next_id += 1;
             v.outstanding += 1;
-            let is_read = req.kind.is_read();
-            if is_read {
+            if req.kind.is_read() {
                 v.stats.logical_reads += 1;
             } else {
                 v.stats.logical_writes += 1;
-            }
-            if let Some((tap, dev)) = &v.tap {
-                tap.on_submit(sim.now(), *dev, req.lba, sectors, is_read, req.stream);
             }
             let payload = match req.kind {
                 IoKind::Read { .. } => Payload::Read,
@@ -500,10 +477,6 @@ impl BlockDevice for RaidVolume {
         for m in &v.members {
             m.driver.set_recorder(Rc::clone(&recorder));
         }
-    }
-
-    fn set_tap(&self, tap: TapHandle, dev: u32) {
-        self.inner.borrow_mut().tap = Some((tap, dev));
     }
 }
 

@@ -411,9 +411,9 @@ pub struct BuiltStack {
 
 impl BuiltStack {
     /// Installs a workload-capture tap on the stack (see
-    /// [`trail_blockio::SubmitTap`]): every request submitted through
-    /// [`BuiltStack::stack`] — directly, through a mounted file system, or
-    /// through the database engine — is reported to the tap at its arrival
+    /// [`trail_blockio::SubmitTap`]): every request [`BuiltStack::stack`]
+    /// accepts — directly, through a mounted file system, or through the
+    /// database engine — is reported to the tap once, at its arrival
     /// instant, which is how `trail-trace` records a scenario's workload.
     pub fn set_tap(&self, tap: trail_blockio::TapHandle) {
         self.stack.set_tap(tap);
