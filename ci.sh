@@ -100,6 +100,21 @@ full_dir="$smoke_dir/full"
 trail_bench all --out-dir "$full_dir" >/dev/null
 [ "$(ls "$full_dir"/BENCH_*.json | wc -l)" -eq 17 ] \
   || { echo "full-size trail-bench all did not write all 17 artifacts" >&2; exit 1; }
+# The RAID sweep at full size: no row loses a request, a healthy 3-member
+# RAID-5 never pays read-modify-write (reconstruct-write reads less), and
+# Trail-fronted reads overtake the members' queued write-backs.
+raid_json="$full_dir/BENCH_raid.json"
+awk 'BEGIN { RS = "[{]\"target\":" } NR > 1 {
+  rows++
+  if ($0 !~ /"errors":0,/) { print "raid row " rows " has errors"; bad = 1 }
+  if ($0 ~ /^"raid5x3/ && $0 ~ /"degraded":0,/ && $0 ~ /"rmw_cycles":[1-9]/) {
+    print "healthy raid5x3 row " rows " ran read-modify-write"; bad = 1
+  }
+} END { exit bad || rows == 0 }' "$raid_json" >&2 \
+  || { echo "BENCH_raid.json fails its row checks" >&2; exit 1; }
+read_speedup="$(grep -o '"small_read_speedup":[0-9.]*' "$raid_json" | grep -o '[0-9.]*$' || true)"
+[ -n "$read_speedup" ] && awk -v s="$read_speedup" 'BEGIN { exit !(s >= 10) }' \
+  || { echo "RAID-5 small_read_speedup '${read_speedup}' missing or below 10" >&2; exit 1; }
 
 echo "== fault-plane and trace-format gate =="
 # FaultPlan on the stack's FaultClock is the one way harnesses schedule

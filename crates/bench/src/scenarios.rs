@@ -1940,10 +1940,10 @@ fn overload_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------------ raid sweep
 
-/// Spans a failed member forced onto a degraded path, over all volumes:
-/// reads reconstructed from parity, and writes without the data member
-/// or without the parity member.
-fn degraded_ops(rep: &ReplayReport) -> (u64, u64) {
+/// Over all volumes: reads reconstructed from parity (only a failed
+/// member causes one), and spans written in reconstruct mode — healthy
+/// reconstruct-writes included — or without the parity member.
+fn reconstructed_ops(rep: &ReplayReport) -> (u64, u64) {
     let reads = rep.volume_stats.iter().map(|v| v.degraded_reads).sum();
     let writes = rep
         .volume_stats
@@ -1976,7 +1976,7 @@ fn raid_sweep_row(
         },
     )
     .expect("raid replay");
-    let (degraded_reads, reconstruct_writes) = degraded_ops(&rep);
+    let (degraded_reads, reconstruct_writes) = reconstructed_ops(&rep);
     table.push(row![
         rep.target.clone(),
         speed,
@@ -2001,9 +2001,9 @@ fn raid_sweep_row(
 /// geometries behind the standard stack and behind Trail, at and above
 /// recorded load, plus degraded-mode (member-failure) and per-stream
 /// (one volume set per Trail instance) rows. The headline is RAID-5's
-/// small-write penalty: the standard stack pays the read-modify-write
-/// cycle on every small write, while Trail acknowledges at log speed
-/// and pays parity maintenance in background write-backs.
+/// small-write penalty: the standard stack pays the parity update on
+/// every small write, while Trail acknowledges at log speed and pays
+/// parity maintenance in background write-backs that reads overtake.
 fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
     use trail::volume::{ReadPolicy, VolumeLayout};
     let requests = cfg.scale.unwrap_or(if cfg.quick { 150 } else { 1200 });
@@ -2057,8 +2057,10 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
         Column::both("max QD", "max_queue_depth", Fmt::Plain),
         Column::json("volumes"),
     ]);
-    let mut std5_mean = 0.0f64;
-    let mut trail5_mean = 0.0f64;
+    // RAID-5 `(write mean, read mean)` in ms at recorded load, standard
+    // and Trail-fronted.
+    let mut std5 = (0.0f64, 0.0f64);
+    let mut trail5 = (0.0f64, 0.0f64);
 
     // Geometry sweep at recorded load, standard vs. Trail-fronted.
     let geoms: &[(VolumeLayout, usize)] = &[
@@ -2085,11 +2087,14 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
             };
             let rep = raid_sweep_row(&trace, target, 1.0, FaultPlan::new(), cfg, &mut table);
             if layout == layout5 {
-                let mean = rep.write_latency.mean().as_millis_f64();
+                let means = (
+                    rep.write_latency.mean().as_millis_f64(),
+                    rep.read_latency.mean().as_millis_f64(),
+                );
                 if trail_front {
-                    trail5_mean = mean;
+                    trail5 = means;
                 } else {
-                    std5_mean = mean;
+                    std5 = means;
                 }
             }
         }
@@ -2131,24 +2136,22 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
             trail: trail_front,
         };
         let rep = raid_sweep_row(&trace, target, 1.0, fail.clone(), cfg, &mut table);
-        let (reads, writes) = degraded_ops(&rep);
         assert!(
-            reads + writes > 0,
-            "degraded {} run never exercised a degraded path",
+            reconstructed_ops(&rep).0 > 0,
+            "degraded {} run never reconstructed a read",
             rep.target
         );
     }
     report += &table.markdown();
 
-    let speedup = if trail5_mean > 0.0 {
-        std5_mean / trail5_mean
-    } else {
-        0.0
-    };
+    let ratio = |std: f64, trail: f64| if trail > 0.0 { std / trail } else { 0.0 };
+    let speedup = ratio(std5.0, trail5.0);
+    let read_speedup = ratio(std5.1, trail5.1);
     let _ = writeln!(
         report,
-        "headline: RAID-5 small-write mean {std5_mean:.3} ms standard vs. \
-         {trail5_mean:.3} ms Trail-fronted ({speedup:.1}x)"
+        "headline: RAID-5 small-write mean {:.3} ms standard vs. {:.3} ms \
+         Trail-fronted ({speedup:.1}x); read mean {:.3} vs. {:.3} ms ({read_speedup:.1}x)",
+        std5.0, trail5.0, std5.1, trail5.1
     );
 
     ScenarioOutput {
@@ -2166,9 +2169,12 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
             (
                 "headline",
                 JsonValue::obj(vec![
-                    ("standard_raid5_write_mean_ms", JsonValue::Num(std5_mean)),
-                    ("trail_raid5_write_mean_ms", JsonValue::Num(trail5_mean)),
+                    ("standard_raid5_write_mean_ms", JsonValue::Num(std5.0)),
+                    ("trail_raid5_write_mean_ms", JsonValue::Num(trail5.0)),
                     ("small_write_speedup", JsonValue::Num(speedup)),
+                    ("standard_raid5_read_mean_ms", JsonValue::Num(std5.1)),
+                    ("trail_raid5_read_mean_ms", JsonValue::Num(trail5.1)),
+                    ("small_read_speedup", JsonValue::Num(read_speedup)),
                 ]),
             ),
         ]),

@@ -198,8 +198,8 @@ impl BlockStack for MultiTrail {
 /// The baseline stack: device `dev` is one block target — a plain
 /// queueing driver over a disk, or a `trail-volume` array — and every
 /// write pays the target's full cost synchronously (seek + rotational
-/// latency at the target address; for RAID-5, the read-modify-write parity
-/// cycle).
+/// latency at the target address; for RAID-5, the small-write parity
+/// update).
 pub struct StandardStack {
     targets: Vec<SharedBlockDevice>,
     tap: RefCell<Option<TapHandle>>,

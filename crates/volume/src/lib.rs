@@ -12,14 +12,16 @@
 //! - **RAID-0** — striping with a configurable chunk;
 //! - **RAID-1** — mirroring, with nearest-head or round-robin reads
 //!   ([`ReadPolicy`]);
-//! - **RAID-5** — rotating parity with the faithful small-write
+//! - **RAID-5** — rotating parity; a small write is the cheaper of the
 //!   read-modify-write cycle (read old data + old parity, XOR, write
-//!   both), a full-stripe-write fast path, reconstruct-mode writes and
-//!   on-the-fly degraded reads when a member fails.
+//!   both) and reconstruct-write (read the data it does not overwrite,
+//!   parity from whole rows), with a full-stripe-write fast path,
+//!   reconstruct-mode writes and on-the-fly degraded reads when a member
+//!   fails.
 //!
 //! RAID-5's small-write penalty is the point: fronting the array with
 //! Trail's log turns every synchronous small write into a track-speed log
-//! append, and the RMW cost is paid later by background write-backs. The
+//! append, and the parity cost is paid later by background write-backs. The
 //! address arithmetic lives in [`layout`]-level pure functions
 //! ([`raid5_parity_member`], [`raid5_map`], …) so the parity algebra is
 //! testable without any I/O; per-stripe serialization is provided by
@@ -43,8 +45,10 @@
 //! });
 //! vol.submit(&mut sim, IoRequest::write(100, vec![1; 2 * SECTOR_SIZE]), done)?;
 //! sim.run();
-//! // A 2-sector write into a 24-sector stripe row is a read-modify-write.
-//! assert_eq!(vol.with_stats(|s| s.rmw_cycles), 1);
+//! // A 2-sector write into a 24-sector stripe row reads two blocks either
+//! // way (old data + parity, or the two chunks it does not touch); the
+//! // tie goes to reconstruct-write.
+//! assert_eq!(vol.with_stats(|s| (s.rmw_cycles, s.reconstruct_writes)), (0, 1));
 //! # Ok::<(), trail_disk::DiskError>(())
 //! ```
 

@@ -6,12 +6,15 @@
 //! single disk — the standard stack, Trail's write-back path — can drive
 //! an array unchanged.
 //!
-//! The interesting machinery is RAID-5's small-write path: a partial
-//! stripe write reads the old data and old parity, XORs the deltas into
-//! the parity, and writes both back — the classic read-modify-write whose
-//! four mechanical I/Os are exactly the cost Trail's log-append front end
-//! hides. Full-stripe writes skip the reads; a failed member switches
-//! writes to reconstruct mode and reads to on-the-fly XOR reconstruction.
+//! The interesting machinery is RAID-5's small-write path. A partial
+//! stripe write either reads the old data and old parity, XORs the deltas
+//! into the parity, and writes both back (the classic read-modify-write),
+//! or reads the data chunks it does not overwrite and computes parity
+//! from whole rows (reconstruct-write) — whichever reads fewer blocks.
+//! Those extra mechanical I/Os are exactly the cost Trail's log-append
+//! front end hides. Full-stripe writes skip the reads; a failed member
+//! switches writes to reconstruct mode and reads to on-the-fly XOR
+//! reconstruction.
 //! Per-stripe serialization (see [`Gate`](crate::Gate)) keeps concurrent
 //! parity updates from losing deltas.
 
@@ -92,8 +95,9 @@ pub struct VolumeStats {
     pub rmw_cycles: u64,
     /// RAID-5 full-stripe writes (parity from new data, no reads).
     pub full_stripe_writes: u64,
-    /// RAID-5 spans written in reconstruct mode (a written data member is
-    /// failed).
+    /// RAID-5 spans written in reconstruct mode: parity from whole rows,
+    /// because that reads no more blocks than read-modify-write or because
+    /// a written data member is failed.
     pub reconstruct_writes: u64,
     /// RAID-5 spans written with the parity member failed.
     pub parityless_writes: u64,
@@ -183,11 +187,12 @@ struct VolInner {
 ///     .collect();
 /// let vol = RaidVolume::new("r5", VolumeLayout::Raid5 { chunk_sectors: 8 }, members);
 /// let done = sim.completion(|_, d: trail_sim::Delivered<trail_blockio::IoDone>| {
-///     d.expect("small write survives the RMW cycle");
+///     d.expect("small write completes");
 /// });
 /// vol.submit(&mut sim, IoRequest::write(3, vec![7; SECTOR_SIZE]), done)?;
 /// sim.run();
-/// assert_eq!(vol.with_stats(|s| s.rmw_cycles), 1);
+/// // On three members a small write reads only the other data chunk.
+/// assert_eq!(vol.with_stats(|s| (s.rmw_cycles, s.reconstruct_writes)), (0, 1));
 /// # Ok::<(), trail_disk::DiskError>(())
 /// ```
 #[derive(Clone)]
@@ -1055,18 +1060,22 @@ enum SpanMode {
     Full,
     /// Parity member failed: write the data segments only.
     ParityLess,
-    /// Partial stripe, everyone involved alive: read old data + old
-    /// parity, fold the deltas into the parity, write both back.
+    /// Partial stripe, fewer reads than [`SpanMode::Reconstruct`]: read
+    /// old data + old parity, fold the deltas into the parity, write both
+    /// back.
     Rmw {
         seg_slots: Vec<usize>,
         parity_slot: usize,
     },
-    /// A written data member is failed: rebuild the stripe's old contents
-    /// from the survivors, overlay the new data, recompute parity.
+    /// Partial stripe, parity from whole rows: read the data chunks the
+    /// write does not fully cover over `[lo, hi)`, overlay the new data,
+    /// XOR the rows into fresh parity. With `rebuild`, a written data
+    /// member is failed: every survivor and the old parity are read, and
+    /// the failed chunk's old row is their XOR.
     Reconstruct {
-        failed_chunk: usize,
         chunk_slots: Vec<(usize, usize)>,
-        parity_slot: usize,
+        /// `(failed chunk, parity slot)` on a degraded stripe.
+        rebuild: Option<(usize, usize)>,
     },
 }
 
@@ -1082,6 +1091,14 @@ struct SpanPlan {
 /// Phase 1 of a RAID-5 write: how each touched stripe will be written
 /// and which old blocks that needs read first. `None` when two members
 /// are gone.
+///
+/// A healthy partial stripe is written in whichever of read-modify-write
+/// and reconstruct-write reads fewer member blocks, reconstruct-write on
+/// a tie (Linux md's rule): its reads mostly miss the chunks it writes,
+/// so fewer writes wait a revolution for a sector just read, and it
+/// leaves the row consistent whatever parity held before.
+/// Reconstruct-write is ruled out when a chunk it would read is on a
+/// failed member.
 fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> Option<(MemberIos, Vec<SpanPlan>)> {
     let n = v.members.len();
     let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
@@ -1094,6 +1111,20 @@ fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> Option<(MemberIos, 
         for span in layout::raid5_write_stripes(n, chunk, o.lba, o.sectors) {
             let range_sectors = (span.hi - span.lo) as u32;
             let range_lba = span.stripe * c64 + span.lo;
+            let mut read = |member: usize, lba: Lba, sectors: u32| {
+                reads.push((member, IoRequest::read(lba, sectors).tagged(o.stream)));
+                reads.len() - 1
+            };
+            let data_member = |ch: usize| layout::raid5_data_member(n, span.stripe, ch);
+            // The data chunks whose old row over [lo, hi) a
+            // reconstruct-write needs: those the write does not cover.
+            let uncovered: Vec<usize> = (0..n - 1)
+                .filter(|&ch| {
+                    !span.segs.iter().any(|s| {
+                        s.chunk == ch && s.off <= span.lo && s.off + u64::from(s.sectors) >= span.hi
+                    })
+                })
+                .collect();
             let mode = if failed[span.parity_member] {
                 v.stats.parityless_writes += 1;
                 SpanMode::ParityLess
@@ -1102,43 +1133,35 @@ fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> Option<(MemberIos, 
                 SpanMode::Full
             } else if let Some(fc) = span.segs.iter().find(|s| failed[s.member]).map(|s| s.chunk) {
                 v.stats.reconstruct_writes += 1;
-                let mut chunk_slots = Vec::with_capacity(n - 2);
-                for ch in 0..n - 1 {
-                    if ch == fc {
-                        continue;
-                    }
-                    let m = layout::raid5_data_member(n, span.stripe, ch);
-                    chunk_slots.push((ch, reads.len()));
-                    reads.push((
-                        m,
-                        IoRequest::read(range_lba, range_sectors).tagged(o.stream),
-                    ));
-                }
-                let parity_slot = reads.len();
-                reads.push((
-                    span.parity_member,
-                    IoRequest::read(range_lba, range_sectors).tagged(o.stream),
-                ));
+                let chunk_slots = (0..n - 1)
+                    .filter(|&ch| ch != fc)
+                    .map(|ch| (ch, read(data_member(ch), range_lba, range_sectors)))
+                    .collect();
+                let parity_slot = read(span.parity_member, range_lba, range_sectors);
                 SpanMode::Reconstruct {
-                    failed_chunk: fc,
                     chunk_slots,
-                    parity_slot,
+                    rebuild: Some((fc, parity_slot)),
+                }
+            } else if uncovered.len() <= span.segs.len() + 1
+                && uncovered.iter().all(|&ch| !failed[data_member(ch)])
+            {
+                v.stats.reconstruct_writes += 1;
+                let chunk_slots = uncovered
+                    .into_iter()
+                    .map(|ch| (ch, read(data_member(ch), range_lba, range_sectors)))
+                    .collect();
+                SpanMode::Reconstruct {
+                    chunk_slots,
+                    rebuild: None,
                 }
             } else {
                 v.stats.rmw_cycles += 1;
-                let mut seg_slots = Vec::with_capacity(span.segs.len());
-                for seg in &span.segs {
-                    seg_slots.push(reads.len());
-                    reads.push((
-                        seg.member,
-                        IoRequest::read(seg.member_lba(chunk), seg.sectors).tagged(o.stream),
-                    ));
-                }
-                let parity_slot = reads.len();
-                reads.push((
-                    span.parity_member,
-                    IoRequest::read(range_lba, range_sectors).tagged(o.stream),
-                ));
+                let seg_slots = span
+                    .segs
+                    .iter()
+                    .map(|seg| read(seg.member, seg.member_lba(chunk), seg.sectors))
+                    .collect();
+                let parity_slot = read(span.parity_member, range_lba, range_sectors);
                 SpanMode::Rmw {
                     seg_slots,
                     parity_slot,
@@ -1250,21 +1273,23 @@ fn raid5_phase2_writes(
                 ));
             }
             SpanMode::Reconstruct {
-                failed_chunk,
                 chunk_slots,
-                parity_slot,
+                rebuild,
             } => {
-                // Old contents of every data chunk row over [lo, hi):
-                // survivors are read directly, the failed one is parity
-                // XOR the survivors.
-                let mut rows: Vec<Vec<u8>> = vec![Vec::new(); n - 1];
-                let mut failed_old = read_bytes(results, *parity_slot).to_vec();
+                // Every data chunk's row over [lo, hi): the ones read
+                // come from the member, a failed one is parity XOR the
+                // survivors, and the rest are wholly overwritten below.
+                let mut rows: Vec<Vec<u8>> = vec![vec![0u8; range_bytes]; n - 1];
                 for (ch, slot) in chunk_slots {
-                    let bytes = read_bytes(results, *slot);
-                    layout::xor_into(&mut failed_old, bytes);
-                    rows[*ch] = bytes.to_vec();
+                    rows[*ch] = read_bytes(results, *slot).to_vec();
                 }
-                rows[*failed_chunk] = failed_old;
+                if let Some((failed_chunk, parity_slot)) = rebuild {
+                    let mut failed_old = read_bytes(results, *parity_slot).to_vec();
+                    for (ch, _) in chunk_slots {
+                        layout::xor_into(&mut failed_old, &rows[*ch]);
+                    }
+                    rows[*failed_chunk] = failed_old;
+                }
                 for seg in &plan.segs {
                     let new = slice_payload(payload, seg.logical_off, seg.sectors);
                     let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
@@ -1396,25 +1421,114 @@ mod tests {
         assert_eq!(writes, vec![2, 2], "both mirrors receive every write");
     }
 
+    /// `(rmw_cycles, reconstruct_writes, full_stripe_writes)` so far.
+    fn raid5_modes(vol: &RaidVolume) -> (u64, u64, u64) {
+        vol.with_stats(|s| (s.rmw_cycles, s.reconstruct_writes, s.full_stripe_writes))
+    }
+
+    /// Whether stripe row `stripe` XORs to zero across the members.
+    fn row_is_consistent(disks: &[Disk], stripe: u64, chunk: u32) -> bool {
+        let c64 = u64::from(chunk);
+        (stripe * c64..(stripe + 1) * c64).all(|lba| {
+            let mut acc = [0u8; SECTOR_SIZE];
+            for d in disks {
+                layout::xor_into(&mut acc, &d.peek_sector(lba));
+            }
+            acc.iter().all(|b| *b == 0)
+        })
+    }
+
     #[test]
-    fn raid5_small_write_is_rmw_and_full_stripe_is_not() {
+    fn raid5_small_write_takes_the_cheaper_parity_update() {
+        let raid5 = VolumeLayout::Raid5 { chunk_sectors: 4 };
+        let mut sim = Simulator::new();
+
+        // 3 members, 8-sector rows. One chunk: reconstruct-write reads the
+        // other chunk (1 read), read-modify-write old data + parity (2).
+        let vol = volume(raid5, 3);
+        write_ok(&mut sim, &vol, 1, pattern(1, 1));
+        assert_eq!(raid5_modes(&vol), (0, 1, 0));
+        let (reads, writes) = vol.with_stats(|s| {
+            s.members.iter().fold((0, 0), |(r, w), m| {
+                (r + m.read_latency.count(), w + m.write_latency.count())
+            })
+        });
+        assert_eq!((reads, writes), (1, 2), "3 member I/Os, not 4");
+        // Two chunks (lba 10..14 straddles them): 2 reads against 3.
+        write_ok(&mut sim, &vol, 10, pattern(4, 2));
+        assert_eq!(raid5_modes(&vol), (0, 2, 0));
+        // A whole row reads nothing.
+        write_ok(&mut sim, &vol, 16, pattern(8, 3));
+        assert_eq!(raid5_modes(&vol), (0, 2, 1));
+
+        // 4 members: one chunk ties at 2 reads, and the tie goes to
+        // reconstruct-write.
+        let vol = volume(raid5, 4);
+        write_ok(&mut sim, &vol, 1, pattern(1, 4));
+        assert_eq!(raid5_modes(&vol), (0, 1, 0));
+
+        // 5 members: one chunk is read-modify-write (2 reads against 3)...
+        let vol = volume(raid5, 5);
+        write_ok(&mut sim, &vol, 1, pattern(1, 5));
+        assert_eq!(raid5_modes(&vol), (1, 0, 0));
+        // ...and three chunks (lba 2..10, the middle one whole) are
+        // reconstruct-write (3 reads against 4).
+        write_ok(&mut sim, &vol, 2, pattern(8, 6));
+        assert_eq!(raid5_modes(&vol), (1, 1, 0));
+        assert_eq!(read_back(&mut sim, &vol, 2, 8), pattern(8, 6));
+    }
+
+    #[test]
+    fn raid5_reconstruct_write_never_reads_a_failed_member() {
+        // 3 members: stripe 0 holds chunk 0 on member 0, chunk 1 on
+        // member 1, parity on member 2.
         let mut sim = Simulator::new();
         let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
-        // Partial: 1 sector out of the 8-sector stripe row.
-        write_ok(&mut sim, &vol, 1, pattern(1, 1));
-        assert_eq!(vol.with_stats(|s| s.rmw_cycles), 1);
-        assert_eq!(vol.with_stats(|s| s.full_stripe_writes), 0);
-        // Full: the entire second stripe row (lba 8..16).
-        write_ok(&mut sim, &vol, 8, pattern(8, 2));
-        assert_eq!(vol.with_stats(|s| s.full_stripe_writes), 1);
-        // An RMW costs 2 reads + 2 writes on the members.
-        let member_reads: u64 = vol.with_stats(|s| {
-            s.members
-                .iter()
-                .map(|m| m.read_latency.count() as u64)
-                .sum()
-        });
-        assert_eq!(member_reads, 2);
+        write_ok(&mut sim, &vol, 0, pattern(8, 5));
+        vol.fail_member(sim.now(), 1);
+        // A write to chunk 0 alone would read chunk 1 under
+        // reconstruct-write; its member is failed, so it is RMW instead.
+        let (reads, plans) =
+            raid5_plan_spans(&mut vol.inner.borrow_mut(), &write_op(1, pattern(1, 6)), 4)
+                .expect("one member failed");
+        assert!(matches!(plans[0].mode, SpanMode::Rmw { .. }));
+        assert_eq!(reads.iter().map(|(m, _)| *m).collect::<Vec<_>>(), [0, 2]);
+
+        let before = raid5_modes(&vol);
+        write_ok(&mut sim, &vol, 1, pattern(1, 6));
+        assert_eq!(raid5_modes(&vol).0, before.0 + 1);
+        assert_eq!(raid5_modes(&vol).1, before.1);
+        assert_eq!(
+            vol.with_stats(|s| s.retried_ops),
+            0,
+            "no sub-I/O went to the failed member"
+        );
+        let mut whole = pattern(8, 5);
+        whole[SECTOR_SIZE..2 * SECTOR_SIZE].copy_from_slice(&pattern(1, 6));
+        assert_eq!(read_back(&mut sim, &vol, 0, 8), whole);
+    }
+
+    #[test]
+    fn raid5_reconstruct_write_heals_torn_parity() {
+        let mut sim = Simulator::new();
+        let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
+        let disks = vol.member_disks();
+        write_ok(&mut sim, &vol, 0, pattern(8, 1));
+        assert!(row_is_consistent(&disks, 0, 4));
+        // A cut between the data and parity writes of lba 0..2: the new
+        // data reached member 0, its parity never did.
+        let new = vec![0xEE; 2 * SECTOR_SIZE];
+        for lba in 0..2 {
+            disks[0].poke_sector(lba, &[0xEE; SECTOR_SIZE]);
+        }
+        assert!(!row_is_consistent(&disks, 0, 4));
+        // Replaying the write (as recovery does) recomputes parity from
+        // the rows; read-modify-write would see a zero delta and leave it
+        // stale.
+        write_ok(&mut sim, &vol, 0, new.clone());
+        assert_eq!(raid5_modes(&vol), (0, 1, 1));
+        assert!(row_is_consistent(&disks, 0, 4));
+        assert_eq!(read_back(&mut sim, &vol, 0, 2), new);
     }
 
     #[test]
@@ -1565,8 +1679,9 @@ mod tests {
     /// view of the logical write's buffer reading exactly the parent's
     /// bytes for its segment, every other sub-write a parity block, and —
     /// once the sub-writes are applied — every touched row must XOR to
-    /// zero across the members.
-    fn check_raid5_sub_writes(members: usize, chunk: u32, extents: usize, seed: u64) {
+    /// zero across the members. Returns how many spans were planned
+    /// full-stripe, read-modify-write and reconstruct-write.
+    fn check_raid5_sub_writes(members: usize, chunk: u32, extents: usize, seed: u64) -> [u32; 3] {
         use rand::Rng;
         let mut sim = Simulator::new();
         let vol = volume(
@@ -1579,7 +1694,8 @@ mod tests {
         let span = 6 * u64::from(chunk) * (members as u64 - 1);
         // Non-zero old contents with consistent parity under them.
         write_ok(&mut sim, &vol, 0, pattern(span as usize, 91));
-        let before = vol.with_stats(|s| (s.full_stripe_writes, s.rmw_cycles));
+        // Spans planned as full-stripe, read-modify-write, reconstruct.
+        let mut modes = [0u32; 3];
         let peek = |member: usize, lba: Lba, sectors: u32| -> Vec<u8> {
             (0..u64::from(sectors))
                 .flat_map(|i| disks[member].peek_sector(lba + i))
@@ -1641,28 +1757,33 @@ mod tests {
                 }
             }
             for plan in &plans {
-                let mut row = vec![0u8; chunk as usize * SECTOR_SIZE];
-                for member in 0..members {
-                    layout::xor_into(
-                        &mut row,
-                        &peek(member, plan.stripe * u64::from(chunk), chunk),
-                    );
-                }
-                assert!(row.iter().all(|b| *b == 0), "stripe {} parity", plan.stripe);
+                assert!(
+                    row_is_consistent(&disks, plan.stripe, chunk),
+                    "stripe {} parity",
+                    plan.stripe
+                );
+                modes[match plan.mode {
+                    SpanMode::Full => 0,
+                    SpanMode::Rmw { .. } => 1,
+                    SpanMode::Reconstruct { .. } => 2,
+                    SpanMode::ParityLess => unreachable!("no member has failed"),
+                }] += 1;
             }
             assert_eq!(read_back(&mut sim, &vol, lba, sectors as u32), data);
         }
-        let after = vol.with_stats(|s| (s.full_stripe_writes, s.rmw_cycles));
-        assert!(
-            after.0 > before.0 && after.1 > before.1,
-            "the extents exercised both full-stripe and read-modify-write spans"
-        );
+        modes
     }
 
     #[test]
     fn raid5_sub_writes_are_views_of_the_parent_with_its_bytes() {
-        check_raid5_sub_writes(4, 4, 120, 7);
-        check_raid5_sub_writes(3, 8, 60, 11);
+        // Up to four members every partial span is reconstruct-write;
+        // from five, single-chunk spans are read-modify-write.
+        let [full, rmw, rcw] = check_raid5_sub_writes(4, 4, 120, 7);
+        assert!(full > 0 && rcw > 0 && rmw == 0, "{full} {rmw} {rcw}");
+        let [full, rmw, rcw] = check_raid5_sub_writes(3, 8, 60, 11);
+        assert!(full > 0 && rcw > 0 && rmw == 0, "{full} {rmw} {rcw}");
+        let [full, rmw, rcw] = check_raid5_sub_writes(5, 4, 120, 13);
+        assert!(full > 0 && rcw > 0 && rmw > 0, "{full} {rmw} {rcw}");
     }
 
     #[test]

@@ -129,9 +129,10 @@ impl Scenario {
     /// [`StandardDriver`] over one raw disk, or a [`RaidVolume`] over
     /// `members` disks when the scenario has a [`VolumeSpec`] — and the
     /// front end ([`LogDevice`]) is booted over the targets without
-    /// knowing which it got. Every driver is C-LOOK; the ones Trail puts
-    /// over *raw* data disks are also [`Priority::ReadsFirst`], so reads
-    /// overtake queued write-backs (paper §4.3).
+    /// knowing which it got. Every driver is C-LOOK; under a Trail or
+    /// Trail-array front end every data drive — raw disk or volume member
+    /// — is also [`Priority::ReadsFirst`], so reads overtake queued
+    /// write-backs (paper §4.3).
     ///
     /// # Errors
     ///
@@ -140,24 +141,24 @@ impl Scenario {
         let mut sim = Simulator::new();
         let mut data_disks: Vec<Disk> = Vec::new();
         let mut volumes: Vec<RaidVolume> = Vec::new();
-        let raw_priority = match self.log_device {
+        let priority = match self.log_device {
             LogDevice::Standard => Priority::None,
             _ => Priority::ReadsFirst,
         };
         // One target per logical device; `tag` distinguishes per-instance
         // volume sets under a Trail array.
         let mut make_set = |tag: &str| -> Vec<SharedBlockDevice> {
-            let mut disk = |name: String, priority| {
+            let mut disk = |name: String| {
                 let d = Disk::new(name, self.data_profile.clone());
                 data_disks.push(d.clone());
                 StandardDriver::with_policy(d, Box::new(Clook::default()), priority)
             };
             (0..self.data_disks)
                 .map(|dev| match self.volume {
-                    None => Rc::new(disk(format!("data{dev}"), raw_priority)) as _,
+                    None => Rc::new(disk(format!("data{dev}"))) as _,
                     Some(spec) => {
                         let members = (0..spec.members)
-                            .map(|m| disk(format!("data{dev}{tag}m{m}"), Priority::None))
+                            .map(|m| disk(format!("data{dev}{tag}m{m}")))
                             .collect();
                         let vol = RaidVolume::new(&format!("vol{dev}{tag}"), spec.layout, members);
                         volumes.push(vol.clone());
@@ -585,6 +586,65 @@ mod tests {
         assert_eq!(built.fault_clock.unhandled(), 0);
         assert!(built.data_disks.iter().all(|d| !d.is_powered()));
         assert!(!built.log_disk.as_ref().unwrap().is_powered());
+    }
+
+    #[test]
+    fn reads_overtake_queued_write_backs_on_trail_fronted_volume_members() {
+        use std::cell::Cell;
+        use trail_sim::Delivered;
+        // `(overtook, queued)`: of the writes still queued on a volume
+        // member when a read was submitted behind them, how many completed
+        // first.
+        let overtaking_writes = |front: fn(StackBuilder) -> StackBuilder| -> (usize, usize) {
+            let b = StackBuilder::new()
+                .data_disks(1)
+                .data_profile(profiles::tiny_test_disk())
+                .log_profile(profiles::tiny_test_disk())
+                .volumes(VolumeLayout::Raid5 { chunk_sectors: 8 }, 3);
+            let mut built = front(b).build().expect("build");
+            let sim = &mut built.sim;
+            let vol = built.volumes[0].clone();
+            let writes = 24;
+            for i in 0..writes {
+                let done = sim.completion(|_, d: Delivered<_>| {
+                    d.expect("write completes");
+                });
+                let data = vec![i as u8; 2 * trail_disk::SECTOR_SIZE];
+                built
+                    .stack
+                    .write(sim, 0, 1024 + i * 256, data, done)
+                    .unwrap();
+            }
+            // Wait until every write has read its stripe's other chunk and
+            // queued its data and parity writes on the members (under
+            // Trail they reach the volume as write-backs, once their log
+            // record is down).
+            let member_reads = || -> usize {
+                vol.with_stats(|s| s.members.iter().map(|m| m.read_latency.count()).sum())
+            };
+            while member_reads() < writes as usize {
+                assert!(sim.step(), "every write reaches the volume");
+            }
+            // The read (lba 0, on member 0) sits below every queued write,
+            // where C-LOOK alone would reach it last.
+            let member0_writes = move || vol.with_stats(|s| s.members[0].write_latency.count());
+            let before = member0_writes();
+            let at_read = Rc::new(Cell::new(0));
+            let (at_read2, count) = (Rc::clone(&at_read), member0_writes.clone());
+            let done = sim.completion(move |_, d: Delivered<_>| {
+                d.expect("read completes");
+                at_read2.set(count());
+            });
+            built.stack.read(sim, 0, 0, 2, done).unwrap();
+            sim.run();
+            (at_read.get() - before, member0_writes() - before)
+        };
+        // Under Trail only the write already under the head finishes
+        // first; the standard stack's read waits out the whole sweep.
+        let (overtook, queued) = overtaking_writes(StackBuilder::trail_default);
+        assert!(queued > 1 && overtook <= 1, "{overtook} of {queued}");
+        let (overtook, queued) = overtaking_writes(StackBuilder::standard);
+        assert!(queued > 1 && overtook == queued, "{overtook} of {queued}");
     }
 
     #[test]
