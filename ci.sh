@@ -115,6 +115,15 @@ awk 'BEGIN { RS = "[{]\"target\":" } NR > 1 {
 read_speedup="$(grep -o '"small_read_speedup":[0-9.]*' "$raid_json" | grep -o '[0-9.]*$' || true)"
 [ -n "$read_speedup" ] && awk -v s="$read_speedup" 'BEGIN { exit !(s >= 10) }' \
   || { echo "RAID-5 small_read_speedup '${read_speedup}' missing or below 10" >&2; exit 1; }
+# The §5.1 micro runs at full size: with the calibrated head-switch and
+# cylinder-crossing leads, no repositioning read waits out a revolution,
+# sparse or clustered (the miss ledger counts each lost one).
+micro_json="$full_dir/BENCH_micro.json"
+awk 'BEGIN { RS = "[{]\"run\":" } NR > 1 {
+  rows++
+  if ($0 !~ /"lost_reposition_reads":0,/) { print "micro ledger row " rows " lost a reposition revolution"; bad = 1 }
+} END { exit bad || rows == 0 }' "$micro_json" >&2 \
+  || { echo "BENCH_micro.json fails its ledger check" >&2; exit 1; }
 
 echo "== fault-plane and trace-format gate =="
 # FaultPlan on the stack's FaultClock is the one way harnesses schedule

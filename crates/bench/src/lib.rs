@@ -15,7 +15,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
-use trail_core::{TrailConfig, TrailDriver};
+use trail_core::{TrailConfig, TrailDriver, TrailStats};
 use trail_db::{BlockStack, Database, DbConfig, FlushPolicy};
 use trail_disk::{Disk, SECTOR_SIZE};
 use trail_sim::{Delivered, LatencySummary, SimDuration, Simulator};
@@ -91,6 +91,9 @@ pub enum ArrivalMode {
 pub struct SyncWriteResult {
     /// Per-request latencies.
     pub latency: LatencySummary,
+    /// The Trail driver's counters at the end of the run (`None` on the
+    /// standard stack).
+    pub trail: Option<TrailStats>,
 }
 
 /// Runs the §5.1 synchronous-write workload against Trail: `procs`
@@ -174,7 +177,8 @@ fn sync_writes(
     built.sim.run();
     assert_eq!(built.stack.pending_work(), 0, "stack drained");
     let latency = lat.borrow().clone();
-    SyncWriteResult { latency }
+    let trail = built.trail.map(|t| t.with_stats(Clone::clone));
+    SyncWriteResult { latency, trail }
 }
 
 struct WriterParams {

@@ -19,13 +19,15 @@ use std::rc::Rc;
 
 use rand::Rng;
 use trail_core::{
-    format_log_disk, read_header, recover, FormatOptions, LogRouting, MultiTrail, RecoveryOptions,
-    TrailConfig, TrailDriver,
+    format_log_disk, read_header, recover, FormatOptions, LogRouting, MissTally, MultiTrail,
+    RecoveryOptions, TrailConfig, TrailDriver, TrailStats,
 };
 use trail_db::{FlushPolicy, StorageService};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_fs::{FileSystem, FsError, Lfs, LfsConfig};
-use trail_probe::{calibrate_delta, estimate_write_overhead, measure_rotation_period};
+use trail_probe::{
+    calibrate_delta, calibrate_track_leads, estimate_write_overhead, measure_rotation_period,
+};
 use trail_serve::{
     run_fleet, AdmissionPolicy, FleetMode, FleetReport, FleetSpec, Server, ServerConfig,
 };
@@ -631,6 +633,13 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
         "fixed write overhead estimate: {:.3} ms (paper: ~1.3 ms hardware-related)",
         overhead.as_millis_f64()
     );
+    let leads = calibrate_track_leads(&mut sim, &disk, rotation).expect("track-lead calibration");
+    let _ = writeln!(
+        report,
+        "reposition leads: head switch {:.3} ms, cylinder crossing {:.3} ms (read overhead + move + one sector)",
+        leads.switch.as_millis_f64(),
+        leads.crossing.as_millis_f64()
+    );
 
     // --- Driver-level latency anchors ---------------------------------
     let sparse = ArrivalMode::Sparse {
@@ -679,6 +688,12 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
         "one-sector sync write (clustered): mean {:.3} ms — includes visible repositioning (paper: write + reposition ≈ 3.0 ms)",
         clustered.latency.mean().as_millis_f64()
     );
+    let ledger = ledger_table(
+        &[("sparse", &one_sector), ("clustered", &clustered)]
+            .map(|(run, result)| (run, result.trail.as_ref().expect("a Trail run"))),
+    );
+    let _ = writeln!(report, "miss ledger (one-sector runs):");
+    report += &ledger.markdown();
 
     // --- Residual rotational latency ----------------------------------
     // Run a sparse workload and read the log disk's rotation-wait stats.
@@ -720,6 +735,14 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
                 JsonValue::Num(overhead.as_millis_f64()),
             ),
             (
+                "switch_lead_ms",
+                JsonValue::Num(leads.switch.as_millis_f64()),
+            ),
+            (
+                "crossing_lead_ms",
+                JsonValue::Num(leads.crossing.as_millis_f64()),
+            ),
+            (
                 "one_sector_sparse_ms",
                 JsonValue::Num(one_sector.latency.mean().as_millis_f64()),
             ),
@@ -734,8 +757,68 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
             ("residual_rotation_mean_ms", JsonValue::Num(mean_rot)),
             ("residual_rotation_max_ms", JsonValue::Num(max_rot)),
             ("repositions", JsonValue::Num(repositions as f64)),
+            ("ledger", ledger.json()),
         ]),
     }
+}
+
+/// The miss ledger of Trail runs, one row each: how often and how slowly
+/// the driver repositioned, the log-disk revolutions each kind of command
+/// lost, and for each reason a record missed its predicted sector the
+/// share of records that missed for it and their mean rotational wait.
+fn ledger_table(runs: &[(&str, &TrailStats)]) -> Table {
+    let mut table = Table::new(vec![
+        Column::both("run", "run", Fmt::Plain),
+        Column::both("records", "records", Fmt::Plain),
+        Column::both("repositions", "repositions", Fmt::Plain),
+        Column::both(
+            "reposition read (ms)",
+            "reposition_read_mean_ms",
+            Fmt::Fixed(3),
+        ),
+        Column::both("lost revs: writes", "lost_record_writes", Fmt::Plain),
+        Column::both(
+            "lost revs: repositions",
+            "lost_reposition_reads",
+            Fmt::Plain,
+        ),
+        Column::both("lost revs: idle", "lost_idle_refreshes", Fmt::Plain),
+        Column::both("miss: occupied", "occupied_share", Fmt::Percent(1)),
+        Column::both("wait (ms)", "occupied_wait_ms", Fmt::Fixed(3)),
+        Column::both(
+            "miss: run hits used",
+            "run_ends_at_used_share",
+            Fmt::Percent(1),
+        ),
+        Column::both("wait (ms)", "run_ends_at_used_wait_ms", Fmt::Fixed(3)),
+        Column::both(
+            "miss: run hits track end",
+            "run_ends_at_track_end_share",
+            Fmt::Percent(1),
+        ),
+        Column::both("wait (ms)", "run_ends_at_track_end_wait_ms", Fmt::Fixed(3)),
+    ]);
+    let per = |total: SimDuration, n: u64| total.as_millis_f64() / n.max(1) as f64;
+    for &(run, s) in runs {
+        let share = |t: MissTally| t.count as f64 / s.log_records.max(1) as f64;
+        let m = s.predict_misses;
+        table.push(row![
+            run,
+            s.log_records,
+            s.repositions,
+            per(s.reposition_time, s.repositions),
+            s.lost_revolutions.record_writes,
+            s.lost_revolutions.reposition_reads,
+            s.lost_revolutions.idle_refreshes,
+            share(m.occupied),
+            per(m.occupied.wait, m.occupied.count),
+            share(m.run_ends_at_used),
+            per(m.run_ends_at_used.wait, m.run_ends_at_used.count),
+            share(m.run_ends_at_track_end),
+            per(m.run_ends_at_track_end.wait, m.run_ends_at_track_end.count),
+        ]);
+    }
+    table
 }
 
 // ------------------------------------------------------------- ablation
@@ -1297,13 +1380,13 @@ fn table2_config(
     policy: FlushPolicy,
     chain: ChainOn,
     txns: usize,
-) -> TpccReport {
+) -> (TpccReport, Option<TrailStats>) {
     let rig = TpccRig {
         policy,
         seed: cfg.mix(TpccRig::default().seed),
     };
     let mut setup = tpcc_setup(trail, &rig, cfg.handle());
-    run(
+    let report = run(
         &mut setup.sim,
         &setup.db,
         setup.workload,
@@ -1312,14 +1395,16 @@ fn table2_config(
             concurrency: 1,
             chain_on: chain,
         },
-    )
+    );
+    (report, setup.trail.map(|t| t.with_stats(Clone::clone)))
 }
 
 fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
     let txns = cfg.scale.unwrap_or(if cfg.quick { 300 } else { 5000 });
-    let trail = table2_config(cfg, true, FlushPolicy::EveryCommit, ChainOn::Durable, txns);
-    let plain = table2_config(cfg, false, FlushPolicy::EveryCommit, ChainOn::Durable, txns);
-    let gc = table2_config(
+    let (trail, trail_stats) =
+        table2_config(cfg, true, FlushPolicy::EveryCommit, ChainOn::Durable, txns);
+    let (plain, _) = table2_config(cfg, false, FlushPolicy::EveryCommit, ChainOn::Durable, txns);
+    let (gc, _) = table2_config(
         cfg,
         false,
         FlushPolicy::GroupCommit {
@@ -1379,6 +1464,12 @@ fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
         100.0 * (1.0 - trail.logging_io_time.as_secs_f64() / plain.logging_io_time.as_secs_f64()),
         gc.response.mean().as_secs_f64() / plain.response.mean().as_secs_f64(),
     );
+    let ledger = ledger_table(&[(
+        "ext2+trail",
+        trail_stats.as_ref().expect("the Trail rig has a driver"),
+    )]);
+    let _ = writeln!(report, "EXT2+Trail miss ledger:");
+    report += &ledger.markdown();
 
     ScenarioOutput {
         report,
@@ -1386,6 +1477,7 @@ fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
             ("bench", JsonValue::str("table2")),
             ("transactions", JsonValue::Num(txns as f64)),
             ("rows", table.json()),
+            ("ledger", ledger.json()),
         ]),
     }
 }

@@ -76,6 +76,71 @@ pub struct TrailStats {
     pub writebacks: u64,
     /// Write-backs that raced with a newer overwrite and were cancelled.
     pub superseded_writebacks: u64,
+    /// Summed service time of the repositioning reads.
+    pub reposition_time: SimDuration,
+    /// Log-disk revolutions lost, by the command that lost them.
+    pub lost_revolutions: LostRevolutions,
+    /// Records that did not start at the predicted sector, by why.
+    pub predict_misses: PredictMisses,
+}
+
+/// Log-disk commands whose rotational wait exceeded ¾ of a revolution — the
+/// test `trail_probe` calibrates with — by command. Accounting only: the
+/// driver reads these off each command's service breakdown and never
+/// predicts from them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LostRevolutions {
+    /// Write records.
+    pub record_writes: u64,
+    /// Repositioning reads onto a fresh track.
+    pub reposition_reads: u64,
+    /// Idle-time reference refreshes.
+    pub idle_refreshes: u64,
+}
+
+/// How many records missed their predicted sector for one cause, and the
+/// rotational wait they paid for it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MissTally {
+    /// Records.
+    pub count: u64,
+    /// Their summed rotational wait.
+    pub wait: SimDuration,
+}
+
+/// Records that did not start at the predicted sector, split by why the
+/// free-space search moved them (every `PredictMiss` event is counted in
+/// exactly one field).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PredictMisses {
+    /// The predicted sector already held a record.
+    pub occupied: MissTally,
+    /// The free run at the predicted sector ended at a used sector before
+    /// the record fit.
+    pub run_ends_at_used: MissTally,
+    /// The free run at the predicted sector ended at the end of the track
+    /// before the record fit.
+    pub run_ends_at_track_end: MissTally,
+}
+
+/// Why a record did not start at the predicted sector.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MissCause {
+    Occupied,
+    RunEndsAtUsed,
+    RunEndsAtTrackEnd,
+}
+
+impl PredictMisses {
+    fn record(&mut self, cause: MissCause, wait: SimDuration) {
+        let tally = match cause {
+            MissCause::Occupied => &mut self.occupied,
+            MissCause::RunEndsAtUsed => &mut self.run_ends_at_used,
+            MissCause::RunEndsAtTrackEnd => &mut self.run_ends_at_track_end,
+        };
+        tally.count += 1;
+        tally.wait += wait;
+    }
 }
 
 struct AckState {
@@ -143,6 +208,19 @@ impl CurrentTrack {
         None
     }
 
+    /// Why a record that [`find_fit`](Self::find_fit) did not place at
+    /// `predicted` could not start there: the sector is used, or its free
+    /// run is too short and ends at a used sector or at the track's end.
+    fn miss_cause(&self, predicted: u32) -> MissCause {
+        if self.used[predicted as usize] {
+            MissCause::Occupied
+        } else if predicted + self.free_run_len(predicted) < self.spt() {
+            MissCause::RunEndsAtUsed
+        } else {
+            MissCause::RunEndsAtTrackEnd
+        }
+    }
+
     /// Length of the free run starting at `s`.
     fn free_run_len(&self, s: u32) -> u32 {
         let spt = self.spt();
@@ -173,13 +251,13 @@ struct ActiveRecord {
 struct Inner {
     config: TrailConfig,
     effective_max_batch: u32,
-    rotation_period: trail_sim::SimDuration,
+    /// The header this instance mounted under (its epoch, not clean).
+    header: LogDiskHeader,
     log_disk: Disk,
     data: Vec<SharedBlockDevice>,
     data_capacity: Vec<u64>,
     geometry: DiskGeometry,
     predictor: HeadPredictor,
-    epoch: u64,
     next_seq: u64,
     prev_record_lba: Option<u32>,
     pool: TrackPool,
@@ -226,10 +304,9 @@ struct RecordCtx {
     header_sector: u32,
     total_sectors: u32,
     batch: Vec<QueuedWrite>,
-    /// Whether the record landed exactly at the predicted sector (the
-    /// §3.1 prediction was used as-is; a miss means the predicted sector
-    /// was occupied and the head had to wait for a later free run).
-    predicted_hit: bool,
+    /// Why the record did not land at the predicted sector, or `None` when
+    /// it did (the §3.1 prediction was used as-is).
+    miss: Option<MissCause>,
 }
 
 /// The Trail track-based logging driver. Clones share the driver.
@@ -362,19 +439,23 @@ impl TrailDriver {
                 "data target too large for the on-disk u32 LBA format"
             );
         }
-        let predictor = HeadPredictor::new(geometry.clone(), header.rotation_period, header.delta);
+        let predictor = HeadPredictor::new(
+            geometry.clone(),
+            header.rotation_period,
+            header.delta,
+            header.leads,
+        );
         let lifecycle = LifecycleEmitter::new(Layer::Core, log_disk.name());
         let driver = TrailDriver {
             inner: Rc::new(RefCell::new(Inner {
                 config,
                 effective_max_batch,
-                rotation_period: header.rotation_period,
+                header: new_header,
                 log_disk,
                 data: targets,
                 data_capacity,
                 geometry,
                 predictor,
-                epoch,
                 next_seq: 0,
                 prev_record_lba: None,
                 pool: TrackPool::new(first, last),
@@ -636,11 +717,8 @@ impl TrailDriver {
                 sim.cancel(t);
             }
             let header = LogDiskHeader {
-                epoch: d.epoch,
                 clean: true,
-                rotation_period: d.rotation_period,
-                delta: d.predictor.delta(),
-                geometry: d.geometry.clone(),
+                ..d.header.clone()
             };
             (d.log_disk.clone(), header)
         };
@@ -675,7 +753,7 @@ impl TrailDriver {
 
     /// The epoch this driver instance writes under.
     pub fn epoch(&self) -> u64 {
-        self.inner.borrow().epoch
+        self.inner.borrow().header.epoch
     }
 
     /// Number of blocks pinned in buffer memory.
@@ -794,7 +872,9 @@ impl TrailDriver {
                 LogAction::Reposition
             };
         };
-        let run = d.current.as_ref().expect("checked above").free_run_len(s);
+        let cur = d.current.as_ref().expect("checked above");
+        let run = cur.free_run_len(s);
+        let miss = (s != pred_sector).then(|| cur.miss_cause(pred_sector));
         let cap = (run - 1).min(d.effective_max_batch);
         let mut batch = Vec::new();
         let mut total = 0u32;
@@ -829,7 +909,7 @@ impl TrailDriver {
             })
             .collect();
         let (_, bytes) = build_record(
-            d.epoch,
+            d.header.epoch,
             seq,
             d.prev_record_lba,
             log_head_lba,
@@ -849,7 +929,7 @@ impl TrailDriver {
                 header_sector: s,
                 total_sectors: total,
                 batch,
-                predicted_hit: s == pred_sector,
+                miss,
             },
         }
     }
@@ -871,6 +951,12 @@ impl TrailDriver {
             d.pool.add_record(ctx.track);
             d.stats.log_records += 1;
             d.stats.batch_sizes.push(ctx.total_sectors);
+            if d.lost_revolution(&res.breakdown) {
+                d.stats.lost_revolutions.record_writes += 1;
+            }
+            if let Some(cause) = ctx.miss {
+                d.stats.predict_misses.record(cause, res.breakdown.rotation);
+            }
 
             // One batch can log a block twice; the record waits on it once.
             let mut keys: Vec<BlockKey> = ctx
@@ -947,7 +1033,7 @@ impl TrailDriver {
         self.emit(
             completed,
             SimDuration::ZERO,
-            if ctx.predicted_hit {
+            if ctx.miss.is_none() {
                 EventKind::PredictHit
             } else {
                 EventKind::PredictMiss
@@ -993,7 +1079,7 @@ impl TrailDriver {
                     }
                     let (_, lba) = d
                         .predictor
-                        .predict_on_track(next, sim.now(), 0)
+                        .predict_on_track(next, sim.now())
                         .unwrap_or((0, d.geometry.track_first_lba(next)));
                     d.log_busy = true;
                     Some((next, lba))
@@ -1012,6 +1098,10 @@ impl TrailDriver {
                 d.current = Some(CurrentTrack::new(next, spt));
                 d.log_busy = false;
                 d.stats.repositions += 1;
+                d.stats.reposition_time += res.breakdown.total;
+                if d.lost_revolution(&res.breakdown) {
+                    d.stats.lost_revolutions.reposition_reads += 1;
+                }
             }
             driver.emit(
                 res.issued,
@@ -1066,6 +1156,9 @@ impl TrailDriver {
                 d.predictor.set_reference(res.completed, res.lba);
                 d.log_busy = false;
                 d.stats.idle_refreshes += 1;
+                if d.lost_revolution(&res.breakdown) {
+                    d.stats.lost_revolutions.idle_refreshes += 1;
+                }
             }
             driver.service_log(sim);
         });
@@ -1159,6 +1252,15 @@ impl TrailDriver {
     }
 }
 
+impl Inner {
+    /// Whether a log-disk command waited more than ¾ of a revolution for
+    /// its first sector: it lost the revolution its prediction aimed to
+    /// save.
+    fn lost_revolution(&self, service: &ServiceBreakdown) -> bool {
+        service.rotation.as_nanos() * 4 > self.header.rotation_period.as_nanos() * 3
+    }
+}
+
 /// The block targets Trail runs raw data disks behind: one queueing driver
 /// per disk, C-LOOK with reads ahead of write-backs (paper §4.3).
 pub(crate) fn raw_targets(disks: &[Disk]) -> Vec<SharedBlockDevice> {
@@ -1189,7 +1291,7 @@ impl fmt::Debug for TrailDriver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let d = self.inner.borrow();
         f.debug_struct("TrailDriver")
-            .field("epoch", &d.epoch)
+            .field("epoch", &d.header.epoch)
             .field("log_queue", &d.log_queue.len())
             .field("pinned", &d.buffers.pinned_blocks())
             .field("active_records", &d.active_records.len())

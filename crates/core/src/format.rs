@@ -26,6 +26,7 @@
 use std::fmt;
 
 use trail_disk::{DiskGeometry, SectorBuf, Zone, SECTOR_SIZE};
+use trail_probe::TrackLeads;
 use trail_sim::SimDuration;
 
 /// Length of the on-disk signature fields (the paper's `MAX_SIG_LEN`).
@@ -52,6 +53,9 @@ pub const NO_PREV_SECT: u32 = u32::MAX;
 
 const HEADER_FIXED_LEN: usize = 49;
 const ENTRY_LEN: usize = 11;
+/// Where the log-disk header's zone table starts: after the two cross-track
+/// leads at bytes 45..61.
+const DISK_HEADER_FIXED_LEN: usize = 61;
 
 /// The payload checksum of a write record: four independent 64-bit
 /// multiply-rotate lanes over the payload's little-endian words, folded to
@@ -146,6 +150,8 @@ pub struct LogDiskHeader {
     pub rotation_period: SimDuration,
     /// Calibrated prediction offset δ, in sectors.
     pub delta: u32,
+    /// Calibrated cross-track leads a repositioning read aims ahead by.
+    pub leads: TrackLeads,
     /// The drive's physical geometry ("stored right next to the global
     /// disk header").
     pub geometry: DiskGeometry,
@@ -160,7 +166,7 @@ impl LogDiskHeader {
     /// the sector.
     pub fn encode(&self) -> Result<SectorBuf, FormatError> {
         let zones = self.geometry.zones();
-        if HEADER_FIXED_LEN + zones.len() * 8 > SECTOR_SIZE {
+        if DISK_HEADER_FIXED_LEN + zones.len() * 8 > SECTOR_SIZE {
             return Err(FormatError::TooManyZones);
         }
         let mut b = [0u8; SECTOR_SIZE];
@@ -173,7 +179,9 @@ impl LogDiskHeader {
         b[33..37].copy_from_slice(&self.geometry.track_skew().to_le_bytes());
         b[37..41].copy_from_slice(&self.geometry.cyl_skew().to_le_bytes());
         b[41..45].copy_from_slice(&(zones.len() as u32).to_le_bytes());
-        let mut off = HEADER_FIXED_LEN;
+        b[45..53].copy_from_slice(&self.leads.switch.as_nanos().to_le_bytes());
+        b[53..61].copy_from_slice(&self.leads.crossing.as_nanos().to_le_bytes());
+        let mut off = DISK_HEADER_FIXED_LEN;
         for z in zones {
             b[off..off + 4].copy_from_slice(&z.cylinders.to_le_bytes());
             b[off + 4..off + 8].copy_from_slice(&z.spt.to_le_bytes());
@@ -188,7 +196,8 @@ impl LogDiskHeader {
     ///
     /// Returns [`FormatError::BadSignature`] if the sector is not a Trail
     /// disk header, or [`FormatError::Corrupt`] if its fields are
-    /// inconsistent.
+    /// inconsistent — a lead of zero or of more than a revolution
+    /// included.
     pub fn decode(b: &SectorBuf) -> Result<Self, FormatError> {
         if b[0..8] != DISK_SIGNATURE {
             return Err(FormatError::BadSignature);
@@ -206,11 +215,25 @@ impl LogDiskHeader {
         let track_skew = u32::from_le_bytes(b[33..37].try_into().expect("slice len"));
         let cyl_skew = u32::from_le_bytes(b[37..41].try_into().expect("slice len"));
         let n_zones = u32::from_le_bytes(b[41..45].try_into().expect("slice len")) as usize;
-        if heads == 0 || n_zones == 0 || HEADER_FIXED_LEN + n_zones * 8 > SECTOR_SIZE {
+        let leads = TrackLeads {
+            switch: SimDuration::from_nanos(u64::from_le_bytes(
+                b[45..53].try_into().expect("slice len"),
+            )),
+            crossing: SimDuration::from_nanos(u64::from_le_bytes(
+                b[53..61].try_into().expect("slice len"),
+            )),
+        };
+        if heads == 0 || n_zones == 0 || DISK_HEADER_FIXED_LEN + n_zones * 8 > SECTOR_SIZE {
+            return Err(FormatError::Corrupt);
+        }
+        if [leads.switch, leads.crossing]
+            .iter()
+            .any(|lead| lead.is_zero() || *lead > rotation)
+        {
             return Err(FormatError::Corrupt);
         }
         let mut zones = Vec::with_capacity(n_zones);
-        let mut off = HEADER_FIXED_LEN;
+        let mut off = DISK_HEADER_FIXED_LEN;
         for _ in 0..n_zones {
             let cylinders = u32::from_le_bytes(b[off..off + 4].try_into().expect("slice len"));
             let spt = u32::from_le_bytes(b[off + 4..off + 8].try_into().expect("slice len"));
@@ -225,6 +248,7 @@ impl LogDiskHeader {
             clean,
             rotation_period: rotation,
             delta,
+            leads,
             geometry: DiskGeometry::new(heads, zones, track_skew, cyl_skew),
         })
     }
@@ -448,6 +472,10 @@ mod tests {
             clean: true,
             rotation_period: SimDuration::from_nanos(11_111_111),
             delta: 12,
+            leads: TrackLeads {
+                switch: SimDuration::from_nanos(1_604_938),
+                crossing: SimDuration::from_nanos(2_345_679),
+            },
             geometry: profiles::seagate_st41601n().geometry,
         }
     }
@@ -458,6 +486,33 @@ mod tests {
         let sector = h.encode().unwrap();
         let back = LogDiskHeader::decode(&sector).unwrap();
         assert_eq!(back, h);
+        assert_eq!(back.leads, h.leads, "both leads survive, to the nanosecond");
+    }
+
+    #[test]
+    fn disk_header_rejects_impossible_leads() {
+        let revolution = sample_header().rotation_period;
+        let one_ns = SimDuration::from_nanos(1);
+        for bad in [SimDuration::ZERO, revolution + one_ns, SimDuration::MAX] {
+            for crossing in [false, true] {
+                let mut h = sample_header();
+                if crossing {
+                    h.leads.crossing = bad;
+                } else {
+                    h.leads.switch = bad;
+                }
+                let sector = h.encode().unwrap();
+                assert_eq!(
+                    LogDiskHeader::decode(&sector),
+                    Err(FormatError::Corrupt),
+                    "lead {bad} (crossing: {crossing})"
+                );
+            }
+        }
+        // A lead of exactly one revolution is the longest a lead can be.
+        let mut h = sample_header();
+        h.leads.crossing = revolution;
+        assert_eq!(LogDiskHeader::decode(&h.encode().unwrap()), Ok(h));
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! well as the signature and crash variable to the dedicated tracks on the
 //! log disk." The formatter also runs the timing probes (rotation period
 //! and δ calibration) whose results the driver's prediction formula
-//! consumes. It does **not** zero the medium: bumping the epoch at every
+//! consumes, plus the two cross-track leads a repositioning read aims
+//! ahead by. It does **not** zero the medium: bumping the epoch at every
 //! driver initialization is what retires stale records.
 
 use trail_disk::{Disk, DiskCommand, DiskGeometry, Lba};
-use trail_probe::{calibrate_delta, measure_rotation_period, run_blocking};
+use trail_probe::{calibrate_delta, calibrate_track_leads, measure_rotation_period, run_blocking};
 use trail_sim::{SimDuration, Simulator};
 
 use crate::error::TrailError;
@@ -87,6 +88,7 @@ pub fn format_log_disk(
         clean: true,
         rotation_period,
         delta,
+        leads: calibrate_track_leads(sim, disk, rotation_period)?,
         geometry: geometry.clone(),
     };
     write_header(sim, disk, &header)?;

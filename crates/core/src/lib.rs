@@ -63,7 +63,7 @@ mod tracks;
 
 pub use buffer::{BlockKey, BufferTable, WritebackOutcome};
 pub use config::TrailConfig;
-pub use driver::{BootReport, TrailDriver, TrailStats};
+pub use driver::{BootReport, LostRevolutions, MissTally, PredictMisses, TrailDriver, TrailStats};
 pub use error::TrailError;
 pub use multi::{LogRouting, MultiTrail};
 
@@ -74,3 +74,4 @@ pub use formatter::{
 pub use predict::{HeadPredictor, Reference};
 pub use recovery::{recover, recover_with_targets, RecoveryOptions, RecoveryReport};
 pub use tracks::TrackPool;
+pub use trail_probe::TrackLeads;

@@ -15,13 +15,16 @@
 //! formula plus its cross-track generalization (needed when repositioning
 //! to "the sector on the next track that is physically the closest"),
 //! which converts the reference to an absolute platter angle using the
-//! geometry's skew table.
+//! geometry's skew table and aims ahead of it by a calibrated lead: the
+//! head-switch lead within a cylinder, the cylinder-crossing lead across
+//! one ([`trail_probe::calibrate_track_leads`]).
 //!
 //! The predictor uses **only** information available to real driver
-//! software: the reference point, the probed geometry, and δ. It never
-//! reads the simulator's spindle phase.
+//! software: the reference point, the probed geometry, δ and the two
+//! leads. It never reads the simulator's spindle phase.
 
 use trail_disk::{DiskGeometry, Lba};
+use trail_probe::TrackLeads;
 use trail_sim::{SimDuration, SimTime};
 
 /// A prediction reference point: at `t0`, the head had just passed the far
@@ -41,10 +44,14 @@ pub struct Reference {
 /// ```
 /// use trail_disk::profiles;
 /// use trail_sim::{SimDuration, SimTime};
-/// use trail_core::HeadPredictor;
+/// use trail_core::{HeadPredictor, TrackLeads};
 ///
 /// let p = profiles::seagate_st41601n();
-/// let mut predictor = HeadPredictor::new(p.geometry, p.mech.rotation_period, 12);
+/// let leads = TrackLeads {
+///     switch: SimDuration::from_micros(1_605),
+///     crossing: SimDuration::from_micros(2_346),
+/// };
+/// let mut predictor = HeadPredictor::new(p.geometry, p.mech.rotation_period, 12, leads);
 /// predictor.set_reference(SimTime::ZERO, 0);
 /// // Immediately after the reference, the prediction is δ sectors ahead.
 /// let lba = predictor.predict_same_track(SimTime::ZERO).unwrap();
@@ -55,6 +62,7 @@ pub struct HeadPredictor {
     geometry: DiskGeometry,
     rotation_period: SimDuration,
     delta: u32,
+    leads: TrackLeads,
     reference: Option<Reference>,
 }
 
@@ -64,7 +72,12 @@ impl HeadPredictor {
     /// # Panics
     ///
     /// Panics if `rotation_period` is zero.
-    pub fn new(geometry: DiskGeometry, rotation_period: SimDuration, delta: u32) -> Self {
+    pub fn new(
+        geometry: DiskGeometry,
+        rotation_period: SimDuration,
+        delta: u32,
+        leads: TrackLeads,
+    ) -> Self {
         assert!(
             !rotation_period.is_zero(),
             "rotation period must be positive"
@@ -73,13 +86,9 @@ impl HeadPredictor {
             geometry,
             rotation_period,
             delta,
+            leads,
             reference: None,
         }
-    }
-
-    /// The calibrated δ in sectors.
-    pub fn delta(&self) -> u32 {
-        self.delta
     }
 
     /// The current reference point, if any.
@@ -149,21 +158,35 @@ impl HeadPredictor {
         Some((edge + frac).rem_euclid(1.0))
     }
 
-    /// Cross-track prediction: the sector of `track` that the head can
-    /// reach first when a command is issued at `t1`, compensated by δ plus
-    /// `extra_lead` sectors (of the target track). Used to pick "the
-    /// sector on the next track that is physically the closest" when
-    /// repositioning.
+    /// Cross-track prediction: the sector of `track` whose start the head
+    /// reaches first when a one-sector read is issued at `t1` — "the
+    /// sector on the next track that is physically the closest", where a
+    /// repositioning read lands. The head aims ahead of its extrapolated
+    /// angle by the head-switch lead when `track` shares the reference's
+    /// cylinder and by the cylinder-crossing lead when it does not (δ on
+    /// the reference's own track).
     ///
     /// Returns the (sector, LBA) pair, or `None` without a reference.
     ///
     /// # Panics
     ///
     /// Panics if `track` is outside the disk.
-    pub fn predict_on_track(&self, track: u64, t1: SimTime, extra_lead: u32) -> Option<(u32, Lba)> {
+    pub fn predict_on_track(&self, track: u64, t1: SimTime) -> Option<(u32, Lba)> {
+        let r = self.reference?;
         let angle = self.head_angle(t1)?;
-        let spt = self.geometry.spt_of_track(track);
-        let lead = f64::from(self.delta + extra_lead) / f64::from(spt);
+        let from = self
+            .geometry
+            .track_of_lba(r.lba)
+            .expect("reference validated at installation");
+        let cylinder = |t| self.geometry.track_to_cyl_head(t).0;
+        let period = self.rotation_period.as_nanos() as f64;
+        let lead = if track == from {
+            f64::from(self.delta) / f64::from(self.geometry.spt_of_track(track))
+        } else if cylinder(track) == cylinder(from) {
+            self.leads.switch.as_nanos() as f64 / period
+        } else {
+            self.leads.crossing.as_nanos() as f64 / period
+        };
         let sector = self
             .geometry
             .next_sector_from_angle(track, (angle + lead).rem_euclid(1.0));
@@ -179,9 +202,18 @@ mod tests {
     use super::*;
     use trail_disk::profiles;
 
+    /// The ST41601N's calibrated leads: 13 and 19 sectors at spt 90.
+    fn leads() -> TrackLeads {
+        let period = profiles::seagate_st41601n().mech.rotation_period;
+        TrackLeads {
+            switch: period * 13 / 90,
+            crossing: period * 19 / 90,
+        }
+    }
+
     fn predictor(delta: u32) -> HeadPredictor {
         let p = profiles::seagate_st41601n();
-        HeadPredictor::new(p.geometry, p.mech.rotation_period, delta)
+        HeadPredictor::new(p.geometry, p.mech.rotation_period, delta, leads())
     }
 
     #[test]
@@ -189,7 +221,7 @@ mod tests {
         let p = predictor(10);
         assert_eq!(p.predict_same_track(SimTime::ZERO), None);
         assert_eq!(p.head_angle(SimTime::ZERO), None);
-        assert_eq!(p.predict_on_track(1, SimTime::ZERO, 0), None);
+        assert_eq!(p.predict_on_track(1, SimTime::ZERO), None);
     }
 
     #[test]
@@ -241,7 +273,7 @@ mod tests {
         // reference-edge offset plus one sector of formula floor loss —
         // exactly what the probe's recommended value (minimal + margin)
         // provides. Sweep several issue delays to hit varied phases.
-        let mut p = HeadPredictor::new(profile.geometry.clone(), mech.rotation_period, 13);
+        let mut p = HeadPredictor::new(profile.geometry.clone(), mech.rotation_period, 13, leads());
         p.set_reference(res.completed, 0);
         let mut worst = trail_sim::SimDuration::ZERO;
         let mut at = res.completed;
@@ -274,23 +306,78 @@ mod tests {
     }
 
     #[test]
+    fn reposition_reads_keep_their_revolution_across_switches_and_crossings() {
+        // The cross-track twin of the honesty check above: a read aimed by
+        // `predict_on_track` at the next track waits well under a sector
+        // or two, whether the move is a head switch or a cylinder crossing
+        // — with the leads the probe measures, not the model's constants.
+        use trail_disk::{Disk, DiskCommand};
+        use trail_sim::Simulator;
+
+        let profile = profiles::seagate_st41601n();
+        let g = profile.geometry.clone();
+        let mut sim = Simulator::new();
+        let disk = Disk::new("log", profile.clone());
+        let leads =
+            trail_probe::calibrate_track_leads(&mut sim, &disk, profile.mech.rotation_period)
+                .unwrap();
+        let mut p = HeadPredictor::new(g.clone(), profile.mech.rotation_period, 14, leads);
+        let last_surface = u64::from(g.heads()) - 1;
+        for (from, crossing) in [(last_surface, true), (3, false)] {
+            let mut worst = SimDuration::ZERO;
+            for (i, delay_us) in [0u64, 333, 1_717, 4_200, 8_765, 10_999]
+                .into_iter()
+                .enumerate()
+            {
+                let reference = g.track_first_lba(from) + 13 * i as u64;
+                let read = |sim: &mut Simulator, lba| {
+                    trail_probe::run_blocking(sim, &disk, DiskCommand::Read { lba, count: 1 })
+                        .unwrap()
+                };
+                let res = read(&mut sim, reference);
+                p.set_reference(res.completed, reference);
+                sim.run_until(res.completed + SimDuration::from_micros(delay_us));
+                let (_, target) = p.predict_on_track(from + 1, sim.now()).unwrap();
+                let moved = read(&mut sim, target);
+                let expected_move = if crossing {
+                    profile.mech.seek.track_to_track()
+                } else {
+                    profile.mech.head_switch
+                };
+                assert_eq!(moved.breakdown.seek, expected_move);
+                worst = worst.max(moved.breakdown.rotation);
+            }
+            assert!(
+                worst.as_millis_f64() < 0.5,
+                "crossing {crossing}: residual rotation {worst} after a reposition"
+            );
+        }
+    }
+
+    #[test]
     fn cross_track_prediction_respects_skew() {
         let profile = profiles::seagate_st41601n();
         let g = profile.geometry.clone();
+        let period = profile.mech.rotation_period.as_nanos() as f64;
         let mut p = predictor(0);
         p.set_reference(SimTime::ZERO, 0);
         // At t0, head angle = trailing edge of sector 0 of track 0.
         let angle = p.head_angle(SimTime::ZERO).unwrap();
         assert!((angle - 1.0 / 90.0).abs() < 1e-9);
-        let (sector, lba) = p.predict_on_track(1, SimTime::ZERO, 0).unwrap();
-        // The chosen sector's start on track 1 must not precede the head.
-        let target_angle = g.sector_angle(1, sector);
-        let forward = (target_angle - angle).rem_euclid(1.0);
-        assert!(
-            forward < 1.5 / 90.0,
-            "picked sector {sector} is {forward} of a revolution ahead"
-        );
-        assert_eq!(lba, g.track_first_lba(1) + u64::from(sector));
+        // Track 1 shares cylinder 0 (a head switch); track 17 is cylinder 1.
+        for (track, lead) in [(1u64, leads().switch), (17, leads().crossing)] {
+            let (sector, lba) = p.predict_on_track(track, SimTime::ZERO).unwrap();
+            // The chosen sector starts at the lead, or within a sector past
+            // it — never before.
+            let target_angle = g.sector_angle(track, sector);
+            let forward = (target_angle - angle).rem_euclid(1.0);
+            let lead = lead.as_nanos() as f64 / period;
+            assert!(
+                forward + 1e-6 >= lead && forward < lead + 1.0 / 90.0,
+                "track {track}: picked sector {sector} is {forward} of a revolution ahead"
+            );
+            assert_eq!(lba, g.track_first_lba(track) + u64::from(sector));
+        }
     }
 
     #[test]

@@ -294,6 +294,101 @@ fn reposition_every_write_ablation() {
 }
 
 #[test]
+fn repositions_across_cylinder_boundaries_lose_no_revolution() {
+    // A clustered chain that repositions after every write walks tracks
+    // 1, 2, 3, … of the 17-surface log disk, so it crosses onto cylinders 1
+    // and 2 at tracks 17 and 34. Each crossing read aims by the calibrated
+    // crossing lead and must not wait out a revolution.
+    let mut sim = Simulator::new();
+    let (drv, _) = boot(
+        &mut sim,
+        profiles::seagate_st41601n(),
+        1,
+        TrailConfig {
+            reposition_every_write: true,
+            ..TrailConfig::default()
+        },
+    );
+    fn chain(sim: &mut Simulator, drv: TrailDriver, left: u64) {
+        if left == 0 {
+            return;
+        }
+        let next = drv.clone();
+        let done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
+            d.expect("durable");
+            chain(sim, next, left - 1);
+        });
+        drv.write(sim, 0, left * 8, sector_data(left as u8, 1), done)
+            .unwrap();
+    }
+    chain(&mut sim, drv.clone(), 40);
+    drv.run_until_quiescent(&mut sim);
+    drv.with_stats(|s| {
+        assert_eq!(s.log_records, 40);
+        assert_eq!(s.repositions, 40, "reached track 41, past two crossings");
+        assert_eq!(s.lost_revolutions.reposition_reads, 0);
+        assert_eq!(s.lost_revolutions.record_writes, 0);
+        // Overhead, switch or seek, and a sector or two of lead: well
+        // under the 1.7 ms + 11.1 ms a missed crossing costs.
+        let mean = s.reposition_time.as_millis_f64() / s.repositions as f64;
+        assert!(mean < 2.2, "reposition read mean {mean} ms");
+    });
+}
+
+#[test]
+fn every_prediction_miss_has_one_cause() {
+    // Five closed-loop writers of mixed sizes keep the log disk busy, so
+    // records are batched and many miss their predicted sector.
+    let mut sim = Simulator::new();
+    let (drv, _) = boot(
+        &mut sim,
+        profiles::seagate_st41601n(),
+        1,
+        TrailConfig::default(),
+    );
+    let recorder = trail_telemetry::MemoryRecorder::shared();
+    drv.set_recorder(recorder.clone());
+    fn writer(sim: &mut Simulator, drv: TrailDriver, id: u64, left: u64) {
+        if left == 0 {
+            return;
+        }
+        let next = drv.clone();
+        let done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
+            d.expect("durable");
+            writer(sim, next, id, left - 1);
+        });
+        let sectors = 1 + ((id * 7 + left * 3) % 8) as usize;
+        drv.write(
+            sim,
+            0,
+            id * 900 + left * 14,
+            sector_data(id as u8, sectors),
+            done,
+        )
+        .unwrap();
+    }
+    for id in 0..5 {
+        writer(&mut sim, drv.clone(), id, 60);
+    }
+    drv.run_until_quiescent(&mut sim);
+    let misses = recorder.count_kind("PredictMiss") as u64;
+    let hits = recorder.count_kind("PredictHit") as u64;
+    drv.with_stats(|s| {
+        let m = s.predict_misses;
+        assert_eq!(hits + misses, s.log_records);
+        assert_eq!(
+            m.occupied.count + m.run_ends_at_used.count + m.run_ends_at_track_end.count,
+            misses,
+            "{m:?}"
+        );
+        assert!(misses > 0, "the workload must exercise the ledger");
+        for tally in [m.occupied, m.run_ends_at_used, m.run_ends_at_track_end] {
+            assert_eq!(tally.count == 0, tally.wait.is_zero(), "{m:?}");
+        }
+    });
+}
+
+#[test]
 fn large_write_splits_and_acks_once() {
     let mut sim = Simulator::new();
     let (drv, data) = boot(

@@ -17,7 +17,10 @@
 //!   adjacent tracks, recovered from completion timestamps;
 //! - [`calibrate_delta`] — the paper's experiment: single-sector writes at
 //!   increasing offsets δ from a reference point; the smallest δ that does
-//!   not pay a full rotation is the calibration result.
+//!   not pay a full rotation is the calibration result;
+//! - [`calibrate_track_leads`] — the same experiment across a track
+//!   boundary: how far ahead on the *next* track a read must aim to
+//!   survive a head switch, and a cylinder crossing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -247,6 +250,118 @@ pub fn calibrate_delta(
     })
 }
 
+/// Slack added on top of the minimal clearing cross-track lead: one sector
+/// of the probed track, against the phase rounding of landing on a sector
+/// boundary.
+pub const TRACK_LEAD_SLACK: u32 = 1;
+
+/// How long a one-sector read, issued the instant the previous command
+/// finished, needs before it can transfer on the next track: the angular
+/// lead the driver aims ahead of the head when it repositions (paper §3.1,
+/// "the sector on the next track that is physically the closest").
+///
+/// Durations, not sectors: the log ring crosses zones, and the same time
+/// is a different number of sectors in each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TrackLeads {
+    /// To the next surface of the same cylinder (a head switch).
+    pub switch: SimDuration,
+    /// To the first surface of the next cylinder (a track-to-track seek).
+    pub crossing: SimDuration,
+}
+
+/// Calibrates both [`TrackLeads`] with the δ technique, reading only: a
+/// reference read on a track in the middle of cylinder 0 (last track of
+/// cylinder 0 for the crossing), then a read of the next track aimed
+/// further and further ahead of where the reference left the head. The
+/// first lead that does not pay a full revolution, plus
+/// [`TRACK_LEAD_SLACK`], is the result; the sweep stops there. Leads are
+/// converted to time with the probed `rotation_period`.
+///
+/// On a one-surface disk every next track is on the next cylinder, so the
+/// switch lead is the crossing lead.
+///
+/// # Errors
+///
+/// Propagates submission errors; [`DiskError::OutOfRange`] if the disk has
+/// a single cylinder.
+///
+/// # Examples
+///
+/// ```
+/// use trail_sim::Simulator;
+/// use trail_disk::{profiles, Disk};
+///
+/// let mut sim = Simulator::new();
+/// let disk = Disk::new("log", profiles::seagate_st41601n());
+/// let period = trail_probe::measure_rotation_period(&mut sim, &disk, 3)?;
+/// let leads = trail_probe::calibrate_track_leads(&mut sim, &disk, period)?;
+/// // 0.4 ms read overhead + 1.0 ms head switch, 1.7 ms track-to-track seek.
+/// assert!(leads.switch.as_millis_f64() > 1.4 && leads.crossing.as_millis_f64() > 2.1);
+/// assert!(leads.switch < leads.crossing);
+/// # Ok::<(), trail_disk::DiskError>(())
+/// ```
+pub fn calibrate_track_leads(
+    sim: &mut Simulator,
+    disk: &Disk,
+    rotation_period: SimDuration,
+) -> Result<TrackLeads, DiskError> {
+    let heads = u64::from(disk.geometry().heads());
+    let crossing = track_lead(sim, disk, heads - 1, rotation_period)?;
+    let switch = if heads > 1 {
+        track_lead(sim, disk, heads - 2, rotation_period)?
+    } else {
+        crossing
+    };
+    Ok(TrackLeads { switch, crossing })
+}
+
+/// The cross-track lead from `track` to `track + 1` (see
+/// [`calibrate_track_leads`]).
+fn track_lead(
+    sim: &mut Simulator,
+    disk: &Disk,
+    track: u64,
+    period: SimDuration,
+) -> Result<SimDuration, DiskError> {
+    let geometry = disk.geometry();
+    let next = track + 1;
+    if next >= geometry.total_tracks() {
+        return Err(DiskError::OutOfRange);
+    }
+    let spt = geometry.spt_of_track(next);
+    let reference = geometry.track_first_lba(track);
+    // The reference read leaves the head at the trailing edge of its sector.
+    let edge = geometry.sector_angle(track, 0) + 1.0 / f64::from(geometry.spt_of_track(track));
+    let threshold = period.mul_f64(0.75);
+    let mut minimal = spt - 1;
+    for lead in 0..spt {
+        run_blocking(
+            sim,
+            disk,
+            DiskCommand::Read {
+                lba: reference,
+                count: 1,
+            },
+        )?;
+        let sector = geometry.next_sector_from_angle(next, edge + f64::from(lead) / f64::from(spt));
+        let res = run_blocking(
+            sim,
+            disk,
+            DiskCommand::Read {
+                lba: geometry.track_first_lba(next) + u64::from(sector),
+                count: 1,
+            },
+        )?;
+        if res.completed.duration_since(res.issued) < threshold {
+            minimal = lead;
+            break;
+        }
+    }
+    let sectors = (minimal + TRACK_LEAD_SLACK).min(spt);
+    Ok(period * u64::from(sectors) / u64::from(spt))
+}
+
 /// Estimates the fixed per-write command overhead as the best observed
 /// single-sector write latency minus the transfer time, sweeping `samples`
 /// target offsets on `track` from a fixed reference point (the same
@@ -401,6 +516,59 @@ mod tests {
         assert!(
             (1.2..1.6).contains(&ms),
             "calibrated single-sector write took {ms} ms, expected ~1.4"
+        );
+    }
+
+    #[test]
+    fn track_leads_cover_the_modelled_switch_and_crossing() {
+        for profile in [profiles::seagate_st41601n(), profiles::tiny_test_disk()] {
+            let mut sim = Simulator::new();
+            let disk = Disk::new("log", profile);
+            let mech = disk.mechanics();
+            let leads = calibrate_track_leads(&mut sim, &disk, mech.rotation_period).unwrap();
+            let sector = mech.sector_time(disk.geometry().spt_of_track(0));
+            let switch = mech.read_overhead + mech.head_switch;
+            let crossing = mech.read_overhead + mech.seek.track_to_track().max(mech.head_switch);
+            // Each lead clears its move, by at most the slack plus the one
+            // sector the discrete sweep can overshoot by.
+            for (lead, cost) in [(leads.switch, switch), (leads.crossing, crossing)] {
+                assert!(lead >= cost, "lead {lead} below its move {cost}");
+                assert!(lead <= cost + sector * 2, "lead {lead} far above {cost}");
+            }
+        }
+        // At spt 90: 1.4 ms is 11.3 sectors and 2.1 ms is 17.0, so the
+        // first clearing leads are 12 and 18 sectors.
+        let (mut sim, disk) = setup();
+        let period = disk.mechanics().rotation_period;
+        let leads = calibrate_track_leads(&mut sim, &disk, period).unwrap();
+        assert_eq!(
+            leads.switch,
+            period * (12 + u64::from(TRACK_LEAD_SLACK)) / 90
+        );
+        assert_eq!(
+            leads.crossing,
+            period * (18 + u64::from(TRACK_LEAD_SLACK)) / 90
+        );
+    }
+
+    #[test]
+    fn track_leads_need_a_second_cylinder() {
+        let mut sim = Simulator::new();
+        let mut profile = profiles::tiny_test_disk();
+        profile.geometry = trail_disk::DiskGeometry::new(
+            2,
+            vec![trail_disk::Zone {
+                cylinders: 1,
+                spt: 40,
+            }],
+            4,
+            3,
+        );
+        let disk = Disk::new("one-cylinder", profile);
+        let period = disk.mechanics().rotation_period;
+        assert_eq!(
+            calibrate_track_leads(&mut sim, &disk, period),
+            Err(DiskError::OutOfRange)
         );
     }
 

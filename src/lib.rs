@@ -15,7 +15,7 @@
 //! | [`sim`] | `trail-sim` | deterministic discrete-event simulator, virtual time, measurement collectors |
 //! | [`disk`] | `trail-disk` | zoned-geometry rotating-disk model with power-failure injection |
 //! | [`blockio`] | `trail-blockio` | request queues, C-LOOK/FIFO schedulers, the baseline driver |
-//! | [`probe`] | `trail-probe` | rotation/skew/δ calibration (paper §3.1) |
+//! | [`probe`] | `trail-probe` | rotation/skew/δ/reposition-lead calibration (paper §3.1) |
 //! | [`core`] | `trail-core` | **the Trail driver**: head prediction, self-describing log, batching, recovery |
 //! | [`db`] | `trail-db` | WAL + group commit + page cache transactional engine |
 //! | [`tpcc`] | `trail-tpcc` | the TPC-C workload and closed-loop terminals |

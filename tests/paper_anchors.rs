@@ -43,7 +43,7 @@ fn sparse_writes(n: usize, bytes: usize) -> (f64, f64) {
 #[test]
 fn one_sector_write_is_about_1_4_ms() {
     // Paper §5.1: "the synchronous write latency for a one-sector write
-    // request is consistently around 1.40 msec". Ours carries the +2
+    // request is consistently around 1.40 msec". Ours carries the +3
     // sector calibration margin, so allow up to 2.0.
     let (mean, _) = sparse_writes(100, 512);
     assert!(
@@ -120,7 +120,8 @@ fn reposition_cost_is_about_1_5_ms() {
     let (trail, _) = TrailDriver::start(&mut sim, log, vec![data], config).expect("boot");
     // Clustered chain of 40 one-sector writes: each cycle = write +
     // reposition, so cycle time ≈ 1.4 + ~1.6 ≈ 3.0 ms (paper: "Trail can
-    // complete a one-sector synchronous disk write within 3.0 msec").
+    // complete a one-sector synchronous disk write within 3.0 msec"). The
+    // chain crosses two cylinder boundaries (tracks 17 and 34).
     let start = sim.now();
     let done = Rc::new(std::cell::Cell::new(0u32));
     fn chain(sim: &mut Simulator, trail: TrailDriver, done: Rc<std::cell::Cell<u32>>, i: u64) {
@@ -142,11 +143,13 @@ fn reposition_cost_is_about_1_5_ms() {
         assert!(sim.step(), "writes stalled");
     }
     let per_cycle = sim.now().duration_since(start).as_millis_f64() / 40.0;
-    // Our calibrated δ carries a +2-sector safety margin on both the write
-    // and the repositioning read (~0.5 ms/cycle over the paper's 3.0 ms),
-    // plus the modeled write-after-write delay.
+    // Our calibrated δ carries a +3-sector safety margin on the write, and
+    // the repositioning read aims one sector past its calibrated lead
+    // (~0.5 ms/cycle over the paper's 3.0 ms). Two crossings that each
+    // lose a revolution add ~0.55 ms to every cycle of this chain, which
+    // the band's upper end rejects.
     assert!(
-        (2.5..4.3).contains(&per_cycle),
+        (2.5..3.8).contains(&per_cycle),
         "write+reposition cycle {per_cycle} ms, paper says ~3.0"
     );
 }

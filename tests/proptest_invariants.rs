@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use trail::core::format::{
     build_record, payload_checksum, restore_payload, RecordHeader, RecordWrite,
 };
-use trail::core::{HeadPredictor, TrackPool};
+use trail::core::{HeadPredictor, TrackLeads, TrackPool};
 use trail::db::Page;
 use trail::disk::{DiskGeometry, SectorBuf, Zone, SECTOR_SIZE};
 use trail::sim::{SimDuration, SimTime};
@@ -197,25 +197,33 @@ proptest! {
     }
 
     /// The predictor's same-track output is always a sector on the
-    /// reference's track, regardless of elapsed time.
+    /// reference's track, and its cross-track output a sector on the track
+    /// asked for, regardless of elapsed time, δ or leads.
     #[test]
     fn predictor_stays_on_track(
         ref_lba in 0u64..3_000_000,
         elapsed_ns in 0u64..1_000_000_000,
         delta in 0u32..32,
+        lead_ns in (1u64..=11_111_111, 1u64..=11_111_111),
     ) {
         let p = trail::disk::profiles::seagate_st41601n();
         let total = p.geometry.total_sectors();
         let ref_lba = ref_lba % total;
+        let leads = TrackLeads {
+            switch: SimDuration::from_nanos(lead_ns.0),
+            crossing: SimDuration::from_nanos(lead_ns.1),
+        };
         let mut predictor =
-            HeadPredictor::new(p.geometry.clone(), p.mech.rotation_period, delta);
+            HeadPredictor::new(p.geometry.clone(), p.mech.rotation_period, delta, leads);
         predictor.set_reference(SimTime::ZERO, ref_lba);
         let t1 = SimTime::ZERO + SimDuration::from_nanos(elapsed_ns);
         let predicted = predictor.predict_same_track(t1).expect("has reference");
-        prop_assert_eq!(
-            p.geometry.track_of_lba(predicted),
-            p.geometry.track_of_lba(ref_lba)
-        );
+        let track = p.geometry.track_of_lba(ref_lba).expect("in range");
+        prop_assert_eq!(p.geometry.track_of_lba(predicted), Some(track));
+        let next = (track + 1) % p.geometry.total_tracks();
+        let (sector, lba) = predictor.predict_on_track(next, t1).expect("has reference");
+        prop_assert!(sector < p.geometry.spt_of_track(next));
+        prop_assert_eq!(p.geometry.track_of_lba(lba), Some(next));
     }
 
     /// TrackPool against a reference model: FIFO reclamation, exact free
