@@ -18,7 +18,7 @@ use trail_blockio::IoDone;
 use trail_core::{TrailConfig, TrailDriver, TrailStats};
 use trail_db::{BlockStack, Database, DbConfig, FlushPolicy};
 use trail_disk::{Disk, SECTOR_SIZE};
-use trail_sim::{Delivered, LatencySummary, SimDuration, Simulator};
+use trail_sim::{Delivered, DurationHistogram, SimDuration, Simulator};
 use trail_telemetry::RecorderHandle;
 use trail_tpcc::{populate, CpuModel, Scale, Workload};
 
@@ -90,7 +90,7 @@ pub enum ArrivalMode {
 #[derive(Clone, Debug)]
 pub struct SyncWriteResult {
     /// Per-request latencies.
-    pub latency: LatencySummary,
+    pub latency: DurationHistogram,
     /// The Trail driver's counters at the end of the run (`None` on the
     /// standard stack).
     pub trail: Option<TrailStats>,
@@ -158,7 +158,7 @@ fn sync_writes(
     if let Some(r) = recorder {
         built.stack.set_recorder(r);
     }
-    let lat = Rc::new(RefCell::new(LatencySummary::new()));
+    let lat = Rc::new(RefCell::new(DurationHistogram::new()));
     let capacity = built.data_disks[0].geometry().total_sectors() - 1024;
     for p in 0..procs {
         spawn_writer(
@@ -194,7 +194,7 @@ struct WriterParams {
 fn spawn_writer(
     sim: &mut Simulator,
     stack: Rc<dyn BlockStack>,
-    lat: Rc<RefCell<LatencySummary>>,
+    lat: Rc<RefCell<DurationHistogram>>,
     params: WriterParams,
 ) {
     use rand::Rng;

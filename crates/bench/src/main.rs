@@ -58,7 +58,8 @@ use trail_bench::{
 };
 use trail_sim::SimDuration;
 use trail_telemetry::{
-    chrome_trace_string, metrics_json_string, JsonValue, MemoryRecorder, RecorderHandle,
+    chrome_trace_string, histogram_json, metrics_json_string, JsonValue, MemoryRecorder,
+    RecorderHandle,
 };
 use trail_trace::{
     generate_stream, recode, replay_stream, replay_stream_sharded, ArrivalModel, ChunkEncoding,
@@ -298,8 +299,8 @@ fn cmd_giga(args: &[String]) -> Result<(), String> {
          fingerprint equal the single engine's"
     );
     assert_eq!(
-        single.latency.to_json().to_json(),
-        sharded.latency.to_json().to_json(),
+        histogram_json(&single.latency).to_json(),
+        histogram_json(&sharded.latency).to_json(),
         "merged latency histogram differs from the single engine's"
     );
     println!(

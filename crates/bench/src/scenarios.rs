@@ -31,8 +31,8 @@ use trail_probe::{
 use trail_serve::{
     run_fleet, AdmissionPolicy, FleetMode, FleetReport, FleetSpec, Server, ServerConfig,
 };
-use trail_sim::{Delivered, FaultPlan, LatencySummary, SimDuration, Simulator};
-use trail_telemetry::{JsonValue, RecorderHandle};
+use trail_sim::{Delivered, DurationHistogram, FaultPlan, SimDuration, Simulator};
+use trail_telemetry::{histogram_json, JsonValue, RecorderHandle};
 use trail_tpcc::{run, ChainOn, RunConfig, TpccReport};
 use trail_trace::{
     generate, generate_stream, recode, replay as trace_replay,
@@ -850,7 +850,7 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         };
         let mut tb = testbed(config, None);
         let mut rng = trail_sim::rng(cfg.mix(21));
-        let lat = Rc::new(RefCell::new(LatencySummary::new()));
+        let lat = Rc::new(RefCell::new(DurationHistogram::new()));
         for _ in 0..writes {
             let l = Rc::clone(&lat);
             let lba = rng.gen_range(0..1_000_000u64);
@@ -983,7 +983,7 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
         .expect("format");
         let (trail, _) =
             TrailDriver::start(&mut sim, log, vec![data], TrailConfig::default()).expect("boot");
-        let lat = Rc::new(RefCell::new(LatencySummary::new()));
+        let lat = Rc::new(RefCell::new(DurationHistogram::new()));
         let mut rng = trail_sim::rng(cfg.mix(77));
         for _ in 0..delta_n {
             let l = Rc::clone(&lat);
@@ -1080,13 +1080,13 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             .expect("boot");
         let mut sim = built.sim;
         let multi = built.multi.expect("multi-log stack");
-        let lat = Rc::new(RefCell::new(LatencySummary::new()));
+        let lat = Rc::new(RefCell::new(DurationHistogram::new()));
         let start = sim.now();
         let done = Rc::new(Cell::new(0u32));
         fn next(
             sim: &mut Simulator,
             multi: MultiTrail,
-            lat: Rc<RefCell<LatencySummary>>,
+            lat: Rc<RefCell<DurationHistogram>>,
             done: Rc<Cell<u32>>,
             seed: u64,
             remaining: u32,
@@ -1168,7 +1168,7 @@ fn sync_appends(sim: &mut Simulator, fs: &dyn FileSystem, n: usize) -> f64 {
         .expect("delivered")
         .expect("preallocate");
     sim.run();
-    let mut lat = LatencySummary::new();
+    let mut lat = DurationHistogram::new();
     for i in 0..n {
         let start = sim.now();
         let block = vec![(i % 251) as u8; FS_BLK];
@@ -1436,7 +1436,7 @@ fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
         table.push(row![
             heading,
             config,
-            r.response.mean().as_secs_f64(),
+            r.mean_response().as_secs_f64(),
             r.logging_io_time.as_secs_f64(),
             r.tpmc,
             r.group_commits,
@@ -1462,7 +1462,7 @@ fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
          GC response {:.1}x EXT2's (paper ~9x).",
         trail.tpmc / plain.tpmc,
         100.0 * (1.0 - trail.logging_io_time.as_secs_f64() / plain.logging_io_time.as_secs_f64()),
-        gc.response.mean().as_secs_f64() / plain.response.mean().as_secs_f64(),
+        gc.mean_response().as_secs_f64() / plain.mean_response().as_secs_f64(),
     );
     let ledger = ledger_table(&[(
         "ext2+trail",
@@ -1760,7 +1760,7 @@ fn replay_stream_table(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64)
         records_per_sec,
         rep.peak_resident_records,
         format!("{:016x}", rep.latency_fingerprint),
-        rep.latency.to_json(),
+        histogram_json(&rep.latency),
         rep.max_queue_depth,
         rep.latency.percentile(50.0).as_millis_f64(),
         rep.latency.percentile(99.0).as_millis_f64(),

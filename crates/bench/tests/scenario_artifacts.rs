@@ -24,13 +24,13 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("table2", 860, 0xa97c7243),
     ("table3", 144, 0x9e286b0d),
     ("track_util", 216, 0xe151bb90),
-    ("replay_synthetic", 36001, 0x4f533e65),
-    ("overload_sweep", 2370, 0x0081285b),
-    ("replay_tpcc", 14430, 0xae6bd9a2),
-    ("replaystream", 652, 0x88e5a1a5),
-    ("serve", 41606, 0x918998ff),
-    ("serve_sweep", 40632, 0xeafc8d8e),
-    ("raid", 11036, 0xe07a9960),
+    ("replay_synthetic", 28157, 0xd773a145),
+    ("overload_sweep", 2372, 0x481d2fa7),
+    ("replay_tpcc", 12722, 0x21f651c3),
+    ("replaystream", 554, 0x2cc36669),
+    ("serve", 34805, 0x751da96b),
+    ("serve_sweep", 34240, 0x69cc675c),
+    ("raid", 11036, 0xf600b140),
     ("recovery", 1303, 0x5d361221),
 ];
 
@@ -48,13 +48,13 @@ const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
     ("table2", 955, 0x0ba463e3),
     ("table3", 173, 0x64eca0e5),
     ("track_util", 227, 0x831611cb),
-    ("replay_synthetic", 624, 0x11f5f3dc),
-    ("overload_sweep", 1349, 0xda3fef32),
-    ("replay_tpcc", 424, 0xe879426f),
-    ("replay_stream", 443, 0x9c4020c1),
-    ("serve_fleet", 1297, 0x9e5796c4),
-    ("serve_sweep", 1373, 0xb6d868c9),
-    ("raid_sweep", 1335, 0xc24cbfbc),
+    ("replay_synthetic", 624, 0xa25931ae),
+    ("overload_sweep", 1347, 0x9054adb6),
+    ("replay_tpcc", 424, 0x99525df1),
+    ("replay_stream", 443, 0x63c76b88),
+    ("serve_fleet", 1295, 0x2160ed0a),
+    ("serve_sweep", 1371, 0x358db61a),
+    ("raid_sweep", 1334, 0x10221498),
     ("crash_campaign", 719, 0xa0a03d72),
 ];
 

@@ -35,7 +35,9 @@ use trail_disk::{
     CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, Lba, PayloadBuf, ServiceBreakdown,
     SECTOR_SIZE,
 };
-use trail_sim::{Completion, Delivered, EventId, LatencySummary, SimDuration, SimTime, Simulator};
+use trail_sim::{
+    Completion, Delivered, DurationHistogram, EventId, SimDuration, SimTime, Simulator,
+};
 use trail_telemetry::{
     EventKind, Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown, StreamId,
 };
@@ -54,7 +56,7 @@ use crate::tracks::TrackPool;
 pub struct TrailStats {
     /// End-to-end synchronous write latency: request submission to log-disk
     /// durability acknowledgement.
-    pub sync_write_latency: LatencySummary,
+    pub sync_write_latency: DurationHistogram,
     /// Write records appended to the log disk.
     pub log_records: u64,
     /// Payload sectors of each record, in order — the batching histogram.
@@ -367,12 +369,12 @@ impl TrailDriver {
     ///
     /// Trail's write-back path submits to each target's
     /// [`trail_blockio::BlockDevice`] face, so a RAID-5 target pays its
-    /// read-modify-write parity cycles in the background while the log
-    /// front end keeps acknowledging at track speed. Several Trail
-    /// instances may share data devices (see
-    /// [`MultiTrail`](crate::MultiTrail)) only by sharing clones of the
-    /// *same* `Rc` targets: each physical disk must have exactly one
-    /// queueing driver.
+    /// parity updates — the cheaper of read-modify-write and
+    /// reconstruct-write — in the background while the log front end keeps
+    /// acknowledging at track speed. Several Trail instances may share
+    /// data devices (see [`MultiTrail`](crate::MultiTrail)) only by sharing
+    /// clones of the *same* `Rc` targets: each physical disk must have
+    /// exactly one queueing driver.
     ///
     /// Runs boot I/O in blocking style (drains the event queue); construct
     /// the driver before starting workload actors.

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
 use trail_disk::{profiles, Disk};
-use trail_sim::{LatencySummary, SimDuration, Simulator};
+use trail_sim::{DurationHistogram, SimDuration, Simulator};
 
 /// A log disk whose spindle phase wanders by up to ~1.3 ms (≈10 sectors)
 /// over a 2-second cycle.
@@ -53,7 +53,7 @@ fn write_after_idle(idle: SimDuration, idle_refresh_after: SimDuration) -> f64 {
     let resume_at = sim.now() + idle;
     sim.run_until(resume_at);
     // The probe write.
-    let lat = Rc::new(RefCell::new(LatencySummary::new()));
+    let lat = Rc::new(RefCell::new(DurationHistogram::new()));
     let l2 = Rc::clone(&lat);
     let done = sim.completion(move |_, d: trail_sim::Delivered<trail_blockio::IoDone>| {
         l2.borrow_mut().record(d.expect("durable").latency());
@@ -128,7 +128,7 @@ fn wander_free_spindle_needs_no_refresh() {
     trail.run_until_quiescent(&mut sim);
     let resume = sim.now() + SimDuration::from_millis(700);
     sim.run_until(resume);
-    let lat = Rc::new(RefCell::new(LatencySummary::new()));
+    let lat = Rc::new(RefCell::new(DurationHistogram::new()));
     let l2 = Rc::clone(&lat);
     let done = sim.completion(move |_, d: trail_sim::Delivered<trail_blockio::IoDone>| {
         l2.borrow_mut().record(d.expect("durable").latency());

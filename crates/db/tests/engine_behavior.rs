@@ -8,7 +8,7 @@ use std::rc::Rc;
 use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
 use trail_db::{Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec};
 use trail_disk::{profiles, Disk};
-use trail_sim::{Delivered, LatencySummary, SimDuration, Simulator};
+use trail_sim::{Delivered, DurationHistogram, SimDuration, Simulator};
 
 const LOG_DEV: usize = 0;
 const TABLE_DEV: usize = 1;
@@ -253,7 +253,7 @@ fn trail_stack_commits_much_faster_than_standard() {
     // must be a small fraction of the baseline's.
     fn run(mk: &dyn Fn() -> (Simulator, Database)) -> f64 {
         let (mut sim, db) = mk();
-        type Responses = Rc<RefCell<LatencySummary>>;
+        type Responses = Rc<RefCell<DurationHistogram>>;
         fn chain(db: Database, sim: &mut Simulator, out: Responses, i: u64, n: u64) {
             if i == n {
                 return;

@@ -13,8 +13,8 @@ use std::fmt;
 use std::rc::Rc;
 
 use trail_sim::{
-    BusyMeter, Completion, Fault, FaultKind, FaultSink, FaultTarget, LatencySummary, SimDuration,
-    SimTime, Simulator,
+    BusyMeter, Completion, DurationHistogram, Fault, FaultKind, FaultSink, FaultTarget,
+    SimDuration, SimTime, Simulator,
 };
 use trail_telemetry::{null_recorder, Event, EventKind, JsonValue, Layer, RecorderHandle};
 
@@ -137,9 +137,9 @@ pub struct DiskStats {
     pub sectors_written: u64,
     /// Busy-time accounting (command in flight).
     pub busy: BusyMeter,
-    /// Rotational-latency samples, one per transfer command — the quantity
+    /// Rotational latency, one sample per transfer command — the quantity
     /// Trail's head prediction is designed to eliminate.
-    pub rotation_waits: LatencySummary,
+    pub rotation_waits: DurationHistogram,
     /// Sum of fixed command overheads.
     pub total_overhead: SimDuration,
     /// Sum of seek (arm movement) time.

@@ -28,8 +28,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use trail_disk::SECTOR_SIZE;
-use trail_sim::{Delivered, SimDuration, SimTime, Simulator};
-use trail_telemetry::{DurationHistogram, JsonValue, StreamId, StreamMetrics};
+use trail_sim::{Delivered, DurationHistogram, SimDuration, SimTime, Simulator};
+use trail_telemetry::{histogram_json, JsonValue, StreamId, StreamMetrics};
 use trail_trace::{generate, ArrivalModel, SpatialModel, SyntheticSpec, TraceOp, TraceRecord};
 
 use crate::server::{Server, ServerStats, SessionHandle};
@@ -198,7 +198,7 @@ impl FleetReport {
             ("wire_tx_bytes", JsonValue::Num(self.wire_tx as f64)),
             ("wire_rx_bytes", JsonValue::Num(self.wire_rx as f64)),
             ("duration_ms", JsonValue::Num(self.duration.as_millis_f64())),
-            ("latency", self.latency.to_json()),
+            ("latency", histogram_json(&self.latency)),
             ("client_p99_spread", spread),
             (
                 "server",
@@ -680,8 +680,8 @@ mod tests {
             merged.merge(&lane.latency);
         }
         assert_eq!(
-            merged.to_json().to_json(),
-            report.latency.to_json().to_json()
+            histogram_json(&merged).to_json(),
+            histogram_json(&report.latency).to_json()
         );
         assert!(report.wire_tx > 0 && report.wire_rx > 0);
         assert_eq!(sim.events_pending(), 0);

@@ -11,8 +11,10 @@
 //! - [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
 //! - [`Simulator`] — a single-threaded event executor; components share
 //!   state through `Rc<RefCell<_>>` and communicate by scheduling closures.
-//! - [`LatencySummary`], [`BusyMeter`] — the measurement collectors used
-//!   by every experiment harness (counts are plain integer fields).
+//! - [`DurationHistogram`], [`BusyMeter`] — the measurement collectors
+//!   used by every layer and harness: one log-linear latency histogram
+//!   (exact count, sum, mean, min and max; percentiles within 1/32) and
+//!   busy-time accounting. Counts are plain integer fields.
 //! - [`rng`] — seeded small RNG for reproducible workloads.
 //!
 //! # Examples
@@ -22,10 +24,10 @@
 //! ```
 //! use std::cell::RefCell;
 //! use std::rc::Rc;
-//! use trail_sim::{LatencySummary, SimDuration, Simulator};
+//! use trail_sim::{DurationHistogram, SimDuration, Simulator};
 //!
 //! let mut sim = Simulator::new();
-//! let lat = Rc::new(RefCell::new(LatencySummary::new()));
+//! let lat = Rc::new(RefCell::new(DurationHistogram::new()));
 //!
 //! for i in 0..10u64 {
 //!     let lat = Rc::clone(&lat);
@@ -39,7 +41,9 @@
 //! }
 //! sim.run();
 //! assert_eq!(lat.borrow().count(), 10);
+//! // The mean is exact; percentiles are bucketed, but never past the max.
 //! assert_eq!(lat.borrow().mean().as_millis_f64(), 1.4);
+//! assert_eq!(lat.borrow().percentile(99.0), SimDuration::from_micros(1400));
 //! ```
 
 // Unsafe code is denied crate-wide with one audited exception: the
@@ -65,7 +69,7 @@ pub use fault::{
 };
 pub use parallel::parallel_map;
 pub use payload::INLINE_EVENT_BYTES;
-pub use stats::{BusyMeter, LatencySummary};
+pub use stats::{BusyMeter, DurationHistogram};
 pub use time::{SimDuration, SimTime};
 
 use rand::rngs::SmallRng;

@@ -1,171 +1,199 @@
-//! Measurement helpers: latency summaries and busy-time accounting.
+//! Measurement helpers: the latency histogram and busy-time accounting.
 //!
 //! Every experiment in the paper reports either a latency distribution
-//! (Figures 3 and 4), a total elapsed/busy time (Tables 1 and 2), or a count
-//! (Table 3, a plain integer field). These small collectors are shared by
-//! all benches and tests.
-
-use std::fmt;
+//! (§5.1, Figures 3 and 4), a total elapsed/busy time (Tables 1 and 2), or
+//! a count (Table 3, a plain integer field). [`DurationHistogram`] is the
+//! one latency collector of the workspace: disk, driver, volume, replay and
+//! fleet statistics all record into it, and `trail-telemetry` renders it as
+//! JSON. Its memory is bounded by the largest value recorded, never by the
+//! number of samples.
 
 use crate::time::{SimDuration, SimTime};
 
-/// An online collection of duration samples with summary statistics.
+/// Linear sub-buckets per power of two, as a bit count: each octave
+/// `[2^k, 2^(k+1))` with `k >= SUB_BITS` splits into `2^SUB_BITS` buckets.
+const SUB_BITS: u32 = 5;
+const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+
+/// The bucket holding `ns`. Values below `2 * SUB_BUCKETS` (64 ns) get a
+/// bucket each; above, a bucket spans `2^shift` values whose smallest is
+/// at least `SUB_BUCKETS * 2^shift`, so the relative width is ≤ 1/32.
+fn bucket_of(ns: u64) -> usize {
+    if ns < SUB_BUCKETS {
+        return ns as usize;
+    }
+    let shift = 63 - ns.leading_zeros() - SUB_BITS;
+    ((u64::from(shift) + 1) * SUB_BUCKETS + (ns >> shift) - SUB_BUCKETS) as usize
+}
+
+/// The largest value bucket `i` holds (the inverse of [`bucket_of`]).
+fn bucket_max(i: usize) -> u64 {
+    let i = i as u64;
+    if i < SUB_BUCKETS {
+        return i;
+    }
+    let shift = i / SUB_BUCKETS - 1;
+    let lead = i % SUB_BUCKETS + SUB_BUCKETS;
+    // `lead << shift` is the bucket's smallest value; adding the width
+    // minus one (rather than shifting `lead + 1`) cannot overflow at the
+    // top bucket, whose largest value is `u64::MAX`.
+    (lead << shift) + ((1 << shift) - 1)
+}
+
+/// A log-linear histogram of durations: the latency statistic every
+/// stats struct and report in the workspace keeps.
 ///
-/// Samples are retained so that exact percentiles can be computed; the
-/// experiments in this repository collect at most a few hundred thousand
-/// samples, which is cheap to keep.
+/// Each power of two of nanoseconds splits into 32 linear sub-buckets, so
+/// values below 64 ns are exact and any other bucket is at most 1/32 of its
+/// smallest value wide. The bucket vector grows only to the highest bucket
+/// recorded (a few KB for millisecond latencies). `count`, the sum, `min`
+/// and `max` are kept exactly, so [`mean`](Self::mean) and
+/// [`total`](Self::total) are exact integer nanoseconds; only
+/// [`percentile`](Self::percentile) is bucketed. Merging adds bucket by
+/// bucket, so merged histograms equal one histogram of all the samples,
+/// in any merge order.
 ///
 /// # Examples
 ///
 /// ```
-/// use trail_sim::{LatencySummary, SimDuration};
+/// use trail_sim::{DurationHistogram, SimDuration};
 ///
-/// let mut s = LatencySummary::new();
+/// let mut h = DurationHistogram::new();
 /// for ms in [1u64, 2, 3, 4] {
-///     s.record(SimDuration::from_millis(ms));
+///     h.record(SimDuration::from_millis(ms));
 /// }
-/// assert_eq!(s.mean().as_millis_f64(), 2.5);
-/// assert_eq!(s.max().as_millis_f64(), 4.0);
+/// assert_eq!(h.mean(), SimDuration::from_micros(2_500));
+/// assert_eq!(h.max(), SimDuration::from_millis(4));
+/// // The median is the 2 ms sample's bucket edge, within 1/32 above it.
+/// let p50 = h.percentile(50.0);
+/// assert!(p50 >= SimDuration::from_millis(2));
+/// assert!(p50 <= SimDuration::from_micros(2_062));
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct LatencySummary {
-    samples: Vec<SimDuration>,
+#[derive(Clone, Debug)]
+pub struct DurationHistogram {
+    buckets: Vec<u64>,
+    count: u64,
+    sum_ns: u128,
+    min_ns: u64,
+    max_ns: u64,
 }
 
-impl LatencySummary {
-    /// Creates an empty summary.
+impl Default for DurationHistogram {
+    fn default() -> Self {
+        DurationHistogram {
+            buckets: Vec::new(),
+            count: 0,
+            sum_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+        }
+    }
+}
+
+impl DurationHistogram {
+    /// Creates an empty histogram.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Adds one sample.
-    pub fn record(&mut self, sample: SimDuration) {
-        self.samples.push(sample);
-    }
-
-    /// Returns the number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Returns the sum of all samples.
-    pub fn total(&self) -> SimDuration {
-        self.samples.iter().copied().sum()
-    }
-
-    /// Returns the arithmetic mean, or the **zero sentinel** if empty (use
-    /// [`try_mean`](Self::try_mean) to distinguish "empty" from "all-zero
-    /// samples").
-    pub fn mean(&self) -> SimDuration {
-        self.try_mean().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Returns the arithmetic mean, or `None` if no samples were recorded.
-    pub fn try_mean(&self) -> Option<SimDuration> {
-        if self.samples.is_empty() {
-            return None;
+    pub fn record(&mut self, d: SimDuration) {
+        let ns = d.as_nanos();
+        let i = bucket_of(ns);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
         }
-        Some(SimDuration::from_nanos(
-            (self
-                .samples
-                .iter()
-                .map(|d| d.as_nanos() as u128)
-                .sum::<u128>()
-                / self.samples.len() as u128) as u64,
-        ))
+        self.buckets[i] += 1;
+        self.count += 1;
+        self.sum_ns += u128::from(ns);
+        self.min_ns = self.min_ns.min(ns);
+        self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Returns the smallest sample, or the **zero sentinel** if empty (use
-    /// [`try_min`](Self::try_min) to distinguish).
+    /// Folds `other`'s samples into `self`, exactly: the result is the
+    /// histogram one observer of both sample sets would have recorded,
+    /// whatever the merge order. An empty histogram is the identity.
+    pub fn merge(&mut self, other: &Self) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum_ns += other.sum_ns;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
+    /// Number of samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Exact sum of all samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sum exceeds the `u64` nanosecond range, as adding
+    /// the samples as [`SimDuration`]s would.
+    pub fn total(&self) -> SimDuration {
+        SimDuration::from_nanos(u64::try_from(self.sum_ns).expect("virtual duration overflow"))
+    }
+
+    /// Exact arithmetic mean (the sum over the count, rounded down to a
+    /// nanosecond), or zero if empty.
+    pub fn mean(&self) -> SimDuration {
+        if self.count == 0 {
+            SimDuration::ZERO
+        } else {
+            SimDuration::from_nanos((self.sum_ns / u128::from(self.count)) as u64)
+        }
+    }
+
+    /// Exact smallest sample, or zero if empty.
     pub fn min(&self) -> SimDuration {
-        self.try_min().unwrap_or(SimDuration::ZERO)
+        if self.count == 0 {
+            SimDuration::ZERO
+        } else {
+            SimDuration::from_nanos(self.min_ns)
+        }
     }
 
-    /// Returns the smallest sample, or `None` if no samples were recorded.
-    pub fn try_min(&self) -> Option<SimDuration> {
-        self.samples.iter().copied().min()
-    }
-
-    /// Returns the largest sample, or the **zero sentinel** if empty (use
-    /// [`try_max`](Self::try_max) to distinguish).
+    /// Exact largest sample, or zero if empty.
     pub fn max(&self) -> SimDuration {
-        self.try_max().unwrap_or(SimDuration::ZERO)
+        SimDuration::from_nanos(self.max_ns)
     }
 
-    /// Returns the largest sample, or `None` if no samples were recorded.
-    pub fn try_max(&self) -> Option<SimDuration> {
-        self.samples.iter().copied().max()
-    }
-
-    /// Returns the `p`-th percentile (0.0ᅳ100.0) by nearest-rank, or the
-    /// **zero sentinel** if empty (use
-    /// [`try_percentile`](Self::try_percentile) to distinguish). On a
-    /// single-sample set every percentile is that sample.
+    /// The `p`-th percentile (0.0–100.0) by nearest rank, resolved to the
+    /// largest value of the sample's bucket and capped at the exact
+    /// maximum: at least the exact nearest-rank sample and at most 1/32
+    /// above it. p100 is the exact maximum; an empty histogram reads zero.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `0.0..=100.0`.
     pub fn percentile(&self, p: f64) -> SimDuration {
-        self.try_percentile(p).unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Returns the `p`-th percentile (0.0ᅳ100.0) by nearest-rank, or `None`
-    /// if no samples were recorded. Selects on a copy, so the samples
-    /// keep their insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `0.0..=100.0`.
-    pub fn try_percentile(&self, p: f64) -> Option<SimDuration> {
         assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        if self.samples.is_empty() {
-            return None;
+        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return SimDuration::from_nanos(bucket_max(i).min(self.max_ns));
+            }
         }
-        let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        let mut copy = self.samples.clone();
-        Some(*copy.select_nth_unstable(rank.saturating_sub(1)).1)
-    }
-
-    /// Iterates over the recorded samples in insertion order.
-    pub fn iter(&self) -> std::slice::Iter<'_, SimDuration> {
-        self.samples.iter()
-    }
-
-    /// Merges another summary's samples into this one.
-    pub fn merge(&mut self, other: &LatencySummary) {
-        self.samples.extend_from_slice(&other.samples);
+        SimDuration::from_nanos(self.max_ns)
     }
 }
 
-impl Extend<SimDuration> for LatencySummary {
-    fn extend<T: IntoIterator<Item = SimDuration>>(&mut self, iter: T) {
-        self.samples.extend(iter);
-    }
-}
-
-impl FromIterator<SimDuration> for LatencySummary {
+impl FromIterator<SimDuration> for DurationHistogram {
     fn from_iter<T: IntoIterator<Item = SimDuration>>(iter: T) -> Self {
-        let mut s = LatencySummary::new();
-        s.extend(iter);
-        s
-    }
-}
-
-impl fmt::Display for LatencySummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3}ms min={:.3}ms max={:.3}ms",
-            self.count(),
-            self.mean().as_millis_f64(),
-            self.min().as_millis_f64(),
-            self.max().as_millis_f64(),
-        )
+        let mut h = DurationHistogram::new();
+        for d in iter {
+            h.record(d);
+        }
+        h
     }
 }
 
@@ -245,68 +273,82 @@ impl BusyMeter {
 
 #[cfg(test)]
 mod tests {
+    //! The histogram's contract against a sorted-sample oracle is the
+    //! property test in `trail-telemetry`'s `metrics` module, which also
+    //! renders the JSON; these are worked examples of it.
+
     use super::*;
+
+    fn ms(v: u64) -> SimDuration {
+        SimDuration::from_millis(v)
+    }
+
+    /// `got` is the bucketed stand-in for the exact sample `want`.
+    fn within_a_bucket(got: SimDuration, want: SimDuration) -> bool {
+        let w = want.as_nanos();
+        (w..=w + w / 32).contains(&got.as_nanos())
+    }
 
     #[test]
     fn summary_basic_stats() {
-        let mut s = LatencySummary::new();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), SimDuration::ZERO);
-        for ms in [5u64, 1, 3] {
-            s.record(SimDuration::from_millis(ms));
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean().as_millis_f64(), 3.0);
-        assert_eq!(s.min().as_millis_f64(), 1.0);
-        assert_eq!(s.max().as_millis_f64(), 5.0);
-        assert_eq!(s.total().as_millis_f64(), 9.0);
+        let h: DurationHistogram = [5, 1, 3].into_iter().map(ms).collect();
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.mean(), ms(3));
+        assert_eq!(h.min(), ms(1));
+        assert_eq!(h.max(), ms(5));
+        assert_eq!(h.total(), ms(9));
     }
 
     #[test]
     fn summary_percentiles() {
-        let s: LatencySummary = (1..=100).map(SimDuration::from_millis).collect();
-        assert_eq!(s.percentile(50.0).as_millis_f64(), 50.0);
-        assert_eq!(s.percentile(99.0).as_millis_f64(), 99.0);
-        assert_eq!(s.percentile(100.0).as_millis_f64(), 100.0);
-        assert_eq!(s.percentile(0.0).as_millis_f64(), 1.0);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank_and_keeps_insertion_order() {
-        let ms = [7u64, 3, 9, 1, 5, 8, 2, 6, 4, 10, 3];
-        let s: LatencySummary = ms.iter().map(|&m| SimDuration::from_millis(m)).collect();
-        let mut sorted = ms;
-        sorted.sort_unstable();
-        for p in [0.0, 1.0, 10.0, 25.0, 50.0, 63.6, 90.0, 99.0, 100.0] {
-            let rank = ((p / 100.0) * ms.len() as f64).ceil() as usize;
-            let want = SimDuration::from_millis(sorted[rank.saturating_sub(1)]);
-            assert_eq!(s.percentile(p), want, "p{p}");
+        let h: DurationHistogram = (1..=100).map(ms).collect();
+        for (p, want) in [(0.0, 1), (50.0, 50), (99.0, 99)] {
+            assert!(within_a_bucket(h.percentile(p), ms(want)), "p{p}");
         }
-        let order: Vec<u64> = s.iter().map(|d| d.as_millis_f64() as u64).collect();
-        assert_eq!(order, ms, "a percentile must not reorder the samples");
+        assert_eq!(h.percentile(100.0), ms(100));
     }
 
     #[test]
     #[should_panic(expected = "percentile out of range")]
     fn percentile_rejects_out_of_range() {
-        let mut s = LatencySummary::new();
-        s.record(SimDuration::from_millis(1));
-        let _ = s.percentile(101.0);
+        let mut h = DurationHistogram::new();
+        h.record(ms(1));
+        let _ = h.percentile(101.0);
     }
 
     #[test]
     fn summary_merge() {
-        let mut a: LatencySummary = [1u64, 2]
-            .iter()
-            .map(|&m| SimDuration::from_millis(m))
-            .collect();
-        let b: LatencySummary = [3u64, 4]
-            .iter()
-            .map(|&m| SimDuration::from_millis(m))
-            .collect();
+        let mut a: DurationHistogram = [1, 2].into_iter().map(ms).collect();
+        let b: DurationHistogram = [3, 4].into_iter().map(ms).collect();
         a.merge(&b);
         assert_eq!(a.count(), 4);
-        assert_eq!(a.mean().as_millis_f64(), 2.5);
+        assert_eq!(a.mean(), SimDuration::from_micros(2_500));
+        assert_eq!((a.min(), a.max()), (ms(1), ms(4)));
+    }
+
+    #[test]
+    fn empty_summary_is_fully_defined() {
+        let h = DurationHistogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean(), SimDuration::ZERO);
+        assert_eq!(h.min(), SimDuration::ZERO);
+        assert_eq!(h.max(), SimDuration::ZERO);
+        assert_eq!(h.total(), SimDuration::ZERO);
+        for p in [0.0, 50.0, 99.9, 100.0] {
+            assert_eq!(h.percentile(p), SimDuration::ZERO);
+        }
+    }
+
+    #[test]
+    fn single_sample_summary_is_fully_defined() {
+        // The cap at the exact maximum makes every percentile of one
+        // sample that sample, bucket or not.
+        let only = SimDuration::from_nanos(7_123_457);
+        let h: DurationHistogram = std::iter::once(only).collect();
+        assert_eq!((h.mean(), h.min(), h.max()), (only, only, only));
+        for p in [0.0, 50.0, 99.9, 100.0] {
+            assert_eq!(h.percentile(p), only, "p{p} of a single sample");
+        }
     }
 
     #[test]
@@ -335,38 +377,5 @@ mod tests {
     fn busy_meter_stop_idle_panics() {
         let mut m = BusyMeter::new();
         m.stop(SimTime::ZERO);
-    }
-
-    #[test]
-    fn empty_summary_is_fully_defined() {
-        let s = LatencySummary::new();
-        assert_eq!(s.mean(), SimDuration::ZERO);
-        assert_eq!(s.min(), SimDuration::ZERO);
-        assert_eq!(s.max(), SimDuration::ZERO);
-        assert_eq!(s.total(), SimDuration::ZERO);
-        for p in [0.0, 50.0, 99.9, 100.0] {
-            assert_eq!(s.percentile(p), SimDuration::ZERO);
-            assert_eq!(s.try_percentile(p), None);
-        }
-        assert_eq!(s.try_mean(), None);
-        assert_eq!(s.try_min(), None);
-        assert_eq!(s.try_max(), None);
-    }
-
-    #[test]
-    fn single_sample_summary_is_fully_defined() {
-        let mut s = LatencySummary::new();
-        let only = SimDuration::from_millis(7);
-        s.record(only);
-        assert_eq!(s.mean(), only);
-        assert_eq!(s.min(), only);
-        assert_eq!(s.max(), only);
-        for p in [0.0, 50.0, 99.9, 100.0] {
-            assert_eq!(s.percentile(p), only, "p{p} of a single sample");
-            assert_eq!(s.try_percentile(p), Some(only));
-        }
-        assert_eq!(s.try_mean(), Some(only));
-        assert_eq!(s.try_min(), Some(only));
-        assert_eq!(s.try_max(), Some(only));
     }
 }

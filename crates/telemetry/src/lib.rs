@@ -55,9 +55,7 @@ mod trace;
 
 pub use json::{JsonError, JsonValue};
 pub use lifecycle::LifecycleEmitter;
-pub use metrics::{
-    metrics_json, metrics_json_string, metrics_json_with_cancelled, DurationHistogram,
-};
+pub use metrics::{histogram_json, metrics_json, metrics_json_string, metrics_json_with_cancelled};
 pub use stream::{StreamId, StreamLane, StreamMetrics};
 pub use trace::{chrome_trace, chrome_trace_string};
 

@@ -1,208 +1,42 @@
-//! Aggregation: duration histograms and the compact metrics dump.
+//! Aggregation: histogram rendering and the compact metrics dump.
 
 use std::collections::BTreeMap;
 
-use trail_sim::SimDuration;
+use trail_sim::{DurationHistogram, SimDuration};
 
 use crate::json::JsonValue;
 use crate::{Event, EventKind};
 
-/// A power-of-two-bucket histogram of durations.
-///
-/// Bucket `i` holds samples whose nanosecond value has bit length `i`
-/// (bucket 0 is exactly zero), so relative resolution is a factor of two
-/// at every scale while storage stays constant. Percentiles are resolved
-/// by nearest rank to the *upper bound* of the containing bucket — a
-/// conservative estimate with bounded relative error, which is plenty
-/// for spotting latency-distribution shifts.
+/// A latency histogram as a JSON object: the exact `count`, `mean_ms`,
+/// `min_ms` and `max_ms`, and the bucketed `p50_ms`, `p95_ms`, `p99_ms`
+/// and `p999_ms` (each at most 1/32 above the exact nearest-rank sample).
 ///
 /// # Examples
 ///
 /// ```
-/// use trail_sim::SimDuration;
-/// use trail_telemetry::DurationHistogram;
+/// use trail_sim::{DurationHistogram, SimDuration};
+/// use trail_telemetry::histogram_json;
 ///
-/// let mut h = DurationHistogram::new();
-/// for us in [100u64, 200, 400, 800] {
-///     h.record(SimDuration::from_micros(us));
-/// }
-/// assert_eq!(h.count(), 4);
-/// assert_eq!(h.max(), SimDuration::from_micros(800));
-/// assert!(h.percentile(50.0) >= SimDuration::from_micros(200));
+/// let h: DurationHistogram = [100u64, 200, 400, 800]
+///     .into_iter()
+///     .map(SimDuration::from_micros)
+///     .collect();
+/// let j = histogram_json(&h);
+/// assert_eq!(j.get("count").and_then(|v| v.as_f64()), Some(4.0));
+/// assert_eq!(j.get("max_ms").and_then(|v| v.as_f64()), Some(0.8));
 /// ```
-#[derive(Clone, Debug)]
-pub struct DurationHistogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        DurationHistogram {
-            buckets: [0; 65],
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-}
-
-fn bucket_of(ns: u64) -> usize {
-    (64 - ns.leading_zeros()) as usize
-}
-
-fn bucket_upper_bound(bucket: usize) -> u64 {
-    if bucket == 0 {
-        0
-    } else {
-        // Computed in u128 so bucket 64 yields u64::MAX instead of
-        // overflowing the shift.
-        ((1u128 << bucket) - 1) as u64
-    }
-}
-
-impl DurationHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        self.buckets[bucket_of(ns)] += 1;
-        self.count += 1;
-        self.sum_ns += u128::from(ns);
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Folds `other`'s samples into `self`, exactly.
-    ///
-    /// The histogram is a sum of per-bucket counters plus exact count,
-    /// sum, min, and max — all of which merge losslessly — so merging
-    /// per-shard histograms yields byte-for-byte the histogram a single
-    /// observer of the combined sample stream would have produced,
-    /// regardless of merge order. An empty histogram is the identity.
-    pub fn merge(&mut self, other: &Self) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact arithmetic mean, or zero if empty.
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos((self.sum_ns / u128::from(self.count)) as u64)
-        }
-    }
-
-    /// Exact minimum, or zero if empty.
-    pub fn min(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.min_ns)
-        }
-    }
-
-    /// Exact maximum, or zero if empty.
-    pub fn max(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.max_ns)
-        }
-    }
-
-    /// Nearest-rank percentile resolved to the containing bucket's upper
-    /// bound (clamped to the exact maximum), or zero if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `0.0..=100.0`.
-    pub fn percentile(&self, p: f64) -> SimDuration {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return SimDuration::from_nanos(bucket_upper_bound(i).min(self.max_ns));
-            }
-        }
-        SimDuration::from_nanos(self.max_ns)
-    }
-
-    /// The non-empty buckets as `(upper_bound_ns, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_upper_bound(i), n))
-            .collect()
-    }
-
-    /// The histogram as a JSON object: `count`, `mean_ms`, `min_ms`,
-    /// `p50_ms`, `p95_ms`, `p99_ms`, `p999_ms`, `max_ms`, and the
-    /// non-empty `buckets` as `[upper_bound_ns, count]` pairs.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("count", JsonValue::Num(self.count as f64)),
-            ("mean_ms", JsonValue::Num(self.mean().as_millis_f64())),
-            ("min_ms", JsonValue::Num(self.min().as_millis_f64())),
-            (
-                "p50_ms",
-                JsonValue::Num(self.percentile(50.0).as_millis_f64()),
-            ),
-            (
-                "p95_ms",
-                JsonValue::Num(self.percentile(95.0).as_millis_f64()),
-            ),
-            (
-                "p99_ms",
-                JsonValue::Num(self.percentile(99.0).as_millis_f64()),
-            ),
-            (
-                "p999_ms",
-                JsonValue::Num(self.percentile(99.9).as_millis_f64()),
-            ),
-            ("max_ms", JsonValue::Num(self.max().as_millis_f64())),
-            (
-                "buckets",
-                JsonValue::Arr(
-                    self.nonzero_buckets()
-                        .into_iter()
-                        .map(|(ub, n)| {
-                            JsonValue::Arr(vec![
-                                JsonValue::Num(ub as f64),
-                                JsonValue::Num(n as f64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
+pub fn histogram_json(h: &DurationHistogram) -> JsonValue {
+    let ms = |d: SimDuration| JsonValue::Num(d.as_millis_f64());
+    JsonValue::obj(vec![
+        ("count", JsonValue::Num(h.count() as f64)),
+        ("mean_ms", ms(h.mean())),
+        ("min_ms", ms(h.min())),
+        ("p50_ms", ms(h.percentile(50.0))),
+        ("p95_ms", ms(h.percentile(95.0))),
+        ("p99_ms", ms(h.percentile(99.0))),
+        ("p999_ms", ms(h.percentile(99.9))),
+        ("max_ms", ms(h.max())),
+    ])
 }
 
 /// Aggregates an event stream into a compact metrics document:
@@ -262,12 +96,12 @@ pub fn metrics_json_with_cancelled(events: &[Event], cancelled_completions: u64)
         (
             "complete_latency",
             JsonValue::obj(vec![
-                ("total", total.to_json()),
-                ("queue", queue.to_json()),
-                ("overhead", overhead.to_json()),
-                ("seek", seek.to_json()),
-                ("rotation", rotation.to_json()),
-                ("transfer", transfer.to_json()),
+                ("total", histogram_json(&total)),
+                ("queue", histogram_json(&queue)),
+                ("overhead", histogram_json(&overhead)),
+                ("seek", histogram_json(&seek)),
+                ("rotation", histogram_json(&rotation)),
+                ("transfer", histogram_json(&transfer)),
             ]),
         ),
         (
@@ -291,92 +125,125 @@ mod tests {
     use crate::{Layer, RequestBreakdown};
     use trail_sim::SimTime;
 
+    use proptest::prelude::*;
+
+    fn us(v: u64) -> SimDuration {
+        SimDuration::from_micros(v)
+    }
+
     #[test]
     fn histogram_empty_is_defined() {
-        let h = DurationHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), SimDuration::ZERO);
-        assert_eq!(h.min(), SimDuration::ZERO);
-        assert_eq!(h.max(), SimDuration::ZERO);
-        assert_eq!(h.percentile(99.0), SimDuration::ZERO);
-        assert!(h.nonzero_buckets().is_empty());
+        // Every field of an empty histogram reads zero, and the JSON has no
+        // per-bucket array.
+        let j = histogram_json(&DurationHistogram::new());
+        let fields = j.as_obj().expect("object");
+        assert_eq!(fields.len(), 8);
+        for (key, value) in fields {
+            assert_eq!(value.as_f64(), Some(0.0), "{key}");
+        }
     }
 
     #[test]
     fn histogram_tracks_exact_extremes_and_bounded_percentiles() {
-        let mut h = DurationHistogram::new();
-        h.record(SimDuration::ZERO);
-        for us in [10u64, 20, 40, 5000] {
-            h.record(SimDuration::from_micros(us));
-        }
+        let h: DurationHistogram = [0, 10, 20, 40, 5000].into_iter().map(us).collect();
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), SimDuration::ZERO);
-        assert_eq!(h.max(), SimDuration::from_micros(5000));
+        assert_eq!(h.max(), us(5000));
         // p100 is clamped to the exact max, not the bucket bound.
-        assert_eq!(h.percentile(100.0), SimDuration::from_micros(5000));
-        // The median (40 µs sample, bucket upper bound < 2× sample).
+        assert_eq!(h.percentile(100.0), us(5000));
+        // The median is the 20 µs sample, within 1/32 above it.
         let p50 = h.percentile(50.0);
-        assert!(p50 >= SimDuration::from_micros(20));
-        assert!(p50 <= SimDuration::from_micros(40));
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn histogram_percentile_rejects_out_of_range() {
-        DurationHistogram::new().percentile(-1.0);
-    }
-
-    #[test]
-    fn histogram_merge_equals_recording_into_one() {
-        // Merging two histograms is exactly recording both sample sets
-        // into one — counts, extremes, mean, and every bucket — and the
-        // empty histogram is the merge identity.
-        let mut a = DurationHistogram::new();
-        let mut b = DurationHistogram::new();
-        let mut both = DurationHistogram::new();
-        for us in [3u64, 17, 90, 1_000] {
-            a.record(SimDuration::from_micros(us));
-            both.record(SimDuration::from_micros(us));
-        }
-        for us in [1u64, 17, 40_000] {
-            b.record(SimDuration::from_micros(us));
-            both.record(SimDuration::from_micros(us));
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), both.count());
-        assert_eq!(merged.min(), both.min());
-        assert_eq!(merged.max(), both.max());
-        assert_eq!(merged.mean(), both.mean());
-        assert_eq!(merged.to_json().to_json(), both.to_json().to_json());
-        let mut with_empty = both.clone();
-        with_empty.merge(&DurationHistogram::new());
-        assert_eq!(with_empty.to_json().to_json(), both.to_json().to_json());
+        assert!(p50 >= us(20) && p50 <= SimDuration::from_nanos(20_625));
     }
 
     #[test]
     fn histogram_p999_is_bounded_and_exported() {
         // 999 fast samples and one slow outlier: p99.9 must land on the
-        // outlier's bucket (the 1000th rank), bounded by bucket semantics —
-        // at least the sample, at most the exact maximum.
+        // outlier (the 1000th rank), and p99 stay in the fast cluster.
         let mut h = DurationHistogram::new();
         for _ in 0..999 {
-            h.record(SimDuration::from_micros(100));
+            h.record(us(100));
         }
         h.record(SimDuration::from_millis(50));
-        let p999 = h.percentile(99.9);
-        assert!(p999 >= SimDuration::from_millis(50));
-        assert!(p999 <= h.max());
-        // p99 stays in the fast cluster: within a factor of two above it.
+        assert_eq!(h.percentile(99.9), h.max());
         let p99 = h.percentile(99.0);
-        assert!(p99 >= SimDuration::from_micros(100));
-        assert!(p99 < SimDuration::from_micros(200));
-        // The JSON export carries the new field, ordered p99 ≤ p99.9 ≤ max.
-        let j = h.to_json();
+        assert!(p99 >= us(100) && p99 <= SimDuration::from_nanos(103_125));
+        // The JSON export carries it, ordered p99 ≤ p99.9 ≤ max.
+        let j = histogram_json(&h);
         let get = |k: &str| j.get(k).unwrap().as_f64().unwrap();
         assert!(get("p99_ms") <= get("p999_ms"));
         assert!(get("p999_ms") <= get("max_ms"));
         assert_eq!(get("count"), 1000.0);
+    }
+
+    /// Sample values across every bucket regime: exact (< 32 ns), the
+    /// millisecond range the simulations record, the whole `u64` range, and
+    /// the top bucket, whose largest value is `u64::MAX`.
+    fn sample_ns() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..32,
+            32u64..100_000_000,
+            any::<u64>(),
+            (u64::MAX - 4096)..=u64::MAX,
+        ]
+    }
+
+    proptest! {
+        /// The histogram against a sorted copy of its samples: the exact
+        /// fields equal the oracle's, each percentile lies between the
+        /// nearest-rank sample and 1/32 above it (capped at the max), and
+        /// merging any split — an empty side included — renders the JSON of
+        /// recording everything into one histogram.
+        #[test]
+        fn histogram_matches_a_sorted_oracle(
+            samples in proptest::collection::vec(sample_ns(), 1..64),
+            split in any::<usize>(),
+            p in 0.0f64..100.0,
+        ) {
+            let part = |s: &[u64]| -> DurationHistogram {
+                s.iter().map(|&ns| SimDuration::from_nanos(ns)).collect()
+            };
+            let h = part(&samples);
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let n = sorted.len();
+            let sum: u128 = sorted.iter().map(|&ns| u128::from(ns)).sum();
+            let max = sorted[n - 1];
+            prop_assert_eq!(h.count(), n as u64);
+            prop_assert_eq!(h.mean().as_nanos(), (sum / n as u128) as u64);
+            prop_assert_eq!(h.min().as_nanos(), sorted[0]);
+            prop_assert_eq!(h.max().as_nanos(), max);
+            if let Ok(total) = u64::try_from(sum) {
+                prop_assert_eq!(h.total().as_nanos(), total);
+            }
+            for q in [0.0, 50.0, 95.0, 99.0, 99.9, 100.0, p] {
+                let rank = ((q / 100.0) * n as f64).ceil().max(1.0) as usize;
+                let exact = sorted[rank - 1];
+                let got = h.percentile(q).as_nanos();
+                let bound = exact.saturating_add(exact / 32).min(max);
+                prop_assert!(
+                    (exact..=bound).contains(&got),
+                    "p{} = {} ns, exact {} ns",
+                    q,
+                    got,
+                    exact
+                );
+            }
+            prop_assert_eq!(h.percentile(100.0).as_nanos(), max);
+
+            let one = histogram_json(&h).to_json();
+            let (left, right) = samples.split_at(split % (n + 1));
+            let mut merged = part(left);
+            merged.merge(&part(right));
+            prop_assert_eq!(histogram_json(&merged).to_json(), one.clone());
+            prop_assert_eq!(merged.percentile(p), h.percentile(p));
+            let mut with_empty = h.clone();
+            with_empty.merge(&DurationHistogram::new());
+            prop_assert_eq!(histogram_json(&with_empty).to_json(), one.clone());
+            let mut into_empty = DurationHistogram::new();
+            into_empty.merge(&h);
+            prop_assert_eq!(histogram_json(&into_empty).to_json(), one);
+        }
     }
 
     #[test]

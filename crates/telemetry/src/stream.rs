@@ -15,10 +15,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use trail_sim::SimDuration;
+use trail_sim::{DurationHistogram, SimDuration};
 
 use crate::json::JsonValue;
-use crate::metrics::DurationHistogram;
+use crate::metrics::histogram_json;
 
 /// Identity of an independent request stream.
 ///
@@ -110,9 +110,9 @@ impl StreamLane {
                 "max_queue_depth",
                 JsonValue::Num(f64::from(self.max_inflight)),
             ),
-            ("latency", self.latency.to_json()),
-            ("read_latency", self.read_latency.to_json()),
-            ("write_latency", self.write_latency.to_json()),
+            ("latency", histogram_json(&self.latency)),
+            ("read_latency", histogram_json(&self.read_latency)),
+            ("write_latency", histogram_json(&self.write_latency)),
         ])
     }
 }

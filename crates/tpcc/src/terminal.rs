@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use trail_db::{Database, TxnResult};
-use trail_sim::{Delivered, LatencySummary, SimDuration, SimTime, Simulator};
+use trail_sim::{Delivered, DurationHistogram, SimDuration, SimTime, Simulator};
 
 use crate::gen::TxnType;
 use crate::workload::Workload;
@@ -49,8 +49,8 @@ pub struct TpccReport {
     pub tpmc: f64,
     /// New-Order-only transactions per minute.
     pub tpmc_new_order: f64,
-    /// Response times (start → durable).
-    pub response: LatencySummary,
+    /// Response times (start → durable), in completion order.
+    pub response: Vec<SimDuration>,
     /// Synchronous log forces during the run (Table 3's "number of group
     /// commits").
     pub group_commits: u64,
@@ -64,7 +64,7 @@ struct RunState {
     to_issue: usize,
     completed: u64,
     new_orders: u64,
-    response: LatencySummary,
+    response: Vec<SimDuration>,
     started_at: SimTime,
     last_durable: SimTime,
 }
@@ -89,7 +89,7 @@ pub fn run(
         to_issue: config.transactions,
         completed: 0,
         new_orders: 0,
-        response: LatencySummary::new(),
+        response: Vec::with_capacity(config.transactions),
         started_at: sim.now(),
         last_durable: sim.now(),
     }));
@@ -127,6 +127,17 @@ pub fn run(
     }
 }
 
+impl TpccReport {
+    /// The mean response time, exact to the nanosecond.
+    pub fn mean_response(&self) -> SimDuration {
+        self.response
+            .iter()
+            .copied()
+            .collect::<DurationHistogram>()
+            .mean()
+    }
+}
+
 fn issue_next(sim: &mut Simulator, db: Database, state: Rc<RefCell<RunState>>, chain: ChainOn) {
     let (ty, spec) = {
         let mut s = state.borrow_mut();
@@ -153,7 +164,7 @@ fn issue_next(sim: &mut Simulator, db: Database, state: Rc<RefCell<RunState>>, c
             if ty == TxnType::NewOrder {
                 s.new_orders += 1;
             }
-            s.response.record(res.response());
+            s.response.push(res.response());
             s.last_durable = sim.now();
         }
         if chain == ChainOn::Durable {

@@ -114,9 +114,9 @@ fn table2_shape_trail_beats_gc_beats_plain() {
     );
     // Response time: Trail < plain < GC (GC delays commits to fill groups).
     let (t_ms, p_ms, g_ms) = (
-        trail.response.mean().as_millis_f64(),
-        plain.response.mean().as_millis_f64(),
-        gc.response.mean().as_millis_f64(),
+        trail.mean_response().as_millis_f64(),
+        plain.mean_response().as_millis_f64(),
+        gc.mean_response().as_millis_f64(),
     );
     assert!(
         t_ms < p_ms && p_ms < g_ms,

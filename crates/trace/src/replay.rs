@@ -67,8 +67,10 @@ use trail_blockio::TapHandle;
 use trail_db::BlockStack;
 use trail_disk::{Disk, Lba, MediumStats, SECTOR_SIZE};
 use trail_fs::{FsError, FS_BLOCK_SIZE};
-use trail_sim::{Completion, Delivered, FaultPlan, SimDuration, SimTime, Simulator};
-use trail_telemetry::{DurationHistogram, JsonValue, RecorderHandle, StreamId, StreamMetrics};
+use trail_sim::{
+    Completion, Delivered, DurationHistogram, FaultPlan, SimDuration, SimTime, Simulator,
+};
+use trail_telemetry::{histogram_json, JsonValue, RecorderHandle, StreamId, StreamMetrics};
 
 pub use trail::TargetKind;
 use trail_blockio::IoDone;
@@ -247,9 +249,9 @@ impl ReplayReport {
             ("writes", JsonValue::Num(self.writes as f64)),
             ("errors", JsonValue::Num(self.errors as f64)),
             ("duration_ms", JsonValue::Num(self.duration.as_millis_f64())),
-            ("latency", self.latency.to_json()),
-            ("read_latency", self.read_latency.to_json()),
-            ("write_latency", self.write_latency.to_json()),
+            ("latency", histogram_json(&self.latency)),
+            ("read_latency", histogram_json(&self.read_latency)),
+            ("write_latency", histogram_json(&self.write_latency)),
             ("streams", self.streams.to_json()),
             (
                 "latency_fingerprint",
@@ -1354,7 +1356,10 @@ mod tests {
             (read_latency, &r.read_latency),
             (write_latency, &r.write_latency),
         ] {
-            assert_eq!(merged.to_json().to_json(), aggregate.to_json().to_json());
+            assert_eq!(
+                histogram_json(&merged).to_json(),
+                histogram_json(aggregate).to_json()
+            );
         }
     }
 

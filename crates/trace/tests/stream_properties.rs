@@ -13,6 +13,7 @@ use std::io::Cursor;
 use proptest::prelude::*;
 
 use trail_sim::{Fault, FaultKind, FaultPlan, FaultTarget, SimDuration, SimTime};
+use trail_telemetry::histogram_json;
 use trail_trace::replay::replay_single_issuer;
 use trail_trace::{
     from_binary, generate, generate_stream, import_blkparse, replay, replay_stream,
@@ -394,16 +395,16 @@ proptest! {
         prop_assert_eq!(merged.duration, single.duration);
         prop_assert_eq!(merged.latency_fingerprint, single.latency_fingerprint);
         prop_assert_eq!(
-            merged.latency.to_json().to_json(),
-            single.latency.to_json().to_json()
+            histogram_json(&merged.latency).to_json(),
+            histogram_json(&single.latency).to_json()
         );
         prop_assert_eq!(
-            merged.read_latency.to_json().to_json(),
-            single.read_latency.to_json().to_json()
+            histogram_json(&merged.read_latency).to_json(),
+            histogram_json(&single.read_latency).to_json()
         );
         prop_assert_eq!(
-            merged.write_latency.to_json().to_json(),
-            single.write_latency.to_json().to_json()
+            histogram_json(&merged.write_latency).to_json(),
+            histogram_json(&single.write_latency).to_json()
         );
         prop_assert_eq!(
             merged.streams.to_json().to_json(),

@@ -25,7 +25,7 @@ use std::rc::Rc;
 use trail_blockio::{BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver, StreamId};
 use trail_disk::{CommandKind, Disk, DiskError, Lba, PayloadBuf, ServiceBreakdown, SECTOR_SIZE};
 use trail_sim::{
-    Completion, Delivered, Fault, FaultKind, FaultSink, FaultTarget, LatencySummary, SimTime,
+    Completion, Delivered, DurationHistogram, Fault, FaultKind, FaultSink, FaultTarget, SimTime,
     Simulator,
 };
 use trail_telemetry::{JsonValue, RecorderHandle};
@@ -42,9 +42,9 @@ const REGION_SHIFT: u32 = 8;
 #[derive(Clone, Debug, Default)]
 pub struct MemberStats {
     /// Member-level read latencies (sub-operations, not logical requests).
-    pub read_latency: LatencySummary,
+    pub read_latency: DurationHistogram,
     /// Member-level write latencies.
-    pub write_latency: LatencySummary,
+    pub write_latency: DurationHistogram,
     /// Sectors read from this member.
     pub sectors_read: u64,
     /// Sectors written to this member.
@@ -87,9 +87,9 @@ pub struct VolumeStats {
     /// Logical write requests accepted.
     pub logical_writes: u64,
     /// End-to-end logical read latencies.
-    pub read_latency: LatencySummary,
+    pub read_latency: DurationHistogram,
     /// End-to-end logical write latencies.
-    pub write_latency: LatencySummary,
+    pub write_latency: DurationHistogram,
     /// RAID-5 read-modify-write cycles started (one per partial-stripe
     /// span per attempt).
     pub rmw_cycles: u64,
@@ -1409,12 +1409,8 @@ mod tests {
         write_ok(&mut sim, &vol, 7, data.clone());
         assert_eq!(read_back(&mut sim, &vol, 7, 2), data);
         assert_eq!(read_back(&mut sim, &vol, 7, 2), data);
-        let reads: Vec<u64> = vol.with_stats(|s| {
-            s.members
-                .iter()
-                .map(|m| m.read_latency.count() as u64)
-                .collect()
-        });
+        let reads: Vec<u64> =
+            vol.with_stats(|s| s.members.iter().map(|m| m.read_latency.count()).collect());
         assert_eq!(reads, vec![1, 1], "round-robin alternates mirrors");
         let writes: Vec<u64> =
             vol.with_stats(|s| s.members.iter().map(|m| m.sectors_written).collect());

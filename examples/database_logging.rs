@@ -106,7 +106,7 @@ fn main() -> Result<(), TrailError> {
         println!(
             "| {name} | {:>6.0} | {:>8.1} ms | {:>7.2} s | {:>4} |",
             report.tpmc,
-            report.response.mean().as_millis_f64(),
+            report.mean_response().as_millis_f64(),
             report.logging_io_time.as_secs_f64(),
             report.group_commits,
         );

@@ -595,7 +595,7 @@ mod tests {
         // `(overtook, queued)`: of the writes still queued on a volume
         // member when a read was submitted behind them, how many completed
         // first.
-        let overtaking_writes = |front: fn(StackBuilder) -> StackBuilder| -> (usize, usize) {
+        let overtaking_writes = |front: fn(StackBuilder) -> StackBuilder| -> (u64, u64) {
             let b = StackBuilder::new()
                 .data_disks(1)
                 .data_profile(profiles::tiny_test_disk())
@@ -619,10 +619,10 @@ mod tests {
             // queued its data and parity writes on the members (under
             // Trail they reach the volume as write-backs, once their log
             // record is down).
-            let member_reads = || -> usize {
+            let member_reads = || -> u64 {
                 vol.with_stats(|s| s.members.iter().map(|m| m.read_latency.count()).sum())
             };
-            while member_reads() < writes as usize {
+            while member_reads() < writes {
                 assert!(sim.step(), "every write reaches the volume");
             }
             // The read (lba 0, on member 0) sits below every queued write,

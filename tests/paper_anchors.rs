@@ -21,7 +21,7 @@ fn testbed() -> (Simulator, TrailDriver, Disk) {
 /// Runs `n` sparse random writes of `bytes`, returning mean latency in ms.
 fn sparse_writes(n: usize, bytes: usize) -> (f64, f64) {
     let (mut sim, trail, log) = testbed();
-    let lat = Rc::new(RefCell::new(trail_sim::LatencySummary::new()));
+    let lat = Rc::new(RefCell::new(trail_sim::DurationHistogram::new()));
     let mut rng = trail_sim::rng(5);
     for _ in 0..n {
         let l = Rc::clone(&lat);
@@ -83,7 +83,7 @@ fn trail_beats_standard_by_5x_or_more_on_small_writes() {
     let mut sim = Simulator::new();
     let disk = Disk::new("data", profiles::wd_caviar_10gb());
     let drv = StandardDriver::new(disk);
-    let lat = Rc::new(RefCell::new(trail_sim::LatencySummary::new()));
+    let lat = Rc::new(RefCell::new(trail_sim::DurationHistogram::new()));
     let mut rng = trail_sim::rng(5);
     for _ in 0..100 {
         let l = Rc::clone(&lat);
