@@ -207,8 +207,9 @@ grep -q 'trace_tool replay' <<<"$file_err" \
 
 echo "== one-entry-point gate =="
 # One perf instrument (benchmark/), one binary->binary trace re-encoder
-# (trail_trace::recode), no capability without a caller: what PR 22
-# deleted must not come back.
+# for trail-bench (trail_trace::recode; trace_tool convert streams any
+# format pair through one RecordSource/RecordSink loop), no capability
+# without a caller: what PR 22 deleted must not come back.
 if [ -e vendor/criterion ] || grep -n '^\[\[bench\]\]' crates/bench/Cargo.toml; then
   echo "found a cargo-bench instrument; host cost is benchmark/'s job" >&2
   exit 1
@@ -272,6 +273,17 @@ done
 [ -z "$uncalled" ] \
   || { echo "pub fns with no reference in the workspace:$uncalled" >&2; exit 1; }
 
+echo "== one-record-stream gate =="
+# trace_tool reads and writes both trace formats through one
+# RecordSource/RecordSink pair, and the replay dispatcher's report bytes
+# are pinned (crates/trace/tests/stream_properties.rs): the in-memory
+# JSONL branches and the pre-scheduled replay oracle must not come back.
+if grep -rnE --include='*.rs' \
+    'replay_single_issuer|schedule_oracle_sampler|"--oracle"|fn load_jsonl|fn store\(' crates; then
+  echo "found a retired replay oracle or in-memory JSONL path" >&2
+  exit 1
+fi
+
 echo "== one-latency-type gate =="
 # trail_sim::DurationHistogram is the one latency statistic (DESIGN.md,
 # "Latency statistics"): the keep-every-sample LatencySummary and a second
@@ -305,6 +317,13 @@ trace_tool convert "$smoke_dir/smoke.trace" "$smoke_dir/smoke.jsonl" >/dev/null
 trace_tool convert "$smoke_dir/smoke.jsonl" "$smoke_dir/smoke2.trace" >/dev/null
 cmp -s "$smoke_dir/smoke.trace" "$smoke_dir/smoke2.trace" \
   || { echo "trace codec binary->jsonl->binary round trip is not byte-identical" >&2; exit 1; }
+# The encoding is storage, not content: the JSONL twin replays to the
+# same artifact bytes.
+mkdir -p "$smoke_dir/smoke_jsonl"
+trace_tool replay "$smoke_dir/smoke.jsonl" --quick --target trail \
+  --out-dir "$smoke_dir/smoke_jsonl" >/dev/null
+cmp -s "$smoke_dir/BENCH_replay_trail.json" "$smoke_dir/smoke_jsonl/BENCH_replay_trail.json" \
+  || { echo "trace_tool replay of the .jsonl twin differs from the .trace replay" >&2; exit 1; }
 
 echo "== streaming replay gate (10^6-record chunked trace, byte-identical) =="
 # Generate a million-record chunked trace and stream it through the
@@ -320,9 +339,7 @@ mkdir -p "$stream_a" "$stream_b"
 replay_json=BENCH_replay_trail_multi2.json
 stream_out="$(trace_tool replay "$smoke_dir/big.trace" --target trail_multi2 \
   --out-dir "$stream_a")"
-# Second run cross-checks the in-memory oracle: the whole trace decoded
-# up front must produce the byte-identical report the streamed run did.
-trace_tool replay "$smoke_dir/big.trace" --target trail_multi2 --oracle \
+trace_tool replay "$smoke_dir/big.trace" --target trail_multi2 \
   --out-dir "$stream_b" >/dev/null
 cmp -s "$stream_a/$replay_json" "$stream_b/$replay_json" \
   || { echo "$replay_json is not byte-identical across runs" >&2; exit 1; }

@@ -9,20 +9,21 @@
 //! trace_tool capture  --out t.trace [--txns N] [--standard] [--seed S]
 //! trace_tool import   blkparse.txt --out t.trace [--action Q] [--chunk-records C]
 //! trace_tool inspect  t.trace
-//! trace_tool convert  in.trace out.jsonl      (direction by extension)
-//!                     [--compress | --raw] [--chunk-records C]
+//! trace_tool convert  in.trace out.jsonl [--compress | --raw] [--chunk-records C]
 //! trace_tool replay   t.trace [--target all|standard|trail|trail_multiN|ext2|ext2_trail
 //!                     |lfs|lfs_trail] [--speed X] [--quick] [--out-dir DIR]
-//!                     [--shards N [--threads N]] [--oracle]
+//!                     [--shards N [--threads N]]
 //! ```
 //!
-//! Binary traces are processed **chunk at a time**: `generate`,
-//! `import`, and `convert` write through the streaming codec,
-//! `inspect` and `replay` read through it, so none of them ever hold a
-//! whole trace in memory — a multi-gigabyte trace inspects and replays
-//! in bounded space. (The JSONL side of `convert` streams line by
-//! line; loading a whole trace happens only for `.jsonl` inputs to
-//! `inspect`/`replay`, the debugging format.)
+//! A trace file is JSONL (the line-per-record debugging format) when its
+//! name ends in `.jsonl` and binary otherwise, for every command and
+//! every argument. The tool looks at the extension in one place: where it
+//! opens a trace as a [`RecordSource`] or creates one as a
+//! [`RecordSink`]. Every command is then one record stream — the binary
+//! codec works a chunk at a time and the JSONL codec a line at a time —
+//! so none of them holds a whole trace in memory (bar `capture`, whose
+//! tap collects the run first): a multi-gigabyte trace inspects,
+//! converts and replays in bounded space, whatever its format.
 //!
 //! `import` parses `blkparse` text output, tagging each request with a
 //! stream derived from the CPU column; `inspect` prints a per-stream
@@ -30,43 +31,37 @@
 //! target with p50/p99/p99.9 latency (aggregate and per stream), the
 //! latency fingerprint, the peak-resident-records memory proxy and the
 //! queue-depth trajectory — every field virtual-time-derived, so a fixed
-//! trace produces identical bytes on every run. `--shards N` partitions a
-//! binary trace by stream and replays each shard on its own engine,
-//! merging the reports deterministically; `--threads N` caps the worker
-//! threads (default: one per shard). The artifact records the shard
-//! count — never the thread count — so it is byte-identical for any
-//! `--threads`. `--oracle` additionally decodes the whole file into
-//! memory, replays it through the in-memory engine, and asserts the two
-//! reports are byte-identical. Wall-clock throughput, the process's real
-//! peak RSS (`VmHWM`) and the `media:` line (what the simulated platters
-//! hold and what that costs the host) go to the console only.
+//! trace produces identical bytes on every run, from either format.
+//! `--shards N` partitions a trace by stream and replays each shard on
+//! its own engine, merging the reports deterministically; `--threads N`
+//! caps the worker threads (default: one per shard). The artifact records
+//! the shard count — never the thread count — so it is byte-identical for
+//! any `--threads`. Wall-clock throughput, the process's real peak RSS
+//! (`VmHWM`) and the `media:` line (what the simulated platters hold and
+//! what that costs the host) go to the console only.
 //!
-//! `convert --compress` rewrites a trace with delta-compressed chunks
-//! (column split + delta + varint, see DESIGN.md); `--raw` rewrites
-//! back to raw chunks. Either way the records are identical — the
-//! encoding is a per-chunk storage choice, and every reader handles
-//! both.
+//! `--compress` writes a binary trace with delta-compressed chunks
+//! (column split + delta + varint, see DESIGN.md), `--raw` with raw
+//! chunks, and `--chunk-records` sets the records per chunk. Either way
+//! the records are identical — these are storage choices, and every
+//! reader handles both encodings. JSONL has no chunks, so naming a
+//! `.jsonl` output with any of the three is an error.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use trail_bench::{
-    media_line, open_trace, shard_count, vm_hwm, write_bench_json_in, Args, TpccRig,
-};
+use trail_bench::{media_line, shard_count, vm_hwm, write_bench_json_in, Args, TpccRig};
 use trail_sim::{SimDuration, SimTime};
 use trail_telemetry::JsonValue;
 use trail_tpcc::{run, ChainOn, RunConfig};
-use trail_trace::codec::{
-    jsonl_meta_line, jsonl_record_line, parse_jsonl_meta, parse_jsonl_record,
-};
 use trail_trace::{
-    from_binary, from_jsonl, generate, generate_stream, import_blkparse, recode, replay,
-    replay_stream, replay_stream_sharded, scan_blkparse, to_jsonl, ArrivalModel, ChunkEncoding,
-    ImportOptions, ReplayOptions, ShardPlan, SpatialModel, StreamSummary, StreamSummaryBuilder,
-    SyntheticSpec, TargetKind, Trace, TraceCapture, TraceMeta, TraceReader, TraceRecord,
+    generate_records, import_blkparse_into, replay_stream, replay_stream_sharded, scan_blkparse,
+    ArrivalModel, ChunkEncoding, ImportOptions, JsonlReader, JsonlWriter, RecordCheck, RecordSink,
+    RecordSource, ReplayOptions, ShardPlan, SpatialModel, StreamSummary, StreamSummaryBuilder,
+    SyntheticSpec, TargetKind, TraceCapture, TraceError, TraceMeta, TraceReader, TraceRecord,
     TraceWriter,
 };
 
@@ -92,42 +87,76 @@ fn main() -> ExitCode {
     }
 }
 
+/// Whether `path` names a JSONL trace; asked only by [`open_records`] and
+/// [`create_records`].
 fn is_jsonl(path: &str) -> bool {
     path.ends_with(".jsonl")
 }
 
-/// [`open_trace`] with the path in the error.
-fn open_binary(path: &str) -> Result<TraceReader<BufReader<File>>, String> {
-    open_trace(path).map_err(|e| format!("{path}: {e}"))
-}
-
-fn create_out(path: &str) -> Result<BufWriter<File>, String> {
-    Ok(BufWriter::new(
-        File::create(path).map_err(|e| format!("{path}: {e}"))?,
-    ))
-}
-
-/// Reads a whole trace into memory — only for `.jsonl` inputs (the
-/// line-oriented debugging format); binary traces stream instead.
-fn load_jsonl(path: &str) -> Result<Trace, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Stores an in-memory trace (capture and `.jsonl` outputs).
-fn store(path: &str, trace: &Trace) -> Result<(), String> {
-    if is_jsonl(path) {
-        let text = to_jsonl(trace).map_err(|e| e.to_string())?;
-        std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))
+/// Opens the trace at `path` for reading, in the format its name says.
+fn open_records(path: &str) -> Result<Box<dyn RecordSource>, TraceError> {
+    let file = BufReader::new(File::open(path).map_err(|e| TraceError::Io(e.to_string()))?);
+    Ok(if is_jsonl(path) {
+        Box::new(JsonlReader::new(file)?)
     } else {
-        let mut w =
-            TraceWriter::new(create_out(path)?, &trace.meta).map_err(|e| format!("{path}: {e}"))?;
-        for r in &trace.records {
-            w.write_record(r).map_err(|e| format!("{path}: {e}"))?;
-        }
-        w.finish().map_err(|e| format!("{path}: {e}"))?;
-        Ok(())
+        Box::new(TraceReader::new(file)?)
+    })
+}
+
+/// Creates the trace at `path` for writing under `meta`, in the format
+/// its name says. The `--compress`, `--raw` and `--chunk-records` flags
+/// in `args` override how a binary trace is stored; JSONL has no chunks,
+/// so they are an error for a `.jsonl` path.
+fn create_records(
+    path: &str,
+    mut meta: TraceMeta,
+    args: &Args,
+) -> Result<Box<dyn RecordSink>, String> {
+    let encoding = match (args.has("--compress"), args.has("--raw")) {
+        (true, true) => return Err("--compress and --raw are mutually exclusive".to_string()),
+        (true, false) => Some(ChunkEncoding::Delta),
+        (false, true) => Some(ChunkEncoding::Raw),
+        (false, false) => None,
+    };
+    let chunk_records = args.parsed("--chunk-records")?;
+    let jsonl = is_jsonl(path);
+    if jsonl && (encoding.is_some() || chunk_records.is_some()) {
+        return Err(format!(
+            "--compress, --raw and --chunk-records apply to binary traces, not {path}"
+        ));
     }
+    meta.encoding = encoding.unwrap_or(meta.encoding);
+    meta.chunk_records = chunk_records.unwrap_or(meta.chunk_records);
+    let file = BufWriter::new(File::create(path).map_err(|e| format!("{path}: {e}"))?);
+    let sink: Box<dyn RecordSink> = if jsonl {
+        Box::new(JsonlWriter::new(file, &meta).map_err(|e| format!("{path}: {e}"))?)
+    } else {
+        Box::new(TraceWriter::new(file, &meta).map_err(|e| format!("{path}: {e}"))?)
+    };
+    Ok(sink)
+}
+
+/// `source`'s records as an iterator.
+fn records<S: RecordSource + ?Sized>(
+    source: &mut S,
+) -> impl Iterator<Item = Result<TraceRecord, TraceError>> + '_ {
+    std::iter::from_fn(move || source.next_record())
+}
+
+/// Writes `records` to `sink` and finishes it, returning how many there
+/// were: the record loop of `generate`, `capture` and `convert` (`import`
+/// runs its own inside [`import_blkparse_into`]).
+fn drain(
+    records: impl Iterator<Item = Result<TraceRecord, TraceError>>,
+    mut sink: Box<dyn RecordSink>,
+) -> Result<u64, TraceError> {
+    let mut count = 0;
+    for r in records {
+        sink.write_record(&r?)?;
+        count += 1;
+    }
+    sink.finish()?;
+    Ok(count)
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
@@ -151,7 +180,6 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     ];
     let args = Args::parse(args, FLAGS, 0)?;
     let out = args.value("--out").ok_or("generate needs --out FILE")?;
-    let chunk = args.parsed("--chunk-records")?.unwrap_or(0u32);
     let arrivals = match args.value("--arrival") {
         None | Some("poisson") => ArrivalModel::Poisson {
             mean_iat: SimDuration::from_micros(args.parsed("--mean-iat-us")?.unwrap_or(2000)),
@@ -185,22 +213,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         spatial,
         ..SyntheticSpec::default()
     };
-    if is_jsonl(out) {
-        let trace = generate(&spec);
-        store(out, &trace)?;
-        println!(
-            "generated {} requests over {:.3} s -> {out}",
-            trace.len(),
-            trace.duration().as_secs_f64()
-        );
-    } else {
-        // Records stream straight into the chunked codec; the whole
-        // trace never exists in memory.
-        let mut w =
-            generate_stream(&spec, chunk, create_out(out)?).map_err(|e| format!("{out}: {e}"))?;
-        w.flush().map_err(|e| format!("{out}: {e}"))?;
-        println!("generated {} requests -> {out}", spec.requests);
-    }
+    let mut source = generate_records(&spec);
+    let sink = create_records(out, source.meta().clone(), &args)?;
+    let count = drain(records(&mut source), sink).map_err(|e| format!("{out}: {e}"))?;
+    println!("generated {count} requests -> {out}");
     Ok(())
 }
 
@@ -241,13 +257,12 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
             if on_trail { "trail" } else { "standard" }
         ),
         seed: rig.seed,
-        devices: 0,
         note: format!("{txns} transactions, concurrency 4"),
-        chunk_records: args.parsed("--chunk-records")?.unwrap_or(0),
-        encoding: ChunkEncoding::Raw,
+        ..TraceMeta::default()
     });
     trace.rebase_to_first();
-    store(out, &trace)?;
+    let sink = create_records(out, trace.meta.clone(), &args)?;
+    drain(trace.records.iter().map(|r| Ok(*r)), sink).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "captured {} requests over {:.3} s ({:.0} tpmC) -> {out}",
         trace.len(),
@@ -273,34 +288,20 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
         Some(v) => return Err(format!("--action wants a single letter, got {v:?}")),
     };
     let opts = ImportOptions { action };
-    if is_jsonl(out) {
-        let text = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
-        let trace = import_blkparse(&text, &opts).map_err(|e| e.to_string())?;
-        store(out, &trace)?;
-        println!(
-            "imported {} '{action}' events over {:.3} s, {} devices, {} streams -> {out}",
-            trace.len(),
-            trace.duration().as_secs_f64(),
-            trace.meta.devices,
-            trace.streams().len()
-        );
-        return Ok(());
-    }
     // Two streaming passes: scan for the epoch and device table, then
     // re-read, normalize through the bounded reorder window, and write
-    // chunks as they fill.
+    // records as they leave it.
     let open = || -> Result<BufReader<File>, String> {
         Ok(BufReader::new(
             File::open(input).map_err(|e| format!("{input}: {e}"))?,
         ))
     };
     let scan = scan_blkparse(open()?, &opts).map_err(|e| e.to_string())?;
-    let chunk = args.parsed("--chunk-records")?.unwrap_or(0);
+    let meta = scan.meta(&opts).map_err(|e| e.to_string())?;
+    let mut sink = create_records(out, meta, &args)?;
     let window = args.parsed("--reorder-window")?.unwrap_or(0);
-    let w =
-        trail_trace::import_blkparse_into(open()?, &opts, &scan, chunk, window, create_out(out)?)
-            .map_err(|e| e.to_string())?;
-    drop(w);
+    import_blkparse_into(open()?, &opts, &scan, window, &mut *sink).map_err(|e| e.to_string())?;
+    sink.finish().map_err(|e| format!("{out}: {e}"))?;
     println!(
         "imported {} '{action}' events, {} devices -> {out}",
         scan.records,
@@ -316,15 +317,12 @@ struct InspectStats {
     sectors: u64,
     first: Option<SimTime>,
     last: Option<SimTime>,
-    /// First invariant violation, if any (checked on the fly: sorted by
-    /// `(arrival, stream)`, no zero-length requests).
+    /// First invariant violation, if any (see [`RecordCheck`]).
     invalid: Option<String>,
     summaries: Vec<StreamSummary>,
 }
 
-fn inspect_records<I: Iterator<Item = Result<TraceRecord, String>>>(
-    it: I,
-) -> Result<InspectStats, String> {
+fn inspect_records(source: &mut dyn RecordSource) -> Result<InspectStats, TraceError> {
     let mut stats = InspectStats {
         records: 0,
         reads: 0,
@@ -335,10 +333,9 @@ fn inspect_records<I: Iterator<Item = Result<TraceRecord, String>>>(
         summaries: Vec::new(),
     };
     let mut builder = StreamSummaryBuilder::new();
-    let mut prev: Option<(SimTime, u32)> = None;
-    for r in it {
+    let mut check = RecordCheck::default();
+    for r in records(source) {
         let r = r?;
-        let i = stats.records;
         stats.records += 1;
         if r.op.is_read() {
             stats.reads += 1;
@@ -347,13 +344,8 @@ fn inspect_records<I: Iterator<Item = Result<TraceRecord, String>>>(
         stats.first.get_or_insert(r.at);
         stats.last = Some(r.at);
         if stats.invalid.is_none() {
-            if r.sectors == 0 {
-                stats.invalid = Some(format!("record {i}: zero-length request"));
-            } else if prev.is_some_and(|p| p > (r.at, r.stream.0)) {
-                stats.invalid = Some(format!("records {} and {i} out of order", i - 1));
-            }
+            stats.invalid = check.check(&r).err();
         }
-        prev = Some((r.at, r.stream.0));
         builder.record(&r);
     }
     stats.summaries = builder.finish();
@@ -363,16 +355,9 @@ fn inspect_records<I: Iterator<Item = Result<TraceRecord, String>>>(
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let args = Args::parse(args, &[], 1)?;
     let path = args.positional(0).ok_or("missing trace file")?;
-    let (meta, stats) = if is_jsonl(path) {
-        let trace = load_jsonl(path)?;
-        let stats = inspect_records(trace.records.iter().map(|r| Ok(*r)))?;
-        (trace.meta, stats)
-    } else {
-        let mut reader = open_binary(path)?;
-        let meta = reader.meta().clone();
-        let stats = inspect_records(reader.records().map(|r| r.map_err(|e| e.to_string())))?;
-        (meta, stats)
-    };
+    let mut source = open_records(path).map_err(|e| format!("{path}: {e}"))?;
+    let stats = inspect_records(&mut *source).map_err(|e| format!("{path}: {e}"))?;
+    let meta = source.meta();
     let duration = match (stats.first, stats.last) {
         (Some(first), Some(last)) => last.saturating_duration_since(first),
         _ => SimDuration::ZERO,
@@ -418,93 +403,10 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let args = Args::parse(args, FLAGS, 2)?;
     let input = args.positional(0).ok_or("missing input file")?;
     let output = args.positional(1).ok_or("missing output file")?;
-    let chunk: Option<u32> = args.parsed("--chunk-records")?;
-    let encoding = match (args.has("--compress"), args.has("--raw")) {
-        (true, true) => return Err("--compress and --raw are mutually exclusive".to_string()),
-        (true, false) => Some(ChunkEncoding::Delta),
-        (false, true) => Some(ChunkEncoding::Raw),
-        (false, false) => None,
-    };
-    let count = match (is_jsonl(input), is_jsonl(output)) {
-        // Binary -> JSONL: decode chunk by chunk, print line by line.
-        (false, true) => {
-            let mut reader = open_binary(input)?;
-            let meta = reader.meta().clone();
-            let mut out = create_out(output)?;
-            let oops = |e: std::io::Error| format!("{output}: {e}");
-            writeln!(out, "{}", jsonl_meta_line(&meta, None)).map_err(oops)?;
-            let mut count: u64 = 0;
-            for r in reader.records() {
-                let r = r.map_err(|e| format!("{input}: {e}"))?;
-                let line = jsonl_record_line(count, &r).map_err(|e| e.to_string())?;
-                writeln!(out, "{line}").map_err(oops)?;
-                count += 1;
-            }
-            out.flush().map_err(oops)?;
-            count
-        }
-        // JSONL -> binary: parse line by line, write chunk by chunk.
-        (true, false) => {
-            let file = File::open(input).map_err(|e| format!("{input}: {e}"))?;
-            let mut lines = BufReader::new(file)
-                .lines()
-                .map(|l| l.map_err(|e| format!("{input}: {e}")));
-            let first = loop {
-                match lines.next() {
-                    None => return Err(format!("{input}: empty JSONL trace")),
-                    Some(line) => {
-                        let line = line?;
-                        if !line.trim().is_empty() {
-                            break line;
-                        }
-                    }
-                }
-            };
-            let (mut meta, declared) =
-                parse_jsonl_meta(&first).map_err(|e| format!("{input}: {e}"))?;
-            if let Some(c) = chunk {
-                meta.chunk_records = c;
-            }
-            if let Some(enc) = encoding {
-                meta.encoding = enc;
-            }
-            let mut w = TraceWriter::new(create_out(output)?, &meta)
-                .map_err(|e| format!("{output}: {e}"))?;
-            let mut count: u64 = 0;
-            for line in lines {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let r = parse_jsonl_record(count, &line).map_err(|e| format!("{input}: {e}"))?;
-                w.write_record(&r).map_err(|e| format!("{output}: {e}"))?;
-                count += 1;
-            }
-            w.finish().map_err(|e| format!("{output}: {e}"))?;
-            if declared.is_some_and(|d| d != count) {
-                return Err(format!(
-                    "{input}: header declares {} records but {count} lines follow",
-                    declared.expect("checked")
-                ));
-            }
-            count
-        }
-        // Binary -> binary: stream through, re-chunking if asked.
-        (false, false) => {
-            let mut reader = open_binary(input)?;
-            let encoding = encoding.unwrap_or(reader.meta().encoding);
-            let chunk = chunk.unwrap_or(reader.meta().chunk_records);
-            recode(&mut reader, encoding, chunk, create_out(output)?)
-                .map_err(|e| format!("{input} -> {output}: {e}"))?;
-            reader.records_read()
-        }
-        // JSONL -> JSONL: the debug format, in memory is fine.
-        (true, true) => {
-            let trace = load_jsonl(input)?;
-            store(output, &trace)?;
-            trace.len() as u64
-        }
-    };
+    let mut source = open_records(input).map_err(|e| format!("{input}: {e}"))?;
+    let sink = create_records(output, source.meta().clone(), &args)?;
+    let count =
+        drain(records(&mut *source), sink).map_err(|e| format!("{input} -> {output}: {e}"))?;
     println!("{input} -> {output} ({count} records)");
     Ok(())
 }
@@ -517,7 +419,6 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         ("--out-dir", true),
         ("--shards", true),
         ("--threads", true),
-        ("--oracle", false),
     ];
     let args = Args::parse(args, FLAGS, 1)?;
     let path = args.positional(0).ok_or("missing trace file")?;
@@ -532,13 +433,6 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         }
         _ => {}
     }
-    let oracle = args.has("--oracle");
-    if oracle && plan.is_some() {
-        return Err("--oracle checks the single engine; run it without --shards".to_string());
-    }
-    if is_jsonl(path) && (oracle || plan.is_some()) {
-        return Err("--shards and --oracle apply to binary traces".to_string());
-    }
     let targets: Vec<TargetKind> = match args.value("--target").unwrap_or("all") {
         "all" => vec![
             TargetKind::Standard,
@@ -549,23 +443,9 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         ],
         one => vec![one.parse()?],
     };
-    // JSONL traces (the debug format) load whole; binary traces are
-    // re-opened and streamed chunk-at-a-time once per target (and per
-    // shard), and decoded whole only for the oracle.
-    let in_memory: Option<Trace> = if is_jsonl(path) {
-        let t = load_jsonl(path)?;
-        println!(
-            "replaying {} requests ({:.3} s at 1x) at {speed}x:",
-            t.len(),
-            t.duration().as_secs_f64()
-        );
-        Some(t)
-    } else {
-        println!("replaying {path} at {speed}x:");
-        None
-    };
-    // Decoded after the first streamed replay has printed its VmHWM.
-    let mut oracle_trace: Option<Trace> = None;
+    // The trace is re-opened and streamed once per target (and per
+    // shard).
+    println!("replaying {path} at {speed}x:");
     for target in targets {
         let opts = ReplayOptions {
             target,
@@ -574,10 +454,12 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             ..ReplayOptions::default()
         };
         let wall_start = Instant::now();
-        let rep = match (&in_memory, plan) {
-            (Some(t), _) => replay(t, &opts),
-            (None, None) => replay_stream(open_binary(path)?, &opts),
-            (None, Some(plan)) => replay_stream_sharded(|| open_trace(path), plan, &opts),
+        let rep = match plan {
+            None => replay_stream(
+                open_records(path).map_err(|e| format!("{path}: {e}"))?,
+                &opts,
+            ),
+            Some(plan) => replay_stream_sharded(|| open_records(path), plan, &opts),
         }
         .map_err(|e| format!("{path}: {e}"))?;
         let wall = wall_start.elapsed();
@@ -613,20 +495,6 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             vm_hwm(),
         );
         println!("  {}", media_line(&rep.media));
-        if oracle {
-            if oracle_trace.is_none() {
-                let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-                oracle_trace = Some(from_binary(&bytes).map_err(|e| format!("{path}: {e}"))?);
-            }
-            let trace = oracle_trace.as_ref().expect("just decoded");
-            let mem = replay(trace, &opts).map_err(|e| format!("{path}: {e}"))?;
-            assert_eq!(
-                rep.to_json().to_json(),
-                mem.to_json().to_json(),
-                "streamed report differs from the in-memory oracle"
-            );
-            println!("    oracle: streamed report byte-identical to the in-memory replay");
-        }
         let mut json = rep.to_json();
         if let (Some(plan), JsonValue::Obj(fields)) = (plan, &mut json) {
             fields.push(("shards".to_string(), JsonValue::Num(f64::from(plan.shards))));

@@ -15,15 +15,18 @@
 //! - **JSONL** (`.jsonl`): the first line is the metadata object, each
 //!   following line one record. This is the greppable/diffable export;
 //!   it is exact for values below 2⁵³ (encoding larger timestamps or
-//!   LBAs is rejected rather than silently rounded).
+//!   LBAs is rejected rather than silently rounded, and decoding a value
+//!   that is not an integer in its field's range is an error).
 //!
-//! The streaming entry points are [`TraceWriter`] and [`TraceReader`]:
-//! a writer accepts records one at a time over any [`io::Write`] and
-//! never buffers more than one chunk; a reader decodes one chunk at a
-//! time over any [`io::Read`] and hands records out through
-//! [`TraceReader::next_record`] / [`TraceReader::records`]. The
-//! in-memory [`to_binary`] / [`from_binary`] pair are thin adapters
-//! over them for small traces and tests.
+//! Both encodings stream, each through a writer and a reader:
+//! [`TraceWriter`] / [`TraceReader`] for binary (a writer never buffers
+//! more than one chunk, a reader decodes one chunk at a time), and
+//! [`JsonlWriter`] / [`JsonlReader`] for JSONL (one line at a time).
+//! The readers are [`RecordSource`]s and the writers [`RecordSink`]s, so
+//! the replay engine and every tool that moves records reads or writes
+//! either format through one interface. The in-memory [`to_binary`] /
+//! [`from_binary`] pair are thin adapters over the binary pair for small
+//! traces and tests.
 //!
 //! Layout of one binary record (offsets in bytes):
 //!
@@ -48,7 +51,7 @@
 //! `(file_offset u64, records u32)` pair per data chunk.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use trail_sim::SimTime;
 use trail_telemetry::{JsonValue, StreamId};
@@ -152,6 +155,57 @@ fn read_err(what: &str, e: &io::Error) -> TraceError {
     }
 }
 
+/// Maps an I/O failure while writing a trace.
+fn write_err(e: io::Error) -> TraceError {
+    TraceError::Io(format!("writing trace: {e}"))
+}
+
+// ------------------------------------------------------ source and sink
+
+/// Records in file order, whatever the encoding: a binary
+/// [`TraceReader`] or a [`JsonlReader`]. The replay engine
+/// ([`crate::replay_stream`], [`crate::replay_stream_sharded`]) and every
+/// tool that reads a trace take one of these.
+pub trait RecordSource {
+    /// The trace's metadata, known before the first record.
+    fn meta(&self) -> &TraceMeta;
+
+    /// The next record; `None` at a clean end of trace. After an error
+    /// the source is fused (returns `None` from then on).
+    fn next_record(&mut self) -> Option<Result<TraceRecord, TraceError>>;
+}
+
+impl<S: RecordSource + ?Sized> RecordSource for Box<S> {
+    fn meta(&self) -> &TraceMeta {
+        (**self).meta()
+    }
+
+    fn next_record(&mut self) -> Option<Result<TraceRecord, TraceError>> {
+        (**self).next_record()
+    }
+}
+
+/// Where records go, whatever the encoding: a binary [`TraceWriter`] or
+/// a [`JsonlWriter`]. Both take the trace's metadata when they are
+/// created, so a producer that streams (generation, import, conversion)
+/// writes to either without knowing which.
+pub trait RecordSink {
+    /// Appends one record.
+    ///
+    /// # Errors
+    ///
+    /// A failed write, or a record the encoding cannot hold exactly.
+    fn write_record(&mut self, r: &TraceRecord) -> Result<(), TraceError>;
+
+    /// Writes whatever closes the trace and flushes it. A sink dropped
+    /// without this leaves a trace its reader rejects as truncated.
+    ///
+    /// # Errors
+    ///
+    /// A failed write.
+    fn finish(self: Box<Self>) -> Result<(), TraceError>;
+}
+
 // ----------------------------------------------------------------- crc
 
 /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`), slicing-by-8. Kept
@@ -216,11 +270,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// The canonical metadata object both codecs embed. `seed` is carried as
 /// a decimal string so 64-bit seeds survive the f64 JSON number space.
-/// `records` is present when the producer knows the total up front (the
-/// JSONL codec); the streaming binary writer leaves it out — the total
-/// lives in the footer index instead.
-fn meta_json(meta: &TraceMeta, records: Option<u64>) -> JsonValue {
-    let mut fields = vec![
+/// No record count: both writers stream, so neither knows the total when
+/// it writes the header (the binary footer index carries it instead).
+fn meta_json(meta: &TraceMeta) -> JsonValue {
+    JsonValue::obj(vec![
         ("format", JsonValue::str("trail-trace")),
         ("version", JsonValue::Num(f64::from(TRACE_VERSION))),
         ("source", JsonValue::str(meta.source.clone())),
@@ -232,15 +285,30 @@ fn meta_json(meta: &TraceMeta, records: Option<u64>) -> JsonValue {
             JsonValue::Num(f64::from(meta.chunk_records)),
         ),
         ("encoding", JsonValue::str(meta.encoding.name())),
-    ];
-    if let Some(records) = records {
-        fields.push(("records", JsonValue::Num(records as f64)));
-    }
-    JsonValue::obj(fields)
+    ])
 }
 
+/// The integer field `key` of `v` (`None` when absent), or why it is not
+/// one in `0..=max`. JSON numbers are `f64`, so a fractional, negative or
+/// out-of-range value is refused, never coerced.
+fn int_field(v: &JsonValue, key: &str, max: u64) -> Result<Option<u64>, String> {
+    let Some(n) = v.get(key) else {
+        return Ok(None);
+    };
+    match n.as_f64() {
+        Some(x) if x >= 0.0 && x.fract() == 0.0 && x <= max as f64 => Ok(Some(x as u64)),
+        _ => Err(format!(
+            "{key} {} is not an integer in 0..={max}",
+            n.to_json()
+        )),
+    }
+}
+
+/// The metadata plus the record count a JSONL header may declare (older
+/// producers wrote one; the writers here never do).
 fn parse_meta(v: &JsonValue) -> Result<(TraceMeta, Option<u64>), TraceError> {
     let bad = |why: &str| TraceError::BadMeta(why.to_string());
+    let int = |key: &str, max: u64| int_field(v, key, max).map_err(|why| bad(&why));
     let format = v
         .get("format")
         .and_then(JsonValue::as_str)
@@ -248,10 +316,7 @@ fn parse_meta(v: &JsonValue) -> Result<(TraceMeta, Option<u64>), TraceError> {
     if format != "trail-trace" {
         return Err(bad(&format!("format is {format:?}, not \"trail-trace\"")));
     }
-    let version = v
-        .get("version")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| bad("missing version"))? as u16;
+    let version = int("version", u16::MAX.into())?.ok_or_else(|| bad("missing version"))? as u16;
     if version != TRACE_VERSION {
         return Err(TraceError::UnsupportedVersion(version));
     }
@@ -259,14 +324,10 @@ fn parse_meta(v: &JsonValue) -> Result<(TraceMeta, Option<u64>), TraceError> {
         Some(JsonValue::Str(s)) => s
             .parse::<u64>()
             .map_err(|_| bad(&format!("seed {s:?} is not a u64")))?,
-        Some(JsonValue::Num(n)) => *n as u64,
-        _ => 0,
+        _ => int("seed", JSON_EXACT_MAX - 1)?.unwrap_or(0),
     };
-    let devices = v.get("devices").and_then(JsonValue::as_f64).unwrap_or(0.0) as u16;
-    let chunk_records = v
-        .get("chunk_records")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0) as u32;
+    let devices = int("devices", u16::MAX.into())?.unwrap_or(0) as u16;
+    let chunk_records = int("chunk_records", u32::MAX.into())?.unwrap_or(0) as u32;
     let encoding = match v.get("encoding") {
         None => ChunkEncoding::Raw,
         Some(JsonValue::Str(s)) => {
@@ -274,10 +335,7 @@ fn parse_meta(v: &JsonValue) -> Result<(TraceMeta, Option<u64>), TraceError> {
         }
         Some(_) => return Err(bad("encoding is not a string")),
     };
-    let records = v
-        .get("records")
-        .and_then(JsonValue::as_f64)
-        .map(|n| n as u64);
+    let records = int("records", JSON_EXACT_MAX - 1)?;
     Ok((
         TraceMeta {
             source: v
@@ -481,7 +539,7 @@ impl<W: Write> TraceWriter<W> {
         } else {
             meta.chunk_records.min(MAX_CHUNK_RECORDS)
         };
-        let meta_text = meta_json(meta, None).to_json();
+        let meta_text = meta_json(meta).to_json();
         let meta_bytes = meta_text.as_bytes();
         w.write_all(&TRACE_MAGIC)?;
         w.write_all(&TRACE_VERSION.to_le_bytes())?;
@@ -499,12 +557,6 @@ impl<W: Write> TraceWriter<W> {
             index: Vec::new(),
             total: 0,
         })
-    }
-
-    /// The resolved records-per-chunk this writer flushes at.
-    #[must_use]
-    pub fn chunk_records(&self) -> u32 {
-        self.chunk_records
     }
 
     /// Switches the encoding applied to subsequently flushed chunks,
@@ -589,15 +641,24 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
+impl<W: Write> RecordSink for TraceWriter<W> {
+    fn write_record(&mut self, r: &TraceRecord) -> Result<(), TraceError> {
+        TraceWriter::write_record(self, r).map_err(write_err)
+    }
+
+    fn finish(self: Box<Self>) -> Result<(), TraceError> {
+        TraceWriter::finish(*self).map(drop).map_err(write_err)
+    }
+}
+
 // -------------------------------------------------------------- reader
 
 /// Streaming chunked decoder over any [`io::Read`]: the header and
 /// metadata are parsed on construction, records are decoded one chunk
-/// at a time as [`next_record`] / [`records`] demand them, and the
-/// footer index is verified against the records actually read, so
-/// memory stays bounded by one chunk.
+/// at a time as [`RecordSource::next_record`] / [`records`] demand them,
+/// and the footer index is verified against the records actually read,
+/// so memory stays bounded by one chunk.
 ///
-/// [`next_record`]: TraceReader::next_record
 /// [`records`]: TraceReader::records
 pub struct TraceReader<R: Read> {
     r: R,
@@ -776,9 +837,18 @@ impl<R: Read> TraceReader<R> {
         Ok(())
     }
 
-    /// Decodes the next record; `None` at a clean end of trace. After an
-    /// error the reader is fused (returns `None` from then on).
-    pub fn next_record(&mut self) -> Option<Result<TraceRecord, TraceError>> {
+    /// The records as an iterator (chunk-at-a-time under the hood).
+    pub fn records(&mut self) -> Records<'_, R> {
+        Records { reader: self }
+    }
+}
+
+impl<R: Read> RecordSource for TraceReader<R> {
+    fn meta(&self) -> &TraceMeta {
+        &self.meta
+    }
+
+    fn next_record(&mut self) -> Option<Result<TraceRecord, TraceError>> {
         if self.done {
             return None;
         }
@@ -803,27 +873,6 @@ impl<R: Read> TraceReader<R> {
                 Some(Err(e))
             }
         }
-    }
-
-    /// The records as an iterator (chunk-at-a-time under the hood).
-    pub fn records(&mut self) -> Records<'_, R> {
-        Records { reader: self }
-    }
-
-    /// Drains the reader into an in-memory [`Trace`].
-    ///
-    /// # Errors
-    ///
-    /// The first decode error, if any.
-    pub fn into_trace(mut self) -> Result<Trace, TraceError> {
-        let mut records = Vec::new();
-        while let Some(r) = self.next_record() {
-            records.push(r?);
-        }
-        Ok(Trace {
-            meta: self.meta,
-            records,
-        })
     }
 }
 
@@ -865,7 +914,12 @@ pub fn to_binary(trace: &Trace) -> Vec<u8> {
 /// Any [`TraceError`]: bad magic, unsupported version, truncation, or a
 /// malformed metadata blob, chunk, or record.
 pub fn from_binary(bytes: &[u8]) -> Result<Trace, TraceError> {
-    TraceReader::new(bytes)?.into_trace()
+    let mut reader = TraceReader::new(bytes)?;
+    let records = reader.records().collect::<Result<_, _>>()?;
+    Ok(Trace {
+        meta: reader.meta,
+        records,
+    })
 }
 
 /// Re-encodes a binary trace: streams every record of `reader` into a
@@ -885,82 +939,139 @@ pub fn recode<R: Read, W: Write>(
     chunk_records: u32,
     writer: W,
 ) -> Result<W, TraceError> {
-    let io_err = |e: io::Error| TraceError::Io(format!("writing trace: {e}"));
     let meta = TraceMeta {
         encoding,
         chunk_records,
         ..reader.meta().clone()
     };
-    let mut w = TraceWriter::new(writer, &meta).map_err(io_err)?;
+    let mut w = TraceWriter::new(writer, &meta).map_err(write_err)?;
     for r in reader.records() {
-        w.write_record(&r?).map_err(io_err)?;
+        w.write_record(&r?).map_err(write_err)?;
     }
-    w.finish().map_err(io_err)
+    w.finish().map_err(write_err)
 }
 
 // --------------------------------------------------------------- jsonl
 
-/// The JSONL metadata line. Pass `records` when the total is known up
-/// front (in-memory export); a streaming producer may omit it — readers
-/// only cross-check the count when it is present.
-#[must_use]
-pub fn jsonl_meta_line(meta: &TraceMeta, records: Option<u64>) -> String {
-    meta_json(meta, records).to_json()
+/// Streaming JSONL encoder over any [`io::Write`]: the metadata line is
+/// written on construction, then one line per record. The header is
+/// exactly the binary codec's metadata object, so a binary → JSONL →
+/// binary round trip reproduces the input byte for byte.
+pub struct JsonlWriter<W: Write> {
+    w: W,
+    written: u64,
 }
 
-/// One JSONL record line (no trailing newline).
-///
-/// # Errors
-///
-/// [`TraceError::BadRecord`] if the arrival or LBA exceeds 2⁵³ and
-/// would lose precision as a JSON number; `index` names the record in
-/// the error.
-pub fn jsonl_record_line(index: u64, r: &TraceRecord) -> Result<String, TraceError> {
-    for (what, v) in [("arrival", r.at.as_nanos()), ("lba", r.lba)] {
-        if v >= JSON_EXACT_MAX {
-            return Err(TraceError::BadRecord {
-                index: index as usize,
-                reason: format!("{what} {v} exceeds the exact JSON number range"),
-            });
+impl<W: Write> JsonlWriter<W> {
+    /// Writes the metadata line and returns a writer ready for records.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from the underlying writer.
+    pub fn new(mut w: W, meta: &TraceMeta) -> io::Result<JsonlWriter<W>> {
+        writeln!(w, "{}", meta_json(meta).to_json())?;
+        Ok(JsonlWriter { w, written: 0 })
+    }
+}
+
+impl<W: Write> RecordSink for JsonlWriter<W> {
+    /// # Errors
+    ///
+    /// [`TraceError::BadRecord`] if the arrival or LBA is 2⁵³ or more and
+    /// would lose precision as a JSON number; a failed write.
+    fn write_record(&mut self, r: &TraceRecord) -> Result<(), TraceError> {
+        for (field, v) in [("at_ns", r.at.as_nanos()), ("lba", r.lba)] {
+            if v >= JSON_EXACT_MAX {
+                return Err(TraceError::BadRecord {
+                    index: self.written as usize,
+                    reason: format!("{field} {v} exceeds the exact JSON number range"),
+                });
+            }
+        }
+        let line = JsonValue::obj(vec![
+            ("at_ns", JsonValue::Num(r.at.as_nanos() as f64)),
+            ("op", JsonValue::str(r.op.letter())),
+            ("dev", JsonValue::Num(f64::from(r.dev))),
+            ("lba", JsonValue::Num(r.lba as f64)),
+            ("sectors", JsonValue::Num(f64::from(r.sectors))),
+            ("stream", JsonValue::Num(f64::from(r.stream.0))),
+        ]);
+        writeln!(self.w, "{}", line.to_json()).map_err(write_err)?;
+        self.written += 1;
+        Ok(())
+    }
+
+    fn finish(mut self: Box<Self>) -> Result<(), TraceError> {
+        self.w.flush().map_err(write_err)
+    }
+}
+
+/// Streaming JSONL decoder over any [`BufRead`]: the first non-blank line
+/// is parsed as the metadata on construction, and each following
+/// non-blank line is parsed into a record only when
+/// [`RecordSource::next_record`] asks for it. A header that declares a
+/// record count is checked against the lines that follow when they run
+/// out.
+pub struct JsonlReader<R: BufRead> {
+    r: R,
+    meta: TraceMeta,
+    declared: Option<u64>,
+    line: String,
+    records_read: u64,
+    done: bool,
+}
+
+impl<R: BufRead> JsonlReader<R> {
+    /// Reads and validates the metadata line.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Truncated`] for an empty input,
+    /// [`TraceError::BadMeta`] or [`TraceError::UnsupportedVersion`] for
+    /// a bad header, [`TraceError::Io`] when the reader fails.
+    pub fn new(mut r: R) -> Result<JsonlReader<R>, TraceError> {
+        let mut line = String::new();
+        if !next_line(&mut r, &mut line)? {
+            return Err(TraceError::Truncated("empty JSONL trace".to_string()));
+        }
+        let meta_value =
+            JsonValue::parse(line.trim()).map_err(|e| TraceError::BadMeta(e.to_string()))?;
+        let (meta, declared) = parse_meta(&meta_value)?;
+        Ok(JsonlReader {
+            r,
+            meta,
+            declared,
+            line,
+            records_read: 0,
+            done: false,
+        })
+    }
+}
+
+/// Reads the next non-blank line into `line`; `false` at end of input.
+fn next_line(r: &mut impl BufRead, line: &mut String) -> Result<bool, TraceError> {
+    loop {
+        line.clear();
+        if r.read_line(line).map_err(|e| read_err("JSONL line", &e))? == 0 {
+            return Ok(false);
+        }
+        if !line.trim().is_empty() {
+            return Ok(true);
         }
     }
-    Ok(JsonValue::obj(vec![
-        ("at_ns", JsonValue::Num(r.at.as_nanos() as f64)),
-        ("op", JsonValue::str(r.op.letter())),
-        ("dev", JsonValue::Num(f64::from(r.dev))),
-        ("lba", JsonValue::Num(r.lba as f64)),
-        ("sectors", JsonValue::Num(f64::from(r.sectors))),
-        ("stream", JsonValue::Num(f64::from(r.stream.0))),
-    ])
-    .to_json())
-}
-
-/// Parses a JSONL metadata line into the metadata plus the declared
-/// record count, when present.
-///
-/// # Errors
-///
-/// [`TraceError::BadMeta`] or [`TraceError::UnsupportedVersion`].
-pub fn parse_jsonl_meta(line: &str) -> Result<(TraceMeta, Option<u64>), TraceError> {
-    let meta_value = JsonValue::parse(line).map_err(|e| TraceError::BadMeta(e.to_string()))?;
-    parse_meta(&meta_value)
 }
 
 /// Parses one JSONL record line; `index` is the zero-based record
-/// position (for error messages).
-///
-/// # Errors
-///
-/// [`TraceError::BadRecord`] naming the malformed field.
-pub fn parse_jsonl_record(index: u64, line: &str) -> Result<TraceRecord, TraceError> {
+/// position, named in any error along with the malformed field.
+fn parse_record(index: u64, line: &str) -> Result<TraceRecord, TraceError> {
     let bad = |reason: String| TraceError::BadRecord {
         index: index as usize,
         reason,
     };
     let v = JsonValue::parse(line).map_err(|e| bad(e.to_string()))?;
-    let num = |key: &str| {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
+    let int = |key: &str, max: u64| {
+        int_field(&v, key, max)
+            .map_err(bad)?
             .ok_or_else(|| bad(format!("missing {key}")))
     };
     let op_letter = v
@@ -969,56 +1080,46 @@ pub fn parse_jsonl_record(index: u64, line: &str) -> Result<TraceRecord, TraceEr
         .ok_or_else(|| bad("missing op".to_string()))?;
     let op = TraceOp::from_letter(op_letter).ok_or_else(|| bad(format!("bad op {op_letter:?}")))?;
     Ok(TraceRecord {
-        at: SimTime::from_nanos(num("at_ns")? as u64),
+        at: SimTime::from_nanos(int("at_ns", JSON_EXACT_MAX - 1)?),
         op,
-        dev: num("dev")? as u16,
-        lba: num("lba")? as u64,
-        sectors: num("sectors")? as u32,
-        stream: StreamId(num("stream")? as u32),
+        dev: int("dev", u16::MAX.into())? as u16,
+        lba: int("lba", JSON_EXACT_MAX - 1)?,
+        sectors: int("sectors", u32::MAX.into())? as u32,
+        stream: StreamId(int("stream", u32::MAX.into())? as u32),
     })
 }
 
-/// Encodes a trace to JSONL (metadata line, then one record per line).
-///
-/// # Errors
-///
-/// [`TraceError::BadRecord`] if an arrival or LBA exceeds 2⁵³ and would
-/// lose precision as a JSON number.
-pub fn to_jsonl(trace: &Trace) -> Result<String, TraceError> {
-    let mut out = jsonl_meta_line(&trace.meta, Some(trace.records.len() as u64));
-    out.push('\n');
-    for (index, r) in trace.records.iter().enumerate() {
-        out.push_str(&jsonl_record_line(index as u64, r)?);
-        out.push('\n');
+impl<R: BufRead> RecordSource for JsonlReader<R> {
+    fn meta(&self) -> &TraceMeta {
+        &self.meta
     }
-    Ok(out)
-}
 
-/// Decodes a JSONL trace.
-///
-/// # Errors
-///
-/// [`TraceError::BadMeta`] or [`TraceError::BadRecord`] describing the
-/// first malformed line.
-pub fn from_jsonl(text: &str) -> Result<Trace, TraceError> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let meta_line = lines
-        .next()
-        .ok_or_else(|| TraceError::Truncated("empty input".to_string()))?;
-    let (meta, declared) = parse_jsonl_meta(meta_line)?;
-    let mut records = Vec::new();
-    for (index, line) in lines.enumerate() {
-        records.push(parse_jsonl_record(index as u64, line)?);
-    }
-    if let Some(declared) = declared {
-        if declared != records.len() as u64 {
-            return Err(TraceError::Truncated(format!(
-                "metadata declares {declared} records, found {}",
-                records.len()
-            )));
+    fn next_record(&mut self) -> Option<Result<TraceRecord, TraceError>> {
+        if self.done {
+            return None;
         }
+        let record = match next_line(&mut self.r, &mut self.line) {
+            Ok(true) => parse_record(self.records_read, self.line.trim()),
+            Ok(false) => {
+                self.done = true;
+                return match self.declared {
+                    Some(declared) if declared != self.records_read => {
+                        Some(Err(TraceError::Truncated(format!(
+                            "metadata declares {declared} records, found {}",
+                            self.records_read
+                        ))))
+                    }
+                    _ => None,
+                };
+            }
+            Err(e) => Err(e),
+        };
+        match record {
+            Ok(_) => self.records_read += 1,
+            Err(_) => self.done = true,
+        }
+        Some(record)
     }
-    Ok(Trace { meta, records })
 }
 
 #[cfg(test)]
@@ -1122,6 +1223,27 @@ mod tests {
         assert!(reader.buffered_records() <= 1, "at most one chunk resident");
     }
 
+    /// `t` through a [`JsonlWriter`].
+    fn to_jsonl(t: &Trace) -> Result<String, TraceError> {
+        let mut out = Vec::new();
+        let mut w = Box::new(JsonlWriter::new(&mut out, &t.meta).expect("Vec writes"));
+        for r in &t.records {
+            w.write_record(r)?;
+        }
+        w.finish()?;
+        Ok(String::from_utf8(out).expect("JSONL is UTF-8"))
+    }
+
+    /// `text` through a [`JsonlReader`].
+    fn from_jsonl(text: &str) -> Result<Trace, TraceError> {
+        let mut reader = JsonlReader::new(text.as_bytes())?;
+        let records = std::iter::from_fn(|| reader.next_record()).collect::<Result<_, _>>()?;
+        Ok(Trace {
+            meta: reader.meta,
+            records,
+        })
+    }
+
     #[test]
     fn jsonl_round_trips_through_binary() {
         let t = sample();
@@ -1130,6 +1252,9 @@ mod tests {
         assert_eq!(back, t);
         // The cross-codec loop is also the identity on bytes.
         assert_eq!(to_binary(&back), to_binary(&t));
+        // The JSONL header is the binary header's metadata object.
+        let meta_len = u32::from_le_bytes(to_binary(&t)[12..16].try_into().unwrap()) as usize;
+        assert_eq!(text.lines().next().map(str::len), Some(meta_len));
     }
 
     #[test]
@@ -1167,10 +1292,11 @@ mod tests {
                 TraceReader::new(bytes.as_slice()).err(),
                 Some(TraceError::UnsupportedVersion(old))
             );
-            let line = jsonl_meta_line(&TraceMeta::default(), None)
+            let line = meta_json(&TraceMeta::default())
+                .to_json()
                 .replace("\"version\":3", &format!("\"version\":{old}"));
             assert_eq!(
-                parse_jsonl_meta(&line).err(),
+                JsonlReader::new(line.as_bytes()).err(),
                 Some(TraceError::UnsupportedVersion(old))
             );
         }
@@ -1459,12 +1585,58 @@ mod tests {
 
     #[test]
     fn jsonl_rejects_count_mismatch() {
+        // The writers never declare a count (they stream), but a header
+        // that does is held to it.
         let t = sample();
         let text = to_jsonl(&t).unwrap();
-        let truncated: String = text.lines().take(2).collect::<Vec<_>>().join("\n");
+        let declared = text.replacen("}\n", ",\"records\":2}\n", 1);
+        assert_eq!(from_jsonl(&declared).expect("count matches"), t);
+        let truncated: String = declared.lines().take(2).collect::<Vec<_>>().join("\n");
         assert!(matches!(
             from_jsonl(&truncated),
             Err(TraceError::Truncated(_))
         ));
+    }
+
+    #[test]
+    fn jsonl_rejects_fields_out_of_their_range() {
+        let header = meta_json(&TraceMeta::default()).to_json();
+        let good = r#"{"at_ns":5,"op":"W","dev":1,"lba":8,"sectors":8,"stream":2}"#;
+        assert!(from_jsonl(&format!("{header}\n{good}\n")).is_ok());
+        for (field, value, why) in [
+            ("dev", "70000", "past u16"),
+            ("stream", "4294967296", "past u32"),
+            ("sectors", "-8", "negative"),
+            ("lba", "-3", "negative"),
+            ("at_ns", "1.7", "fractional"),
+            ("lba", "9007199254740992", "past the exact JSON range"),
+            ("at_ns", "\"5\"", "not a number"),
+        ] {
+            let line = good.replacen(
+                &format!("\"{field}\":{}", good_value(good, field)),
+                &format!("\"{field}\":{value}"),
+                1,
+            );
+            // The bad record comes second, so the error names index 1.
+            let text = format!("{header}\n{good}\n{line}\n");
+            match from_jsonl(&text) {
+                Err(TraceError::BadRecord { index: 1, reason }) => {
+                    assert!(reason.starts_with(field), "{why}: {reason}");
+                }
+                other => panic!("{field} {value} ({why}) was not rejected: {other:?}"),
+            }
+        }
+        let devices = header.replace("\"devices\":0", "\"devices\":70000");
+        assert!(matches!(
+            JsonlReader::new(devices.as_bytes()).err(),
+            Some(TraceError::BadMeta(why)) if why.starts_with("devices")
+        ));
+    }
+
+    /// The value text of `field` in the one-line JSON object `line`.
+    fn good_value<'a>(line: &'a str, field: &str) -> &'a str {
+        let key = format!("\"{field}\":");
+        let rest = &line[line.find(&key).expect("field present") + key.len()..];
+        &rest[..rest.find([',', '}']).expect("value ends")]
     }
 }

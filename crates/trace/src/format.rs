@@ -252,22 +252,42 @@ impl Trace {
         set.into_iter().collect()
     }
 
-    /// Checks the invariants stored traces must satisfy: records sorted
-    /// by `(arrival, stream)` and every record non-empty.
+    /// Checks the invariants stored traces must satisfy (see
+    /// [`RecordCheck`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        for (i, r) in self.records.iter().enumerate() {
-            if r.sectors == 0 {
-                return Err(format!("record {i}: zero-length request"));
-            }
+        let mut check = RecordCheck::default();
+        self.records.iter().try_for_each(|r| check.check(r))
+    }
+}
+
+/// The invariants of a stored trace, checked one record at a time so a
+/// streamed trace is checked without being held: every request is
+/// non-empty, and records are in `(arrival, stream)` order.
+#[derive(Debug, Default)]
+pub struct RecordCheck {
+    checked: u64,
+    prev: Option<(SimTime, StreamId)>,
+}
+
+impl RecordCheck {
+    /// Checks the next record in file order.
+    ///
+    /// # Errors
+    ///
+    /// The invariant `r` violates, naming its record index.
+    pub fn check(&mut self, r: &TraceRecord) -> Result<(), String> {
+        let i = self.checked;
+        self.checked += 1;
+        let prev = self.prev.replace((r.at, r.stream));
+        if r.sectors == 0 {
+            return Err(format!("record {i}: zero-length request"));
         }
-        for (i, pair) in self.records.windows(2).enumerate() {
-            if (pair[0].at, pair[0].stream) > (pair[1].at, pair[1].stream) {
-                return Err(format!("records {i} and {} out of order", i + 1));
-            }
+        if prev.is_some_and(|p| p > (r.at, r.stream)) {
+            return Err(format!("records {} and {i} out of order", i - 1));
         }
         Ok(())
     }
@@ -472,8 +492,17 @@ mod tests {
         assert!(t.validate().is_err());
         t.sort();
         assert!(t.validate().is_ok());
-        t.records[0].sectors = 0;
-        assert!(t.validate().is_err());
+        t.records[1].sectors = 0;
+        assert_eq!(
+            t.validate(),
+            Err("record 1: zero-length request".to_string())
+        );
+        t.records[1].sectors = 8;
+        t.records.swap(0, 1);
+        assert_eq!(
+            t.validate(),
+            Err("records 0 and 1 out of order".to_string())
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rand::Rng;
 use trail_sim::{rng, SimDuration, SimTime};
 use trail_telemetry::StreamId;
 
-use crate::codec::TraceWriter;
+use crate::codec::{RecordSource, TraceError, TraceWriter};
 use crate::format::{ChunkEncoding, Trace, TraceMeta, TraceOp, TraceRecord};
 
 /// How request arrival instants are drawn.
@@ -121,10 +121,22 @@ impl Default for SyntheticSpec {
 /// small to hold one request.
 #[must_use]
 pub fn generate(spec: &SyntheticSpec) -> Trace {
+    let records = merged(spec);
     Trace {
-        meta: spec_meta(spec, 0),
-        records: merged(spec).collect(),
+        meta: records.meta.clone(),
+        records: records.collect(),
     }
+}
+
+/// The trace a spec describes as a [`RecordSource`], generated as it is
+/// read: one pending record per stream plus a merge heap, never the
+/// whole trace. Its records and metadata are [`generate`]'s.
+///
+/// # Panics
+///
+/// Panics on a degenerate spec, like [`generate`].
+pub fn generate_records(spec: &SyntheticSpec) -> impl RecordSource + '_ {
+    merged(spec)
 }
 
 /// Streams the trace a spec describes straight into a chunked
@@ -143,25 +155,16 @@ pub fn generate(spec: &SyntheticSpec) -> Trace {
 ///
 /// Panics on a degenerate spec, like [`generate`].
 pub fn generate_stream<W: Write>(spec: &SyntheticSpec, chunk_records: u32, w: W) -> io::Result<W> {
-    let mut writer = TraceWriter::new(w, &spec_meta(spec, chunk_records))?;
-    for record in merged(spec) {
+    let records = merged(spec);
+    let meta = TraceMeta {
+        chunk_records,
+        ..records.meta.clone()
+    };
+    let mut writer = TraceWriter::new(w, &meta)?;
+    for record in records {
         writer.write_record(&record)?;
     }
     writer.finish()
-}
-
-fn spec_meta(spec: &SyntheticSpec, chunk_records: u32) -> TraceMeta {
-    TraceMeta {
-        source: "synthetic".to_string(),
-        seed: spec.seed,
-        devices: spec.devices,
-        note: format!(
-            "{} requests, {} stream(s), {:?}, {:?}",
-            spec.requests, spec.streams, spec.arrivals, spec.spatial
-        ),
-        chunk_records,
-        encoding: ChunkEncoding::Raw,
-    }
 }
 
 /// The spec's records in canonical `(arrival, stream)` order, lazily:
@@ -197,6 +200,17 @@ fn merged(spec: &SyntheticSpec) -> Merged<'_> {
         pending.push(first);
     }
     Merged {
+        meta: TraceMeta {
+            source: "synthetic".to_string(),
+            seed: spec.seed,
+            devices: spec.devices,
+            note: format!(
+                "{} requests, {} stream(s), {:?}, {:?}",
+                spec.requests, spec.streams, spec.arrivals, spec.spatial
+            ),
+            chunk_records: 0,
+            encoding: ChunkEncoding::Raw,
+        },
         spec,
         usable,
         gens,
@@ -206,6 +220,7 @@ fn merged(spec: &SyntheticSpec) -> Merged<'_> {
 }
 
 struct Merged<'a> {
+    meta: TraceMeta,
     spec: &'a SyntheticSpec,
     usable: u64,
     gens: Vec<StreamGen>,
@@ -226,6 +241,16 @@ impl Iterator for Merged<'_> {
             self.pending[slot] = Some(next);
         }
         Some(record)
+    }
+}
+
+impl RecordSource for Merged<'_> {
+    fn meta(&self) -> &TraceMeta {
+        &self.meta
+    }
+
+    fn next_record(&mut self) -> Option<Result<TraceRecord, TraceError>> {
+        self.next().map(Ok)
     }
 }
 
@@ -382,6 +407,13 @@ mod tests {
         let back = crate::codec::from_binary(&chunked).expect("decode");
         assert_eq!(back.records, in_memory.records);
         assert_eq!(back.meta.chunk_records, 7);
+        // The record source is the same trace, read lazily.
+        let mut source = generate_records(&spec);
+        assert_eq!(source.meta(), &in_memory.meta);
+        let records: Vec<TraceRecord> = std::iter::from_fn(|| source.next_record())
+            .map(|r| r.expect("generation cannot fail"))
+            .collect();
+        assert_eq!(records, in_memory.records);
     }
 
     #[test]

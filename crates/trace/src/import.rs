@@ -35,12 +35,12 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use trail_sim::SimTime;
 use trail_telemetry::StreamId;
 
-use crate::codec::TraceWriter;
+use crate::codec::RecordSink;
 use crate::format::{ChunkEncoding, Trace, TraceMeta, TraceOp, TraceRecord};
 
 /// Default bounded-reorder window (records held back to re-sort nearly
@@ -344,52 +344,69 @@ impl Ord for PendingRecord {
     }
 }
 
+impl BlkparseScan {
+    /// The imported trace's metadata — what a sink for
+    /// [`import_blkparse_into`] is created with.
+    ///
+    /// # Errors
+    ///
+    /// [`ImportError::Line`] when the scan names more devices than the
+    /// header can count (a scan from [`scan_blkparse`] never does; one
+    /// built by hand may).
+    pub fn meta(&self, opts: &ImportOptions) -> Result<TraceMeta, ImportError> {
+        Ok(import_meta(self.device_count()?, opts.action, 0))
+    }
+
+    fn device_count(&self) -> Result<u16, ImportError> {
+        u16::try_from(self.devices.len()).map_err(|_| ImportError::Line {
+            number: 0,
+            reason: format!("the scan names more than {} devices", u16::MAX),
+        })
+    }
+}
+
 /// Second pass of a streaming import: re-reads the `blkparse` input and
-/// writes the normalized trace straight into a chunked [`TraceWriter`]
-/// over `w`, re-sorting nearly sorted input through a bounded reorder
-/// heap of `reorder_window` records (0 = [`DEFAULT_REORDER_WINDOW`]).
-/// Memory is O(window + one chunk) regardless of input size, and the
-/// output is byte-identical to `to_binary` of [`import_blkparse`] at
-/// the same `chunk_records` whenever the input's timestamp disorder
-/// fits the window.
+/// writes the normalized trace's records into `sink` (created with
+/// [`BlkparseScan::meta`]; finishing it is the caller's), re-sorting
+/// nearly sorted input through a bounded reorder heap of
+/// `reorder_window` records (0 = [`DEFAULT_REORDER_WINDOW`]). Memory is
+/// O(window) regardless of input size, and the records are exactly
+/// [`import_blkparse`]'s whenever the input's timestamp disorder fits
+/// the window.
 ///
 /// # Errors
 ///
 /// Everything [`scan_blkparse`] can return, plus
 /// [`ImportError::OutOfOrder`] when the input is more disordered than
-/// the window and [`ImportError::Io`] for reader/writer failures.
-pub fn import_blkparse_into<R: BufRead, W: Write>(
+/// the window and [`ImportError::Io`] for reader/sink failures.
+pub fn import_blkparse_into<R: BufRead, S: RecordSink + ?Sized>(
     input: R,
     opts: &ImportOptions,
     scan: &BlkparseScan,
-    chunk_records: u32,
     reorder_window: usize,
-    w: W,
-) -> Result<W, ImportError> {
+    sink: &mut S,
+) -> Result<(), ImportError> {
     let window = if reorder_window == 0 {
         DEFAULT_REORDER_WINDOW
     } else {
         reorder_window
     };
-    let io = |e: std::io::Error| ImportError::Io(e.to_string());
-    // A scan from `scan_blkparse` always fits; one built by hand may not.
-    let devices = u16::try_from(scan.devices.len()).map_err(|_| ImportError::Line {
-        number: 0,
-        reason: format!("the scan names more than {} devices", u16::MAX),
-    })?;
-    let dev_index: HashMap<(u32, u32), u16> =
-        scan.devices.iter().copied().zip(0..devices).collect();
-    let meta = import_meta(devices, opts.action, chunk_records);
-    let mut writer = TraceWriter::new(w, &meta).map_err(io)?;
+    let dev_index: HashMap<(u32, u32), u16> = scan
+        .devices
+        .iter()
+        .copied()
+        .zip(0..scan.device_count()?)
+        .collect();
     let mut heap: BinaryHeap<PendingRecord> = BinaryHeap::with_capacity(window + 1);
     let mut last_key: Option<(SimTime, StreamId, u64)> = None;
     let mut seq: u64 = 0;
-    let mut emit = |p: PendingRecord, writer: &mut TraceWriter<W>| -> Result<(), ImportError> {
+    let mut emit = |p: PendingRecord, sink: &mut S| -> Result<(), ImportError> {
         if last_key.is_some_and(|last| p.key < last) {
             return Err(ImportError::OutOfOrder { window });
         }
         last_key = Some(p.key);
-        writer.write_record(&p.record).map_err(io)
+        sink.write_record(&p.record)
+            .map_err(|e| ImportError::Io(e.to_string()))
     };
     for (number, line) in input.lines().enumerate() {
         let line = line.map_err(|e| ImportError::Io(e.to_string()))?;
@@ -417,19 +434,32 @@ pub fn import_blkparse_into<R: BufRead, W: Write>(
         seq += 1;
         if heap.len() > window {
             let p = heap.pop().expect("heap is non-empty");
-            emit(p, &mut writer)?;
+            emit(p, &mut *sink)?;
         }
     }
     while let Some(p) = heap.pop() {
-        emit(p, &mut writer)?;
+        emit(p, &mut *sink)?;
     }
-    writer.finish().map_err(io)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::TraceWriter;
     use trail_sim::SimDuration;
+
+    /// The streaming import of `text` as binary trace bytes.
+    fn import_bytes(
+        text: &str,
+        opts: &ImportOptions,
+        scan: &BlkparseScan,
+        reorder_window: usize,
+    ) -> Result<Vec<u8>, ImportError> {
+        let mut w = TraceWriter::new(Vec::new(), &scan.meta(opts)?).expect("Vec writes");
+        import_blkparse_into(text.as_bytes(), opts, scan, reorder_window, &mut w)?;
+        Ok(w.finish().expect("Vec writes"))
+    }
 
     const SAMPLE: &str = "\
 8,0    0        1     0.000000000  4162  Q  WS 7864447 + 8 [fio]
@@ -546,7 +576,7 @@ Total (sda):
             devices: (0..=u32::from(u16::MAX)).map(|minor| (8, minor)).collect(),
         };
         assert!(matches!(
-            import_blkparse_into(line(0).as_bytes(), &opts, &scan, 0, 0, Vec::new()),
+            import_bytes(&line(0), &opts, &scan, 0),
             Err(ImportError::Line { .. })
         ));
     }
@@ -559,8 +589,7 @@ Total (sda):
         assert_eq!(scan.records, 3);
         assert_eq!(scan.devices, vec![(8, 0), (8, 16)]);
         assert_eq!(scan.epoch_ns, 0);
-        let bytes = import_blkparse_into(SAMPLE.as_bytes(), &opts, &scan, 0, 0, Vec::new())
-            .expect("streaming import");
+        let bytes = import_bytes(SAMPLE, &opts, &scan, 0).expect("streaming import");
         assert_eq!(bytes, crate::codec::to_binary(&in_memory));
     }
 
@@ -577,14 +606,13 @@ Total (sda):
         let scan = scan_blkparse(text.as_bytes(), &opts).expect("scan");
         assert_eq!(scan.epoch_ns, 100_000);
         // A big enough window reproduces the in-memory sort exactly.
-        let ok = import_blkparse_into(text.as_bytes(), &opts, &scan, 0, 0, Vec::new())
-            .expect("wide window");
+        let ok = import_bytes(text, &opts, &scan, 0).expect("wide window");
         let in_memory = import_blkparse(text, &opts).expect("import");
         assert_eq!(ok, crate::codec::to_binary(&in_memory));
         // A window of one record cannot, and says so instead of writing
         // a silently misordered trace.
         assert_eq!(
-            import_blkparse_into(text.as_bytes(), &opts, &scan, 0, 1, Vec::new()).err(),
+            import_bytes(text, &opts, &scan, 1).err(),
             Some(ImportError::OutOfOrder { window: 1 })
         );
     }

@@ -7,7 +7,8 @@
 //! - [`format`] — a versioned, self-describing trace model: timestamped
 //!   block requests (arrival, op, device, LBA, length, stream).
 //! - [`codec`] — a compact canonical binary encoding plus a JSONL
-//!   export, both round-trip exact.
+//!   export, both round-trip exact and both streamed through one
+//!   [`RecordSource`] / [`RecordSink`] interface.
 //! - [`gen`] — synthetic generators: Poisson and bursty arrivals,
 //!   uniform/Zipf-like/sequential-run spatial locality, configurable
 //!   read mix and stream count, all seeded through [`trail_sim::rng`].
@@ -45,14 +46,16 @@ pub mod shard;
 
 pub use capture::TraceCapture;
 pub use codec::{
-    crc32, from_binary, from_jsonl, recode, to_binary, to_jsonl, TraceError, TraceReader,
-    TraceWriter, DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
+    crc32, from_binary, recode, to_binary, JsonlReader, JsonlWriter, RecordSink, RecordSource,
+    TraceError, TraceReader, TraceWriter, DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
 };
 pub use format::{
-    ChunkEncoding, StreamSummary, StreamSummaryBuilder, Trace, TraceMeta, TraceOp, TraceRecord,
-    TRACE_VERSION,
+    ChunkEncoding, RecordCheck, StreamSummary, StreamSummaryBuilder, Trace, TraceMeta, TraceOp,
+    TraceRecord, TRACE_VERSION,
 };
-pub use gen::{generate, generate_stream, ArrivalModel, SpatialModel, SyntheticSpec};
+pub use gen::{
+    generate, generate_records, generate_stream, ArrivalModel, SpatialModel, SyntheticSpec,
+};
 pub use import::{
     import_blkparse, import_blkparse_into, scan_blkparse, BlkparseScan, ImportError, ImportOptions,
 };

@@ -1,8 +1,10 @@
 //! Open-loop trace replay against any storage stack.
 //!
 //! The replay engine feeds the simulator from a **record cursor** — an
-//! in-memory trace or a streaming [`TraceReader`] decoding one chunk at
-//! a time — and lets completions land whenever the stack delivers them:
+//! in-memory trace or any [`RecordSource`], such as a binary
+//! [`TraceReader`](crate::TraceReader) decoding one chunk at a time or a
+//! [`JsonlReader`](crate::JsonlReader) parsing one line at a time — and
+//! lets completions land whenever the stack delivers them:
 //! **open loop**, so a slow stack does not slow the arrival process
 //! down, it just builds queue depth. That is the property that makes
 //! replay an apples-to-apples comparison: the same offered load hits a
@@ -31,10 +33,9 @@
 //!
 //! Records issue in file order; a trace in canonical `(arrival,
 //! stream)` order therefore issues same-instant arrivals in ascending
-//! stream order, exactly the per-stream-shard order previous revisions
-//! pre-scheduled. `replay_single_issuer` keeps the pre-scheduled path
-//! as the oracle the streaming dispatcher is property-tested against;
-//! the two produce byte-identical reports.
+//! stream order. Report bytes are pinned in `tests/stream_properties.rs`
+//! (two targets, plus a trace whose arrivals collide on the same
+//! instants), so any change to the issue order shows.
 //!
 //! ```
 //! use trail_trace::{generate, replay, ReplayOptions, SyntheticSpec, TargetKind};
@@ -59,7 +60,6 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Read;
 use std::rc::Rc;
 
 use trail::{BuiltTarget, StackBuilder, TargetDrive, TargetError};
@@ -75,7 +75,7 @@ use trail_telemetry::{histogram_json, JsonValue, RecorderHandle, StreamId, Strea
 pub use trail::TargetKind;
 use trail_blockio::IoDone;
 
-use crate::codec::{TraceError, TraceReader};
+use crate::codec::{RecordSource, TraceError};
 use crate::format::{Trace, TraceRecord};
 
 /// Queue-depth sampling period of every replay, in virtual time.
@@ -323,25 +323,18 @@ pub(crate) trait RecordCursor {
     fn next_record(&mut self) -> Option<Result<(u64, TraceRecord), TraceError>>;
 }
 
-struct VecCursor {
-    iter: std::vec::IntoIter<TraceRecord>,
-    idx: u64,
-}
-
-impl RecordCursor for VecCursor {
+/// Records numbered in file order — an in-memory trace's, or a
+/// [`RecordSource`]'s through [`numbered`] — are a cursor.
+impl<I: Iterator<Item = Result<TraceRecord, TraceError>>> RecordCursor for std::iter::Enumerate<I> {
     fn next_record(&mut self) -> Option<Result<(u64, TraceRecord), TraceError>> {
-        let r = self.iter.next()?;
-        let idx = self.idx;
-        self.idx += 1;
-        Some(Ok((idx, r)))
+        let (idx, r) = self.next()?;
+        Some(r.map(|rec| (idx as u64, rec)))
     }
 }
 
-impl<R: Read> RecordCursor for TraceReader<R> {
-    fn next_record(&mut self) -> Option<Result<(u64, TraceRecord), TraceError>> {
-        let idx = self.records_read();
-        TraceReader::next_record(self).map(|r| r.map(|rec| (idx, rec)))
-    }
+/// `source`'s records as a cursor, numbered in file order.
+pub(crate) fn numbered(mut source: impl RecordSource) -> impl RecordCursor {
+    std::iter::from_fn(move || source.next_record()).enumerate()
 }
 
 /// A cursor that yields only the records of one shard (`stream mod
@@ -577,10 +570,10 @@ impl State {
     }
 
     fn issue(&mut self, at: SimTime, stream: StreamId, is_read: bool) {
-        // Group same-instant issues into one arrival batch so the
-        // residency proxy (in-flight before the batch + batch length)
-        // is identical whether the batch was issued by one dispatcher
-        // event or by consecutive pre-scheduled events.
+        // Group same-instant issues into one arrival batch: the residency
+        // proxy is the in-flight count before the batch plus the batch
+        // length, however many dispatcher or sampler events issue it.
+        // The pinned report bytes fix this grouping.
         if self.last_issue_at != Some(at) {
             self.last_issue_at = Some(at);
             self.batch_base = self.inflight;
@@ -737,8 +730,8 @@ fn drain_deferred(sim: &mut Simulator, issuer: &Issuer) {
 }
 
 /// Engine-side queue-depth sampler. Arrivals due at the sample instant
-/// are drained first, reproducing the oracle's arrivals-before-sampler
-/// event order at tied instants.
+/// are drained first, so a sample tied with an arrival counts it in
+/// flight; the pinned report bytes fix this order.
 fn schedule_engine_sampler(sim: &mut Simulator, ctx: EngineCtx) {
     sim.schedule_in(SAMPLE_EVERY, move |sim| {
         let batch = ctx.source.borrow_mut().take_due(sim.now());
@@ -774,24 +767,22 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport, Repla
     }
     let ndisks = usize::from(trace.max_dev().unwrap_or(0)) + 1;
     run_engine(
-        Box::new(VecCursor {
-            iter: trace.records.clone().into_iter(),
-            idx: 0,
-        }),
+        Box::new(trace.records.clone().into_iter().map(Ok).enumerate()),
         ndisks,
         opts,
     )
 }
 
-/// Replays a binary trace stream chunk-by-chunk without ever holding
-/// the whole trace: the bounded-memory path for traces too big for
-/// [`replay`]. The target is sized from the stream header's device
+/// Replays a record stream — a binary or JSONL trace file, or any other
+/// [`RecordSource`] — one record at a time without ever holding the
+/// whole trace: the bounded-memory path for traces too big for
+/// [`replay`]. The target is sized from the source header's device
 /// count; a record addressing a device beyond that fails with
 /// [`ReplayError::BadDevice`].
 ///
-/// On seed-sized traces the report is byte-identical to [`replay`] of
-/// the decoded trace — `cargo test -p trail-trace` holds this as a
-/// property.
+/// When the header declares exactly the devices the records address,
+/// the report is byte-identical to [`replay`] of the decoded trace —
+/// `cargo test -p trail-trace` holds this as a property.
 ///
 /// # Errors
 ///
@@ -802,12 +793,12 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport, Repla
 /// # Panics
 ///
 /// As [`replay`].
-pub fn replay_stream<R: Read + 'static>(
-    reader: TraceReader<R>,
+pub fn replay_stream<S: RecordSource + 'static>(
+    source: S,
     opts: &ReplayOptions,
 ) -> Result<ReplayReport, ReplayError> {
-    let ndisks = usize::from(reader.meta().devices).max(1);
-    run_engine(Box::new(reader), ndisks, opts)
+    let ndisks = usize::from(source.meta().devices).max(1);
+    run_engine(Box::new(numbered(source)), ndisks, opts)
 }
 
 /// The target `opts` names over `ndisks` data disks, booted with the
@@ -883,65 +874,6 @@ pub(crate) fn run_engine(
         );
     }
     let mut report = ctx.issuer.state.borrow().report(&opts.target, speed, start);
-    report.volume_stats = volumes.iter().map(|v| v.with_stats(Clone::clone)).collect();
-    report.media = media_of(&disks);
-    Ok(report)
-}
-
-/// The pre-scheduled issue path: every record's arrival laid down as
-/// its own simulator event up front, O(trace) memory. Kept (hidden) as
-/// the oracle the streaming dispatcher is property-tested against;
-/// behavior and output are identical.
-///
-/// # Errors
-///
-/// As [`replay`].
-#[doc(hidden)]
-pub fn replay_single_issuer(
-    trace: &Trace,
-    opts: &ReplayOptions,
-) -> Result<ReplayReport, ReplayError> {
-    if trace.is_empty() {
-        return Err(ReplayError::EmptyTrace);
-    }
-    let speed = opts.speed.clamp(0.5, 8.0);
-    let ndisks = usize::from(trace.max_dev().unwrap_or(0)) + 1;
-    let BuiltTarget {
-        mut sim,
-        stack,
-        drive,
-        volumes,
-        disks,
-        ..
-    } = build(opts, ndisks)?;
-    let start = sim.now();
-    let state = Rc::new(RefCell::new(State::new(start, opts.max_in_flight)));
-    let issuer = Issuer {
-        stack,
-        drive: Rc::new(drive),
-        state: Rc::clone(&state),
-    };
-    let total = trace.len() as u64;
-
-    for (idx, r) in trace.records.iter().enumerate() {
-        let arrival = start + SimDuration::from_nanos(scale_ns(r.at.as_nanos(), speed));
-        let req = Arrival::new(idx as u64, r);
-        let issuer = issuer.clone();
-        sim.schedule_at(arrival, move |sim| offer(sim, &issuer, req));
-    }
-
-    schedule_oracle_sampler(&mut sim, Rc::clone(&state), total);
-
-    while state.borrow().completed < total {
-        assert!(
-            sim.step(),
-            "replay stalled: event queue drained with {} of {} requests outstanding",
-            total - state.borrow().completed,
-            total
-        );
-    }
-
-    let mut report = state.borrow().report(&opts.target, speed, start);
     report.volume_stats = volumes.iter().map(|v| v.with_stats(Clone::clone)).collect();
     report.media = media_of(&disks);
     Ok(report)
@@ -1041,20 +973,6 @@ fn submit(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
             }
         }
     }
-}
-
-fn schedule_oracle_sampler(sim: &mut Simulator, st: Rc<RefCell<State>>, total: u64) {
-    sim.schedule_in(SAMPLE_EVERY, move |sim| {
-        let finished = {
-            let mut s = st.borrow_mut();
-            let depth = s.inflight;
-            s.samples.push(sim.now(), depth);
-            s.completed >= total
-        };
-        if !finished {
-            schedule_oracle_sampler(sim, st, total);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -1163,16 +1081,24 @@ mod tests {
             ..SyntheticSpec::default()
         };
         let trace = generate(&spec);
-        let oracle = replay(&trace, &ReplayOptions::default()).expect("in-memory");
-        // Small chunks force the streaming path through many refills.
-        for chunk in [7u32, 0] {
-            let bytes = generate_stream(&spec, chunk, Vec::new()).expect("encode");
-            let reader = TraceReader::new(std::io::Cursor::new(bytes)).expect("header");
-            let streamed =
-                replay_stream(reader, &ReplayOptions::default()).expect("streaming replay");
-            assert_eq!(streamed.latency_fingerprint, oracle.latency_fingerprint);
-            assert_eq!(streamed.peak_resident_records, oracle.peak_resident_records);
-            assert_eq!(streamed.to_json().to_json(), oracle.to_json().to_json());
+        for target in [TargetKind::Standard, TargetKind::TrailMulti { logs: 2 }] {
+            let opts = ReplayOptions {
+                target,
+                ..ReplayOptions::default()
+            };
+            let in_memory = replay(&trace, &opts).expect("in-memory");
+            // Small chunks force the streaming path through many refills.
+            for chunk in [7u32, 0] {
+                let bytes = generate_stream(&spec, chunk, Vec::new()).expect("encode");
+                let reader = TraceReader::new(std::io::Cursor::new(bytes)).expect("header");
+                let streamed = replay_stream(reader, &opts).expect("streaming replay");
+                assert_eq!(streamed.latency_fingerprint, in_memory.latency_fingerprint);
+                assert_eq!(
+                    streamed.peak_resident_records,
+                    in_memory.peak_resident_records
+                );
+                assert_eq!(streamed.to_json().to_json(), in_memory.to_json().to_json());
+            }
         }
     }
 

@@ -38,12 +38,11 @@
 //!   across the shards that sampled that instant.
 
 use std::collections::BTreeMap;
-use std::io::Read;
 
 use trail_sim::parallel_map;
 
-use crate::codec::{TraceError, TraceReader};
-use crate::replay::{run_engine, ReplayError, ReplayOptions, ReplayReport, ShardCursor};
+use crate::codec::{RecordSource, TraceError};
+use crate::replay::{numbered, run_engine, ReplayError, ReplayOptions, ReplayReport, ShardCursor};
 
 /// How to split and schedule a sharded replay.
 #[derive(Clone, Copy, Debug)]
@@ -69,15 +68,16 @@ impl ShardPlan {
     }
 }
 
-/// Replays a binary trace stream sharded by stream tag, one engine per
-/// shard on [`ShardPlan::threads`] worker threads, and merges the
-/// per-shard reports into one [`ReplayReport`] (see the module docs for
-/// the exact merge rules).
+/// Replays a record stream sharded by stream tag, one engine per shard
+/// on [`ShardPlan::threads`] worker threads, and merges the per-shard
+/// reports into one [`ReplayReport`] (see the module docs for the exact
+/// merge rules).
 ///
-/// `open` is called once per shard to produce an independent reader
-/// over the same bytes — each shard decodes (and CRC-checks) the whole
-/// file and feeds only its own records to its engine, so memory stays
-/// bounded by queue depth per shard, never O(trace).
+/// `open` is called once per shard to produce an independent
+/// [`RecordSource`] over the same trace — each shard decodes (and, for a
+/// binary trace, CRC-checks) the whole file and feeds only its own
+/// records to its engine, so memory stays bounded by queue depth per
+/// shard, never O(trace).
 ///
 /// The merged report depends on the trace, the options and
 /// [`ShardPlan::shards`] — never on [`ShardPlan::threads`]. With
@@ -99,14 +99,14 @@ impl ShardPlan {
 /// single-simulator channels (`Rc`-based) and cannot span the per-shard
 /// engines. Capture a sharded replay by capturing the shards'
 /// input trace instead.
-pub fn replay_stream_sharded<R, F>(
+pub fn replay_stream_sharded<S, F>(
     open: F,
     plan: ShardPlan,
     opts: &ReplayOptions,
 ) -> Result<ReplayReport, ReplayError>
 where
-    R: Read + 'static,
-    F: Fn() -> Result<TraceReader<R>, TraceError> + Sync,
+    S: RecordSource + 'static,
+    F: Fn() -> Result<S, TraceError> + Sync,
 {
     assert!(
         opts.recorder.is_none() && opts.tap.is_none(),
@@ -130,8 +130,8 @@ where
         (0..shards).collect::<Vec<u32>>(),
         plan.threads.max(1),
         |shard| -> Result<Option<ReplayReport>, ReplayError> {
-            let reader = open().map_err(ReplayError::Trace)?;
-            let ndisks = usize::from(reader.meta().devices).max(1);
+            let source = open().map_err(ReplayError::Trace)?;
+            let ndisks = usize::from(source.meta().devices).max(1);
             let opts = ReplayOptions {
                 target: *target,
                 speed: *speed,
@@ -142,7 +142,7 @@ where
                 max_in_flight: *max_in_flight,
             };
             match run_engine(
-                Box::new(ShardCursor::new(reader, shard, shards)),
+                Box::new(ShardCursor::new(numbered(source), shard, shards)),
                 ndisks,
                 &opts,
             ) {

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 
 use trail_trace::{
     import_blkparse, import_blkparse_into, scan_blkparse, to_binary, ImportOptions, StreamId,
+    TraceWriter,
 };
 
 /// What an event line can be made of, extremes included.
@@ -104,8 +105,13 @@ fn assert_import_is_total_and_consistent(text: &str) -> Result<(), TestCaseError
                     // CPU k is stream k + 1, never the reserved 0.
                     prop_assert_ne!(r.stream, StreamId::UNTAGGED);
                 }
-                let bytes = import_blkparse_into(text.as_bytes(), &opts, scan, 0, 0, Vec::new())
+                let meta = scan
+                    .meta(&opts)
+                    .expect("a scanned device table fits the header");
+                let mut w = TraceWriter::new(Vec::new(), &meta).expect("Vec writes");
+                import_blkparse_into(text.as_bytes(), &opts, scan, 0, &mut w)
                     .expect("the writing pass accepts what the scan accepted");
+                let bytes = w.finish().expect("Vec writes");
                 prop_assert_eq!(bytes, to_binary(trace));
             }
             (Err(a), Err(b)) => {
