@@ -13,6 +13,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
+echo "== no-ignored-test gate =="
+# Every test runs: a known defect is fixed or written down in DESIGN.md,
+# never parked as an #[ignore]d test (tier-1 reads 0 ignored).
+if grep -rn --include='*.rs' '#\[ignore' crates src tests; then
+  echo "found an #[ignore]d test; fix it or delete it" >&2
+  exit 1
+fi
+
 echo "== completion-token API gate =="
 # The Completion<T> token in trail-sim is the one completion primitive;
 # no layer may reintroduce a bespoke boxed-closure completion typedef.
@@ -158,11 +166,31 @@ echo "== payload-path gate =="
 # — the write-back snapshot, the volume's private Rc plus per-member
 # to_vec, the db's second copy of every evicted page — must not come back.
 # (benchmark/check.sh below is what notices if the conversion breaks an
-# API the benchmark compiles against.)
+# API the benchmark compiles against.) Trail's write-back takes its bytes
+# from PinnedMap::start_writeback, which hands out a handle to the pinned
+# range's buffer.
+writeback="$(awk '/fn start_writeback\(/ { on = 1 } on { print } on && /^    }$/ { exit }' \
+  crates/core/src/pinned.rs)"
+[ -n "$writeback" ] \
+  || { echo "payload-path gate cannot find fn start_writeback in crates/core/src/pinned.rs" >&2; exit 1; }
+if ! grep -q 'PayloadBuf)>' <<<"$writeback" || grep -nE 'to_vec\(\)|Vec<u8>' <<<"$writeback"; then
+  echo "PinnedMap::start_writeback copies the pinned bytes; share the PayloadBuf handle" >&2
+  exit 1
+fi
 if grep -rnE --include='*.rs' \
-    'fn snapshot\(&self, key: BlockKey\) -> \(Vec<u8>|Payload::Write\(Rc::new\(|fn slice_payload\(.*\) -> Vec<u8>|flushing\.insert\(pid, bytes\.clone\(\)\)' \
+    'Payload::Write\(Rc::new\(|fn slice_payload\(.*\) -> Vec<u8>|flushing\.insert\(pid, bytes\.clone\(\)\)' \
     crates; then
   echo "found a per-layer copy of a write payload; share the PayloadBuf handle instead" >&2
+  exit 1
+fi
+
+echo "== one pinned-memory type gate =="
+# trail-core's pinned memory is one crate-private sector-interval map
+# (crates/core/src/pinned.rs). The exact-key table, its key and its
+# write-back outcome enum it replaced must not come back beside it.
+if grep -rnE --include='*.rs' 'struct BufferTable|struct BlockKey|enum WritebackOutcome' \
+    crates src tests examples; then
+  echo "found a second pinned-memory type; extend PinnedMap instead" >&2
   exit 1
 fi
 

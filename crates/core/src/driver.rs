@@ -20,7 +20,10 @@
 //!   (§4.2), maintaining the invariant that the head always sits on a
 //!   track with free space;
 //! - **FIFO track reclamation** (§2, §4.2) via [`TrackPool`];
-//! - **overwrite cancellation** (§4.2) via [`BufferTable`];
+//! - **pinned memory with overwrite cancellation** (§4.2): a map of
+//!   disjoint sector ranges, so an acknowledged write is what any
+//!   overlapping read sees, and overlapping writes reach the data disks in
+//!   acknowledgement order;
 //! - **idle-time reference refresh** (§3.1's periodic repositioning).
 
 use std::cell::RefCell;
@@ -42,11 +45,11 @@ use trail_telemetry::{
     EventKind, Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown, StreamId,
 };
 
-use crate::buffer::{BlockKey, BufferTable, WritebackOutcome};
 use crate::config::TrailConfig;
 use crate::error::TrailError;
 use crate::format::{build_record, LogDiskHeader, RecordWrite};
 use crate::formatter::{data_track_range, read_header, write_header};
+use crate::pinned::{patch, Extent, Pinned, PinnedMap};
 use crate::predict::HeadPredictor;
 use crate::recovery::{recover_with_targets, RecoveryOptions, RecoveryReport};
 use crate::tracks::TrackPool;
@@ -70,13 +73,20 @@ pub struct TrailStats {
     /// Fraction of each retired track's sectors that were used, sampled at
     /// track-switch time (the §5.2 utilization statistic).
     pub track_utilization: Vec<f64>,
-    /// Reads served from pinned buffer memory.
+    /// Reads served from pinned buffer memory: every sector pinned.
     pub read_hits: u64,
     /// Reads forwarded to the data disks.
     pub read_misses: u64,
+    /// Reads forwarded to the data disks with pinned sectors patched over
+    /// what the disk returned.
+    pub patched_reads: u64,
+    /// Logged extents that trimmed, split or covered a pinned range with a
+    /// different span.
+    pub overlapping_writes: u64,
     /// Data-disk write-backs dispatched.
     pub writebacks: u64,
-    /// Write-backs that raced with a newer overwrite and were cancelled.
+    /// Write-backs that raced with a newer overlapping write and were
+    /// cancelled.
     pub superseded_writebacks: u64,
     /// Summed service time of the repositioning reads.
     pub reposition_time: SimDuration,
@@ -242,12 +252,11 @@ impl CurrentTrack {
     }
 }
 
+/// A record that stays live until every range waiting on it is written
+/// back (§4.2).
 struct ActiveRecord {
     track: u64,
     header_lba: u32,
-    /// Distinct blocks the record logged that are not yet written back
-    /// (§4.2: the record stays live until every one of them is).
-    pending: usize,
 }
 
 struct Inner {
@@ -267,7 +276,7 @@ struct Inner {
     log_busy: bool,
     log_queue: VecDeque<QueuedWrite>,
     active_records: BTreeMap<u64, ActiveRecord>,
-    buffers: BufferTable,
+    pinned: PinnedMap,
     stats: TrailStats,
     idle_timer: Option<EventId>,
     idle_refresh_count: u32,
@@ -434,6 +443,7 @@ impl TrailDriver {
             assert!(limit >= 2, "the track ring needs at least two tracks");
             last = last.min(first + limit - 1);
         }
+        let devices = targets.len();
         let data_capacity: Vec<u64> = targets.iter().map(|t| t.capacity_sectors()).collect();
         for &cap in &data_capacity {
             assert!(
@@ -465,7 +475,7 @@ impl TrailDriver {
                 log_busy: false,
                 log_queue: VecDeque::new(),
                 active_records: BTreeMap::new(),
-                buffers: BufferTable::new(),
+                pinned: PinnedMap::new(devices),
                 stats: TrailStats::default(),
                 idle_timer: None,
                 idle_refresh_count: 0,
@@ -596,8 +606,10 @@ impl TrailDriver {
     }
 
     /// Submits a read of `count` sectors at `lba` of data disk `dev`.
-    /// Served from pinned buffer memory when possible, otherwise from the
-    /// data disk (with priority over write-backs).
+    /// Served from pinned buffer memory when every sector is pinned,
+    /// otherwise from the data disk (with priority over write-backs), with
+    /// whatever is pinned patched over what the disk returns: a read sees
+    /// every write acknowledged before it was submitted.
     ///
     /// # Errors
     ///
@@ -628,7 +640,7 @@ impl TrailDriver {
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        let hit: Option<Vec<u8>> = {
+        let pinned = {
             let mut d = self.inner.borrow_mut();
             if dev >= d.data.len() {
                 return Err(TrailError::BadDevice);
@@ -639,24 +651,20 @@ impl TrailDriver {
             if let Some(tap) = &d.tap {
                 tap.on_submit(sim.now(), dev as u32, lba, count, true, stream);
             }
-            let key = BlockKey {
-                dev: dev as u8,
-                lba,
-            };
-            match d.buffers.lookup(key) {
-                Some(buf) if buf.len() == count as usize * SECTOR_SIZE => {
-                    let data = buf.to_vec();
-                    d.stats.read_hits += 1;
-                    Some(data)
-                }
-                _ => {
+            let pinned = d.pinned.read(dev as u8, lba, count);
+            match pinned {
+                Pinned::All(_) => d.stats.read_hits += 1,
+                Pinned::Part(_) => {
                     d.stats.read_misses += 1;
-                    None
+                    d.stats.patched_reads += 1;
                 }
+                Pinned::Nothing => d.stats.read_misses += 1,
             }
+            pinned
         };
-        match hit {
-            Some(data) => {
+        let req = IoRequest::read(lba, count).tagged(stream);
+        match pinned {
+            Pinned::All(data) => {
                 // Zero-latency buffer hit; delivery is already deferred by
                 // the completion itself.
                 done.complete(
@@ -673,22 +681,37 @@ impl TrailDriver {
                 );
                 Ok(())
             }
-            None => {
+            Pinned::Nothing => {
                 let drv = self.inner.borrow().data[dev].clone();
                 // Uniform completion type: forward the caller's token
                 // straight to the data-disk driver.
-                drv.submit(sim, IoRequest::read(lba, count).tagged(stream), done)
-                    .map_err(TrailError::Disk)?;
+                drv.submit(sim, req, done).map_err(TrailError::Disk)?;
+                Ok(())
+            }
+            Pinned::Part(views) => {
+                // The views were taken now, so writes acknowledged while
+                // the read is at the disk cannot be patched over by older
+                // bytes.
+                let patched = sim.completion(move |sim, read: Delivered<IoDone>| match read {
+                    Ok(mut io) => {
+                        let image = io.data.as_mut().expect("a read returns data");
+                        patch(image, lba, &views);
+                        done.complete(sim, io);
+                    }
+                    Err(_) => done.cancel(sim),
+                });
+                let drv = self.inner.borrow().data[dev].clone();
+                drv.submit(sim, req, patched).map_err(TrailError::Disk)?;
                 Ok(())
             }
         }
     }
 
     /// Work not yet finished: queued log writes, an in-flight log command,
-    /// and pinned blocks awaiting write-back.
+    /// and pinned ranges awaiting write-back.
     pub fn pending_work(&self) -> usize {
         let d = self.inner.borrow();
-        d.log_queue.len() + usize::from(d.log_busy) + d.buffers.pinned_blocks()
+        d.log_queue.len() + usize::from(d.log_busy) + d.pinned.len()
     }
 
     /// Runs the simulation until the driver has no pending work.
@@ -758,9 +781,9 @@ impl TrailDriver {
         self.inner.borrow().header.epoch
     }
 
-    /// Number of blocks pinned in buffer memory.
+    /// Number of disjoint sector ranges pinned in buffer memory.
     pub fn pinned_blocks(&self) -> usize {
-        self.inner.borrow().buffers.pinned_blocks()
+        self.inner.borrow().pinned.len()
     }
 
     /// `true` while the log disk is out of free tracks and writes queue.
@@ -940,7 +963,7 @@ impl TrailDriver {
         let completed = res.completed;
         let batch_len = ctx.batch.len() as u32;
         let mut acks: Vec<(Completion<IoDone>, IoDone)> = Vec::new();
-        let mut writebacks: Vec<BlockKey> = Vec::new();
+        let mut writebacks: Vec<Extent> = Vec::new();
         let reposition_next;
         {
             let mut d = self.inner.borrow_mut();
@@ -959,28 +982,19 @@ impl TrailDriver {
             if let Some(cause) = ctx.miss {
                 d.stats.predict_misses.record(cause, res.breakdown.rotation);
             }
-
-            // One batch can log a block twice; the record waits on it once.
-            let mut keys: Vec<BlockKey> = ctx
-                .batch
-                .iter()
-                .map(|w| BlockKey {
-                    dev: w.dev,
-                    lba: w.lba,
-                })
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let pending = keys.len();
+            let header_lba =
+                (d.geometry.track_first_lba(ctx.track) + u64::from(ctx.header_sector)) as u32;
+            d.active_records.insert(
+                ctx.seq,
+                ActiveRecord {
+                    track: ctx.track,
+                    header_lba,
+                },
+            );
             for w in ctx.batch {
-                let key = BlockKey {
-                    dev: w.dev,
-                    lba: w.lba,
-                };
-                // The queued buffer itself becomes the pinned block.
-                let (_, already_queued) = d.buffers.insert_write(key, w.data, ctx.seq);
-                if !already_queued {
-                    writebacks.push(key);
+                // The queued buffer itself becomes the pinned range.
+                if d.pinned.log(w.dev, w.lba, w.data, ctx.seq, &mut writebacks) {
+                    d.stats.overlapping_writes += 1;
                 }
                 let mut ack = w.ack.borrow_mut();
                 ack.remaining -= 1;
@@ -1012,16 +1026,6 @@ impl TrailDriver {
                     acks.push((done_c, done));
                 }
             }
-            let header_lba_u32 =
-                (d.geometry.track_first_lba(ctx.track) + u64::from(ctx.header_sector)) as u32;
-            d.active_records.insert(
-                ctx.seq,
-                ActiveRecord {
-                    track: ctx.track,
-                    header_lba: header_lba_u32,
-                    pending,
-                },
-            );
             d.log_busy = false;
             let cur = d.current.as_ref().expect("still current");
             reposition_next = d.config.reposition_every_write
@@ -1041,8 +1045,8 @@ impl TrailDriver {
                 EventKind::PredictMiss
             },
         );
-        for key in writebacks {
-            self.enqueue_writeback(sim, key);
+        for extent in writebacks {
+            self.start_writebacks(sim, extent);
         }
         // Reposition (or service the queue) *before* returning completions:
         // "after each request is serviced, the Trail driver moves the disk
@@ -1181,70 +1185,68 @@ impl TrailDriver {
     // Data-disk write-back path
     // ------------------------------------------------------------------
 
-    fn enqueue_writeback(&self, sim: &mut Simulator, key: BlockKey) {
-        let (data, version, drv) = {
-            let mut d = self.inner.borrow_mut();
-            let (data, version) = d.buffers.snapshot(key);
-            d.stats.writebacks += 1;
-            (data, version, d.data[key.dev as usize].clone())
-        };
-        self.emit(
-            sim.now(),
-            SimDuration::ZERO,
-            EventKind::WriteBack {
-                dev: key.dev,
-                lba: key.lba,
-            },
-        );
-        let driver = self.clone();
-        // A cancelled delivery means the machine lost power with the
-        // write-back in flight; recovery at next boot re-issues it.
-        let wb = sim.completion(move |sim, d| {
-            if d.is_ok() {
-                driver.on_writeback_done(sim, key, version);
-            }
-        });
-        tolerate_power_loss(
-            drv.submit(sim, IoRequest::write(key.lba, data), wb)
-                .map(|_| ()),
-            "data disk rejected a validated write-back",
-        );
+    /// Issues the write-back of every pinned range overlapping `extent`
+    /// that no in-flight write-back overlaps.
+    fn start_writebacks(&self, sim: &mut Simulator, (dev, lba, mut end): Extent) {
+        // Highest-starting first: the next candidate starts below the last.
+        while end > lba {
+            let (started, seq, data, drv) = {
+                let mut d = self.inner.borrow_mut();
+                let Some((started, seq, data)) = d.pinned.start_writeback((dev, lba, end)) else {
+                    return;
+                };
+                end = started.1;
+                d.stats.writebacks += 1;
+                (started, seq, data, d.data[started.0 as usize].clone())
+            };
+            self.emit(
+                sim.now(),
+                SimDuration::ZERO,
+                EventKind::WriteBack {
+                    dev,
+                    lba: started.1,
+                },
+            );
+            let driver = self.clone();
+            // A cancelled delivery means the machine lost power with the
+            // write-back in flight; recovery at next boot re-issues it.
+            let wb = sim.completion(move |sim, d| {
+                if d.is_ok() {
+                    driver.on_writeback_done(sim, started, seq);
+                }
+            });
+            tolerate_power_loss(
+                drv.submit(sim, IoRequest::write(started.1, data), wb)
+                    .map(|_| ()),
+                "data disk rejected a validated write-back",
+            );
+        }
     }
 
-    fn on_writeback_done(&self, sim: &mut Simulator, key: BlockKey, version: u64) {
-        let (retry, unstalled) = {
+    fn on_writeback_done(&self, sim: &mut Simulator, extent: Extent, seq: u64) {
+        let (superseded, unstalled) = {
             let mut d = self.inner.borrow_mut();
-            match d.buffers.complete_writeback(key, version) {
-                WritebackOutcome::Superseded { .. } => {
-                    d.stats.superseded_writebacks += 1;
-                    (true, false)
-                }
-                WritebackOutcome::Committed(refs) => {
-                    let mut freed = 0;
-                    for seq in refs {
-                        let done = {
-                            let rec = d
-                                .active_records
-                                .get_mut(&seq)
-                                .expect("committed ref names an active record");
-                            rec.pending -= 1;
-                            rec.pending == 0
-                        };
-                        if done {
-                            let rec = d.active_records.remove(&seq).expect("record present");
-                            freed += d.pool.commit_record(rec.track);
-                        }
-                    }
-                    let unstall = d.stalled && freed > 0;
-                    if unstall {
-                        d.stalled = false;
-                    }
-                    (false, unstall)
-                }
+            let landed = d.pinned.land(extent, seq);
+            if landed.superseded {
+                d.stats.superseded_writebacks += 1;
             }
+            let mut freed = 0;
+            for seq in landed.released {
+                let rec = d
+                    .active_records
+                    .remove(&seq)
+                    .expect("a released record is active");
+                freed += d.pool.commit_record(rec.track);
+            }
+            let unstall = d.stalled && freed > 0;
+            if unstall {
+                d.stalled = false;
+            }
+            (landed.superseded, unstall)
         };
-        if retry {
-            self.enqueue_writeback(sim, key);
+        if superseded {
+            // What a newer write pinned over this extent can go now.
+            self.start_writebacks(sim, extent);
         }
         if unstalled {
             // Tracks freed while writers were waiting: move to a fresh
@@ -1295,7 +1297,7 @@ impl fmt::Debug for TrailDriver {
         f.debug_struct("TrailDriver")
             .field("epoch", &d.header.epoch)
             .field("log_queue", &d.log_queue.len())
-            .field("pinned", &d.buffers.pinned_blocks())
+            .field("pinned", &d.pinned.len())
             .field("active_records", &d.active_records.len())
             .field("stalled", &d.stalled)
             .finish()
@@ -1379,48 +1381,46 @@ mod tests {
             TrailConfig::default(),
         )
         .expect("boot");
-        let key = BlockKey { dev: 0, lba: 64 };
+        let lba = 64;
         let block = 8 * SECTOR_SIZE;
         let write = |sim: &mut Simulator, fill: u8| {
             let buf = vec![fill; block];
             let at = buf.as_ptr();
             let done = sim.completion(|_, d: Delivered<IoDone>| drop(d.expect("durable")));
-            drv.write(sim, 0, key.lba, buf, done).expect("accepted");
+            drv.write(sim, 0, lba, buf, done).expect("accepted");
             sim.run();
             at
         };
-        // What the table pins for `key`, compared against a held request.
+        // What the map pins at `lba`, compared against a held request.
         let pinned_is = |req: &IoRequest| {
             let IoKind::Write { data } = &req.kind else {
                 unreachable!("only writes are held")
             };
             let d = drv.inner.borrow();
-            let pinned = d.buffers.lookup(key).expect("pinned");
+            let pinned = d.pinned.data_at(0, lba).expect("pinned");
             (pinned.ptr_eq(data), pinned.as_ptr() == data.as_ptr())
         };
 
         // Acknowledged, write-back queued: the caller's allocation is the
-        // pinned block *and* the queued request, and is counted once.
+        // pinned block *and* the queued request.
         let first_at = write(&mut sim, 0xA1);
         assert_eq!(target.pending(), 1);
         assert_eq!(pinned_is(&target.held.borrow()[0].0), (true, true));
         assert_eq!(
-            drv.inner.borrow().buffers.lookup(key).unwrap().as_ptr(),
+            drv.inner.borrow().pinned.data_at(0, lba).unwrap().as_ptr(),
             first_at
         );
-        assert_eq!(drv.inner.borrow().buffers.peak_pinned_bytes(), block);
 
-        // Overwritten while that write-back is still queued: the table's
+        // Overwritten while that write-back is still queued: the map's
         // handle is replaced, the queued request keeps the bytes it was
         // enqueued with, and no second write-back joins it.
         let second_at = write(&mut sim, 0xB2);
         assert_eq!(target.pending(), 1);
         assert_eq!(pinned_is(&target.held.borrow()[0].0), (false, false));
         assert_eq!(
-            drv.inner.borrow().buffers.lookup(key).unwrap().as_ptr(),
+            drv.inner.borrow().pinned.data_at(0, lba).unwrap().as_ptr(),
             second_at
         );
-        assert_eq!(drv.inner.borrow().buffers.peak_pinned_bytes(), block);
 
         // The stale write-back lands the old version and is superseded;
         // its retry ships the pinned buffer itself.

@@ -14,10 +14,11 @@
 //!   formula, fed by probed geometry and the calibrated δ;
 //! - [`format`] — the §3.2 self-describing log organization
 //!   (`log_disk_header`, `record_header`, first-byte transposition);
-//! - [`TrackPool`] / [`BufferTable`] — FIFO track reclamation and pinned
-//!   buffer memory with overwrite cancellation (§4.2);
+//! - [`TrackPool`] — FIFO track reclamation (§4.2);
 //! - [`TrailDriver`] — the driver: batched log writes, the 30 %
-//!   track-utilization threshold, read-prioritized write-back (§4);
+//!   track-utilization threshold, read-prioritized write-back from pinned
+//!   memory — one map of disjoint sector ranges, in which an overlapping
+//!   overwrite cancels the stale part of a write-back (§4);
 //! - [`recover`] — the §3.3 three-stage crash recovery with O(lg N)
 //!   binary-search location and `log_head`-bounded back-scan;
 //! - [`format_log_disk`] — the formatting tool (probes timing, writes the
@@ -50,18 +51,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 mod config;
 mod driver;
 mod error;
 pub mod format;
 mod formatter;
 mod multi;
+mod pinned;
 mod predict;
 mod recovery;
 mod tracks;
 
-pub use buffer::{BlockKey, BufferTable, WritebackOutcome};
 pub use config::TrailConfig;
 pub use driver::{BootReport, LostRevolutions, MissTally, PredictMisses, TrailDriver, TrailStats};
 pub use error::TrailError;

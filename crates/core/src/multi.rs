@@ -5,14 +5,19 @@
 //! [`MultiTrail`] runs one independent Trail instance per log disk, all
 //! sharing the same data disks (each physical data disk keeps exactly one
 //! queueing driver). Writes are routed by a **deterministic hash of the
-//! target block**, which is what makes the composition correct without
-//! any cross-log coordination:
+//! extent's first sector**, which is what makes the composition correct
+//! without any cross-log coordination for extents that start at one
+//! sector:
 //!
-//! - all versions of a block live in one log, so its write records replay
-//!   in order under that log's own sequence numbers;
-//! - reads route the same way, so the pinned-buffer fast path still sees
-//!   the newest version;
+//! - all versions of such an extent live in one log, so its write records
+//!   replay in order under that log's own sequence numbers;
+//! - reads route the same way, so pinned memory still serves the newest
+//!   version;
 //! - crash recovery simply recovers each log disk independently.
+//!
+//! Two *overlapping* extents with different first sectors can hash to two
+//! logs; nothing orders their reads or write-backs across the logs (each
+//! instance orders only what it pins).
 //!
 //! While one log disk repositions after a write, requests hashing to the
 //! other disks proceed immediately — with k disks, roughly (k−1)/k of the
@@ -66,9 +71,10 @@ pub struct MultiTrail {
 /// How [`MultiTrail`] assigns requests to log disks.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LogRouting {
-    /// Route by a deterministic hash of the target block address (the
-    /// default). Safe for any workload: all versions of a block live in
-    /// one log regardless of who wrote them.
+    /// Route by a deterministic hash of the extent's first sector (the
+    /// default). Every version of an extent with that first sector lives
+    /// in one log, whoever wrote it; two overlapping extents with
+    /// different first sectors may not.
     #[default]
     BlockHash,
     /// Route tagged requests by a hash of their [`StreamId`], so each

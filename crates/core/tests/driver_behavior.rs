@@ -757,55 +757,77 @@ fn an_overwrite_during_write_back_ships_the_old_bytes_then_the_new() {
     assert_eq!(drv.pinned_blocks(), 0);
 }
 
-/// Known gap, recorded rather than fixed here (the fix moves virtual-time
-/// numbers): pinned memory is looked up by exact `(dev, lba, length)`, so
-/// an acknowledged write is invisible to a later read of an *overlapping*
-/// extent, and two overlapping pinned blocks reach the data disk in
-/// scheduler order rather than acknowledgement order.
-#[test]
-#[ignore = "overlapping-extent reads: ROADMAP correctness item"]
-fn overlapping_pinned_extents_serve_the_newest_bytes() {
+/// Four writes logged in one batch, acknowledged in this order, the later
+/// ones overlapping the earlier with other spans; `reads` are issued when
+/// the last is acknowledged. Returns the driver, its data disk, and the
+/// first byte of every sector each read returned.
+fn overlapping_extents(reads: &'static [(u64, u32)]) -> (TrailDriver, Disk, Vec<Vec<u8>>) {
     let mut sim = Simulator::new();
-    let (drv, data) = boot(
+    let (drv, mut data) = boot(
         &mut sim,
         profiles::tiny_test_disk(),
         1,
         TrailConfig::default(),
     );
-    // One batch, acknowledged in this order. The first write only keeps the
-    // data disk busy, so the others' write-backs queue behind it and C-LOOK
-    // sweeps them by cylinder: 156.. (cylinder 1) goes out before the older
-    // 160.. (cylinder 2), whose stale 0xBB then lands on top of 0xAA.
+    // The first write only keeps the data disk busy, so the others'
+    // write-backs queue behind it and C-LOOK sweeps them by cylinder:
+    // 156.. (cylinder 1) goes out before 160.. (cylinder 2).
     for (lba, sectors, fill) in [(0, 2, 0x11), (160, 2, 0xBB), (156, 8, 0xAA)] {
         let done = sim.completion(|_, _| {});
         drv.write(&mut sim, 0, lba, vec![fill; sectors * SECTOR_SIZE], done)
             .unwrap();
     }
-    let read_back: Rc<RefCell<Vec<u8>>> = Rc::default();
+    let read_back: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
     let (drv2, out) = (drv.clone(), Rc::clone(&read_back));
     let done = sim.completion(move |sim: &mut Simulator, _| {
-        // Every block is still pinned: nothing has been written back yet.
+        // Every range is still pinned: nothing has been written back yet.
         assert_eq!(drv2.pinned_blocks(), 4);
-        let read_done = sim.completion(move |_, d: Delivered<IoDone>| {
-            *out.borrow_mut() = d.expect("read delivered").data.expect("read data");
-        });
-        drv2.read(sim, 0, 156, 8, read_done).unwrap();
+        for &(lba, count) in reads {
+            let out = Rc::clone(&out);
+            let read_done = sim.completion(move |_, d: Delivered<IoDone>| {
+                let data = d.expect("read delivered").data.expect("read data");
+                out.borrow_mut()
+                    .push(data.iter().copied().step_by(SECTOR_SIZE).collect());
+            });
+            drv2.read(sim, 0, lba, count, read_done).unwrap();
+        }
     });
     drv.write(&mut sim, 0, 158, vec![0xDD; 2 * SECTOR_SIZE], done)
         .unwrap();
     drv.run_until_quiescent(&mut sim);
+    sim.run();
+    let reads = read_back.take();
+    (drv, data.remove(0), reads)
+}
+
+/// Pinned memory is one map of disjoint sector ranges: an acknowledged
+/// write is what a later read of any *overlapping* extent sees, and
+/// overlapping pinned extents reach the data disk in acknowledgement order,
+/// not in the scheduler's (the stale 0xBB at 160.. must not land on top of
+/// 0xAA).
+#[test]
+fn overlapping_pinned_extents_serve_the_newest_bytes() {
+    let (_, data, reads) = overlapping_extents(&[(156, 8)]);
     let newest = [0xAA, 0xAA, 0xDD, 0xDD, 0xAA, 0xAA, 0xAA, 0xAA];
-    let read: Vec<u8> = read_back
-        .borrow()
-        .iter()
-        .copied()
-        .step_by(SECTOR_SIZE)
-        .collect();
-    let on_disk: Vec<u8> = (156..164).map(|lba| data[0].peek_sector(lba)[0]).collect();
+    let on_disk: Vec<u8> = (156..164).map(|lba| data.peek_sector(lba)[0]).collect();
     assert_eq!(
-        (&read[..], &on_disk[..]),
+        (&reads[0][..], &on_disk[..]),
         (&newest[..], &newest[..]),
         "a read, and the data disk after write-back, must hold every \
          acknowledged overlapping write's newest bytes"
     );
+}
+
+/// The same scenario, counted: two of the four writes cut into a pinned
+/// range with another span (0xAA covers 0xBB, 0xDD splits 0xAA), and a read
+/// that only partly overlaps pinned memory goes to the data disk and has
+/// the pinned sectors patched over what it returns.
+#[test]
+fn overlapping_writes_and_patched_reads_are_counted() {
+    let (drv, _, reads) = overlapping_extents(&[(156, 8), (154, 4)]);
+    assert_eq!(reads[1], [0, 0, 0xAA, 0xAA]);
+    drv.with_stats(|s| {
+        assert_eq!((s.overlapping_writes, s.patched_reads), (2, 1));
+        assert_eq!((s.read_hits, s.read_misses), (1, 1));
+    });
 }

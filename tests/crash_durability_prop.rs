@@ -10,6 +10,15 @@ use proptest::prelude::*;
 use rand::Rng;
 use trail::prelude::*;
 
+/// What write `tag` puts in sector `lba`: a misplaced sector of the right
+/// write does not pass for the right one.
+fn sector_image(tag: u8, lba: u64) -> Vec<u8> {
+    let mut sector = vec![tag; SECTOR_SIZE];
+    sector[0] = tag ^ 0xA5;
+    sector[1] = lba as u8;
+    sector
+}
+
 /// Runs a random workload on tiny disks, crashes at `crash_ms`, recovers,
 /// and checks the ledger. Returns an error message on violation.
 fn crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<(), String> {
@@ -23,27 +32,36 @@ fn crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<(), Str
         TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default())
             .map_err(|e| e.to_string())?;
 
-    // Ledger: per block, the ordered list of tags written and the last
-    // acknowledged tag.
-    type WriteLedger = Rc<RefCell<HashMap<(usize, u64), Vec<u8>>>>;
-    let writes: WriteLedger = Rc::new(RefCell::new(HashMap::new()));
-    let acked: Rc<RefCell<HashMap<(usize, u64), u8>>> = Rc::new(RefCell::new(HashMap::new()));
+    // Ledger, per sector: the tags written there in submission order (the
+    // log's order, so the acknowledged ones are in acknowledgement order),
+    // and the last acknowledged tag. Extents of 1-8 sectors at any LBA
+    // overlap each other partially, so recovery's oldest-first replay of
+    // overlapping records is what the check below exercises.
+    type Ledger<T> = Rc<RefCell<HashMap<(usize, u64), T>>>;
+    let writes: Ledger<Vec<u8>> = Rc::default();
+    let acked: Ledger<u8> = Rc::default();
     let mut rng = trail_sim::rng(seed);
     let t0 = sim.now();
     for i in 0..n_writes {
         let dev = rng.gen_range(0..2usize);
-        let lba = rng.gen_range(0..48u64);
+        let sectors = rng.gen_range(1..=8u64);
+        let lba = rng.gen_range(0..=48 - sectors);
         let tag = (i % 251 + 1) as u8;
-        writes.borrow_mut().entry((dev, lba)).or_default().push(tag);
-        let acked = Rc::clone(&acked);
+        let (writes, acked) = (Rc::clone(&writes), Rc::clone(&acked));
         let trail2 = trail.clone();
         let when = t0 + SimDuration::from_micros(rng.gen_range(0..(n_writes as u64 * 400)));
         sim.schedule_at(when.max(sim.now()), move |sim| {
-            let mut buf = vec![tag; SECTOR_SIZE];
-            buf[0] = tag ^ 0xA5;
+            let buf: Vec<u8> = (lba..lba + sectors)
+                .flat_map(|s| {
+                    writes.borrow_mut().entry((dev, s)).or_default().push(tag);
+                    sector_image(tag, s)
+                })
+                .collect();
             let done = sim.completion(move |_, del: Delivered<IoDone>| {
                 if del.is_ok() {
-                    acked.borrow_mut().insert((dev, lba), tag);
+                    for s in lba..lba + sectors {
+                        acked.borrow_mut().insert((dev, s), tag);
+                    }
                 }
             });
             trail2
@@ -73,14 +91,12 @@ fn crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<(), Str
         let history = &writes.borrow()[&(dev, lba)];
         let pos = history
             .iter()
-            .position(|&t| t == acked_tag)
+            .rposition(|&t| t == acked_tag)
             .expect("acked tag was issued");
         let on_disk = data[dev].peek_sector(lba);
-        let ok = history[pos..].iter().any(|&t| {
-            let mut expect = [t; SECTOR_SIZE];
-            expect[0] = t ^ 0xA5;
-            on_disk[..] == expect[..]
-        });
+        let ok = history[pos..]
+            .iter()
+            .any(|&t| on_disk[..] == sector_image(t, lba)[..]);
         if !ok {
             return Err(format!(
                 "dev {dev} lba {lba}: acked tag {acked_tag}, disk holds {:?}",
