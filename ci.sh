@@ -312,6 +312,26 @@ if grep -rnE --include='*.rs' \
   exit 1
 fi
 
+echo "== one-failure-channel gate =="
+# A device error is an IoError delivered through the request's Completion,
+# and each layer decides on it in one place (DESIGN.md, "Drop means
+# cancel"). Outside trail-disk, no non-test code may ask the device what
+# went wrong, tolerate a synchronous power-loss rejection, or count
+# transient cancels again.
+channel='tolerate_power_loss|transient_cancels_pending|DiskError::(PoweredOff|Failed|Transient)|\.is_failed\(\)|\.is_powered\(\)'
+channel_hits=""
+for f in $(grep -rlE --include='*.rs' "$channel" crates src examples \
+    | grep -v '^crates/disk/src/' | grep -v '/tests/' || true); do
+  hits="$(awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" \
+    | grep -E "$channel" || true)"
+  [ -z "$hits" ] || channel_hits="$channel_hits$hits"$'\n'
+done
+[ -z "$channel_hits" ] || {
+  echo "$channel_hits" >&2
+  echo "found a second failure channel; deliver an IoError through the Completion" >&2
+  exit 1
+}
+
 echo "== one-latency-type gate =="
 # trail_sim::DurationHistogram is the one latency statistic (DESIGN.md,
 # "Latency statistics"): the keep-every-sample LatencySummary and a second

@@ -21,14 +21,16 @@ use crate::request::{IoDone, IoRequest, RequestId};
 /// which is why every method takes `&self`.
 pub trait BlockDevice: std::fmt::Debug {
     /// Submits a request; `done` is delivered when it is durable (writes)
-    /// or the data is available (reads).
+    /// or the data is available (reads), or with the
+    /// [`IoError`](trail_sim::IoError) that kept it from being either — a
+    /// device failure travels up through `done`, never through this
+    /// method's result.
     ///
     /// # Errors
     ///
-    /// Synchronous rejections ([`DiskError::OutOfRange`],
-    /// [`DiskError::BadDataLength`], [`DiskError::Failed`], …) return
-    /// without queueing anything; `done` is then cancelled (delivered
-    /// `Err(Cancelled)` on the next step).
+    /// A request the caller got wrong ([`DiskError::OutOfRange`],
+    /// [`DiskError::BadDataLength`]) returns without queueing anything;
+    /// `done` is then delivered `Err(IoError::Cancelled)` on the next step.
     fn submit(
         &self,
         sim: &mut Simulator,

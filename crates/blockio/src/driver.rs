@@ -14,7 +14,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use trail_disk::{Disk, DiskCommand, DiskError, DiskGeometry, DiskResult, SECTOR_SIZE};
-use trail_sim::{Completion, Delivered, SimTime, Simulator};
+use trail_sim::{Completion, Delivered, IoError, SimTime, Simulator};
 use trail_telemetry::{Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown};
 
 use crate::request::{IoDone, IoKind, IoRequest, RequestId};
@@ -52,27 +52,11 @@ struct Inner {
     // removal here — no linear scans at any depth.
     queue: BTreeMap<u64, Queued>,
     in_flight: bool,
-    // Dropped tokens of transient-rejected commands whose Err(Cancelled)
-    // delivery is still in flight. The dispatch slot those commands held
-    // was freed (and likely re-used) at rejection time, so their late
-    // cancellations must NOT clear `in_flight` for whatever command now
-    // owns the disk.
-    transient_cancels_pending: u32,
     next_id: u64,
     next_seq: u64,
     stats: DriverStats,
     // The driver's name for trace purposes is its disk's name.
     lifecycle: LifecycleEmitter,
-}
-
-impl Inner {
-    /// Frees the dispatch slot and drops every queued request, delivering
-    /// `Err(Cancelled)` to each submitter on the next simulator step.
-    fn cancel_all(&mut self) {
-        self.in_flight = false;
-        self.queue.clear();
-        self.scheduler.clear();
-    }
 }
 
 /// A queueing block driver over one [`Disk`]. Clones share the driver.
@@ -118,7 +102,6 @@ impl StandardDriver {
                 priority,
                 queue: BTreeMap::new(),
                 in_flight: false,
-                transient_cancels_pending: 0,
                 next_id: 0,
                 next_seq: 0,
                 stats: DriverStats::default(),
@@ -160,11 +143,15 @@ impl StandardDriver {
     /// or the data is available (reads). The handler runs as its own
     /// simulator event, so it may submit new I/O into this driver freely.
     ///
+    /// A request the disk fails is delivered the disk's [`IoError`]: a
+    /// `Transient` error fails that request alone, while `PoweredOff` or
+    /// `MediaFailed` fails it and every request queued behind it.
+    ///
     /// # Errors
     ///
     /// Returns [`DiskError::OutOfRange`] or [`DiskError::BadDataLength`]
     /// without queueing anything if the request is malformed; `done` is
-    /// then cancelled (delivered `Err(Cancelled)` on the next step).
+    /// then delivered `Err(IoError::Cancelled)` on the next step.
     pub fn submit(
         &self,
         sim: &mut Simulator,
@@ -173,9 +160,6 @@ impl StandardDriver {
     ) -> Result<RequestId, DiskError> {
         let id = {
             let mut d = self.inner.borrow_mut();
-            if d.disk.is_failed() {
-                return Err(DiskError::Failed);
-            }
             let total = d.geometry.total_sectors();
             let sectors = req.kind.sectors();
             match &req.kind {
@@ -243,9 +227,9 @@ impl StandardDriver {
                 .remove(&seq)
                 .expect("scheduler popped a seq the queue does not hold");
             // Move the payload handle into the command: nothing reads it
-            // from the queue entry after dispatch (a power-cut cancellation
-            // only needs `queued.done`'s drop), and moving keeps a payload
-            // with one owner at one owner — no reference count allocated.
+            // from the queue entry after dispatch (a failure only needs
+            // `queued.done`), and moving keeps a payload with one owner at
+            // one owner — no reference count allocated.
             let cmd = match &mut queued.req.kind {
                 IoKind::Read { count } => DiskCommand::Read {
                     lba: queued.req.lba,
@@ -264,23 +248,7 @@ impl StandardDriver {
         let disk_done = sim.completion(move |sim: &mut Simulator, res: Delivered<DiskResult>| {
             let res = match res {
                 Ok(res) => res,
-                // The disk lost power or failed with this command in
-                // flight. Drop `queued`, which cascades the cancellation
-                // to the request's own `Completion`, and drain the queue:
-                // nothing behind this command will be serviced either.
-                Err(_) => {
-                    let mut d = driver.inner.borrow_mut();
-                    if d.transient_cancels_pending > 0 {
-                        // The dropped token of a transient-rejected
-                        // command: its slot was freed and re-dispatched
-                        // at rejection time, and `in_flight` now
-                        // describes a *different* command — leave it.
-                        d.transient_cancels_pending -= 1;
-                        return;
-                    }
-                    d.cancel_all();
-                    return;
-                }
+                Err(e) => return driver.on_failure(sim, queued.done, e),
             };
             let done = IoDone {
                 id: queued.id,
@@ -316,38 +284,34 @@ impl StandardDriver {
             queued.done.complete(sim, done);
             driver.dispatch(sim);
         });
-        let submit_result = disk.submit(sim, cmd, disk_done);
-        // The request was validated at submission and the disk was idle, so
-        // the only legitimate rejection is a power loss that raced the
-        // dispatch. The disk consumed our token, whose handler drops the
-        // request's `Completion` — the submitter hears `Err(Cancelled)` on
-        // the next step instead of waiting forever.
-        match submit_result {
-            Ok(()) => {}
-            Err(DiskError::PoweredOff | DiskError::Failed) => {
-                // Power was lost or the member failed between queueing and
-                // dispatch. Every queued request is undeliverable; drop
-                // them all so their completions cancel-cascade instead of
-                // hanging (and instead of keeping their submitters alive:
-                // Trail's write-back completions hold the driver that
-                // owns this one).
-                self.inner.borrow_mut().cancel_all();
+        if let Err(e) = disk.submit(sim, cmd, disk_done) {
+            panic!("validated request rejected by idle disk: {e}");
+        }
+    }
+
+    /// The disk failed the in-flight request with `e`. A transient error
+    /// fails that request alone and the queue moves on; a power cut or a
+    /// failed medium fails it and every queued request with the same
+    /// error — holding them would hang their submitters and, because
+    /// Trail's write-back completions hold the driver that owns this one,
+    /// keep a dead stack alive in an `Rc` cycle.
+    fn on_failure(&self, sim: &mut Simulator, in_flight: Completion<IoDone>, e: IoError) {
+        let queued = {
+            let mut d = self.inner.borrow_mut();
+            d.in_flight = false;
+            if e == IoError::Transient {
+                BTreeMap::new()
+            } else {
+                d.scheduler.clear();
+                std::mem::take(&mut d.queue)
             }
-            Err(DiskError::Transient) => {
-                // An injected transient error consumed only this command
-                // (its completion cancel-cascades); everything still
-                // queued remains serviceable, so free the slot and keep
-                // dispatching. Record the pending cancellation so its
-                // later delivery doesn't clear `in_flight` out from
-                // under the command dispatched next.
-                {
-                    let mut d = self.inner.borrow_mut();
-                    d.in_flight = false;
-                    d.transient_cancels_pending += 1;
-                }
-                self.dispatch(sim);
-            }
-            Err(e) => panic!("validated request rejected by idle disk: {e}"),
+        };
+        for q in queued.into_values() {
+            q.done.fail(sim, e);
+        }
+        in_flight.fail(sim, e);
+        if e == IoError::Transient {
+            self.dispatch(sim);
         }
     }
 }
@@ -524,13 +488,13 @@ mod tests {
         for i in 0..6u64 {
             let outcomes = StdRc::clone(&outcomes);
             let c = sim.completion(move |_, d: trail_sim::Delivered<IoDone>| {
-                outcomes.borrow_mut().push(d.is_ok());
+                outcomes.borrow_mut().push(d.map(|_| ()));
             });
             drv.submit(&mut sim, IoRequest::write(i * 300, vec![0; SECTOR_SIZE]), c)
                 .unwrap();
         }
         // Fail the member while the first request is in flight: everything
-        // queued behind it must cancel instead of hanging the simulation.
+        // queued behind it must fail instead of hanging the simulation.
         let clock = trail_sim::FaultClock::new();
         clock.register(drv.disk().fault_sink(trail_disk::DiskRole::Data(0)));
         clock.arm(
@@ -542,17 +506,16 @@ mod tests {
             }),
         );
         sim.run();
-        assert_eq!(outcomes.borrow().len(), 6, "every completion delivered");
-        assert!(outcomes.borrow().iter().all(|ok| !ok), "all cancelled");
+        assert_eq!(
+            *outcomes.borrow(),
+            vec![Err(IoError::MediaFailed); 6],
+            "every completion delivered the failure"
+        );
         assert_eq!(drv.queue_depth(), 0);
         assert!(!drv.is_busy());
-        // New submissions are rejected synchronously.
-        let c = sim.completion(|_, d: trail_sim::Delivered<IoDone>| assert!(d.is_err()));
-        assert!(matches!(
-            drv.submit(&mut sim, IoRequest::read(0, 1), c),
-            Err(DiskError::Failed)
-        ));
-        sim.run();
+        // A new submission is accepted and delivered the same failure.
+        let got = sim.block_on(|sim, c| drv.submit(sim, IoRequest::read(0, 1), c));
+        assert_eq!(got.unwrap().unwrap_err(), IoError::MediaFailed);
     }
 
     #[test]
@@ -562,7 +525,7 @@ mod tests {
         let submit = |sim: &mut Simulator, lba: u64| {
             let outcomes = StdRc::clone(&outcomes);
             let c = sim.completion(move |_, d: trail_sim::Delivered<IoDone>| {
-                outcomes.borrow_mut().push(d.is_ok());
+                outcomes.borrow_mut().push(d.map(|_| ()));
             });
             drv.submit(sim, IoRequest::write(lba, vec![0; SECTOR_SIZE]), c)
         };
@@ -571,23 +534,22 @@ mod tests {
         }
         assert_eq!(drv.queue_depth(), 5);
         // Lights out with one request in flight and five queued: all six
-        // submitters must hear `Err(Cancelled)`, none may stay queued.
+        // submitters must hear `PoweredOff`, none may stay queued.
         drv.disk().power_cut(sim.now());
         sim.run();
-        assert_eq!(outcomes.borrow().len(), 6, "every completion delivered");
-        assert!(outcomes.borrow().iter().all(|ok| !ok), "all cancelled");
+        assert_eq!(*outcomes.borrow(), vec![Err(IoError::PoweredOff); 6]);
         assert_eq!(drv.queue_depth(), 0);
         assert!(!drv.is_busy());
-        // A request offered to the dark disk is accepted, then cancelled.
+        // A request offered to the dark disk is accepted, then failed.
         submit(&mut sim, 0).unwrap();
         sim.run();
-        assert_eq!(outcomes.borrow().len(), 7);
+        assert_eq!(outcomes.borrow().last(), Some(&Err(IoError::PoweredOff)));
         assert_eq!(drv.queue_depth(), 0);
         // The driver serves again once power returns.
         drv.disk().power_on();
         submit(&mut sim, 0).unwrap();
         sim.run();
-        assert_eq!(outcomes.borrow().last(), Some(&true));
+        assert_eq!(outcomes.borrow().last(), Some(&Ok(())));
     }
 
     #[test]
@@ -600,7 +562,7 @@ mod tests {
         for i in 0..6u64 {
             let outcomes = StdRc::clone(&outcomes);
             let c = sim.completion(move |_, d: trail_sim::Delivered<IoDone>| {
-                outcomes.borrow_mut().push(d.is_ok());
+                outcomes.borrow_mut().push(d.map(|_| ()));
             });
             drv.submit(&mut sim, IoRequest::write(i * 300, vec![7; SECTOR_SIZE]), c)
                 .unwrap();
@@ -608,7 +570,10 @@ mod tests {
         sim.run();
         let outcomes = outcomes.borrow();
         assert_eq!(outcomes.len(), 6, "every completion delivered");
-        assert_eq!(outcomes.iter().filter(|ok| !**ok).count(), 2);
+        assert_eq!(
+            outcomes.iter().filter(|o| o.is_err()).collect::<Vec<_>>(),
+            [&Err(IoError::Transient); 2]
+        );
         assert_eq!(drv.queue_depth(), 0);
         assert!(!drv.is_busy());
         drv.with_stats(|s| assert_eq!(s.completed, 4));

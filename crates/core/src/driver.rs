@@ -39,7 +39,7 @@ use trail_disk::{
     SECTOR_SIZE,
 };
 use trail_sim::{
-    Completion, Delivered, DurationHistogram, EventId, SimDuration, SimTime, Simulator,
+    Completion, Delivered, DurationHistogram, EventId, IoError, SimDuration, SimTime, Simulator,
 };
 use trail_telemetry::{
     EventKind, Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown, StreamId,
@@ -311,6 +311,8 @@ enum LogAction {
 
 struct RecordCtx {
     seq: u64,
+    /// The chain's previous record, restored if this one fails.
+    prev_record_lba: Option<u32>,
     track: u64,
     header_sector: u32,
     total_sectors: u32,
@@ -519,7 +521,9 @@ impl TrailDriver {
     ///
     /// Returns [`TrailError::BadDevice`], [`TrailError::BadDataLength`],
     /// or [`TrailError::OutOfRange`] without side effects on a malformed
-    /// request (`done` is cancelled).
+    /// request (`done` is cancelled). A write the log disk fails is never
+    /// acknowledged: `done` is delivered the [`IoError`] (a transient
+    /// error is retried in the next record and not seen here).
     pub fn write(
         &self,
         sim: &mut Simulator,
@@ -698,7 +702,7 @@ impl TrailDriver {
                         patch(image, lba, &views);
                         done.complete(sim, io);
                     }
-                    Err(_) => done.cancel(sim),
+                    Err(e) => done.fail(sim, e),
                 });
                 let drv = self.inner.borrow().data[dev].clone();
                 drv.submit(sim, req, patched).map_err(TrailError::Disk)?;
@@ -830,26 +834,16 @@ impl TrailDriver {
             LogAction::Dispatch { lba, bytes, ctx } => {
                 let driver = self.clone();
                 let log_disk = self.inner.borrow().log_disk.clone();
-                // A cancelled delivery means power was lost with the record
-                // in flight; dropping `ctx` cascades the cancellation to
-                // every host completion riding in the batch.
-                let done =
-                    sim.completion(move |sim: &mut Simulator, res: Delivered<DiskResult>| {
-                        if let Ok(res) = res {
-                            driver.on_log_write_done(sim, res, ctx);
-                        }
-                    });
-                tolerate_power_loss(
-                    log_disk.submit(
-                        sim,
-                        DiskCommand::Write {
-                            lba,
-                            data: bytes.into(),
-                        },
-                        done,
-                    ),
-                    "log disk rejected a planned record write",
+                let done = sim.completion(
+                    move |sim: &mut Simulator, res: Delivered<DiskResult>| match res {
+                        Ok(res) => driver.on_log_write_done(sim, res, ctx),
+                        Err(e) => driver.on_log_write_failed(sim, ctx, e),
+                    },
                 );
+                let data = bytes.into();
+                log_disk
+                    .submit(sim, DiskCommand::Write { lba, data }, done)
+                    .unwrap_or_else(|e| panic!("log disk rejected a planned record write: {e}"));
             }
         }
     }
@@ -943,13 +937,14 @@ impl TrailDriver {
             &writes,
         )
         .expect("batch bounded by MAX_TRAIL_BATCH");
-        d.prev_record_lba = Some(header_lba as u32);
+        let prev_record_lba = d.prev_record_lba.replace(header_lba as u32);
         d.log_busy = true;
         LogAction::Dispatch {
             lba: header_lba,
             bytes,
             ctx: RecordCtx {
                 seq,
+                prev_record_lba,
                 track,
                 header_sector: s,
                 total_sectors: total,
@@ -998,8 +993,13 @@ impl TrailDriver {
                 }
                 let mut ack = w.ack.borrow_mut();
                 ack.remaining -= 1;
-                if ack.remaining == 0 {
-                    let done_c = ack.done.take().expect("ack fires exactly once");
+                // (A write whose other piece failed is answered already.)
+                let last = if ack.remaining == 0 {
+                    ack.done.take()
+                } else {
+                    None
+                };
+                if let Some(done_c) = last {
                     let done = IoDone {
                         id: trail_blockio::RequestId(0),
                         lba: ack.lba,
@@ -1064,8 +1064,42 @@ impl TrailDriver {
         }
     }
 
+    /// The log disk failed a record: it is as if the record had never been
+    /// planned — the chain links past it and its sectors stay free — and it
+    /// is never acknowledged. A transient error puts the batch back at the
+    /// head of the queue to be planned again. Any other error fails every
+    /// writer in the batch, and every one queued behind it, with it: the
+    /// log disk is gone, as for `StandardDriver`.
+    fn on_log_write_failed(&self, sim: &mut Simulator, ctx: RecordCtx, e: IoError) {
+        let retry = e == IoError::Transient;
+        let failed: Vec<Completion<IoDone>> = {
+            let mut d = self.inner.borrow_mut();
+            d.next_seq = ctx.seq;
+            d.prev_record_lba = ctx.prev_record_lba;
+            d.log_busy = false;
+            if retry {
+                for w in ctx.batch.into_iter().rev() {
+                    d.log_queue.push_front(w);
+                }
+                Vec::new()
+            } else {
+                let queued = std::mem::take(&mut d.log_queue);
+                let writers = ctx.batch.iter().chain(&queued);
+                writers
+                    .filter_map(|w| w.ack.borrow_mut().done.take())
+                    .collect()
+            }
+        };
+        for done in failed {
+            done.fail(sim, e);
+        }
+        if retry {
+            self.service_log(sim);
+        }
+    }
+
     fn reposition(&self, sim: &mut Simulator) {
-        let target = {
+        let next = {
             let mut d = self.inner.borrow_mut();
             if d.log_busy {
                 return;
@@ -1083,43 +1117,68 @@ impl TrailDriver {
                         let util = cur.utilization();
                         d.stats.track_utilization.push(util);
                     }
-                    let (_, lba) = d
-                        .predictor
-                        .predict_on_track(next, sim.now())
-                        .unwrap_or((0, d.geometry.track_first_lba(next)));
-                    d.log_busy = true;
-                    Some((next, lba))
+                    Some(next)
                 }
             }
         };
-        let Some((next, lba)) = target else { return };
+        if let Some(next) = next {
+            self.read_reference(sim, next);
+        }
+    }
+
+    /// The repositioning read: one sector of freshly allocated track
+    /// `next`, aimed where the head will arrive, whose completion is the
+    /// new reference point. A transient error reads again on the same
+    /// track. Any other error settles on `next` with the failure instant
+    /// standing in for the reference point — the disk is gone, so the
+    /// writes queued behind are planned there and fail through their
+    /// records.
+    fn read_reference(&self, sim: &mut Simulator, next: u64) {
+        let (lba, log_disk) = {
+            let mut d = self.inner.borrow_mut();
+            let (_, lba) = d
+                .predictor
+                .predict_on_track(next, sim.now())
+                .unwrap_or((0, d.geometry.track_first_lba(next)));
+            d.log_busy = true;
+            (lba, d.log_disk.clone())
+        };
         let driver = self.clone();
-        let log_disk = self.inner.borrow().log_disk.clone();
         let done = sim.completion(move |sim: &mut Simulator, res: Delivered<DiskResult>| {
-            let Ok(res) = res else { return };
+            driver.inner.borrow_mut().log_busy = false;
+            let res = match res {
+                Err(IoError::Transient) => return driver.read_reference(sim, next),
+                res => res.ok(),
+            };
             {
                 let mut d = driver.inner.borrow_mut();
-                d.predictor.set_reference(res.completed, res.lba);
+                let first = d.geometry.track_first_lba(next);
+                let (at, lba) = res
+                    .as_ref()
+                    .map_or((sim.now(), first), |r| (r.completed, r.lba));
+                d.predictor.set_reference(at, lba);
                 let spt = d.geometry.spt_of_track(next);
                 d.current = Some(CurrentTrack::new(next, spt));
-                d.log_busy = false;
-                d.stats.repositions += 1;
-                d.stats.reposition_time += res.breakdown.total;
-                if d.lost_revolution(&res.breakdown) {
-                    d.stats.lost_revolutions.reposition_reads += 1;
+                if let Some(res) = &res {
+                    d.stats.repositions += 1;
+                    d.stats.reposition_time += res.breakdown.total;
+                    if d.lost_revolution(&res.breakdown) {
+                        d.stats.lost_revolutions.reposition_reads += 1;
+                    }
                 }
             }
-            driver.emit(
-                res.issued,
-                res.completed.duration_since(res.issued),
-                EventKind::Reposition { track: next },
-            );
+            if let Some(res) = res {
+                driver.emit(
+                    res.issued,
+                    res.completed.duration_since(res.issued),
+                    EventKind::Reposition { track: next },
+                );
+            }
             driver.service_log(sim);
         });
-        tolerate_power_loss(
-            log_disk.submit(sim, DiskCommand::Read { lba, count: 1 }, done),
-            "log disk rejected a repositioning read",
-        );
+        log_disk
+            .submit(sim, DiskCommand::Read { lba, count: 1 }, done)
+            .unwrap_or_else(|e| panic!("log disk rejected a repositioning read: {e}"));
     }
 
     fn arm_idle_timer(&self, sim: &mut Simulator) {
@@ -1136,49 +1195,54 @@ impl TrailDriver {
     /// the event queue finite (the virtual spindle does not drift, so one
     /// refresh is enough for fidelity and testability).
     fn on_idle_timer(&self, sim: &mut Simulator) {
-        let target = {
+        {
             let mut d = self.inner.borrow_mut();
             d.idle_timer = None;
-            if d.log_busy || !d.log_queue.is_empty() {
+            if d.log_busy || !d.log_queue.is_empty() || d.current.is_none() {
                 return;
             }
-            if d.current.is_none() {
-                return;
-            }
+            d.idle_refresh_count += 1;
+        }
+        self.refresh_reference(sim);
+    }
+
+    /// The idle refresh read, at the sector predicted under the head. A
+    /// transient error reads again; any other error goes back to servicing
+    /// the queue.
+    fn refresh_reference(&self, sim: &mut Simulator) {
+        let (target, log_disk) = {
+            let mut d = self.inner.borrow_mut();
             let pred = d
                 .predictor
                 .predict_same_track(sim.now())
                 .expect("driver always holds a reference point");
-            d.idle_refresh_count += 1;
             d.log_busy = true;
-            pred
+            (pred, d.log_disk.clone())
         };
         let driver = self.clone();
-        let log_disk = self.inner.borrow().log_disk.clone();
         let done = sim.completion(move |sim: &mut Simulator, res: Delivered<DiskResult>| {
-            let Ok(res) = res else { return };
-            {
-                let mut d = driver.inner.borrow_mut();
-                d.predictor.set_reference(res.completed, res.lba);
-                d.log_busy = false;
-                d.stats.idle_refreshes += 1;
-                if d.lost_revolution(&res.breakdown) {
-                    d.stats.lost_revolutions.idle_refreshes += 1;
+            driver.inner.borrow_mut().log_busy = false;
+            match res {
+                Err(IoError::Transient) => return driver.refresh_reference(sim),
+                Err(_) => {}
+                Ok(res) => {
+                    let mut d = driver.inner.borrow_mut();
+                    d.predictor.set_reference(res.completed, res.lba);
+                    d.stats.idle_refreshes += 1;
+                    if d.lost_revolution(&res.breakdown) {
+                        d.stats.lost_revolutions.idle_refreshes += 1;
+                    }
                 }
             }
             driver.service_log(sim);
         });
-        tolerate_power_loss(
-            log_disk.submit(
-                sim,
-                DiskCommand::Read {
-                    lba: target,
-                    count: 1,
-                },
-                done,
-            ),
-            "log disk rejected an idle refresh read",
-        );
+        let cmd = DiskCommand::Read {
+            lba: target,
+            count: 1,
+        };
+        log_disk
+            .submit(sim, cmd, done)
+            .unwrap_or_else(|e| panic!("log disk rejected an idle refresh read: {e}"));
     }
 
     // ------------------------------------------------------------------
@@ -1208,18 +1272,12 @@ impl TrailDriver {
                 },
             );
             let driver = self.clone();
-            // A cancelled delivery means the machine lost power with the
-            // write-back in flight; recovery at next boot re-issues it.
-            let wb = sim.completion(move |sim, d| {
-                if d.is_ok() {
-                    driver.on_writeback_done(sim, started, seq);
-                }
+            let wb = sim.completion(move |sim, d: Delivered<IoDone>| match d {
+                Ok(_) => driver.on_writeback_done(sim, started, seq),
+                Err(e) => driver.on_writeback_failed(sim, started, e),
             });
-            tolerate_power_loss(
-                drv.submit(sim, IoRequest::write(started.1, data), wb)
-                    .map(|_| ()),
-                "data disk rejected a validated write-back",
-            );
+            drv.submit(sim, IoRequest::write(started.1, data), wb)
+                .unwrap_or_else(|e| panic!("data target rejected a validated write-back: {e}"));
         }
     }
 
@@ -1254,6 +1312,17 @@ impl TrailDriver {
             self.reposition(sim);
         }
     }
+
+    /// The data target failed the write-back of `extent`: nothing of it is
+    /// known to be on the disk, so it stays pinned and its records stay
+    /// live. A transient error issues it again; after any other the
+    /// records wait for recovery to replay them.
+    fn on_writeback_failed(&self, sim: &mut Simulator, extent: Extent, e: IoError) {
+        self.inner.borrow_mut().pinned.fail_writeback(extent);
+        if e == IoError::Transient {
+            self.start_writebacks(sim, extent);
+        }
+    }
 }
 
 impl Inner {
@@ -1278,17 +1347,6 @@ pub(crate) fn raw_targets(disks: &[Disk]) -> Vec<SharedBlockDevice> {
             )) as SharedBlockDevice
         })
         .collect()
-}
-
-/// Resolves an internal submission: power loss while a command was being
-/// issued means the machine died — the event is silently dropped (recovery
-/// happens at next boot). Any other rejection is a driver bug.
-fn tolerate_power_loss(result: Result<(), trail_disk::DiskError>, what: &str) {
-    match result {
-        Ok(()) => {}
-        Err(trail_disk::DiskError::PoweredOff) => {}
-        Err(e) => panic!("{what}: {e}"),
-    }
 }
 
 impl fmt::Debug for TrailDriver {

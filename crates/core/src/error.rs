@@ -3,6 +3,8 @@
 use std::fmt;
 
 use trail_disk::DiskError;
+use trail_probe::ProbeError;
+use trail_sim::IoError;
 
 use crate::format::FormatError;
 
@@ -13,8 +15,10 @@ pub enum TrailError {
     NotFormatted,
     /// An on-disk structure failed to decode.
     Format(FormatError),
-    /// The underlying device rejected a command.
+    /// The underlying device rejected a command as malformed.
     Disk(DiskError),
+    /// The underlying device failed a command it accepted.
+    Io(IoError),
     /// A request named a data disk that does not exist.
     BadDevice,
     /// A request addressed sectors beyond the target data disk.
@@ -31,6 +35,7 @@ impl fmt::Display for TrailError {
             }
             TrailError::Format(e) => write!(f, "on-disk format error: {e}"),
             TrailError::Disk(e) => write!(f, "disk error: {e}"),
+            TrailError::Io(e) => write!(f, "I/O error: {e}"),
             TrailError::BadDevice => write!(f, "no such data disk"),
             TrailError::OutOfRange => write!(f, "request addresses sectors beyond the data disk"),
             TrailError::BadDataLength => {
@@ -48,6 +53,7 @@ impl std::error::Error for TrailError {
         match self {
             TrailError::Format(e) => Some(e),
             TrailError::Disk(e) => Some(e),
+            TrailError::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -64,6 +70,23 @@ impl From<FormatError> for TrailError {
 impl From<DiskError> for TrailError {
     fn from(e: DiskError) -> Self {
         TrailError::Disk(e)
+    }
+}
+
+#[doc(hidden)]
+impl From<IoError> for TrailError {
+    fn from(e: IoError) -> Self {
+        TrailError::Io(e)
+    }
+}
+
+#[doc(hidden)]
+impl From<ProbeError> for TrailError {
+    fn from(e: ProbeError) -> Self {
+        match e {
+            ProbeError::Disk(e) => TrailError::Disk(e),
+            ProbeError::Io(e) => TrailError::Io(e),
+        }
     }
 }
 

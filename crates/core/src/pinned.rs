@@ -300,6 +300,29 @@ impl PinnedMap {
         landed
     }
 
+    /// Resolves the failed write-back of `extent`, the counterpart of
+    /// [`land`](Self::land): nothing of it is known to be on the data disk,
+    /// so every sector stays pinned, and it no longer holds back the ranges
+    /// it overlaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no write-back of `extent` is in flight.
+    pub(crate) fn fail_writeback(&mut self, (dev, lba, end): Extent) {
+        let d = &mut self.devices[dev as usize];
+        if let Some(range) = d.ranges.get_mut(&lba) {
+            if range.flying && range.end == end {
+                range.flying = false;
+                return;
+            }
+        }
+        assert_eq!(
+            d.orphans.remove(&lba),
+            Some(end),
+            "write-back failure for an extent not in flight"
+        );
+    }
+
     /// The newest acknowledged bytes of `count` sectors at `lba` of `dev`,
     /// as far as they are pinned.
     pub(crate) fn read(&mut self, dev: u8, lba: u64, count: u32) -> Pinned {

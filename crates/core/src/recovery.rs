@@ -24,7 +24,7 @@
 //! asserted.
 
 use trail_blockio::{IoRequest, SharedBlockDevice};
-use trail_disk::{Disk, DiskCommand, DiskError, Lba, SectorBuf, SECTOR_SIZE};
+use trail_disk::{Disk, DiskCommand, Lba, SectorBuf, SECTOR_SIZE};
 use trail_probe::run_blocking;
 use trail_sim::{SimDuration, Simulator};
 
@@ -186,9 +186,7 @@ fn blocking_target_write(
     lba: Lba,
     data: Vec<u8>,
 ) -> Result<(), TrailError> {
-    sim.block_on(|sim, done| target.submit(sim, IoRequest::write(lba, data), done))
-        .map_err(TrailError::Disk)?
-        .map_err(|_| TrailError::Disk(DiskError::Failed))?;
+    sim.block_on(|sim, done| target.submit(sim, IoRequest::write(lba, data), done))??;
     Ok(())
 }
 
@@ -205,8 +203,9 @@ fn blocking_target_write(
 ///
 /// Propagates device errors; returns [`TrailError::BadDevice`] if a
 /// recovered record names a data device that does not exist. A target
-/// that cancels a write-back (a member failure the array cannot absorb)
-/// surfaces as [`TrailError::Disk`].
+/// that fails a write-back (a member failure the array cannot absorb, a
+/// second power cut) surfaces as [`TrailError::Io`] with the delivered
+/// error.
 pub fn recover_with_targets(
     sim: &mut Simulator,
     log_disk: &Disk,

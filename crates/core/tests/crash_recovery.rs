@@ -11,7 +11,7 @@ use trail_core::{
     TrailDriver, TrailError,
 };
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
-use trail_sim::{SimDuration, Simulator};
+use trail_sim::{IoError, SimDuration, Simulator};
 
 /// A workload record: which values were written to each block, in order,
 /// and how many of them were acknowledged before the crash.
@@ -417,7 +417,7 @@ fn a_power_cut_during_recovery_is_an_error_never_a_panic() {
         });
         assert!(cut, "recovery outlasts a cut at {offset:?}");
         assert!(
-            matches!(result, Err(TrailError::Disk(_))),
+            matches!(result, Err(TrailError::Io(IoError::PoweredOff))),
             "cut at {offset:?}: {result:?}"
         );
     }
@@ -440,7 +440,7 @@ fn a_power_cut_during_the_header_read_is_an_error() {
         let (result, cut) = boot_under_a_second_cut(offset, |sim, log, _| read_header(sim, log));
         assert!(cut);
         assert!(
-            matches!(result, Err(TrailError::Disk(_))),
+            matches!(result, Err(TrailError::Io(IoError::PoweredOff))),
             "cut at {offset:?}: {result:?}"
         );
     }
@@ -454,7 +454,7 @@ fn a_power_cut_during_boot_on_a_dirty_log_is_an_error() {
         });
         assert!(cut, "boot-time recovery outlasts a cut at {offset:?}");
         assert!(
-            matches!(result, Err(TrailError::Disk(_))),
+            matches!(result, Err(TrailError::Io(IoError::PoweredOff))),
             "cut at {offset:?}: {:?}",
             result.map(|(_, boot)| boot)
         );

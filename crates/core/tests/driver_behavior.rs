@@ -831,3 +831,44 @@ fn overlapping_writes_and_patched_reads_are_counted() {
         assert_eq!((s.read_hits, s.read_misses), (1, 1));
     });
 }
+
+#[test]
+fn a_transient_error_on_a_reference_read_reads_again() {
+    let mut sim = Simulator::new();
+    let config = TrailConfig {
+        reposition_every_write: true,
+        ..TrailConfig::default()
+    };
+    let (drv, data) = boot(&mut sim, profiles::tiny_test_disk(), 1, config);
+    let log = drv.log_disk();
+    let acked = Rc::new(Cell::new(0));
+    let write = |sim: &mut Simulator, lba: u64| {
+        let a = Rc::clone(&acked);
+        let done = sim.completion(move |_, d: Delivered<IoDone>| {
+            d.expect("durable");
+            a.set(a.get() + 1);
+        });
+        drv.write(sim, 0, lba, sector_data(lba as u8, 1), done)
+            .expect("accepted");
+    };
+    // With the record in flight, the repositioning read behind it is the
+    // next log command.
+    write(&mut sim, 64);
+    while !log.is_busy() {
+        assert!(sim.step());
+    }
+    log.inject_transient_errors(1);
+    drv.run_until_quiescent(&mut sim);
+    assert_eq!(drv.with_stats(|s| s.repositions), 1);
+    // Idle, the refresh read is.
+    log.inject_transient_errors(1);
+    sim.run();
+    assert_eq!(drv.with_stats(|s| s.idle_refreshes), 1);
+    assert_eq!(log.with_stats(|s| s.injected_errors), 2);
+    write(&mut sim, 80);
+    drv.shutdown(&mut sim).expect("clean shutdown");
+    assert_eq!(acked.get(), 2);
+    for lba in [64, 80] {
+        assert_eq!(data[0].peek_sector(lba)[..], sector_data(lba as u8, 1)[..]);
+    }
+}

@@ -18,7 +18,7 @@ use std::rc::Rc;
 use trail_blockio::IoDone;
 use trail_core::TrailError;
 use trail_disk::{Lba, PayloadBuf, SECTOR_SIZE};
-use trail_sim::{Completion, Delivered, SimDuration, SimTime, Simulator};
+use trail_sim::{Completion, Delivered, IoError, SimDuration, SimTime, Simulator};
 use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle, StreamId};
 
 use crate::cache::{BufferPool, CacheStats};
@@ -431,9 +431,14 @@ impl Database {
                     (Rc::clone(&d.stack), pid.first_lba())
                 };
                 let done = sim.completion(move |sim, d: Delivered<IoDone>| {
-                    // A cancelled read (teardown) drops the txn context,
-                    // cascade-cancelling its tokens.
-                    let Ok(done) = d else { return };
+                    let done = match d {
+                        Ok(done) => done,
+                        Err(e) => {
+                            db.inner.borrow_mut().active_txns -= 1;
+                            ctx.on_durable.fail(sim, e);
+                            return on_control.fail(sim, e);
+                        }
+                    };
                     let bytes = done.data.expect("page read returns data");
                     admit(
                         &mut db.inner.borrow_mut().cache,
@@ -456,11 +461,12 @@ impl Database {
                     let txn = ctx.txn;
                     let started = ctx.started;
                     let on_durable = sim.completion(move |sim, del: Delivered<SimTime>| {
-                        let Ok(durable_at) = del else {
-                            // Teardown before the force: cascade the
-                            // cancellation to the submitter's token.
-                            user_done.cancel(sim);
-                            return;
+                        let durable_at = match del {
+                            Ok(at) => at,
+                            Err(e) => {
+                                db.inner.borrow_mut().active_txns -= 1;
+                                return user_done.fail(sim, e);
+                            }
                         };
                         let result = TxnResult {
                             txn,
@@ -589,6 +595,10 @@ impl Database {
     /// rotational window and pays nearly a full revolution; on Trail each
     /// piece costs only transfer + command overhead.
     fn submit_flush(&self, sim: &mut Simulator, job: crate::wal::FlushJob) {
+        let failed = self.inner.borrow().wal.failed();
+        if let Some(e) = failed {
+            return self.fail_flush(sim, job.commits, e);
+        }
         let piece_sectors = self.inner.borrow().config.flush_write_bytes / SECTOR_SIZE;
         let chain = FlushChain {
             lba: job.lba,
@@ -653,16 +663,37 @@ impl Database {
         let lba = chain.lba + first as u64;
         chain.next_sector += count;
         let db = self.clone();
-        let done = sim.completion(move |sim, d: Delivered<IoDone>| {
-            // A cancelled piece (teardown) drops the pending commits,
-            // cascade-cancelling their durability tokens.
-            if d.is_ok() {
+        let done = sim.completion(move |sim, d: Delivered<IoDone>| match d {
+            Ok(_) => db.write_flush_pieces(sim, chain),
+            // The same piece again: skipping it would leave a hole.
+            Err(IoError::Transient) => {
+                chain.next_sector = first;
                 db.write_flush_pieces(sim, chain);
             }
+            Err(e) => db.fail_flush(sim, chain.commits, e),
         });
         stack
             .write_tagged(sim, dev, lba, piece, StreamId::UNTAGGED, done)
             .expect("log chunk write within device bounds");
+    }
+
+    /// Fails a force with `e`: its commits, and the commits blocked on it,
+    /// hear `e`, and so does every later force (see [`Wal::fail_flush`]).
+    ///
+    /// [`Wal::fail_flush`]: crate::Wal::fail_flush
+    fn fail_flush(&self, sim: &mut Simulator, commits: Vec<PendingCommit>, e: IoError) {
+        let waiters = {
+            let mut d = self.inner.borrow_mut();
+            d.wal.fail_flush(e);
+            std::mem::take(&mut d.control_waiters)
+        };
+        for c in commits {
+            c.on_durable.fail(sim, e);
+        }
+        for w in waiters {
+            w.fail(sim, e);
+        }
+        self.maybe_flush_wal(sim);
     }
 
     /// Starts a background dirty-page flush batch when above the

@@ -11,7 +11,7 @@
 use std::collections::{HashMap, HashSet};
 
 use trail_core::TrailError;
-use trail_disk::{DiskError, Lba};
+use trail_disk::Lba;
 use trail_sim::Simulator;
 
 use crate::engine::TableId;
@@ -55,8 +55,8 @@ impl WalRecoveryReport {
 ///
 /// # Errors
 ///
-/// Propagates stack errors; a read the stack dropped before completing
-/// (power loss, a failed device) is `TrailError::Disk(DiskError::Failed)`.
+/// Propagates stack errors; a read the stack failed is [`TrailError::Io`]
+/// with the delivered error (`PoweredOff` on a dark disk).
 pub fn read_blocking(
     sim: &mut Simulator,
     stack: &dyn BlockStack,
@@ -66,9 +66,7 @@ pub fn read_blocking(
 ) -> Result<Vec<u8>, TrailError> {
     let res = sim.block_on(|sim, done| stack.read(sim, dev, lba, count, done))?;
     sim.run();
-    res.ok()
-        .and_then(|done| done.data)
-        .ok_or(TrailError::Disk(DiskError::Failed))
+    Ok(res?.data.expect("a read returns data"))
 }
 
 /// Scans the log region, returning every record of every chunk in LSN

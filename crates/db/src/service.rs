@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use trail_blockio::IoDone;
 use trail_core::TrailError;
-use trail_sim::{Completion, Simulator};
+use trail_sim::{Completion, Delivered, IoError, Simulator};
 use trail_telemetry::StreamId;
 
 use crate::stack::SharedStack;
@@ -41,6 +41,9 @@ struct ServiceInner {
     outstanding: BTreeMap<StreamId, u32>,
     /// Commits parked until their stream's outstanding count drains.
     barriers: BTreeMap<StreamId, Vec<Completion<()>>>,
+    /// The first error a stream's write failed with since its last
+    /// commit: the next commit fails with it.
+    failures: BTreeMap<StreamId, IoError>,
 }
 
 /// A cloneable handle to the storage service; see the module docs.
@@ -71,6 +74,7 @@ impl StorageService {
                 capacity,
                 outstanding: BTreeMap::new(),
                 barriers: BTreeMap::new(),
+                failures: BTreeMap::new(),
             })),
         }
     }
@@ -139,7 +143,7 @@ impl StorageService {
 
     /// Submits a stream-tagged durable write at the clamped address,
     /// tracking it in the stream's commit barrier until the stack
-    /// acknowledges durability (or cancels).
+    /// acknowledges durability (or fails it, which fails the commit).
     ///
     /// # Errors
     ///
@@ -158,23 +162,32 @@ impl StorageService {
         let (dev, lba) = self.clamp(dev, lba, sectors);
         let stack = Rc::clone(&self.inner.borrow().stack);
         let barrier = Rc::clone(&self.inner);
-        let tracked = sim.completion(move |sim, delivered| {
-            let released = {
+        let tracked = sim.completion(move |sim, delivered: Delivered<IoDone>| {
+            let (released, failure) = {
                 let mut inner = barrier.borrow_mut();
+                if let Err(e) = &delivered {
+                    inner.failures.entry(stream).or_insert(*e);
+                }
                 let count = inner.outstanding.entry(stream).or_insert(0);
                 *count = count.saturating_sub(1);
-                if *count == 0 {
+                let released = if *count == 0 {
                     inner.barriers.remove(&stream).unwrap_or_default()
                 } else {
                     Vec::new()
-                }
+                };
+                let failure = if released.is_empty() {
+                    None
+                } else {
+                    inner.failures.remove(&stream)
+                };
+                (released, failure)
             };
             for commit in released {
-                commit.complete(sim, ());
+                resolve(sim, commit, failure);
             }
             match delivered {
                 Ok(io) => done.complete(sim, io),
-                Err(_) => done.cancel(sim),
+                Err(e) => done.fail(sim, e),
             }
         });
         // Count before submitting: a synchronous rejection cancels
@@ -189,12 +202,14 @@ impl StorageService {
     }
 
     /// Completes `done` when every `put` the stream issued before this
-    /// call is durable — immediately if none is outstanding.
+    /// call is durable — immediately if none is outstanding — or fails it
+    /// with the error one of them failed with.
     pub fn commit(&self, sim: &mut Simulator, stream: StreamId, done: Completion<()>) {
         let mut inner = self.inner.borrow_mut();
         if inner.outstanding.get(&stream).copied().unwrap_or(0) == 0 {
+            let failure = inner.failures.remove(&stream);
             drop(inner);
-            done.complete(sim, ());
+            resolve(sim, done, failure);
         } else {
             inner.barriers.entry(stream).or_default().push(done);
         }
@@ -204,6 +219,14 @@ impl StorageService {
     #[must_use]
     pub fn pending_work(&self) -> usize {
         self.inner.borrow().stack.pending_work()
+    }
+}
+
+/// Answers a commit barrier: done, or the error a write before it hit.
+fn resolve(sim: &mut Simulator, commit: Completion<()>, failure: Option<IoError>) {
+    match failure {
+        None => commit.complete(sim, ()),
+        Some(e) => commit.fail(sim, e),
     }
 }
 

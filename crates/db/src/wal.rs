@@ -13,7 +13,7 @@
 //! mechanical disk.
 
 use trail_disk::SECTOR_SIZE;
-use trail_sim::{Completion, SimDuration, SimTime};
+use trail_sim::{Completion, IoError, SimDuration, SimTime};
 
 /// When the log buffer is forced to disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,7 +182,8 @@ pub struct PendingCommit {
     /// When the transaction started (for response-time accounting).
     pub started: SimTime,
     /// Delivered with the durability instant when the commit's records
-    /// reach the disk; cancelled if the engine shuts down first.
+    /// reach the disk; failed with the error of the force that could not
+    /// write them, or cancelled if the engine shuts down first.
     pub on_durable: Completion<SimTime>,
 }
 
@@ -258,6 +259,8 @@ pub struct Wal {
     flushed_bytes: u64,
     waiting: Vec<(u64, PendingCommit)>,
     flush_inflight: bool,
+    /// The error a force failed with: the log has a hole from there on.
+    failed: Option<IoError>,
     policy: FlushPolicy,
     stats: WalStats,
 }
@@ -279,6 +282,7 @@ impl Wal {
             flushed_bytes: 0,
             waiting: Vec::new(),
             flush_inflight: false,
+            failed: None,
             policy,
             stats: WalStats::default(),
         }
@@ -435,6 +439,25 @@ impl Wal {
         assert!(self.flush_inflight, "finish_flush without begin_flush");
         self.flush_inflight = false;
         self.stats.logging_io_time += now.duration_since(issued);
+    }
+
+    /// Marks the outstanding flush failed with `e`. Recovery's scan stops
+    /// at the first chunk missing from the log, so nothing written after
+    /// this one could ever be recovered: every later force fails with `e`
+    /// too ([`failed`](Self::failed)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no flush was outstanding.
+    pub fn fail_flush(&mut self, e: IoError) {
+        assert!(self.flush_inflight, "fail_flush without begin_flush");
+        self.flush_inflight = false;
+        self.failed.get_or_insert(e);
+    }
+
+    /// The error the log failed with, if a force has failed.
+    pub fn failed(&self) -> Option<IoError> {
+        self.failed
     }
 
     /// Parses the records out of one chunk's bytes (as read from disk).

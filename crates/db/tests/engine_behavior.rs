@@ -6,9 +6,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
-use trail_db::{Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec};
+use trail_db::{scan_wal, Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec};
 use trail_disk::{profiles, Disk};
-use trail_sim::{Delivered, DurationHistogram, SimDuration, Simulator};
+use trail_sim::{Delivered, DurationHistogram, IoError, SimDuration, Simulator};
 
 const LOG_DEV: usize = 0;
 const TABLE_DEV: usize = 1;
@@ -389,4 +389,98 @@ fn load_and_warm_populate_without_timing() {
     db.run_until_quiescent(&mut sim);
     assert!(done.get());
     assert_eq!(db.with_stats(|s| s.page_reads), 0, "all reads warmed");
+}
+
+/// The standard stack, with handles to its WAL and table disks.
+fn standard_with_disks(policy: FlushPolicy) -> (Simulator, Database, Rc<StandardStack>, [Disk; 2]) {
+    let disks = [
+        Disk::new("logfile", profiles::tiny_test_disk()),
+        Disk::new("tables", profiles::tiny_test_disk()),
+    ];
+    let stack = Rc::new(StandardStack::new(disks.to_vec()));
+    let db = Database::new(stack.clone(), db_config(policy));
+    (Simulator::new(), db, stack, disks)
+}
+
+/// Executes `put_txn(0, key, ..)`; what its durability token was
+/// delivered lands in the returned slot.
+fn commit(sim: &mut Simulator, db: &Database, key: u64) -> Rc<Cell<Option<Delivered<u32>>>> {
+    let seen = Rc::new(Cell::new(None));
+    let s = Rc::clone(&seen);
+    let ctrl = sim.completion(|_, _| {});
+    let dur = sim.completion(move |_, del: Delivered<TxnResult>| s.set(Some(del.map(|r| r.txn))));
+    db.execute(sim, put_txn(0, key, key as u8, 100), ctrl, dur)
+        .unwrap();
+    seen
+}
+
+#[test]
+fn a_transient_wal_error_reissues_the_piece_and_the_commit_is_found() {
+    let (mut sim, db, stack, [wal_disk, _]) = standard_with_disks(FlushPolicy::EveryCommit);
+    wal_disk.inject_transient_errors(1);
+    let seen = commit(&mut sim, &db, 7);
+    db.run_until_quiescent(&mut sim);
+    let txn = seen
+        .get()
+        .expect("delivered")
+        .expect("committed despite the error");
+    assert_eq!(wal_disk.with_stats(|s| s.injected_errors), 1);
+    assert_eq!(
+        db.wal_stats().flushes,
+        1,
+        "the same force, its piece re-issued"
+    );
+    let records = scan_wal(
+        &mut sim,
+        &*stack,
+        LOG_DEV,
+        LOG_REGION_START,
+        LOG_REGION_SECTORS,
+    )
+    .expect("scan");
+    assert!(
+        records
+            .iter()
+            .any(|(_, r)| *r == trail_db::WalRecord::Commit { txn }),
+        "recovery's scan sees the commit"
+    );
+}
+
+#[test]
+fn a_failed_wal_device_fails_this_commit_and_every_later_one() {
+    let (mut sim, db, _, [wal_disk, _]) = standard_with_disks(FlushPolicy::EveryCommit);
+    let first = commit(&mut sim, &db, 1);
+    db.run_until_quiescent(&mut sim);
+    assert!(matches!(first.get(), Some(Ok(_))));
+    wal_disk.fail(sim.now());
+    let second = commit(&mut sim, &db, 2);
+    db.run_until_quiescent(&mut sim);
+    assert_eq!(second.get(), Some(Err(IoError::MediaFailed)));
+    // The log has a hole now: a later force fails with the same error
+    // instead of writing past it.
+    let third = commit(&mut sim, &db, 3);
+    db.run_until_quiescent(&mut sim);
+    assert_eq!(third.get(), Some(Err(IoError::MediaFailed)));
+    assert_eq!(db.with_stats(|s| s.committed), 1);
+    assert_eq!(db.active_txns(), 0, "failed transactions are finished");
+}
+
+#[test]
+fn a_failed_page_read_fails_its_transaction() {
+    let (mut sim, db, _, [_, tables]) = standard_with_disks(FlushPolicy::EveryCommit);
+    // The rows are indexed but not cached: reading one fetches its page.
+    db.load(0, (0..100u64).map(|k| (k, vec![1; 64])));
+    tables.fail(sim.now());
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let (g1, g2) = (Rc::clone(&got), Rc::clone(&got));
+    let ctrl = sim.completion(move |_, d: Delivered<()>| g1.borrow_mut().push(d.err()));
+    let dur = sim.completion(move |_, d: Delivered<TxnResult>| g2.borrow_mut().push(d.err()));
+    let spec = TxnSpec {
+        cpu: SimDuration::from_micros(50),
+        ops: vec![Op::Read(0, 5)],
+    };
+    db.execute(&mut sim, spec, ctrl, dur).unwrap();
+    db.run_until_quiescent(&mut sim);
+    assert_eq!(*got.borrow(), [Some(IoError::MediaFailed); 2]);
+    assert_eq!(db.active_txns(), 0);
 }

@@ -13,7 +13,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use trail_sim::{
-    BusyMeter, Completion, DurationHistogram, Fault, FaultKind, FaultSink, FaultTarget,
+    BusyMeter, Completion, DurationHistogram, Fault, FaultKind, FaultSink, FaultTarget, IoError,
     SimDuration, SimTime, Simulator,
 };
 use trail_telemetry::{null_recorder, Event, EventKind, JsonValue, Layer, RecorderHandle};
@@ -82,32 +82,24 @@ pub struct DiskResult {
     pub breakdown: ServiceBreakdown,
 }
 
-/// Errors returned synchronously by [`Disk::submit`].
+/// A command the caller got wrong, returned synchronously by
+/// [`Disk::submit`]. What the device itself does to a command — a
+/// transient error, a failed medium, a power cut — is not a `DiskError`:
+/// it is the [`IoError`] the command's completion is delivered with.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DiskError {
     /// A command is already in flight; the device takes one at a time.
     Busy,
-    /// The device has lost power.
-    PoweredOff,
-    /// The device has failed (whole-member fault injection) and will
-    /// reject every command until the simulation ends.
-    Failed,
     /// The addressed range falls outside the disk.
     OutOfRange,
     /// A write payload was empty or not sector-aligned.
     BadDataLength,
-    /// An injected transient I/O error consumed this command: the device
-    /// rejected it electronically, with no mechanical side effects, and
-    /// will take the next one (see [`Disk::inject_transient_errors`]).
-    Transient,
 }
 
 impl fmt::Display for DiskError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DiskError::Busy => write!(f, "disk is busy servicing another command"),
-            DiskError::PoweredOff => write!(f, "disk is powered off"),
-            DiskError::Failed => write!(f, "disk has failed"),
             DiskError::OutOfRange => write!(f, "addressed sector range is outside the disk"),
             DiskError::BadDataLength => {
                 write!(
@@ -115,7 +107,6 @@ impl fmt::Display for DiskError {
                     "write payload must be a positive multiple of {SECTOR_SIZE} bytes"
                 )
             }
-            DiskError::Transient => write!(f, "injected transient I/O error"),
         }
     }
 }
@@ -364,15 +355,20 @@ impl Disk {
     }
 
     /// Submits a command; `done` is delivered from the event loop at
-    /// completion (the interrupt). On any rejection or power loss the
-    /// token is dropped, so the submitter hears `Err(Cancelled)` instead
-    /// of waiting forever.
+    /// completion (the interrupt). A command the device cannot carry out
+    /// is still accepted, and `done` is delivered the reason, with no
+    /// mechanical side effects: [`IoError::MediaFailed`] on a failed
+    /// disk, [`IoError::PoweredOff`] on a dark one, and
+    /// [`IoError::Transient`] when an injected transient error consumes
+    /// it. A power cut or failure with the command in flight delivers
+    /// `PoweredOff` or `MediaFailed` at the instant it would have
+    /// completed.
     ///
     /// # Errors
     ///
-    /// Returns an error without mechanical side effects if the device is
-    /// busy or powered off, the range is outside the disk, or a write
-    /// payload is not sector-aligned (the token is consumed either way).
+    /// Returns an error without side effects if the device is busy, the
+    /// range is outside the disk, or a write payload is not
+    /// sector-aligned (the token is consumed, delivered `Cancelled`).
     pub fn submit(
         &self,
         sim: &mut Simulator,
@@ -382,19 +378,8 @@ impl Disk {
         let now = sim.now();
         let (plan, kind, lba, count, epoch, from_cyl) = {
             let mut d = self.inner.borrow_mut();
-            if d.failed {
-                return Err(DiskError::Failed);
-            }
-            if !d.powered {
-                return Err(DiskError::PoweredOff);
-            }
             if d.busy {
                 return Err(DiskError::Busy);
-            }
-            if d.transient_errors > 0 {
-                d.transient_errors -= 1;
-                d.stats.injected_errors += 1;
-                return Err(DiskError::Transient);
             }
             let kind = cmd.kind();
             let lba = cmd.lba();
@@ -437,6 +422,22 @@ impl Disk {
                     .plan_seek(&d.geometry, now, d.head, *lba)
                     .ok_or(DiskError::OutOfRange)?,
             };
+            let refused = if d.failed {
+                Some(IoError::MediaFailed)
+            } else if !d.powered {
+                Some(IoError::PoweredOff)
+            } else if d.transient_errors > 0 {
+                d.transient_errors -= 1;
+                d.stats.injected_errors += 1;
+                Some(IoError::Transient)
+            } else {
+                None
+            };
+            if let Some(e) = refused {
+                drop(d);
+                done.fail(sim, e);
+                return Ok(());
+            }
             // An armed latency spike stretches this command by `extra`
             // of controller overhead at the front: the completion
             // interrupt and every per-sector media instant shift by the
@@ -480,9 +481,16 @@ impl Disk {
             let (result, telemetry) = {
                 let mut d = disk.inner.borrow_mut();
                 if !d.powered || d.power_epoch != epoch {
-                    // Power was cut while this command was in flight;
-                    // dropping `done` delivers Err(Cancelled) to the
-                    // host on the next simulator step.
+                    // Power was cut, or the disk failed, while this
+                    // command was in flight: deliver which, now, where
+                    // the command would have completed.
+                    let e = if d.failed {
+                        IoError::MediaFailed
+                    } else {
+                        IoError::PoweredOff
+                    };
+                    drop(d);
+                    done.fail(sim, e);
                     return;
                 }
                 // Persist the staged write (all sectors transferred by now).
@@ -553,8 +561,8 @@ impl Disk {
 
     /// Cuts power at `now`. Sectors whose media transfer completed before
     /// `now` persist; the rest of any in-flight command is lost, and its
-    /// completion token is delivered as `Err(Cancelled)` on the next
-    /// simulator step.
+    /// completion token is delivered `Err(IoError::PoweredOff)` at the
+    /// instant the command would have completed.
     pub fn power_cut(&self, now: SimTime) {
         let mut d = self.inner.borrow_mut();
         if !d.powered {
@@ -575,9 +583,10 @@ impl Disk {
         }
     }
 
-    /// Fails the whole member at `now`: any in-flight command is lost
-    /// (its token cancel-cascades on the next step) and every subsequent
-    /// [`Disk::submit`] returns [`DiskError::Failed`]. Unlike a power
+    /// Fails the whole member at `now`: any in-flight command is lost (its
+    /// token is delivered `Err(IoError::MediaFailed)` at the instant the
+    /// command would have completed) and every subsequent
+    /// [`Disk::submit`] delivers `MediaFailed`. Unlike a power
     /// cut, nothing of an in-flight write persists and [`Disk::power_on`]
     /// does not revive the device — a failed member stays failed, which
     /// is what RAID degraded-mode paths are rebuilt against.
@@ -587,9 +596,8 @@ impl Disk {
             return;
         }
         d.failed = true;
-        // Bumping the epoch makes the pending completion event drop its
-        // token instead of delivering — the same cancel-cascade a power
-        // cut uses.
+        // Bumping the epoch makes the pending completion event fail its
+        // token instead of delivering a result — as a power cut does.
         d.power_epoch += 1;
         d.in_flight = None;
         if d.busy {
@@ -599,9 +607,8 @@ impl Disk {
     }
 
     /// Arms `count` transient I/O errors: each of the next `count`
-    /// submitted commands is rejected with [`DiskError::Transient`]
-    /// (consuming its completion token) with no mechanical side effects.
-    /// Charges accumulate across calls.
+    /// submitted commands is delivered [`IoError::Transient`] with no
+    /// mechanical side effects. Charges accumulate across calls.
     pub fn inject_transient_errors(&self, count: u32) {
         self.inner.borrow_mut().transient_errors += count;
     }
@@ -925,7 +932,7 @@ mod tests {
         let fired = Rc::new(Cell::new(None));
         let f = Rc::clone(&fired);
         let token = sim.completion(move |_, res: Delivered<DiskResult>| {
-            f.set(Some(res.is_err()));
+            f.set(Some(res.map(|_| ())));
         });
         disk.submit(
             &mut sim,
@@ -949,8 +956,8 @@ mod tests {
         sim.run();
         assert_eq!(
             fired.get(),
-            Some(true),
-            "token must be delivered as cancelled after power cut"
+            Some(Err(IoError::PoweredOff)),
+            "token must be delivered powered-off after power cut"
         );
         assert_eq!(disk.peek_sector(0)[0], 0x77);
         assert_eq!(disk.peek_sector(1)[0], 0x77);
@@ -1068,15 +1075,24 @@ mod tests {
         );
     }
 
+    /// Runs one read to its delivery.
+    fn read_one(sim: &mut Simulator, disk: &Disk) -> Delivered<DiskResult> {
+        sim.block_on(|sim, done| disk.submit(sim, DiskCommand::Read { lba: 0, count: 1 }, done))
+            .expect("a well-formed read is accepted")
+    }
+
     #[test]
     fn powered_off_disk_rejects_commands() {
         let (mut sim, disk) = setup();
         disk.power_cut(sim.now());
+        assert_eq!(read_one(&mut sim, &disk).unwrap_err(), IoError::PoweredOff);
+        assert!(!disk.is_busy());
+        // A malformed command is still the caller's error, dark disk or not.
         let token = sim.completion(|_, _: Delivered<DiskResult>| {});
         assert_eq!(
-            disk.submit(&mut sim, DiskCommand::Read { lba: 0, count: 1 }, token)
+            disk.submit(&mut sim, DiskCommand::Read { lba: 0, count: 0 }, token)
                 .unwrap_err(),
-            DiskError::PoweredOff
+            DiskError::OutOfRange
         );
     }
 
@@ -1085,21 +1101,11 @@ mod tests {
         let (mut sim, disk) = setup();
         disk.fail(sim.now());
         assert!(disk.is_failed());
-        let token = sim.completion(|_, _: Delivered<DiskResult>| {});
-        assert_eq!(
-            disk.submit(&mut sim, DiskCommand::Read { lba: 0, count: 1 }, token)
-                .unwrap_err(),
-            DiskError::Failed
-        );
+        assert_eq!(read_one(&mut sim, &disk).unwrap_err(), IoError::MediaFailed);
         // Power cycling does not resurrect a failed member.
         disk.power_cut(sim.now());
         disk.power_on();
-        let token = sim.completion(|_, _: Delivered<DiskResult>| {});
-        assert_eq!(
-            disk.submit(&mut sim, DiskCommand::Read { lba: 0, count: 1 }, token)
-                .unwrap_err(),
-            DiskError::Failed
-        );
+        assert_eq!(read_one(&mut sim, &disk).unwrap_err(), IoError::MediaFailed);
     }
 
     #[test]
@@ -1107,8 +1113,8 @@ mod tests {
         let (mut sim, disk) = setup();
         let outcome = Rc::new(Cell::new(None));
         let o2 = Rc::clone(&outcome);
-        let token = sim.completion(move |_, res: Delivered<DiskResult>| {
-            o2.set(Some(res.is_err()));
+        let token = sim.completion(move |sim: &mut Simulator, res: Delivered<DiskResult>| {
+            o2.set(Some((sim.now(), res.map(|_| ()))));
         });
         disk.submit(
             &mut sim,
@@ -1119,8 +1125,8 @@ mod tests {
             token,
         )
         .unwrap();
-        // Fail mid-service via the fault plane: the write must cancel,
-        // not complete, and nothing of it lands on the medium.
+        // Fail mid-service via the fault plane: the write must fail, not
+        // complete, and nothing of it lands on the medium.
         let clock = FaultClock::new();
         clock.register(disk.fault_sink(DiskRole::Data(0)));
         clock.arm(
@@ -1134,7 +1140,12 @@ mod tests {
         sim.run();
         assert_eq!(clock.fired(), 1);
         assert_eq!(clock.unhandled(), 0);
-        assert_eq!(outcome.get(), Some(true), "in-flight command cancelled");
+        let (at, res) = outcome.get().expect("delivered");
+        assert_eq!(res, Err(IoError::MediaFailed), "in-flight command failed");
+        assert!(
+            at > SimTime::ZERO + SimDuration::from_nanos(100),
+            "at its completion instant"
+        );
         assert!(disk.is_failed());
         assert!(!disk.is_busy());
         assert_eq!(disk.peek_sector(0)[0], 0, "failed write left no sectors");
@@ -1154,18 +1165,7 @@ mod tests {
         let (mut sim, disk) = setup();
         disk.inject_transient_errors(2);
         for _ in 0..2 {
-            let cancelled = Rc::new(Cell::new(false));
-            let c2 = Rc::clone(&cancelled);
-            let token = sim.completion(move |_, res: Delivered<DiskResult>| {
-                c2.set(res.is_err());
-            });
-            assert_eq!(
-                disk.submit(&mut sim, DiskCommand::Read { lba: 0, count: 1 }, token)
-                    .unwrap_err(),
-                DiskError::Transient
-            );
-            sim.run();
-            assert!(cancelled.get(), "rejected token must cancel-cascade");
+            assert_eq!(read_one(&mut sim, &disk).unwrap_err(), IoError::Transient);
             assert!(
                 !disk.is_busy(),
                 "transient error leaves no command in flight"

@@ -13,9 +13,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
-use trail_core::TrailError;
 use trail_db::BlockStack;
-use trail_disk::DiskError;
 use trail_sim::{Completion, Delivered, Simulator};
 
 use crate::vfs::{FileHandle, FileSystem, FsError, FsStats, FS_BLOCK_SIZE};
@@ -119,7 +117,7 @@ fn write_blocking(
         .block_on(|sim, token| stack.write(sim, dev, lba, data, token))
         .map_err(FsError::Storage)?;
     sim.run();
-    res.map_err(|_| FsError::Storage(TrailError::Disk(DiskError::Failed)))?;
+    res.map_err(|e| FsError::Storage(e.into()))?;
     Ok(())
 }
 
@@ -558,9 +556,9 @@ impl ExtFs {
     /// Issues the synchronous write chain one piece at a time (each piece
     /// is a separate O_SYNC block write, as ext2 performs them).
     ///
-    /// If a piece is rejected or dies in flight (device power loss), the
-    /// host's token is **cancelled** — delivered as `Err(Cancelled)` —
-    /// instead of silently leaking, and the pending count is released.
+    /// If a piece fails (a device error, a power cut), the host's token is
+    /// delivered the same [`IoError`](trail_sim::IoError) instead of
+    /// silently leaking, and the pending count is released.
     fn chain_writes(
         &self,
         sim: &mut Simulator,
@@ -578,17 +576,15 @@ impl ExtFs {
         let (lba, bytes) = writes[next].clone();
         let fs = self.clone();
         let stack2 = Rc::clone(&stack);
-        let io_done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
-            if d.is_ok() {
-                fs.chain_writes(sim, stack2, dev, writes, next + 1, done);
-            } else {
+        let io_done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| match d {
+            Ok(_) => fs.chain_writes(sim, stack2, dev, writes, next + 1, done),
+            Err(e) => {
                 fs.inner.borrow_mut().pending -= 1;
-                done.cancel(sim);
+                done.fail(sim, e);
             }
         });
-        // A rejected submission (the device lost power mid-chain) cancels
-        // `io_done`, which the handler above turns into a cancelled host
-        // token — the error path and the in-flight-cancel path converge.
+        // A rejected submission cancels `io_done`, which the handler above
+        // passes on like any other failure.
         let _ = stack.write(sim, dev, lba, bytes, io_done);
     }
 
@@ -618,8 +614,8 @@ impl ExtFs {
         }
         let fs = self.clone();
         let stack2 = Rc::clone(&stack);
-        let io_done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
-            if let Ok(res) = d {
+        let io_done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| match d {
+            Ok(res) => {
                 let data = res.data.expect("read data");
                 let mut acc = acc;
                 if acc.is_empty() {
@@ -629,13 +625,14 @@ impl ExtFs {
                     acc.extend_from_slice(&data);
                 }
                 fs.gather_reads(sim, stack2, dev, blocks, acc, take, done);
-            } else {
+            }
+            Err(e) => {
                 fs.inner.borrow_mut().pending -= 1;
-                done.cancel(sim);
+                done.fail(sim, e);
             }
         });
         // See chain_writes: a rejected submission converges on the
-        // cancellation path through the handler.
+        // failure path through the handler.
         let _ = stack.read(
             sim,
             dev,

@@ -224,16 +224,16 @@ impl Lfs {
         };
         let fs = self.clone();
         let io_done = sim.completion(move |sim: &mut Simulator, del: Delivered<IoDone>| {
-            if del.is_err() {
-                // The device died mid-flush: release the flush slot and
-                // cancel the host's token instead of leaking it. The
+            if let Err(e) = del {
+                // The device failed the flush: release the flush slot and
+                // fail the host's token instead of leaking it. The
                 // buffered blocks stay buffered (they were never durable).
                 {
                     let mut d = fs.inner.borrow_mut();
                     d.flush_in_flight = false;
                     d.pending -= 1;
                 }
-                on_done.cancel(sim);
+                on_done.fail(sim, e);
                 return;
             }
             {
@@ -366,12 +366,14 @@ impl Lfs {
         };
         let fs = self.clone();
         let io_done = sim.completion(move |sim: &mut Simulator, del: Delivered<IoDone>| {
-            let Ok(res) = del else {
-                // Device teardown mid-clean: release the pending slot and
-                // cancel the pass's token.
-                fs.inner.borrow_mut().pending -= 1;
-                done.cancel(sim);
-                return;
+            let res = match del {
+                Ok(res) => res,
+                Err(e) => {
+                    // The device failed mid-clean: release the pending
+                    // slot and fail the pass's token.
+                    fs.inner.borrow_mut().pending -= 1;
+                    return done.fail(sim, e);
+                }
             };
             let data = res.data.expect("segment read");
             {
@@ -619,10 +621,12 @@ impl Lfs {
                 };
                 let fs = self.clone();
                 let io_done = sim.completion(move |sim: &mut Simulator, del: Delivered<IoDone>| {
-                    let Ok(res) = del else {
-                        fs.inner.borrow_mut().pending -= 1;
-                        done.cancel(sim);
-                        return;
+                    let res = match del {
+                        Ok(res) => res,
+                        Err(e) => {
+                            fs.inner.borrow_mut().pending -= 1;
+                            return done.fail(sim, e);
+                        }
                     };
                     let data = res.data.expect("read data");
                     let mut acc = acc;

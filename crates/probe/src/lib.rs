@@ -25,8 +25,43 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
+
 use trail_disk::{Disk, DiskCommand, DiskError, DiskResult, SECTOR_SIZE};
-use trail_sim::{SimDuration, Simulator};
+use trail_sim::{IoError, SimDuration, Simulator};
+
+/// Why a command run to completion produced no result.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ProbeError {
+    /// The disk refused the command as malformed ([`Disk::submit`]'s
+    /// synchronous error).
+    Disk(DiskError),
+    /// The disk accepted the command and delivered this failure.
+    Io(IoError),
+}
+
+impl fmt::Display for ProbeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ProbeError::Disk(e) => write!(f, "disk error: {e}"),
+            ProbeError::Io(e) => write!(f, "I/O error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ProbeError {}
+
+impl From<DiskError> for ProbeError {
+    fn from(e: DiskError) -> Self {
+        ProbeError::Disk(e)
+    }
+}
+
+impl From<IoError> for ProbeError {
+    fn from(e: IoError) -> Self {
+        ProbeError::Io(e)
+    }
+}
 
 /// Runs one disk command to completion, returning its result.
 ///
@@ -36,23 +71,17 @@ use trail_sim::{SimDuration, Simulator};
 ///
 /// # Errors
 ///
-/// Propagates submission errors from [`Disk::submit`]. A command the disk
-/// dropped before completing is [`DiskError::PoweredOff`] when power was
-/// cut under it, [`DiskError::Failed`] otherwise.
+/// [`ProbeError::Disk`] for a command [`Disk::submit`] refuses;
+/// [`ProbeError::Io`] with the delivered error for one the disk failed
+/// (`PoweredOff` on a dark disk, `MediaFailed` on a failed one).
 pub fn run_blocking(
     sim: &mut Simulator,
     disk: &Disk,
     cmd: DiskCommand,
-) -> Result<DiskResult, DiskError> {
+) -> Result<DiskResult, ProbeError> {
     let res = sim.block_on(|sim, done| disk.submit(sim, cmd, done))?;
     sim.run();
-    res.map_err(|_| {
-        if disk.is_powered() {
-            DiskError::Failed
-        } else {
-            DiskError::PoweredOff
-        }
-    })
+    Ok(res?)
 }
 
 /// Measures the spindle rotation period by timing `samples` back-to-back
@@ -81,13 +110,13 @@ pub fn run_blocking(
 /// let disk = Disk::new("log", profiles::seagate_st41601n());
 /// let period = trail_probe::measure_rotation_period(&mut sim, &disk, 5)?;
 /// assert!((period.as_millis_f64() - 11.111).abs() < 0.01);
-/// # Ok::<(), trail_disk::DiskError>(())
+/// # Ok::<(), trail_probe::ProbeError>(())
 /// ```
 pub fn measure_rotation_period(
     sim: &mut Simulator,
     disk: &Disk,
     samples: usize,
-) -> Result<SimDuration, DiskError> {
+) -> Result<SimDuration, ProbeError> {
     assert!(samples > 0, "need at least one sample");
     let lba = 0;
     let mut last = run_blocking(sim, disk, DiskCommand::Read { lba, count: 1 })?.completed;
@@ -117,10 +146,10 @@ pub fn measure_track_skew(
     disk: &Disk,
     track: u64,
     rotation_period: SimDuration,
-) -> Result<u32, DiskError> {
+) -> Result<u32, ProbeError> {
     let geometry = disk.geometry();
     if track + 1 >= geometry.total_tracks() {
-        return Err(DiskError::OutOfRange);
+        return Err(DiskError::OutOfRange.into());
     }
     let spt = geometry.spt_of_track(track + 1);
     let a = run_blocking(
@@ -201,13 +230,13 @@ pub const DELTA_SAFETY_MARGIN: u32 = 3;
 /// // The ST41601N-class profile has ~1.2 ms of write overhead ≈ 10 sectors;
 /// // the paper reports δ < 15 for this drive.
 /// assert!(cal.minimal < 15, "delta {} too large", cal.minimal);
-/// # Ok::<(), trail_disk::DiskError>(())
+/// # Ok::<(), trail_probe::ProbeError>(())
 /// ```
 pub fn calibrate_delta(
     sim: &mut Simulator,
     disk: &Disk,
     track: u64,
-) -> Result<DeltaCalibration, DiskError> {
+) -> Result<DeltaCalibration, ProbeError> {
     let geometry = disk.geometry();
     let spt = geometry.spt_of_track(track);
     let base = geometry.track_first_lba(track);
@@ -299,13 +328,13 @@ pub struct TrackLeads {
 /// // 0.4 ms read overhead + 1.0 ms head switch, 1.7 ms track-to-track seek.
 /// assert!(leads.switch.as_millis_f64() > 1.4 && leads.crossing.as_millis_f64() > 2.1);
 /// assert!(leads.switch < leads.crossing);
-/// # Ok::<(), trail_disk::DiskError>(())
+/// # Ok::<(), trail_probe::ProbeError>(())
 /// ```
 pub fn calibrate_track_leads(
     sim: &mut Simulator,
     disk: &Disk,
     rotation_period: SimDuration,
-) -> Result<TrackLeads, DiskError> {
+) -> Result<TrackLeads, ProbeError> {
     let heads = u64::from(disk.geometry().heads());
     let crossing = track_lead(sim, disk, heads - 1, rotation_period)?;
     let switch = if heads > 1 {
@@ -323,11 +352,11 @@ fn track_lead(
     disk: &Disk,
     track: u64,
     period: SimDuration,
-) -> Result<SimDuration, DiskError> {
+) -> Result<SimDuration, ProbeError> {
     let geometry = disk.geometry();
     let next = track + 1;
     if next >= geometry.total_tracks() {
-        return Err(DiskError::OutOfRange);
+        return Err(DiskError::OutOfRange.into());
     }
     let spt = geometry.spt_of_track(next);
     let reference = geometry.track_first_lba(track);
@@ -380,7 +409,7 @@ pub fn estimate_write_overhead(
     disk: &Disk,
     track: u64,
     samples: u32,
-) -> Result<SimDuration, DiskError> {
+) -> Result<SimDuration, ProbeError> {
     assert!(samples > 0, "need at least one sample");
     let geometry = disk.geometry();
     let spt = geometry.spt_of_track(track);
@@ -462,7 +491,7 @@ mod tests {
         let last = disk.geometry().total_tracks() - 1;
         assert_eq!(
             measure_track_skew(&mut sim, &disk, last, period),
-            Err(DiskError::OutOfRange)
+            Err(ProbeError::Disk(DiskError::OutOfRange))
         );
     }
 
@@ -568,7 +597,7 @@ mod tests {
         let period = disk.mechanics().rotation_period;
         assert_eq!(
             calibrate_track_leads(&mut sim, &disk, period),
-            Err(DiskError::OutOfRange)
+            Err(ProbeError::Disk(DiskError::OutOfRange))
         );
     }
 

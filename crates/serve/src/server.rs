@@ -12,6 +12,10 @@
 //!   requests' reply tokens are dropped (the sink parks and delivers
 //!   `Err(Cancelled)`), and in-service requests are cancelled when
 //!   their disk I/O surfaces.
+//! - **I/O errors are answers.** A Get, Put or Commit the storage below
+//!   fails is answered with a response frame whose [`Status`] names the
+//!   [`IoError`] (`Transient`, `MediaFailed`, `PoweredOff`); the session
+//!   stays open.
 //! - **The executor** is a bounded pool of worker slots over one FIFO
 //!   admission queue. A slot is held from dispatch until the stack
 //!   acknowledges durability, so when the log disk saturates the queue
@@ -33,7 +37,7 @@ use std::rc::Rc;
 
 use trail_blockio::IoDone;
 use trail_db::StorageService;
-use trail_sim::{Completion, Delivered, SimDuration, SimTime, Simulator};
+use trail_sim::{Completion, Delivered, IoError, SimDuration, SimTime, Simulator};
 use trail_telemetry::StreamId;
 
 use crate::wire::{Request, Response, Status};
@@ -106,6 +110,8 @@ pub struct ServerStats {
     pub shed: u64,
     /// Requests cancelled by session teardown.
     pub cancelled: u64,
+    /// Requests (commits included) answered with an I/O error status.
+    pub failed: u64,
     /// Commit barriers requested.
     pub commits: u64,
     /// Frames that failed to decode or were invalid in their state.
@@ -376,10 +382,15 @@ impl Server {
                     drop(inner);
                     respond(sim, reply, &Response::Done { status: Status::Ok });
                 }
-                Err(_) => {
+                Err(IoError::Cancelled) => {
                     inner.stats.cancelled += 1;
                     drop(inner);
-                    reply.cancel(sim);
+                    reply.fail(sim, IoError::Cancelled);
+                }
+                Err(e) => {
+                    inner.stats.failed += 1;
+                    drop(inner);
+                    respond(sim, reply, &Response::Done { status: e.into() });
                 }
             }
         });
@@ -412,7 +423,7 @@ impl Server {
             (purged, resp)
         };
         for q in purged {
-            q.reply.cancel(sim);
+            q.reply.fail(sim, IoError::Cancelled);
         }
         respond(sim, reply, &resp);
     }
@@ -491,14 +502,19 @@ impl Server {
                         status: Status::Ok,
                         payload: io.data.unwrap_or_default(),
                     });
-                    server.finish_io(sim, session, reply, outcome);
+                    server.finish_io(sim, session, reply, outcome, |status| Response::Data {
+                        status,
+                        payload: Vec::new(),
+                    });
                 });
                 let _ = service.get(sim, q.stream, dev, lba, sectors, done);
             }
             Request::Put { dev, lba, data } => {
                 let done = sim.completion(move |sim, d: Delivered<IoDone>| {
                     let outcome = d.map(|_| Response::Done { status: Status::Ok });
-                    server.finish_io(sim, session, reply, outcome);
+                    server.finish_io(sim, session, reply, outcome, |status| Response::Done {
+                        status,
+                    });
                 });
                 let _ = service.put(sim, q.stream, dev, lba, data, done);
             }
@@ -507,20 +523,27 @@ impl Server {
         }
     }
 
-    /// A worker slot came back: account the outcome, answer (or cancel)
-    /// the client, and pump the queue again.
+    /// A worker slot came back: account the outcome, answer the client —
+    /// an I/O error as the response `failed(status)` builds — or cancel
+    /// it, and pump the queue again.
     fn finish_io(
         &self,
         sim: &mut Simulator,
         session: u64,
         reply: Completion<Vec<u8>>,
         outcome: Delivered<Response>,
+        failed: fn(Status) -> Response,
     ) {
+        let outcome = match outcome {
+            Err(e) if e != IoError::Cancelled => Ok(failed(e.into())),
+            outcome => outcome,
+        };
         let aborted = {
             let mut inner = self.inner.borrow_mut();
             inner.busy -= 1;
             let aborted = inner.sessions.get(&session).is_none_or(|s| s.aborted);
             match (&outcome, aborted) {
+                (Ok(resp), false) if !resp.status().is_ok() => inner.stats.failed += 1,
                 (Ok(_), false) => {
                     inner.stats.completed += 1;
                     if let Some(s) = inner.sessions.get_mut(&session) {
@@ -538,7 +561,7 @@ impl Server {
         };
         match outcome {
             Ok(resp) if !aborted => respond(sim, reply, &resp),
-            _ => reply.cancel(sim),
+            _ => reply.fail(sim, IoError::Cancelled),
         }
         self.pump(sim);
     }
@@ -558,8 +581,8 @@ impl SessionHandle {
     }
 
     /// Submits one encoded request frame; `reply` receives the encoded
-    /// response frame, or `Err(Cancelled)` if the session is torn down
-    /// first.
+    /// response frame (an I/O error included, as its status), or
+    /// `Err(IoError::Cancelled)` if the session is torn down first.
     pub fn submit(&self, sim: &mut Simulator, frame: &[u8], reply: Completion<Vec<u8>>) {
         self.server.submit(sim, self.id, self.stream, frame, reply);
     }
@@ -649,6 +672,73 @@ mod tests {
         assert_eq!(srv.stats().completed, 2);
         assert_eq!(srv.queue_depth(), 0);
         assert_eq!(srv.in_service(), 0);
+    }
+
+    /// Submits `req` and runs the simulation; the decoded answer.
+    fn ask(sim: &mut Simulator, session: &SessionHandle, req: Request) -> Response {
+        let got = sim.block_on(|sim, reply| {
+            session.submit(sim, &req.encode(), reply);
+            Ok::<(), ()>(())
+        });
+        let frame = got.expect("submitted").expect("answered, not cancelled");
+        sim.run();
+        Response::decode(&frame).expect("decodes").0
+    }
+
+    #[test]
+    fn io_errors_are_answered_with_their_status_and_the_session_stays_open() {
+        let mut sim = Simulator::new();
+        let disk = Disk::new("d0", profiles::tiny_test_disk());
+        let capacity = vec![disk.geometry().total_sectors()];
+        let stack: trail_db::SharedStack = Rc::new(StandardStack::new(vec![disk.clone()]));
+        let srv = Server::new(
+            StorageService::new(stack, capacity),
+            ServerConfig::default(),
+        );
+        let (session, _) = srv.open(StreamId(4));
+        let put = |lba| Request::Put {
+            dev: 0,
+            lba,
+            data: vec![7; 512],
+        };
+        let get = Request::Get {
+            dev: 0,
+            lba: 1,
+            sectors: 1,
+        };
+        let done = |status| Response::Done { status };
+        disk.inject_transient_errors(1);
+        assert_eq!(ask(&mut sim, &session, put(1)), done(Status::Transient));
+        // The stream's commit fails with what its write hit; the next one,
+        // with nothing failed before it, succeeds.
+        assert_eq!(
+            ask(&mut sim, &session, Request::Commit),
+            done(Status::Transient)
+        );
+        assert_eq!(ask(&mut sim, &session, put(1)), done(Status::Ok));
+        assert_eq!(ask(&mut sim, &session, Request::Commit), done(Status::Ok));
+        disk.fail(sim.now());
+        assert_eq!(
+            ask(&mut sim, &session, get),
+            Response::Data {
+                status: Status::MediaFailed,
+                payload: Vec::new()
+            }
+        );
+        assert_eq!(ask(&mut sim, &session, put(2)), done(Status::MediaFailed));
+        assert_eq!(
+            ask(&mut sim, &session, Request::Commit),
+            done(Status::MediaFailed)
+        );
+        assert!(matches!(
+            ask(&mut sim, &session, Request::Close),
+            Response::Closed {
+                completed: 2,
+                cancelled: 0
+            }
+        ));
+        let stats = srv.stats();
+        assert_eq!((stats.completed, stats.failed, stats.cancelled), (2, 5, 0));
     }
 
     #[test]

@@ -38,6 +38,8 @@
 
 use std::fmt;
 
+use trail_sim::IoError;
+
 /// The two magic bytes opening every frame.
 pub const MAGIC: [u8; 2] = *b"TS";
 
@@ -130,6 +132,13 @@ pub enum Status {
     BadRequest,
     /// No open session on this connection.
     NotOpen,
+    /// The storage below failed the request transiently; a retry may
+    /// succeed.
+    Transient,
+    /// A device below has failed.
+    MediaFailed,
+    /// A device below lost power.
+    PoweredOff,
 }
 
 impl Status {
@@ -143,6 +152,9 @@ impl Status {
             Status::Cancelled => 3,
             Status::BadRequest => 4,
             Status::NotOpen => 5,
+            Status::Transient => 6,
+            Status::MediaFailed => 7,
+            Status::PoweredOff => 8,
         }
     }
 
@@ -159,6 +171,9 @@ impl Status {
             3 => Status::Cancelled,
             4 => Status::BadRequest,
             5 => Status::NotOpen,
+            6 => Status::Transient,
+            7 => Status::MediaFailed,
+            8 => Status::PoweredOff,
             _ => return Err(WireError::BadStatus { code }),
         })
     }
@@ -167,6 +182,18 @@ impl Status {
     #[must_use]
     pub fn is_ok(self) -> bool {
         self == Status::Ok
+    }
+}
+
+impl From<IoError> for Status {
+    /// The status that names an I/O error on the wire.
+    fn from(e: IoError) -> Self {
+        match e {
+            IoError::Cancelled => Status::Cancelled,
+            IoError::Transient => Status::Transient,
+            IoError::MediaFailed => Status::MediaFailed,
+            IoError::PoweredOff => Status::PoweredOff,
+        }
     }
 }
 
@@ -585,9 +612,22 @@ mod tests {
             Status::Cancelled,
             Status::BadRequest,
             Status::NotOpen,
+            Status::Transient,
+            Status::MediaFailed,
+            Status::PoweredOff,
         ] {
             assert_eq!(Status::from_code(s.code()), Ok(s));
         }
+        assert_eq!(Status::from(IoError::Cancelled).code(), 3);
+        assert_eq!(
+            [
+                IoError::Transient,
+                IoError::MediaFailed,
+                IoError::PoweredOff
+            ]
+            .map(|e| Status::from(e).code()),
+            [6, 7, 8]
+        );
         assert_eq!(
             Status::from_code(200),
             Err(WireError::BadStatus { code: 200 })

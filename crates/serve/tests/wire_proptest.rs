@@ -46,6 +46,9 @@ fn arb_status() -> BoxedStrategy<Status> {
         Just(Status::Cancelled),
         Just(Status::BadRequest),
         Just(Status::NotOpen),
+        Just(Status::Transient),
+        Just(Status::MediaFailed),
+        Just(Status::PoweredOff),
     ]
     .boxed()
 }

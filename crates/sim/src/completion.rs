@@ -16,9 +16,15 @@
 //! [`Completion::complete`] schedules the handler as a fresh simulator event
 //! instead of calling it inline, so a handler that submits new I/O is never
 //! re-entrant into the component that fired it. And a completion **dropped
-//! while still armed** parks an `Err(`[`Cancelled`]`)` delivery in its
-//! [`CompletionSink`]; the simulator drains that queue on its next step, so
-//! the upper layer always hears back.
+//! while still armed** parks an `Err(`[`IoError::Cancelled`]`)` delivery in
+//! its [`CompletionSink`]; the simulator drains that queue on its next step,
+//! so the upper layer always hears back.
+//!
+//! A completion is also the one channel a failure travels on: whatever
+//! went wrong below — a transient error, a failed medium, a power cut — is
+//! the [`IoError`] its handler receives ([`Completion::fail`]), and each
+//! layer decides in that handler whether to retry, fail over or pass the
+//! same value up.
 //!
 //! # Examples
 //!
@@ -43,7 +49,7 @@
 //! // Dropped while armed: the handler still fires, with Err(Cancelled).
 //! let s = Rc::clone(&seen);
 //! let orphan = sim.completion(move |_, d: trail_sim::Delivered<u32>| {
-//!     assert!(d.is_err());
+//!     assert_eq!(d, Err(trail_sim::IoError::Cancelled));
 //!     s.set(99);
 //! });
 //! drop(orphan);
@@ -57,21 +63,39 @@ use std::rc::Rc;
 
 use crate::event::{EventFn, Simulator};
 
-/// The completion was dropped or explicitly cancelled before a value was
-/// delivered (power loss, unmount, supersession).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub struct Cancelled;
+/// Why a completion was delivered without a value.
+///
+/// Three kinds are what the device's fault plane injects
+/// ([`FaultKind`](crate::FaultKind)'s `TransientError`, `Fail` and
+/// `PowerCut`); [`Cancelled`](IoError::Cancelled) is a token dropped by a
+/// teardown (unmount, session close, supersession).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum IoError {
+    /// Dropped while armed, or given up on by the layer holding it.
+    Cancelled,
+    /// The device refused this one command and will take the next one.
+    Transient,
+    /// The device has failed and will refuse every command from now on.
+    MediaFailed,
+    /// The device lost power before the command finished.
+    PoweredOff,
+}
 
-impl fmt::Display for Cancelled {
+impl fmt::Display for IoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "completion cancelled before delivery")
+        f.write_str(match self {
+            IoError::Cancelled => "completion cancelled before delivery",
+            IoError::Transient => "transient I/O error",
+            IoError::MediaFailed => "device has failed",
+            IoError::PoweredOff => "device lost power",
+        })
     }
 }
 
-impl std::error::Error for Cancelled {}
+impl std::error::Error for IoError {}
 
-/// What a completion handler receives: the value, or proof of cancellation.
-pub type Delivered<T> = Result<T, Cancelled>;
+/// What a completion handler receives: the value, or why there is none.
+pub type Delivered<T> = Result<T, IoError>;
 
 /// Identifies a completion token, unique within its [`CompletionSink`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -95,7 +119,7 @@ struct SinkShared {
 /// Cloning is cheap and shares the underlying state. The [`Simulator`] owns
 /// a master sink ([`Simulator::completions`]) whose orphan queue it drains
 /// on every step; that drain is what makes dropping an armed completion
-/// deliver `Err(`[`Cancelled`]`)` instead of silence.
+/// deliver `Err(`[`IoError::Cancelled`]`)` instead of silence.
 #[derive(Clone)]
 pub struct CompletionSink {
     shared: Rc<RefCell<SinkShared>>,
@@ -114,7 +138,7 @@ impl CompletionSink {
     }
 
     /// Mints a completion token whose `handler` fires exactly once with the
-    /// delivered value or `Err(`[`Cancelled`]`)`.
+    /// delivered value or an [`IoError`].
     pub fn completion<T: 'static>(
         &self,
         handler: impl FnOnce(&mut Simulator, Delivered<T>) + 'static,
@@ -138,11 +162,11 @@ impl CompletionSink {
         self.shared.borrow().orphans.len()
     }
 
-    /// Total completions from this sink that ended in `Err(`[`Cancelled`]`)`
-    /// — explicitly via [`Completion::cancel`] or implicitly by being
-    /// dropped while armed. Monotonic over the sink's lifetime; harnesses
-    /// read it instead of re-deriving shed/cancelled request counts from
-    /// their own handlers.
+    /// Total completions from this sink delivered an error of any kind —
+    /// explicitly via [`Completion::fail`] or implicitly by being dropped
+    /// while armed. Monotonic over the sink's lifetime; harnesses read it
+    /// instead of re-deriving shed/cancelled request counts from their own
+    /// handlers.
     pub fn cancelled_count(&self) -> u64 {
         self.shared.borrow().cancelled
     }
@@ -182,12 +206,12 @@ impl fmt::Debug for CompletionSink {
 /// Obtained from [`Simulator::completion`] (or any [`CompletionSink`]) and
 /// passed *down* the stack with the request; the layer that finishes the
 /// work calls [`complete`](Completion::complete) (or
-/// [`cancel`](Completion::cancel)). The handler runs as its own simulator
+/// [`fail`](Completion::fail)). The handler runs as its own simulator
 /// event — never inline — so it may freely submit new I/O into the very
 /// component that completed it.
 ///
 /// Dropping an armed completion is safe: the handler is delivered
-/// `Err(`[`Cancelled`]`)` on the simulator's next step.
+/// `Err(`[`IoError::Cancelled`]`)` on the simulator's next step.
 pub struct Completion<T: 'static> {
     id: CompletionId,
     handler: Option<Handler<T>>,
@@ -212,12 +236,12 @@ impl<T: 'static> Completion<T> {
         }
     }
 
-    /// Delivers `Err(`[`Cancelled`]`)`, consuming the token. Same deferred
-    /// semantics as [`complete`](Completion::complete).
-    pub fn cancel(mut self, sim: &mut Simulator) {
+    /// Delivers `Err(e)`, consuming the token. Same deferred semantics as
+    /// [`complete`](Completion::complete).
+    pub fn fail(mut self, sim: &mut Simulator, e: IoError) {
         if let Some(h) = self.handler.take() {
             self.sink.note_cancelled();
-            sim.schedule_now(move |sim: &mut Simulator| h(sim, Err(Cancelled)));
+            sim.schedule_now(move |sim: &mut Simulator| h(sim, Err(e)));
         }
     }
 }
@@ -228,7 +252,8 @@ impl<T: 'static> Drop for Completion<T> {
             // No `&mut Simulator` here, so park the cancellation in the
             // sink; the simulator drains it on its next step.
             self.sink.note_cancelled();
-            self.sink.park(Box::new(move |sim| h(sim, Err(Cancelled))));
+            self.sink
+                .park(Box::new(move |sim| h(sim, Err(IoError::Cancelled))));
         }
     }
 }
@@ -255,8 +280,8 @@ mod tests {
         let b = sim.completion(|_, _: Delivered<()>| {});
         assert!(a.id() < b.id());
         assert_ne!(a.id().raw(), b.id().raw());
-        a.cancel(&mut sim);
-        b.cancel(&mut sim);
+        a.fail(&mut sim, IoError::Cancelled);
+        b.fail(&mut sim, IoError::Cancelled);
         sim.run();
     }
 
@@ -290,16 +315,21 @@ mod tests {
 
     #[test]
     fn cancel_delivers_err() {
-        let mut sim = Simulator::new();
-        let seen = Rc::new(Cell::new(false));
-        let s = Rc::clone(&seen);
-        let done = sim.completion(move |_, d: Delivered<u8>| {
-            assert_eq!(d, Err(Cancelled));
-            s.set(true);
-        });
-        done.cancel(&mut sim);
-        sim.run();
-        assert!(seen.get());
+        for e in [
+            IoError::Cancelled,
+            IoError::Transient,
+            IoError::MediaFailed,
+            IoError::PoweredOff,
+        ] {
+            let mut sim = Simulator::new();
+            let seen = Rc::new(Cell::new(None));
+            let s = Rc::clone(&seen);
+            let done = sim.completion(move |_, d: Delivered<u8>| s.set(Some(d)));
+            done.fail(&mut sim, e);
+            assert_eq!(seen.get(), None, "failure delivery is deferred too");
+            sim.run();
+            assert_eq!(seen.get(), Some(Err(e)));
+        }
     }
 
     #[test]
@@ -308,7 +338,7 @@ mod tests {
         let seen = Rc::new(Cell::new(false));
         let s = Rc::clone(&seen);
         let done = sim.completion(move |_, d: Delivered<u32>| {
-            assert!(d.is_err());
+            assert_eq!(d, Err(IoError::Cancelled));
             s.set(true);
         });
         drop(done);
@@ -357,12 +387,13 @@ mod tests {
         let mut sim = Simulator::new();
         assert_eq!(sim.completions().cancelled_count(), 0);
         let a = sim.completion(|_, _: Delivered<()>| {});
-        a.cancel(&mut sim);
+        a.fail(&mut sim, IoError::Transient);
         drop(sim.completion(|_, _: Delivered<()>| {}));
         let delivered = sim.completion(|_, _: Delivered<()>| {});
         delivered.complete(&mut sim, ());
         sim.run();
-        // Explicit cancel + drop count; normal delivery does not.
+        // An explicit failure of any kind and a drop count; normal
+        // delivery does not.
         assert_eq!(sim.completions().cancelled_count(), 2);
         assert_eq!(sim.completions().orphan_count(), 0);
     }

@@ -117,8 +117,8 @@ impl Simulator {
     /// Mints a [`Completion`] token from the simulator's master sink.
     ///
     /// The `handler` fires exactly once — with `Ok(value)` after
-    /// [`Completion::complete`], or `Err(Cancelled)` after
-    /// [`Completion::cancel`] or a drop while armed.
+    /// [`Completion::complete`], `Err(e)` after [`Completion::fail`], or
+    /// `Err(IoError::Cancelled)` after a drop while armed.
     pub fn completion<T: 'static>(
         &self,
         handler: impl FnOnce(&mut Simulator, Delivered<T>) + 'static,
@@ -133,7 +133,7 @@ impl Simulator {
     }
 
     /// Converts completions dropped-while-armed into scheduled
-    /// `Err(Cancelled)` deliveries. Returns `true` if any were parked.
+    /// `Err(IoError::Cancelled)` deliveries. Returns `true` if any were parked.
     fn flush_orphans(&mut self) -> bool {
         let orphans = self.sink.take_orphans();
         let any = !orphans.is_empty();
@@ -238,8 +238,8 @@ impl Simulator {
     /// `submit` receives a freshly minted token and hands it down with the
     /// request (what it returns on acceptance, a request id say, is
     /// dropped). The return value is the delivery — `Ok(Ok(value))`, or
-    /// `Ok(Err(Cancelled))` when the token was dropped or cancelled (power
-    /// loss, a failed device) — and the clock stands at the delivery
+    /// `Ok(Err(e))` with the [`IoError`](crate::IoError) the layer below
+    /// failed the token with — and the clock stands at the delivery
     /// instant: events scheduled after it have not run. Every other actor's
     /// events up to that instant do run, so call [`run`](Simulator::run)
     /// afterwards where the caller means "and let everything settle".
@@ -315,7 +315,7 @@ impl fmt::Debug for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::completion::Cancelled;
+    use crate::completion::IoError;
 
     #[test]
     fn events_run_in_time_order() {
@@ -533,7 +533,7 @@ mod tests {
             sim.schedule_in(SimDuration::from_millis(1), move |_| drop(done));
             Ok::<(), ()>(())
         });
-        assert_eq!(got, Ok(Err(Cancelled)));
+        assert_eq!(got, Ok(Err(IoError::Cancelled)));
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod queue;
 mod stats;
 mod time;
 
-pub use completion::{Cancelled, Completion, CompletionId, CompletionSink, Delivered};
+pub use completion::{Completion, CompletionId, CompletionSink, Delivered, IoError};
 pub use event::{thread_events_executed, EventFn, EventId, Simulator};
 pub use fault::{
     Fault, FaultClock, FaultKind, FaultPlan, FaultPlanParseError, FaultSink, FaultTarget,

@@ -191,57 +191,65 @@ fn sharded_replay_is_byte_identical_for_any_thread_count() {
     assert_eq!(one, run(3));
 }
 
-/// First exercise of the fault plane's non-fatal kinds over a replay:
-/// a burst of transient I/O errors plus a latency spike, both armed
-/// through the one [`FaultPlan`] grammar. The faulted replay is
-/// deterministic (byte-identical across runs), counts the rejected
-/// commands, and measurably diverges from the unfaulted timeline.
+/// The fault plane's non-fatal kinds over a replay: a burst of transient
+/// I/O errors plus a latency spike, both armed through the one
+/// [`FaultPlan`] grammar, on the standard stack and on Trail (whose log
+/// disk takes a burst too). The faulted replay is deterministic
+/// (byte-identical across runs) and measurably diverges from the
+/// unfaulted timeline. The standard stack hands a transient error to the
+/// request; Trail retries every log record and write-back it hits, so at
+/// most the data-disk reads among the three charged commands surface.
 #[test]
 fn transient_error_and_latency_spike_faults_replay_deterministically() {
     let trace = four_stream_trace(150);
-    let faults = FaultPlan::new()
-        .with(Fault {
-            at: SimDuration::from_millis(5),
-            target: FaultTarget::Data(0),
-            kind: FaultKind::TransientError { count: 3 },
-        })
-        .with(Fault {
-            at: SimDuration::from_millis(10),
-            target: FaultTarget::Data(1),
-            kind: FaultKind::LatencySpike {
-                extra: SimDuration::from_millis(2),
-                count: 5,
-            },
-        });
-    let opts = ReplayOptions {
-        target: TargetKind::Standard,
-        faults: faults.clone(),
-        ..ReplayOptions::default()
-    };
-    let a = replay(&trace, &opts).expect("faulted replay");
-    let b = replay(&trace, &opts).expect("faulted replay again");
-    assert_eq!(
-        a.to_json().to_json(),
-        b.to_json().to_json(),
-        "a faulted replay must be as deterministic as a clean one"
-    );
-    assert!(
-        a.errors >= 1,
-        "transient errors should surface as counted request errors"
-    );
-    let clean = replay(
-        &trace,
-        &ReplayOptions {
-            target: TargetKind::Standard,
+    let faults: FaultPlan = "@5000000 data0 err*3; @10000000 data1 slow+2000000*5"
+        .parse()
+        .expect("plan parses");
+    for (target, faults) in [
+        (TargetKind::Standard, faults.clone()),
+        (
+            TargetKind::Trail,
+            faults.with(Fault {
+                at: SimDuration::from_millis(5),
+                target: FaultTarget::Log(0),
+                kind: FaultKind::TransientError { count: 2 },
+            }),
+        ),
+    ] {
+        let opts = ReplayOptions {
+            target,
+            faults,
             ..ReplayOptions::default()
-        },
-    )
-    .expect("clean replay");
-    assert_eq!(clean.errors, 0);
-    assert_ne!(
-        a.latency_fingerprint, clean.latency_fingerprint,
-        "the armed faults never touched the timeline"
-    );
+        };
+        let a = replay(&trace, &opts).expect("faulted replay");
+        let b = replay(&trace, &opts).expect("faulted replay again");
+        assert_eq!(
+            a.to_json().to_json(),
+            b.to_json().to_json(),
+            "{target:?}: a faulted replay must be as deterministic as a clean one"
+        );
+        if target == TargetKind::Standard {
+            assert!(
+                a.errors >= 1,
+                "transient errors should surface as counted request errors"
+            );
+        } else {
+            assert!(a.errors <= 3, "Trail surfaced {} errors", a.errors);
+        }
+        let clean = replay(
+            &trace,
+            &ReplayOptions {
+                target,
+                ..ReplayOptions::default()
+            },
+        )
+        .expect("clean replay");
+        assert_eq!(clean.errors, 0);
+        assert_ne!(
+            a.latency_fingerprint, clean.latency_fingerprint,
+            "{target:?}: the armed faults never touched the timeline"
+        );
+    }
 }
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {

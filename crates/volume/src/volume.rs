@@ -25,8 +25,8 @@ use std::rc::Rc;
 use trail_blockio::{BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver, StreamId};
 use trail_disk::{CommandKind, Disk, DiskError, Lba, PayloadBuf, ServiceBreakdown, SECTOR_SIZE};
 use trail_sim::{
-    Completion, Delivered, DurationHistogram, Fault, FaultKind, FaultSink, FaultTarget, SimTime,
-    Simulator,
+    Completion, Delivered, DurationHistogram, Fault, FaultKind, FaultSink, FaultTarget, IoError,
+    SimTime, Simulator,
 };
 use trail_telemetry::{JsonValue, RecorderHandle};
 
@@ -105,7 +105,8 @@ pub struct VolumeStats {
     pub degraded_reads: u64,
     /// Members marked failed over the volume's lifetime.
     pub member_failures: u64,
-    /// Logical operations retried after discovering a member failure.
+    /// Logical operations replanned after a member failed or a member I/O
+    /// hit a transient error.
     pub retried_ops: u64,
 }
 
@@ -336,14 +337,15 @@ impl RaidVolume {
 
     /// Submits a logical request against the volume's address space;
     /// `done` is delivered when every member I/O it expands to (including
-    /// parity maintenance) has completed.
+    /// parity maintenance) has completed — or
+    /// [`IoError::MediaFailed`] when too many members have failed for the
+    /// layout to service it, or the member error that ended it (see
+    /// [`RaidVolume`]'s retry rule in `after_failure`).
     ///
     /// # Errors
     ///
     /// Returns [`DiskError::OutOfRange`] / [`DiskError::BadDataLength`]
-    /// for malformed requests, or [`DiskError::Failed`] when too many
-    /// members have failed for the layout to service the request; `done`
-    /// is then cancelled.
+    /// for malformed requests; `done` is then cancelled.
     pub fn submit(
         &self,
         sim: &mut Simulator,
@@ -377,11 +379,13 @@ impl RaidVolume {
                 VolumeLayout::Raid1 { .. } => failed < v.members.len(),
                 VolumeLayout::Raid5 { .. } => failed < 2,
             };
-            if !serviceable {
-                return Err(DiskError::Failed);
-            }
             let id = RequestId(v.next_id);
             v.next_id += 1;
+            if !serviceable {
+                drop(v);
+                done.fail(sim, IoError::MediaFailed);
+                return Ok(id);
+            }
             v.outstanding += 1;
             if req.kind.is_read() {
                 v.stats.logical_reads += 1;
@@ -547,8 +551,8 @@ fn start(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
     let vol2 = vol.clone();
     let op2 = Rc::clone(op);
     let granted = sim.completion(move |sim, d: Delivered<()>| {
-        if d.is_err() {
-            finish_abort(&vol2, sim, &op2);
+        if let Err(e) = d {
+            finish_abort(&vol2, sim, &op2, e);
             return;
         }
         op2.borrow_mut().keys_held = true;
@@ -633,10 +637,9 @@ fn finish_ok(
     done.complete(sim, io);
 }
 
-/// Ends the operation with a cancellation: the request cannot be serviced
-/// (too many failures) or the cancellation was not a member failure (a
-/// power event tearing the whole node down).
-fn finish_abort(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
+/// Ends the operation with `e`: the request cannot be serviced (too many
+/// failed members), or a member I/O failed in a way a replan cannot mend.
+fn finish_abort(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, e: IoError) {
     let done = {
         let mut v = vol.inner.borrow_mut();
         let mut o = op.borrow_mut();
@@ -649,36 +652,42 @@ fn finish_abort(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
         o.done.take()
     };
     if let Some(done) = done {
-        done.cancel(sim);
+        done.fail(sim, e);
     }
 }
 
-/// Handles a gather that came back with missing results: marks members the
-/// disks report failed, then retries the whole operation degraded, or
-/// aborts if the cancellation was not a failure (power loss) or the retry
-/// budget is exhausted.
+/// Handles a gather in which member I/Os failed, deciding on each error:
+/// `MediaFailed` marks the member failed, and the operation replans
+/// degraded; `Transient` replans as it is. Both spend one attempt of the
+/// operation's budget and count in `retried_ops`. Any other error (a power
+/// cut, a teardown) fails the operation with it, as does an exhausted
+/// budget with the first error seen.
 fn after_failure(
     vol: &RaidVolume,
     sim: &mut Simulator,
     op: &OpRef,
     slot_members: &[usize],
-    results: &[Option<IoDone>],
+    results: &[Delivered<IoDone>],
 ) {
-    let mut abort = false;
+    let mut first = None;
+    let mut fatal = None;
     {
         let mut v = vol.inner.borrow_mut();
         for (slot, r) in results.iter().enumerate() {
-            if r.is_some() {
-                continue;
-            }
-            let mi = slot_members[slot];
-            if v.members[mi].disk.is_failed() {
-                if !v.members[mi].failed {
-                    v.members[mi].failed = true;
-                    v.stats.member_failures += 1;
+            let &Err(e) = r else { continue };
+            first.get_or_insert(e);
+            match e {
+                IoError::MediaFailed => {
+                    let m = &mut v.members[slot_members[slot]];
+                    if !m.failed {
+                        m.failed = true;
+                        v.stats.member_failures += 1;
+                    }
                 }
-            } else {
-                abort = true;
+                IoError::Transient => {}
+                IoError::PoweredOff | IoError::Cancelled => {
+                    fatal.get_or_insert(e);
+                }
             }
         }
     }
@@ -687,8 +696,11 @@ fn after_failure(
         o.attempt += 1;
         o.attempt as usize
     };
-    if abort || attempts > vol.member_count() + 1 {
-        finish_abort(vol, sim, op);
+    if attempts > vol.member_count() + 1 {
+        fatal = fatal.or(first);
+    }
+    if let Some(e) = fatal {
+        finish_abort(vol, sim, op, e);
         return;
     }
     vol.inner.borrow_mut().stats.retried_ops += 1;
@@ -698,19 +710,19 @@ fn after_failure(
 /// Sub-requests of one operation, each with the member it goes to.
 type MemberIos = Vec<(usize, IoRequest)>;
 
-/// Submits `ios` to their members and completes `token` with the results
-/// once all of them resolve (`None` for cancelled sub-operations). Member
-/// latencies are recorded as each sub-operation completes.
+/// Submits `ios` to their members and completes `token` with what each
+/// delivered, once all of them resolve. Member latencies are recorded as
+/// each sub-operation completes.
 fn submit_batch(
     vol: &RaidVolume,
     sim: &mut Simulator,
     ios: MemberIos,
-    token: Completion<Vec<Option<IoDone>>>,
+    token: Completion<Vec<Delivered<IoDone>>>,
 ) {
     struct Gather {
         left: usize,
-        results: Vec<Option<IoDone>>,
-        token: Option<Completion<Vec<Option<IoDone>>>>,
+        results: Vec<Delivered<IoDone>>,
+        token: Option<Completion<Vec<Delivered<IoDone>>>>,
     }
     let n = ios.len();
     if n == 0 {
@@ -719,7 +731,7 @@ fn submit_batch(
     }
     let gather = Rc::new(RefCell::new(Gather {
         left: n,
-        results: vec![None; n],
+        results: vec![Err(IoError::Cancelled); n],
         token: Some(token),
     }));
     for (slot, (mi, req)) in ios.into_iter().enumerate() {
@@ -730,7 +742,7 @@ fn submit_batch(
         let g = Rc::clone(&gather);
         let sub = sim.completion(move |sim, d: Delivered<IoDone>| {
             let mut gg = g.borrow_mut();
-            if let Ok(done) = d {
+            if let Ok(done) = &d {
                 let mut v = vol2.inner.borrow_mut();
                 let ms = &mut v.stats.members[mi];
                 if is_read {
@@ -740,8 +752,8 @@ fn submit_batch(
                     ms.write_latency.record(done.latency());
                     ms.sectors_written += u64::from(sectors);
                 }
-                gg.results[slot] = Some(done);
             }
+            gg.results[slot] = d;
             gg.left -= 1;
             if gg.left == 0 {
                 let results = std::mem::take(&mut gg.results);
@@ -751,13 +763,13 @@ fn submit_batch(
             }
         });
         // A synchronous rejection cancels `sub`, which resolves the slot
-        // as `None` on the next step — no special handling here.
+        // as `Cancelled` on the next step — no special handling here.
         let _ = driver.submit(sim, req, sub);
     }
 }
 
-/// [`submit_batch`] plus the continuation every plan shares: a cancelled
-/// gather aborts the operation, a missing sub-result goes to
+/// [`submit_batch`] plus the continuation every plan shares: a failed
+/// gather aborts the operation, a failed sub-operation goes to
 /// [`after_failure`], and otherwise `on_ok` gets every sub-result, in
 /// `ios` order.
 fn gather(
@@ -770,12 +782,12 @@ fn gather(
     let slot_members: Vec<usize> = ios.iter().map(|(m, _)| *m).collect();
     let vol2 = vol.clone();
     let op2 = Rc::clone(op);
-    let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
-        let Ok(results) = d else {
-            finish_abort(&vol2, sim, &op2);
-            return;
+    let token = sim.completion(move |sim, d: Delivered<Vec<Delivered<IoDone>>>| {
+        let results = match d {
+            Ok(results) => results,
+            Err(e) => return finish_abort(&vol2, sim, &op2, e),
         };
-        if results.iter().any(Option::is_none) {
+        if results.iter().any(Result::is_err) {
             after_failure(&vol2, sim, &op2, &slot_members, &results);
             return;
         }
@@ -851,7 +863,7 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
         }
     };
     match act {
-        Act::Cancel => finish_abort(vol, sim, op),
+        Act::Cancel => finish_abort(vol, sim, op, IoError::MediaFailed),
         Act::Go {
             ios,
             metas,
@@ -915,7 +927,7 @@ fn plan_mirror_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, policy: R
         }
     };
     let Some((member, lba, sectors, stream)) = pick else {
-        finish_abort(vol, sim, op);
+        finish_abort(vol, sim, op, IoError::MediaFailed);
         return;
     };
     let ios = vec![(member, IoRequest::read(lba, sectors).tagged(stream))];
@@ -942,7 +954,7 @@ fn mirror_write_ios(v: &VolInner, o: &mut Op) -> MemberIos {
 fn plan_mirror_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
     let ios = mirror_write_ios(&vol.inner.borrow(), &mut op.borrow_mut());
     if ios.is_empty() {
-        finish_abort(vol, sim, op);
+        finish_abort(vol, sim, op, IoError::MediaFailed);
         return;
     }
     gather(vol, sim, op, ios, |vol, sim, op, results| {
@@ -1022,7 +1034,7 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
         }
     };
     let Some((ios, pieces, total_sectors)) = planned else {
-        finish_abort(vol, sim, op);
+        finish_abort(vol, sim, op, IoError::MediaFailed);
         return;
     };
     gather(vol, sim, op, ios, move |vol, sim, op, results| {
@@ -1183,7 +1195,7 @@ fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> Option<(MemberIos, 
 fn plan_raid5_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32) {
     let planned = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op.borrow(), chunk);
     let Some((reads, plans)) = planned else {
-        finish_abort(vol, sim, op);
+        finish_abort(vol, sim, op, IoError::MediaFailed);
         return;
     };
     if reads.is_empty() {
@@ -1584,12 +1596,8 @@ mod tests {
         let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
         vol.fail_member(sim.now(), 0);
         vol.fail_member(sim.now(), 2);
-        let done = sim.completion(|_, d: Delivered<IoDone>| assert!(d.is_err()));
-        assert_eq!(
-            vol.submit(&mut sim, IoRequest::read(0, 1), done),
-            Err(DiskError::Failed)
-        );
-        sim.run();
+        let got = sim.block_on(|sim, done| vol.submit(sim, IoRequest::read(0, 1), done));
+        assert_eq!(got.unwrap().unwrap_err(), IoError::MediaFailed);
     }
 
     #[test]

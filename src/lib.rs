@@ -97,7 +97,7 @@ pub mod prelude {
     pub use trail_disk::{profiles, Disk, DiskCommand, DiskRole, SECTOR_SIZE};
     pub use trail_sim::{
         Completion, Delivered, Fault, FaultClock, FaultKind, FaultPlan, FaultSink, FaultTarget,
-        SimDuration, SimTime, Simulator,
+        IoError, SimDuration, SimTime, Simulator,
     };
     pub use trail_volume::{RaidVolume, ReadPolicy, VolumeLayout};
 }

@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 use trail_core::{TrailConfig, TrailError};
 use trail_db::BlockStack;
-use trail_disk::{Disk, DiskError};
+use trail_disk::Disk;
 use trail_fs::{FileHandle, FileSystem, FsError, LfsConfig, FS_BLOCK_SIZE};
 use trail_sim::Simulator;
 
@@ -337,9 +337,7 @@ fn prealloc(
 ) -> Result<(), TargetError> {
     let zeros = vec![0u8; blocks as usize * FS_BLOCK_SIZE];
     sim.block_on(|sim, done| fs.write(sim, file, 0, zeros, true, done))
-        .and_then(|delivered| {
-            delivered.unwrap_or(Err(FsError::Storage(TrailError::Disk(DiskError::Failed))))
-        })
+        .and_then(|delivered| delivered.unwrap_or_else(|e| Err(FsError::Storage(e.into()))))
         .map_err(TargetError::Fs)?;
     while fs.pending_work() > 0 {
         if !sim.step() {

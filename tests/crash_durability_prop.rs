@@ -21,7 +21,16 @@ fn sector_image(tag: u8, lba: u64) -> Vec<u8> {
 
 /// Runs a random workload on tiny disks, crashes at `crash_ms`, recovers,
 /// and checks the ledger. Returns an error message on violation.
-fn crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<(), String> {
+///
+/// With `log_errors` = `(at_ms, k)`, the log disk's next `k` commands after
+/// `at_ms` fail transiently first (`log0 err*k`): the records they carried
+/// are left out of the chain and logged again.
+fn crash_round_trip(
+    seed: u64,
+    crash_ms: u64,
+    n_writes: usize,
+    log_errors: Option<(u64, u32)>,
+) -> Result<(), String> {
     let mut sim = Simulator::new();
     let log = Disk::new("log", trail::disk::profiles::tiny_test_disk());
     let data: Vec<Disk> = (0..2)
@@ -42,6 +51,14 @@ fn crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<(), Str
     let acked: Ledger<u8> = Rc::default();
     let mut rng = trail_sim::rng(seed);
     let t0 = sim.now();
+    let clock = FaultClock::new();
+    clock.register(log.fault_sink(DiskRole::Log(0)));
+    if let Some((at_ms, k)) = log_errors {
+        let plan: FaultPlan = format!("@{} log0 err*{k}", at_ms * 1_000_000)
+            .parse()
+            .map_err(|e| format!("{e:?}"))?;
+        clock.arm(&mut sim, &plan);
+    }
     for i in 0..n_writes {
         let dev = rng.gen_range(0..2usize);
         let sectors = rng.gen_range(1..=8u64);
@@ -81,6 +98,19 @@ fn crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<(), Str
         d.power_on();
     }
     let mut sim2 = Simulator::new();
+    // Recovery passes a transient error on rather than retrying it, so the
+    // charges the workload left unspent are spent here first.
+    let armed = log_errors
+        .filter(|_| clock.fired() == 1)
+        .map_or(0, |(_, k)| k);
+    while log.with_stats(|s| s.injected_errors) < u64::from(armed) {
+        let read = DiskCommand::Read { lba: 0, count: 1 };
+        let spent = sim2.block_on(|sim, done| log.submit(sim, read, done));
+        assert_eq!(
+            spent.map_err(|e| e.to_string())?.unwrap_err(),
+            IoError::Transient
+        );
+    }
     let (_trail2, boot) = TrailDriver::start(&mut sim2, log, data.clone(), TrailConfig::default())
         .map_err(|e| e.to_string())?;
     if boot.recovered.is_none() {
@@ -115,8 +145,10 @@ proptest! {
         seed in any::<u64>(),
         crash_ms in 1u64..200,
         n_writes in 20usize..250,
+        (errors_ms, errors) in (0u64..200, 0u32..4),
     ) {
-        crash_round_trip(seed, crash_ms, n_writes)
+        let log_errors = (errors > 0).then_some((errors_ms, errors));
+        crash_round_trip(seed, crash_ms, n_writes, log_errors)
             .map_err(TestCaseError::fail)?;
     }
 }
