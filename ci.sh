@@ -34,10 +34,13 @@ fi
 echo "== target-factory gate =="
 # StackBuilder::build_target in the umbrella crate is the one way to
 # construct a replay/bench stack; no crate may grow a private factory or
-# boot MultiTrail by hand again.
+# boot MultiTrail by hand again. The one exception is the crash campaign's
+# reboot: it recovers disks a cut left dirty, which StackBuilder (it formats
+# fresh ones) cannot, through the array's own boot path.
 if grep -rn --include='*.rs' \
     'fn build_target\|struct MultiStack\|fn prealloc\|MultiTrail::start' \
-    crates/trace crates/bench; then
+    crates/trace crates/bench \
+    | grep -v '^crates/bench/src/campaign.rs:[0-9]*: *MultiTrail::start_with_targets('; then
   echo "found a private stack factory outside the umbrella crate" >&2
   exit 1
 fi
@@ -133,6 +136,22 @@ awk 'BEGIN { RS = "[{]\"run\":" } NR > 1 {
 } END { exit bad || rows == 0 }' "$micro_json" >&2 \
   || { echo "BENCH_micro.json fails its ledger check" >&2; exit 1; }
 
+# The crash campaign at full size: zero violations, and one exhaustive row
+# per flavor that ran every enumerated cut of its burst, tore a record and
+# cut inside a data-disk write.
+recovery_json="$full_dir/BENCH_recovery.json"
+grep -q '"crash_points_total":[0-9]*,"violations":0,' "$recovery_json" \
+  || { echo "BENCH_recovery.json reports durability-contract violations" >&2; exit 1; }
+for flavor in raw multi2 raid5; do
+  row="$(grep -o "\"$flavor\":{[^}]*}" "$recovery_json" || true)"
+  points="$(grep -o '"crash_points":[0-9]*' <<<"$row" | grep -o '[0-9]*$' || true)"
+  [ -n "$points" ] && [ "$points" -ge 30 ] \
+    && grep -q '"violations":0,' <<<"$row" \
+    && grep -q '"torn_record_points":[1-9]' <<<"$row" \
+    && grep -q '"cut_in_data_write_points":[1-9]' <<<"$row" \
+    || { echo "BENCH_recovery.json lacks a clean exhaustive $flavor row of >= 30 cuts: $row" >&2; exit 1; }
+done
+
 echo "== fault-plane and trace-format gate =="
 # FaultPlan on the stack's FaultClock is the one way harnesses schedule
 # faults, and format v3 is the one trace layout; the retired ad-hoc
@@ -191,6 +210,17 @@ echo "== one pinned-memory type gate =="
 if grep -rnE --include='*.rs' 'struct BufferTable|struct BlockKey|enum WritebackOutcome' \
     crates src tests examples; then
   echo "found a second pinned-memory type; extend PinnedMap instead" >&2
+  exit 1
+fi
+
+echo "== one-crash-oracle gate =="
+# trail_disk::crash is the one crash oracle: tagged sector images, the
+# AckLedger and cut_instants. A private sector tag, ack ledger, crash flag
+# or per-flavor verifier must not come back beside it.
+oracle='fn sector_image|fn tag_of|fn tagged_sector|struct Ledger\b|struct CrashFlag|fn verify_raw'
+if grep -rnE --include='*.rs' "$oracle" crates src tests examples \
+    | grep -v '^crates/disk/src/crash.rs:'; then
+  echo "found a private crash oracle; record the writes in trail_disk::AckLedger" >&2
   exit 1
 fi
 

@@ -1,29 +1,32 @@
-//! Crash campaigns: deterministic crash-point sampling over the fault
-//! plane, fanned across OS threads.
+//! Crash campaigns: power cuts at every instant a run can crash in, over
+//! the fault plane, fanned across OS threads.
 //!
-//! A campaign fixes one workload (a burst of `writes` distinct-block
-//! tagged writes through Trail — the log-size knob) and crashes it at
-//! `crash_points` instants spread across the workload's measured
-//! duration, each crash declared through a [`FaultPlan`] armed on the
-//! stack's [`trail_sim::FaultClock`]. Every sampled point reboots,
-//! runs the three-stage recovery, and checks the durability contract:
-//! every write acknowledged before the cut must read back exactly from
-//! the data disks (and, for the RAID-5 flavor, every touched parity
-//! stripe must XOR to zero). Points are independent simulations, so the
-//! sweep fans out through [`crate::parallel_map`]; all reported numbers
-//! are virtual-time quantities, byte-identical for any thread count.
+//! A campaign fixes one seeded workload — a burst of `writes` extents of
+//! 1–16 sectors at unaligned LBAs in an 8·`writes`-sector window, so
+//! extents overlap — and a probe run logs every sector landing and every
+//! acknowledgement. [`cut_instants`] turns those into the campaign's cut
+//! list, and the campaign crashes at every instant of it, or at
+//! `crash_points` evenly spaced ranks of it. Each cut is declared through
+//! a [`FaultPlan`] armed on the stack's [`trail_sim::FaultClock`]; the
+//! crash point reboots, runs the three-stage recovery on every log, and
+//! checks the durability contract with the workload's [`AckLedger`] (and,
+//! for the RAID-5 flavor, that every touched parity stripe XORs to zero).
+//! Points are independent simulations, so the sweep fans out through
+//! [`crate::parallel_map`]; all reported numbers are virtual-time
+//! quantities, byte-identical for any thread count.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use rand::Rng;
 use trail::volume::{raid5_map, VolumeLayout};
 use trail::StackBuilder;
 use trail_blockio::{IoDone, SharedBlockDevice};
-use trail_core::{read_header, recover_with_targets, RecoveryOptions, RecoveryReport};
-use trail_disk::{Disk, SECTOR_SIZE};
+use trail_core::{MultiTrail, RecoveryReport, TrailConfig, TrailDriver};
+use trail_disk::{cut_instants, AckLedger, Disk, SECTOR_SIZE};
 use trail_sim::{
-    Delivered, Fault, FaultKind, FaultPlan, FaultSink, FaultTarget, SimDuration, Simulator,
+    Delivered, Fault, FaultKind, FaultPlan, FaultTarget, SimDuration, SimTime, Simulator,
 };
 
 use crate::runner::parallel_map;
@@ -34,6 +37,10 @@ pub enum CampaignFlavor {
     /// Trail over the paper's three raw data disks; the plan cuts power
     /// to the whole system (log and data disks at once).
     RawDisks,
+    /// A two-log Trail array over three raw data disks; the plan cuts the
+    /// whole system. Its extents are whole aligned 8-sector blocks, so
+    /// every sector has one owning log.
+    TrailMulti2,
     /// Trail over a three-member RAID-5 volume; the plan cuts the log
     /// disk only (the members stay powered, so the parity-maintenance
     /// machinery keeps running and its invariant can be checked after
@@ -47,6 +54,7 @@ impl CampaignFlavor {
     pub fn label(self) -> &'static str {
         match self {
             CampaignFlavor::RawDisks => "raw",
+            CampaignFlavor::TrailMulti2 => "multi2",
             CampaignFlavor::Raid5 => "raid5",
         }
     }
@@ -57,17 +65,18 @@ impl CampaignFlavor {
 pub struct CampaignSpec {
     /// Which stack to crash.
     pub flavor: CampaignFlavor,
-    /// Burst size: how many 4-KB writes the workload submits up front.
-    /// This is the log-size knob — more outstanding writes mean more
-    /// active log at any crash instant.
+    /// Burst size: how many extents the workload submits up front. This
+    /// is the log-size knob — more outstanding writes mean more active
+    /// log at any crash instant.
     pub writes: usize,
-    /// How many crash instants to sample across the workload duration.
+    /// How many cut instants to crash at: evenly spaced ranks of the
+    /// enumerated list, or every instant when it holds no more.
     pub crash_points: usize,
     /// Workload RNG seed (also the stack seed).
     pub seed: u64,
 }
 
-/// What one sampled crash point produced (all virtual-time).
+/// What one crash point produced (all virtual-time).
 #[derive(Clone, Debug)]
 pub struct CrashPointOutcome {
     /// The cut instant, relative to measurement start.
@@ -76,81 +85,21 @@ pub struct CrashPointOutcome {
     pub acked: usize,
     /// Blocks still pinned (pending write-back) at the cut.
     pub pending: usize,
-    /// The recovery report from the reboot.
+    /// Whether the cut fell inside a data-disk write: some of its sectors
+    /// had landed and some had not. Only a whole-system cut tears that
+    /// write; under the RAID-5 flavor's log-only cut it still finishes.
+    pub in_data_write: bool,
+    /// The recovery report from the reboot, summed over the logs.
     pub report: RecoveryReport,
-    /// Durability-contract violations found after recovery (acknowledged
-    /// writes that did not read back, plus inconsistent parity stripes
-    /// in the RAID-5 flavor). A healthy campaign reports zero.
+    /// Durability-contract violations found after recovery (sectors that
+    /// hold neither their newest acknowledged write nor a later one, plus
+    /// inconsistent parity sectors in the RAID-5 flavor). A healthy
+    /// campaign reports zero.
     pub violations: usize,
 }
 
-/// Per-`writes`-point aggregate over a campaign's crash points — one
-/// point on the recovery-time-vs-log-size curve.
-#[derive(Clone, Copy, Debug)]
-pub struct CampaignAggregate {
-    /// The workload burst size.
-    pub writes: usize,
-    /// Crash points sampled.
-    pub points: usize,
-    /// Total contract violations (zero for a correct stack).
-    pub violations: usize,
-    /// Mean writes acknowledged before the cut.
-    pub mean_acked: f64,
-    /// Mean blocks pending write-back at the cut.
-    pub mean_pending: f64,
-    /// Mean active log sectors the rebuild stage walked.
-    pub mean_active_log_sectors: f64,
-    /// Mean log-head span (sectors between recovered head and tail).
-    pub mean_log_head_span: f64,
-    /// Mean records recovered.
-    pub mean_records: f64,
-    /// Mean sectors written back.
-    pub mean_sectors_replayed: f64,
-    /// Mean locate-stage time (ms).
-    pub mean_locate_ms: f64,
-    /// Mean rebuild-stage time (ms).
-    pub mean_rebuild_ms: f64,
-    /// Mean write-back-stage time (ms).
-    pub mean_writeback_ms: f64,
-    /// Mean total recovery time (ms).
-    pub mean_total_ms: f64,
-    /// Worst-case total recovery time (ms).
-    pub max_total_ms: f64,
-}
-
-/// Folds a campaign's outcomes into one curve point.
-///
-/// # Panics
-///
-/// Panics on an empty outcome list (a campaign bug).
-#[must_use]
-pub fn aggregate(writes: usize, outcomes: &[CrashPointOutcome]) -> CampaignAggregate {
-    assert!(!outcomes.is_empty(), "campaign produced no crash points");
-    let n = outcomes.len() as f64;
-    let mean = |f: &dyn Fn(&CrashPointOutcome) -> f64| outcomes.iter().map(f).sum::<f64>() / n;
-    CampaignAggregate {
-        writes,
-        points: outcomes.len(),
-        violations: outcomes.iter().map(|o| o.violations).sum(),
-        mean_acked: mean(&|o| o.acked as f64),
-        mean_pending: mean(&|o| o.pending as f64),
-        mean_active_log_sectors: mean(&|o| o.report.active_log_sectors as f64),
-        mean_log_head_span: mean(&|o| o.report.log_head_span as f64),
-        mean_records: mean(&|o| o.report.records_found as f64),
-        mean_sectors_replayed: mean(&|o| o.report.sectors_replayed as f64),
-        mean_locate_ms: mean(&|o| o.report.locate_time.as_millis_f64()),
-        mean_rebuild_ms: mean(&|o| o.report.rebuild_time.as_millis_f64()),
-        mean_writeback_ms: mean(&|o| o.report.writeback_time.as_millis_f64()),
-        mean_total_ms: mean(&|o| o.report.total_time().as_millis_f64()),
-        max_total_ms: outcomes
-            .iter()
-            .map(|o| o.report.total_time().as_millis_f64())
-            .fold(0.0, f64::max),
-    }
-}
-
-/// Runs one campaign: a probe run measures the workload duration, the
-/// cut instants are spread evenly across it, and every crash point runs
+/// Runs one campaign: a probe run enumerates the cut instants, the spec
+/// picks all of them or evenly spaced ranks, and every crash point runs
 /// on the [`parallel_map`] worker pool. Outcomes come back in cut-instant
 /// order regardless of thread count.
 ///
@@ -163,49 +112,52 @@ pub fn aggregate(writes: usize, outcomes: &[CrashPointOutcome]) -> CampaignAggre
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Vec<CrashPointOutcome> {
     let probe = run_workload(spec, None);
     assert_eq!(
-        probe.acked.len(),
+        probe.ledger.borrow().acked(),
         spec.writes,
         "probe run must acknowledge every write"
     );
-    let duration_ns = probe.last_ack.as_nanos().max(1);
-    // Midpoint sampling: cut k of n lands at (2k+1)/(2n) of the workload,
-    // so no cut falls on the degenerate endpoints.
-    let cuts: Vec<SimDuration> = (0..spec.crash_points)
-        .map(|k| {
-            let num = u128::from(duration_ns) * (2 * k as u128 + 1);
-            SimDuration::from_nanos((num / (2 * spec.crash_points as u128)) as u64)
-        })
+    let landings: Vec<SimTime> = probe
+        .logs
+        .iter()
+        .chain(&probe.data)
+        .flat_map(Disk::landings)
+        .flatten()
         .collect();
-    parallel_map(cuts, threads, |cut| crash_point(spec, cut))
-}
-
-/// Observer sink: records that the planned cut fired. Returns `false` so
-/// the per-device sinks still own the actual power loss.
-struct CrashFlag(Rc<Cell<bool>>);
-
-impl FaultSink for CrashFlag {
-    fn apply(&self, _sim: &mut Simulator, fault: &Fault) -> bool {
-        if matches!(fault.kind, FaultKind::PowerCut) {
-            self.0.set(true);
-        }
-        false
-    }
+    let writebacks: Vec<(SimTime, SimTime)> = probe
+        .data
+        .iter()
+        .flat_map(Disk::landings)
+        .map(|cmd| (cmd[0], cmd[cmd.len() - 1]))
+        .collect();
+    let cuts = cut_instants(&landings, &probe.acks);
+    let n = spec.crash_points.min(cuts.len());
+    let picked: Vec<SimTime> = (0..n)
+        .map(|k| cuts[(2 * k + 1) * cuts.len() / (2 * n)])
+        .collect();
+    let start = probe.start;
+    parallel_map(picked, threads, |cut| {
+        let in_data_write = writebacks
+            .iter()
+            .any(|&(first, last)| first <= cut && cut < last);
+        crash_point(spec, cut.duration_since(start), in_data_write)
+    })
 }
 
 /// One finished workload run: the devices (post-drain), what was
 /// acknowledged, and the crash bookkeeping.
 struct WorkloadRun {
-    log: Disk,
+    logs: Vec<Disk>,
     data: Vec<Disk>,
     /// The block targets Trail served (raw-disk drivers or the volume),
     /// which recovery replays through.
     targets: Vec<SharedBlockDevice>,
-    /// `(dev, lba, tag)` for every write acknowledged OK, in ack order.
-    acked: Vec<(usize, u64, u8)>,
-    /// `(dev, lba, tag)` for every write submitted, in submission order.
-    submitted: Vec<(usize, u64, u8)>,
-    /// Last successful ack instant, relative to measurement start.
-    last_ack: SimDuration,
+    /// `(dev, lba, sectors)` of every write, in submission order.
+    extents: Vec<(usize, u64, u64)>,
+    ledger: Rc<RefCell<AckLedger>>,
+    /// Every successful ack instant.
+    acks: Vec<SimTime>,
+    /// Measurement start.
+    start: SimTime,
     /// Blocks still pinned (pending write-back) when the run ended.
     pending: usize,
     /// Whether the armed cut fired (always `false` on probe runs).
@@ -215,25 +167,55 @@ struct WorkloadRun {
 /// The RAID-5 flavor's fixed geometry.
 const RAID_MEMBERS: usize = 3;
 const RAID_CHUNK_SECTORS: u32 = 8;
+/// The workload window's first sector, and the longest extent.
+const BASE: u64 = 2048;
+const MAX_EXTENT: u64 = 16;
+
+/// The devices a flavor's stack serves.
+fn flavor_devices(flavor: CampaignFlavor) -> usize {
+    if flavor == CampaignFlavor::Raid5 {
+        1
+    } else {
+        3
+    }
+}
+
+/// The seeded workload: `(dev, lba, sectors)` per write.
+fn extents(spec: &CampaignSpec, devs: usize) -> Vec<(usize, u64, u64)> {
+    let mut rng = trail_sim::rng(spec.seed);
+    let window = 8 * spec.writes as u64;
+    (0..spec.writes)
+        .map(|_| {
+            let dev = rng.gen_range(0..devs);
+            if spec.flavor == CampaignFlavor::TrailMulti2 {
+                return (dev, BASE + 8 * rng.gen_range(0..spec.writes as u64), 8);
+            }
+            let sectors = rng.gen_range(1..=MAX_EXTENT.min(window));
+            (dev, BASE + rng.gen_range(0..=window - sectors), sectors)
+        })
+        .collect()
+}
 
 /// Runs the campaign workload, optionally crashing it `cut` after the
-/// measurement starts, and drains the simulator.
+/// measurement starts, and drains the simulator. A probe run (no cut)
+/// logs every disk's sector landings.
 fn run_workload(spec: &CampaignSpec, cut: Option<SimDuration>) -> WorkloadRun {
-    let plan = match cut {
-        None => FaultPlan::new(),
-        Some(at) => match spec.flavor {
-            CampaignFlavor::RawDisks => FaultPlan::power_cut_at(at),
-            CampaignFlavor::Raid5 => FaultPlan::new().with(Fault {
-                at,
-                target: FaultTarget::Log(0),
-                kind: FaultKind::PowerCut,
-            }),
-        },
+    let plan = match (cut, spec.flavor) {
+        (None, _) => FaultPlan::new(),
+        (Some(at), CampaignFlavor::Raid5) => FaultPlan::new().with(Fault {
+            at,
+            target: FaultTarget::Log(0),
+            kind: FaultKind::PowerCut,
+        }),
+        (Some(at), _) => FaultPlan::power_cut_at(at),
     };
-    let builder = StackBuilder::new().seed(spec.seed).trail_default();
+    let builder = StackBuilder::new()
+        .seed(spec.seed)
+        .data_disks(flavor_devices(spec.flavor));
     let builder = match spec.flavor {
-        CampaignFlavor::RawDisks => builder.data_disks(3),
-        CampaignFlavor::Raid5 => builder.data_disks(1).volumes(
+        CampaignFlavor::RawDisks => builder.trail_default(),
+        CampaignFlavor::TrailMulti2 => builder.trail_multi(2, TrailConfig::default()),
+        CampaignFlavor::Raid5 => builder.trail_default().volumes(
             VolumeLayout::Raid5 {
                 chunk_sectors: RAID_CHUNK_SECTORS,
             },
@@ -242,156 +224,139 @@ fn run_workload(spec: &CampaignSpec, cut: Option<SimDuration>) -> WorkloadRun {
     };
     let built = builder.faults(plan).build().expect("campaign stack boots");
     let mut sim = built.sim;
-    let trail = built.trail.expect("campaign stack runs Trail");
-    let log = built.log_disk.expect("campaign stack has a log disk");
-    let data = built.data_disks;
-    let targets = built.targets;
-    let crashed = Rc::new(Cell::new(false));
-    built
-        .fault_clock
-        .register(Rc::new(CrashFlag(Rc::clone(&crashed))));
+    let drivers: Vec<TrailDriver> = built
+        .trail
+        .into_iter()
+        .chain(built.multi.iter().flat_map(|m| m.drivers().to_vec()))
+        .collect();
+    if cut.is_none() {
+        for d in built.log_disks.iter().chain(&built.data_disks) {
+            d.log_landings();
+        }
+    }
 
-    // The workload: a burst of distinct-block 4-KB tagged writes, all
-    // submitted at measurement start (the fig4 shape — Trail absorbs the
-    // queue, so the active log grows with the burst size).
-    let devs = targets.len();
-    let sectors = u64::from(RAID_CHUNK_SECTORS);
-    let acked: Rc<RefCell<Vec<(usize, u64, u8)>>> = Rc::new(RefCell::new(Vec::new()));
-    let last_ack = Rc::new(Cell::new(SimDuration::ZERO));
-    let mut submitted = Vec::with_capacity(spec.writes);
+    // The workload: a burst of overlapping extents, all submitted at
+    // measurement start (the fig4 shape — Trail absorbs the queue, so the
+    // active log grows with the burst size).
+    let extents = extents(spec, flavor_devices(spec.flavor));
+    let ledger = Rc::new(RefCell::new(AckLedger::default()));
+    let acks = Rc::new(RefCell::new(Vec::new()));
     let start = sim.now();
-    for i in 0..spec.writes {
-        let dev = i % devs;
-        let lba = 2048 + i as u64 * sectors;
-        let tag = (i % 251 + 1) as u8;
-        submitted.push((dev, lba, tag));
-        let acked = Rc::clone(&acked);
-        let last_ack = Rc::clone(&last_ack);
+    for &(dev, lba, sectors) in &extents {
+        let (tag, payload) = ledger.borrow_mut().submit(dev, lba, sectors);
+        let (ledger, acks) = (Rc::clone(&ledger), Rc::clone(&acks));
         let done = sim.completion(move |sim: &mut Simulator, del: Delivered<IoDone>| {
             if del.is_ok() {
-                acked.borrow_mut().push((dev, lba, tag));
-                last_ack.set(sim.now() - start);
+                ledger.borrow_mut().ack(tag);
+                acks.borrow_mut().push(sim.now());
             }
         });
-        trail
-            .write(
-                &mut sim,
-                dev,
-                lba,
-                vec![tag; sectors as usize * SECTOR_SIZE],
-                done,
-            )
+        built
+            .stack
+            .write(&mut sim, dev, lba, payload, done)
             .expect("campaign write accepted");
     }
     sim.run();
-    let pending = trail.pinned_blocks();
-    let acked = acked.borrow().clone();
+    let pending = drivers.iter().map(TrailDriver::pinned_blocks).sum();
+    drop(built.stack);
     WorkloadRun {
-        log,
-        data,
-        targets,
-        acked,
-        submitted,
-        last_ack: last_ack.get(),
+        logs: built.log_disks,
+        data: built.data_disks,
+        targets: built.targets,
+        extents,
+        ledger,
+        acks: acks.take(),
+        start,
         pending,
-        crashed: crashed.get(),
+        crashed: built.fault_clock.fired() > 0,
     }
 }
 
-/// Crashes the workload at `cut`, reboots, recovers, and checks the
-/// durability contract.
-fn crash_point(spec: &CampaignSpec, cut: SimDuration) -> CrashPointOutcome {
+/// Crashes the workload at `cut`, reboots, recovers every log, and checks
+/// the durability contract.
+fn crash_point(spec: &CampaignSpec, cut: SimDuration, in_data_write: bool) -> CrashPointOutcome {
     let run = run_workload(spec, Some(cut));
     assert!(run.crashed, "the armed power cut must fire");
 
-    run.log.power_on();
-    for d in &run.data {
+    for d in run.logs.iter().chain(&run.data) {
         d.power_on();
     }
+    // Reboot through the driver's own boot path, which recovers each log.
     let mut sim = Simulator::new();
-    let header = read_header(&mut sim, &run.log).expect("log header readable after crash");
-    let report = recover_with_targets(
-        &mut sim,
-        &run.log,
-        &run.targets,
-        &header,
-        RecoveryOptions::default(),
-    )
-    .expect("recovery succeeds");
+    let targets = vec![run.targets.clone(); run.logs.len()];
+    let (_, boots) =
+        MultiTrail::start_with_targets(&mut sim, run.logs.clone(), targets, TrailConfig::default())
+            .expect("every log recovers at boot");
+    let mut report = RecoveryReport::default();
+    for r in boots
+        .into_iter()
+        .map(|b| b.recovered.expect("a cut log is dirty"))
+    {
+        report.locate_time += r.locate_time;
+        report.rebuild_time += r.rebuild_time;
+        report.writeback_time += r.writeback_time;
+        report.tracks_scanned += r.tracks_scanned;
+        report.records_found += r.records_found;
+        report.sectors_replayed += r.sectors_replayed;
+        report.write_back_performed |= r.write_back_performed;
+        report.torn_records_dropped += r.torn_records_dropped;
+        report.log_head_span += r.log_head_span;
+        report.active_log_sectors += r.active_log_sectors;
+    }
 
     let violations = match spec.flavor {
-        CampaignFlavor::RawDisks => verify_raw(&run),
-        CampaignFlavor::Raid5 => verify_raid5(&run),
+        CampaignFlavor::Raid5 => {
+            let data = run.ledger.borrow().check_crashed(|_, lba| {
+                let seg = raid5_map(RAID_MEMBERS, RAID_CHUNK_SECTORS, lba, 1)[0];
+                run.data[seg.member].peek_sector(seg.member_lba(RAID_CHUNK_SECTORS))
+            });
+            data.len() + parity_violations(&run)
+        }
+        _ => run
+            .ledger
+            .borrow()
+            .check_crashed(|dev, lba| run.data[dev].peek_sector(lba))
+            .len(),
     };
+    let acked = run.ledger.borrow().acked();
     CrashPointOutcome {
         cut,
-        acked: run.acked.len(),
+        acked,
         pending: run.pending,
+        in_data_write,
         report,
         violations,
     }
 }
 
-/// Checks every acknowledged write reads back from its raw data disk.
-fn verify_raw(run: &WorkloadRun) -> usize {
-    let sectors = u64::from(RAID_CHUNK_SECTORS);
-    run.acked
-        .iter()
-        .filter(|&&(dev, lba, tag)| {
-            (0..sectors).any(|s| run.data[dev].peek_sector(lba + s).iter().any(|&b| b != tag))
-        })
-        .count()
-}
-
-/// Checks every acknowledged write reads back through the RAID-5 layout
-/// mapping, and that every stripe the workload touched has parity that
-/// XORs to zero across the members.
-fn verify_raid5(run: &WorkloadRun) -> usize {
-    let mut violations = 0;
-    for &(_, lba, tag) in &run.acked {
-        let bad = raid5_map(RAID_MEMBERS, RAID_CHUNK_SECTORS, lba, RAID_CHUNK_SECTORS)
-            .iter()
-            .any(|seg| {
-                let base = seg.member_lba(RAID_CHUNK_SECTORS);
-                (0..u64::from(seg.sectors)).any(|s| {
-                    run.data[seg.member]
-                        .peek_sector(base + s)
-                        .iter()
-                        .any(|&b| b != tag)
-                })
-            });
-        if bad {
-            violations += 1;
-        }
-    }
-    // Parity invariant: the members never lost power, so even a crash
-    // mid-write must leave every touched stripe consistent once the
-    // queues drained and recovery replayed through the volume.
+/// Counts the parity sectors of every stripe the workload touched that
+/// do not XOR to zero across the members. The members never lost power,
+/// so even a crash mid-write must leave every touched stripe consistent
+/// once the queues drained and recovery replayed through the volume.
+fn parity_violations(run: &WorkloadRun) -> usize {
     let touched: BTreeSet<u64> = run
-        .submitted
+        .extents
         .iter()
-        .flat_map(|&(_, lba, _)| {
-            raid5_map(RAID_MEMBERS, RAID_CHUNK_SECTORS, lba, RAID_CHUNK_SECTORS)
+        .flat_map(|&(_, lba, sectors)| {
+            raid5_map(RAID_MEMBERS, RAID_CHUNK_SECTORS, lba, sectors as u32)
                 .into_iter()
                 .map(|seg| seg.stripe)
         })
         .collect();
     let chunk = u64::from(RAID_CHUNK_SECTORS);
-    for stripe in touched {
-        for off in 0..chunk {
+    touched
+        .into_iter()
+        .flat_map(|stripe| (0..chunk).map(move |off| stripe * chunk + off))
+        .filter(|&lba| {
             let mut acc = [0u8; SECTOR_SIZE];
             for member in &run.data {
-                let sector = member.peek_sector(stripe * chunk + off);
-                for (a, b) in acc.iter_mut().zip(sector.iter()) {
+                for (a, b) in acc.iter_mut().zip(member.peek_sector(lba).iter()) {
                     *a ^= b;
                 }
             }
-            if acc.iter().any(|&b| b != 0) {
-                violations += 1;
-            }
-        }
-    }
-    violations
+            acc.iter().any(|&b| b != 0)
+        })
+        .count()
 }
 
 #[cfg(test)]
@@ -400,22 +365,25 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
-        let spec = CampaignSpec {
-            flavor: CampaignFlavor::RawDisks,
-            writes: 8,
-            crash_points: 5,
-            seed: 7,
-        };
-        let a = run_campaign(&spec, 1);
-        let b = run_campaign(&spec, 4);
-        assert_eq!(a.len(), 5);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cut, y.cut);
-            assert_eq!(x.acked, y.acked);
-            assert_eq!(x.pending, y.pending);
-            assert_eq!(x.report.total_time(), y.report.total_time());
-            assert_eq!(x.violations, 0);
-            assert_eq!(y.violations, 0);
+        for flavor in [CampaignFlavor::RawDisks, CampaignFlavor::TrailMulti2] {
+            let spec = CampaignSpec {
+                flavor,
+                writes: 8,
+                crash_points: 5,
+                seed: 7,
+            };
+            let a = run_campaign(&spec, 1);
+            let b = run_campaign(&spec, 4);
+            assert_eq!(a.len(), 5);
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.cut, y.cut);
+                assert_eq!(x.acked, y.acked);
+                assert_eq!(x.pending, y.pending);
+                assert_eq!(x.in_data_write, y.in_data_write);
+                assert_eq!(x.report.total_time(), y.report.total_time());
+                assert_eq!(x.violations, 0);
+                assert_eq!(y.violations, 0);
+            }
         }
     }
 

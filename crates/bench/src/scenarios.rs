@@ -41,7 +41,7 @@ use trail_trace::{
     TraceCapture, TraceMeta, TraceReader, DEFAULT_CHUNK_RECORDS,
 };
 
-use crate::campaign::{aggregate, run_campaign, CampaignAggregate, CampaignFlavor, CampaignSpec};
+use crate::campaign::{run_campaign, CampaignFlavor, CampaignSpec, CrashPointOutcome};
 use crate::report::{Column, Fmt, Table};
 use crate::row;
 use crate::{sync_writes_standard, sync_writes_trail, testbed, tpcc_setup, ArrivalMode, TpccRig};
@@ -519,41 +519,19 @@ fn fig4(cfg: &ScenarioConfig) -> ScenarioOutput {
     for &q in qs {
         // Two identically-seeded crashes: one recovered with write-back,
         // one without (recovery mutates the disks).
-        let (log_a, data_a, pending) = crash_with_pending(q, cfg.mix(99));
-        let (log_b, data_b, _) = crash_with_pending(q, cfg.mix(99));
-
-        let with_wb = {
-            log_a.power_on();
-            for d in &data_a {
+        let recovered = |options: RecoveryOptions| {
+            let (log, data, pending) = crash_with_pending(q, cfg.mix(99));
+            log.power_on();
+            for d in &data {
                 d.power_on();
             }
             let mut sim = Simulator::new();
-            let header = read_header(&mut sim, &log_a).expect("header");
-            recover(
-                &mut sim,
-                &log_a,
-                &data_a,
-                &header,
-                RecoveryOptions::default(),
-            )
-            .expect("recovery")
+            let header = read_header(&mut sim, &log).expect("header");
+            let report = recover(&mut sim, &log, &data, &header, options).expect("recovery");
+            (report, pending)
         };
-        let without_wb = {
-            log_b.power_on();
-            for d in &data_b {
-                d.power_on();
-            }
-            let mut sim = Simulator::new();
-            let header = read_header(&mut sim, &log_b).expect("header");
-            recover(
-                &mut sim,
-                &log_b,
-                &data_b,
-                &header,
-                RecoveryOptions { write_back: false },
-            )
-            .expect("recovery")
-        };
+        let (with_wb, pending) = recovered(RecoveryOptions::default());
+        let (without_wb, _) = recovered(RecoveryOptions { write_back: false });
         table.push(row![
             q,
             pending,
@@ -2586,45 +2564,27 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------ crash campaign
 
-/// Appends one curve point of the crash campaign to `table`.
-fn campaign_row(table: &mut Table, flavor: CampaignFlavor, agg: &CampaignAggregate) {
-    table.push(row![
-        flavor.label(),
-        agg.writes,
-        agg.points,
-        agg.violations,
-        agg.mean_acked,
-        agg.mean_pending,
-        agg.mean_active_log_sectors,
-        agg.mean_log_head_span,
-        agg.mean_records,
-        agg.mean_sectors_replayed,
-        agg.mean_locate_ms,
-        agg.mean_rebuild_ms,
-        agg.mean_writeback_ms,
-        agg.mean_total_ms,
-        agg.max_total_ms,
-    ]);
+/// One campaign: its flavor, burst size and crash-point outcomes.
+type Campaign = (CampaignFlavor, usize, Vec<CrashPointOutcome>);
+
+/// The mean of `f` over a campaign's crash points.
+fn mean(outcomes: &[CrashPointOutcome], f: impl Fn(&CrashPointOutcome) -> f64) -> f64 {
+    outcomes.iter().map(f).sum::<f64>() / outcomes.len() as f64
 }
 
-fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    // The raw-disk flavor carries the recovery-time-vs-log-size curve;
-    // the RAID-5 flavor adds the parity-invariant fan at a coarser grid.
-    let raw_qs: &[usize] = if cfg.quick {
-        &[16, 32]
-    } else {
-        &[32, 64, 128, 256]
-    };
-    let raw_points = cfg.scale.unwrap_or(if cfg.quick { 24 } else { 64 });
-    let raid_qs: &[usize] = if cfg.quick { &[16] } else { &[32, 64] };
-    let raid_points = (raw_points / 3 * 2).max(4);
-
+/// The crash campaign's table, one row per campaign.
+fn campaign_table(campaigns: &[Campaign]) -> Table {
     let mut table = Table::new(vec![
         Column::both("flavor", "flavor", Fmt::Plain),
         Column::both("Q", "q", Fmt::Plain),
         Column::both("crash points", "crash_points", Fmt::Plain),
         Column::both("violations", "violations", Fmt::Plain).markdown_last(),
+        Column::both("torn records", "torn_record_points", Fmt::Plain),
+        Column::both(
+            "cuts in data writes",
+            "cut_in_data_write_points",
+            Fmt::Plain,
+        ),
         Column::both("mean acked", "mean_acked", Fmt::Fixed(1)),
         Column::both("mean pending", "mean_pending", Fmt::Fixed(1)),
         Column::both(
@@ -2641,37 +2601,106 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
         Column::both("total mean (ms)", "mean_total_ms", Fmt::Fixed(1)),
         Column::both("total max (ms)", "max_total_ms", Fmt::Fixed(1)),
     ]);
+    for (flavor, q, o) in campaigns {
+        let total_ms = |o: &CrashPointOutcome| o.report.total_time().as_millis_f64();
+        table.push(row![
+            flavor.label(),
+            *q,
+            o.len(),
+            o.iter().map(|o| o.violations).sum::<usize>(),
+            o.iter()
+                .filter(|o| o.report.torn_records_dropped > 0)
+                .count(),
+            o.iter().filter(|o| o.in_data_write).count(),
+            mean(o, |o| o.acked as f64),
+            mean(o, |o| o.pending as f64),
+            mean(o, |o| o.report.active_log_sectors as f64),
+            mean(o, |o| o.report.log_head_span as f64),
+            mean(o, |o| o.report.records_found as f64),
+            mean(o, |o| o.report.sectors_replayed as f64),
+            mean(o, |o| o.report.locate_time.as_millis_f64()),
+            mean(o, |o| o.report.rebuild_time.as_millis_f64()),
+            mean(o, |o| o.report.writeback_time.as_millis_f64()),
+            mean(o, total_ms),
+            o.iter().map(total_ms).fold(0.0, f64::max),
+        ]);
+    }
+    table
+}
 
-    let run_flavor = |flavor: CampaignFlavor, qs: &[usize], points: usize| {
-        qs.iter()
-            .map(|&q| {
-                let spec = CampaignSpec {
-                    flavor,
-                    writes: q,
-                    crash_points: points,
-                    seed: cfg.mix(0x0043_5241_5348 + q as u64),
-                };
-                aggregate(q, &run_campaign(&spec, threads))
-            })
-            .collect::<Vec<_>>()
+fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    // The raw-disk flavor carries the recovery-time-vs-log-size curve;
+    // the RAID-5 flavor adds the parity-invariant fan at a coarser grid.
+    // Both crash at evenly spaced ranks of the enumerated cut list.
+    let raw_qs: &[usize] = if cfg.quick {
+        &[16, 32]
+    } else {
+        &[32, 64, 128, 256]
     };
-    let curve = run_flavor(CampaignFlavor::RawDisks, raw_qs, raw_points);
-    let raid = run_flavor(CampaignFlavor::Raid5, raid_qs, raid_points);
-    for agg in &curve {
-        campaign_row(&mut table, CampaignFlavor::RawDisks, agg);
-    }
-    for agg in &raid {
-        campaign_row(&mut table, CampaignFlavor::Raid5, agg);
-    }
+    let raw_points = cfg.scale.unwrap_or(if cfg.quick { 24 } else { 64 });
+    let raid_qs: &[usize] = if cfg.quick { &[16] } else { &[32, 64] };
+    let raid_points = (raw_points / 3 * 2).max(4);
+    let seed = |q: usize| cfg.mix(0x0043_5241_5348 + q as u64);
+    let campaign = |flavor: CampaignFlavor, q: usize, points: usize| {
+        let spec = CampaignSpec {
+            flavor,
+            writes: q,
+            crash_points: points,
+            seed: seed(q),
+        };
+        (flavor, q, run_campaign(&spec, threads))
+    };
+    let curve: Vec<Campaign> = raw_qs
+        .iter()
+        .map(|&q| campaign(CampaignFlavor::RawDisks, q, raw_points))
+        .collect();
+    let raid: Vec<Campaign> = raid_qs
+        .iter()
+        .map(|&q| campaign(CampaignFlavor::Raid5, q, raid_points))
+        .collect();
+    // The exhaustive section: every enumerated cut of one small burst per
+    // flavor, its size and seed fixed so that its extents overlap and some
+    // cut tears a record and some falls inside a data-disk write.
+    let exhaustive = [
+        (CampaignFlavor::RawDisks, 3),
+        (CampaignFlavor::TrailMulti2, 6),
+        (CampaignFlavor::Raid5, 2),
+    ]
+    .map(|(flavor, q)| {
+        let spec = CampaignSpec {
+            flavor,
+            writes: q,
+            crash_points: usize::MAX,
+            seed: 0x0043_5241_5348 + q as u64,
+        };
+        let o = run_campaign(&spec, threads);
+        assert!(
+            o.iter().any(|o| o.report.torn_records_dropped > 0)
+                && o.iter().any(|o| o.in_data_write),
+            "the {} burst must tear a record and cut inside a data write",
+            flavor.label()
+        );
+        (flavor, q, o)
+    });
+
+    let sampled = campaign_table(&[curve.as_slice(), &raid].concat());
+    let enumerated = campaign_table(&exhaustive);
     let mut report = String::new();
     let _ = writeln!(
         report,
         "== Crash campaign — recovery time vs. log size over the fault plane =="
     );
-    report += &table.markdown();
+    report += &sampled.markdown();
+    let _ = writeln!(
+        report,
+        "\n== Exhaustive — every cut of a small burst that tears a record and cuts inside a data write =="
+    );
+    report += &enumerated.markdown();
 
-    let total_points: usize = curve.iter().chain(&raid).map(|a| a.points).sum();
-    let violations: usize = curve.iter().chain(&raid).map(|a| a.violations).sum();
+    let all = || curve.iter().chain(&raid).chain(&exhaustive);
+    let total_points: usize = all().map(|(_, _, o)| o.len()).sum();
+    let violations: usize = all().flat_map(|(_, _, o)| o).map(|o| o.violations).sum();
     assert_eq!(
         violations, 0,
         "crash campaign found durability-contract violations"
@@ -2679,32 +2708,36 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
     // The headline claim: recovery cost scales with the active log, so
     // the curve over Q must be monotone in both the log-size witness and
     // the recovery time.
-    for pair in curve.windows(2) {
+    for ((_, qa, a), (_, qb, b)) in curve.iter().zip(&curve[1..]) {
+        let replayed = |o: &CrashPointOutcome| o.report.sectors_replayed as f64;
+        let total = |o: &CrashPointOutcome| o.report.total_time().as_millis_f64();
         assert!(
-            pair[1].mean_sectors_replayed >= pair[0].mean_sectors_replayed,
+            mean(b, replayed) >= mean(a, replayed),
             "write-back volume must grow with Q"
         );
+        let (ta, tb) = (mean(a, total), mean(b, total));
         assert!(
-            pair[1].mean_total_ms >= pair[0].mean_total_ms,
-            "recovery time must grow with Q (Q={} {:.3} ms -> Q={} {:.3} ms)",
-            pair[0].writes,
-            pair[0].mean_total_ms,
-            pair[1].writes,
-            pair[1].mean_total_ms,
+            tb >= ta,
+            "recovery time must grow with Q (Q={qa} {ta:.3} ms -> Q={qb} {tb:.3} ms)"
         );
     }
     let _ = writeln!(report);
     let _ = writeln!(
         report,
-        "{total_points} crash points sampled, {violations} violations; every acknowledged \
-         write read back exactly after recovery,"
+        "{total_points} crash points, {violations} violations; after recovery every sector held \
+         its newest acknowledged write or a later one,"
     );
     let _ = writeln!(
         report,
         "and every RAID-5 stripe the workload touched XORs to zero across the members."
     );
-    let mut curve_rows = table.json_rows();
+    let mut curve_rows = sampled.json_rows();
     let raid_rows = curve_rows.split_off(curve.len());
+    let exhaustive_rows = exhaustive
+        .iter()
+        .zip(enumerated.json_rows())
+        .map(|((flavor, _, _), row)| (flavor.label(), row))
+        .collect();
     ScenarioOutput {
         report,
         json: JsonValue::obj(vec![
@@ -2713,6 +2746,7 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
             ("violations", JsonValue::Num(violations as f64)),
             ("curve", JsonValue::Arr(curve_rows)),
             ("raid5", JsonValue::Arr(raid_rows)),
+            ("exhaustive", JsonValue::obj(exhaustive_rows)),
         ]),
     }
 }

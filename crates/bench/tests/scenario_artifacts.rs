@@ -31,7 +31,7 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("serve", 34805, 0x751da96b),
     ("serve_sweep", 34240, 0x69cc675c),
     ("raid", 11036, 0xf600b140),
-    ("recovery", 1303, 0x5d361221),
+    ("recovery", 2936, 0x9ad42134),
 ];
 
 /// `(registry name, byte length, CRC-32)` of every `--quick`, seed-0
@@ -55,7 +55,7 @@ const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
     ("serve_fleet", 1295, 0x2160ed0a),
     ("serve_sweep", 1371, 0x358db61a),
     ("raid_sweep", 1334, 0x10221498),
-    ("crash_campaign", 719, 0xa0a03d72),
+    ("crash_campaign", 1449, 0xe7b4e9dd),
 ];
 
 /// What an artifact must show for the headline claim it backs to hold.
@@ -66,7 +66,8 @@ struct Claim {
     /// Substrings every table row (each `{"target":` object) must contain.
     every_row: &'static [&'static str],
     /// `(field, floor)`: the field's first occurrence must be at least
-    /// the floor.
+    /// the floor. A `scope/…/field` path looks for the field after the
+    /// first occurrence of each scope key in turn.
     floors: &'static [(&'static str, f64)],
 }
 
@@ -86,17 +87,27 @@ const CLAIMS: &[Claim] = &[
     },
     Claim {
         artifact: "recovery",
-        // Every sampled crash point satisfies the durability contract (the
-        // scenario itself asserts the recovery-time curve is monotone).
+        // Every crash point satisfies the durability contract — the
+        // campaign-wide count is 0, so every row's is — and each flavor has
+        // an exhaustive row (the scenario itself asserts the
+        // recovery-time curve is monotone).
         fields: &[
             "\"violations\":0,",
             "\"curve\"",
             "\"mean_total_ms\"",
             "\"mean_active_log_sectors\"",
+            "\"exhaustive\":{\"raw\":{",
         ],
         every_row: &[],
-        // The quick campaign still samples a real fleet of crash points.
-        floors: &[("crash_points_total", 64.0)],
+        // The quick campaign still runs a real fleet of crash points, and
+        // each exhaustive row enumerates a real burst (the scenario asserts
+        // that its cuts tear a record and fall inside a data-disk write).
+        floors: &[
+            ("crash_points_total", 64.0),
+            ("exhaustive/raw/crash_points", 30.0),
+            ("exhaustive/multi2/crash_points", 30.0),
+            ("exhaustive/raid5/crash_points", 30.0),
+        ],
     },
 ];
 
@@ -130,10 +141,14 @@ fn section<'a>(all: &'a str, name: &str, title: &str) -> &'a str {
     &rest[..end]
 }
 
-/// The number following the first `"field":` in `text`.
-fn first_number(text: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let rest = &text[text.find(&key)? + key.len()..];
+/// The number following the first `"field":` in `text`, or after the
+/// first `"scope":` of each scope of a `scope/…/field` path in turn.
+fn first_number(text: &str, path: &str) -> Option<f64> {
+    let mut rest = text;
+    for key in path.split('/') {
+        let key = format!("\"{key}\":");
+        rest = &rest[rest.find(&key)? + key.len()..];
+    }
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.'))
         .unwrap_or(rest.len());

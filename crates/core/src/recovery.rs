@@ -83,27 +83,6 @@ impl RecoveryReport {
     pub fn total_time(&self) -> SimDuration {
         self.locate_time + self.rebuild_time + self.writeback_time
     }
-
-    /// Serializes the report (times in virtual milliseconds).
-    pub fn to_json(&self) -> trail_telemetry::JsonValue {
-        use trail_telemetry::JsonValue as J;
-        J::obj(vec![
-            ("locate_ms", J::Num(self.locate_time.as_millis_f64())),
-            ("rebuild_ms", J::Num(self.rebuild_time.as_millis_f64())),
-            ("writeback_ms", J::Num(self.writeback_time.as_millis_f64())),
-            ("total_ms", J::Num(self.total_time().as_millis_f64())),
-            ("tracks_scanned", J::Num(self.tracks_scanned as f64)),
-            ("records_found", J::Num(self.records_found as f64)),
-            ("sectors_replayed", J::Num(self.sectors_replayed as f64)),
-            ("write_back", J::Bool(self.write_back_performed)),
-            (
-                "torn_records_dropped",
-                J::Num(self.torn_records_dropped as f64),
-            ),
-            ("log_head_span", J::Num(self.log_head_span as f64)),
-            ("active_log_sectors", J::Num(self.active_log_sectors as f64)),
-        ])
-    }
 }
 
 /// Newest current-epoch record found on one track.
@@ -150,6 +129,31 @@ fn scan_track(
         }
     }
     Ok(best)
+}
+
+/// The record `prev` points back to, if it is a current-epoch record
+/// older than `seq`. A dangling pointer (a clobbered predecessor) is
+/// `None`: the chain ends there, with everything younger collected.
+fn read_predecessor(
+    sim: &mut Simulator,
+    log_disk: &Disk,
+    header: &LogDiskHeader,
+    prev: Option<u32>,
+    seq: u64,
+) -> Result<Option<TrackHit>, TrailError> {
+    let Some(lba) = prev.map(u64::from) else {
+        return Ok(None);
+    };
+    let read = run_blocking(sim, log_disk, DiskCommand::Read { lba, count: 1 })?;
+    let data = read.data.expect("read returns data");
+    let sector: SectorBuf = data[..].try_into().expect("one sector");
+    Ok(match RecordHeader::decode(&sector) {
+        Ok(Some(rec)) if rec.epoch == header.epoch && rec.sequence_id < seq => Some(TrackHit {
+            header: rec,
+            header_lba: lba,
+        }),
+        _ => None,
+    })
 }
 
 /// Runs the recovery procedure against a crashed Trail log disk whose
@@ -267,69 +271,32 @@ pub fn recover_with_targets(
         let seq = cur.header.sequence_id;
         let prev = cur.header.prev_sect;
         if payload_checksum(&payload) != cur.header.payload_checksum {
-            if chain.is_empty() {
-                // The record in flight at the crash persisted its header
-                // but not all payload sectors. It was never acknowledged;
-                // drop it and treat its predecessor as the youngest.
-                report.torn_records_dropped += 1;
-                let Some(prev_lba) = prev else { break };
-                let hsec = run_blocking(
-                    sim,
-                    log_disk,
-                    DiskCommand::Read {
-                        lba: u64::from(prev_lba),
-                        count: 1,
-                    },
-                )?
-                .data
-                .expect("read returns data");
-                let sector: SectorBuf = hsec[..].try_into().expect("one sector");
-                match RecordHeader::decode(&sector) {
-                    Ok(Some(rec)) if rec.epoch == header.epoch && rec.sequence_id < seq => {
-                        bound_seq = rec.log_head_seq;
-                        cur = TrackHit {
-                            header: rec,
-                            header_lba: u64::from(prev_lba),
-                        };
-                        continue;
-                    }
-                    _ => break,
-                }
-            } else {
-                // A fully-written record can only fail its checksum if the
-                // medium was damaged; stop conservatively with everything
-                // younger already collected.
+            // A fully-written record can only fail its checksum if the
+            // medium was damaged; stop conservatively with everything
+            // younger already collected.
+            if !chain.is_empty() {
                 break;
             }
+            // The record in flight at the crash persisted its header but
+            // not all payload sectors. It was never acknowledged; drop it
+            // and treat its predecessor as the youngest.
+            report.torn_records_dropped += 1;
+            let Some(hit) = read_predecessor(sim, log_disk, header, prev, seq)? else {
+                break;
+            };
+            bound_seq = hit.header.log_head_seq;
+            cur = hit;
+            continue;
         }
         report.active_log_sectors += 1 + u64::from(batch);
         chain.push((cur.header, payload));
         if seq <= bound_seq {
             break;
         }
-        let Some(prev_lba) = prev else { break };
-        let hsec = run_blocking(
-            sim,
-            log_disk,
-            DiskCommand::Read {
-                lba: u64::from(prev_lba),
-                count: 1,
-            },
-        )?
-        .data
-        .expect("read returns data");
-        let sector: SectorBuf = hsec[..].try_into().expect("one sector");
-        match RecordHeader::decode(&sector) {
-            Ok(Some(rec)) if rec.epoch == header.epoch && rec.sequence_id < seq => {
-                cur = TrackHit {
-                    header: rec,
-                    header_lba: u64::from(prev_lba),
-                };
-            }
-            // A dangling pointer (clobbered predecessor) ends the chain
-            // conservatively: everything younger is already collected.
-            _ => break,
-        }
+        let Some(hit) = read_predecessor(sim, log_disk, header, prev, seq)? else {
+            break;
+        };
+        cur = hit;
     }
     report.records_found = chain.len();
     report.log_head_span = chain

@@ -2,166 +2,179 @@
 //! survives a power failure at an arbitrary instant.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use rand::Rng;
 use trail_core::{
-    format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, TrailConfig,
-    TrailDriver, TrailError,
+    format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, RecoveryReport,
+    TrailConfig, TrailDriver, TrailError,
 };
-use trail_disk::{profiles, Disk, SECTOR_SIZE};
-use trail_sim::{IoError, SimDuration, Simulator};
+use trail_disk::{crash::tag_of, cut_instants, profiles, AckLedger, Disk, SECTOR_SIZE};
+use trail_sim::{Delivered, IoError, SimDuration, SimTime, Simulator};
 
-/// A workload record: which values were written to each block, in order,
-/// and how many of them were acknowledged before the crash.
-#[derive(Default)]
-struct Ledger {
-    /// Per (dev, lba): values written, in issue order.
-    writes: HashMap<(usize, u64), Vec<u8>>, // tag per write
-    /// Per (dev, lba): highest tag acknowledged.
-    acked: HashMap<(usize, u64), u8>,
-}
-
-fn tagged_sector(tag: u8) -> Vec<u8> {
-    let mut v = vec![tag; SECTOR_SIZE];
-    v[0] = tag ^ 0xA5; // nonzero first byte exercises transposition
-    v
-}
-
-/// Runs a random single-sector write workload against a Trail driver and
-/// cuts power at `crash_at`. Returns the ledger and the devices.
-fn run_workload_and_crash(
-    seed: u64,
-    crash_delay: SimDuration,
-    n_writes: usize,
-) -> (Ledger, Disk, Vec<Disk>) {
+/// A fresh Trail driver over a formatted tiny log disk and `n` tiny data
+/// disks.
+fn boot(n: usize) -> (Simulator, TrailDriver, Disk, Vec<Disk>) {
     let mut sim = Simulator::new();
     let log = Disk::new("log", profiles::tiny_test_disk());
-    let data: Vec<Disk> = (0..2)
+    let data: Vec<Disk> = (0..n)
         .map(|i| Disk::new(format!("d{i}"), profiles::tiny_test_disk()))
         .collect();
     format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
     let (drv, _) =
         TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default()).unwrap();
+    (sim, drv, log, data)
+}
 
-    let ledger = Rc::new(RefCell::new(Ledger::default()));
+/// A random single-sector write workload on a fresh Trail driver over two
+/// tiny data disks, recorded in `ledger`; `acks` collects the ack instants.
+struct Workload {
+    sim: Simulator,
+    log: Disk,
+    data: Vec<Disk>,
+    ledger: Rc<RefCell<AckLedger>>,
+    acks: Rc<RefCell<Vec<SimTime>>>,
+    t0: SimTime,
+}
+
+/// Schedules `n_writes` bursty writes of the `seed` workload. A probe run
+/// also logs every disk's sector landings.
+fn workload(seed: u64, n_writes: usize, probe: bool) -> Workload {
+    let (mut sim, drv, log, data) = boot(2);
+    if probe {
+        for d in data.iter().chain([&log]) {
+            d.log_landings();
+        }
+    }
+    let ledger = Rc::new(RefCell::new(AckLedger::default()));
+    let acks = Rc::new(RefCell::new(Vec::new()));
     let mut rng = trail_sim::rng(seed);
     let t0 = sim.now();
     for i in 0..n_writes {
         let dev = rng.gen_range(0..2usize);
         let lba = rng.gen_range(0..64u64);
-        let tag = (i % 251 + 1) as u8;
-        ledger
-            .borrow_mut()
-            .writes
-            .entry((dev, lba))
-            .or_default()
-            .push(tag);
-        let l2 = Rc::clone(&ledger);
         // Bursty arrivals: multiple writes per millisecond.
         let delay = SimDuration::from_micros(rng.gen_range(0..2_000));
         let when = t0 + SimDuration::from_millis(i as u64 / 3) + delay;
-        let drv2 = drv.clone();
-        sim.schedule_at(when.max(sim.now()), move |sim| {
-            // A crash can cancel in-flight tokens; only a real delivery
-            // counts as an acknowledgement.
-            let done = sim.completion(move |_, d: trail_sim::Delivered<_>| {
+        let (drv, ledger, acks) = (drv.clone(), Rc::clone(&ledger), Rc::clone(&acks));
+        sim.schedule_at(when, move |sim| {
+            let (tag, sector) = ledger.borrow_mut().submit(dev, lba, 1);
+            // A crash fails in-flight writes; only a real delivery counts
+            // as an acknowledgement.
+            let done = sim.completion(move |sim: &mut Simulator, d: Delivered<_>| {
                 if d.is_ok() {
-                    l2.borrow_mut().acked.insert((dev, lba), tag);
+                    ledger.borrow_mut().ack(tag);
+                    acks.borrow_mut().push(sim.now());
                 }
             });
-            drv2.write(sim, dev, lba, tagged_sector(tag), done).unwrap();
+            drv.write(sim, dev, lba, sector, done).unwrap();
         });
     }
-    sim.run_until(t0 + crash_delay);
-    // Lights out: every device loses power at the same instant.
-    log.power_cut(sim.now());
-    for d in &data {
-        d.power_cut(sim.now());
-    }
-    let ledger = Rc::try_unwrap(ledger)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|rc| {
-            // Callbacks captured clones; copy the current state instead.
-            Ledger {
-                writes: rc.borrow().writes.clone(),
-                acked: rc.borrow().acked.clone(),
-            }
-        });
-    (ledger, log, data)
-}
-
-/// After recovery, every block must hold a value at least as new as its
-/// last acknowledged write (newer unacknowledged values are permitted —
-/// they were durably logged even though the ack never fired).
-fn verify_ledger(ledger: &Ledger, data: &[Disk]) {
-    for (&(dev, lba), &acked_tag) in &ledger.acked {
-        let history = &ledger.writes[&(dev, lba)];
-        let acked_pos = history
-            .iter()
-            .position(|&t| t == acked_tag)
-            .expect("acked tag was issued");
-        let acceptable: Vec<Vec<u8>> = history[acked_pos..]
-            .iter()
-            .map(|&t| tagged_sector(t))
-            .collect();
-        let on_disk = data[dev].peek_sector(lba).to_vec();
-        assert!(
-            acceptable.iter().any(|v| v[..] == on_disk[..]),
-            "dev {dev} lba {lba}: acked tag {acked_tag} but disk holds {:?} (first bytes)",
-            &on_disk[..4]
-        );
+    Workload {
+        sim,
+        log,
+        data,
+        ledger,
+        acks,
+        t0,
     }
 }
 
-fn recover_and_verify(ledger: &Ledger, log: Disk, data: Vec<Disk>) {
-    let mut sim = Simulator::new();
-    log.power_on();
-    for d in &data {
+/// Cuts power to every disk at `now`, one instant for all, and restores
+/// it: the media hold what had landed by then.
+fn power_cycle(now: SimTime, log: &Disk, data: &[Disk]) {
+    for d in data.iter().chain([log]) {
+        d.power_cut(now);
         d.power_on();
     }
-    let header = read_header(&mut sim, &log).unwrap();
+}
+
+/// Runs the `seed` workload, cuts power to every disk `crash_delay` into
+/// it and restores it. Returns the ledger and the devices.
+fn run_workload_and_crash(
+    seed: u64,
+    crash_delay: SimDuration,
+    n_writes: usize,
+) -> (Rc<RefCell<AckLedger>>, Disk, Vec<Disk>) {
+    let mut w = workload(seed, n_writes, false);
+    w.sim.run_until(w.t0 + crash_delay);
+    power_cycle(w.sim.now(), &w.log, &w.data);
+    (w.ledger, w.log, w.data)
+}
+
+/// Recovers the crashed disks; every sector must then hold its newest
+/// acknowledged write or one submitted after it.
+fn recover_and_verify(ledger: &RefCell<AckLedger>, log: &Disk, data: &[Disk]) -> u64 {
+    let mut sim = Simulator::new();
+    let header = read_header(&mut sim, log).unwrap();
     assert!(!header.clean, "crash must leave the dirty flag set");
-    let report = recover(&mut sim, &log, &data, &header, RecoveryOptions::default()).unwrap();
+    let report = recover(&mut sim, log, data, &header, RecoveryOptions::default()).unwrap();
     assert!(report.write_back_performed);
-    verify_ledger(ledger, &data);
+    let bad = ledger
+        .borrow()
+        .check_crashed(|dev, lba| data[dev].peek_sector(lba));
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+    report.torn_records_dropped
 }
 
 #[test]
 fn acked_writes_survive_a_crash_mid_workload() {
     let (ledger, log, data) = run_workload_and_crash(42, SimDuration::from_millis(120), 300);
     assert!(
-        !ledger.acked.is_empty(),
+        ledger.borrow().acked() > 0,
         "workload must have acknowledged writes before the crash"
     );
-    recover_and_verify(&ledger, log, data);
+    recover_and_verify(&ledger, &log, &data);
 }
 
 #[test]
 fn crash_at_many_instants_never_loses_acked_data() {
-    // Sweep the crash instant across the workload, including moments that
-    // land mid-record-transfer (torn records).
-    for ms in [5u64, 17, 33, 52, 71, 94, 113, 156, 199] {
-        let (ledger, log, data) = run_workload_and_crash(7 + ms, SimDuration::from_millis(ms), 400);
-        recover_and_verify(&ledger, log, data);
+    // Every enumerated cut of a 40-write workload: each sector landing,
+    // torn records and torn write-backs included, and each ack ±1 ns.
+    const SEED: u64 = 7;
+    const WRITES: usize = 40;
+    let mut probe = workload(SEED, WRITES, true);
+    probe.sim.run();
+    assert_eq!(probe.ledger.borrow().acked(), WRITES);
+    let landings: Vec<SimTime> = probe
+        .data
+        .iter()
+        .chain([&probe.log])
+        .flat_map(Disk::landings)
+        .flatten()
+        .collect();
+    let cuts = cut_instants(&landings, &probe.acks.borrow());
+    let mut torn = 0;
+    for &cut in &cuts {
+        let (ledger, log, data) = run_workload_and_crash(SEED, cut - probe.t0, WRITES);
+        torn += recover_and_verify(&ledger, &log, &data);
     }
+    assert!(torn > 0, "none of {} cuts tore a record", cuts.len());
 }
 
-#[test]
-fn recovery_with_no_records_is_empty() {
-    let mut sim = Simulator::new();
-    let log = Disk::new("log", profiles::tiny_test_disk());
-    let data = vec![Disk::new("d", profiles::tiny_test_disk())];
-    format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
-    // Boot marks the disk dirty, then "crash" before any write.
-    let (_drv, _) =
-        TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default()).unwrap();
+/// Writes `writes` single sectors one at a time, each committed before the
+/// next, cuts the log disk and recovers with `options`. Returns the log's
+/// track count and the report.
+fn recover_after_sequential_writes(writes: u64, options: RecoveryOptions) -> (u64, RecoveryReport) {
+    let (mut sim, drv, log, data) = boot(1);
+    for i in 0..writes {
+        let done = sim.completion(|_, _| {});
+        let sector = vec![(i % 200 + 1) as u8; SECTOR_SIZE];
+        drv.write(&mut sim, 0, i % 64, sector, done).unwrap();
+        drv.run_until_quiescent(&mut sim);
+    }
     log.power_cut(sim.now());
     log.power_on();
     let mut sim2 = Simulator::new();
     let header = read_header(&mut sim2, &log).unwrap();
-    let report = recover(&mut sim2, &log, &data, &header, RecoveryOptions::default()).unwrap();
+    let report = recover(&mut sim2, &log, &data, &header, options).unwrap();
+    (header.geometry.total_tracks(), report)
+}
+
+#[test]
+fn recovery_with_no_records_is_empty() {
+    // Boot marks the disk dirty, then "crash" before any write.
+    let (_, report) = recover_after_sequential_writes(0, RecoveryOptions::default());
     assert_eq!(report.records_found, 0);
     assert_eq!(report.sectors_replayed, 0);
     assert_eq!(report.tracks_scanned, 1, "empty origin ends the search");
@@ -170,19 +183,18 @@ fn recovery_with_no_records_is_empty() {
 #[test]
 fn driver_start_performs_recovery_automatically() {
     let (ledger, log, data) = run_workload_and_crash(99, SimDuration::from_millis(80), 200);
-    log.power_on();
-    for d in &data {
-        d.power_on();
-    }
     let mut sim = Simulator::new();
     let (drv, boot) =
         TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default()).unwrap();
     let report = boot.recovered.expect("dirty disk must trigger recovery");
     assert!(report.write_back_performed);
-    verify_ledger(&ledger, &data);
+    let bad = ledger
+        .borrow()
+        .check_crashed(|dev, lba| data[dev].peek_sector(lba));
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
     // The recovered driver is fully operational.
     let done = sim.completion(|_, _| {});
-    drv.write(&mut sim, 0, 1, tagged_sector(0xDD), done)
+    drv.write(&mut sim, 0, 1, vec![0xDD; SECTOR_SIZE], done)
         .unwrap();
     drv.run_until_quiescent(&mut sim);
     assert_eq!(data[0].peek_sector(1)[1], 0xDD);
@@ -196,10 +208,6 @@ fn driver_start_performs_recovery_automatically() {
 #[test]
 fn skipping_write_back_is_faster_but_finds_the_same_records() {
     let (_ledger, log, data) = run_workload_and_crash(1234, SimDuration::from_millis(150), 400);
-    log.power_on();
-    for d in &data {
-        d.power_on();
-    }
     // Run both variants against clones of the crashed state.
     let mut sim_a = Simulator::new();
     let header = read_header(&mut sim_a, &log).unwrap();
@@ -227,37 +235,9 @@ fn skipping_write_back_is_faster_but_finds_the_same_records() {
 fn binary_search_scans_logarithmically_many_tracks() {
     // Fill a large share of the log disk, crash, and check the locate
     // stage reads O(lg N) tracks, not O(N).
-    let mut sim = Simulator::new();
-    let log = Disk::new("log", profiles::tiny_test_disk());
-    let data = vec![Disk::new("d", profiles::tiny_test_disk())];
-    format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
-    let (drv, _) =
-        TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default()).unwrap();
-    for i in 0..600u64 {
-        let done = sim.completion(|_, _| {});
-        drv.write(
-            &mut sim,
-            0,
-            i % 64,
-            tagged_sector((i % 200 + 1) as u8),
-            done,
-        )
-        .unwrap();
-        drv.run_until_quiescent(&mut sim);
-    }
-    log.power_cut(sim.now());
-    log.power_on();
-    let mut sim2 = Simulator::new();
-    let header = read_header(&mut sim2, &log).unwrap();
-    let report = recover(
-        &mut sim2,
-        &log,
-        &data,
-        &header,
-        RecoveryOptions { write_back: false },
-    )
-    .unwrap();
-    let n_tracks = header.geometry.total_tracks() - 2;
+    let (tracks, report) =
+        recover_after_sequential_writes(600, RecoveryOptions { write_back: false });
+    let n_tracks = tracks - 2;
     let lg = (n_tracks as f64).log2().ceil() as u64;
     assert!(
         report.tracks_scanned <= lg + 2,
@@ -272,38 +252,9 @@ fn log_head_bounds_the_backward_scan() {
     // With write-back continuously draining, log_head advances, so only a
     // bounded suffix of records is rebuilt after a crash — not the whole
     // history.
-    let mut sim = Simulator::new();
-    let log = Disk::new("log", profiles::tiny_test_disk());
-    let data = vec![Disk::new("d", profiles::tiny_test_disk())];
-    format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
-    let (drv, _) =
-        TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default()).unwrap();
     // Sparse writes: each one commits before the next, so log_head stays
     // right behind the tail.
-    for i in 0..120u64 {
-        let done = sim.completion(|_, _| {});
-        drv.write(
-            &mut sim,
-            0,
-            i % 64,
-            tagged_sector((i % 200 + 1) as u8),
-            done,
-        )
-        .unwrap();
-        drv.run_until_quiescent(&mut sim);
-    }
-    log.power_cut(sim.now());
-    log.power_on();
-    let mut sim2 = Simulator::new();
-    let header = read_header(&mut sim2, &log).unwrap();
-    let report = recover(
-        &mut sim2,
-        &log,
-        &data,
-        &header,
-        RecoveryOptions { write_back: false },
-    )
-    .unwrap();
+    let (_, report) = recover_after_sequential_writes(120, RecoveryOptions { write_back: false });
     assert!(
         report.records_found <= 3,
         "expected a log_head-bounded scan, rebuilt {} of 120 records",
@@ -311,54 +262,50 @@ fn log_head_bounds_the_backward_scan() {
     );
 }
 
+/// One committed write, then a 20-sector write in flight: the simulator,
+/// the ledger and the disks, and the big write's tag. A probe run logs
+/// the log disk's landings from the big write on.
+fn torn_record_setup(probe: bool) -> (Simulator, RefCell<AckLedger>, Disk, Vec<Disk>, u32) {
+    let (mut sim, drv, log, data) = boot(1);
+    let ledger = RefCell::new(AckLedger::default());
+    let (small, sector) = ledger.borrow_mut().submit(0, 5, 1);
+    let done = sim.completion(|_, _| {});
+    drv.write(&mut sim, 0, 5, sector, done).unwrap();
+    drv.run_until_quiescent(&mut sim);
+    ledger.borrow_mut().ack(small);
+    if probe {
+        log.log_landings();
+    }
+    let (big, payload) = ledger.borrow_mut().submit(0, 10, 20);
+    let done = sim.completion(|_, _| {});
+    drv.write(&mut sim, 0, 10, payload, done).unwrap();
+    (sim, ledger, log, data, big)
+}
+
 #[test]
 fn torn_record_is_detected_and_dropped() {
-    // Cut power while a record's payload is mid-transfer. The header
-    // sector lands first, so without the checksum the torn record would
-    // replay garbage; recovery must drop it and fall back to its
-    // predecessor.
+    // Cut power at each landing of a 20-sector record. The header sector
+    // lands first, so without the checksum a torn record would replay
+    // garbage; recovery must drop it and fall back to its predecessor.
+    let (mut sim, _, log, _, _) = torn_record_setup(true);
+    sim.run();
+    let record = log
+        .landings()
+        .into_iter()
+        .find(|cmd| cmd.len() > 20)
+        .expect("the 20-sector write's record");
     let mut found_torn = false;
-    for probe_us in (200..4_000).step_by(150) {
-        let mut sim = Simulator::new();
-        let log = Disk::new("log", profiles::tiny_test_disk());
-        let data = vec![Disk::new("d", profiles::tiny_test_disk())];
-        format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
-        let (drv, _) =
-            TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default())
-                .unwrap();
-        // One committed write, then a large in-flight record to tear.
-        let done = sim.completion(|_, _| {});
-        drv.write(&mut sim, 0, 5, tagged_sector(0x11), done)
-            .unwrap();
-        drv.run_until_quiescent(&mut sim);
-        let start = sim.now();
-        let done = sim.completion(|_, _| {});
-        drv.write(&mut sim, 0, 10, vec![0x22; 20 * SECTOR_SIZE], done)
-            .unwrap();
-        sim.run_until(start + SimDuration::from_micros(probe_us));
-        log.power_cut(sim.now());
-        for d in &data {
-            d.power_cut(sim.now());
-        }
-        log.power_on();
-        for d in &data {
-            d.power_on();
-        }
-        let mut sim2 = Simulator::new();
-        let header = read_header(&mut sim2, &log).unwrap();
-        let report = recover(&mut sim2, &log, &data, &header, RecoveryOptions::default()).unwrap();
-        if report.torn_records_dropped > 0 {
+    for cut in record {
+        let (mut sim, ledger, log, data, big) = torn_record_setup(false);
+        sim.run_until(cut);
+        power_cycle(sim.now(), &log, &data);
+        if recover_and_verify(&ledger, &log, &data) > 0 {
             found_torn = true;
-            // The committed record must still have been recovered.
-            assert_eq!(&data[0].peek_sector(5)[..], &tagged_sector(0x11)[..]);
-            // And the torn record's blocks must NOT contain half-garbage
-            // claiming to be tag 0x22 followed by zeros... the write was
-            // never acknowledged, so any pre-crash content is acceptable;
-            // what is NOT acceptable is a replay of torn payload, which
-            // would show 0x22 in an early sector and 0x00 in a later one
-            // of the same request. Verify no partial replay happened:
-            let replayed: Vec<bool> = (0..20u64)
-                .map(|i| data[0].peek_sector(10 + i)[1] == 0x22)
+            // The write was never acknowledged, so either image of its
+            // blocks is legal per sector; what is not is a partial replay
+            // of the torn payload.
+            let replayed: Vec<bool> = (10..30u64)
+                .map(|lba| tag_of(&data[0].peek_sector(lba), lba) == Some(big))
                 .collect();
             assert!(
                 replayed.iter().all(|&r| !r),
@@ -366,19 +313,12 @@ fn torn_record_is_detected_and_dropped() {
             );
         }
     }
-    assert!(
-        found_torn,
-        "the crash sweep never landed inside a record transfer"
-    );
+    assert!(found_torn, "no landing of the record tore it");
 }
 
 /// The disks of a crashed 60-write workload, powered back on.
 fn crashed_disks() -> (Disk, Vec<Disk>) {
     let (_, log, data) = run_workload_and_crash(5, SimDuration::from_millis(40), 60);
-    log.power_on();
-    for d in &data {
-        d.power_on();
-    }
     (log, data)
 }
 

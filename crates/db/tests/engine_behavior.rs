@@ -2,13 +2,12 @@
 //! crash-recovery story (Trail block recovery + WAL redo).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
 use trail_db::{scan_wal, Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec};
-use trail_disk::{profiles, Disk};
-use trail_sim::{Delivered, DurationHistogram, IoError, SimDuration, Simulator};
+use trail_disk::{cut_instants, profiles, Disk};
+use trail_sim::{Delivered, DurationHistogram, IoError, SimDuration, SimTime, Simulator};
 
 const LOG_DEV: usize = 0;
 const TABLE_DEV: usize = 1;
@@ -290,72 +289,93 @@ fn trail_stack_commits_much_faster_than_standard() {
     );
 }
 
-#[test]
-fn full_stack_crash_recovers_committed_transactions() {
-    // Run on Trail, crash everything mid-run, recover the block layer,
-    // then redo the WAL: every durable transaction must be visible.
-    let (mut sim, db, drv, disks) = trail_setup(FlushPolicy::EveryCommit);
-    let durable: Rc<RefCell<HashMap<u64, u8>>> = Rc::new(RefCell::new(HashMap::new()));
+/// Durable commits of the crash workload: `(key, ack instant)`.
+type Durable = Rc<RefCell<Vec<(u64, SimTime)>>>;
+
+/// `txns` single-row transactions on Trail, one a millisecond: the
+/// simulator, the disks (WAL, tables, Trail log) and the durable commits.
+/// A probe run logs every disk's landings.
+fn crash_workload(txns: u64, probe: bool) -> (Simulator, Vec<Disk>, Durable) {
+    let (mut sim, db, _drv, disks) = trail_setup(FlushPolicy::EveryCommit);
+    if probe {
+        for d in &disks {
+            d.log_landings();
+        }
+    }
+    let durable = Durable::default();
     let t0 = sim.now();
-    for i in 0..60u64 {
+    for i in 0..txns {
         let durable = Rc::clone(&durable);
         let db2 = db.clone();
         sim.schedule_at(t0 + SimDuration::from_millis(i), move |sim| {
-            let durable = Rc::clone(&durable);
             let ctrl = sim.completion(|_, _| {});
-            let dur = sim.completion(move |_, del: Delivered<TxnResult>| {
+            let dur = sim.completion(move |sim: &mut Simulator, del: Delivered<TxnResult>| {
                 if del.is_ok() {
-                    durable.borrow_mut().insert(i, (i % 250) as u8 + 1);
+                    durable.borrow_mut().push((i, sim.now()));
                 }
             });
             db2.execute(sim, put_txn(0, i, (i % 250) as u8 + 1, 120), ctrl, dur)
                 .unwrap();
         });
     }
-    sim.run_until(t0 + SimDuration::from_millis(31));
-    for d in &disks {
-        d.power_cut(sim.now());
-    }
-    let durable = durable.borrow().clone();
-    assert!(!durable.is_empty(), "some txns must be durable pre-crash");
-    assert!(durable.len() < 60, "crash must interrupt the run");
-    drop(db);
-    drop(drv);
+    (sim, disks, durable)
+}
 
-    // Power back on; Trail recovery runs inside TrailDriver::start.
-    for d in &disks {
-        d.power_on();
+#[test]
+fn full_stack_crash_recovers_committed_transactions() {
+    // Run on Trail and cut power to everything at every landing of the
+    // three disks and one nanosecond either side of every durable commit;
+    // recover the block layer, then redo the WAL: every durable
+    // transaction must be visible.
+    const TXNS: u64 = 60;
+    let (mut probe, disks, durable) = crash_workload(TXNS, true);
+    probe.run();
+    assert_eq!(durable.borrow().len(), TXNS as usize);
+    let landings: Vec<SimTime> = disks.iter().flat_map(Disk::landings).flatten().collect();
+    let acks: Vec<SimTime> = durable.borrow().iter().map(|&(_, at)| at).collect();
+    let cuts = cut_instants(&landings, &acks);
+    let mut durable_at_cut = Vec::new();
+    for cut in cuts {
+        let (mut sim, disks, durable) = crash_workload(TXNS, false);
+        sim.run_until(cut);
+        // Power back on; Trail recovery runs inside TrailDriver::start.
+        for d in &disks {
+            d.power_cut(sim.now());
+            d.power_on();
+        }
+        let mut sim2 = Simulator::new();
+        let data = vec![disks[0].clone(), disks[1].clone()];
+        let (drv2, boot) =
+            TrailDriver::start(&mut sim2, disks[2].clone(), data, TrailConfig::default()).unwrap();
+        assert!(boot.recovered.is_some(), "dirty Trail disk must recover");
+        // WAL redo on top, with the structured report.
+        let (image, report) = trail_db::recover_committed(
+            &mut sim2,
+            &drv2,
+            LOG_DEV,
+            LOG_REGION_START,
+            LOG_REGION_SECTORS,
+        )
+        .unwrap();
+        let durable = durable.borrow();
+        assert!(report.committed_txns >= durable.len());
+        assert_eq!(report.rows_applied, image.len());
+        assert!(report.scan_time > SimDuration::ZERO, "scan I/O is timed");
+        assert!(durable.is_empty() || report.chunks_scanned > 0);
+        for &(key, _) in durable.iter() {
+            let got = image
+                .get(&(0u8, key))
+                .unwrap_or_else(|| panic!("cut at {cut}: durable txn for key {key} missing"));
+            let tag = (key % 250) as u8 + 1;
+            assert_eq!(got.as_deref(), Some(&vec![tag; 120][..]), "row {key}");
+        }
+        durable_at_cut.push(durable.len());
     }
-    let mut sim2 = Simulator::new();
-    let trail_log = disks[2].clone();
-    let data = vec![disks[0].clone(), disks[1].clone()];
-    let (drv2, boot) =
-        TrailDriver::start(&mut sim2, trail_log, data, TrailConfig::default()).unwrap();
-    assert!(boot.recovered.is_some(), "dirty Trail disk must recover");
-    let stack = drv2;
-    // WAL redo on top, with the structured report.
-    let (image, report) = trail_db::recover_committed(
-        &mut sim2,
-        &stack,
-        LOG_DEV,
-        LOG_REGION_START,
-        LOG_REGION_SECTORS,
-    )
-    .unwrap();
-    assert!(report.chunks_scanned > 0, "redo must have scanned the log");
-    assert!(report.committed_txns >= durable.len());
-    assert_eq!(report.rows_applied, image.len());
-    assert!(report.scan_time > SimDuration::ZERO, "scan I/O is timed");
-    for (&key, &tag) in &durable {
-        let got = image
-            .get(&(0u8, key))
-            .unwrap_or_else(|| panic!("durable txn for key {key} missing after recovery"));
-        assert_eq!(
-            got.as_deref(),
-            Some(&vec![tag; 120][..]),
-            "row {key} has wrong contents"
-        );
-    }
+    let mid_run = |&n: &usize| n > 0 && n < TXNS as usize;
+    assert!(
+        durable_at_cut.contains(&0) && durable_at_cut.iter().any(mid_run),
+        "the cuts span the run: {durable_at_cut:?}"
+    );
 }
 
 #[test]

@@ -217,6 +217,8 @@ struct DiskInner {
     failed: bool,
     power_epoch: u64,
     in_flight: Option<StagedWrite>,
+    // When each sector of each write lands, once `log_landings` asked.
+    landings: Option<Vec<Vec<SimTime>>>,
     // Armed transient-fault charges (see `inject_transient_errors` /
     // `inject_latency_spike`); each affected command consumes one.
     transient_errors: u32,
@@ -277,6 +279,7 @@ impl Disk {
                 failed: false,
                 power_epoch: 0,
                 in_flight: None,
+                landings: None,
                 transient_errors: 0,
                 spike_extra: SimDuration::ZERO,
                 spike_count: 0,
@@ -464,6 +467,9 @@ impl Disk {
             // them out of the command and the plan — no copies on the happy
             // path. (`count` keeps the transfer length for telemetry.)
             if let DiskCommand::Write { lba, data } = cmd {
+                if let Some(log) = &mut d.landings {
+                    log.push(plan.sector_done.clone());
+                }
                 debug_assert!(d.in_flight.is_none(), "one command in flight at a time");
                 d.in_flight = Some(StagedWrite {
                     lba,
@@ -630,6 +636,19 @@ impl Disk {
             disk: self.clone(),
             role,
         })
+    }
+
+    /// Starts logging when each sector of every later write lands, for
+    /// [`cut_instants`](crate::cut_instants). Absent and free until then.
+    pub fn log_landings(&self) {
+        let mut d = self.inner.borrow_mut();
+        d.landings.get_or_insert_with(Vec::new);
+    }
+
+    /// The logged landing instants, one list per write in submission order.
+    /// They are planned at submission: a cut write lists them all.
+    pub fn landings(&self) -> Vec<Vec<SimTime>> {
+        self.inner.borrow().landings.clone().unwrap_or_default()
     }
 
     /// Restores power. The arm recalibrates to cylinder 0, surface 0; the
@@ -993,19 +1012,15 @@ mod tests {
             }
             let token = sim.completion(|_, _: Delivered<DiskResult>| {});
             let data = write_buf(0x99, 8);
+            disk.log_landings();
             disk.submit(&mut sim, DiskCommand::Write { lba: 0, data }, token)
                 .unwrap();
-            let mech = disk.mechanics();
-            let g = disk.geometry();
-            let t0 = SimTime::ZERO + mech.overhead(CommandKind::Write, false);
-            let rot = mech.time_until_angle(t0, g.sector_angle(0, 0));
             // Exactly when sector k - 1 lands (`sector_done <= now`
             // persists it); one nanosecond short of sector 0 for k = 0.
-            let landed = t0 + rot + mech.sector_time(g.spt_of_track(0)) * k;
-            let cut = if k == 0 {
-                landed + mech.sector_time(g.spt_of_track(0)) - SimDuration::from_nanos(1)
-            } else {
-                landed
+            let landings = &disk.landings()[0];
+            let cut = match k {
+                0 => landings[0] - SimDuration::from_nanos(1),
+                k => landings[k as usize - 1],
             };
             sim.run_until(cut);
             disk.power_cut(sim.now());

@@ -16,7 +16,10 @@
 //! - [`PayloadBuf`]: the immutable, shareable buffer a write's bytes
 //!   travel in, from the layer that accepts them to the medium;
 //! - [`profiles`]: drive profiles calibrated to the paper's testbed
-//!   (Seagate ST41601N log disk, WD Caviar data disks).
+//!   (Seagate ST41601N log disk, WD Caviar data disks);
+//! - [`crash`]: the crash oracle every layer above checks power cuts
+//!   with — tagged sector images, the [`AckLedger`], and the cut
+//!   instants a probe run's [`Disk::log_landings`] enumerates.
 //!
 //! # Examples
 //!
@@ -43,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod crash;
 mod device;
 mod geometry;
 mod mechanics;
@@ -50,6 +54,7 @@ mod payload;
 pub mod profiles;
 mod store;
 
+pub use crash::{cut_instants, AckLedger};
 pub use device::{Disk, DiskCommand, DiskError, DiskResult, DiskRole, DiskStats, MediumStats};
 pub use geometry::{Chs, DiskGeometry, Lba, TrackRun, Zone, SECTOR_SIZE};
 pub use mechanics::{

@@ -4,87 +4,60 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::Rng;
+use trail::disk::AckLedger;
 use trail::prelude::*;
 
-/// Observer sink: records that the system-wide power cut fired so the
-/// workload stops submitting. Returns `false` — the per-disk sinks own
-/// the actual cut.
-struct CrashFlag(Rc<Cell<bool>>);
-
-impl FaultSink for CrashFlag {
-    fn apply(&self, _sim: &mut Simulator, fault: &Fault) -> bool {
-        if matches!(fault.kind, FaultKind::PowerCut) {
-            self.0.set(true);
-        }
-        false
-    }
-}
-
 fn main() -> Result<(), TrailError> {
-    let mut sim = Simulator::new();
-    let log = Disk::new("log", profiles::seagate_st41601n());
-    let data: Vec<Disk> = (0..2)
-        .map(|i| Disk::new(format!("data{i}"), profiles::wd_caviar_10gb()))
-        .collect();
-    format_log_disk(&mut sim, &log, FormatOptions::default())?;
-    let (trail, _) =
-        TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default())?;
-
-    // The fault plane: every disk registers a sink on one clock, and a
-    // declarative plan cuts the whole system 120 ms into the workload.
+    // The paper's drives over two data disks, every disk registered on the
+    // stack's fault clock, and a declarative plan that cuts the whole
+    // system 120 ms into the workload.
     let cut_after = SimDuration::from_millis(120);
-    let clock = FaultClock::new();
-    clock.register(log.fault_sink(DiskRole::Log(0)));
-    for (i, d) in data.iter().enumerate() {
-        clock.register(d.fault_sink(DiskRole::Data(i)));
-    }
-    let crashed = Rc::new(Cell::new(false));
-    clock.register(Rc::new(CrashFlag(Rc::clone(&crashed))));
     let plan = FaultPlan::power_cut_at(cut_after);
     println!("armed fault plan: {}", plan.encode());
-    clock.arm(&mut sim, &plan);
+    let built = StackBuilder::new().data_disks(2).faults(plan).build()?;
+    let (mut sim, clock, data) = (built.sim, built.fault_clock, built.data_disks);
+    let trail = built.trail.expect("the default stack runs Trail");
+    let log = built.log_disk.expect("Trail has a log disk");
 
-    // A bursty random write workload; remember what was acknowledged.
-    // Each write targets a distinct block so that "acknowledged implies
-    // recovered exactly" can be asserted byte for byte. After the cut
-    // the arrival events keep firing but stop submitting.
-    let acked: Rc<RefCell<HashMap<(usize, u64), u8>>> = Rc::new(RefCell::new(HashMap::new()));
+    // A bursty random write workload; the ledger remembers what was
+    // submitted and acknowledged. After the cut the arrival events keep
+    // firing but stop submitting.
+    let ledger = Rc::new(RefCell::new(AckLedger::default()));
     let mut rng = trail_sim::rng(2002);
     let start = sim.now();
     for i in 0..400u64 {
         let dev = rng.gen_range(0..2usize);
         let lba = 10_000 + i;
-        let tag = (i % 251 + 1) as u8;
-        let acked = Rc::clone(&acked);
+        let ledger = Rc::clone(&ledger);
         let trail2 = trail.clone();
-        let crashed2 = Rc::clone(&crashed);
+        let clock2 = clock.clone();
         sim.schedule_at(start + SimDuration::from_micros(i * 500), move |sim| {
-            if crashed2.get() {
+            if clock2.fired() > 0 {
                 return;
             }
+            let (tag, sector) = ledger.borrow_mut().submit(dev, lba, 1);
             let done = sim.completion(move |_, del: Delivered<IoDone>| {
                 if del.is_ok() {
-                    acked.borrow_mut().insert((dev, lba), tag);
+                    ledger.borrow_mut().ack(tag);
                 }
             });
             trail2
-                .write(sim, dev, lba, vec![tag; SECTOR_SIZE], done)
+                .write(sim, dev, lba, sector, done)
                 .expect("write accepted");
         });
     }
 
     // Lights out mid-workload; drain so every arrival has fired.
     sim.run();
-    assert!(crashed.get(), "the armed power cut must have fired");
+    assert_eq!(clock.fired(), 1, "the armed power cut must have fired");
     println!(
         "power failed at {} with {} writes acknowledged, {} blocks still pending write-back",
         start + cut_after,
-        acked.borrow().len(),
+        ledger.borrow().acked(),
         trail.pinned_blocks()
     );
     drop(trail);
@@ -116,16 +89,18 @@ fn main() -> Result<(), TrailError> {
     );
 
     // Every acknowledged write must now be on its data disk.
-    let mut verified = 0;
-    for (&(dev, lba), &tag) in acked.borrow().iter() {
-        let sector = data[dev].peek_sector(lba);
-        assert_eq!(
-            sector[1], tag,
-            "acknowledged write to dev {dev} lba {lba} lost!"
-        );
-        verified += 1;
-    }
-    println!("\nverified {verified} acknowledged writes survived the crash");
+    let lost = ledger
+        .borrow()
+        .check_crashed(|dev, lba| data[dev].peek_sector(lba));
+    assert!(
+        lost.is_empty(),
+        "acknowledged writes lost:\n{}",
+        lost.join("\n")
+    );
+    println!(
+        "\nverified {} acknowledged writes survived the crash",
+        ledger.borrow().acked()
+    );
     trail.shutdown(&mut sim2)?;
     Ok(())
 }

@@ -3,21 +3,12 @@
 //! failure**, end to end through the full stack.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use proptest::prelude::*;
 use rand::Rng;
+use trail::disk::AckLedger;
 use trail::prelude::*;
-
-/// What write `tag` puts in sector `lba`: a misplaced sector of the right
-/// write does not pass for the right one.
-fn sector_image(tag: u8, lba: u64) -> Vec<u8> {
-    let mut sector = vec![tag; SECTOR_SIZE];
-    sector[0] = tag ^ 0xA5;
-    sector[1] = lba as u8;
-    sector
-}
 
 /// Runs a random workload on tiny disks, crashes at `crash_ms`, recovers,
 /// and checks the ledger. Returns an error message on violation.
@@ -41,14 +32,10 @@ fn crash_round_trip(
         TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default())
             .map_err(|e| e.to_string())?;
 
-    // Ledger, per sector: the tags written there in submission order (the
-    // log's order, so the acknowledged ones are in acknowledgement order),
-    // and the last acknowledged tag. Extents of 1-8 sectors at any LBA
-    // overlap each other partially, so recovery's oldest-first replay of
-    // overlapping records is what the check below exercises.
-    type Ledger<T> = Rc<RefCell<HashMap<(usize, u64), T>>>;
-    let writes: Ledger<Vec<u8>> = Rc::default();
-    let acked: Ledger<u8> = Rc::default();
+    // Extents of 1-8 sectors at any LBA overlap each other partially, so
+    // recovery's oldest-first replay of overlapping records is what the
+    // ledger's check below exercises.
+    let ledger = Rc::new(RefCell::new(AckLedger::default()));
     let mut rng = trail_sim::rng(seed);
     let t0 = sim.now();
     let clock = FaultClock::new();
@@ -59,26 +46,18 @@ fn crash_round_trip(
             .map_err(|e| format!("{e:?}"))?;
         clock.arm(&mut sim, &plan);
     }
-    for i in 0..n_writes {
+    for _ in 0..n_writes {
         let dev = rng.gen_range(0..2usize);
         let sectors = rng.gen_range(1..=8u64);
         let lba = rng.gen_range(0..=48 - sectors);
-        let tag = (i % 251 + 1) as u8;
-        let (writes, acked) = (Rc::clone(&writes), Rc::clone(&acked));
+        let ledger = Rc::clone(&ledger);
         let trail2 = trail.clone();
         let when = t0 + SimDuration::from_micros(rng.gen_range(0..(n_writes as u64 * 400)));
         sim.schedule_at(when.max(sim.now()), move |sim| {
-            let buf: Vec<u8> = (lba..lba + sectors)
-                .flat_map(|s| {
-                    writes.borrow_mut().entry((dev, s)).or_default().push(tag);
-                    sector_image(tag, s)
-                })
-                .collect();
+            let (tag, buf) = ledger.borrow_mut().submit(dev, lba, sectors);
             let done = sim.completion(move |_, del: Delivered<IoDone>| {
                 if del.is_ok() {
-                    for s in lba..lba + sectors {
-                        acked.borrow_mut().insert((dev, s), tag);
-                    }
+                    ledger.borrow_mut().ack(tag);
                 }
             });
             trail2
@@ -87,16 +66,11 @@ fn crash_round_trip(
         });
     }
     sim.run_until(t0 + SimDuration::from_millis(crash_ms));
-    log.power_cut(sim.now());
-    for d in &data {
+    for d in data.iter().chain([&log]) {
         d.power_cut(sim.now());
-    }
-    drop(trail);
-
-    log.power_on();
-    for d in &data {
         d.power_on();
     }
+    drop(trail);
     let mut sim2 = Simulator::new();
     // Recovery passes a transient error on rather than retrying it, so the
     // charges the workload left unspent are spent here first.
@@ -117,24 +91,14 @@ fn crash_round_trip(
         return Err("dirty disk must trigger recovery".into());
     }
 
-    for (&(dev, lba), &acked_tag) in acked.borrow().iter() {
-        let history = &writes.borrow()[&(dev, lba)];
-        let pos = history
-            .iter()
-            .rposition(|&t| t == acked_tag)
-            .expect("acked tag was issued");
-        let on_disk = data[dev].peek_sector(lba);
-        let ok = history[pos..]
-            .iter()
-            .any(|&t| on_disk[..] == sector_image(t, lba)[..]);
-        if !ok {
-            return Err(format!(
-                "dev {dev} lba {lba}: acked tag {acked_tag}, disk holds {:?}",
-                &on_disk[..3]
-            ));
-        }
+    let bad = ledger
+        .borrow()
+        .check_crashed(|dev, lba| data[dev].peek_sector(lba));
+    if bad.is_empty() {
+        Ok(())
+    } else {
+        Err(bad.join("\n"))
     }
-    Ok(())
 }
 
 proptest! {

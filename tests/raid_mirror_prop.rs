@@ -6,12 +6,12 @@
 //! the cut converges.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use proptest::prelude::*;
 use rand::Rng;
 use trail::blockio::SharedBlockDevice;
+use trail::disk::AckLedger;
 use trail::prelude::*;
 
 fn mirror_target(disks: &[Disk]) -> (RaidVolume, SharedBlockDevice) {
@@ -46,22 +46,19 @@ fn mirror_crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<
     )
     .map_err(|e| e.to_string())?;
 
-    let acked: Rc<RefCell<HashMap<u64, u8>>> = Rc::new(RefCell::new(HashMap::new()));
-    let history: Rc<RefCell<HashMap<u64, Vec<u8>>>> = Rc::new(RefCell::new(HashMap::new()));
+    let ledger = Rc::new(RefCell::new(AckLedger::default()));
     let mut rng = trail_sim::rng(seed);
     let t0 = sim.now();
-    for i in 0..n_writes {
+    for _ in 0..n_writes {
         let lba = rng.gen_range(0..48u64);
-        let tag = (i % 251 + 1) as u8;
-        history.borrow_mut().entry(lba).or_default().push(tag);
-        let acked = Rc::clone(&acked);
+        let ledger = Rc::clone(&ledger);
         let trail2 = trail.clone();
         let when = t0 + SimDuration::from_micros(rng.gen_range(0..(n_writes as u64 * 400)));
         sim.schedule_at(when.max(sim.now()), move |sim| {
-            let buf = vec![tag; SECTOR_SIZE];
+            let (tag, buf) = ledger.borrow_mut().submit(0, lba, 1);
             let done = sim.completion(move |_, del: Delivered<IoDone>| {
                 if del.is_ok() {
-                    acked.borrow_mut().insert(lba, tag);
+                    ledger.borrow_mut().ack(tag);
                 }
             });
             trail2
@@ -70,17 +67,12 @@ fn mirror_crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<
         });
     }
     sim.run_until(t0 + SimDuration::from_millis(crash_ms));
-    log.power_cut(sim.now());
-    for m in &members {
-        m.power_cut(sim.now());
+    for d in members.iter().chain([&log]) {
+        d.power_cut(sim.now());
+        d.power_on();
     }
     drop(trail);
     drop(vol);
-
-    log.power_on();
-    for m in &members {
-        m.power_on();
-    }
     let mut sim2 = Simulator::new();
     let (vol2, target2) = mirror_target(&members);
     let (_trail2, boot) =
@@ -92,23 +84,12 @@ fn mirror_crash_round_trip(seed: u64, crash_ms: u64, n_writes: usize) -> Result<
 
     // Every acknowledged write (or a later one to the same block) must
     // be present — checked on each mirror independently.
-    for (&lba, &acked_tag) in acked.borrow().iter() {
-        let history = &history.borrow()[&lba];
-        let pos = history
-            .iter()
-            .position(|&t| t == acked_tag)
-            .expect("acked tag was issued");
-        for (m, disk) in members.iter().enumerate() {
-            let on_disk = disk.peek_sector(lba);
-            let ok = history[pos..]
-                .iter()
-                .any(|&t| on_disk[..] == [t; SECTOR_SIZE][..]);
-            if !ok {
-                return Err(format!(
-                    "mirror {m} lba {lba}: acked tag {acked_tag}, holds {:?}",
-                    &on_disk[..3]
-                ));
-            }
+    for (m, disk) in members.iter().enumerate() {
+        let bad = ledger
+            .borrow()
+            .check_crashed(|_, lba| disk.peek_sector(lba));
+        if !bad.is_empty() {
+            return Err(format!("mirror {m}: {}", bad.join("\n")));
         }
     }
 
