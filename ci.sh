@@ -126,12 +126,14 @@ awk 'BEGIN { RS = "[{]\"target\":" } NR > 1 {
 read_speedup="$(grep -o '"small_read_speedup":[0-9.]*' "$raid_json" | grep -o '[0-9.]*$' || true)"
 [ -n "$read_speedup" ] && awk -v s="$read_speedup" 'BEGIN { exit !(s >= 10) }' \
   || { echo "RAID-5 small_read_speedup '${read_speedup}' missing or below 10" >&2; exit 1; }
-# The §5.1 micro runs at full size: with the calibrated head-switch and
-# cylinder-crossing leads, no repositioning read waits out a revolution,
-# sparse or clustered (the miss ledger counts each lost one).
+# The §5.1 micro runs at full size: with the four calibrated leads, no
+# record write and no repositioning read waits out a revolution, sparse or
+# clustered (the miss ledger counts each lost one; a lead that is too
+# tight fails exactly this way).
 micro_json="$full_dir/BENCH_micro.json"
 awk 'BEGIN { RS = "[{]\"run\":" } NR > 1 {
   rows++
+  if ($0 !~ /"lost_record_writes":0,/) { print "micro ledger row " rows " lost a record-write revolution"; bad = 1 }
   if ($0 !~ /"lost_reposition_reads":0,/) { print "micro ledger row " rows " lost a reposition revolution"; bad = 1 }
 } END { exit bad || rows == 0 }' "$micro_json" >&2 \
   || { echo "BENCH_micro.json fails its ledger check" >&2; exit 1; }
@@ -165,6 +167,16 @@ if grep -rn --include='*.rs' \
     'FailMember\|fail_member:\|to_binary_v1\|to_binary_v2' \
     crates/trace crates/bench src examples; then
   echo "found an ad-hoc fault hook or an old trace-format encoder" >&2
+  exit 1
+fi
+
+echo "== prediction gate =="
+# HeadPredictor::predict_on_track is the one prediction function, aiming
+# by calibrated leads (durations) from the head's exact angle; the floored
+# same-track formula and the sector-count δ margin it replaced must not
+# come back beside it.
+if grep -rnE --include='*.rs' 'predict_same_track|DELTA_SAFETY_MARGIN' crates src tests examples; then
+  echo "found the retired same-track formula or δ margin" >&2
   exit 1
 fi
 

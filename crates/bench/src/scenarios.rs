@@ -20,7 +20,7 @@ use std::rc::Rc;
 use rand::Rng;
 use trail_core::{
     format_log_disk, read_header, recover, FormatOptions, LogRouting, MissTally, MultiTrail,
-    RecoveryOptions, TrailConfig, TrailDriver, TrailStats,
+    RecoveryOptions, TrailConfig, TrailDriver, TrailStats, CALIBRATION_TRACK,
 };
 use trail_db::{FlushPolicy, StorageService};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
@@ -587,11 +587,11 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
         rotation.as_millis_f64(),
         rotation.as_millis_f64() / 2.0
     );
-    let cal = calibrate_delta(&mut sim, &disk, 0).expect("delta calibration");
+    let cal = calibrate_delta(&mut sim, &disk, 0, rotation).expect("delta calibration");
     let _ = writeln!(
         report,
-        "delta calibration: minimal {} sectors, recommended {} (paper: < 15 on this drive)",
-        cal.minimal, cal.recommended
+        "delta calibration: minimal {} sectors (paper: < 15 on this drive)",
+        cal.minimal
     );
     let mut near_minimal = Table::new(vec![
         Column::md("delta", Fmt::Plain),
@@ -605,16 +605,23 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
         near_minimal.push(row![s.delta, s.latency.as_millis_f64()]);
     }
     report += &near_minimal.markdown();
-    let overhead = estimate_write_overhead(&mut sim, &disk, 3, 90).expect("overhead probe");
+    let overhead = estimate_write_overhead(&mut sim, &disk, 3, rotation).expect("overhead probe");
     let _ = writeln!(
         report,
         "fixed write overhead estimate: {:.3} ms (paper: ~1.3 ms hardware-related)",
         overhead.as_millis_f64()
     );
-    let leads = calibrate_track_leads(&mut sim, &disk, rotation).expect("track-lead calibration");
+    let leads = calibrate_track_leads(&mut sim, &disk, CALIBRATION_TRACK, rotation)
+        .expect("track-lead calibration");
     let _ = writeln!(
         report,
-        "reposition leads: head switch {:.3} ms, cylinder crossing {:.3} ms (read overhead + move + one sector)",
+        "write leads: after a read {:.3} ms, after a write {:.3} ms (write overhead [+ write-after-write] + sweep rounding + one sector)",
+        leads.after_read.as_millis_f64(),
+        leads.after_write.as_millis_f64()
+    );
+    let _ = writeln!(
+        report,
+        "reposition leads: head switch {:.3} ms, cylinder crossing {:.3} ms (read overhead + move + sweep rounding + one sector)",
         leads.switch.as_millis_f64(),
         leads.crossing.as_millis_f64()
     );
@@ -711,6 +718,14 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
             (
                 "write_overhead_ms",
                 JsonValue::Num(overhead.as_millis_f64()),
+            ),
+            (
+                "after_read_lead_ms",
+                JsonValue::Num(leads.after_read.as_millis_f64()),
+            ),
+            (
+                "after_write_lead_ms",
+                JsonValue::Num(leads.after_write.as_millis_f64()),
             ),
             (
                 "switch_lead_ms",
@@ -923,31 +938,38 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
     let delta_n = if cfg.quick { 40 } else { 150 };
     let _ = writeln!(
         report,
-        "== Ablation 3 — prediction offset delta (calibrated vs. detuned) =="
+        "== Ablation 3 — same-track lead delta (calibrated vs. detuned) =="
     );
     let mut sim = Simulator::new();
     let probe_disk = Disk::new("probe", profiles::seagate_st41601n());
-    let cal = calibrate_delta(&mut sim, &probe_disk, 0).expect("calibration");
+    let rotation = measure_rotation_period(&mut sim, &probe_disk, 3).expect("rotation probe");
+    let leads = calibrate_track_leads(&mut sim, &probe_disk, CALIBRATION_TRACK, rotation)
+        .expect("calibration");
+    let spt = probe_disk.geometry().spt_of_track(CALIBRATION_TRACK);
+    let sectors =
+        |lead: SimDuration| (lead.as_nanos() * u64::from(spt)).div_ceil(rotation.as_nanos()) as u32;
+    let (after_read, calibrated) = (sectors(leads.after_read), sectors(leads.after_write));
     let _ = writeln!(
         report,
-        "(calibrated minimal = {}, recommended = {})",
-        cal.minimal, cal.recommended
+        "(calibrated leads: {after_read} sectors after a read, {calibrated} after a write; \
+         each row sets both to its delta)"
     );
     let mut deltas = Table::new(vec![
-        Column::both("delta", "delta", Fmt::Plain),
+        Column::both("delta (sectors)", "delta", Fmt::Plain),
         Column::both("sparse mean latency (ms)", "sparse_mean_ms", Fmt::Fixed(3)),
     ]);
     let candidates = [
-        cal.minimal.saturating_sub(4),
-        cal.minimal.saturating_sub(2),
-        cal.minimal,
-        cal.recommended,
-        cal.recommended + 4,
-        cal.recommended + 12,
+        calibrated - 6,
+        calibrated - 3,
+        calibrated - 2,
+        calibrated,
+        calibrated + 4,
+        calibrated + 12,
     ];
+    let mut means = Vec::new();
     for &delta in &candidates {
         // The one stack built by hand: `StackBuilder` formats with the
-        // calibrated delta, and overriding it is this ablation's point.
+        // calibrated leads, and overriding them is this ablation's point.
         let mut sim = Simulator::new();
         let log = Disk::new("log", profiles::seagate_st41601n());
         let data = Disk::new("data", profiles::wd_caviar_10gb());
@@ -977,10 +999,15 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             trail.run_until_quiescent(&mut sim);
             sim.run_for(SimDuration::from_millis(4));
         }
-        deltas.push(row![delta, lat.borrow().mean().as_millis_f64()]);
+        let mean = lat.borrow().mean().as_millis_f64();
+        means.push(mean);
+        deltas.push(row![delta, mean]);
     }
     report += &deltas.markdown();
     json.push(("delta_sensitivity", deltas.json()));
+    // What a lead short of the write's overhead costs: the lowest row over
+    // the calibrated one.
+    json.push(("delta_cliff", JsonValue::Num(means[0] / means[3])));
     let _ = writeln!(report);
 
     // --- 4: batch cap ---------------------------------------------------

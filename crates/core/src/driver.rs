@@ -453,12 +453,7 @@ impl TrailDriver {
                 "data target too large for the on-disk u32 LBA format"
             );
         }
-        let predictor = HeadPredictor::new(
-            geometry.clone(),
-            header.rotation_period,
-            header.delta,
-            header.leads,
-        );
+        let predictor = HeadPredictor::new(geometry.clone(), header.rotation_period, header.leads);
         let lifecycle = LifecycleEmitter::new(Layer::Core, log_disk.name());
         let driver = TrailDriver {
             inner: Rc::new(RefCell::new(Inner {
@@ -504,7 +499,8 @@ impl TrailDriver {
             DiskCommand::Read { lba, count: 1 },
         )?;
         let mut d = self.inner.borrow_mut();
-        d.predictor.set_reference(res.completed, lba);
+        d.predictor
+            .set_reference(res.completed, lba, CommandKind::Read);
         let spt = d.geometry.spt_of_track(track);
         d.current = Some(CurrentTrack::new(track, spt));
         Ok(())
@@ -868,16 +864,17 @@ impl TrailDriver {
         };
         let track = cur.track;
         let first_lba = d.geometry.track_first_lba(track);
-        let pred_lba = d
-            .predictor
-            .predict_same_track(now)
-            .expect("driver always holds a reference point");
         debug_assert_eq!(
-            d.geometry.track_of_lba(pred_lba),
+            d.predictor
+                .reference()
+                .and_then(|r| d.geometry.track_of_lba(r.lba)),
             Some(track),
             "reference point must live on the current track"
         );
-        let pred_sector = (pred_lba - first_lba) as u32;
+        let (pred_sector, _) = d
+            .predictor
+            .predict_on_track(track, now)
+            .expect("driver always holds a reference point");
         let first_need = 1 + d.log_queue.front().expect("queue nonempty").sectors();
         let Some(s) = d
             .current
@@ -964,7 +961,8 @@ impl TrailDriver {
             let mut d = self.inner.borrow_mut();
             let last_lba = d.geometry.track_first_lba(ctx.track)
                 + u64::from(ctx.header_sector + ctx.total_sectors);
-            d.predictor.set_reference(completed, last_lba);
+            d.predictor
+                .set_reference(completed, last_lba, CommandKind::Write);
             let cur = d.current.as_mut().expect("record written to current track");
             debug_assert_eq!(cur.track, ctx.track);
             cur.mark_used(ctx.header_sector, ctx.total_sectors + 1);
@@ -1156,7 +1154,7 @@ impl TrailDriver {
                 let (at, lba) = res
                     .as_ref()
                     .map_or((sim.now(), first), |r| (r.completed, r.lba));
-                d.predictor.set_reference(at, lba);
+                d.predictor.set_reference(at, lba, CommandKind::Read);
                 let spt = d.geometry.spt_of_track(next);
                 d.current = Some(CurrentTrack::new(next, spt));
                 if let Some(res) = &res {
@@ -1212,9 +1210,10 @@ impl TrailDriver {
     fn refresh_reference(&self, sim: &mut Simulator) {
         let (target, log_disk) = {
             let mut d = self.inner.borrow_mut();
-            let pred = d
+            let track = d.current.as_ref().expect("checked by the timer").track;
+            let (_, pred) = d
                 .predictor
-                .predict_same_track(sim.now())
+                .predict_on_track(track, sim.now())
                 .expect("driver always holds a reference point");
             d.log_busy = true;
             (pred, d.log_disk.clone())
@@ -1227,7 +1226,8 @@ impl TrailDriver {
                 Err(_) => {}
                 Ok(res) => {
                     let mut d = driver.inner.borrow_mut();
-                    d.predictor.set_reference(res.completed, res.lba);
+                    d.predictor
+                        .set_reference(res.completed, res.lba, CommandKind::Read);
                     d.stats.idle_refreshes += 1;
                     if d.lost_revolution(&res.breakdown) {
                         d.stats.lost_revolutions.idle_refreshes += 1;

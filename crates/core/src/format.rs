@@ -53,9 +53,9 @@ pub const NO_PREV_SECT: u32 = u32::MAX;
 
 const HEADER_FIXED_LEN: usize = 49;
 const ENTRY_LEN: usize = 11;
-/// Where the log-disk header's zone table starts: after the two cross-track
-/// leads at bytes 45..61.
-const DISK_HEADER_FIXED_LEN: usize = 61;
+/// Where the log-disk header's zone table starts: after the four leads at
+/// bytes 41..73.
+const DISK_HEADER_FIXED_LEN: usize = 73;
 
 /// The payload checksum of a write record: four independent 64-bit
 /// multiply-rotate lanes over the payload's little-endian words, folded to
@@ -148,9 +148,9 @@ pub struct LogDiskHeader {
     pub clean: bool,
     /// Probed spindle rotation period.
     pub rotation_period: SimDuration,
-    /// Calibrated prediction offset δ, in sectors.
-    pub delta: u32,
-    /// Calibrated cross-track leads a repositioning read aims ahead by.
+    /// Calibrated leads the driver aims ahead of the head by: on the
+    /// reference's own track (the paper's δ, as a duration) and across a
+    /// head switch or a cylinder crossing.
     pub leads: TrackLeads,
     /// The drive's physical geometry ("stored right next to the global
     /// disk header").
@@ -174,13 +174,17 @@ impl LogDiskHeader {
         b[8..16].copy_from_slice(&self.epoch.to_le_bytes());
         b[16] = u8::from(self.clean);
         b[17..25].copy_from_slice(&self.rotation_period.as_nanos().to_le_bytes());
-        b[25..29].copy_from_slice(&self.delta.to_le_bytes());
-        b[29..33].copy_from_slice(&self.geometry.heads().to_le_bytes());
-        b[33..37].copy_from_slice(&self.geometry.track_skew().to_le_bytes());
-        b[37..41].copy_from_slice(&self.geometry.cyl_skew().to_le_bytes());
-        b[41..45].copy_from_slice(&(zones.len() as u32).to_le_bytes());
-        b[45..53].copy_from_slice(&self.leads.switch.as_nanos().to_le_bytes());
-        b[53..61].copy_from_slice(&self.leads.crossing.as_nanos().to_le_bytes());
+        b[25..29].copy_from_slice(&self.geometry.heads().to_le_bytes());
+        b[29..33].copy_from_slice(&self.geometry.track_skew().to_le_bytes());
+        b[33..37].copy_from_slice(&self.geometry.cyl_skew().to_le_bytes());
+        b[37..41].copy_from_slice(&(zones.len() as u32).to_le_bytes());
+        let l = &self.leads;
+        for (i, lead) in [l.after_read, l.after_write, l.switch, l.crossing]
+            .into_iter()
+            .enumerate()
+        {
+            b[41 + 8 * i..49 + 8 * i].copy_from_slice(&lead.as_nanos().to_le_bytes());
+        }
         let mut off = DISK_HEADER_FIXED_LEN;
         for z in zones {
             b[off..off + 4].copy_from_slice(&z.cylinders.to_le_bytes());
@@ -210,23 +214,19 @@ impl LogDiskHeader {
         };
         let rotation =
             SimDuration::from_nanos(u64::from_le_bytes(b[17..25].try_into().expect("slice len")));
-        let delta = u32::from_le_bytes(b[25..29].try_into().expect("slice len"));
-        let heads = u32::from_le_bytes(b[29..33].try_into().expect("slice len"));
-        let track_skew = u32::from_le_bytes(b[33..37].try_into().expect("slice len"));
-        let cyl_skew = u32::from_le_bytes(b[37..41].try_into().expect("slice len"));
-        let n_zones = u32::from_le_bytes(b[41..45].try_into().expect("slice len")) as usize;
-        let leads = TrackLeads {
-            switch: SimDuration::from_nanos(u64::from_le_bytes(
-                b[45..53].try_into().expect("slice len"),
-            )),
-            crossing: SimDuration::from_nanos(u64::from_le_bytes(
-                b[53..61].try_into().expect("slice len"),
-            )),
-        };
+        let heads = u32::from_le_bytes(b[25..29].try_into().expect("slice len"));
+        let track_skew = u32::from_le_bytes(b[29..33].try_into().expect("slice len"));
+        let cyl_skew = u32::from_le_bytes(b[33..37].try_into().expect("slice len"));
+        let n_zones = u32::from_le_bytes(b[37..41].try_into().expect("slice len")) as usize;
+        let [after_read, after_write, switch, crossing] = std::array::from_fn(|i| {
+            SimDuration::from_nanos(u64::from_le_bytes(
+                b[41 + 8 * i..49 + 8 * i].try_into().expect("slice len"),
+            ))
+        });
         if heads == 0 || n_zones == 0 || DISK_HEADER_FIXED_LEN + n_zones * 8 > SECTOR_SIZE {
             return Err(FormatError::Corrupt);
         }
-        if [leads.switch, leads.crossing]
+        if [after_read, after_write, switch, crossing]
             .iter()
             .any(|lead| lead.is_zero() || *lead > rotation)
         {
@@ -247,8 +247,12 @@ impl LogDiskHeader {
             epoch,
             clean,
             rotation_period: rotation,
-            delta,
-            leads,
+            leads: TrackLeads {
+                after_read,
+                after_write,
+                switch,
+                crossing,
+            },
             geometry: DiskGeometry::new(heads, zones, track_skew, cyl_skew),
         })
     }
@@ -471,13 +475,25 @@ mod tests {
             epoch: 7,
             clean: true,
             rotation_period: SimDuration::from_nanos(11_111_111),
-            delta: 12,
             leads: TrackLeads {
+                after_read: SimDuration::from_nanos(1_358_024),
+                after_write: SimDuration::from_nanos(1_481_481),
                 switch: SimDuration::from_nanos(1_604_938),
                 crossing: SimDuration::from_nanos(2_345_679),
             },
             geometry: profiles::seagate_st41601n().geometry,
         }
+    }
+
+    /// The four leads of `h`, each by name and as a mutable slot.
+    fn lead_slots(h: &mut LogDiskHeader) -> [(&'static str, &mut SimDuration); 4] {
+        let l = &mut h.leads;
+        [
+            ("after_read", &mut l.after_read),
+            ("after_write", &mut l.after_write),
+            ("switch", &mut l.switch),
+            ("crossing", &mut l.crossing),
+        ]
     }
 
     #[test]
@@ -486,7 +502,18 @@ mod tests {
         let sector = h.encode().unwrap();
         let back = LogDiskHeader::decode(&sector).unwrap();
         assert_eq!(back, h);
-        assert_eq!(back.leads, h.leads, "both leads survive, to the nanosecond");
+        assert_eq!(
+            back.leads, h.leads,
+            "all four leads survive, to the nanosecond"
+        );
+        // Each lead has its own bytes: moving one moves only it.
+        for i in 0..4 {
+            let mut moved = sample_header();
+            let (name, slot) = lead_slots(&mut moved).into_iter().nth(i).unwrap();
+            *slot += SimDuration::from_nanos(1);
+            let back = LogDiskHeader::decode(&moved.encode().unwrap()).unwrap();
+            assert_eq!(back, moved, "lead {name}");
+        }
     }
 
     #[test]
@@ -494,25 +521,24 @@ mod tests {
         let revolution = sample_header().rotation_period;
         let one_ns = SimDuration::from_nanos(1);
         for bad in [SimDuration::ZERO, revolution + one_ns, SimDuration::MAX] {
-            for crossing in [false, true] {
+            for i in 0..4 {
                 let mut h = sample_header();
-                if crossing {
-                    h.leads.crossing = bad;
-                } else {
-                    h.leads.switch = bad;
-                }
+                let (name, slot) = lead_slots(&mut h).into_iter().nth(i).unwrap();
+                *slot = bad;
                 let sector = h.encode().unwrap();
                 assert_eq!(
                     LogDiskHeader::decode(&sector),
                     Err(FormatError::Corrupt),
-                    "lead {bad} (crossing: {crossing})"
+                    "lead {name} = {bad}"
                 );
             }
         }
         // A lead of exactly one revolution is the longest a lead can be.
-        let mut h = sample_header();
-        h.leads.crossing = revolution;
-        assert_eq!(LogDiskHeader::decode(&h.encode().unwrap()), Ok(h));
+        for i in 0..4 {
+            let mut h = sample_header();
+            *lead_slots(&mut h)[i].1 = revolution;
+            assert_eq!(LogDiskHeader::decode(&h.encode().unwrap()), Ok(h));
+        }
     }
 
     #[test]

@@ -2,27 +2,30 @@
 //!
 //! "The formatting tool writes the log disk's physical geometry data as
 //! well as the signature and crash variable to the dedicated tracks on the
-//! log disk." The formatter also runs the timing probes (rotation period
-//! and δ calibration) whose results the driver's prediction formula
-//! consumes, plus the two cross-track leads a repositioning read aims
-//! ahead by. It does **not** zero the medium: bumping the epoch at every
-//! driver initialization is what retires stale records.
+//! log disk." The formatter also runs the timing probes whose results the
+//! driver's prediction consumes: the rotation period and the four leads it
+//! aims ahead of the head by (the paper's δ after a read and after a
+//! write, a head switch and a cylinder crossing). It does **not** zero the
+//! medium: bumping the epoch at every driver initialization is what
+//! retires stale records.
 
 use trail_disk::{Disk, DiskCommand, DiskGeometry, Lba};
-use trail_probe::{calibrate_delta, calibrate_track_leads, measure_rotation_period, run_blocking};
+use trail_probe::{calibrate_track_leads, measure_rotation_period, run_blocking};
 use trail_sim::{SimDuration, Simulator};
 
 use crate::error::TrailError;
 use crate::format::LogDiskHeader;
 
-/// The track sacrificed to the δ-calibration experiment (overwritten with
-/// zeros during formatting, before any records exist).
+/// The track sacrificed to the same-track lead calibration (overwritten
+/// with zeros during formatting, before any records exist).
 pub const CALIBRATION_TRACK: u64 = 1;
 
 /// Options for [`format_log_disk`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FormatOptions {
-    /// Skip the calibration experiment and use this δ instead.
+    /// Use this many sectors of [`CALIBRATION_TRACK`] for both same-track
+    /// leads (the paper's δ) instead of the calibrated ones. Must be
+    /// positive and at most the track's length.
     pub delta_override: Option<u32>,
 }
 
@@ -33,8 +36,6 @@ pub struct FormatReport {
     pub header: LogDiskHeader,
     /// Probed rotation period.
     pub rotation_period: SimDuration,
-    /// Calibrated (or overridden) δ.
-    pub delta: u32,
 }
 
 /// The sector range `[first, last]` of log-disk tracks available for write
@@ -58,6 +59,11 @@ pub fn replica_lba(geometry: &DiskGeometry) -> Lba {
 ///
 /// Propagates probe and device errors.
 ///
+/// # Panics
+///
+/// Panics if a `delta_override` is zero or longer than the calibration
+/// track.
+///
 /// # Examples
 ///
 /// ```
@@ -79,23 +85,27 @@ pub fn format_log_disk(
 ) -> Result<FormatReport, TrailError> {
     let geometry = disk.geometry();
     let rotation_period = measure_rotation_period(sim, disk, 5)?;
-    let delta = match options.delta_override {
-        Some(d) => d,
-        None => calibrate_delta(sim, disk, CALIBRATION_TRACK)?.recommended,
-    };
+    let mut leads = calibrate_track_leads(sim, disk, CALIBRATION_TRACK, rotation_period)?;
+    if let Some(sectors) = options.delta_override {
+        let spt = geometry.spt_of_track(CALIBRATION_TRACK);
+        assert!(
+            (1..=spt).contains(&sectors),
+            "delta override {sectors} outside 1..={spt} sectors"
+        );
+        leads.after_read = rotation_period * u64::from(sectors) / u64::from(spt);
+        leads.after_write = leads.after_read;
+    }
     let header = LogDiskHeader {
         epoch: 0,
         clean: true,
         rotation_period,
-        delta,
-        leads: calibrate_track_leads(sim, disk, rotation_period)?,
+        leads,
         geometry: geometry.clone(),
     };
     write_header(sim, disk, &header)?;
     Ok(FormatReport {
         header,
         rotation_period,
-        delta,
     })
 }
 
@@ -178,7 +188,17 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(report.delta, 9);
+        let nine = disk.mechanics().rotation_period * 9 / 40;
+        assert_eq!(report.header.leads.after_read, nine);
+        assert_eq!(report.header.leads.after_write, nine);
+        // The cross-track leads stay calibrated.
+        let calibrated = format_log_disk(&mut sim, &disk, FormatOptions::default()).unwrap();
+        assert_eq!(report.header.leads.switch, calibrated.header.leads.switch);
+        assert_eq!(
+            report.header.leads.crossing,
+            calibrated.header.leads.crossing
+        );
+        assert_ne!(calibrated.header.leads.after_read, nine);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! track guaranteed to be free, and completing the real write to the data
 //! disk asynchronously from memory. The pieces:
 //!
-//! - [`HeadPredictor`] — the §3.1 software-only head-position prediction
-//!   formula, fed by probed geometry and the calibrated δ;
+//! - [`HeadPredictor`] — the §3.1 software-only head-position prediction,
+//!   fed by probed geometry and the calibrated leads (δ as a duration);
 //! - [`format`] — the §3.2 self-describing log organization
 //!   (`log_disk_header`, `record_header`, first-byte transposition);
 //! - [`TrackPool`] — FIFO track reclamation (§4.2);

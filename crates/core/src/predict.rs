@@ -10,31 +10,38 @@
 //! S₁ = ( ⌊((T₁ − T₀) mod R) / R · SPT⌋ + S₀ + δ ) mod SPT
 //! ```
 //!
-//! where δ compensates for command-processing overhead (calibrated by
-//! [`trail_probe::calibrate_delta`]). The predictor here implements that
-//! formula plus its cross-track generalization (needed when repositioning
-//! to "the sector on the next track that is physically the closest"),
-//! which converts the reference to an absolute platter angle using the
-//! geometry's skew table and aims ahead of it by a calibrated lead: the
-//! head-switch lead within a cylinder, the cylinder-crossing lead across
-//! one ([`trail_probe::calibrate_track_leads`]).
+//! where δ compensates for command-processing overhead. The predictor
+//! here keeps the formula's idea but not its floor or its sector count: it
+//! converts the reference to an exact platter angle (using the geometry's
+//! skew table, so the target may be another track — "the sector on the
+//! next track that is physically the closest") and picks the first sector
+//! of the target track that starts a calibrated *lead* past it. The lead
+//! is a duration, so it means the same in every zone, and it depends on
+//! the move and on the command that set the reference
+//! ([`trail_probe::calibrate_track_leads`]): on the reference's own track,
+//! a write after a read or after a write (which pays the drive's
+//! write-after-write delay); on the next track, a head switch within a
+//! cylinder or a crossing to the next one.
 //!
 //! The predictor uses **only** information available to real driver
-//! software: the reference point, the probed geometry, δ and the two
-//! leads. It never reads the simulator's spindle phase.
+//! software: the reference point, the probed geometry and the four leads.
+//! It never reads the simulator's spindle phase.
 
-use trail_disk::{DiskGeometry, Lba};
+use trail_disk::{CommandKind, DiskGeometry, Lba};
 use trail_probe::TrackLeads;
 use trail_sim::{SimDuration, SimTime};
 
 /// A prediction reference point: at `t0`, the head had just passed the far
-/// edge of `lba`.
+/// edge of `lba`, finishing a command of `kind`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reference {
     /// When the reference command completed.
     pub t0: SimTime,
     /// The last sector that passed under the head.
     pub lba: Lba,
+    /// What the reference command was: a write after a write pays the
+    /// drive's write-after-write delay.
+    pub kind: CommandKind,
 }
 
 /// Software-only disk-head position predictor.
@@ -42,26 +49,28 @@ pub struct Reference {
 /// # Examples
 ///
 /// ```
-/// use trail_disk::profiles;
-/// use trail_sim::{SimDuration, SimTime};
+/// use trail_disk::{profiles, CommandKind};
+/// use trail_sim::SimTime;
 /// use trail_core::{HeadPredictor, TrackLeads};
 ///
 /// let p = profiles::seagate_st41601n();
+/// let period = p.mech.rotation_period;
 /// let leads = TrackLeads {
-///     switch: SimDuration::from_micros(1_605),
-///     crossing: SimDuration::from_micros(2_346),
+///     after_read: period * 11 / 90,
+///     after_write: period * 12 / 90,
+///     switch: period * 13 / 90,
+///     crossing: period * 19 / 90,
 /// };
-/// let mut predictor = HeadPredictor::new(p.geometry, p.mech.rotation_period, 12, leads);
-/// predictor.set_reference(SimTime::ZERO, 0);
-/// // Immediately after the reference, the prediction is δ sectors ahead.
-/// let lba = predictor.predict_same_track(SimTime::ZERO).unwrap();
-/// assert_eq!(lba, 12);
+/// let mut predictor = HeadPredictor::new(p.geometry, period, leads);
+/// predictor.set_reference(SimTime::ZERO, 0, CommandKind::Write);
+/// // Immediately after a write of sector 0, the next write on its track
+/// // aims the after-write lead past sector 0's trailing edge.
+/// assert_eq!(predictor.predict_on_track(0, SimTime::ZERO), Some((13, 13)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct HeadPredictor {
     geometry: DiskGeometry,
     rotation_period: SimDuration,
-    delta: u32,
     leads: TrackLeads,
     reference: Option<Reference>,
 }
@@ -72,12 +81,7 @@ impl HeadPredictor {
     /// # Panics
     ///
     /// Panics if `rotation_period` is zero.
-    pub fn new(
-        geometry: DiskGeometry,
-        rotation_period: SimDuration,
-        delta: u32,
-        leads: TrackLeads,
-    ) -> Self {
+    pub fn new(geometry: DiskGeometry, rotation_period: SimDuration, leads: TrackLeads) -> Self {
         assert!(
             !rotation_period.is_zero(),
             "rotation period must be positive"
@@ -85,7 +89,6 @@ impl HeadPredictor {
         HeadPredictor {
             geometry,
             rotation_period,
-            delta,
             leads,
             reference: None,
         }
@@ -97,45 +100,24 @@ impl HeadPredictor {
     }
 
     /// Installs a new reference point: at `t0` the head had just passed
-    /// `lba` (i.e. a command whose final sector was `lba` completed at
-    /// `t0`).
+    /// `lba` (i.e. a command of `kind` whose final sector was `lba`
+    /// completed at `t0`).
     ///
     /// # Panics
     ///
     /// Panics if `lba` is outside the disk.
-    pub fn set_reference(&mut self, t0: SimTime, lba: Lba) {
+    pub fn set_reference(&mut self, t0: SimTime, lba: Lba, kind: CommandKind) {
         assert!(
             self.geometry.lba_to_chs(lba).is_some(),
             "reference lba {lba} outside the disk"
         );
-        self.reference = Some(Reference { t0, lba });
+        self.reference = Some(Reference { t0, lba, kind });
     }
 
     /// Discards the reference point (predictions become unavailable until
     /// the next repositioning establishes a new one).
     pub fn clear_reference(&mut self) {
         self.reference = None;
-    }
-
-    /// The paper's same-track formula: predicts the target LBA for a write
-    /// issued at `t1` on the *reference's own track* — the sector δ ahead
-    /// of the head's extrapolated position.
-    ///
-    /// Returns `None` if no reference point is installed.
-    pub fn predict_same_track(&self, t1: SimTime) -> Option<Lba> {
-        let r = self.reference?;
-        let chs = self
-            .geometry
-            .lba_to_chs(r.lba)
-            .expect("reference validated at installation");
-        let track = self.geometry.track_index(chs);
-        let spt = u64::from(self.geometry.spt_of_track(track));
-        let period = self.rotation_period.as_nanos();
-        let elapsed = t1.saturating_duration_since(r.t0).as_nanos() % period;
-        // ⌊ elapsed / R · SPT ⌋ without intermediate overflow.
-        let advanced = (u128::from(elapsed) * u128::from(spt) / u128::from(period)) as u64;
-        let s1 = (u64::from(chs.sector) + advanced + u64::from(self.delta)) % spt;
-        Some(self.geometry.track_first_lba(track) + s1)
     }
 
     /// The head's angular position (fraction of a revolution) extrapolated
@@ -158,13 +140,13 @@ impl HeadPredictor {
         Some((edge + frac).rem_euclid(1.0))
     }
 
-    /// Cross-track prediction: the sector of `track` whose start the head
-    /// reaches first when a one-sector read is issued at `t1` — "the
-    /// sector on the next track that is physically the closest", where a
-    /// repositioning read lands. The head aims ahead of its extrapolated
-    /// angle by the head-switch lead when `track` shares the reference's
-    /// cylinder and by the cylinder-crossing lead when it does not (δ on
-    /// the reference's own track).
+    /// The sector of `track` whose start the head reaches first a lead
+    /// after `t1`, when a command is issued then: on the reference's own
+    /// track, where the next record write lands (the lead after a read or
+    /// after a write, by the reference's kind); on another, "the sector on
+    /// the next track that is physically the closest", where a
+    /// repositioning read lands (the head-switch lead within the
+    /// reference's cylinder, the cylinder-crossing lead across one).
     ///
     /// Returns the (sector, LBA) pair, or `None` without a reference.
     ///
@@ -179,14 +161,16 @@ impl HeadPredictor {
             .track_of_lba(r.lba)
             .expect("reference validated at installation");
         let cylinder = |t| self.geometry.track_to_cyl_head(t).0;
-        let period = self.rotation_period.as_nanos() as f64;
-        let lead = if track == from {
-            f64::from(self.delta) / f64::from(self.geometry.spt_of_track(track))
+        let lead = if track == from && r.kind == CommandKind::Write {
+            self.leads.after_write
+        } else if track == from {
+            self.leads.after_read
         } else if cylinder(track) == cylinder(from) {
-            self.leads.switch.as_nanos() as f64 / period
+            self.leads.switch
         } else {
-            self.leads.crossing.as_nanos() as f64 / period
+            self.leads.crossing
         };
+        let lead = lead.as_nanos() as f64 / self.rotation_period.as_nanos() as f64;
         let sector = self
             .geometry
             .next_sector_from_angle(track, (angle + lead).rem_euclid(1.0));
@@ -202,85 +186,94 @@ mod tests {
     use super::*;
     use trail_disk::profiles;
 
-    /// The ST41601N's calibrated leads: 13 and 19 sectors at spt 90.
+    /// The ST41601N's calibrated leads: 11, 12, 13 and 19 sectors at spt 90.
     fn leads() -> TrackLeads {
         let period = profiles::seagate_st41601n().mech.rotation_period;
         TrackLeads {
+            after_read: period * 11 / 90,
+            after_write: period * 12 / 90,
             switch: period * 13 / 90,
             crossing: period * 19 / 90,
         }
     }
 
-    fn predictor(delta: u32) -> HeadPredictor {
+    fn predictor() -> HeadPredictor {
         let p = profiles::seagate_st41601n();
-        HeadPredictor::new(p.geometry, p.mech.rotation_period, delta, leads())
+        HeadPredictor::new(p.geometry, p.mech.rotation_period, leads())
     }
 
     #[test]
     fn no_reference_means_no_prediction() {
-        let p = predictor(10);
-        assert_eq!(p.predict_same_track(SimTime::ZERO), None);
+        let p = predictor();
         assert_eq!(p.head_angle(SimTime::ZERO), None);
+        assert_eq!(p.predict_on_track(0, SimTime::ZERO), None);
         assert_eq!(p.predict_on_track(1, SimTime::ZERO), None);
     }
 
     #[test]
     fn prediction_advances_with_time() {
-        let mut p = predictor(0);
-        p.set_reference(SimTime::ZERO, 0);
+        let mut p = predictor();
+        p.set_reference(SimTime::ZERO, 0, CommandKind::Read);
         let period = profiles::seagate_st41601n().mech.rotation_period;
         let spt = 90u64;
-        // Just past k sector times, the prediction advances k sectors (the
-        // paper's formula floors, and period/spt truncates to nanoseconds,
-        // so probe a nanosecond past the boundary).
+        // The head starts at the trailing edge of sector 0 and aims 11
+        // sectors on, just short of sector 12's start. Half a sector past
+        // k sector times, the prediction has advanced k + 1 sectors (the
+        // exact angle is not floored, so probe clear of the boundaries).
         for k in [1u64, 5, 44, 89] {
-            let t = SimTime::ZERO + period * k / spt + trail_sim::SimDuration::from_nanos(2);
-            let lba = p.predict_same_track(t).unwrap();
-            assert_eq!(lba, k % spt, "k={k}");
+            let t = SimTime::ZERO + period * (2 * k + 1) / (2 * spt);
+            let (sector, lba) = p.predict_on_track(0, t).unwrap();
+            assert_eq!(u64::from(sector), (12 + k + 1) % spt, "k={k}");
+            assert_eq!(lba, u64::from(sector), "k={k}");
         }
         // A whole revolution wraps back.
         let t = SimTime::ZERO + period;
-        assert_eq!(p.predict_same_track(t).unwrap(), 0);
+        assert_eq!(p.predict_on_track(0, t), Some((12, 12)));
     }
 
     #[test]
     fn delta_shifts_prediction() {
-        let mut p = predictor(12);
-        p.set_reference(SimTime::ZERO, 5);
-        assert_eq!(p.predict_same_track(SimTime::ZERO).unwrap(), 17);
+        // The paper's δ is the same-track lead: with the head at the
+        // trailing edge of sector 5, a write after a read aims 11 sectors
+        // on and one after a write 12.
+        let mut p = predictor();
+        p.set_reference(SimTime::ZERO, 5, CommandKind::Read);
+        assert_eq!(p.predict_on_track(0, SimTime::ZERO), Some((17, 17)));
+        p.set_reference(SimTime::ZERO, 5, CommandKind::Write);
+        assert_eq!(p.predict_on_track(0, SimTime::ZERO), Some((18, 18)));
         // Near the end of the track the prediction wraps modulo SPT.
-        let mut p = predictor(12);
-        p.set_reference(SimTime::ZERO, 85);
-        assert_eq!(p.predict_same_track(SimTime::ZERO).unwrap(), (85 + 12) % 90);
+        p.set_reference(SimTime::ZERO, 85, CommandKind::Write);
+        assert_eq!(
+            p.predict_on_track(0, SimTime::ZERO),
+            Some(((85 + 1 + 12) % 90, (85 + 1 + 12) % 90))
+        );
     }
 
     #[test]
     fn prediction_matches_simulated_head() {
         // End-to-end honesty check: a write issued to the predicted sector
-        // experiences (almost) no rotational latency on the real model.
+        // experiences (almost) no rotational latency on the real model,
+        // with the leads the probe measures.
         use trail_disk::{Disk, DiskCommand, SECTOR_SIZE};
         use trail_sim::Simulator;
 
         let profile = profiles::seagate_st41601n();
-        let mech = profile.mech.clone();
+        let period = profile.mech.rotation_period;
         let mut sim = Simulator::new();
         let disk = Disk::new("log", profile.clone());
+        let leads = trail_probe::calibrate_track_leads(&mut sim, &disk, 1, period).unwrap();
         // Reference: read sector 0 (blocking).
         let res =
             trail_probe::run_blocking(&mut sim, &disk, DiskCommand::Read { lba: 0, count: 1 })
                 .unwrap();
-        // δ must cover command overhead (~9.7 sectors) plus one sector of
-        // reference-edge offset plus one sector of formula floor loss —
-        // exactly what the probe's recommended value (minimal + margin)
-        // provides. Sweep several issue delays to hit varied phases.
-        let mut p = HeadPredictor::new(profile.geometry.clone(), mech.rotation_period, 13, leads());
-        p.set_reference(res.completed, 0);
-        let mut worst = trail_sim::SimDuration::ZERO;
+        let mut p = HeadPredictor::new(profile.geometry.clone(), period, leads);
+        p.set_reference(res.completed, 0, CommandKind::Read);
+        let mut worst = SimDuration::ZERO;
         let mut at = res.completed;
+        // Sweep several issue delays to hit varied phases.
         for delay_us in [0u64, 777, 3_456, 5_000, 9_999] {
-            at = at.max(sim.now());
-            sim.run_until(at + trail_sim::SimDuration::from_micros(delay_us));
-            let target = p.predict_same_track(sim.now()).unwrap();
+            sim.run_until(at + SimDuration::from_micros(delay_us));
+            let (_, target) = p.predict_on_track(0, sim.now()).unwrap();
             let wres = trail_probe::run_blocking(
                 &mut sim,
                 &disk,
@@ -293,13 +286,14 @@ mod tests {
             worst = worst.max(wres.breakdown.rotation);
             // Each completed write refreshes the reference, as the driver
             // does.
-            p.set_reference(wres.completed, target);
+            p.set_reference(wres.completed, target, CommandKind::Write);
             at = wres.completed;
         }
-        // Residual rotational latency stays below the paper's 0.5 ms claim
-        // (§5.1), an order of magnitude under the 5.5 ms average.
+        // Residual rotational latency stays within the lead's two sectors
+        // over the overhead (the sweep's rounding and the slack) plus the
+        // sector boundary, far below the paper's 0.5 ms claim (§5.1).
         assert!(
-            worst.as_millis_f64() < 0.5,
+            worst < period * 3 / 90,
             "residual rotation {} too large",
             worst
         );
@@ -319,9 +313,9 @@ mod tests {
         let mut sim = Simulator::new();
         let disk = Disk::new("log", profile.clone());
         let leads =
-            trail_probe::calibrate_track_leads(&mut sim, &disk, profile.mech.rotation_period)
+            trail_probe::calibrate_track_leads(&mut sim, &disk, 1, profile.mech.rotation_period)
                 .unwrap();
-        let mut p = HeadPredictor::new(g.clone(), profile.mech.rotation_period, 14, leads);
+        let mut p = HeadPredictor::new(g.clone(), profile.mech.rotation_period, leads);
         let last_surface = u64::from(g.heads()) - 1;
         for (from, crossing) in [(last_surface, true), (3, false)] {
             let mut worst = SimDuration::ZERO;
@@ -335,7 +329,7 @@ mod tests {
                         .unwrap()
                 };
                 let res = read(&mut sim, reference);
-                p.set_reference(res.completed, reference);
+                p.set_reference(res.completed, reference, CommandKind::Read);
                 sim.run_until(res.completed + SimDuration::from_micros(delay_us));
                 let (_, target) = p.predict_on_track(from + 1, sim.now()).unwrap();
                 let moved = read(&mut sim, target);
@@ -359,8 +353,8 @@ mod tests {
         let profile = profiles::seagate_st41601n();
         let g = profile.geometry.clone();
         let period = profile.mech.rotation_period.as_nanos() as f64;
-        let mut p = predictor(0);
-        p.set_reference(SimTime::ZERO, 0);
+        let mut p = predictor();
+        p.set_reference(SimTime::ZERO, 0, CommandKind::Write);
         // At t0, head angle = trailing edge of sector 0 of track 0.
         let angle = p.head_angle(SimTime::ZERO).unwrap();
         assert!((angle - 1.0 / 90.0).abs() < 1e-9);
@@ -383,17 +377,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the disk")]
     fn reference_outside_disk_panics() {
-        let mut p = predictor(0);
-        p.set_reference(SimTime::ZERO, u64::MAX);
+        let mut p = predictor();
+        p.set_reference(SimTime::ZERO, u64::MAX, CommandKind::Read);
     }
 
     #[test]
     fn clear_reference_disables_prediction() {
-        let mut p = predictor(0);
-        p.set_reference(SimTime::ZERO, 0);
-        assert!(p.predict_same_track(SimTime::ZERO).is_some());
+        let mut p = predictor();
+        p.set_reference(SimTime::ZERO, 0, CommandKind::Read);
+        assert!(p.predict_on_track(0, SimTime::ZERO).is_some());
         p.clear_reference();
-        assert!(p.predict_same_track(SimTime::ZERO).is_none());
+        assert!(p.predict_on_track(0, SimTime::ZERO).is_none());
         assert_eq!(p.reference(), None);
     }
 }

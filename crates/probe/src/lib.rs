@@ -2,9 +2,9 @@
 //!
 //! Trail's head-position prediction (paper §3.1) needs three quantities the
 //! drive's mode pages do not report: the **rotation period**, the **track
-//! skew** actually in effect, and **δ** — the command-processing overhead
-//! expressed in sectors, "an empirically derived value to compensate for
-//! the command processing overhead and other inherent overhead".
+//! skew** actually in effect, and **δ** — how far ahead of the head a
+//! command must aim, "an empirically derived value to compensate for the
+//! command processing overhead and other inherent overhead".
 //!
 //! This crate reproduces the paper's calibration methodology as *timed
 //! experiments against the device interface only*: no function here peeks
@@ -18,16 +18,17 @@
 //! - [`calibrate_delta`] — the paper's experiment: single-sector writes at
 //!   increasing offsets δ from a reference point; the smallest δ that does
 //!   not pay a full rotation is the calibration result;
-//! - [`calibrate_track_leads`] — the same experiment across a track
-//!   boundary: how far ahead on the *next* track a read must aim to
-//!   survive a head switch, and a cylinder crossing.
+//! - [`calibrate_track_leads`] — the same experiment as the durations the
+//!   driver aims by: a write on the reference's own track after a read
+//!   and after a write, and a read of the next track across a head switch
+//!   and across a cylinder crossing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
 
-use trail_disk::{Disk, DiskCommand, DiskError, DiskResult, SECTOR_SIZE};
+use trail_disk::{CommandKind, Disk, DiskCommand, DiskError, DiskResult, SECTOR_SIZE};
 use trail_sim::{IoError, SimDuration, Simulator};
 
 /// Why a command run to completion produced no result.
@@ -190,16 +191,7 @@ pub struct DeltaCalibration {
     pub samples: Vec<DeltaSample>,
     /// The smallest δ whose write did not pay a full rotation.
     pub minimal: u32,
-    /// `minimal` plus a safety margin covering write-after-write delay and
-    /// spindle-speed deviation — the value the Trail driver should use.
-    pub recommended: u32,
 }
-
-/// Safety margin added on top of the minimal measured δ: one sector for
-/// the prediction formula's floor, one for the write-after-write command
-/// delay, and one so that the write-after-write case keeps a full sector
-/// of slack against floating-point phase rounding.
-pub const DELTA_SAFETY_MARGIN: u32 = 3;
 
 /// Runs the paper's δ-calibration experiment on `track`.
 ///
@@ -209,10 +201,12 @@ pub const DELTA_SAFETY_MARGIN: u32 = 3;
 /// latency. If δ under-compensates for the command overhead, the target
 /// sector has already passed and the write pays a full revolution; the
 /// smallest δ that avoids this is the calibration result (paper §3.1: "the
-/// smallest δ value that does not incur a full rotation delay").
+/// smallest δ value that does not incur a full rotation delay"). δ counts
+/// from the reference sector, so it runs from 1 (the sector the head is
+/// at) to the track's length (the reference sector a turn later).
 ///
 /// The probe writes zeros into the calibration track; run it before the
-/// log disk is put into service (the formatter does).
+/// log disk is put into service.
 ///
 /// # Errors
 ///
@@ -226,7 +220,8 @@ pub const DELTA_SAFETY_MARGIN: u32 = 3;
 ///
 /// let mut sim = Simulator::new();
 /// let disk = Disk::new("log", profiles::seagate_st41601n());
-/// let cal = trail_probe::calibrate_delta(&mut sim, &disk, 0)?;
+/// let period = trail_probe::measure_rotation_period(&mut sim, &disk, 3)?;
+/// let cal = trail_probe::calibrate_delta(&mut sim, &disk, 0, period)?;
 /// // The ST41601N-class profile has ~1.2 ms of write overhead ≈ 10 sectors;
 /// // the paper reports δ < 15 for this drive.
 /// assert!(cal.minimal < 15, "delta {} too large", cal.minimal);
@@ -236,76 +231,61 @@ pub fn calibrate_delta(
     sim: &mut Simulator,
     disk: &Disk,
     track: u64,
+    rotation_period: SimDuration,
 ) -> Result<DeltaCalibration, ProbeError> {
-    let geometry = disk.geometry();
-    let spt = geometry.spt_of_track(track);
-    let base = geometry.track_first_lba(track);
-    let mut samples = Vec::new();
-    let mut minimal = None;
-    // A write that avoids the full-rotation penalty completes well under
-    // one revolution; use three quarters as the discriminator.
-    let period = measure_rotation_period(sim, disk, 3)?;
-    let threshold = period.mul_f64(0.75);
-    for delta in 0..spt {
-        // Reference point: head has just passed sector 0 of the track.
-        run_blocking(
-            sim,
-            disk,
-            DiskCommand::Read {
-                lba: base,
-                count: 1,
-            },
-        )?;
-        let target = base + u64::from(delta % spt);
-        let res = run_blocking(
-            sim,
-            disk,
-            DiskCommand::Write {
-                lba: target,
-                data: vec![0u8; SECTOR_SIZE].into(),
-            },
-        )?;
-        let latency = res.completed.duration_since(res.issued);
-        samples.push(DeltaSample { delta, latency });
-        if minimal.is_none() && latency < threshold {
-            minimal = Some(delta);
-        }
-    }
-    let minimal = minimal.unwrap_or(0);
+    let (latencies, minimal) = sweep(
+        sim,
+        disk,
+        (CommandKind::Read, track),
+        track,
+        CommandKind::Write,
+        rotation_period,
+        true,
+    )?;
     Ok(DeltaCalibration {
-        samples,
-        minimal,
-        recommended: (minimal + DELTA_SAFETY_MARGIN).min(spt.saturating_sub(1)),
+        samples: (1..)
+            .zip(latencies)
+            .map(|(delta, latency)| DeltaSample { delta, latency })
+            .collect(),
+        minimal: minimal.map_or(0, |lead| lead + 1),
     })
 }
 
-/// Slack added on top of the minimal clearing cross-track lead: one sector
-/// of the probed track, against the phase rounding of landing on a sector
+/// Slack added on top of every minimal clearing lead: one sector of the
+/// probed track, against the phase rounding of landing on a sector
 /// boundary.
 pub const TRACK_LEAD_SLACK: u32 = 1;
 
-/// How long a one-sector read, issued the instant the previous command
-/// finished, needs before it can transfer on the next track: the angular
-/// lead the driver aims ahead of the head when it repositions (paper §3.1,
-/// "the sector on the next track that is physically the closest").
+/// How long a one-sector command, issued the instant the previous command
+/// finished, needs before it can transfer on a given track: the angular
+/// lead the driver aims ahead of the head (paper §3.1's δ on the
+/// reference's own track; "the sector on the next track that is
+/// physically the closest" when it repositions).
 ///
 /// Durations, not sectors: the log ring crosses zones, and the same time
 /// is a different number of sectors in each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrackLeads {
-    /// To the next surface of the same cylinder (a head switch).
+    /// A write on the reference's own track after a read.
+    pub after_read: SimDuration,
+    /// A write on the reference's own track after a write, which also
+    /// pays the drive's write-after-write delay.
+    pub after_write: SimDuration,
+    /// A read on the next surface of the same cylinder (a head switch).
     pub switch: SimDuration,
-    /// To the first surface of the next cylinder (a track-to-track seek).
+    /// A read on the first surface of the next cylinder (a track-to-track
+    /// seek).
     pub crossing: SimDuration,
 }
 
-/// Calibrates both [`TrackLeads`] with the δ technique, reading only: a
-/// reference read on a track in the middle of cylinder 0 (last track of
-/// cylinder 0 for the crossing), then a read of the next track aimed
-/// further and further ahead of where the reference left the head. The
-/// first lead that does not pay a full revolution, plus
-/// [`TRACK_LEAD_SLACK`], is the result; the sweep stops there. Leads are
-/// converted to time with the probed `rotation_period`.
+/// Calibrates all four [`TrackLeads`] with the δ technique: a one-sector
+/// write on `track` after a read of it and after a write to it, and a
+/// one-sector read of the next track after a read on a track in the middle
+/// of cylinder 0 (last track of cylinder 0 for the crossing). Each lead is
+/// the first that does not pay a full revolution, plus
+/// [`TRACK_LEAD_SLACK`], converted to time with the probed
+/// `rotation_period`; each sweep stops there. The same-track sweeps write
+/// zeros into `track`.
 ///
 /// On a one-surface disk every next track is on the next cylinder, so the
 /// switch lead is the crossing lead.
@@ -324,120 +304,122 @@ pub struct TrackLeads {
 /// let mut sim = Simulator::new();
 /// let disk = Disk::new("log", profiles::seagate_st41601n());
 /// let period = trail_probe::measure_rotation_period(&mut sim, &disk, 3)?;
-/// let leads = trail_probe::calibrate_track_leads(&mut sim, &disk, period)?;
-/// // 0.4 ms read overhead + 1.0 ms head switch, 1.7 ms track-to-track seek.
+/// let leads = trail_probe::calibrate_track_leads(&mut sim, &disk, 1, period)?;
+/// // 1.2 ms write overhead, plus 0.15 ms after a write; 0.4 ms read
+/// // overhead + 1.0 ms head switch, 1.7 ms track-to-track seek.
+/// assert!(leads.after_read.as_millis_f64() > 1.2 && leads.after_write.as_millis_f64() > 1.35);
 /// assert!(leads.switch.as_millis_f64() > 1.4 && leads.crossing.as_millis_f64() > 2.1);
-/// assert!(leads.switch < leads.crossing);
+/// assert!(leads.after_read < leads.after_write && leads.switch < leads.crossing);
 /// # Ok::<(), trail_probe::ProbeError>(())
 /// ```
 pub fn calibrate_track_leads(
     sim: &mut Simulator,
     disk: &Disk,
+    track: u64,
     rotation_period: SimDuration,
 ) -> Result<TrackLeads, ProbeError> {
-    let heads = u64::from(disk.geometry().heads());
-    let crossing = track_lead(sim, disk, heads - 1, rotation_period)?;
-    let switch = if heads > 1 {
-        track_lead(sim, disk, heads - 2, rotation_period)?
-    } else {
-        crossing
+    let mut lead = |reference, to, probe| {
+        let (_, minimal) = sweep(sim, disk, reference, to, probe, rotation_period, false)?;
+        let spt = disk.geometry().spt_of_track(to);
+        let sectors = (minimal.unwrap_or(spt - 1) + TRACK_LEAD_SLACK).min(spt);
+        Ok::<_, ProbeError>(rotation_period * u64::from(sectors) / u64::from(spt))
     };
-    Ok(TrackLeads { switch, crossing })
+    let heads = u64::from(disk.geometry().heads());
+    let crossing = lead((CommandKind::Read, heads - 1), heads, CommandKind::Read)?;
+    Ok(TrackLeads {
+        after_read: lead((CommandKind::Read, track), track, CommandKind::Write)?,
+        after_write: lead((CommandKind::Write, track), track, CommandKind::Write)?,
+        switch: if heads > 1 {
+            lead((CommandKind::Read, heads - 2), heads - 1, CommandKind::Read)?
+        } else {
+            crossing
+        },
+        crossing,
+    })
 }
 
-/// The cross-track lead from `track` to `track + 1` (see
-/// [`calibrate_track_leads`]).
-fn track_lead(
+/// The δ technique, behind both [`calibrate_delta`] and
+/// [`calibrate_track_leads`]: for a lead of 0, 1, 2, … sectors of track
+/// `to`, a one-sector `reference` command — its kind, and its track, whose
+/// sector 0 it reads or writes — leaves the head at that sector's trailing
+/// edge; then a one-sector `probe` command goes to the first sector of `to`
+/// that starts at least the lead further on. A probe that pays a full
+/// revolution (three quarters of `period` discriminates) came too soon.
+///
+/// Returns every probe's latency in lead order, and the first lead that
+/// cleared (`None` if none did); the sweep stops at that lead unless
+/// `whole`.
+///
+/// # Errors
+///
+/// Propagates submission errors; [`DiskError::OutOfRange`] if either track
+/// is outside the disk.
+fn sweep(
     sim: &mut Simulator,
     disk: &Disk,
-    track: u64,
+    (reference, from): (CommandKind, u64),
+    to: u64,
+    probe: CommandKind,
     period: SimDuration,
-) -> Result<SimDuration, ProbeError> {
+    whole: bool,
+) -> Result<(Vec<SimDuration>, Option<u32>), ProbeError> {
     let geometry = disk.geometry();
-    let next = track + 1;
-    if next >= geometry.total_tracks() {
+    if from.max(to) >= geometry.total_tracks() {
         return Err(DiskError::OutOfRange.into());
     }
-    let spt = geometry.spt_of_track(next);
-    let reference = geometry.track_first_lba(track);
-    // The reference read leaves the head at the trailing edge of its sector.
-    let edge = geometry.sector_angle(track, 0) + 1.0 / f64::from(geometry.spt_of_track(track));
+    let one_sector = |kind, lba| match kind {
+        CommandKind::Write => DiskCommand::Write {
+            lba,
+            data: vec![0u8; SECTOR_SIZE].into(),
+        },
+        _ => DiskCommand::Read { lba, count: 1 },
+    };
+    let spt = geometry.spt_of_track(to);
+    let edge = geometry.sector_angle(from, 0) + 1.0 / f64::from(geometry.spt_of_track(from));
     let threshold = period.mul_f64(0.75);
-    let mut minimal = spt - 1;
+    let mut latencies = Vec::new();
+    let mut minimal = None;
     for lead in 0..spt {
         run_blocking(
             sim,
             disk,
-            DiskCommand::Read {
-                lba: reference,
-                count: 1,
-            },
+            one_sector(reference, geometry.track_first_lba(from)),
         )?;
-        let sector = geometry.next_sector_from_angle(next, edge + f64::from(lead) / f64::from(spt));
-        let res = run_blocking(
-            sim,
-            disk,
-            DiskCommand::Read {
-                lba: geometry.track_first_lba(next) + u64::from(sector),
-                count: 1,
-            },
-        )?;
-        if res.completed.duration_since(res.issued) < threshold {
-            minimal = lead;
-            break;
+        let sector = geometry.next_sector_from_angle(to, edge + f64::from(lead) / f64::from(spt));
+        let lba = geometry.track_first_lba(to) + u64::from(sector);
+        let res = run_blocking(sim, disk, one_sector(probe, lba))?;
+        let latency = res.completed.duration_since(res.issued);
+        latencies.push(latency);
+        if minimal.is_none() && latency < threshold {
+            minimal = Some(lead);
+            if !whole {
+                break;
+            }
         }
     }
-    let sectors = (minimal + TRACK_LEAD_SLACK).min(spt);
-    Ok(period * u64::from(sectors) / u64::from(spt))
+    Ok((latencies, minimal))
 }
 
 /// Estimates the fixed per-write command overhead as the best observed
-/// single-sector write latency minus the transfer time, sweeping `samples`
-/// target offsets on `track` from a fixed reference point (the same
-/// technique as [`calibrate_delta`], so one offset is guaranteed to land
-/// within a sector of the overhead).
+/// single-sector write latency minus the transfer time, over the whole δ
+/// sweep of `track` (as [`calibrate_delta`] runs it, so one offset is
+/// guaranteed to land within a sector of the overhead).
 ///
 /// # Errors
 ///
 /// Propagates submission errors.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero.
 pub fn estimate_write_overhead(
     sim: &mut Simulator,
     disk: &Disk,
     track: u64,
-    samples: u32,
+    rotation_period: SimDuration,
 ) -> Result<SimDuration, ProbeError> {
-    assert!(samples > 0, "need at least one sample");
-    let geometry = disk.geometry();
-    let spt = geometry.spt_of_track(track);
-    let base = geometry.track_first_lba(track);
-    let mut best = SimDuration::MAX;
-    for i in 0..samples {
-        // Reference point: head just passed sector 0 of the track.
-        run_blocking(
-            sim,
-            disk,
-            DiskCommand::Read {
-                lba: base,
-                count: 1,
-            },
-        )?;
-        let lba = base + u64::from(i % spt);
-        let res = run_blocking(
-            sim,
-            disk,
-            DiskCommand::Write {
-                lba,
-                data: vec![0u8; SECTOR_SIZE].into(),
-            },
-        )?;
-        best = best.min(res.completed.duration_since(res.issued));
-    }
-    let transfer = disk.mechanics().sector_time(spt);
-    Ok(best.saturating_sub(transfer))
+    let cal = calibrate_delta(sim, disk, track, rotation_period)?;
+    let best = cal.samples.iter().map(|s| s.latency).min();
+    let transfer = disk
+        .mechanics()
+        .sector_time(disk.geometry().spt_of_track(track));
+    Ok(best.expect("a track has sectors").saturating_sub(transfer))
 }
 
 #[cfg(test)]
@@ -498,12 +480,13 @@ mod tests {
     #[test]
     fn delta_calibration_finds_overhead_in_sectors() {
         let (mut sim, disk) = setup();
-        let cal = calibrate_delta(&mut sim, &disk, 0).unwrap();
+        let period = disk.mechanics().rotation_period;
+        let cal = calibrate_delta(&mut sim, &disk, 0, period).unwrap();
         let mech = disk.mechanics();
         let spt = disk.geometry().spt_of_track(0);
         // Expected: ceil(write_overhead / sector_time) plus head-just-past-
         // sector-0 geometry; must be in the ballpark of 10-12 and below the
-        // paper's bound of 15 for this drive class.
+        // paper's bound of 15 for this drive.
         let overhead_sectors = (mech.write_overhead.as_nanos() as f64
             / mech.sector_time(spt).as_nanos() as f64)
             .ceil() as u32;
@@ -515,18 +498,18 @@ mod tests {
             overhead_sectors
         );
         assert!(cal.minimal < 15, "paper: delta < 15 on the ST41601N");
-        assert_eq!(cal.recommended, cal.minimal + DELTA_SAFETY_MARGIN);
         // Under-compensated deltas pay (almost) a full rotation.
-        let under = &cal.samples[(cal.minimal.saturating_sub(2)) as usize];
-        let over = &cal.samples[cal.minimal as usize];
+        let at = |delta: u32| cal.samples.iter().find(|s| s.delta == delta).unwrap();
+        let (under, over) = (at(cal.minimal - 2), at(cal.minimal));
         assert!(
             under.latency > over.latency + mech.rotation_period.mul_f64(0.5),
             "under-compensated delta must cost ~a rotation: under {} over {}",
             under.latency,
             over.latency
         );
-        // All deltas were tried.
-        assert_eq!(cal.samples.len() as u32, spt);
+        // Every sector of the track was tried, the reference sector last.
+        let deltas: Vec<u32> = cal.samples.iter().map(|s| s.delta).collect();
+        assert_eq!(deltas, (1..=spt).collect::<Vec<_>>());
     }
 
     #[test]
@@ -534,7 +517,8 @@ mod tests {
         // With a calibrated delta, a single-sector write should land near
         // 1.4 ms on the log-disk profile (paper §5.1).
         let (mut sim, disk) = setup();
-        let cal = calibrate_delta(&mut sim, &disk, 0).unwrap();
+        let period = disk.mechanics().rotation_period;
+        let cal = calibrate_delta(&mut sim, &disk, 0, period).unwrap();
         let best = cal
             .samples
             .iter()
@@ -554,29 +538,38 @@ mod tests {
             let mut sim = Simulator::new();
             let disk = Disk::new("log", profile);
             let mech = disk.mechanics();
-            let leads = calibrate_track_leads(&mut sim, &disk, mech.rotation_period).unwrap();
+            let leads = calibrate_track_leads(&mut sim, &disk, 1, mech.rotation_period).unwrap();
             let sector = mech.sector_time(disk.geometry().spt_of_track(0));
+            let after_write = mech.write_overhead + mech.write_after_write;
             let switch = mech.read_overhead + mech.head_switch;
             let crossing = mech.read_overhead + mech.seek.track_to_track().max(mech.head_switch);
-            // Each lead clears its move, by at most the slack plus the one
-            // sector the discrete sweep can overshoot by.
-            for (lead, cost) in [(leads.switch, switch), (leads.crossing, crossing)] {
-                assert!(lead >= cost, "lead {lead} below its move {cost}");
+            // Each lead clears its command, by at most the slack plus the
+            // one sector the discrete sweep can overshoot by.
+            for (lead, cost) in [
+                (leads.after_read, mech.write_overhead),
+                (leads.after_write, after_write),
+                (leads.switch, switch),
+                (leads.crossing, crossing),
+            ] {
+                assert!(lead >= cost, "lead {lead} below its command {cost}");
                 assert!(lead <= cost + sector * 2, "lead {lead} far above {cost}");
             }
         }
-        // At spt 90: 1.4 ms is 11.3 sectors and 2.1 ms is 17.0, so the
-        // first clearing leads are 12 and 18 sectors.
+        // At spt 90: 1.2 ms is 9.7 sectors, 1.35 ms 10.9, 1.4 ms 11.3 and
+        // 2.1 ms 17.0, so the first clearing leads are 10, 11, 12 and 18
+        // sectors.
         let (mut sim, disk) = setup();
         let period = disk.mechanics().rotation_period;
-        let leads = calibrate_track_leads(&mut sim, &disk, period).unwrap();
+        let leads = calibrate_track_leads(&mut sim, &disk, 1, period).unwrap();
+        let sectors = |n: u64| period * (n + u64::from(TRACK_LEAD_SLACK)) / 90;
         assert_eq!(
-            leads.switch,
-            period * (12 + u64::from(TRACK_LEAD_SLACK)) / 90
-        );
-        assert_eq!(
-            leads.crossing,
-            period * (18 + u64::from(TRACK_LEAD_SLACK)) / 90
+            [
+                leads.after_read,
+                leads.after_write,
+                leads.switch,
+                leads.crossing
+            ],
+            [sectors(10), sectors(11), sectors(12), sectors(18)]
         );
     }
 
@@ -596,7 +589,7 @@ mod tests {
         let disk = Disk::new("one-cylinder", profile);
         let period = disk.mechanics().rotation_period;
         assert_eq!(
-            calibrate_track_leads(&mut sim, &disk, period),
+            calibrate_track_leads(&mut sim, &disk, 1, period),
             Err(ProbeError::Disk(DiskError::OutOfRange))
         );
     }
@@ -604,7 +597,8 @@ mod tests {
     #[test]
     fn write_overhead_estimate_close_to_model() {
         let (mut sim, disk) = setup();
-        let est = estimate_write_overhead(&mut sim, &disk, 5, 40).unwrap();
+        let period = disk.mechanics().rotation_period;
+        let est = estimate_write_overhead(&mut sim, &disk, 5, period).unwrap();
         let truth = disk.mechanics().write_overhead;
         // The estimate includes residual rotation of the luckiest write, so
         // it upper-bounds the true overhead within a couple sector times.

@@ -46,7 +46,7 @@ fn streaming_replay_matches_its_pinned_report_bytes() {
     let trace = four_stream_trace(80);
     for (target, pinned) in [
         (TargetKind::Standard, (3358, 0xc9e1_e182)),
-        (TargetKind::TrailMulti { logs: 2 }, (3075, 0x7999_5e8a)),
+        (TargetKind::TrailMulti { logs: 2 }, (3076, 0xb7da_fdc7)),
     ] {
         let opts = ReplayOptions {
             target,
@@ -79,7 +79,7 @@ fn streaming_replay_is_byte_identical_at_colliding_arrival_instants() {
         ..ReplayOptions::default()
     };
     let report = replay(&trace, &opts).expect("dispatcher");
-    assert_eq!(pin(&report), (2511, 0xd977_5c3f), "report bytes moved");
+    assert_eq!(pin(&report), (2527, 0xa88f_1ce0), "report bytes moved");
 }
 
 #[test]

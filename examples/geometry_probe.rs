@@ -6,7 +6,8 @@
 
 use trail::prelude::*;
 use trail::probe::{
-    calibrate_delta, estimate_write_overhead, measure_rotation_period, measure_track_skew,
+    calibrate_delta, calibrate_track_leads, estimate_write_overhead, measure_rotation_period,
+    measure_track_skew,
 };
 
 fn main() -> Result<(), TrailError> {
@@ -41,7 +42,7 @@ fn main() -> Result<(), TrailError> {
     // 3. The delta-calibration experiment: single-sector writes at
     //    increasing offsets from a reference point. Under-compensated
     //    offsets pay a full rotation.
-    let cal = calibrate_delta(&mut sim, &disk, 1)?;
+    let cal = calibrate_delta(&mut sim, &disk, 1, period)?;
     println!("\ndelta calibration (latency cliff):");
     for s in cal.samples.iter().take((cal.minimal + 4) as usize) {
         let bar = "#".repeat((s.latency.as_millis_f64() * 3.0) as usize);
@@ -52,12 +53,20 @@ fn main() -> Result<(), TrailError> {
         );
     }
     println!(
-        "  => minimal delta {} sectors, driver uses {} (paper: < 15 on this drive)",
-        cal.minimal, cal.recommended
+        "  => minimal delta {} sectors (paper: < 15 on this drive)",
+        cal.minimal
+    );
+    // The driver aims by the same experiment as durations, measured from
+    // the head's exact angle: after a read, after a write (which pays the
+    // write-after-write delay), and across a head switch or a crossing.
+    let leads = calibrate_track_leads(&mut sim, &disk, 1, period)?;
+    println!(
+        "  driver leads: {} after a read, {} after a write, {} head switch, {} crossing",
+        leads.after_read, leads.after_write, leads.switch, leads.crossing
     );
 
     // 4. The fixed command overhead behind that delta.
-    let overhead = estimate_write_overhead(&mut sim, &disk, 2, 90)?;
+    let overhead = estimate_write_overhead(&mut sim, &disk, 2, period)?;
     println!(
         "\nfixed write overhead: {} (~{:.1} sectors at this zone's transfer rate)",
         overhead,

@@ -12,12 +12,14 @@ fn main() -> Result<(), TrailError> {
     let log = Disk::new("log", profiles::seagate_st41601n());
     let data = Disk::new("data0", profiles::wd_caviar_10gb());
 
-    // The formatter probes the drive's rotation period and calibrates the
-    // prediction offset delta, then writes the self-describing header.
+    // The formatter probes the drive's rotation period and calibrates how
+    // far ahead of the head a write aims (the paper's delta), then writes
+    // the self-describing header.
     let report = format_log_disk(&mut sim, &log, FormatOptions::default())?;
+    let leads = report.header.leads;
     println!(
-        "formatted: rotation period {}, delta {} sectors",
-        report.rotation_period, report.delta
+        "formatted: rotation period {}, write lead {} after a read, {} after a write",
+        report.rotation_period, leads.after_read, leads.after_write
     );
 
     // Boot the driver. A clean disk needs no recovery.

@@ -30,7 +30,7 @@
 //! let log = Disk::new("log", profiles::seagate_st41601n());
 //! let data = Disk::new("data", profiles::wd_caviar_10gb());
 //!
-//! // Format (probes rotation period and calibrates delta), then boot.
+//! // Format (probes rotation period and calibrates the leads), then boot.
 //! format_log_disk(&mut sim, &log, FormatOptions::default())?;
 //! let (trail, _) = TrailDriver::start(&mut sim, log, vec![data], TrailConfig::default())?;
 //!

@@ -46,7 +46,7 @@ pub enum LogDevice {
     /// Trail: a dedicated log disk absorbs synchronous writes (the
     /// paper's subsystem).
     Trail {
-        /// Driver configuration (threshold, batching, δ policy…).
+        /// Driver configuration (threshold, batching, repositioning…).
         config: TrailConfig,
     },
     /// A Trail array (paper §6): one Trail instance per log disk, routed
@@ -212,8 +212,9 @@ impl Scenario {
                 )
             }
         };
-        // Formatting runs the δ-calibration sweep, whose under-compensated
-        // probes pay full rotations by design; start measurements clean.
+        // Formatting runs the lead-calibration sweeps, whose
+        // under-compensated probes pay full rotations by design; start
+        // measurements clean.
         for d in log_disks.iter().chain(&data_disks) {
             d.reset_stats();
         }

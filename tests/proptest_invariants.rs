@@ -8,7 +8,7 @@ use trail::core::format::{
 };
 use trail::core::{HeadPredictor, TrackLeads, TrackPool};
 use trail::db::Page;
-use trail::disk::{DiskGeometry, SectorBuf, Zone, SECTOR_SIZE};
+use trail::disk::{CommandKind, DiskGeometry, SectorBuf, Zone, SECTOR_SIZE};
 use trail::sim::{SimDuration, SimTime};
 
 fn arb_geometry() -> impl Strategy<Value = DiskGeometry> {
@@ -196,34 +196,96 @@ proptest! {
         }
     }
 
-    /// The predictor's same-track output is always a sector on the
-    /// reference's track, and its cross-track output a sector on the track
-    /// asked for, regardless of elapsed time, δ or leads.
+    /// The predictor's output is always a sector on the track asked for —
+    /// the reference's own or the next — regardless of elapsed time, the
+    /// reference's kind or the leads.
     #[test]
     fn predictor_stays_on_track(
         ref_lba in 0u64..3_000_000,
         elapsed_ns in 0u64..1_000_000_000,
-        delta in 0u32..32,
-        lead_ns in (1u64..=11_111_111, 1u64..=11_111_111),
+        after_write in any::<bool>(),
+        lead_ns in (
+            1u64..=11_111_111,
+            1u64..=11_111_111,
+            1u64..=11_111_111,
+            1u64..=11_111_111,
+        ),
     ) {
         let p = trail::disk::profiles::seagate_st41601n();
         let total = p.geometry.total_sectors();
         let ref_lba = ref_lba % total;
         let leads = TrackLeads {
-            switch: SimDuration::from_nanos(lead_ns.0),
-            crossing: SimDuration::from_nanos(lead_ns.1),
+            after_read: SimDuration::from_nanos(lead_ns.0),
+            after_write: SimDuration::from_nanos(lead_ns.1),
+            switch: SimDuration::from_nanos(lead_ns.2),
+            crossing: SimDuration::from_nanos(lead_ns.3),
         };
-        let mut predictor =
-            HeadPredictor::new(p.geometry.clone(), p.mech.rotation_period, delta, leads);
-        predictor.set_reference(SimTime::ZERO, ref_lba);
+        let mut predictor = HeadPredictor::new(p.geometry.clone(), p.mech.rotation_period, leads);
+        let kind = if after_write { CommandKind::Write } else { CommandKind::Read };
+        predictor.set_reference(SimTime::ZERO, ref_lba, kind);
         let t1 = SimTime::ZERO + SimDuration::from_nanos(elapsed_ns);
-        let predicted = predictor.predict_same_track(t1).expect("has reference");
         let track = p.geometry.track_of_lba(ref_lba).expect("in range");
-        prop_assert_eq!(p.geometry.track_of_lba(predicted), Some(track));
         let next = (track + 1) % p.geometry.total_tracks();
-        let (sector, lba) = predictor.predict_on_track(next, t1).expect("has reference");
-        prop_assert!(sector < p.geometry.spt_of_track(next));
-        prop_assert_eq!(p.geometry.track_of_lba(lba), Some(next));
+        for target in [track, next] {
+            let (sector, lba) = predictor.predict_on_track(target, t1).expect("has reference");
+            prop_assert!(sector < p.geometry.spt_of_track(target));
+            prop_assert_eq!(p.geometry.track_of_lba(lba), Some(target));
+        }
+    }
+
+    /// The predictor against the disk it predicts, in every zone of the
+    /// ST41601N (spt 90, 84, 78): after a one-sector read or write on a
+    /// track and an idle gap, a one-sector write to the predicted sector
+    /// of that track waits out less than one of its sectors plus the
+    /// lead's margin over the write's overhead — the calibration sweep's
+    /// rounding and the slack, one sector each of the calibration track —
+    /// and never a revolution.
+    #[test]
+    fn predicted_write_waits_under_a_sector_past_its_lead(
+        zone in 0usize..3,
+        cylinder in 0u32..700,
+        head in 0u32..17,
+        ref_sector in 0u32..78,
+        write_reference in any::<bool>(),
+        gap_us in 0u64..50_000,
+    ) {
+        use trail::disk::{Disk, DiskCommand};
+        use trail::probe::{calibrate_track_leads, run_blocking, TRACK_LEAD_SLACK};
+        use trail::sim::Simulator;
+
+        let profile = trail::disk::profiles::seagate_st41601n();
+        let g = profile.geometry.clone();
+        let period = profile.mech.rotation_period;
+        let mut sim = Simulator::new();
+        let disk = Disk::new("log", profile.clone());
+        let leads = calibrate_track_leads(&mut sim, &disk, 1, period).expect("calibration");
+        let track = (zone as u64 * 700 + u64::from(cylinder)) * 17 + u64::from(head);
+        let spt = g.spt_of_track(track);
+        prop_assert_eq!(spt, [90, 84, 78][zone]);
+        let one_sector = |kind, lba| match kind {
+            CommandKind::Write => DiskCommand::Write { lba, data: vec![7u8; SECTOR_SIZE].into() },
+            _ => DiskCommand::Read { lba, count: 1 },
+        };
+        let kind = if write_reference { CommandKind::Write } else { CommandKind::Read };
+        let reference = g.track_first_lba(track) + u64::from(ref_sector);
+        let res = run_blocking(&mut sim, &disk, one_sector(kind, reference)).expect("reference");
+        let mut predictor = HeadPredictor::new(g.clone(), period, leads);
+        predictor.set_reference(res.completed, reference, kind);
+        sim.run_until(res.completed + SimDuration::from_micros(gap_us));
+        let (_, target) = predictor.predict_on_track(track, sim.now()).expect("has reference");
+        let write = run_blocking(&mut sim, &disk, one_sector(CommandKind::Write, target))
+            .expect("predicted write");
+        let calibration_sector = period / u64::from(g.spt_of_track(1));
+        let bound = period / u64::from(spt) + calibration_sector * u64::from(1 + TRACK_LEAD_SLACK);
+        prop_assert_eq!(write.breakdown.seek, SimDuration::ZERO);
+        prop_assert!(
+            write.breakdown.rotation < bound,
+            "spt {} after a {:?}: waited {} (bound {})",
+            spt,
+            kind,
+            write.breakdown.rotation,
+            bound
+        );
     }
 
     /// TrackPool against a reference model: FIFO reclamation, exact free
