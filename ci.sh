@@ -34,13 +34,11 @@ fi
 echo "== target-factory gate =="
 # StackBuilder::build_target in the umbrella crate is the one way to
 # construct a replay/bench stack; no crate may grow a private factory or
-# boot MultiTrail by hand again. The one exception is the crash campaign's
-# reboot: it recovers disks a cut left dirty, which StackBuilder (it formats
-# fresh ones) cannot, through the array's own boot path.
+# boot MultiTrail by hand again (a reboot after a cut is
+# BuiltStack::reboot, through the same build path).
 if grep -rn --include='*.rs' \
     'fn build_target\|struct MultiStack\|fn prealloc\|MultiTrail::start' \
-    crates/trace crates/bench \
-    | grep -v '^crates/bench/src/campaign.rs:[0-9]*: *MultiTrail::start_with_targets('; then
+    crates/trace crates/bench; then
   echo "found a private stack factory outside the umbrella crate" >&2
   exit 1
 fi
@@ -153,6 +151,17 @@ for flavor in raw multi2 raid5; do
     && grep -q '"cut_in_data_write_points":[1-9]' <<<"$row" \
     || { echo "BENCH_recovery.json lacks a clean exhaustive $flavor row of >= 30 cuts: $row" >&2; exit 1; }
 done
+
+echo "== one-fault-harness gate =="
+# trail::explore is the one fault harness over the umbrella crate's
+# stacks: a cut is a FaultPlan entry and a reboot is BuiltStack::reboot.
+# No test, example or library file beside the build path and the
+# explorer may cut or restore a disk's power by hand again.
+if grep -rnE --include='*.rs' '\.power_cut\(|\.power_on\(\)' tests examples src \
+    | grep -v '^src/scenario.rs:\|^src/explore.rs:'; then
+  echo "found a hand-rolled power cut or reboot; use a FaultPlan cut and BuiltStack::reboot" >&2
+  exit 1
+fi
 
 echo "== fault-plane and trace-format gate =="
 # FaultPlan on the stack's FaultClock is the one way harnesses schedule

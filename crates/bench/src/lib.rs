@@ -22,11 +22,9 @@ use trail_sim::{Delivered, DurationHistogram, SimDuration, Simulator};
 use trail_telemetry::RecorderHandle;
 use trail_tpcc::{populate, CpuModel, Scale, Workload};
 
-pub mod campaign;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub use campaign::{run_campaign, CampaignFlavor, CampaignSpec, CrashPointOutcome};
 pub use report::{media_line, open_trace, shard_count, vm_hwm, write_bench_json_in, Args};
 pub use runner::{parallel_map, run_all_scenarios, RunAllOptions, RunAllSummary};
 pub use scenarios::{

@@ -18,9 +18,12 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use rand::Rng;
+use trail::explore::{self, TimedWrite};
+use trail::volume::VolumeLayout;
+use trail::StackBuilder;
 use trail_core::{
     format_log_disk, read_header, recover, FormatOptions, LogRouting, MissTally, MultiTrail,
-    RecoveryOptions, TrailConfig, TrailDriver, TrailStats, CALIBRATION_TRACK,
+    RecoveryOptions, RecoveryReport, TrailConfig, TrailDriver, TrailStats, CALIBRATION_TRACK,
 };
 use trail_db::{FlushPolicy, StorageService};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
@@ -31,7 +34,9 @@ use trail_probe::{
 use trail_serve::{
     run_fleet, AdmissionPolicy, FleetMode, FleetReport, FleetSpec, Server, ServerConfig,
 };
-use trail_sim::{Delivered, DurationHistogram, FaultPlan, SimDuration, Simulator};
+use trail_sim::{
+    Delivered, DurationHistogram, Fault, FaultKind, FaultPlan, FaultTarget, SimDuration, Simulator,
+};
 use trail_telemetry::{histogram_json, JsonValue, RecorderHandle};
 use trail_tpcc::{run, ChainOn, RunConfig, TpccReport};
 use trail_trace::{
@@ -41,9 +46,9 @@ use trail_trace::{
     TraceCapture, TraceMeta, TraceReader, DEFAULT_CHUNK_RECORDS,
 };
 
-use crate::campaign::{run_campaign, CampaignFlavor, CampaignSpec, CrashPointOutcome};
 use crate::report::{Column, Fmt, Table};
 use crate::row;
+use crate::runner::parallel_map;
 use crate::{sync_writes_standard, sync_writes_trail, testbed, tpcc_setup, ArrivalMode, TpccRig};
 
 /// How a scenario should run.
@@ -2591,11 +2596,123 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------ crash campaign
 
-/// One campaign: its flavor, burst size and crash-point outcomes.
-type Campaign = (CampaignFlavor, usize, Vec<CrashPointOutcome>);
+/// Which stack a campaign crashes: Trail over three raw data disks, or a
+/// two-log array over them writing whole aligned 8-sector blocks (one
+/// owning log per sector), both cut as a whole system; or Trail over a
+/// three-member RAID-5 volume with only its log cut, so the members keep
+/// maintaining parity.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Flavor {
+    Raw,
+    Multi2,
+    Raid5,
+}
+
+impl Flavor {
+    fn label(self) -> &'static str {
+        match self {
+            Flavor::Raw => "raw",
+            Flavor::Multi2 => "multi2",
+            Flavor::Raid5 => "raid5",
+        }
+    }
+
+    /// The flavor's stack, what its cut darkens, and its seeded burst of
+    /// `writes` extents at measurement start (the fig4 shape: Trail absorbs
+    /// the queue, so the active log grows with the burst) of 1–16 sectors
+    /// at unaligned LBAs in an 8·`writes`-sector window, so they overlap.
+    fn setup(self, writes: usize, seed: u64) -> (StackBuilder, FaultTarget, Vec<TimedWrite>) {
+        let b = StackBuilder::new().seed(seed).data_disks(3);
+        let raid5 = VolumeLayout::Raid5 { chunk_sectors: 8 };
+        let (stack, target) = match self {
+            Flavor::Raw => (b.trail_default(), FaultTarget::System),
+            Flavor::Multi2 => (
+                b.trail_multi(2, TrailConfig::default()),
+                FaultTarget::System,
+            ),
+            Flavor::Raid5 => (
+                b.data_disks(1).trail_default().volumes(raid5, 3),
+                FaultTarget::Log(0),
+            ),
+        };
+        let devs = stack.scenario().data_disks;
+        let mut rng = trail_sim::rng(seed);
+        let window = 8 * writes as u64;
+        let burst = (0..writes)
+            .map(|_| {
+                let dev = rng.gen_range(0..devs);
+                let (lba, sectors) = if self == Flavor::Multi2 {
+                    (2048 + 8 * rng.gen_range(0..writes as u64), 8)
+                } else {
+                    let sectors = rng.gen_range(1..=16.min(window));
+                    (2048 + rng.gen_range(0..=window - sectors), sectors)
+                };
+                let at = SimDuration::ZERO;
+                TimedWrite {
+                    at,
+                    dev,
+                    lba,
+                    sectors,
+                }
+            })
+            .collect();
+        (stack, target, burst)
+    }
+}
+
+/// One crash point (virtual time): writes acknowledged and blocks pinned
+/// at the cut, whether it fell inside a data-disk write (some of its
+/// sectors landed, some not), the reboot's recovery summed over the logs,
+/// and the rules the explorer found broken.
+#[derive(Clone)]
+struct CrashPoint {
+    acked: usize,
+    pending: usize,
+    in_data_write: bool,
+    report: RecoveryReport,
+    violations: usize,
+}
+
+/// Runs one campaign: a fault-free run of the flavor's burst enumerates
+/// its cut instants, and the explorer crashes, reboots and checks it at
+/// every one or at `crash_points` evenly spaced ranks, on the
+/// [`parallel_map`] pool — in cut order for any thread count.
+fn run_campaign(
+    flavor: Flavor,
+    writes: usize,
+    crash_points: usize,
+    seed: u64,
+    threads: usize,
+) -> Vec<CrashPoint> {
+    let (stack, target, burst) = flavor.setup(writes, seed);
+    let probe = explore::run(&stack, &burst, &FaultPlan::new());
+    assert_eq!(probe.acked, writes, "the probe acknowledges every write");
+    let (cuts, n) = (&probe.cuts, crash_points.min(probe.cuts.len()));
+    let picked = (0..n)
+        .map(|k| cuts[(2 * k + 1) * cuts.len() / (2 * n)])
+        .collect();
+    parallel_map(picked, threads, |at| {
+        let kind = FaultKind::PowerCut;
+        let o = explore::run(
+            &stack,
+            &burst,
+            &FaultPlan::new().with(Fault { at, target, kind }),
+        );
+        CrashPoint {
+            acked: o.acked,
+            pending: o.pinned,
+            in_data_write: (probe.data_writes.iter()).any(|&(a, z)| a <= at && at < z),
+            report: o.recovered.expect("the cut reboots into recovery"),
+            violations: o.violations.len(),
+        }
+    })
+}
+
+/// One campaign: its flavor, burst size and crash points.
+type Campaign = (Flavor, usize, Vec<CrashPoint>);
 
 /// The mean of `f` over a campaign's crash points.
-fn mean(outcomes: &[CrashPointOutcome], f: impl Fn(&CrashPointOutcome) -> f64) -> f64 {
+fn mean(outcomes: &[CrashPoint], f: impl Fn(&CrashPoint) -> f64) -> f64 {
     outcomes.iter().map(f).sum::<f64>() / outcomes.len() as f64
 }
 
@@ -2629,7 +2746,7 @@ fn campaign_table(campaigns: &[Campaign]) -> Table {
         Column::both("total max (ms)", "max_total_ms", Fmt::Fixed(1)),
     ]);
     for (flavor, q, o) in campaigns {
-        let total_ms = |o: &CrashPointOutcome| o.report.total_time().as_millis_f64();
+        let total_ms = |o: &CrashPoint| o.report.total_time().as_millis_f64();
         table.push(row![
             flavor.label(),
             *q,
@@ -2669,47 +2786,31 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
     let raid_qs: &[usize] = if cfg.quick { &[16] } else { &[32, 64] };
     let raid_points = (raw_points / 3 * 2).max(4);
     let seed = |q: usize| cfg.mix(0x0043_5241_5348 + q as u64);
-    let campaign = |flavor: CampaignFlavor, q: usize, points: usize| {
-        let spec = CampaignSpec {
-            flavor,
-            writes: q,
-            crash_points: points,
-            seed: seed(q),
-        };
-        (flavor, q, run_campaign(&spec, threads))
+    let campaign = |flavor: Flavor, q: usize, points: usize| {
+        (flavor, q, run_campaign(flavor, q, points, seed(q), threads))
     };
     let curve: Vec<Campaign> = raw_qs
         .iter()
-        .map(|&q| campaign(CampaignFlavor::RawDisks, q, raw_points))
+        .map(|&q| campaign(Flavor::Raw, q, raw_points))
         .collect();
     let raid: Vec<Campaign> = raid_qs
         .iter()
-        .map(|&q| campaign(CampaignFlavor::Raid5, q, raid_points))
+        .map(|&q| campaign(Flavor::Raid5, q, raid_points))
         .collect();
     // The exhaustive section: every enumerated cut of one small burst per
     // flavor, its size and seed fixed so that its extents overlap and some
     // cut tears a record and some falls inside a data-disk write.
-    let exhaustive = [
-        (CampaignFlavor::RawDisks, 3),
-        (CampaignFlavor::TrailMulti2, 6),
-        (CampaignFlavor::Raid5, 2),
-    ]
-    .map(|(flavor, q)| {
-        let spec = CampaignSpec {
-            flavor,
-            writes: q,
-            crash_points: usize::MAX,
-            seed: 0x0043_5241_5348 + q as u64,
-        };
-        let o = run_campaign(&spec, threads);
-        assert!(
-            o.iter().any(|o| o.report.torn_records_dropped > 0)
-                && o.iter().any(|o| o.in_data_write),
-            "the {} burst must tear a record and cut inside a data write",
-            flavor.label()
-        );
-        (flavor, q, o)
-    });
+    let exhaustive =
+        [(Flavor::Raw, 3), (Flavor::Multi2, 6), (Flavor::Raid5, 2)].map(|(flavor, q)| {
+            let o = run_campaign(flavor, q, usize::MAX, 0x0043_5241_5348 + q as u64, threads);
+            assert!(
+                o.iter().any(|o| o.report.torn_records_dropped > 0)
+                    && o.iter().any(|o| o.in_data_write),
+                "the {} burst must tear a record and cut inside a data write",
+                flavor.label()
+            );
+            (flavor, q, o)
+        });
 
     let sampled = campaign_table(&[curve.as_slice(), &raid].concat());
     let enumerated = campaign_table(&exhaustive);
@@ -2736,8 +2837,8 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
     // the curve over Q must be monotone in both the log-size witness and
     // the recovery time.
     for ((_, qa, a), (_, qb, b)) in curve.iter().zip(&curve[1..]) {
-        let replayed = |o: &CrashPointOutcome| o.report.sectors_replayed as f64;
-        let total = |o: &CrashPointOutcome| o.report.total_time().as_millis_f64();
+        let replayed = |o: &CrashPoint| o.report.sectors_replayed as f64;
+        let total = |o: &CrashPoint| o.report.total_time().as_millis_f64();
         assert!(
             mean(b, replayed) >= mean(a, replayed),
             "write-back volume must grow with Q"
@@ -2775,5 +2876,35 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
             ("raid5", JsonValue::Arr(raid_rows)),
             ("exhaustive", JsonValue::obj(exhaustive_rows)),
         ]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn campaign_is_deterministic_across_thread_counts() {
+        for flavor in [Flavor::Raw, Flavor::Multi2] {
+            let [a, b] = [1, 4].map(|threads| run_campaign(flavor, 8, 5, 7, threads));
+            assert_eq!(a.len(), 5);
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(
+                    (x.acked, x.pending, x.in_data_write),
+                    (y.acked, y.pending, y.in_data_write)
+                );
+                assert_eq!(x.report.total_time(), y.report.total_time());
+                assert_eq!((x.violations, y.violations), (0, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn raid5_campaign_holds_the_parity_invariant() {
+        // The explorer's redundancy rule counts a stripe that does not XOR
+        // to zero after a log-only cut as a violation.
+        let points = run_campaign(Flavor::Raid5, 8, 3, 11, 2);
+        assert_eq!(points.len(), 3);
+        assert!(points.iter().all(|p| p.violations == 0));
     }
 }

@@ -129,12 +129,18 @@ impl fmt::Display for Fault {
     }
 }
 
+/// The largest offset or latency-spike `extra` the text form accepts:
+/// 2⁶² ns, about 146 years. Anything larger could not be armed without
+/// overflowing virtual time, so [`FaultPlan`]'s `FromStr` rejects it.
+pub const MAX_FAULT_NANOS: u64 = 1 << 62;
+
 /// A deterministic, serializable schedule of faults.
 ///
 /// The text form is `;`-separated faults, each
 /// `@<offset_ns> <target> <kind>` with targets `system`, `data<i>`,
 /// `log<i>`, `vol<v>.m<m>` and kinds `cut`, `fail`, `err*<count>`,
-/// `slow+<extra_ns>*<count>`.
+/// `slow+<extra_ns>*<count>`; offsets and `extra` are at most
+/// [`MAX_FAULT_NANOS`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The scheduled faults. Faults armed for the same instant fire in
@@ -236,6 +242,12 @@ fn parse_target(s: &str) -> Result<FaultTarget, FaultPlanParseError> {
     }
 }
 
+/// Parses a nanosecond count of at most [`MAX_FAULT_NANOS`].
+fn parse_nanos(s: &str) -> Option<SimDuration> {
+    let ns = s.parse::<u64>().ok()?;
+    (ns <= MAX_FAULT_NANOS).then(|| SimDuration::from_nanos(ns))
+}
+
 fn parse_kind(s: &str) -> Result<FaultKind, FaultPlanParseError> {
     let bad = || FaultPlanParseError(format!("bad kind `{s}`"));
     if s == "cut" {
@@ -249,7 +261,7 @@ fn parse_kind(s: &str) -> Result<FaultKind, FaultPlanParseError> {
     } else if let Some(rest) = s.strip_prefix("slow+") {
         let (extra, count) = rest.split_once('*').ok_or_else(bad)?;
         Ok(FaultKind::LatencySpike {
-            extra: SimDuration::from_nanos(extra.parse().map_err(|_| bad())?),
+            extra: parse_nanos(extra).ok_or_else(bad)?,
             count: count.parse().map_err(|_| bad())?,
         })
     } else {
@@ -271,7 +283,7 @@ impl FromStr for FaultPlan {
             let at = parts
                 .next()
                 .and_then(|p| p.strip_prefix('@'))
-                .and_then(|p| p.parse::<u64>().ok())
+                .and_then(parse_nanos)
                 .ok_or_else(|| FaultPlanParseError(format!("bad offset in `{item}`")))?;
             let target = parse_target(
                 parts
@@ -286,11 +298,7 @@ impl FromStr for FaultPlan {
             if parts.next().is_some() {
                 return Err(FaultPlanParseError(format!("trailing tokens in `{item}`")));
             }
-            plan.push(Fault {
-                at: SimDuration::from_nanos(at),
-                target,
-                kind,
-            });
+            plan.push(Fault { at, target, kind });
         }
         Ok(plan)
     }
@@ -458,6 +466,9 @@ mod tests {
             "@10 vol0 fail",
             "@10 data cut",
             "@10 system slow+abc*2",
+            // Past MAX_FAULT_NANOS: arming one would overflow virtual time.
+            "@18446744073709551615 system cut",
+            "@0 data0 slow+18446744073709551615*1",
         ] {
             assert!(bad.parse::<FaultPlan>().is_err(), "accepted `{bad}`");
         }

@@ -66,6 +66,7 @@ pub use completion::{Completion, CompletionId, CompletionSink, Delivered, IoErro
 pub use event::{thread_events_executed, EventFn, EventId, Simulator};
 pub use fault::{
     Fault, FaultClock, FaultKind, FaultPlan, FaultPlanParseError, FaultSink, FaultTarget,
+    MAX_FAULT_NANOS,
 };
 pub use parallel::parallel_map;
 pub use payload::INLINE_EVENT_BYTES;

@@ -4,9 +4,9 @@
 //! campaign driver's command line), so parsing must be total, and the
 //! text form is the plan's serialization, so it must be lossless:
 //!
-//! - **Round trip**: every plan — any offset, any target index, any
-//!   count — parses back from its `Display` form to an equal plan, and
-//!   re-encodes to the same text.
+//! - **Round trip**: every plan — any offset and spike up to
+//!   [`MAX_FAULT_NANOS`], any target index, any count — parses back from
+//!   its `Display` form to an equal plan, and re-encodes to the same text.
 //! - **Byte soup / token soup**: arbitrary bytes (read lossily as UTF-8)
 //!   and arbitrary sequences of the grammar's own tokens parse to a plan
 //!   or a [`trail_sim::FaultPlanParseError`] that formats — never a
@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use trail_sim::{Fault, FaultKind, FaultPlan, FaultTarget, SimDuration};
+use trail_sim::{Fault, FaultKind, FaultPlan, FaultTarget, SimDuration, MAX_FAULT_NANOS};
 
 fn arb_target() -> BoxedStrategy<FaultTarget> {
     prop_oneof![
@@ -38,12 +38,12 @@ fn arb_kind() -> BoxedStrategy<FaultKind> {
         Just(FaultKind::PowerCut),
         Just(FaultKind::Fail),
         any::<u32>().prop_map(|count| FaultKind::TransientError { count }),
-        (any::<u64>(), any::<u32>()).prop_map(|(extra, count)| FaultKind::LatencySpike {
+        (0..=MAX_FAULT_NANOS, any::<u32>()).prop_map(|(extra, count)| FaultKind::LatencySpike {
             extra: SimDuration::from_nanos(extra),
             count
         }),
         Just(FaultKind::LatencySpike {
-            extra: SimDuration::from_nanos(u64::MAX),
+            extra: SimDuration::from_nanos(MAX_FAULT_NANOS),
             count: u32::MAX
         }),
     ]
@@ -51,7 +51,7 @@ fn arb_kind() -> BoxedStrategy<FaultKind> {
 }
 
 fn arb_plan() -> BoxedStrategy<FaultPlan> {
-    let at = prop_oneof![any::<u64>(), Just(0u64), Just(u64::MAX)];
+    let at = prop_oneof![0..=MAX_FAULT_NANOS, Just(0u64), Just(MAX_FAULT_NANOS)];
     proptest::collection::vec((at, arb_target(), arb_kind()), 0..6)
         .prop_map(|faults| FaultPlan {
             faults: faults

@@ -768,32 +768,85 @@ fn submit_batch(
     }
 }
 
-/// [`submit_batch`] plus the continuation every plan shares: a failed
-/// gather aborts the operation, a failed sub-operation goes to
+/// [`submit_batch`] plus the continuation every plan shares. A write
+/// that fails transiently goes out again as it is, under the same keys: it
+/// may have torn its RAID-5 stripe, and a replan would compute parity from
+/// the torn stripe (by read-modify-write, or by rebuilding a member that
+/// fails meanwhile). Each re-send spends an attempt and counts as a retry.
+/// Every round's results merge into one slot per sub-operation; then a
+/// failed gather aborts the operation, a failed slot goes to
 /// [`after_failure`], and otherwise `on_ok` gets every sub-result, in
 /// `ios` order.
-fn gather(
+fn gather<F>(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, mut ios: MemberIos, on_ok: F)
+where
+    F: FnOnce(&RaidVolume, &mut Simulator, &OpRef, Vec<IoDone>) + 'static,
+{
+    let batch = Batch {
+        members: ios.iter().map(|(m, _)| *m).collect(),
+        copies: ios.iter_mut().map(|(_, req)| resendable(req)).collect(),
+        results: vec![Err(IoError::Cancelled); ios.len()],
+        slots: (0..ios.len()).collect(),
+        on_ok,
+    };
+    gather_round(vol, sim, op, ios, batch);
+}
+
+/// A gather across its re-send rounds: slot `s` went to `members[s]`, can
+/// go again as `copies[s]` (a write) and delivered `results[s]`; `slots`
+/// are the ones the round in flight resends.
+struct Batch<F> {
+    members: Vec<usize>,
+    copies: Vec<Option<IoRequest>>,
+    results: Vec<Delivered<IoDone>>,
+    slots: Vec<usize>,
+    on_ok: F,
+}
+
+/// A second handle to write `req`, sharing its buffer; `None` for a read.
+fn resendable(req: &mut IoRequest) -> Option<IoRequest> {
+    let IoKind::Write { data } = &mut req.kind else {
+        return None;
+    };
+    Some(IoRequest::write(req.lba, data.share()).tagged(req.stream))
+}
+
+fn gather_round<F>(
     vol: &RaidVolume,
     sim: &mut Simulator,
     op: &OpRef,
     ios: MemberIos,
-    on_ok: impl FnOnce(&RaidVolume, &mut Simulator, &OpRef, Vec<IoDone>) + 'static,
-) {
-    let slot_members: Vec<usize> = ios.iter().map(|(m, _)| *m).collect();
+    mut b: Batch<F>,
+) where
+    F: FnOnce(&RaidVolume, &mut Simulator, &OpRef, Vec<IoDone>) + 'static,
+{
     let vol2 = vol.clone();
     let op2 = Rc::clone(op);
     let token = sim.completion(move |sim, d: Delivered<Vec<Delivered<IoDone>>>| {
-        let results = match d {
-            Ok(results) => results,
+        let round = match d {
+            Ok(round) => round,
             Err(e) => return finish_abort(&vol2, sim, &op2, e),
         };
-        if results.iter().any(Result::is_err) {
-            after_failure(&vol2, sim, &op2, &slot_members, &results);
-            return;
+        for (&slot, r) in b.slots.iter().zip(round) {
+            b.results[slot] = r;
+        }
+        let torn =
+            |&s: &usize| b.copies[s].is_some() && matches!(b.results[s], Err(IoError::Transient));
+        b.slots = (0..b.results.len()).filter(torn).collect();
+        if !b.slots.is_empty() && (op2.borrow().attempt as usize) <= vol2.member_count() {
+            op2.borrow_mut().attempt += 1;
+            vol2.inner.borrow_mut().stats.retried_ops += 1;
+            let again = (b.slots.iter())
+                .map(|&s| (b.members[s], b.copies[s].as_mut().and_then(resendable)))
+                .map(|(m, req)| (m, req.expect("a torn slot is a write")))
+                .collect();
+            return gather_round(&vol2, sim, &op2, again, b);
+        }
+        if b.results.iter().any(Result::is_err) {
+            return after_failure(&vol2, sim, &op2, &b.members, &b.results);
         }
         // (`map`, not `flatten`: this collect reuses the allocation.)
-        let results = results.into_iter().map(|r| r.expect("checked above"));
-        on_ok(&vol2, sim, &op2, results.collect());
+        let results = b.results.into_iter().map(|r| r.expect("checked above"));
+        (b.on_ok)(&vol2, sim, &op2, results.collect());
     });
     submit_batch(vol, sim, ios, token);
 }
@@ -1588,6 +1641,21 @@ mod tests {
         // The survivor holds the bytes.
         assert_eq!(read_back(&mut sim, &vol, 3, 4), data);
         assert_eq!(vol.with_stats(|s| s.member_failures), 1);
+    }
+
+    #[test]
+    fn a_resent_torn_write_keeps_its_rounds_other_failures() {
+        let mut sim = Simulator::new();
+        let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
+        let disks = vol.member_disks();
+        // One full-stripe write, three member writes: member 0's fails
+        // transiently and goes out again; member 1 is dark.
+        disks[0].inject_transient_errors(1);
+        disks[1].power_cut(sim.now());
+        let write = IoRequest::write(0, pattern(8, 2));
+        let d = sim.block_on(|sim, done| vol.submit(sim, write, done));
+        assert_eq!(d.expect("write accepted").err(), Some(IoError::PoweredOff));
+        assert_eq!(vol.with_stats(|s| s.retried_ops), 1);
     }
 
     #[test]

@@ -18,10 +18,9 @@ fn main() -> Result<(), TrailError> {
     let cut_after = SimDuration::from_millis(120);
     let plan = FaultPlan::power_cut_at(cut_after);
     println!("armed fault plan: {}", plan.encode());
-    let built = StackBuilder::new().data_disks(2).faults(plan).build()?;
-    let (mut sim, clock, data) = (built.sim, built.fault_clock, built.data_disks);
-    let trail = built.trail.expect("the default stack runs Trail");
-    let log = built.log_disk.expect("Trail has a log disk");
+    let mut built = StackBuilder::new().data_disks(2).faults(plan).build()?;
+    let (sim, clock) = (&mut built.sim, built.fault_clock.clone());
+    let trail = built.trail.clone().expect("the default stack runs Trail");
 
     // A bursty random write workload; the ledger remembers what was
     // submitted and acknowledged. After the cut the arrival events keep
@@ -60,16 +59,11 @@ fn main() -> Result<(), TrailError> {
         ledger.borrow().acked(),
         trail.pinned_blocks()
     );
-    drop(trail);
 
-    // Reboot: TrailDriver::start sees the dirty flag and recovers.
-    log.power_on();
-    for d in &data {
-        d.power_on();
-    }
-    let mut sim2 = Simulator::new();
-    let (trail, boot) = TrailDriver::start(&mut sim2, log, data.clone(), TrailConfig::default())?;
-    let report = boot.recovered.expect("dirty log disk triggers recovery");
+    // Reboot: the same disks, powered on, through the same build path;
+    // booting Trail sees the dirty flag and recovers.
+    let mut rebooted = built.reboot()?;
+    let report = &rebooted.recovered[0];
     println!("\nrecovery report:");
     println!(
         "  locate youngest record: {} ({} track scans)",
@@ -89,6 +83,7 @@ fn main() -> Result<(), TrailError> {
     );
 
     // Every acknowledged write must now be on its data disk.
+    let data = &rebooted.data_disks;
     let lost = ledger
         .borrow()
         .check_crashed(|dev, lba| data[dev].peek_sector(lba));
@@ -101,6 +96,7 @@ fn main() -> Result<(), TrailError> {
         "\nverified {} acknowledged writes survived the crash",
         ledger.borrow().acked()
     );
-    trail.shutdown(&mut sim2)?;
+    let trail = rebooted.trail.expect("the default stack runs Trail");
+    trail.shutdown(&mut rebooted.sim)?;
     Ok(())
 }

@@ -31,7 +31,8 @@ use std::rc::Rc;
 
 use trail_blockio::{Clook, Priority, SharedBlockDevice, StandardDriver};
 use trail_core::{
-    format_log_disk, FormatOptions, MultiTrail, TrailConfig, TrailDriver, TrailError,
+    format_log_disk, BootReport, FormatOptions, MultiTrail, RecoveryReport, TrailConfig,
+    TrailDriver, TrailError,
 };
 use trail_db::{BlockStack, Database, DbConfig, StandardStack};
 use trail_disk::profiles::{self, DriveProfile};
@@ -138,6 +139,15 @@ impl Scenario {
     ///
     /// Propagates log-disk format or Trail boot failures.
     pub fn build(&self) -> Result<BuiltStack, TrailError> {
+        self.boot(Vec::new(), Vec::new())
+    }
+
+    /// The build path, over fresh disks or — for a reboot — over the log
+    /// and data disks of an earlier build, in the order it made them,
+    /// whose logs boot unformatted (a dirty one recovers).
+    fn boot(&self, logs: Vec<Disk>, data: Vec<Disk>) -> Result<BuiltStack, TrailError> {
+        let fresh = logs.is_empty() && data.is_empty();
+        let (mut old_logs, mut old_data) = (logs.into_iter(), data.into_iter());
         let mut sim = Simulator::new();
         let mut data_disks: Vec<Disk> = Vec::new();
         let mut volumes: Vec<RaidVolume> = Vec::new();
@@ -149,7 +159,8 @@ impl Scenario {
         // volume sets under a Trail array.
         let mut make_set = |tag: &str| -> Vec<SharedBlockDevice> {
             let mut disk = |name: String| {
-                let d = Disk::new(name, self.data_profile.clone());
+                let d =
+                    (old_data.next()).unwrap_or_else(|| Disk::new(name, self.data_profile.clone()));
                 data_disks.push(d.clone());
                 StandardDriver::with_policy(d, Box::new(Clook::default()), priority)
             };
@@ -169,17 +180,25 @@ impl Scenario {
         };
         let mut log_disks: Vec<Disk> = Vec::new();
         let mut format_log = |sim: &mut Simulator, name: String| -> Result<Disk, TrailError> {
-            let log = Disk::new(name, self.log_profile.clone());
-            format_log_disk(sim, &log, FormatOptions::default())?;
+            let log = match old_logs.next() {
+                Some(log) => log,
+                None => {
+                    let log = Disk::new(name, self.log_profile.clone());
+                    format_log_disk(sim, &log, FormatOptions::default())?;
+                    log
+                }
+            };
             log_disks.push(log.clone());
             Ok(log)
         };
+        let mut boots: Vec<BootReport> = Vec::new();
         let (stack, trail, multi, targets): (Rc<dyn BlockStack>, _, _, _) = match &self.log_device {
             LogDevice::Trail { config } => {
                 let targets = make_set("");
                 let log = format_log(&mut sim, "trail-log".to_string())?;
-                let (drv, _) =
+                let (drv, boot) =
                     TrailDriver::start_with_targets(&mut sim, log, targets.clone(), *config)?;
+                boots.push(boot);
                 (Rc::new(drv.clone()), Some(drv), None, targets)
             }
             LogDevice::TrailMulti { logs, config } => {
@@ -198,8 +217,9 @@ impl Scenario {
                         vec![make_set(""); logs]
                     };
                 let first = sets[0].clone();
-                let (array, _) =
+                let (array, all) =
                     MultiTrail::start_with_targets(&mut sim, formatted, sets, *config)?;
+                boots = all;
                 (Rc::new(array.clone()), None, Some(array), first)
             }
             LogDevice::Standard => {
@@ -214,9 +234,11 @@ impl Scenario {
         };
         // Formatting runs the lead-calibration sweeps, whose
         // under-compensated probes pay full rotations by design; start
-        // measurements clean.
-        for d in log_disks.iter().chain(&data_disks) {
-            d.reset_stats();
+        // measurements clean. A reboot's disks keep counting.
+        if fresh {
+            for d in log_disks.iter().chain(&data_disks) {
+                d.reset_stats();
+            }
         }
         // Fault offsets are relative to this instant: post-format,
         // post-boot, stats reset — where measurements start.
@@ -232,7 +254,6 @@ impl Scenario {
         }
         fault_clock.arm(&mut sim, &self.faults);
         Ok(BuiltStack {
-            seed: self.seed,
             sim,
             data_disks,
             log_disk: trail.as_ref().map(TrailDriver::log_disk),
@@ -243,6 +264,8 @@ impl Scenario {
             targets,
             stack,
             fault_clock,
+            recovered: boots.into_iter().filter_map(|b| b.recovered).collect(),
+            scenario: self.clone(),
         })
     }
 }
@@ -373,8 +396,6 @@ impl StackBuilder {
 
 /// A running stack produced by [`StackBuilder::build`].
 pub struct BuiltStack {
-    /// The scenario's workload seed, carried through for the harness.
-    pub seed: u64,
     /// The simulator (virtual time).
     pub sim: Simulator,
     /// The data disks, in device order.
@@ -409,9 +430,36 @@ pub struct BuiltStack {
     /// inspect [`fired`](FaultClock::fired) /
     /// [`unhandled`](FaultClock::unhandled) afterwards.
     pub fault_clock: FaultClock,
+    /// Recovery at boot, one report per dirty log (none on fresh logs).
+    pub recovered: Vec<RecoveryReport>,
+    /// The scenario this stack was built from (its seed names the
+    /// workload).
+    pub scenario: Scenario,
 }
 
 impl BuiltStack {
+    /// Powers the disks back on after a cut and boots the same scenario
+    /// over them through the one build path — no format, no faults armed,
+    /// no stats reset — so each dirty log recovers ([`recovered`]). A
+    /// failed disk stays failed and a plan's transient charges survive, so
+    /// a reboot can fail; rebooting again goes on from there.
+    ///
+    /// [`recovered`]: Self::recovered
+    ///
+    /// # Errors
+    ///
+    /// Propagates boot and recovery errors ([`TrailError::Io`]).
+    pub fn reboot(&self) -> Result<BuiltStack, TrailError> {
+        let disks = [&self.log_disks[..], &self.data_disks[..]].concat();
+        disks.iter().for_each(Disk::power_on);
+        let faults = FaultPlan::new();
+        let scenario = Scenario {
+            faults,
+            ..self.scenario.clone()
+        };
+        scenario.boot(self.log_disks.clone(), self.data_disks.clone())
+    }
+
     /// Installs a workload-capture tap on the stack (see
     /// [`trail_blockio::SubmitTap`]): every request [`BuiltStack::stack`]
     /// accepts — directly, through a mounted file system, or through the
@@ -467,7 +515,7 @@ mod tests {
             .build()
             .expect("build");
         assert!(built.trail.is_none());
-        assert_eq!(built.seed, 7);
+        assert_eq!(built.scenario.seed, 7);
     }
 
     #[test]
