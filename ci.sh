@@ -42,13 +42,11 @@ if grep -rn --include='*.rs' \
   echo "found a private stack factory outside the umbrella crate" >&2
   exit 1
 fi
-# The harness boots Trail through StackBuilder too. The one exception is
-# the delta-sensitivity ablation, which formats with a delta override the
-# builder has no business offering.
-starts="$(grep -rn --include='*.rs' 'TrailDriver::start' crates/bench || true)"
-if [ "$(cut -d: -f1 <<<"$starts")" != crates/bench/src/scenarios.rs ]; then
-  echo "crates/bench boots Trail by hand outside the delta-override ablation:" >&2
-  echo "$starts" >&2
+# The harness and the integration tests boot Trail through StackBuilder
+# too (a delta override is `StackBuilder::format`); the examples and doc
+# tests keep teaching the raw boot.
+if grep -rn --include='*.rs' 'TrailDriver::start' crates/bench tests; then
+  echo "crates/bench or tests/ boots Trail by hand; build it with StackBuilder" >&2
   exit 1
 fi
 
@@ -65,6 +63,17 @@ impls="$(grep -rn --include='*.rs' 'impl BlockStack for' crates src || true)"
 if [ "$(grep -c . <<<"$impls")" -gt 3 ]; then
   echo "more than three BlockStack implementations:" >&2
   echo "$impls" >&2
+  exit 1
+fi
+
+echo "== one-write-driver gate =="
+# BuiltStack::drive (src/drive.rs) issues every §5.1 write list under a
+# Pace; the private testbed and the closed-loop writer it replaced must
+# not come back.
+if grep -rnwE --include='*.rs' \
+    'struct Testbed|fn spawn_writer|fn sync_writes(_trail|_standard)?|enum ArrivalMode' \
+    crates src tests; then
+  echo "found a private write loop beside BuiltStack::drive" >&2
   exit 1
 fi
 

@@ -4,21 +4,21 @@
 //! and `trail-bench all` regenerates every one (see `DESIGN.md` §3 for the
 //! index and `EXPERIMENTS.md` for paper-vs-measured results). This library
 //! holds the scenario registry and the setups the scenarios share:
-//! building the two storage stacks over the paper's drive complement, the
-//! synchronous-write workload generators of §5.1, and the TPC-C rig of
-//! §5.2.
+//! building a stack with a telemetry recorder attached, the §5.1
+//! synchronous-write workload (driven by [`trail::BuiltStack::drive`]),
+//! and the TPC-C rig of §5.2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use trail_blockio::IoDone;
-use trail_core::{TrailConfig, TrailDriver, TrailStats};
+use trail::drive::Write;
+use trail::{BuiltStack, StackBuilder};
+use trail_core::TrailDriver;
 use trail_db::{BlockStack, Database, DbConfig, FlushPolicy};
-use trail_disk::{Disk, SECTOR_SIZE};
-use trail_sim::{Delivered, DurationHistogram, SimDuration, Simulator};
+use trail_disk::{profiles, SECTOR_SIZE};
+use trail_sim::Simulator;
 use trail_telemetry::RecorderHandle;
 use trail_tpcc::{populate, CpuModel, Scale, Workload};
 
@@ -31,197 +31,47 @@ pub use scenarios::{
     all_scenarios, replay_stream_json, run_scenario, ScenarioConfig, ScenarioOutput, ScenarioSpec,
 };
 
-/// The paper's testbed: one ST41601N-class SCSI log disk and three
-/// WD-Caviar-class IDE data disks.
-pub struct Testbed {
-    /// The simulator (virtual time).
-    pub sim: Simulator,
-    /// The Trail driver fronting the three data disks.
-    pub trail: TrailDriver,
-    /// The data disks, in device order.
-    pub data_disks: Vec<Disk>,
-    /// The Trail log disk.
-    pub log_disk: Disk,
-}
-
-/// Builds the testbed with a freshly formatted log disk and a running
-/// Trail driver; `recorder`, when given, is attached to the whole stack
-/// (after the format/boot noise, so traces start clean).
+/// Builds `builder`'s stack and attaches `recorder`, when given, to the
+/// whole stack (after the format/boot noise, so traces start clean).
 ///
 /// # Panics
 ///
 /// Panics if formatting or boot fails (a harness bug).
-pub fn testbed(config: TrailConfig, recorder: Option<RecorderHandle>) -> Testbed {
-    // The builder's default scenario *is* the paper's testbed; it also
-    // resets the format/boot noise so measurements start clean.
-    let built = trail::StackBuilder::new()
-        .trail(config)
-        .build()
-        .expect("boot Trail");
-    let trail = built.trail.expect("Trail scenario has a driver");
-    if let Some(r) = recorder {
-        trail.set_recorder(r);
-    }
-    Testbed {
-        sim: built.sim,
-        trail,
-        data_disks: built.data_disks,
-        log_disk: built.log_disk.expect("Trail scenario has a log disk"),
-    }
-}
-
-/// The §5.1 workload arrival modes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArrivalMode {
-    /// A new request arrives immediately after the previous one's log-disk
-    /// write completes (back to back).
-    Clustered,
-    /// A new request arrives `gap` after the previous one completes, where
-    /// `gap` exceeds the repositioning overhead (the paper uses ~1.5 ms+).
-    Sparse {
-        /// The idle gap between completion and the next arrival.
-        gap: SimDuration,
-    },
-}
-
-/// Result of one synchronous-write latency measurement.
-#[derive(Clone, Debug)]
-pub struct SyncWriteResult {
-    /// Per-request latencies.
-    pub latency: DurationHistogram,
-    /// The Trail driver's counters at the end of the run (`None` on the
-    /// standard stack).
-    pub trail: Option<TrailStats>,
-}
-
-/// Runs the §5.1 synchronous-write workload against Trail: `procs`
-/// concurrent writers each issue `writes_per_proc` random-target writes of
-/// `size_bytes`, in the given arrival mode. `recorder`, when given, is
-/// attached to the Trail stack for the duration of the run.
-pub fn sync_writes_trail(
-    config: TrailConfig,
-    procs: usize,
-    writes_per_proc: usize,
-    size_bytes: usize,
-    mode: ArrivalMode,
-    seed: u64,
-    recorder: Option<RecorderHandle>,
-) -> SyncWriteResult {
-    let builder = trail::StackBuilder::new().trail(config);
-    sync_writes(
-        builder,
-        procs,
-        writes_per_proc,
-        size_bytes,
-        mode,
-        seed,
-        recorder,
-    )
-}
-
-/// Runs the §5.1 synchronous-write workload against the standard disk
-/// subsystem (writes pay full seek + rotation at their random targets).
-/// `recorder`, when given, is attached to the baseline driver (and its
-/// disk) for the duration of the run.
-pub fn sync_writes_standard(
-    procs: usize,
-    writes_per_proc: usize,
-    size_bytes: usize,
-    mode: ArrivalMode,
-    seed: u64,
-    recorder: Option<RecorderHandle>,
-) -> SyncWriteResult {
-    let builder = trail::StackBuilder::new().data_disks(1).standard();
-    sync_writes(
-        builder,
-        procs,
-        writes_per_proc,
-        size_bytes,
-        mode,
-        seed,
-        recorder,
-    )
-}
-
-fn sync_writes(
-    builder: trail::StackBuilder,
-    procs: usize,
-    writes_per_proc: usize,
-    size_bytes: usize,
-    mode: ArrivalMode,
-    seed: u64,
-    recorder: Option<RecorderHandle>,
-) -> SyncWriteResult {
-    let mut built = builder.build().expect("boot the stack");
+pub fn build_stack(builder: StackBuilder, recorder: Option<RecorderHandle>) -> BuiltStack {
+    let built = builder.build().expect("boot the stack");
     if let Some(r) = recorder {
         built.stack.set_recorder(r);
     }
-    let lat = Rc::new(RefCell::new(DurationHistogram::new()));
-    let capacity = built.data_disks[0].geometry().total_sectors() - 1024;
-    for p in 0..procs {
-        spawn_writer(
-            &mut built.sim,
-            Rc::clone(&built.stack),
-            Rc::clone(&lat),
-            WriterParams {
-                remaining: writes_per_proc,
-                size_bytes,
-                mode,
-                seed: seed ^ (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                capacity,
-            },
-        );
-    }
-    built.sim.run();
-    assert_eq!(built.stack.pending_work(), 0, "stack drained");
-    let latency = lat.borrow().clone();
-    let trail = built.trail.map(|t| t.with_stats(Clone::clone));
-    SyncWriteResult { latency, trail }
+    built
 }
 
-struct WriterParams {
-    remaining: usize,
+/// The §5.1 synchronous-write workload: `procs` writers, each of
+/// `per_proc` writes of `size_bytes` to device 0 at random targets below
+/// the last 1 024 sectors of the paper's data disk. Writer `p` draws from
+/// `seed` mixed with `p`, and each write reseeds the next.
+pub fn random_writers(
+    procs: usize,
+    per_proc: usize,
     size_bytes: usize,
-    mode: ArrivalMode,
     seed: u64,
-    capacity: u64,
-}
-
-/// One closed-loop writer: a random-target write to device 0, the next
-/// one issued when (or `gap` after) it is acknowledged.
-fn spawn_writer(
-    sim: &mut Simulator,
-    stack: Rc<dyn BlockStack>,
-    lat: Rc<RefCell<DurationHistogram>>,
-    params: WriterParams,
-) {
+) -> Vec<Vec<Write>> {
     use rand::Rng;
-    if params.remaining == 0 {
-        return;
-    }
-    let mut rng = trail_sim::rng(params.seed);
-    let sectors = params.size_bytes.div_ceil(SECTOR_SIZE).max(1);
-    let lba = rng.gen_range(0..params.capacity - sectors as u64);
-    let data = vec![rng.gen::<u8>(); sectors * SECTOR_SIZE];
-    let next = WriterParams {
-        remaining: params.remaining - 1,
-        seed: rng.gen(),
-        ..params
-    };
-    let respawn = Rc::clone(&stack);
-    let done = sim.completion(move |sim: &mut Simulator, del: Delivered<IoDone>| {
-        let Ok(done) = del else { return };
-        lat.borrow_mut().record(done.latency());
-        match next.mode {
-            ArrivalMode::Clustered => spawn_writer(sim, respawn, lat, next),
-            ArrivalMode::Sparse { gap } => {
-                sim.schedule_in(gap, move |sim| spawn_writer(sim, respawn, lat, next));
-            }
-        }
-    });
-    stack
-        .write(sim, 0, lba, data, done)
-        .expect("write accepted");
+    let capacity = profiles::wd_caviar_10gb().geometry.total_sectors() - 1024;
+    let sectors = size_bytes.div_ceil(SECTOR_SIZE).max(1);
+    (0..procs)
+        .map(|p| {
+            let mut seed = seed ^ (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (0..per_proc)
+                .map(|_| {
+                    let mut rng = trail_sim::rng(seed);
+                    let lba = rng.gen_range(0..capacity - sectors as u64);
+                    let data = vec![rng.gen::<u8>(); sectors * SECTOR_SIZE];
+                    seed = rng.gen();
+                    Write { dev: 0, lba, data }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// TPC-C rig configuration shared by the Table 2/3 and track-utilization
@@ -290,7 +140,7 @@ pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) 
         single_cpu: true,
     };
     // The builder's default is the paper's three data disks.
-    let builder = trail::StackBuilder::new();
+    let builder = StackBuilder::new();
     let built = if trail {
         builder.trail_default().build()
     } else {

@@ -13,17 +13,18 @@
 //! the runner uses (nothing in a report or JSON depends on wall-clock
 //! time).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 use rand::Rng;
+use trail::drive::{Pace, Write};
 use trail::explore::{self, TimedWrite};
 use trail::volume::VolumeLayout;
-use trail::StackBuilder;
+use trail::{BuiltStack, StackBuilder};
 use trail_core::{
-    format_log_disk, read_header, recover, FormatOptions, LogRouting, MissTally, MultiTrail,
-    RecoveryOptions, RecoveryReport, TrailConfig, TrailDriver, TrailStats, CALIBRATION_TRACK,
+    read_header, recover, FormatOptions, LogRouting, MissTally, RecoveryOptions, RecoveryReport,
+    TrailConfig, TrailStats, CALIBRATION_TRACK,
 };
 use trail_db::{FlushPolicy, StorageService};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
@@ -49,7 +50,7 @@ use trail_trace::{
 use crate::report::{Column, Fmt, Table};
 use crate::row;
 use crate::runner::parallel_map;
-use crate::{sync_writes_standard, sync_writes_trail, testbed, tpcc_setup, ArrivalMode, TpccRig};
+use crate::{build_stack, random_writers, tpcc_setup, TpccRig};
 
 /// How a scenario should run.
 #[derive(Clone, Default)]
@@ -238,6 +239,71 @@ pub fn run_scenario(name: &str, cfg: &ScenarioConfig) -> Option<ScenarioOutput> 
         .map(|s| (s.run)(cfg))
 }
 
+// ------------------------------------------------------------- §5.1 writes
+
+/// Sparse §5.1 arrivals: each write 5 ms after the previous one's ack,
+/// past the repositioning window.
+const SPARSE_5MS: Pace = Pace::Acked {
+    group: 1,
+    gap: SimDuration::from_millis(5),
+};
+
+/// Clustered §5.1 arrivals: each write the moment the previous one is
+/// acknowledged.
+const CLUSTERED: Pace = burst(1);
+
+/// `group` writes at once, the next group the moment the last of them is
+/// acknowledged.
+const fn burst(group: usize) -> Pace {
+    Pace::Acked {
+        group,
+        gap: SimDuration::ZERO,
+    }
+}
+
+/// `n` writes of `data` to device 0 at targets `rng(seed)` draws from
+/// the first 10⁶ sectors.
+fn scattered(n: usize, seed: u64, data: &[u8]) -> Vec<Write> {
+    let mut rng = trail_sim::rng(seed);
+    (0..n)
+        .map(|_| Write {
+            dev: 0,
+            lba: rng.gen_range(0..1_000_000u64),
+            data: data.to_vec(),
+        })
+        .collect()
+}
+
+/// `n` writes of `data` to device 0, `stride` sectors apart from sector 0.
+fn strided(n: usize, stride: u64, data: &[u8]) -> Vec<Write> {
+    (0..n as u64)
+        .map(|i| Write {
+            dev: 0,
+            lba: i * stride,
+            data: data.to_vec(),
+        })
+        .collect()
+}
+
+/// The mean latency, in ms, of `writers` driven under `pace` on
+/// `builder`'s stack.
+fn mean_ms(
+    builder: StackBuilder,
+    recorder: Option<RecorderHandle>,
+    writers: Vec<Vec<Write>>,
+    pace: Pace,
+) -> f64 {
+    let mut built = build_stack(builder, recorder);
+    let latency = built.drive(writers, pace).latency;
+    assert_eq!(built.stack.pending_work(), 0, "stack drained");
+    latency.mean().as_millis_f64()
+}
+
+/// Reads the counters of a single-log Trail stack.
+fn trail_stats<T>(built: &BuiltStack, f: impl FnOnce(&TrailStats) -> T) -> T {
+    built.trail.as_ref().expect("a Trail stack").with_stats(f)
+}
+
 // ------------------------------------------------------------- table 1
 
 /// Issues `total` one-sector writes in groups of `batch`: each group is
@@ -250,55 +316,11 @@ fn elapsed_for_batch(batch: usize, total: usize, recorder: Option<RecorderHandle
         reposition_every_write: true,
         ..TrailConfig::default()
     };
-    let mut tb = testbed(config, recorder);
-    let start = tb.sim.now();
-    let done_at = Rc::new(RefCell::new(start));
-    fn submit_group(
-        sim: &mut Simulator,
-        trail: TrailDriver,
-        issued: usize,
-        batch: usize,
-        total: usize,
-        done_at: Rc<RefCell<trail_sim::SimTime>>,
-    ) {
-        if issued >= total {
-            return;
-        }
-        let group = batch.min(total - issued);
-        let pending = Rc::new(Cell::new(group));
-        for k in 0..group {
-            let trail2 = trail.clone();
-            let pending = Rc::clone(&pending);
-            let done_at = Rc::clone(&done_at);
-            let token = sim.completion(move |sim: &mut Simulator, _: Delivered<_>| {
-                *done_at.borrow_mut() = sim.now();
-                pending.set(pending.get() - 1);
-                if pending.get() == 0 {
-                    submit_group(sim, trail2, issued + group, batch, total, done_at);
-                }
-            });
-            trail
-                .write(
-                    sim,
-                    0,
-                    (issued + k) as u64 * 16,
-                    vec![0xB7; SECTOR_SIZE],
-                    token,
-                )
-                .expect("write accepted");
-        }
-    }
-    submit_group(
-        &mut tb.sim,
-        tb.trail.clone(),
-        0,
-        batch,
-        total,
-        Rc::clone(&done_at),
-    );
-    tb.sim.run();
-    let end = *done_at.borrow();
-    end.duration_since(start).as_millis_f64()
+    let mut built = build_stack(StackBuilder::new().trail(config), recorder);
+    let start = built.sim.now();
+    let writes = strided(total, 16, &[0xB7; SECTOR_SIZE]);
+    let last_ack = built.drive(vec![writes], burst(batch)).last_ack;
+    last_ack.duration_since(start).as_millis_f64()
 }
 
 fn table1(cfg: &ScenarioConfig) -> ScenarioOutput {
@@ -357,10 +379,8 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
     } else {
         &[1, 4, 8, 16, 32, 64]
     };
-    let sparse = ArrivalMode::Sparse {
-        gap: SimDuration::from_millis(5),
-    };
-    let clustered = ArrivalMode::Clustered;
+    let trail = StackBuilder::new();
+    let standard = StackBuilder::new().data_disks(1).standard();
     let mut rows: Vec<JsonValue> = Vec::new();
     let mut report = String::new();
 
@@ -383,52 +403,14 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
         for &kb in sizes_kb {
             let size = kb * 1024;
             let per_proc = (writes / procs).max(1);
-            let t_sparse = sync_writes_trail(
-                TrailConfig::default(),
-                procs,
-                per_proc,
-                size,
-                sparse,
-                cfg.mix(7 + kb as u64),
-                cfg.handle(),
-            )
-            .latency
-            .mean()
-            .as_millis_f64();
-            let t_clustered = sync_writes_trail(
-                TrailConfig::default(),
-                procs,
-                per_proc,
-                size,
-                clustered,
-                cfg.mix(11 + kb as u64),
-                cfg.handle(),
-            )
-            .latency
-            .mean()
-            .as_millis_f64();
-            let s_sparse = sync_writes_standard(
-                procs,
-                per_proc,
-                size,
-                sparse,
-                cfg.mix(13 + kb as u64),
-                cfg.handle(),
-            )
-            .latency
-            .mean()
-            .as_millis_f64();
-            let s_clustered = sync_writes_standard(
-                procs,
-                per_proc,
-                size,
-                clustered,
-                cfg.mix(17 + kb as u64),
-                cfg.handle(),
-            )
-            .latency
-            .mean()
-            .as_millis_f64();
+            let run = |builder: &StackBuilder, pace: Pace, seed: u64| {
+                let writers = random_writers(procs, per_proc, size, cfg.mix(seed + kb as u64));
+                mean_ms(builder.clone(), cfg.handle(), writers, pace)
+            };
+            let t_sparse = run(&trail, SPARSE_5MS, 7);
+            let t_clustered = run(&trail, CLUSTERED, 11);
+            let s_sparse = run(&standard, SPARSE_5MS, 13);
+            let s_clustered = run(&standard, CLUSTERED, 17);
             let speedup = (s_sparse / t_sparse).max(s_clustered / t_clustered);
             table.push(row![
                 procs,
@@ -632,73 +614,46 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
     );
 
     // --- Driver-level latency anchors ---------------------------------
-    let sparse = ArrivalMode::Sparse {
-        gap: SimDuration::from_millis(5),
+    let run = |size: usize, pace: Pace, seed: u64| {
+        let mut built = build_stack(StackBuilder::new(), cfg.handle());
+        let driven = built.drive(random_writers(1, n, size, cfg.mix(seed)), pace);
+        assert_eq!(built.stack.pending_work(), 0, "stack drained");
+        (driven.latency, trail_stats(&built, Clone::clone))
     };
-    let one_sector = sync_writes_trail(
-        TrailConfig::default(),
-        1,
-        n,
-        512,
-        sparse,
-        cfg.mix(3),
-        cfg.handle(),
-    );
+    let (one_sector, one_sector_stats) = run(512, SPARSE_5MS, 3);
     let _ = writeln!(
         report,
         "one-sector sync write (sparse): mean {:.3} ms, max {:.3} ms (paper: ~1.40 ms)",
-        one_sector.latency.mean().as_millis_f64(),
-        one_sector.latency.max().as_millis_f64()
+        one_sector.mean().as_millis_f64(),
+        one_sector.max().as_millis_f64()
     );
-    let four_kb = sync_writes_trail(
-        TrailConfig::default(),
-        1,
-        n,
-        4096,
-        sparse,
-        cfg.mix(5),
-        cfg.handle(),
-    );
+    let (four_kb, _) = run(4096, SPARSE_5MS, 5);
     let _ = writeln!(
         report,
         "4-KB sync write (sparse): mean {:.3} ms (abstract claims <1.5 ms; media-rate transfer of 8 sectors alone is ~1.0 ms — see EXPERIMENTS.md)",
-        four_kb.latency.mean().as_millis_f64()
+        four_kb.mean().as_millis_f64()
     );
-    let clustered = sync_writes_trail(
-        TrailConfig::default(),
-        1,
-        n,
-        512,
-        ArrivalMode::Clustered,
-        cfg.mix(7),
-        cfg.handle(),
-    );
+    let (clustered, clustered_stats) = run(512, CLUSTERED, 7);
     let _ = writeln!(
         report,
         "one-sector sync write (clustered): mean {:.3} ms — includes visible repositioning (paper: write + reposition ≈ 3.0 ms)",
-        clustered.latency.mean().as_millis_f64()
+        clustered.mean().as_millis_f64()
     );
-    let ledger = ledger_table(
-        &[("sparse", &one_sector), ("clustered", &clustered)]
-            .map(|(run, result)| (run, result.trail.as_ref().expect("a Trail run"))),
-    );
+    let ledger = ledger_table(&[
+        ("sparse", &one_sector_stats),
+        ("clustered", &clustered_stats),
+    ]);
     let _ = writeln!(report, "miss ledger (one-sector runs):");
     report += &ledger.markdown();
 
     // --- Residual rotational latency ----------------------------------
     // Run a sparse workload and read the log disk's rotation-wait stats.
-    let mut tb = testbed(TrailConfig::default(), cfg.handle());
-    let mut rng = trail_sim::rng(cfg.mix(11));
-    for _ in 0..(n.min(200)) {
-        let lba = rng.gen_range(0..1_000_000u64);
-        let token = tb.sim.completion(|_, _: Delivered<_>| {});
-        tb.trail
-            .write(&mut tb.sim, 0, lba, vec![1u8; 512], token)
-            .expect("write");
-        tb.trail.run_until_quiescent(&mut tb.sim);
-        tb.sim.run_for(SimDuration::from_millis(4));
-    }
-    let (mean_rot, max_rot) = tb.log_disk.with_stats(|s| {
+    let mut built = build_stack(StackBuilder::new(), cfg.handle());
+    let writes = scattered(n.min(200), cfg.mix(11), &[1u8; 512]);
+    let gap = SimDuration::from_millis(4);
+    built.drive(vec![writes], Pace::Drained { gap });
+    let log_disk = built.log_disk.as_ref().expect("a Trail run");
+    let (mean_rot, max_rot) = log_disk.with_stats(|s| {
         (
             s.rotation_waits.mean().as_millis_f64(),
             s.rotation_waits.max().as_millis_f64(),
@@ -708,7 +663,7 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "log-disk rotational latency during Trail writes: mean {mean_rot:.3} ms, max {max_rot:.3} ms (paper: reduced below 0.5 ms vs. 5.5 ms average)"
     );
-    let repositions = tb.trail.with_stats(|s| s.repositions);
+    let repositions = trail_stats(&built, |s| s.repositions);
     let _ = writeln!(report, "repositions performed: {repositions}");
 
     ScenarioOutput {
@@ -742,15 +697,15 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
             ),
             (
                 "one_sector_sparse_ms",
-                JsonValue::Num(one_sector.latency.mean().as_millis_f64()),
+                JsonValue::Num(one_sector.mean().as_millis_f64()),
             ),
             (
                 "four_kb_sparse_ms",
-                JsonValue::Num(four_kb.latency.mean().as_millis_f64()),
+                JsonValue::Num(four_kb.mean().as_millis_f64()),
             ),
             (
                 "one_sector_clustered_ms",
-                JsonValue::Num(clustered.latency.mean().as_millis_f64()),
+                JsonValue::Num(clustered.mean().as_millis_f64()),
             ),
             ("residual_rotation_mean_ms", JsonValue::Num(mean_rot)),
             ("residual_rotation_max_ms", JsonValue::Num(max_rot)),
@@ -846,35 +801,14 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             track_util_threshold: th,
             ..TrailConfig::default()
         };
-        let mut tb = testbed(config, None);
-        let mut rng = trail_sim::rng(cfg.mix(21));
-        let lat = Rc::new(RefCell::new(DurationHistogram::new()));
-        for _ in 0..writes {
-            let l = Rc::clone(&lat);
-            let lba = rng.gen_range(0..1_000_000u64);
-            let token = tb
-                .sim
-                .completion(move |_, done: Delivered<trail_blockio::IoDone>| {
-                    if let Ok(done) = done {
-                        l.borrow_mut().record(done.latency());
-                    }
-                });
-            tb.trail
-                .write(&mut tb.sim, 0, lba, vec![7u8; 2 * SECTOR_SIZE], token)
-                .expect("write");
-        }
-        tb.sim.run();
-        tb.trail.run_until_quiescent(&mut tb.sim);
-        let (repos, util) = tb.trail.with_stats(|s| {
-            let u = if s.track_utilization.is_empty() {
-                0.0
-            } else {
-                s.track_utilization.iter().sum::<f64>() / s.track_utilization.len() as f64
-            };
-            (s.repositions, u)
+        let mut built = build_stack(StackBuilder::new().trail(config), None);
+        let list = scattered(writes, cfg.mix(21), &[7u8; 2 * SECTOR_SIZE]);
+        let latency = built.drive(vec![list], burst(writes)).latency;
+        let (repos, util) = trail_stats(&built, |s| {
+            let u = &s.track_utilization;
+            (s.repositions, u.iter().sum::<f64>() / u.len().max(1) as f64)
         });
-        let mean = lat.borrow().mean().as_millis_f64();
-        thresholds.push(row![th, mean, repos, util]);
+        thresholds.push(row![th, latency.mean().as_millis_f64(), repos, util]);
     }
     report += &thresholds.markdown();
     json.push(("threshold_sweep", thresholds.json()));
@@ -898,42 +832,20 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             reposition_every_write: every,
             ..TrailConfig::default()
         };
-        let sparse = sync_writes_trail(
-            config,
-            1,
-            n,
-            1024,
-            ArrivalMode::Sparse {
-                gap: SimDuration::from_millis(5),
-            },
-            cfg.mix(31),
-            None,
-        );
-        let clustered = sync_writes_trail(
-            config,
-            1,
-            n,
-            1024,
-            ArrivalMode::Clustered,
-            cfg.mix(33),
-            None,
-        );
+        let builder = StackBuilder::new().trail(config);
+        let run = |pace: Pace, seed: u64| {
+            let writers = random_writers(1, n, 1024, cfg.mix(seed));
+            mean_ms(builder.clone(), None, writers, pace)
+        };
+        let sparse = run(SPARSE_5MS, 31);
+        let clustered = run(CLUSTERED, 33);
         // Count repositions on a fresh clustered run.
-        let mut tb = testbed(config, None);
-        for i in 0..repos_n as u64 {
-            let token = tb.sim.completion(|_, _: Delivered<_>| {});
-            tb.trail
-                .write(&mut tb.sim, 0, i * 8, vec![1u8; 1024], token)
-                .expect("write");
-            tb.trail.run_until_quiescent(&mut tb.sim);
-        }
-        let repos = tb.trail.with_stats(|s| s.repositions) as f64 / repos_n as f64;
-        policies.push(row![
-            name,
-            sparse.latency.mean().as_millis_f64(),
-            clustered.latency.mean().as_millis_f64(),
-            repos,
-        ]);
+        let mut built = build_stack(builder, None);
+        let writes = strided(repos_n, 8, &[1u8; 1024]);
+        let gap = SimDuration::ZERO;
+        built.drive(vec![writes], Pace::Drained { gap });
+        let repos = trail_stats(&built, |s| s.repositions) as f64 / repos_n as f64;
+        policies.push(row![name, sparse, clustered, repos]);
     }
     report += &policies.markdown();
     json.push(("reposition_policy", policies.json()));
@@ -973,38 +885,12 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
     ];
     let mut means = Vec::new();
     for &delta in &candidates {
-        // The one stack built by hand: `StackBuilder` formats with the
-        // calibrated leads, and overriding them is this ablation's point.
-        let mut sim = Simulator::new();
-        let log = Disk::new("log", profiles::seagate_st41601n());
-        let data = Disk::new("data", profiles::wd_caviar_10gb());
-        format_log_disk(
-            &mut sim,
-            &log,
-            FormatOptions {
-                delta_override: Some(delta),
-            },
-        )
-        .expect("format");
-        let (trail, _) =
-            TrailDriver::start(&mut sim, log, vec![data], TrailConfig::default()).expect("boot");
-        let lat = Rc::new(RefCell::new(DurationHistogram::new()));
-        let mut rng = trail_sim::rng(cfg.mix(77));
-        for _ in 0..delta_n {
-            let l = Rc::clone(&lat);
-            let lba = rng.gen_range(0..1_000_000u64);
-            let token = sim.completion(move |_, done: Delivered<trail_blockio::IoDone>| {
-                if let Ok(done) = done {
-                    l.borrow_mut().record(done.latency());
-                }
-            });
-            trail
-                .write(&mut sim, 0, lba, vec![3u8; SECTOR_SIZE], token)
-                .expect("write");
-            trail.run_until_quiescent(&mut sim);
-            sim.run_for(SimDuration::from_millis(4));
-        }
-        let mean = lat.borrow().mean().as_millis_f64();
+        let builder = StackBuilder::new().data_disks(1).format(FormatOptions {
+            delta_override: Some(delta),
+        });
+        let writes = scattered(delta_n, cfg.mix(77), &[3u8; SECTOR_SIZE]);
+        let gap = SimDuration::from_millis(4);
+        let mean = mean_ms(builder, None, vec![writes], Pace::Drained { gap });
         means.push(mean);
         deltas.push(row![delta, mean]);
     }
@@ -1016,7 +902,7 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
     let _ = writeln!(report);
 
     // --- 4: batch cap ---------------------------------------------------
-    let batch_writes: u32 = if cfg.quick { 32 } else { 64 };
+    let batch_writes: usize = if cfg.quick { 32 } else { 64 };
     let _ = writeln!(
         report,
         "== Ablation 4 — batched-write optimization (cap the batch) =="
@@ -1034,32 +920,17 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             max_batch_sectors: cap,
             ..TrailConfig::default()
         };
-        let mut tb = testbed(config, None);
-        let start = tb.sim.now();
-        let done = Rc::new(Cell::new(0u32));
-        for i in 0..u64::from(batch_writes) {
-            let done = Rc::clone(&done);
-            let token = tb.sim.completion(move |_, _: Delivered<_>| {
-                done.set(done.get() + 1);
-            });
-            tb.trail
-                .write(&mut tb.sim, 0, i * 8, vec![9u8; SECTOR_SIZE], token)
-                .expect("write");
-        }
-        // Run until all writes are acknowledged.
-        while done.get() < batch_writes {
-            assert!(tb.sim.step(), "writes did not complete");
-        }
-        caps.push(row![
-            cap,
-            tb.sim.now().duration_since(start).as_millis_f64()
-        ]);
+        let mut built = build_stack(StackBuilder::new().trail(config), None);
+        let start = built.sim.now();
+        let writes = strided(batch_writes, 8, &[9u8; SECTOR_SIZE]);
+        let last_ack = built.drive(vec![writes], burst(batch_writes)).last_ack;
+        caps.push(row![cap, last_ack.duration_since(start).as_millis_f64()]);
     }
     report += &caps.markdown();
     json.push(("batch_cap", caps.json()));
 
     // --- 5: multiple log disks -----------------------------------------
-    let multi_writes: u32 = if cfg.quick { 60 } else { 200 };
+    let multi_writes: usize = if cfg.quick { 60 } else { 200 };
     let _ = writeln!(report);
     let _ = writeln!(
         report,
@@ -1083,62 +954,29 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             reposition_every_write: true,
             ..TrailConfig::default()
         };
-        let built = trail::StackBuilder::new()
+        let builder = StackBuilder::new()
             .data_disks(1)
-            .trail_multi(n_logs, config)
-            .build()
-            .expect("boot");
-        let mut sim = built.sim;
-        let multi = built.multi.expect("multi-log stack");
-        let lat = Rc::new(RefCell::new(DurationHistogram::new()));
-        let start = sim.now();
-        let done = Rc::new(Cell::new(0u32));
-        fn next(
-            sim: &mut Simulator,
-            multi: MultiTrail,
-            lat: Rc<RefCell<DurationHistogram>>,
-            done: Rc<Cell<u32>>,
-            seed: u64,
-            remaining: u32,
-        ) {
-            if remaining == 0 {
-                return;
-            }
-            let mut rng = trail_sim::rng(seed);
-            let lba = rng.gen_range(0..1_000_000u64);
-            let nseed = rng.gen();
-            let m2 = multi.clone();
-            let l2 = Rc::clone(&lat);
-            let d2 = Rc::clone(&done);
-            let token = sim.completion(
-                move |sim: &mut Simulator, doneio: Delivered<trail_blockio::IoDone>| {
-                    if let Ok(doneio) = doneio {
-                        l2.borrow_mut().record(doneio.latency());
-                    }
-                    d2.set(d2.get() + 1);
-                    let l3 = Rc::clone(&l2);
-                    next(sim, m2, l3, d2, nseed, remaining - 1);
-                },
-            );
-            multi
-                .write(sim, 0, lba, vec![1u8; SECTOR_SIZE], token)
-                .expect("write");
-        }
-        next(
-            &mut sim,
-            multi.clone(),
-            Rc::clone(&lat),
-            Rc::clone(&done),
-            cfg.mix(9),
-            multi_writes,
-        );
-        while done.get() < multi_writes {
-            assert!(sim.step(), "stalled");
-        }
+            .trail_multi(n_logs, config);
+        let mut built = build_stack(builder, None);
+        let start = built.sim.now();
+        let mut seed = cfg.mix(9);
+        let writes = (0..multi_writes)
+            .map(|_| {
+                let mut rng = trail_sim::rng(seed);
+                let lba = rng.gen_range(0..1_000_000u64);
+                seed = rng.gen();
+                Write {
+                    dev: 0,
+                    lba,
+                    data: vec![1u8; SECTOR_SIZE],
+                }
+            })
+            .collect();
+        let driven = built.drive(vec![writes], CLUSTERED);
         log_disks.push(row![
             n_logs,
-            lat.borrow().mean().as_millis_f64(),
-            sim.now().duration_since(start).as_millis_f64(),
+            driven.latency.mean().as_millis_f64(),
+            driven.last_ack.duration_since(start).as_millis_f64(),
         ]);
     }
     report += &log_disks.markdown();
@@ -1223,20 +1061,12 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
 
     // The paper's own §2 comparison is at the block level: a Trail log
     // write vs. an LFS partial-segment force.
-    let raw_trail = sync_writes_trail(
-        TrailConfig::default(),
-        1,
-        n,
-        FS_BLK,
-        ArrivalMode::Sparse {
-            gap: SimDuration::from_millis(4),
-        },
-        cfg.mix(7),
-        None,
-    )
-    .latency
-    .mean()
-    .as_millis_f64();
+    let sparse = Pace::Acked {
+        group: 1,
+        gap: SimDuration::from_millis(4),
+    };
+    let writers = random_writers(1, n, FS_BLK, cfg.mix(7));
+    let raw_trail = mean_ms(StackBuilder::new(), None, writers, sparse);
     appends.push(row!["raw block device", "**Trail**", raw_trail]);
     report += &appends.markdown();
     let _ = writeln!(report);

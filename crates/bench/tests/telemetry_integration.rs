@@ -4,15 +4,34 @@
 
 use std::rc::Rc;
 
-use trail_bench::{sync_writes_trail, ArrivalMode};
-use trail_core::TrailConfig;
+use trail::drive::{Driven, Pace};
+use trail::StackBuilder;
+use trail_bench::{build_stack, random_writers};
 use trail_sim::SimDuration;
 use trail_telemetry::{EventKind, JsonValue, Layer, MemoryRecorder, RecorderHandle};
 
-fn sparse() -> ArrivalMode {
-    ArrivalMode::Sparse {
-        gap: SimDuration::from_millis(5),
-    }
+const SPARSE: Pace = Pace::Acked {
+    group: 1,
+    gap: SimDuration::from_millis(5),
+};
+
+const CLUSTERED: Pace = Pace::Acked {
+    group: 1,
+    gap: SimDuration::ZERO,
+};
+
+/// The §5.1 workload on the paper's Trail testbed: `procs` writers of
+/// `per_proc` writes of `size_bytes` each.
+fn sync_run(
+    procs: usize,
+    per_proc: usize,
+    size_bytes: usize,
+    pace: Pace,
+    seed: u64,
+    recorder: Option<RecorderHandle>,
+) -> Driven {
+    let writers = random_writers(procs, per_proc, size_bytes, seed);
+    build_stack(StackBuilder::new(), recorder).drive(writers, pace)
 }
 
 /// Acceptance: record a sparse-sync-write workload through the full stack
@@ -22,12 +41,11 @@ fn sparse() -> ArrivalMode {
 #[test]
 fn breakdowns_sum_exactly_to_end_to_end_latency() {
     let rec = MemoryRecorder::shared();
-    let _ = sync_writes_trail(
-        TrailConfig::default(),
+    let _ = sync_run(
         2,
         60,
         512,
-        sparse(),
+        SPARSE,
         17,
         Some(Rc::clone(&rec) as RecorderHandle),
     );
@@ -72,12 +90,11 @@ fn breakdowns_sum_exactly_to_end_to_end_latency() {
 fn identically_seeded_runs_produce_identical_streams() {
     let run = || {
         let rec = MemoryRecorder::shared();
-        let _ = sync_writes_trail(
-            TrailConfig::default(),
+        let _ = sync_run(
             4,
             25,
             2048,
-            ArrivalMode::Clustered,
+            CLUSTERED,
             99,
             Some(Rc::clone(&rec) as RecorderHandle),
         );
@@ -90,12 +107,11 @@ fn identically_seeded_runs_produce_identical_streams() {
     // A different seed must produce a different stream — otherwise the
     // fingerprint is vacuous.
     let rec = MemoryRecorder::shared();
-    let _ = sync_writes_trail(
-        TrailConfig::default(),
+    let _ = sync_run(
         4,
         25,
         2048,
-        ArrivalMode::Clustered,
+        CLUSTERED,
         100,
         Some(Rc::clone(&rec) as RecorderHandle),
     );
@@ -107,14 +123,13 @@ fn identically_seeded_runs_produce_identical_streams() {
 /// a live `MemoryRecorder` — and therefore unchanged from the seed.
 #[test]
 fn recording_does_not_perturb_latency_results() {
-    let plain = sync_writes_trail(TrailConfig::default(), 2, 40, 512, sparse(), 7, None);
+    let plain = sync_run(2, 40, 512, SPARSE, 7, None);
     let rec = MemoryRecorder::shared();
-    let recorded = sync_writes_trail(
-        TrailConfig::default(),
+    let recorded = sync_run(
         2,
         40,
         512,
-        sparse(),
+        SPARSE,
         7,
         Some(Rc::clone(&rec) as RecorderHandle),
     );

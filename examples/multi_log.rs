@@ -3,65 +3,44 @@
 //!
 //! Run with: `cargo run --release --example multi_log`
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use rand::Rng;
-use trail::core::MultiTrail;
+use trail::drive::{Pace, Write};
 use trail::prelude::*;
 
 /// Chains `n` clustered one-sector writes to random blocks and returns the
 /// elapsed virtual time in milliseconds.
-fn clustered_run(n_logs: usize, writes: u32) -> Result<f64, TrailError> {
-    let mut sim = Simulator::new();
-    let logs: Vec<Disk> = (0..n_logs)
-        .map(|i| Disk::new(format!("log{i}"), profiles::seagate_st41601n()))
-        .collect();
-    for l in &logs {
-        format_log_disk(&mut sim, l, FormatOptions::default())?;
-    }
-    let data = vec![Disk::new("data0", profiles::wd_caviar_10gb())];
+fn clustered_run(n_logs: usize, writes: usize) -> Result<f64, TrailError> {
     // The every-write repositioning policy makes the overhead maximal, so
     // the hiding effect is easy to see.
     let config = TrailConfig {
         reposition_every_write: true,
         ..TrailConfig::default()
     };
-    let (multi, _) = MultiTrail::start(&mut sim, logs, data, config)?;
-
-    let start = sim.now();
-    let done = Rc::new(Cell::new(0u32));
-    fn next(
-        sim: &mut Simulator,
-        multi: MultiTrail,
-        done: Rc<Cell<u32>>,
-        seed: u64,
-        remaining: u32,
-    ) {
-        if remaining == 0 {
-            return;
-        }
-        let mut rng = trail_sim::rng(seed);
-        let lba = rng.gen_range(0..1_000_000u64);
-        let nseed = rng.gen();
-        let m2 = multi.clone();
-        let d2 = Rc::clone(&done);
-        let token = sim.completion(move |sim: &mut Simulator, _: Delivered<IoDone>| {
-            d2.set(d2.get() + 1);
-            next(sim, m2, d2, nseed, remaining - 1);
-        });
-        multi
-            .write(sim, 0, lba, vec![7u8; SECTOR_SIZE], token)
-            .expect("write accepted");
-    }
-    next(&mut sim, multi.clone(), Rc::clone(&done), 42, writes);
-    while done.get() < writes {
-        assert!(sim.step(), "writes stalled");
-    }
-    let elapsed = sim.now().duration_since(start);
-    multi.run_until_quiescent(&mut sim);
-    multi.shutdown(&mut sim)?;
-    Ok(elapsed.as_millis_f64())
+    let builder = StackBuilder::new().data_disks(1);
+    let mut built = builder.trail_multi(n_logs, config).build()?;
+    let mut seed = 42;
+    let chain = (0..writes)
+        .map(|_| {
+            let mut rng = trail_sim::rng(seed);
+            let lba = rng.gen_range(0..1_000_000u64);
+            seed = rng.gen();
+            Write {
+                dev: 0,
+                lba,
+                data: vec![7u8; SECTOR_SIZE],
+            }
+        })
+        .collect();
+    // Each write goes the moment the previous one is acknowledged.
+    let clustered = Pace::Acked {
+        group: 1,
+        gap: SimDuration::ZERO,
+    };
+    let start = built.sim.now();
+    let last_ack = built.drive(vec![chain], clustered).last_ack;
+    let multi = built.multi.expect("a Trail array");
+    multi.shutdown(&mut built.sim)?;
+    Ok(last_ack.duration_since(start).as_millis_f64())
 }
 
 fn main() -> Result<(), TrailError> {

@@ -78,6 +78,7 @@ pub use trail_sim as sim;
 pub use trail_tpcc as tpcc;
 pub use trail_volume as volume;
 
+pub mod drive;
 pub mod explore;
 mod scenario;
 mod target;

@@ -99,6 +99,9 @@ pub struct Scenario {
     /// When set, each device is a RAID volume over `members` disks of
     /// [`data_profile`](Scenario::data_profile) instead of one raw disk.
     pub volume: Option<VolumeSpec>,
+    /// How each fresh log disk is formatted (a δ override for the
+    /// lead-sensitivity ablation; calibrated leads by default).
+    pub format: FormatOptions,
     /// The fault schedule armed on the built stack. Offsets are relative
     /// to the end of [`build`](Scenario::build) (post-format, post-boot,
     /// stats reset) — the instant measurements start.
@@ -118,6 +121,7 @@ impl Default for Scenario {
                 config: TrailConfig::default(),
             },
             volume: None,
+            format: FormatOptions::default(),
             faults: FaultPlan::new(),
         }
     }
@@ -184,7 +188,7 @@ impl Scenario {
                 Some(log) => log,
                 None => {
                     let log = Disk::new(name, self.log_profile.clone());
-                    format_log_disk(sim, &log, FormatOptions::default())?;
+                    format_log_disk(sim, &log, self.format)?;
                     log
                 }
             };
@@ -367,6 +371,14 @@ impl StackBuilder {
             .as_mut()
             .expect("per_instance_volumes requires volumes(..) first")
             .per_instance = true;
+        self
+    }
+
+    /// Formats each fresh log disk with `options` (see
+    /// [`Scenario::format`]).
+    #[must_use]
+    pub fn format(mut self, options: FormatOptions) -> Self {
+        self.scenario.format = options;
         self
     }
 

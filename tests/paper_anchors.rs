@@ -1,43 +1,34 @@
 //! Regression tests pinning the paper's §5.1 measured anchors: if a code
 //! change breaks the latency story, these fail before any bench is run.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rand::Rng;
+use trail::drive::{Pace, Write};
 use trail::prelude::*;
 
-fn testbed() -> (Simulator, TrailDriver, Disk) {
-    let mut sim = Simulator::new();
-    let log = Disk::new("log", profiles::seagate_st41601n());
-    let data = Disk::new("data0", profiles::wd_caviar_10gb());
-    format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
-    let (trail, _) = TrailDriver::start(&mut sim, log.clone(), vec![data], TrailConfig::default())
-        .expect("boot");
-    log.reset_stats();
-    (sim, trail, log)
+/// `n` writes of `bytes` at random targets of the one data disk.
+fn random_writes(n: usize, bytes: usize) -> Vec<Write> {
+    let mut rng = trail_sim::rng(5);
+    (0..n)
+        .map(|_| Write {
+            dev: 0,
+            lba: rng.gen_range(0..18_000_000u64),
+            data: vec![1u8; bytes],
+        })
+        .collect()
 }
 
-/// Runs `n` sparse random writes of `bytes`, returning mean latency in ms.
+/// Runs `n` sparse random writes of `bytes` on Trail, returning mean
+/// latency and mean residual rotational latency on the log disk, in ms.
 fn sparse_writes(n: usize, bytes: usize) -> (f64, f64) {
-    let (mut sim, trail, log) = testbed();
-    let lat = Rc::new(RefCell::new(trail_sim::DurationHistogram::new()));
-    let mut rng = trail_sim::rng(5);
-    for _ in 0..n {
-        let l = Rc::clone(&lat);
-        let lba = rng.gen_range(0..18_000_000u64);
-        let done = sim.completion(move |_, done: Delivered<IoDone>| {
-            l.borrow_mut().record(done.expect("delivered").latency());
-        });
-        trail
-            .write(&mut sim, 0, lba, vec![1u8; bytes], done)
-            .expect("write");
-        trail.run_until_quiescent(&mut sim);
-        sim.run_for(SimDuration::from_millis(5));
-    }
-    let mean = lat.borrow().mean().as_millis_f64();
+    let mut built = StackBuilder::new().data_disks(1).build().expect("boot");
+    let pace = Pace::Drained {
+        gap: SimDuration::from_millis(5),
+    };
+    let driven = built.drive(vec![random_writes(n, bytes)], pace);
+    assert_eq!(driven.failed, 0, "every write delivered");
+    let log = built.log_disk.expect("a Trail stack");
     let rot = log.with_stats(|s| s.rotation_waits.mean().as_millis_f64());
-    (mean, rot)
+    (driven.latency.mean().as_millis_f64(), rot)
 }
 
 #[test]
@@ -81,22 +72,17 @@ fn trail_beats_standard_by_5x_or_more_on_small_writes() {
     // Paper: up to 11.85x. Demand at least 5x on 1-KB sparse writes.
     let (trail_mean, _) = sparse_writes(100, 1024);
     // Standard subsystem: same workload straight at the data disk.
-    let mut sim = Simulator::new();
-    let disk = Disk::new("data", profiles::wd_caviar_10gb());
-    let drv = StandardDriver::new(disk);
-    let lat = Rc::new(RefCell::new(trail_sim::DurationHistogram::new()));
-    let mut rng = trail_sim::rng(5);
-    for _ in 0..100 {
-        let l = Rc::clone(&lat);
-        let lba = rng.gen_range(0..18_000_000u64);
-        let done = sim.completion(move |_, done: Delivered<IoDone>| {
-            l.borrow_mut().record(done.expect("delivered").latency());
-        });
-        drv.submit(&mut sim, IoRequest::write(lba, vec![1u8; 1024]), done)
-            .expect("write");
-        sim.run();
-    }
-    let std_mean = lat.borrow().mean().as_millis_f64();
+    let mut built = StackBuilder::new()
+        .data_disks(1)
+        .standard()
+        .build()
+        .expect("boot");
+    let pace = Pace::Drained {
+        gap: SimDuration::ZERO,
+    };
+    let driven = built.drive(vec![random_writes(100, 1024)], pace);
+    assert_eq!(driven.failed, 0, "every write delivered");
+    let std_mean = driven.latency.mean().as_millis_f64();
     assert!(
         std_mean / trail_mean >= 5.0,
         "speedup only {:.2}x (trail {trail_mean} ms vs standard {std_mean} ms)",
@@ -110,40 +96,34 @@ fn reposition_cost_is_about_1_5_ms() {
     // Measure it as the latency difference between a write that triggers
     // no reposition and the driver's post-write reposition read, via the
     // every-write policy: total per clustered cycle ≈ write + reposition.
-    let mut sim = Simulator::new();
-    let log = Disk::new("log", profiles::seagate_st41601n());
-    let data = Disk::new("data0", profiles::wd_caviar_10gb());
-    format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
     let config = TrailConfig {
         reposition_every_write: true,
         ..TrailConfig::default()
     };
-    let (trail, _) = TrailDriver::start(&mut sim, log, vec![data], config).expect("boot");
+    let mut built = StackBuilder::new()
+        .data_disks(1)
+        .trail(config)
+        .build()
+        .expect("boot");
     // Clustered chain of 40 one-sector writes: each cycle = write +
     // reposition, so cycle time ≈ 1.4 + ~1.6 ≈ 3.0 ms (paper: "Trail can
     // complete a one-sector synchronous disk write within 3.0 msec"). The
     // chain crosses two cylinder boundaries (tracks 17 and 34).
-    let start = sim.now();
-    let done = Rc::new(std::cell::Cell::new(0u32));
-    fn chain(sim: &mut Simulator, trail: TrailDriver, done: Rc<std::cell::Cell<u32>>, i: u64) {
-        if i == 40 {
-            return;
-        }
-        let t2 = trail.clone();
-        let d2 = Rc::clone(&done);
-        let token = sim.completion(move |sim: &mut Simulator, _: Delivered<IoDone>| {
-            d2.set(d2.get() + 1);
-            chain(sim, t2, d2, i + 1);
-        });
-        trail
-            .write(sim, 0, i * 4, vec![2u8; SECTOR_SIZE], token)
-            .expect("write");
-    }
-    chain(&mut sim, trail.clone(), Rc::clone(&done), 0);
-    while done.get() < 40 {
-        assert!(sim.step(), "writes stalled");
-    }
-    let per_cycle = sim.now().duration_since(start).as_millis_f64() / 40.0;
+    let writes = (0..40)
+        .map(|i| Write {
+            dev: 0,
+            lba: i * 4,
+            data: vec![2u8; SECTOR_SIZE],
+        })
+        .collect();
+    let start = built.sim.now();
+    let pace = Pace::Acked {
+        group: 1,
+        gap: SimDuration::ZERO,
+    };
+    let driven = built.drive(vec![writes], pace);
+    assert_eq!(driven.latency.count(), 40, "writes stalled");
+    let per_cycle = driven.last_ack.duration_since(start).as_millis_f64() / 40.0;
     // Each record also transfers its header sector, and both the write
     // and the repositioning read aim one sector of slack past their
     // calibrated leads (~0.3 ms/cycle over the paper's 3.0 ms). Two
