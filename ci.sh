@@ -277,6 +277,16 @@ crates/disk/src/store.rs write_range
 crates/disk/src/device.rs power_cut
 SITES
 
+echo "== one-medium gate =="
+# Every disk a stack builds keeps its images in the stack's one pool
+# (Disk::in_pool), so a logged sector and its write-back share one body
+# (DESIGN.md, "The recording medium"). A bare Disk::new in the build path
+# would give that disk a pool of its own and silently double the medium.
+if grep -n 'Disk::new(' src/scenario.rs; then
+  echo "src/scenario.rs builds a disk on a pool of its own; use Disk::in_pool with the stack's pool" >&2
+  exit 1
+fi
+
 echo "== retired-subcommand gate =="
 # Host-side cost is the repo benchmark's job (benchmark/README.md); the
 # old wall-clock suite must not come back as a subcommand.

@@ -144,19 +144,22 @@ pub fn vm_hwm() -> String {
 }
 
 /// The `media:` console line of a replay: what its disks hold and where
-/// the host bytes that hold it are. Host-side, like [`vm_hwm`].
+/// the host bytes that hold it are — written sectors and index bytes
+/// summed over the disks, images and pool bytes over their pools, each
+/// pool once. Host-side, like [`vm_hwm`].
 #[must_use]
 pub fn media_line(m: &MediumStats) -> String {
     let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     format!(
-        "  media: {} written / {} distinct sectors ({} short); \
+        "  media: {} written / {} distinct sectors ({} short, {} aliased); \
          index {:.1} MB + pool {:.1} MB = {:.1} MB resident",
         m.written_sectors,
-        m.distinct_sectors,
-        m.short_images,
+        m.pool.distinct_sectors,
+        m.pool.short_images,
+        m.pool.alias_images,
         mb(m.index_bytes),
-        mb(m.pool_bytes),
-        mb(m.resident_bytes),
+        mb(m.pool.pool_bytes),
+        mb(m.resident_bytes()),
     )
 }
 

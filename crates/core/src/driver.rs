@@ -128,10 +128,10 @@ pub struct PredictMisses {
     /// The predicted sector already held a record.
     pub occupied: MissTally,
     /// The free run at the predicted sector ended at a used sector before
-    /// the record fit.
+    /// the record's first request fit.
     pub run_ends_at_used: MissTally,
     /// The free run at the predicted sector ended at the end of the track
-    /// before the record fit.
+    /// before the record's first request fit.
     pub run_ends_at_track_end: MissTally,
 }
 

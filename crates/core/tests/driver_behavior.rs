@@ -873,3 +873,109 @@ fn a_transient_error_on_a_reference_read_reads_again() {
         assert_eq!(data[0].peek_sector(lba)[..], sector_data(lba as u8, 1)[..]);
     }
 }
+
+#[test]
+fn a_batch_is_cut_at_the_last_whole_request_that_fits_its_run() {
+    // A burst of whole requests of 2–9 sectors, each to its own data
+    // range: all of them queue behind the first record, so every record
+    // is dispatched with more queued than it can carry, and whenever its
+    // sector's free run is shorter than the batch limit the run decides
+    // where the batch is cut.
+    let mut sim = Simulator::new();
+    let config = TrailConfig::default();
+    let (drv, _) = boot(&mut sim, profiles::tiny_test_disk(), 1, config);
+    let sizes: Vec<u32> = (0..60).map(|i| 2 + (i * 5) % 8).collect();
+    let firsts: Vec<u64> = sizes
+        .iter()
+        .scan(0, |at, &n| {
+            let first = *at;
+            *at += u64::from(n) + 3;
+            Some(first)
+        })
+        .collect();
+    let acks = Rc::new(RefCell::new(vec![0u32; sizes.len()]));
+    for (i, (&n, &lba)) in sizes.iter().zip(&firsts).enumerate() {
+        let acks = Rc::clone(&acks);
+        let done = sim.completion(move |_, d: Delivered<IoDone>| {
+            d.expect("durable");
+            acks.borrow_mut()[i] += 1;
+        });
+        drv.write(&mut sim, 0, lba, sector_data(i as u8, n as usize), done)
+            .unwrap();
+    }
+    drv.run_until_quiescent(&mut sim);
+    assert!(
+        acks.borrow().iter().all(|&a| a == 1),
+        "every ack arrives once"
+    );
+
+    // Every record of this epoch on the log disk, in sequence order: where
+    // its header is and which requests it carries, each whole.
+    let log = drv.log_disk();
+    let g = log.geometry();
+    let mut records: Vec<(u64, u64, Vec<usize>)> = (0..g.total_sectors())
+        .filter_map(|lba| {
+            let header = trail_core::format::RecordHeader::decode(&log.peek_sector(lba)).ok()??;
+            (header.epoch == drv.epoch()).then_some((header.sequence_id, lba, header))
+        })
+        .map(|(seq, lba, header)| {
+            let mut carried: Vec<usize> = Vec::new();
+            for e in &header.entries {
+                let i = firsts.partition_point(|&first| first <= u64::from(e.data_lba)) - 1;
+                if carried.last() != Some(&i) {
+                    carried.push(i);
+                }
+            }
+            let sectors: u32 = carried.iter().map(|&i| sizes[i]).sum();
+            assert_eq!(
+                sectors as usize,
+                header.entries.len(),
+                "whole requests only"
+            );
+            (seq, lba, carried)
+        })
+        .collect();
+    records.sort_by_key(|&(seq, ..)| seq);
+    let records: Vec<(u64, Vec<usize>)> = records.into_iter().map(|(_, l, c)| (l, c)).collect();
+    let order: Vec<usize> = records.iter().flat_map(|(_, c)| c.clone()).collect();
+    assert_eq!(
+        order,
+        (0..sizes.len()).collect::<Vec<_>>(),
+        "FIFO, each once"
+    );
+
+    // Each record's free run is what the records before it on the same
+    // visit to its track left free from its header on; it carries exactly
+    // the whole requests that fit `cap`, and the next request is left to
+    // the next record.
+    let min_spt = (0..g.total_tracks())
+        .map(|t| g.spt_of_track(t))
+        .min()
+        .unwrap();
+    let max_batch = config.max_batch_sectors.min(min_spt - 1);
+    let mut cut_by_run = 0;
+    for (r, (lba, carried)) in records.iter().enumerate() {
+        let track = g.track_of_lba(*lba).expect("on the disk");
+        let first = g.track_first_lba(track);
+        let (s, spt) = ((lba - first) as u32, g.spt_of_track(track));
+        let used_after = records[..r]
+            .iter()
+            .rev()
+            .take_while(|(l, _)| g.track_of_lba(*l) == Some(track))
+            .map(|(l, _)| (l - first) as u32)
+            .filter(|&start| start > s);
+        let run = used_after.min().unwrap_or(spt) - s;
+        let cap = (run - 1).min(max_batch);
+        let total: u32 = carried.iter().map(|&i| sizes[i]).sum();
+        assert!(total <= cap, "record {r}: {total} sectors over cap {cap}");
+        if let Some((_, next)) = records.get(r + 1) {
+            let next = sizes[next[0]];
+            assert!(
+                total + next > cap,
+                "record {r}: {next} more would fit {cap}"
+            );
+            cut_by_run += usize::from(run - 1 < max_batch);
+        }
+    }
+    assert!(cut_by_run > 0, "no batch was cut by its run");
+}

@@ -16,12 +16,12 @@ use trail_sim::{
     BusyMeter, Completion, DurationHistogram, Fault, FaultKind, FaultSink, FaultTarget, IoError,
     SimDuration, SimTime, Simulator,
 };
-use trail_telemetry::{null_recorder, Event, EventKind, JsonValue, Layer, RecorderHandle};
+use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle};
 
 use crate::geometry::{DiskGeometry, Lba, SECTOR_SIZE};
 use crate::mechanics::{CommandKind, HeadPosition, MechanicalModel, ServiceBreakdown};
 use crate::payload::PayloadBuf;
-use crate::store::{SectorBuf, SectorStore};
+use crate::store::{ImagePool, PoolStats, SectorBuf, SectorStore};
 
 /// A command submitted to a disk.
 #[derive(Debug)]
@@ -145,54 +145,39 @@ pub struct DiskStats {
     pub injected_delay: SimDuration,
 }
 
-/// Host-side counters of one disk's recording medium: what the simulated
-/// bytes cost the simulating process. They describe the host, not the
-/// simulated hardware, so they belong on consoles and in host-side
-/// reports, never in a deterministic `BENCH_*.json`.
+/// Host-side counters of a recording medium: what the simulated bytes
+/// cost the simulating process. They describe the host, not the simulated
+/// hardware, so they belong on consoles and in host-side reports, never in
+/// a deterministic `BENCH_*.json`. Of one disk ([`Disk::medium_stats`]),
+/// or of a set of disks: the per-disk fields summed over the disks, and
+/// [`pool`](Self::pool) summed over their distinct pools, each once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MediumStats {
-    /// Sectors ever written ([`SectorStore::written_sectors`]).
+    /// Per disk: sectors ever written ([`SectorStore::written_sectors`]).
     pub written_sectors: u64,
-    /// Sector images kept for them ([`SectorStore::distinct_sectors`]).
-    pub distinct_sectors: u64,
-    /// Host bytes the medium keeps allocated
-    /// ([`SectorStore::resident_bytes`]): `index_bytes + pool_bytes`.
-    pub resident_bytes: u64,
-    /// The LBA index's share of them ([`SectorStore::index_bytes`]).
+    /// Per disk: host bytes of the LBA index ([`SectorStore::index_bytes`]).
     pub index_bytes: u64,
-    /// The image pool's share of them ([`SectorStore::pool_bytes`]).
-    pub pool_bytes: u64,
-    /// Images kept in half a slot because their second half is zero
-    /// ([`SectorStore::short_images`]).
-    pub short_images: u64,
+    /// Per pool: the images behind the disks, which every disk of one
+    /// stack shares ([`SectorStore::pool_stats`]).
+    pub pool: PoolStats,
 }
 
 impl MediumStats {
-    /// The counters as a JSON object.
+    /// Host bytes the medium keeps allocated: `index_bytes` plus the
+    /// pool's bytes.
     #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        let num = |v: u64| JsonValue::Num(v as f64);
-        JsonValue::obj(vec![
-            ("written_sectors", num(self.written_sectors)),
-            ("distinct_sectors", num(self.distinct_sectors)),
-            ("resident_bytes", num(self.resident_bytes)),
-            ("index_bytes", num(self.index_bytes)),
-            ("pool_bytes", num(self.pool_bytes)),
-            ("short_images", num(self.short_images)),
-        ])
+    pub fn resident_bytes(&self) -> u64 {
+        self.index_bytes + self.pool.pool_bytes
     }
 }
 
 impl std::ops::AddAssign for MediumStats {
-    /// Sums two media, field by field: the medium of a stack is the sum
-    /// over its disks.
+    /// Sums two media that share no pool (two separately built stacks),
+    /// field by field.
     fn add_assign(&mut self, other: Self) {
         self.written_sectors += other.written_sectors;
-        self.distinct_sectors += other.distinct_sectors;
-        self.resident_bytes += other.resident_bytes;
         self.index_bytes += other.index_bytes;
-        self.pool_bytes += other.pool_bytes;
-        self.short_images += other.short_images;
+        self.pool += other.pool;
     }
 }
 
@@ -263,15 +248,35 @@ pub struct Disk {
 
 impl Disk {
     /// Creates a powered-on disk with an all-zero medium and the arm on
-    /// cylinder 0, surface 0.
+    /// cylinder 0, surface 0. Its medium keeps its images in a pool of its
+    /// own: a lone disk is a stack of one.
     pub fn new(name: impl Into<String>, profile: crate::profiles::DriveProfile) -> Self {
         let capacity = profile.geometry.total_sectors();
+        Self::with_store(name.into(), profile, SectorStore::new(capacity))
+    }
+
+    /// Creates a disk like [`new`](Self::new) whose medium keeps its
+    /// images in `pool`, which the other disks of its stack share.
+    pub fn in_pool(
+        name: impl Into<String>,
+        profile: crate::profiles::DriveProfile,
+        pool: &ImagePool,
+    ) -> Self {
+        let capacity = profile.geometry.total_sectors();
+        Self::with_store(name.into(), profile, SectorStore::in_pool(capacity, pool))
+    }
+
+    fn with_store(
+        name: String,
+        profile: crate::profiles::DriveProfile,
+        store: SectorStore,
+    ) -> Self {
         Disk {
             inner: Rc::new(RefCell::new(DiskInner {
-                name: name.into(),
+                name,
                 geometry: profile.geometry,
                 mech: profile.mech,
-                store: SectorStore::new(capacity),
+                store,
                 head: HeadPosition::default(),
                 busy: false,
                 prev_was_write: false,
@@ -334,16 +339,19 @@ impl Disk {
     /// Host-side counters of the recording medium. Unlike
     /// [`with_stats`](Self::with_stats) they are not reset by
     /// [`reset_stats`](Self::reset_stats): they describe what is stored.
+    /// Its [`pool`](MediumStats::pool) is the whole pool the disk shares.
     pub fn medium_stats(&self) -> MediumStats {
         let d = self.inner.borrow();
         MediumStats {
             written_sectors: d.store.written_sectors() as u64,
-            distinct_sectors: d.store.distinct_sectors() as u64,
-            resident_bytes: d.store.resident_bytes() as u64,
             index_bytes: d.store.index_bytes() as u64,
-            pool_bytes: d.store.pool_bytes() as u64,
-            short_images: d.store.short_images() as u64,
+            pool: d.store.pool_stats(),
         }
+    }
+
+    /// The image pool the disk's medium keeps its images in.
+    pub fn pool(&self) -> ImagePool {
+        self.inner.borrow_mut().store.pool().clone()
     }
 
     /// Resets the accumulated statistics (the medium is untouched).
@@ -1031,7 +1039,10 @@ mod tests {
             }
             let m = disk.medium_stats();
             assert_eq!(m.written_sectors, 8);
-            assert_eq!(m.distinct_sectors, if k == 0 || k == 8 { 1 } else { 2 });
+            assert_eq!(
+                m.pool.distinct_sectors,
+                if k == 0 || k == 8 { 1 } else { 2 }
+            );
         }
     }
 
@@ -1077,17 +1088,11 @@ mod tests {
         sim.run();
         disk.reset_stats();
         let m = disk.medium_stats();
-        assert_eq!((m.written_sectors, m.distinct_sectors), (8, 1));
-        assert!(m.index_bytes > 0 && m.pool_bytes > 0);
-        assert_eq!(m.resident_bytes, m.index_bytes + m.pool_bytes);
-        assert_eq!(
-            m.to_json().to_json(),
-            format!(
-                "{{\"written_sectors\":8,\"distinct_sectors\":1,\"resident_bytes\":{},\
-                 \"index_bytes\":{},\"pool_bytes\":{},\"short_images\":0}}",
-                m.resident_bytes, m.index_bytes, m.pool_bytes
-            )
-        );
+        assert_eq!((m.written_sectors, m.pool.distinct_sectors), (8, 1));
+        assert_eq!((m.pool.short_images, m.pool.alias_images), (0, 0));
+        assert!(m.index_bytes > 0 && m.pool.pool_bytes > 0);
+        assert_eq!(m.resident_bytes(), m.index_bytes + m.pool.pool_bytes);
+        assert_eq!(m.pool, disk.pool().stats());
     }
 
     /// Runs one read to its delivery.

@@ -61,4 +61,4 @@ pub use mechanics::{
     CommandKind, HeadPosition, MechanicalModel, SeekModel, ServiceBreakdown, ServicePlan,
 };
 pub use payload::PayloadBuf;
-pub use store::{SectorBuf, SectorStore};
+pub use store::{ImagePool, PoolStats, SectorBuf, SectorStore};

@@ -7,21 +7,29 @@
 //! ECC on the hardware the paper targets).
 //!
 //! Every byte written reads back exactly, but each *distinct* sector image
-//! is kept once: a paged index maps an LBA to a slot in a pool of images, a
-//! 64-bit content hash finds an existing identical image, and slots are
-//! reference-counted. The layout is sized for what Trail writes — short
-//! runs scattered over the platter, each led by a unique, mostly-zero
-//! header sector: an index page is one cache line, and an image whose
-//! second half is zero occupies half a slot. Workloads whose payloads
-//! repeat (trace replays carry synthetic fills, logs carry padding) cost
-//! about six index bytes per densely written LBA instead of 512; workloads
-//! whose payloads are unique cost what a plain `LBA → bytes` map would.
+//! is kept once: a paged index per store maps an LBA to a slot in an
+//! [`ImagePool`], a 64-bit hash finds an existing identical image, and
+//! slots are reference-counted. The disks of one stack share one pool, so
+//! the log copy of a sector and its write-back meet in it: a whole image is
+//! found by the hash of its bytes 1..512, and one whose bytes 1..512 equal
+//! a stored image's but whose byte 0 differs is kept as a five-byte alias
+//! of that body plus its own byte 0 — exactly the byte the log's
+//! self-describing format replaces. The layout is sized for what
+//! Trail writes — short runs scattered over the platter, each led by a
+//! unique, mostly-zero header sector: an index page is one cache line, and
+//! an image whose second half is zero occupies half a slot. Workloads whose
+//! payloads repeat (trace replays carry synthetic fills, logs carry
+//! padding) cost about six index bytes per densely written LBA instead of
+//! 512; workloads whose payloads are unique cost what a plain `LBA → bytes`
+//! map would, once per stack rather than once per disk.
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::size_of;
 use std::ops::Range;
+use std::rc::Rc;
 
 use crate::geometry::{Lba, SECTOR_SIZE};
 
@@ -33,13 +41,17 @@ pub type SectorBuf = [u8; SECTOR_SIZE];
 /// a stored image is written once and growth never copies the medium.
 /// Small enough that the first write to a fresh disk (every crash point
 /// boots several) asks for no more memory than its index page, one chunk
-/// of each class and a few table entries: about 16 KB.
+/// of each class, the pool itself and a few table entries: about 14 KB.
 const CHUNK_SLOTS: usize = 16;
 
 /// Bytes kept for an image whose remaining bytes are all zero. Trail's
 /// record headers, the most numerous unique images a log disk holds, end
 /// well before it.
 const SHORT_BYTES: usize = SECTOR_SIZE / 2;
+
+/// Bytes of an alias slot: the base's full slot number (`u32`, little
+/// endian) and the alias's own byte 0.
+const ALIAS_BYTES: usize = 5;
 
 /// LBAs per index page: 16 entries of four bytes, one cache line. A page
 /// exists once any of its LBAs is written, so a densely written region
@@ -48,8 +60,13 @@ const SHORT_BYTES: usize = SECTOR_SIZE / 2;
 const PAGE_LBAS: u64 = 16;
 
 /// Index pages per slab chunk (4 KB). Like the pool, the slab grows a
-/// chunk at a time and never moves a page.
+/// chunk at a time and never moves a page once it has a second chunk.
 const SLAB_PAGES: usize = 64;
+
+/// Index pages of the slab's first chunk (1 KB). A store written in a few
+/// places only (every crash point boots several) stops there; the first
+/// page beyond it regrows the chunk to [`SLAB_PAGES`], copying 1 KB once.
+const FIRST_SLAB_PAGES: usize = 16;
 
 /// The index entry of an LBA that was never written. Zero, so fresh slab
 /// chunks come zeroed from the allocator and a page of memory is first
@@ -58,32 +75,37 @@ const UNWRITTEN: u32 = 0;
 
 type IndexPage = [u32; PAGE_LBAS as usize];
 
-/// The two slot classes of the pool (see [`Image`]), as the low bit of an
-/// index entry.
+/// The three slot classes of the pool (see [`Image`]), as the low two bits
+/// of an index entry.
 const FULL: usize = 0;
 const SHORT: usize = 1;
+const ALIAS: usize = 2;
+const CLASS_BITS: u32 = 2;
 
-/// Slot numbers a class can hand out: an entry is a `u32` that spends one
-/// bit on the class and the value zero on [`UNWRITTEN`].
-const MAX_SLOTS: usize = (u32::MAX >> 1) as usize;
+/// Slot numbers a class can hand out: an entry is a `u32` that spends two
+/// bits on the class and the value zero on [`UNWRITTEN`].
+const MAX_SLOTS: usize = (u32::MAX >> CLASS_BITS) as usize;
 
 /// The index entry naming slot `number` of `class`.
 fn entry_of(class: usize, number: usize) -> u32 {
-    ((number as u32 + 1) << 1) | class as u32
+    ((number as u32 + 1) << CLASS_BITS) | class as u32
 }
 
 /// The `(class, number)` a written entry names.
 fn slot_of(entry: u32) -> (usize, usize) {
-    debug_assert_ne!(entry >> 1, 0, "entry names no slot");
-    ((entry & 1) as usize, (entry >> 1) as usize - 1)
+    debug_assert_ne!(entry >> CLASS_BITS, 0, "entry names no slot");
+    (
+        (entry & ((1 << CLASS_BITS) - 1)) as usize,
+        (entry >> CLASS_BITS) as usize - 1,
+    )
 }
 
-/// The hasher of both maps below: one multiplication. Their keys are an
-/// index-page number and a content hash that is already mixed, neither of
-/// them chosen by anyone outside the process, so SipHash's keyed rounds
-/// buy nothing here; the odd multiplier keeps consecutive page numbers in
-/// consecutive buckets and spreads them over the table's tag bits, which
-/// it reads from the top of the hash.
+/// The hasher of the medium's maps: one multiplication. Their keys are an
+/// index-page number and content or body hashes that are already mixed,
+/// none of them chosen by anyone outside the process, so SipHash's keyed
+/// rounds buy nothing here; the odd multiplier keeps consecutive page
+/// numbers in consecutive buckets and spreads them over the table's tag
+/// bits, which it reads from the top of the hash.
 #[derive(Clone, Copy, Default)]
 struct MulHasher(u64);
 
@@ -103,72 +125,121 @@ impl Hasher for MulHasher {
 
 type MediumMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
-/// Bytes a `HashMap<K, V>` of this capacity keeps allocated: one `(K, V)`
-/// bucket plus one control byte per slot at 7/8 load. An estimate of the
-/// standard library's layout, good to a few percent.
+/// Bytes a `HashMap<K, V>` of this capacity keeps allocated, exactly as
+/// the standard library's table lays them out: a power-of-two number of
+/// `(K, V)` buckets, padded to the control group's alignment, then one
+/// control byte per bucket and one group of trailing control bytes.
 fn map_bytes<K, V>(map: &MediumMap<K, V>) -> usize {
-    map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
+    const GROUP: usize = if cfg!(all(target_arch = "x86_64", target_feature = "sse2")) {
+        16
+    } else {
+        8
+    };
+    let capacity = map.capacity();
+    if capacity == 0 {
+        return 0;
+    }
+    // The inverse of the table's `bucket_mask_to_capacity`.
+    let buckets = if capacity < 8 {
+        capacity + 1
+    } else {
+        capacity / 7 * 8
+    };
+    let align = GROUP.max(align_of::<(K, V)>());
+    (buckets * size_of::<(K, V)>()).next_multiple_of(align) + buckets + GROUP
 }
 
-/// The default content hash: four interleaved multiply-rotate lanes over
-/// the sector's 64 little-endian words, folded at the end. Quality only
-/// affects how often identical images are found; see [`Pool::acquire`].
-fn content_hash(data: &SectorBuf) -> u64 {
+/// A sector's two hashes, from one pass over its bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Hashes {
+    /// Of all 512 bytes: finds an identical short image.
+    content: u64,
+    /// Of bytes 1..512 (byte 0 masked): finds a whole image that is
+    /// identical or differs in byte 0 only.
+    body: u64,
+}
+
+/// The default hashes: four interleaved multiply-rotate lanes over the
+/// sector's 64 little-endian words with byte 0 masked give the body hash,
+/// and folding byte 0 into it gives the content hash, so images with one
+/// body and different first bytes always hash apart. Quality only affects
+/// how often sharing is found; see [`Pool::acquire`].
+fn sector_hashes(data: &SectorBuf) -> Hashes {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut lanes = [K, K.rotate_left(16), K.rotate_left(32), K.rotate_left(48)];
+    // Byte 0 is the low byte of word 0, so starting lane 0 xored with it
+    // masks it out of the first step — one pass, no copy.
+    let byte0 = u64::from(data[0]);
+    let mut lanes = [
+        K ^ byte0,
+        K.rotate_left(16),
+        K.rotate_left(32),
+        K.rotate_left(48),
+    ];
     for block in data.chunks_exact(32) {
         for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
             let word = u64::from_le_bytes(word.try_into().expect("chunk is exactly 8 bytes"));
             *lane = (*lane ^ word).wrapping_mul(K).rotate_left(29);
         }
     }
-    lanes.iter().fold(0, |h, lane| {
-        let h = (h ^ lane).wrapping_mul(K);
+    let fold = |h: u64, x: u64| {
+        let h = (h ^ x).wrapping_mul(K);
         h ^ (h >> 32)
-    })
+    };
+    let body = lanes.into_iter().fold(0, fold);
+    Hashes {
+        content: fold(body, byte0),
+        body,
+    }
 }
 
-/// An index-page number in two halves, so that a table bucket is twelve
-/// bytes instead of the sixteen a `u64` key would align it to.
+/// A table key — an index-page number or an image's hash — in two
+/// halves, so that a bucket with a `u32` value is twelve bytes instead of
+/// the sixteen a `u64` key would align it to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct PageNo {
+struct Key {
     high: u32,
     low: u32,
 }
 
-impl PageNo {
-    fn of(lba: Lba) -> Self {
-        let number = lba / PAGE_LBAS;
-        PageNo {
-            high: (number >> 32) as u32,
-            low: number as u32,
-        }
+impl Key {
+    /// The key of `lba`'s index page.
+    fn page_of(lba: Lba) -> Self {
+        Key::from(lba / PAGE_LBAS)
     }
 
-    fn number(self) -> u64 {
+    fn get(self) -> u64 {
         (u64::from(self.high) << 32) | u64::from(self.low)
     }
 }
 
-impl Hash for PageNo {
+impl From<u64> for Key {
+    fn from(key: u64) -> Self {
+        Key {
+            high: (key >> 32) as u32,
+            low: key as u32,
+        }
+    }
+}
+
+impl Hash for Key {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.number());
+        state.write_u64(self.get());
     }
 }
 
 /// The LBA index: one page of entries per [`PAGE_LBAS`] LBAs of which any
 /// was written, kept in a slab and found through a table of positions.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Index {
     // Page number → the page's position in `slab`. Pages are handed out
     // in order and never returned, so the positions are `0..at.len()`.
-    at: MediumMap<PageNo, u32>,
+    at: MediumMap<Key, u32>,
     slab: Vec<Box<[IndexPage]>>,
 }
 
 impl Index {
     fn page(&self, lba: Lba) -> Option<&IndexPage> {
-        let at = *self.at.get(&PageNo::of(lba))? as usize;
+        let at = *self.at.get(&Key::page_of(lba))? as usize;
         Some(&self.slab[at / SLAB_PAGES][at % SLAB_PAGES])
     }
 
@@ -178,18 +249,45 @@ impl Index {
         let next = self.at.len();
         let at = *self
             .at
-            .entry(PageNo::of(lba))
+            .entry(Key::page_of(lba))
             .or_insert_with(|| u32::try_from(next).expect("index is out of page positions"))
             as usize;
-        if at == self.slab.len() * SLAB_PAGES {
-            self.slab
-                .push(vec![[UNWRITTEN; PAGE_LBAS as usize]; SLAB_PAGES].into_boxed_slice());
+        if at == self.pages_held() {
+            let zeroed = |pages| vec![[UNWRITTEN; PAGE_LBAS as usize]; pages].into_boxed_slice();
+            match self.slab.as_mut_slice() {
+                [] => self.slab.push(zeroed(FIRST_SLAB_PAGES)),
+                [first] if first.len() < SLAB_PAGES => {
+                    let mut whole = zeroed(SLAB_PAGES);
+                    whole[..first.len()].copy_from_slice(first);
+                    *first = whole;
+                }
+                _ => self.slab.push(zeroed(SLAB_PAGES)),
+            }
         }
         &mut self.slab[at / SLAB_PAGES][at % SLAB_PAGES]
     }
 
+    /// Pages the slab has room for: only its first chunk can be short, and
+    /// only while it is the only one.
+    fn pages_held(&self) -> usize {
+        match self.slab.as_slice() {
+            [first] => first.len(),
+            chunks => chunks.len() * SLAB_PAGES,
+        }
+    }
+
+    /// Every entry of every page handed out, written or not.
+    fn entries(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slab
+            .iter()
+            .flatten()
+            .take(self.at.len())
+            .flatten()
+            .copied()
+    }
+
     fn bytes(&self) -> usize {
-        self.slab.len() * SLAB_PAGES * size_of::<IndexPage>()
+        self.pages_held() * size_of::<IndexPage>()
             + self.slab.capacity() * size_of::<Box<[IndexPage]>>()
             + map_bytes(&self.at)
     }
@@ -214,16 +312,18 @@ fn page_runs(lba: Lba, count: u64) -> impl Iterator<Item = (Lba, Range<usize>)> 
 }
 
 /// One slot class of the pool: images of `N` bytes. A slot is live while
-/// `refs[slot]` LBAs point at it and is recycled through `free` afterwards.
-#[derive(Clone, Debug, Default)]
+/// `refs[slot]` holders point at it and is recycled through `free`
+/// afterwards.
+#[derive(Debug, Default)]
 struct Slots<const N: usize> {
     // `CHUNK_SLOTS` images each, as bytes so that a chunk comes zeroed
     // from the allocator and is first touched when an image lands on it.
     chunks: Vec<Box<[u8]>>,
-    // Per allocated slot: how many LBAs hold it, and its image's hash (so
-    // a release can drop the `by_hash` entry without rehashing the image).
+    // Per allocated slot: how many LBAs (and, for a full slot, aliases)
+    // hold it. The hash an image is registered under is not kept: the
+    // release that frees a slot rehashes its image instead, which is
+    // cheaper than eight more bytes on every slot.
     refs: Vec<u32>,
-    hashes: Vec<u64>,
     free: Vec<u32>,
 }
 
@@ -232,14 +332,9 @@ impl<const N: usize> Slots<N> {
         &self.chunks[slot / CHUNK_SLOTS].as_chunks().0[slot % CHUNK_SLOTS]
     }
 
-    /// Whether `slot` already holds exactly `image`.
-    fn holds(&self, slot: usize, hash: u64, image: &[u8; N]) -> bool {
-        self.hashes[slot] == hash && self.image(slot) == image
-    }
-
     /// A slot holding `image` under one reference: a recycled one if any
     /// is free, else the next of the newest chunk.
-    fn take(&mut self, hash: u64, image: &[u8; N]) -> usize {
+    fn take(&mut self, image: &[u8; N]) -> usize {
         let slot = match self.free.pop() {
             Some(slot) => slot as usize,
             None => {
@@ -250,24 +345,23 @@ impl<const N: usize> Slots<N> {
                         .push(vec![0u8; CHUNK_SLOTS * N].into_boxed_slice());
                 }
                 self.refs.push(0);
-                self.hashes.push(0);
                 slot
             }
         };
         self.chunks[slot / CHUNK_SLOTS].as_chunks_mut().0[slot % CHUNK_SLOTS] = *image;
         self.refs[slot] = 1;
-        self.hashes[slot] = hash;
         slot
     }
 
-    /// Drops one reference to `slot`; the last one frees it and returns
-    /// the hash its image was kept under.
-    fn release(&mut self, slot: usize) -> Option<u64> {
+    /// Drops one reference to `slot`; returns whether it was the last,
+    /// which frees the slot.
+    fn release(&mut self, slot: usize) -> bool {
         self.refs[slot] -= 1;
-        (self.refs[slot] == 0).then(|| {
+        let freed = self.refs[slot] == 0;
+        if freed {
             self.free.push(slot as u32);
-            self.hashes[slot]
-        })
+        }
+        freed
     }
 
     fn live(&self) -> usize {
@@ -278,20 +372,23 @@ impl<const N: usize> Slots<N> {
         self.chunks.len() * CHUNK_SLOTS * N
             + self.chunks.capacity() * size_of::<Box<[u8]>>()
             + self.refs.capacity() * size_of::<u32>()
-            + self.hashes.capacity() * size_of::<u64>()
             + self.free.capacity() * size_of::<u32>()
     }
 }
 
-/// A sector image as the pool keeps it: whole, or its first half when the
-/// second half is zero.
+/// A sector image as the pool keeps it: whole, its first half when the
+/// second half is zero, or a stored whole image's body under a byte 0 of
+/// its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Image<'a> {
     Full(&'a SectorBuf),
     Short(&'a [u8; SHORT_BYTES]),
+    Alias(&'a SectorBuf, u8),
 }
 
 impl<'a> Image<'a> {
+    /// The image `data` is written as: whole or short, by its bytes.
+    /// Whether a whole one is kept as an alias is the pool's to find.
     fn of(data: &'a SectorBuf) -> Self {
         match data.split_first_chunk() {
             Some((head, tail)) if tail == [0u8; SECTOR_SIZE - SHORT_BYTES] => Image::Short(head),
@@ -310,6 +407,11 @@ impl<'a> Image<'a> {
                 padded[..SHORT_BYTES].copy_from_slice(bytes);
                 padded
             }
+            Image::Alias(body, byte0) => {
+                let mut patched = *body;
+                patched[0] = byte0;
+                patched
+            }
         }
     }
 
@@ -322,28 +424,52 @@ impl<'a> Image<'a> {
                 head.copy_from_slice(bytes);
                 tail.fill(0);
             }
+            Image::Alias(body, byte0) => {
+                *out = *body;
+                out[0] = byte0;
+            }
         }
     }
 }
 
-/// The pool of distinct sector images, one class of slots per kind of
-/// [`Image`]. The class of an image follows from its bytes, so equal
-/// images always meet in one class.
-#[derive(Clone, Debug)]
+/// The bytes of an alias slot naming full slot `base` under `byte0`.
+fn alias_bytes(base: usize, byte0: u8) -> [u8; ALIAS_BYTES] {
+    let [a, b, c, d] = (base as u32).to_le_bytes();
+    [a, b, c, d, byte0]
+}
+
+/// The `(base, byte0)` an alias slot's bytes name.
+fn alias_parts(bytes: &[u8; ALIAS_BYTES]) -> (usize, u8) {
+    let (base, byte0) = bytes.split_first_chunk::<4>().expect("alias is five bytes");
+    (u32::from_le_bytes(*base) as usize, byte0[0])
+}
+
+/// The distinct sector images behind one or more stores, in three classes
+/// of slot. Whether an image is short follows from its bytes, so equal
+/// images always meet in one class; an alias is a whole image whose bytes
+/// 1..512 a full slot already holds under another byte 0.
+#[derive(Debug)]
 struct Pool {
     full: Slots<SECTOR_SIZE>,
     short: Slots<SHORT_BYTES>,
-    // Content hash → the index entry of the one slot registered under it.
-    // Only ever names a live slot whose image has that hash.
-    by_hash: MediumMap<u64, u32>,
-    hash: fn(&SectorBuf) -> u64,
+    alias: Slots<ALIAS_BYTES>,
+    // Per full slot: the entry of the one alias found through it, or
+    // `UNWRITTEN`. Only ever names a live alias of that slot.
+    aliased: Vec<u32>,
+    // Body hash of a full image, or content hash of a short one → the
+    // entry of the one slot registered under it. Only ever names a live
+    // full or short slot kept under that key.
+    by_hash: MediumMap<Key, u32>,
+    hash: fn(&SectorBuf) -> Hashes,
 }
 
 impl Pool {
-    fn new(hash: fn(&SectorBuf) -> u64) -> Self {
+    fn new(hash: fn(&SectorBuf) -> Hashes) -> Self {
         Pool {
             full: Slots::default(),
             short: Slots::default(),
+            alias: Slots::default(),
+            aliased: Vec::new(),
             by_hash: MediumMap::default(),
             hash,
         }
@@ -353,27 +479,45 @@ impl Pool {
     fn image(&self, entry: u32) -> Option<Image<'_>> {
         (entry != UNWRITTEN).then(|| match slot_of(entry) {
             (FULL, slot) => Image::Full(self.full.image(slot)),
-            (_, slot) => Image::Short(self.short.image(slot)),
+            (SHORT, slot) => Image::Short(self.short.image(slot)),
+            (_, slot) => {
+                let (base, byte0) = alias_parts(self.alias.image(slot));
+                Image::Alias(self.full.image(base), byte0)
+            }
         })
     }
 
-    /// Whether `entry`'s slot already holds exactly `image`.
-    fn holds(&self, entry: u32, hash: u64, image: Image) -> bool {
+    /// Whether `entry`'s slot already holds exactly `image`, an image of
+    /// [`Image::of`].
+    fn holds(&self, entry: u32, image: Image) -> bool {
         match (slot_of(entry), image) {
-            ((FULL, slot), Image::Full(bytes)) => self.full.holds(slot, hash, bytes),
-            ((SHORT, slot), Image::Short(bytes)) => self.short.holds(slot, hash, bytes),
+            ((FULL, slot), Image::Full(bytes)) => self.full.image(slot) == bytes,
+            ((SHORT, slot), Image::Short(bytes)) => self.short.image(slot) == bytes,
+            ((ALIAS, slot), Image::Full(bytes)) => {
+                let (base, byte0) = alias_parts(self.alias.image(slot));
+                byte0 == bytes[0] && self.full.image(base)[1..] == bytes[1..]
+            }
             _ => false,
         }
+    }
+
+    /// The table key of `image`, whose sector has `hashes`: a short image
+    /// is found by content, a whole one by body, so that an image differing
+    /// from it in byte 0 only finds it too.
+    fn key(image: Image, hashes: Hashes) -> Key {
+        Key::from(match image {
+            Image::Short(_) => hashes.content,
+            _ => hashes.body,
+        })
     }
 
     /// Makes `entry` name a slot holding `data`; returns whether the LBA
     /// it belongs to was unwritten before.
     fn write(&mut self, entry: &mut u32, data: &SectorBuf) -> bool {
-        let hash = (self.hash)(data);
         let image = Image::of(data);
         let fresh = *entry == UNWRITTEN;
         if !fresh {
-            if self.holds(*entry, hash, image) {
+            if self.holds(*entry, image) {
                 return false;
             }
             // Release first: a sole owner's slot is recycled for the new
@@ -381,51 +525,197 @@ impl Pool {
             // pool.
             self.release(*entry);
         }
-        *entry = self.acquire(hash, image);
+        *entry = self.acquire(Self::key(image, (self.hash)(data)), image);
         fresh
     }
 
-    /// Returns the entry of a slot holding `image`, with one more
-    /// reference on it: the slot registered under `hash` if it is of the
-    /// same class and its stored bytes compare equal, else a fresh one.
-    /// Two different images with one hash therefore never share a slot;
-    /// the second merely stays unregistered, so a later copy of it misses
-    /// the share — a collision costs memory, never a wrong byte.
-    fn acquire(&mut self, hash: u64, image: Image) -> u32 {
-        let registered = self.by_hash.get(&hash).copied();
-        if let Some(entry) = registered {
-            if self.holds(entry, hash, image) {
-                match slot_of(entry) {
-                    (FULL, slot) => self.full.refs[slot] += 1,
-                    (_, slot) => self.short.refs[slot] += 1,
-                }
-                return entry;
-            }
+    /// Returns the entry of a slot holding `image` (an image of
+    /// [`Image::of`], whose table key is `key`), with one more reference
+    /// on it: shared through the slot registered under `key` if there is
+    /// one (see [`share`](Self::share)), else a fresh one. Two different
+    /// images with one key therefore never share a slot; the second merely
+    /// stays unregistered, so a later copy of it misses the share — a
+    /// collision costs memory, never a wrong byte.
+    fn acquire(&mut self, key: Key, image: Image) -> u32 {
+        let registered = self.by_hash.get(&key).copied();
+        if let Some(shared) = registered.and_then(|entry| self.share(entry, image)) {
+            return shared;
         }
         let entry = match image {
-            Image::Full(bytes) => entry_of(FULL, self.full.take(hash, bytes)),
-            Image::Short(bytes) => entry_of(SHORT, self.short.take(hash, bytes)),
+            Image::Short(bytes) => entry_of(SHORT, self.short.take(bytes)),
+            Image::Full(bytes) => {
+                let slot = self.full.take(bytes);
+                if slot == self.aliased.len() {
+                    self.aliased.push(UNWRITTEN);
+                }
+                entry_of(FULL, slot)
+            }
+            Image::Alias(..) => unreachable!("Image::of makes no alias"),
         };
         if registered.is_none() {
-            self.by_hash.insert(hash, entry);
+            self.by_hash.insert(key, entry);
         }
         entry
     }
 
-    /// Drops one reference; the last one frees the slot and its `by_hash`
-    /// entry, so a recycled slot can never be found under its old hash.
+    /// A slot holding `image`, found through the registered `entry`, with
+    /// one more reference on it: `entry`'s own slot if it holds the same
+    /// bytes; for a whole image that differs from it in byte 0 only, the
+    /// alias found through it if that has the same byte 0, else a new
+    /// alias (found through it from now on if none is). None if `entry`
+    /// holds another image under the same key.
+    fn share(&mut self, entry: u32, image: Image) -> Option<u32> {
+        match (slot_of(entry), image) {
+            ((SHORT, slot), Image::Short(bytes)) if self.short.image(slot) == bytes => {
+                self.short.refs[slot] += 1;
+                Some(entry)
+            }
+            ((FULL, base), Image::Full(bytes)) if self.full.image(base)[1..] == bytes[1..] => {
+                let byte0 = bytes[0];
+                if self.full.image(base)[0] == byte0 {
+                    self.full.refs[base] += 1;
+                    return Some(entry);
+                }
+                let linked = self.aliased[base];
+                if linked != UNWRITTEN {
+                    let slot = slot_of(linked).1;
+                    if alias_parts(self.alias.image(slot)).1 == byte0 {
+                        self.alias.refs[slot] += 1;
+                        return Some(linked);
+                    }
+                }
+                self.full.refs[base] += 1;
+                let alias = entry_of(ALIAS, self.alias.take(&alias_bytes(base, byte0)));
+                if linked == UNWRITTEN {
+                    self.aliased[base] = alias;
+                }
+                Some(alias)
+            }
+            _ => None,
+        }
+    }
+
+    /// Drops one reference; the last one frees the slot and its table
+    /// entry (rehashing its image for the key), so a recycled slot can
+    /// never be found under its old key, and a freed alias drops its
+    /// reference on its base.
     fn release(&mut self, entry: u32) {
-        let freed = match slot_of(entry) {
-            (FULL, slot) => self.full.release(slot),
-            (_, slot) => self.short.release(slot),
+        let (class, slot) = slot_of(entry);
+        if class == ALIAS {
+            if self.alias.release(slot) {
+                let (base, _) = alias_parts(self.alias.image(slot));
+                if self.aliased[base] == entry {
+                    self.aliased[base] = UNWRITTEN;
+                }
+                self.release(entry_of(FULL, base));
+            }
+            return;
+        }
+        let freed = match class {
+            FULL => self.full.release(slot),
+            _ => self.short.release(slot),
         };
-        let Some(hash) = freed else { return };
+        if !freed {
+            return;
+        }
+        let image = self.image(entry).expect("a written entry");
+        let key = Self::key(image, (self.hash)(&image.sector()));
         // An unregistered (collided) slot leaves the entry to its owner.
-        if let Entry::Occupied(e) = self.by_hash.entry(hash) {
+        if let Entry::Occupied(e) = self.by_hash.entry(key) {
             if *e.get() == entry {
                 e.remove();
             }
         }
+    }
+
+    fn stats(&self) -> PoolStats {
+        // The pool's own allocation: `Rc`'s two counts and the `RefCell`.
+        let itself = 2 * size_of::<usize>() + size_of::<RefCell<Pool>>();
+        PoolStats {
+            distinct_sectors: (self.full.live() + self.short.live() + self.alias.live()) as u64,
+            short_images: self.short.live() as u64,
+            alias_images: self.alias.live() as u64,
+            pool_bytes: (itself
+                + self.full.bytes()
+                + self.short.bytes()
+                + self.alias.bytes()
+                + self.aliased.capacity() * size_of::<u32>()
+                + map_bytes(&self.by_hash)) as u64,
+        }
+    }
+}
+
+/// Host-side counters of an [`ImagePool`]: what the images behind one or
+/// more stores cost the simulating process. A pool is shared by every
+/// disk of a stack, so a sum over disks counts each pool once.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Images the pool keeps, of all three classes: the distinct contents
+    /// among the sectors its stores hold (a hash collision, which keeps
+    /// two equal images apart, can only make it larger; a body kept only
+    /// for its aliases counts too).
+    pub distinct_sectors: u64,
+    /// How many of them are kept in half a slot because their second half
+    /// is zero.
+    pub short_images: u64,
+    /// How many of them are aliases: a whole image kept as another's body
+    /// under its own byte 0.
+    pub alias_images: u64,
+    /// Host bytes the pool keeps allocated: itself, the chunks of every
+    /// class, reference counts, free lists, the alias links and the hash
+    /// table.
+    pub pool_bytes: u64,
+}
+
+impl std::ops::AddAssign for PoolStats {
+    /// Sums two pools, field by field.
+    fn add_assign(&mut self, other: Self) {
+        self.distinct_sectors += other.distinct_sectors;
+        self.short_images += other.short_images;
+        self.alias_images += other.alias_images;
+        self.pool_bytes += other.pool_bytes;
+    }
+}
+
+/// A reference-counted pool of sector images that several
+/// [`SectorStore`]s share; clones are handles to the same pool. The disks
+/// of one stack keep their images in one pool, so a sector logged on one
+/// disk and written back to another is kept once. The pool is freed with
+/// its last handle, and a store that is dropped first hands its references
+/// back.
+#[derive(Clone, Debug)]
+pub struct ImagePool(Rc<RefCell<Pool>>);
+
+impl Default for ImagePool {
+    fn default() -> Self {
+        ImagePool::new()
+    }
+}
+
+impl ImagePool {
+    /// An empty pool.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_hash(sector_hashes)
+    }
+
+    /// A pool that finds equal images and bodies with `hash` instead of
+    /// the default hashes; tests pass a degenerate one to force every
+    /// image to collide.
+    fn with_hash(hash: fn(&SectorBuf) -> Hashes) -> Self {
+        ImagePool(Rc::new(RefCell::new(Pool::new(hash))))
+    }
+
+    /// Whether `a` and `b` are handles to the same pool.
+    #[must_use]
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Rc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The pool's counters.
+    #[must_use]
+    pub fn stats(&self) -> PoolStats {
+        self.0.borrow().stats()
     }
 }
 
@@ -435,7 +725,7 @@ impl Pool {
 /// # Examples
 ///
 /// ```
-/// use trail_disk::{SectorStore, SECTOR_SIZE};
+/// use trail_disk::{ImagePool, SectorStore, SECTOR_SIZE};
 ///
 /// let mut s = SectorStore::new(100);
 /// assert_eq!(s.read_sector(5), [0u8; SECTOR_SIZE]);
@@ -444,37 +734,68 @@ impl Pool {
 /// assert_eq!(s.read_sector(5)[0], 7);
 /// // Two written sectors, one stored image.
 /// assert_eq!((s.written_sectors(), s.distinct_sectors()), (2, 1));
+///
+/// // Two stores on one pool: a log copy whose byte 0 was replaced and its
+/// // write-back share one body.
+/// let pool = ImagePool::new();
+/// let (mut log, mut data) = (SectorStore::in_pool(100, &pool), SectorStore::in_pool(100, &pool));
+/// let mut sector = [9u8; SECTOR_SIZE];
+/// sector[0] = 0;
+/// log.write_sector(1, &sector);
+/// sector[0] = 9;
+/// data.write_sector(50, &sector);
+/// assert_eq!((data.read_sector(50), pool.stats().alias_images), (sector, 1));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SectorStore {
     index: Index,
     written: usize,
-    pool: Pool,
+    // Made at the first write unless the store was given one, so that an
+    // unwritten store costs nothing.
+    pool: Option<ImagePool>,
     capacity: u64,
 }
 
-impl Default for SectorStore {
-    fn default() -> Self {
-        SectorStore::new(0)
+impl Drop for SectorStore {
+    /// Hands every written LBA's reference back to the pool, unless the
+    /// pool goes with this store (or a panic is unwinding, which may have
+    /// left the pool half-updated).
+    fn drop(&mut self) {
+        let Some(pool) = &self.pool else { return };
+        if Rc::strong_count(&pool.0) == 1 || std::thread::panicking() {
+            return;
+        }
+        let mut pool = pool.0.borrow_mut();
+        for entry in self.index.entries().filter(|&e| e != UNWRITTEN) {
+            pool.release(entry);
+        }
     }
 }
 
 impl SectorStore {
-    /// Creates an all-zero store of `capacity` sectors.
+    /// Creates an all-zero store of `capacity` sectors with a pool of its
+    /// own.
     pub fn new(capacity: u64) -> Self {
-        Self::with_hash(capacity, content_hash)
-    }
-
-    /// A store that finds identical images with `hash` instead of the
-    /// default content hash; tests pass a degenerate one to force every
-    /// image to collide.
-    fn with_hash(capacity: u64, hash: fn(&SectorBuf) -> u64) -> Self {
         SectorStore {
             index: Index::default(),
             written: 0,
-            pool: Pool::new(hash),
+            pool: None,
             capacity,
         }
+    }
+
+    /// Creates an all-zero store of `capacity` sectors that keeps its
+    /// images in `pool`.
+    pub fn in_pool(capacity: u64, pool: &ImagePool) -> Self {
+        let mut store = SectorStore::new(capacity);
+        store.pool = Some(pool.clone());
+        store
+    }
+
+    /// The pool the store keeps its images in (made now if the store has
+    /// its own and was never written).
+    pub fn pool(&mut self) -> &ImagePool {
+        self.pool.get_or_insert_with(ImagePool::new)
     }
 
     /// The store's capacity in sectors.
@@ -487,33 +808,33 @@ impl SectorStore {
         self.written
     }
 
-    /// The number of sector images the pool holds for them: the distinct
-    /// contents among the written sectors (a hash collision, which keeps
-    /// two equal images apart, can only make it larger).
-    pub fn distinct_sectors(&self) -> usize {
-        self.pool.full.live() + self.pool.short.live()
+    /// The counters of the store's pool, which other stores may share.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.as_ref().map(ImagePool::stats).unwrap_or_default()
     }
 
-    /// How many of the [`distinct_sectors`](Self::distinct_sectors) are
-    /// kept in half a slot because their second half is zero.
+    /// [`PoolStats::distinct_sectors`] of the store's pool.
+    pub fn distinct_sectors(&self) -> usize {
+        self.pool_stats().distinct_sectors as usize
+    }
+
+    /// [`PoolStats::short_images`] of the store's pool.
     pub fn short_images(&self) -> usize {
-        self.pool.short.live()
+        self.pool_stats().short_images as usize
     }
 
     /// Host memory the LBA index keeps allocated, in bytes: the slab of
-    /// pages and the table that finds them (estimated from its capacity).
+    /// pages and the table that finds them.
     pub fn index_bytes(&self) -> usize {
         self.index.bytes()
     }
 
-    /// Host memory the image pool keeps allocated, in bytes: chunks of
-    /// both classes, reference counts, hashes, free lists and the content
-    /// hash table (estimated from its capacity).
+    /// [`PoolStats::pool_bytes`] of the store's pool.
     pub fn pool_bytes(&self) -> usize {
-        self.pool.full.bytes() + self.pool.short.bytes() + map_bytes(&self.pool.by_hash)
+        self.pool_stats().pool_bytes as usize
     }
 
-    /// Host memory the medium keeps allocated, in bytes:
+    /// Host memory the store and its pool keep allocated, in bytes:
     /// [`index_bytes`](Self::index_bytes) plus
     /// [`pool_bytes`](Self::pool_bytes).
     pub fn resident_bytes(&self) -> usize {
@@ -542,8 +863,11 @@ impl SectorStore {
     /// Panics if `lba` is beyond the capacity.
     pub fn read_sector(&self, lba: Lba) -> SectorBuf {
         self.check_range("read", lba, SECTOR_SIZE);
-        let page = self.index.page(lba);
-        let image = page.and_then(|page| self.pool.image(page[(lba % PAGE_LBAS) as usize]));
+        let (Some(page), Some(pool)) = (self.index.page(lba), &self.pool) else {
+            return [0u8; SECTOR_SIZE];
+        };
+        let pool = pool.0.borrow();
+        let image = pool.image(page[(lba % PAGE_LBAS) as usize]);
         image.map_or([0u8; SECTOR_SIZE], Image::sector)
     }
 
@@ -571,6 +895,11 @@ impl SectorStore {
     /// exceeds the capacity.
     pub fn read_into(&self, lba: Lba, out: &mut [u8]) {
         self.check_range("read", lba, out.len());
+        let Some(pool) = &self.pool else {
+            out.fill(0);
+            return;
+        };
+        let pool = pool.0.borrow();
         let mut sectors = out.as_chunks_mut::<SECTOR_SIZE>().0;
         for (at, within) in page_runs(lba, sectors.len() as u64) {
             let (run, rest) = sectors.split_at_mut(within.len());
@@ -578,7 +907,7 @@ impl SectorStore {
             match self.index.page(at) {
                 Some(page) => {
                     for (entry, sector) in page[within].iter().zip(run) {
-                        match self.pool.image(*entry) {
+                        match pool.image(*entry) {
                             Some(image) => image.copy_to(sector),
                             None => sector.fill(0),
                         }
@@ -609,13 +938,14 @@ impl SectorStore {
     /// exceeds the capacity; nothing is written then.
     pub fn write_range(&mut self, lba: Lba, data: &[u8]) {
         self.check_range("write", lba, data.len());
+        let mut pool = self.pool.get_or_insert_with(ImagePool::new).0.borrow_mut();
         let mut sectors = data.as_chunks::<SECTOR_SIZE>().0;
         for (at, within) in page_runs(lba, sectors.len() as u64) {
             let (run, rest) = sectors.split_at(within.len());
             sectors = rest;
             let page = self.index.page_mut(at);
             for (entry, sector) in page[within].iter_mut().zip(run) {
-                self.written += usize::from(self.pool.write(entry, sector));
+                self.written += usize::from(pool.write(entry, sector));
             }
         }
     }
@@ -625,6 +955,25 @@ impl SectorStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::Ref;
+
+    /// The pool a written store keeps its images in.
+    fn pool(s: &SectorStore) -> Ref<'_, Pool> {
+        s.pool
+            .as_ref()
+            .expect("a written store has a pool")
+            .0
+            .borrow()
+    }
+
+    /// A store on a pool whose every image and body hash alike.
+    fn colliding(capacity: u64) -> SectorStore {
+        let pool = ImagePool::with_hash(|_| Hashes {
+            content: 0,
+            body: 0,
+        });
+        SectorStore::in_pool(capacity, &pool)
+    }
 
     /// The index entry of `lba` (`UNWRITTEN` if it was never written).
     fn entry_at(s: &SectorStore, lba: Lba) -> u32 {
@@ -633,18 +982,25 @@ mod tests {
             .map_or(UNWRITTEN, |page| page[(lba % PAGE_LBAS) as usize])
     }
 
-    /// The refcounts of both classes, `[FULL, SHORT]`.
-    fn refs(s: &SectorStore) -> [Vec<u32>; 2] {
-        [s.pool.full.refs.clone(), s.pool.short.refs.clone()]
+    /// The refcounts of the three classes, `[FULL, SHORT, ALIAS]`.
+    fn refs(s: &SectorStore) -> [Vec<u32>; 3] {
+        let p = pool(s);
+        [
+            p.full.refs.clone(),
+            p.short.refs.clone(),
+            p.alias.refs.clone(),
+        ]
     }
 
-    /// What one slot class relies on; `pointed[slot]` is how many LBAs
-    /// the index has pointing at `slot`. Returns their total.
-    fn check_class<const N: usize>(slots: &Slots<N>, pointed: &[u32]) -> u64 {
-        assert_eq!(slots.refs.len(), slots.hashes.len());
+    /// What one slot class relies on; `holders[slot]` is how many index
+    /// entries and aliases point at `slot`.
+    fn check_class<const N: usize>(slots: &Slots<N>, holders: &[u32]) {
         assert!(slots.refs.len() <= slots.chunks.len() * CHUNK_SLOTS);
         assert!(slots.chunks.iter().all(|c| c.len() == CHUNK_SLOTS * N));
-        assert_eq!(pointed, slots.refs, "refcount = LBAs pointing at the slot");
+        assert_eq!(
+            holders, slots.refs,
+            "refcount = LBAs and aliases pointing at the slot"
+        );
         let mut free = slots.free.clone();
         free.sort_unstable();
         free.dedup();
@@ -654,57 +1010,120 @@ mod tests {
             .collect();
         assert_eq!(free, dead, "exactly the unreferenced slots are free");
         assert_eq!(slots.live(), slots.refs.len() - dead.len());
-        slots.refs.iter().map(|&r| u64::from(r)).sum()
     }
 
-    /// Every structural condition the index and the pool rely on.
-    fn check_invariants(s: &SectorStore) {
-        // The slab: map values are exactly the positions handed out so
-        // far, and nothing beyond them was touched.
-        let ix = &s.index;
+    /// One store's index: map values are exactly the positions handed out
+    /// so far, only a sole first chunk is short, and nothing beyond the
+    /// handed-out pages was touched.
+    fn check_index(ix: &Index) {
         let mut positions: Vec<u32> = ix.at.values().copied().collect();
         positions.sort_unstable();
         let handed_out: Vec<u32> = (0..ix.at.len() as u32).collect();
         assert_eq!(positions, handed_out, "map values are distinct slab pages");
-        assert!(ix.at.len() <= ix.slab.len() * SLAB_PAGES);
-        assert!(ix.slab.iter().all(|chunk| chunk.len() == SLAB_PAGES));
+        assert!(ix.at.len() <= ix.pages_held());
+        let sizes: Vec<usize> = ix.slab.iter().map(|chunk| chunk.len()).collect();
+        assert!(
+            sizes == [FIRST_SLAB_PAGES] || sizes.iter().all(|&len| len == SLAB_PAGES),
+            "slab chunks {sizes:?}"
+        );
         let unused = ix.slab.iter().flatten().skip(ix.at.len());
         assert!(unused.flatten().all(|&e| e == UNWRITTEN));
+    }
 
-        // Every written LBA names a slot of the class its bytes belong
-        // in, and reads back as that slot's image, zero-padded.
-        let p = &s.pool;
-        let mut pointed = refs(s).map(|refs| vec![0u32; refs.len()]);
-        for (page_no, &at) in &ix.at {
-            let page = &ix.slab[at as usize / SLAB_PAGES][at as usize % SLAB_PAGES];
-            for (i, &entry) in page.iter().enumerate() {
-                if entry == UNWRITTEN {
-                    continue;
+    /// Every structural condition the indexes and their one pool rely on;
+    /// `stores` are all the stores holding references in the pool.
+    fn check_invariants(stores: &[&SectorStore]) {
+        for s in stores {
+            check_index(&s.index);
+        }
+        let Some(handle) = stores[0].pool.as_ref() else {
+            assert!(stores.iter().all(|s| s.written_sectors() == 0));
+            return;
+        };
+        assert!(stores.iter().all(|s| s
+            .pool
+            .as_ref()
+            .is_some_and(|p| ImagePool::ptr_eq(p, handle))));
+        let p = handle.0.borrow();
+
+        // Every written LBA names a slot of the class its bytes belong in
+        // (an alias is a whole image), and reads back as that slot's image.
+        let mut holders = [&p.full.refs, &p.short.refs, &p.alias.refs].map(|r| vec![0u32; r.len()]);
+        let mut written = 0;
+        for s in stores {
+            for (page_no, &at) in &s.index.at {
+                let page = &s.index.slab[at as usize / SLAB_PAGES][at as usize % SLAB_PAGES];
+                for (i, &entry) in page.iter().enumerate() {
+                    if entry == UNWRITTEN {
+                        continue;
+                    }
+                    let (class, slot) = slot_of(entry);
+                    holders[class][slot] += 1;
+                    written += 1;
+                    let read = s.read_sector(page_no.get() * PAGE_LBAS + i as u64);
+                    let kept = p.image(entry).expect("written");
+                    assert_eq!(
+                        kept.sector(),
+                        read,
+                        "a read is the kept image, patched or padded"
+                    );
+                    assert_eq!(matches!(Image::of(&read), Image::Short(_)), class == SHORT);
                 }
-                let (class, slot) = slot_of(entry);
-                pointed[class][slot] += 1;
-                let read = s.read_sector(page_no.number() * PAGE_LBAS + i as u64);
-                let kept = p.image(entry).expect("written");
-                assert_eq!(Image::of(&read), kept, "a read is the kept image, padded");
-                assert_eq!(matches!(kept, Image::Short(_)), class == SHORT);
             }
         }
-        let written = check_class(&p.full, &pointed[FULL]) + check_class(&p.short, &pointed[SHORT]);
-        assert_eq!(written, s.written_sectors() as u64, "refcounts sum to LBAs");
+        assert_eq!(
+            written,
+            stores.iter().map(|s| s.written_sectors()).sum::<usize>()
+        );
 
-        for (&hash, &entry) in &p.by_hash {
-            let (live, kept_under) = match slot_of(entry) {
-                (FULL, slot) => (p.full.refs[slot], p.full.hashes[slot]),
-                (_, slot) => (p.short.refs[slot], p.short.hashes[slot]),
-            };
-            assert!(live > 0, "hash entry names a live slot");
-            assert_eq!(kept_under, hash);
-            let kept = p.image(entry).expect("registered");
-            assert_eq!((p.hash)(&kept.sector()), hash);
+        // A live alias holds one reference on its base, a live full slot,
+        // whose byte 0 differs from the alias's; a base finds at most one
+        // live alias of its own.
+        for slot in (0..p.alias.refs.len()).filter(|&slot| p.alias.refs[slot] > 0) {
+            let (base, byte0) = alias_parts(p.alias.image(slot));
+            assert!(p.full.refs[base] > 0, "an alias's base is live");
+            assert_ne!(
+                p.full.image(base)[0],
+                byte0,
+                "an alias differs from its base"
+            );
+            holders[FULL][base] += 1;
         }
-        assert_eq!(s.distinct_sectors(), p.full.live() + p.short.live());
-        assert_eq!(s.short_images(), p.short.live());
-        assert_eq!(s.resident_bytes(), s.index_bytes() + s.pool_bytes());
+        check_class(&p.full, &holders[FULL]);
+        check_class(&p.short, &holders[SHORT]);
+        check_class(&p.alias, &holders[ALIAS]);
+        assert_eq!(p.aliased.len(), p.full.refs.len());
+        for (base, &alias) in p.aliased.iter().enumerate() {
+            if alias != UNWRITTEN {
+                let (class, slot) = slot_of(alias);
+                assert_eq!(class, ALIAS);
+                assert!(p.alias.refs[slot] > 0, "a base finds a live alias");
+                assert_eq!(alias_parts(p.alias.image(slot)).0, base);
+            }
+        }
+
+        // Every table entry names a live full or short slot whose image has
+        // the entry's key: the body hash of a full image, the content hash
+        // of a short one.
+        for (&key, &entry) in &p.by_hash {
+            let image = p.image(entry).expect("registered");
+            let (class, slot) = slot_of(entry);
+            let live = match class {
+                FULL => p.full.refs[slot],
+                SHORT => p.short.refs[slot],
+                _ => panic!("an alias is found through its base, not the table"),
+            };
+            assert!(live > 0, "table entry names a live slot");
+            assert_eq!(Pool::key(image, (p.hash)(&image.sector())), key);
+        }
+        let stats = p.stats();
+        let live = p.full.live() + p.short.live() + p.alias.live();
+        assert_eq!(stats.distinct_sectors, live as u64);
+        assert_eq!(stats.short_images, p.short.live() as u64);
+        assert_eq!(stats.alias_images, p.alias.live() as u64);
+        for s in stores {
+            assert_eq!(s.resident_bytes(), s.index_bytes() + s.pool_bytes());
+        }
     }
 
     fn image(fill: u8) -> SectorBuf {
@@ -715,6 +1134,13 @@ mod tests {
     fn image_of_len(fill: u8, len: usize) -> SectorBuf {
         let mut img = [0u8; SECTOR_SIZE];
         img[..len].fill(fill);
+        img
+    }
+
+    /// A whole image of `fill` whose body is unique per `n`.
+    fn unique(fill: u8, n: u64) -> SectorBuf {
+        let mut img = image(fill);
+        img[8..16].copy_from_slice(&n.to_le_bytes());
         img
     }
 
@@ -740,7 +1166,7 @@ mod tests {
         s.write_sector(3, &buf);
         assert_eq!(s.read_sector(3)[0], 0xEF);
         assert_eq!(s.written_sectors(), 1);
-        check_invariants(&s);
+        check_invariants(&[&s]);
     }
 
     #[test]
@@ -784,7 +1210,7 @@ mod tests {
         let mut s = SectorStore::new(u64::MAX);
         s.write_sector(u64::MAX - 1, &image(3));
         assert_eq!(s.read_range(u64::MAX - 2, 2)[SECTOR_SIZE..], image(3));
-        check_invariants(&s);
+        check_invariants(&[&s]);
     }
 
     #[test]
@@ -818,8 +1244,8 @@ mod tests {
         // One sector either side of the range is still unwritten.
         assert_eq!(ranged.read_sector(lba - 1), image(0));
         assert_eq!(ranged.read_sector(lba + count), image(0));
-        check_invariants(&ranged);
-        check_invariants(&looped);
+        check_invariants(&[&ranged]);
+        check_invariants(&[&looped]);
     }
 
     #[test]
@@ -832,45 +1258,41 @@ mod tests {
         assert_eq!(s.distinct_sectors(), 4);
         // Three whole-sector images and the all-zero one, which is short.
         assert_eq!(s.short_images(), 1);
-        assert_eq!(s.pool.full.chunks.len(), 1);
-        assert_eq!(s.pool.short.chunks.len(), 1);
+        assert_eq!(pool(&s).full.chunks.len(), 1);
+        assert_eq!(pool(&s).short.chunks.len(), 1);
         assert_eq!(s.index.at.len(), 1000usize.div_ceil(PAGE_LBAS as usize));
         // An explicitly written zero sector is a written sector like any
         // other, not an unwritten one.
         assert_eq!(s.read_sector(4), image(0));
         assert_ne!(entry_at(&s, 4), UNWRITTEN);
-        check_invariants(&s);
+        check_invariants(&[&s]);
     }
 
     #[test]
     fn overwriting_everything_with_one_image_frees_the_rest() {
         let mut s = SectorStore::new(300);
         for lba in 0..300u64 {
-            let mut unique = image(1);
-            unique[..8].copy_from_slice(&lba.to_le_bytes());
-            s.write_sector(lba, &unique);
+            s.write_sector(lba, &unique(1, lba));
         }
         assert_eq!(s.distinct_sectors(), 300);
-        let chunks = s.pool.full.chunks.len();
+        let chunks = pool(&s).full.chunks.len();
         assert_eq!(chunks, 300usize.div_ceil(CHUNK_SLOTS));
         for lba in 0..300 {
             s.write_sector(lba, &image(9));
         }
         assert_eq!(s.written_sectors(), 300);
         assert_eq!(s.distinct_sectors(), 1);
-        assert_eq!(s.pool.full.free.len(), 299);
-        assert_eq!(s.pool.by_hash.len(), 1);
-        check_invariants(&s);
+        assert_eq!(pool(&s).full.free.len(), 299);
+        assert_eq!(pool(&s).by_hash.len(), 1);
+        check_invariants(&[&s]);
         // Fresh unique images reuse the freed slots: the pool does not grow.
         for lba in 0..299u64 {
-            let mut unique = image(2);
-            unique[..8].copy_from_slice(&lba.to_le_bytes());
-            s.write_sector(lba, &unique);
+            s.write_sector(lba, &unique(2, lba));
         }
-        assert_eq!(s.pool.full.chunks.len(), chunks);
-        assert!(s.pool.full.free.is_empty());
-        assert!(s.pool.short.chunks.is_empty());
-        check_invariants(&s);
+        assert_eq!(pool(&s).full.chunks.len(), chunks);
+        assert!(pool(&s).full.free.is_empty());
+        assert!(pool(&s).short.chunks.is_empty());
+        check_invariants(&[&s]);
     }
 
     #[test]
@@ -881,13 +1303,15 @@ mod tests {
         // The sole owner is overwritten: the slot is recycled for image 2.
         s.write_sector(0, &image(2));
         assert_eq!(entry_at(&s, 0), entry);
-        assert!(!s.pool.by_hash.contains_key(&content_hash(&image(1))));
+        assert!(!pool(&s)
+            .by_hash
+            .contains_key(&Key::from(sector_hashes(&image(1)).body)));
         // Image 1 again must get a slot of its own, not alias the recycled one.
         s.write_sector(1, &image(1));
         assert_ne!(entry_at(&s, 1), entry);
         assert_eq!(s.read_sector(0), image(2));
         assert_eq!(s.read_sector(1), image(1));
-        check_invariants(&s);
+        check_invariants(&[&s]);
     }
 
     #[test]
@@ -908,16 +1332,16 @@ mod tests {
         assert_eq!((s.distinct_sectors(), s.short_images()), (2, 1));
         assert_eq!(s.read_sector(0), short);
         assert_eq!(s.read_sector(1), full);
-        check_invariants(&s);
+        check_invariants(&[&s]);
         // The same pair under one hash: the prefix compare alone would
         // call them equal, the class keeps them apart.
-        let mut c = SectorStore::with_hash(10, |_| 0);
+        let mut c = colliding(10);
         c.write_sector(0, &full);
         c.write_sector(1, &short);
         assert_eq!(c.read_sector(0), full);
         assert_eq!(c.read_sector(1), short);
         assert_eq!(c.distinct_sectors(), 2);
-        check_invariants(&c);
+        check_invariants(&[&c]);
     }
 
     #[test]
@@ -928,17 +1352,19 @@ mod tests {
         s.write_sector(0, &full);
         assert_eq!(s.read_sector(0), full);
         assert_eq!((s.distinct_sectors(), s.short_images()), (1, 0));
-        assert_eq!(s.pool.short.free, [0]);
-        assert!(!s.pool.by_hash.contains_key(&content_hash(&short)));
-        check_invariants(&s);
+        assert_eq!(pool(&s).short.free, [0]);
+        assert!(!pool(&s)
+            .by_hash
+            .contains_key(&Key::from(sector_hashes(&short).content)));
+        check_invariants(&[&s]);
         // And back: the freed short slot is the one reused.
         s.write_sector(0, &image_of_len(3, 10));
         assert_eq!(s.read_sector(0), image_of_len(3, 10));
         assert_eq!((s.distinct_sectors(), s.short_images()), (1, 1));
-        assert!(s.pool.short.free.is_empty());
-        assert_eq!(s.pool.full.free, [0]);
+        assert!(pool(&s).short.free.is_empty());
+        assert_eq!(pool(&s).full.free, [0]);
         assert_eq!(s.written_sectors(), 1);
-        check_invariants(&s);
+        check_invariants(&[&s]);
     }
 
     #[test]
@@ -946,18 +1372,22 @@ mod tests {
         let mut s = SectorStore::new(10);
         s.write_sector(0, &image(5));
         s.write_sector(1, &image(5));
-        let state = |s: &SectorStore| (entry_at(s, 0), entry_at(s, 1), refs(s));
+        let mut twin = image(5);
+        twin[0] = 0;
+        s.write_sector(2, &twin);
+        let state = |s: &SectorStore| (entry_at(s, 0), entry_at(s, 1), entry_at(s, 2), refs(s));
         let before = state(&s);
         s.write_sector(0, &image(5));
+        s.write_sector(2, &twin);
         assert_eq!(state(&s), before);
-        check_invariants(&s);
+        check_invariants(&[&s]);
     }
 
     #[test]
     fn colliding_images_stay_byte_exact() {
         // Every image hashes alike: only the first can be registered, the
         // rest must be kept apart by the byte compare.
-        let mut s = SectorStore::with_hash(64, |_| 0);
+        let mut s = colliding(64);
         for lba in 0..64 {
             s.write_sector(lba, &image((lba % 8) as u8));
         }
@@ -968,7 +1398,7 @@ mod tests {
         let (class, slot) = slot_of(entry_at(&s, 0));
         assert_eq!(refs(&s)[class][slot], 8);
         assert_eq!(s.distinct_sectors(), 1 + 7 * 8);
-        check_invariants(&s);
+        check_invariants(&[&s]);
         // Freeing the registered slot unregisters the hash; the next image
         // written takes the registration and shares from then on.
         for lba in (0..64).step_by(8) {
@@ -978,16 +1408,75 @@ mod tests {
             let fill = if lba % 8 == 0 { 1 } else { (lba % 8) as u8 };
             assert_eq!(s.read_sector(lba), image(fill));
         }
-        check_invariants(&s);
+        check_invariants(&[&s]);
+
+        // Body twins under one body hash: only the registered body can be
+        // aliased, and only by an image whose bytes 1..512 really match.
+        let mut t = colliding(64);
+        for lba in 0..64u64 {
+            let mut twin = image(1 + (lba % 4) as u8);
+            twin[0] = lba as u8;
+            t.write_sector(lba, &twin);
+        }
+        for lba in 0..64u64 {
+            let mut twin = image(1 + (lba % 4) as u8);
+            twin[0] = lba as u8;
+            assert_eq!(t.read_sector(lba), twin, "lba {lba}");
+        }
+        assert!(pool(&t).alias.live() > 0);
+        check_invariants(&[&t]);
     }
 
     #[test]
-    fn clone_is_independent_of_the_original() {
-        let mut a = SectorStore::new(300);
+    fn a_logged_copy_and_its_write_back_share_one_body() {
+        // The log copy of a sector has byte 0 replaced by zero; its
+        // write-back to a data disk of the same stack carries the real one.
+        let shared = ImagePool::new();
+        let (mut log, mut data) = (
+            SectorStore::in_pool(1000, &shared),
+            SectorStore::in_pool(1000, &shared),
+        );
+        let payload = |n: u64| {
+            let mut sector = unique(0x5A, n);
+            sector[0] = 1 + n as u8 % 200;
+            sector
+        };
+        for n in 0..100u64 {
+            let mut logged = payload(n);
+            logged[0] = 0;
+            log.write_sector(n, &logged);
+            data.write_sector(500 + n, &payload(n));
+        }
+        let stats = shared.stats();
+        assert_eq!((stats.distinct_sectors, stats.alias_images), (200, 100));
+        assert_eq!(pool(&log).full.live(), 100);
+        check_invariants(&[&log, &data]);
+        // The log wraps: its copies go, the bodies stay for the aliases.
+        for n in 0..100u64 {
+            log.write_sector(n, &image(3));
+        }
+        assert_eq!(pool(&log).full.live(), 101);
+        for n in 0..100u64 {
+            assert_eq!(data.read_sector(500 + n), payload(n));
+        }
+        check_invariants(&[&log, &data]);
+        // Rewriting the data frees aliases and bodies together.
+        for n in 0..100u64 {
+            data.write_sector(500 + n, &image(3));
+        }
+        assert_eq!(shared.stats().distinct_sectors, 1);
+        check_invariants(&[&log, &data]);
+    }
+
+    #[test]
+    fn stores_sharing_a_pool_are_independent() {
+        let shared = ImagePool::new();
+        let mut a = SectorStore::in_pool(300, &shared);
         for lba in 0..200 {
             a.write_sector(lba, &image((lba % 3) as u8));
         }
-        let mut b = a.clone();
+        let mut b = SectorStore::in_pool(300, &shared);
+        b.write_range(0, &a.read_range(0, 200));
         b.write_sector(0, &image(77));
         b.write_sector(250, &image(78));
         a.write_sector(1, &image(79));
@@ -998,8 +1487,15 @@ mod tests {
         assert_eq!(b.read_sector(1), image(1));
         assert_eq!(b.read_sector(250), image(78));
         assert_eq!((a.written_sectors(), b.written_sectors()), (200, 201));
-        check_invariants(&a);
-        check_invariants(&b);
+        assert_eq!(a.distinct_sectors(), 6);
+        check_invariants(&[&a, &b]);
+        // Dropping one hands its references back; the other reads on.
+        drop(a);
+        assert_eq!(shared.stats().distinct_sectors, 5);
+        assert_eq!(b.read_sector(1), image(1));
+        check_invariants(&[&b]);
+        drop(b);
+        assert_eq!(shared.stats().distinct_sectors, 0);
     }
 
     #[test]
@@ -1016,9 +1512,7 @@ mod tests {
         assert!(s.pool_bytes() >= CHUNK_SLOTS * SECTOR_SIZE);
         assert!(shared < 10_000 * 16, "resident {shared} B");
         for lba in 0..10_000u64 {
-            let mut unique = image(1);
-            unique[..8].copy_from_slice(&lba.to_le_bytes());
-            s.write_sector(lba, &unique);
+            s.write_sector(lba, &unique(1, lba));
         }
         assert_eq!(s.distinct_sectors(), 10_000);
         assert!(s.pool_bytes() >= 10_000 * SECTOR_SIZE);
@@ -1067,7 +1561,8 @@ mod tests {
     const MODEL_CAPACITY: u64 = 48;
 
     /// `(op, lba, sectors, content)`; `content` picks among a few images so
-    /// sharing, overwrites with equal bytes and slot recycling all occur.
+    /// sharing, aliasing, overwrites with equal bytes and slot recycling
+    /// all occur.
     type Step = (u8, u64, u64, u8);
 
     /// One of five fills over one of four lengths: a whole sector, a
@@ -1075,7 +1570,10 @@ mod tests {
     /// non-zero byte at offset 255 and at 256), so both classes occur, an
     /// overwrite may change class, and a short and a full image may agree
     /// on their first half. Fill 0 is the all-zero image at every length.
+    /// The top bit of `content` zeroes byte 0, as the log copy of a sector
+    /// has it, so body twins occur too.
     fn model_image(content: u8, i: u64) -> SectorBuf {
+        let (logged, content) = (content & 0x80 != 0, content & 0x7F);
         let len = [SECTOR_SIZE, 192, SHORT_BYTES, SHORT_BYTES + 1][usize::from(content / 5 % 4)];
         let mut img = image_of_len(content % 5, len);
         // Every third content value is unique per position.
@@ -1083,48 +1581,59 @@ mod tests {
             img[100] = i as u8;
             img[101] = content;
         }
+        if logged {
+            img[0] = 0;
+        }
         img
+    }
+
+    /// What `store` must read: the model's bytes, zeros where unwritten.
+    fn expect(model: &HashMap<Lba, SectorBuf>, lba: Lba, count: u64) -> Vec<u8> {
+        (lba..lba + count)
+            .flat_map(|l| model.get(&l).copied().unwrap_or([0u8; SECTOR_SIZE]))
+            .collect()
+    }
+
+    /// Applies one step to `store` and its model, checking every read.
+    fn step(store: &mut SectorStore, model: &mut HashMap<Lba, SectorBuf>, step: Step) {
+        let (op, lba, sectors, content) = step;
+        let count = sectors.min(MODEL_CAPACITY - lba);
+        match op % 5 {
+            0 => {
+                let img = model_image(content, lba);
+                store.write_sector(lba, &img);
+                model.insert(lba, img);
+            }
+            1 => {
+                let data: Vec<u8> = (0..count)
+                    .flat_map(|i| model_image(content, lba + i))
+                    .collect();
+                store.write_range(lba, &data);
+                for i in 0..count {
+                    model.insert(lba + i, model_image(content, lba + i));
+                }
+            }
+            2 => assert_eq!(store.read_sector(lba).to_vec(), expect(model, lba, 1)),
+            3 => {
+                let mut out = vec![0xEEu8; count as usize * SECTOR_SIZE];
+                store.read_into(lba, &mut out);
+                assert_eq!(out, expect(model, lba, count));
+            }
+            _ => assert_eq!(
+                store.read_range(lba, count as u32),
+                expect(model, lba, count)
+            ),
+        }
+        assert_eq!(store.written_sectors(), model.len());
     }
 
     /// Drives `store` and a plain map with the same steps and demands equal
     /// bytes, equal `written_sectors()` and intact invariants after each.
     fn run_model(mut store: SectorStore, steps: &[Step]) {
         let mut model: HashMap<Lba, SectorBuf> = HashMap::new();
-        let expect = |model: &HashMap<Lba, SectorBuf>, lba: Lba, count: u64| -> Vec<u8> {
-            (lba..lba + count)
-                .flat_map(|l| model.get(&l).copied().unwrap_or([0u8; SECTOR_SIZE]))
-                .collect()
-        };
-        for &(op, lba, sectors, content) in steps {
-            let count = sectors.min(MODEL_CAPACITY - lba);
-            match op % 5 {
-                0 => {
-                    let img = model_image(content, lba);
-                    store.write_sector(lba, &img);
-                    model.insert(lba, img);
-                }
-                1 => {
-                    let data: Vec<u8> = (0..count)
-                        .flat_map(|i| model_image(content, lba + i))
-                        .collect();
-                    store.write_range(lba, &data);
-                    for i in 0..count {
-                        model.insert(lba + i, model_image(content, lba + i));
-                    }
-                }
-                2 => assert_eq!(store.read_sector(lba).to_vec(), expect(&model, lba, 1)),
-                3 => {
-                    let mut out = vec![0xEEu8; count as usize * SECTOR_SIZE];
-                    store.read_into(lba, &mut out);
-                    assert_eq!(out, expect(&model, lba, count));
-                }
-                _ => assert_eq!(
-                    store.read_range(lba, count as u32),
-                    expect(&model, lba, count)
-                ),
-            }
-            assert_eq!(store.written_sectors(), model.len());
-            check_invariants(&store);
+        for &s in steps {
+            step(&mut store, &mut model, s);
+            check_invariants(&[&store]);
         }
         assert_eq!(
             store.read_range(0, MODEL_CAPACITY as u32),
@@ -1132,9 +1641,53 @@ mod tests {
         );
     }
 
+    /// Drives two stores on `shared` and a plain map for each — a step's
+    /// `which` picks the store by its low bit, and a `which` of 3 mod 4
+    /// drops that store and starts a fresh one on the same pool — then
+    /// drops both and demands an empty pool.
+    fn run_shared_model(shared: &ImagePool, steps: &[(u8, Step)]) {
+        let mut stores = [0, 1].map(|_| SectorStore::in_pool(MODEL_CAPACITY, shared));
+        let mut models: [HashMap<Lba, SectorBuf>; 2] = Default::default();
+        for &(which, s) in steps {
+            let k = usize::from(which & 1);
+            if which % 4 == 3 {
+                stores[k] = SectorStore::in_pool(MODEL_CAPACITY, shared);
+                models[k].clear();
+            } else {
+                step(&mut stores[k], &mut models[k], s);
+            }
+            check_invariants(&[&stores[0], &stores[1]]);
+        }
+        for (store, model) in stores.iter().zip(&models) {
+            assert_eq!(
+                store.read_range(0, MODEL_CAPACITY as u32),
+                expect(model, 0, MODEL_CAPACITY)
+            );
+        }
+        drop(stores);
+        let p = shared.0.borrow();
+        assert_eq!(
+            shared.stats().distinct_sectors,
+            0,
+            "dropping both empties the pool"
+        );
+        assert!(p.by_hash.is_empty());
+        assert!(p.aliased.iter().all(|&alias| alias == UNWRITTEN));
+    }
+
     fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
         proptest::collection::vec(
             (any::<u8>(), 0..MODEL_CAPACITY, 1u64..20, any::<u8>()),
+            1..120,
+        )
+    }
+
+    fn arb_shared_steps() -> impl Strategy<Value = Vec<(u8, Step)>> {
+        proptest::collection::vec(
+            (
+                any::<u8>(),
+                (any::<u8>(), 0..MODEL_CAPACITY, 1u64..20, any::<u8>()),
+            ),
             1..120,
         )
     }
@@ -1149,7 +1702,18 @@ mod tests {
 
         #[test]
         fn store_matches_a_plain_map_when_every_image_collides(steps in arb_steps()) {
-            run_model(SectorStore::with_hash(MODEL_CAPACITY, |_| 0), &steps);
+            run_model(colliding(MODEL_CAPACITY), &steps);
+        }
+
+        #[test]
+        fn two_stores_on_one_pool_match_their_maps_and_leave_it_empty(
+            steps in arb_shared_steps()
+        ) {
+            run_shared_model(&ImagePool::new(), &steps);
+            run_shared_model(
+                &ImagePool::with_hash(|_| Hashes { content: 0, body: 0 }),
+                &steps,
+            );
         }
     }
 }

@@ -1,6 +1,7 @@
 //! `SectorStore::resident_bytes` held against the allocator: what the
-//! medium says it keeps must be what the process was asked to give it,
-//! and a fresh store's first write must stay cheap.
+//! medium says it keeps must be exactly what the process was asked to give
+//! it, for a lone store and for two stores sharing one pool, and a fresh
+//! store's first write must stay cheap.
 //!
 //! One test, alone in its binary, because the counter is the process's
 //! global allocator: a second test running on another thread would be
@@ -9,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use trail_disk::{SectorStore, SECTOR_SIZE};
+use trail_disk::{ImagePool, SectorStore, SECTOR_SIZE};
 
 // Statistics: nothing is published through them, so `Relaxed` is enough.
 // `LIVE` wraps on a free that precedes its allocation in the count; only
@@ -58,22 +59,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Runs `make` and returns what it made with the bytes that stayed
+/// allocated because of it.
+fn counted<T>(make: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let made = make();
+    (made, LIVE.load(Ordering::Relaxed).wrapping_sub(before))
+}
+
 /// Runs `fill` on a fresh store and returns the store with the bytes that
 /// stayed allocated because of it.
 fn filled(fill: impl FnOnce(&mut SectorStore)) -> (SectorStore, u64) {
-    let before = LIVE.load(Ordering::Relaxed);
-    let mut store = SectorStore::new(u64::MAX);
-    fill(&mut store);
-    let live = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
-    (store, live)
+    counted(|| {
+        let mut store = SectorStore::new(u64::MAX);
+        fill(&mut store);
+        store
+    })
 }
 
-fn assert_within_a_tenth(what: &str, store: &SectorStore, live: u64) {
-    let said = store.resident_bytes() as u64;
-    assert!(
-        said.abs_diff(live) * 10 <= live,
-        "{what}: resident_bytes() says {said} B, the allocator holds {live} B"
+fn assert_exact(what: &str, said: usize, live: u64) {
+    assert_eq!(
+        said as u64, live,
+        "{what}: the medium says {said} B, the allocator holds {live} B"
     );
+}
+
+/// A whole sector of `fill`, unique per `n` in bytes 1..512.
+fn unique(fill: u8, n: u64) -> [u8; SECTOR_SIZE] {
+    let mut sector = [fill; SECTOR_SIZE];
+    sector[8..16].copy_from_slice(&n.to_le_bytes());
+    sector
 }
 
 /// A sector that is non-zero below byte 192 only, unique per `n`: the
@@ -98,25 +113,57 @@ fn resident_bytes_is_what_the_allocator_holds() {
     });
     assert_eq!(sparse.written_sectors(), 160_000);
     assert_eq!(sparse.short_images(), 20_000);
-    assert_within_a_tenth("sparse fill", &sparse, live);
+    assert_exact("sparse fill", sparse.resident_bytes(), live);
     drop(sparse);
 
     // Dense: consecutive LBAs, every sector a whole unique image.
     let (dense, live) = filled(|s| {
-        let mut sector = [0x77u8; SECTOR_SIZE];
         for lba in 0..100_000u64 {
-            sector[..8].copy_from_slice(&lba.to_le_bytes());
-            s.write_sector(lba, &sector);
+            s.write_sector(lba, &unique(0x77, lba));
         }
     });
     assert_eq!(dense.distinct_sectors(), 100_000);
-    assert_within_a_tenth("dense fill", &dense, live);
+    assert_exact("dense fill", dense.resident_bytes(), live);
     drop(dense);
 
+    // Shared: what a Trail stack does with every payload sector. Each is
+    // logged with byte 0 zeroed (the log's self-describing format) and
+    // written back whole to a data disk; the two stores share one pool,
+    // which keeps the body once and the write-back as an alias of it.
+    const N: u64 = 50_000;
+    let ((pool, log, data), live) = counted(|| {
+        let pool = ImagePool::new();
+        let mut log = SectorStore::in_pool(u64::MAX, &pool);
+        let mut data = SectorStore::in_pool(u64::MAX, &pool);
+        for n in 0..N {
+            let mut sector = unique(0x3C, n);
+            sector[0] = 1 + (n % 255) as u8;
+            data.write_sector(7 * n, &sector);
+            sector[0] = 0;
+            log.write_sector(n, &sector);
+        }
+        (pool, log, data)
+    });
+    let stats = pool.stats();
+    assert_eq!((stats.distinct_sectors, stats.alias_images), (2 * N, N));
+    assert_exact(
+        "shared pool",
+        log.index_bytes() + data.index_bytes() + stats.pool_bytes as usize,
+        live,
+    );
+    let whole = N as f64 * SECTOR_SIZE as f64;
+    let share = stats.pool_bytes as f64 / whole;
+    assert!(share < 1.1, "the pool holds {share:.3} x N x 512 B");
+    // Dropping both stores empties the pool; dropping it frees the rest.
+    drop((log, data));
+    assert_eq!(pool.stats().distinct_sectors, 0);
+    drop(pool);
+
     // A fresh store costs nothing until it is written, and its first
-    // write — here one of each image class, the most it can ask for —
-    // stays at what one 16 KB pool chunk and a 256-byte index page used
-    // to cost: every crash point and every ladder rung boots several.
+    // write — here one full and one short image, the most it can ask for
+    // without an alias, with the pool itself — stays at what one 16 KB
+    // pool chunk and a 256-byte index page used to cost: every crash point
+    // and every ladder rung boots several.
     let before = REQUESTED.load(Ordering::Relaxed);
     let mut fresh = SectorStore::new(u64::MAX);
     assert_eq!(REQUESTED.load(Ordering::Relaxed), before);

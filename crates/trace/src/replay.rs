@@ -65,7 +65,7 @@ use std::rc::Rc;
 use trail::{BuiltTarget, StackBuilder, TargetDrive, TargetError};
 use trail_blockio::TapHandle;
 use trail_db::BlockStack;
-use trail_disk::{Disk, Lba, MediumStats, SECTOR_SIZE};
+use trail_disk::{Disk, ImagePool, Lba, MediumStats, SECTOR_SIZE};
 use trail_fs::{FsError, FS_BLOCK_SIZE};
 use trail_sim::{
     Completion, Delivered, DurationHistogram, FaultPlan, SimDuration, SimTime, Simulator,
@@ -227,9 +227,9 @@ pub struct ReplayReport {
     /// target's volume order; empty for targets without volumes.
     pub volume_stats: Vec<trail::volume::VolumeStats>,
     /// What the stack's recording media cost the host when the replay
-    /// ended, summed over its disks (and over shards): a host-side
-    /// figure for consoles, deliberately absent from
-    /// [`to_json`](ReplayReport::to_json).
+    /// ended, summed over its disks and each of their pools once (and over
+    /// shards, which share no pool): a host-side figure for consoles,
+    /// deliberately absent from [`to_json`](ReplayReport::to_json).
     pub media: MediumStats,
 }
 
@@ -633,10 +633,20 @@ impl State {
     }
 }
 
-/// The sum of the disks' [`Disk::medium_stats`].
+/// The medium of `disks`: the per-disk fields of their
+/// [`Disk::medium_stats`] summed, and each image pool among them added
+/// once however many of the disks share it.
 fn media_of(disks: &[Disk]) -> MediumStats {
+    let mut pools: Vec<ImagePool> = Vec::new();
     disks.iter().fold(MediumStats::default(), |mut sum, d| {
-        sum += d.medium_stats();
+        let m = d.medium_stats();
+        sum.written_sectors += m.written_sectors;
+        sum.index_bytes += m.index_bytes;
+        let pool = d.pool();
+        if !pools.iter().any(|p| ImagePool::ptr_eq(p, &pool)) {
+            sum.pool += m.pool;
+            pools.push(pool);
+        }
         sum
     })
 }
@@ -987,6 +997,36 @@ mod tests {
             read_fraction: 0.25,
             ..SyntheticSpec::default()
         })
+    }
+
+    #[test]
+    fn a_two_disk_stack_reports_its_pool_once() {
+        use trail_disk::{profiles, SECTOR_SIZE};
+        let shared = ImagePool::new();
+        let disks: Vec<Disk> = (0..2)
+            .map(|i| Disk::in_pool(format!("d{i}"), profiles::tiny_test_disk(), &shared))
+            .collect();
+        let mut sector = [7u8; SECTOR_SIZE];
+        disks[0].poke_sector(3, &sector);
+        sector[0] = 0;
+        disks[1].poke_sector(9, &sector);
+        let (one, two) = (disks[0].medium_stats(), disks[1].medium_stats());
+        assert_eq!(one.pool, two.pool, "both disks see the whole pool");
+        let m = media_of(&disks);
+        assert_eq!(m.written_sectors, 2);
+        assert_eq!(m.index_bytes, one.index_bytes + two.index_bytes);
+        assert_eq!(
+            m.pool,
+            shared.stats(),
+            "the pool is counted once, not twice"
+        );
+        assert_eq!((m.pool.distinct_sectors, m.pool.alias_images), (2, 1));
+        // A disk of another stack brings its own pool.
+        let lone = Disk::new("lone", profiles::tiny_test_disk());
+        lone.poke_sector(0, &sector);
+        let mut both = m;
+        both += lone.medium_stats();
+        assert_eq!(media_of(&[disks[0].clone(), lone, disks[1].clone()]), both);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use trail_core::{
 };
 use trail_db::{BlockStack, Database, DbConfig, StandardStack};
 use trail_disk::profiles::{self, DriveProfile};
-use trail_disk::{Disk, DiskRole};
+use trail_disk::{Disk, DiskRole, ImagePool};
 use trail_fs::{ExtFs, FsError, Lfs, LfsConfig};
 use trail_sim::{FaultClock, FaultPlan, Simulator};
 use trail_volume::{RaidVolume, VolumeLayout};
@@ -148,9 +148,16 @@ impl Scenario {
 
     /// The build path, over fresh disks or — for a reboot — over the log
     /// and data disks of an earlier build, in the order it made them,
-    /// whose logs boot unformatted (a dirty one recovers).
+    /// whose logs boot unformatted (a dirty one recovers). Every disk of
+    /// the stack keeps its images in one pool, so a logged sector and its
+    /// write-back share one body.
     fn boot(&self, logs: Vec<Disk>, data: Vec<Disk>) -> Result<BuiltStack, TrailError> {
         let fresh = logs.is_empty() && data.is_empty();
+        let pool = logs
+            .iter()
+            .chain(&data)
+            .next()
+            .map_or_else(ImagePool::new, Disk::pool);
         let (mut old_logs, mut old_data) = (logs.into_iter(), data.into_iter());
         let mut sim = Simulator::new();
         let mut data_disks: Vec<Disk> = Vec::new();
@@ -163,8 +170,8 @@ impl Scenario {
         // volume sets under a Trail array.
         let mut make_set = |tag: &str| -> Vec<SharedBlockDevice> {
             let mut disk = |name: String| {
-                let d =
-                    (old_data.next()).unwrap_or_else(|| Disk::new(name, self.data_profile.clone()));
+                let d = (old_data.next())
+                    .unwrap_or_else(|| Disk::in_pool(name, self.data_profile.clone(), &pool));
                 data_disks.push(d.clone());
                 StandardDriver::with_policy(d, Box::new(Clook::default()), priority)
             };
@@ -187,7 +194,7 @@ impl Scenario {
             let log = match old_logs.next() {
                 Some(log) => log,
                 None => {
-                    let log = Disk::new(name, self.log_profile.clone());
+                    let log = Disk::in_pool(name, self.log_profile.clone(), &pool);
                     format_log_disk(sim, &log, self.format)?;
                     log
                 }
@@ -628,6 +635,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_disk_of_a_stack_shares_one_image_pool() {
+        let tiny = || {
+            StackBuilder::new()
+                .data_disks(2)
+                .data_profile(profiles::tiny_test_disk())
+                .log_profile(profiles::tiny_test_disk())
+        };
+        let raid5 = VolumeLayout::Raid5 { chunk_sectors: 8 };
+        let stacks = [
+            ("raw", tiny().trail_default()),
+            ("multi2", tiny().trail_multi(2, TrailConfig::default())),
+            ("raid5", tiny().trail_default().volumes(raid5, 3)),
+            ("standard", tiny().standard()),
+        ];
+        let mut pools: Vec<ImagePool> = Vec::new();
+        for (name, builder) in stacks {
+            let built = builder.build().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let disks = [&built.log_disks[..], &built.data_disks[..]].concat();
+            let pool = disks[0].pool();
+            for d in &disks {
+                assert!(ImagePool::ptr_eq(&d.pool(), &pool), "{name}: {}", d.name());
+            }
+            // A reboot stays on the stack's pool; every build has its own.
+            let rebooted = built.reboot().expect("clean reboot");
+            assert!(ImagePool::ptr_eq(&rebooted.data_disks[0].pool(), &pool));
+            assert!(!pools.iter().any(|p| ImagePool::ptr_eq(p, &pool)), "{name}");
+            pools.push(pool);
         }
     }
 

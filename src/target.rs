@@ -198,7 +198,9 @@ pub struct BuiltTarget {
     /// every other kind.
     pub volumes: Vec<trail_volume::RaidVolume>,
     /// Every disk of the stack, log disks first, then data disks: what a
-    /// host-side ledger sums [`Disk::medium_stats`] over.
+    /// host-side ledger sums the per-disk [`Disk::medium_stats`] over. All
+    /// of them share one image pool ([`Disk::pool`]), which such a ledger
+    /// counts once.
     pub disks: Vec<Disk>,
     /// The fault clock the scenario's plan was armed on (see
     /// [`BuiltStack::fault_clock`](crate::BuiltStack::fault_clock)).
