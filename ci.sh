@@ -32,10 +32,11 @@ if grep -rn --include='*.rs' 'Box<dyn FnOnce' crates src \
 fi
 
 echo "== target-factory gate =="
-# StackBuilder::build_target in the umbrella crate is the one way to
-# construct a replay/bench stack; no crate may grow a private factory or
-# boot MultiTrail by hand again (a reboot after a cut is
-# BuiltStack::reboot, through the same build path).
+# StackBuilder::build in the umbrella crate is the one way to construct a
+# replay/bench stack (build_target sets a TargetKind shape, then builds;
+# the shape's file system is mounted and preallocated there too); no
+# crate may grow a private factory or boot MultiTrail by hand again (a
+# reboot after a cut is BuiltStack::reboot, through the same build path).
 if grep -rn --include='*.rs' \
     'fn build_target\|struct MultiStack\|fn prealloc\|MultiTrail::start' \
     crates/trace crates/bench; then
@@ -63,6 +64,19 @@ impls="$(grep -rn --include='*.rs' 'impl BlockStack for' crates src || true)"
 if [ "$(grep -c . <<<"$impls")" -gt 3 ]; then
   echo "more than three BlockStack implementations:" >&2
   echo "$impls" >&2
+  exit 1
+fi
+
+echo "== one-stack-vocabulary gate =="
+# A stack has one name: a TargetKind shape, or a StackBuilder spec that
+# adds the data-disk count and the tiny profile, printed and parsed in
+# one grammar (src/target.rs). The names it replaced must not come back:
+# a log-device enum, a volume spec, a built target and its drive enum, a
+# campaign flavor enum, or a test's stack-by-name table.
+if grep -rnE --include='*.rs' \
+    'enum LogDevice|struct VolumeSpec|BuiltTarget|TargetDrive|enum Flavor|fn stack\([a-z_]+: &str' \
+    src crates tests; then
+  echo "found a second name for a stack; spell it as a TargetKind or StackBuilder spec" >&2
   exit 1
 fi
 

@@ -10,9 +10,11 @@
 //! trace_tool import   blkparse.txt --out t.trace [--action Q] [--chunk-records C]
 //! trace_tool inspect  t.trace
 //! trace_tool convert  in.trace out.jsonl [--compress | --raw] [--chunk-records C]
-//! trace_tool replay   t.trace [--target all|standard|trail|trail_multiN|ext2|ext2_trail
-//!                     |lfs|lfs_trail] [--speed X] [--quick] [--out-dir DIR]
-//!                     [--shards N [--threads N]]
+//! trace_tool replay   t.trace [--target all|<stack>] [--speed X] [--quick]
+//!                     [--out-dir DIR] [--shards N [--threads N]]
+//!   <stack> := [ext2_|lfs_][<linear|raid0|raid1|raid5>x<members>[_chunk<N>|_rr]_]
+//!              <standard|trail|trail_multi<N>|ps<N>>
+//!              (e.g. trail_multi2, ext2_trail, raid5x3_trail, raid1x2_rr, raid5x3_ps2)
 //! ```
 //!
 //! A trace file is JSONL (the line-per-record debugging format) when its
@@ -433,16 +435,14 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         }
         _ => {}
     }
-    let targets: Vec<TargetKind> = match args.value("--target").unwrap_or("all") {
-        "all" => vec![
-            TargetKind::Standard,
-            TargetKind::Trail,
-            TargetKind::TrailMulti { logs: 2 },
-            TargetKind::Ext2 { trail: false },
-            TargetKind::Lfs { trail: false },
-        ],
-        one => vec![one.parse()?],
+    let targets = match args.value("--target").unwrap_or("all") {
+        "all" => "standard trail trail_multi2 ext2 lfs",
+        one => one,
     };
+    let targets: Vec<TargetKind> = targets
+        .split(' ')
+        .map(str::parse)
+        .collect::<Result<_, _>>()?;
     // The trace is re-opened and streamed once per target (and per
     // shard).
     println!("replaying {path} at {speed}x:");

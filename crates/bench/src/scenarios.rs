@@ -20,7 +20,6 @@ use std::rc::Rc;
 use rand::Rng;
 use trail::drive::{Pace, Write};
 use trail::explore::{self, TimedWrite};
-use trail::volume::VolumeLayout;
 use trail::{BuiltStack, StackBuilder};
 use trail_core::{
     read_header, recover, FormatOptions, LogRouting, MissTally, RecoveryOptions, RecoveryReport,
@@ -452,7 +451,7 @@ fn crash_with_pending(q: usize, seed: u64) -> (Disk, Vec<Disk>, usize) {
     let built = trail::StackBuilder::new().build().expect("boot");
     let mut sim = built.sim;
     let trail = built.trail.expect("the default stack runs Trail");
-    let log = built.log_disk.expect("Trail has a log disk");
+    let log = built.log_disks[0].clone();
     let data = built.data_disks;
     let mut rng = trail_sim::rng(seed);
     let acked = Rc::new(Cell::new(0usize));
@@ -652,8 +651,7 @@ fn micro(cfg: &ScenarioConfig) -> ScenarioOutput {
     let writes = scattered(n.min(200), cfg.mix(11), &[1u8; 512]);
     let gap = SimDuration::from_millis(4);
     built.drive(vec![writes], Pace::Drained { gap });
-    let log_disk = built.log_disk.as_ref().expect("a Trail run");
-    let (mean_rot, max_rot) = log_disk.with_stats(|s| {
+    let (mean_rot, max_rot) = built.log_disks[0].with_stats(|s| {
         (
             s.rotation_waits.mean().as_millis_f64(),
             s.rotation_waits.max().as_millis_f64(),
@@ -1458,12 +1456,12 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------- trace replay
 
-/// Replays `trace` against each `(target, speed)` in turn, one table row
+/// Replays `trace` against each `(stack, speed)` in turn, one table row
 /// per replay: the report shows the tail, the artifact row is the whole
 /// `ReplayReport::to_json` document.
 fn replay_targets(
     trace: &Trace,
-    targets: &[(TargetKind, f64)],
+    targets: &[(&str, f64)],
     recorder: Option<RecorderHandle>,
 ) -> Table {
     let mut table = Table::new(vec![
@@ -1480,7 +1478,7 @@ fn replay_targets(
         let rep = trace_replay(
             trace,
             &ReplayOptions {
-                target,
+                target: target.parse().expect("a stack shape"),
                 speed,
                 fs_file_blocks: 256,
                 recorder: recorder.clone(),
@@ -1529,16 +1527,16 @@ fn replay_synthetic(cfg: &ScenarioConfig) -> ScenarioOutput {
         "== Trace replay — {requests} synthetic requests (4 Poisson streams, \
          Zipf skew 2, 30% reads) against every stack =="
     );
-    let targets: &[(TargetKind, f64)] = &[
-        (TargetKind::Standard, 1.0),
-        (TargetKind::Trail, 1.0),
-        (TargetKind::TrailMulti { logs: 2 }, 1.0),
-        (TargetKind::Ext2 { trail: false }, 1.0),
-        (TargetKind::Lfs { trail: false }, 1.0),
+    let targets = &[
+        ("standard", 1.0),
+        ("trail", 1.0),
+        ("trail_multi2", 1.0),
+        ("ext2", 1.0),
+        ("lfs", 1.0),
         // The time-scale knob: the same trace offered 4x faster shows
         // how Trail absorbs overload the standard stack queues on.
-        (TargetKind::Trail, 4.0),
-        (TargetKind::Standard, 4.0),
+        ("trail", 4.0),
+        ("standard", 4.0),
     ];
     let table = replay_targets(&trace, targets, cfg.handle());
     report += &table.markdown();
@@ -1794,13 +1792,7 @@ fn overload_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
         spatial: SpatialModel::Uniform,
     };
     let trace = generate(&spec);
-    let targets: &[TargetKind] = &[
-        TargetKind::Standard,
-        TargetKind::Trail,
-        TargetKind::TrailMulti { logs: 2 },
-        TargetKind::Ext2 { trail: false },
-        TargetKind::Lfs { trail: false },
-    ];
+    let targets = ["standard", "trail", "trail_multi2", "ext2", "lfs"];
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -1818,12 +1810,12 @@ fn overload_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
         Column::both("max QD", "max_queue_depth", Fmt::Plain),
         Column::both("errors", "errors", Fmt::Plain),
     ]);
-    for &target in targets {
+    for target in targets {
         for &speed in speeds {
             let rep = trace_replay(
                 &trace,
                 &ReplayOptions {
-                    target,
+                    target: target.parse().expect("a stack shape"),
                     speed,
                     fs_file_blocks: 256,
                     recorder: cfg.handle(),
@@ -1851,7 +1843,7 @@ fn overload_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
         .zip(table.json_rows().chunks(speeds.len()))
         .map(|(target, points)| {
             JsonValue::obj(vec![
-                ("target", JsonValue::str(target.label())),
+                ("target", JsonValue::str(*target)),
                 ("points", JsonValue::Arr(points.to_vec())),
             ])
         })
@@ -1885,12 +1877,12 @@ fn reconstructed_ops(rep: &ReplayReport) -> (u64, u64) {
     (reads, writes)
 }
 
-/// One sweep row: replay the shared small-write trace against `target`
-/// at `speed` under the given fault plan (empty for a healthy run; the
-/// degraded rows fail volume 0's member 1 mid-trace).
+/// One sweep row: replay the shared small-write trace against the stack
+/// `target` names at `speed` under the given fault plan (empty for a
+/// healthy run; the degraded rows fail volume 0's member 1 mid-trace).
 fn raid_sweep_row(
     trace: &Trace,
-    target: TargetKind,
+    target: &str,
     speed: f64,
     faults: FaultPlan,
     cfg: &ScenarioConfig,
@@ -1900,7 +1892,7 @@ fn raid_sweep_row(
     let rep = trace_replay(
         trace,
         &ReplayOptions {
-            target,
+            target: target.parse().expect("a RAID stack"),
             speed,
             faults,
             recorder: cfg.handle(),
@@ -1937,12 +1929,9 @@ fn raid_sweep_row(
 /// every small write, while Trail acknowledges at log speed and pays
 /// parity maintenance in background write-backs that reads overtake.
 fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
-    use trail::volume::{ReadPolicy, VolumeLayout};
     let requests = cfg.scale.unwrap_or(if cfg.quick { 150 } else { 1200 });
+    // The chunk of every striped stack below: a spec without `chunk<N>`.
     let chunk = 8u32;
-    let layout5 = VolumeLayout::Raid5 {
-        chunk_sectors: chunk,
-    };
     // Small writes (1 KB, a quarter of a chunk) against a mostly-write
     // mix: the workload Trail §5.1 targets, and RAID-5's worst case.
     let mean_iat = SimDuration::from_millis(20);
@@ -1995,52 +1984,30 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
     let mut trail5 = (0.0f64, 0.0f64);
 
     // Geometry sweep at recorded load, standard vs. Trail-fronted.
-    let geoms: &[(VolumeLayout, usize)] = &[
-        (
-            VolumeLayout::Raid0 {
-                chunk_sectors: chunk,
-            },
-            3,
-        ),
-        (
-            VolumeLayout::Raid1 {
-                read_policy: ReadPolicy::NearestHead,
-            },
-            2,
-        ),
-        (layout5, 3),
-    ];
-    for &(layout, members) in geoms {
-        for trail_front in [false, true] {
-            let target = TargetKind::Raid {
-                layout,
-                members,
-                trail: trail_front,
-            };
-            let rep = raid_sweep_row(&trace, target, 1.0, FaultPlan::new(), cfg, &mut table);
-            if layout == layout5 {
-                let means = (
-                    rep.write_latency.mean().as_millis_f64(),
-                    rep.read_latency.mean().as_millis_f64(),
-                );
-                if trail_front {
-                    trail5 = means;
-                } else {
-                    std5 = means;
-                }
-            }
+    for target in [
+        "raid0x3",
+        "raid0x3_trail",
+        "raid1x2",
+        "raid1x2_trail",
+        "raid5x3",
+        "raid5x3_trail",
+    ] {
+        let rep = raid_sweep_row(&trace, target, 1.0, FaultPlan::new(), cfg, &mut table);
+        let means = (
+            rep.write_latency.mean().as_millis_f64(),
+            rep.read_latency.mean().as_millis_f64(),
+        );
+        match target {
+            "raid5x3" => std5 = means,
+            "raid5x3_trail" => trail5 = means,
+            _ => {}
         }
     }
 
     // Overload: the RAID-5 pair above recorded speed.
     let overload: &[f64] = if cfg.quick { &[2.0] } else { &[2.0, 4.0] };
     for &speed in overload {
-        for trail_front in [false, true] {
-            let target = TargetKind::Raid {
-                layout: layout5,
-                members: 3,
-                trail: trail_front,
-            };
+        for target in ["raid5x3", "raid5x3_trail"] {
             raid_sweep_row(&trace, target, speed, FaultPlan::new(), cfg, &mut table);
         }
     }
@@ -2049,11 +2016,7 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
     // set, so every routed stream's data lands on its own members.
     raid_sweep_row(
         &trace,
-        TargetKind::RaidPerStream {
-            layout: layout5,
-            members: 3,
-            logs: 2,
-        },
+        "raid5x3_ps2",
         1.0,
         FaultPlan::new(),
         cfg,
@@ -2061,12 +2024,7 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
     );
 
     // Degraded mode: the RAID-5 pair with a member failing mid-trace.
-    for trail_front in [false, true] {
-        let target = TargetKind::Raid {
-            layout: layout5,
-            members: 3,
-            trail: trail_front,
-        };
+    for target in ["raid5x3", "raid5x3_trail"] {
         let rep = raid_sweep_row(&trace, target, 1.0, fail.clone(), cfg, &mut table);
         assert!(
             reconstructed_ops(&rep).0 > 0,
@@ -2159,11 +2117,7 @@ fn replay_tpcc(cfg: &ScenarioConfig) -> ScenarioOutput {
         "capture source: {} ({:.0} tpmC while recording)",
         trace.meta.source, tpcc.tpmc
     );
-    let targets: &[(TargetKind, f64)] = &[
-        (TargetKind::Standard, 1.0),
-        (TargetKind::Trail, 1.0),
-        (TargetKind::TrailMulti { logs: 2 }, 1.0),
-    ];
+    let targets = &[("standard", 1.0), ("trail", 1.0), ("trail_multi2", 1.0)];
     let table = replay_targets(&trace, targets, cfg.handle());
     report += &table.markdown();
     ScenarioOutput {
@@ -2426,68 +2380,52 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------ crash campaign
 
-/// Which stack a campaign crashes: Trail over three raw data disks, or a
-/// two-log array over them writing whole aligned 8-sector blocks (one
-/// owning log per sector), both cut as a whole system; or Trail over a
-/// three-member RAID-5 volume with only its log cut, so the members keep
-/// maintaining parity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Flavor {
-    Raw,
-    Multi2,
-    Raid5,
-}
+/// A stack a campaign crashes: its label in the artifact, its spec, and
+/// what its cut darkens.
+type Crashed = (&'static str, &'static str, FaultTarget);
 
-impl Flavor {
-    fn label(self) -> &'static str {
-        match self {
-            Flavor::Raw => "raw",
-            Flavor::Multi2 => "multi2",
-            Flavor::Raid5 => "raid5",
-        }
-    }
+/// Trail over three raw data disks, cut as a whole system.
+const RAW: Crashed = ("raw", "trail", FaultTarget::System);
+/// A two-log array over three raw data disks, cut as a whole system.
+const MULTI2: Crashed = ("multi2", "trail_multi2", FaultTarget::System);
+/// Trail over a three-member RAID-5 volume with only its log cut, so the
+/// members keep maintaining parity.
+const RAID5: Crashed = ("raid5", "raid5x3_trail,disks=1", FaultTarget::Log(0));
 
-    /// The flavor's stack, what its cut darkens, and its seeded burst of
-    /// `writes` extents at measurement start (the fig4 shape: Trail absorbs
-    /// the queue, so the active log grows with the burst) of 1–16 sectors
-    /// at unaligned LBAs in an 8·`writes`-sector window, so they overlap.
-    fn setup(self, writes: usize, seed: u64) -> (StackBuilder, FaultTarget, Vec<TimedWrite>) {
-        let b = StackBuilder::new().seed(seed).data_disks(3);
-        let raid5 = VolumeLayout::Raid5 { chunk_sectors: 8 };
-        let (stack, target) = match self {
-            Flavor::Raw => (b.trail_default(), FaultTarget::System),
-            Flavor::Multi2 => (
-                b.trail_multi(2, TrailConfig::default()),
-                FaultTarget::System,
-            ),
-            Flavor::Raid5 => (
-                b.data_disks(1).trail_default().volumes(raid5, 3),
-                FaultTarget::Log(0),
-            ),
-        };
-        let devs = stack.scenario().data_disks;
-        let mut rng = trail_sim::rng(seed);
-        let window = 8 * writes as u64;
-        let burst = (0..writes)
-            .map(|_| {
-                let dev = rng.gen_range(0..devs);
-                let (lba, sectors) = if self == Flavor::Multi2 {
-                    (2048 + 8 * rng.gen_range(0..writes as u64), 8)
-                } else {
-                    let sectors = rng.gen_range(1..=16.min(window));
-                    (2048 + rng.gen_range(0..=window - sectors), sectors)
-                };
-                let at = SimDuration::ZERO;
-                TimedWrite {
-                    at,
-                    dev,
-                    lba,
-                    sectors,
-                }
-            })
-            .collect();
-        (stack, target, burst)
-    }
+/// The stack `spec` names, seeded, and its seeded burst of `writes`
+/// extents at measurement start (the fig4 shape: Trail absorbs the queue,
+/// so the active log grows with the burst) of 1–16 sectors at unaligned
+/// LBAs in an 8·`writes`-sector window, so they overlap. A log array
+/// writes whole aligned 8-sector blocks instead, one owning log per
+/// sector, until it keeps ack order across logs (ROADMAP item 11).
+fn campaign_setup(spec: &str, writes: usize, seed: u64) -> (StackBuilder, Vec<TimedWrite>) {
+    let stack = spec
+        .parse::<StackBuilder>()
+        .expect("a campaign stack")
+        .seed(seed);
+    let devs = stack.scenario().data_disks;
+    let aligned = stack.scenario().shape.front.logs() > 1;
+    let mut rng = trail_sim::rng(seed);
+    let window = 8 * writes as u64;
+    let burst = (0..writes)
+        .map(|_| {
+            let dev = rng.gen_range(0..devs);
+            let (lba, sectors) = if aligned {
+                (2048 + 8 * rng.gen_range(0..writes as u64), 8)
+            } else {
+                let sectors = rng.gen_range(1..=16.min(window));
+                (2048 + rng.gen_range(0..=window - sectors), sectors)
+            };
+            let at = SimDuration::ZERO;
+            TimedWrite {
+                at,
+                dev,
+                lba,
+                sectors,
+            }
+        })
+        .collect();
+    (stack, burst)
 }
 
 /// One crash point (virtual time): writes acknowledged and blocks pinned
@@ -2503,18 +2441,18 @@ struct CrashPoint {
     violations: usize,
 }
 
-/// Runs one campaign: a fault-free run of the flavor's burst enumerates
+/// Runs one campaign: a fault-free run of the stack's burst enumerates
 /// its cut instants, and the explorer crashes, reboots and checks it at
 /// every one or at `crash_points` evenly spaced ranks, on the
 /// [`parallel_map`] pool — in cut order for any thread count.
 fn run_campaign(
-    flavor: Flavor,
+    (_, spec, target): Crashed,
     writes: usize,
     crash_points: usize,
     seed: u64,
     threads: usize,
 ) -> Vec<CrashPoint> {
-    let (stack, target, burst) = flavor.setup(writes, seed);
+    let (stack, burst) = campaign_setup(spec, writes, seed);
     let probe = explore::run(&stack, &burst, &FaultPlan::new());
     assert_eq!(probe.acked, writes, "the probe acknowledges every write");
     let (cuts, n) = (&probe.cuts, crash_points.min(probe.cuts.len()));
@@ -2538,8 +2476,8 @@ fn run_campaign(
     })
 }
 
-/// One campaign: its flavor, burst size and crash points.
-type Campaign = (Flavor, usize, Vec<CrashPoint>);
+/// One campaign: its stack's label, burst size and crash points.
+type Campaign = (&'static str, usize, Vec<CrashPoint>);
 
 /// The mean of `f` over a campaign's crash points.
 fn mean(outcomes: &[CrashPoint], f: impl Fn(&CrashPoint) -> f64) -> f64 {
@@ -2575,10 +2513,10 @@ fn campaign_table(campaigns: &[Campaign]) -> Table {
         Column::both("total mean (ms)", "mean_total_ms", Fmt::Fixed(1)),
         Column::both("total max (ms)", "max_total_ms", Fmt::Fixed(1)),
     ]);
-    for (flavor, q, o) in campaigns {
+    for (label, q, o) in campaigns {
         let total_ms = |o: &CrashPoint| o.report.total_time().as_millis_f64();
         table.push(row![
-            flavor.label(),
+            *label,
             *q,
             o.len(),
             o.iter().map(|o| o.violations).sum::<usize>(),
@@ -2616,31 +2554,30 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
     let raid_qs: &[usize] = if cfg.quick { &[16] } else { &[32, 64] };
     let raid_points = (raw_points / 3 * 2).max(4);
     let seed = |q: usize| cfg.mix(0x0043_5241_5348 + q as u64);
-    let campaign = |flavor: Flavor, q: usize, points: usize| {
-        (flavor, q, run_campaign(flavor, q, points, seed(q), threads))
+    let campaign = |stack: Crashed, q: usize, points: usize| {
+        (stack.0, q, run_campaign(stack, q, points, seed(q), threads))
     };
     let curve: Vec<Campaign> = raw_qs
         .iter()
-        .map(|&q| campaign(Flavor::Raw, q, raw_points))
+        .map(|&q| campaign(RAW, q, raw_points))
         .collect();
     let raid: Vec<Campaign> = raid_qs
         .iter()
-        .map(|&q| campaign(Flavor::Raid5, q, raid_points))
+        .map(|&q| campaign(RAID5, q, raid_points))
         .collect();
     // The exhaustive section: every enumerated cut of one small burst per
-    // flavor, its size and seed fixed so that its extents overlap and some
+    // stack, its size and seed fixed so that its extents overlap and some
     // cut tears a record and some falls inside a data-disk write.
-    let exhaustive =
-        [(Flavor::Raw, 3), (Flavor::Multi2, 6), (Flavor::Raid5, 2)].map(|(flavor, q)| {
-            let o = run_campaign(flavor, q, usize::MAX, 0x0043_5241_5348 + q as u64, threads);
-            assert!(
-                o.iter().any(|o| o.report.torn_records_dropped > 0)
-                    && o.iter().any(|o| o.in_data_write),
-                "the {} burst must tear a record and cut inside a data write",
-                flavor.label()
-            );
-            (flavor, q, o)
-        });
+    let exhaustive = [(RAW, 3), (MULTI2, 6), (RAID5, 2)].map(|(stack, q)| {
+        let o = run_campaign(stack, q, usize::MAX, 0x0043_5241_5348 + q as u64, threads);
+        assert!(
+            o.iter().any(|o| o.report.torn_records_dropped > 0)
+                && o.iter().any(|o| o.in_data_write),
+            "the {} burst must tear a record and cut inside a data write",
+            stack.0
+        );
+        (stack.0, q, o)
+    });
 
     let sampled = campaign_table(&[curve.as_slice(), &raid].concat());
     let enumerated = campaign_table(&exhaustive);
@@ -2694,7 +2631,7 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
     let exhaustive_rows = exhaustive
         .iter()
         .zip(enumerated.json_rows())
-        .map(|((flavor, _, _), row)| (flavor.label(), row))
+        .map(|((label, _, _), row)| (*label, row))
         .collect();
     ScenarioOutput {
         report,
@@ -2715,8 +2652,8 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
-        for flavor in [Flavor::Raw, Flavor::Multi2] {
-            let [a, b] = [1, 4].map(|threads| run_campaign(flavor, 8, 5, 7, threads));
+        for stack in [RAW, MULTI2] {
+            let [a, b] = [1, 4].map(|threads| run_campaign(stack, 8, 5, 7, threads));
             assert_eq!(a.len(), 5);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(
@@ -2733,7 +2670,7 @@ mod tests {
     fn raid5_campaign_holds_the_parity_invariant() {
         // The explorer's redundancy rule counts a stripe that does not XOR
         // to zero after a log-only cut as a violation.
-        let points = run_campaign(Flavor::Raid5, 8, 3, 11, 2);
+        let points = run_campaign(RAID5, 8, 3, 11, 2);
         assert_eq!(points.len(), 3);
         assert!(points.iter().all(|p| p.violations == 0));
     }

@@ -4,8 +4,8 @@
 //! points, a compression-ratio assert) and `table1 0` published a `NaN`;
 //! `--shards 0` ran one shard and recorded `"shards":0`. Replaying a trace
 //! file is `trace_tool replay`'s job alone, so its sharding flags are
-//! checked here too, error and success path, as are the binary storage
-//! flags a JSONL output cannot honour.
+//! checked here too, error and success path, as are its stack specs and
+//! the binary storage flags a JSONL output cannot honour.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -123,6 +123,32 @@ fn jsonl_output_rejects_binary_storage_flags() {
         &["generate", "--out", jsonl, "--chunk-records", "7"],
         "apply to binary traces",
     );
+}
+
+#[test]
+fn replay_targets_any_stack_spec_and_refuses_a_malformed_one() {
+    trace_tool_usage_error(
+        &["replay", "none.trace", "--target", "raid5x2_trail"],
+        "raid5 needs at least 3 members",
+    );
+    let dir = scratch("raid");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let trace = dir.join("t.trace");
+    let trace = trace.to_str().expect("UTF-8 path");
+    generate(trace, "40");
+    for target in ["raid5x3_trail", "raid5x3_ps2"] {
+        let out_dir = dir.to_str().expect("UTF-8 path");
+        let args = ["replay", trace, "--target", target, "--out-dir", out_dir];
+        let run = trace_tool(&args);
+        assert!(run.status.success(), "trace_tool {args:?}: {run:?}");
+        let artifact = std::fs::read_to_string(dir.join(format!("BENCH_replay_{target}.json")));
+        let artifact = artifact.expect("artifact written");
+        assert!(
+            artifact.contains(&format!("\"target\":\"{target}\"")),
+            "{artifact}"
+        );
+        assert!(artifact.contains("\"requests\":40"), "{artifact}");
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! and the latency distributions and queue-depth trajectories are
 //! directly comparable.
 //!
-//! Targets are built by the umbrella crate's one factory
+//! Targets are built by the umbrella crate's one build path
 //! ([`trail::StackBuilder::build_target`]), so a replay and a
 //! `trail-bench` scenario naming the same [`TargetKind`] drive exactly
 //! the same stack.
@@ -62,11 +62,12 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-use trail::{BuiltTarget, StackBuilder, TargetDrive, TargetError};
+use trail::{BuiltStack, StackBuilder};
 use trail_blockio::TapHandle;
+use trail_core::TrailError;
 use trail_db::BlockStack;
 use trail_disk::{Disk, ImagePool, Lba, MediumStats, SECTOR_SIZE};
-use trail_fs::{FsError, FS_BLOCK_SIZE};
+use trail_fs::{FileHandle, FileSystem, FsError, FS_BLOCK_SIZE};
 use trail_sim::{
     Completion, Delivered, DurationHistogram, FaultPlan, SimDuration, SimTime, Simulator,
 };
@@ -137,7 +138,7 @@ pub enum ReplayError {
     /// The trace holds no records.
     EmptyTrace,
     /// Building or preparing the target failed.
-    Target(TargetError),
+    Target(TrailError),
     /// Decoding the trace stream failed mid-replay.
     Trace(TraceError),
     /// A record addressed a device the built target does not have —
@@ -155,7 +156,7 @@ impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayError::EmptyTrace => write!(f, "cannot replay an empty trace"),
-            ReplayError::Target(e) => write!(f, "{e}"),
+            ReplayError::Target(e) => write!(f, "building the target stack failed: {e}"),
             ReplayError::Trace(e) => write!(f, "{e}"),
             ReplayError::BadDevice { dev, ndisks } => write!(
                 f,
@@ -168,8 +169,8 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-impl From<TargetError> for ReplayError {
-    fn from(e: TargetError) -> ReplayError {
+impl From<TrailError> for ReplayError {
+    fn from(e: TrailError) -> ReplayError {
         ReplayError::Target(e)
     }
 }
@@ -179,7 +180,7 @@ impl From<TargetError> for ReplayError {
 /// recorded; the aggregate counts and histograms are those lanes summed
 /// (exactly — histograms merge bucket-wise).
 pub struct ReplayReport {
-    /// The target's [`TargetKind::label`].
+    /// The target's shape, as [`TargetKind`] prints it.
     pub target: String,
     /// The effective (clamped) time-scale factor.
     pub speed: f64,
@@ -609,7 +610,7 @@ impl State {
 
     fn report(&self, target: &TargetKind, speed: f64, start: SimTime) -> ReplayReport {
         let mut report = ReplayReport {
-            target: target.label(),
+            target: target.to_string(),
             speed,
             requests: self.issued,
             reads: 0,
@@ -651,12 +652,14 @@ fn media_of(disks: &[Disk]) -> MediumStats {
     })
 }
 
-/// What issuing a request needs, cheaply cloneable: the stack, how to
-/// drive it, and the accounting.
+/// What issuing a request needs, cheaply cloneable: the stack, each
+/// device's mount (none: block-addressed) and [`BuiltStack::span`], and
+/// the accounting.
 #[derive(Clone)]
 struct Issuer {
     stack: Rc<dyn BlockStack>,
-    drive: Rc<TargetDrive>,
+    mounts: Rc<[(Rc<dyn FileSystem>, FileHandle)]>,
+    spans: Rc<[u64]>,
     state: Rc<RefCell<State>>,
 }
 
@@ -813,7 +816,7 @@ pub fn replay_stream<S: RecordSource + 'static>(
 
 /// The target `opts` names over `ndisks` data disks, booted with the
 /// options' recorder and tap installed.
-fn build(opts: &ReplayOptions, ndisks: usize) -> Result<BuiltTarget, ReplayError> {
+fn build(opts: &ReplayOptions, ndisks: usize) -> Result<BuiltStack, ReplayError> {
     let built = StackBuilder::new()
         .data_disks(ndisks)
         .fs_file_blocks(opts.fs_file_blocks)
@@ -834,14 +837,17 @@ pub(crate) fn run_engine(
     opts: &ReplayOptions,
 ) -> Result<ReplayReport, ReplayError> {
     let speed = opts.speed.clamp(0.5, 8.0);
-    let BuiltTarget {
+    let built = build(opts, ndisks)?;
+    let spans = (0..ndisks).map(|dev| built.span(dev)).collect();
+    let BuiltStack {
         mut sim,
         stack,
-        drive,
+        mounts,
         volumes,
-        disks,
+        log_disks,
+        data_disks,
         ..
-    } = build(opts, ndisks)?;
+    } = built;
     let start = sim.now();
 
     let mut source = Source::new(cursor, speed, start);
@@ -855,7 +861,8 @@ pub(crate) fn run_engine(
         source: Rc::new(RefCell::new(source)),
         issuer: Issuer {
             stack,
-            drive: Rc::new(drive),
+            mounts: mounts.into(),
+            spans,
             state: Rc::new(RefCell::new(State::new(start, opts.max_in_flight))),
         },
         ndisks,
@@ -885,7 +892,7 @@ pub(crate) fn run_engine(
     }
     let mut report = ctx.issuer.state.borrow().report(&opts.target, speed, start);
     report.volume_stats = volumes.iter().map(|v| v.with_stats(Clone::clone)).collect();
-    report.media = media_of(&disks);
+    report.media = media_of(&[log_disks, data_disks].concat());
     Ok(report)
 }
 
@@ -934,9 +941,10 @@ fn submit(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
         is_read,
         stream,
     } = req;
-    match &*issuer.drive {
-        TargetDrive::Block { capacity } => {
-            let headroom = capacity[dev].saturating_sub(u64::from(sectors)) + 1;
+    let span = issuer.spans[dev];
+    match issuer.mounts.get(dev) {
+        None => {
+            let headroom = span.saturating_sub(u64::from(sectors)) + 1;
             let lba = lba % headroom;
             let done = accounting(sim, issuer, req, |d: &Delivered<IoDone>| d.is_ok());
             // A rejected submission drops the armed token, which cancels
@@ -952,11 +960,7 @@ fn submit(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
                     .write_tagged(sim, dev, lba, data.into(), stream, done)
             };
         }
-        TargetDrive::Fs {
-            mounts,
-            file_blocks,
-        } => {
-            let (fs, file) = &mounts[dev];
+        Some((fs, file)) => {
             let bytes = sectors as usize * SECTOR_SIZE;
             let blocks_needed = (bytes as u64).div_ceil(FS_BLOCK_SIZE as u64).max(1);
             // Map the sector address into the preallocated file,
@@ -964,7 +968,7 @@ fn submit(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
             // file-system API carries no stream tag; per-stream lanes
             // are still tracked here at the replay layer.
             let block = (lba / (FS_BLOCK_SIZE / SECTOR_SIZE) as u64)
-                % (file_blocks.saturating_sub(blocks_needed) + 1);
+                % (span.saturating_sub(blocks_needed) + 1);
             let offset = block * FS_BLOCK_SIZE as u64;
             if is_read {
                 let done = accounting(
@@ -1121,7 +1125,7 @@ mod tests {
             ..SyntheticSpec::default()
         };
         let trace = generate(&spec);
-        for target in [TargetKind::Standard, TargetKind::TrailMulti { logs: 2 }] {
+        for target in [TargetKind::Standard, "trail_multi2".parse().unwrap()] {
             let opts = ReplayOptions {
                 target,
                 ..ReplayOptions::default()
@@ -1172,7 +1176,7 @@ mod tests {
         let r = replay(
             &t,
             &ReplayOptions {
-                target: TargetKind::TrailMulti { logs: 2 },
+                target: "trail_multi2".parse().unwrap(),
                 ..ReplayOptions::default()
             },
         )
@@ -1188,10 +1192,7 @@ mod tests {
             read_fraction: 0.4,
             ..SyntheticSpec::default()
         });
-        for target in [
-            TargetKind::Ext2 { trail: false },
-            TargetKind::Lfs { trail: true },
-        ] {
+        for target in ["ext2".parse().unwrap(), "lfs_trail".parse().unwrap()] {
             let r = replay(
                 &t,
                 &ReplayOptions {

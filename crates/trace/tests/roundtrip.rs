@@ -98,7 +98,7 @@ fn replay_reports_identical_json_across_reruns() {
     // of (trace, options); exercise that through the public API.
     let trace = generate(&spec());
     let opts = ReplayOptions {
-        target: TargetKind::TrailMulti { logs: 2 },
+        target: "trail_multi2".parse().unwrap(),
         ..ReplayOptions::default()
     };
     let a = replay(&trace, &opts).expect("a").to_json().to_json();

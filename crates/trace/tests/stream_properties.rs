@@ -46,7 +46,7 @@ fn streaming_replay_matches_its_pinned_report_bytes() {
     let trace = four_stream_trace(80);
     for (target, pinned) in [
         (TargetKind::Standard, (3358, 0xc9e1_e182)),
-        (TargetKind::TrailMulti { logs: 2 }, (3076, 0xb7da_fdc7)),
+        ("trail_multi2".parse().unwrap(), (3076, 0xb7da_fdc7)),
     ] {
         let opts = ReplayOptions {
             target,
@@ -90,7 +90,7 @@ fn replay_reports_per_stream_percentiles_for_a_four_stream_trace() {
     let report = replay(
         &trace,
         &ReplayOptions {
-            target: TargetKind::TrailMulti { logs: 2 },
+            target: "trail_multi2".parse().unwrap(),
             ..ReplayOptions::default()
         },
     )
@@ -144,7 +144,7 @@ fn sharded_replay_with_one_shard_is_byte_identical_to_streaming() {
     };
     let bytes = generate_stream(&spec, 16, Vec::new()).expect("encode");
     let opts = ReplayOptions {
-        target: TargetKind::TrailMulti { logs: 2 },
+        target: "trail_multi2".parse().unwrap(),
         ..ReplayOptions::default()
     };
     let plain = replay_stream(

@@ -19,7 +19,8 @@ use trail_sim::FaultKind::{Fail, LatencySpike, PowerCut, TransientError};
 use trail_sim::{Delivered, Fault, FaultPlan, FaultTarget, IoError, SimDuration, SimTime};
 use trail_volume::{RaidVolume, VolumeLayout};
 
-use crate::scenario::{BuiltStack, LogDevice, StackBuilder};
+use crate::scenario::{BuiltStack, StackBuilder};
+use crate::target::Front;
 
 /// No run this engine drives needs more events, whatever fails.
 const EVENT_BUDGET: u64 = 2_000_000;
@@ -159,7 +160,7 @@ pub fn run(builder: &StackBuilder, writes: &[TimedWrite], plan: &FaultPlan) -> O
     let charges: u32 = plan.faults.iter().map(charge).sum();
     let system_cut = |f: &&Fault| f.target == FaultTarget::System && f.kind == PowerCut;
     let system_cut = plan.faults.iter().filter(system_cut).map(|f| f.at).min();
-    let standard = matches!(builder.scenario().log_device, LogDevice::Standard);
+    let standard = builder.scenario().shape.front == Front::Standard;
     let allowed = |e: IoError| match e {
         IoError::PoweredOff => cut,
         IoError::MediaFailed => fail,
@@ -390,12 +391,8 @@ fn checked(
 /// instants in `[0, span_ns]`.
 fn draw_plan(builder: &StackBuilder, seed: u64, span_ns: u64) -> FaultPlan {
     let s = builder.scenario();
-    let logs = match s.log_device {
-        LogDevice::Trail { .. } => 1,
-        LogDevice::TrailMulti { logs, .. } => logs.max(1),
-        LogDevice::Standard => 0,
-    };
-    let (members, volumes) = s.volume.map_or((1, 0), |v| (v.members, s.data_disks));
+    let logs = s.shape.front.logs();
+    let (members, volumes) = (s.shape.raid).map_or((1, 0), |r| (r.members, s.data_disks));
     let member = |m| FaultTarget::Member {
         volume: m / members,
         member: m % members,
@@ -403,9 +400,7 @@ fn draw_plan(builder: &StackBuilder, seed: u64, span_ns: u64) -> FaultPlan {
     let mut devices: Vec<FaultTarget> = (0..logs).map(FaultTarget::Log).collect();
     devices.extend((0..s.data_disks * members).map(FaultTarget::Data));
     devices.extend((0..volumes * members).map(member));
-    let raid5 = s
-        .volume
-        .is_some_and(|v| matches!(v.layout, VolumeLayout::Raid5 { .. }));
+    let raid5 = (s.shape.raid).is_some_and(|r| matches!(r.layout, VolumeLayout::Raid5 { .. }));
     let mut rng = trail_sim::rng(seed);
     let mut plan = FaultPlan::new();
     for _ in 0..rng.gen_range(1..=4) {

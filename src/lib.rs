@@ -82,13 +82,13 @@ pub mod drive;
 pub mod explore;
 mod scenario;
 mod target;
-pub use scenario::{BuiltStack, LogDevice, Scenario, StackBuilder, VolumeSpec};
-pub use target::{BuiltTarget, TargetDrive, TargetError, TargetKind};
+pub use scenario::{BuiltStack, Scenario, StackBuilder};
+pub use target::{Front, Mount, Raid, TargetKind};
 
 /// The names most programs need, in one import.
 pub mod prelude {
-    pub use crate::scenario::{BuiltStack, LogDevice, Scenario, StackBuilder, VolumeSpec};
-    pub use crate::target::{BuiltTarget, TargetDrive, TargetError, TargetKind};
+    pub use crate::scenario::{BuiltStack, Scenario, StackBuilder};
+    pub use crate::target::{Front, Mount, Raid, TargetKind};
     pub use trail_blockio::{
         IoDone, IoKind, IoRequest, StandardDriver, StreamId, SubmitTap, TapHandle,
     };

@@ -16,25 +16,15 @@ const GAP_US: u64 = 400;
 /// No stack needs more events than this for the workload, whatever fails.
 const EVENT_BUDGET: u64 = 200_000;
 
-/// The stacks, by the names the corpus uses.
-const STACKS: [&str; 5] = ["trail", "multi2", "raid5", "raid1", "standard"];
-
-fn stack(name: &str) -> StackBuilder {
-    let tiny = profiles::tiny_test_disk;
-    let b = StackBuilder::new().data_profile(tiny()).log_profile(tiny());
-    let (one, two) = (b.clone().data_disks(1), b.data_disks(2));
-    let raid5 = VolumeLayout::Raid5 { chunk_sectors: 8 };
-    let read_policy = ReadPolicy::RoundRobin;
-    let raid1 = VolumeLayout::Raid1 { read_policy };
-    match name {
-        "trail" => two.trail_default(),
-        "multi2" => two.trail_multi(2, TrailConfig::default()),
-        "raid5" => one.volumes(raid5, 3).trail_default(),
-        "raid1" => one.volumes(raid1, 2).trail_default(),
-        "standard" => two.standard(),
-        _ => panic!("unknown stack `{name}`"),
-    }
-}
+/// The stacks, over tiny disks: raw Trail, a two-log array, Trail over
+/// RAID-5 and over round-robin RAID-1, and the standard stack.
+const STACKS: [&str; 5] = [
+    "trail,disks=2,tiny",
+    "trail_multi2,disks=2,tiny",
+    "raid5x3_trail,disks=1,tiny",
+    "raid1x2_rr_trail,disks=1,tiny",
+    "standard,disks=2,tiny",
+];
 
 /// Write `i` has 1–4 sectors at LBA 64 + 16·i of device `i % devices`, and
 /// is submitted `i · GAP_US` into the run: no two writes overlap.
@@ -57,9 +47,9 @@ fn every_stack_delivers_each_injected_error_or_heals_from_it() {
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
     {
-        let (name, text) = case.split_once(' ').expect("`<stack> <plan>`");
+        let (spec, text) = case.split_once(' ').expect("`<stack> <plan>`");
         let plan: FaultPlan = text.parse().expect("plan parses");
-        let builder = stack(name);
+        let builder: StackBuilder = spec.parse().expect("stack parses");
         let o = explore::run(&builder, &workload(&builder), &plan);
         assert!(o.violations.is_empty(), "{case}: {:#?}", o.violations);
         assert!(o.events < EVENT_BUDGET, "{case}: {} events", o.events);
@@ -89,7 +79,7 @@ fn a_failed_data_disk_under_trail_keeps_its_ranges_pinned() {
     // The log acknowledges every write; the write-backs to the failed disk
     // fail, so their ranges stay pinned (and read back from there) and
     // their records stay live for recovery to replay.
-    let builder = stack("trail");
+    let builder: StackBuilder = STACKS[0].parse().expect("stack parses");
     let plan: FaultPlan = "@0 data0 fail".parse().expect("plan parses");
     let o = explore::run(&builder, &workload(&builder), &plan);
     assert!(o.violations.is_empty(), "{:#?}", o.violations);
@@ -101,8 +91,8 @@ fn a_failed_data_disk_under_trail_keeps_its_ranges_pinned() {
 #[test]
 fn composed_fault_plans_keep_the_contract_on_every_stack() {
     let runs: Vec<(FaultPlan, explore::Outcome)> = (STACKS.iter().enumerate())
-        .flat_map(|(i, name)| {
-            let builder = stack(name);
+        .flat_map(|(i, spec)| {
+            let builder: StackBuilder = spec.parse().expect("stack parses");
             explore::search(
                 &builder,
                 &workload(&builder),

@@ -26,8 +26,7 @@ fn sparse_writes(n: usize, bytes: usize) -> (f64, f64) {
     };
     let driven = built.drive(vec![random_writes(n, bytes)], pace);
     assert_eq!(driven.failed, 0, "every write delivered");
-    let log = built.log_disk.expect("a Trail stack");
-    let rot = log.with_stats(|s| s.rotation_waits.mean().as_millis_f64());
+    let rot = built.log_disks[0].with_stats(|s| s.rotation_waits.mean().as_millis_f64());
     (driven.latency.mean().as_millis_f64(), rot)
 }
 
