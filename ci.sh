@@ -80,6 +80,17 @@ if grep -rnE --include='*.rs' \
   exit 1
 fi
 
+echo "== one-routing gate =="
+# Every sector of a Trail array belongs to the one log that owns its data
+# region (trail_core::owning_log). The routing policies, the switch
+# between them and the one-volume-set-per-log shape must not come back.
+if grep -rnE --include='*.rs' \
+    'LogRouting|StreamAffinity|set_routing|per_log: bool' \
+    crates src tests examples; then
+  echo "found a second Trail-array routing; a sector belongs to the log owning its region" >&2
+  exit 1
+fi
+
 echo "== one-write-driver gate =="
 # BuiltStack::drive (src/drive.rs) issues every §5.1 write list under a
 # Pace; the private testbed and the closed-loop writer it replaced must

@@ -13,8 +13,8 @@
 //! trace_tool replay   t.trace [--target all|<stack>] [--speed X] [--quick]
 //!                     [--out-dir DIR] [--shards N [--threads N]]
 //!   <stack> := [ext2_|lfs_][<linear|raid0|raid1|raid5>x<members>[_chunk<N>|_rr]_]
-//!              <standard|trail|trail_multi<N>|ps<N>>
-//!              (e.g. trail_multi2, ext2_trail, raid5x3_trail, raid1x2_rr, raid5x3_ps2)
+//!              <standard|trail|trail_multi<N>>
+//!              (e.g. trail_multi2, ext2_trail, raid5x3_trail, raid1x2_rr)
 //! ```
 //!
 //! A trace file is JSONL (the line-per-record debugging format) when its

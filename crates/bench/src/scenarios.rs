@@ -22,7 +22,7 @@ use trail::drive::{Pace, Write};
 use trail::explore::{self, TimedWrite};
 use trail::{BuiltStack, StackBuilder};
 use trail_core::{
-    read_header, recover, FormatOptions, LogRouting, MissTally, RecoveryOptions, RecoveryReport,
+    owning_log, read_header, recover, FormatOptions, MissTally, RecoveryOptions, RecoveryReport,
     TrailConfig, TrailStats, CALIBRATION_TRACK,
 };
 use trail_db::{FlushPolicy, StorageService};
@@ -211,7 +211,7 @@ pub fn all_scenarios() -> Vec<ScenarioSpec> {
         ScenarioSpec {
             name: "serve_sweep",
             artifact: "serve_sweep",
-            title: "Serving layer: log routing x admission policy overload sweep on a Trail array",
+            title: "Serving layer: one log vs. a two-log array x admission policy overload sweep",
             run: serve_sweep,
         },
         ScenarioSpec {
@@ -1923,11 +1923,10 @@ fn raid_sweep_row(
 
 /// The volume-layer sweep: one small-write-heavy trace offered to RAID
 /// geometries behind the standard stack and behind Trail, at and above
-/// recorded load, plus degraded-mode (member-failure) and per-stream
-/// (one volume set per Trail instance) rows. The headline is RAID-5's
-/// small-write penalty: the standard stack pays the parity update on
-/// every small write, while Trail acknowledges at log speed and pays
-/// parity maintenance in background write-backs that reads overtake.
+/// recorded load, plus degraded-mode (member-failure) rows. The headline
+/// is RAID-5's small-write penalty: the standard stack pays the parity
+/// update on every small write, while Trail acknowledges at log speed and
+/// pays parity maintenance in background write-backs that reads overtake.
 fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
     let requests = cfg.scale.unwrap_or(if cfg.quick { 150 } else { 1200 });
     // The chunk of every striped stack below: a spec without `chunk<N>`.
@@ -2011,17 +2010,6 @@ fn raid_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
             raid_sweep_row(&trace, target, speed, FaultPlan::new(), cfg, &mut table);
         }
     }
-
-    // Per-stream placement: each Trail instance owns its own RAID-5
-    // set, so every routed stream's data lands on its own members.
-    raid_sweep_row(
-        &trace,
-        "raid5x3_ps2",
-        1.0,
-        FaultPlan::new(),
-        cfg,
-        &mut table,
-    );
 
     // Degraded mode: the RAID-5 pair with a member failing mid-trace.
     for target in ["raid5x3", "raid5x3_trail"] {
@@ -2138,41 +2126,23 @@ fn replay_tpcc(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------- serving layer
 
-/// Builds a serving testbed: a [`Server`] over a [`StorageService`] over
-/// a Trail stack — single-log for `logs <= 1`, otherwise a Trail array
-/// with the given stream routing.
-fn serve_testbed(
-    logs: usize,
-    routing: LogRouting,
-    admission: AdmissionPolicy,
-    worker_slots: usize,
-) -> (Simulator, Server) {
-    let builder = trail::StackBuilder::new().data_disks(2);
-    let builder = if logs <= 1 {
-        builder.trail_default()
-    } else {
-        builder.trail_multi(logs, TrailConfig::default())
-    };
-    let built = builder.build().expect("serve stack boots");
-    if let Some(multi) = &built.multi {
-        multi.set_routing(routing);
-    }
-    let capacity = built
-        .data_disks
-        .iter()
-        .map(|d| d.geometry().total_sectors())
-        .collect();
+/// Runs `fleet` against a [`Server`] with 8 worker slots and `admission`,
+/// over a [`StorageService`] over the stack `spec` names.
+fn serve_testbed(spec: &str, admission: AdmissionPolicy, fleet: &FleetSpec) -> FleetReport {
+    let builder: StackBuilder = spec.parse().expect("a serve stack");
+    let mut built = builder.build().expect("serve stack boots");
+    let disks = built.data_disks.iter();
+    let capacity = disks.map(|d| d.geometry().total_sectors()).collect();
     let service = StorageService::new(Rc::clone(&built.stack), capacity);
-    (
-        built.sim,
-        Server::new(
-            service,
-            ServerConfig {
-                worker_slots,
-                admission,
-            },
-        ),
-    )
+    let worker_slots = 8;
+    let server = Server::new(
+        service,
+        ServerConfig {
+            worker_slots,
+            admission,
+        },
+    );
+    run_fleet(&mut built.sim, &server, fleet)
 }
 
 /// Per-session mean inter-arrival time that keeps the *fleet-wide*
@@ -2265,10 +2235,9 @@ fn serve_fleet(cfg: &ScenarioConfig) -> ScenarioOutput {
     for (mode_idx, &mode) in modes.iter().enumerate() {
         for &overload in overloads {
             for admission in &SERVE_ADMISSIONS {
-                let (mut sim, server) = serve_testbed(1, LogRouting::BlockHash, *admission, 8);
-                let rep = run_fleet(
-                    &mut sim,
-                    &server,
+                let rep = serve_testbed(
+                    "trail,disks=2",
+                    *admission,
                     &FleetSpec {
                         // One workload per (mode, overload): the three
                         // admission policies see identical arrivals.
@@ -2302,11 +2271,9 @@ fn serve_fleet(cfg: &ScenarioConfig) -> ScenarioOutput {
     }
 }
 
-/// The serving-layer routing sweep (`BENCH_serve_sweep.json`): an
-/// open-loop fleet against a two-log Trail array, sweeping log routing
-/// (block-hash vs. stream-affinity) x admission policy x overload.
-/// Terminal-as-stream is what makes stream-affinity routing meaningful:
-/// every session's log writes land on "its" log disk.
+/// The serving-layer stack sweep (`BENCH_serve_sweep.json`): an open-loop
+/// fleet against one Trail log and against a two-log Trail array, x
+/// admission policy x overload — what a second log buys the served tail.
 fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
     let per_cell = cfg.scale.unwrap_or(if cfg.quick { 300 } else { 6000 });
     let sessions: u32 = if cfg.quick { 48 } else { 1000 };
@@ -2315,24 +2282,20 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
     } else {
         &[0.5, 1.0, 2.0, 4.0, 8.0]
     };
-    let routings = [
-        ("block_hash", LogRouting::BlockHash),
-        ("stream_affinity", LogRouting::StreamAffinity),
-    ];
+    let stacks = ["trail,disks=2", "trail_multi2,disks=2"];
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "== Serving-layer routing sweep — {sessions} open-loop sessions on a \
-         2-log Trail array, {per_cell} requests per cell =="
+        "== Serving-layer stack sweep — {sessions} open-loop sessions on one \
+         Trail log vs. a 2-log Trail array, {per_cell} requests per cell =="
     );
     let mut table = serve_table();
-    for (routing_label, routing) in routings {
+    for stack in stacks {
         for &overload in overloads {
             for admission in &SERVE_ADMISSIONS {
-                let (mut sim, server) = serve_testbed(2, routing, *admission, 8);
-                let rep = run_fleet(
-                    &mut sim,
-                    &server,
+                let rep = serve_testbed(
+                    stack,
+                    *admission,
                     &FleetSpec {
                         seed: cfg.mix(0x5345_5256_4557), // same workload per cell
                         sessions,
@@ -2347,22 +2310,22 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
                         spatial: SpatialModel::Zipf { skew: 2.0 },
                     },
                 );
-                serve_row(&mut table, routing_label, admission, overload, &rep);
+                serve_row(&mut table, stack, admission, overload, &rep);
             }
         }
     }
     report += &table.markdown();
-    // The artifact groups the cells by routing.
-    let series = routings
+    // The artifact groups the cells by stack.
+    let series = stacks
         .iter()
         .zip(
             table
                 .json_rows()
                 .chunks(overloads.len() * SERVE_ADMISSIONS.len()),
         )
-        .map(|((routing_label, _), cells)| {
+        .map(|(stack, cells)| {
             JsonValue::obj(vec![
-                ("routing", JsonValue::str(*routing_label)),
+                ("stack", JsonValue::str(*stack)),
                 ("cells", JsonValue::Arr(cells.to_vec())),
             ])
         })
@@ -2373,7 +2336,7 @@ fn serve_sweep(cfg: &ScenarioConfig) -> ScenarioOutput {
             ("bench", JsonValue::str("serve_sweep")),
             ("sessions", JsonValue::Num(f64::from(sessions))),
             ("requests_per_cell", JsonValue::Num(per_cell as f64)),
-            ("routings", JsonValue::Arr(series)),
+            ("stacks", JsonValue::Arr(series)),
         ]),
     }
 }
@@ -2395,27 +2358,22 @@ const RAID5: Crashed = ("raid5", "raid5x3_trail,disks=1", FaultTarget::Log(0));
 /// The stack `spec` names, seeded, and its seeded burst of `writes`
 /// extents at measurement start (the fig4 shape: Trail absorbs the queue,
 /// so the active log grows with the burst) of 1–16 sectors at unaligned
-/// LBAs in an 8·`writes`-sector window, so they overlap. A log array
-/// writes whole aligned 8-sector blocks instead, one owning log per
-/// sector, until it keeps ack order across logs (ROADMAP item 11).
+/// LBAs in an 8·`writes`-sector window, so they overlap. The window is
+/// centred on sector 2048, a region boundary, so on a log array some
+/// extents straddle two regions that two logs own.
 fn campaign_setup(spec: &str, writes: usize, seed: u64) -> (StackBuilder, Vec<TimedWrite>) {
     let stack = spec
         .parse::<StackBuilder>()
         .expect("a campaign stack")
         .seed(seed);
     let devs = stack.scenario().data_disks;
-    let aligned = stack.scenario().shape.front.logs() > 1;
     let mut rng = trail_sim::rng(seed);
     let window = 8 * writes as u64;
     let burst = (0..writes)
         .map(|_| {
             let dev = rng.gen_range(0..devs);
-            let (lba, sectors) = if aligned {
-                (2048 + 8 * rng.gen_range(0..writes as u64), 8)
-            } else {
-                let sectors = rng.gen_range(1..=16.min(window));
-                (2048 + rng.gen_range(0..=window - sectors), sectors)
-            };
+            let sectors = rng.gen_range(1..=16.min(window));
+            let lba = 2048 - window / 2 + rng.gen_range(0..=window - sectors);
             let at = SimDuration::ZERO;
             TimedWrite {
                 at,
@@ -2569,12 +2527,20 @@ fn crash_campaign(cfg: &ScenarioConfig) -> ScenarioOutput {
     // stack, its size and seed fixed so that its extents overlap and some
     // cut tears a record and some falls inside a data-disk write.
     let exhaustive = [(RAW, 3), (MULTI2, 6), (RAID5, 2)].map(|(stack, q)| {
-        let o = run_campaign(stack, q, usize::MAX, 0x0043_5241_5348 + q as u64, threads);
+        let seed = 0x0043_5241_5348 + q as u64;
+        let o = run_campaign(stack, q, usize::MAX, seed, threads);
         assert!(
             o.iter().any(|o| o.report.torn_records_dropped > 0)
                 && o.iter().any(|o| o.in_data_write),
             "the {} burst must tear a record and cut inside a data write",
             stack.0
+        );
+        let (builder, burst) = campaign_setup(stack.1, q, seed);
+        let owner = |dev, lba| owning_log(builder.scenario().shape.front.logs(), dev, lba);
+        let split = |w: &TimedWrite| owner(w.dev, w.lba) != owner(w.dev, w.lba + w.sectors - 1);
+        assert!(
+            stack.0 != MULTI2.0 || burst.iter().any(split),
+            "the multi2 burst must split an extent across its logs"
         );
         (stack.0, q, o)
     });

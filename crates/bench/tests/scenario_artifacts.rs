@@ -19,19 +19,19 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("table1", 218, 0xdb839851),
     ("fig3", 1063, 0x4e71a2c1),
     ("fig4", 316, 0x8f358a50),
-    ("ablation", 1398, 0xe41fc1e9),
+    ("ablation", 1395, 0x3ff673c6),
     ("fs_compare", 238, 0x8a40d441),
     ("table2", 843, 0x331655cd),
     ("table3", 144, 0x9e286b0d),
     ("track_util", 216, 0xc20e95d2),
-    ("replay_synthetic", 28152, 0xa201c000),
-    ("overload_sweep", 2374, 0x30993aa1),
-    ("replay_tpcc", 12723, 0x0b0b1e4e),
+    ("replay_synthetic", 28149, 0xd22d2699),
+    ("overload_sweep", 2376, 0x99ae8331),
+    ("replay_tpcc", 12719, 0x0db18b11),
     ("replaystream", 556, 0x9c9d26b1),
     ("serve", 34753, 0x03fc4d0e),
-    ("serve_sweep", 34250, 0xc3d401e2),
-    ("raid", 11037, 0x31d4d914),
-    ("recovery", 2883, 0x49e19541),
+    ("serve_sweep", 34231, 0x6c782e2e),
+    ("raid", 9419, 0x9555a2a2),
+    ("recovery", 2879, 0xd096b4b3),
 ];
 
 /// `(registry name, byte length, CRC-32)` of every `--quick`, seed-0
@@ -43,19 +43,19 @@ const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
     ("table1", 247, 0x27ccaa93),
     ("fig3", 874, 0x0f581e48),
     ("fig4", 474, 0xfa042484),
-    ("ablation", 1254, 0x2b953326),
+    ("ablation", 1254, 0x8ba0668d),
     ("fs_compare", 934, 0x87cef30c),
     ("table2", 954, 0x2062655c),
     ("table3", 173, 0x64eca0e5),
     ("track_util", 227, 0xf488c33b),
-    ("replay_synthetic", 624, 0xf71b6c38),
-    ("overload_sweep", 1347, 0x6c5e66c7),
+    ("replay_synthetic", 624, 0x2d7d1fad),
+    ("overload_sweep", 1347, 0x584355c4),
     ("replay_tpcc", 428, 0x18b004d5),
     ("replay_stream", 445, 0xbe4c8bca),
     ("serve_fleet", 1294, 0xede40060),
-    ("serve_sweep", 1376, 0x637c766a),
-    ("raid_sweep", 1334, 0x36151367),
-    ("crash_campaign", 1450, 0x39976f71),
+    ("serve_sweep", 1437, 0x7a1d91fc),
+    ("raid_sweep", 1252, 0x430fd52f),
+    ("crash_campaign", 1447, 0x1b660ed8),
 ];
 
 /// What an artifact must show for the headline claim it backs to hold.

@@ -131,12 +131,16 @@ fn replay_targets_any_stack_spec_and_refuses_a_malformed_one() {
         &["replay", "none.trace", "--target", "raid5x2_trail"],
         "raid5 needs at least 3 members",
     );
+    trace_tool_usage_error(
+        &["replay", "none.trace", "--target", "raid5x3_ps2"],
+        "unknown front end",
+    );
     let dir = scratch("raid");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let trace = dir.join("t.trace");
     let trace = trace.to_str().expect("UTF-8 path");
     generate(trace, "40");
-    for target in ["raid5x3_trail", "raid5x3_ps2"] {
+    for target in ["raid5x3_trail", "raid5x3_trail_multi2"] {
         let out_dir = dir.to_str().expect("UTF-8 path");
         let args = ["replay", trace, "--target", target, "--out-dir", out_dir];
         let run = trace_tool(&args);

@@ -60,8 +60,8 @@ pub struct IoRequest {
     pub kind: IoKind,
     /// The request stream this belongs to;
     /// [`StreamId::UNTAGGED`] when the submitter does not distinguish
-    /// streams. Drivers carry the tag through to submission taps and
-    /// routing decisions but never alter semantics based on it.
+    /// streams. Drivers carry the tag through to submission taps but
+    /// never alter semantics or placement based on it.
     pub stream: StreamId,
 }
 

@@ -65,7 +65,7 @@ mod tracks;
 pub use config::TrailConfig;
 pub use driver::{BootReport, LostRevolutions, MissTally, PredictMisses, TrailDriver, TrailStats};
 pub use error::TrailError;
-pub use multi::{LogRouting, MultiTrail};
+pub use multi::{owning_log, MultiTrail, REGION_SECTORS};
 
 pub use formatter::{
     data_track_range, format_log_disk, read_header, replica_lba, write_header, FormatOptions,

@@ -2,40 +2,52 @@
 //! "it is possible to employ multiple log disks to completely hide the
 //! disk re-positioning overhead from user applications."
 //!
-//! [`MultiTrail`] runs one independent Trail instance per log disk, all
-//! sharing the same data disks (each physical data disk keeps exactly one
-//! queueing driver). Writes are routed by a **deterministic hash of the
-//! extent's first sector**, which is what makes the composition correct
-//! without any cross-log coordination for extents that start at one
-//! sector:
-//!
-//! - all versions of such an extent live in one log, so its write records
-//!   replay in order under that log's own sequence numbers;
-//! - reads route the same way, so pinned memory still serves the newest
-//!   version;
-//! - crash recovery simply recovers each log disk independently.
-//!
-//! Two *overlapping* extents with different first sectors can hash to two
-//! logs; nothing orders their reads or write-backs across the logs (each
-//! instance orders only what it pins).
-//!
-//! While one log disk repositions after a write, requests hashing to the
-//! other disks proceed immediately — with k disks, roughly (k−1)/k of the
-//! repositioning penalty is hidden from a clustered stream (the
-//! availability-routed "completely hide" variant would need a global
-//! write order across logs, which the paper leaves open).
+//! [`MultiTrail`] runs one Trail instance per log disk over shared data
+//! disks (each keeps one queueing driver). Every sector has one owning
+//! log, the one [`owning_log`] hashes its data region `(dev, lba /
+//! REGION_SECTORS)` to, so every version of a sector is pinned, read,
+//! written back and recovered by one log, in that log's ack order. An
+//! extent that crosses into another log's region splits into one
+//! [`PayloadBuf::sectors`] view per owner: the write is acknowledged when
+//! every part is durable (or fails with the first error a part delivers),
+//! a read is stitched into one [`IoDone`], and a later request that
+//! overlaps a split write is answered after it, so ack order holds across
+//! the array. With k logs, roughly (k−1)/k of the repositioning penalty
+//! is hidden from a clustered stream.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use trail_blockio::IoDone;
-use trail_disk::{Disk, Lba, PayloadBuf};
-use trail_sim::{Completion, Simulator};
+use trail_blockio::{IoDone, SharedBlockDevice, TapHandle};
+use trail_disk::{Disk, Lba, PayloadBuf, SECTOR_SIZE};
+use trail_sim::{Completion, Delivered, SimTime, Simulator};
 use trail_telemetry::StreamId;
 
 use crate::config::TrailConfig;
-use crate::driver::{raw_targets, BootReport, TrailDriver, TrailStats};
+use crate::driver::{raw_targets, BootReport, TrailDriver};
 use crate::error::TrailError;
+
+/// Sectors in one data region, the unit a log owns. An unaligned
+/// s-sector extent crosses a region boundary with probability
+/// (s − 1)/`REGION_SECTORS`; a sequential stream changes log at most every
+/// `REGION_SECTORS` sectors.
+pub const REGION_SECTORS: u64 = 256;
+
+/// The log, of `logs`, that owns sector `lba` of data device `dev`:
+/// FNV-1a over the device and the sector's region.
+#[must_use]
+pub fn owning_log(logs: usize, dev: usize, lba: Lba) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let (dev, region) = (
+        (dev as u64).to_le_bytes(),
+        (lba / REGION_SECTORS).to_le_bytes(),
+    );
+    for b in dev.into_iter().chain(region) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    (h % logs.max(1) as u64) as usize
+}
 
 /// A Trail array: one driver per log disk over shared data disks.
 ///
@@ -65,37 +77,99 @@ use crate::error::TrailError;
 #[derive(Clone)]
 pub struct MultiTrail {
     drivers: Vec<TrailDriver>,
-    routing: Rc<Cell<LogRouting>>,
+    /// The workload-capture tap, shared by every clone of the array: it
+    /// sees each logical request once, however many logs it spans.
+    tap: Rc<RefCell<Option<TapHandle>>>,
+    /// The writes whose answer waits on more than one record, until they
+    /// are answered.
+    held: Rc<RefCell<Vec<Joined>>>,
 }
 
-/// How [`MultiTrail`] assigns requests to log disks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LogRouting {
-    /// Route by a deterministic hash of the extent's first sector (the
-    /// default). Every version of an extent with that first sector lives
-    /// in one log, whoever wrote it; two overlapping extents with
-    /// different first sectors may not.
-    #[default]
-    BlockHash,
-    /// Route tagged requests by a hash of their [`StreamId`], so each
-    /// stream's writes land on one log disk and never wait behind another
-    /// stream's repositioning. Untagged requests fall back to the block
-    /// hash.
-    ///
-    /// **Correctness invariant:** under stream affinity a block is pinned
-    /// in the buffer of the instance its *stream* hashes to, so every
-    /// read of that block must carry the same tag as its writes (or the
-    /// streams must write disjoint block sets). A read routed elsewhere
-    /// would miss the pinned copy and could fetch a stale version from
-    /// the data disk while the write-back is still pending.
-    StreamAffinity,
+/// One owner's share of a request: `(log, first sector, sectors)`.
+type Part = (usize, Lba, u64);
+
+/// A [`Join`], shared by its parts' completions and its waiters.
+type Joined = Rc<RefCell<Join>>;
+
+/// A request answered after more than one event: each of its parts, and
+/// every earlier overlapping write that is itself held. Each log answers
+/// its writes in log order; holding a request behind an earlier
+/// overlapping write that spans two logs keeps that order across the
+/// array. A request fails with the first error a part delivers.
+struct Join {
+    done: Option<Completion<IoDone>>,
+    left: usize,
+    /// The request's sectors `[lba, end)` of device `dev`.
+    dev: usize,
+    lba: Lba,
+    end: Lba,
+    issued: SimTime,
+    /// A read's image, stitched from its parts.
+    image: Option<Vec<u8>>,
+    /// The answer of the part that landed last.
+    last: Option<IoDone>,
+    /// Later overlapping requests held until this one is answered.
+    waiters: Vec<Joined>,
+}
+
+impl Join {
+    /// The completion of the part whose bytes start `offset` bytes into
+    /// the request.
+    fn part(join: &Joined, sim: &mut Simulator, offset: usize) -> Completion<IoDone> {
+        let join = Rc::clone(join);
+        sim.completion(move |sim, d: Delivered<IoDone>| match d {
+            Ok(mut io) => {
+                let mut j = join.borrow_mut();
+                if let (Some(image), Some(data)) = (j.image.as_mut(), io.data.take()) {
+                    image[offset..offset + data.len()].copy_from_slice(&data);
+                }
+                j.last = Some(io);
+                drop(j);
+                Join::tick(&join, sim);
+            }
+            Err(e) => Join::finish(&join, sim, Err(e)),
+        })
+    }
+
+    /// One part landed or one earlier write was answered: answers the
+    /// request once nothing is left.
+    fn tick(join: &Joined, sim: &mut Simulator) {
+        let mut j = join.borrow_mut();
+        j.left -= 1;
+        if j.left == 0 && j.done.is_some() {
+            let whole = IoDone {
+                lba: j.lba,
+                issued: j.issued,
+                completed: sim.now(),
+                data: j.image.take(),
+                ..j.last.take().expect("every part answered")
+            };
+            drop(j);
+            Join::finish(join, sim, Ok(whole));
+        }
+    }
+
+    /// Answers the request unless a part failed it already, then lets the
+    /// requests held behind it go on, in submission order.
+    fn finish(join: &Joined, sim: &mut Simulator, answer: Delivered<IoDone>) {
+        let mut j = join.borrow_mut();
+        let (done, waiters) = (j.done.take(), std::mem::take(&mut j.waiters));
+        drop(j);
+        match (done, answer) {
+            (Some(done), Ok(io)) => done.complete(sim, io),
+            (Some(done), Err(e)) => done.fail(sim, e),
+            (None, _) => {}
+        }
+        for w in &waiters {
+            Join::tick(w, sim);
+        }
+    }
 }
 
 impl MultiTrail {
     /// Boots one Trail instance per formatted log disk over shared raw
-    /// data disks: [`start_with_targets`](Self::start_with_targets) with
-    /// every instance holding clones of the *same* targets, so each
-    /// physical data disk keeps exactly one queueing driver.
+    /// data disks: [`start_with_targets`](Self::start_with_targets) over
+    /// one queueing driver per data disk.
     ///
     /// # Errors
     ///
@@ -106,78 +180,42 @@ impl MultiTrail {
         data_disks: Vec<Disk>,
         config: TrailConfig,
     ) -> Result<(MultiTrail, Vec<BootReport>), TrailError> {
-        let shared = vec![raw_targets(&data_disks); log_disks.len()];
-        Self::start_with_targets(sim, log_disks, shared, config)
+        Self::start_with_targets(sim, log_disks, raw_targets(&data_disks), config)
     }
 
-    /// Boots one Trail instance per formatted log disk, each over its
-    /// **own** list of block targets (single-disk drivers or
-    /// `trail-volume` arrays): instance `i` gets `targets[i]`.
-    ///
-    /// This is the per-stream-devices composition: under
-    /// [`LogRouting::StreamAffinity`] each stream's writes land on one
-    /// instance, so giving every instance its own target set places each
-    /// stream's data on its own array. The placement is coherent only if
-    /// each stream addresses blocks backed by its own instance's targets
-    /// (or every instance receives clones of one shared target list, as
-    /// [`start`](Self::start) arranges) — otherwise a block written via
-    /// instance 0 and read via instance 1 would touch two different
-    /// devices.
+    /// Boots one Trail instance per formatted log disk, every instance over
+    /// clones of the same block targets (single-disk drivers or
+    /// `trail-volume` arrays), so each physical data disk keeps exactly
+    /// one queueing driver.
     ///
     /// # Errors
     ///
-    /// Returns [`TrailError::BadDevice`] for an empty log-disk list or a
-    /// `targets` list whose length differs, and propagates each
-    /// instance's boot errors (including per-log recovery).
+    /// Returns [`TrailError::BadDevice`] for an empty log-disk list, and
+    /// propagates each instance's boot errors (including per-log
+    /// recovery).
     pub fn start_with_targets(
         sim: &mut Simulator,
         log_disks: Vec<Disk>,
-        targets: Vec<Vec<trail_blockio::SharedBlockDevice>>,
+        targets: Vec<SharedBlockDevice>,
         config: TrailConfig,
     ) -> Result<(MultiTrail, Vec<BootReport>), TrailError> {
-        if log_disks.is_empty() || targets.len() != log_disks.len() {
+        if log_disks.is_empty() {
             return Err(TrailError::BadDevice);
         }
         let mut drivers = Vec::with_capacity(log_disks.len());
         let mut boots = Vec::with_capacity(log_disks.len());
-        for (log, tgts) in log_disks.into_iter().zip(targets) {
-            let (drv, boot) = TrailDriver::start_with_targets(sim, log, tgts, config)?;
+        for log in log_disks {
+            let (drv, boot) = TrailDriver::start_with_targets(sim, log, targets.clone(), config)?;
             drivers.push(drv);
             boots.push(boot);
         }
-        Ok((
-            MultiTrail {
-                drivers,
-                routing: Rc::new(Cell::new(LogRouting::BlockHash)),
-            },
-            boots,
-        ))
-    }
-
-    /// Number of log disks.
-    pub fn log_disks(&self) -> usize {
-        self.drivers.len()
+        let (tap, held) = (Rc::default(), Rc::default());
+        Ok((MultiTrail { drivers, tap, held }, boots))
     }
 
     /// Number of data devices each instance serves.
     pub fn devices(&self) -> usize {
         self.drivers[0].devices()
-    }
-
-    /// The routing policy currently in effect.
-    pub fn routing(&self) -> LogRouting {
-        self.routing.get()
-    }
-
-    /// Switches the routing policy. Shared by all clones of this array.
-    ///
-    /// Switch only at a quiescent point ([`run_until_quiescent`]
-    /// (MultiTrail::run_until_quiescent)): requests routed under the old
-    /// policy must have drained their write-backs before blocks are
-    /// re-routed, for the reasons documented on
-    /// [`LogRouting::StreamAffinity`].
-    pub fn set_routing(&self, routing: LogRouting) {
-        self.routing.set(routing);
     }
 
     /// All Trail instances (for statistics).
@@ -190,41 +228,85 @@ impl MultiTrail {
     /// disks themselves).
     pub fn set_recorder(&self, recorder: trail_telemetry::RecorderHandle) {
         for d in &self.drivers {
-            d.set_recorder(std::rc::Rc::clone(&recorder));
+            d.set_recorder(Rc::clone(&recorder));
         }
     }
 
-    /// Installs a workload-capture tap on every Trail instance. Each
-    /// logical request routes to exactly one instance, so the tap sees the
-    /// merged stream once, in submission order.
-    pub fn set_tap(&self, tap: trail_blockio::TapHandle) {
-        for d in &self.drivers {
-            d.set_tap(std::rc::Rc::clone(&tap));
-        }
+    /// Installs a workload-capture tap on the array. It sees each accepted
+    /// request once, in submission order, however many logs it spans.
+    pub fn set_tap(&self, tap: TapHandle) {
+        *self.tap.borrow_mut() = Some(tap);
     }
 
-    /// Deterministic request-to-log routing: FNV-1a over the block
-    /// address, or over the stream id when
-    /// [`LogRouting::StreamAffinity`] is selected and the request is
-    /// tagged.
-    fn route_for(&self, dev: usize, lba: Lba, stream: StreamId) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    /// `[lba, lba + sectors)` of `dev` cut where its owning log changes, in
+    /// address order, each part with the completion to hand its owner:
+    /// `done` itself for an unsplit request nothing holds (or a malformed
+    /// one, which the first instance refuses), otherwise one joined into
+    /// `done` behind every earlier overlapping held write.
+    fn plan(
+        &self,
+        sim: &mut Simulator,
+        dev: usize,
+        lba: Lba,
+        sectors: u64,
+        is_read: bool,
+        done: Completion<IoDone>,
+    ) -> Vec<(Part, Completion<IoDone>)> {
+        let owner = |lba| owning_log(self.drivers.len(), dev, lba);
+        let end = lba.saturating_add(sectors);
+        let target = |dev| self.drivers[0].data_target(dev);
+        if dev >= self.devices() || sectors == 0 || end > target(dev).capacity_sectors() {
+            return vec![((0, lba, sectors), done)];
+        }
+        let mut parts: Vec<Part> = Vec::new();
+        let mut at = lba;
+        while at < end {
+            let log = owner(at);
+            let mut next = (at / REGION_SECTORS + 1) * REGION_SECTORS;
+            while next < end && owner(next) == log {
+                next += REGION_SECTORS;
             }
+            parts.push((log, at, next.min(end) - at));
+            at = next.min(end);
+        }
+        let mut held = self.held.borrow_mut();
+        held.retain(|j| j.borrow().done.is_some());
+        let overlaps = |j: &&Joined| {
+            let j = j.borrow();
+            j.dev == dev && j.lba < end && lba < j.end
         };
-        match self.routing.get() {
-            LogRouting::StreamAffinity if !stream.is_untagged() => {
-                mix(&stream.0.to_le_bytes());
-            }
-            _ => {
-                mix(&(dev as u64).to_le_bytes());
-                mix(&lba.to_le_bytes());
-            }
+        let before: Vec<Joined> = held.iter().filter(overlaps).cloned().collect();
+        if let ([part], true) = (&parts[..], before.is_empty()) {
+            return vec![(*part, done)];
         }
-        (h % self.drivers.len() as u64) as usize
+        let join = Rc::new(RefCell::new(Join {
+            done: Some(done),
+            left: parts.len() + before.len(),
+            dev,
+            lba,
+            end,
+            issued: sim.now(),
+            image: is_read.then(|| vec![0; sectors as usize * SECTOR_SIZE]),
+            last: None,
+            waiters: Vec::new(),
+        }));
+        for j in before {
+            j.borrow_mut().waiters.push(Rc::clone(&join));
+        }
+        if !is_read {
+            held.push(Rc::clone(&join));
+        }
+        let offset = |first: Lba| (first - lba) as usize * SECTOR_SIZE;
+        (parts.into_iter())
+            .map(|part| (part, Join::part(&join, sim, offset(part.1))))
+            .collect()
+    }
+
+    /// Reports an accepted request to the tap.
+    fn tap(&self, sim: &Simulator, dev: usize, lba: Lba, sectors: u64, read: bool, s: StreamId) {
+        if let Some(tap) = &*self.tap.borrow() {
+            tap.on_submit(sim.now(), dev as u32, lba, sectors as u32, read, s);
+        }
     }
 
     /// Submits a synchronous write; semantics as
@@ -244,8 +326,8 @@ impl MultiTrail {
         self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
     }
 
-    /// [`write`](MultiTrail::write) with an explicit stream tag. Under
-    /// [`LogRouting::StreamAffinity`] the tag selects the log disk.
+    /// [`write`](MultiTrail::write) with an explicit stream tag, carried
+    /// to the tap and the instances; it never chooses a log.
     ///
     /// # Errors
     ///
@@ -259,8 +341,22 @@ impl MultiTrail {
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        self.drivers[self.route_for(dev, lba, stream)]
-            .write_tagged(sim, dev, lba, data, stream, done)
+        let mut data = data.into();
+        // A length that is not whole sectors goes whole, and is refused.
+        let sectors = match data.len() % SECTOR_SIZE {
+            0 => (data.len() / SECTOR_SIZE) as u64,
+            _ => 0,
+        };
+        for ((log, at, n), done) in self.plan(sim, dev, lba, sectors, false, done) {
+            // An unsplit request hands on the caller's buffer as it came.
+            let part = match n == sectors {
+                true => std::mem::take(&mut data),
+                false => data.sectors((at - lba) as usize, n as usize),
+            };
+            self.drivers[log].write_tagged(sim, dev, at, part, stream, done)?;
+        }
+        self.tap(sim, dev, lba, sectors, false, stream);
+        Ok(())
     }
 
     /// Submits a read; semantics as [`TrailDriver::read`].
@@ -279,9 +375,8 @@ impl MultiTrail {
         self.read_tagged(sim, dev, lba, count, StreamId::UNTAGGED, done)
     }
 
-    /// [`read`](MultiTrail::read) with an explicit stream tag. Must carry
-    /// the same tag as the block's writes under
-    /// [`LogRouting::StreamAffinity`] (see its invariant).
+    /// [`read`](MultiTrail::read) with an explicit stream tag, carried to
+    /// the tap and the instances.
     ///
     /// # Errors
     ///
@@ -295,8 +390,12 @@ impl MultiTrail {
         stream: StreamId,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        self.drivers[self.route_for(dev, lba, stream)]
-            .read_tagged(sim, dev, lba, count, stream, done)
+        let sectors = u64::from(count);
+        for ((log, at, n), done) in self.plan(sim, dev, lba, sectors, true, done) {
+            self.drivers[log].read_tagged(sim, dev, at, n as u32, stream, done)?;
+        }
+        self.tap(sim, dev, lba, sectors, true, stream);
+        Ok(())
     }
 
     /// Outstanding work across all instances.
@@ -326,16 +425,6 @@ impl MultiTrail {
         }
         Ok(())
     }
-
-    /// Folds `f` over every instance's statistics.
-    pub fn fold_stats<A>(&self, init: A, mut f: impl FnMut(A, &TrailStats) -> A) -> A {
-        let mut acc = Some(init);
-        for d in &self.drivers {
-            let a = acc.take().expect("accumulator threaded through the fold");
-            acc = Some(d.with_stats(|s| f(a, s)));
-        }
-        acc.expect("accumulator threaded through the fold")
-    }
 }
 
 impl std::fmt::Debug for MultiTrail {
@@ -348,12 +437,16 @@ impl std::fmt::Debug for MultiTrail {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::formatter::{format_log_disk, FormatOptions};
     use trail_disk::profiles;
 
-    fn boot(sim: &mut Simulator, n_logs: usize) -> MultiTrail {
-        let logs: Vec<Disk> = (0..n_logs)
+    /// A two-log array over one tiny data disk, and a region boundary of
+    /// device 0 whose two sides two different logs own.
+    fn boot(sim: &mut Simulator) -> (MultiTrail, Lba) {
+        let logs: Vec<Disk> = (0..2)
             .map(|i| Disk::new(format!("log{i}"), profiles::tiny_test_disk()))
             .collect();
         for log in &logs {
@@ -361,58 +454,62 @@ mod tests {
         }
         let data = Disk::new("data0", profiles::tiny_test_disk());
         let (multi, _) = MultiTrail::start(sim, logs, vec![data], TrailConfig::default()).unwrap();
-        multi
+        let boundary = (1..)
+            .map(|k| k * REGION_SECTORS)
+            .find(|&b| owning_log(2, 0, b - 1) != owning_log(2, 0, b))
+            .unwrap();
+        (multi, boundary)
     }
 
     #[test]
-    fn block_hash_routing_ignores_the_stream_tag() {
+    fn each_sector_has_one_owner_and_split_requests_join() {
         let mut sim = Simulator::new();
-        let multi = boot(&mut sim, 3);
-        assert_eq!(multi.routing(), LogRouting::BlockHash);
-        for lba in [0u64, 7, 64, 513] {
-            let by_block = multi.route_for(0, lba, StreamId::UNTAGGED);
-            assert_eq!(multi.route_for(0, lba, StreamId(1)), by_block);
-            assert_eq!(multi.route_for(0, lba, StreamId(9)), by_block);
-        }
-    }
+        let (multi, boundary) = boot(&mut sim);
 
-    #[test]
-    fn stream_affinity_pins_each_tagged_stream_to_one_log() {
-        let mut sim = Simulator::new();
-        let multi = boot(&mut sim, 3);
-        multi.set_routing(LogRouting::StreamAffinity);
-        for stream in 1u32..=8 {
-            let home = multi.route_for(0, 0, StreamId(stream));
-            for lba in [1u64, 100, 999] {
-                assert_eq!(multi.route_for(0, lba, StreamId(stream)), home);
+        // Every extent covering a sector hands that sector to its owner.
+        for lo in boundary - 20..boundary + 4 {
+            for n in 1..=16 {
+                let done = sim.completion(|_, _| {});
+                for ((log, at, count), _) in multi.plan(&mut sim, 0, lo, n, true, done) {
+                    for s in at..at + count {
+                        assert_eq!(log, owning_log(2, 0, s), "extent {lo}+{n}, sector {s}");
+                    }
+                }
             }
         }
-        // Untagged requests still route by block address, and the policy
-        // is shared across clones of the array.
-        let clone = multi.clone();
-        assert_eq!(clone.routing(), LogRouting::StreamAffinity);
-        for lba in [0u64, 7, 64, 513] {
-            assert_eq!(
-                clone.route_for(0, lba, StreamId::UNTAGGED),
-                {
-                    clone.set_routing(LogRouting::BlockHash);
-                    let r = multi.route_for(0, lba, StreamId::UNTAGGED);
-                    clone.set_routing(LogRouting::StreamAffinity);
-                    r
-                },
-                "untagged requests fall back to the block hash"
-            );
-        }
-    }
 
-    #[test]
-    fn streams_spread_across_logs_under_affinity() {
-        let mut sim = Simulator::new();
-        let multi = boot(&mut sim, 2);
-        multi.set_routing(LogRouting::StreamAffinity);
-        let homes: std::collections::BTreeSet<usize> = (1u32..=16)
-            .map(|s| multi.route_for(0, 0, StreamId(s)))
+        // A straddling write is acknowledged once both logs hold their
+        // part, and a read across the boundary is stitched from both.
+        let lba = boundary - 4;
+        let image: Vec<u8> = (0..8 * SECTOR_SIZE)
+            .map(|i| (i / SECTOR_SIZE) as u8 + 1)
             .collect();
-        assert_eq!(homes.len(), 2, "16 streams should cover both logs");
+        let (acked, read) = (Rc::new(Cell::new(false)), Rc::new(Cell::new(false)));
+        let (m, expect, read2) = (multi.clone(), image.clone(), Rc::clone(&read));
+        let acked2 = Rc::clone(&acked);
+        let done = sim.completion(move |sim, d: Delivered<IoDone>| {
+            assert_eq!(d.expect("durable").lba, lba);
+            let records: Vec<u64> = m
+                .drivers()
+                .iter()
+                .map(|d| d.with_stats(|s| s.log_records))
+                .collect();
+            assert_eq!(records, [1, 1], "both parts are logged before the ack");
+            acked2.set(true);
+            let done = sim.completion(move |_, d: Delivered<IoDone>| {
+                let io = d.expect("read");
+                assert_eq!((io.lba, io.data.as_deref()), (lba, Some(&expect[..])));
+                read2.set(true);
+            });
+            m.read(sim, 0, lba, 8, done).unwrap();
+        });
+        multi.write(&mut sim, 0, lba, image, done).unwrap();
+        multi.run_until_quiescent(&mut sim);
+        assert!(acked.get() && read.get());
+        let hits = multi
+            .drivers()
+            .iter()
+            .map(|d| d.with_stats(|s| s.read_hits));
+        assert_eq!(hits.sum::<u64>(), 2, "one hit per part");
     }
 }

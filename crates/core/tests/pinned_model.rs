@@ -4,26 +4,67 @@
 //! the newest write acknowledged before it was submitted or one
 //! acknowledged while it was in flight; after quiescence each sector holds
 //! the write acknowledged there last. `trail_disk::AckLedger` is the
-//! model.
+//! model. It holds for one Trail driver, and for a two-log array whose
+//! window straddles a region boundary that the two logs own either side
+//! of, so extents split across logs and overlap extents that do not.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
 use trail_blockio::IoDone;
-use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
-use trail_disk::{profiles, AckLedger, Disk};
+use trail_core::{
+    format_log_disk, owning_log, FormatOptions, MultiTrail, TrailConfig, TrailDriver,
+    REGION_SECTORS,
+};
+use trail_disk::{profiles, AckLedger, Disk, Lba};
 use trail_sim::{Delivered, SimDuration, Simulator};
 
 const DEVICES: usize = 2;
 const WINDOW: u64 = 64;
-/// The window's first sector. The tiny disk has 80 sectors per cylinder and
-/// C-LOOK orders its queue by cylinder, so a window that straddles sector 80
-/// lets the data disk reorder write-backs the driver issues together.
+/// The single driver's window's first sector. The tiny disk has 80 sectors
+/// per cylinder and C-LOOK orders its queue by cylinder, so a window that
+/// straddles sector 80 lets the data disk reorder write-backs the driver
+/// issues together.
 const BASE: u64 = 48;
 const MAX_SECTORS: u64 = 16;
 
-/// One request of the workload: when, where, and whether it reads.
+/// The stack under test.
+#[derive(Clone)]
+enum Front {
+    One(TrailDriver),
+    Array(MultiTrail),
+}
+
+impl Front {
+    fn write(&self, sim: &mut Simulator, dev: usize, lba: Lba, data: Vec<u8>, done: Done) {
+        match self {
+            Front::One(d) => d.write(sim, dev, lba, data, done),
+            Front::Array(m) => m.write(sim, dev, lba, data, done),
+        }
+        .expect("accepted");
+    }
+
+    fn read(&self, sim: &mut Simulator, dev: usize, lba: Lba, count: u32, done: Done) {
+        match self {
+            Front::One(d) => d.read(sim, dev, lba, count, done),
+            Front::Array(m) => m.read(sim, dev, lba, count, done),
+        }
+        .expect("accepted");
+    }
+
+    fn pinned_blocks(&self) -> usize {
+        match self {
+            Front::One(d) => d.pinned_blocks(),
+            Front::Array(m) => m.drivers().iter().map(TrailDriver::pinned_blocks).sum(),
+        }
+    }
+}
+
+type Done = trail_sim::Completion<IoDone>;
+
+/// One request of the workload: when, where in the window, and whether it
+/// reads.
 #[derive(Clone, Copy, Debug)]
 struct Op {
     at_us: u64,
@@ -38,7 +79,7 @@ fn op() -> impl Strategy<Value = Op> {
         |(at_us, dev, lba, sectors, kind)| Op {
             at_us,
             dev,
-            lba: BASE + lba % (WINDOW - sectors + 1),
+            lba: lba % (WINDOW - sectors + 1),
             sectors,
             read: kind == 0,
         },
@@ -52,10 +93,9 @@ struct Model {
     violations: Vec<String>,
 }
 
-fn submit(sim: &mut Simulator, drv: &TrailDriver, model: &Rc<RefCell<Model>>, op: Op) {
-    let Op {
-        dev, lba, sectors, ..
-    } = op;
+fn submit(sim: &mut Simulator, front: &Front, model: &Rc<RefCell<Model>>, base: Lba, op: Op) {
+    let Op { dev, sectors, .. } = op;
+    let lba = base + op.lba;
     let model = Rc::clone(model);
     if !op.read {
         let (tag, data) = model.borrow_mut().ledger.submit(dev, lba, sectors);
@@ -63,7 +103,7 @@ fn submit(sim: &mut Simulator, drv: &TrailDriver, model: &Rc<RefCell<Model>>, op
             d.expect("durable");
             model.borrow_mut().ledger.ack(tag);
         });
-        drv.write(sim, dev, lba, data, done).expect("accepted");
+        front.write(sim, dev, lba, data, done);
         return;
     }
     // The newest write each sector had acknowledged at submission, or any
@@ -76,19 +116,37 @@ fn submit(sim: &mut Simulator, drv: &TrailDriver, model: &Rc<RefCell<Model>>, op
         let bad = m.ledger.check_read(dev, lba, &data, &horizon);
         m.violations.extend(bad);
     });
-    drv.read(sim, dev, lba, sectors as u32, done)
-        .expect("accepted");
+    front.read(sim, dev, lba, sectors as u32, done);
 }
 
-fn run(ops: &[Op]) -> Result<(), TestCaseError> {
+/// Runs `ops` over one Trail driver (`logs` 1) or a Trail array.
+fn run(ops: &[Op], logs: usize) -> Result<(), TestCaseError> {
     let mut sim = Simulator::new();
-    let log = Disk::new("log", profiles::tiny_test_disk());
+    let log_disks: Vec<Disk> = (0..logs)
+        .map(|i| Disk::new(format!("log{i}"), profiles::tiny_test_disk()))
+        .collect();
     let data: Vec<Disk> = (0..DEVICES)
         .map(|i| Disk::new(format!("data{i}"), profiles::tiny_test_disk()))
         .collect();
-    format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
-    let (drv, _) =
-        TrailDriver::start(&mut sim, log, data.clone(), TrailConfig::default()).expect("boot");
+    for log in &log_disks {
+        format_log_disk(&mut sim, log, FormatOptions::default()).expect("format");
+    }
+    let config = TrailConfig::default();
+    let (front, base) = if logs == 1 {
+        let log = log_disks[0].clone();
+        let (drv, _) = TrailDriver::start(&mut sim, log, data.clone(), config).expect("boot");
+        (Front::One(drv), BASE)
+    } else {
+        // The first region boundary that both devices' logs change at,
+        // mid-window.
+        let boundary = (1..)
+            .map(|k| k * REGION_SECTORS)
+            .find(|&b| (0..DEVICES).all(|d| owning_log(logs, d, b - 1) != owning_log(logs, d, b)))
+            .expect("a boundary between two logs");
+        let (multi, _) =
+            MultiTrail::start(&mut sim, log_disks, data.clone(), config).expect("boot");
+        (Front::Array(multi), boundary - WINDOW / 2)
+    };
     let model = Rc::new(RefCell::new(Model {
         ledger: AckLedger::default(),
         reads_checked: 0,
@@ -96,13 +154,13 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
     }));
     let t0 = sim.now();
     for &op in ops {
-        let (drv, model) = (drv.clone(), Rc::clone(&model));
+        let (front, model) = (front.clone(), Rc::clone(&model));
         sim.schedule_at(t0 + SimDuration::from_micros(op.at_us), move |sim| {
-            submit(sim, &drv, &model, op);
+            submit(sim, &front, &model, base, op);
         });
     }
     sim.run();
-    prop_assert_eq!(drv.pinned_blocks(), 0);
+    prop_assert_eq!(front.pinned_blocks(), 0);
 
     let m = model.borrow();
     prop_assert!(m.violations.is_empty(), "{}", m.violations.join("\n"));
@@ -113,11 +171,11 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
         .iter()
         .enumerate()
         .flat_map(|(dev, disk)| {
-            let bytes: Vec<u8> = (BASE..BASE + WINDOW)
+            let bytes: Vec<u8> = (base..base + WINDOW)
                 .flat_map(|s| disk.peek_sector(s))
                 .collect();
             m.ledger
-                .check_read(dev, BASE, &bytes, &m.ledger.horizon(dev, BASE, WINDOW))
+                .check_read(dev, base, &bytes, &m.ledger.horizon(dev, base, WINDOW))
         })
         .collect();
     prop_assert!(
@@ -135,6 +193,13 @@ proptest! {
     fn reads_and_the_platter_follow_acknowledgement_order(
         ops in proptest::collection::vec(op(), 10..120),
     ) {
-        run(&ops)?;
+        run(&ops, 1)?;
+    }
+
+    #[test]
+    fn a_two_log_array_keeps_acknowledgement_order_across_its_logs(
+        ops in proptest::collection::vec(op(), 10..120),
+    ) {
+        run(&ops, 2)?;
     }
 }

@@ -9,7 +9,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
-use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig, TrailDriver};
+use trail_core::{
+    format_log_disk, FormatOptions, MultiTrail, TrailConfig, TrailDriver, REGION_SECTORS,
+};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::{Delivered, SimDuration, Simulator};
 use trail_telemetry::{EventKind, Layer, MemoryRecorder, RecorderHandle};
@@ -92,7 +94,7 @@ fn read_and_write_interleave_from_handlers() {
 }
 
 /// The same chaining pattern through `MultiTrail`: handlers submit to
-/// blocks that hash to *different* Trail instances, so a delivery from one
+/// blocks that *different* Trail instances own, so a delivery from one
 /// instance re-enters another mid-cascade.
 #[test]
 fn multi_trail_handlers_submit_across_instances() {
@@ -115,8 +117,13 @@ fn multi_trail_handlers_submit_across_instances() {
         let done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
             d.expect("durable");
             count.set(count.get() + 1);
-            // Stride walks blocks across both instances' hash buckets.
-            chain(sim, m2, count, (lba + 7) % 64);
+            // Stride walks blocks across regions both instances own.
+            chain(
+                sim,
+                m2,
+                count,
+                (lba + REGION_SECTORS / 2 + 7) % (8 * REGION_SECTORS),
+            );
         });
         multi
             .write(sim, 0, lba, vec![(lba + 1) as u8; SECTOR_SIZE], done)

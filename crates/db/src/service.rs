@@ -8,9 +8,9 @@
 //!   device's capacity (the same `lba % (capacity - sectors + 1)` rule the
 //!   trace-replay engine uses), so a request can never be rejected for
 //!   pointing past the end of the disk.
-//! - **Stream-tagged routing** — every verb carries the session's
-//!   [`StreamId`], so a Trail array underneath can pin a session's log
-//!   writes to one log disk (`LogRouting::StreamAffinity`).
+//! - **Stream tags** — every verb carries the session's [`StreamId`]: the
+//!   adapter keeps each stream's durability state by it, and the stack
+//!   passes it on to its taps.
 //! - **Durability barriers** — `commit(stream)` completes when every write
 //!   the stream issued *before* the commit is durable, the same
 //!   "volume-durable up to this point" contract a write-ahead service

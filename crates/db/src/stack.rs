@@ -20,14 +20,14 @@ use trail_telemetry::{RecorderHandle, StreamId};
 ///
 /// The stream-tagged pair is what a stack implements; the untagged pair
 /// is provided on top of it. Three stacks exist: [`TrailDriver`],
-/// [`MultiTrail`] (whose router reads the tag under
-/// [`trail_core::LogRouting::StreamAffinity`]) and [`StandardStack`].
+/// [`MultiTrail`] and [`StandardStack`].
 pub trait BlockStack {
     /// Submits a durable write of `data` at `lba` on device `dev`, tagged
     /// with the stream it belongs to. The tag reaches the stack's taps and
-    /// routing decisions; it never changes durability semantics. `data` is
-    /// the handle every layer below passes on: a caller that keeps a
-    /// [`share`](PayloadBuf::share) of it holds the very bytes in flight.
+    /// the requests it forwards; it never changes durability semantics or
+    /// placement. `data` is the handle every layer below passes on: a
+    /// caller that keeps a [`share`](PayloadBuf::share) of it holds the
+    /// very bytes in flight.
     ///
     /// # Errors
     ///
@@ -151,8 +151,7 @@ impl BlockStack for TrailDriver {
     }
 }
 
-// The Trail-array stack: stream tags reach the array's router, so
-// `LogRouting::StreamAffinity` can pin each stream to one log disk.
+// The Trail-array stack: each sector goes to the one log that owns it.
 impl BlockStack for MultiTrail {
     fn write_tagged(
         &self,

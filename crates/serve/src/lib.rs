@@ -10,9 +10,9 @@
 //!   responses). Every simulated request is really encoded to bytes and
 //!   decoded back, so the codec is load-bearing, not decorative.
 //! - [`Server`] / [`SessionHandle`] — sessions keyed by
-//!   [`StreamId`](trail_telemetry::StreamId) (terminal-as-stream, so a
-//!   multi-log Trail array underneath can route by stream affinity),
-//!   with **drop-cancels-in-flight** built on the `Completion`
+//!   [`StreamId`](trail_telemetry::StreamId) (terminal-as-stream, so
+//!   every layer below can attribute a request to its session), with
+//!   **drop-cancels-in-flight** built on the `Completion`
 //!   cancel-cascade: dropping a handle abruptly disconnects the session
 //!   and every outstanding request answers `Err(Cancelled)`.
 //! - [`AdmissionPolicy`] — a bounded pool of worker slots fed by one

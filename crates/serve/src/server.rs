@@ -4,8 +4,8 @@
 //! network daemon would have, entirely on the simulator clock:
 //!
 //! - **Sessions** are keyed by [`StreamId`] (terminal-as-stream): every
-//!   request a session submits is tagged with its stream, so a Trail
-//!   array underneath can route the session's log writes by affinity.
+//!   request a session submits is tagged with its stream, so the stack's
+//!   taps and per-stream statistics attribute it to the session.
 //!   A [`SessionHandle`] is the client's end of the connection;
 //!   **dropping it mid-flight cancels the session's outstanding
 //!   requests** through the `Completion` cancel-cascade — queued

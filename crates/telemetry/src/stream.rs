@@ -8,9 +8,9 @@
 //!
 //! Stream `0` is the *untagged* stream ([`StreamId::UNTAGGED`]): the
 //! value every layer uses when the submitter does not distinguish
-//! sources. Code that branches on stream identity (multi-log routing,
-//! per-stream reports) treats untagged requests as "no stream
-//! information", not as a stream in their own right.
+//! sources. Code that branches on stream identity (per-stream reports)
+//! treats untagged requests as "no stream information", not as a stream
+//! in their own right.
 
 use std::collections::BTreeMap;
 use std::fmt;

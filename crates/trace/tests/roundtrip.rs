@@ -6,9 +6,11 @@
 //! replaying that capture on a fresh identical stack reproduces the
 //! original latency fingerprint and report byte for byte.
 
+use trail_core::{owning_log, REGION_SECTORS};
+use trail_disk::SECTOR_SIZE;
 use trail_trace::{
     from_binary, generate, replay, to_binary, ReplayOptions, SyntheticSpec, TargetKind,
-    TraceCapture, TraceMeta,
+    TraceCapture, TraceMeta, TraceOp,
 };
 
 fn spec() -> SyntheticSpec {
@@ -104,4 +106,34 @@ fn replay_reports_identical_json_across_reruns() {
     let a = replay(&trace, &opts).expect("a").to_json().to_json();
     let b = replay(&trace, &opts).expect("b").to_json().to_json();
     assert_eq!(a, b);
+}
+
+#[test]
+fn a_capture_through_a_log_array_records_each_split_request_once() {
+    let builder: trail::StackBuilder = "trail_multi2,disks=1,tiny".parse().expect("spec");
+    let mut built = builder.build().expect("boot");
+    let cap = TraceCapture::new();
+    built.set_tap(cap.handle());
+    // A write and a read across a region boundary that two logs own: each
+    // is split in two, and each is one request.
+    let boundary = (1..)
+        .map(|k| k * REGION_SECTORS)
+        .find(|&b| owning_log(2, 0, b - 1) != owning_log(2, 0, b))
+        .expect("a boundary between the two logs");
+    let lba = boundary - 2;
+    let (stack, sim) = (&built.stack, &mut built.sim);
+    let done = sim.completion(|_, d| {
+        d.expect("durable");
+    });
+    (stack.write(sim, 0, lba, vec![7; 4 * SECTOR_SIZE], done)).expect("write");
+    let done = sim.completion(|_, d| {
+        d.expect("read");
+    });
+    stack.read(sim, 0, lba, 4, done).expect("read");
+    sim.run();
+    let trace = cap.take(TraceMeta::default());
+    let records: Vec<_> = (trace.records.iter())
+        .map(|r| (r.op, r.lba, r.sectors))
+        .collect();
+    assert_eq!(records, [(TraceOp::Write, lba, 4), (TraceOp::Read, lba, 4)]);
 }

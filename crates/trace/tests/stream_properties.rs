@@ -46,7 +46,7 @@ fn streaming_replay_matches_its_pinned_report_bytes() {
     let trace = four_stream_trace(80);
     for (target, pinned) in [
         (TargetKind::Standard, (3358, 0xc9e1_e182)),
-        ("trail_multi2".parse().unwrap(), (3076, 0xb7da_fdc7)),
+        ("trail_multi2".parse().unwrap(), (3073, 0xd086_962a)),
     ] {
         let opts = ReplayOptions {
             target,

@@ -287,11 +287,11 @@ fn read_back(
 /// not XOR to zero, or where RAID-1 mirrors differ anywhere in the volume.
 fn redundancy_violations(built: &BuiltStack, spans: &BTreeMap<usize, (u64, u64)>) -> Vec<String> {
     let mut bad = Vec::new();
-    for (i, vol) in built.volumes.iter().enumerate() {
+    for (dev, vol) in built.volumes.iter().enumerate() {
         let members = vol.member_disks();
         let (rows, raid5) = match vol.layout() {
             VolumeLayout::Raid5 { chunk_sectors } => {
-                let Some(&(lo, hi)) = spans.get(&(i % built.targets.len())) else {
+                let Some(&(lo, hi)) = spans.get(&dev) else {
                     continue;
                 };
                 let c = u64::from(chunk_sectors);

@@ -32,8 +32,8 @@ use std::rc::Rc;
 
 use trail_blockio::{Clook, Priority, SharedBlockDevice, StandardDriver};
 use trail_core::{
-    format_log_disk, BootReport, FormatOptions, LogRouting, MultiTrail, RecoveryReport,
-    TrailConfig, TrailDriver, TrailError,
+    format_log_disk, FormatOptions, MultiTrail, RecoveryReport, TrailConfig, TrailDriver,
+    TrailError,
 };
 use trail_db::{BlockStack, Database, DbConfig, StandardStack};
 use trail_disk::profiles::{self, DriveProfile};
@@ -138,9 +138,8 @@ impl Scenario {
             Front::Standard => Priority::None,
             _ => Priority::ReadsFirst,
         };
-        // One target per logical device; `tag` distinguishes the volume
-        // sets of one set per log.
-        let mut make_set = |tag: &str| -> Vec<SharedBlockDevice> {
+        // One target per logical device, shared by every log.
+        let targets: Vec<SharedBlockDevice> = {
             let mut disk = |name: String| {
                 let d = (old_data.next())
                     .unwrap_or_else(|| Disk::in_pool(name, self.data_profile.clone(), &pool));
@@ -150,75 +149,47 @@ impl Scenario {
             (0..self.data_disks)
                 .map(|dev| match self.shape.raid {
                     None => Rc::new(disk(format!("data{dev}"))) as _,
-                    Some(Raid {
-                        layout, members, ..
-                    }) => {
+                    Some(Raid { layout, members }) => {
                         let members = (0..members)
-                            .map(|m| disk(format!("data{dev}{tag}m{m}")))
+                            .map(|m| disk(format!("data{dev}m{m}")))
                             .collect();
-                        let vol = RaidVolume::new(&format!("vol{dev}{tag}"), layout, members);
+                        let vol = RaidVolume::new(&format!("vol{dev}"), layout, members);
                         volumes.push(vol.clone());
                         Rc::new(vol) as _
                     }
                 })
                 .collect()
         };
-        let mut log_disks: Vec<Disk> = Vec::new();
-        let mut format_log = |sim: &mut Simulator, name: String| -> Result<Disk, TrailError> {
-            let log = match old_logs.next() {
-                Some(log) => log,
+        // The log disks, formatted unless a reboot hands them over.
+        let log_disks = (0..self.shape.front.logs())
+            .map(|i| match old_logs.next() {
+                Some(log) => Ok(log),
                 None => {
+                    let name = match self.shape.front {
+                        Front::Trail => "trail-log".to_string(),
+                        _ => format!("log{i}"),
+                    };
                     let log = Disk::in_pool(name, self.log_profile.clone(), &pool);
-                    format_log_disk(sim, &log, self.format)?;
-                    log
+                    format_log_disk(&mut sim, &log, self.format).map(|_| log)
                 }
-            };
-            log_disks.push(log.clone());
-            Ok(log)
-        };
-        let mut boots: Vec<BootReport> = Vec::new();
-        let config = self.config;
-        let (stack, trail, multi, targets): (Rc<dyn BlockStack>, _, _, _) = match self.shape.front {
+            })
+            .collect::<Result<Vec<Disk>, TrailError>>()?;
+        let (config, logs) = (self.config, log_disks.clone());
+        let (stack, trail, multi, boots): (Rc<dyn BlockStack>, _, _, _) = match self.shape.front {
             Front::Trail => {
-                let targets = make_set("");
-                let log = format_log(&mut sim, "trail-log".to_string())?;
+                let log = logs[0].clone();
                 let (drv, boot) =
                     TrailDriver::start_with_targets(&mut sim, log, targets.clone(), config)?;
-                boots.push(boot);
-                (Rc::new(drv.clone()), Some(drv), None, targets)
+                (Rc::new(drv.clone()), Some(drv), None, vec![boot])
             }
-            front @ Front::TrailMulti { .. } => {
-                let logs = front.logs();
-                let formatted = (0..logs)
-                    .map(|i| format_log(&mut sim, format!("log{i}")))
-                    .collect::<Result<Vec<Disk>, _>>()?;
-                // One set per log is instance-major in `data_disks` and
-                // `volumes`; a shared set hands every instance clones of
-                // the same `Rc` targets, so each physical disk keeps
-                // exactly one queueing driver.
-                let per_log = self.shape.raid.is_some_and(|r| r.per_log);
-                let sets: Vec<Vec<SharedBlockDevice>> = if per_log {
-                    (0..logs).map(|i| make_set(&format!("i{i}"))).collect()
-                } else {
-                    vec![make_set(""); logs]
-                };
-                let first = sets[0].clone();
-                let (array, all) =
-                    MultiTrail::start_with_targets(&mut sim, formatted, sets, config)?;
-                if per_log {
-                    array.set_routing(LogRouting::StreamAffinity);
-                }
-                boots = all;
-                (Rc::new(array.clone()), None, Some(array), first)
+            Front::TrailMulti { .. } => {
+                let (array, boots) =
+                    MultiTrail::start_with_targets(&mut sim, logs, targets.clone(), config)?;
+                (Rc::new(array.clone()), None, Some(array), boots)
             }
             Front::Standard => {
-                let targets = make_set("");
-                (
-                    Rc::new(StandardStack::over(targets.clone())),
-                    None,
-                    None,
-                    targets,
-                )
+                let stack = StandardStack::over(targets.clone());
+                (Rc::new(stack), None, None, Vec::new())
             }
         };
         // Formatting runs the lead-calibration sweeps, whose
@@ -380,15 +351,10 @@ impl StackBuilder {
     }
 
     /// Backs every device with a RAID volume of `members` member disks
-    /// (at least the layout's minimum) instead of one raw disk, one set
-    /// shared by every log.
+    /// (at least the layout's minimum) instead of one raw disk.
     #[must_use]
     pub fn volumes(mut self, layout: VolumeLayout, members: usize) -> Self {
-        self.scenario.shape.raid = Some(Raid {
-            layout,
-            members,
-            per_log: false,
-        });
+        self.scenario.shape.raid = Some(Raid { layout, members });
         self
     }
 
@@ -459,15 +425,13 @@ pub struct BuiltStack {
     pub trail: Option<TrailDriver>,
     /// The Trail array, when the stack runs [`Front::TrailMulti`].
     pub multi: Option<MultiTrail>,
-    /// The RAID volumes, when the shape has a [`Raid`] layer — in device
-    /// order; with one set per log, instance-major
-    /// (`volumes[i * devices + dev]`). Empty otherwise. Their member
-    /// disks are [`data_disks`](BuiltStack::data_disks).
+    /// The RAID volumes, when the shape has a [`Raid`] layer, in device
+    /// order. Empty otherwise. Their member disks are
+    /// [`data_disks`](BuiltStack::data_disks).
     pub volumes: Vec<RaidVolume>,
     /// The block target behind each device, in device order: a
     /// [`StandardDriver`] over `data_disks[dev]` or the volume
-    /// `volumes[dev]`. With one set per log, the first instance's set
-    /// (every set has the same shape).
+    /// `volumes[dev]`, shared by every log of a Trail array.
     pub targets: Vec<SharedBlockDevice>,
     /// The block stack (Trail, Trail array, or standard) the upper layers
     /// submit to.
@@ -583,8 +547,8 @@ mod tests {
     }
 
     /// Each front end over each device layer, two tiny data disks: disks
-    /// and volumes in device order, instance-major, and one queueing
-    /// driver per physical disk.
+    /// and volumes in device order, and one queueing driver per physical
+    /// disk.
     #[test]
     fn one_build_path_shapes_every_front_end_over_every_device_kind() {
         crate::target::tests::assert_specs_build_as_named(&[
@@ -601,11 +565,6 @@ mod tests {
                 "raid5x3_trail_multi2,disks=2,tiny",
                 &["log0", "log1"],
                 &["vol0", "vol1"],
-            ),
-            (
-                "raid5x3_ps2,disks=2,tiny",
-                &["log0", "log1"],
-                &["vol0i0", "vol1i0", "vol0i1", "vol1i1"],
             ),
         ]);
     }

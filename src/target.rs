@@ -18,9 +18,9 @@
 //!   `raid0`, `raid1` or `raid5`, then `chunk<N>` for a striped layout
 //!   whose chunk is not 8 sectors, or `rr` for a RAID-1 that reads round
 //!   robin instead of from the nearest head (default: raw disks);
-//! - the front end: `trail`, `trail_multi<N>`, or `ps<N>` — N logs, one
-//!   RAID set per log, requests routed by stream (default: the standard
-//!   subsystem, spelled `standard` when nothing else is printed).
+//! - the front end: `trail`, or `trail_multi<N>` for an array of N logs
+//!   (default: the standard subsystem, spelled `standard` when nothing
+//!   else is printed).
 //!
 //! A builder appends `,disks=<N>` when it has not three data disks and
 //! `,tiny` when its disks are the tiny test model, so a spec holds no
@@ -54,7 +54,7 @@ const CHUNK_SECTORS: u32 = 8;
 
 /// The grammar, for error messages.
 const GRAMMAR: &str = "expected [ext2_|lfs_][<linear|raid0|raid1|raid5>x<members>[_chunk<N>|_rr]_]\
-                       <standard|trail|trail_multi<N>|ps<N>>[,disks=<N>][,tiny]";
+                       <standard|trail|trail_multi<N>>[,disks=<N>][,tiny]";
 
 /// The shape of a stack: its front end, its device layer and its mount.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,8 +91,8 @@ pub enum Front {
     Standard,
     /// The Trail driver over one log disk (the paper's subsystem).
     Trail,
-    /// A Trail array (paper §6): one Trail instance per log disk, routed
-    /// by [`trail_core::LogRouting`].
+    /// A Trail array (paper §6): one Trail instance per log disk, each
+    /// sector owned by one log ([`trail_core::owning_log`]).
     TrailMulti {
         /// Number of log disks (raised to at least 1).
         logs: usize,
@@ -118,11 +118,6 @@ pub struct Raid {
     pub layout: VolumeLayout,
     /// Member disks per volume (at least the layout's minimum).
     pub members: usize,
-    /// Under a Trail array: one volume set per log instead of one shared
-    /// set, with requests routed by stream
-    /// ([`trail_core::LogRouting::StreamAffinity`]), so each stream's data
-    /// lands on its own members.
-    pub per_log: bool,
 }
 
 /// A file system mounted on every device, over which requests reach one
@@ -143,7 +138,6 @@ impl fmt::Display for TargetKind {
             Some(Mount::Lfs) => tokens.push("lfs".into()),
             None => {}
         }
-        let mut per_log = false;
         if let Some(raid) = self.raid {
             tokens.push(format!("{}x{}", raid.layout.label(), raid.members));
             match raid.layout {
@@ -157,13 +151,11 @@ impl fmt::Display for TargetKind {
                 } => tokens.push("rr".into()),
                 _ => {}
             }
-            per_log = raid.per_log;
         }
         match self.front {
             Front::Standard if tokens.is_empty() => tokens.push("standard".into()),
             Front::Standard => {}
             Front::Trail => tokens.push("trail".into()),
-            Front::TrailMulti { logs } if per_log => tokens.push(format!("ps{logs}")),
             Front::TrailMulti { logs } => tokens.push(format!("trail_multi{logs}")),
         }
         f.write_str(&tokens.join("_"))
@@ -224,11 +216,7 @@ impl FromStr for TargetKind {
                 }
                 _ => {}
             }
-            kind.raid = Some(Raid {
-                layout,
-                members,
-                per_log: false,
-            });
+            kind.raid = Some(Raid { layout, members });
         }
         let front: Vec<&str> = tokens.collect();
         kind.front = match front[..] {
@@ -237,14 +225,6 @@ impl FromStr for TargetKind {
             ["trail", multi] => Front::TrailMulti {
                 logs: count(multi.strip_prefix("multi"), "a log array's log count")?,
             },
-            [ps] if ps.starts_with("ps") => {
-                let logs = count(ps.strip_prefix("ps"), "a log array's log count")?;
-                let raid = kind.raid.as_mut().ok_or_else(|| {
-                    bad("one RAID set per log needs a RAID layer and a log array")
-                })?;
-                raid.per_log = true;
-                Front::TrailMulti { logs }
-            }
             _ => return Err(bad("unknown front end")),
         };
         match kind.to_string() {
@@ -361,13 +341,11 @@ pub(crate) mod tests {
                 if let Some(trail) = &built.trail {
                     assert!(Rc::ptr_eq(&trail.data_target(dev), &built.targets[dev]));
                 }
-                // Instances over a shared set hold the very same targets;
-                // one set per log means distinct arrays.
+                // Every instance of an array holds the very same targets.
                 if let Some(multi) = &built.multi {
-                    let [a, b] = [0, 1].map(|i| multi.drivers()[i].data_target(dev));
-                    assert!(Rc::ptr_eq(&a, &built.targets[dev]), "{spec}");
-                    let per_log = shape.raid.is_some_and(|r| r.per_log);
-                    assert_eq!(Rc::ptr_eq(&a, &b), !per_log, "{spec}");
+                    for drv in multi.drivers() {
+                        assert!(Rc::ptr_eq(&drv.data_target(dev), &built.targets[dev]));
+                    }
                 }
             }
         }
@@ -394,7 +372,6 @@ pub(crate) mod tests {
             "lfs",
             "raid5x4",
             "raid0x3_trail",
-            "raid5x3_ps2",
         ] {
             let kind: TargetKind = label.parse().unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(kind.to_string(), label);
@@ -446,6 +423,7 @@ pub(crate) mod tests {
             "raid1x2_chunk16",
             "raid5x3_rr",
             "ps2",
+            "raid5x3_ps2",
             "raid5x3_ps0",
             "raid5x3_trail_ps2",
             "trail,disks=0",
@@ -466,11 +444,6 @@ pub(crate) mod tests {
         assert_specs_build_as_named(&[
             ("raid5x3,disks=1,tiny", &[], &["vol0"]),
             ("raid5x3_trail,disks=1,tiny", &["trail-log"], &["vol0"]),
-            (
-                "raid5x3_ps2,disks=1,tiny",
-                &["log0", "log1"],
-                &["vol0i0", "vol0i1"],
-            ),
             ("raid1x2_rr_trail,disks=1,tiny", &["trail-log"], &["vol0"]),
             ("raid5x3_chunk16,disks=1,tiny", &[], &["vol0"]),
             ("linearx2_trail,disks=1,tiny", &["trail-log"], &["vol0"]),
@@ -492,8 +465,8 @@ pub(crate) mod tests {
             },
             _ => VolumeLayout::Raid5 { chunk_sectors },
         });
-        (0u8..4, 1usize..=4, any::<bool>(), layout, 0usize..4, 0u8..3).prop_map(
-            |(front, logs, per_log, layout, extra, mount)| {
+        (0u8..4, 1usize..=4, layout, 0usize..4, 0u8..3).prop_map(
+            |(front, logs, layout, extra, mount)| {
                 let front = match front {
                     0 => Front::Standard,
                     1 => Front::Trail,
@@ -502,7 +475,6 @@ pub(crate) mod tests {
                 let raid = (extra > 0).then_some(Raid {
                     layout,
                     members: layout.min_members() + extra - 1,
-                    per_log: per_log && matches!(front, Front::TrailMulti { .. }),
                 });
                 let mount = [None, Some(Mount::Ext2), Some(Mount::Lfs)][usize::from(mount)];
                 TargetKind { front, raid, mount }
