@@ -257,6 +257,13 @@ if grep -rnE --include='*.rs' \
   echo "found a per-layer copy of a write payload; share the PayloadBuf handle instead" >&2
   exit 1
 fi
+# The block queue merges adjacent writes into one disk command by handing
+# the disk every member's PayloadBuf as one PayloadChain; gluing the
+# members' bytes together instead would copy every merged write-back.
+if grep -nE 'extend_from_slice|to_vec\(\)|concat\(' crates/blockio/src/driver.rs; then
+  echo "crates/blockio/src/driver.rs copies payload bytes; chain the PayloadBuf parts instead" >&2
+  exit 1
+fi
 
 echo "== one pinned-memory type gate =="
 # trail-core's pinned memory is one crate-private sector-interval map

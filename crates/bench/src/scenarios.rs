@@ -2427,7 +2427,7 @@ fn run_campaign(
         CrashPoint {
             acked: o.acked,
             pending: o.pinned,
-            in_data_write: (probe.data_writes.iter()).any(|&(a, z)| a <= at && at < z),
+            in_data_write: (probe.data_writes.iter()).any(|w| w[0] <= at && at < w[w.len() - 1]),
             report: o.recovered.expect("the cut reboots into recovery"),
             violations: o.violations.len(),
         }

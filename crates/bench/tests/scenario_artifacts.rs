@@ -24,14 +24,14 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("table2", 843, 0x331655cd),
     ("table3", 144, 0x9e286b0d),
     ("track_util", 216, 0xc20e95d2),
-    ("replay_synthetic", 28149, 0xd22d2699),
-    ("overload_sweep", 2376, 0x99ae8331),
-    ("replay_tpcc", 12719, 0x0db18b11),
+    ("replay_synthetic", 28150, 0x6d29817c),
+    ("overload_sweep", 2378, 0x91e18b97),
+    ("replay_tpcc", 12694, 0x48c2b94b),
     ("replaystream", 556, 0x9c9d26b1),
     ("serve", 34753, 0x03fc4d0e),
-    ("serve_sweep", 34231, 0x6c782e2e),
-    ("raid", 9419, 0x9555a2a2),
-    ("recovery", 2879, 0xd096b4b3),
+    ("serve_sweep", 34231, 0x2bddf6cb),
+    ("raid", 9416, 0xcb552bc5),
+    ("recovery", 2884, 0xa553bc07),
 ];
 
 /// `(registry name, byte length, CRC-32)` of every `--quick`, seed-0
@@ -48,14 +48,14 @@ const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
     ("table2", 954, 0x2062655c),
     ("table3", 173, 0x64eca0e5),
     ("track_util", 227, 0xf488c33b),
-    ("replay_synthetic", 624, 0x2d7d1fad),
-    ("overload_sweep", 1347, 0x584355c4),
-    ("replay_tpcc", 428, 0x18b004d5),
+    ("replay_synthetic", 624, 0x9f3fea7a),
+    ("overload_sweep", 1347, 0xdeedde78),
+    ("replay_tpcc", 428, 0x917b69bb),
     ("replay_stream", 445, 0xbe4c8bca),
     ("serve_fleet", 1294, 0xede40060),
     ("serve_sweep", 1437, 0x7a1d91fc),
-    ("raid_sweep", 1252, 0x430fd52f),
-    ("crash_campaign", 1447, 0x1b660ed8),
+    ("raid_sweep", 1252, 0xa94d6423),
+    ("crash_campaign", 1447, 0x237efc42),
 ];
 
 /// What an artifact must show for the headline claim it backs to hold.

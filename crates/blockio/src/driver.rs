@@ -7,18 +7,46 @@
 //! callback fires — after paying full seek + rotational latency at the
 //! *target* address. It is also the building block Trail itself uses for
 //! its data disks (with [`Priority::ReadsFirst`]).
+//!
+//! # Merging adjacent writes
+//!
+//! Like the Linux elevator the paper measured against, the driver sends a
+//! write together with the queued writes that continue it, as **one** disk
+//! command: when it dispatches a write it takes the queued write that
+//! starts exactly at the command's current end, then the one at the new
+//! end, and so on, up to `MERGE_CAP_SECTORS`. A write is taken only if
+//! it overlaps no other queued request, read or write: it then commutes
+//! with every request it overtakes, so merging never changes what a read
+//! returns or what the medium ends up holding. The merge happens at
+//! dispatch, not at submission, because that is where ranges meet: a
+//! submitter that issues each range as soon as it can (Trail's
+//! write-backs) never sees two adjacent ones, but they wait side by side
+//! in a busy disk's queue. Each member keeps its own [`IoDone`], its own
+//! exact `Complete` breakdown (its queue wait is its latency less the
+//! command's service) and its own failure: an error on the command fails
+//! every member.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use trail_disk::{Disk, DiskCommand, DiskError, DiskGeometry, DiskResult, SECTOR_SIZE};
+use trail_disk::{
+    Disk, DiskCommand, DiskError, DiskGeometry, DiskResult, Lba, PayloadChain, SECTOR_SIZE,
+};
 use trail_sim::{Completion, Delivered, IoError, SimTime, Simulator};
 use trail_telemetry::{Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown};
 
 use crate::request::{IoDone, IoKind, IoRequest, RequestId};
 use crate::sched::{Clook, Priority, QueuedIo, Scheduler};
+
+/// The longest disk command a merge may build, in sectors. A write that
+/// is longer on its own is sent alone.
+const MERGE_CAP_SECTORS: u64 = 256;
+
+/// How many queued requests starting below a merge candidate the overlap
+/// guard looks at before it gives up and leaves the candidate queued.
+const OVERLAP_LOOKBACK: usize = 16;
 
 /// Aggregate driver measurements. Per-request latency is not kept here:
 /// each request's `Complete` event carries it, and a volume's
@@ -29,6 +57,8 @@ pub struct DriverStats {
     pub submitted: u64,
     /// Requests completed.
     pub completed: u64,
+    /// Disk commands issued: `completed / commands` is the merge ratio.
+    pub commands: u64,
     /// Largest queue depth observed at submission time.
     pub max_queue_depth: usize,
 }
@@ -40,6 +70,25 @@ struct Queued {
     done: Completion<IoDone>,
 }
 
+/// What one request of a dispatched command needs back at its completion.
+struct Member {
+    id: RequestId,
+    lba: Lba,
+    issued: SimTime,
+    done: Completion<IoDone>,
+}
+
+impl Member {
+    fn of(q: Queued) -> Member {
+        Member {
+            id: q.id,
+            lba: q.req.lba,
+            issued: q.issued,
+            done: q.done,
+        }
+    }
+}
+
 struct Inner {
     disk: Disk,
     // The disk's geometry, copied once: `Disk::geometry` clones three
@@ -47,10 +96,15 @@ struct Inner {
     geometry: DiskGeometry,
     scheduler: Box<dyn Scheduler>,
     priority: Priority,
-    // Queued requests keyed by arrival seq; the scheduler indexes the
-    // same seqs, so a dispatch is one O(log n) pop + one O(log n)
-    // removal here — no linear scans at any depth.
-    queue: BTreeMap<u64, Queued>,
+    // Queued requests keyed by address, `(first sector, arrival seq)`;
+    // the scheduler indexes the same keys, so a dispatch is one O(log n)
+    // pop + one O(log n) removal here, and a merge finds the write that
+    // continues a command, and checks it for overlap, with range queries
+    // — no linear scans at any depth.
+    queue: BTreeMap<(Lba, u64), Queued>,
+    // The longest request queued since the queue was last empty: nothing
+    // starting this far below a sector can cover it.
+    max_sectors: u64,
     in_flight: bool,
     next_id: u64,
     next_seq: u64,
@@ -101,6 +155,7 @@ impl StandardDriver {
                 scheduler,
                 priority,
                 queue: BTreeMap::new(),
+                max_sectors: 0,
                 in_flight: false,
                 next_id: 0,
                 next_seq: 0,
@@ -176,6 +231,7 @@ impl StandardDriver {
             d.next_id += 1;
             let seq = d.next_seq;
             d.next_seq += 1;
+            d.max_sectors = d.max_sectors.max(u64::from(sectors));
             let Inner {
                 scheduler,
                 geometry,
@@ -190,7 +246,7 @@ impl StandardDriver {
                 geometry,
             );
             d.queue.insert(
-                seq,
+                (req.lba, seq),
                 Queued {
                     id,
                     issued: sim.now(),
@@ -211,63 +267,79 @@ impl StandardDriver {
     }
 
     /// If the disk is idle and requests are queued, dispatches the next one
-    /// according to the priority policy and scheduler.
+    /// according to the priority policy and scheduler — a write together
+    /// with the queued writes that continue it (see the module docs).
     fn dispatch(&self, sim: &mut Simulator) {
-        let (disk, cmd, queued) = {
+        let (disk, cmd, head, merged) = {
             let mut d = self.inner.borrow_mut();
             if d.in_flight || d.queue.is_empty() {
                 return;
             }
-            let depth = d.queue.len() as u32;
             let reads_only = d.priority == Priority::ReadsFirst && d.scheduler.queued_reads() > 0;
-            let head = d.disk.head_position();
-            let seq = d.scheduler.pop(head, reads_only);
-            let mut queued = d
-                .queue
-                .remove(&seq)
-                .expect("scheduler popped a seq the queue does not hold");
-            // Move the payload handle into the command: nothing reads it
-            // from the queue entry after dispatch (a failure only needs
-            // `queued.done`), and moving keeps a payload with one owner at
-            // one owner — no reference count allocated.
+            let at = d.disk.head_position();
+            let next = d.scheduler.pop(at, reads_only);
+            let mut queued = d.take(sim.now(), (next.lba, next.seq));
+            // Move the payload handles into the command: nothing reads
+            // them from the queue entries after dispatch (a failure only
+            // needs the completions), and moving keeps a payload with one
+            // owner at one owner — no reference count allocated.
+            let mut merged = Vec::new();
             let cmd = match &mut queued.req.kind {
                 IoKind::Read { count } => DiskCommand::Read {
                     lba: queued.req.lba,
                     count: *count,
                 },
-                IoKind::Write { data } => DiskCommand::Write {
-                    lba: queued.req.lba,
-                    data: std::mem::take(data),
-                },
+                IoKind::Write { data } => {
+                    let mut chain = PayloadChain::from(std::mem::take(data));
+                    let mut end = queued.req.lba + (chain.len() / SECTOR_SIZE) as u64;
+                    let cap = queued.req.lba + MERGE_CAP_SECTORS;
+                    while let Some(seq) = d.next_in_chain(end, cap) {
+                        let mut next = d.take_merged(sim.now(), end, seq);
+                        let IoKind::Write { data } = &mut next.req.kind else {
+                            unreachable!("a chain takes writes only");
+                        };
+                        end += (data.len() / SECTOR_SIZE) as u64;
+                        chain.push(std::mem::take(data));
+                        merged.push(Member::of(next));
+                    }
+                    DiskCommand::Write {
+                        lba: queued.req.lba,
+                        data: chain,
+                    }
+                }
             };
+            if d.queue.is_empty() {
+                d.max_sectors = 0;
+            }
             d.in_flight = true;
-            d.lifecycle.dispatch(sim.now(), queued.id.0, depth);
-            (d.disk.clone(), cmd, queued)
+            d.stats.commands += 1;
+            (d.disk.clone(), cmd, Member::of(queued), merged)
         };
         let driver = self.clone();
         let disk_done = sim.completion(move |sim: &mut Simulator, res: Delivered<DiskResult>| {
-            let res = match res {
+            let mut res = match res {
                 Ok(res) => res,
-                Err(e) => return driver.on_failure(sim, queued.done, e),
+                Err(e) => return driver.on_failure(sim, head, merged, e),
             };
-            let done = IoDone {
-                id: queued.id,
-                lba: res.lba,
-                kind: res.kind,
-                data: res.data,
-                issued: queued.issued,
-                completed: res.completed,
-                breakdown: res.breakdown,
-            };
-            {
+            driver.inner.borrow_mut().in_flight = false;
+            for m in std::iter::once(head).chain(merged) {
+                let done = IoDone {
+                    id: m.id,
+                    lba: m.lba,
+                    kind: res.kind,
+                    data: res.data.take(),
+                    issued: m.issued,
+                    completed: res.completed,
+                    breakdown: res.breakdown,
+                };
                 let mut d = driver.inner.borrow_mut();
-                d.in_flight = false;
                 d.stats.completed += 1;
                 let lat = done.latency();
                 // The queue wait is the end-to-end latency minus the
-                // mechanical service time; both are integer-nanosecond
-                // differences of the same virtual clock, so the five
-                // components sum *exactly* to the end-to-end latency.
+                // command's mechanical service time; both are
+                // integer-nanosecond differences of the same virtual clock,
+                // so the five components sum *exactly* to the end-to-end
+                // latency of every member.
                 d.lifecycle.complete(
                     done.issued,
                     done.id.0,
@@ -280,8 +352,9 @@ impl StandardDriver {
                         total: lat,
                     },
                 );
+                drop(d);
+                m.done.complete(sim, done);
             }
-            queued.done.complete(sim, done);
             driver.dispatch(sim);
         });
         if let Err(e) = disk.submit(sim, cmd, disk_done) {
@@ -289,13 +362,13 @@ impl StandardDriver {
         }
     }
 
-    /// The disk failed the in-flight request with `e`. A transient error
-    /// fails that request alone and the queue moves on; a power cut or a
-    /// failed medium fails it and every queued request with the same
-    /// error — holding them would hang their submitters and, because
-    /// Trail's write-back completions hold the driver that owns this one,
-    /// keep a dead stack alive in an `Rc` cycle.
-    fn on_failure(&self, sim: &mut Simulator, in_flight: Completion<IoDone>, e: IoError) {
+    /// The disk failed the in-flight command with `e`, which fails each of
+    /// its requests. A transient error fails those alone and the queue
+    /// moves on; a power cut or a failed medium fails them and every
+    /// queued request with the same error — holding them would hang their
+    /// submitters and, because Trail's write-back completions hold the
+    /// driver that owns this one, keep a dead stack alive in an `Rc` cycle.
+    fn on_failure(&self, sim: &mut Simulator, head: Member, merged: Vec<Member>, e: IoError) {
         let queued = {
             let mut d = self.inner.borrow_mut();
             d.in_flight = false;
@@ -303,16 +376,76 @@ impl StandardDriver {
                 BTreeMap::new()
             } else {
                 d.scheduler.clear();
+                d.max_sectors = 0;
                 std::mem::take(&mut d.queue)
             }
         };
         for q in queued.into_values() {
             q.done.fail(sim, e);
         }
-        in_flight.fail(sim, e);
+        for m in std::iter::once(head).chain(merged) {
+            m.done.fail(sim, e);
+        }
         if e == IoError::Transient {
             self.dispatch(sim);
         }
+    }
+}
+
+impl Inner {
+    /// Takes the request queued under `key` out of the queue, for
+    /// dispatch, and records its `Dispatch` (with the depth before).
+    fn take(&mut self, now: SimTime, key: (Lba, u64)) -> Queued {
+        let depth = self.queue.len() as u32;
+        let q = self
+            .queue
+            .remove(&key)
+            .expect("the scheduler and the queue hold the same requests");
+        self.lifecycle.dispatch(now, q.id.0, depth);
+        q
+    }
+
+    /// Takes the write queued at `lba` under `seq` into the command being
+    /// dispatched: out of the scheduler's index too, since no pop
+    /// returned it.
+    fn take_merged(&mut self, now: SimTime, lba: Lba, seq: u64) -> Queued {
+        let q = QueuedIo {
+            lba,
+            is_read: false,
+            seq,
+        };
+        self.scheduler.remove(q, &self.geometry);
+        self.take(now, (lba, seq))
+    }
+
+    /// The seq of the queued write a command ending at `end` can take
+    /// next without growing past `cap`: the one request starting at `end`,
+    /// if it is a write that overlaps no other queued request. Both looks
+    /// are range queries on the queue, and the one below `end` stops after
+    /// [`OVERLAP_LOOKBACK`] requests.
+    fn next_in_chain(&self, end: Lba, cap: Lba) -> Option<u64> {
+        let reach = |start: Lba, q: &Queued| start + u64::from(q.req.kind.sectors());
+        let mut from_end = self.queue.range((end, 0)..);
+        let (&(start, seq), q) = from_end.next()?;
+        let stop = reach(start, q);
+        if start != end || stop > cap || q.req.kind.is_read() {
+            return None;
+        }
+        // Nothing else may start inside the candidate...
+        if from_end.next().is_some_and(|(&(next, _), _)| next < stop) {
+            return None;
+        }
+        // ...nor start below it and reach into it.
+        let mut below = self.queue.range(..(end, 0)).rev();
+        for _ in 0..OVERLAP_LOOKBACK {
+            match below.next() {
+                None => return Some(seq),
+                Some((&(start, _), _)) if start + self.max_sectors <= end => return Some(seq),
+                Some((&(start, _), q)) if reach(start, q) > end => return None,
+                Some(_) => {}
+            }
+        }
+        None
     }
 }
 
@@ -611,6 +744,145 @@ mod tests {
             }
         }
         assert!(saw_queueing, "some request must have waited in queue");
+    }
+
+    /// Each completed write's LBA and outcome, in completion order.
+    type Log = StdRc<StdRefCell<Vec<(u64, Result<(), IoError>)>>>;
+
+    /// Submits a write of `sectors` sectors of `byte` at `lba`, recording
+    /// `(lba, outcome)` at its completion.
+    fn submit_logged(
+        sim: &mut Simulator,
+        drv: &StandardDriver,
+        log: &Log,
+        lba: u64,
+        sectors: usize,
+        byte: u8,
+    ) {
+        let log = StdRc::clone(log);
+        let c = sim.completion(move |_, d: trail_sim::Delivered<IoDone>| {
+            log.borrow_mut().push((lba, d.map(|_| ())));
+        });
+        drv.submit(
+            sim,
+            IoRequest::write(lba, vec![byte; sectors * SECTOR_SIZE]),
+            c,
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn adjacent_queued_writes_go_as_one_command() {
+        use trail_telemetry::{EventKind, MemoryRecorder};
+
+        let (mut sim, drv) = setup();
+        let rec = MemoryRecorder::shared();
+        drv.set_recorder(rec.clone());
+        let log = StdRc::new(StdRefCell::new(Vec::new()));
+        // A far write keeps the disk busy while eight adjacent ones queue:
+        // the lowest first, the rest in scrambled order.
+        submit_logged(&mut sim, &drv, &log, 3000, 1, 0xEE);
+        let lbas = [100u64, 114, 102, 110, 106, 112, 104, 108];
+        for (i, &lba) in lbas.iter().enumerate() {
+            submit_logged(&mut sim, &drv, &log, lba, 2, i as u8 + 1);
+        }
+        sim.run();
+        drv.with_stats(|s| assert_eq!((s.completed, s.commands), (9, 2)));
+        drv.disk()
+            .with_stats(|s| assert_eq!((s.writes, s.sectors_written), (2, 17)));
+        // Every member completes once, in medium order, not submit order.
+        let got: Vec<u64> = log.borrow().iter().map(|&(lba, _)| lba).collect();
+        assert_eq!(got, [3000, 100, 102, 104, 106, 108, 110, 112, 114]);
+        assert!(log.borrow().iter().all(|(_, o)| o.is_ok()));
+        for (i, &lba) in lbas.iter().enumerate() {
+            for s in 0..2 {
+                assert_eq!(drv.disk().peek_sector(lba + s)[0], i as u8 + 1);
+            }
+        }
+        assert_eq!(rec.count_kind("Dispatch"), 9);
+        let mut completes = 0;
+        for e in rec.snapshot() {
+            if let EventKind::Complete { breakdown } = e.kind {
+                assert!(breakdown.is_exact(), "req {:?}", e.req);
+                completes += 1;
+            }
+        }
+        assert_eq!(completes, 9);
+    }
+
+    #[test]
+    fn a_write_overlapping_another_queued_request_is_not_merged() {
+        for overlap_read in [false, true] {
+            let (mut sim, drv) = setup();
+            let log = StdRc::new(StdRefCell::new(Vec::new()));
+            submit_logged(&mut sim, &drv, &log, 3000, 1, 0xEE);
+            submit_logged(&mut sim, &drv, &log, 100, 4, 1);
+            // Starts where the first ends, but an earlier-queued request
+            // covers its second sector: it must wait its turn.
+            if overlap_read {
+                let c = sim.completion(|_, d: trail_sim::Delivered<IoDone>| {
+                    assert_eq!(d.expect("read").data.expect("bytes")[0], 0);
+                });
+                drv.submit(&mut sim, IoRequest::read(105, 1), c).unwrap();
+            } else {
+                submit_logged(&mut sim, &drv, &log, 102, 4, 2);
+            }
+            submit_logged(&mut sim, &drv, &log, 104, 2, 3);
+            sim.run();
+            drv.with_stats(|s| assert_eq!(s.commands, 4, "no merge"));
+            assert_eq!(drv.disk().peek_sector(105)[0], 3, "arrival order");
+        }
+    }
+
+    #[test]
+    fn a_merge_stops_at_the_cap() {
+        let (mut sim, drv) = setup();
+        let log = StdRc::new(StdRefCell::new(Vec::new()));
+        submit_logged(&mut sim, &drv, &log, 3000, 1, 0xEE);
+        // 40 writes of 8 sectors, 320 in all: the first command takes the
+        // cap's worth, the second the rest.
+        assert_eq!(MERGE_CAP_SECTORS, 256);
+        for i in 0..40 {
+            submit_logged(&mut sim, &drv, &log, 8 * i, 8, 1);
+        }
+        sim.run();
+        drv.with_stats(|s| assert_eq!((s.completed, s.commands), (41, 3)));
+        drv.disk()
+            .with_stats(|s| assert_eq!(s.sectors_written, 1 + 320));
+    }
+
+    #[test]
+    fn a_failed_merged_command_fails_every_member_once() {
+        for cut in [false, true] {
+            let (mut sim, drv) = setup();
+            let log = StdRc::new(StdRefCell::new(Vec::new()));
+            submit_logged(&mut sim, &drv, &log, 3000, 1, 0xEE);
+            for i in 0..4 {
+                submit_logged(&mut sim, &drv, &log, 100 + 2 * i, 2, 1);
+            }
+            let want = if cut {
+                // Cut power once the merged command is on its way.
+                let disk = drv.disk();
+                sim.run_until(SimTime::ZERO + SimDuration::from_millis(1));
+                while drv.queue_depth() > 0 {
+                    assert!(sim.step());
+                }
+                disk.power_cut(sim.now());
+                IoError::PoweredOff
+            } else {
+                // The far write is in flight: the next command fails.
+                drv.disk().inject_transient_errors(1);
+                IoError::Transient
+            };
+            sim.run();
+            let log = log.borrow();
+            assert_eq!(log.len(), 5, "every completion delivered once");
+            assert_eq!(log[0], (3000, Ok(())));
+            for (k, &(lba, o)) in log[1..].iter().enumerate() {
+                assert_eq!((lba, o), (100 + 2 * k as u64, Err(want)));
+            }
+            drv.with_stats(|s| assert_eq!((s.completed, s.commands), (1, 2)));
+        }
     }
 
     #[test]

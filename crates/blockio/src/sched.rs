@@ -1,10 +1,14 @@
 //! Request-queue scheduling policies.
 //!
 //! The baseline "standard disk subsystem" (the paper's comparison point)
-//! uses a one-way elevator (C-LOOK), which is what Linux's block layer of
-//! the era effectively provided; FIFO is available for experiments that
-//! need strict arrival order. A separate [`Priority`] policy lets Trail's
-//! data-disk scheduling give reads precedence over write-backs (paper §4.3).
+//! uses a one-way elevator (C-LOOK) and merges a dispatched write with the
+//! queued writes that continue it into one disk command, which is what
+//! Linux's block layer of the era effectively provided; FIFO is available
+//! for experiments that need strict arrival order. A separate [`Priority`]
+//! policy lets Trail's data-disk scheduling give reads precedence over
+//! write-backs (paper §4.3). The merge itself is the driver's
+//! ([`StandardDriver`](crate::StandardDriver)); a scheduler only lets a
+//! merged request go with [`Scheduler::remove`].
 //!
 //! # Incremental dispatch
 //!
@@ -36,27 +40,36 @@ pub struct QueuedIo {
 /// Chooses which queued request a driver dispatches next.
 ///
 /// The driver mirrors its queue into the scheduler: every queued request
-/// is [`insert`]ed exactly once and leaves via exactly one [`pop`] (or a
-/// [`clear`] when the device fails). Implementations may keep any internal
-/// index they like; both built-ins use sorted sets for `O(log n)` picks.
+/// is [`insert`]ed exactly once and leaves via exactly one [`pop`], or one
+/// [`remove`] when the driver merges it into another request's command
+/// (or a [`clear`] when the device fails). Implementations may keep any
+/// internal index they like; both built-ins use sorted sets for
+/// `O(log n)` picks and removals.
 ///
 /// [`insert`]: Scheduler::insert
 /// [`pop`]: Scheduler::pop
+/// [`remove`]: Scheduler::remove
 /// [`clear`]: Scheduler::clear
 pub trait Scheduler: std::fmt::Debug {
     /// Indexes a newly queued request. `geometry` maps its LBA onto disk
     /// coordinates for position-aware policies.
     fn insert(&mut self, q: QueuedIo, geometry: &DiskGeometry);
 
-    /// Removes and returns the `seq` of the request to dispatch next.
-    /// When `reads_only` is set, only reads are candidates (the caller
+    /// Removes and returns the request to dispatch next. When
+    /// `reads_only` is set, only reads are candidates (the caller
     /// guarantees at least one read is queued).
     ///
     /// # Panics
     ///
     /// Implementations may panic when invoked with nothing queued (or
     /// with `reads_only` and no read queued).
-    fn pop(&mut self, head: HeadPosition, reads_only: bool) -> u64;
+    fn pop(&mut self, head: HeadPosition, reads_only: bool) -> QueuedIo;
+
+    /// Drops the indexed request `q` (the one [`insert`](Self::insert)ed
+    /// with the same fields) without dispatching it: the driver merged it
+    /// into the command of the request [`pop`](Self::pop) returned. The
+    /// dispatch order of the rest is unchanged.
+    fn remove(&mut self, q: QueuedIo, geometry: &DiskGeometry);
 
     /// Number of indexed reads.
     fn queued_reads(&self) -> usize;
@@ -82,32 +95,41 @@ fn min_opt<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
     }
 }
 
-/// First-in, first-out dispatch.
+/// First-in, first-out dispatch. Requests are indexed by `(seq, lba)`.
 #[derive(Clone, Debug, Default)]
 pub struct Fifo {
-    reads: BTreeSet<u64>,
-    writes: BTreeSet<u64>,
+    reads: BTreeSet<(u64, Lba)>,
+    writes: BTreeSet<(u64, Lba)>,
+}
+
+impl Fifo {
+    fn set(&mut self, is_read: bool) -> &mut BTreeSet<(u64, Lba)> {
+        if is_read {
+            &mut self.reads
+        } else {
+            &mut self.writes
+        }
+    }
 }
 
 impl Scheduler for Fifo {
     fn insert(&mut self, q: QueuedIo, _geometry: &DiskGeometry) {
-        if q.is_read {
-            self.reads.insert(q.seq);
-        } else {
-            self.writes.insert(q.seq);
-        }
+        self.set(q.is_read).insert((q.seq, q.lba));
     }
 
-    fn pop(&mut self, _head: HeadPosition, reads_only: bool) -> u64 {
+    fn pop(&mut self, _head: HeadPosition, reads_only: bool) -> QueuedIo {
         let r = self.reads.first().copied();
         let w = (!reads_only)
             .then(|| self.writes.first().copied())
             .flatten();
-        let seq = min_opt(r, w).expect("scheduler invoked with empty queue");
-        if !self.reads.remove(&seq) {
-            self.writes.remove(&seq);
-        }
-        seq
+        let (seq, lba) = min_opt(r, w).expect("scheduler invoked with empty queue");
+        let is_read = r == Some((seq, lba));
+        self.set(is_read).remove(&(seq, lba));
+        QueuedIo { lba, is_read, seq }
+    }
+
+    fn remove(&mut self, q: QueuedIo, _geometry: &DiskGeometry) {
+        self.set(q.is_read).remove(&(q.seq, q.lba));
     }
 
     fn queued_reads(&self) -> usize {
@@ -135,52 +157,66 @@ impl Scheduler for Fifo {
 /// farther out. Advancing the boundary guarantees each pending cylinder is
 /// visited at most one full sweep after its request arrives.
 ///
-/// Requests are indexed by `(cylinder, seq)` in sorted sets, so each pick
-/// is two range lookups (`O(log n)`), not a scan of the queue.
+/// Requests are indexed by `(cylinder, seq, lba)` in sorted sets, so each
+/// pick is two range lookups (`O(log n)`), not a scan of the queue.
 #[derive(Clone, Debug, Default)]
 pub struct Clook {
     /// Lowest cylinder the current sweep may still visit.
     sweep_from: u32,
-    reads: BTreeSet<(u32, u64)>,
-    writes: BTreeSet<(u32, u64)>,
+    reads: BTreeSet<(u32, u64, Lba)>,
+    writes: BTreeSet<(u32, u64, Lba)>,
 }
 
 impl Clook {
-    fn first_at_or_beyond(&self, bound: u32, reads_only: bool) -> Option<(u32, u64)> {
-        let r = self.reads.range((bound, 0)..).next().copied();
+    /// The cylinder a request at `lba` is indexed under.
+    fn cylinder(lba: Lba, geometry: &DiskGeometry) -> u32 {
+        geometry
+            .lba_to_chs(lba)
+            .map(|chs| chs.cylinder)
+            .unwrap_or(u32::MAX)
+    }
+
+    fn set(&mut self, is_read: bool) -> &mut BTreeSet<(u32, u64, Lba)> {
+        if is_read {
+            &mut self.reads
+        } else {
+            &mut self.writes
+        }
+    }
+
+    /// The first request at or beyond cylinder `bound`, and whether it is
+    /// a read.
+    fn first_at_or_beyond(&self, bound: u32, reads_only: bool) -> Option<((u32, u64, Lba), bool)> {
+        let r = self.reads.range((bound, 0, 0)..).next().copied();
         let w = (!reads_only)
-            .then(|| self.writes.range((bound, 0)..).next().copied())
+            .then(|| self.writes.range((bound, 0, 0)..).next().copied())
             .flatten();
-        min_opt(r, w)
+        min_opt(r, w).map(|key| (key, r == Some(key)))
     }
 }
 
 impl Scheduler for Clook {
     fn insert(&mut self, q: QueuedIo, geometry: &DiskGeometry) {
-        let cyl = geometry
-            .lba_to_chs(q.lba)
-            .map(|chs| chs.cylinder)
-            .unwrap_or(u32::MAX);
-        if q.is_read {
-            self.reads.insert((cyl, q.seq));
-        } else {
-            self.writes.insert((cyl, q.seq));
-        }
+        let cyl = Self::cylinder(q.lba, geometry);
+        self.set(q.is_read).insert((cyl, q.seq, q.lba));
     }
 
-    fn pop(&mut self, head: HeadPosition, reads_only: bool) -> u64 {
+    fn pop(&mut self, head: HeadPosition, reads_only: bool) -> QueuedIo {
         // The arm may have been moved under us (e.g. by another dispatch
         // path), so the sweep never lags behind the physical head.
         let from = self.sweep_from.max(head.cylinder);
-        let (cyl, seq) = self
+        let ((cyl, seq, lba), is_read) = self
             .first_at_or_beyond(from, reads_only)
             .or_else(|| self.first_at_or_beyond(0, reads_only))
             .expect("scheduler invoked with empty queue");
         self.sweep_from = cyl.saturating_add(1);
-        if !self.reads.remove(&(cyl, seq)) {
-            self.writes.remove(&(cyl, seq));
-        }
-        seq
+        self.set(is_read).remove(&(cyl, seq, lba));
+        QueuedIo { lba, is_read, seq }
+    }
+
+    fn remove(&mut self, q: QueuedIo, geometry: &DiskGeometry) {
+        let cyl = Self::cylinder(q.lba, geometry);
+        self.set(q.is_read).remove(&(cyl, q.seq, q.lba));
     }
 
     fn queued_reads(&self) -> usize {
@@ -257,8 +293,8 @@ mod tests {
         let queue = vec![q(500, false, 2), q(10, true, 0), q(90, false, 1)];
         let mut s = Fifo::default();
         load(&mut s, &g, &queue);
-        assert_eq!(s.pop(HeadPosition::default(), false), 0);
-        assert_eq!(s.pop(HeadPosition::default(), false), 1);
+        assert_eq!(s.pop(HeadPosition::default(), false).seq, 0);
+        assert_eq!(s.pop(HeadPosition::default(), false).seq, 1);
         assert_eq!(s.len(), 1);
     }
 
@@ -274,13 +310,13 @@ mod tests {
         };
         let mut s = Clook::default();
         load(&mut s, &g, &queue);
-        assert_eq!(s.pop(head, false), 1, "cylinder 5 is nearest ahead");
+        assert_eq!(s.pop(head, false).seq, 1, "cylinder 5 is nearest ahead");
         // Head beyond all requests: wrap to the lowest cylinder.
         let head = HeadPosition {
             cylinder: 20,
             head: 0,
         };
-        assert_eq!(s.pop(head, false), 0);
+        assert_eq!(s.pop(head, false).seq, 0);
     }
 
     #[test]
@@ -289,7 +325,7 @@ mod tests {
         let mut s = Clook::default();
         load(&mut s, &g, &[q(81, false, 5), q(80, false, 3)]);
         // Same cylinder (1): earlier arrival wins.
-        assert_eq!(s.pop(HeadPosition::default(), false), 3);
+        assert_eq!(s.pop(HeadPosition::default(), false).seq, 3);
     }
 
     #[test]
@@ -298,10 +334,26 @@ mod tests {
         let mut s = Clook::default();
         load(&mut s, &g, &[q(1, false, 0), q(2000, true, 1)]);
         assert_eq!(s.queued_reads(), 1);
-        assert_eq!(s.pop(HeadPosition::default(), true), 1);
+        assert_eq!(s.pop(HeadPosition::default(), true).seq, 1);
         assert_eq!(s.queued_reads(), 0);
-        assert_eq!(s.pop(HeadPosition::default(), false), 0);
+        assert_eq!(s.pop(HeadPosition::default(), false).seq, 0);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn remove_drops_one_request_and_keeps_the_order_of_the_rest() {
+        let g = profiles::tiny_test_disk().geometry;
+        let queue = [q(80, false, 0), q(400, false, 1), q(800, true, 2)];
+        let mut clook = Clook::default();
+        let mut fifo = Fifo::default();
+        for s in [&mut clook as &mut dyn Scheduler, &mut fifo] {
+            load(s, &g, &queue);
+            s.remove(queue[1], &g);
+            assert_eq!(s.len(), 2);
+            assert_eq!(s.pop(HeadPosition::default(), false).seq, 0);
+            assert_eq!(s.pop(HeadPosition::default(), false).seq, 2);
+            assert!(s.is_empty());
+        }
     }
 
     #[test]

@@ -301,7 +301,7 @@ fn assert_order_equivalent(
                 let expected = cand_views[ref_pick(&cand_views, head)].seq;
                 // Indexed formulation: filtered range queries.
                 let reads_only = priority == Priority::ReadsFirst && indexed.queued_reads() > 0;
-                let got = indexed.pop(head, reads_only);
+                let got = indexed.pop(head, reads_only).seq;
                 prop_assert_eq!(got, expected);
                 model.retain(|q| q.seq != expected);
             }

@@ -20,7 +20,7 @@ use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle};
 
 use crate::geometry::{DiskGeometry, Lba, SECTOR_SIZE};
 use crate::mechanics::{CommandKind, HeadPosition, MechanicalModel, ServiceBreakdown};
-use crate::payload::PayloadBuf;
+use crate::payload::PayloadChain;
 use crate::store::{ImagePool, PoolStats, SectorBuf, SectorStore};
 
 /// A command submitted to a disk.
@@ -37,8 +37,9 @@ pub enum DiskCommand {
     Write {
         /// First sector.
         lba: Lba,
-        /// Sector-aligned payload.
-        data: PayloadBuf,
+        /// The payload: one or more parts, each a whole number of
+        /// sectors, laid end to end from `lba`.
+        data: PayloadChain,
     },
     /// Move the arm to the track containing `lba` without transferring.
     Seek {
@@ -181,13 +182,31 @@ impl std::ops::AddAssign for MediumStats {
     }
 }
 
-/// The in-flight write's payload handle, staged whole (moved from the
-/// command; the bytes are copied once, onto the medium) with per-sector media-completion instants so a power cut
-/// can persist exactly the sectors already on the medium.
+/// The in-flight write's payload handles, staged whole (moved from the
+/// command; the bytes are copied once, onto the medium) with per-sector
+/// media-completion instants so a power cut can persist exactly the
+/// sectors already on the medium.
 struct StagedWrite {
     lba: Lba,
-    data: PayloadBuf,
+    data: PayloadChain,
     sector_done: Vec<SimTime>,
+}
+
+impl StagedWrite {
+    /// Puts the payload's first `sectors` sectors on the medium, part by
+    /// part: a power cut's prefix may end inside any part.
+    fn persist(&self, store: &mut SectorStore, sectors: usize) {
+        let (mut lba, mut left) = (self.lba, sectors * SECTOR_SIZE);
+        for part in self.data.parts() {
+            let n = part.len().min(left);
+            if n == 0 {
+                break;
+            }
+            store.write_range(lba, &part[..n]);
+            lba += (n / SECTOR_SIZE) as Lba;
+            left -= n;
+        }
+    }
 }
 
 struct DiskInner {
@@ -412,7 +431,10 @@ impl Disk {
                         .ok_or(DiskError::OutOfRange)?
                 }
                 DiskCommand::Write { lba, data } => {
-                    if data.is_empty() || data.len() % SECTOR_SIZE != 0 {
+                    if data
+                        .parts()
+                        .any(|p| p.is_empty() || p.len() % SECTOR_SIZE != 0)
+                    {
                         return Err(DiskError::BadDataLength);
                     }
                     let count = (data.len() / SECTOR_SIZE) as u32;
@@ -509,7 +531,7 @@ impl Disk {
                 }
                 // Persist the staged write (all sectors transferred by now).
                 if let Some(w) = d.in_flight.take() {
-                    d.store.write_range(w.lba, &w.data);
+                    w.persist(&mut d.store, w.sector_done.len());
                 }
                 let data = if kind == CommandKind::Read {
                     Some(d.store.read_range(lba, count))
@@ -589,7 +611,7 @@ impl Disk {
             // prefix of the staged payload.
             debug_assert!(w.sector_done.is_sorted());
             let landed = w.sector_done.iter().take_while(|&&at| at <= now).count();
-            d.store.write_range(w.lba, &w.data[..landed * SECTOR_SIZE]);
+            w.persist(&mut d.store, landed);
         }
         if d.busy {
             d.busy = false;
@@ -797,6 +819,7 @@ impl fmt::Debug for Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::PayloadBuf;
     use crate::profiles;
     use std::cell::Cell;
 
@@ -804,7 +827,11 @@ mod tests {
         (Simulator::new(), Disk::new("t", profiles::tiny_test_disk()))
     }
 
-    fn write_buf(byte: u8, sectors: usize) -> PayloadBuf {
+    fn write_buf(byte: u8, sectors: usize) -> PayloadChain {
+        write_buf_part(byte, sectors).into()
+    }
+
+    fn write_buf_part(byte: u8, sectors: usize) -> PayloadBuf {
         vec![byte; sectors * SECTOR_SIZE].into()
     }
 
@@ -832,7 +859,7 @@ mod tests {
         )
         .unwrap();
         sim.run();
-        assert_eq!(got.borrow().as_deref(), Some(&write_buf(0x5A, 2)[..]));
+        assert_eq!(got.borrow().as_deref(), Some(&[0x5A; 2 * SECTOR_SIZE][..]));
     }
 
     #[test]
@@ -1053,7 +1080,7 @@ mod tests {
         // the rest of one page and stops four entries into the next.
         let (mut sim, disk) = setup();
         let token = sim.completion(|_, _: Delivered<DiskResult>| {});
-        let data: PayloadBuf = (0..24 * SECTOR_SIZE)
+        let data: PayloadChain = (0..24 * SECTOR_SIZE)
             .map(|i| 1 + (i / SECTOR_SIZE) as u8)
             .collect::<Vec<u8>>()
             .into();
@@ -1075,6 +1102,74 @@ mod tests {
             assert_eq!(disk.peek_sector(lba), want, "lba {lba}");
         }
         assert_eq!(disk.medium_stats().written_sectors, 12);
+    }
+
+    #[test]
+    fn a_chained_write_lands_its_parts_end_to_end_and_a_cut_tears_across_them() {
+        // Parts of 3, 5 and 4 sectors from LBA 8. Whole, they land end to
+        // end; cut after 6 sectors, the prefix ends inside the second part.
+        let chain = || {
+            let mut data = PayloadChain::from(write_buf_part(1, 3));
+            data.push(write_buf_part(2, 5));
+            data.push(write_buf_part(3, 4));
+            data
+        };
+        let want = |lba: u64, landed: u64| match lba {
+            8..=10 if lba < 8 + landed => 1,
+            11..=15 if lba < 8 + landed => 2,
+            16..=19 if lba < 8 + landed => 3,
+            _ => 0,
+        };
+        let (mut sim, disk) = setup();
+        let token = sim.completion(|_, d: Delivered<DiskResult>| assert!(d.is_ok()));
+        disk.submit(
+            &mut sim,
+            DiskCommand::Write {
+                lba: 8,
+                data: chain(),
+            },
+            token,
+        )
+        .unwrap();
+        sim.run();
+        for lba in 0..24u64 {
+            assert_eq!(disk.peek_sector(lba)[0], want(lba, 12), "lba {lba}");
+        }
+        disk.with_stats(|s| assert_eq!((s.writes, s.sectors_written), (1, 12)));
+
+        let (mut sim, disk) = setup();
+        let token = sim.completion(|_, _: Delivered<DiskResult>| {});
+        disk.submit(
+            &mut sim,
+            DiskCommand::Write {
+                lba: 8,
+                data: chain(),
+            },
+            token,
+        )
+        .unwrap();
+        let mech = disk.mechanics();
+        let g = disk.geometry();
+        let t0 = SimTime::ZERO + mech.overhead(CommandKind::Write, false);
+        let rot = mech.time_until_angle(t0, g.sector_angle(0, 8));
+        sim.run_until(t0 + rot + mech.sector_time(g.spt_of_track(0)) * 6);
+        disk.power_cut(sim.now());
+        sim.run();
+        for lba in 0..24u64 {
+            assert_eq!(disk.peek_sector(lba)[0], want(lba, 6), "lba {lba}");
+        }
+    }
+
+    #[test]
+    fn a_chain_with_a_ragged_part_is_rejected() {
+        let (mut sim, disk) = setup();
+        let mut data = PayloadChain::from(write_buf_part(1, 2));
+        data.push(vec![2u8; SECTOR_SIZE + 1].into());
+        let token = sim.completion(|_, _: Delivered<DiskResult>| {});
+        assert_eq!(
+            disk.submit(&mut sim, DiskCommand::Write { lba: 0, data }, token),
+            Err(DiskError::BadDataLength)
+        );
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   persistence, statistics, and **power-failure injection** (a crash
 //!   persists exactly the sectors already transferred);
 //! - [`PayloadBuf`]: the immutable, shareable buffer a write's bytes
-//!   travel in, from the layer that accepts them to the medium;
+//!   travel in, from the layer that accepts them to the medium, and
+//!   [`PayloadChain`], the parts of one write command laid end to end;
 //! - [`profiles`]: drive profiles calibrated to the paper's testbed
 //!   (Seagate ST41601N log disk, WD Caviar data disks);
 //! - [`crash`]: the crash oracle every layer above checks power cuts
@@ -60,5 +61,5 @@ pub use geometry::{Chs, DiskGeometry, Lba, TrackRun, Zone, SECTOR_SIZE};
 pub use mechanics::{
     CommandKind, HeadPosition, MechanicalModel, SeekModel, ServiceBreakdown, ServicePlan,
 };
-pub use payload::PayloadBuf;
+pub use payload::{PayloadBuf, PayloadChain};
 pub use store::{ImagePool, PoolStats, SectorBuf, SectorStore};

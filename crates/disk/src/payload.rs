@@ -148,6 +148,67 @@ impl Deref for PayloadBuf {
     }
 }
 
+/// A write command's payload: [`PayloadBuf`] parts laid end to end on the
+/// medium. A block queue that merges adjacent queued writes into one disk
+/// command hands the disk each member's handle as it is, so no byte is
+/// copied to build the command; a write of one part (every write nothing
+/// merged into) allocates nothing beyond that part.
+///
+/// # Examples
+///
+/// ```
+/// use trail_disk::{PayloadChain, SECTOR_SIZE};
+///
+/// let mut chain = PayloadChain::from(vec![1u8; 2 * SECTOR_SIZE]);
+/// chain.push(vec![2u8; SECTOR_SIZE].into());
+/// assert_eq!(chain.len(), 3 * SECTOR_SIZE);
+/// assert_eq!(chain.parts().count(), 2);
+/// ```
+#[derive(Debug, Default)]
+pub struct PayloadChain {
+    first: PayloadBuf,
+    rest: Vec<PayloadBuf>,
+}
+
+impl PayloadChain {
+    /// Appends `part`, to land right after the parts before it.
+    pub fn push(&mut self, part: PayloadBuf) {
+        self.rest.push(part);
+    }
+
+    /// The parts, in medium order.
+    pub fn parts(&self) -> impl Iterator<Item = &PayloadBuf> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    /// Total length in bytes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.parts().map(|p| p.len()).sum()
+    }
+
+    /// Whether the chain holds no byte.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl From<PayloadBuf> for PayloadChain {
+    fn from(first: PayloadBuf) -> Self {
+        PayloadChain {
+            first,
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl From<Vec<u8>> for PayloadChain {
+    fn from(bytes: Vec<u8>) -> Self {
+        PayloadBuf::from(bytes).into()
+    }
+}
+
 // The bytes themselves would drown every `{:?}` of a command or request.
 impl fmt::Debug for PayloadBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

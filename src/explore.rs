@@ -59,10 +59,18 @@ pub struct Outcome {
     pub injected_errors: u64,
     /// Operations the RAID volumes retried.
     pub retried_ops: u64,
+    /// Requests the data disks' queues took, and the disk commands they
+    /// went out in (before any reboot): fewer commands than requests means
+    /// the queues merged adjacent writes.
+    pub requests: u64,
+    /// See [`requests`](Self::requests).
+    pub commands: u64,
     /// Every instant a cut of this run can crash at ([`cut_instants`]).
     pub cuts: Vec<SimDuration>,
-    /// First and last sector landing of each data-disk write.
-    pub data_writes: Vec<(SimDuration, SimDuration)>,
+    /// When each sector of each data-disk write command lands, one list
+    /// per command: a write-back the block queue merged from several
+    /// requests is one list.
+    pub data_writes: Vec<Vec<SimDuration>>,
     /// One line per broken rule.
     pub violations: Vec<String>,
 }
@@ -139,9 +147,15 @@ pub fn run(builder: &StackBuilder, writes: &[TimedWrite], plan: &FaultPlan) -> O
         events: built.sim.events_executed(),
         fired: built.fault_clock.fired(),
         retried_ops: built.volumes.iter().map(retried).sum(),
+        requests: (built.drivers.iter())
+            .map(|d| d.with_stats(|s| s.submitted))
+            .sum(),
+        commands: (built.drivers.iter())
+            .map(|d| d.with_stats(|s| s.commands))
+            .sum(),
         cuts: cuts.into_iter().map(since).collect(),
         data_writes: (built.data_disks.iter().flat_map(Disk::landings))
-            .map(|cmd| (since(cmd[0]), since(cmd[cmd.len() - 1])))
+            .map(|cmd| cmd.into_iter().map(since).collect())
             .collect(),
         ..Outcome::default()
     };

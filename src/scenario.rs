@@ -133,6 +133,7 @@ impl Scenario {
         let (mut old_logs, mut old_data) = (logs.into_iter(), data.into_iter());
         let mut sim = Simulator::new();
         let mut data_disks: Vec<Disk> = Vec::new();
+        let mut drivers: Vec<StandardDriver> = Vec::new();
         let mut volumes: Vec<RaidVolume> = Vec::new();
         let priority = match self.shape.front {
             Front::Standard => Priority::None,
@@ -144,7 +145,9 @@ impl Scenario {
                 let d = (old_data.next())
                     .unwrap_or_else(|| Disk::in_pool(name, self.data_profile.clone(), &pool));
                 data_disks.push(d.clone());
-                StandardDriver::with_policy(d, Box::new(Clook::default()), priority)
+                let drv = StandardDriver::with_policy(d, Box::new(Clook::default()), priority);
+                drivers.push(drv.clone());
+                drv
             };
             (0..self.data_disks)
                 .map(|dev| match self.shape.raid {
@@ -222,6 +225,7 @@ impl Scenario {
         Ok(BuiltStack {
             sim,
             data_disks,
+            drivers,
             log_disk: trail.as_ref().map(TrailDriver::log_disk),
             log_disks,
             trail,
@@ -415,6 +419,11 @@ pub struct BuiltStack {
     pub sim: Simulator,
     /// The data disks, in device order.
     pub data_disks: Vec<Disk>,
+    /// The queueing driver over each of [`data_disks`](Self::data_disks),
+    /// in the same order (a RAID member's included): its
+    /// [`DriverStats`](trail_blockio::DriverStats) count the requests and
+    /// the disk commands they went out in.
+    pub drivers: Vec<StandardDriver>,
     /// `log_disks[0]` when the stack runs a single-log Trail.
     pub log_disk: Option<Disk>,
     /// All log disks, in instance order (one under [`Front::Trail`],

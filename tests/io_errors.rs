@@ -26,16 +26,24 @@ const STACKS: [&str; 5] = [
     "standard,disks=2,tiny",
 ];
 
-/// Write `i` has 1–4 sectors at LBA 64 + 16·i of device `i % devices`, and
-/// is submitted `i · GAP_US` into the run: no two writes overlap.
+/// Write `i` has 1–4 sectors on device `i % devices`, right after the
+/// previous write to that device (device `d`'s first at LBA 64 + 16·d,
+/// where the first writes have always been), and is submitted
+/// `i · GAP_US` into the run: no two writes overlap, and writes that queue
+/// together at a data disk go out as one merged command.
 fn workload(builder: &StackBuilder) -> Vec<TimedWrite> {
     let devices = builder.scenario().data_disks;
+    let mut next: Vec<u64> = (0..devices as u64).map(|d| 64 + 16 * d).collect();
     (0..WRITES)
-        .map(|i| TimedWrite {
-            at: SimDuration::from_micros(GAP_US * i as u64),
-            dev: i % devices,
-            lba: 64 + 16 * i as u64,
-            sectors: 1 + i as u64 % 4,
+        .map(|i| {
+            let (dev, sectors) = (i % devices, 1 + i as u64 % 4);
+            next[dev] += sectors;
+            TimedWrite {
+                at: SimDuration::from_micros(GAP_US * i as u64),
+                dev,
+                lba: next[dev] - sectors,
+                sectors,
+            }
         })
         .collect()
 }
@@ -72,6 +80,29 @@ fn every_stack_delivers_each_injected_error_or_heals_from_it() {
             );
         }
     }
+}
+
+/// The corpus line whose error lands on a write-back that data0's queue
+/// merged from four.
+const MERGED_WRITEBACK_ERROR: &str = "trail,disks=2,tiny @19000000 data0 err*1";
+
+#[test]
+fn a_transient_error_on_a_merged_write_back_reissues_each_member_once() {
+    let corpus = include_str!("data/fault_plans.txt");
+    assert!(corpus.lines().any(|l| l == MERGED_WRITEBACK_ERROR));
+    let (spec, plan) = MERGED_WRITEBACK_ERROR.split_once(' ').expect("a line");
+    let builder: StackBuilder = spec.parse().expect("stack parses");
+    let writes = workload(&builder);
+    let clean = explore::run(&builder, &writes, &FaultPlan::new());
+    assert!(clean.commands < clean.requests, "the write-backs merge");
+    let o = explore::run(&builder, &writes, &plan.parse().expect("plan parses"));
+    assert!(o.violations.is_empty(), "{:#?}", o.violations);
+    assert_eq!(o.injected_errors, 1);
+    // The command's four write-backs were each delivered the error once
+    // and issued again once; every sector landed.
+    assert_eq!(o.requests - clean.requests, 4);
+    assert_eq!(o.pinned, 0);
+    assert!(o.delivered.iter().all(|d| *d == Some(Ok(()))));
 }
 
 #[test]
