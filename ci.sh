@@ -241,8 +241,9 @@ echo "== payload-path gate =="
 # to_vec, the db's second copy of every evicted page — must not come back.
 # (benchmark/check.sh below is what notices if the conversion breaks an
 # API the benchmark compiles against.) Trail's write-back takes its bytes
-# from PinnedMap::start_writeback, which hands out a handle to the pinned
-# range's buffer.
+# from PinnedMap::start_writeback, which hands out a second handle to the
+# pinned range's payload: the write interned in the log disk's image pool
+# when its record landed, so the data disk stores it by reference.
 writeback="$(awk '/fn start_writeback\(/ { on = 1 } on { print } on && /^    }$/ { exit }' \
   crates/core/src/pinned.rs)"
 [ -n "$writeback" ] \
@@ -508,6 +509,23 @@ peak_rss_mb() { grep -o 'VmHWM [0-9.]* MB' <<<"$1" | tail -1 | grep -o '[0-9.]*'
 hwm="$(peak_rss_mb "$stream_out")"
 [ -n "$hwm" ] && awk -v m="$hwm" 'BEGIN { exit !(m <= 287) }' \
   || { echo "streaming replay peak RSS '${hwm}' MB missing or above 287 MB" >&2; exit 1; }
+
+echo "== write-back backlog gate (10^5 records offered faster than Trail retires them) =="
+# A 10 ms mean gap over two data disks offers more writes than their
+# write-backs retire, so the pinned backlog grows for the whole replay.
+# A pinned range is the write interned in the log disk's image pool, a
+# few bytes a sector beside its log copy's body; a pinned copy of every
+# write's bytes shows here at once (measured 54.0 MB; 235 MB while the
+# pinned range was the caller's buffer). The gate is the measurement
+# + 25 %.
+trace_tool generate --out "$smoke_dir/backlog.trace" \
+  --requests 100000 --devices 2 --streams 4 --mean-iat-us 10000 \
+  --seed 42 >/dev/null
+backlog_out="$(trace_tool replay "$smoke_dir/backlog.trace" --target trail \
+  --out-dir "$smoke_dir/backlog")"
+hwm="$(peak_rss_mb "$backlog_out")"
+[ -n "$hwm" ] && awk -v m="$hwm" 'BEGIN { exit !(m <= 68) }' \
+  || { echo "write-back backlog replay peak RSS '${hwm}' MB missing or above 68 MB" >&2; exit 1; }
 
 echo "== compressed + sharded replay gate (delta <= 60%, thread-count byte-identity) =="
 # Delta-compress the million-record trace and require the promised

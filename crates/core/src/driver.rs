@@ -35,8 +35,8 @@ use trail_blockio::{
     Clook, IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver, TapHandle,
 };
 use trail_disk::{
-    CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, Lba, PayloadBuf, ServiceBreakdown,
-    SECTOR_SIZE,
+    CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, ImagePool, Lba, PayloadBuf,
+    ServiceBreakdown, SECTOR_SIZE,
 };
 use trail_sim::{
     Completion, Delivered, DurationHistogram, EventId, IoError, SimDuration, SimTime, Simulator,
@@ -73,6 +73,9 @@ pub struct TrailStats {
     /// Fraction of each retired track's sectors that were used, sampled at
     /// track-switch time (the §5.2 utilization statistic).
     pub track_utilization: Vec<f64>,
+    /// The most sectors pinned at once, awaiting write-back (see
+    /// [`TrailDriver::pinned_sectors`]).
+    pub peak_pinned_sectors: u64,
     /// Reads served from pinned buffer memory: every sector pinned.
     pub read_hits: u64,
     /// Reads forwarded to the data disks.
@@ -265,6 +268,9 @@ struct Inner {
     /// The header this instance mounted under (its epoch, not clean).
     header: LogDiskHeader,
     log_disk: Disk,
+    /// The pool the log disk keeps its records in, which every landed
+    /// write's payload is interned into.
+    log_pool: ImagePool,
     data: Vec<SharedBlockDevice>,
     data_capacity: Vec<u64>,
     geometry: DiskGeometry,
@@ -460,6 +466,7 @@ impl TrailDriver {
                 config,
                 effective_max_batch,
                 header: new_header,
+                log_pool: log_disk.pool(),
                 log_disk,
                 data: targets,
                 data_capacity,
@@ -545,6 +552,11 @@ impl TrailDriver {
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
         let mut data = data.into();
+        if data.as_bytes().is_none() {
+            // The record is built from the bytes, and a queued write holds
+            // them until it lands.
+            data = data.to_vec().into();
+        }
         {
             let mut d = self.inner.borrow_mut();
             if dev >= d.data.len() {
@@ -569,8 +581,7 @@ impl TrailDriver {
                 lba,
             }));
             if sectors <= chunk {
-                // Fits one record: the caller's buffer is queued as is and
-                // later becomes the pinned block.
+                // Fits one record: the caller's buffer is queued as is.
                 d.log_queue.push_back(QueuedWrite {
                     dev: dev as u8,
                     lba,
@@ -786,6 +797,11 @@ impl TrailDriver {
         self.inner.borrow().pinned.len()
     }
 
+    /// Number of sectors pinned in buffer memory, awaiting write-back.
+    pub fn pinned_sectors(&self) -> u64 {
+        self.inner.borrow().pinned.sectors()
+    }
+
     /// `true` while the log disk is out of free tracks and writes queue.
     pub fn is_stalled(&self) -> bool {
         self.inner.borrow().stalled
@@ -921,7 +937,7 @@ impl TrailDriver {
                 data_major: w.dev,
                 data_minor: 0,
                 data_lba: w.lba as u32,
-                data: &w.data,
+                data: w.data.as_bytes().expect("a queued write holds its bytes"),
             })
             .collect();
         let (_, bytes) = build_record(
@@ -984,8 +1000,11 @@ impl TrailDriver {
                     header_lba,
                 },
             );
-            for w in ctx.batch {
-                // The queued buffer itself becomes the pinned range.
+            for mut w in ctx.batch {
+                // The pinned range is the payload interned where the record
+                // just landed: each sector shares its log copy's body, and
+                // the queued buffer goes with its last handle.
+                w.data.intern(&d.log_pool);
                 if d.pinned.log(w.dev, w.lba, w.data, ctx.seq, &mut writebacks) {
                     d.stats.overlapping_writes += 1;
                 }
@@ -1024,6 +1043,7 @@ impl TrailDriver {
                     acks.push((done_c, done));
                 }
             }
+            d.stats.peak_pinned_sectors = d.stats.peak_pinned_sectors.max(d.pinned.sectors());
             d.log_busy = false;
             let cur = d.current.as_ref().expect("still current");
             reposition_next = d.config.reposition_every_write
@@ -1431,6 +1451,7 @@ mod tests {
         let mut sim = Simulator::new();
         let log = Disk::new("log", profiles::tiny_test_disk());
         format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
+        let pool = log.pool();
         let target = Rc::new(HoldingTarget::default());
         let (drv, _) = TrailDriver::start_with_targets(
             &mut sim,
@@ -1440,64 +1461,114 @@ mod tests {
         )
         .expect("boot");
         let lba = 64;
-        let block = 8 * SECTOR_SIZE;
-        let write = |sim: &mut Simulator, fill: u8| {
-            let buf = vec![fill; block];
-            let at = buf.as_ptr();
-            let done = sim.completion(|_, d: Delivered<IoDone>| drop(d.expect("durable")));
-            drv.write(sim, 0, lba, buf, done).expect("accepted");
-            sim.run();
-            at
+        // Eight sectors with distinct bodies, so each is one image.
+        let version = |fill: u8| -> Vec<u8> {
+            (0..8 * SECTOR_SIZE)
+                .map(|i| fill.wrapping_add((i / SECTOR_SIZE) as u8))
+                .collect()
         };
-        // What the map pins at `lba`, compared against a held request.
-        let pinned_is = |req: &IoRequest| {
-            let IoKind::Write { data } = &req.kind else {
+        let full_slots = || {
+            let s = pool.stats();
+            s.distinct_sectors - s.short_images - s.alias_images
+        };
+        let write = |sim: &mut Simulator, fill: u8| {
+            let done = sim.completion(|_, d: Delivered<IoDone>| drop(d.expect("durable")));
+            drv.write(sim, 0, lba, version(fill), done)
+                .expect("accepted");
+            sim.run();
+        };
+        // Whether the map's pinned range at `lba` is a held request's
+        // payload, and what that payload reads.
+        let queued = |i: usize| {
+            let held = target.held.borrow();
+            let IoKind::Write { data } = &held[i].0.kind else {
                 unreachable!("only writes are held")
             };
             let d = drv.inner.borrow();
             let pinned = d.pinned.data_at(0, lba).expect("pinned");
-            (pinned.ptr_eq(data), pinned.as_ptr() == data.as_ptr())
+            assert!(
+                pinned.as_bytes().is_none(),
+                "a landed range lives in the pool"
+            );
+            (pinned.ptr_eq(data), data.to_vec())
         };
 
-        // Acknowledged, write-back queued: the caller's allocation is the
-        // pinned block *and* the queued request.
-        let first_at = write(&mut sim, 0xA1);
+        // Acknowledged, write-back queued: the pinned range and the queued
+        // request are one handle, and pinning added aliases of the log
+        // copies' bodies, not a full slot of its own.
+        let before = (full_slots(), pool.stats().alias_images);
+        write(&mut sim, 0xA1);
         assert_eq!(target.pending(), 1);
-        assert_eq!(pinned_is(&target.held.borrow()[0].0), (true, true));
+        assert_eq!(queued(0), (true, version(0xA1)));
+        assert_eq!(drv.pinned_sectors(), 8);
+        let record = full_slots() - before.0;
         assert_eq!(
-            drv.inner.borrow().pinned.data_at(0, lba).unwrap().as_ptr(),
-            first_at
+            (record, pool.stats().alias_images - before.1),
+            (8, 8),
+            "the log copies take the eight full slots, the pinned sectors alias them"
         );
 
         // Overwritten while that write-back is still queued: the map's
         // handle is replaced, the queued request keeps the bytes it was
         // enqueued with, and no second write-back joins it.
-        let second_at = write(&mut sim, 0xB2);
+        write(&mut sim, 0xB2);
         assert_eq!(target.pending(), 1);
-        assert_eq!(pinned_is(&target.held.borrow()[0].0), (false, false));
-        assert_eq!(
-            drv.inner.borrow().pinned.data_at(0, lba).unwrap().as_ptr(),
-            second_at
-        );
+        assert_eq!(queued(0), (false, version(0xA1)));
+        assert_eq!(full_slots() - before.0, 2 * record);
 
         // The stale write-back lands the old version and is superseded;
-        // its retry ships the pinned buffer itself.
+        // its retry ships the pinned range's handle itself.
         target.release_one(&mut sim);
         sim.run();
         assert_eq!(drv.with_stats(|s| s.superseded_writebacks), 1);
         assert_eq!(drv.pinned_blocks(), 1);
         assert_eq!(target.pending(), 1);
-        assert_eq!(pinned_is(&target.held.borrow()[0].0), (true, true));
+        assert_eq!(queued(0), (true, version(0xB2)));
         target.release_one(&mut sim);
         sim.run();
-        assert_eq!(drv.pinned_blocks(), 0);
+        assert_eq!((drv.pinned_blocks(), drv.pinned_sectors()), (0, 0));
         assert_eq!(
-            drv.with_stats(|s| (s.writebacks, s.superseded_writebacks)),
-            (2, 1)
+            drv.with_stats(|s| (s.writebacks, s.superseded_writebacks, s.peak_pinned_sectors)),
+            (2, 1, 8)
         );
         assert_eq!(
             *target.landed.borrow(),
-            [(64, vec![0xA1; block]), (64, vec![0xB2; block])]
+            [(64, version(0xA1)), (64, version(0xB2))]
         );
+    }
+
+    #[test]
+    fn the_pinned_sector_peak_counts_held_write_backs_and_drains_to_zero() {
+        let mut sim = Simulator::new();
+        let log = Disk::new("log", profiles::tiny_test_disk());
+        format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
+        let target = Rc::new(HoldingTarget::default());
+        let (drv, _) = TrailDriver::start_with_targets(
+            &mut sim,
+            log,
+            vec![Rc::clone(&target) as SharedBlockDevice],
+            TrailConfig::default(),
+        )
+        .expect("boot");
+        // N disjoint writes of 1..=4 sectors, every write-back held.
+        let sizes: Vec<u64> = (0..12).map(|i| 1 + i % 4).collect();
+        let mut lba = 0;
+        for &n in &sizes {
+            let done = sim.completion(|_, d: Delivered<IoDone>| drop(d.expect("durable")));
+            let data = vec![lba as u8; n as usize * SECTOR_SIZE];
+            drv.write(&mut sim, 0, lba, data, done).expect("accepted");
+            sim.run();
+            lba += n + 1;
+        }
+        let total: u64 = sizes.iter().sum();
+        assert_eq!(target.pending(), sizes.len());
+        assert_eq!(drv.pinned_sectors(), total);
+        assert_eq!(drv.with_stats(|s| s.peak_pinned_sectors), total);
+        while target.pending() > 0 {
+            target.release_one(&mut sim);
+            sim.run();
+        }
+        assert_eq!(drv.pinned_sectors(), 0);
+        assert_eq!(drv.with_stats(|s| s.peak_pinned_sectors), total);
     }
 }

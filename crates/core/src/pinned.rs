@@ -2,11 +2,16 @@
 //! sector that has reached the log disk but not yet its data disk.
 //!
 //! Write-back happens **from memory**, never from the log disk, which is
-//! why Trail's garbage collection is free. [`PinnedMap`] keeps, per data
-//! device, **disjoint** sector ranges; each is a zero-copy view of the
-//! buffer a write arrived in, the sequence number of the record that logged
-//! it (its version), and the records waiting on it. The paper's overwrite
-//! rules, on ranges:
+//! why Trail's garbage collection is free. That is a statement about
+//! virtual time: no write-back waits for a log-disk read. On the host, the
+//! memory is the image pool the log disk keeps its records in: the driver
+//! interns a write's payload there when its record lands, so a pinned
+//! sector is a reference to its log copy's body under its own byte 0
+//! (`trail_disk::PayloadBuf::intern`), and the buffer the write arrived in
+//! is freed. [`PinnedMap`] keeps, per data device, **disjoint** sector
+//! ranges; each is a view of such a payload, the sequence number of the
+//! record that logged it (its version), and the records waiting on it. The
+//! paper's overwrite rules, on ranges:
 //!
 //! - a newly logged extent trims or splits whatever it overlaps — by
 //!   cutting views, never by touching bytes a queued write-back may still
@@ -123,6 +128,8 @@ pub(crate) struct Landed {
 pub(crate) struct PinnedMap {
     devices: Vec<Device>,
     waits: Waits,
+    /// Sectors the ranges cover.
+    sectors: u64,
 }
 
 impl PinnedMap {
@@ -131,12 +138,18 @@ impl PinnedMap {
         PinnedMap {
             devices: (0..devices).map(|_| Device::default()).collect(),
             waits: Waits::default(),
+            sectors: 0,
         }
     }
 
     /// Number of pinned ranges.
     pub(crate) fn len(&self) -> usize {
         self.devices.iter().map(|d| d.ranges.len()).sum()
+    }
+
+    /// Number of pinned sectors.
+    pub(crate) fn sectors(&self) -> u64 {
+        self.sectors
     }
 
     /// Pins `data`, just logged by record `seq`, at `lba` of `dev`, and
@@ -163,6 +176,7 @@ impl PinnedMap {
             } else {
                 d.ranges.remove(&start).expect("found above")
             };
+            self.sectors -= old.end - start;
             if (start, old.end) == (lba, end) {
                 flying = old.flying;
             } else {
@@ -184,6 +198,7 @@ impl PinnedMap {
                         flying: false,
                     };
                     self.waits.hold(&piece.waiting);
+                    self.sectors += last - first;
                     d.ranges.insert(first, piece);
                     if !orphan_overlaps(&d.orphans, first, last) {
                         issue.push((dev, first, last));
@@ -220,6 +235,7 @@ impl PinnedMap {
             flying,
         };
         d.ranges.insert(lba, range);
+        self.sectors += end - lba;
         if !flying && !orphan_overlaps(&d.orphans, lba, end) {
             issue.push((dev, lba, end));
         }
@@ -265,6 +281,7 @@ impl PinnedMap {
             let range = exact.get_mut();
             if range.flying && range.end == end {
                 if range.seq == seq {
+                    self.sectors -= end - lba;
                     landed.released = exact.remove().waiting;
                     landed.released.retain(|&r| self.waits.unhold(r));
                 } else {
@@ -284,6 +301,7 @@ impl PinnedMap {
             if range.seq != seq {
                 landed.superseded = true;
             } else {
+                self.sectors -= range.end - first;
                 let mut waiting = d.ranges.remove(&first).expect("found above").waiting;
                 waiting.retain(|&r| self.waits.unhold(r));
                 if landed.released.is_empty() {
@@ -362,7 +380,7 @@ impl PinnedMap {
 pub(crate) fn patch(image: &mut [u8], lba: u64, views: &[(u64, PayloadBuf)]) {
     for (first, view) in views {
         let at = (first - lba) as usize * SECTOR_SIZE;
-        image[at..at + view.len()].copy_from_slice(view);
+        view.copy_to(&mut image[at..at + view.len()]);
     }
 }
 
@@ -449,7 +467,7 @@ mod tests {
         // The overwrite swaps the map's handle; the write-back still reads
         // the version it was taken at.
         log(&mut t, K, 2, 6);
-        assert_eq!(&shipped[..], &[1u8; SECTOR_SIZE][..]);
+        assert_eq!(shipped.to_vec(), [1u8; SECTOR_SIZE]);
         assert!(!shipped.ptr_eq(t.data_at(1, 100).unwrap()));
         assert_eq!(
             t.land(K, v1),
@@ -459,7 +477,7 @@ mod tests {
             }
         );
         let (_, v, retry) = t.start_writeback(K).expect("the newer version");
-        assert_eq!((v, &retry[..]), (6, &[2u8; SECTOR_SIZE][..]));
+        assert_eq!((v, retry.to_vec()), (6, vec![2u8; SECTOR_SIZE]));
     }
 
     #[test]
@@ -516,7 +534,7 @@ mod tests {
             [(0, 104, 108), (0, 100, 102), (0, 102, 104)],
             "both remnants, then the new range"
         );
-        assert_eq!(t.len(), 3);
+        assert_eq!((t.len(), t.sectors()), (3, 8));
         assert_eq!(
             fills(&mut t, (0, 100, 108)),
             [0xAA, 0xAA, 0xDD, 0xDD, 0xAA, 0xAA, 0xAA, 0xAA]
@@ -535,7 +553,7 @@ mod tests {
             .flat_map(|extent| write_back(&mut t, extent).released)
             .collect();
         assert_eq!(released, [2, 1]);
-        assert_eq!(t.len(), 0);
+        assert_eq!((t.len(), t.sectors()), (0, 0));
     }
 
     #[test]
@@ -569,13 +587,14 @@ mod tests {
         log(&mut t, (0, 10, 12), 1, 1);
         log(&mut t, (0, 14, 16), 2, 2);
         log(&mut t, (0, 12, 13), 3, 2);
-        assert_eq!(t.len(), 3);
+        assert_eq!((t.len(), t.sectors()), (3, 5));
         log(&mut t, (0, 8, 20), 4, 3);
-        assert_eq!(t.len(), 1);
+        assert_eq!((t.len(), t.sectors()), (1, 12));
         assert_eq!(fills(&mut t, (0, 8, 20)), [4; 12]);
         let mut released = write_back(&mut t, (0, 8, 20)).released;
         released.sort_unstable();
         assert_eq!(released, [1, 2, 3], "each record released exactly once");
         assert!(t.waits.0.is_empty());
+        assert_eq!(t.sectors(), 0);
     }
 }

@@ -53,11 +53,15 @@ impl Front {
         .expect("accepted");
     }
 
-    fn pinned_blocks(&self) -> usize {
-        match self {
-            Front::One(d) => d.pinned_blocks(),
-            Front::Array(m) => m.drivers().iter().map(TrailDriver::pinned_blocks).sum(),
-        }
+    /// Pinned ranges and pinned sectors, over every log.
+    fn pinned(&self) -> (usize, u64) {
+        let drivers = match self {
+            Front::One(d) => vec![d.clone()],
+            Front::Array(m) => m.drivers().to_vec(),
+        };
+        drivers.iter().fold((0, 0), |(blocks, sectors), d| {
+            (blocks + d.pinned_blocks(), sectors + d.pinned_sectors())
+        })
     }
 }
 
@@ -160,7 +164,7 @@ fn run(ops: &[Op], logs: usize) -> Result<(), TestCaseError> {
         });
     }
     sim.run();
-    prop_assert_eq!(front.pinned_blocks(), 0);
+    prop_assert_eq!(front.pinned(), (0, 0));
 
     let m = model.borrow();
     prop_assert!(m.violations.is_empty(), "{}", m.violations.join("\n"));

@@ -416,7 +416,7 @@ impl Database {
                     let d = &mut *self.inner.borrow_mut();
                     let copy = d.flushing.get(&pid);
                     if let Some(bytes) = copy {
-                        admit(&mut d.cache, pid, bytes, &mut evictions);
+                        admit(&mut d.cache, pid, &bytes.to_vec(), &mut evictions);
                     }
                     copy.is_some()
                 };
@@ -783,7 +783,9 @@ impl Database {
             return page.get(rid.slot).map(<[u8]>::to_vec);
         }
         if let Some(bytes) = d.flushing.get(&rid.page) {
-            return Page::from_bytes(bytes).get(rid.slot).map(<[u8]>::to_vec);
+            return Page::from_bytes(&bytes.to_vec())
+                .get(rid.slot)
+                .map(<[u8]>::to_vec);
         }
         None
     }
@@ -819,7 +821,7 @@ impl DbInner {
         }
         match self.flushing.get(&pid) {
             Some(bytes) => {
-                admit(&mut self.cache, pid, bytes, evictions);
+                admit(&mut self.cache, pid, &bytes.to_vec(), evictions);
                 true
             }
             None => false,

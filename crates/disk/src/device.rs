@@ -183,7 +183,8 @@ impl std::ops::AddAssign for MediumStats {
 }
 
 /// The in-flight write's payload handles, staged whole (moved from the
-/// command; the bytes are copied once, onto the medium) with per-sector
+/// command; byte-backed parts are copied once, onto the medium, and pooled
+/// parts on the medium's own pool are stored by reference) with per-sector
 /// media-completion instants so a power cut can persist exactly the
 /// sectors already on the medium.
 struct StagedWrite {
@@ -196,14 +197,14 @@ impl StagedWrite {
     /// Puts the payload's first `sectors` sectors on the medium, part by
     /// part: a power cut's prefix may end inside any part.
     fn persist(&self, store: &mut SectorStore, sectors: usize) {
-        let (mut lba, mut left) = (self.lba, sectors * SECTOR_SIZE);
+        let (mut lba, mut left) = (self.lba, sectors);
         for part in self.data.parts() {
-            let n = part.len().min(left);
+            let n = (part.len() / SECTOR_SIZE).min(left);
             if n == 0 {
                 break;
             }
-            store.write_range(lba, &part[..n]);
-            lba += (n / SECTOR_SIZE) as Lba;
+            part.write_prefix(store, lba, n);
+            lba += n as Lba;
             left -= n;
         }
     }
@@ -821,6 +822,7 @@ mod tests {
     use super::*;
     use crate::payload::PayloadBuf;
     use crate::profiles;
+    use crate::store::ImagePool;
     use std::cell::Cell;
 
     fn setup() -> (Simulator, Disk) {
@@ -1157,6 +1159,62 @@ mod tests {
         sim.run();
         for lba in 0..24u64 {
             assert_eq!(disk.peek_sector(lba)[0], want(lba, 6), "lba {lba}");
+        }
+    }
+
+    #[test]
+    fn a_cut_at_every_sector_boundary_of_a_mixed_chain_persists_exactly_its_prefix() {
+        // Three byte-backed sectors, five pooled on the disk's own pool
+        // (stored by reference) and four pooled on another pool (copied),
+        // from LBA 14, so the run also crosses the index page at LBA 16.
+        // Every sector's body is unique and an old image lies underneath,
+        // so a cut after k sectors must leave exactly k new ones.
+        let sector = |n: u64| {
+            let mut image = [0x5Au8; SECTOR_SIZE];
+            image[8..16].copy_from_slice(&n.to_le_bytes());
+            image
+        };
+        let bytes_of = |n: std::ops::Range<u64>| n.flat_map(sector).collect::<Vec<u8>>();
+        let (old, first) = ([0x11u8; SECTOR_SIZE], 14u64);
+        for k in 0..=12u64 {
+            let (mut sim, disk) = setup();
+            for lba in 0..32 {
+                disk.poke_sector(lba, &old);
+            }
+            let other = ImagePool::new();
+            let mut own = PayloadBuf::from(bytes_of(3..8));
+            own.intern(&disk.pool());
+            let mut far = PayloadBuf::from(bytes_of(8..12));
+            far.intern(&other);
+            let mut data = PayloadChain::from(bytes_of(0..3));
+            data.push(own);
+            data.push(far);
+            let token = sim.completion(|_, _: Delivered<DiskResult>| {});
+            disk.log_landings();
+            disk.submit(&mut sim, DiskCommand::Write { lba: first, data }, token)
+                .unwrap();
+            let landings = &disk.landings()[0];
+            let cut = match k {
+                0 => landings[0] - SimDuration::from_nanos(1),
+                k => landings[k as usize - 1],
+            };
+            sim.run_until(cut);
+            disk.power_cut(sim.now());
+            sim.run();
+            for lba in 0..32 {
+                let want = if (first..first + k).contains(&lba) {
+                    sector(lba - first)
+                } else {
+                    old
+                };
+                assert_eq!(disk.peek_sector(lba), want, "cut after {k}: lba {lba}");
+            }
+            // The payload went with the command: what the medium holds is
+            // the old image and the k that landed, and the other pool is
+            // empty.
+            let m = disk.medium_stats();
+            assert_eq!((m.written_sectors, m.pool.distinct_sectors), (32, 1 + k));
+            assert_eq!(other.stats().distinct_sectors, 0);
         }
     }
 

@@ -12,27 +12,39 @@
 //! payload that only ever has one owner — a log-record image, any write on
 //! the standard stack — therefore costs what a plain `Vec<u8>` costs.
 //!
-//! There is no way to change the bytes behind a handle. Overwriting a
-//! block means replacing its handle; whoever still holds the old one keeps
-//! reading the old bytes.
+//! A payload can also live in an [`ImagePool`] instead
+//! ([`intern`](PayloadBuf::intern)): one pool reference per sector, four
+//! bytes where the sector took 512. Trail interns every write when its
+//! record lands, into the pool its log disk keeps the record in, so the
+//! pinned range, its queued write-back and the log copy share one body;
+//! the write-back is still made "from memory" in virtual time, and on the
+//! host that memory is the pool. A disk whose medium shares the pool
+//! stores a pooled payload by taking references, copying nothing.
+//!
+//! There is no way to change the bytes behind a handle, and no way to
+//! borrow them in place: [`copy_to`](PayloadBuf::copy_to) reads every form
+//! alike. Overwriting a block means replacing its handle; whoever still
+//! holds the old one keeps reading the old bytes.
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::Range;
 use std::rc::Rc;
 
-use crate::geometry::SECTOR_SIZE;
+use crate::geometry::{Lba, SECTOR_SIZE};
+use crate::store::{ImagePool, PoolRun, SectorStore};
 
 /// An immutable write payload; see the [module docs](self).
 ///
 /// Deliberately not `Clone`: a `&self` clone of a sole owner would have to
 /// copy the bytes. [`share`](Self::share) is the clone — it takes
 /// `&mut self` because the first call moves the buffer behind its
-/// reference count — and `to_vec()` is the copy, spelled out.
+/// reference count — and [`to_vec`](Self::to_vec) is the copy, spelled
+/// out.
 ///
 /// # Examples
 ///
 /// ```
-/// use trail_disk::{PayloadBuf, SECTOR_SIZE};
+/// use trail_disk::{ImagePool, PayloadBuf, SECTOR_SIZE};
 ///
 /// let mut block = PayloadBuf::from(vec![7u8; 4 * SECTOR_SIZE]);
 /// let queued = block.share();
@@ -40,6 +52,12 @@ use crate::geometry::SECTOR_SIZE;
 /// let tail = block.sectors(1, 3);
 /// assert!(tail.ptr_eq(&block));
 /// assert_eq!(tail.len(), 3 * SECTOR_SIZE);
+///
+/// // Interned, the handle reads the same bytes out of the pool.
+/// let pool = ImagePool::new();
+/// block.intern(&pool);
+/// assert_eq!(pool.stats().distinct_sectors, 1);
+/// assert_eq!(block.sectors(2, 1).to_vec(), vec![7u8; SECTOR_SIZE]);
 /// ```
 #[derive(Default)]
 pub struct PayloadBuf {
@@ -55,6 +73,13 @@ enum Repr {
         start: usize,
         len: usize,
     },
+    /// Sectors `first..first + count` of a run in an image pool, which
+    /// other handles may share.
+    Pooled {
+        run: Rc<PoolRun>,
+        first: usize,
+        count: usize,
+    },
 }
 
 impl Default for Repr {
@@ -65,8 +90,8 @@ impl Default for Repr {
 
 impl PayloadBuf {
     /// Moves a sole owner's buffer behind a reference count (the one
-    /// allocation sharing ever costs) and returns the shared parts.
-    fn shared_parts(&mut self) -> (&Rc<Vec<u8>>, usize, usize) {
+    /// allocation sharing ever costs).
+    fn promote(&mut self) {
         if let Repr::Owned(vec) = &mut self.repr {
             let len = vec.len();
             self.repr = Repr::Shared {
@@ -75,23 +100,13 @@ impl PayloadBuf {
                 len,
             };
         }
-        match &self.repr {
-            Repr::Shared { bytes, start, len } => (bytes, *start, *len),
-            Repr::Owned(_) => unreachable!("promoted above"),
-        }
     }
 
     /// A second handle to the same bytes. No byte is copied.
     #[must_use]
     pub fn share(&mut self) -> PayloadBuf {
-        let (bytes, start, len) = self.shared_parts();
-        PayloadBuf {
-            repr: Repr::Shared {
-                bytes: Rc::clone(bytes),
-                start,
-                len,
-            },
-        }
+        let len = self.len();
+        self.view(0, len)
     }
 
     /// A handle to `count` sectors of this payload starting at its sector
@@ -102,48 +117,153 @@ impl PayloadBuf {
     /// Panics if the range reaches past the payload.
     #[must_use]
     pub fn sectors(&mut self, first: usize, count: usize) -> PayloadBuf {
-        let (bytes, start, len) = self.shared_parts();
         let (offset, view_len) = (first * SECTOR_SIZE, count * SECTOR_SIZE);
         assert!(
-            offset + view_len <= len,
-            "sectors {first}..{} of a {len}-byte payload",
-            first + count
+            offset + view_len <= self.len(),
+            "sectors {first}..{} of a {}-byte payload",
+            first + count,
+            self.len()
         );
-        PayloadBuf {
-            repr: Repr::Shared {
+        self.view(offset, view_len)
+    }
+
+    /// A handle to bytes `offset..offset + len`, sector-aligned unless
+    /// the view is the whole payload.
+    fn view(&mut self, offset: usize, view_len: usize) -> PayloadBuf {
+        self.promote();
+        let repr = match &self.repr {
+            Repr::Shared { bytes, start, .. } => Repr::Shared {
                 bytes: Rc::clone(bytes),
                 start: start + offset,
                 len: view_len,
             },
-        }
+            Repr::Pooled { run, first, .. } => Repr::Pooled {
+                run: Rc::clone(run),
+                first: first + offset / SECTOR_SIZE,
+                count: view_len / SECTOR_SIZE,
+            },
+            Repr::Owned(_) => unreachable!("promoted above"),
+        };
+        PayloadBuf { repr }
     }
 
-    /// Whether both handles read from one allocation (whatever range of it
-    /// each covers). A payload nobody shares is one with nothing.
+    /// Whether both handles read from one allocation or one pooled run
+    /// (whatever range of it each covers). A payload nobody shares is one
+    /// with nothing.
     #[must_use]
     pub fn ptr_eq(&self, other: &PayloadBuf) -> bool {
         match (&self.repr, &other.repr) {
             (Repr::Shared { bytes: a, .. }, Repr::Shared { bytes: b, .. }) => Rc::ptr_eq(a, b),
+            (Repr::Pooled { run: a, .. }, Repr::Pooled { run: b, .. }) => Rc::ptr_eq(a, b),
             _ => false,
         }
     }
+
+    /// Length in bytes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match &self.repr {
+            Repr::Owned(vec) => vec.len(),
+            Repr::Shared { len, .. } => *len,
+            Repr::Pooled { count, .. } => count * SECTOR_SIZE,
+        }
+    }
+
+    /// Whether the payload holds no byte.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Where the payload's bytes are.
+    fn form(&self) -> Form<'_> {
+        match &self.repr {
+            Repr::Owned(vec) => Form::Bytes(vec),
+            Repr::Shared { bytes, start, len } => Form::Bytes(&bytes[*start..*start + *len]),
+            Repr::Pooled { run, first, count } => Form::Pooled(run, *first..first + count),
+        }
+    }
+
+    /// The bytes, while the payload holds them itself; `None` once it is
+    /// [interned](Self::intern). Readers that must take every form call
+    /// [`copy_to`](Self::copy_to).
+    #[must_use]
+    pub fn as_bytes(&self) -> Option<&[u8]> {
+        match self.form() {
+            Form::Bytes(bytes) => Some(bytes),
+            Form::Pooled(..) => None,
+        }
+    }
+
+    /// Copies the payload into `out`, whatever form it is kept in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not exactly as long as the payload.
+    pub fn copy_to(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), self.len(), "copy_to a buffer of another length");
+        match self.form() {
+            Form::Bytes(bytes) => out.copy_from_slice(bytes),
+            Form::Pooled(run, sectors) => run.copy_to(sectors, out),
+        }
+    }
+
+    /// A copy of the payload's bytes.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.len()];
+        self.copy_to(&mut out);
+        out
+    }
+
+    /// Keeps this handle's sectors in `pool` from now on: it holds one
+    /// reference per sector on the pool's images instead of the bytes,
+    /// which go with the last handle still reading them. Each sector is
+    /// hashed as a store write would hash it, so one whose body the pool
+    /// holds already (the log copy of a write, whose byte 0 the log
+    /// replaced) costs a five-byte alias at most. A payload already in
+    /// `pool` is left as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is not a whole number of sectors.
+    pub fn intern(&mut self, pool: &ImagePool) {
+        let run = match self.form() {
+            Form::Pooled(run, _) if ImagePool::ptr_eq(run.pool(), pool) => return,
+            Form::Bytes(bytes) => PoolRun::intern(pool, bytes),
+            Form::Pooled(..) => PoolRun::intern(pool, &self.to_vec()),
+        };
+        self.repr = Repr::Pooled {
+            count: run.len(),
+            run: Rc::new(run),
+            first: 0,
+        };
+    }
+
+    /// Writes the payload's first `sectors` sectors to `store` from `lba`:
+    /// a pooled payload on the store's own pool by reference, any other
+    /// by its bytes.
+    pub(crate) fn write_prefix(&self, store: &mut SectorStore, lba: Lba, sectors: usize) {
+        match self.form() {
+            Form::Bytes(bytes) => store.write_range(lba, &bytes[..sectors * SECTOR_SIZE]),
+            Form::Pooled(run, within) => {
+                store.write_run(lba, run, within.start..within.start + sectors);
+            }
+        }
+    }
+}
+
+/// A payload's bytes as [`PayloadBuf::form`] finds them: held, or sectors
+/// of a pooled run.
+enum Form<'a> {
+    Bytes(&'a [u8]),
+    Pooled(&'a PoolRun, Range<usize>),
 }
 
 impl From<Vec<u8>> for PayloadBuf {
     fn from(bytes: Vec<u8>) -> Self {
         PayloadBuf {
             repr: Repr::Owned(bytes),
-        }
-    }
-}
-
-impl Deref for PayloadBuf {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match &self.repr {
-            Repr::Owned(vec) => vec,
-            Repr::Shared { bytes, start, len } => &bytes[*start..*start + *len],
         }
     }
 }
@@ -214,7 +334,8 @@ impl fmt::Debug for PayloadBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PayloadBuf")
             .field("len", &self.len())
-            .field("shared", &matches!(self.repr, Repr::Shared { .. }))
+            .field("shared", &!matches!(self.repr, Repr::Owned(_)))
+            .field("pooled", &self.as_bytes().is_none())
             .finish()
     }
 }
@@ -229,11 +350,12 @@ mod tests {
         let vec = vec![3u8; 2 * SECTOR_SIZE];
         let at = vec.as_ptr();
         let mut p = PayloadBuf::from(vec);
-        assert_eq!(p.as_ptr(), at, "From<Vec<u8>> copies nothing");
+        let at_of = |p: &PayloadBuf| p.as_bytes().expect("byte-backed").as_ptr();
+        assert_eq!(at_of(&p), at, "From<Vec<u8>> copies nothing");
         assert!(matches!(p.repr, Repr::Owned(_)));
         assert!(!p.ptr_eq(&p), "an unshared payload is one with nothing");
         let q = p.share();
-        assert_eq!((p.as_ptr(), q.as_ptr()), (at, at), "nor does share");
+        assert_eq!((at_of(&p), at_of(&q)), (at, at), "nor does share");
         assert!(p.ptr_eq(&q) && q.ptr_eq(&p));
     }
 
@@ -242,8 +364,51 @@ mod tests {
         let mut a = PayloadBuf::from(vec![1u8; SECTOR_SIZE]);
         let mut b = PayloadBuf::from(vec![1u8; SECTOR_SIZE]);
         let (a2, b2) = (a.share(), b.share());
-        assert_eq!(&*a2, &*b2);
+        assert_eq!(a2.to_vec(), b2.to_vec());
         assert!(!a2.ptr_eq(&b2));
+    }
+
+    #[test]
+    fn an_interned_payload_reads_its_bytes_from_the_pool_and_hands_them_back() {
+        let plain: Vec<u8> = (0..4 * SECTOR_SIZE).map(|i| (i % 251) as u8).collect();
+        let pool = ImagePool::new();
+        let mut p = PayloadBuf::from(plain.clone());
+        let kept = p.share();
+        p.intern(&pool);
+        assert!(p.as_bytes().is_none(), "interned");
+        assert_eq!((p.len(), p.to_vec()), (plain.len(), plain.clone()));
+        assert_eq!(pool.stats().distinct_sectors, 4);
+        // The handle that was not interned still reads its own bytes.
+        assert_eq!(kept.as_bytes(), Some(&plain[..]));
+        assert!(!kept.ptr_eq(&p));
+        // Views of a pooled payload share its run; interning into the pool
+        // it is in already changes nothing.
+        let mut tail = p.sectors(1, 3);
+        tail.intern(&pool);
+        assert!(tail.ptr_eq(&p));
+        let mut out = vec![0u8; 2 * SECTOR_SIZE];
+        tail.sectors(1, 2).copy_to(&mut out);
+        assert_eq!(out, plain[2 * SECTOR_SIZE..]);
+        // Into another pool: a copy of its own there.
+        let other = ImagePool::new();
+        let mut moved = tail.share();
+        moved.intern(&other);
+        assert!(!moved.ptr_eq(&tail));
+        assert_eq!(moved.to_vec(), plain[SECTOR_SIZE..]);
+        assert_eq!(other.stats().distinct_sectors, 3);
+        drop(moved);
+        assert_eq!(other.stats().distinct_sectors, 0);
+        // The run goes with its last handle.
+        drop(p);
+        assert_eq!(pool.stats().distinct_sectors, 4);
+        drop(tail);
+        assert_eq!(pool.stats().distinct_sectors, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole sectors")]
+    fn interning_a_ragged_payload_panics() {
+        PayloadBuf::from(vec![0u8; SECTOR_SIZE + 1]).intern(&ImagePool::new());
     }
 
     #[test]
@@ -285,7 +450,7 @@ mod tests {
                 for (h, base, count) in &handles {
                     prop_assert!(h.ptr_eq(&handles[0].0));
                     prop_assert_eq!(
-                        &**h,
+                        h.to_vec(),
                         &plain[base * SECTOR_SIZE..(base + count) * SECTOR_SIZE]
                     );
                 }

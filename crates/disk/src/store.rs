@@ -14,14 +14,17 @@
 //! found by the hash of its bytes 1..512, and one whose bytes 1..512 equal
 //! a stored image's but whose byte 0 differs is kept as a five-byte alias
 //! of that body plus its own byte 0 — exactly the byte the log's
-//! self-describing format replaces. The layout is sized for what
-//! Trail writes — short runs scattered over the platter, each led by a
-//! unique, mostly-zero header sector: an index page is one cache line, and
-//! an image whose second half is zero occupies half a slot. Workloads whose
-//! payloads repeat (trace replays carry synthetic fills, logs carry
-//! padding) cost about six index bytes per densely written LBA instead of
-//! 512; workloads whose payloads are unique cost what a plain `LBA → bytes`
-//! map would, once per stack rather than once per disk.
+//! self-describing format replaces. A write's payload can be interned
+//! into the pool as well ([`PoolRun`]), each sector holding a reference
+//! as an LBA does, and a store on that pool then writes it by reference.
+//! The layout is sized for what Trail writes — short runs scattered over
+//! the platter, each led by a unique, mostly-zero header sector: an index
+//! page is one cache line, and an image whose second half is zero occupies
+//! half a slot. Workloads whose payloads repeat (trace replays carry
+//! synthetic fills, logs carry padding) cost about six index bytes per
+//! densely written LBA instead of 512; workloads whose payloads are unique
+//! cost what a plain `LBA → bytes` map would, once per stack rather than
+//! once per disk.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -319,8 +322,8 @@ struct Slots<const N: usize> {
     // `CHUNK_SLOTS` images each, as bytes so that a chunk comes zeroed
     // from the allocator and is first touched when an image lands on it.
     chunks: Vec<Box<[u8]>>,
-    // Per allocated slot: how many LBAs (and, for a full slot, aliases)
-    // hold it. The hash an image is registered under is not kept: the
+    // Per allocated slot: how many LBAs and payload entries (and, for a
+    // full slot, aliases) hold it. The hash an image is registered under is not kept: the
     // release that frees a slot rehashes its image instead, which is
     // cheaper than eight more bytes on every slot.
     refs: Vec<u32>,
@@ -514,10 +517,9 @@ impl Pool {
     /// Makes `entry` name a slot holding `data`; returns whether the LBA
     /// it belongs to was unwritten before.
     fn write(&mut self, entry: &mut u32, data: &SectorBuf) -> bool {
-        let image = Image::of(data);
         let fresh = *entry == UNWRITTEN;
         if !fresh {
-            if self.holds(*entry, image) {
+            if self.holds(*entry, Image::of(data)) {
                 return false;
             }
             // Release first: a sole owner's slot is recycled for the new
@@ -525,8 +527,42 @@ impl Pool {
             // pool.
             self.release(*entry);
         }
-        *entry = self.acquire(Self::key(image, (self.hash)(data)), image);
+        *entry = self.intern(data);
         fresh
+    }
+
+    /// Makes `entry` name the slot `held` names, which its holder keeps a
+    /// reference on; returns whether the LBA it belongs to was unwritten
+    /// before. No byte is hashed, compared or copied.
+    fn write_held(&mut self, entry: &mut u32, held: u32) -> bool {
+        let fresh = *entry == UNWRITTEN;
+        if *entry != held {
+            self.retain(held);
+            if !fresh {
+                self.release(*entry);
+            }
+            *entry = held;
+        }
+        fresh
+    }
+
+    /// The entry of a slot holding `data`, with one more reference on it:
+    /// what a store write of `data` would make its LBA name.
+    fn intern(&mut self, data: &SectorBuf) -> u32 {
+        let image = Image::of(data);
+        self.acquire(Self::key(image, (self.hash)(data)), image)
+    }
+
+    /// One more reference on the live slot `entry` names.
+    fn retain(&mut self, entry: u32) {
+        let (class, slot) = slot_of(entry);
+        let refs = match class {
+            FULL => &mut self.full.refs,
+            SHORT => &mut self.short.refs,
+            _ => &mut self.alias.refs,
+        };
+        debug_assert!(refs[slot] > 0, "only a live slot is retained");
+        refs[slot] += 1;
     }
 
     /// Returns the entry of a slot holding `image` (an image of
@@ -716,6 +752,77 @@ impl ImagePool {
     #[must_use]
     pub fn stats(&self) -> PoolStats {
         self.0.borrow().stats()
+    }
+}
+
+/// Whole sectors kept in an [`ImagePool`] instead of in bytes of their
+/// own: one entry per sector, each holding one reference on the slot it
+/// names, handed back when the run is dropped. What a pooled
+/// [`PayloadBuf`](crate::PayloadBuf) reads from. An entry costs four bytes
+/// where the sector would cost 512; a sector whose body the pool already
+/// holds under another byte 0 (the log copy of a write) adds a five-byte
+/// alias at most.
+pub(crate) struct PoolRun {
+    pool: ImagePool,
+    entries: Box<[u32]>,
+}
+
+impl PoolRun {
+    /// Interns `bytes`, whole sectors, into `pool` as a store write would:
+    /// each sector is hashed and shares the slot of an equal image or of
+    /// an equal body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not a whole number of sectors.
+    pub(crate) fn intern(pool: &ImagePool, bytes: &[u8]) -> Self {
+        let (sectors, ragged) = bytes.as_chunks::<SECTOR_SIZE>();
+        assert!(
+            ragged.is_empty(),
+            "an interned payload is whole sectors, got {} bytes",
+            bytes.len()
+        );
+        let mut p = pool.0.borrow_mut();
+        PoolRun {
+            pool: pool.clone(),
+            entries: sectors.iter().map(|sector| p.intern(sector)).collect(),
+        }
+    }
+
+    /// The pool the run's sectors are kept in.
+    pub(crate) fn pool(&self) -> &ImagePool {
+        &self.pool
+    }
+
+    /// Sectors in the run.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Writes sectors `sectors` of the run, one after another, into `out`.
+    pub(crate) fn copy_to(&self, sectors: Range<usize>, out: &mut [u8]) {
+        let pool = self.pool.0.borrow();
+        let out = out.as_chunks_mut::<SECTOR_SIZE>().0;
+        debug_assert_eq!(out.len(), sectors.len());
+        for (&entry, sector) in self.entries[sectors].iter().zip(out) {
+            pool.image(entry)
+                .expect("a run holds written images")
+                .copy_to(sector);
+        }
+    }
+}
+
+impl Drop for PoolRun {
+    /// Hands every reference back, unless the pool goes with this run (or
+    /// a panic is unwinding, which may have left the pool half-updated).
+    fn drop(&mut self) {
+        if Rc::strong_count(&self.pool.0) == 1 || std::thread::panicking() {
+            return;
+        }
+        let mut pool = self.pool.0.borrow_mut();
+        for &entry in &self.entries {
+            pool.release(entry);
+        }
     }
 }
 
@@ -929,6 +1036,40 @@ impl SectorStore {
         out
     }
 
+    /// Writes sectors `sectors` of `run` as consecutive sectors from
+    /// `lba`. On the store's own pool the LBAs take references on the
+    /// run's slots: no byte is hashed, compared or copied. On another pool
+    /// each sector is copied through a stack buffer and written as bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the capacity.
+    pub(crate) fn write_run(&mut self, lba: Lba, run: &PoolRun, sectors: Range<usize>) {
+        let same_pool = self
+            .pool
+            .as_ref()
+            .is_some_and(|pool| ImagePool::ptr_eq(pool, run.pool()));
+        if !same_pool {
+            let mut sector = [0u8; SECTOR_SIZE];
+            for (at, i) in (lba..).zip(sectors) {
+                run.copy_to(i..i + 1, &mut sector);
+                self.write_range(at, &sector);
+            }
+            return;
+        }
+        self.check_range("write", lba, sectors.len() * SECTOR_SIZE);
+        let mut pool = run.pool().0.borrow_mut();
+        let mut held = &run.entries[sectors];
+        for (at, within) in page_runs(lba, held.len() as u64) {
+            let (part, rest) = held.split_at(within.len());
+            held = rest;
+            let page = self.index.page_mut(at);
+            for (entry, &slot) in page[within].iter_mut().zip(part) {
+                self.written += usize::from(pool.write_held(entry, slot));
+            }
+        }
+    }
+
     /// Writes a contiguous buffer as consecutive sectors, probing the
     /// index once per page the range crosses.
     ///
@@ -1033,6 +1174,13 @@ mod tests {
     /// Every structural condition the indexes and their one pool rely on;
     /// `stores` are all the stores holding references in the pool.
     fn check_invariants(stores: &[&SectorStore]) {
+        check_pool(stores, &[]);
+    }
+
+    /// [`check_invariants`] of `stores` and `runs`, which together hold
+    /// every reference in the pool: a slot's refcount is the LBAs, the
+    /// aliases and the payload entries that name it.
+    fn check_pool(stores: &[&SectorStore], runs: &[&PoolRun]) {
         for s in stores {
             check_index(&s.index);
         }
@@ -1075,6 +1223,13 @@ mod tests {
             written,
             stores.iter().map(|s| s.written_sectors()).sum::<usize>()
         );
+        for run in runs {
+            assert!(ImagePool::ptr_eq(run.pool(), handle));
+            for &entry in run.entries.iter() {
+                let (class, slot) = slot_of(entry);
+                holders[class][slot] += 1;
+            }
+        }
 
         // A live alias holds one reference on its base, a live full slot,
         // whose byte 0 differs from the alias's; a base finds at most one
@@ -1675,6 +1830,83 @@ mod tests {
         assert!(p.aliased.iter().all(|&alias| alias == UNWRITTEN));
     }
 
+    /// `(op, which, lba, sectors, content)` of the payload model.
+    type RunStep = (u8, u8, u64, u64, u8);
+
+    /// Drives three stores and a plain map for each — two on `shared`,
+    /// whose payloads they take by reference, and one on a pool of its
+    /// own, which copies them — through byte writes and reads and through
+    /// payloads interned into `shared`, written by reference and dropped
+    /// in any order. After every step each slot's refcount is the LBAs,
+    /// aliases and payload entries naming it; dropping everything empties
+    /// `shared`.
+    fn run_payload_model(shared: &ImagePool, steps: &[RunStep]) {
+        let mut stores = [
+            SectorStore::in_pool(MODEL_CAPACITY, shared),
+            SectorStore::in_pool(MODEL_CAPACITY, shared),
+            SectorStore::in_pool(MODEL_CAPACITY, &ImagePool::new()),
+        ];
+        let mut models: [HashMap<Lba, SectorBuf>; 3] = Default::default();
+        // Each live payload with the sectors it must read.
+        let mut runs: Vec<(PoolRun, Vec<SectorBuf>)> = Vec::new();
+        for &(op, which, lba, sectors, content) in steps {
+            let k = usize::from(which % 3);
+            let count = sectors.min(MODEL_CAPACITY - lba);
+            match op % 4 {
+                // Byte writes and reads, as the other models make them.
+                0 => step(
+                    &mut stores[k],
+                    &mut models[k],
+                    (which, lba, sectors, content),
+                ),
+                1 => {
+                    let images: Vec<SectorBuf> =
+                        (0..count).map(|i| model_image(content, lba + i)).collect();
+                    let run = PoolRun::intern(shared, images.as_flattened());
+                    runs.push((run, images));
+                }
+                2 if !runs.is_empty() => {
+                    let (run, images) = &runs[usize::from(content) % runs.len()];
+                    let first = (lba as usize) % images.len();
+                    let n = (count as usize).min(images.len() - first);
+                    stores[k].write_run(lba, run, first..first + n);
+                    for (i, image) in images[first..first + n].iter().enumerate() {
+                        models[k].insert(lba + i as u64, *image);
+                    }
+                }
+                3 if !runs.is_empty() => {
+                    drop(runs.swap_remove(usize::from(content) % runs.len()));
+                }
+                _ => {}
+            }
+            assert_eq!(stores[k].written_sectors(), models[k].len());
+            for (run, images) in &runs {
+                let mut out = vec![0u8; images.len() * SECTOR_SIZE];
+                run.copy_to(0..images.len(), &mut out);
+                assert_eq!(out, images.as_flattened(), "a payload reads its own bytes");
+            }
+            let held: Vec<&PoolRun> = runs.iter().map(|(run, _)| run).collect();
+            check_pool(&[&stores[0], &stores[1]], &held);
+            check_invariants(&[&stores[2]]);
+        }
+        for (store, model) in stores.iter().zip(&models) {
+            assert_eq!(
+                store.read_range(0, MODEL_CAPACITY as u32),
+                expect(model, 0, MODEL_CAPACITY)
+            );
+        }
+        drop(stores);
+        drop(runs);
+        let p = shared.0.borrow();
+        assert_eq!(
+            p.stats().distinct_sectors,
+            0,
+            "dropping everything empties the pool"
+        );
+        assert!(p.by_hash.is_empty());
+        assert!(p.aliased.iter().all(|&alias| alias == UNWRITTEN));
+    }
+
     fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
         proptest::collection::vec(
             (any::<u8>(), 0..MODEL_CAPACITY, 1u64..20, any::<u8>()),
@@ -1692,8 +1924,32 @@ mod tests {
         )
     }
 
+    fn arb_run_steps() -> impl Strategy<Value = Vec<RunStep>> {
+        proptest::collection::vec(
+            (
+                any::<u8>(),
+                any::<u8>(),
+                0..MODEL_CAPACITY,
+                1u64..20,
+                any::<u8>(),
+            ),
+            1..120,
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn payloads_interned_written_by_reference_and_dropped_keep_every_refcount(
+            steps in arb_run_steps()
+        ) {
+            run_payload_model(&ImagePool::new(), &steps);
+            run_payload_model(
+                &ImagePool::with_hash(|_| Hashes { content: 0, body: 0 }),
+                &steps,
+            );
+        }
 
         #[test]
         fn store_matches_a_plain_map(steps in arb_steps()) {

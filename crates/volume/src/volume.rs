@@ -856,6 +856,14 @@ fn slice_payload(payload: &mut PayloadBuf, logical_off: u64, sectors: u32) -> Pa
     payload.sectors(logical_off as usize, sectors as usize)
 }
 
+/// `payload`'s bytes, copied into `scratch` (whatever form the payload is
+/// kept in), for the parity math to read.
+fn bytes_in<'a>(payload: &PayloadBuf, scratch: &'a mut Vec<u8>) -> &'a [u8] {
+    scratch.resize(payload.len(), 0);
+    payload.copy_to(scratch);
+    scratch
+}
+
 /// Breakdown of the critical-path (latest-finishing) sub-operation.
 fn latest_breakdown(results: &[IoDone]) -> ServiceBreakdown {
     results
@@ -1270,7 +1278,8 @@ fn read_bytes(results: &[IoDone], slot: usize) -> &[u8] {
 
 /// Phase 2 of a RAID-5 write: the member writes, given phase 1's plans
 /// and the old blocks it read. Data segments go out as views of the
-/// logical write's buffer; only parity is computed into new memory.
+/// logical write's buffer; only parity is computed into new memory (from
+/// one scratch copy of each segment at a time).
 fn raid5_phase2_writes(
     v: &VolInner,
     o: &mut Op,
@@ -1285,6 +1294,7 @@ fn raid5_phase2_writes(
     let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
     let c64 = u64::from(chunk);
     let mut writes: Vec<(usize, IoRequest)> = Vec::new();
+    let mut scratch = Vec::new();
     for plan in plans {
         let range_lba = plan.stripe * c64 + plan.lo;
         let range_bytes = (plan.hi - plan.lo) as usize * SECTOR_SIZE;
@@ -1293,7 +1303,7 @@ fn raid5_phase2_writes(
                 let mut parity = vec![0u8; chunk as usize * SECTOR_SIZE];
                 for seg in &plan.segs {
                     let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                    layout::xor_into(&mut parity, &new);
+                    layout::xor_into(&mut parity, bytes_in(&new, &mut scratch));
                     if !failed[seg.member] {
                         writes.push((
                             seg.member,
@@ -1324,7 +1334,8 @@ fn raid5_phase2_writes(
                     let old = read_bytes(results, seg_slots[i]);
                     let new = slice_payload(payload, seg.logical_off, seg.sectors);
                     let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
-                    for (j, (ob, nb)) in old.iter().zip(new.iter()).enumerate() {
+                    let new_bytes = bytes_in(&new, &mut scratch);
+                    for (j, (ob, nb)) in old.iter().zip(new_bytes).enumerate() {
                         parity[base + j] ^= ob ^ nb;
                     }
                     writes.push((
@@ -1358,7 +1369,7 @@ fn raid5_phase2_writes(
                 for seg in &plan.segs {
                     let new = slice_payload(payload, seg.logical_off, seg.sectors);
                     let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
-                    rows[seg.chunk][base..base + new.len()].copy_from_slice(&new);
+                    new.copy_to(&mut rows[seg.chunk][base..base + new.len()]);
                     if !failed[seg.member] {
                         writes.push((
                             seg.member,
@@ -1736,8 +1747,9 @@ mod tests {
         for (_, req) in &ios {
             assert_eq!(req.lba, 9);
             assert!(write_data(req).ptr_eq(parent), "a handle, not a copy");
-            assert_eq!(write_data(req).as_ptr(), at, "of the submitter's own Vec");
-            assert_eq!(&write_data(req)[..], &data[..]);
+            let bytes = write_data(req).as_bytes().expect("byte-backed");
+            assert_eq!(bytes.as_ptr(), at, "of the submitter's own Vec");
+            assert_eq!(bytes, &data[..]);
         }
         // A failed mirror gets no sub-write; the others still share.
         vol.fail_member(SimTime::ZERO, 1);
@@ -1774,11 +1786,18 @@ mod tests {
                 .collect()
         };
         let mut rng = trail_sim::rng(seed);
-        for _ in 0..extents {
+        for n in 0..extents {
             let sectors = rng.gen_range(1..=3 * u64::from(chunk) * (members as u64 - 1));
             let lba = rng.gen_range(0..=span - sectors);
             let data = pattern(sectors as usize, rng.gen());
             let mut op = write_op(lba, data.clone());
+            if n % 2 == 1 {
+                // As Trail hands a write-back down: interned in a pool.
+                let Payload::Write(payload) = &mut op.payload else {
+                    unreachable!()
+                };
+                payload.intern(&disks[0].pool());
+            }
             let (reads, plans) = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op, chunk)
                 .expect("no member has failed");
             let results: Vec<IoDone> = reads
@@ -1807,7 +1826,7 @@ mod tests {
                     .expect("every segment has its sub-write");
                 let a = seg.logical_off as usize * SECTOR_SIZE;
                 let b = a + seg.sectors as usize * SECTOR_SIZE;
-                assert_eq!(&write_data(req)[..], &data[a..b], "segment {seg:?}");
+                assert_eq!(write_data(req).to_vec(), &data[a..b], "segment {seg:?}");
                 assert!(write_data(req).ptr_eq(parent), "a view, not a copy");
                 views += 1;
             }
@@ -1823,7 +1842,11 @@ mod tests {
             );
 
             for (member, req) in &writes {
-                for (i, sector) in write_data(req).chunks_exact(SECTOR_SIZE).enumerate() {
+                for (i, sector) in write_data(req)
+                    .to_vec()
+                    .chunks_exact(SECTOR_SIZE)
+                    .enumerate()
+                {
                     let buf: &[u8; SECTOR_SIZE] = sector.try_into().expect("one sector");
                     disks[*member].poke_sector(req.lba + i as u64, buf);
                 }
