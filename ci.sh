@@ -52,8 +52,9 @@ if grep -rn --include='*.rs' 'TrailDriver::start' crates/bench tests; then
 fi
 
 # Every data device is a block target: one build path, one boot path, one
-# recovery sink, and three BlockStack implementations (TrailDriver,
-# MultiTrail, StandardStack). The raw-disk twins must not come back.
+# recovery sink, and two BlockStack implementations (MultiTrail, Trail over
+# one log or several, and StandardStack). The raw-disk twins must not come
+# back.
 if grep -rnE --include='*.rs' \
     'fn build_with_volumes|fn start_with_data_drivers|struct VolumeStack|struct TrailStack|struct MultiTrailStack|type WriteSink' \
     crates src; then
@@ -61,9 +62,20 @@ if grep -rnE --include='*.rs' \
   exit 1
 fi
 impls="$(grep -rn --include='*.rs' 'impl BlockStack for' crates src || true)"
-if [ "$(grep -c . <<<"$impls")" -gt 3 ]; then
-  echo "more than three BlockStack implementations:" >&2
+if [ "$(grep -c . <<<"$impls")" -gt 2 ]; then
+  echo "more than two BlockStack implementations:" >&2
   echo "$impls" >&2
+  exit 1
+fi
+
+echo "== one Trail front end gate =="
+# Every Trail stack is a MultiTrail (a single log is an array of one), the
+# one Trail BlockStack and the one place a request meets the capture tap;
+# TrailDriver is the per-log engine inside it. A second Trail front-end
+# kind, a driver that is a stack, or a tap on the driver must not come
+# back.
+if grep -rnE --include='*.rs' 'Front::TrailMulti|impl BlockStack for TrailDriver'     crates src tests examples   || grep -nE '^[[:space:]]*tap:' crates/core/src/driver.rs; then
+  echo "found a second Trail front end; build Trail as a MultiTrail of N logs" >&2
   exit 1
 fi
 
@@ -612,6 +624,9 @@ trace_tool replay "$smoke_dir/import.trace" --quick --target trail_multi2 \
   --out-dir "$smoke_dir" >/dev/null
 grep -q '"streams"' "$smoke_dir/BENCH_replay_trail_multi2.json" \
   || { echo "replay of imported trace lacks per-stream metrics" >&2; exit 1; }
+
+echo "== non-test lines (information, not a gate) =="
+scripts/nontest-lines.sh
 
 echo "== repo benchmark gate (benchmark/check.sh) =="
 # The benchmark crate is its own workspace, so nothing above compiles it:

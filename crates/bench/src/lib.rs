@@ -105,7 +105,7 @@ pub struct TpccSetup {
     /// The workload generator, order counters initialized to match the
     /// population.
     pub workload: Workload,
-    /// The Trail driver, when the rig runs on Trail.
+    /// The Trail driver of the rig's one log, when the rig runs on Trail.
     pub trail: Option<TrailDriver>,
     /// The block stack under the engine — for installing a workload
     /// capture tap ([`trail_blockio::SubmitTap`]) before a run.
@@ -174,7 +174,7 @@ pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) 
         sim: built.sim,
         db,
         workload,
-        trail: built.trail,
+        trail: built.multi.map(|m| m.drivers()[0].clone()),
         stack: built.stack,
     }
 }

@@ -300,7 +300,7 @@ fn mean_ms(
 
 /// Reads the counters of a single-log Trail stack.
 fn trail_stats<T>(built: &BuiltStack, f: impl FnOnce(&TrailStats) -> T) -> T {
-    built.trail.as_ref().expect("a Trail stack").with_stats(f)
+    built.multi.as_ref().expect("a Trail stack").drivers()[0].with_stats(f)
 }
 
 // ------------------------------------------------------------- table 1
@@ -450,7 +450,7 @@ fn fig3(cfg: &ScenarioConfig) -> ScenarioOutput {
 fn crash_with_pending(q: usize, seed: u64) -> (Disk, Vec<Disk>, usize) {
     let built = trail::StackBuilder::new().build().expect("boot");
     let mut sim = built.sim;
-    let trail = built.trail.expect("the default stack runs Trail");
+    let trail = built.multi.expect("the default stack runs Trail");
     let log = built.log_disks[0].clone();
     let data = built.data_disks;
     let mut rng = trail_sim::rng(seed);
@@ -482,7 +482,7 @@ fn crash_with_pending(q: usize, seed: u64) -> (Disk, Vec<Disk>, usize) {
     }
     sim.run();
     assert_eq!(acked.get(), q, "all requests must be acknowledged");
-    let pending = trail.pinned_blocks();
+    let pending = trail.drivers()[0].pinned_blocks();
     (log, data, pending)
 }
 

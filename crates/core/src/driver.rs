@@ -31,9 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use trail_blockio::{
-    Clook, IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver, TapHandle,
-};
+use trail_blockio::{Clook, IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver};
 use trail_disk::{
     CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, ImagePool, Lba, PayloadBuf,
     ServiceBreakdown, SECTOR_SIZE,
@@ -290,8 +288,6 @@ struct Inner {
     // Sourced from the log disk's name, so MultiTrail instances stay
     // distinguishable in traces.
     lifecycle: LifecycleEmitter,
-    // Workload-capture tap; sees every accepted write/read at submission.
-    tap: Option<TapHandle>,
 }
 
 /// What `start` found and did while bringing the driver up.
@@ -485,7 +481,6 @@ impl TrailDriver {
                 idle_refresh_count: 0,
                 stalled: false,
                 lifecycle,
-                tap: None,
             })),
         };
         driver.initial_position(sim)?;
@@ -535,22 +530,6 @@ impl TrailDriver {
         data: impl Into<PayloadBuf>,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
-    }
-
-    /// [`write`](TrailDriver::write) with an explicit stream tag.
-    ///
-    /// The tag is carried through to the submission tap; it never changes
-    /// the durability or batching semantics of the write.
-    pub fn write_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: impl Into<PayloadBuf>,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
         let mut data = data.into();
         if data.as_bytes().is_none() {
             // The record is built from the bytes, and a queued write holds
@@ -568,9 +547,6 @@ impl TrailDriver {
             let sectors = (data.len() / SECTOR_SIZE) as u64;
             if lba + sectors > d.data_capacity[dev] {
                 return Err(TrailError::OutOfRange);
-            }
-            if let Some(tap) = &d.tap {
-                tap.on_submit(sim.now(), dev as u32, lba, sectors as u32, false, stream);
             }
             let req = done.id().raw();
             let chunk = u64::from(d.effective_max_batch);
@@ -639,9 +615,8 @@ impl TrailDriver {
 
     /// [`read`](TrailDriver::read) with an explicit stream tag.
     ///
-    /// The tag is carried through to the submission tap and, on a buffer
-    /// miss, onto the forwarded data-disk request; it never changes which
-    /// copy of the block is served.
+    /// The tag is carried, on a buffer miss, onto the forwarded data-disk
+    /// request; it never changes which copy of the block is served.
     pub fn read_tagged(
         &self,
         sim: &mut Simulator,
@@ -658,9 +633,6 @@ impl TrailDriver {
             }
             if count == 0 || lba + u64::from(count) > d.data_capacity[dev] {
                 return Err(TrailError::OutOfRange);
-            }
-            if let Some(tap) = &d.tap {
-                tap.on_submit(sim.now(), dev as u32, lba, count, true, stream);
             }
             let pinned = d.pinned.read(dev as u8, lba, count);
             match pinned {
@@ -777,6 +749,11 @@ impl TrailDriver {
         self.inner.borrow().data.len()
     }
 
+    /// The capacity, in sectors, of data device `dev`, if there is one.
+    pub(crate) fn capacity(&self, dev: usize) -> Option<u64> {
+        self.inner.borrow().data_capacity.get(dev).copied()
+    }
+
     /// The block target behind data device `dev` — a single-disk driver or
     /// a volume, depending on how the driver was started.
     ///
@@ -817,15 +794,6 @@ impl TrailDriver {
             drv.set_recorder(Rc::clone(&recorder));
         }
         d.lifecycle.set_recorder(recorder);
-    }
-
-    /// Installs a workload-capture tap observing every accepted write and
-    /// read at submission time (see [`trail_blockio::SubmitTap`]). The tap
-    /// sees the *logical* request stream addressed at the data devices —
-    /// not the log-disk records the driver forms from it — so a captured
-    /// trace replays against any stack.
-    pub fn set_tap(&self, tap: TapHandle) {
-        self.inner.borrow_mut().tap = Some(tap);
     }
 
     /// Records a core-layer event through the shared lifecycle emitter.

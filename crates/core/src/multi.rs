@@ -14,6 +14,11 @@
 //! overlaps a split write is answered after it, so ack order holds across
 //! the array. With k logs, roughly (k−1)/k of the repositioning penalty
 //! is hidden from a clustered stream.
+//!
+//! The array is Trail's one front end: a single log is an array of one,
+//! whose every request goes whole to its one instance with the caller's
+//! own completion, so it costs no event and no allocation beyond the
+//! driver's. [`TrailDriver`] is the per-log engine inside it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,7 +54,8 @@ pub fn owning_log(logs: usize, dev: usize, lba: Lba) -> usize {
     (h % logs.max(1) as u64) as usize
 }
 
-/// A Trail array: one driver per log disk over shared data disks.
+/// A Trail array: one driver per log disk over shared data disks, and the
+/// one place a request is reported to the workload-capture tap.
 ///
 /// # Examples
 ///
@@ -242,7 +248,9 @@ impl MultiTrail {
     /// address order, each part with the completion to hand its owner:
     /// `done` itself for an unsplit request nothing holds (or a malformed
     /// one, which the first instance refuses), otherwise one joined into
-    /// `done` behind every earlier overlapping held write.
+    /// `done` behind every earlier overlapping held write. An unsplit
+    /// request, every request of a one-log array among them, allocates
+    /// nothing.
     fn plan(
         &self,
         sim: &mut Simulator,
@@ -251,55 +259,63 @@ impl MultiTrail {
         sectors: u64,
         is_read: bool,
         done: Completion<IoDone>,
-    ) -> Vec<(Part, Completion<IoDone>)> {
+    ) -> impl Iterator<Item = (Part, Completion<IoDone>)> {
         let owner = |lba| owning_log(self.drivers.len(), dev, lba);
         let end = lba.saturating_add(sectors);
-        let target = |dev| self.drivers[0].data_target(dev);
-        if dev >= self.devices() || sectors == 0 || end > target(dev).capacity_sectors() {
-            return vec![((0, lba, sectors), done)];
-        }
-        let mut parts: Vec<Part> = Vec::new();
-        let mut at = lba;
-        while at < end {
+        // The share of the log owning `at`, up to the next region it does
+        // not own.
+        let part = |at: Lba| -> Part {
             let log = owner(at);
             let mut next = (at / REGION_SECTORS + 1) * REGION_SECTORS;
             while next < end && owner(next) == log {
                 next += REGION_SECTORS;
             }
-            parts.push((log, at, next.min(end) - at));
-            at = next.min(end);
-        }
-        let mut held = self.held.borrow_mut();
-        held.retain(|j| j.borrow().done.is_some());
-        let overlaps = |j: &&Joined| {
-            let j = j.borrow();
-            j.dev == dev && j.lba < end && lba < j.end
+            (log, at, next.min(end) - at)
         };
-        let before: Vec<Joined> = held.iter().filter(overlaps).cloned().collect();
-        if let ([part], true) = (&parts[..], before.is_empty()) {
-            return vec![(*part, done)];
-        }
-        let join = Rc::new(RefCell::new(Join {
-            done: Some(done),
-            left: parts.len() + before.len(),
-            dev,
-            lba,
-            end,
-            issued: sim.now(),
-            image: is_read.then(|| vec![0; sectors as usize * SECTOR_SIZE]),
-            last: None,
-            waiters: Vec::new(),
-        }));
-        for j in before {
-            j.borrow_mut().waiters.push(Rc::clone(&join));
-        }
-        if !is_read {
-            held.push(Rc::clone(&join));
-        }
-        let offset = |first: Lba| (first - lba) as usize * SECTOR_SIZE;
-        (parts.into_iter())
-            .map(|part| (part, Join::part(&join, sim, offset(part.1))))
-            .collect()
+        let (whole, split) = 'plan: {
+            let capacity = self.drivers[0].capacity(dev);
+            if sectors == 0 || capacity.is_none_or(|c| end > c) {
+                break 'plan (Some(((0, lba, sectors), done)), Vec::new());
+            }
+            let first = part(lba);
+            let mut held = self.held.borrow_mut();
+            held.retain(|j| j.borrow().done.is_some());
+            let overlaps = |j: &&Joined| {
+                let j = j.borrow();
+                j.dev == dev && j.lba < end && lba < j.end
+            };
+            let before: Vec<Joined> = held.iter().filter(overlaps).cloned().collect();
+            if first.2 == sectors && before.is_empty() {
+                break 'plan (Some((first, done)), Vec::new());
+            }
+            let parts: Vec<Part> = std::iter::successors(Some(first), |&(_, at, n)| {
+                (at + n < end).then(|| part(at + n))
+            })
+            .collect();
+            let join = Rc::new(RefCell::new(Join {
+                done: Some(done),
+                left: parts.len() + before.len(),
+                dev,
+                lba,
+                end,
+                issued: sim.now(),
+                image: is_read.then(|| vec![0; sectors as usize * SECTOR_SIZE]),
+                last: None,
+                waiters: Vec::new(),
+            }));
+            for j in before {
+                j.borrow_mut().waiters.push(Rc::clone(&join));
+            }
+            if !is_read {
+                held.push(Rc::clone(&join));
+            }
+            let offset = |first: Lba| (first - lba) as usize * SECTOR_SIZE;
+            let split = (parts.into_iter())
+                .map(|part| (part, Join::part(&join, sim, offset(part.1))))
+                .collect();
+            (None, split)
+        };
+        whole.into_iter().chain(split)
     }
 
     /// Reports an accepted request to the tap.
@@ -327,7 +343,7 @@ impl MultiTrail {
     }
 
     /// [`write`](MultiTrail::write) with an explicit stream tag, carried
-    /// to the tap and the instances; it never chooses a log.
+    /// to the tap; it never chooses a log.
     ///
     /// # Errors
     ///
@@ -353,7 +369,7 @@ impl MultiTrail {
                 true => std::mem::take(&mut data),
                 false => data.sectors((at - lba) as usize, n as usize),
             };
-            self.drivers[log].write_tagged(sim, dev, at, part, stream, done)?;
+            self.drivers[log].write(sim, dev, at, part, done)?;
         }
         self.tap(sim, dev, lba, sectors, false, stream);
         Ok(())

@@ -8,9 +8,9 @@
 //! and background dirty-page write-back — all of which this crate
 //! reproduces over a pluggable storage stack:
 //!
-//! - [`BlockStack`], implemented by [`trail_core::TrailDriver`],
-//!   [`trail_core::MultiTrail`] and [`StandardStack`] — the same engine
-//!   binary-compares `EXT2+Trail`, `EXT2`, and `EXT2+GC`;
+//! - [`BlockStack`], implemented by [`trail_core::MultiTrail`] (Trail
+//!   over one log disk or several) and [`StandardStack`] — the same
+//!   engine binary-compares `EXT2+Trail`, `EXT2`, and `EXT2+GC`;
 //! - [`Page`] / [`BufferPool`] — 4-KiB slotted pages under a clock cache;
 //! - [`Wal`] with [`FlushPolicy::EveryCommit`] and
 //!   [`FlushPolicy::GroupCommit`] — Table 3 counts the group commits;

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use trail_blockio::{IoDone, IoRequest, SharedBlockDevice, StandardDriver, TapHandle};
-use trail_core::{MultiTrail, TrailDriver, TrailError};
+use trail_core::{MultiTrail, TrailError};
 use trail_disk::{Disk, Lba, PayloadBuf};
 use trail_sim::{Completion, Simulator};
 use trail_telemetry::{RecorderHandle, StreamId};
@@ -19,8 +19,8 @@ use trail_telemetry::{RecorderHandle, StreamId};
 /// write). A rejected or abandoned submission cancels its token.
 ///
 /// The stream-tagged pair is what a stack implements; the untagged pair
-/// is provided on top of it. Three stacks exist: [`TrailDriver`],
-/// [`MultiTrail`] and [`StandardStack`].
+/// is provided on top of it. Two stacks exist: [`MultiTrail`], Trail over
+/// one log disk or several, and [`StandardStack`].
 pub trait BlockStack {
     /// Submits a durable write of `data` at `lba` on device `dev`, tagged
     /// with the stream it belongs to. The tag reaches the stack's taps and
@@ -107,51 +107,8 @@ pub trait BlockStack {
     fn set_tap(&self, tap: TapHandle);
 }
 
-// The Trail stack: every device sits behind the driver. Each method
-// resolves to the inherent one of the same name, not to this impl.
-impl BlockStack for TrailDriver {
-    fn write_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: PayloadBuf,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        TrailDriver::write_tagged(self, sim, dev, lba, data, stream, done)
-    }
-
-    fn read_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        TrailDriver::read_tagged(self, sim, dev, lba, count, stream, done)
-    }
-
-    fn pending_work(&self) -> usize {
-        TrailDriver::pending_work(self)
-    }
-
-    fn devices(&self) -> usize {
-        TrailDriver::devices(self)
-    }
-
-    fn set_recorder(&self, recorder: RecorderHandle) {
-        TrailDriver::set_recorder(self, recorder);
-    }
-
-    fn set_tap(&self, tap: TapHandle) {
-        TrailDriver::set_tap(self, tap);
-    }
-}
-
-// The Trail-array stack: each sector goes to the one log that owns it.
+// The Trail stack, of one log or several: each sector goes to the one log
+// that owns it.
 impl BlockStack for MultiTrail {
     fn write_tagged(
         &self,
@@ -413,7 +370,7 @@ mod tests {
         let data = Disk::new("d", profiles::tiny_test_disk());
         format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
         let (drv, _) =
-            TrailDriver::start(&mut sim, log, vec![data], TrailConfig::default()).unwrap();
+            MultiTrail::start(&mut sim, vec![log], vec![data], TrailConfig::default()).unwrap();
         let stack: SharedStack = Rc::new(drv.clone());
         assert_eq!(stack.devices(), 1);
         let done = sim.completion(|_, d: trail_sim::Delivered<IoDone>| {

@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
+use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
 use trail_db::{scan_wal, Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec};
 use trail_disk::{cut_instants, profiles, Disk};
 use trail_sim::{Delivered, DurationHistogram, IoError, SimDuration, SimTime, Simulator};
@@ -40,7 +40,7 @@ fn standard_setup(policy: FlushPolicy) -> (Simulator, Database, Rc<StandardStack
     (sim, db, stack)
 }
 
-fn trail_setup(policy: FlushPolicy) -> (Simulator, Database, TrailDriver, Vec<Disk>) {
+fn trail_setup(policy: FlushPolicy) -> (Simulator, Database, MultiTrail, Vec<Disk>) {
     let mut sim = Simulator::new();
     let log = Disk::new("trail-log", profiles::tiny_test_disk());
     let data: Vec<Disk> = vec![
@@ -48,12 +48,13 @@ fn trail_setup(policy: FlushPolicy) -> (Simulator, Database, TrailDriver, Vec<Di
         Disk::new("tables", profiles::tiny_test_disk()),
     ];
     format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
-    let (drv, _) =
-        TrailDriver::start(&mut sim, log.clone(), data.clone(), TrailConfig::default()).unwrap();
-    let db = Database::new(Rc::new(drv.clone()), db_config(policy));
+    let logs = vec![log.clone()];
+    let (trail, _) =
+        MultiTrail::start(&mut sim, logs, data.clone(), TrailConfig::default()).unwrap();
+    let db = Database::new(Rc::new(trail.clone()), db_config(policy));
     let mut disks = data;
     disks.push(log);
-    (sim, db, drv, disks)
+    (sim, db, trail, disks)
 }
 
 fn put_txn(table: u8, key: u64, tag: u8, len: usize) -> TxnSpec {
@@ -338,16 +339,20 @@ fn full_stack_crash_recovers_committed_transactions() {
     for cut in cuts {
         let (mut sim, disks, durable) = crash_workload(TXNS, false);
         sim.run_until(cut);
-        // Power back on; Trail recovery runs inside TrailDriver::start.
+        // Power back on; Trail recovery runs inside MultiTrail::start.
         for d in &disks {
             d.power_cut(sim.now());
             d.power_on();
         }
         let mut sim2 = Simulator::new();
         let data = vec![disks[0].clone(), disks[1].clone()];
-        let (drv2, boot) =
-            TrailDriver::start(&mut sim2, disks[2].clone(), data, TrailConfig::default()).unwrap();
-        assert!(boot.recovered.is_some(), "dirty Trail disk must recover");
+        let logs = vec![disks[2].clone()];
+        let (drv2, boots) =
+            MultiTrail::start(&mut sim2, logs, data, TrailConfig::default()).unwrap();
+        assert!(
+            boots[0].recovered.is_some(),
+            "dirty Trail disk must recover"
+        );
         // WAL redo on top, with the structured report.
         let (image, report) = trail_db::recover_committed(
             &mut sim2,

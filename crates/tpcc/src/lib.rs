@@ -5,8 +5,8 @@
 //! terminals against the [`trail_db`] engine. Tables 2 and 3 of the paper
 //! come out of [`run`] with different storage stacks and flush policies:
 //!
-//! - `EXT2+Trail`: [`trail_core::TrailDriver`], every-commit forces,
-//!   terminals chain on durability;
+//! - `EXT2+Trail`: [`trail_core::MultiTrail`] over one log disk,
+//!   every-commit forces, terminals chain on durability;
 //! - `EXT2`: [`trail_db::StandardStack`], every-commit forces, terminals
 //!   chain on durability;
 //! - `EXT2+GC`: [`trail_db::StandardStack`], group commit by log-buffer

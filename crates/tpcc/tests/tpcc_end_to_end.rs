@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
+use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
 use trail_db::{Database, DbConfig, FlushPolicy, StandardStack};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::Simulator;
@@ -51,9 +51,9 @@ fn run_tpcc(
     let db = if trail {
         let log = Disk::new("trail-log", profiles::seagate_st41601n());
         format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
-        let (drv, _) =
-            TrailDriver::start(&mut sim, log, disks.clone(), TrailConfig::default()).unwrap();
-        Database::new(Rc::new(drv), db_config(policy))
+        let (trail, _) =
+            MultiTrail::start(&mut sim, vec![log], disks.clone(), TrailConfig::default()).unwrap();
+        Database::new(Rc::new(trail), db_config(policy))
     } else {
         Database::new(
             Rc::new(StandardStack::new(disks.clone())),
@@ -181,9 +181,10 @@ fn concurrency_increases_trail_track_utilization() {
             .collect();
         let log = Disk::new("trail-log", profiles::seagate_st41601n());
         format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
-        let (drv, _) =
-            TrailDriver::start(&mut sim, log, disks.clone(), TrailConfig::default()).unwrap();
-        let db = Database::new(Rc::new(drv.clone()), db_config(FlushPolicy::EveryCommit));
+        let (trail, _) =
+            MultiTrail::start(&mut sim, vec![log], disks.clone(), TrailConfig::default()).unwrap();
+        let drv = trail.drivers()[0].clone();
+        let db = Database::new(Rc::new(trail), db_config(FlushPolicy::EveryCommit));
         let scale = Scale::tiny();
         let images = populate(&db, &scale);
         for (pid, bytes) in &images {

@@ -1,8 +1,9 @@
 //! Capturing a live workload from a running stack.
 //!
 //! [`TraceCapture`] implements [`SubmitTap`], the observation hook every
-//! stack front end exposes through `set_tap` (`BlockStack` — `TrailDriver`,
-//! `MultiTrail`, `StandardStack` — and the umbrella `BuiltStack`).
+//! stack front end exposes through `set_tap` (`BlockStack` — `MultiTrail`,
+//! of one log or several, and `StandardStack` — and the umbrella
+//! `BuiltStack`).
 //! Install one before driving a scenario and every request the stack
 //! accepts — directly, from a file system, or from the database engine —
 //! is recorded once, at its arrival instant. The result is the

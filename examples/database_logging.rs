@@ -82,9 +82,9 @@ fn main() -> Result<(), TrailError> {
         let db = if trail {
             let log = Disk::new("trail-log", profiles::seagate_st41601n());
             format_log_disk(&mut sim, &log, FormatOptions::default())?;
-            let (drv, _) =
-                TrailDriver::start(&mut sim, log, disks.clone(), TrailConfig::default())?;
-            Database::new(Rc::new(drv), db_config(policy))
+            let (trail, _) =
+                MultiTrail::start(&mut sim, vec![log], disks.clone(), TrailConfig::default())?;
+            Database::new(Rc::new(trail), db_config(policy))
         } else {
             Database::new(
                 Rc::new(StandardStack::new(disks.clone())),

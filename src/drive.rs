@@ -275,6 +275,8 @@ mod tests {
             gap: SimDuration::ZERO,
         };
         assert_eq!(built.drive(writers, pace).latency.count(), 12);
+        // The array's tap reports each request once.
+        assert_eq!(submits.0.borrow().len(), 12);
         let first: Vec<u64> = (submits.0.borrow().iter())
             .filter(|s| s.0 == start)
             .map(|s| s.2)

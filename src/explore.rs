@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use rand::Rng;
 use trail_blockio::IoDone;
-use trail_core::{RecoveryReport, TrailDriver, TrailError};
+use trail_core::{MultiTrail, RecoveryReport, TrailDriver, TrailError};
 use trail_disk::{cut_instants, AckLedger, Disk, SECTOR_SIZE};
 use trail_sim::FaultKind::{Fail, LatencySpike, PowerCut, TransientError};
 use trail_sim::{Delivered, Fault, FaultPlan, FaultTarget, IoError, SimDuration, SimTime};
@@ -133,15 +133,11 @@ pub fn run(builder: &StackBuilder, writes: &[TimedWrite], plan: &FaultPlan) -> O
     let since = |t: SimTime| t.duration_since(start);
     let landings: Vec<SimTime> = disks.iter().flat_map(Disk::landings).flatten().collect();
     let cuts = cut_instants(&landings, &acks.take());
-    let multi = built.multi.iter().flat_map(|m| m.drivers());
     let retried = |v: &RaidVolume| v.with_stats(|s| s.retried_ops);
     let mut out = Outcome {
         delivered: delivered.take(),
         acked: ledger.borrow().acked(),
-        pinned: built
-            .trail
-            .iter()
-            .chain(multi)
+        pinned: (built.multi.iter().flat_map(MultiTrail::drivers))
             .map(TrailDriver::pinned_blocks)
             .sum(),
         events: built.sim.events_executed(),

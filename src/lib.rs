@@ -32,7 +32,7 @@
 //!
 //! // Format (probes rotation period and calibrates the leads), then boot.
 //! format_log_disk(&mut sim, &log, FormatOptions::default())?;
-//! let (trail, _) = TrailDriver::start(&mut sim, log, vec![data], TrailConfig::default())?;
+//! let (trail, _) = MultiTrail::start(&mut sim, vec![log], vec![data], TrailConfig::default())?;
 //!
 //! // Synchronous writes are durable in ~1.5 ms instead of ~16 ms. The
 //! // completion token is delivered once (or cancelled on teardown).
@@ -52,7 +52,7 @@
 //! ```
 //! use trail::StackBuilder;
 //! let built = StackBuilder::new().data_disks(3).trail_default().build()?;
-//! assert!(built.trail.is_some());
+//! assert_eq!(built.multi.expect("a Trail stack").drivers().len(), 1);
 //! # Ok::<(), trail::core::TrailError>(())
 //! ```
 //!
@@ -93,8 +93,8 @@ pub mod prelude {
         IoDone, IoKind, IoRequest, StandardDriver, StreamId, SubmitTap, TapHandle,
     };
     pub use trail_core::{
-        format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, TrailConfig,
-        TrailDriver, TrailError,
+        format_log_disk, read_header, recover, FormatOptions, MultiTrail, RecoveryOptions,
+        TrailConfig, TrailDriver, TrailError,
     };
     pub use trail_disk::{profiles, Disk, DiskCommand, DiskRole, SECTOR_SIZE};
     pub use trail_sim::{

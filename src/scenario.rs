@@ -20,11 +20,11 @@
 //!
 //! // The paper's testbed: one SCSI log disk over three IDE data disks.
 //! let mut built = StackBuilder::new().data_disks(3).trail_default().build()?;
-//! assert!(built.trail.is_some());
+//! assert_eq!(built.multi.as_ref().map(|m| m.drivers().len()), Some(1));
 //!
 //! // The baseline for the same experiment: no log disk, C-LOOK driver.
 //! let base = StackBuilder::new().data_disks(3).standard().build()?;
-//! assert!(base.trail.is_none());
+//! assert!(base.multi.is_none());
 //! # Ok::<(), trail::core::TrailError>(())
 //! ```
 
@@ -102,8 +102,9 @@ impl Scenario {
     /// [`StandardDriver`] over one raw disk, or a [`RaidVolume`] over
     /// `members` disks when the shape has a [`Raid`] layer — and the
     /// front end ([`Front`]) is booted over the targets without knowing
-    /// which it got. Every driver is C-LOOK; under a Trail or Trail-array
-    /// front end every data drive — raw disk or volume member — is also
+    /// which it got: a [`MultiTrail`] over the shape's log disks (one log
+    /// is an array of one), or the standard stack. Every driver is C-LOOK;
+    /// under Trail every data drive — raw disk or volume member — is also
     /// [`Priority::ReadsFirst`], so reads overtake queued write-backs
     /// (paper §4.3). With a [`Mount`], each device gets a file system and
     /// a preallocated workload file ([`BuiltStack::mounts`]).
@@ -168,8 +169,8 @@ impl Scenario {
             .map(|i| match old_logs.next() {
                 Some(log) => Ok(log),
                 None => {
-                    let name = match self.shape.front {
-                        Front::Trail => "trail-log".to_string(),
+                    let name = match self.shape.front.logs() {
+                        1 => "trail-log".to_string(),
                         _ => format!("log{i}"),
                     };
                     let log = Disk::in_pool(name, self.log_profile.clone(), &pool);
@@ -178,22 +179,17 @@ impl Scenario {
             })
             .collect::<Result<Vec<Disk>, TrailError>>()?;
         let (config, logs) = (self.config, log_disks.clone());
-        let (stack, trail, multi, boots): (Rc<dyn BlockStack>, _, _, _) = match self.shape.front {
-            Front::Trail => {
-                let log = logs[0].clone();
-                let (drv, boot) =
-                    TrailDriver::start_with_targets(&mut sim, log, targets.clone(), config)?;
-                (Rc::new(drv.clone()), Some(drv), None, vec![boot])
-            }
-            Front::TrailMulti { .. } => {
+        let (stack, multi, boots): (Rc<dyn BlockStack>, _, _) = match self.shape.front {
+            Front::Trail { .. } => {
                 let (array, boots) =
                     MultiTrail::start_with_targets(&mut sim, logs, targets.clone(), config)?;
-                (Rc::new(array.clone()), None, Some(array), boots)
+                (Rc::new(array.clone()), Some(array), boots)
             }
-            Front::Standard => {
-                let stack = StandardStack::over(targets.clone());
-                (Rc::new(stack), None, None, Vec::new())
-            }
+            Front::Standard => (Rc::new(StandardStack::over(targets.clone())), None, vec![]),
+        };
+        let trail = match multi.as_ref().map(MultiTrail::drivers) {
+            Some([one]) => Some(one.clone()),
+            _ => None,
         };
         // Formatting runs the lead-calibration sweeps, whose
         // under-compensated probes pay full rotations by design; start
@@ -326,10 +322,8 @@ impl StackBuilder {
 
     /// Fronts the data disks with a Trail log device.
     #[must_use]
-    pub fn trail(mut self, config: TrailConfig) -> Self {
-        self.scenario.shape.front = Front::Trail;
-        self.scenario.config = config;
-        self
+    pub fn trail(self, config: TrailConfig) -> Self {
+        self.trail_multi(1, config)
     }
 
     /// Fronts the data disks with a default-configured Trail log device.
@@ -342,7 +336,7 @@ impl StackBuilder {
     /// (raised to at least 1).
     #[must_use]
     pub fn trail_multi(mut self, logs: usize, config: TrailConfig) -> Self {
-        self.scenario.shape.front = Front::TrailMulti { logs };
+        self.scenario.shape.front = Front::Trail { logs: logs.max(1) };
         self.scenario.config = config;
         self
     }
@@ -426,13 +420,16 @@ pub struct BuiltStack {
     pub drivers: Vec<StandardDriver>,
     /// `log_disks[0]` when the stack runs a single-log Trail.
     pub log_disk: Option<Disk>,
-    /// All log disks, in instance order (one under [`Front::Trail`],
-    /// several under [`Front::TrailMulti`], none under
-    /// [`Front::Standard`]).
+    /// All log disks, in instance order: one per log of a [`Front::Trail`],
+    /// none under [`Front::Standard`].
     pub log_disks: Vec<Disk>,
-    /// The Trail driver, when the stack runs a single-log Trail.
+    /// `multi`'s one instance when the stack runs Trail over a single log.
+    /// It stays only because the repo benchmark reads it; ROADMAP item 13
+    /// deletes it.
     pub trail: Option<TrailDriver>,
-    /// The Trail array, when the stack runs [`Front::TrailMulti`].
+    /// The Trail array on every Trail stack, one instance per log disk
+    /// (a single log is an array of one); `None` under
+    /// [`Front::Standard`].
     pub multi: Option<MultiTrail>,
     /// The RAID volumes, when the shape has a [`Raid`] layer, in device
     /// order. Empty otherwise. Their member disks are
@@ -442,8 +439,8 @@ pub struct BuiltStack {
     /// [`StandardDriver`] over `data_disks[dev]` or the volume
     /// `volumes[dev]`, shared by every log of a Trail array.
     pub targets: Vec<SharedBlockDevice>,
-    /// The block stack (Trail, Trail array, or standard) the upper layers
-    /// submit to.
+    /// The block stack (the Trail array, or the standard stack) the upper
+    /// layers submit to.
     pub stack: Rc<dyn BlockStack>,
     /// With a [`Mount`]: the file system and its preallocated workload
     /// file, per device in device order. Empty otherwise.
@@ -536,7 +533,7 @@ mod tests {
     #[test]
     fn default_scenario_builds_trail() {
         let built = StackBuilder::new().build().expect("build");
-        assert!(built.trail.is_some());
+        assert_eq!(built.multi.as_ref().map(|m| m.drivers().len()), Some(1));
         assert_eq!(built.log_disks.len(), 1);
         assert_eq!(built.data_disks.len(), 3);
         // Boot noise is reset: measurements start clean.
@@ -551,7 +548,7 @@ mod tests {
             .seed(7)
             .build()
             .expect("build");
-        assert!(built.trail.is_none());
+        assert!(built.multi.is_none());
         assert_eq!(built.scenario.seed, 7);
     }
 

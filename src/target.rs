@@ -2,7 +2,8 @@
 //!
 //! Every experiment drives one of a family of stacks, and [`TargetKind`]
 //! names one along three axes: what fronts the devices ([`Front`]: the
-//! standard subsystem, Trail, or a Trail array), what each device is
+//! standard subsystem, or Trail over one log disk or several), what each
+//! device is
 //! (one raw disk, or a [`Raid`] volume), and whether a file system is
 //! mounted on it ([`Mount`]). A report row, `trace_tool replay --target`,
 //! a line of `tests/data/fault_plans.txt` and a crash-campaign stack all
@@ -18,9 +19,9 @@
 //!   `raid0`, `raid1` or `raid5`, then `chunk<N>` for a striped layout
 //!   whose chunk is not 8 sectors, or `rr` for a RAID-1 that reads round
 //!   robin instead of from the nearest head (default: raw disks);
-//! - the front end: `trail`, or `trail_multi<N>` for an array of N logs
-//!   (default: the standard subsystem, spelled `standard` when nothing
-//!   else is printed).
+//! - the front end: `trail` for Trail over one log disk, or
+//!   `trail_multi<N>` for N ≥ 2 logs (default: the standard subsystem,
+//!   spelled `standard` when nothing else is printed).
 //!
 //! A builder appends `,disks=<N>` when it has not three data disks and
 //! `,tiny` when its disks are the tiny test model, so a spec holds no
@@ -75,9 +76,9 @@ impl TargetKind {
         raid: None,
         mount: None,
     };
-    /// Trail over raw disks: `trail`.
+    /// Trail over one log disk and raw data disks: `trail`.
     pub const Trail: TargetKind = TargetKind {
-        front: Front::Trail,
+        front: Front::Trail { logs: 1 },
         raid: None,
         mount: None,
     };
@@ -89,11 +90,11 @@ pub enum Front {
     /// The standard disk subsystem: per-disk C-LOOK drivers, no log;
     /// writes pay full seek and rotation at their target addresses.
     Standard,
-    /// The Trail driver over one log disk (the paper's subsystem).
-    Trail,
-    /// A Trail array (paper §6): one Trail instance per log disk, each
-    /// sector owned by one log ([`trail_core::owning_log`]).
-    TrailMulti {
+    /// Trail (the paper's subsystem) over `logs` log disks: one Trail
+    /// instance per log disk, each sector owned by one log
+    /// ([`trail_core::owning_log`]; paper §6). A single log is an array of
+    /// one.
+    Trail {
         /// Number of log disks (raised to at least 1).
         logs: usize,
     },
@@ -105,8 +106,7 @@ impl Front {
     pub fn logs(self) -> usize {
         match self {
             Front::Standard => 0,
-            Front::Trail => 1,
-            Front::TrailMulti { logs } => logs.max(1),
+            Front::Trail { logs } => logs.max(1),
         }
     }
 }
@@ -155,8 +155,8 @@ impl fmt::Display for TargetKind {
         match self.front {
             Front::Standard if tokens.is_empty() => tokens.push("standard".into()),
             Front::Standard => {}
-            Front::Trail => tokens.push("trail".into()),
-            Front::TrailMulti { logs } => tokens.push(format!("trail_multi{logs}")),
+            Front::Trail { logs: 1 } => tokens.push("trail".into()),
+            Front::Trail { logs } => tokens.push(format!("trail_multi{logs}")),
         }
         f.write_str(&tokens.join("_"))
     }
@@ -221,8 +221,8 @@ impl FromStr for TargetKind {
         let front: Vec<&str> = tokens.collect();
         kind.front = match front[..] {
             [] | ["standard"] => Front::Standard,
-            ["trail"] => Front::Trail,
-            ["trail", multi] => Front::TrailMulti {
+            ["trail"] => Front::Trail { logs: 1 },
+            ["trail", multi] => Front::Trail {
                 logs: count(multi.strip_prefix("multi"), "a log array's log count")?,
             },
             _ => return Err(bad("unknown front end")),
@@ -288,6 +288,7 @@ pub(crate) mod tests {
     use std::rc::Rc;
 
     use proptest::prelude::*;
+    use trail_core::TrailConfig;
     use trail_disk::Disk;
     use trail_volume::RaidVolume;
 
@@ -322,9 +323,22 @@ pub(crate) mod tests {
 
             assert_eq!(built.stack.devices(), devices, "{spec}");
             assert_eq!(built.targets.len(), devices, "{spec}");
-            assert_eq!(built.trail.is_some(), shape.front == Front::Trail, "{spec}");
-            let array = matches!(shape.front, Front::TrailMulti { .. });
-            assert_eq!(built.multi.is_some(), array, "{spec}");
+            // Every Trail stack is an array, of `logs` instances; `trail`
+            // is its instance 0 exactly when there is one log.
+            let instances = built.multi.as_ref().map_or(0, |m| m.drivers().len());
+            assert_eq!(instances, logs.len(), "{spec}");
+            assert_eq!(built.trail.is_some(), logs.len() == 1, "{spec}");
+            if let (Some(trail), Some(multi)) = (&built.trail, &built.multi) {
+                let first = &multi.drivers()[0];
+                for dev in 0..devices {
+                    assert!(Rc::ptr_eq(&trail.data_target(dev), &first.data_target(dev)));
+                }
+                assert_eq!(trail.log_disk().name(), first.log_disk().name());
+                assert_eq!(
+                    built.log_disk.as_ref().map(Disk::name),
+                    Some(logs[0].into())
+                );
+            }
             let mounted = shape.mount.is_some();
             assert_eq!(
                 built.mounts.len(),
@@ -338,9 +352,6 @@ pub(crate) mod tests {
                     (false, None) => built.data_disks[dev].geometry().total_sectors(),
                 };
                 assert_eq!(built.span(dev), span, "{spec}");
-                if let Some(trail) = &built.trail {
-                    assert!(Rc::ptr_eq(&trail.data_target(dev), &built.targets[dev]));
-                }
                 // Every instance of an array holds the very same targets.
                 if let Some(multi) = &built.multi {
                     for drv in multi.drivers() {
@@ -391,9 +402,9 @@ pub(crate) mod tests {
     fn every_non_raid_label_parses_back_to_its_kind() {
         for front in [
             Front::Standard,
-            Front::Trail,
-            Front::TrailMulti { logs: 1 },
-            Front::TrailMulti { logs: 12 },
+            Front::Trail { logs: 1 },
+            Front::Trail { logs: 2 },
+            Front::Trail { logs: 12 },
         ] {
             for mount in [None, Some(Mount::Ext2), Some(Mount::Lfs)] {
                 let kind = TargetKind {
@@ -410,6 +421,7 @@ pub(crate) mod tests {
             "Trail",
             "trail_multi",
             "trail_multi0",
+            "trail_multi1",
             "trail_multi-1",
             "trail_multi02",
             "standard_trail",
@@ -435,6 +447,9 @@ pub(crate) mod tests {
             let err = bad.parse::<StackBuilder>().unwrap_err();
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
+        // A one-log array has one spelling, and the error names it.
+        let err = "trail_multi1".parse::<TargetKind>().unwrap_err();
+        assert!(err.contains(r#"this stack is spelled "trail""#), "{err}");
     }
 
     /// Each RAID spec builds its volumes over one tiny data disk per
@@ -451,7 +466,8 @@ pub(crate) mod tests {
         ]);
     }
 
-    /// Every shape the grammar spells, from its parts.
+    /// Every shape the grammar spells, from its parts; the front end as a
+    /// builder sets it, from any log count (0 included).
     fn arb_shape() -> impl Strategy<Value = TargetKind> {
         let chunk = prop_oneof![Just(CHUNK_SECTORS), 1u32..=64];
         let layout = (0u8..5, chunk).prop_map(|(pick, chunk_sectors)| match pick {
@@ -465,13 +481,13 @@ pub(crate) mod tests {
             },
             _ => VolumeLayout::Raid5 { chunk_sectors },
         });
-        (0u8..4, 1usize..=4, layout, 0usize..4, 0u8..3).prop_map(
+        (0u8..3, 0usize..=4, layout, 0usize..4, 0u8..3).prop_map(
             |(front, logs, layout, extra, mount)| {
-                let front = match front {
-                    0 => Front::Standard,
-                    1 => Front::Trail,
-                    _ => Front::TrailMulti { logs },
+                let builder = match front {
+                    0 => StackBuilder::new().standard(),
+                    _ => StackBuilder::new().trail_multi(logs, TrailConfig::default()),
                 };
+                let front = builder.scenario().shape.front;
                 let raid = (extra > 0).then_some(Raid {
                     layout,
                     members: layout.min_members() + extra - 1,
