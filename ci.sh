@@ -197,6 +197,24 @@ for flavor in raw multi2 raid5; do
     && grep -q '"cut_in_data_write_points":[1-9]' <<<"$row" \
     || { echo "BENCH_recovery.json lacks a clean exhaustive $flavor row of >= 30 cuts: $row" >&2; exit 1; }
 done
+# §5.2 at full size: concurrent commits' WAL forces overlap and meet at
+# Trail, so batch utilization never falls as concurrency rises, and at
+# c = 12 it sits at least half a point above c = 1.
+track_json="$full_dir/BENCH_track_util.json"
+awk 'BEGIN { RS = "[{]\"concurrency\":" } NR > 1 {
+  c = $0 + 0
+  if (!match($0, /"batch_util":[0-9.eE+-]+/)) { print "track_util row c = " c " has no batch_util"; bad = 1; next }
+  u = substr($0, RSTART + 13, RLENGTH - 13) + 0
+  if (rows && u < last) { printf "batch_util falls from %.4f to %.4f at c = %d\n", last, u, c; bad = 1 }
+  if (c == 1) { u1 = u; has1 = 1 }
+  if (c == 12) { u12 = u; has12 = 1 }
+  last = u; rows++
+} END {
+  if (!has1 || !has12) { print "track_util lacks the c = 1 or c = 12 row"; exit 1 }
+  if (u12 - u1 < 0.005) { printf "batch_util at c = 12 is %.2f points above c = 1, not >= 0.5\n", 100 * (u12 - u1); bad = 1 }
+  exit bad
+}' "$track_json" >&2 \
+  || { echo "BENCH_track_util.json fails its §5.2 slope check" >&2; exit 1; }
 
 echo "== one-fault-harness gate =="
 # trail::explore is the one fault harness over the umbrella crate's

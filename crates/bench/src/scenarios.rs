@@ -1384,6 +1384,7 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
         Column::md("mean track utilization", Fmt::Plain),
         Column::json("batch_util"),
         Column::json("track_fill"),
+        Column::both("requests / record", "requests_per_record", Fmt::Fixed(2)),
         Column::md("paper", Fmt::Plain),
     ]);
     for &(conc, paper_val) in confs {
@@ -1419,6 +1420,14 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
                     / s.batch_sizes.len() as f64
             }
         });
+        // How many synchronous writes met at the log disk per record.
+        let requests_per_record = trail.with_stats(|s| {
+            if s.log_records == 0 {
+                0.0
+            } else {
+                s.logged_requests as f64 / s.log_records as f64
+            }
+        });
         let track_fill = trail.with_stats(|s| {
             if s.track_utilization.is_empty() {
                 0.0
@@ -1435,6 +1444,7 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
             ),
             batch_util,
             track_fill,
+            requests_per_record,
             paper_val,
         ]);
     }

@@ -23,10 +23,10 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("fs_compare", 238, 0x8a40d441),
     ("table2", 843, 0x331655cd),
     ("table3", 144, 0x9e286b0d),
-    ("track_util", 216, 0xc20e95d2),
+    ("track_util", 282, 0xb0dad959),
     ("replay_synthetic", 28150, 0x6d29817c),
     ("overload_sweep", 2378, 0x91e18b97),
-    ("replay_tpcc", 12694, 0x48c2b94b),
+    ("replay_tpcc", 12702, 0xdea01978),
     ("replaystream", 556, 0x9c9d26b1),
     ("serve", 34753, 0x03fc4d0e),
     ("serve_sweep", 34231, 0x2bddf6cb),
@@ -47,10 +47,10 @@ const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
     ("fs_compare", 934, 0x87cef30c),
     ("table2", 954, 0x2062655c),
     ("table3", 173, 0x64eca0e5),
-    ("track_util", 227, 0xf488c33b),
+    ("track_util", 265, 0x51195269),
     ("replay_synthetic", 624, 0x9f3fea7a),
     ("overload_sweep", 1347, 0xdeedde78),
-    ("replay_tpcc", 428, 0x917b69bb),
+    ("replay_tpcc", 424, 0x5f32318b),
     ("replay_stream", 445, 0xbe4c8bca),
     ("serve_fleet", 1294, 0xede40060),
     ("serve_sweep", 1437, 0x7a1d91fc),

@@ -62,6 +62,9 @@ pub struct TrailStats {
     pub log_records: u64,
     /// Payload sectors of each record, in order — the batching histogram.
     pub batch_sizes: Vec<u32>,
+    /// Write requests all records carry; over `log_records`, how many
+    /// synchronous writes met at the log disk per record (§5.2).
+    pub logged_requests: u64,
     /// Track switches (repositioning reads) performed.
     pub repositions: u64,
     /// Reference refreshes triggered by the idle timer.
@@ -953,6 +956,7 @@ impl TrailDriver {
             d.pool.add_record(ctx.track);
             d.stats.log_records += 1;
             d.stats.batch_sizes.push(ctx.total_sectors);
+            d.stats.logged_requests += u64::from(batch_len);
             if d.lost_revolution(&res.breakdown) {
                 d.stats.lost_revolutions.record_writes += 1;
             }

@@ -81,7 +81,7 @@ const DISK_HEADER_FIXED_LEN: usize = 73;
 ///
 /// Word `i` of each 32-byte block feeds lane `i`; a tail shorter than a
 /// block is zero-padded (record payloads are whole sectors and never have
-/// one).
+/// one). The database WAL checks its chunks' payloads with it too.
 pub fn payload_checksum(data: &[u8]) -> u32 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     fn mix(lanes: &mut [u64; 4], block: &[u8]) {

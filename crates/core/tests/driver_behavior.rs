@@ -223,6 +223,11 @@ fn clustered_writes_batch_into_fewer_records() {
             s.batch_sizes
         );
         assert_eq!(s.batch_sizes.iter().sum::<u32>(), 16);
+        // One sector per request: the request ledger reads the same.
+        assert_eq!(
+            s.logged_requests,
+            u64::from(s.batch_sizes.iter().sum::<u32>())
+        );
     });
 }
 

@@ -24,7 +24,7 @@ use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle, St
 use crate::cache::{BufferPool, CacheStats};
 use crate::page::{Page, PageId, Rid, PAGE_SIZE, SECTORS_PER_PAGE};
 use crate::stack::BlockStack;
-use crate::wal::{FlushPolicy, PendingCommit, Wal, WalRecord, WalStats};
+use crate::wal::{FlushJob, FlushPolicy, PendingCommit, Released, Wal, WalRecord, WalStats};
 
 /// Identifies a table.
 pub type TableId = u8;
@@ -162,9 +162,6 @@ struct DbInner {
     /// Pages with an in-flight write-back; reads are served from these
     /// copies so a racing disk read cannot observe stale bytes.
     flushing: HashMap<PageId, PayloadBuf>,
-    /// Control tokens of commits that triggered a force and therefore
-    /// block until the next force completes.
-    control_waiters: Vec<Completion<()>>,
     flusher_active: bool,
     next_txn: u32,
     active_txns: usize,
@@ -176,13 +173,13 @@ struct DbInner {
 
 /// A WAL force on its way to the log device: one buffer, written as a
 /// chain of `piece_sectors`-sized synchronous writes, each issued when the
-/// one before it is durable.
+/// one before it is durable. Other forces' chains run beside it.
 struct FlushChain {
+    seq: u64,
     lba: Lba,
     data: PayloadBuf,
     piece_sectors: usize,
     next_sector: usize,
-    commits: Vec<PendingCommit>,
     issued: SimTime,
 }
 
@@ -231,7 +228,6 @@ impl Database {
                 open_page: HashMap::new(),
                 next_page,
                 flushing: HashMap::new(),
-                control_waiters: Vec::new(),
                 flusher_active: false,
                 next_txn: 0,
                 active_txns: 0,
@@ -455,7 +451,6 @@ impl Database {
             StepOutcome::Committed => {
                 let deferred_control = {
                     let mut d = self.inner.borrow_mut();
-                    let blocks_control = d.wal.commit_blocks_control();
                     let db = self.clone();
                     let user_done = ctx.on_durable;
                     let txn = ctx.txn;
@@ -480,20 +475,18 @@ impl Database {
                         }
                         user_done.complete(sim, result);
                     });
-                    d.wal.register_commit(PendingCommit {
-                        txn,
-                        started,
-                        on_durable,
-                    });
-                    if blocks_control {
-                        // This commit triggered a force: it runs the force
-                        // synchronously (as Berkeley DB's log_write does),
-                        // so its caller blocks until the force completes.
-                        d.control_waiters.push(on_control);
-                        None
-                    } else {
-                        Some(on_control)
-                    }
+                    // A commit that triggers a force runs it synchronously
+                    // (as Berkeley DB's log_write does), so its caller
+                    // blocks: the WAL keeps its control token until the
+                    // force is durable.
+                    d.wal.register_commit(
+                        PendingCommit {
+                            txn,
+                            started,
+                            on_durable,
+                        },
+                        on_control,
+                    )
                 };
                 if let Some(token) = deferred_control {
                     token.complete(sim, ());
@@ -564,17 +557,20 @@ impl Database {
         self.submit_page_write(sim, pid, bytes, done);
     }
 
-    /// Forces the WAL if the policy calls for it.
+    /// Forces the WAL while the policy calls for it, beside any forces
+    /// already in flight.
     fn maybe_flush_wal(&self, sim: &mut Simulator) {
-        let job = {
-            let mut d = self.inner.borrow_mut();
-            if !d.wal.wants_flush() {
-                return;
-            }
-            d.wal.begin_flush(sim.now(), false)
-        };
-        let Some(job) = job else { return };
-        self.submit_flush(sim, job);
+        loop {
+            let job = {
+                let mut d = self.inner.borrow_mut();
+                if !d.wal.wants_flush() {
+                    return;
+                }
+                d.wal.begin_flush(sim.now(), false)
+            };
+            let Some(job) = job else { return };
+            self.submit_flush(sim, job);
+        }
     }
 
     /// Forces whatever is buffered regardless of policy (used to drain at
@@ -594,18 +590,18 @@ impl Database {
     /// stack each subsequent sequential O_SYNC write has just missed its
     /// rotational window and pays nearly a full revolution; on Trail each
     /// piece costs only transfer + command overhead.
-    fn submit_flush(&self, sim: &mut Simulator, job: crate::wal::FlushJob) {
+    fn submit_flush(&self, sim: &mut Simulator, job: FlushJob) {
         let failed = self.inner.borrow().wal.failed();
         if let Some(e) = failed {
-            return self.fail_flush(sim, job.commits, e);
+            return self.fail_flush(sim, job.seq, e);
         }
         let piece_sectors = self.inner.borrow().config.flush_write_bytes / SECTOR_SIZE;
         let chain = FlushChain {
+            seq: job.seq,
             lba: job.lba,
             data: job.data.into(),
             piece_sectors,
             next_sector: 0,
-            commits: job.commits,
             issued: job.issued,
         };
         self.write_flush_pieces(sim, chain);
@@ -615,11 +611,11 @@ impl Database {
         let total_sectors = chain.data.len() / SECTOR_SIZE;
         if chain.next_sector >= total_sectors {
             let durable_at = sim.now();
-            let waiters = {
-                let mut d = self.inner.borrow_mut();
-                d.wal.finish_flush(durable_at, chain.issued);
-                std::mem::take(&mut d.control_waiters)
-            };
+            let released = self
+                .inner
+                .borrow_mut()
+                .wal
+                .finish_flush(durable_at, chain.seq);
             self.emit(
                 chain.issued,
                 durable_at.duration_since(chain.issued),
@@ -631,10 +627,10 @@ impl Database {
                 durable_at,
                 SimDuration::ZERO,
                 EventKind::GroupCommit {
-                    group: chain.commits.len() as u32,
+                    group: released.commits.len() as u32,
                 },
             );
-            for c in chain.commits {
+            for c in released.commits {
                 self.emit(
                     durable_at,
                     SimDuration::ZERO,
@@ -644,8 +640,8 @@ impl Database {
                 );
                 c.on_durable.complete(sim, durable_at);
             }
-            // Commits that blocked on this force resume.
-            for w in waiters {
+            // Callers blocked on a force that is now durable resume.
+            for w in released.controls {
                 w.complete(sim, ());
             }
             // More commits may have buffered meanwhile.
@@ -670,27 +666,25 @@ impl Database {
                 chain.next_sector = first;
                 db.write_flush_pieces(sim, chain);
             }
-            Err(e) => db.fail_flush(sim, chain.commits, e),
+            Err(e) => db.fail_flush(sim, chain.seq, e),
         });
         stack
             .write_tagged(sim, dev, lba, piece, StreamId::UNTAGGED, done)
             .expect("log chunk write within device bounds");
     }
 
-    /// Fails a force with `e`: its commits, and the commits blocked on it,
-    /// hear `e`, and so does every later force (see [`Wal::fail_flush`]).
+    /// Fails force `seq` with `e`: every commit and control token that
+    /// needs a log byte from it on hears `e`, and so does every later
+    /// force (see [`Wal::fail_flush`]).
     ///
     /// [`Wal::fail_flush`]: crate::Wal::fail_flush
-    fn fail_flush(&self, sim: &mut Simulator, commits: Vec<PendingCommit>, e: IoError) {
-        let waiters = {
-            let mut d = self.inner.borrow_mut();
-            d.wal.fail_flush(e);
-            std::mem::take(&mut d.control_waiters)
-        };
+    fn fail_flush(&self, sim: &mut Simulator, seq: u64, e: IoError) {
+        let Released { commits, controls } =
+            self.inner.borrow_mut().wal.fail_flush(sim.now(), seq, e);
         for c in commits {
             c.on_durable.fail(sim, e);
         }
-        for w in waiters {
+        for w in controls {
             w.fail(sim, e);
         }
         self.maybe_flush_wal(sim);
@@ -734,13 +728,15 @@ impl Database {
         }
     }
 
+    /// WAL forces begun and neither landed nor failed yet.
+    pub fn forces_in_flight(&self) -> usize {
+        self.inner.borrow().wal.forces_in_flight()
+    }
+
     /// Work outstanding anywhere in the engine or the stack below it.
     pub fn pending_work(&self) -> usize {
         let d = self.inner.borrow();
-        d.active_txns
-            + usize::from(d.wal.flush_inflight())
-            + d.flushing.len()
-            + d.stack.pending_work()
+        d.active_txns + d.wal.forces_in_flight() + d.flushing.len() + d.stack.pending_work()
     }
 
     /// Runs the simulation until all transactions are durable and all
@@ -836,8 +832,7 @@ impl DbInner {
         evict_writes: &mut Vec<(PageId, Vec<u8>)>,
     ) -> StepOutcome {
         while ctx.pos < ctx.ops.len() {
-            let op = ctx.ops[ctx.pos].clone();
-            match op {
+            match ctx.ops[ctx.pos] {
                 Op::Read(table, key) => {
                     match self.index.get(&(table, key)).copied() {
                         None => {
@@ -856,7 +851,7 @@ impl DbInner {
                     }
                     ctx.pos += 1;
                 }
-                Op::Write(table, key, value) => {
+                Op::Write(table, key, ref mut value) => {
                     match self.index.get(&(table, key)).copied() {
                         Some(rid) => {
                             if !self.resident(rid.page, evict_writes) {
@@ -883,7 +878,7 @@ impl DbInner {
                                 .cache
                                 .get_mut(rid.page)
                                 .expect("just ensured resident")
-                                .update(rid.slot, &value);
+                                .update(rid.slot, value);
                             if updated {
                                 self.cache.mark_dirty(rid.page);
                             } else {
@@ -893,18 +888,20 @@ impl DbInner {
                                     .expect("resident")
                                     .delete(rid.slot);
                                 self.cache.mark_dirty(rid.page);
-                                self.insert_new(table, key, &value, evict_writes);
+                                self.insert_new(table, key, value, evict_writes);
                             }
                         }
                         None => {
-                            self.insert_new(table, key, &value, evict_writes);
+                            self.insert_new(table, key, value, evict_writes);
                         }
                     }
+                    // The op is done, so its row moves into the log record
+                    // (an op that suspended above runs again from the top).
                     self.wal.append(WalRecord::Put {
                         txn: ctx.txn,
                         table,
                         key,
-                        value,
+                        value: std::mem::take(value),
                     });
                     ctx.pos += 1;
                 }

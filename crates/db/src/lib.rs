@@ -43,4 +43,6 @@ pub use recovery::{
 };
 pub use service::StorageService;
 pub use stack::{BlockStack, SharedStack, StandardStack};
-pub use wal::{FlushJob, FlushPolicy, PendingCommit, Wal, WalRecord, WalStats, CHUNK_MAGIC};
+pub use wal::{
+    FlushJob, FlushPolicy, PendingCommit, Released, Wal, WalRecord, WalStats, CHUNK_MAGIC,
+};

@@ -70,8 +70,8 @@ pub fn read_blocking(
 }
 
 /// Scans the log region, returning every record of every chunk in LSN
-/// order. Stops at the first invalid or out-of-sequence chunk (the tail of
-/// the log).
+/// order. Stops at the first invalid, torn or out-of-sequence chunk (the
+/// tail of the log).
 ///
 /// # Errors
 ///

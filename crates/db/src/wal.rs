@@ -11,7 +11,16 @@
 //! writes of the configured granularity (see [`FlushJob`]); that
 //! granularity is what makes large group-commit forces expensive on a
 //! mechanical disk.
+//!
+//! Forces overlap: one starts whenever the policy calls for it, so
+//! concurrent commits' log writes reach the stack together (paper §5.2).
+//! They become durable in log order: a commit is durable once every log
+//! byte up to its commit record has landed, whatever order the forces
+//! land in. That is the one durable point recovery can rebuild, because
+//! its scan stops at the first chunk missing from the log or torn (each
+//! chunk's header carries a checksum of its payload).
 
+use trail_core::format::payload_checksum;
 use trail_disk::SECTOR_SIZE;
 use trail_sim::{Completion, IoError, SimDuration, SimTime};
 
@@ -70,7 +79,9 @@ const REC_ABORT: u8 = 4;
 
 /// Magic number starting every flushed chunk.
 pub const CHUNK_MAGIC: u32 = 0x5741_4C21; // "WAL!"
-const CHUNK_HDR: usize = 16; // magic u32, chunk_seq u64, len u32
+/// The chunk header: magic u32, chunk_seq u32, payload checksum u32
+/// ([`payload_checksum`]), payload len u32.
+const CHUNK_HDR: usize = 16;
 
 impl WalRecord {
     /// Length of the record's wire form, as [`encode`](Self::encode) and
@@ -181,29 +192,52 @@ pub struct PendingCommit {
     pub txn: u32,
     /// When the transaction started (for response-time accounting).
     pub started: SimTime,
-    /// Delivered with the durability instant when the commit's records
-    /// reach the disk; failed with the error of the force that could not
-    /// write them, or cancelled if the engine shuts down first.
+    /// Delivered with the durability instant once every log byte up to the
+    /// commit's records has landed; failed with the error of a force that
+    /// could not write them, or cancelled if the engine shuts down first.
     pub on_durable: Completion<SimTime>,
 }
 
-/// A flush the engine must now submit to the stack.
+/// A force the engine must now submit to the stack: one chunk, at its own
+/// place in the log.
 ///
 /// The engine writes `data` as a sequence of `write_granularity`-byte
 /// synchronous writes, modeling Berkeley DB's flush loop: on a mechanical
 /// disk each subsequent sequential O_SYNC write has just missed its
 /// rotational window and pays nearly a full revolution — the paper's "I/O
 /// clustering" effect, and the reason a 50-KB group-commit force costs
-/// ~60 ms on the baseline (Table 2).
+/// ~60 ms on the baseline (Table 2). The force reports back by `seq`
+/// ([`Wal::finish_flush`] or [`Wal::fail_flush`]); which commits it makes
+/// durable is the WAL's business, not the job's.
 pub struct FlushJob {
+    /// The chunk's sequence number, which names the force.
+    pub seq: u64,
     /// Absolute sector on the log device for the chunk write.
     pub lba: u64,
     /// Sector-padded chunk bytes.
     pub data: Vec<u8>,
-    /// Commits that become durable when this flush completes.
-    pub commits: Vec<PendingCommit>,
     /// When the flush was created.
     pub issued: SimTime,
+}
+
+/// What the end of a force hands back: on landing, the commits and control
+/// tokens the durable point now covers; on failure, the ones it never
+/// will.
+#[derive(Default)]
+pub struct Released {
+    /// Commits, in log order.
+    pub commits: Vec<PendingCommit>,
+    /// Control tokens of commits that triggered a force, in log order.
+    pub controls: Vec<Completion<()>>,
+}
+
+/// A force between [`Wal::begin_flush`] and the durable point.
+struct Force {
+    seq: u64,
+    /// The log bytes it carries: `[start, end)` of everything appended.
+    start: u64,
+    end: u64,
+    landed: bool,
 }
 
 /// WAL counters.
@@ -216,8 +250,9 @@ pub struct WalStats {
     pub bytes_flushed: u64,
     /// Logical records appended.
     pub records: u64,
-    /// Total wall time spent with a log flush outstanding — the paper's
-    /// "Disk I/O Time for Logging" (Table 2).
+    /// Time with at least one force outstanding, each instant counted
+    /// once however many forces overlap it — the paper's "Disk I/O Time
+    /// for Logging" (Table 2).
     pub logging_io_time: SimDuration,
 }
 
@@ -233,14 +268,17 @@ pub struct WalStats {
 /// let mut wal = Wal::new(0, 64, 100_000, FlushPolicy::EveryCommit);
 /// wal.append(WalRecord::Put { txn: 1, table: 0, key: 9, value: vec![1, 2] });
 /// wal.append(WalRecord::Commit { txn: 1 });
-/// wal.register_commit(trail_db::PendingCommit {
+/// let commit = trail_db::PendingCommit {
 ///     txn: 1,
 ///     started: SimTime::ZERO,
 ///     on_durable: sim.completion(|_, _: trail_sim::Delivered<SimTime>| {}),
-/// });
-/// assert!(wal.wants_flush());
+/// };
+/// // The commit triggers a force, so its control token waits for it.
+/// let control = sim.completion(|_, _: trail_sim::Delivered<()>| {});
+/// assert!(wal.register_commit(commit, control).is_none());
 /// let job = wal.begin_flush(SimTime::ZERO, false).unwrap();
-/// assert_eq!(job.commits.len(), 1);
+/// let released = wal.finish_flush(SimTime::from_nanos(5), job.seq);
+/// assert_eq!((released.commits.len(), released.controls.len()), (1, 1));
 /// ```
 pub struct Wal {
     dev: usize,
@@ -254,11 +292,25 @@ pub struct Wal {
     pending: std::collections::VecDeque<(u64, WalRecord)>,
     /// Their total encoded length.
     pending_bytes: usize,
-    /// Cumulative bytes ever appended / flushed (durability watermark).
+    /// Cumulative bytes ever appended / handed to a force.
     appended_bytes: u64,
     flushed_bytes: u64,
-    waiting: Vec<(u64, PendingCommit)>,
-    flush_inflight: bool,
+    /// The durable point: every log byte below it has landed.
+    durable_bytes: u64,
+    /// Forces not yet below the durable point, in log order. The front
+    /// one, if any, has not landed.
+    forces: std::collections::VecDeque<Force>,
+    /// Forces still writing, and since when at least one has been.
+    writing: usize,
+    busy_since: SimTime,
+    /// Commits awaiting the durable point, with the log bytes each needs,
+    /// in log order.
+    waiting: std::collections::VecDeque<(u64, PendingCommit)>,
+    /// Control tokens of commits that triggered the next force to begin.
+    triggering: Vec<Completion<()>>,
+    /// Control tokens with the end of the force their commit triggered, in
+    /// log order.
+    controls: std::collections::VecDeque<(u64, Completion<()>)>,
     /// The error a force failed with: the log has a hole from there on.
     failed: Option<IoError>,
     policy: FlushPolicy,
@@ -280,8 +332,13 @@ impl Wal {
             pending_bytes: 0,
             appended_bytes: 0,
             flushed_bytes: 0,
-            waiting: Vec::new(),
-            flush_inflight: false,
+            durable_bytes: 0,
+            forces: std::collections::VecDeque::new(),
+            writing: 0,
+            busy_since: SimTime::ZERO,
+            waiting: std::collections::VecDeque::new(),
+            triggering: Vec::new(),
+            controls: std::collections::VecDeque::new(),
             failed: None,
             policy,
             stats: WalStats::default(),
@@ -308,9 +365,9 @@ impl Wal {
         self.pending_bytes
     }
 
-    /// Whether a flush is outstanding.
-    pub fn flush_inflight(&self) -> bool {
-        self.flush_inflight
+    /// Forces begun and neither landed nor failed yet.
+    pub fn forces_in_flight(&self) -> usize {
+        self.writing
     }
 
     /// Appends a record to the log buffer, returning its LSN.
@@ -327,50 +384,60 @@ impl Wal {
 
     /// Registers a commit awaiting durability of everything appended so
     /// far.
-    pub fn register_commit(&mut self, commit: PendingCommit) {
-        self.waiting.push((self.appended_bytes, commit));
-    }
-
-    /// Whether the commit that just appended must *block* until the next
-    /// force completes: the force runs synchronously in the committing
-    /// thread (as Berkeley DB's `log_write` does), so the triggering
-    /// transaction cannot proceed. Unlike [`wants_flush`](Self::wants_flush)
-    /// this ignores an in-flight force — the caller would queue behind it.
-    pub fn commit_blocks_control(&self) -> bool {
-        match self.policy {
-            FlushPolicy::EveryCommit => true,
-            FlushPolicy::GroupCommit { buffer_bytes } => self.pending_bytes >= buffer_bytes,
+    ///
+    /// A commit that leaves the policy calling for a force triggers it and
+    /// runs it synchronously in the committing thread (as Berkeley DB's
+    /// `log_write` does), so its caller blocks: the WAL keeps `on_control`
+    /// and releases it once the next force to begin, and every earlier
+    /// one, has landed. Otherwise `on_control` is handed back for the
+    /// caller to deliver now.
+    pub fn register_commit(
+        &mut self,
+        commit: PendingCommit,
+        on_control: Completion<()>,
+    ) -> Option<Completion<()>> {
+        self.waiting.push_back((self.appended_bytes, commit));
+        if self.wants_flush() {
+            self.triggering.push(on_control);
+            None
+        } else {
+            Some(on_control)
         }
     }
 
-    /// Whether the policy calls for a force right now.
+    /// Whether the policy calls for a force right now, whatever forces are
+    /// already in flight.
     pub fn wants_flush(&self) -> bool {
-        if self.flush_inflight || self.pending.is_empty() {
+        if self.pending.is_empty() {
             return false;
         }
         match self.policy {
-            FlushPolicy::EveryCommit => !self.waiting.is_empty(),
+            // A commit whose records no force carries yet.
+            FlushPolicy::EveryCommit => self
+                .waiting
+                .back()
+                .is_some_and(|&(needs, _)| needs > self.flushed_bytes),
             FlushPolicy::GroupCommit { buffer_bytes } => self.pending_bytes >= buffer_bytes,
         }
     }
 
     /// Drains (up to) one log buffer's worth of records into a
-    /// [`FlushJob`]. Under group commit the physical log buffer holds only
-    /// `buffer_bytes`, so one force writes at most that much (plus the
-    /// record that crossed the boundary); the remainder waits for the next
-    /// force — this is what makes a 4-KB buffer produce *more* forces than
-    /// transactions in the paper's Table 3. `force_all` drains everything
-    /// (end-of-run).
+    /// [`FlushJob`], at the log offset after the previous force's, without
+    /// waiting for earlier forces to land. Under group commit the physical
+    /// log buffer holds only `buffer_bytes`, so one force writes at most
+    /// that much (plus the record that crossed the boundary); the
+    /// remainder waits for the next force — this is what makes a 4-KB
+    /// buffer produce *more* forces than transactions in the paper's
+    /// Table 3. `force_all` drains everything (end-of-run).
     ///
-    /// Returns `None` if there is nothing to flush or a flush is already
-    /// outstanding.
+    /// Returns `None` if there is nothing to flush.
     ///
     /// # Panics
     ///
     /// Panics if the log file would wrap its region — the benches size the
     /// region so this never happens (see `DESIGN.md`).
     pub fn begin_flush(&mut self, now: SimTime, force_all: bool) -> Option<FlushJob> {
-        if self.flush_inflight || self.pending.is_empty() {
+        if self.pending.is_empty() {
             return None;
         }
         let cap = match (force_all, self.policy) {
@@ -391,18 +458,22 @@ impl Wal {
             }
         }
         self.pending_bytes -= payload_len;
-        let covers = self.flushed_bytes + payload_len as u64;
         // The chunk is built in place: header, then each record encoded
-        // once behind it, then zero padding to a whole sector.
+        // once behind it, then zero padding to a whole sector. The
+        // checksum goes in last, once the payload is there.
         let sectors = Self::chunk_sectors(payload_len);
         let mut data = Vec::with_capacity(sectors as usize * SECTOR_SIZE);
         data.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
-        data.extend_from_slice(&self.chunk_seq.to_le_bytes());
+        let seq = u32::try_from(self.chunk_seq).expect("chunk sequence fits the header");
+        data.extend_from_slice(&seq.to_le_bytes());
+        data.extend_from_slice(&[0; 4]);
         data.extend_from_slice(&(payload_len as u32).to_le_bytes());
         for (lsn, rec) in self.pending.drain(..taken) {
             rec.encode(lsn, &mut data);
         }
         debug_assert_eq!(data.len(), CHUNK_HDR + payload_len);
+        let sum = payload_checksum(&data[CHUNK_HDR..]);
+        data[8..12].copy_from_slice(&sum.to_le_bytes());
         data.resize(sectors as usize * SECTOR_SIZE, 0);
         assert!(
             self.append_pos + sectors <= self.capacity_sectors,
@@ -410,49 +481,107 @@ impl Wal {
         );
         let lba = self.region_start + self.append_pos;
         self.append_pos += sectors;
+        let seq = self.chunk_seq;
         self.chunk_seq += 1;
-        self.flush_inflight = true;
+        let start = self.flushed_bytes;
+        let end = start + payload_len as u64;
+        self.flushed_bytes = end;
+        self.forces.push_back(Force {
+            seq,
+            start,
+            end,
+            landed: false,
+        });
+        if self.writing == 0 {
+            self.busy_since = now;
+        }
+        self.writing += 1;
+        self.controls
+            .extend(self.triggering.drain(..).map(|token| (end, token)));
         self.stats.flushes += 1;
         self.stats.bytes_flushed += data.len() as u64;
-        // Commits whose records are fully inside this force become durable
-        // with it; later commits keep waiting.
-        let (ready, still): (Vec<_>, Vec<_>) = std::mem::take(&mut self.waiting)
-            .into_iter()
-            .partition(|(needs, _)| *needs <= covers);
-        self.waiting = still;
-        self.flushed_bytes = covers;
         Some(FlushJob {
+            seq,
             lba,
             data,
-            commits: ready.into_iter().map(|(_, c)| c).collect(),
             issued: now,
         })
     }
 
-    /// Marks the outstanding flush complete at `now`, accumulating the
-    /// logging I/O time.
+    /// Marks force `seq` landed at `now`. The durable point moves only
+    /// over forces that have landed with every earlier one, so this
+    /// releases nothing while an earlier force is still writing, and
+    /// nothing once the log has a hole before `seq`.
     ///
     /// # Panics
     ///
-    /// Panics if no flush was outstanding.
-    pub fn finish_flush(&mut self, now: SimTime, issued: SimTime) {
-        assert!(self.flush_inflight, "finish_flush without begin_flush");
-        self.flush_inflight = false;
-        self.stats.logging_io_time += now.duration_since(issued);
+    /// Panics if no force is outstanding.
+    pub fn finish_flush(&mut self, now: SimTime, seq: u64) -> Released {
+        self.end_force(now);
+        if let Some(force) = self.forces.iter_mut().find(|f| f.seq == seq) {
+            force.landed = true;
+        }
+        while let Some(force) = self.forces.front().filter(|f| f.landed) {
+            self.durable_bytes = force.end;
+            self.forces.pop_front();
+        }
+        let commits = self
+            .waiting
+            .partition_point(|&(needs, _)| needs <= self.durable_bytes);
+        let controls = self
+            .controls
+            .partition_point(|&(end, _)| end <= self.durable_bytes);
+        Released {
+            commits: self.waiting.drain(..commits).map(|(_, c)| c).collect(),
+            controls: self.controls.drain(..controls).map(|(_, c)| c).collect(),
+        }
     }
 
-    /// Marks the outstanding flush failed with `e`. Recovery's scan stops
-    /// at the first chunk missing from the log, so nothing written after
-    /// this one could ever be recovered: every later force fails with `e`
-    /// too ([`failed`](Self::failed)).
+    /// Marks force `seq` failed with `e` at `now`. Recovery's scan stops
+    /// at the first chunk missing from the log, so no byte from this
+    /// force's start on can ever be durable: every commit and control
+    /// token that needs one is released to hear `e`, forces after it can
+    /// release nothing, and every later force fails with `e` too
+    /// ([`failed`](Self::failed)). Forces before it still land.
     ///
     /// # Panics
     ///
-    /// Panics if no flush was outstanding.
-    pub fn fail_flush(&mut self, e: IoError) {
-        assert!(self.flush_inflight, "fail_flush without begin_flush");
-        self.flush_inflight = false;
+    /// Panics if no force is outstanding.
+    pub fn fail_flush(&mut self, now: SimTime, seq: u64, e: IoError) -> Released {
+        self.end_force(now);
         self.failed.get_or_insert(e);
+        let Some(at) = self.forces.iter().position(|f| f.seq == seq) else {
+            // Already past an earlier hole: its waiters have heard.
+            return Released::default();
+        };
+        let hole = self.forces[at].start;
+        self.forces.truncate(at);
+        let commits = self.waiting.partition_point(|&(needs, _)| needs <= hole);
+        let controls = self.controls.partition_point(|&(end, _)| end <= hole);
+        Released {
+            commits: self
+                .waiting
+                .split_off(commits)
+                .into_iter()
+                .map(|(_, c)| c)
+                .collect(),
+            controls: self
+                .controls
+                .split_off(controls)
+                .into_iter()
+                .map(|(_, c)| c)
+                .collect(),
+        }
+    }
+
+    /// One force stopped writing at `now`: logging I/O time grows by the
+    /// stretch that ends when the last one does.
+    fn end_force(&mut self, now: SimTime) {
+        assert!(self.writing > 0, "a force ended that never began");
+        self.writing -= 1;
+        if self.writing == 0 {
+            self.stats.logging_io_time += now.duration_since(self.busy_since);
+        }
     }
 
     /// The error the log failed with, if a force has failed.
@@ -462,22 +591,23 @@ impl Wal {
 
     /// Parses the records out of one chunk's bytes (as read from disk).
     ///
-    /// Returns `None` if the chunk is invalid or its sequence number does
-    /// not match `expected_seq`.
+    /// Returns `None` if the chunk is invalid, torn (its payload does not
+    /// match the header's checksum) or its sequence number does not match
+    /// `expected_seq`. Forces overlap, so a power cut can leave a chunk
+    /// with pieces missing while a later chunk has landed whole; the
+    /// checksum is what stops the scan at the torn one.
     pub fn parse_chunk(data: &[u8], expected_seq: u64) -> Option<(Vec<(u64, WalRecord)>, u64)> {
         if data.len() < CHUNK_HDR {
             return None;
         }
-        let magic = u32::from_le_bytes(data[0..4].try_into().expect("len"));
-        if magic != CHUNK_MAGIC {
+        let word = |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().expect("len"));
+        if word(0) != CHUNK_MAGIC || u64::from(word(4)) != expected_seq {
             return None;
         }
-        let seq = u64::from_le_bytes(data[4..12].try_into().expect("len"));
-        if seq != expected_seq {
-            return None;
-        }
-        let len = u32::from_le_bytes(data[12..16].try_into().expect("len")) as usize;
-        if CHUNK_HDR + len > data.len() {
+        let len = word(12) as usize;
+        if CHUNK_HDR + len > data.len()
+            || payload_checksum(&data[CHUNK_HDR..CHUNK_HDR + len]) != word(8)
+        {
             return None;
         }
         let mut records = Vec::new();
@@ -551,8 +681,25 @@ mod tests {
         assert!(WalRecord::decode(&buf).is_none());
     }
 
-    fn noop_durable(sim: &trail_sim::Simulator) -> Completion<SimTime> {
+    /// A commit of `txn` whose tokens go nowhere.
+    fn pending(sim: &trail_sim::Simulator, txn: u32) -> PendingCommit {
+        PendingCommit {
+            txn,
+            started: SimTime::ZERO,
+            on_durable: sim.completion(|_, _| {}),
+        }
+    }
+
+    fn noop_control(sim: &trail_sim::Simulator) -> Completion<()> {
         sim.completion(|_, _| {})
+    }
+
+    fn at(nanos: u64) -> SimTime {
+        SimTime::from_nanos(nanos)
+    }
+
+    fn txns(released: &Released) -> Vec<u32> {
+        released.commits.iter().map(|c| c.txn).collect()
     }
 
     #[test]
@@ -567,11 +714,11 @@ mod tests {
         });
         assert!(!wal.wants_flush(), "no waiting commit yet");
         wal.append(WalRecord::Commit { txn: 1 });
-        wal.register_commit(PendingCommit {
-            txn: 1,
-            started: SimTime::ZERO,
-            on_durable: noop_durable(&sim),
-        });
+        let control = wal.register_commit(pending(&sim, 1), noop_control(&sim));
+        assert!(
+            control.is_none(),
+            "the commit blocks on the force it triggers"
+        );
         assert!(wal.wants_flush());
     }
 
@@ -587,11 +734,8 @@ mod tests {
                 value: vec![0; 50],
             });
             wal.append(WalRecord::Commit { txn });
-            wal.register_commit(PendingCommit {
-                txn,
-                started: SimTime::ZERO,
-                on_durable: noop_durable(&sim),
-            });
+            let control = wal.register_commit(pending(&sim, txn), noop_control(&sim));
+            assert!(control.is_some(), "control returns at once");
         }
         // 5 × (~88 bytes) < 500: no force yet.
         assert!(!wal.wants_flush(), "buffered {}", wal.buffered_bytes());
@@ -618,39 +762,143 @@ mod tests {
             value: vec![0xAA; 600],
         });
         wal.append(WalRecord::Commit { txn: 1 });
-        wal.register_commit(PendingCommit {
-            txn: 1,
-            started: SimTime::ZERO,
-            on_durable: noop_durable(&sim),
-        });
-        let job = wal
-            .begin_flush(SimTime::from_nanos(100), false)
-            .expect("flushes");
-        assert_eq!(job.lba, 64);
+        wal.register_commit(pending(&sim, 1), noop_control(&sim));
+        let job = wal.begin_flush(at(100), false).expect("flushes");
+        assert_eq!((job.seq, job.lba), (0, 64));
         assert_eq!(job.data.len() % SECTOR_SIZE, 0);
-        assert_eq!(job.commits.len(), 1);
-        assert!(wal.flush_inflight());
-        assert!(wal.begin_flush(SimTime::from_nanos(101), false).is_none());
+        assert_eq!(wal.forces_in_flight(), 1);
+        assert!(
+            wal.begin_flush(at(101), false).is_none(),
+            "nothing buffered"
+        );
         let (records, sectors) = Wal::parse_chunk(&job.data, 0).expect("parses");
         assert_eq!(records.len(), 2);
         assert_eq!(sectors as usize * SECTOR_SIZE, job.data.len());
-        wal.finish_flush(SimTime::from_nanos(2_100), job.issued);
-        assert!(!wal.flush_inflight());
+        let released = wal.finish_flush(at(2_100), job.seq);
+        assert_eq!((txns(&released), released.controls.len()), (vec![1], 1));
+        assert_eq!(wal.forces_in_flight(), 0);
         assert_eq!(wal.stats().flushes, 1);
         assert_eq!(wal.stats().logging_io_time.as_nanos(), 2_000);
         // Second flush appends after the first chunk.
         wal.append(WalRecord::Commit { txn: 2 });
-        wal.register_commit(PendingCommit {
-            txn: 2,
-            started: SimTime::ZERO,
-            on_durable: noop_durable(&sim),
-        });
-        let job2 = wal
-            .begin_flush(SimTime::from_nanos(3_000), false)
-            .expect("flushes");
-        assert_eq!(job2.lba, 64 + sectors);
+        wal.register_commit(pending(&sim, 2), noop_control(&sim));
+        let job2 = wal.begin_flush(at(3_000), false).expect("flushes");
+        assert_eq!((job2.seq, job2.lba), (1, 64 + sectors));
         assert!(Wal::parse_chunk(&job2.data, 0).is_none(), "wrong seq");
         assert!(Wal::parse_chunk(&job2.data, 1).is_some());
+    }
+
+    #[test]
+    fn a_chunk_torn_inside_its_last_records_value_is_rejected() {
+        let sim = trail_sim::Simulator::new();
+        let mut wal = Wal::new(0, 64, 1000, FlushPolicy::EveryCommit);
+        wal.append(WalRecord::Put {
+            txn: 1,
+            table: 0,
+            key: 5,
+            value: vec![0xAB; 2_000],
+        });
+        wal.register_commit(pending(&sim, 1), noop_control(&sim));
+        let job = wal.begin_flush(at(0), false).expect("flushes");
+        assert!(Wal::parse_chunk(&job.data, 0).is_some());
+        // Power fails after the first sectors land: the rest read as
+        // zeros, all of them inside the Put's value.
+        let mut torn = job.data.clone();
+        torn[3 * SECTOR_SIZE..].fill(0);
+        let (_, rec, _) = WalRecord::decode(&torn[CHUNK_HDR..]).expect("still decodes");
+        assert!(matches!(rec, WalRecord::Put { ref value, .. } if value.len() == 2_000));
+        assert!(
+            Wal::parse_chunk(&torn, 0).is_none(),
+            "the checksum sees the tear"
+        );
+        // So does one flipped byte.
+        let mut flipped = job.data.clone();
+        flipped[CHUNK_HDR + 100] ^= 1;
+        assert!(Wal::parse_chunk(&flipped, 0).is_none());
+    }
+
+    /// Under every-commit, `n` transactions each commit and trigger a
+    /// force of their own, begun at 10, 20, … ns: all in flight at once.
+    fn overlapping_forces(sim: &trail_sim::Simulator, n: u32) -> (Wal, Vec<FlushJob>) {
+        let mut wal = Wal::new(0, 64, 1000, FlushPolicy::EveryCommit);
+        let jobs = (1..=n)
+            .map(|txn| {
+                wal.append(WalRecord::Put {
+                    txn,
+                    table: 0,
+                    key: u64::from(txn),
+                    value: vec![txn as u8; 40],
+                });
+                wal.append(WalRecord::Commit { txn });
+                assert!(wal
+                    .register_commit(pending(sim, txn), noop_control(sim))
+                    .is_none());
+                let job = wal.begin_flush(at(10 * u64::from(txn)), false);
+                assert!(!wal.wants_flush(), "one force per commit");
+                job.expect("a force begins while others are in flight")
+            })
+            .collect();
+        assert_eq!(wal.forces_in_flight(), n as usize);
+        (wal, jobs)
+    }
+
+    #[test]
+    fn a_force_that_lands_early_releases_nothing_until_every_earlier_one_has() {
+        let sim = trail_sim::Simulator::new();
+        let (mut wal, jobs) = overlapping_forces(&sim, 3);
+        let early = wal.finish_flush(at(100), jobs[1].seq);
+        assert!(early.commits.is_empty() && early.controls.is_empty());
+        let first = wal.finish_flush(at(200), jobs[0].seq);
+        assert_eq!(txns(&first), [1, 2], "forces 1 and 2 are durable together");
+        assert_eq!(first.controls.len(), 2);
+        let last = wal.finish_flush(at(300), jobs[2].seq);
+        assert_eq!((txns(&last), last.controls.len()), (vec![3], 1));
+        assert_eq!(wal.forces_in_flight(), 0);
+    }
+
+    #[test]
+    fn a_failed_force_fails_the_commits_of_every_later_one_and_acks_none() {
+        let sim = trail_sim::Simulator::new();
+        let (mut wal, jobs) = overlapping_forces(&sim, 3);
+        // Force 3 lands, then force 2 fails: nothing from force 2 on can
+        // be durable, so commits 2 and 3 and their control tokens hear the
+        // error, and force 3's landing acked nothing.
+        let early = wal.finish_flush(at(100), jobs[2].seq);
+        assert!(early.commits.is_empty() && early.controls.is_empty());
+        let failed = wal.fail_flush(at(150), jobs[1].seq, IoError::MediaFailed);
+        assert_eq!((txns(&failed), failed.controls.len()), (vec![2, 3], 2));
+        assert_eq!(wal.failed(), Some(IoError::MediaFailed));
+        // Force 1 comes before the hole and still lands.
+        let first = wal.finish_flush(at(200), jobs[0].seq);
+        assert_eq!((txns(&first), first.controls.len()), (vec![1], 1));
+        assert_eq!(wal.forces_in_flight(), 0);
+        // A later commit's force is past the hole: failing it fails it.
+        wal.append(WalRecord::Commit { txn: 4 });
+        assert!(wal
+            .register_commit(pending(&sim, 4), noop_control(&sim))
+            .is_none());
+        let job = wal.begin_flush(at(300), false).expect("flushes");
+        let later = wal.fail_flush(at(300), job.seq, IoError::MediaFailed);
+        assert_eq!((txns(&later), later.controls.len()), (vec![4], 1));
+    }
+
+    #[test]
+    fn overlapping_forces_count_each_instant_of_logging_io_time_once() {
+        let sim = trail_sim::Simulator::new();
+        let (mut wal, jobs) = overlapping_forces(&sim, 2);
+        // Force 1 writes over [10, 100), force 2 over [20, 300): the log
+        // is busy for 290 ns, not the 370 ns their durations sum to.
+        wal.finish_flush(at(100), jobs[0].seq);
+        wal.finish_flush(at(300), jobs[1].seq);
+        let busy = wal.stats().logging_io_time.as_nanos();
+        assert_eq!(busy, 290);
+        assert!(busy <= at(300).duration_since(jobs[0].issued).as_nanos());
+        // An idle gap is not counted.
+        wal.append(WalRecord::Commit { txn: 3 });
+        wal.register_commit(pending(&sim, 3), noop_control(&sim));
+        let job = wal.begin_flush(at(1_000), false).expect("flushes");
+        wal.finish_flush(at(1_050), job.seq);
+        assert_eq!(wal.stats().logging_io_time.as_nanos(), 340);
     }
 
     /// The chunk image built the way `begin_flush` used to: every record
@@ -673,7 +921,8 @@ mod tests {
         }
         let mut data = Vec::new();
         data.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
-        data.extend_from_slice(&chunk_seq.to_le_bytes());
+        data.extend_from_slice(&(chunk_seq as u32).to_le_bytes());
+        data.extend_from_slice(&payload_checksum(&payload).to_le_bytes());
         data.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         data.extend_from_slice(&payload);
         let pad = (SECTOR_SIZE - data.len() % SECTOR_SIZE) % SECTOR_SIZE;
@@ -744,7 +993,7 @@ mod tests {
                     assert_eq!(job.lba, 64 + flushed / SECTOR_SIZE as u64);
                     chunk_seq += 1;
                     flushed += expected.len() as u64;
-                    wal.finish_flush(SimTime::ZERO, job.issued);
+                    wal.finish_flush(SimTime::ZERO, job.seq);
                     assert_eq!(wal.buffered_bytes(), staged_bytes(&staged));
                 }
             }
@@ -767,11 +1016,7 @@ mod tests {
             key: 0,
             value: vec![0; 2000],
         });
-        wal.register_commit(PendingCommit {
-            txn: 1,
-            started: SimTime::ZERO,
-            on_durable: noop_durable(&sim),
-        });
+        wal.register_commit(pending(&sim, 1), noop_control(&sim));
         let _ = wal.begin_flush(SimTime::ZERO, false);
     }
 }

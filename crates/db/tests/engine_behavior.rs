@@ -4,10 +4,17 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use trail_blockio::{BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver};
 use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
-use trail_db::{scan_wal, Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec};
-use trail_disk::{cut_instants, profiles, Disk};
-use trail_sim::{Delivered, DurationHistogram, IoError, SimDuration, SimTime, Simulator};
+use trail_db::{
+    scan_wal, Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec, Wal,
+    CHUNK_MAGIC,
+};
+use trail_disk::{cut_instants, profiles, Disk, DiskError};
+use trail_sim::{
+    Completion, Delivered, DurationHistogram, IoError, SimDuration, SimTime, Simulator,
+};
+use trail_telemetry::RecorderHandle;
 
 const LOG_DEV: usize = 0;
 const TABLE_DEV: usize = 1;
@@ -296,7 +303,7 @@ type Durable = Rc<RefCell<Vec<(u64, SimTime)>>>;
 /// `txns` single-row transactions on Trail, one a millisecond: the
 /// simulator, the disks (WAL, tables, Trail log) and the durable commits.
 /// A probe run logs every disk's landings.
-fn crash_workload(txns: u64, probe: bool) -> (Simulator, Vec<Disk>, Durable) {
+fn crash_workload(txns: u64, probe: bool) -> (Simulator, Database, Vec<Disk>, Durable) {
     let (mut sim, db, _drv, disks) = trail_setup(FlushPolicy::EveryCommit);
     if probe {
         for d in &disks {
@@ -319,26 +326,31 @@ fn crash_workload(txns: u64, probe: bool) -> (Simulator, Vec<Disk>, Durable) {
                 .unwrap();
         });
     }
-    (sim, disks, durable)
+    (sim, db, disks, durable)
 }
 
 #[test]
 fn full_stack_crash_recovers_committed_transactions() {
     // Run on Trail and cut power to everything at every landing of the
-    // three disks and one nanosecond either side of every durable commit;
+    // three disks and one nanosecond either side of every durable commit
+    // (some of them while two WAL forces are outstanding);
     // recover the block layer, then redo the WAL: every durable
     // transaction must be visible.
     const TXNS: u64 = 60;
-    let (mut probe, disks, durable) = crash_workload(TXNS, true);
+    let (mut probe, _, disks, durable) = crash_workload(TXNS, true);
     probe.run();
     assert_eq!(durable.borrow().len(), TXNS as usize);
     let landings: Vec<SimTime> = disks.iter().flat_map(Disk::landings).flatten().collect();
     let acks: Vec<SimTime> = durable.borrow().iter().map(|&(_, at)| at).collect();
     let cuts = cut_instants(&landings, &acks);
     let mut durable_at_cut = Vec::new();
+    let mut cuts_between_overlapping_forces = 0;
     for cut in cuts {
-        let (mut sim, disks, durable) = crash_workload(TXNS, false);
+        let (mut sim, db, disks, durable) = crash_workload(TXNS, false);
         sim.run_until(cut);
+        if db.forces_in_flight() >= 2 {
+            cuts_between_overlapping_forces += 1;
+        }
         // Power back on; Trail recovery runs inside MultiTrail::start.
         for d in &disks {
             d.power_cut(sim.now());
@@ -380,6 +392,12 @@ fn full_stack_crash_recovers_committed_transactions() {
     assert!(
         durable_at_cut.contains(&0) && durable_at_cut.iter().any(mid_run),
         "the cuts span the run: {durable_at_cut:?}"
+    );
+    // Forces overlap, so some cuts fall while one has landed and an
+    // earlier one has not: the durable point, not the landing, acks.
+    assert!(
+        cuts_between_overlapping_forces > 0,
+        "no cut fell while two WAL forces were outstanding"
     );
 }
 
@@ -508,4 +526,295 @@ fn a_failed_page_read_fails_its_transaction() {
     db.run_until_quiescent(&mut sim);
     assert_eq!(*got.borrow(), [Some(IoError::MediaFailed); 2]);
     assert_eq!(db.active_txns(), 0);
+}
+
+/// What [`Gate`] does with one WAL write.
+#[derive(Clone, Copy, Debug)]
+enum GateAction {
+    /// Write it, but keep its completion until [`Gate::release`].
+    Hold,
+    /// Fail it with this error without writing it.
+    Fail(IoError),
+    /// Neither write nor complete it: the power fails before it reaches
+    /// the disk.
+    Lose,
+}
+
+/// WAL write completions a [`Gate`] is holding, by write number.
+type Held = Rc<RefCell<Vec<(usize, Completion<IoDone>, Delivered<IoDone>)>>>;
+
+/// The WAL device: a standard driver over a disk, with a hand on its
+/// writes. The n-th one (from 0) can be held back, so later writes land
+/// before it, failed, or lost.
+#[derive(Debug)]
+struct Gate {
+    disk: Disk,
+    inner: StandardDriver,
+    plan: Vec<(usize, GateAction)>,
+    writes: Cell<usize>,
+    held: Held,
+    /// Completions of lost writes, kept so they never fire.
+    lost: RefCell<Vec<Completion<IoDone>>>,
+}
+
+impl Gate {
+    fn new(plan: Vec<(usize, GateAction)>) -> Rc<Gate> {
+        let disk = Disk::new("logfile", profiles::tiny_test_disk());
+        Rc::new(Gate {
+            inner: StandardDriver::new(disk.clone()),
+            disk,
+            plan,
+            writes: Cell::new(0),
+            held: Held::default(),
+            lost: RefCell::default(),
+        })
+    }
+
+    /// Delivers held write `n` as the disk delivered it.
+    fn release(&self, sim: &mut Simulator, n: usize) {
+        let mut held = self.held.borrow_mut();
+        let at = held.iter().position(|h| h.0 == n).expect("write is held");
+        let (_, done, delivered) = held.remove(at);
+        match delivered {
+            Ok(v) => done.complete(sim, v),
+            Err(e) => done.fail(sim, e),
+        }
+    }
+}
+
+impl BlockDevice for Gate {
+    fn submit(
+        &self,
+        sim: &mut Simulator,
+        req: IoRequest,
+        done: Completion<IoDone>,
+    ) -> Result<RequestId, DiskError> {
+        if matches!(req.kind, IoKind::Read { .. }) {
+            return self.inner.submit(sim, req, done);
+        }
+        let n = self.writes.get();
+        self.writes.set(n + 1);
+        match self.plan.iter().find(|p| p.0 == n).map(|p| p.1) {
+            None => self.inner.submit(sim, req, done),
+            Some(GateAction::Fail(e)) => {
+                done.fail(sim, e);
+                Ok(RequestId(0))
+            }
+            Some(GateAction::Lose) => {
+                self.lost.borrow_mut().push(done);
+                Ok(RequestId(0))
+            }
+            Some(GateAction::Hold) => {
+                let held = Rc::clone(&self.held);
+                let keep = sim.completion(move |_, d: Delivered<IoDone>| {
+                    held.borrow_mut().push((n, done, d));
+                });
+                self.inner.submit(sim, req, keep)
+            }
+        }
+    }
+
+    fn capacity_sectors(&self) -> u64 {
+        BlockDevice::capacity_sectors(&self.inner)
+    }
+
+    fn pending(&self) -> usize {
+        BlockDevice::pending(&self.inner) + self.held.borrow().len() + self.lost.borrow().len()
+    }
+
+    fn set_recorder(&self, recorder: RecorderHandle) {
+        self.inner.set_recorder(recorder);
+    }
+}
+
+/// Which token of which transaction heard what, in delivery order.
+type Heard = Rc<RefCell<Vec<(&'static str, u64, Option<IoError>)>>>;
+
+/// Three one-row transactions that commit at the same instant under
+/// every-commit over `gate`: each triggers a force of its own, one WAL
+/// write each, all three in flight together.
+fn three_overlapping_commits(gate: &Rc<Gate>) -> (Simulator, Database, Heard) {
+    let mut sim = Simulator::new();
+    let tables = StandardDriver::new(Disk::new("tables", profiles::tiny_test_disk()));
+    let stack = StandardStack::over(vec![gate.clone(), Rc::new(tables)]);
+    let db = Database::new(Rc::new(stack), db_config(FlushPolicy::EveryCommit));
+    let heard = Heard::default();
+    for key in 0..3u64 {
+        let (h1, h2) = (Rc::clone(&heard), Rc::clone(&heard));
+        let ctrl = sim
+            .completion(move |_, d: Delivered<()>| h1.borrow_mut().push(("control", key, d.err())));
+        let dur = sim.completion(move |_, d: Delivered<TxnResult>| {
+            h2.borrow_mut().push(("durable", key, d.err()));
+        });
+        db.execute(&mut sim, put_txn(0, key, key as u8 + 1, 100), ctrl, dur)
+            .unwrap();
+    }
+    (sim, db, heard)
+}
+
+#[test]
+fn commits_are_acked_in_log_order_when_their_forces_land_out_of_order() {
+    let gate = Gate::new(vec![(0, GateAction::Hold)]);
+    let (mut sim, db, heard) = three_overlapping_commits(&gate);
+    sim.run();
+    assert_eq!(db.wal_stats().flushes, 3, "one force per commit");
+    assert_eq!(gate.held.borrow().len(), 1, "the first force is held");
+    assert_eq!(db.forces_in_flight(), 1, "forces 2 and 3 have landed");
+    assert!(heard.borrow().is_empty(), "nothing acked past a hole");
+    gate.release(&mut sim, 0);
+    db.run_until_quiescent(&mut sim);
+    // Each kind of token, in log order, once the first force lands.
+    let heard = heard.borrow();
+    for kind in ["durable", "control"] {
+        let order: Vec<_> = heard.iter().filter(|h| h.0 == kind).collect();
+        assert_eq!(
+            order,
+            [&(kind, 0, None), &(kind, 1, None), &(kind, 2, None)],
+            "{kind} tokens"
+        );
+    }
+    assert_eq!(db.with_stats(|s| s.committed), 3);
+}
+
+#[test]
+fn a_failed_force_fails_every_later_commit_and_leaves_no_session_hanging() {
+    // The first WAL write fails while the two after it land.
+    let gate = Gate::new(vec![(0, GateAction::Fail(IoError::MediaFailed))]);
+    let (mut sim, db, heard) = three_overlapping_commits(&gate);
+    db.run_until_quiescent(&mut sim);
+    let mut got = heard.borrow().clone();
+    got.sort_unstable_by_key(|&(t, k, _)| (t, k));
+    assert_eq!(
+        got,
+        [
+            ("control", 0, Some(IoError::MediaFailed)),
+            ("control", 1, Some(IoError::MediaFailed)),
+            ("control", 2, Some(IoError::MediaFailed)),
+            ("durable", 0, Some(IoError::MediaFailed)),
+            ("durable", 1, Some(IoError::MediaFailed)),
+            ("durable", 2, Some(IoError::MediaFailed)),
+        ],
+        "every token hears the error exactly once; none is acked"
+    );
+    assert_eq!(db.with_stats(|s| s.committed), 0);
+    assert_eq!((db.active_txns(), db.forces_in_flight()), (0, 0));
+    // A later commit finds the hole and fails too.
+    let later = commit(&mut sim, &db, 9);
+    db.run_until_quiescent(&mut sim);
+    assert_eq!(later.get(), Some(Err(IoError::MediaFailed)));
+
+    // Held, then failed after the later forces landed: the same outcome.
+    let gate = Gate::new(vec![(0, GateAction::Hold)]);
+    let (mut sim, db, heard) = three_overlapping_commits(&gate);
+    sim.run();
+    {
+        let mut held = gate.held.borrow_mut();
+        held[0].2 = Err(IoError::MediaFailed);
+    }
+    gate.release(&mut sim, 0);
+    db.run_until_quiescent(&mut sim);
+    assert_eq!(heard.borrow().len(), 6);
+    assert!(heard
+        .borrow()
+        .iter()
+        .all(|h| h.2 == Some(IoError::MediaFailed)));
+    assert_eq!((db.active_txns(), db.forces_in_flight()), (0, 0));
+}
+
+#[test]
+fn a_chunk_torn_between_its_pieces_stops_recovery_though_a_later_force_landed() {
+    // Group commit with a 16-KB buffer, and 31 commits at one instant
+    // start four forces together. With 2 010-byte rows, forces 0 and 2
+    // are 33 sectors, three 8-KB pieces each sent after the one before
+    // lands; the last piece holds only value bytes of the chunk's last
+    // Put, whose Commit is in the next chunk. The power fails before
+    // force 2's last piece (WAL write 9) reaches the disk, after force 3
+    // has landed whole.
+    const ROW: usize = 2_010;
+    let tag = |key: u64| key as u8 + 1;
+    let gate = Gate::new(vec![(9, GateAction::Lose)]);
+    let tables = Disk::new("tables", profiles::tiny_test_disk());
+    let stack = StandardStack::over(vec![
+        gate.clone(),
+        Rc::new(StandardDriver::new(tables.clone())),
+    ]);
+    let policy = FlushPolicy::GroupCommit {
+        buffer_bytes: 16 * 1024,
+    };
+    let db = Database::new(Rc::new(stack), db_config(policy));
+    let mut sim = Simulator::new();
+    let acked = Rc::new(RefCell::new(Vec::new()));
+    for key in 0..31u64 {
+        let acked = Rc::clone(&acked);
+        let ctrl = sim.completion(|_, _| {});
+        let dur = sim.completion(move |_, d: Delivered<TxnResult>| {
+            if d.is_ok() {
+                acked.borrow_mut().push(key);
+            }
+        });
+        db.execute(&mut sim, put_txn(0, key, tag(key), ROW), ctrl, dur)
+            .unwrap();
+    }
+    sim.run();
+    assert_eq!(db.wal_stats().flushes, 4);
+    assert_eq!(db.forces_in_flight(), 1, "only the torn force is writing");
+    for disk in [&gate.disk, &tables] {
+        disk.power_cut(sim.now());
+        disk.power_on();
+    }
+
+    let mut sim = Simulator::new();
+    let stack = StandardStack::new(vec![gate.disk.clone(), tables]);
+    // On the log: chunks 0 and 1 whole, chunk 2 but for its last piece,
+    // chunk 3 whole.
+    let mut at = LOG_REGION_START;
+    let chunks: Vec<Vec<u8>> = (0..4u32)
+        .map(|seq| {
+            let head = trail_db::read_blocking(&mut sim, &stack, LOG_DEV, at, 1).unwrap();
+            assert_eq!(
+                head[0..8],
+                [CHUNK_MAGIC, seq].map(u32::to_le_bytes).concat()
+            );
+            let len = u32::from_le_bytes(head[12..16].try_into().unwrap()) as usize;
+            let sectors = Wal::chunk_sectors(len);
+            let chunk = trail_db::read_blocking(&mut sim, &stack, LOG_DEV, at, sectors as u32);
+            at += sectors;
+            chunk.unwrap()
+        })
+        .collect();
+    let torn = &chunks[2];
+    assert_eq!(torn.len(), 33 * 512, "three pieces");
+    assert!(
+        torn[16_384..].iter().all(|&b| b == 0),
+        "the last piece never landed"
+    );
+    for (seq, chunk) in chunks.iter().enumerate() {
+        let whole = Wal::parse_chunk(chunk, seq as u64).is_some();
+        assert_eq!(whole, seq != 2, "chunk {seq}");
+    }
+
+    let (image, report) = trail_db::recover_committed(
+        &mut sim,
+        &stack,
+        LOG_DEV,
+        LOG_REGION_START,
+        LOG_REGION_SECTORS,
+    )
+    .unwrap();
+    assert_eq!(report.chunks_scanned, 2, "the scan stops at the torn chunk");
+    // Exactly the acked transactions are redone, each with its own row.
+    let mut acked = acked.borrow().clone();
+    acked.sort_unstable();
+    assert_eq!(
+        acked,
+        (0..15).collect::<Vec<u64>>(),
+        "commits in chunks 0 and 1"
+    );
+    let mut redone: Vec<u64> = image.keys().map(|&(_, key)| key).collect();
+    redone.sort_unstable();
+    assert_eq!(redone, acked);
+    for (&(table, key), row) in &image {
+        assert_eq!(table, 0);
+        assert_eq!(row.as_deref(), Some(&vec![tag(key); ROW][..]), "row {key}");
+    }
 }
