@@ -366,6 +366,21 @@ fi
 grep -q 'trace_tool replay' <<<"$file_err" \
   || { echo "trail-bench replay_stream --trace does not point at trace_tool replay: $file_err" >&2; exit 1; }
 
+echo "== one trace CLI gate =="
+# trace_tool is the one trace command line: generate, convert --compress
+# and replay [--shards N] chain the 10^7-record gate below. trail-bench
+# must not grow a second generate -> compress -> replay chain (the
+# retired `giga` subcommand) again.
+if grep -rnE --include='*.rs' '"giga"|fn cmd_giga|giga_(raw|delta)\.trace' crates src; then
+  echo "found a trace pipeline in trail-bench; chain trace_tool's commands instead" >&2
+  exit 1
+fi
+if giga_err="$(trail_bench giga 2>&1 >/dev/null)"; then
+  echo "trail-bench giga should no longer exist" >&2; exit 1
+fi
+grep -q 'unknown scenario "giga"' <<<"$giga_err" \
+  || { echo "trail-bench giga failed for another reason: $giga_err" >&2; exit 1; }
+
 echo "== one-entry-point gate =="
 # One perf instrument (benchmark/), one binary->binary trace re-encoder
 # for trail-bench (trail_trace::recode; trace_tool convert streams any
@@ -595,33 +610,59 @@ fp_raw=$(grep -o '"latency_fingerprint":"[0-9a-f]*"' "$smoke_dir/shard_raw/$repl
 [ -n "$fp_delta" ] && [ "$fp_delta" = "$fp_raw" ] \
   || { echo "raw and delta sharded replays disagree on the fingerprint" >&2; exit 1; }
 
-echo "== trail-bench giga gate (10^7-record slice: generate -> compress -> replay) =="
+echo "== 10^7-record gate (trace_tool: generate -> compress -> single vs sharded replay) =="
+# Four streams round-robin over four devices (Poisson arrivals at 20 ms
+# mean, 30 % reads, 4-KB requests) replayed on the standard target: the
+# routing is shared-nothing, so the sharded replay's merged latency
+# artifacts must equal the single engine's exactly.
 giga_dir="$smoke_dir/giga"
-giga_out="$(trail_bench giga --records 10000000 --out-dir "$giga_dir")"
-echo "$giga_out" | sed 's/^/   /'
-grep -q '"requests":10000000' "$giga_dir/BENCH_replaystream.json" \
-  || { echo "trail-bench giga slice must cover 10^7 records" >&2; exit 1; }
-for field in compression_ratio trace_bytes_raw shards; do
-  grep -q "\"$field\"" "$giga_dir/BENCH_replaystream.json" \
-    || { echo "trail-bench giga artifact lacks $field" >&2; exit 1; }
+mkdir -p "$giga_dir/single" "$giga_dir/sharded"
+trace_tool generate --out "$giga_dir/raw.trace" --seed 42 --devices 4 --streams 4 \
+  --mean-iat-us 20000 --requests 10000000 >/dev/null
+trace_tool convert "$giga_dir/raw.trace" "$giga_dir/delta.trace" --compress >/dev/null
+raw_bytes=$(wc -c < "$giga_dir/raw.trace")
+delta_bytes=$(wc -c < "$giga_dir/delta.trace")
+rm "$giga_dir/raw.trace"
+echo "   delta trace: $delta_bytes bytes of $raw_bytes raw"
+awk -v d="$delta_bytes" -v r="$raw_bytes" 'BEGIN { exit !(d * 10 <= r * 6) }' \
+  || { echo "10^7 delta trace is $delta_bytes bytes, more than 60% of $raw_bytes raw" >&2; exit 1; }
+single_out="$(trace_tool replay "$giga_dir/delta.trace" --target standard \
+  --out-dir "$giga_dir/single")"
+sharded_out="$(trace_tool replay "$giga_dir/delta.trace" --target standard --shards 4 \
+  --out-dir "$giga_dir/sharded")"
+echo "$single_out" | sed 's/^/   /'
+echo "$sharded_out" | sed 's/^/   /'
+giga_json=BENCH_replay_standard.json
+grep -q '"requests":10000000' "$giga_dir/single/$giga_json" \
+  || { echo "10^7 gate's replay must cover 10^7 records" >&2; exit 1; }
+grep -q '"shards":4' "$giga_dir/sharded/$giga_json" \
+  || { echo "10^7 gate's sharded artifact does not record its shard count" >&2; exit 1; }
+for pattern in '"latency_fingerprint":"[0-9a-f]*"' \
+    '"latency":{[^}]*}' '"read_latency":{[^}]*}' '"write_latency":{[^}]*}'; do
+  single=$(grep -o "$pattern" "$giga_dir/single/$giga_json" || true)
+  sharded=$(grep -o "$pattern" "$giga_dir/sharded/$giga_json" || true)
+  [ -n "$single" ] && [ "$single" = "$sharded" ] \
+    || { echo "sharded replay differs from the single engine on $pattern" >&2; exit 1; }
 done
-# The run itself asserts that the sharded replay's merged latency artifacts
-# equal the single engine's; require the line that says it did.
-grep -q 'fingerprint: [0-9a-f]\{16\} (single == sharded)' <<<"$giga_out" \
-  || { echo "trail-bench giga did not report single == sharded" >&2; exit 1; }
+echo "   $(grep -o '"latency_fingerprint":"[0-9a-f]*"' "$giga_dir/single/$giga_json") (single == sharded)"
 # Bounded memory, measured: the medium keeps each distinct sector image
 # once and every latency statistic is a histogram, so 5.6x10^7 written
-# sectors must not show in the process's real peak RSS. The last VmHWM
-# printed covers both replays (measured 86 MB; 170 MB while the disks kept
-# one rotational-wait sample per command, GBs with a per-sector store).
-# The gate is the measurement + 25 %.
-hwm="$(peak_rss_mb "$giga_out")"
-[ -n "$hwm" ] && awk -v m="$hwm" 'BEGIN { exit !(m <= 108) }' \
-  || { echo "trail-bench giga peak RSS '${hwm}' MB missing or above 108 MB" >&2; exit 1; }
+# sectors must not show in either replay's real peak RSS (measured 48.8 MB
+# single and 50.2 MB sharded, each in a process of its own; 86 MB when
+# the sharded pass followed the single one in one process, 170 MB while
+# the disks kept one rotational-wait sample per command, GBs with a
+# per-sector store). The gate is that one-process measurement + 25 %.
+for out in "$single_out" "$sharded_out"; do
+  hwm="$(peak_rss_mb "$out")"
+  [ -n "$hwm" ] && awk -v m="$hwm" 'BEGIN { exit !(m <= 108) }' \
+    || { echo "10^7 replay peak RSS '${hwm}' MB missing or above 108 MB" >&2; exit 1; }
+done
 # The >= 2x sharded speedup criterion is a wall-clock property and only
 # meaningful with real cores under the shards; assert it when this
 # machine has at least 4, otherwise record the measurement and move on.
-speedup=$(echo "$giga_out" | grep -o 'speedup: [0-9.]*' | grep -o '[0-9.]*')
+wall_rate() { grep -o '[0-9.]* records/s wall' <<<"$1" | grep -o '^[0-9.]*'; }
+speedup=$(awk -v a="$(wall_rate "$single_out")" -v b="$(wall_rate "$sharded_out")" \
+  'BEGIN { printf "%.2f", b / a }')
 cores=$(nproc 2>/dev/null || echo 1)
 if [ "$cores" -ge 4 ]; then
   awk -v s="$speedup" 'BEGIN { exit !(s >= 2.0) }' \

@@ -55,16 +55,16 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use trail_bench::{media_line, shard_count, vm_hwm, write_bench_json_in, Args, TpccRig};
+use trail_bench::{
+    capture_tpcc, media_line, shard_count, vm_hwm, write_bench_json_in, Args, TpccRig,
+};
 use trail_sim::{SimDuration, SimTime};
 use trail_telemetry::JsonValue;
-use trail_tpcc::{run, ChainOn, RunConfig};
 use trail_trace::{
     generate_records, import_blkparse_into, replay_stream, replay_stream_sharded, scan_blkparse,
     ArrivalModel, ChunkEncoding, ImportOptions, JsonlReader, JsonlWriter, RecordCheck, RecordSink,
     RecordSource, ReplayOptions, ShardPlan, SpatialModel, StreamSummary, StreamSummaryBuilder,
-    SyntheticSpec, TargetKind, TraceCapture, TraceError, TraceMeta, TraceReader, TraceRecord,
-    TraceWriter,
+    SyntheticSpec, TargetKind, TraceError, TraceMeta, TraceReader, TraceRecord, TraceWriter,
 };
 
 fn main() -> ExitCode {
@@ -240,20 +240,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         seed: args.parsed("--seed")?.unwrap_or(TpccRig::default().seed),
         ..TpccRig::default()
     };
-    let mut setup = trail_bench::tpcc_setup(on_trail, &rig, None);
-    let capture = TraceCapture::new();
-    setup.stack.set_tap(capture.handle());
-    let report = run(
-        &mut setup.sim,
-        &setup.db,
-        setup.workload,
-        RunConfig {
-            transactions: txns,
-            concurrency: 4,
-            chain_on: ChainOn::Durable,
-        },
-    );
-    let mut trace = capture.take(TraceMeta {
+    let meta = TraceMeta {
         source: format!(
             "capture:tpcc:{}",
             if on_trail { "trail" } else { "standard" }
@@ -261,8 +248,8 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         seed: rig.seed,
         note: format!("{txns} transactions, concurrency 4"),
         ..TraceMeta::default()
-    });
-    trace.rebase_to_first();
+    };
+    let (trace, report) = capture_tpcc(on_trail, &rig, txns, meta);
     let sink = create_records(out, trace.meta.clone(), &args)?;
     drain(trace.records.iter().map(|r| Ok(*r)), sink).map_err(|e| format!("{out}: {e}"))?;
     println!(

@@ -6,7 +6,8 @@
 //! holds the scenario registry and the setups the scenarios share:
 //! building a stack with a telemetry recorder attached, the §5.1
 //! synchronous-write workload (driven by [`trail::BuiltStack::drive`]),
-//! and the TPC-C rig of §5.2.
+//! and the TPC-C rig of §5.2 with its workload capture
+//! ([`capture_tpcc`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,16 +21,15 @@ use trail_db::{BlockStack, Database, DbConfig, FlushPolicy};
 use trail_disk::{profiles, SECTOR_SIZE};
 use trail_sim::Simulator;
 use trail_telemetry::RecorderHandle;
-use trail_tpcc::{populate, CpuModel, Scale, Workload};
+use trail_tpcc::{populate, run, ChainOn, CpuModel, RunConfig, Scale, TpccReport, Workload};
+use trail_trace::{Trace, TraceCapture, TraceMeta};
 
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub use report::{media_line, open_trace, shard_count, vm_hwm, write_bench_json_in, Args};
+pub use report::{media_line, shard_count, vm_hwm, write_bench_json_in, Args};
 pub use runner::{parallel_map, run_all_scenarios, RunAllOptions, RunAllSummary};
-pub use scenarios::{
-    all_scenarios, replay_stream_json, run_scenario, ScenarioConfig, ScenarioOutput, ScenarioSpec,
-};
+pub use scenarios::{all_scenarios, ScenarioConfig, ScenarioOutput, ScenarioSpec};
 
 /// Builds `builder`'s stack and attaches `recorder`, when given, to the
 /// whole stack (after the format/boot noise, so traces start clean).
@@ -177,4 +177,32 @@ pub fn tpcc_setup(trail: bool, rig: &TpccRig, recorder: Option<RecorderHandle>) 
         trail: built.multi.map(|m| m.drivers()[0].clone()),
         stack: built.stack,
     }
+}
+
+/// Captures the offered block-level workload of a TPC-C run: `txns`
+/// transactions at concurrency 4 over Trail (`trail = true`) or the
+/// standard stack, with a capture tap on the stack front. Returns the
+/// trace under `meta`, rebased to its first request, and the run's report.
+pub fn capture_tpcc(
+    trail: bool,
+    rig: &TpccRig,
+    txns: usize,
+    meta: TraceMeta,
+) -> (Trace, TpccReport) {
+    let mut setup = tpcc_setup(trail, rig, None);
+    let capture = TraceCapture::new();
+    setup.stack.set_tap(capture.handle());
+    let report = run(
+        &mut setup.sim,
+        &setup.db,
+        setup.workload,
+        RunConfig {
+            transactions: txns,
+            concurrency: 4,
+            chain_on: ChainOn::Durable,
+        },
+    );
+    let mut trace = capture.take(meta);
+    trace.rebase_to_first();
+    (trace, report)
 }

@@ -2,18 +2,14 @@
 //! ([`Args`]), the one table renderer ([`Table`]: columns declared once,
 //! the markdown report and the `BENCH_*.json` rows both derived from
 //! them), the `BENCH_<name>.json` artifact writer
-//! ([`write_bench_json_in`]), the trace-file opener ([`open_trace`]) and
-//! the host-side console fragments of a replay ([`vm_hwm`],
-//! [`media_line`]).
+//! ([`write_bench_json_in`]) and the host-side console fragments of a
+//! replay ([`vm_hwm`], [`media_line`]).
 
-use std::fs::File;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use trail_disk::MediumStats;
 use trail_telemetry::JsonValue;
-use trail_trace::{TraceError, TraceReader};
 
 /// Command-line arguments parsed against a declared flag table.
 ///
@@ -99,17 +95,6 @@ impl Args {
     pub fn positional(&self, index: usize) -> Option<&str> {
         self.positional.get(index).map(String::as_str)
     }
-}
-
-/// Opens a binary trace for chunk-at-a-time reading.
-///
-/// # Errors
-///
-/// The file does not open ([`TraceError::Io`]) or its header does not
-/// parse.
-pub fn open_trace(path: impl AsRef<Path>) -> Result<TraceReader<BufReader<File>>, TraceError> {
-    let file = File::open(path).map_err(|e| TraceError::Io(e.to_string()))?;
-    TraceReader::new(BufReader::new(file))
 }
 
 /// `--shards N`, when given. `ShardPlan` would quietly run 0 as one

@@ -43,13 +43,13 @@ use trail_trace::{
     generate, generate_stream, recode, replay as trace_replay,
     replay_stream as trace_replay_stream, replay_stream_sharded, ArrivalModel, ChunkEncoding,
     ReplayOptions, ReplayReport, ShardPlan, SpatialModel, SyntheticSpec, TargetKind, Trace,
-    TraceCapture, TraceMeta, TraceReader, DEFAULT_CHUNK_RECORDS,
+    TraceMeta, TraceReader, DEFAULT_CHUNK_RECORDS,
 };
 
 use crate::report::{Column, Fmt, Table};
 use crate::row;
 use crate::runner::parallel_map;
-use crate::{build_stack, random_writers, tpcc_setup, TpccRig};
+use crate::{build_stack, capture_tpcc, random_writers, tpcc_setup, TpccRig};
 
 /// How a scenario should run.
 #[derive(Clone, Default)]
@@ -227,15 +227,6 @@ pub fn all_scenarios() -> Vec<ScenarioSpec> {
             run: crash_campaign,
         },
     ]
-}
-
-/// Runs the registered scenario called `name`; `None` if unknown.
-#[must_use]
-pub fn run_scenario(name: &str, cfg: &ScenarioConfig) -> Option<ScenarioOutput> {
-    all_scenarios()
-        .into_iter()
-        .find(|s| s.name == name)
-        .map(|s| (s.run)(cfg))
 }
 
 // ------------------------------------------------------------- §5.1 writes
@@ -1212,12 +1203,17 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 // ------------------------------------------------------------- table 2
 
+/// The one TPC-C runner of Tables 2 and 3 and `track_util`: `txns`
+/// transactions at `concurrency` over Trail (`trail = true`) or the
+/// standard stack, with the scenario's recorder attached. Returns the
+/// run's report and, on Trail, the log driver's statistics.
 fn table2_config(
     cfg: &ScenarioConfig,
     trail: bool,
     policy: FlushPolicy,
     chain: ChainOn,
     txns: usize,
+    concurrency: usize,
 ) -> (TpccReport, Option<TrailStats>) {
     let rig = TpccRig {
         policy,
@@ -1230,7 +1226,7 @@ fn table2_config(
         setup.workload,
         RunConfig {
             transactions: txns,
-            concurrency: 1,
+            concurrency,
             chain_on: chain,
         },
     );
@@ -1239,9 +1235,22 @@ fn table2_config(
 
 fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
     let txns = cfg.scale.unwrap_or(if cfg.quick { 300 } else { 5000 });
-    let (trail, trail_stats) =
-        table2_config(cfg, true, FlushPolicy::EveryCommit, ChainOn::Durable, txns);
-    let (plain, _) = table2_config(cfg, false, FlushPolicy::EveryCommit, ChainOn::Durable, txns);
+    let (trail, trail_stats) = table2_config(
+        cfg,
+        true,
+        FlushPolicy::EveryCommit,
+        ChainOn::Durable,
+        txns,
+        1,
+    );
+    let (plain, _) = table2_config(
+        cfg,
+        false,
+        FlushPolicy::EveryCommit,
+        ChainOn::Durable,
+        txns,
+        1,
+    );
     let (gc, _) = table2_config(
         cfg,
         false,
@@ -1250,6 +1259,7 @@ fn table2(cfg: &ScenarioConfig) -> ScenarioOutput {
         },
         ChainOn::Control,
         txns,
+        1,
     );
 
     // One row per configuration, as the artifact has them; the report
@@ -1335,23 +1345,10 @@ fn table3(cfg: &ScenarioConfig) -> ScenarioOutput {
         Column::both("paper", "paper", Fmt::Plain),
     ]);
     for &(kb, paper_count) in buffers {
-        let rig = TpccRig {
-            policy: FlushPolicy::GroupCommit {
-                buffer_bytes: kb * 1024,
-            },
-            seed: cfg.mix(TpccRig::default().seed),
+        let policy = FlushPolicy::GroupCommit {
+            buffer_bytes: kb * 1024,
         };
-        let mut setup = tpcc_setup(false, &rig, None);
-        let result = run(
-            &mut setup.sim,
-            &setup.db,
-            setup.workload,
-            RunConfig {
-                transactions: txns,
-                concurrency: 4,
-                chain_on: ChainOn::Control,
-            },
-        );
+        let (result, _) = table2_config(cfg, false, policy, ChainOn::Control, txns, 4);
         table.push(row![kb, result.group_commits, paper_count]);
     }
     let mut report = String::new();
@@ -1388,53 +1385,40 @@ fn track_util(cfg: &ScenarioConfig) -> ScenarioOutput {
         Column::md("paper", Fmt::Plain),
     ]);
     for &(conc, paper_val) in confs {
-        let rig = TpccRig {
-            policy: FlushPolicy::EveryCommit,
-            seed: cfg.mix(TpccRig::default().seed),
-        };
-        let mut setup = tpcc_setup(true, &rig, None);
-        let trail = setup.trail.clone().expect("trail rig");
-        run(
-            &mut setup.sim,
-            &setup.db,
-            setup.workload,
-            RunConfig {
-                transactions: txns,
-                concurrency: conc,
-                chain_on: ChainOn::Durable,
-            },
+        let (_, stats) = table2_config(
+            cfg,
+            true,
+            FlushPolicy::EveryCommit,
+            ChainOn::Durable,
+            txns,
+            conc,
         );
+        let s = stats.expect("trail rig");
         // The paper's §5.2 statistic assumes "Trail performs exactly one
         // batched write to each track": utilization = batch sectors (plus
         // the header) over the track's capacity. Use the outer zone's SPT
         // (90), where the log head spends these short runs.
         let spt = 90.0;
-        let batch_util = trail.with_stats(|s| {
-            if s.batch_sizes.is_empty() {
-                0.0
-            } else {
-                s.batch_sizes
-                    .iter()
-                    .map(|&b| f64::from(b + 1) / spt)
-                    .sum::<f64>()
-                    / s.batch_sizes.len() as f64
-            }
-        });
+        let batch_util = if s.batch_sizes.is_empty() {
+            0.0
+        } else {
+            s.batch_sizes
+                .iter()
+                .map(|&b| f64::from(b + 1) / spt)
+                .sum::<f64>()
+                / s.batch_sizes.len() as f64
+        };
         // How many synchronous writes met at the log disk per record.
-        let requests_per_record = trail.with_stats(|s| {
-            if s.log_records == 0 {
-                0.0
-            } else {
-                s.logged_requests as f64 / s.log_records as f64
-            }
-        });
-        let track_fill = trail.with_stats(|s| {
-            if s.track_utilization.is_empty() {
-                0.0
-            } else {
-                s.track_utilization.iter().sum::<f64>() / s.track_utilization.len() as f64
-            }
-        });
+        let requests_per_record = if s.log_records == 0 {
+            0.0
+        } else {
+            s.logged_requests as f64 / s.log_records as f64
+        };
+        let track_fill = if s.track_utilization.is_empty() {
+            0.0
+        } else {
+            s.track_utilization.iter().sum::<f64>() / s.track_utilization.len() as f64
+        };
         table.push(row![
             conc,
             format!(
@@ -1570,12 +1554,7 @@ fn replay_synthetic(cfg: &ScenarioConfig) -> ScenarioOutput {
 /// *virtual* duration, and `peak_resident_records` is the engine's
 /// bounded-memory proxy (arrival batch + requests in flight), so a fixed
 /// trace produces identical bytes on every run.
-fn replay_stream_table(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64) -> Table {
-    let chunk = if chunk_records == 0 {
-        DEFAULT_CHUNK_RECORDS
-    } else {
-        chunk_records
-    };
+fn replay_stream_table(rep: &ReplayReport, trace_bytes: u64) -> Table {
     let secs = rep.duration.as_secs_f64();
     let records_per_sec = if secs > 0.0 {
         rep.requests as f64 / secs
@@ -1602,7 +1581,7 @@ fn replay_stream_table(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64)
         "replay_stream",
         rep.target.clone(),
         rep.requests,
-        chunk,
+        DEFAULT_CHUNK_RECORDS,
         trace_bytes,
         rep.duration.as_millis_f64(),
         records_per_sec,
@@ -1615,16 +1594,6 @@ fn replay_stream_table(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64)
         rep.errors,
     ]);
     table
-}
-
-/// The `BENCH_replaystream.json` payload for one streaming replay —
-/// shared with `trail-bench giga` so the artifact schema cannot drift
-/// between the registry and the CI gate.
-#[must_use]
-pub fn replay_stream_json(rep: &ReplayReport, chunk_records: u32, trace_bytes: u64) -> JsonValue {
-    replay_stream_table(rep, chunk_records, trace_bytes)
-        .json_rows()
-        .remove(0)
 }
 
 /// Streams a chunked synthetic trace through the bounded-memory replay
@@ -1687,7 +1656,7 @@ fn replay_stream_bench(cfg: &ScenarioConfig) -> ScenarioOutput {
         "== Streaming replay — {requests} records decoded chunk-at-a-time \
          ({DEFAULT_CHUNK_RECORDS}/chunk) through the bounded-memory engine =="
     );
-    let table = replay_stream_table(&rep, 0, trace_bytes);
+    let table = replay_stream_table(&rep, trace_bytes);
     report += &table.markdown();
     let oracle_checked = cfg.quick;
     if oracle_checked {
@@ -2079,28 +2048,13 @@ fn replay_tpcc(cfg: &ScenarioConfig) -> ScenarioOutput {
     // Trail: the tap sees the logical request stream (WAL forces, page
     // evictions, reads), not the log-disk records, so the capture
     // replays against any stack.
-    let mut setup = tpcc_setup(true, &rig, None);
-    let capture = TraceCapture::new();
-    setup.stack.set_tap(capture.handle());
-    let tpcc = run(
-        &mut setup.sim,
-        &setup.db,
-        setup.workload,
-        RunConfig {
-            transactions: txns,
-            concurrency: 4,
-            chain_on: ChainOn::Durable,
-        },
-    );
-    let mut trace = capture.take(TraceMeta {
+    let meta = TraceMeta {
         source: "capture:tpcc".to_string(),
         seed: rig.seed,
-        devices: 0,
         note: format!("{txns} transactions, concurrency 4, over Trail"),
-        chunk_records: 0,
-        encoding: ChunkEncoding::Raw,
-    });
-    trace.rebase_to_first();
+        ..TraceMeta::default()
+    };
+    let (trace, tpcc) = capture_tpcc(true, &rig, txns, meta);
 
     let mut report = String::new();
     let _ = writeln!(

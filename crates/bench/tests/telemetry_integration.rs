@@ -201,3 +201,36 @@ fn fig3_trace_out_round_trips_and_covers_all_kinds() {
     let metrics = JsonValue::parse(&metrics_text).expect("metrics parse");
     assert!(metrics.get("events").is_some(), "metrics lack event counts");
 }
+
+/// `--trace-out` records the TPC-C scenarios that run at a concurrency
+/// above 1 too: `track_util`'s rigs carry the recorder like `table2`'s.
+#[test]
+fn track_util_trace_out_records_events() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(dir).expect("tmpdir");
+    let trace_path = dir.join("track_util_trace.json");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_trail-bench"))
+        .args(["track_util", "20", "--quick", "--trace-out"])
+        .arg(&trace_path)
+        .current_dir(dir)
+        .status()
+        .expect("run trail-bench track_util");
+    assert!(
+        status.success(),
+        "trail-bench track_util exited with {status}"
+    );
+
+    let text = std::fs::read_to_string(&trace_path).expect("read trace");
+    let trace = JsonValue::parse(&text).expect("trace parses");
+    let events = trace
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .expect("traceEvents array");
+    // The four thread-name metadata events ("ph":"M") are there even
+    // when nothing was recorded.
+    let recorded = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) != Some("M"))
+        .count();
+    assert!(recorded > 0, "track_util --trace-out recorded no events");
+}

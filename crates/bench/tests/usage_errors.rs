@@ -64,7 +64,6 @@ fn scale_zero_is_rejected_for_every_scenario() {
 #[test]
 fn shards_zero_is_rejected() {
     let shards = "--shards must be at least 1";
-    trail_bench_usage_error(&["giga", "--records", "100", "--shards", "0"], shards);
     // Rejected before the trace is opened, so no file is needed.
     trace_tool_usage_error(&["replay", "none.trace", "--shards", "0"], shards);
 }

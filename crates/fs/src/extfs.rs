@@ -149,7 +149,7 @@ impl ExtFs {
                 stats: FsStats::default(),
             })),
         };
-        let dir_block = fs.encode_directory();
+        let dir_block = encode_directory(&fs.inner.borrow());
         write_blocking(sim, stack.as_ref(), dev, 0, dir_block)?;
         Ok(fs)
     }
@@ -254,7 +254,7 @@ impl ExtFs {
     pub fn flush_meta(&self, sim: &mut Simulator) -> Result<(), FsError> {
         let (stack, dev, dir_block, inode_writes) = {
             let mut d = self.inner.borrow_mut();
-            let dir_block = self_encode_directory(&d);
+            let dir_block = encode_directory(&d);
             let inode_writes: Vec<(u64, Vec<u8>)> = d
                 .inodes
                 .iter()
@@ -286,21 +286,6 @@ impl ExtFs {
             write_blocking(sim, stack.as_ref(), dev, lba, bytes)?;
         }
         Ok(())
-    }
-
-    fn encode_directory(&self) -> Vec<u8> {
-        let d = self.inner.borrow();
-        let mut b = vec![0u8; FS_BLOCK_SIZE];
-        b[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        b[4..8].copy_from_slice(&(N_INODES as u32).to_le_bytes());
-        for (slot, (name, &ino)) in d.dir.iter().enumerate() {
-            let off = 8 + slot * (NAME_LEN + 8);
-            b[off] = 1;
-            let n = name.as_bytes();
-            b[off + 1..off + 1 + n.len()].copy_from_slice(n);
-            b[off + 1 + NAME_LEN..off + 5 + NAME_LEN].copy_from_slice(&ino.to_le_bytes());
-        }
-        b
     }
 
     /// Allocates one data block.
@@ -479,7 +464,7 @@ impl FileSystem for ExtFs {
                 d.stats.meta_writes += 1;
             }
             if d.dir_dirty {
-                writes.push((0, self_encode_directory(&d)));
+                writes.push((0, encode_directory(&d)));
                 d.dir_dirty = false;
                 d.stats.meta_writes += 1;
             }
@@ -537,8 +522,8 @@ impl FileSystem for ExtFs {
     }
 }
 
-/// `encode_directory` without double-borrowing `self`.
-fn self_encode_directory(d: &Inner) -> Vec<u8> {
+/// The directory block: magic, inode count, then one slot per entry.
+fn encode_directory(d: &Inner) -> Vec<u8> {
     let mut b = vec![0u8; FS_BLOCK_SIZE];
     b[0..4].copy_from_slice(&MAGIC.to_le_bytes());
     b[4..8].copy_from_slice(&(N_INODES as u32).to_le_bytes());

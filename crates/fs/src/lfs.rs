@@ -441,12 +441,11 @@ impl FileSystem for Lfs {
         d.dir.remove(name);
         let file = d.files[ino as usize].take().ok_or(FsError::BadHandle)?;
         // Kill the segment slots the file occupied.
-        for (block, addr) in file.map.iter().enumerate() {
+        for addr in &file.map {
             if let BlockAddr::OnDisk { seg, off } = addr {
                 if let Some(s) = d.segments[*seg as usize].as_mut() {
                     s.slots[*off as usize] = None;
                 }
-                let _ = block;
             }
         }
         Ok(())

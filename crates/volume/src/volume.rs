@@ -561,19 +561,22 @@ fn start(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
     vol.inner.borrow_mut().gate.acquire(sim, keys, granted);
 }
 
+/// Drops the operation's keys, handing them back to the gate if it holds
+/// them (an operation still queued for its keys holds none).
+fn release_keys(v: &mut VolInner, o: &mut Op, sim: &mut Simulator) {
+    let keys = std::mem::take(&mut o.keys);
+    if std::mem::take(&mut o.keys_held) {
+        v.gate.release(sim, &keys);
+    }
+}
+
 /// Releases held keys and runs the operation again from scratch (the
 /// degraded-member set may have changed, so keys are recomputed).
 fn restart(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
     {
         let mut v = vol.inner.borrow_mut();
         let mut o = op.borrow_mut();
-        if o.keys_held {
-            let keys = std::mem::take(&mut o.keys);
-            o.keys_held = false;
-            v.gate.release(sim, &keys);
-        } else {
-            o.keys.clear();
-        }
+        release_keys(&mut v, &mut o, sim);
     }
     start(vol, sim, op);
 }
@@ -605,11 +608,7 @@ fn finish_ok(
     let (done, io) = {
         let mut v = vol.inner.borrow_mut();
         let mut o = op.borrow_mut();
-        if o.keys_held {
-            let keys = std::mem::take(&mut o.keys);
-            o.keys_held = false;
-            v.gate.release(sim, &keys);
-        }
+        release_keys(&mut v, &mut o, sim);
         v.outstanding -= 1;
         let latency = now.duration_since(o.issued);
         let kind = match o.payload {
@@ -643,11 +642,7 @@ fn finish_abort(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, e: IoError) {
     let done = {
         let mut v = vol.inner.borrow_mut();
         let mut o = op.borrow_mut();
-        if o.keys_held {
-            let keys = std::mem::take(&mut o.keys);
-            o.keys_held = false;
-            v.gate.release(sim, &keys);
-        }
+        release_keys(&mut v, &mut o, sim);
         v.outstanding -= 1;
         o.done.take()
     };
