@@ -197,6 +197,19 @@ for flavor in raw multi2 raid5; do
     && grep -q '"cut_in_data_write_points":[1-9]' <<<"$row" \
     || { echo "BENCH_recovery.json lacks a clean exhaustive $flavor row of >= 30 cuts: $row" >&2; exit 1; }
 done
+# Figure 4 at full size: at Q = 256, recovery with write-back takes at
+# least 3.5x as long as without it, the paper's bound.
+fig4_json="$full_dir/BENCH_fig4.json"
+awk 'BEGIN { RS = "[{]\"q\":" } NR > 1 && $0 + 0 == 256 {
+  found = 1
+  if (!match($0, /"total_ms":[0-9.eE+-]+/)) { print "fig4 Q = 256 row has no total_ms"; exit 1 }
+  total = substr($0, RSTART + 11, RLENGTH - 11) + 0
+  if (!match($0, /"total_no_wb_ms":[0-9.eE+-]+/)) { print "fig4 Q = 256 row has no total_no_wb_ms"; exit 1 }
+  no_wb = substr($0, RSTART + 17, RLENGTH - 17) + 0
+  ratio = no_wb > 0 ? total / no_wb : 0
+  if (ratio < 3.5) { printf "WB/no-WB at Q = 256 is %.2fx, not >= 3.5x\n", ratio; exit 1 }
+} END { if (!found) { print "fig4 has no Q = 256 row"; exit 1 } }' "$fig4_json" >&2 \
+  || { echo "BENCH_fig4.json fails the paper's write-back ratio" >&2; exit 1; }
 # §5.2 at full size: concurrent commits' WAL forces overlap and meet at
 # Trail, so batch utilization never falls as concurrency rises, and at
 # c = 12 it sits at least half a point above c = 1.

@@ -18,7 +18,7 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("micro", 1043, 0x05c8fe9e),
     ("table1", 218, 0xdb839851),
     ("fig3", 1063, 0x4e71a2c1),
-    ("fig4", 316, 0x8f358a50),
+    ("fig4", 313, 0xc96d728b),
     ("ablation", 1395, 0x3ff673c6),
     ("fs_compare", 238, 0x8a40d441),
     ("table2", 843, 0x331655cd),
@@ -31,7 +31,7 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("serve", 34753, 0x03fc4d0e),
     ("serve_sweep", 34231, 0x2bddf6cb),
     ("raid", 9416, 0xcb552bc5),
-    ("recovery", 2884, 0xa553bc07),
+    ("recovery", 2829, 0xb8689a97),
 ];
 
 /// `(registry name, byte length, CRC-32)` of every `--quick`, seed-0
@@ -42,7 +42,7 @@ const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
     ("micro", 1700, 0x33a34d5f),
     ("table1", 247, 0x27ccaa93),
     ("fig3", 874, 0x0f581e48),
-    ("fig4", 474, 0xfa042484),
+    ("fig4", 472, 0x00bd6c56),
     ("ablation", 1254, 0x8ba0668d),
     ("fs_compare", 934, 0x87cef30c),
     ("table2", 954, 0x2062655c),
@@ -55,7 +55,7 @@ const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
     ("serve_fleet", 1294, 0xede40060),
     ("serve_sweep", 1437, 0x7a1d91fc),
     ("raid_sweep", 1252, 0xa94d6423),
-    ("crash_campaign", 1447, 0x237efc42),
+    ("crash_campaign", 1442, 0x20193afd),
 ];
 
 /// What an artifact must show for the headline claim it backs to hold.

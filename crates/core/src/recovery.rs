@@ -12,7 +12,13 @@
 //! 2. **Rebuild** the chain of potentially-uncommitted records by walking
 //!    `prev_sect` pointers backwards, stopping at the youngest record's
 //!    `log_head` (the oldest record not yet committed when it was
-//!    written) — this field is what bounds the back-scan.
+//!    written) — this field is what bounds the back-scan. Each record is
+//!    read once. Stage 1 keeps the tracks it scanned, so a record on one
+//!    of them (the youngest always is) costs no I/O; any other costs one
+//!    command that reads its header and payload together. (Reading them
+//!    apart waits out most of a revolution: the payload starts on the
+//!    very next sector, which passes under the head during the second
+//!    command's overhead.)
 //! 3. **Write back** the recovered blocks to their data disks in
 //!    sequence order (oldest first, so later overwrites win). This stage
 //!    is optional for measurement purposes (Figure 4(b)); production boot
@@ -23,14 +29,18 @@
 //! interface as normal operation, so Figure 4's delays are measured, not
 //! asserted.
 
+use std::borrow::Cow;
+
 use trail_blockio::{IoRequest, SharedBlockDevice};
-use trail_disk::{Disk, DiskCommand, Lba, SectorBuf, SECTOR_SIZE};
+use trail_disk::{Disk, DiskCommand, Lba, SECTOR_SIZE};
 use trail_probe::run_blocking;
 use trail_sim::{SimDuration, Simulator};
 
 use crate::driver::raw_targets;
 use crate::error::TrailError;
-use crate::format::{payload_checksum, restore_payload, LogDiskHeader, RecordHeader};
+use crate::format::{
+    payload_checksum, restore_payload, LogDiskHeader, RecordHeader, MAX_TRAIL_BATCH,
+};
 use crate::formatter::data_track_range;
 
 /// Options for [`recover`].
@@ -85,72 +95,86 @@ impl RecoveryReport {
     }
 }
 
-/// Newest current-epoch record found on one track.
-struct TrackHit {
-    header: RecordHeader,
-    header_lba: Lba,
+/// The kept sectors from `lba` to the end of its track, if one of `kept`
+/// — the tracks stage 1 read whole, as (first LBA, bytes) — holds `lba`.
+/// Recovery never writes the log disk, so a kept track stays exact.
+fn kept_from(kept: &[(Lba, Vec<u8>)], lba: Lba) -> Option<&[u8]> {
+    kept.iter()
+        .find(|(first, data)| (*first..first + (data.len() / SECTOR_SIZE) as u64).contains(&lba))
+        .map(|(first, data)| &data[(lba - first) as usize * SECTOR_SIZE..])
 }
 
-/// Reads one whole track and returns its newest current-epoch record.
+/// Reads one whole track, keeps it in `kept` and returns the sequence
+/// number and LBA of its newest current-epoch record.
 fn scan_track(
     sim: &mut Simulator,
     log_disk: &Disk,
     header: &LogDiskHeader,
     track: u64,
-) -> Result<Option<TrackHit>, TrailError> {
+    kept: &mut Vec<(Lba, Vec<u8>)>,
+) -> Result<Option<(u64, Lba)>, TrailError> {
     let g = &header.geometry;
-    let first = g.track_first_lba(track);
-    let spt = g.spt_of_track(track);
-    let res = run_blocking(
-        sim,
-        log_disk,
-        DiskCommand::Read {
-            lba: first,
-            count: spt,
-        },
-    )?;
-    let data = res.data.expect("read returns data");
-    let mut best: Option<TrackHit> = None;
-    for (i, chunk) in data.chunks_exact(SECTOR_SIZE).enumerate() {
-        let sector: SectorBuf = chunk.try_into().expect("chunk is one sector");
-        // A record that fails to parse despite carrying the signature is
-        // treated as absent: it cannot be the youngest *valid* record.
-        if let Ok(Some(rec)) = RecordHeader::decode(&sector) {
-            if rec.epoch == header.epoch
-                && best
-                    .as_ref()
-                    .is_none_or(|b| rec.sequence_id > b.header.sequence_id)
-            {
-                best = Some(TrackHit {
-                    header: rec,
-                    header_lba: first + i as u64,
-                });
-            }
-        }
-    }
-    Ok(best)
+    let (lba, count) = (g.track_first_lba(track), g.spt_of_track(track));
+    let read = run_blocking(sim, log_disk, DiskCommand::Read { lba, count })?;
+    let data = read.data.expect("read returns data");
+    // A record that fails to parse despite carrying the signature is
+    // treated as absent: it cannot be the youngest *valid* record.
+    let newest = (lba..)
+        .zip(data.chunks_exact(SECTOR_SIZE))
+        .filter_map(|(at, sector)| {
+            let rec = RecordHeader::decode(sector.try_into().expect("one sector")).ok()??;
+            (rec.epoch == header.epoch).then_some((rec.sequence_id, at))
+        })
+        .reduce(|best, hit| if hit.0 > best.0 { hit } else { best });
+    kept.push((lba, data));
+    Ok(newest)
 }
 
-/// The record `prev` points back to, if it is a current-epoch record
-/// older than `seq`. A dangling pointer (a clobbered predecessor) is
-/// `None`: the chain ends there, with everything younger collected.
-fn read_predecessor(
+/// A record of the chain: its header and the log sectors from its header
+/// sector on, which hold its payload unless it is torn.
+struct Found<'k> {
+    header: RecordHeader,
+    sectors: Cow<'k, [u8]>,
+}
+
+/// The record whose header is at `lba`, if it is a current-epoch record
+/// older than `seq`. A kept track supplies it without I/O; otherwise one
+/// command reads its header and every sector its payload can span
+/// (records never cross a track's end). A dangling pointer (a clobbered
+/// predecessor, or one outside the data tracks) is `None`: the chain ends
+/// there, with everything younger collected.
+fn read_record<'k>(
     sim: &mut Simulator,
     log_disk: &Disk,
     header: &LogDiskHeader,
-    prev: Option<u32>,
+    kept: &'k [(Lba, Vec<u8>)],
+    lba: Option<Lba>,
     seq: u64,
-) -> Result<Option<TrackHit>, TrailError> {
-    let Some(lba) = prev.map(u64::from) else {
+) -> Result<Option<Found<'k>>, TrailError> {
+    let g = &header.geometry;
+    let (first_track, last_track) = data_track_range(g);
+    // No predecessor maps past the disk's end, so it dangles too.
+    let lba = lba.unwrap_or(Lba::MAX);
+    let Some(track) = g
+        .track_of_lba(lba)
+        .filter(|t| (first_track..=last_track).contains(t))
+    else {
         return Ok(None);
     };
-    let read = run_blocking(sim, log_disk, DiskCommand::Read { lba, count: 1 })?;
-    let data = read.data.expect("read returns data");
-    let sector: SectorBuf = data[..].try_into().expect("one sector");
-    Ok(match RecordHeader::decode(&sector) {
-        Ok(Some(rec)) if rec.epoch == header.epoch && rec.sequence_id < seq => Some(TrackHit {
+    let sectors = match kept_from(kept, lba) {
+        Some(sectors) => Cow::Borrowed(sectors),
+        None => {
+            let track_end = g.track_first_lba(track) + u64::from(g.spt_of_track(track));
+            let count = (track_end - lba).min(1 + MAX_TRAIL_BATCH as u64) as u32;
+            let read = run_blocking(sim, log_disk, DiskCommand::Read { lba, count })?;
+            Cow::Owned(read.data.expect("read returns data"))
+        }
+    };
+    let rec = RecordHeader::decode(sectors[..SECTOR_SIZE].try_into().expect("one sector"));
+    Ok(match rec {
+        Ok(Some(rec)) if rec.epoch == header.epoch && rec.sequence_id < seq => Some(Found {
             header: rec,
-            header_lba: lba,
+            sectors,
         }),
         _ => None,
     })
@@ -224,53 +248,44 @@ pub fn recover_with_targets(
     let t0 = sim.now();
 
     // ---- Stage 1: locate the youngest active record. --------------------
-    let base = scan_track(sim, log_disk, header, first_track)?;
+    let mut kept = Vec::new();
+    let base = scan_track(sim, log_disk, header, first_track, &mut kept)?;
     report.tracks_scanned += 1;
-    let Some(base) = base else {
+    let Some((base_seq, mut youngest)) = base else {
         // No current-epoch records at the allocation origin means no
         // records at all (allocation always starts there).
         report.locate_time = sim.now().duration_since(t0);
         return Ok(report);
     };
-    let base_seq = base.header.sequence_id;
     let mut lo = 0u64;
     let mut hi = n - 1;
-    let mut best_hit = base;
     while lo < hi {
         let mid = lo + (hi - lo).div_ceil(2);
-        let hit = scan_track(sim, log_disk, header, first_track + mid)?;
+        let hit = scan_track(sim, log_disk, header, first_track + mid, &mut kept)?;
         report.tracks_scanned += 1;
         match hit {
-            Some(h) if h.header.sequence_id >= base_seq => {
+            Some((seq, lba)) if seq >= base_seq => {
                 lo = mid;
-                best_hit = h;
+                youngest = lba;
             }
             _ => hi = mid - 1,
         }
     }
-    let youngest = best_hit;
     report.locate_time = sim.now().duration_since(t0);
 
     // ---- Stage 2: rebuild the chain of active records. -------------------
+    // Every record on a kept track, the youngest among them, costs no I/O.
     let t1 = sim.now();
-    let mut bound_seq = youngest.header.log_head_seq;
-    let mut chain: Vec<(RecordHeader, Vec<u8>)> = Vec::new();
-    let mut cur = youngest;
+    let found = read_record(sim, log_disk, header, &kept, Some(youngest), u64::MAX)?;
+    let mut cur = found.expect("the youngest record decodes from its kept track");
+    let mut bound_seq = cur.header.log_head_seq;
+    let mut chain: Vec<Found> = Vec::new();
     loop {
-        let batch = cur.header.entries.len() as u32;
-        let payload = run_blocking(
-            sim,
-            log_disk,
-            DiskCommand::Read {
-                lba: cur.header_lba + 1,
-                count: batch,
-            },
-        )?
-        .data
-        .expect("read returns data");
+        let batch = cur.header.entries.len();
         let seq = cur.header.sequence_id;
-        let prev = cur.header.prev_sect;
-        if payload_checksum(&payload) != cur.header.payload_checksum {
+        let prev = cur.header.prev_sect.map(Lba::from);
+        let payload = cur.sectors.get(SECTOR_SIZE..(1 + batch) * SECTOR_SIZE);
+        if payload.map(payload_checksum) != Some(cur.header.payload_checksum) {
             // A fully-written record can only fail its checksum if the
             // medium was damaged; stop conservatively with everything
             // younger already collected.
@@ -281,19 +296,19 @@ pub fn recover_with_targets(
             // not all payload sectors. It was never acknowledged; drop it
             // and treat its predecessor as the youngest.
             report.torn_records_dropped += 1;
-            let Some(hit) = read_predecessor(sim, log_disk, header, prev, seq)? else {
+            let Some(hit) = read_record(sim, log_disk, header, &kept, prev, seq)? else {
                 break;
             };
             bound_seq = hit.header.log_head_seq;
             cur = hit;
             continue;
         }
-        report.active_log_sectors += 1 + u64::from(batch);
-        chain.push((cur.header, payload));
+        report.active_log_sectors += 1 + batch as u64;
+        chain.push(cur);
         if seq <= bound_seq {
             break;
         }
-        let Some(hit) = read_predecessor(sim, log_disk, header, prev, seq)? else {
+        let Some(hit) = read_record(sim, log_disk, header, &kept, prev, seq)? else {
             break;
         };
         cur = hit;
@@ -301,14 +316,19 @@ pub fn recover_with_targets(
     report.records_found = chain.len();
     report.log_head_span = chain
         .first()
-        .map_or(0, |(r, _)| r.sequence_id.saturating_sub(bound_seq));
+        .map_or(0, |r| r.header.sequence_id.saturating_sub(bound_seq));
     report.rebuild_time = sim.now().duration_since(t1);
 
     // ---- Stage 3: write back, oldest first. ------------------------------
     let t2 = sim.now();
     if options.write_back {
         chain.reverse();
-        for (rec, payload) in &chain {
+        for Found {
+            header: rec,
+            sectors,
+        } in &chain
+        {
+            let payload = &sectors[SECTOR_SIZE..];
             let mut i = 0;
             while i < rec.entries.len() {
                 // Coalesce consecutive sectors headed to the same disk.

@@ -5,6 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::Rng;
+use trail_core::format::{RecordHeader, NO_PREV_SECT};
 use trail_core::{
     format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, RecoveryReport,
     TrailConfig, TrailDriver, TrailError,
@@ -399,4 +400,118 @@ fn a_power_cut_during_boot_on_a_dirty_log_is_an_error() {
             result.map(|(_, boot)| boot)
         );
     }
+}
+
+/// Every current-epoch record header on `log`: (LBA, header), in LBA
+/// order.
+fn record_headers(log: &Disk, epoch: u64) -> Vec<(u64, RecordHeader)> {
+    (0..log.geometry().total_sectors())
+        .filter_map(|lba| {
+            let rec = RecordHeader::decode(&log.peek_sector(lba)).ok()??;
+            (rec.epoch == epoch).then_some((lba, rec))
+        })
+        .collect()
+}
+
+#[test]
+fn a_predecessor_past_the_disk_end_is_dangling() {
+    // Two committed records; the younger is rewritten to point past the
+    // disk's last sector, with a log_head bound that asks for its
+    // predecessor. The chain ends at it, as at any dangling pointer.
+    let (mut sim, drv, log, data) = boot(1);
+    for lba in [3, 40] {
+        let done = sim.completion(|_, _| {});
+        drv.write(&mut sim, 0, lba, vec![7; SECTOR_SIZE], done)
+            .unwrap();
+        drv.run_until_quiescent(&mut sim);
+    }
+    let (lba, mut rec) = record_headers(&log, drv.epoch())
+        .into_iter()
+        .max_by_key(|(_, rec)| rec.sequence_id)
+        .expect("the younger record");
+    let capacity = log.geometry().total_sectors() as u32;
+    for prev in [capacity, capacity + 1, NO_PREV_SECT - 1] {
+        rec.prev_sect = Some(prev);
+        rec.log_head_seq = 0;
+        log.poke_sector(lba, &rec.encode().unwrap());
+        let mut sim = Simulator::new();
+        let header = read_header(&mut sim, &log).unwrap();
+        let report = recover(&mut sim, &log, &data, &header, RecoveryOptions::default())
+            .unwrap_or_else(|e| panic!("prev_sect {prev}: {e:?}"));
+        assert_eq!(report.records_found, 1, "prev_sect {prev}");
+    }
+}
+
+#[test]
+fn stage_two_reads_each_record_at_most_once() {
+    // One-sector writes 2 ms apart to far-apart sectors: each is its own
+    // record, and the data disk's write-backs fall behind, so every
+    // record is still active when the power goes after the last ack.
+    const WRITES: u64 = 24;
+    let (mut sim, drv, log, data) = boot(1);
+    let acks = Rc::new(RefCell::new(0u64));
+    let t0 = sim.now();
+    for i in 0..WRITES {
+        let (drv, acks) = (drv.clone(), Rc::clone(&acks));
+        sim.schedule_at(t0 + SimDuration::from_millis(2 * i), move |sim| {
+            let done = sim.completion(move |_, d: Delivered<_>| {
+                *acks.borrow_mut() += u64::from(d.is_ok());
+            });
+            let sector = vec![i as u8 + 1; SECTOR_SIZE];
+            drv.write(sim, 0, i * 181 % 4_000, sector, done).unwrap();
+        });
+    }
+    while *acks.borrow() < WRITES {
+        assert!(sim.step(), "every write is acknowledged");
+    }
+    power_cycle(sim.now(), &log, &data);
+
+    // The tracks stage 1 reads whole: the origin, then the binary
+    // search's probes, each judged by its newest current-epoch record.
+    let g = log.geometry();
+    let headers = record_headers(&log, drv.epoch());
+    let newest = |track: u64| {
+        let first = g.track_first_lba(track);
+        let on_track = first..first + u64::from(g.spt_of_track(track));
+        headers
+            .iter()
+            .filter(|(lba, _)| on_track.contains(lba))
+            .map(|(_, rec)| rec.sequence_id)
+            .max()
+    };
+    let mut kept = vec![1];
+    let base = newest(1).expect("records at the origin");
+    let (mut lo, mut hi) = (0, g.total_tracks() - 3);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        kept.push(1 + mid);
+        match newest(1 + mid) {
+            Some(seq) if seq >= base => lo = mid,
+            _ => hi = mid - 1,
+        }
+    }
+
+    let mut sim = Simulator::new();
+    let header = read_header(&mut sim, &log).unwrap();
+    let before = log.with_stats(|s| s.reads);
+    let report = recover(&mut sim, &log, &data, &header, RecoveryOptions::default()).unwrap();
+    let reads = log.with_stats(|s| s.reads) - before;
+    assert_eq!(report.torn_records_dropped, 0);
+    assert!(report.records_found >= 3, "{report:?}");
+    assert_eq!(report.tracks_scanned, kept.len() as u64);
+    // The chain is the records_found youngest records.
+    let mut chain: Vec<&(u64, RecordHeader)> = headers.iter().collect();
+    chain.sort_by_key(|(_, rec)| std::cmp::Reverse(rec.sequence_id));
+    chain.truncate(report.records_found);
+    let off_kept = chain
+        .iter()
+        .filter(|(lba, _)| !kept.contains(&g.track_of_lba(*lba).unwrap()))
+        .count() as u64;
+    assert!(
+        kept.contains(&g.track_of_lba(chain[0].0).unwrap()),
+        "the youngest record lies on a kept track"
+    );
+    assert!(off_kept > 0, "some record must cost a read: {kept:?}");
+    assert!(reads < report.tracks_scanned + report.records_found as u64);
+    assert_eq!(reads, report.tracks_scanned + off_kept, "{report:?}");
 }
