@@ -31,6 +31,25 @@ if grep -rn --include='*.rs' 'Box<dyn FnOnce' crates src \
   exit 1
 fi
 
+echo "== one-hasher gate =="
+# trail_sim::FastMap / FastSet (crates/sim/src/hash.rs) is the one map
+# type of in-process tables: keys the process makes itself gain nothing
+# from std's keyed SipHash, and on the TPC-C path it was the largest host
+# cost. Non-test code (each file read up to its first #[cfg(test)], as
+# scripts/nontest-lines.sh reads it; comment lines skipped) must not name
+# std's HashMap or HashSet.
+hashers="$(find src crates/*/src -name '*.rs' ! -path crates/sim/src/hash.rs \
+  | LC_ALL=C sort | while read -r file; do
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /(^|[^A-Za-z0-9_])Hash(Map|Set)([^A-Za-z0-9_]|$)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }' "$file"
+  done)"
+if [ -n "$hashers" ]; then
+  echo "$hashers" >&2
+  echo "found std HashMap/HashSet in non-test code; use trail_sim::FastMap / FastSet" >&2
+  exit 1
+fi
+
 echo "== target-factory gate =="
 # StackBuilder::build in the umbrella crate is the one way to construct a
 # replay/bench stack (build_target sets a TargetKind shape, then builds;

@@ -28,9 +28,10 @@
 //!   are issued.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use trail_disk::{PayloadBuf, SECTOR_SIZE};
+use trail_sim::FastMap;
 
 /// Sectors `lba..end` of data device `dev`, as `(dev, lba, end)`.
 pub(crate) type Extent = (u8, u64, u64);
@@ -81,7 +82,7 @@ fn orphan_overlaps(orphans: &BTreeMap<u64, u64>, lba: u64, end: u64) -> bool {
 
 /// Per live record, how many ranges wait on it.
 #[derive(Default)]
-struct Waits(HashMap<u64, usize>);
+struct Waits(FastMap<u64, usize>);
 
 impl Waits {
     fn hold(&mut self, records: &[u64]) {

@@ -8,7 +8,7 @@
 //! which is what lets a single `log_head` pointer bound recovery's
 //! back-scan.
 
-use std::collections::HashMap;
+use trail_sim::FastMap;
 
 /// Circular FIFO allocator over a contiguous range of log-disk tracks.
 ///
@@ -33,7 +33,7 @@ pub struct TrackPool {
     /// Next track to hand out.
     tail: u64,
     /// Uncommitted record count per allocated track.
-    records: HashMap<u64, u32>,
+    records: FastMap<u64, u32>,
     /// Number of tracks currently allocated (ring occupancy).
     allocated: u64,
 }
@@ -55,7 +55,7 @@ impl TrackPool {
             last,
             head: first,
             tail: first,
-            records: HashMap::new(),
+            records: FastMap::default(),
             allocated: 0,
         }
     }

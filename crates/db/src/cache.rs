@@ -5,7 +5,7 @@
 //! reduced scale (see `EXPERIMENTS.md`). Misses and dirty write-backs are
 //! what generate the data-disk traffic whose scheduling Trail improves.
 
-use std::collections::HashMap;
+use trail_sim::FastMap;
 
 use crate::page::{Page, PageId};
 
@@ -44,7 +44,7 @@ struct Frame {
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    map: FastMap<PageId, usize>,
     hand: usize,
     dirty: usize,
     stats: CacheStats,
@@ -71,7 +71,7 @@ impl BufferPool {
         BufferPool {
             capacity,
             frames: Vec::with_capacity(capacity.min(1 << 20)),
-            map: HashMap::new(),
+            map: FastMap::default(),
             hand: 0,
             dirty: 0,
             stats: CacheStats::default(),

@@ -12,13 +12,12 @@
 //! paper's `EXT2+GC` shows a 0.90 s response time at 663 tpmC (Table 2).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
 use trail_core::TrailError;
 use trail_disk::{Lba, PayloadBuf, SECTOR_SIZE};
-use trail_sim::{Completion, Delivered, IoError, SimDuration, SimTime, Simulator};
+use trail_sim::{Completion, Delivered, FastMap, IoError, SimDuration, SimTime, Simulator};
 use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle, StreamId};
 
 use crate::cache::{BufferPool, CacheStats};
@@ -130,7 +129,9 @@ impl DbConfig {
 }
 
 /// Engine counters. Response times are not kept here: each
-/// transaction's [`TxnResult`] carries its own.
+/// transaction's [`TxnResult`] carries its own. The four `*_wait` and
+/// `cpu` sums split every committed transaction's response exactly:
+/// their total is the sum of the responses, to the nanosecond.
 #[derive(Clone, Debug, Default)]
 pub struct DbStats {
     /// Transactions made durable.
@@ -139,16 +140,44 @@ pub struct DbStats {
     pub missing_reads: u64,
     /// Background page write-backs issued.
     pub page_flushes: u64,
-    /// Data-page reads issued to the stack (cache misses).
+    /// Data-page reads issued to the stack (cache misses), a read issued
+    /// again after a page write overtook it included.
     pub page_reads: u64,
+    /// Committed transactions' time queued for the single CPU (zero
+    /// unless [`DbConfig::single_cpu`]).
+    pub cpu_queue_wait: SimDuration,
+    /// Committed transactions' CPU bursts.
+    pub cpu: SimDuration,
+    /// Committed transactions' time suspended on page reads.
+    pub page_read_wait: SimDuration,
+    /// Committed transactions' time from the commit record being
+    /// buffered to its force being durable.
+    pub commit_wait: SimDuration,
+}
+
+/// Where a transaction's time went before its commit was buffered.
+#[derive(Clone, Copy, Default)]
+struct Spent {
+    cpu_queue: SimDuration,
+    cpu: SimDuration,
+    page_reads: SimDuration,
 }
 
 struct TxnCtx {
     txn: u32,
     started: SimTime,
+    spent: Spent,
     ops: Vec<Op>,
     pos: usize,
     on_durable: Completion<TxnResult>,
+}
+
+/// Reads of one page in flight, and how many writes of the page were
+/// submitted while any was.
+#[derive(Default)]
+struct Reading {
+    reads: u32,
+    writes: u32,
 }
 
 struct DbInner {
@@ -156,12 +185,15 @@ struct DbInner {
     config: DbConfig,
     wal: Wal,
     cache: BufferPool,
-    index: HashMap<(TableId, u64), Rid>,
-    open_page: HashMap<TableId, PageId>,
-    next_page: HashMap<usize, u64>,
-    /// Pages with an in-flight write-back; reads are served from these
-    /// copies so a racing disk read cannot observe stale bytes.
-    flushing: HashMap<PageId, PayloadBuf>,
+    index: FastMap<(TableId, u64), Rid>,
+    open_page: FastMap<TableId, PageId>,
+    next_page: FastMap<usize, u64>,
+    /// Pages with an in-flight write-back, each holding the newest
+    /// write's bytes; reads are served from these copies so a racing disk
+    /// read cannot observe stale bytes.
+    flushing: FastMap<PageId, PayloadBuf>,
+    /// Pages with a read in flight; see [`DbInner::end_read`].
+    reading: FastMap<PageId, Reading>,
     flusher_active: bool,
     next_txn: u32,
     active_txns: usize,
@@ -224,10 +256,11 @@ impl Database {
                 config,
                 wal,
                 cache,
-                index: HashMap::new(),
-                open_page: HashMap::new(),
+                index: FastMap::default(),
+                open_page: FastMap::default(),
                 next_page,
-                flushing: HashMap::new(),
+                flushing: FastMap::default(),
+                reading: FastMap::default(),
                 flusher_active: false,
                 next_txn: 0,
                 active_txns: 0,
@@ -362,25 +395,31 @@ impl Database {
         on_control: Completion<()>,
         on_durable: Completion<TxnResult>,
     ) -> Result<u32, TrailError> {
-        let (txn, cpu_done_at) = {
+        let (txn, cpu_start) = {
             let mut d = self.inner.borrow_mut();
             let txn = d.next_txn;
             d.next_txn += 1;
             d.active_txns += 1;
-            let done_at = if d.config.single_cpu {
+            let start = if d.config.single_cpu {
                 // One CPU: this transaction's burst queues behind whatever
                 // is already scheduled on it.
                 let start = d.cpu_free_at.max(sim.now());
                 d.cpu_free_at = start + spec.cpu;
-                d.cpu_free_at
+                start
             } else {
-                sim.now() + spec.cpu
+                sim.now()
             };
-            (txn, done_at)
+            (txn, start)
         };
+        let cpu_done_at = cpu_start + spec.cpu;
         let ctx = TxnCtx {
             txn,
             started: sim.now(),
+            spent: Spent {
+                cpu_queue: cpu_start.duration_since(sim.now()),
+                cpu: spec.cpu,
+                page_reads: SimDuration::ZERO,
+            },
             ops: spec.ops,
             pos: 0,
             on_durable,
@@ -420,33 +459,7 @@ impl Database {
                     self.resume(sim, evictions, ctx, on_control);
                     return;
                 }
-                let db = self.clone();
-                let (stack, lba) = {
-                    let mut d = self.inner.borrow_mut();
-                    d.stats.page_reads += 1;
-                    (Rc::clone(&d.stack), pid.first_lba())
-                };
-                let done = sim.completion(move |sim, d: Delivered<IoDone>| {
-                    let done = match d {
-                        Ok(done) => done,
-                        Err(e) => {
-                            db.inner.borrow_mut().active_txns -= 1;
-                            ctx.on_durable.fail(sim, e);
-                            return on_control.fail(sim, e);
-                        }
-                    };
-                    let bytes = done.data.expect("page read returns data");
-                    admit(
-                        &mut db.inner.borrow_mut().cache,
-                        pid,
-                        &bytes,
-                        &mut evictions,
-                    );
-                    db.resume(sim, evictions, ctx, on_control);
-                });
-                stack
-                    .read(sim, pid.dev as usize, lba, SECTORS_PER_PAGE, done)
-                    .expect("page read within device bounds");
+                self.read_page(sim, pid, ctx, on_control);
             }
             StepOutcome::Committed => {
                 let deferred_control = {
@@ -455,6 +468,8 @@ impl Database {
                     let user_done = ctx.on_durable;
                     let txn = ctx.txn;
                     let started = ctx.started;
+                    let spent = ctx.spent;
+                    let committed_at = sim.now();
                     let on_durable = sim.completion(move |sim, del: Delivered<SimTime>| {
                         let durable_at = match del {
                             Ok(at) => at,
@@ -470,7 +485,12 @@ impl Database {
                         };
                         {
                             let mut d = db.inner.borrow_mut();
-                            d.stats.committed += 1;
+                            let stats = &mut d.stats;
+                            stats.committed += 1;
+                            stats.cpu_queue_wait += spent.cpu_queue;
+                            stats.cpu += spent.cpu;
+                            stats.page_read_wait += spent.page_reads;
+                            stats.commit_wait += durable_at.duration_since(committed_at);
                             d.active_txns -= 1;
                         }
                         user_done.complete(sim, result);
@@ -497,6 +517,60 @@ impl Database {
         }
     }
 
+    /// Reads `pid` from the stack for a suspended transaction, then
+    /// resumes it. The fetched bytes are installed only if they can be
+    /// the page's newest (see [`DbInner::settle_read`]); a read that a
+    /// page write overtook is issued again.
+    fn read_page(
+        &self,
+        sim: &mut Simulator,
+        pid: PageId,
+        mut ctx: TxnCtx,
+        on_control: Completion<()>,
+    ) {
+        let db = self.clone();
+        let issued = sim.now();
+        let (stack, writes_seen) = {
+            let d = &mut *self.inner.borrow_mut();
+            d.stats.page_reads += 1;
+            let reading = d.reading.entry(pid).or_default();
+            reading.reads += 1;
+            (Rc::clone(&d.stack), reading.writes)
+        };
+        let done = sim.completion(move |sim, d: Delivered<IoDone>| {
+            ctx.spent.page_reads += sim.now().duration_since(issued);
+            let overtaken = db.inner.borrow_mut().end_read(pid, writes_seen);
+            let done = match d {
+                Ok(done) => done,
+                Err(e) => {
+                    db.inner.borrow_mut().active_txns -= 1;
+                    ctx.on_durable.fail(sim, e);
+                    return on_control.fail(sim, e);
+                }
+            };
+            let bytes = done.data.expect("page read returns data");
+            let mut evictions = Vec::new();
+            let settled = db
+                .inner
+                .borrow_mut()
+                .settle_read(pid, &bytes, overtaken, &mut evictions);
+            if settled {
+                db.resume(sim, evictions, ctx, on_control);
+            } else {
+                db.read_page(sim, pid, ctx, on_control);
+            }
+        });
+        stack
+            .read(
+                sim,
+                pid.dev as usize,
+                pid.first_lba(),
+                SECTORS_PER_PAGE,
+                done,
+            )
+            .expect("page read within device bounds");
+    }
+
     /// Writes back the dirty pages a fetch evicted, then carries on with
     /// the transaction that needed the fetch.
     fn resume(
@@ -513,20 +587,37 @@ impl Database {
     }
 
     /// Submits the write-back of `pid`, keeping `bytes` readable in
-    /// `flushing` until `done` removes them: the map and the write hold
-    /// two handles to one buffer.
+    /// `flushing` until the write completes, then calls `then` with
+    /// whether it succeeded. The map and the write hold two handles to
+    /// one buffer; the completion removes the entry only while it is
+    /// still that buffer, since a later eviction of the page may have
+    /// replaced it with newer bytes.
     fn submit_page_write(
         &self,
         sim: &mut Simulator,
         pid: PageId,
         bytes: Vec<u8>,
-        done: Completion<IoDone>,
+        then: impl FnOnce(&mut Simulator, bool) + 'static,
     ) {
         let mut bytes = PayloadBuf::from(bytes);
         let in_flight = bytes.share();
+        let mine = bytes.share();
+        let db = self.clone();
+        let done = sim.completion(move |sim, d: Delivered<IoDone>| {
+            {
+                let mut inner = db.inner.borrow_mut();
+                if inner.flushing.get(&pid).is_some_and(|b| b.ptr_eq(&mine)) {
+                    inner.flushing.remove(&pid);
+                }
+            }
+            then(sim, d.is_ok());
+        });
         let stack = {
             let mut d = self.inner.borrow_mut();
             d.flushing.insert(pid, bytes);
+            if let Some(reading) = d.reading.get_mut(&pid) {
+                reading.writes += 1;
+            }
             d.stats.page_flushes += 1;
             Rc::clone(&d.stack)
         };
@@ -545,16 +636,11 @@ impl Database {
     /// Issues a page write-back, tracking it for read consistency.
     fn write_page(&self, sim: &mut Simulator, pid: PageId, bytes: Vec<u8>) {
         let db = self.clone();
-        let done = sim.completion(move |sim, d: Delivered<IoDone>| {
-            {
-                let mut inner = db.inner.borrow_mut();
-                inner.flushing.remove(&pid);
-            }
-            if d.is_ok() {
+        self.submit_page_write(sim, pid, bytes, move |sim, ok| {
+            if ok {
                 db.maybe_flush_pages(sim);
             }
         });
-        self.submit_page_write(sim, pid, bytes, done);
     }
 
     /// Forces the WAL while the policy calls for it, beside any forces
@@ -711,20 +797,15 @@ impl Database {
         for (pid, bytes) in batch {
             let db = self.clone();
             let remaining = Rc::clone(&remaining);
-            let done = sim.completion(move |sim, d: Delivered<IoDone>| {
-                {
-                    let mut inner = db.inner.borrow_mut();
-                    inner.flushing.remove(&pid);
-                }
+            self.submit_page_write(sim, pid, bytes, move |sim, ok| {
                 remaining.set(remaining.get() - 1);
                 if remaining.get() == 0 {
                     db.inner.borrow_mut().flusher_active = false;
-                    if d.is_ok() {
+                    if ok {
                         db.maybe_flush_pages(sim);
                     }
                 }
             });
-            self.submit_page_write(sim, pid, bytes, done);
         }
     }
 
@@ -807,6 +888,44 @@ fn admit(
 impl DbInner {
     fn table_device(&self, table: TableId) -> usize {
         self.config.table_devices[table as usize % self.config.table_devices.len()]
+    }
+
+    /// Counts a read of `pid` finished and tells whether a write of the
+    /// page was submitted since it was issued (when `writes_seen` writes
+    /// had been): its bytes may then predate that write.
+    fn end_read(&mut self, pid: PageId, writes_seen: u32) -> bool {
+        let reading = self
+            .reading
+            .get_mut(&pid)
+            .expect("a read in flight is counted");
+        let overtaken = reading.writes != writes_seen;
+        reading.reads -= 1;
+        if reading.reads == 0 {
+            self.reading.remove(&pid);
+        }
+        overtaken
+    }
+
+    /// Makes `pid` resident after a read of it fetched `bytes`, unless it
+    /// already is. An in-flight write-back copy is newer than anything on
+    /// the stack and is preferred; failing that, a read that a page write
+    /// overtook (`overtaken`) may have fetched stale bytes, and `false`
+    /// asks for the page to be read again.
+    fn settle_read(
+        &mut self,
+        pid: PageId,
+        bytes: &[u8],
+        overtaken: bool,
+        evictions: &mut Vec<(PageId, Vec<u8>)>,
+    ) -> bool {
+        if self.resident(pid, evictions) {
+            return true;
+        }
+        if overtaken {
+            return false;
+        }
+        admit(&mut self.cache, pid, bytes, evictions);
+        true
     }
 
     /// Whether `pid` is resident once an in-flight write-back copy, if

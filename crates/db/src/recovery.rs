@@ -8,11 +8,9 @@
 //! device's durability guarantee, then WAL redo restores *transaction*
 //! atomicity on top of it.
 
-use std::collections::{HashMap, HashSet};
-
 use trail_core::TrailError;
 use trail_disk::Lba;
-use trail_sim::Simulator;
+use trail_sim::{FastMap, FastSet, Simulator};
 
 use crate::engine::TableId;
 use crate::stack::BlockStack;
@@ -163,7 +161,7 @@ pub fn recover_committed(
     Ok((image, report))
 }
 
-fn committed_set(records: &[(u64, WalRecord)]) -> HashSet<u32> {
+fn committed_set(records: &[(u64, WalRecord)]) -> FastSet<u32> {
     records
         .iter()
         .filter_map(|(_, r)| match r {
@@ -175,13 +173,13 @@ fn committed_set(records: &[(u64, WalRecord)]) -> HashSet<u32> {
 
 /// The committed row image recovery rebuilds: the value (`Some`) or
 /// tombstone (`None`) of every row touched by a committed transaction.
-pub type RecoveredImage = HashMap<(TableId, u64), Option<Vec<u8>>>;
+pub type RecoveredImage = FastMap<(TableId, u64), Option<Vec<u8>>>;
 
 /// Replays scanned records into the committed row image: the value (or
 /// absence) of every row touched by a *committed* transaction.
 pub fn replay_committed(records: &[(u64, WalRecord)]) -> RecoveredImage {
-    let committed: HashSet<u32> = committed_set(records);
-    let mut image: RecoveredImage = HashMap::new();
+    let committed = committed_set(records);
+    let mut image = RecoveredImage::default();
     for (_, rec) in records {
         match rec {
             WalRecord::Put {

@@ -7,10 +7,10 @@ use std::rc::Rc;
 use trail_blockio::{BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver};
 use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
 use trail_db::{
-    scan_wal, Database, DbConfig, FlushPolicy, Op, StandardStack, TxnResult, TxnSpec, Wal,
-    CHUNK_MAGIC,
+    scan_wal, Database, DbConfig, FlushPolicy, Op, Page, StandardStack, TxnResult, TxnSpec, Wal,
+    CHUNK_MAGIC, SECTORS_PER_PAGE,
 };
-use trail_disk::{cut_instants, profiles, Disk, DiskError};
+use trail_disk::{cut_instants, profiles, Disk, DiskError, SECTOR_SIZE};
 use trail_sim::{
     Completion, Delivered, DurationHistogram, IoError, SimDuration, SimTime, Simulator,
 };
@@ -48,6 +48,12 @@ fn standard_setup(policy: FlushPolicy) -> (Simulator, Database, Rc<StandardStack
 }
 
 fn trail_setup(policy: FlushPolicy) -> (Simulator, Database, MultiTrail, Vec<Disk>) {
+    trail_setup_with(db_config(policy))
+}
+
+/// A Trail stack (log disk last in the returned disks) under an engine
+/// configured by `config`.
+fn trail_setup_with(config: DbConfig) -> (Simulator, Database, MultiTrail, Vec<Disk>) {
     let mut sim = Simulator::new();
     let log = Disk::new("trail-log", profiles::tiny_test_disk());
     let data: Vec<Disk> = vec![
@@ -58,7 +64,7 @@ fn trail_setup(policy: FlushPolicy) -> (Simulator, Database, MultiTrail, Vec<Dis
     let logs = vec![log.clone()];
     let (trail, _) =
         MultiTrail::start(&mut sim, logs, data.clone(), TrailConfig::default()).unwrap();
-    let db = Database::new(Rc::new(trail.clone()), db_config(policy));
+    let db = Database::new(Rc::new(trail.clone()), config);
     let mut disks = data;
     disks.push(log);
     (sim, db, trail, disks)
@@ -817,4 +823,189 @@ fn a_chunk_torn_between_its_pieces_stops_recovery_though_a_later_force_landed() 
         assert_eq!(table, 0);
         assert_eq!(row.as_deref(), Some(&vec![tag(key); ROW][..]), "row {key}");
     }
+}
+
+/// Row 0's image on the table disk, the version the writer evicts first,
+/// and the one it evicts second (its last).
+const LOADED: u8 = 0x11;
+const FIRST: u8 = 0x22;
+const LAST: u8 = 0x33;
+
+/// Where row 0 ends up when one reader of it starts `offset` after a
+/// writer that evicts it twice. The cache holds two pages and a row
+/// fills a page, so the writer's fresh inserts push row 0 out: once
+/// after its first update, and again after it rewrites the row from
+/// the in-flight copy of that eviction. Both write-backs are in flight
+/// together, and the reader's page read can overlap either.
+fn row0_after_twice_evicted(offset: SimDuration) -> Option<Vec<u8>> {
+    const ROW: usize = 3_000;
+    let config = DbConfig {
+        cache_pages: 2,
+        ..db_config(FlushPolicy::EveryCommit)
+    };
+    let (mut sim, db, _trail, disks) = trail_setup_with(config);
+    let [(page, image)] = &db.load(0, [(0, vec![LOADED; ROW])])[..] else {
+        panic!("one row, one page");
+    };
+    for (i, chunk) in image.chunks(SECTOR_SIZE).enumerate() {
+        disks[TABLE_DEV].poke_sector(page.first_lba() + i as u64, chunk.try_into().unwrap());
+    }
+    let fresh = |key: u64| Op::Write(0, key, vec![key as u8; ROW]);
+    let mut ops = vec![Op::Write(0, 0, vec![FIRST; ROW])];
+    ops.extend((1..=3).map(fresh));
+    ops.push(Op::Write(0, 0, vec![LAST; ROW]));
+    ops.extend((4..=6).map(fresh));
+    let writer = TxnSpec {
+        cpu: SimDuration::from_micros(100),
+        ops,
+    };
+    let ctrl = sim.completion(|_, _| {});
+    let dur = sim.completion(|_, d: Delivered<TxnResult>| assert!(d.is_ok()));
+    db.execute(&mut sim, writer, ctrl, dur).unwrap();
+    let reader = db.clone();
+    sim.schedule_in(offset, move |sim| {
+        let spec = TxnSpec {
+            cpu: SimDuration::ZERO,
+            ops: vec![Op::Read(0, 0)],
+        };
+        let ctrl = sim.completion(|_, _| {});
+        let dur = sim.completion(|_, d: Delivered<TxnResult>| assert!(d.is_ok()));
+        reader.execute(sim, spec, ctrl, dur).unwrap();
+    });
+    db.run_until_quiescent(&mut sim);
+    assert_eq!(db.with_stats(|s| s.committed), 2);
+    // Evicted for good, the row is read from its page on the table disk.
+    db.peek_row(0, 0).or_else(|| {
+        let sectors = (0..SECTORS_PER_PAGE)
+            .map(|i| disks[TABLE_DEV].peek_sector(page.first_lba() + u64::from(i)));
+        Page::from_bytes(&sectors.collect::<Vec<_>>().concat())
+            .get(0)
+            .map(<[u8]>::to_vec)
+    })
+}
+
+#[test]
+fn a_page_read_racing_two_write_backs_of_the_page_never_installs_stale_bytes() {
+    // A reader that starts while the writer's own read of row 0 is out
+    // fetches the loaded image, stale once both evictions have happened.
+    // A reader that starts after the first write-back is acknowledged
+    // must still find the second's in-flight copy, or it reads the first
+    // evicted version from the stack.
+    let mut stale = Vec::new();
+    for step in 0..600u64 {
+        let offset = SimDuration::from_micros(100 * step);
+        let row = row0_after_twice_evicted(offset);
+        if row != Some(vec![LAST; 3_000]) {
+            stale.push((offset, row.map(|r| r[0])));
+        }
+    }
+    assert!(stale.is_empty(), "{} stale runs: {stale:?}", stale.len());
+}
+
+/// A read's completion, kept until the test delivers it.
+type HeldRead = Rc<RefCell<Option<(Completion<IoDone>, Delivered<IoDone>)>>>;
+
+/// The table device: a standard driver whose first read is performed at
+/// once but heard only when the test delivers it.
+#[derive(Debug)]
+struct FirstReadHeld {
+    inner: StandardDriver,
+    reads: Cell<usize>,
+    held: HeldRead,
+}
+
+impl BlockDevice for FirstReadHeld {
+    fn submit(
+        &self,
+        sim: &mut Simulator,
+        req: IoRequest,
+        done: Completion<IoDone>,
+    ) -> Result<RequestId, DiskError> {
+        if !matches!(req.kind, IoKind::Read { .. }) || self.reads.replace(1) == 1 {
+            return self.inner.submit(sim, req, done);
+        }
+        let held = Rc::clone(&self.held);
+        let keep = sim.completion(move |_, d: Delivered<IoDone>| {
+            *held.borrow_mut() = Some((done, d));
+        });
+        self.inner.submit(sim, req, keep)
+    }
+
+    fn capacity_sectors(&self) -> u64 {
+        BlockDevice::capacity_sectors(&self.inner)
+    }
+
+    fn pending(&self) -> usize {
+        BlockDevice::pending(&self.inner) + usize::from(self.held.borrow().is_some())
+    }
+
+    fn set_recorder(&self, recorder: RecorderHandle) {
+        self.inner.set_recorder(recorder);
+    }
+}
+
+#[test]
+fn a_page_read_overtaken_by_a_landed_write_of_its_page_is_read_again() {
+    // A reader's read of row 0 fetches the loaded image and is heard
+    // only after a writer has read the page itself, updated it, evicted
+    // it and had the write-back land: nothing in memory holds the page
+    // then, and the bytes the reader fetched are stale.
+    const ROW: usize = 3_000;
+    let tables = Disk::new("tables", profiles::tiny_test_disk());
+    let gate = Rc::new(FirstReadHeld {
+        inner: StandardDriver::new(tables.clone()),
+        reads: Cell::new(0),
+        held: HeldRead::default(),
+    });
+    let log = StandardDriver::new(Disk::new("logfile", profiles::tiny_test_disk()));
+    let stack = StandardStack::over(vec![Rc::new(log), gate.clone()]);
+    let config = DbConfig {
+        cache_pages: 2,
+        ..db_config(FlushPolicy::EveryCommit)
+    };
+    let db = Database::new(Rc::new(stack), config);
+    let mut sim = Simulator::new();
+    let [(page, image)] = &db.load(0, [(0, vec![LOADED; ROW])])[..] else {
+        panic!("one row, one page");
+    };
+    for (i, chunk) in image.chunks(SECTOR_SIZE).enumerate() {
+        tables.poke_sector(page.first_lba() + i as u64, chunk.try_into().unwrap());
+    }
+    let durable = Rc::new(Cell::new(0));
+    let run = |sim: &mut Simulator, ops: Vec<Op>| {
+        let spec = TxnSpec {
+            cpu: SimDuration::from_micros(100),
+            ops,
+        };
+        let durable = Rc::clone(&durable);
+        let ctrl = sim.completion(|_, _| {});
+        let dur = sim.completion(move |_, d: Delivered<TxnResult>| {
+            assert!(d.is_ok());
+            durable.set(durable.get() + 1);
+        });
+        db.execute(sim, spec, ctrl, dur).unwrap();
+    };
+    run(&mut sim, vec![Op::Read(0, 0)]);
+    let mut ops = vec![Op::Write(0, 0, vec![FIRST; ROW])];
+    ops.extend((1..=2).map(|key| Op::Write(0, key, vec![key as u8; ROW])));
+    run(&mut sim, ops);
+    sim.run();
+    assert_eq!(durable.get(), 1, "the writer is durable, the reader waits");
+    assert_eq!(db.with_stats(|s| s.page_flushes), 1, "row 0's page landed");
+    let (done, fetched) = gate.held.borrow_mut().take().expect("the read is held");
+    assert_eq!(
+        fetched.as_ref().unwrap().data.as_deref(),
+        Some(&image[..]),
+        "the held read fetched the loaded image"
+    );
+    done.complete(&mut sim, fetched.unwrap());
+    db.run_until_quiescent(&mut sim);
+    assert_eq!(durable.get(), 2);
+    let row = db.peek_row(0, 0).expect("row 0 is resident");
+    assert!(row == [FIRST; ROW], "row 0 reads {:#x}", row[0]);
+    assert_eq!(
+        db.with_stats(|s| s.page_reads),
+        3,
+        "the overtaken read again"
+    );
 }

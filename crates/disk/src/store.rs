@@ -28,11 +28,12 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::ops::Range;
 use std::rc::Rc;
+
+use trail_sim::FastMap;
 
 use crate::geometry::{Lba, SECTOR_SIZE};
 
@@ -103,36 +104,11 @@ fn slot_of(entry: u32) -> (usize, usize) {
     )
 }
 
-/// The hasher of the medium's maps: one multiplication. Their keys are an
-/// index-page number and content or body hashes that are already mixed,
-/// none of them chosen by anyone outside the process, so SipHash's keyed
-/// rounds buy nothing here; the odd multiplier keeps consecutive page
-/// numbers in consecutive buckets and spreads them over the table's tag
-/// bits, which it reads from the top of the hash.
-#[derive(Clone, Copy, Default)]
-struct MulHasher(u64);
-
-impl Hasher for MulHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the medium's maps are keyed by u64");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type MediumMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
-
 /// Bytes a `HashMap<K, V>` of this capacity keeps allocated, exactly as
 /// the standard library's table lays them out: a power-of-two number of
 /// `(K, V)` buckets, padded to the control group's alignment, then one
 /// control byte per bucket and one group of trailing control bytes.
-fn map_bytes<K, V>(map: &MediumMap<K, V>) -> usize {
+fn map_bytes<K, V>(map: &FastMap<K, V>) -> usize {
     const GROUP: usize = if cfg!(all(target_arch = "x86_64", target_feature = "sse2")) {
         16
     } else {
@@ -224,6 +200,9 @@ impl From<u64> for Key {
     }
 }
 
+/// One `u64` word, so [`FastMap`]'s hasher multiplies it once by an odd
+/// constant, which permutes the low bits the table indexes by: a run of
+/// consecutive page numbers lands in distinct buckets.
 impl Hash for Key {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.get());
@@ -236,7 +215,7 @@ impl Hash for Key {
 struct Index {
     // Page number → the page's position in `slab`. Pages are handed out
     // in order and never returned, so the positions are `0..at.len()`.
-    at: MediumMap<Key, u32>,
+    at: FastMap<Key, u32>,
     slab: Vec<Box<[IndexPage]>>,
 }
 
@@ -462,7 +441,7 @@ struct Pool {
     // Body hash of a full image, or content hash of a short one → the
     // entry of the one slot registered under it. Only ever names a live
     // full or short slot kept under that key.
-    by_hash: MediumMap<Key, u32>,
+    by_hash: FastMap<Key, u32>,
     hash: fn(&SectorBuf) -> Hashes,
 }
 
@@ -473,7 +452,7 @@ impl Pool {
             short: Slots::default(),
             alias: Slots::default(),
             aliased: Vec::new(),
-            by_hash: MediumMap::default(),
+            by_hash: FastMap::default(),
             hash,
         }
     }
@@ -1097,6 +1076,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::cell::Ref;
+    use std::collections::HashMap;
 
     /// The pool a written store keeps its images in.
     fn pool(s: &SectorStore) -> Ref<'_, Pool> {

@@ -9,12 +9,11 @@
 //! difference of the paper's Table 2, produced structurally.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
 use trail_db::BlockStack;
-use trail_sim::{Completion, Delivered, Simulator};
+use trail_sim::{Completion, Delivered, FastMap, Simulator};
 
 use crate::vfs::{FileHandle, FileSystem, FsError, FsStats, FS_BLOCK_SIZE};
 
@@ -83,7 +82,7 @@ impl Inode {
 struct Inner {
     stack: Rc<dyn BlockStack>,
     dev: usize,
-    dir: HashMap<String, u32>,
+    dir: FastMap<String, u32>,
     inodes: Vec<Inode>,
     next_block: u32,
     free_blocks: Vec<u32>,
@@ -139,7 +138,7 @@ impl ExtFs {
             inner: Rc::new(RefCell::new(Inner {
                 stack: Rc::clone(&stack),
                 dev,
-                dir: HashMap::new(),
+                dir: FastMap::default(),
                 inodes: vec![Inode::default(); N_INODES],
                 next_block: DATA_START_BLOCK,
                 free_blocks: Vec::new(),
@@ -171,7 +170,7 @@ impl ExtFs {
         if u32::from_le_bytes(sb[0..4].try_into().expect("len")) != MAGIC {
             return Err(FsError::InvalidArgument);
         }
-        let mut dir = HashMap::new();
+        let mut dir = FastMap::default();
         for e in 0..N_INODES {
             let off = 8 + e * (NAME_LEN + 8);
             if sb[off] == 0 {

@@ -12,12 +12,11 @@
 //!   segment", the GC cost Trail's FIFO track reclamation avoids.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
 use trail_db::BlockStack;
-use trail_sim::{Completion, Delivered, Simulator};
+use trail_sim::{Completion, Delivered, FastMap, Simulator};
 
 use crate::vfs::{FileHandle, FileSystem, FsError, FsStats, FS_BLOCK_SIZE};
 
@@ -86,7 +85,7 @@ struct Inner {
     stack: Rc<dyn BlockStack>,
     dev: usize,
     config: LfsConfig,
-    dir: HashMap<String, u32>,
+    dir: FastMap<String, u32>,
     files: Vec<Option<File>>,
     /// The in-memory segment buffer: (file, block index, data) per block.
     buffer: Vec<(u32, usize, Vec<u8>)>,
@@ -123,7 +122,7 @@ impl Lfs {
                 stack,
                 dev,
                 config,
-                dir: HashMap::new(),
+                dir: FastMap::default(),
                 files: Vec::new(),
                 buffer: Vec::new(),
                 current_seg: 0,

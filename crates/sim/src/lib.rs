@@ -16,6 +16,9 @@
 //!   (exact count, sum, mean, min and max; percentiles within 1/32) and
 //!   busy-time accounting. Counts are plain integer fields.
 //! - [`rng`] — seeded small RNG for reproducible workloads.
+//! - [`FastMap`] / [`FastSet`] — the workspace's one map type for
+//!   in-process tables, under [`FastHasher`] (FxHash's multiply step
+//!   instead of std's keyed SipHash).
 //!
 //! # Examples
 //!
@@ -55,6 +58,7 @@
 mod completion;
 mod event;
 mod fault;
+mod hash;
 mod parallel;
 #[allow(unsafe_code)]
 mod payload;
@@ -68,6 +72,7 @@ pub use fault::{
     Fault, FaultClock, FaultKind, FaultPlan, FaultPlanParseError, FaultSink, FaultTarget,
     MAX_FAULT_NANOS,
 };
+pub use hash::{FastHasher, FastMap, FastSet, FastState};
 pub use parallel::parallel_map;
 pub use payload::INLINE_EVENT_BYTES;
 pub use stats::{BusyMeter, DurationHistogram};

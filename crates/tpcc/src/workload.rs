@@ -7,12 +7,10 @@
 //! what the paper's Berkeley DB setup produced (Table 3's group-commit
 //! counts corroborate this).
 
-use std::collections::HashMap;
-
 use rand::rngs::SmallRng;
 use rand::Rng;
 use trail_db::{Op, TxnSpec};
-use trail_sim::SimDuration;
+use trail_sim::{FastMap, SimDuration};
 
 use crate::gen::{nurand, TxnType};
 use crate::schema::{key, row, row_size, table, Scale};
@@ -52,8 +50,8 @@ pub struct Workload {
     scale: Scale,
     rng: SmallRng,
     cpu: CpuModel,
-    next_o_id: HashMap<(u32, u32), u64>,
-    next_delivery: HashMap<(u32, u32), u64>,
+    next_o_id: FastMap<(u32, u32), u64>,
+    next_delivery: FastMap<(u32, u32), u64>,
     history_seq: u64,
 }
 
@@ -69,8 +67,8 @@ impl Workload {
     /// Creates a workload generator; `initial_orders` per district must
     /// match what [`populate`] loaded.
     pub fn new(scale: Scale, seed: u64, cpu: CpuModel) -> Self {
-        let mut next_o_id = HashMap::new();
-        let mut next_delivery = HashMap::new();
+        let mut next_o_id = FastMap::default();
+        let mut next_delivery = FastMap::default();
         for w in 1..=scale.warehouses {
             for d in 1..=scale.districts {
                 next_o_id.insert((w, d), u64::from(scale.initial_orders_per_district));

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
 use trail_db::{Database, DbConfig, FlushPolicy, StandardStack};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
-use trail_sim::Simulator;
+use trail_sim::{SimDuration, Simulator};
 use trail_tpcc::{populate, run, ChainOn, CpuModel, RunConfig, Scale, TpccReport, Workload};
 
 const LOG_DEV: usize = 0;
@@ -44,6 +44,13 @@ fn run_tpcc(
     txns: usize,
     conc: usize,
 ) -> TpccReport {
+    let (mut sim, db) = boot(trail, db_config(policy));
+    run_on(&mut sim, &db, chain, txns, conc)
+}
+
+/// A populated, warmed database under `config`, on Trail or on the
+/// standard stack.
+fn boot(trail: bool, config: DbConfig) -> (Simulator, Database) {
     let mut sim = Simulator::new();
     let disks: Vec<Disk> = (0..3)
         .map(|i| Disk::new(format!("d{i}"), profiles::wd_caviar_10gb()))
@@ -53,15 +60,11 @@ fn run_tpcc(
         format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
         let (trail, _) =
             MultiTrail::start(&mut sim, vec![log], disks.clone(), TrailConfig::default()).unwrap();
-        Database::new(Rc::new(trail), db_config(policy))
+        Database::new(Rc::new(trail), config)
     } else {
-        Database::new(
-            Rc::new(StandardStack::new(disks.clone())),
-            db_config(policy),
-        )
+        Database::new(Rc::new(StandardStack::new(disks.clone())), config)
     };
-    let scale = Scale::tiny();
-    let images = populate(&db, &scale);
+    let images = populate(&db, &Scale::tiny());
     let by_dev: HashMap<usize, &Disk> = disks.iter().enumerate().collect();
     for (pid, bytes) in &images {
         let disk = by_dev[&(pid.dev as usize)];
@@ -72,10 +75,21 @@ fn run_tpcc(
         }
         db.warm(*pid, bytes);
     }
-    let workload = Workload::new(scale, 42, CpuModel::default());
+    (sim, db)
+}
+
+/// Runs `txns` transactions from `conc` terminals.
+fn run_on(
+    sim: &mut Simulator,
+    db: &Database,
+    chain: ChainOn,
+    txns: usize,
+    conc: usize,
+) -> TpccReport {
+    let workload = Workload::new(Scale::tiny(), 42, CpuModel::default());
     run(
-        &mut sim,
-        &db,
+        sim,
+        db,
         workload,
         RunConfig {
             transactions: txns,
@@ -83,6 +97,40 @@ fn run_tpcc(
             chain_on: chain,
         },
     )
+}
+
+#[test]
+fn the_engine_splits_every_response_exactly() {
+    // One CPU shared by four terminals makes bursts queue, and a cache
+    // smaller than the working set makes transactions wait on page reads.
+    let config = DbConfig {
+        cache_pages: 12,
+        single_cpu: true,
+        ..db_config(FlushPolicy::EveryCommit)
+    };
+    let (mut sim, db) = boot(true, config);
+    let report = run_on(&mut sim, &db, ChainOn::Durable, 200, 4);
+    let responses = report
+        .response
+        .iter()
+        .fold(SimDuration::ZERO, |sum, &r| sum + r);
+    let stats = db.with_stats(Clone::clone);
+    assert_eq!(stats.committed, 200);
+    let parts = [
+        stats.cpu_queue_wait,
+        stats.cpu,
+        stats.page_read_wait,
+        stats.commit_wait,
+    ];
+    assert!(
+        parts.iter().all(|&p| p > SimDuration::ZERO),
+        "every part shows: {parts:?}"
+    );
+    assert_eq!(
+        parts.iter().fold(SimDuration::ZERO, |sum, &p| sum + p),
+        responses,
+        "queue + cpu + page reads + commit = response, to the nanosecond"
+    );
 }
 
 #[test]

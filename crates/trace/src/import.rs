@@ -33,11 +33,11 @@
 //! cannot be parsed is an error naming the line, not a silent skip.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::io::BufRead;
 
-use trail_sim::SimTime;
+use trail_sim::{FastMap, FastSet, SimTime};
 use trail_telemetry::StreamId;
 
 use crate::codec::RecordSink;
@@ -207,7 +207,7 @@ fn parse_event(number: usize, line: &str, action: char) -> Result<Option<Event>,
 /// [`ImportError::Line`] for a malformed event line,
 /// [`ImportError::NoRecords`] when nothing matched.
 pub fn import_blkparse(text: &str, opts: &ImportOptions) -> Result<Trace, ImportError> {
-    let mut dev_index: HashMap<(u32, u32), u16> = HashMap::new();
+    let mut dev_index: FastMap<(u32, u32), u16> = FastMap::default();
     let mut records = Vec::new();
     for (number, line) in text.lines().enumerate() {
         let Some(ev) = parse_event(number + 1, line, opts.action)? else {
@@ -299,7 +299,7 @@ pub fn scan_blkparse<R: BufRead>(
         epoch_ns: u64::MAX,
         devices: Vec::new(),
     };
-    let mut seen = HashSet::new();
+    let mut seen = FastSet::default();
     for (number, line) in input.lines().enumerate() {
         let line = line.map_err(|e| ImportError::Io(e.to_string()))?;
         let Some(ev) = parse_event(number + 1, &line, opts.action)? else {
@@ -391,7 +391,7 @@ pub fn import_blkparse_into<R: BufRead, S: RecordSink + ?Sized>(
     } else {
         reorder_window
     };
-    let dev_index: HashMap<(u32, u32), u16> = scan
+    let dev_index: FastMap<(u32, u32), u16> = scan
         .devices
         .iter()
         .copied()
