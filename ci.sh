@@ -305,7 +305,7 @@ echo "== payload-path gate =="
 # API the benchmark compiles against.) Trail's write-back takes its bytes
 # from PinnedMap::start_writeback, which hands out a second handle to the
 # pinned range's payload: the write interned in the log disk's image pool
-# when its record landed, so the data disk stores it by reference.
+# when it was submitted, so the data disk stores it by reference.
 writeback="$(awk '/fn start_writeback\(/ { on = 1 } on { print } on && /^    }$/ { exit }' \
   crates/core/src/pinned.rs)"
 [ -n "$writeback" ] \
@@ -318,6 +318,19 @@ if grep -rnE --include='*.rs' \
     'Payload::Write\(Rc::new\(|fn slice_payload\(.*\) -> Vec<u8>|flushing\.insert\(pid, bytes\.clone\(\)\)' \
     crates; then
   echo "found a per-layer copy of a write payload; share the PayloadBuf handle instead" >&2
+  exit 1
+fi
+# Trail interns a write into the log disk's pool once, when it is
+# submitted (TrailDriver::write): the queued write, the record's log copy,
+# the pinned range and its write-back all hold the pooled sectors, so each
+# logged sector is hashed once. An intern anywhere else in the driver (the
+# landing-time one this replaced) hashes every logged sector a second time.
+interns="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /^    (pub(\(crate\))? )?fn / { f = $0; sub(/^[^(]*fn /, "", f); sub(/[(<].*$/, "", f) }
+    /\.intern\(/ { print f }' crates/core/src/driver.rs)"
+if [ "$interns" != "write" ]; then
+  echo "crates/core/src/driver.rs interns a payload in '${interns//$'\n'/ }', not once in fn write; intern at submit only" >&2
   exit 1
 fi
 # The block queue merges adjacent writes into one disk command by handing
@@ -590,8 +603,8 @@ hwm="$(peak_rss_mb "$stream_out")"
 echo "== write-back backlog gate (10^5 records offered faster than Trail retires them) =="
 # A 10 ms mean gap over two data disks offers more writes than their
 # write-backs retire, so the pinned backlog grows for the whole replay.
-# A pinned range is the write interned in the log disk's image pool, a
-# few bytes a sector beside its log copy's body; a pinned copy of every
+# A pinned range is the write interned in the log disk's image pool at
+# submission, a few bytes a sector, whose body its log copy aliases; a pinned copy of every
 # write's bytes shows here at once (measured 54.0 MB; 235 MB while the
 # pinned range was the caller's buffer). The gate is the measurement
 # + 25 %.

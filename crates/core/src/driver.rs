@@ -34,7 +34,7 @@ use std::rc::Rc;
 use trail_blockio::{Clook, IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver};
 use trail_disk::{
     CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, ImagePool, Lba, PayloadBuf,
-    ServiceBreakdown, SECTOR_SIZE,
+    PayloadChain, ServiceBreakdown, SECTOR_SIZE,
 };
 use trail_sim::{
     Completion, Delivered, DurationHistogram, EventId, IoError, SimDuration, SimTime, Simulator,
@@ -269,8 +269,8 @@ struct Inner {
     /// The header this instance mounted under (its epoch, not clean).
     header: LogDiskHeader,
     log_disk: Disk,
-    /// The pool the log disk keeps its records in, which every landed
-    /// write's payload is interned into.
+    /// The pool the log disk keeps its records in, which every write's
+    /// payload is interned into when it is submitted.
     log_pool: ImagePool,
     data: Vec<SharedBlockDevice>,
     data_capacity: Vec<u64>,
@@ -309,7 +309,7 @@ enum LogAction {
     Reposition,
     Dispatch {
         lba: Lba,
-        bytes: Vec<u8>,
+        record: PayloadChain,
         ctx: RecordCtx,
     },
 }
@@ -534,11 +534,6 @@ impl TrailDriver {
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
         let mut data = data.into();
-        if data.as_bytes().is_none() {
-            // The record is built from the bytes, and a queued write holds
-            // them until it lands.
-            data = data.to_vec().into();
-        }
         {
             let mut d = self.inner.borrow_mut();
             if dev >= d.data.len() {
@@ -551,6 +546,11 @@ impl TrailDriver {
             if lba + sectors > d.data_capacity[dev] {
                 return Err(TrailError::OutOfRange);
             }
+            // Each sector is hashed here and nowhere else on its way: the
+            // queued write, its record's log copy, the pinned range and
+            // its write-back all hold the pooled sectors, and the caller's
+            // buffer goes now.
+            data.intern(&d.log_pool);
             let req = done.id().raw();
             let chunk = u64::from(d.effective_max_batch);
             let ack = Rc::new(RefCell::new(AckState {
@@ -560,7 +560,7 @@ impl TrailDriver {
                 lba,
             }));
             if sectors <= chunk {
-                // Fits one record: the caller's buffer is queued as is.
+                // Fits one record: queued whole.
                 d.log_queue.push_back(QueuedWrite {
                     dev: dev as u8,
                     lba,
@@ -568,7 +568,7 @@ impl TrailDriver {
                     ack,
                 });
             } else {
-                // One record-sized view of the caller's buffer per piece.
+                // One record-sized view of the pooled sectors per piece.
                 for first in (0..sectors).step_by(chunk as usize) {
                     let count = chunk.min(sectors - first);
                     d.log_queue.push_back(QueuedWrite {
@@ -752,6 +752,12 @@ impl TrailDriver {
         self.inner.borrow().data.len()
     }
 
+    /// The image pool the log disk keeps its records in, which every
+    /// write submitted here is interned into.
+    pub(crate) fn pool(&self) -> ImagePool {
+        self.inner.borrow().log_pool.clone()
+    }
+
     /// The capacity, in sectors, of data device `dev`, if there is one.
     pub(crate) fn capacity(&self, dev: usize) -> Option<u64> {
         self.inner.borrow().data_capacity.get(dev).copied()
@@ -814,7 +820,7 @@ impl TrailDriver {
             LogAction::None => {}
             LogAction::ArmIdle => self.arm_idle_timer(sim),
             LogAction::Reposition => self.reposition(sim),
-            LogAction::Dispatch { lba, bytes, ctx } => {
+            LogAction::Dispatch { lba, record, ctx } => {
                 let driver = self.clone();
                 let log_disk = self.inner.borrow().log_disk.clone();
                 let done = sim.completion(
@@ -823,9 +829,8 @@ impl TrailDriver {
                         Err(e) => driver.on_log_write_failed(sim, ctx, e),
                     },
                 );
-                let data = bytes.into();
                 log_disk
-                    .submit(sim, DiskCommand::Write { lba, data }, done)
+                    .submit(sim, DiskCommand::Write { lba, data: record }, done)
                     .unwrap_or_else(|e| panic!("log disk rejected a planned record write: {e}"));
             }
         }
@@ -908,10 +913,10 @@ impl TrailDriver {
                 data_major: w.dev,
                 data_minor: 0,
                 data_lba: w.lba as u32,
-                data: w.data.as_bytes().expect("a queued write holds its bytes"),
+                data: &w.data,
             })
             .collect();
-        let (_, bytes) = build_record(
+        let (_, record) = build_record(
             d.header.epoch,
             seq,
             d.prev_record_lba,
@@ -925,7 +930,7 @@ impl TrailDriver {
         d.log_busy = true;
         LogAction::Dispatch {
             lba: header_lba,
-            bytes,
+            record,
             ctx: RecordCtx {
                 seq,
                 prev_record_lba,
@@ -972,11 +977,9 @@ impl TrailDriver {
                     header_lba,
                 },
             );
-            for mut w in ctx.batch {
-                // The pinned range is the payload interned where the record
-                // just landed: each sector shares its log copy's body, and
-                // the queued buffer goes with its last handle.
-                w.data.intern(&d.log_pool);
+            for w in ctx.batch {
+                // The pinned range is the queued write's pooled payload,
+                // whose body its log copy aliases.
                 if d.pinned.log(w.dev, w.lba, w.data, ctx.seq, &mut writebacks) {
                     d.stats.overlapping_writes += 1;
                 }
@@ -1466,8 +1469,8 @@ mod tests {
         };
 
         // Acknowledged, write-back queued: the pinned range and the queued
-        // request are one handle, and pinning added aliases of the log
-        // copies' bodies, not a full slot of its own.
+        // request are one handle, and the log copies added aliases of its
+        // sectors, not a full slot of their own.
         let before = (full_slots(), pool.stats().alias_images);
         write(&mut sim, 0xA1);
         assert_eq!(target.pending(), 1);
@@ -1477,7 +1480,7 @@ mod tests {
         assert_eq!(
             (record, pool.stats().alias_images - before.1),
             (8, 8),
-            "the log copies take the eight full slots, the pinned sectors alias them"
+            "the pinned sectors take the eight full slots, the log copies alias them"
         );
 
         // Overwritten while that write-back is still queued: the map's

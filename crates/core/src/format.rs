@@ -17,7 +17,10 @@
 //!   whole one.
 //!
 //! Records are assembled by [`build_record`] and nowhere else, and checked
-//! by `recover` with the same [`payload_checksum`].
+//! by `recover` with the same [`payload_checksum`]. A record is built from
+//! the writes' payloads as they are kept: a payload interned in the log
+//! disk's image pool is logged as an alias of each of its sectors there,
+//! so the on-disk bytes are the transposed payload without a copy of it.
 //!
 //! A record is *valid* only under the current epoch; formatting or driver
 //! restart bumps the epoch, which retires every older record without
@@ -25,7 +28,7 @@
 
 use std::fmt;
 
-use trail_disk::{DiskGeometry, SectorBuf, Zone, SECTOR_SIZE};
+use trail_disk::{DiskGeometry, PayloadBuf, PayloadChain, SectorBuf, Zone, SECTOR_SIZE};
 use trail_probe::TrackLeads;
 use trail_sim::SimDuration;
 
@@ -83,29 +86,60 @@ const DISK_HEADER_FIXED_LEN: usize = 73;
 /// block is zero-padded (record payloads are whole sectors and never have
 /// one). The database WAL checks its chunks' payloads with it too.
 pub fn payload_checksum(data: &[u8]) -> u32 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    fn mix(lanes: &mut [u64; 4], block: &[u8]) {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let word = u64::from_le_bytes(word.try_into().expect("chunk is exactly 8 bytes"));
-            *lane = (*lane ^ word).wrapping_mul(K).rotate_left(29);
-        }
-    }
-    let mut lanes = [K, K.rotate_left(16), K.rotate_left(32), K.rotate_left(48)];
+    let mut lanes = Lanes::new();
     let mut blocks = data.chunks_exact(32);
     for block in &mut blocks {
-        mix(&mut lanes, block);
+        lanes.mix(block);
     }
     let tail = blocks.remainder();
     if !tail.is_empty() {
         let mut block = [0u8; 32];
         block[..tail.len()].copy_from_slice(tail);
-        mix(&mut lanes, &block);
+        lanes.mix(&block);
     }
-    let h = lanes.iter().fold(data.len() as u64, |h, lane| {
-        let h = (h ^ lane).wrapping_mul(K);
-        h ^ (h >> 32)
-    });
-    h as u32
+    lanes.fold(data.len())
+}
+
+/// The four lanes of [`payload_checksum`], fed one 32-byte block at a
+/// time, so a record's checksum streams over its payload wherever the
+/// sectors are kept.
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn new() -> Self {
+        let k = Self::K;
+        Lanes([k, k.rotate_left(16), k.rotate_left(32), k.rotate_left(48)])
+    }
+
+    fn mix(&mut self, block: &[u8]) {
+        for (lane, word) in self.0.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("chunk is exactly 8 bytes"));
+            *lane = (*lane ^ word).wrapping_mul(Self::K).rotate_left(29);
+        }
+    }
+
+    /// Feeds `sector` as the log disk holds it: byte 0 replaced by the
+    /// [`PAYLOAD_FIRST_BYTE`] marker.
+    fn mix_logged(&mut self, sector: &SectorBuf) {
+        let (first, rest) = sector
+            .split_first_chunk::<32>()
+            .expect("a sector is blocks");
+        let mut first = *first;
+        first[0] = PAYLOAD_FIRST_BYTE;
+        self.mix(&first);
+        rest.chunks_exact(32).for_each(|block| self.mix(block));
+    }
+
+    /// The checksum of the `len` bytes fed.
+    fn fold(&self, len: usize) -> u32 {
+        let h = self.0.iter().fold(len as u64, |h, lane| {
+            let h = (h ^ lane).wrapping_mul(Self::K);
+            h ^ (h >> 32)
+        });
+        h as u32
+    }
 }
 
 /// Errors decoding on-disk structures.
@@ -382,8 +416,8 @@ impl RecordHeader {
     }
 }
 
-/// One queued write's share of a record: whole sectors of `data`, borrowed
-/// from the caller, headed for `data_lba..` on one data disk.
+/// One queued write's share of a record: whole sectors of `data` headed
+/// for `data_lba..` on one data disk.
 #[derive(Clone, Copy, Debug)]
 pub struct RecordWrite<'a> {
     /// Target data-disk major number.
@@ -393,16 +427,17 @@ pub struct RecordWrite<'a> {
     /// Target sector of the first payload sector on the data disk.
     pub data_lba: u32,
     /// The sector contents, before transposition.
-    pub data: &'a [u8],
+    pub data: &'a PayloadBuf,
 }
 
-/// Builds the raw bytes of a complete write record: the header sector
-/// followed by the transposed payload sectors of `writes` in order, laid
-/// out contiguously from `header_lba` on the log disk.
+/// Builds a complete write record as the log disk's write command takes
+/// it: the header sector, then the transposed payload sectors of `writes`
+/// in order, laid out contiguously from `header_lba` on the log disk.
 ///
-/// The record is assembled in place: each payload byte is copied once,
-/// from its write's slice into the returned `Vec`, and read once more by
-/// [`payload_checksum`].
+/// Each payload is read once, for its first bytes and the checksum, and
+/// transposed by [`PayloadBuf::with_first_byte`]: an interned payload's
+/// log copy is each sector's alias in its pool, so no payload byte is
+/// copied; a byte-backed one is copied once.
 ///
 /// # Errors
 ///
@@ -417,7 +452,7 @@ pub fn build_record(
     log_head_seq: u64,
     header_lba: u32,
     writes: &[RecordWrite<'_>],
-) -> Result<(RecordHeader, Vec<u8>), FormatError> {
+) -> Result<(RecordHeader, PayloadChain), FormatError> {
     if writes.iter().any(|w| w.data.len() % SECTOR_SIZE != 0) {
         return Err(FormatError::Corrupt);
     }
@@ -428,23 +463,21 @@ pub fn build_record(
     if sectors == 0 {
         return Err(FormatError::Corrupt);
     }
-    let mut bytes = Vec::with_capacity((sectors + 1) * SECTOR_SIZE);
-    // The header sector is encoded last, once the checksum is known.
-    bytes.resize(SECTOR_SIZE, 0);
     let mut entries = Vec::with_capacity(sectors);
+    let mut lanes = Lanes::new();
     for w in writes {
-        let at = bytes.len();
-        bytes.extend_from_slice(w.data);
-        for (i, sector) in bytes[at..].chunks_exact_mut(SECTOR_SIZE).enumerate() {
+        let mut data_lba = w.data_lba;
+        w.data.for_each_sector(|sector| {
             entries.push(RecordEntry {
                 first_data_byte: sector[0],
                 data_major: w.data_major,
                 data_minor: w.data_minor,
-                data_lba: w.data_lba + i as u32,
+                data_lba,
                 log_lba: header_lba + 1 + entries.len() as u32,
             });
-            sector[0] = PAYLOAD_FIRST_BYTE;
-        }
+            data_lba += 1;
+            lanes.mix_logged(sector);
+        });
     }
     let header = RecordHeader {
         epoch,
@@ -452,11 +485,14 @@ pub fn build_record(
         prev_sect,
         log_head_lba,
         log_head_seq,
-        payload_checksum: payload_checksum(&bytes[SECTOR_SIZE..]),
+        payload_checksum: lanes.fold(sectors * SECTOR_SIZE),
         entries,
     };
-    bytes[..SECTOR_SIZE].copy_from_slice(&header.encode()?);
-    Ok((header, bytes))
+    let mut record = PayloadChain::from(header.encode()?.to_vec());
+    for w in writes {
+        record.push(w.data.with_first_byte(PAYLOAD_FIRST_BYTE));
+    }
+    Ok((header, record))
 }
 
 /// Restores a payload sector read back from the log disk: puts the
@@ -553,21 +589,26 @@ mod tests {
         assert_eq!(LogDiskHeader::decode(&bad_flag), Err(FormatError::Corrupt));
     }
 
+    /// A record's bytes as its write command lays them on the log disk.
+    fn bytes_of(record: &PayloadChain) -> Vec<u8> {
+        record.parts().flat_map(PayloadBuf::to_vec).collect()
+    }
+
     /// `n` one-sector writes with distinct nonzero first bytes.
-    fn payload(n: usize) -> Vec<Vec<u8>> {
+    fn payload(n: usize) -> Vec<PayloadBuf> {
         (0..n)
             .map(|i| {
                 let mut data = vec![0u8; SECTOR_SIZE];
                 data[0] = 0xAA ^ (i as u8); // nonzero first byte to transpose
                 data[1] = i as u8;
                 data[SECTOR_SIZE - 1] = 0x5A;
-                data
+                data.into()
             })
             .collect()
     }
 
     /// Borrows `sectors` as one-sector writes to consecutive LBAs from 1000.
-    fn writes(sectors: &[Vec<u8>]) -> Vec<RecordWrite<'_>> {
+    fn writes(sectors: &[PayloadBuf]) -> Vec<RecordWrite<'_>> {
         sectors
             .iter()
             .enumerate()
@@ -583,7 +624,8 @@ mod tests {
     #[test]
     fn record_round_trips_with_transposition() {
         let p = payload(3);
-        let (header, bytes) = build_record(5, 42, Some(900), 880, 40, 2000, &writes(&p)).unwrap();
+        let (header, record) = build_record(5, 42, Some(900), 880, 40, 2000, &writes(&p)).unwrap();
+        let bytes = bytes_of(&record);
         assert_eq!(bytes.len(), 4 * SECTOR_SIZE);
         // Header sector parses back.
         let hsec: SectorBuf = bytes[0..SECTOR_SIZE].try_into().unwrap();
@@ -607,7 +649,11 @@ mod tests {
                 .try_into()
                 .unwrap();
             restore_payload(e, &mut sec);
-            assert_eq!(sec[..], p[i][..], "payload sector {i} restored exactly");
+            assert_eq!(
+                sec[..],
+                p[i].to_vec(),
+                "payload sector {i} restored exactly"
+            );
         }
     }
 
@@ -621,6 +667,8 @@ mod tests {
         a[SECTOR_SIZE] = HEADER_FIRST_BYTE;
         let b = vec![HEADER_FIRST_BYTE; SECTOR_SIZE];
         let c = vec![PAYLOAD_FIRST_BYTE; 2 * SECTOR_SIZE];
+        let submitted: Vec<u8> = [&a[..], &b[..], &c[..]].concat();
+        let (a, b, c) = (a.into(), b.into(), c.into());
         let ws = [
             RecordWrite {
                 data_major: 0,
@@ -641,7 +689,8 @@ mod tests {
                 data: &c,
             },
         ];
-        let (header, bytes) = build_record(3, 9, None, 500, 9, 500, &ws).unwrap();
+        let (header, record) = build_record(3, 9, None, 500, 9, 500, &ws).unwrap();
+        let bytes = bytes_of(&record);
         assert_eq!(bytes.len(), 7 * SECTOR_SIZE);
         let parsed = RecordHeader::decode(bytes[..SECTOR_SIZE].try_into().unwrap())
             .unwrap()
@@ -663,7 +712,6 @@ mod tests {
                 (1, 0, 901)
             ]
         );
-        let submitted: Vec<u8> = [&a[..], &b[..], &c[..]].concat();
         let mut restored = bytes[SECTOR_SIZE..].to_vec();
         for (i, (e, sector)) in parsed
             .entries
@@ -698,8 +746,8 @@ mod tests {
 
     #[test]
     fn record_decode_flags_corrupt_signed_header() {
-        let (_, bytes) = build_record(1, 1, None, 0, 0, 100, &writes(&payload(1))).unwrap();
-        let mut hsec: SectorBuf = bytes[0..SECTOR_SIZE].try_into().unwrap();
+        let (header, _) = build_record(1, 1, None, 0, 0, 100, &writes(&payload(1))).unwrap();
+        let mut hsec: SectorBuf = header.encode().unwrap();
         hsec[41..45].copy_from_slice(&0u32.to_le_bytes()); // batch = 0
         assert_eq!(RecordHeader::decode(&hsec), Err(FormatError::Corrupt));
         hsec[41..45].copy_from_slice(&1000u32.to_le_bytes()); // batch too big
@@ -717,7 +765,11 @@ mod tests {
             Err(FormatError::Corrupt)
         ));
         // One multi-sector write counts by its sectors, not as one entry.
-        let big = vec![7u8; (MAX_TRAIL_BATCH + 1) * SECTOR_SIZE];
+        let mut big = PayloadBuf::from(vec![7u8; (MAX_TRAIL_BATCH + 1) * SECTOR_SIZE]);
+        let (ragged, fits) = (
+            PayloadBuf::from(vec![7u8; SECTOR_SIZE + 1]),
+            big.sectors(0, MAX_TRAIL_BATCH),
+        );
         let mut w = RecordWrite {
             data_major: 0,
             data_minor: 0,
@@ -729,22 +781,22 @@ mod tests {
             Err(FormatError::BatchTooLarge)
         ));
         // A write that is not whole sectors is refused, not padded.
-        w.data = &big[..SECTOR_SIZE + 1];
+        w.data = &ragged;
         assert!(matches!(
             build_record(1, 1, None, 0, 0, 0, &[w]),
             Err(FormatError::Corrupt)
         ));
         // Exactly MAX_TRAIL_BATCH fits a sector.
-        w.data = &big[..MAX_TRAIL_BATCH * SECTOR_SIZE];
-        let (h, bytes) = build_record(1, 1, None, 0, 0, 0, &[w]).unwrap();
+        w.data = &fits;
+        let (h, record) = build_record(1, 1, None, 0, 0, 0, &[w]).unwrap();
         assert!(h.encode().is_ok());
-        assert_eq!(bytes.len(), (MAX_TRAIL_BATCH + 1) * SECTOR_SIZE);
+        assert_eq!(record.len(), (MAX_TRAIL_BATCH + 1) * SECTOR_SIZE);
     }
 
     #[test]
     fn no_prev_sect_round_trips() {
-        let (_, bytes) = build_record(1, 0, None, 0, 0, 64, &writes(&payload(1))).unwrap();
-        let hsec: SectorBuf = bytes[0..SECTOR_SIZE].try_into().unwrap();
+        let (_, record) = build_record(1, 0, None, 0, 0, 64, &writes(&payload(1))).unwrap();
+        let hsec: SectorBuf = bytes_of(&record)[0..SECTOR_SIZE].try_into().unwrap();
         let parsed = RecordHeader::decode(&hsec).unwrap().unwrap();
         assert_eq!(parsed.prev_sect, None);
     }

@@ -7,12 +7,12 @@
 //! log, the one [`owning_log`] hashes its data region `(dev, lba /
 //! REGION_SECTORS)` to, so every version of a sector is pinned, read,
 //! written back and recovered by one log, in that log's ack order. An
-//! extent that crosses into another log's region splits into one
-//! [`PayloadBuf::sectors`] view per owner: the write is acknowledged when
-//! every part is durable (or fails with the first error a part delivers),
-//! a read is stitched into one [`IoDone`], and a later request that
-//! overlaps a split write is answered after it, so ack order holds across
-//! the array. With k logs, roughly (k−1)/k of the repositioning penalty
+//! extent that crosses into another log's region is interned once and
+//! splits into one [`PayloadBuf::sectors`] view per owner: the write is
+//! acknowledged when every part is durable (or fails with the first error
+//! a part delivers), a read is stitched into one [`IoDone`], and a later
+//! request that overlaps a split write is answered after it, so ack order
+//! holds across the array. With k logs, roughly (k−1)/k of the repositioning penalty
 //! is hidden from a clustered stream.
 //!
 //! The array is Trail's one front end: a single log is an array of one,
@@ -364,10 +364,15 @@ impl MultiTrail {
             _ => 0,
         };
         for ((log, at, n), done) in self.plan(sim, dev, lba, sectors, false, done) {
-            // An unsplit request hands on the caller's buffer as it came.
+            // An unsplit request goes whole, to be checked before its
+            // instance interns it. A split one is valid: it is interned
+            // once, into the pool the array's disks share, then cut.
             let part = match n == sectors {
                 true => std::mem::take(&mut data),
-                false => data.sectors((at - lba) as usize, n as usize),
+                false => {
+                    data.intern(&self.drivers[0].pool());
+                    data.sectors((at - lba) as usize, n as usize)
+                }
             };
             self.drivers[log].write(sim, dev, at, part, done)?;
         }

@@ -4,8 +4,11 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
-use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver, TrailError};
-use trail_disk::{profiles, Disk, SECTOR_SIZE};
+use trail_core::{
+    format_log_disk, owning_log, FormatOptions, MultiTrail, TrailConfig, TrailDriver, TrailError,
+    REGION_SECTORS,
+};
+use trail_disk::{profiles, Disk, ImagePool, SECTOR_SIZE};
 use trail_sim::{Delivered, SimDuration, SimTime, Simulator};
 
 /// Formats a log disk and boots a driver over `n_data` tiny data disks.
@@ -467,6 +470,11 @@ fn multiple_data_disks_are_independent() {
     }
 }
 
+/// A malformed request is refused before anything is done with it: on
+/// one Trail instance and on a two-log array, a write of a ragged length,
+/// to a missing device or past the end — and a read out of range — is an
+/// `Err`, its completion comes back cancelled, and the image pool the
+/// stack shares interns nothing.
 #[test]
 fn request_validation() {
     let mut sim = Simulator::new();
@@ -476,6 +484,7 @@ fn request_validation() {
         1,
         TrailConfig::default(),
     );
+    let pool = drv.log_disk().pool();
     let cap = data[0].geometry().total_sectors();
     // A rejected submission drops its completion; the token must come back
     // cancelled rather than vanish.
@@ -488,6 +497,7 @@ fn request_validation() {
             }
         })
     };
+    let before = pool.stats();
     let done = mint(&sim);
     assert_eq!(
         drv.write(&mut sim, 5, 0, sector_data(1, 1), done)
@@ -521,6 +531,58 @@ fn request_validation() {
         5,
         "every rejected request cancels its token"
     );
+    assert_eq!(pool.stats(), before, "a refused write interns nothing");
+
+    // The same on a two-log array whose disks share one pool, with writes
+    // long enough to cross a region boundary, which the array would split.
+    let mut sim = Simulator::new();
+    let pool = ImagePool::new();
+    let tiny = profiles::tiny_test_disk;
+    let logs: Vec<Disk> = (0..2)
+        .map(|i| Disk::in_pool(format!("log{i}"), tiny(), &pool))
+        .collect();
+    for log in &logs {
+        format_log_disk(&mut sim, log, FormatOptions::default()).expect("format");
+    }
+    let data = Disk::in_pool("data0", tiny(), &pool);
+    let cap = data.geometry().total_sectors();
+    let (multi, _) =
+        MultiTrail::start(&mut sim, logs, vec![data], TrailConfig::default()).expect("boot");
+    let boundary = (1..)
+        .map(|k| k * REGION_SECTORS)
+        .find(|&b| owning_log(2, 0, b - 1) != owning_log(2, 0, b))
+        .expect("two logs own the regions");
+    let before = (pool.stats(), cancelled.get());
+    let refused: [(usize, u64, Vec<u8>, TrailError); 3] = [
+        (
+            0,
+            boundary - 1,
+            vec![7; 2 * SECTOR_SIZE + 1],
+            TrailError::BadDataLength,
+        ),
+        (1, boundary - 1, sector_data(1, 2), TrailError::BadDevice),
+        (0, cap - 1, sector_data(1, 2), TrailError::OutOfRange),
+    ];
+    for (dev, lba, bytes, err) in refused {
+        let done = mint(&sim);
+        assert_eq!(multi.write(&mut sim, dev, lba, bytes, done), Err(err));
+    }
+    sim.run();
+    assert_eq!(
+        (pool.stats(), cancelled.get()),
+        (before.0, before.1 + 3),
+        "every refused write is cancelled and interns nothing"
+    );
+    // A good write across the boundary is interned once, then split.
+    let done = sim.completion(|_, d: Delivered<IoDone>| drop(d.expect("durable")));
+    multi
+        .write(&mut sim, 0, boundary - 1, sector_data(2, 2), done)
+        .expect("accepted");
+    multi.run_until_quiescent(&mut sim);
+    let logged: Vec<u64> = (multi.drivers().iter())
+        .map(|d| d.with_stats(|s| s.log_records))
+        .collect();
+    assert_eq!(logged, [1, 1], "the write was split across both logs");
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! pinned sector occupies beyond the log medium that holds its record.
 //!
 //! A landed write is pinned until its write-back reaches the data disk
-//! (paper §4.2), and the pinned range is the write's payload interned in
-//! the log disk's image pool, where its log copy already holds the body.
+//! (paper §4.2), and the pinned range is the write's payload, interned in
+//! the log disk's image pool when it was submitted, whose body its log
+//! copy aliases.
 //! A backlog of write-backs held by the data target therefore grows the
 //! log medium and a few bytes of bookkeeping per sector, not a copy of
 //! every write.

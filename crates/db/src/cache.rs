@@ -135,7 +135,8 @@ impl BufferPool {
 
     /// Inserts a page, evicting a victim if the pool is full.
     ///
-    /// Returns the evicted `(id, page_bytes, was_dirty)` if any — a dirty
+    /// Returns the evicted `(id, page_bytes, was_dirty)` if any — the
+    /// bytes are the victim's own allocation, moved out, and a dirty
     /// victim must be written to disk by the caller.
     ///
     /// # Panics
@@ -185,7 +186,7 @@ impl BufferPool {
                 self.dirty -= 1;
                 self.stats.dirty_evictions += 1;
             }
-            return (victim.id, victim.page.as_bytes().to_vec(), victim.dirty);
+            return (victim.id, victim.page.into_bytes(), victim.dirty);
         }
     }
 

@@ -364,7 +364,7 @@ impl Database {
         }
         images
             .into_iter()
-            .map(|(pid, p)| (pid, p.as_bytes().to_vec()))
+            .map(|(pid, p)| (pid, p.into_bytes()))
             .collect()
     }
 
@@ -451,7 +451,7 @@ impl Database {
                     let d = &mut *self.inner.borrow_mut();
                     let copy = d.flushing.get(&pid);
                     if let Some(bytes) = copy {
-                        admit(&mut d.cache, pid, &bytes.to_vec(), &mut evictions);
+                        admit(&mut d.cache, pid, Page::from_payload(bytes), &mut evictions);
                     }
                     copy.is_some()
                 };
@@ -860,27 +860,19 @@ impl Database {
             return page.get(rid.slot).map(<[u8]>::to_vec);
         }
         if let Some(bytes) = d.flushing.get(&rid.page) {
-            return Page::from_bytes(&bytes.to_vec())
-                .get(rid.slot)
-                .map(<[u8]>::to_vec);
+            return Page::from_payload(bytes).get(rid.slot).map(<[u8]>::to_vec);
         }
         None
     }
 }
 
-/// Makes `pid` resident from its fetched `bytes` unless it already is,
-/// queueing the dirty victim it evicts (if any) on `evictions` for the
-/// caller to write back.
-fn admit(
-    cache: &mut BufferPool,
-    pid: PageId,
-    bytes: &[u8],
-    evictions: &mut Vec<(PageId, Vec<u8>)>,
-) {
+/// Makes `pid` resident as `page` unless it already is, queueing the dirty
+/// victim it evicts (if any) on `evictions` for the caller to write back.
+fn admit(cache: &mut BufferPool, pid: PageId, page: Page, evictions: &mut Vec<(PageId, Vec<u8>)>) {
     if cache.contains(pid) {
         return;
     }
-    if let Some((vid, vbytes, true)) = cache.insert(pid, Page::from_bytes(bytes)) {
+    if let Some((vid, vbytes, true)) = cache.insert(pid, page) {
         evictions.push((vid, vbytes));
     }
 }
@@ -924,7 +916,7 @@ impl DbInner {
         if overtaken {
             return false;
         }
-        admit(&mut self.cache, pid, bytes, evictions);
+        admit(&mut self.cache, pid, Page::from_bytes(bytes), evictions);
         true
     }
 
@@ -936,7 +928,7 @@ impl DbInner {
         }
         match self.flushing.get(&pid) {
             Some(bytes) => {
-                admit(&mut self.cache, pid, &bytes.to_vec(), evictions);
+                admit(&mut self.cache, pid, Page::from_payload(bytes), evictions);
                 true
             }
             None => false,

@@ -6,7 +6,7 @@
 //! grow from the back, and deleted slots are tombstoned so RIDs stay
 //! stable.
 
-use trail_disk::SECTOR_SIZE;
+use trail_disk::{PayloadBuf, SECTOR_SIZE};
 
 /// Bytes per database page.
 pub const PAGE_SIZE: usize = 4096;
@@ -94,9 +94,28 @@ impl Page {
         Page { bytes: b }
     }
 
+    /// Reconstructs a page from a payload, copying its bytes once, in
+    /// whatever form the payload keeps them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is not exactly [`PAGE_SIZE`] long.
+    pub fn from_payload(payload: &PayloadBuf) -> Self {
+        let mut bytes = Box::new([0u8; PAGE_SIZE]);
+        payload.copy_to(&mut bytes[..]);
+        Page { bytes }
+    }
+
     /// The raw page bytes (what gets written to disk).
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..]
+    }
+
+    /// The page's bytes as a `Vec`, in the page's own allocation: no byte
+    /// is copied.
+    pub fn into_bytes(self) -> Vec<u8> {
+        let bytes: Box<[u8]> = self.bytes;
+        bytes.into_vec()
     }
 
     fn n_slots(&self) -> u16 {

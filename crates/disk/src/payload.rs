@@ -14,12 +14,20 @@
 //!
 //! A payload can also live in an [`ImagePool`] instead
 //! ([`intern`](PayloadBuf::intern)): one pool reference per sector, four
-//! bytes where the sector took 512. Trail interns every write when its
-//! record lands, into the pool its log disk keeps the record in, so the
-//! pinned range, its queued write-back and the log copy share one body;
-//! the write-back is still made "from memory" in virtual time, and on the
-//! host that memory is the pool. A disk whose medium shares the pool
-//! stores a pooled payload by taking references, copying nothing.
+//! bytes where the sector took 512, and each sector hashed once, there.
+//! Trail interns every write when it is submitted, into the pool its log
+//! disk keeps records in, and the caller's `Vec` goes at once: the queued
+//! write, the record's log copy ([`with_first_byte`](PayloadBuf::with_first_byte),
+//! each sector an alias of the same body under the log's byte 0), the
+//! pinned range and its queued write-back all share one body. The
+//! write-back is still made "from memory" in virtual time, and on the host
+//! that memory is the pool. A disk whose medium shares the pool stores a
+//! pooled payload by taking references, copying nothing.
+//!
+//! The byte-backed forms stay for every producer with no pool to intern
+//! into before its write reaches a disk — the standard stack, a RAID-5
+//! member's parity, a database page image — where the disk's one hash of
+//! each sector, when it lands, is the only one.
 //!
 //! There is no way to change the bytes behind a handle, and no way to
 //! borrow them in place: [`copy_to`](PayloadBuf::copy_to) reads every form
@@ -31,7 +39,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use crate::geometry::{Lba, SECTOR_SIZE};
-use crate::store::{ImagePool, PoolRun, SectorStore};
+use crate::store::{ImagePool, PoolRun, SectorBuf, SectorStore};
 
 /// An immutable write payload; see the [module docs](self).
 ///
@@ -216,13 +224,51 @@ impl PayloadBuf {
         out
     }
 
+    /// The payload with each sector's byte 0 replaced by `byte0`: what a
+    /// log keeps of it. An interned payload gives one in the same pool
+    /// whose every sector is its own slot, its base or an alias of that
+    /// base — no byte hashed, compared or copied; a byte-backed one is
+    /// copied.
+    #[must_use]
+    pub fn with_first_byte(&self, byte0: u8) -> PayloadBuf {
+        match self.form() {
+            Form::Pooled(run, sectors) => Self::pooled(run.with_first_byte(sectors, byte0)),
+            Form::Bytes(bytes) => {
+                let mut marked = bytes.to_vec();
+                for sector in marked.chunks_exact_mut(SECTOR_SIZE) {
+                    sector[0] = byte0;
+                }
+                marked.into()
+            }
+        }
+    }
+
+    /// Calls `f` with each whole sector of the payload, in order, whatever
+    /// form it is kept in.
+    pub fn for_each_sector(&self, f: impl FnMut(&SectorBuf)) {
+        match self.form() {
+            Form::Bytes(bytes) => bytes.as_chunks().0.iter().for_each(f),
+            Form::Pooled(run, sectors) => run.for_each_sector(sectors, f),
+        }
+    }
+
+    /// A handle to the whole of `run`.
+    fn pooled(run: PoolRun) -> Self {
+        PayloadBuf {
+            repr: Repr::Pooled {
+                count: run.len(),
+                run: Rc::new(run),
+                first: 0,
+            },
+        }
+    }
+
     /// Keeps this handle's sectors in `pool` from now on: it holds one
     /// reference per sector on the pool's images instead of the bytes,
     /// which go with the last handle still reading them. Each sector is
     /// hashed as a store write would hash it, so one whose body the pool
-    /// holds already (the log copy of a write, whose byte 0 the log
-    /// replaced) costs a five-byte alias at most. A payload already in
-    /// `pool` is left as it is.
+    /// holds already under another byte 0 costs a five-byte alias at most.
+    /// A payload already in `pool` is left as it is.
     ///
     /// # Panics
     ///
@@ -233,11 +279,7 @@ impl PayloadBuf {
             Form::Bytes(bytes) => PoolRun::intern(pool, bytes),
             Form::Pooled(..) => PoolRun::intern(pool, &self.to_vec()),
         };
-        self.repr = Repr::Pooled {
-            count: run.len(),
-            run: Rc::new(run),
-            first: 0,
-        };
+        *self = Self::pooled(run);
     }
 
     /// Writes the payload's first `sectors` sectors to `store` from `lba`:
@@ -403,6 +445,48 @@ mod tests {
         assert_eq!(pool.stats().distinct_sectors, 4);
         drop(tail);
         assert_eq!(pool.stats().distinct_sectors, 0);
+    }
+
+    #[test]
+    fn a_log_copy_of_a_pooled_payload_is_aliases_of_its_sectors() {
+        // Whole, short and zero sectors, first bytes marker and not.
+        let mut plain = vec![0u8; 4 * SECTOR_SIZE];
+        plain[..SECTOR_SIZE].fill(9);
+        plain[SECTOR_SIZE..SECTOR_SIZE + 100].fill(7);
+        plain[3 * SECTOR_SIZE..].fill(5);
+        plain[3 * SECTOR_SIZE] = 0;
+        let logged = |mut bytes: Vec<u8>| {
+            for sector in bytes.chunks_exact_mut(SECTOR_SIZE) {
+                sector[0] = 0;
+            }
+            bytes
+        };
+        let pool = ImagePool::new();
+        let mut p = PayloadBuf::from(plain.clone());
+        p.intern(&pool);
+        let before = pool.stats();
+        assert_eq!(before.hashed_sectors, 4);
+        let copy = p.with_first_byte(0);
+        assert_eq!(copy.to_vec(), logged(plain.clone()));
+        let mut sectors = Vec::new();
+        copy.for_each_sector(|s| sectors.extend_from_slice(s));
+        assert_eq!(sectors, logged(plain.clone()));
+        // The whole and the short sector gain an alias each; the zero
+        // sector and the one whose byte 0 is the marker are their own log
+        // copies. Nothing was hashed.
+        let after = pool.stats();
+        assert_eq!(after.hashed_sectors, before.hashed_sectors);
+        assert_eq!(after.alias_images - before.alias_images, 2);
+        assert_eq!(after.distinct_sectors - before.distinct_sectors, 2);
+        // A second copy under the same byte shares the whole sector's
+        // alias; a short base's alias is not found again.
+        let again = p.sectors(0, 2).with_first_byte(0);
+        assert_eq!(pool.stats().alias_images - after.alias_images, 1);
+        drop((p, copy, again));
+        assert_eq!(pool.stats().distinct_sectors, 0);
+        // A byte-backed payload is copied.
+        let bytes = PayloadBuf::from(plain.clone());
+        assert_eq!(bytes.with_first_byte(0).to_vec(), logged(plain));
     }
 
     #[test]

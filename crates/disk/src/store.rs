@@ -16,7 +16,9 @@
 //! of that body plus its own byte 0 — exactly the byte the log's
 //! self-describing format replaces. A write's payload can be interned
 //! into the pool as well ([`PoolRun`]), each sector holding a reference
-//! as an LBA does, and a store on that pool then writes it by reference.
+//! as an LBA does and hashed once, there; a store on that pool then writes
+//! it by reference, and writes its log copy — each sector under another
+//! byte 0 — as an alias of it, with no hash, compare or copy.
 //! The layout is sized for what Trail writes — short runs scattered over
 //! the platter, each led by a unique, mostly-zero header sector: an index
 //! page is one cache line, and an image whose second half is zero occupies
@@ -53,8 +55,8 @@ const CHUNK_SLOTS: usize = 16;
 /// well before it.
 const SHORT_BYTES: usize = SECTOR_SIZE / 2;
 
-/// Bytes of an alias slot: the base's full slot number (`u32`, little
-/// endian) and the alias's own byte 0.
+/// Bytes of an alias slot: the index entry of its base, a full or short
+/// slot (`u32`, little endian), and the alias's own byte 0.
 const ALIAS_BYTES: usize = 5;
 
 /// LBAs per index page: 16 entries of four bytes, one cache line. A page
@@ -359,13 +361,13 @@ impl<const N: usize> Slots<N> {
 }
 
 /// A sector image as the pool keeps it: whole, its first half when the
-/// second half is zero, or a stored whole image's body under a byte 0 of
-/// its own.
+/// second half is zero, or a stored whole or short image (its bytes as
+/// kept) under a byte 0 of its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Image<'a> {
     Full(&'a SectorBuf),
     Short(&'a [u8; SHORT_BYTES]),
-    Alias(&'a SectorBuf, u8),
+    Alias(&'a [u8], u8),
 }
 
 impl<'a> Image<'a> {
@@ -389,11 +391,21 @@ impl<'a> Image<'a> {
                 padded[..SHORT_BYTES].copy_from_slice(bytes);
                 padded
             }
-            Image::Alias(body, byte0) => {
-                let mut patched = *body;
+            Image::Alias(base, byte0) => {
+                let mut patched = [0u8; SECTOR_SIZE];
+                patched[..base.len()].copy_from_slice(base);
                 patched[0] = byte0;
                 patched
             }
+        }
+    }
+
+    /// The sector's byte 0.
+    fn first_byte(self) -> u8 {
+        match self {
+            Image::Full(bytes) => bytes[0],
+            Image::Short(bytes) => bytes[0],
+            Image::Alias(_, byte0) => byte0,
         }
     }
 
@@ -406,43 +418,50 @@ impl<'a> Image<'a> {
                 head.copy_from_slice(bytes);
                 tail.fill(0);
             }
-            Image::Alias(body, byte0) => {
-                *out = *body;
+            Image::Alias(base, byte0) => {
+                let (head, tail) = out.split_at_mut(base.len());
+                head.copy_from_slice(base);
+                tail.fill(0);
                 out[0] = byte0;
             }
         }
     }
 }
 
-/// The bytes of an alias slot naming full slot `base` under `byte0`.
-fn alias_bytes(base: usize, byte0: u8) -> [u8; ALIAS_BYTES] {
-    let [a, b, c, d] = (base as u32).to_le_bytes();
+/// The bytes of an alias slot naming the full or short slot whose entry is
+/// `base` under `byte0`.
+fn alias_bytes(base: u32, byte0: u8) -> [u8; ALIAS_BYTES] {
+    let [a, b, c, d] = base.to_le_bytes();
     [a, b, c, d, byte0]
 }
 
-/// The `(base, byte0)` an alias slot's bytes name.
-fn alias_parts(bytes: &[u8; ALIAS_BYTES]) -> (usize, u8) {
+/// The `(base entry, byte0)` an alias slot's bytes name.
+fn alias_parts(bytes: &[u8; ALIAS_BYTES]) -> (u32, u8) {
     let (base, byte0) = bytes.split_first_chunk::<4>().expect("alias is five bytes");
-    (u32::from_le_bytes(*base) as usize, byte0[0])
+    (u32::from_le_bytes(*base), byte0[0])
 }
 
 /// The distinct sector images behind one or more stores, in three classes
 /// of slot. Whether an image is short follows from its bytes, so equal
-/// images always meet in one class; an alias is a whole image whose bytes
-/// 1..512 a full slot already holds under another byte 0.
+/// images written as bytes always meet in one class; an alias is a full
+/// or short image whose bytes from 1 on a slot already holds under
+/// another byte 0.
 #[derive(Debug)]
 struct Pool {
     full: Slots<SECTOR_SIZE>,
     short: Slots<SHORT_BYTES>,
     alias: Slots<ALIAS_BYTES>,
     // Per full slot: the entry of the one alias found through it, or
-    // `UNWRITTEN`. Only ever names a live alias of that slot.
+    // `UNWRITTEN`. Only ever names a live alias of that slot. (An alias of
+    // a short slot is found through none.)
     aliased: Vec<u32>,
     // Body hash of a full image, or content hash of a short one → the
     // entry of the one slot registered under it. Only ever names a live
     // full or short slot kept under that key.
     by_hash: FastMap<Key, u32>,
     hash: fn(&SectorBuf) -> Hashes,
+    // Sectors hashed to find their image, ever.
+    hashed: u64,
 }
 
 impl Pool {
@@ -454,6 +473,7 @@ impl Pool {
             aliased: Vec::new(),
             by_hash: FastMap::default(),
             hash,
+            hashed: 0,
         }
     }
 
@@ -464,7 +484,11 @@ impl Pool {
             (SHORT, slot) => Image::Short(self.short.image(slot)),
             (_, slot) => {
                 let (base, byte0) = alias_parts(self.alias.image(slot));
-                Image::Alias(self.full.image(base), byte0)
+                let bytes: &[u8] = match slot_of(base) {
+                    (FULL, base) => self.full.image(base),
+                    (_, base) => self.short.image(base),
+                };
+                Image::Alias(bytes, byte0)
             }
         })
     }
@@ -472,14 +496,17 @@ impl Pool {
     /// Whether `entry`'s slot already holds exactly `image`, an image of
     /// [`Image::of`].
     fn holds(&self, entry: u32, image: Image) -> bool {
-        match (slot_of(entry), image) {
-            ((FULL, slot), Image::Full(bytes)) => self.full.image(slot) == bytes,
-            ((SHORT, slot), Image::Short(bytes)) => self.short.image(slot) == bytes,
-            ((ALIAS, slot), Image::Full(bytes)) => {
-                let (base, byte0) = alias_parts(self.alias.image(slot));
-                byte0 == bytes[0] && self.full.image(base)[1..] == bytes[1..]
+        let bytes: &[u8] = match image {
+            Image::Full(bytes) => bytes,
+            Image::Short(bytes) => bytes,
+            Image::Alias(..) => unreachable!("Image::of makes no alias"),
+        };
+        match self.image(entry).expect("a written entry") {
+            Image::Full(held) => held[..] == *bytes,
+            Image::Short(held) => held[..] == *bytes,
+            Image::Alias(base, byte0) => {
+                base.len() == bytes.len() && byte0 == bytes[0] && base[1..] == bytes[1..]
             }
-            _ => false,
         }
     }
 
@@ -529,6 +556,7 @@ impl Pool {
     /// what a store write of `data` would make its LBA name.
     fn intern(&mut self, data: &SectorBuf) -> u32 {
         let image = Image::of(data);
+        self.hashed += 1;
         self.acquire(Self::key(image, (self.hash)(data)), image)
     }
 
@@ -575,10 +603,10 @@ impl Pool {
 
     /// A slot holding `image`, found through the registered `entry`, with
     /// one more reference on it: `entry`'s own slot if it holds the same
-    /// bytes; for a whole image that differs from it in byte 0 only, the
-    /// alias found through it if that has the same byte 0, else a new
-    /// alias (found through it from now on if none is). None if `entry`
-    /// holds another image under the same key.
+    /// bytes, or for a whole image that differs from it in byte 0 only,
+    /// its alias under that byte (see
+    /// [`with_first_byte`](Self::with_first_byte)). None if `entry` holds
+    /// another image under the same key.
     fn share(&mut self, entry: u32, image: Image) -> Option<u32> {
         match (slot_of(entry), image) {
             ((SHORT, slot), Image::Short(bytes)) if self.short.image(slot) == bytes => {
@@ -586,28 +614,43 @@ impl Pool {
                 Some(entry)
             }
             ((FULL, base), Image::Full(bytes)) if self.full.image(base)[1..] == bytes[1..] => {
-                let byte0 = bytes[0];
-                if self.full.image(base)[0] == byte0 {
-                    self.full.refs[base] += 1;
-                    return Some(entry);
-                }
-                let linked = self.aliased[base];
-                if linked != UNWRITTEN {
-                    let slot = slot_of(linked).1;
-                    if alias_parts(self.alias.image(slot)).1 == byte0 {
-                        self.alias.refs[slot] += 1;
-                        return Some(linked);
-                    }
-                }
-                self.full.refs[base] += 1;
-                let alias = entry_of(ALIAS, self.alias.take(&alias_bytes(base, byte0)));
-                if linked == UNWRITTEN {
-                    self.aliased[base] = alias;
-                }
-                Some(alias)
+                Some(self.with_first_byte(entry, bytes[0]))
             }
             _ => None,
         }
+    }
+
+    /// The entry of a slot holding the image `entry` names with its byte 0
+    /// replaced by `byte0`, with one more reference on it: `entry` itself
+    /// or its base if one of them has that byte 0, else an alias of the
+    /// base — the one found through a full base if it has that byte 0,
+    /// else a new one (found through the base from now on if none is). No
+    /// byte is hashed, compared or copied.
+    fn with_first_byte(&mut self, entry: u32, byte0: u8) -> u32 {
+        let first_byte = |pool: &Self, entry| pool.image(entry).expect("a live slot").first_byte();
+        let base = match slot_of(entry) {
+            (ALIAS, slot) => alias_parts(self.alias.image(slot)).0,
+            _ => entry,
+        };
+        let linked = match slot_of(base) {
+            (FULL, slot) => self.aliased[slot],
+            _ => UNWRITTEN,
+        };
+        let same = [entry, base, linked]
+            .into_iter()
+            .find(|&e| e != UNWRITTEN && first_byte(self, e) == byte0);
+        if let Some(same) = same {
+            self.retain(same);
+            return same;
+        }
+        self.retain(base);
+        let alias = entry_of(ALIAS, self.alias.take(&alias_bytes(base, byte0)));
+        if let (FULL, slot) = slot_of(base) {
+            if linked == UNWRITTEN {
+                self.aliased[slot] = alias;
+            }
+        }
+        alias
     }
 
     /// Drops one reference; the last one frees the slot and its table
@@ -619,10 +662,12 @@ impl Pool {
         if class == ALIAS {
             if self.alias.release(slot) {
                 let (base, _) = alias_parts(self.alias.image(slot));
-                if self.aliased[base] == entry {
-                    self.aliased[base] = UNWRITTEN;
+                if let (FULL, full) = slot_of(base) {
+                    if self.aliased[full] == entry {
+                        self.aliased[full] = UNWRITTEN;
+                    }
                 }
-                self.release(entry_of(FULL, base));
+                self.release(base);
             }
             return;
         }
@@ -650,6 +695,7 @@ impl Pool {
             distinct_sectors: (self.full.live() + self.short.live() + self.alias.live()) as u64,
             short_images: self.short.live() as u64,
             alias_images: self.alias.live() as u64,
+            hashed_sectors: self.hashed,
             pool_bytes: (itself
                 + self.full.bytes()
                 + self.short.bytes()
@@ -673,9 +719,15 @@ pub struct PoolStats {
     /// How many of them are kept in half a slot because their second half
     /// is zero.
     pub short_images: u64,
-    /// How many of them are aliases: a whole image kept as another's body
+    /// How many of them are aliases: an image kept as another's bytes
     /// under its own byte 0.
     pub alias_images: u64,
+    /// Sectors the pool has hashed to find their image, ever: one per
+    /// sector a store writes as bytes or a payload is interned from. A
+    /// sector written by reference — a pooled payload, or its log copy
+    /// under another byte 0 — is not hashed. (The rehash that unregisters
+    /// a freed image is not counted.)
+    pub hashed_sectors: u64,
     /// Host bytes the pool keeps allocated: itself, the chunks of every
     /// class, reference counts, free lists, the alias links and the hash
     /// table.
@@ -688,6 +740,7 @@ impl std::ops::AddAssign for PoolStats {
         self.distinct_sectors += other.distinct_sectors;
         self.short_images += other.short_images;
         self.alias_images += other.alias_images;
+        self.hashed_sectors += other.hashed_sectors;
         self.pool_bytes += other.pool_bytes;
     }
 }
@@ -739,8 +792,8 @@ impl ImagePool {
 /// names, handed back when the run is dropped. What a pooled
 /// [`PayloadBuf`](crate::PayloadBuf) reads from. An entry costs four bytes
 /// where the sector would cost 512; a sector whose body the pool already
-/// holds under another byte 0 (the log copy of a write) adds a five-byte
-/// alias at most.
+/// holds under another byte 0 adds a five-byte alias at most, and so does
+/// each sector of a run's log copy ([`with_first_byte`](Self::with_first_byte)).
 pub(crate) struct PoolRun {
     pool: ImagePool,
     entries: Box<[u32]>,
@@ -776,6 +829,32 @@ impl PoolRun {
     /// Sectors in the run.
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Sectors `sectors` of the run, each with its byte 0 replaced by
+    /// `byte0`, as a run of their own: each entry the same slot, its
+    /// base, or an alias of that base — no byte is hashed, compared or
+    /// copied.
+    pub(crate) fn with_first_byte(&self, sectors: Range<usize>, byte0: u8) -> Self {
+        let mut p = self.pool.0.borrow_mut();
+        PoolRun {
+            pool: self.pool.clone(),
+            entries: self.entries[sectors]
+                .iter()
+                .map(|&entry| p.with_first_byte(entry, byte0))
+                .collect(),
+        }
+    }
+
+    /// Calls `f` with each of sectors `sectors` of the run, in order.
+    pub(crate) fn for_each_sector(&self, sectors: Range<usize>, mut f: impl FnMut(&SectorBuf)) {
+        let pool = self.pool.0.borrow();
+        for &entry in &self.entries[sectors] {
+            f(&pool
+                .image(entry)
+                .expect("a run holds written images")
+                .sector());
+        }
     }
 
     /// Writes sectors `sectors` of the run, one after another, into `out`.
@@ -1195,7 +1274,15 @@ mod tests {
                         read,
                         "a read is the kept image, patched or padded"
                     );
-                    assert_eq!(matches!(Image::of(&read), Image::Short(_)), class == SHORT);
+                    // An alias reads short exactly when its base is short.
+                    let kept_as = match (class, slot) {
+                        (ALIAS, slot) => slot_of(alias_parts(p.alias.image(slot)).0).0,
+                        (class, _) => class,
+                    };
+                    assert_eq!(
+                        matches!(Image::of(&read), Image::Short(_)),
+                        kept_as == SHORT
+                    );
                 }
             }
         }
@@ -1211,18 +1298,23 @@ mod tests {
             }
         }
 
-        // A live alias holds one reference on its base, a live full slot,
-        // whose byte 0 differs from the alias's; a base finds at most one
-        // live alias of its own.
+        // A live alias holds one reference on its base, a live full or
+        // short slot, whose byte 0 differs from the alias's; a full base
+        // finds at most one live alias of its own.
         for slot in (0..p.alias.refs.len()).filter(|&slot| p.alias.refs[slot] > 0) {
             let (base, byte0) = alias_parts(p.alias.image(slot));
-            assert!(p.full.refs[base] > 0, "an alias's base is live");
+            let (class, at) = slot_of(base);
+            assert_ne!(class, ALIAS, "an alias's base is a full or short slot");
+            assert!(
+                [&p.full.refs, &p.short.refs][class][at] > 0,
+                "an alias's base is live"
+            );
             assert_ne!(
-                p.full.image(base)[0],
+                p.image(base).expect("live").first_byte(),
                 byte0,
                 "an alias differs from its base"
             );
-            holders[FULL][base] += 1;
+            holders[class][at] += 1;
         }
         check_class(&p.full, &holders[FULL]);
         check_class(&p.short, &holders[SHORT]);
@@ -1233,7 +1325,7 @@ mod tests {
                 let (class, slot) = slot_of(alias);
                 assert_eq!(class, ALIAS);
                 assert!(p.alias.refs[slot] > 0, "a base finds a live alias");
-                assert_eq!(alias_parts(p.alias.image(slot)).0, base);
+                assert_eq!(alias_parts(p.alias.image(slot)).0, entry_of(FULL, base));
             }
         }
 
@@ -1816,8 +1908,8 @@ mod tests {
     /// Drives three stores and a plain map for each — two on `shared`,
     /// whose payloads they take by reference, and one on a pool of its
     /// own, which copies them — through byte writes and reads and through
-    /// payloads interned into `shared`, written by reference and dropped
-    /// in any order. After every step each slot's refcount is the LBAs,
+    /// payloads interned into `shared`, log copies of them under another
+    /// byte 0, written by reference and dropped in any order. After every step each slot's refcount is the LBAs,
     /// aliases and payload entries naming it; dropping everything empties
     /// `shared`.
     fn run_payload_model(shared: &ImagePool, steps: &[RunStep]) {
@@ -1832,7 +1924,7 @@ mod tests {
         for &(op, which, lba, sectors, content) in steps {
             let k = usize::from(which % 3);
             let count = sectors.min(MODEL_CAPACITY - lba);
-            match op % 4 {
+            match op % 5 {
                 // Byte writes and reads, as the other models make them.
                 0 => step(
                     &mut stores[k],
@@ -1856,6 +1948,24 @@ mod tests {
                 }
                 3 if !runs.is_empty() => {
                     drop(runs.swap_remove(usize::from(content) % runs.len()));
+                }
+                // A log copy of part of a run, under one of three first
+                // bytes: 0 (the log's marker, which the model's logged
+                // images carry too), 0xFF or the run's own.
+                4 if !runs.is_empty() => {
+                    let (run, images) = &runs[usize::from(content) % runs.len()];
+                    let first = (lba as usize) % images.len();
+                    let n = (count as usize).min(images.len() - first);
+                    let byte0 = [0, 0xFF, images[first][0]][usize::from(which) % 3];
+                    let copy = run.with_first_byte(first..first + n, byte0);
+                    let mut logged = images[first..first + n].to_vec();
+                    let mut marked = Vec::new();
+                    copy.for_each_sector(0..n, |sector| marked.push(*sector));
+                    for image in &mut logged {
+                        image[0] = byte0;
+                    }
+                    assert_eq!(marked, logged, "a log copy reads its own bytes");
+                    runs.push((copy, logged));
                 }
                 _ => {}
             }

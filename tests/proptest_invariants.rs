@@ -8,8 +8,15 @@ use trail::core::format::{
 };
 use trail::core::{HeadPredictor, TrackLeads, TrackPool};
 use trail::db::Page;
-use trail::disk::{CommandKind, DiskGeometry, SectorBuf, Zone, SECTOR_SIZE};
+use trail::disk::{
+    CommandKind, DiskGeometry, ImagePool, PayloadBuf, PayloadChain, SectorBuf, Zone, SECTOR_SIZE,
+};
 use trail::sim::{SimDuration, SimTime};
+
+/// A record's bytes as its write command lays them on the log disk.
+fn bytes_of(record: &PayloadChain) -> Vec<u8> {
+    record.parts().flat_map(PayloadBuf::to_vec).collect()
+}
 
 fn arb_geometry() -> impl Strategy<Value = DiskGeometry> {
     (
@@ -84,7 +91,8 @@ proptest! {
 
     /// Write records survive encode -> raw sectors -> decode -> restore,
     /// for writes of different lengths borrowed from separate buffers and
-    /// for sectors that already start with a marker byte.
+    /// for sectors that already start with a marker byte; a record built
+    /// from the same writes interned in an image pool is the same bytes.
     #[test]
     fn record_format_round_trips(
         sectors in proptest::collection::vec(arb_sector(), 1..=32),
@@ -94,35 +102,48 @@ proptest! {
         header_lba in 0u32..1_000_000,
     ) {
         // Group the sectors into writes of 1..=8 sectors, each its own Vec.
-        let mut buffers: Vec<Vec<u8>> = Vec::new();
+        let mut buffers: Vec<PayloadBuf> = Vec::new();
         let mut rest = &sectors[..];
         for &cut in &cuts {
             if rest.is_empty() {
                 break;
             }
             let (now, later) = rest.split_at(cut.min(rest.len()));
-            buffers.push(now.concat());
+            buffers.push(now.concat().into());
             rest = later;
         }
-        let writes: Vec<RecordWrite<'_>> = buffers
-            .iter()
-            .enumerate()
-            .map(|(i, data)| RecordWrite {
-                data_major: (i % 3) as u8,
-                data_minor: 0,
-                data_lba: i as u32 * 8,
-                data,
-            })
-            .collect();
-        let (header, raw) =
-            build_record(epoch, seq, Some(7), 3, 1, header_lba, &writes).expect("builds");
+        let writes_of = |buffers: &[PayloadBuf]| -> Vec<(u8, u32)> {
+            (0..buffers.len()).map(|i| ((i % 3) as u8, i as u32 * 8)).collect()
+        };
+        let build = |buffers: &[PayloadBuf]| {
+            let writes: Vec<RecordWrite<'_>> = buffers
+                .iter()
+                .zip(writes_of(buffers))
+                .map(|(data, (data_major, data_lba))| RecordWrite {
+                    data_major,
+                    data_minor: 0,
+                    data_lba,
+                    data,
+                })
+                .collect();
+            let (header, record) =
+                build_record(epoch, seq, Some(7), 3, 1, header_lba, &writes).expect("builds");
+            (header, bytes_of(&record))
+        };
+        let (header, raw) = build(&buffers);
+        let pool = ImagePool::new();
+        let mut pooled: Vec<PayloadBuf> = buffers.iter().map(|b| b.to_vec().into()).collect();
+        for data in &mut pooled {
+            data.intern(&pool);
+        }
+        prop_assert_eq!(build(&pooled), (header.clone(), raw.clone()));
         let hsec: SectorBuf = raw[..SECTOR_SIZE].try_into().expect("sector");
         let parsed = RecordHeader::decode(&hsec).expect("valid").expect("is header");
         prop_assert_eq!(&parsed, &header);
         prop_assert_eq!(parsed.entries.len(), sectors.len());
         prop_assert_eq!(raw.len(), (sectors.len() + 1) * SECTOR_SIZE);
-        let mut targets = writes.iter().flat_map(|w| {
-            (0..w.data.len() / SECTOR_SIZE).map(move |i| (w.data_major, w.data_lba + i as u32))
+        let mut targets = buffers.iter().zip(writes_of(&buffers)).flat_map(|(data, (major, lba))| {
+            (0..data.len() / SECTOR_SIZE).map(move |i| (major, lba + i as u32))
         });
         for (i, entry) in parsed.entries.iter().enumerate() {
             prop_assert_eq!(Some((entry.data_major, entry.data_lba)), targets.next());
@@ -172,9 +193,10 @@ proptest! {
         random in proptest::collection::vec(any::<u8>(), 32 * SECTOR_SIZE),
     ) {
         let record = |sectors: &[Vec<u8>], seq: u64| {
-            let data = sectors.concat();
+            let data = sectors.concat().into();
             let write = RecordWrite { data_major: 0, data_minor: 0, data_lba: 64, data: &data };
-            build_record(1, seq, None, 0, 0, 100, &[write]).expect("builds")
+            let (header, record) = build_record(1, seq, None, 0, 0, 100, &[write]).expect("builds");
+            (header, bytes_of(&record))
         };
         let (header, raw) = record(&new, 1);
         let payload = &raw[SECTOR_SIZE..];
