@@ -297,8 +297,9 @@ fi
 
 echo "== payload-path gate =="
 # trail_disk::PayloadBuf is the one type a write's bytes travel in, from
-# the layer that accepts them to the medium (DESIGN.md, "copy budget"):
-# holders share the buffer, nobody copies it. The four copies it replaced
+# the layer that accepts them to the medium, and the one a read's come
+# back in (DESIGN.md, "copy budget"): holders share the buffer, nobody
+# copies it. The four copies it replaced
 # — the write-back snapshot, the volume's private Rc plus per-member
 # to_vec, the db's second copy of every evicted page — must not come back.
 # (benchmark/check.sh below is what notices if the conversion breaks an
@@ -331,6 +332,24 @@ interns="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
     /\.intern\(/ { print f }' crates/core/src/driver.rs)"
 if [ "$interns" != "write" ]; then
   echo "crates/core/src/driver.rs interns a payload in '${interns//$'\n'/ }', not once in fn write; intern at submit only" >&2
+  exit 1
+fi
+# A read completes as a view of the medium (PayloadBuf::read: one pool
+# reference per sector), so a read that drops its data — Trail's
+# repositioning and idle-refresh reads — costs reference counts, and a
+# layer that needs bytes copies them at its own site, once. Disk::submit
+# making bytes for a read again (read_range, or a zeroed buffer to read
+# into) puts a copy of every sector read back on every read.
+if awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } { print FILENAME ":" FNR ": " $0 }' \
+    crates/disk/src/device.rs | grep -E 'read_range|vec!\[0'; then
+  echo "crates/disk/src/device.rs makes bytes for a read; complete it as a PayloadBuf view" >&2
+  exit 1
+fi
+# Recovery keeps the log tracks stage 1 scans as views and writes records
+# back as aliases of the log's sectors; a byte buffer in recovery.rs is a
+# copy of a track or a record coming back.
+if grep -nE 'Vec<u8>|Cow<.*\[u8\]>|\.to_vec\(\)' crates/core/src/recovery.rs; then
+  echo "crates/core/src/recovery.rs holds a byte buffer; keep the read's PayloadBuf view" >&2
   exit 1
 fi
 # The block queue merges adjacent writes into one disk command by handing

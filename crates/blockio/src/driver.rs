@@ -495,7 +495,7 @@ mod tests {
         )
         .unwrap();
         sim.run();
-        assert_eq!(seen.borrow().as_deref().unwrap()[0], 0xC3);
+        assert_eq!(seen.borrow().as_ref().unwrap().sector(0)[0], 0xC3);
     }
 
     #[test]
@@ -821,7 +821,7 @@ mod tests {
             // covers its second sector: it must wait its turn.
             if overlap_read {
                 let c = sim.completion(|_, d: trail_sim::Delivered<IoDone>| {
-                    assert_eq!(d.expect("read").data.expect("bytes")[0], 0);
+                    assert_eq!(d.expect("read").data.expect("bytes").sector(0)[0], 0);
                 });
                 drv.submit(&mut sim, IoRequest::read(105, 1), c).unwrap();
             } else {

@@ -97,7 +97,7 @@ impl IoRequest {
 }
 
 /// Completion record delivered to the submitter's callback.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct IoDone {
     /// The identifier returned at submission.
     pub id: RequestId,
@@ -105,8 +105,9 @@ pub struct IoDone {
     pub lba: Lba,
     /// Read or write.
     pub kind: CommandKind,
-    /// Data read (reads only).
-    pub data: Option<Vec<u8>>,
+    /// Data read (reads only): a view of the medium, or of the bytes a
+    /// layer above it assembled.
+    pub data: Option<PayloadBuf>,
     /// Submission time.
     pub issued: SimTime,
     /// Completion time.

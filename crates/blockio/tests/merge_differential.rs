@@ -93,7 +93,7 @@ fn merged(reqs: &[Req], scheduler: Box<dyn Scheduler>, priority: Priority) -> (R
         let (reads, delivered) = (Rc::clone(&reads), Rc::clone(&delivered));
         let done = sim.completion(move |_, d: Delivered<IoDone>| {
             delivered.borrow_mut()[i] += 1;
-            reads.borrow_mut()[i] = d.expect("no fault is injected").data;
+            reads.borrow_mut()[i] = d.expect("no fault is injected").data.map(|d| d.to_vec());
         });
         let req = if r.is_read {
             IoRequest::read(r.lba, r.sectors as u32)
@@ -144,7 +144,11 @@ fn reference(reqs: &[Req], mut scheduler: Box<dyn Scheduler>, priority: Priority
         };
         let done = sim.block_on(|sim, done| disk.submit(sim, cmd, done));
         delivered[i] += 1;
-        reads[i] = done.expect("accepted").expect("no fault is injected").data;
+        reads[i] = done
+            .expect("accepted")
+            .expect("no fault is injected")
+            .data
+            .map(|d| d.to_vec());
         next = (!scheduler.is_empty()).then(|| {
             let reads_only = priority == Priority::ReadsFirst && scheduler.queued_reads() > 0;
             scheduler.pop(disk.head_position(), reads_only)

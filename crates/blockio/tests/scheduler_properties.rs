@@ -75,7 +75,7 @@ fn run_workload(
                     // *completed* write to this lba (or zero).
                     let expect = fw.borrow().get(&lba).copied().unwrap_or(0);
                     assert_eq!(
-                        done.data.expect("read data")[0],
+                        done.data.expect("read data").sector(0)[0],
                         expect,
                         "read at lba {lba} saw stale data"
                     );

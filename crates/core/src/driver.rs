@@ -288,6 +288,9 @@ struct Inner {
     idle_timer: Option<EventId>,
     idle_refresh_count: u32,
     stalled: bool,
+    /// Whether a submitted write's zero-delay `service_log` event has not
+    /// run yet.
+    service_pending: bool,
     // Sourced from the log disk's name, so MultiTrail instances stay
     // distinguishable in traces.
     lifecycle: LifecycleEmitter,
@@ -481,6 +484,7 @@ impl TrailDriver {
                 pinned: PinnedMap::new(devices),
                 stats: TrailStats::default(),
                 idle_timer: None,
+                service_pending: false,
                 idle_refresh_count: 0,
                 stalled: false,
                 lifecycle,
@@ -585,13 +589,20 @@ impl TrailDriver {
                 sim.cancel(t);
             }
             d.idle_refresh_count = 0;
+            if std::mem::replace(&mut d.service_pending, true) {
+                return Ok(());
+            }
         }
         // Defer servicing by one (zero-delay) event so that a burst of
         // writes submitted at the same instant all reach the queue before
         // the next record is formed — "the Trail driver batches all the
-        // requests currently in the log disk queue" (§4.2).
+        // requests currently in the log disk queue" (§4.2). One such event
+        // serves the whole burst: a write that finds one pending adds none.
         let driver = self.clone();
-        sim.schedule_now(move |sim| driver.service_log(sim));
+        sim.schedule_now(move |sim| {
+            driver.inner.borrow_mut().service_pending = false;
+            driver.service_log(sim);
+        });
         Ok(())
     }
 
@@ -659,7 +670,7 @@ impl TrailDriver {
                         id: trail_blockio::RequestId(0),
                         lba,
                         kind: CommandKind::Read,
-                        data: Some(data),
+                        data: Some(data.into()),
                         issued: sim.now(),
                         completed: sim.now(),
                         breakdown: ServiceBreakdown::default(),
@@ -680,8 +691,11 @@ impl TrailDriver {
                 // bytes.
                 let patched = sim.completion(move |sim, read: Delivered<IoDone>| match read {
                     Ok(mut io) => {
-                        let image = io.data.as_mut().expect("a read returns data");
-                        patch(image, lba, &views);
+                        // The one copy a patched read makes: the disk's
+                        // view, with the pinned sectors laid over it.
+                        let mut image = io.data.expect("a read returns data").to_vec();
+                        patch(&mut image, lba, &views);
+                        io.data = Some(image.into());
                         done.complete(sim, io);
                     }
                     Err(e) => done.fail(sim, e),

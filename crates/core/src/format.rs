@@ -100,6 +100,15 @@ pub fn payload_checksum(data: &[u8]) -> u32 {
     lanes.fold(data.len())
 }
 
+/// [`payload_checksum`] of a payload kept as a [`PayloadBuf`], streamed
+/// over its sectors wherever they are kept: recovery checks a record on
+/// the view of the log it read, with no copy of its bytes.
+pub fn payload_checksum_of(payload: &PayloadBuf) -> u32 {
+    let mut lanes = Lanes::new();
+    payload.for_each_sector(|sector| sector.chunks_exact(32).for_each(|block| lanes.mix(block)));
+    lanes.fold(payload.len())
+}
+
 /// The four lanes of [`payload_checksum`], fed one 32-byte block at a
 /// time, so a record's checksum streams over its payload wherever the
 /// sectors are kept.
@@ -495,12 +504,6 @@ pub fn build_record(
     Ok((header, record))
 }
 
-/// Restores a payload sector read back from the log disk: puts the
-/// displaced first byte back.
-pub fn restore_payload(entry: &RecordEntry, sector: &mut SectorBuf) {
-    sector[0] = entry.first_data_byte;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,7 +651,7 @@ mod tests {
             let mut sec: SectorBuf = bytes[(i + 1) * SECTOR_SIZE..(i + 2) * SECTOR_SIZE]
                 .try_into()
                 .unwrap();
-            restore_payload(e, &mut sec);
+            sec[0] = e.first_data_byte;
             assert_eq!(
                 sec[..],
                 p[i].to_vec(),
@@ -721,7 +724,7 @@ mod tests {
         {
             assert_eq!(e.log_lba, 501 + i as u32);
             assert_eq!(sector[0], PAYLOAD_FIRST_BYTE, "sector {i} marked on disk");
-            restore_payload(e, sector.try_into().unwrap());
+            sector[0] = e.first_data_byte;
         }
         assert_eq!(restored, submitted);
         assert_eq!(

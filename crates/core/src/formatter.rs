@@ -149,8 +149,7 @@ pub fn write_header(
 pub fn read_header(sim: &mut Simulator, disk: &Disk) -> Result<LogDiskHeader, TrailError> {
     for lba in [0, replica_lba(&disk.geometry())] {
         let res = run_blocking(sim, disk, DiskCommand::Read { lba, count: 1 })?;
-        let data = res.data.expect("read returns data");
-        let sector: trail_disk::SectorBuf = data[..].try_into().expect("single-sector read length");
+        let sector = res.data.expect("read returns data").sector(0);
         match LogDiskHeader::decode(&sector) {
             Ok(h) => return Ok(h),
             Err(_) => continue,

@@ -127,7 +127,7 @@ impl Join {
             Ok(mut io) => {
                 let mut j = join.borrow_mut();
                 if let (Some(image), Some(data)) = (j.image.as_mut(), io.data.take()) {
-                    image[offset..offset + data.len()].copy_from_slice(&data);
+                    data.copy_to(&mut image[offset..offset + data.len()]);
                 }
                 j.last = Some(io);
                 drop(j);
@@ -147,7 +147,7 @@ impl Join {
                 lba: j.lba,
                 issued: j.issued,
                 completed: sim.now(),
-                data: j.image.take(),
+                data: j.image.take().map(PayloadBuf::from),
                 ..j.last.take().expect("every part answered")
             };
             drop(j);
@@ -519,7 +519,7 @@ mod tests {
             acked2.set(true);
             let done = sim.completion(move |_, d: Delivered<IoDone>| {
                 let io = d.expect("read");
-                assert_eq!((io.lba, io.data.as_deref()), (lba, Some(&expect[..])));
+                assert_eq!((io.lba, io.data.map(|d| d.to_vec())), (lba, Some(expect)));
                 read2.set(true);
             });
             m.read(sim, 0, lba, 8, done).unwrap();

@@ -13,34 +13,36 @@
 //!    `prev_sect` pointers backwards, stopping at the youngest record's
 //!    `log_head` (the oldest record not yet committed when it was
 //!    written) — this field is what bounds the back-scan. Each record is
-//!    read once. Stage 1 keeps the tracks it scanned, so a record on one
-//!    of them (the youngest always is) costs no I/O; any other costs one
-//!    command that reads its header and payload together. (Reading them
-//!    apart waits out most of a revolution: the payload starts on the
-//!    very next sector, which passes under the head during the second
-//!    command's overhead.)
+//!    read once. Stage 1 keeps every track it scanned as the read
+//!    returned it — a view of the log medium, one pool reference per
+//!    sector, not a copy of its bytes — so a record on one of them (the
+//!    youngest always is) costs no I/O; any other costs one command that
+//!    reads its header and payload together. (Reading them apart waits
+//!    out most of a revolution: the payload starts on the very next
+//!    sector, which passes under the head during the second command's
+//!    overhead.) Headers are decoded and checksums streamed over the
+//!    views in place.
 //! 3. **Write back** the recovered blocks to their data disks in
-//!    sequence order (oldest first, so later overwrites win). This stage
-//!    is optional for measurement purposes (Figure 4(b)); production boot
-//!    always performs it, because the driver bumps the epoch immediately
-//!    afterwards, retiring the log records.
+//!    sequence order (oldest first, so later overwrites win), each run
+//!    the log's sectors under their recorded first bytes: aliases of the
+//!    log copy, which a data disk on the stack's image pool stores by
+//!    reference. This stage is optional for measurement purposes
+//!    (Figure 4(b)); production boot always performs it, because the
+//!    driver bumps the epoch immediately afterwards, retiring the log
+//!    records.
 //!
 //! All recovery I/O is *timed*: it goes through the same simulated device
 //! interface as normal operation, so Figure 4's delays are measured, not
 //! asserted.
 
-use std::borrow::Cow;
-
 use trail_blockio::{IoRequest, SharedBlockDevice};
-use trail_disk::{Disk, DiskCommand, Lba, SECTOR_SIZE};
+use trail_disk::{Disk, DiskCommand, Lba, PayloadBuf, SECTOR_SIZE};
 use trail_probe::run_blocking;
 use trail_sim::{SimDuration, Simulator};
 
 use crate::driver::raw_targets;
 use crate::error::TrailError;
-use crate::format::{
-    payload_checksum, restore_payload, LogDiskHeader, RecordHeader, MAX_TRAIL_BATCH,
-};
+use crate::format::{payload_checksum_of, LogDiskHeader, RecordHeader, MAX_TRAIL_BATCH};
 use crate::formatter::data_track_range;
 
 /// Options for [`recover`].
@@ -96,45 +98,59 @@ impl RecoveryReport {
 }
 
 /// The kept sectors from `lba` to the end of its track, if one of `kept`
-/// — the tracks stage 1 read whole, as (first LBA, bytes) — holds `lba`.
-/// Recovery never writes the log disk, so a kept track stays exact.
-fn kept_from(kept: &[(Lba, Vec<u8>)], lba: Lba) -> Option<&[u8]> {
-    kept.iter()
-        .find(|(first, data)| (*first..first + (data.len() / SECTOR_SIZE) as u64).contains(&lba))
-        .map(|(first, data)| &data[(lba - first) as usize * SECTOR_SIZE..])
+/// — the tracks stage 1 read whole, as (first LBA, view) — holds `lba`.
+fn kept_from(kept: &mut [(Lba, PayloadBuf)], lba: Lba) -> Option<PayloadBuf> {
+    let (first, track) = kept.iter_mut().find(|(first, track)| {
+        (*first..first + (track.len() / SECTOR_SIZE) as u64).contains(&lba)
+    })?;
+    let at = (lba - *first) as usize;
+    Some(track.sectors(at, track.len() / SECTOR_SIZE - at))
 }
 
-/// Reads one whole track, keeps it in `kept` and returns the sequence
-/// number and LBA of its newest current-epoch record.
+/// Reads one whole track, keeps its view in `kept` and returns the
+/// sequence number and LBA of its newest current-epoch record.
 fn scan_track(
     sim: &mut Simulator,
     log_disk: &Disk,
     header: &LogDiskHeader,
     track: u64,
-    kept: &mut Vec<(Lba, Vec<u8>)>,
+    kept: &mut Vec<(Lba, PayloadBuf)>,
 ) -> Result<Option<(u64, Lba)>, TrailError> {
     let g = &header.geometry;
     let (lba, count) = (g.track_first_lba(track), g.spt_of_track(track));
     let read = run_blocking(sim, log_disk, DiskCommand::Read { lba, count })?;
-    let data = read.data.expect("read returns data");
+    let track = read.data.expect("read returns data");
     // A record that fails to parse despite carrying the signature is
     // treated as absent: it cannot be the youngest *valid* record.
-    let newest = (lba..)
-        .zip(data.chunks_exact(SECTOR_SIZE))
-        .filter_map(|(at, sector)| {
-            let rec = RecordHeader::decode(sector.try_into().expect("one sector")).ok()??;
-            (rec.epoch == header.epoch).then_some((rec.sequence_id, at))
-        })
-        .reduce(|best, hit| if hit.0 > best.0 { hit } else { best });
-    kept.push((lba, data));
+    let (mut at, mut newest) = (lba, None);
+    track.for_each_sector(|sector| {
+        if let Ok(Some(rec)) = RecordHeader::decode(sector) {
+            if rec.epoch == header.epoch && newest.is_none_or(|(seq, _)| rec.sequence_id > seq) {
+                newest = Some((rec.sequence_id, at));
+            }
+        }
+        at += 1;
+    });
+    kept.push((lba, track));
     Ok(newest)
 }
 
 /// A record of the chain: its header and the log sectors from its header
 /// sector on, which hold its payload unless it is torn.
-struct Found<'k> {
+struct Found {
     header: RecordHeader,
-    sectors: Cow<'k, [u8]>,
+    sectors: PayloadBuf,
+}
+
+impl Found {
+    /// The record's payload as the log holds it, if every sector of it
+    /// was read and matches the header's checksum.
+    fn payload(&mut self) -> Option<PayloadBuf> {
+        let batch = self.header.entries.len();
+        let payload =
+            (self.sectors.len() > batch * SECTOR_SIZE).then(|| self.sectors.sectors(1, batch))?;
+        (payload_checksum_of(&payload) == self.header.payload_checksum).then_some(payload)
+    }
 }
 
 /// The record whose header is at `lba`, if it is a current-epoch record
@@ -143,14 +159,14 @@ struct Found<'k> {
 /// (records never cross a track's end). A dangling pointer (a clobbered
 /// predecessor, or one outside the data tracks) is `None`: the chain ends
 /// there, with everything younger collected.
-fn read_record<'k>(
+fn read_record(
     sim: &mut Simulator,
     log_disk: &Disk,
     header: &LogDiskHeader,
-    kept: &'k [(Lba, Vec<u8>)],
+    kept: &mut [(Lba, PayloadBuf)],
     lba: Option<Lba>,
     seq: u64,
-) -> Result<Option<Found<'k>>, TrailError> {
+) -> Result<Option<Found>, TrailError> {
     let g = &header.geometry;
     let (first_track, last_track) = data_track_range(g);
     // No predecessor maps past the disk's end, so it dangles too.
@@ -162,16 +178,15 @@ fn read_record<'k>(
         return Ok(None);
     };
     let sectors = match kept_from(kept, lba) {
-        Some(sectors) => Cow::Borrowed(sectors),
+        Some(sectors) => sectors,
         None => {
             let track_end = g.track_first_lba(track) + u64::from(g.spt_of_track(track));
             let count = (track_end - lba).min(1 + MAX_TRAIL_BATCH as u64) as u32;
             let read = run_blocking(sim, log_disk, DiskCommand::Read { lba, count })?;
-            Cow::Owned(read.data.expect("read returns data"))
+            read.data.expect("read returns data")
         }
     };
-    let rec = RecordHeader::decode(sectors[..SECTOR_SIZE].try_into().expect("one sector"));
-    Ok(match rec {
+    Ok(match RecordHeader::decode(&sectors.sector(0)) {
         Ok(Some(rec)) if rec.epoch == header.epoch && rec.sequence_id < seq => Some(Found {
             header: rec,
             sectors,
@@ -212,7 +227,7 @@ fn blocking_target_write(
     sim: &mut Simulator,
     target: &SharedBlockDevice,
     lba: Lba,
-    data: Vec<u8>,
+    data: PayloadBuf,
 ) -> Result<(), TrailError> {
     sim.block_on(|sim, done| target.submit(sim, IoRequest::write(lba, data), done))??;
     Ok(())
@@ -276,16 +291,16 @@ pub fn recover_with_targets(
     // ---- Stage 2: rebuild the chain of active records. -------------------
     // Every record on a kept track, the youngest among them, costs no I/O.
     let t1 = sim.now();
-    let found = read_record(sim, log_disk, header, &kept, Some(youngest), u64::MAX)?;
+    let found = read_record(sim, log_disk, header, &mut kept, Some(youngest), u64::MAX)?;
     let mut cur = found.expect("the youngest record decodes from its kept track");
     let mut bound_seq = cur.header.log_head_seq;
-    let mut chain: Vec<Found> = Vec::new();
+    // Each active record's header and payload, youngest first.
+    let mut chain: Vec<(RecordHeader, PayloadBuf)> = Vec::new();
     loop {
         let batch = cur.header.entries.len();
         let seq = cur.header.sequence_id;
         let prev = cur.header.prev_sect.map(Lba::from);
-        let payload = cur.sectors.get(SECTOR_SIZE..(1 + batch) * SECTOR_SIZE);
-        if payload.map(payload_checksum) != Some(cur.header.payload_checksum) {
+        let Some(payload) = cur.payload() else {
             // A fully-written record can only fail its checksum if the
             // medium was damaged; stop conservatively with everything
             // younger already collected.
@@ -296,39 +311,34 @@ pub fn recover_with_targets(
             // not all payload sectors. It was never acknowledged; drop it
             // and treat its predecessor as the youngest.
             report.torn_records_dropped += 1;
-            let Some(hit) = read_record(sim, log_disk, header, &kept, prev, seq)? else {
+            let Some(hit) = read_record(sim, log_disk, header, &mut kept, prev, seq)? else {
                 break;
             };
             bound_seq = hit.header.log_head_seq;
             cur = hit;
             continue;
-        }
+        };
         report.active_log_sectors += 1 + batch as u64;
-        chain.push(cur);
+        chain.push((cur.header, payload));
         if seq <= bound_seq {
             break;
         }
-        let Some(hit) = read_record(sim, log_disk, header, &kept, prev, seq)? else {
+        let Some(hit) = read_record(sim, log_disk, header, &mut kept, prev, seq)? else {
             break;
         };
         cur = hit;
     }
+    drop(kept);
     report.records_found = chain.len();
     report.log_head_span = chain
         .first()
-        .map_or(0, |r| r.header.sequence_id.saturating_sub(bound_seq));
+        .map_or(0, |(rec, _)| rec.sequence_id.saturating_sub(bound_seq));
     report.rebuild_time = sim.now().duration_since(t1);
 
     // ---- Stage 3: write back, oldest first. ------------------------------
     let t2 = sim.now();
     if options.write_back {
-        chain.reverse();
-        for Found {
-            header: rec,
-            sectors,
-        } in &chain
-        {
-            let payload = &sectors[SECTOR_SIZE..];
+        for (rec, payload) in chain.iter_mut().rev() {
             let mut i = 0;
             while i < rec.entries.len() {
                 // Coalesce consecutive sectors headed to the same disk.
@@ -341,13 +351,12 @@ pub fn recover_with_targets(
                 {
                     j += 1;
                 }
-                let mut data = payload[i * SECTOR_SIZE..(j + 1) * SECTOR_SIZE].to_vec();
-                for (entry, sector) in rec.entries[i..=j]
-                    .iter()
-                    .zip(data.chunks_exact_mut(SECTOR_SIZE))
-                {
-                    restore_payload(entry, sector.try_into().expect("sector"));
-                }
+                // The log copy with each sector's displaced first byte put
+                // back: aliases of the log's sectors, not bytes.
+                let entries = &rec.entries[i..=j];
+                let data = payload
+                    .sectors(i, j - i + 1)
+                    .with_first_bytes(|k| entries[k].first_data_byte);
                 report.sectors_replayed += (j - i + 1) as u64;
                 let target = targets.get(dev).ok_or(TrailError::BadDevice)?;
                 blocking_target_write(sim, target, u64::from(start_lba), data)?;

@@ -105,12 +105,12 @@ fn a_steady_state_4kb_write_allocates_under_its_budget() {
     // the write-back request all hold the block's sectors in the log
     // disk's image pool: eight four-byte entries and the run that holds
     // them, and as much again for the log copy's aliases. Everything else
-    // a write sets off — the repositioning read's sector, per-command
+    // a write sets off — the repositioning read's view, per-command
     // timing vectors, completions, events, statistics, the log medium's
-    // index — measured 2 939 bytes when this budget was set, 7 547 in all
-    // (11 451 while the record was a 4 608-byte image built from a copy of
-    // the block). One more copy of the block anywhere on the path does not
-    // fit.
+    // index — measured 2 768 bytes, 7 376 in all (7 547 while a read
+    // copied the sectors it read, 11 451 while the record was a 4 608-byte
+    // image built from a copy of the block). One more copy of the block
+    // anywhere on the path does not fit.
     let floor = (BLOCK_BYTES + SECTOR_SIZE) as u64;
     let budget = 2 * BLOCK_BYTES as u64;
     assert!(per_write >= floor, "{per_write} B: the count is broken");

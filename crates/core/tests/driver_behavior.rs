@@ -154,7 +154,7 @@ fn read_hits_pinned_buffer_before_writeback() {
             // read must be served from memory and return the new data.
             let rd = Rc::clone(&read_data);
             let read_done = sim.completion(move |_, d: Delivered<IoDone>| {
-                *rd.borrow_mut() = d.expect("read delivered").data;
+                *rd.borrow_mut() = d.expect("read delivered").data.map(|d| d.to_vec());
             });
             drv2.read(sim, 0, 10, 2, read_done).unwrap();
             let _ = payload2;
@@ -185,7 +185,7 @@ fn read_miss_goes_to_data_disk() {
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
     let done = sim.completion(move |_, d: Delivered<IoDone>| {
-        *g.borrow_mut() = d.expect("read delivered").data;
+        *g.borrow_mut() = d.expect("read delivered").data.map(|d| d.to_vec());
     });
     drv.read(&mut sim, 0, 200, 1, done).unwrap();
     drv.run_until_quiescent(&mut sim);
@@ -232,6 +232,66 @@ fn clustered_writes_batch_into_fewer_records() {
             u64::from(s.batch_sizes.iter().sum::<u32>())
         );
     });
+}
+
+/// A burst of writes submitted at one instant schedules one zero-delay
+/// log service, not one per write, and forms exactly the records it
+/// formed when every write scheduled its own: the run below puts a no-op
+/// event where each later write's service used to be, and the two runs
+/// must match in records, acknowledgement instants and log-disk bytes.
+#[test]
+fn a_burst_at_one_instant_runs_one_service_event_and_forms_the_same_records() {
+    const N: u64 = 12;
+    let run = |stand_ins: bool| {
+        let mut sim = Simulator::new();
+        let (drv, _) = boot(
+            &mut sim,
+            profiles::tiny_test_disk(),
+            1,
+            TrailConfig::default(),
+        );
+        let acks = Rc::new(RefCell::new(Vec::new()));
+        let (pending, executed) = (sim.events_pending(), sim.events_executed());
+        for i in 0..N {
+            let acks = Rc::clone(&acks);
+            let done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
+                d.expect("acknowledged");
+                acks.borrow_mut().push((i, sim.now()));
+            });
+            drv.write(&mut sim, 0, 400 + 3 * i, sector_data(i as u8, 2), done)
+                .unwrap();
+            if stand_ins && i > 0 {
+                sim.schedule_now(|_| {});
+            }
+        }
+        let scheduled = sim.events_pending() - pending;
+        drv.run_until_quiescent(&mut sim);
+        sim.run();
+        let log = drv.log_disk();
+        let medium: Vec<u8> = (0..log.geometry().total_sectors())
+            .flat_map(|lba| log.peek_sector(lba))
+            .collect();
+        let records = drv.with_stats(|s| (s.log_records, s.batch_sizes.clone()));
+        let acks = acks.borrow().clone();
+        (
+            scheduled,
+            sim.events_executed() - executed,
+            (records, acks, medium),
+        )
+    };
+    let (one, events, formed) = run(false);
+    let (each, events_with_stand_ins, formed_with_stand_ins) = run(true);
+    assert_eq!(one, 1, "the burst scheduled one service event");
+    assert_eq!(each, N as usize);
+    assert_eq!(events_with_stand_ins - events, N - 1);
+    assert!(
+        formed == formed_with_stand_ins,
+        "the same records, acks and log bytes"
+    );
+    let ((records, batches), acks, _) = formed;
+    assert_eq!(acks.len(), N as usize);
+    assert_eq!(batches.iter().sum::<u32>(), 2 * N as u32);
+    assert!(records < N, "the burst was batched: {batches:?}");
 }
 
 #[test]
@@ -694,7 +754,7 @@ fn moved_and_split_buffers_are_the_right_buffers() {
             let out = Rc::clone(&reads2);
             let read_done = sim.completion(move |_, d: Delivered<IoDone>| {
                 let data = d.expect("read delivered").data.expect("read data");
-                out.borrow_mut().push(data);
+                out.borrow_mut().push(data.to_vec());
             });
             drv2.read(sim, 0, lba, count, read_done).unwrap();
         }
@@ -853,7 +913,7 @@ fn overlapping_extents(reads: &'static [(u64, u32)]) -> (TrailDriver, Disk, Vec<
         for &(lba, count) in reads {
             let out = Rc::clone(&out);
             let read_done = sim.completion(move |_, d: Delivered<IoDone>| {
-                let data = d.expect("read delivered").data.expect("read data");
+                let data = d.expect("read delivered").data.expect("read data").to_vec();
                 out.borrow_mut()
                     .push(data.iter().copied().step_by(SECTOR_SIZE).collect());
             });

@@ -105,7 +105,7 @@ fn reads_route_to_the_pinning_driver() {
             let read_done =
                 sim.completion(move |_, d: trail_sim::Delivered<trail_blockio::IoDone>| {
                     let done = d.expect("read delivered");
-                    assert_eq!(done.data.as_deref(), Some(&expect[..]));
+                    assert_eq!(done.data.map(|d| d.to_vec()), Some(expect));
                     *seen2.borrow_mut() = Some(());
                 });
             multi2.read(sim, 0, 33, 1, read_done).unwrap();

@@ -114,7 +114,7 @@ fn submit(sim: &mut Simulator, front: &Front, model: &Rc<RefCell<Model>>, base: 
     // acknowledged after, is a legal answer.
     let horizon = model.borrow().ledger.horizon(dev, lba, sectors);
     let done = sim.completion(move |_, d: Delivered<IoDone>| {
-        let data = d.expect("read delivered").data.expect("read data");
+        let data = d.expect("read delivered").data.expect("read data").to_vec();
         let mut m = model.borrow_mut();
         m.reads_checked += 1;
         let bad = m.ledger.check_read(dev, lba, &data, &horizon);

@@ -76,7 +76,7 @@ fn read_and_write_interleave_from_handlers() {
             // Still pinned: served from buffer memory, also via completion.
             let read_done = sim.completion(move |sim: &mut Simulator, d: Delivered<IoDone>| {
                 let got = d.expect("read delivered");
-                assert_eq!(got.data.as_deref().unwrap()[0], 0x3C);
+                assert_eq!(got.data.as_ref().unwrap().sector(0)[0], 0x3C);
                 let fin = Rc::clone(&fin);
                 let final_done = sim.completion(move |_, d: Delivered<IoDone>| {
                     d.expect("second write durable");

@@ -906,7 +906,7 @@ impl DbInner {
     fn settle_read(
         &mut self,
         pid: PageId,
-        bytes: &[u8],
+        bytes: &PayloadBuf,
         overtaken: bool,
         evictions: &mut Vec<(PageId, Vec<u8>)>,
     ) -> bool {
@@ -916,7 +916,7 @@ impl DbInner {
         if overtaken {
             return false;
         }
-        admit(&mut self.cache, pid, Page::from_bytes(bytes), evictions);
+        admit(&mut self.cache, pid, Page::from_payload(bytes), evictions);
         true
     }
 

@@ -64,7 +64,7 @@ pub fn read_blocking(
 ) -> Result<Vec<u8>, TrailError> {
     let res = sim.block_on(|sim, done| stack.read(sim, dev, lba, count, done))?;
     sim.run();
-    Ok(res?.data.expect("a read returns data"))
+    Ok(res?.data.expect("a read returns data").to_vec())
 }
 
 /// Scans the log region, returning every record of every chunk in LSN

@@ -270,7 +270,7 @@ mod tests {
         let seen = Rc::new(Cell::new(false));
         let s = Rc::clone(&seen);
         let done = sim.completion(move |_, d: trail_sim::Delivered<IoDone>| {
-            assert_eq!(d.expect("read").data.unwrap()[0], 0xA5);
+            assert_eq!(d.expect("read").data.unwrap().sector(0)[0], 0xA5);
             s.set(true);
         });
         svc.get(&mut sim, StreamId(1), 0, 5, 1, done).unwrap();

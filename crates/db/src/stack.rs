@@ -268,7 +268,7 @@ mod tests {
             .unwrap();
         sim.run();
         let done = sim.completion(move |_, d: trail_sim::Delivered<IoDone>| {
-            assert_eq!(d.expect("read delivered").data.unwrap()[0], 0x3C);
+            assert_eq!(d.expect("read delivered").data.unwrap().sector(0)[0], 0x3C);
             h.set(true);
         });
         stack.read(&mut sim, 1, 9, 1, done).unwrap();
@@ -384,7 +384,7 @@ mod tests {
         let got = Rc::new(Cell::new(0u8));
         let g = Rc::clone(&got);
         let done = sim.completion(move |_, d: trail_sim::Delivered<IoDone>| {
-            g.set(d.expect("read delivered").data.unwrap()[0]);
+            g.set(d.expect("read delivered").data.unwrap().sector(0)[0]);
         });
         stack.read(&mut sim, 0, 3, 1, done).unwrap();
         sim.run();

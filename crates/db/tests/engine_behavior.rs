@@ -994,8 +994,8 @@ fn a_page_read_overtaken_by_a_landed_write_of_its_page_is_read_again() {
     assert_eq!(db.with_stats(|s| s.page_flushes), 1, "row 0's page landed");
     let (done, fetched) = gate.held.borrow_mut().take().expect("the read is held");
     assert_eq!(
-        fetched.as_ref().unwrap().data.as_deref(),
-        Some(&image[..]),
+        fetched.as_ref().unwrap().data.as_ref().map(|d| d.to_vec()),
+        Some(image.to_vec()),
         "the held read fetched the loaded image"
     );
     done.complete(&mut sim, fetched.unwrap());

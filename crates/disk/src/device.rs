@@ -20,7 +20,7 @@ use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle};
 
 use crate::geometry::{DiskGeometry, Lba, SECTOR_SIZE};
 use crate::mechanics::{CommandKind, HeadPosition, MechanicalModel, ServiceBreakdown};
-use crate::payload::PayloadChain;
+use crate::payload::{PayloadBuf, PayloadChain};
 use crate::store::{ImagePool, PoolStats, SectorBuf, SectorStore};
 
 /// A command submitted to a disk.
@@ -67,14 +67,15 @@ impl DiskCommand {
 }
 
 /// The completion record delivered to a command's callback.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DiskResult {
     /// The command's kind.
     pub kind: CommandKind,
     /// The command's first LBA.
     pub lba: Lba,
-    /// Data read from the medium (reads only).
-    pub data: Option<Vec<u8>>,
+    /// Data read from the medium (reads only): a view of the sectors as
+    /// they were when the command completed, which copies no byte.
+    pub data: Option<PayloadBuf>,
     /// When the command was submitted.
     pub issued: SimTime,
     /// When the command completed (interrupt time).
@@ -534,11 +535,8 @@ impl Disk {
                 if let Some(w) = d.in_flight.take() {
                     w.persist(&mut d.store, w.sector_done.len());
                 }
-                let data = if kind == CommandKind::Read {
-                    Some(d.store.read_range(lba, count))
-                } else {
-                    None
-                };
+                let data =
+                    (kind == CommandKind::Read).then(|| PayloadBuf::read(&d.store, lba, count));
                 d.head = plan.end_head;
                 d.busy = false;
                 d.prev_was_write = kind == CommandKind::Write;
@@ -846,7 +844,7 @@ mod tests {
         let token = sim.completion(move |sim: &mut Simulator, res: Delivered<DiskResult>| {
             assert_eq!(res.expect("delivered").kind, CommandKind::Write);
             let read_done = sim.completion(move |_, res: Delivered<DiskResult>| {
-                *got2.borrow_mut() = res.expect("delivered").data;
+                *got2.borrow_mut() = res.expect("delivered").data.map(|d| d.to_vec());
             });
             d2.submit(sim, DiskCommand::Read { lba: 7, count: 2 }, read_done)
                 .unwrap();
@@ -1025,7 +1023,7 @@ mod tests {
         let ok = Rc::new(Cell::new(false));
         let ok2 = Rc::clone(&ok);
         let token = sim.completion(move |_, res: Delivered<DiskResult>| {
-            assert_eq!(res.expect("delivered").data.unwrap()[0], 0x77);
+            assert_eq!(res.expect("delivered").data.unwrap().sector(0)[0], 0x77);
             ok2.set(true);
         });
         disk.submit(&mut sim, DiskCommand::Read { lba: 0, count: 1 }, token)
@@ -1416,6 +1414,128 @@ mod tests {
             0,
             "no sector may land inside the spike window"
         );
+    }
+
+    /// Sectors of the window the view model writes and reads.
+    const WINDOW: u64 = 48;
+
+    /// `count` sectors of content `fill`: sector `i` is `fill` with its
+    /// byte 1 telling `i % 3` apart, and half zero when `fill % 4 == 0`,
+    /// so equal images, short ones and overwrites with equal bytes occur.
+    fn fill_sectors(fill: u8, count: u32) -> Vec<u8> {
+        let mut bytes = vec![fill; count as usize * SECTOR_SIZE];
+        for (i, sector) in bytes.chunks_exact_mut(SECTOR_SIZE).enumerate() {
+            sector[1] = (i % 3) as u8;
+            if fill.is_multiple_of(4) {
+                sector[SECTOR_SIZE / 2..].fill(0);
+            }
+        }
+        bytes
+    }
+
+    /// Runs `cmd` on `disk` to its completion; `cut`, if any, picks the
+    /// sector of a write before whose landing power is cut (the count of
+    /// sectors cuts after the last one lands). Returns the result, if the
+    /// command completed, and how many of a write's sectors landed.
+    fn run_command(
+        sim: &mut Simulator,
+        disk: &Disk,
+        cmd: DiskCommand,
+        cut: Option<usize>,
+    ) -> (Option<DiskResult>, usize) {
+        let got = Rc::new(RefCell::new(None));
+        let slot = Rc::clone(&got);
+        let token = sim.completion(move |_, res: Delivered<DiskResult>| {
+            *slot.borrow_mut() = res.ok();
+        });
+        let sectors = match &cmd {
+            DiskCommand::Write { data, .. } => data.len() / SECTOR_SIZE,
+            _ => 0,
+        };
+        disk.submit(sim, cmd, token).expect("a valid command");
+        let landed = match cut {
+            Some(pick) if sectors > 0 => {
+                let at = disk.landings().pop().expect("landings are logged");
+                let landed = pick % (sectors + 1);
+                let cut_at = match at.get(landed) {
+                    Some(&t) => t - SimDuration::from_nanos(1),
+                    None => at[sectors - 1],
+                };
+                sim.run_until(cut_at);
+                disk.power_cut(sim.now());
+                landed
+            }
+            _ => sectors,
+        };
+        sim.run();
+        disk.power_on();
+        let result = got.borrow_mut().take();
+        (result, landed)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Over random writes, reads, overwrites and power cuts, every
+        /// read's view equals a plain `Vec<u8>` model of the medium at its
+        /// completion, zeros where nothing was written, and goes on reading
+        /// it after its sectors are overwritten. Reading takes references
+        /// only: dropping a batch of views leaves the pool's counters as
+        /// they were, and dropping every view and the disk empties it.
+        #[test]
+        fn read_views_keep_what_they_read_and_hand_every_reference_back(
+            steps in proptest::collection::vec(
+                (0u8..4, 0..WINDOW, 1u32..12, proptest::prelude::any::<u8>(), 0usize..16),
+                1..40,
+            )
+        ) {
+            let pool = ImagePool::new();
+            let disk = Disk::in_pool("views", profiles::tiny_test_disk(), &pool);
+            disk.log_landings();
+            let mut sim = Simulator::new();
+            let mut model = vec![0u8; WINDOW as usize * SECTOR_SIZE];
+            let mut views: Vec<(PayloadBuf, Vec<u8>)> = Vec::new();
+            for (op, lba, count, fill, cut) in steps {
+                let count = count.min((WINDOW - lba) as u32);
+                let at = lba as usize * SECTOR_SIZE;
+                match op {
+                    0..=2 => {
+                        let bytes = fill_sectors(fill, count);
+                        let cmd = DiskCommand::Write { lba, data: bytes.clone().into() };
+                        let (_, landed) = run_command(&mut sim, &disk, cmd, (op == 2).then_some(cut));
+                        let landed = landed * SECTOR_SIZE;
+                        model[at..at + landed].copy_from_slice(&bytes[..landed]);
+                    }
+                    _ => {
+                        let (res, _) = run_command(&mut sim, &disk, DiskCommand::Read { lba, count }, None);
+                        let view = res.and_then(|r| r.data).expect("a read returns data");
+                        let now = model[at..at + count as usize * SECTOR_SIZE].to_vec();
+                        proptest::prop_assert_eq!(view.to_vec(), now.clone());
+                        views.push((view, now));
+                    }
+                }
+                // A view keeps what it read.
+                for (view, then) in &views {
+                    proptest::prop_assert_eq!(&view.to_vec(), then);
+                }
+            }
+            let before = pool.stats();
+            let whole: Vec<PayloadBuf> = (0..WINDOW)
+                .step_by(8)
+                .map(|lba| {
+                    let read = DiskCommand::Read { lba, count: 8 };
+                    let (res, _) = run_command(&mut sim, &disk, read, None);
+                    res.and_then(|r| r.data).expect("a read returns data")
+                })
+                .collect();
+            let medium: Vec<u8> = whole.iter().flat_map(PayloadBuf::to_vec).collect();
+            proptest::prop_assert_eq!(&medium, &model);
+            drop(whole);
+            // Reads take references only, and every one comes back.
+            proptest::prop_assert_eq!(pool.stats(), before);
+            drop((views, disk));
+            proptest::prop_assert_eq!(pool.stats().distinct_sectors, 0);
+        }
     }
 
     use std::cell::RefCell;

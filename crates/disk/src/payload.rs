@@ -24,10 +24,17 @@
 //! that memory is the pool. A disk whose medium shares the pool stores a
 //! pooled payload by taking references, copying nothing.
 //!
+//! A disk read comes back the same way, as a view of the medium: one
+//! pool reference per sector read, taken when the read completes (an
+//! unwritten sector reads as zeros), so a read copies nothing and keeps
+//! the bytes it saw however the sectors are overwritten later. A layer
+//! that needs the bytes copies them itself, once.
+//!
 //! The byte-backed forms stay for every producer with no pool to intern
 //! into before its write reaches a disk — the standard stack, a RAID-5
-//! member's parity, a database page image — where the disk's one hash of
-//! each sector, when it lands, is the only one.
+//! member's parity, a database page image, a read a layer above the disk
+//! assembled — where the disk's one hash of each sector, when it lands,
+//! is the only one.
 //!
 //! There is no way to change the bytes behind a handle, and no way to
 //! borrow them in place: [`copy_to`](PayloadBuf::copy_to) reads every form
@@ -225,22 +232,47 @@ impl PayloadBuf {
     }
 
     /// The payload with each sector's byte 0 replaced by `byte0`: what a
-    /// log keeps of it. An interned payload gives one in the same pool
-    /// whose every sector is its own slot, its base or an alias of that
-    /// base — no byte hashed, compared or copied; a byte-backed one is
-    /// copied.
+    /// log keeps of it. See [`with_first_bytes`](Self::with_first_bytes).
     #[must_use]
     pub fn with_first_byte(&self, byte0: u8) -> PayloadBuf {
+        self.with_first_bytes(|_| byte0)
+    }
+
+    /// The payload with the byte 0 of its sector `i` replaced by
+    /// `byte0(i)`: a log copy, or a logged sector restored to what was
+    /// written. A pooled payload gives one in the same pool whose every
+    /// sector is its own slot, its base or an alias of that base — no byte
+    /// hashed, compared or copied; a byte-backed one is copied.
+    #[must_use]
+    pub fn with_first_bytes(&self, mut byte0: impl FnMut(usize) -> u8) -> PayloadBuf {
         match self.form() {
-            Form::Pooled(run, sectors) => Self::pooled(run.with_first_byte(sectors, byte0)),
+            Form::Pooled(run, sectors) => Self::pooled(run.with_first_bytes(sectors, byte0)),
             Form::Bytes(bytes) => {
                 let mut marked = bytes.to_vec();
-                for sector in marked.chunks_exact_mut(SECTOR_SIZE) {
-                    sector[0] = byte0;
+                for (i, sector) in marked.chunks_exact_mut(SECTOR_SIZE).enumerate() {
+                    sector[0] = byte0(i);
                 }
                 marked.into()
             }
         }
+    }
+
+    /// A copy of the payload's sector `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload has no sector `i`.
+    #[must_use]
+    pub fn sector(&self, i: usize) -> SectorBuf {
+        let mut out = [0u8; SECTOR_SIZE];
+        match self.form() {
+            Form::Bytes(bytes) => out.copy_from_slice(&bytes[i * SECTOR_SIZE..][..SECTOR_SIZE]),
+            Form::Pooled(run, sectors) => {
+                assert!(i < sectors.len(), "sector {i} of {}", sectors.len());
+                run.copy_to(sectors.start + i..sectors.start + i + 1, &mut out);
+            }
+        }
+        out
     }
 
     /// Calls `f` with each whole sector of the payload, in order, whatever
@@ -250,6 +282,13 @@ impl PayloadBuf {
             Form::Bytes(bytes) => bytes.as_chunks().0.iter().for_each(f),
             Form::Pooled(run, sectors) => run.for_each_sector(sectors, f),
         }
+    }
+
+    /// A read of `count` sectors of `store` from `lba`: a view of the
+    /// medium that copies no byte and keeps what it read whatever is
+    /// written there later (see [`SectorStore::read_run`]).
+    pub(crate) fn read(store: &SectorStore, lba: Lba, count: u32) -> Self {
+        Self::pooled(store.read_run(lba, count))
     }
 
     /// A handle to the whole of `run`.

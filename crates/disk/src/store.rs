@@ -18,7 +18,10 @@
 //! into the pool as well ([`PoolRun`]), each sector holding a reference
 //! as an LBA does and hashed once, there; a store on that pool then writes
 //! it by reference, and writes its log copy — each sector under another
-//! byte 0 — as an alias of it, with no hash, compare or copy.
+//! byte 0 — as an alias of it, with no hash, compare or copy. A read
+//! takes the same form ([`SectorStore::read_run`]): a reference per
+//! sector on the slots its LBAs name, which keeps those images however
+//! the LBAs are overwritten.
 //! The layout is sized for what Trail writes — short runs scattered over
 //! the platter, each led by a unique, mostly-zero header sector: an index
 //! page is one cache line, and an image whose second half is zero occupies
@@ -789,11 +792,13 @@ impl ImagePool {
 
 /// Whole sectors kept in an [`ImagePool`] instead of in bytes of their
 /// own: one entry per sector, each holding one reference on the slot it
-/// names, handed back when the run is dropped. What a pooled
-/// [`PayloadBuf`](crate::PayloadBuf) reads from. An entry costs four bytes
+/// names, handed back when the run is dropped, or [`UNWRITTEN`] for a zero
+/// sector a read found unwritten. What a pooled
+/// [`PayloadBuf`](crate::PayloadBuf) reads from: an interned write, or a
+/// read of a store ([`SectorStore::read_run`]). An entry costs four bytes
 /// where the sector would cost 512; a sector whose body the pool already
 /// holds under another byte 0 adds a five-byte alias at most, and so does
-/// each sector of a run's log copy ([`with_first_byte`](Self::with_first_byte)).
+/// each sector of a run's log copy ([`with_first_bytes`](Self::with_first_bytes)).
 pub(crate) struct PoolRun {
     pool: ImagePool,
     entries: Box<[u32]>,
@@ -831,17 +836,30 @@ impl PoolRun {
         self.entries.len()
     }
 
-    /// Sectors `sectors` of the run, each with its byte 0 replaced by
-    /// `byte0`, as a run of their own: each entry the same slot, its
-    /// base, or an alias of that base — no byte is hashed, compared or
-    /// copied.
-    pub(crate) fn with_first_byte(&self, sectors: Range<usize>, byte0: u8) -> Self {
+    /// Sectors `sectors` of the run, sector `i` of them with its byte 0
+    /// replaced by `byte0(i)`, as a run of their own: each entry the same
+    /// slot, its base, or an alias of that base — no byte is hashed,
+    /// compared or copied. (A zero sector under a byte 0 other than zero
+    /// is the one exception: it has no slot to alias, so it is interned.)
+    pub(crate) fn with_first_bytes(
+        &self,
+        sectors: Range<usize>,
+        mut byte0: impl FnMut(usize) -> u8,
+    ) -> Self {
         let mut p = self.pool.0.borrow_mut();
+        let entries = self.entries[sectors].iter().enumerate();
         PoolRun {
             pool: self.pool.clone(),
-            entries: self.entries[sectors]
-                .iter()
-                .map(|&entry| p.with_first_byte(entry, byte0))
+            entries: entries
+                .map(|(i, &entry)| match (entry, byte0(i)) {
+                    (UNWRITTEN, 0) => UNWRITTEN,
+                    (UNWRITTEN, b) => {
+                        let mut sector = [0u8; SECTOR_SIZE];
+                        sector[0] = b;
+                        p.intern(&sector)
+                    }
+                    (entry, b) => p.with_first_byte(entry, b),
+                })
                 .collect(),
         }
     }
@@ -850,10 +868,7 @@ impl PoolRun {
     pub(crate) fn for_each_sector(&self, sectors: Range<usize>, mut f: impl FnMut(&SectorBuf)) {
         let pool = self.pool.0.borrow();
         for &entry in &self.entries[sectors] {
-            f(&pool
-                .image(entry)
-                .expect("a run holds written images")
-                .sector());
+            f(&pool.image(entry).map_or([0u8; SECTOR_SIZE], Image::sector));
         }
     }
 
@@ -863,9 +878,10 @@ impl PoolRun {
         let out = out.as_chunks_mut::<SECTOR_SIZE>().0;
         debug_assert_eq!(out.len(), sectors.len());
         for (&entry, sector) in self.entries[sectors].iter().zip(out) {
-            pool.image(entry)
-                .expect("a run holds written images")
-                .copy_to(sector);
+            match pool.image(entry) {
+                Some(image) => image.copy_to(sector),
+                None => sector.fill(0),
+            }
         }
     }
 }
@@ -878,7 +894,7 @@ impl Drop for PoolRun {
             return;
         }
         let mut pool = self.pool.0.borrow_mut();
-        for &entry in &self.entries {
+        for &entry in self.entries.iter().filter(|&&e| e != UNWRITTEN) {
             pool.release(entry);
         }
     }
@@ -1094,10 +1110,45 @@ impl SectorStore {
         out
     }
 
+    /// Reads `count` consecutive sectors as a run on the store's pool:
+    /// each written LBA's slot gains a reference, an unwritten one reads
+    /// as zeros, and no byte is copied. The run keeps the images it was
+    /// read with whatever is written to those LBAs later. (A store that
+    /// was never written reads into a pool of its own, which it does not
+    /// keep.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the capacity.
+    pub(crate) fn read_run(&self, lba: Lba, count: u32) -> PoolRun {
+        self.check_range("read", lba, count as usize * SECTOR_SIZE);
+        let pool = self.pool.clone().unwrap_or_default();
+        let mut entries = Vec::with_capacity(count as usize);
+        {
+            let mut p = pool.0.borrow_mut();
+            for (at, within) in page_runs(lba, u64::from(count)) {
+                match self.index.page(at) {
+                    Some(page) => entries.extend(page[within].iter().map(|&entry| {
+                        if entry != UNWRITTEN {
+                            p.retain(entry);
+                        }
+                        entry
+                    })),
+                    None => entries.resize(entries.len() + within.len(), UNWRITTEN),
+                }
+            }
+        }
+        PoolRun {
+            pool,
+            entries: entries.into_boxed_slice(),
+        }
+    }
+
     /// Writes sectors `sectors` of `run` as consecutive sectors from
     /// `lba`. On the store's own pool the LBAs take references on the
-    /// run's slots: no byte is hashed, compared or copied. On another pool
-    /// each sector is copied through a stack buffer and written as bytes.
+    /// run's slots: no byte is hashed, compared or copied (a zero sector
+    /// the run read unwritten is written as zeros). On another pool each
+    /// sector is copied through a stack buffer and written as bytes.
     ///
     /// # Panics
     ///
@@ -1123,7 +1174,11 @@ impl SectorStore {
             held = rest;
             let page = self.index.page_mut(at);
             for (entry, &slot) in page[within].iter_mut().zip(part) {
-                self.written += usize::from(pool.write_held(entry, slot));
+                self.written += usize::from(if slot == UNWRITTEN {
+                    pool.write(entry, &[0u8; SECTOR_SIZE])
+                } else {
+                    pool.write_held(entry, slot)
+                });
             }
         }
     }
@@ -1292,7 +1347,7 @@ mod tests {
         );
         for run in runs {
             assert!(ImagePool::ptr_eq(run.pool(), handle));
-            for &entry in run.entries.iter() {
+            for &entry in run.entries.iter().filter(|&&e| e != UNWRITTEN) {
                 let (class, slot) = slot_of(entry);
                 holders[class][slot] += 1;
             }
@@ -1907,11 +1962,14 @@ mod tests {
 
     /// Drives three stores and a plain map for each — two on `shared`,
     /// whose payloads they take by reference, and one on a pool of its
-    /// own, which copies them — through byte writes and reads and through
-    /// payloads interned into `shared`, log copies of them under another
-    /// byte 0, written by reference and dropped in any order. After every step each slot's refcount is the LBAs,
-    /// aliases and payload entries naming it; dropping everything empties
-    /// `shared`.
+    /// own, which copies them — through byte writes and reads, through
+    /// payloads interned into `shared`, log copies of them with each
+    /// sector under another byte 0, written by reference and dropped in
+    /// any order, and through reads kept as views, which must go on
+    /// reading what the model held when they were taken however their
+    /// LBAs are overwritten. After every step each slot's refcount is the
+    /// LBAs, aliases and payload entries naming it; dropping everything
+    /// empties `shared`.
     fn run_payload_model(shared: &ImagePool, steps: &[RunStep]) {
         let mut stores = [
             SectorStore::in_pool(MODEL_CAPACITY, shared),
@@ -1919,12 +1977,14 @@ mod tests {
             SectorStore::in_pool(MODEL_CAPACITY, &ImagePool::new()),
         ];
         let mut models: [HashMap<Lba, SectorBuf>; 3] = Default::default();
-        // Each live payload with the sectors it must read.
+        // Each live payload with the sectors it must read: on `shared`,
+        // and views of the third store, on its own pool.
         let mut runs: Vec<(PoolRun, Vec<SectorBuf>)> = Vec::new();
+        let mut own: Vec<(PoolRun, Vec<SectorBuf>)> = Vec::new();
         for &(op, which, lba, sectors, content) in steps {
             let k = usize::from(which % 3);
             let count = sectors.min(MODEL_CAPACITY - lba);
-            match op % 5 {
+            match op % 7 {
                 // Byte writes and reads, as the other models make them.
                 0 => step(
                     &mut stores[k],
@@ -1949,35 +2009,51 @@ mod tests {
                 3 if !runs.is_empty() => {
                     drop(runs.swap_remove(usize::from(content) % runs.len()));
                 }
-                // A log copy of part of a run, under one of three first
-                // bytes: 0 (the log's marker, which the model's logged
-                // images carry too), 0xFF or the run's own.
+                // A copy of part of a run with each sector under one of
+                // three first bytes: 0 (the log's marker, which the
+                // model's logged images carry too), 0xFF or its own.
                 4 if !runs.is_empty() => {
                     let (run, images) = &runs[usize::from(content) % runs.len()];
                     let first = (lba as usize) % images.len();
                     let n = (count as usize).min(images.len() - first);
-                    let byte0 = [0, 0xFF, images[first][0]][usize::from(which) % 3];
-                    let copy = run.with_first_byte(first..first + n, byte0);
+                    let byte0 =
+                        |i: usize| [0, 0xFF, images[first + i][0]][(usize::from(which) + i) % 3];
+                    let copy = run.with_first_bytes(first..first + n, byte0);
                     let mut logged = images[first..first + n].to_vec();
                     let mut marked = Vec::new();
                     copy.for_each_sector(0..n, |sector| marked.push(*sector));
-                    for image in &mut logged {
-                        image[0] = byte0;
+                    for (i, image) in logged.iter_mut().enumerate() {
+                        image[0] = byte0(i);
                     }
                     assert_eq!(marked, logged, "a log copy reads its own bytes");
                     runs.push((copy, logged));
                 }
+                // A read kept as a view: what the model holds now, zeros
+                // where nothing was written.
+                5 => {
+                    let view = stores[k].read_run(lba, count as u32);
+                    let now = expect(&models[k], lba, count).as_chunks().0.to_vec();
+                    if k == 2 {
+                        own.push((view, now));
+                    } else {
+                        runs.push((view, now));
+                    }
+                }
+                6 if !own.is_empty() => {
+                    drop(own.swap_remove(usize::from(content) % own.len()));
+                }
                 _ => {}
             }
             assert_eq!(stores[k].written_sectors(), models[k].len());
-            for (run, images) in &runs {
+            for (run, images) in runs.iter().chain(&own) {
                 let mut out = vec![0u8; images.len() * SECTOR_SIZE];
                 run.copy_to(0..images.len(), &mut out);
                 assert_eq!(out, images.as_flattened(), "a payload reads its own bytes");
             }
             let held: Vec<&PoolRun> = runs.iter().map(|(run, _)| run).collect();
             check_pool(&[&stores[0], &stores[1]], &held);
-            check_invariants(&[&stores[2]]);
+            let held: Vec<&PoolRun> = own.iter().map(|(run, _)| run).collect();
+            check_pool(&[&stores[2]], &held);
         }
         for (store, model) in stores.iter().zip(&models) {
             assert_eq!(
@@ -1986,7 +2062,7 @@ mod tests {
             );
         }
         drop(stores);
-        drop(runs);
+        drop((runs, own));
         let p = shared.0.borrow();
         assert_eq!(
             p.stats().distinct_sectors,

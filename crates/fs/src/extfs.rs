@@ -602,12 +602,9 @@ impl ExtFs {
             Ok(res) => {
                 let data = res.data.expect("read data");
                 let mut acc = acc;
-                if acc.is_empty() {
-                    // First block: adopt the device's buffer outright.
-                    acc = data;
-                } else {
-                    acc.extend_from_slice(&data);
-                }
+                let at = acc.len();
+                acc.resize(at + data.len(), 0);
+                data.copy_to(&mut acc[at..]);
                 fs.gather_reads(sim, stack2, dev, blocks, acc, take, done);
             }
             Err(e) => {

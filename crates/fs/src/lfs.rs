@@ -374,7 +374,7 @@ impl Lfs {
                     return done.fail(sim, e);
                 }
             };
-            let data = res.data.expect("segment read");
+            let mut data = res.data.expect("segment read");
             {
                 let mut d = fs.inner.borrow_mut();
                 for &(off, (file, block)) in &live {
@@ -387,8 +387,8 @@ impl Lfs {
                     if !still {
                         continue;
                     }
-                    let from = off as usize * FS_BLOCK_SIZE;
-                    let bytes = data[from..from + FS_BLOCK_SIZE].to_vec();
+                    let per_block = SECTORS_PER_BLOCK as usize;
+                    let bytes = data.sectors(off as usize * per_block, per_block).to_vec();
                     let idx = d.buffer.len() as u32;
                     d.buffer.push((file, block, bytes));
                     d.files[file as usize].as_mut().expect("checked live").map[block] =
@@ -628,12 +628,9 @@ impl Lfs {
                     };
                     let data = res.data.expect("read data");
                     let mut acc = acc;
-                    if acc.is_empty() {
-                        // First block: adopt the device's buffer outright.
-                        acc = data;
-                    } else {
-                        acc.extend_from_slice(&data);
-                    }
+                    let at = acc.len();
+                    acc.resize(at + data.len(), 0);
+                    data.copy_to(&mut acc[at..]);
                     fs.gather(sim, plan, acc, take, done);
                 });
                 let _ = stack.read(sim, dev, lba, SECTORS_PER_BLOCK as u32, io_done);

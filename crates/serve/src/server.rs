@@ -500,7 +500,9 @@ impl Server {
                 let done = sim.completion(move |sim, d: Delivered<IoDone>| {
                     let outcome = d.map(|io| Response::Data {
                         status: Status::Ok,
-                        payload: io.data.unwrap_or_default(),
+                        // The wire reply owns its bytes: the one copy
+                        // of the read's view.
+                        payload: io.data.map(|view| view.to_vec()).unwrap_or_default(),
                     });
                     server.finish_io(sim, session, reply, outcome, |status| Response::Data {
                         status,

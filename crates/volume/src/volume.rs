@@ -601,7 +601,7 @@ fn finish_ok(
     vol: &RaidVolume,
     sim: &mut Simulator,
     op: &OpRef,
-    data: Option<Vec<u8>>,
+    data: Option<PayloadBuf>,
     breakdown: ServiceBreakdown,
 ) {
     let now = sim.now();
@@ -726,7 +726,7 @@ fn submit_batch(
     }
     let gather = Rc::new(RefCell::new(Gather {
         left: n,
-        results: vec![Err(IoError::Cancelled); n],
+        results: (0..n).map(|_| Err(IoError::Cancelled)).collect(),
         token: Some(token),
     }));
     for (slot, (mi, req)) in ios.into_iter().enumerate() {
@@ -779,7 +779,7 @@ where
     let batch = Batch {
         members: ios.iter().map(|(m, _)| *m).collect(),
         copies: ios.iter_mut().map(|(_, req)| resendable(req)).collect(),
-        results: vec![Err(IoError::Cancelled); ios.len()],
+        results: ios.iter().map(|_| Err(IoError::Cancelled)).collect(),
         slots: (0..ios.len()).collect(),
         on_ok,
     };
@@ -931,10 +931,10 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
                 let mut buf = vec![0u8; total_sectors as usize * SECTOR_SIZE];
                 for (slot, (logical_off, sectors)) in metas.iter().enumerate() {
                     let a = *logical_off as usize * SECTOR_SIZE;
-                    buf[a..a + *sectors as usize * SECTOR_SIZE]
-                        .copy_from_slice(read_bytes(&results, slot));
+                    read_view(&results, slot)
+                        .copy_to(&mut buf[a..a + *sectors as usize * SECTOR_SIZE]);
                 }
-                buf
+                buf.into()
             });
             finish_ok(vol, sim, op, data, breakdown);
         }),
@@ -1095,6 +1095,7 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
     };
     gather(vol, sim, op, ios, move |vol, sim, op, results| {
         let mut buf = vec![0u8; total_sectors as usize * SECTOR_SIZE];
+        let mut scratch = Vec::new();
         for piece in &pieces {
             match piece {
                 ReadPiece::Direct {
@@ -1103,8 +1104,8 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
                     sectors,
                 } => {
                     let a = *logical_off as usize * SECTOR_SIZE;
-                    buf[a..a + *sectors as usize * SECTOR_SIZE]
-                        .copy_from_slice(read_bytes(&results, *slot));
+                    read_view(&results, *slot)
+                        .copy_to(&mut buf[a..a + *sectors as usize * SECTOR_SIZE]);
                 }
                 ReadPiece::Recon {
                     slots,
@@ -1114,12 +1115,12 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
                     let a = *logical_off as usize * SECTOR_SIZE;
                     let out = &mut buf[a..a + *sectors as usize * SECTOR_SIZE];
                     for slot in slots {
-                        layout::xor_into(out, read_bytes(&results, *slot));
+                        layout::xor_into(out, bytes_in(read_view(&results, *slot), &mut scratch));
                     }
                 }
             }
         }
-        finish_ok(vol, sim, op, Some(buf), latest_breakdown(&results));
+        finish_ok(vol, sim, op, Some(buf.into()), latest_breakdown(&results));
     });
 }
 
@@ -1263,11 +1264,11 @@ fn plan_raid5_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u3
     });
 }
 
-/// The bytes sub-read `slot` of a gather returned.
-fn read_bytes(results: &[IoDone], slot: usize) -> &[u8] {
+/// The view sub-read `slot` of a gather returned.
+fn read_view(results: &[IoDone], slot: usize) -> &PayloadBuf {
     results[slot]
         .data
-        .as_deref()
+        .as_ref()
         .expect("read sub-operations carry data")
 }
 
@@ -1289,7 +1290,9 @@ fn raid5_phase2_writes(
     let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
     let c64 = u64::from(chunk);
     let mut writes: Vec<(usize, IoRequest)> = Vec::new();
-    let mut scratch = Vec::new();
+    // One scratch copy of a new segment and one of the old bytes it
+    // replaces, for the read-modify-write parity.
+    let (mut scratch, mut old_scratch) = (Vec::new(), Vec::new());
     for plan in plans {
         let range_lba = plan.stripe * c64 + plan.lo;
         let range_bytes = (plan.hi - plan.lo) as usize * SECTOR_SIZE;
@@ -1324,9 +1327,9 @@ fn raid5_phase2_writes(
                 seg_slots,
                 parity_slot,
             } => {
-                let mut parity = read_bytes(results, *parity_slot).to_vec();
+                let mut parity = read_view(results, *parity_slot).to_vec();
                 for (i, seg) in plan.segs.iter().enumerate() {
-                    let old = read_bytes(results, seg_slots[i]);
+                    let old = bytes_in(read_view(results, seg_slots[i]), &mut old_scratch);
                     let new = slice_payload(payload, seg.logical_off, seg.sectors);
                     let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
                     let new_bytes = bytes_in(&new, &mut scratch);
@@ -1352,10 +1355,10 @@ fn raid5_phase2_writes(
                 // survivors, and the rest are wholly overwritten below.
                 let mut rows: Vec<Vec<u8>> = vec![vec![0u8; range_bytes]; n - 1];
                 for (ch, slot) in chunk_slots {
-                    rows[*ch] = read_bytes(results, *slot).to_vec();
+                    rows[*ch] = read_view(results, *slot).to_vec();
                 }
                 if let Some((failed_chunk, parity_slot)) = rebuild {
-                    let mut failed_old = read_bytes(results, *parity_slot).to_vec();
+                    let mut failed_old = read_view(results, *parity_slot).to_vec();
                     for (ch, _) in chunk_slots {
                         layout::xor_into(&mut failed_old, &rows[*ch]);
                     }
@@ -1438,7 +1441,7 @@ mod tests {
             .expect("read accepted")
             .expect("read completes");
         sim.run();
-        done.data.expect("read returns data")
+        done.data.expect("read returns data").to_vec()
     }
 
     #[test]
@@ -1801,7 +1804,7 @@ mod tests {
                     id: RequestId(0),
                     lba: req.lba,
                     kind: CommandKind::Read,
-                    data: Some(peek(*member, req.lba, req.kind.sectors())),
+                    data: Some(peek(*member, req.lba, req.kind.sectors()).into()),
                     issued: SimTime::ZERO,
                     completed: SimTime::ZERO,
                     breakdown: ServiceBreakdown::default(),

@@ -29,7 +29,7 @@ fn read_back(sim: &mut Simulator, vol: &RaidVolume, lba: u64, count: u32) -> Vec
         .expect("read accepted")
         .expect("read completes");
     sim.run();
-    done.data.expect("read returns data")
+    done.data.expect("read returns data").to_vec()
 }
 
 /// Writes a random workload into the low LBAs of `vol`, maintaining a

@@ -64,7 +64,10 @@ fn main() -> Result<(), TrailError> {
     // never services reads.
     let done = sim.completion(|_, done: Delivered<IoDone>| {
         let done = done.expect("delivered");
-        println!("\nread back lba 1000: first byte {}", done.data.unwrap()[0]);
+        println!(
+            "\nread back lba 1000: first byte {}",
+            done.data.unwrap().sector(0)[0]
+        );
     });
     trail.read(&mut sim, 0, 1000, 2, done)?;
     sim.run();

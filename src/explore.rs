@@ -288,7 +288,7 @@ fn read_back(
                 read => break read?,
             }
         };
-        images.insert(dev, (lo, read.data.expect("a read returns data")));
+        images.insert(dev, (lo, read.data.expect("a read returns data").to_vec()));
     }
     Ok(images)
 }

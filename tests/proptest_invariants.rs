@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 
-use trail::core::format::{
-    build_record, payload_checksum, restore_payload, RecordHeader, RecordWrite,
-};
+use trail::core::format::{build_record, payload_checksum, RecordHeader, RecordWrite};
 use trail::core::{HeadPredictor, TrackLeads, TrackPool};
 use trail::db::Page;
 use trail::disk::{
@@ -153,7 +151,7 @@ proptest! {
                 .try_into()
                 .expect("sector");
             prop_assert_eq!(sector[0], 0x00);
-            restore_payload(entry, &mut sector);
+            sector[0] = entry.first_data_byte;
             prop_assert_eq!(&sector[..], &sectors[i][..]);
         }
         // The checksum covers the on-disk payload: flipping any bit of it,
