@@ -562,6 +562,25 @@ stats_vecs="$(find crates src -name '*.rs' -exec awk '
 [ -z "$stats_vecs" ] \
   || { echo "$stats_vecs; record into a DurationHistogram" >&2; exit 1; }
 
+echo "== one-parity-rule gate =="
+# A RAID volume decides each thing once (crates/volume/src/volume.rs): one
+# `serviceable` rule says whether a request can be served, and a RAID-5
+# span is written by read-modify-write or reconstruct-write — a full
+# stripe and a span without its parity member are reconstruct-writes that
+# read nothing. Non-test code (read up to its first #[cfg(test)], comment
+# lines skipped) must not name the retired span modes or the striped
+# planner's private action enum, and counts failed members in one place.
+parity_rules="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  /SpanMode::(Full|ParityLess)|enum Act([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }
+  /failed[^;]*\.count\(\)/ { counts = counts FILENAME ":" FNR ": " $0 "\n"; n++ }
+  END { if (n > 1) printf "%s", counts }' crates/volume/src/volume.rs)"
+[ -z "$parity_rules" ] || {
+  echo "$parity_rules" >&2
+  echo "found a second serviceability or parity rule in the volume; decide it in serviceable / raid5_plan_spans" >&2
+  exit 1
+}
+
 echo "== trace_tool smoke (generate -> replay, codec round-trip) =="
 trace_tool() {
   cargo run --release --offline -p trail-bench --bin trace_tool -- "$@"

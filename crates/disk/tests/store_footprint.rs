@@ -4,26 +4,36 @@
 //! store's first write must stay cheap.
 //!
 //! One test, alone in its binary, because the counter is the process's
-//! global allocator: a second test running on another thread would be
-//! counted too.
+//! global allocator. It counts per thread: the harness's own thread
+//! allocates while the test runs, and those bytes are not the medium's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use trail_disk::{ImagePool, SectorStore, SECTOR_SIZE};
 
-// Statistics: nothing is published through them, so `Relaxed` is enough.
-// `LIVE` wraps on a free that precedes its allocation in the count; only
-// differences are read.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
+// The calling thread's counts. `LIVE` wraps on a free that precedes its
+// allocation in the count; only differences are read. (A `const` cell
+// with no destructor: reading it never allocates.)
+thread_local! {
+    static LIVE: Cell<u64> = const { Cell::new(0) };
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn add(counter: &'static std::thread::LocalKey<Cell<u64>>, delta: u64) {
+    counter.with(|c| c.set(c.get().wrapping_add(delta)));
+}
+
+fn read(counter: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
+    counter.with(Cell::get)
+}
 
 /// Forwards to the system allocator, counting live and requested bytes.
 struct CountingAlloc;
 
 fn count(size: usize) {
-    LIVE.fetch_add(size as u64, Ordering::Relaxed);
-    REQUESTED.fetch_add(size as u64, Ordering::Relaxed);
+    add(&LIVE, size as u64);
+    add(&REQUESTED, size as u64);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -36,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        add(&LIVE, (layout.size() as u64).wrapping_neg());
         // SAFETY: `ptr` came from `System` through this allocator with the
         // same `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -49,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        add(&LIVE, (layout.size() as u64).wrapping_neg());
         count(new_size);
         // SAFETY: `ptr`/`layout` describe a live block from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -62,9 +72,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Runs `make` and returns what it made with the bytes that stayed
 /// allocated because of it.
 fn counted<T>(make: impl FnOnce() -> T) -> (T, u64) {
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = read(&LIVE);
     let made = make();
-    (made, LIVE.load(Ordering::Relaxed).wrapping_sub(before))
+    (made, read(&LIVE).wrapping_sub(before))
 }
 
 /// Runs `fill` on a fresh store and returns the store with the bytes that
@@ -164,13 +174,13 @@ fn resident_bytes_is_what_the_allocator_holds() {
     // without an alias, with the pool itself — stays at what one 16 KB
     // pool chunk and a 256-byte index page used to cost: every crash point
     // and every ladder rung boots several.
-    let before = REQUESTED.load(Ordering::Relaxed);
+    let before = read(&REQUESTED);
     let mut fresh = SectorStore::new(u64::MAX);
-    assert_eq!(REQUESTED.load(Ordering::Relaxed), before);
+    assert_eq!(read(&REQUESTED), before);
     let mut first = [0x11u8; 2 * SECTOR_SIZE];
     first[..SECTOR_SIZE].copy_from_slice(&header(0));
     fresh.write_range(1 << 40, &first);
-    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    let requested = read(&REQUESTED) - before;
     assert!(
         requested <= 16_896,
         "first write to an empty store requested {requested} B"

@@ -12,12 +12,12 @@
 //! - **RAID-0** — striping with a configurable chunk;
 //! - **RAID-1** — mirroring, with nearest-head or round-robin reads
 //!   ([`ReadPolicy`]);
-//! - **RAID-5** — rotating parity; a small write is the cheaper of the
-//!   read-modify-write cycle (read old data + old parity, XOR, write
-//!   both) and reconstruct-write (read the data it does not overwrite,
-//!   parity from whole rows), with a full-stripe-write fast path,
-//!   reconstruct-mode writes and on-the-fly degraded reads when a member
-//!   fails.
+//! - **RAID-5** — rotating parity under two rules: a small write is the
+//!   cheaper of the read-modify-write cycle (read old data + old parity,
+//!   XOR, write both) and reconstruct-write (read the data it does not
+//!   overwrite, parity from whole rows); a full stripe, or one whose
+//!   parity member has failed, is a reconstruct-write that reads nothing;
+//!   reads of a failed member reconstruct on the fly.
 //!
 //! RAID-5's small-write penalty is the point: fronting the array with
 //! Trail's log turns every synchronous small write into a track-speed log

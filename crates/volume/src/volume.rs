@@ -6,15 +6,19 @@
 //! single disk — the standard stack, Trail's write-back path — can drive
 //! an array unchanged.
 //!
-//! The interesting machinery is RAID-5's small-write path. A partial
-//! stripe write either reads the old data and old parity, XORs the deltas
-//! into the parity, and writes both back (the classic read-modify-write),
-//! or reads the data chunks it does not overwrite and computes parity
-//! from whole rows (reconstruct-write) — whichever reads fewer blocks.
+//! The interesting machinery is RAID-5's small-write path. Every stripe a
+//! write touches is brought up to date by one of two parity rules:
+//! read-modify-write reads the old data and old parity, XORs the deltas
+//! into the parity, and writes both back; reconstruct-write reads the data
+//! chunks the write does not overwrite and computes parity from whole
+//! rows. A partial stripe takes whichever reads fewer blocks. A full
+//! stripe is a reconstruct-write with nothing to read, and so is a stripe
+//! whose parity member has failed (it writes no parity); a stripe that
+//! writes a failed data member rebuilds that member's old row first.
 //! Those extra mechanical I/Os are exactly the cost Trail's log-append
-//! front end hides. Full-stripe writes skip the reads; a failed member
-//! switches writes to reconstruct mode and reads to on-the-fly XOR
-//! reconstruction.
+//! front end hides. Reads of a failed member's chunks are reconstructed
+//! by XOR on the fly, and one rule decides whether the members left can
+//! serve a request at all, at submission and again when it is planned.
 //! Per-stripe serialization (see [`Gate`](crate::Gate)) keeps concurrent
 //! parity updates from losing deltas.
 
@@ -366,22 +370,9 @@ impl RaidVolume {
             if req.lba + u64::from(sectors) > v.capacity {
                 return Err(DiskError::OutOfRange);
             }
-            let failed = v.members.iter().filter(|m| m.failed).count();
-            let serviceable = match v.layout {
-                VolumeLayout::Linear => layout::linear_map(&v.member_caps, req.lba, sectors)
-                    .iter()
-                    .all(|f| !v.members[f.member].failed),
-                VolumeLayout::Raid0 { chunk_sectors } => {
-                    layout::raid0_map(v.members.len(), chunk_sectors, req.lba, sectors)
-                        .iter()
-                        .all(|f| !v.members[f.member].failed)
-                }
-                VolumeLayout::Raid1 { .. } => failed < v.members.len(),
-                VolumeLayout::Raid5 { .. } => failed < 2,
-            };
             let id = RequestId(v.next_id);
             v.next_id += 1;
-            if !serviceable {
+            if !serviceable(&v, req.lba, sectors) {
                 drop(v);
                 done.fail(sim, IoError::MediaFailed);
                 return Ok(id);
@@ -450,14 +441,7 @@ impl fmt::Debug for RaidVolume {
             .field("name", &v.name)
             .field("layout", &v.layout)
             .field("members", &v.members.len())
-            .field(
-                "failed",
-                &v.members
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, m)| m.failed.then_some(i))
-                    .collect::<Vec<_>>(),
-            )
+            .field("failed", &self.failed_members())
             .field("outstanding", &v.outstanding)
             .finish()
     }
@@ -581,9 +565,32 @@ fn restart(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
     start(vol, sim, op);
 }
 
+/// Whether the members left can serve `[lba, lba + sectors)`: on linear
+/// and RAID-0 no fragment may land on a failed member, RAID-1 needs one
+/// live mirror, RAID-5 tolerates one failed member.
+fn serviceable(v: &VolInner, lba: Lba, sectors: u32) -> bool {
+    match v.layout {
+        VolumeLayout::Linear | VolumeLayout::Raid0 { .. } => striped_frags(v, lba, sectors)
+            .iter()
+            .all(|f| !v.members[f.member].failed),
+        VolumeLayout::Raid1 { .. } => v.members.iter().any(|m| !m.failed),
+        VolumeLayout::Raid5 { .. } => v.members.iter().filter(|m| m.failed).count() < 2,
+    }
+}
+
+/// Plans the operation against the members alive now, or fails it with
+/// [`IoError::MediaFailed`] when too many are gone (members may have
+/// failed since `submit`, or while it waited for its keys).
 fn plan(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
-    let lay = vol.inner.borrow().layout;
-    let is_read = matches!(op.borrow().payload, Payload::Read);
+    let (lay, ok, is_read) = {
+        let v = vol.inner.borrow();
+        let o = op.borrow();
+        let is_read = matches!(o.payload, Payload::Read);
+        (v.layout, serviceable(&v, o.lba, o.sectors), is_read)
+    };
+    if !ok {
+        return finish_abort(vol, sim, op, IoError::MediaFailed);
+    }
     match (lay, is_read) {
         (VolumeLayout::Linear | VolumeLayout::Raid0 { .. }, _) => plan_striped(vol, sim, op),
         (VolumeLayout::Raid1 { read_policy }, true) => plan_mirror_read(vol, sim, op, read_policy),
@@ -868,77 +875,104 @@ fn latest_breakdown(results: &[IoDone]) -> ServiceBreakdown {
         .unwrap_or_default()
 }
 
+/// The view sub-read `slot` of a gather returned.
+fn read_view(results: &[IoDone], slot: usize) -> &PayloadBuf {
+    results[slot]
+        .data
+        .as_ref()
+        .expect("read sub-operations carry data")
+}
+
+/// Where sectors `[logical_off, logical_off + sectors)` of a logical read
+/// come from.
+struct ReadPiece {
+    logical_off: u64,
+    sectors: u32,
+    source: ReadSource,
+}
+
+enum ReadSource {
+    /// The bytes of one sub-read.
+    Direct(usize),
+    /// The member holding them failed: XOR of the same range on every
+    /// surviving member (data and parity alike) reconstructs them.
+    Recon(Vec<usize>),
+}
+
+/// The logical read `pieces` describe, assembled from a gather's results.
+fn assemble_read(pieces: &[ReadPiece], results: &[IoDone], total_sectors: u32) -> PayloadBuf {
+    let mut buf = vec![0u8; total_sectors as usize * SECTOR_SIZE];
+    let mut scratch = Vec::new();
+    for piece in pieces {
+        let a = piece.logical_off as usize * SECTOR_SIZE;
+        let out = &mut buf[a..a + piece.sectors as usize * SECTOR_SIZE];
+        match &piece.source {
+            ReadSource::Direct(slot) => read_view(results, *slot).copy_to(out),
+            ReadSource::Recon(slots) => {
+                for slot in slots {
+                    layout::xor_into(out, bytes_in(read_view(results, *slot), &mut scratch));
+                }
+            }
+        }
+    }
+    buf.into()
+}
+
+/// [`gather`]s `ios`, then finishes the operation: a read with the bytes
+/// `pieces` assemble, a write with none.
+fn gather_finish(
+    vol: &RaidVolume,
+    sim: &mut Simulator,
+    op: &OpRef,
+    ios: MemberIos,
+    pieces: Vec<ReadPiece>,
+) {
+    gather(vol, sim, op, ios, move |vol, sim, op, results| {
+        let is_read = matches!(op.borrow().payload, Payload::Read);
+        let data = is_read.then(|| assemble_read(&pieces, &results, op.borrow().sectors));
+        finish_ok(vol, sim, op, data, latest_breakdown(&results));
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Linear / RAID-0.
 // ---------------------------------------------------------------------------
 
-fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
-    enum Act {
-        Cancel,
-        Go {
-            ios: Vec<(usize, IoRequest)>,
-            metas: Vec<(u64, u32)>,
-            is_read: bool,
-            total_sectors: u32,
-        },
+/// The fragments `[lba, lba + sectors)` maps to on a linear or RAID-0
+/// volume.
+fn striped_frags(v: &VolInner, lba: Lba, sectors: u32) -> Vec<layout::Frag> {
+    match v.layout {
+        VolumeLayout::Linear => layout::linear_map(&v.member_caps, lba, sectors),
+        VolumeLayout::Raid0 { chunk_sectors } => {
+            layout::raid0_map(v.members.len(), chunk_sectors, lba, sectors)
+        }
+        _ => unreachable!("only linear and RAID-0 volumes are striped"),
     }
-    let act = {
+}
+
+fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
+    let (mut ios, mut pieces) = (Vec::new(), Vec::new());
+    {
         let v = vol.inner.borrow();
         let o = &mut *op.borrow_mut();
-        let frags = match v.layout {
-            VolumeLayout::Linear => layout::linear_map(&v.member_caps, o.lba, o.sectors),
-            VolumeLayout::Raid0 { chunk_sectors } => {
-                layout::raid0_map(v.members.len(), chunk_sectors, o.lba, o.sectors)
-            }
-            _ => unreachable!("plan_striped only handles linear and raid0"),
-        };
-        if frags.iter().any(|f| v.members[f.member].failed) {
-            // No redundancy: a failure under an unmirrored layout is fatal
-            // to the request.
-            Act::Cancel
-        } else {
-            let mut ios = Vec::with_capacity(frags.len());
-            let mut metas = Vec::with_capacity(frags.len());
-            for f in &frags {
-                let req = match &mut o.payload {
-                    Payload::Read => IoRequest::read(f.member_lba, f.sectors),
-                    Payload::Write(data) => IoRequest::write(
-                        f.member_lba,
-                        slice_payload(data, f.logical_off, f.sectors),
-                    ),
-                };
-                ios.push((f.member, req.tagged(o.stream)));
-                metas.push((f.logical_off, f.sectors));
-            }
-            Act::Go {
-                ios,
-                metas,
-                is_read: matches!(o.payload, Payload::Read),
-                total_sectors: o.sectors,
-            }
-        }
-    };
-    match act {
-        Act::Cancel => finish_abort(vol, sim, op, IoError::MediaFailed),
-        Act::Go {
-            ios,
-            metas,
-            is_read,
-            total_sectors,
-        } => gather(vol, sim, op, ios, move |vol, sim, op, results| {
-            let breakdown = latest_breakdown(&results);
-            let data = is_read.then(|| {
-                let mut buf = vec![0u8; total_sectors as usize * SECTOR_SIZE];
-                for (slot, (logical_off, sectors)) in metas.iter().enumerate() {
-                    let a = *logical_off as usize * SECTOR_SIZE;
-                    read_view(&results, slot)
-                        .copy_to(&mut buf[a..a + *sectors as usize * SECTOR_SIZE]);
+        for f in striped_frags(&v, o.lba, o.sectors) {
+            let req = match &mut o.payload {
+                Payload::Read => {
+                    pieces.push(ReadPiece {
+                        logical_off: f.logical_off,
+                        sectors: f.sectors,
+                        source: ReadSource::Direct(ios.len()),
+                    });
+                    IoRequest::read(f.member_lba, f.sectors)
                 }
-                buf.into()
-            });
-            finish_ok(vol, sim, op, data, breakdown);
-        }),
+                Payload::Write(data) => {
+                    IoRequest::write(f.member_lba, slice_payload(data, f.logical_off, f.sectors))
+                }
+            };
+            ios.push((f.member, req.tagged(o.stream)));
+        }
     }
+    gather_finish(vol, sim, op, ios, pieces);
 }
 
 // ---------------------------------------------------------------------------
@@ -946,7 +980,7 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
 // ---------------------------------------------------------------------------
 
 fn plan_mirror_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, policy: ReadPolicy) {
-    let pick = {
+    let ios = {
         let mut v = vol.inner.borrow_mut();
         let o = op.borrow();
         let alive: Vec<usize> = v
@@ -955,38 +989,29 @@ fn plan_mirror_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, policy: R
             .enumerate()
             .filter_map(|(i, m)| (!m.failed).then_some(i))
             .collect();
-        if alive.is_empty() {
-            None
-        } else {
-            let chosen = match policy {
-                ReadPolicy::RoundRobin => {
-                    let i = (v.rr_cursor % alive.len() as u64) as usize;
-                    v.rr_cursor = v.rr_cursor.wrapping_add(1);
-                    alive[i]
-                }
-                ReadPolicy::NearestHead => *alive
-                    .iter()
-                    .min_by_key(|&&i| {
-                        let m = &v.members[i];
-                        let target = m
-                            .disk
-                            .geometry()
-                            .lba_to_chs(o.lba)
-                            .map(|c| c.cylinder)
-                            .unwrap_or(0);
-                        let head = m.disk.head_position().cylinder;
-                        target.abs_diff(head)
-                    })
-                    .expect("alive set non-empty"),
-            };
-            Some((chosen, o.lba, o.sectors, o.stream))
-        }
+        let member = match policy {
+            ReadPolicy::RoundRobin => {
+                let i = (v.rr_cursor % alive.len() as u64) as usize;
+                v.rr_cursor = v.rr_cursor.wrapping_add(1);
+                alive[i]
+            }
+            ReadPolicy::NearestHead => *alive
+                .iter()
+                .min_by_key(|&&i| {
+                    let m = &v.members[i];
+                    let target = m
+                        .disk
+                        .geometry()
+                        .lba_to_chs(o.lba)
+                        .map(|c| c.cylinder)
+                        .unwrap_or(0);
+                    let head = m.disk.head_position().cylinder;
+                    target.abs_diff(head)
+                })
+                .expect("a serviceable mirror has a live member"),
+        };
+        vec![(member, IoRequest::read(o.lba, o.sectors).tagged(o.stream))]
     };
-    let Some((member, lba, sectors, stream)) = pick else {
-        finish_abort(vol, sim, op, IoError::MediaFailed);
-        return;
-    };
-    let ios = vec![(member, IoRequest::read(lba, sectors).tagged(stream))];
     gather(vol, sim, op, ios, |vol, sim, op, mut results| {
         let done = results.remove(0);
         finish_ok(vol, sim, op, done.data, done.breakdown);
@@ -1009,138 +1034,63 @@ fn mirror_write_ios(v: &VolInner, o: &mut Op) -> MemberIos {
 
 fn plan_mirror_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
     let ios = mirror_write_ios(&vol.inner.borrow(), &mut op.borrow_mut());
-    if ios.is_empty() {
-        finish_abort(vol, sim, op, IoError::MediaFailed);
-        return;
-    }
-    gather(vol, sim, op, ios, |vol, sim, op, results| {
-        finish_ok(vol, sim, op, None, latest_breakdown(&results));
-    });
+    gather_finish(vol, sim, op, ios, Vec::new());
 }
 
 // ---------------------------------------------------------------------------
 // RAID-5.
 // ---------------------------------------------------------------------------
 
-enum ReadPiece {
-    Direct {
-        slot: usize,
-        logical_off: u64,
-        sectors: u32,
-    },
-    /// The target member failed: XOR of the same range on every surviving
-    /// member (data and parity alike) reconstructs it.
-    Recon {
-        slots: Vec<usize>,
-        logical_off: u64,
-        sectors: u32,
-    },
-}
-
 fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32) {
-    let planned = {
+    let (ios, pieces) = {
         let mut v = vol.inner.borrow_mut();
         let o = op.borrow();
         let n = v.members.len();
-        let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
-        if failed.iter().filter(|f| **f).count() >= 2 {
-            None
-        } else {
-            let c64 = u64::from(chunk);
-            let segs = layout::raid5_map(n, chunk, o.lba, o.sectors);
-            let mut ios = Vec::new();
-            let mut pieces = Vec::new();
-            let mut degraded = false;
-            for seg in &segs {
-                if !failed[seg.member] {
-                    pieces.push(ReadPiece::Direct {
-                        slot: ios.len(),
-                        logical_off: seg.logical_off,
-                        sectors: seg.sectors,
-                    });
-                    ios.push((
-                        seg.member,
-                        IoRequest::read(seg.member_lba(chunk), seg.sectors).tagged(o.stream),
-                    ));
-                } else {
-                    degraded = true;
-                    let mut slots = Vec::with_capacity(n - 1);
-                    for m in 0..n {
-                        if m == seg.member {
-                            continue;
-                        }
-                        slots.push(ios.len());
-                        ios.push((
-                            m,
-                            IoRequest::read(seg.stripe * c64 + seg.off, seg.sectors)
-                                .tagged(o.stream),
-                        ));
-                    }
-                    pieces.push(ReadPiece::Recon {
-                        slots,
-                        logical_off: seg.logical_off,
-                        sectors: seg.sectors,
-                    });
-                }
-            }
-            if degraded {
-                v.stats.degraded_reads += 1;
-            }
-            Some((ios, pieces, o.sectors))
+        let (mut ios, mut pieces) = (Vec::new(), Vec::new());
+        for seg in layout::raid5_map(n, chunk, o.lba, o.sectors) {
+            let read = |m: usize| {
+                let lba = seg.member_lba(chunk);
+                (m, IoRequest::read(lba, seg.sectors).tagged(o.stream))
+            };
+            let source = if v.members[seg.member].failed {
+                let slots = (ios.len()..ios.len() + n - 1).collect();
+                ios.extend((0..n).filter(|&m| m != seg.member).map(read));
+                ReadSource::Recon(slots)
+            } else {
+                ios.push(read(seg.member));
+                ReadSource::Direct(ios.len() - 1)
+            };
+            pieces.push(ReadPiece {
+                logical_off: seg.logical_off,
+                sectors: seg.sectors,
+                source,
+            });
         }
-    };
-    let Some((ios, pieces, total_sectors)) = planned else {
-        finish_abort(vol, sim, op, IoError::MediaFailed);
-        return;
-    };
-    gather(vol, sim, op, ios, move |vol, sim, op, results| {
-        let mut buf = vec![0u8; total_sectors as usize * SECTOR_SIZE];
-        let mut scratch = Vec::new();
-        for piece in &pieces {
-            match piece {
-                ReadPiece::Direct {
-                    slot,
-                    logical_off,
-                    sectors,
-                } => {
-                    let a = *logical_off as usize * SECTOR_SIZE;
-                    read_view(&results, *slot)
-                        .copy_to(&mut buf[a..a + *sectors as usize * SECTOR_SIZE]);
-                }
-                ReadPiece::Recon {
-                    slots,
-                    logical_off,
-                    sectors,
-                } => {
-                    let a = *logical_off as usize * SECTOR_SIZE;
-                    let out = &mut buf[a..a + *sectors as usize * SECTOR_SIZE];
-                    for slot in slots {
-                        layout::xor_into(out, bytes_in(read_view(&results, *slot), &mut scratch));
-                    }
-                }
-            }
+        if pieces
+            .iter()
+            .any(|p| matches!(p.source, ReadSource::Recon(_)))
+        {
+            v.stats.degraded_reads += 1;
         }
-        finish_ok(vol, sim, op, Some(buf.into()), latest_breakdown(&results));
-    });
+        (ios, pieces)
+    };
+    gather_finish(vol, sim, op, ios, pieces);
 }
 
+/// How a RAID-5 span brings its parity up to date.
 enum SpanMode {
-    /// Whole stripe covered: parity is the XOR of the new data, no reads.
-    Full,
-    /// Parity member failed: write the data segments only.
-    ParityLess,
-    /// Partial stripe, fewer reads than [`SpanMode::Reconstruct`]: read
-    /// old data + old parity, fold the deltas into the parity, write both
-    /// back.
+    /// Read old data + old parity, fold the deltas into the parity, write
+    /// both back.
     Rmw {
         seg_slots: Vec<usize>,
         parity_slot: usize,
     },
-    /// Partial stripe, parity from whole rows: read the data chunks the
-    /// write does not fully cover over `[lo, hi)`, overlay the new data,
-    /// XOR the rows into fresh parity. With `rebuild`, a written data
-    /// member is failed: every survivor and the old parity are read, and
-    /// the failed chunk's old row is their XOR.
+    /// Parity from whole rows: read the data chunks the write does not
+    /// fully cover over `[lo, hi)`, overlay the new data, XOR the rows
+    /// into fresh parity. A full stripe, or a span whose parity is not
+    /// written, reads nothing. With `rebuild`, a written data member is
+    /// failed: every survivor and the old parity are read, and the failed
+    /// chunk's old row is their XOR.
     Reconstruct {
         chunk_slots: Vec<(usize, usize)>,
         /// `(failed chunk, parity slot)` on a degraded stripe.
@@ -1150,7 +1100,9 @@ enum SpanMode {
 
 struct SpanPlan {
     stripe: u64,
-    parity_member: usize,
+    /// The member the new parity goes to; `None` when it had failed at
+    /// planning, and only the data segments are written.
+    parity_member: Option<usize>,
     lo: u64,
     hi: u64,
     segs: Vec<layout::R5Seg>,
@@ -1158,118 +1110,109 @@ struct SpanPlan {
 }
 
 /// Phase 1 of a RAID-5 write: how each touched stripe will be written
-/// and which old blocks that needs read first. `None` when two members
-/// are gone.
+/// and which old blocks that needs read first.
 ///
-/// A healthy partial stripe is written in whichever of read-modify-write
-/// and reconstruct-write reads fewer member blocks, reconstruct-write on
-/// a tie (Linux md's rule): its reads mostly miss the chunks it writes,
-/// so fewer writes wait a revolution for a sector just read, and it
-/// leaves the row consistent whatever parity held before.
-/// Reconstruct-write is ruled out when a chunk it would read is on a
-/// failed member.
-fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> Option<(MemberIos, Vec<SpanPlan>)> {
+/// A span that has nothing to read is a reconstruct-write with nothing
+/// uncovered: a full stripe (parity is the XOR of the new rows) or one
+/// whose parity member has failed (no parity is written). A span that
+/// writes a failed data member is a reconstruct-write that rebuilds the
+/// member's old row. A healthy partial stripe is written in whichever of
+/// read-modify-write and reconstruct-write reads fewer member blocks,
+/// reconstruct-write on a tie (Linux md's rule): its reads mostly miss
+/// the chunks it writes, so fewer writes wait a revolution for a sector
+/// just read, and it leaves the row consistent whatever parity held
+/// before. Reconstruct-write is ruled out when a chunk it would read is
+/// on a failed member.
+fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> (MemberIos, Vec<SpanPlan>) {
     let n = v.members.len();
-    let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
-    if failed.iter().filter(|f| **f).count() >= 2 {
-        None
-    } else {
-        let c64 = u64::from(chunk);
-        let mut reads: Vec<(usize, IoRequest)> = Vec::new();
-        let mut plans: Vec<SpanPlan> = Vec::new();
-        for span in layout::raid5_write_stripes(n, chunk, o.lba, o.sectors) {
-            let range_sectors = (span.hi - span.lo) as u32;
-            let range_lba = span.stripe * c64 + span.lo;
-            let mut read = |member: usize, lba: Lba, sectors: u32| {
-                reads.push((member, IoRequest::read(lba, sectors).tagged(o.stream)));
-                reads.len() - 1
-            };
-            let data_member = |ch: usize| layout::raid5_data_member(n, span.stripe, ch);
-            // The data chunks whose old row over [lo, hi) a
-            // reconstruct-write needs: those the write does not cover.
-            let uncovered: Vec<usize> = (0..n - 1)
-                .filter(|&ch| {
-                    !span.segs.iter().any(|s| {
-                        s.chunk == ch && s.off <= span.lo && s.off + u64::from(s.sectors) >= span.hi
-                    })
+    let c64 = u64::from(chunk);
+    let mut reads: MemberIos = Vec::new();
+    let mut plans: Vec<SpanPlan> = Vec::new();
+    for span in layout::raid5_write_stripes(n, chunk, o.lba, o.sectors) {
+        let range_sectors = (span.hi - span.lo) as u32;
+        let range_lba = span.stripe * c64 + span.lo;
+        let mut read = |member: usize, lba: Lba, sectors: u32| {
+            reads.push((member, IoRequest::read(lba, sectors).tagged(o.stream)));
+            reads.len() - 1
+        };
+        let failed = |m: usize| v.members[m].failed;
+        let data_member = |ch: usize| layout::raid5_data_member(n, span.stripe, ch);
+        // The data chunks whose old row over [lo, hi) a
+        // reconstruct-write needs: those the write does not cover.
+        let uncovered: Vec<usize> = (0..n - 1)
+            .filter(|&ch| {
+                !span.segs.iter().any(|s| {
+                    s.chunk == ch && s.off <= span.lo && s.off + u64::from(s.sectors) >= span.hi
                 })
-                .collect();
-            let mode = if failed[span.parity_member] {
-                v.stats.parityless_writes += 1;
-                SpanMode::ParityLess
-            } else if span.full {
+            })
+            .collect();
+        let parity_written = !failed(span.parity_member);
+        let mode = if !parity_written || span.full {
+            if parity_written {
                 v.stats.full_stripe_writes += 1;
-                SpanMode::Full
-            } else if let Some(fc) = span.segs.iter().find(|s| failed[s.member]).map(|s| s.chunk) {
-                v.stats.reconstruct_writes += 1;
-                let chunk_slots = (0..n - 1)
-                    .filter(|&ch| ch != fc)
-                    .map(|ch| (ch, read(data_member(ch), range_lba, range_sectors)))
-                    .collect();
-                let parity_slot = read(span.parity_member, range_lba, range_sectors);
-                SpanMode::Reconstruct {
-                    chunk_slots,
-                    rebuild: Some((fc, parity_slot)),
-                }
-            } else if uncovered.len() <= span.segs.len() + 1
-                && uncovered.iter().all(|&ch| !failed[data_member(ch)])
-            {
-                v.stats.reconstruct_writes += 1;
-                let chunk_slots = uncovered
-                    .into_iter()
-                    .map(|ch| (ch, read(data_member(ch), range_lba, range_sectors)))
-                    .collect();
-                SpanMode::Reconstruct {
-                    chunk_slots,
-                    rebuild: None,
-                }
             } else {
-                v.stats.rmw_cycles += 1;
-                let seg_slots = span
-                    .segs
-                    .iter()
-                    .map(|seg| read(seg.member, seg.member_lba(chunk), seg.sectors))
-                    .collect();
-                let parity_slot = read(span.parity_member, range_lba, range_sectors);
-                SpanMode::Rmw {
-                    seg_slots,
-                    parity_slot,
-                }
-            };
-            plans.push(SpanPlan {
-                stripe: span.stripe,
-                parity_member: span.parity_member,
-                lo: span.lo,
-                hi: span.hi,
-                segs: span.segs,
-                mode,
-            });
-        }
-        Some((reads, plans))
+                v.stats.parityless_writes += 1;
+            }
+            SpanMode::Reconstruct {
+                chunk_slots: Vec::new(),
+                rebuild: None,
+            }
+        } else if let Some(fc) = span.segs.iter().find(|s| failed(s.member)).map(|s| s.chunk) {
+            v.stats.reconstruct_writes += 1;
+            let chunk_slots = (0..n - 1)
+                .filter(|&ch| ch != fc)
+                .map(|ch| (ch, read(data_member(ch), range_lba, range_sectors)))
+                .collect();
+            let parity_slot = read(span.parity_member, range_lba, range_sectors);
+            SpanMode::Reconstruct {
+                chunk_slots,
+                rebuild: Some((fc, parity_slot)),
+            }
+        } else if uncovered.len() <= span.segs.len() + 1
+            && uncovered.iter().all(|&ch| !failed(data_member(ch)))
+        {
+            v.stats.reconstruct_writes += 1;
+            let chunk_slots = uncovered
+                .into_iter()
+                .map(|ch| (ch, read(data_member(ch), range_lba, range_sectors)))
+                .collect();
+            SpanMode::Reconstruct {
+                chunk_slots,
+                rebuild: None,
+            }
+        } else {
+            v.stats.rmw_cycles += 1;
+            let seg_slots = span
+                .segs
+                .iter()
+                .map(|seg| read(seg.member, seg.member_lba(chunk), seg.sectors))
+                .collect();
+            let parity_slot = read(span.parity_member, range_lba, range_sectors);
+            SpanMode::Rmw {
+                seg_slots,
+                parity_slot,
+            }
+        };
+        plans.push(SpanPlan {
+            stripe: span.stripe,
+            parity_member: parity_written.then_some(span.parity_member),
+            lo: span.lo,
+            hi: span.hi,
+            segs: span.segs,
+            mode,
+        });
     }
+    (reads, plans)
 }
 
 fn plan_raid5_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32) {
-    let planned = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op.borrow(), chunk);
-    let Some((reads, plans)) = planned else {
-        finish_abort(vol, sim, op, IoError::MediaFailed);
-        return;
-    };
+    let (reads, plans) = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op.borrow(), chunk);
     if reads.is_empty() {
-        raid5_phase2(vol, sim, op, &plans, &[], chunk);
-        return;
+        return raid5_phase2(vol, sim, op, &plans, &[], chunk);
     }
     gather(vol, sim, op, reads, move |vol, sim, op, results| {
         raid5_phase2(vol, sim, op, &plans, &results, chunk);
     });
-}
-
-/// The view sub-read `slot` of a gather returned.
-fn read_view(results: &[IoDone], slot: usize) -> &PayloadBuf {
-    results[slot]
-        .data
-        .as_ref()
-        .expect("read sub-operations carry data")
 }
 
 /// Phase 2 of a RAID-5 write: the member writes, given phase 1's plans
@@ -1287,49 +1230,21 @@ fn raid5_phase2_writes(
         unreachable!("raid5 phase 2 requires a write payload")
     };
     let n = v.members.len();
-    let failed: Vec<bool> = v.members.iter().map(|m| m.failed).collect();
     let c64 = u64::from(chunk);
-    let mut writes: Vec<(usize, IoRequest)> = Vec::new();
+    let mut writes: MemberIos = Vec::new();
     // One scratch copy of a new segment and one of the old bytes it
     // replaces, for the read-modify-write parity.
     let (mut scratch, mut old_scratch) = (Vec::new(), Vec::new());
     for plan in plans {
-        let range_lba = plan.stripe * c64 + plan.lo;
         let range_bytes = (plan.hi - plan.lo) as usize * SECTOR_SIZE;
-        match &plan.mode {
-            SpanMode::Full => {
-                let mut parity = vec![0u8; chunk as usize * SECTOR_SIZE];
-                for seg in &plan.segs {
-                    let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                    layout::xor_into(&mut parity, bytes_in(&new, &mut scratch));
-                    if !failed[seg.member] {
-                        writes.push((
-                            seg.member,
-                            IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
-                        ));
-                    }
-                }
-                writes.push((
-                    plan.parity_member,
-                    IoRequest::write(plan.stripe * c64, parity).tagged(o.stream),
-                ));
-            }
-            SpanMode::ParityLess => {
-                for seg in &plan.segs {
-                    let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                    writes.push((
-                        seg.member,
-                        IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
-                    ));
-                }
-            }
+        let parity = match &plan.mode {
             SpanMode::Rmw {
                 seg_slots,
                 parity_slot,
             } => {
                 let mut parity = read_view(results, *parity_slot).to_vec();
-                for (i, seg) in plan.segs.iter().enumerate() {
-                    let old = bytes_in(read_view(results, seg_slots[i]), &mut old_scratch);
+                for (seg, slot) in plan.segs.iter().zip(seg_slots) {
+                    let old = bytes_in(read_view(results, *slot), &mut old_scratch);
                     let new = slice_payload(payload, seg.logical_off, seg.sectors);
                     let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
                     let new_bytes = bytes_in(&new, &mut scratch);
@@ -1341,10 +1256,7 @@ fn raid5_phase2_writes(
                         IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
                     ));
                 }
-                writes.push((
-                    plan.parity_member,
-                    IoRequest::write(range_lba, parity).tagged(o.stream),
-                ));
+                parity
             }
             SpanMode::Reconstruct {
                 chunk_slots,
@@ -1368,7 +1280,9 @@ fn raid5_phase2_writes(
                     let new = slice_payload(payload, seg.logical_off, seg.sectors);
                     let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
                     new.copy_to(&mut rows[seg.chunk][base..base + new.len()]);
-                    if !failed[seg.member] {
+                    // A failed member's new segment lives on in the
+                    // parity alone, when the parity is written.
+                    if plan.parity_member.is_none() || !v.members[seg.member].failed {
                         writes.push((
                             seg.member,
                             IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
@@ -1379,11 +1293,12 @@ fn raid5_phase2_writes(
                 for row in &rows {
                     layout::xor_into(&mut parity, row);
                 }
-                writes.push((
-                    plan.parity_member,
-                    IoRequest::write(range_lba, parity).tagged(o.stream),
-                ));
+                parity
             }
+        };
+        if let Some(member) = plan.parity_member {
+            let range_lba = plan.stripe * c64 + plan.lo;
+            writes.push((member, IoRequest::write(range_lba, parity).tagged(o.stream)));
         }
     }
     writes
@@ -1404,9 +1319,7 @@ fn raid5_phase2(
         results,
         chunk,
     );
-    gather(vol, sim, op, writes, |vol, sim, op, results| {
-        finish_ok(vol, sim, op, None, latest_breakdown(&results));
-    });
+    gather_finish(vol, sim, op, writes, Vec::new());
 }
 
 #[cfg(test)]
@@ -1491,9 +1404,17 @@ mod tests {
         assert_eq!(writes, vec![2, 2], "both mirrors receive every write");
     }
 
-    /// `(rmw_cycles, reconstruct_writes, full_stripe_writes)` so far.
-    fn raid5_modes(vol: &RaidVolume) -> (u64, u64, u64) {
-        vol.with_stats(|s| (s.rmw_cycles, s.reconstruct_writes, s.full_stripe_writes))
+    /// The spans each parity rule has counted so far: `[rmw_cycles,
+    /// reconstruct_writes, full_stripe_writes, parityless_writes]`.
+    fn span_counts(vol: &RaidVolume) -> [u64; 4] {
+        vol.with_stats(|s| {
+            [
+                s.rmw_cycles,
+                s.reconstruct_writes,
+                s.full_stripe_writes,
+                s.parityless_writes,
+            ]
+        })
     }
 
     /// Whether stripe row `stripe` XORs to zero across the members.
@@ -1517,7 +1438,7 @@ mod tests {
         // other chunk (1 read), read-modify-write old data + parity (2).
         let vol = volume(raid5, 3);
         write_ok(&mut sim, &vol, 1, pattern(1, 1));
-        assert_eq!(raid5_modes(&vol), (0, 1, 0));
+        assert_eq!(span_counts(&vol), [0, 1, 0, 0]);
         let (reads, writes) = vol.with_stats(|s| {
             s.members.iter().fold((0, 0), |(r, w), m| {
                 (r + m.read_latency.count(), w + m.write_latency.count())
@@ -1526,25 +1447,25 @@ mod tests {
         assert_eq!((reads, writes), (1, 2), "3 member I/Os, not 4");
         // Two chunks (lba 10..14 straddles them): 2 reads against 3.
         write_ok(&mut sim, &vol, 10, pattern(4, 2));
-        assert_eq!(raid5_modes(&vol), (0, 2, 0));
+        assert_eq!(span_counts(&vol), [0, 2, 0, 0]);
         // A whole row reads nothing.
         write_ok(&mut sim, &vol, 16, pattern(8, 3));
-        assert_eq!(raid5_modes(&vol), (0, 2, 1));
+        assert_eq!(span_counts(&vol), [0, 2, 1, 0]);
 
         // 4 members: one chunk ties at 2 reads, and the tie goes to
         // reconstruct-write.
         let vol = volume(raid5, 4);
         write_ok(&mut sim, &vol, 1, pattern(1, 4));
-        assert_eq!(raid5_modes(&vol), (0, 1, 0));
+        assert_eq!(span_counts(&vol), [0, 1, 0, 0]);
 
         // 5 members: one chunk is read-modify-write (2 reads against 3)...
         let vol = volume(raid5, 5);
         write_ok(&mut sim, &vol, 1, pattern(1, 5));
-        assert_eq!(raid5_modes(&vol), (1, 0, 0));
+        assert_eq!(span_counts(&vol), [1, 0, 0, 0]);
         // ...and three chunks (lba 2..10, the middle one whole) are
         // reconstruct-write (3 reads against 4).
         write_ok(&mut sim, &vol, 2, pattern(8, 6));
-        assert_eq!(raid5_modes(&vol), (1, 1, 0));
+        assert_eq!(span_counts(&vol), [1, 1, 0, 0]);
         assert_eq!(read_back(&mut sim, &vol, 2, 8), pattern(8, 6));
     }
 
@@ -1559,15 +1480,14 @@ mod tests {
         // A write to chunk 0 alone would read chunk 1 under
         // reconstruct-write; its member is failed, so it is RMW instead.
         let (reads, plans) =
-            raid5_plan_spans(&mut vol.inner.borrow_mut(), &write_op(1, pattern(1, 6)), 4)
-                .expect("one member failed");
+            raid5_plan_spans(&mut vol.inner.borrow_mut(), &write_op(1, pattern(1, 6)), 4);
         assert!(matches!(plans[0].mode, SpanMode::Rmw { .. }));
         assert_eq!(reads.iter().map(|(m, _)| *m).collect::<Vec<_>>(), [0, 2]);
 
-        let before = raid5_modes(&vol);
+        let before = span_counts(&vol);
         write_ok(&mut sim, &vol, 1, pattern(1, 6));
-        assert_eq!(raid5_modes(&vol).0, before.0 + 1);
-        assert_eq!(raid5_modes(&vol).1, before.1);
+        assert_eq!(span_counts(&vol)[0], before[0] + 1);
+        assert_eq!(span_counts(&vol)[1], before[1]);
         assert_eq!(
             vol.with_stats(|s| s.retried_ops),
             0,
@@ -1596,7 +1516,7 @@ mod tests {
         // the rows; read-modify-write would see a zero delta and leave it
         // stale.
         write_ok(&mut sim, &vol, 0, new.clone());
-        assert_eq!(raid5_modes(&vol), (0, 1, 1));
+        assert_eq!(span_counts(&vol), [0, 1, 1, 0]);
         assert!(row_is_consistent(&disks, 0, 4));
         assert_eq!(read_back(&mut sim, &vol, 0, 2), new);
     }
@@ -1757,13 +1677,24 @@ mod tests {
     }
 
     /// Runs `extents` random writes through the RAID-5 planning functions
-    /// against the members' real contents. Every data sub-write must be a
-    /// view of the logical write's buffer reading exactly the parent's
-    /// bytes for its segment, every other sub-write a parity block, and —
-    /// once the sub-writes are applied — every touched row must XOR to
-    /// zero across the members. Returns how many spans were planned
-    /// full-stripe, read-modify-write and reconstruct-write.
-    fn check_raid5_sub_writes(members: usize, chunk: u32, extents: usize, seed: u64) -> [u32; 3] {
+    /// against the members' real contents, with member `failed` (if any)
+    /// failed after the first write. Each span is known by the counter it
+    /// moves: a full stripe and a span whose parity member has failed read
+    /// nothing, and no I/O goes to the failed member. Every data sub-write
+    /// must be a view of the logical write's buffer reading exactly the
+    /// parent's bytes for its segment (a failed member's segment gets
+    /// none), every other sub-write a parity block, one per span whose
+    /// parity member is alive. Once the sub-writes are applied, every
+    /// extent reads back through the volume, and on a healthy array every
+    /// touched row XORs to zero across the members. Returns the spans each
+    /// rule counted, as [`span_counts`].
+    fn check_raid5_sub_writes(
+        members: usize,
+        chunk: u32,
+        extents: usize,
+        seed: u64,
+        failed: Option<usize>,
+    ) -> [u64; 4] {
         use rand::Rng;
         let mut sim = Simulator::new();
         let vol = volume(
@@ -1773,11 +1704,17 @@ mod tests {
             members,
         );
         let disks = vol.member_disks();
-        let span = 6 * u64::from(chunk) * (members as u64 - 1);
+        let c64 = u64::from(chunk);
+        let span = 6 * c64 * (members as u64 - 1);
         // Non-zero old contents with consistent parity under them.
         write_ok(&mut sim, &vol, 0, pattern(span as usize, 91));
-        // Spans planned as full-stripe, read-modify-write, reconstruct.
-        let mut modes = [0u32; 3];
+        if let Some(m) = failed {
+            vol.fail_member(sim.now(), m);
+        }
+        let start = span_counts(&vol);
+        let is_failed = |member: usize| Some(member) == failed;
+        // Spans that wrote the failed member's data.
+        let mut over_failed_data = 0;
         let peek = |member: usize, lba: Lba, sectors: u32| -> Vec<u8> {
             (0..u64::from(sectors))
                 .flat_map(|i| disks[member].peek_sector(lba + i))
@@ -1785,7 +1722,7 @@ mod tests {
         };
         let mut rng = trail_sim::rng(seed);
         for n in 0..extents {
-            let sectors = rng.gen_range(1..=3 * u64::from(chunk) * (members as u64 - 1));
+            let sectors = rng.gen_range(1..=3 * c64 * (members as u64 - 1));
             let lba = rng.gen_range(0..=span - sectors);
             let data = pattern(sectors as usize, rng.gen());
             let mut op = write_op(lba, data.clone());
@@ -1796,8 +1733,41 @@ mod tests {
                 };
                 payload.intern(&disks[0].pool());
             }
-            let (reads, plans) = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op, chunk)
-                .expect("no member has failed");
+            let before = span_counts(&vol);
+            let (reads, plans) = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op, chunk);
+            let after = span_counts(&vol);
+            let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            let spans = layout::raid5_write_stripes(members, chunk, lba, sectors as u32);
+            assert_eq!(
+                moved.iter().sum::<u64>(),
+                spans.len() as u64,
+                "one rule a span"
+            );
+            let parityless = spans.iter().filter(|s| is_failed(s.parity_member));
+            assert_eq!(moved[3], parityless.count() as u64);
+            let full = spans
+                .iter()
+                .filter(|s| s.full && !is_failed(s.parity_member));
+            assert_eq!(moved[2], full.count() as u64);
+            for s in spans
+                .iter()
+                .filter(|s| s.full || is_failed(s.parity_member))
+            {
+                let row = s.stripe * c64..(s.stripe + 1) * c64;
+                assert!(
+                    reads.iter().all(|(_, r)| !row.contains(&r.lba)),
+                    "stripe {} is written without reads",
+                    s.stripe
+                );
+            }
+            over_failed_data += spans
+                .iter()
+                .filter(|s| s.segs.iter().any(|g| is_failed(g.member)))
+                .count();
+            assert!(
+                reads.iter().all(|(m, _)| !is_failed(*m)),
+                "read of a failed member"
+            );
             let results: Vec<IoDone> = reads
                 .iter()
                 .map(|(member, req)| IoDone {
@@ -1811,17 +1781,21 @@ mod tests {
                 })
                 .collect();
             let writes = raid5_phase2_writes(&vol.inner.borrow(), &mut op, &plans, &results, chunk);
+            assert!(
+                writes.iter().all(|(m, _)| !is_failed(*m)),
+                "write to a failed member"
+            );
             let Payload::Write(parent) = &op.payload else {
                 unreachable!()
             };
 
             let segs = layout::raid5_map(members, chunk, lba, sectors as u32);
             let mut views = 0;
-            for seg in &segs {
+            for seg in segs.iter().filter(|s| !is_failed(s.member)) {
                 let (_, req) = writes
                     .iter()
                     .find(|(m, r)| *m == seg.member && r.lba == seg.member_lba(chunk))
-                    .expect("every segment has its sub-write");
+                    .expect("every live segment has its sub-write");
                 let a = seg.logical_off as usize * SECTOR_SIZE;
                 let b = a + seg.sectors as usize * SECTOR_SIZE;
                 assert_eq!(write_data(req).to_vec(), &data[a..b], "segment {seg:?}");
@@ -1834,9 +1808,9 @@ mod tests {
                 .collect();
             assert_eq!(views + parity_writes.len(), writes.len());
             assert_eq!(
-                parity_writes.len(),
-                plans.len(),
-                "one parity block per stripe"
+                parity_writes.len() as u64,
+                spans.len() as u64 - moved[3],
+                "one parity block per span whose parity member is alive"
             );
 
             for (member, req) in &writes {
@@ -1849,34 +1823,128 @@ mod tests {
                     disks[*member].poke_sector(req.lba + i as u64, buf);
                 }
             }
-            for plan in &plans {
-                assert!(
-                    row_is_consistent(&disks, plan.stripe, chunk),
-                    "stripe {} parity",
-                    plan.stripe
-                );
-                modes[match plan.mode {
-                    SpanMode::Full => 0,
-                    SpanMode::Rmw { .. } => 1,
-                    SpanMode::Reconstruct { .. } => 2,
-                    SpanMode::ParityLess => unreachable!("no member has failed"),
-                }] += 1;
+            if failed.is_none() {
+                for s in &spans {
+                    assert!(
+                        row_is_consistent(&disks, s.stripe, chunk),
+                        "stripe {} parity",
+                        s.stripe
+                    );
+                }
             }
             assert_eq!(read_back(&mut sim, &vol, lba, sectors as u32), data);
         }
-        modes
+        let end = span_counts(&vol);
+        if failed.is_some() {
+            assert!(end[3] > start[3], "some span's parity member had failed");
+            assert!(
+                over_failed_data > 0,
+                "some span wrote the failed member's data"
+            );
+        }
+        std::array::from_fn(|i| end[i] - start[i])
     }
 
     #[test]
     fn raid5_sub_writes_are_views_of_the_parent_with_its_bytes() {
         // Up to four members every partial span is reconstruct-write;
         // from five, single-chunk spans are read-modify-write.
-        let [full, rmw, rcw] = check_raid5_sub_writes(4, 4, 120, 7);
+        let [rmw, rcw, full, _] = check_raid5_sub_writes(4, 4, 120, 7, None);
         assert!(full > 0 && rcw > 0 && rmw == 0, "{full} {rmw} {rcw}");
-        let [full, rmw, rcw] = check_raid5_sub_writes(3, 8, 60, 11);
+        let [rmw, rcw, full, _] = check_raid5_sub_writes(3, 8, 60, 11, None);
         assert!(full > 0 && rcw > 0 && rmw == 0, "{full} {rmw} {rcw}");
-        let [full, rmw, rcw] = check_raid5_sub_writes(5, 4, 120, 13);
+        let [rmw, rcw, full, _] = check_raid5_sub_writes(5, 4, 120, 13, None);
         assert!(full > 0 && rcw > 0 && rmw > 0, "{full} {rmw} {rcw}");
+    }
+
+    #[test]
+    fn raid5_degraded_sub_writes_keep_every_extent_readable() {
+        // Parity rotates, so one failed member is the parity member of
+        // some spans (written without parity) and a data member of others
+        // (rebuilt by reconstruct-write); the check asserts both occur.
+        for members in 3..=6 {
+            for failed in [0, members - 1] {
+                let seed = 100 * members as u64 + failed as u64;
+                let [_, rcw, full, parityless] =
+                    check_raid5_sub_writes(members, 4, 40, seed, Some(failed));
+                assert!(
+                    full > 0 && rcw > 0 && parityless > 0,
+                    "{members} members, {failed} failed: {full} {rcw} {parityless}"
+                );
+            }
+        }
+    }
+
+    /// Submits `req` and returns a slot its outcome lands in.
+    fn submit_watched(
+        sim: &mut Simulator,
+        vol: &RaidVolume,
+        req: IoRequest,
+    ) -> Rc<RefCell<Option<Result<(), IoError>>>> {
+        let slot = Rc::new(RefCell::new(None));
+        let into = Rc::clone(&slot);
+        let done = sim.completion(move |_, d: Delivered<IoDone>| {
+            *into.borrow_mut() = Some(d.map(|_| ()));
+        });
+        vol.submit(sim, req, done).expect("request accepted");
+        slot
+    }
+
+    #[test]
+    fn a_parity_member_failing_after_the_reads_replans_the_write_once() {
+        // 3 members, stripe 0: chunk 0 on member 0, chunk 1 on member 1,
+        // parity on member 2. A one-sector write to chunk 0 is a
+        // reconstruct-write that reads chunk 1 first.
+        let mut sim = Simulator::new();
+        let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
+        write_ok(&mut sim, &vol, 0, pattern(8, 3));
+        let data = pattern(1, 9);
+        let got = submit_watched(&mut sim, &vol, IoRequest::write(1, data.clone()));
+        sim.run_for(SimDuration::from_micros(10));
+        assert_eq!(span_counts(&vol), [0, 1, 1, 0], "planned reconstruct-write");
+        assert_eq!(
+            vol.with_stats(|s| s.members[1].read_latency.count()),
+            0,
+            "its read of chunk 1 is in flight"
+        );
+        // The plan writes parity to member 2; the write to the failed
+        // member fails and the write replans without parity.
+        vol.fail_member(sim.now(), 2);
+        sim.run();
+        assert_eq!(*got.borrow(), Some(Ok(())));
+        assert_eq!(vol.with_stats(|s| s.retried_ops), 1);
+        assert_eq!(span_counts(&vol), [0, 1, 1, 1]);
+        let mut whole = pattern(8, 3);
+        whole[SECTOR_SIZE..2 * SECTOR_SIZE].copy_from_slice(&data);
+        assert_eq!(read_back(&mut sim, &vol, 0, 8), whole);
+    }
+
+    #[test]
+    fn a_write_queued_behind_the_stripe_gate_is_planned_against_the_members_left() {
+        let mut sim = Simulator::new();
+        let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
+        vol.fail_member(sim.now(), 0);
+        // Both writes touch stripe 0: the second waits for the first's
+        // key. One failed member leaves both serviceable at submission.
+        let first = submit_watched(&mut sim, &vol, IoRequest::write(1, pattern(1, 1)));
+        let second = submit_watched(&mut sim, &vol, IoRequest::write(2, pattern(1, 2)));
+        sim.run_for(SimDuration::from_micros(10));
+        assert_eq!(vol.with_stats(|s| s.logical_writes), 2);
+        assert_eq!(
+            span_counts(&vol).iter().sum::<u64>(),
+            1,
+            "only the first is planned"
+        );
+        vol.fail_member(sim.now(), 2);
+        sim.run();
+        assert_eq!(*first.borrow(), Some(Err(IoError::MediaFailed)));
+        assert_eq!(*second.borrow(), Some(Err(IoError::MediaFailed)));
+        assert_eq!(
+            span_counts(&vol).iter().sum::<u64>(),
+            1,
+            "the second is never planned"
+        );
+        assert_eq!(vol.pending(), 0);
     }
 
     #[test]
