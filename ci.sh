@@ -581,6 +581,27 @@ parity_rules="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
   exit 1
 }
 
+echo "== one-scheduler gate =="
+# The block queue has one elevator: every StandardDriver indexes its queue
+# with C-LOOK (crates/blockio/src/sched.rs), and a caller names only the
+# read priority (StandardDriver::with_priority). Non-test code (read up to
+# its first #[cfg(test)], comment lines skipped) must not bring back a
+# scheduler trait object or a FIFO policy, nor name Clook outside
+# crates/blockio/src.
+schedulers="$(find src crates/*/src -name '*.rs' | LC_ALL=C sort | while read -r file; do
+    case "$file" in crates/blockio/src/*) own=1 ;; *) own=0 ;; esac
+    awk -v own="$own" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /trait Scheduler|dyn Scheduler|struct Fifo/ \
+           || (!own && /(^|[^A-Za-z0-9_])Clook([^A-Za-z0-9_]|$)/) {
+           printf "%s:%d: %s\n", FILENAME, FNR, $0 }' "$file"
+  done)"
+if [ -n "$schedulers" ]; then
+  echo "$schedulers" >&2
+  echo "found a second queue policy or a caller choosing the elevator; C-LOOK is StandardDriver's own, pick a Priority" >&2
+  exit 1
+fi
+
 echo "== trace_tool smoke (generate -> replay, codec round-trip) =="
 trace_tool() {
   cargo run --release --offline -p trail-bench --bin trace_tool -- "$@"

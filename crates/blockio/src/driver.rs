@@ -1,11 +1,10 @@
 //! The standard disk-subsystem driver — the paper's baseline.
 //!
 //! [`StandardDriver`] models the conventional kernel block layer the paper
-//! compares Trail against: requests queue in the driver, a scheduling
-//! policy (C-LOOK by default) picks the next one whenever the disk goes
-//! idle, and a synchronous write is durable exactly when its completion
-//! callback fires — after paying full seek + rotational latency at the
-//! *target* address. It is also the building block Trail itself uses for
+//! compares Trail against: requests queue in the driver, a C-LOOK elevator
+//! picks the next one whenever the disk goes idle, and a synchronous write
+//! is durable exactly when its completion callback fires — after paying
+//! full seek + rotational latency at the *target* address. It is also the building block Trail itself uses for
 //! its data disks (with [`Priority::ReadsFirst`]).
 //!
 //! # Merging adjacent writes
@@ -38,7 +37,7 @@ use trail_sim::{Completion, Delivered, IoError, SimTime, Simulator};
 use trail_telemetry::{Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown};
 
 use crate::request::{IoDone, IoKind, IoRequest, RequestId};
-use crate::sched::{Clook, Priority, QueuedIo, Scheduler};
+use crate::sched::{Clook, Priority, QueuedIo};
 
 /// The longest disk command a merge may build, in sectors. A write that
 /// is longer on its own is sent alone.
@@ -94,7 +93,7 @@ struct Inner {
     // The disk's geometry, copied once: `Disk::geometry` clones three
     // zone tables, which is not for the submit path.
     geometry: DiskGeometry,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: Clook,
     priority: Priority,
     // Queued requests keyed by address, `(first sector, arrival seq)`;
     // the scheduler indexes the same keys, so a dispatch is one O(log n)
@@ -139,20 +138,19 @@ pub struct StandardDriver {
 }
 
 impl StandardDriver {
-    /// Creates a driver with the default C-LOOK scheduler and no read
-    /// priority.
+    /// Creates a driver with no read priority.
     pub fn new(disk: Disk) -> Self {
-        Self::with_policy(disk, Box::new(Clook::default()), Priority::None)
+        Self::with_priority(disk, Priority::None)
     }
 
-    /// Creates a driver with an explicit scheduler and priority policy.
-    pub fn with_policy(disk: Disk, scheduler: Box<dyn Scheduler>, priority: Priority) -> Self {
+    /// Creates a driver whose elevator applies `priority`.
+    pub fn with_priority(disk: Disk, priority: Priority) -> Self {
         let lifecycle = LifecycleEmitter::new(Layer::BlockIo, disk.name());
         StandardDriver {
             inner: Rc::new(RefCell::new(Inner {
                 geometry: disk.geometry(),
                 disk,
-                scheduler,
+                scheduler: Clook::default(),
                 priority,
                 queue: BTreeMap::new(),
                 max_sectors: 0,
@@ -267,7 +265,7 @@ impl StandardDriver {
     }
 
     /// If the disk is idle and requests are queued, dispatches the next one
-    /// according to the priority policy and scheduler — a write together
+    /// according to the priority policy and the elevator — a write together
     /// with the queued writes that continue it (see the module docs).
     fn dispatch(&self, sim: &mut Simulator) {
         let (disk, cmd, head, merged) = {
@@ -556,8 +554,7 @@ mod tests {
     #[test]
     fn reads_first_priority_overtakes_writes() {
         let disk = Disk::new("t", profiles::tiny_test_disk());
-        let drv =
-            StandardDriver::with_policy(disk, Box::new(Clook::default()), Priority::ReadsFirst);
+        let drv = StandardDriver::with_priority(disk, Priority::ReadsFirst);
         let mut sim = Simulator::new();
         let order = StdRc::new(StdRefCell::new(Vec::new()));
         // First write occupies the disk; then queue 2 writes and 1 read.
@@ -887,22 +884,28 @@ mod tests {
 
     #[test]
     fn clook_reduces_total_seek_versus_fifo() {
-        // Same interleaved workload under FIFO and C-LOOK; the elevator
-        // must finish sooner in total.
-        let run = |sched: Box<dyn Scheduler>| -> f64 {
+        // The same interleaved reads, queued at once for C-LOOK, and in
+        // arrival order (FIFO) when each goes in only after the one before
+        // completes: the elevator must seek less in total.
+        let run = |queued: bool| -> f64 {
             let disk = Disk::new("t", profiles::tiny_test_disk());
-            let drv = StandardDriver::with_policy(disk.clone(), sched, Priority::None);
+            let drv = StandardDriver::new(disk.clone());
             let mut sim = Simulator::new();
             let lbas = [0u64, 4000, 100, 4100, 200, 4200, 300, 4300];
             for &lba in &lbas {
-                let c = sim.completion(|_, _| {});
-                drv.submit(&mut sim, IoRequest::read(lba, 1), c).unwrap();
+                if queued {
+                    let c = sim.completion(|_, _| {});
+                    drv.submit(&mut sim, IoRequest::read(lba, 1), c).unwrap();
+                } else {
+                    let done = sim.block_on(|sim, c| drv.submit(sim, IoRequest::read(lba, 1), c));
+                    done.unwrap().expect("delivered");
+                }
             }
             sim.run();
             disk.with_stats(|s| s.total_seek.as_millis_f64())
         };
-        let fifo = run(Box::<crate::sched::Fifo>::default());
-        let clook = run(Box::<Clook>::default());
+        let fifo = run(false);
+        let clook = run(true);
         assert!(
             clook < fifo,
             "C-LOOK total seek {clook} ms should beat FIFO {fifo} ms"

@@ -1,13 +1,13 @@
-//! # trail-blockio: request queues, schedulers, and the baseline driver
+//! # trail-blockio: request queues, the C-LOOK elevator, and the baseline driver
 //!
 //! The kernel block layer of the Trail reproduction (Chiueh & Huang,
 //! *Track-Based Disk Logging*, DSN 2002). The paper evaluates Trail against
 //! "Linux's disk subsystem": a queueing driver that services synchronous
 //! writes in place, paying full seek and rotational latency. This crate
-//! provides that baseline ([`StandardDriver`]) plus the scheduling policies
-//! both systems share:
+//! provides that baseline ([`StandardDriver`]) plus the queue policy both
+//! systems share:
 //!
-//! - [`Fifo`] and [`Clook`] queue schedulers;
+//! - the [`Clook`] elevator every driver queues with;
 //! - [`Priority::ReadsFirst`], the read-over-write-back policy Trail uses
 //!   on its data disks (paper §4.3);
 //! - the request/completion vocabulary ([`IoRequest`], [`IoDone`]) used by
@@ -44,6 +44,6 @@ mod tap;
 pub use device::{BlockDevice, SharedBlockDevice};
 pub use driver::{DriverStats, StandardDriver};
 pub use request::{IoDone, IoKind, IoRequest, RequestId};
-pub use sched::{apply_priority, Clook, Fifo, Priority, QueuedIo, Scheduler};
+pub use sched::{Clook, Priority, QueuedIo};
 pub use tap::{SubmitTap, TapHandle};
 pub use trail_telemetry::StreamId;

@@ -1,14 +1,14 @@
 //! The write merge, held against a reference that sends one request per
 //! disk command: random batches of adjacent writes, overlapping writes with
 //! different starts and reads, queued at once behind a busy disk, under
-//! both schedulers and both priorities. The merging driver must leave the
-//! same bytes on the medium, hand every read the same bytes, and deliver
-//! every completion exactly once.
+//! both priorities. The merging driver must leave the same bytes on the
+//! medium, hand every read the same bytes, and deliver every completion
+//! exactly once.
 //!
 //! The reference is this file's own queue over a bare [`Disk`], driven by
-//! the crate's schedulers. No request crosses a cylinder boundary, so two
-//! requests that overlap sit in one cylinder, where both schedulers (and
-//! so both drivers) serve them in arrival order within a priority class
+//! the crate's C-LOOK elevator. No request crosses a cylinder boundary, so
+//! two requests that overlap sit in one cylinder, where the elevator (and
+//! so both drivers) serves them in arrival order within a priority class
 //! however the arm moved before: a merged command ends the arm somewhere
 //! else, and only a merge that overtook an overlapping request could
 //! change a result.
@@ -17,9 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use trail_blockio::{
-    Clook, Fifo, IoDone, IoRequest, Priority, QueuedIo, Scheduler, StandardDriver,
-};
+use trail_blockio::{Clook, IoDone, IoRequest, Priority, QueuedIo, StandardDriver};
 use trail_disk::{profiles, Disk, DiskCommand, DiskGeometry, SECTOR_SIZE};
 use trail_sim::{Delivered, Simulator};
 
@@ -83,10 +81,10 @@ fn window(disk: &Disk) -> Vec<u8> {
 
 /// The batch through the merging driver: all submitted at once, the
 /// first going straight to the disk.
-fn merged(reqs: &[Req], scheduler: Box<dyn Scheduler>, priority: Priority) -> (Run, u64) {
+fn merged(reqs: &[Req], priority: Priority) -> (Run, u64) {
     let mut sim = Simulator::new();
     let disk = Disk::new("merge", profiles::tiny_test_disk());
-    let drv = StandardDriver::with_policy(disk.clone(), scheduler, priority);
+    let drv = StandardDriver::with_priority(disk.clone(), priority);
     let reads = Rc::new(RefCell::new(vec![None; reqs.len()]));
     let delivered = Rc::new(RefCell::new(vec![0u32; reqs.len()]));
     for (i, r) in reqs.iter().enumerate() {
@@ -112,9 +110,10 @@ fn merged(reqs: &[Req], scheduler: Box<dyn Scheduler>, priority: Priority) -> (R
     (run, commands)
 }
 
-/// The batch through the reference: the scheduler picks each next request
+/// The batch through the reference: the elevator picks each next request
 /// exactly as the driver's would, and each goes to the disk alone.
-fn reference(reqs: &[Req], mut scheduler: Box<dyn Scheduler>, priority: Priority) -> Run {
+fn reference(reqs: &[Req], priority: Priority) -> Run {
+    let mut scheduler = Clook::default();
     let mut sim = Simulator::new();
     let disk = Disk::new("reference", profiles::tiny_test_disk());
     let g = disk.geometry();
@@ -171,17 +170,13 @@ proptest! {
     #[test]
     fn merging_returns_what_one_request_per_command_returns(draws in arb_draws()) {
         let reqs = batch(&draws);
-        let schedulers: [fn() -> Box<dyn Scheduler>; 2] =
-            [|| Box::<Fifo>::default(), || Box::<Clook>::default()];
-        for scheduler in schedulers {
-            for priority in [Priority::None, Priority::ReadsFirst] {
-                let (got, commands) = merged(&reqs, scheduler(), priority);
-                let want = reference(&reqs, scheduler(), priority);
-                prop_assert!(got.delivered.iter().all(|&n| n == 1), "{:?}", got.delivered);
-                prop_assert!(commands <= reqs.len() as u64);
-                prop_assert!(got.reads == want.reads, "a read differs: {:?} {:?}", priority, reqs);
-                prop_assert!(got.medium == want.medium, "medium differs: {:?} {:?}", priority, reqs);
-            }
+        for priority in [Priority::None, Priority::ReadsFirst] {
+            let (got, commands) = merged(&reqs, priority);
+            let want = reference(&reqs, priority);
+            prop_assert!(got.delivered.iter().all(|&n| n == 1), "{:?}", got.delivered);
+            prop_assert!(commands <= reqs.len() as u64);
+            prop_assert!(got.reads == want.reads, "a read differs: {:?} {:?}", priority, reqs);
+            prop_assert!(got.medium == want.medium, "medium differs: {:?} {:?}", priority, reqs);
         }
     }
 }
@@ -195,7 +190,7 @@ fn random_batches_merge() {
     for _ in 0..64 {
         let reqs = batch(&arb_draws().generate(&mut rng));
         requests += reqs.len() as u64;
-        commands += merged(&reqs, Box::<Clook>::default(), Priority::None).1;
+        commands += merged(&reqs, Priority::None).1;
     }
     assert!(
         commands * 10 < requests * 9,

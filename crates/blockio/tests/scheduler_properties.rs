@@ -1,6 +1,7 @@
 //! Property tests of the block layer: under arbitrary workloads, every
 //! request completes exactly once, reads return the last write, and the
-//! elevator never loses to FIFO on total seek distance by more than noise.
+//! elevator never loses to arrival-order service on total seek distance by
+//! more than noise.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -8,8 +9,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use trail_blockio::{
-    apply_priority, Clook, Fifo, IoDone, IoKind, IoRequest, Priority, QueuedIo, Scheduler,
-    StandardDriver, StreamId,
+    Clook, IoDone, IoKind, IoRequest, Priority, QueuedIo, StandardDriver, StreamId,
 };
 use trail_disk::{profiles, Disk, DiskGeometry, HeadPosition, SECTOR_SIZE};
 use trail_sim::{SimDuration, Simulator};
@@ -38,14 +38,10 @@ fn arb_workload() -> impl Strategy<Value = Vec<GenReq>> {
     )
 }
 
-fn run_workload(
-    reqs: &[GenReq],
-    scheduler: fn() -> Box<dyn trail_blockio::Scheduler>,
-    priority: Priority,
-) -> (u64, HashMap<u64, u8>, f64) {
+fn run_workload(reqs: &[GenReq], priority: Priority) -> (u64, HashMap<u64, u8>, f64) {
     let mut sim = Simulator::new();
     let disk = Disk::new("t", profiles::tiny_test_disk());
-    let driver = StandardDriver::with_policy(disk.clone(), scheduler(), priority);
+    let driver = StandardDriver::with_priority(disk.clone(), priority);
     let completions = Rc::new(RefCell::new(0u64));
     // Model of the medium: last write to each lba, in *completion* order.
     let final_writes: Rc<RefCell<HashMap<u64, u8>>> = Rc::new(RefCell::new(HashMap::new()));
@@ -103,6 +99,29 @@ fn run_workload(
     (done, writes, total_seek)
 }
 
+/// Total seek time (ms) when the requests are served in arrival
+/// order: each goes in only after the one before it completes (queue
+/// depth 1), so the elevator never has a choice.
+fn arrival_order_seek(reqs: &[GenReq]) -> f64 {
+    let mut sim = Simulator::new();
+    let disk = Disk::new("t", profiles::tiny_test_disk());
+    let driver = StandardDriver::new(disk.clone());
+    let mut arrivals: Vec<&GenReq> = reqs.iter().collect();
+    // Stable, as the simulator breaks ties between equal instants.
+    arrivals.sort_by_key(|r| r.at_us);
+    for r in arrivals {
+        let req = if r.is_read {
+            IoRequest::read(r.lba, 1)
+        } else {
+            IoRequest::write(r.lba, vec![r.tag; SECTOR_SIZE])
+        };
+        sim.block_on(|sim, done| driver.submit(sim, req, done))
+            .expect("valid request")
+            .expect("delivered");
+    }
+    disk.with_stats(|s| s.total_seek.as_millis_f64())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -110,26 +129,23 @@ proptest! {
     /// completed writes; the medium ends at the last completed write.
     #[test]
     fn all_requests_complete_and_reads_are_fresh(reqs in arb_workload()) {
-        for (sched, prio) in [
-            (boxed_fifo as fn() -> Box<dyn trail_blockio::Scheduler>, Priority::None),
-            (boxed_clook, Priority::None),
-            (boxed_clook, Priority::ReadsFirst),
-        ] {
-            let (done, _, _) = run_workload(&reqs, sched, prio);
+        for prio in [Priority::None, Priority::ReadsFirst] {
+            let (done, _, _) = run_workload(&reqs, prio);
             prop_assert_eq!(done, reqs.len() as u64);
         }
     }
 
-    /// C-LOOK's total arm movement never exceeds FIFO's by more than a
-    /// modest factor (it exists to reduce it). The slack absorbs
-    /// adversarial arrival orders — a stream that happens to arrive
-    /// nearly sorted makes FIFO close to optimal while C-LOOK pays one
-    /// extra wrap per sweep — without letting a pathological scheduler
-    /// regression (multiples of FIFO's movement) slip through.
+    /// C-LOOK's total arm movement never exceeds arrival-order (FIFO)
+    /// service's by more than a modest factor (it exists to reduce it).
+    /// The slack absorbs adversarial arrival orders — a stream that
+    /// happens to arrive nearly sorted makes FIFO close to optimal while
+    /// C-LOOK pays one extra wrap per sweep — without letting a
+    /// pathological scheduler regression (multiples of FIFO's movement)
+    /// slip through.
     #[test]
     fn clook_does_not_explode_seek_distance(reqs in arb_workload()) {
-        let (_, _, fifo_seek) = run_workload(&reqs, boxed_fifo, Priority::None);
-        let (_, _, clook_seek) = run_workload(&reqs, boxed_clook, Priority::None);
+        let fifo_seek = arrival_order_seek(&reqs);
+        let (_, _, clook_seek) = run_workload(&reqs, Priority::None);
         prop_assert!(
             clook_seek <= fifo_seek * 1.5 + 5.0,
             "C-LOOK seek {clook_seek} ms vs FIFO {fifo_seek} ms"
@@ -151,7 +167,7 @@ proptest! {
     ) {
         let mut sim = Simulator::new();
         let disk = Disk::new("t", profiles::tiny_test_disk());
-        let driver = StandardDriver::with_policy(disk.clone(), Box::new(Clook::default()), Priority::None);
+        let driver = StandardDriver::new(disk.clone());
         let hot_done = Rc::new(RefCell::new(0usize));
         let far_done_after: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
         for i in 0..hot_count {
@@ -204,18 +220,33 @@ proptest! {
     }
 }
 
-/// The pre-index linear-scan schedulers, kept verbatim as the reference
-/// the sorted-set implementations are proved order-equivalent against.
+/// The pre-index linear-scan C-LOOK and priority filter, kept verbatim as
+/// the reference the sorted-set elevator is proved order-equivalent
+/// against.
 mod reference {
     use super::*;
 
-    pub fn fifo_pick(queue: &[QueuedIo]) -> usize {
-        queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| q.seq)
-            .map(|(i, _)| i)
-            .expect("pick on empty queue")
+    /// Applies a priority policy, returning the indices (into `queue`) of
+    /// the candidate requests, ordered by arrival.
+    pub fn apply_priority(queue: &[QueuedIo], priority: Priority) -> Vec<usize> {
+        let mut candidates: Vec<usize> = match priority {
+            Priority::None => (0..queue.len()).collect(),
+            Priority::ReadsFirst => {
+                let reads: Vec<usize> = queue
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, q)| q.is_read)
+                    .map(|(i, _)| i)
+                    .collect();
+                if reads.is_empty() {
+                    (0..queue.len()).collect()
+                } else {
+                    reads
+                }
+            }
+        };
+        candidates.sort_by_key(|&i| queue[i].seq);
+        candidates
     }
 
     pub fn clook_pick(
@@ -263,16 +294,13 @@ fn arb_sched_ops() -> impl Strategy<Value = Vec<SchedOp>> {
     )
 }
 
-/// Drives a sorted-set scheduler and its linear-scan reference through the
-/// same insert/pop interleaving (shallow depth, ≤ ~60 queued) and asserts
-/// they dispatch the exact same request every time.
-fn assert_order_equivalent(
-    ops: &[SchedOp],
-    mut indexed: Box<dyn Scheduler>,
-    mut ref_pick: impl FnMut(&[QueuedIo], HeadPosition) -> usize,
-    priority: Priority,
-) -> Result<(), TestCaseError> {
+/// Drives the sorted-set elevator and its linear-scan reference through
+/// the same insert/pop interleaving (shallow depth, ≤ ~60 queued) and
+/// asserts they dispatch the exact same request every time.
+fn assert_order_equivalent(ops: &[SchedOp], priority: Priority) -> Result<(), TestCaseError> {
     let g = profiles::tiny_test_disk().geometry;
+    let mut indexed = Clook::default();
+    let mut sweep_from = 0u32;
     let mut model: Vec<QueuedIo> = Vec::new();
     let mut next_seq = 0u64;
     for op in ops {
@@ -296,9 +324,10 @@ fn assert_order_equivalent(
                     head: 0,
                 };
                 // Reference formulation: priority filter, then scan.
-                let candidates = apply_priority(&model, priority);
+                let candidates = reference::apply_priority(&model, priority);
                 let cand_views: Vec<QueuedIo> = candidates.iter().map(|&i| model[i]).collect();
-                let expected = cand_views[ref_pick(&cand_views, head)].seq;
+                let pick = reference::clook_pick(&cand_views, &mut sweep_from, head, &g);
+                let expected = cand_views[pick].seq;
                 // Indexed formulation: filtered range queries.
                 let reads_only = priority == Priority::ReadsFirst && indexed.queued_reads() > 0;
                 let got = indexed.pop(head, reads_only).seq;
@@ -319,35 +348,24 @@ proptest! {
     #[test]
     fn indexed_clook_matches_linear_reference(ops in arb_sched_ops()) {
         for priority in [Priority::None, Priority::ReadsFirst] {
-            let g = profiles::tiny_test_disk().geometry;
-            let mut sweep_from = 0u32;
-            assert_order_equivalent(
-                &ops,
-                Box::new(Clook::default()),
-                |queue, head| reference::clook_pick(queue, &mut sweep_from, head, &g),
-                priority,
-            )?;
-        }
-    }
-
-    /// Same for FIFO.
-    #[test]
-    fn indexed_fifo_matches_linear_reference(ops in arb_sched_ops()) {
-        for priority in [Priority::None, Priority::ReadsFirst] {
-            assert_order_equivalent(
-                &ops,
-                Box::new(Fifo::default()),
-                |queue, _| reference::fifo_pick(queue),
-                priority,
-            )?;
+            assert_order_equivalent(&ops, priority)?;
         }
     }
 }
 
-fn boxed_fifo() -> Box<dyn trail_blockio::Scheduler> {
-    Box::new(Fifo::default())
-}
-
-fn boxed_clook() -> Box<dyn trail_blockio::Scheduler> {
-    Box::new(Clook::default())
+#[test]
+fn priority_restricts_to_reads_when_present() {
+    let q = |lba, is_read, seq| QueuedIo { lba, is_read, seq };
+    let queue = vec![q(1, false, 0), q(2, true, 1), q(3, true, 2)];
+    let cands = reference::apply_priority(&queue, Priority::ReadsFirst);
+    assert_eq!(cands, vec![1, 2]);
+    assert!(cands.iter().all(|&i| queue[i].is_read));
+    // With no reads queued, writes flow through.
+    let wqueue = vec![q(1, false, 0), q(2, false, 1)];
+    assert_eq!(
+        reference::apply_priority(&wqueue, Priority::ReadsFirst).len(),
+        2
+    );
+    // Priority::None keeps everything.
+    assert_eq!(reference::apply_priority(&queue, Priority::None).len(), 3);
 }

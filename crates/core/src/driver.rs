@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use trail_blockio::{Clook, IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver};
+use trail_blockio::{IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver};
 use trail_disk::{
     CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, ImagePool, Lba, PayloadBuf,
     PayloadChain, ServiceBreakdown, SECTOR_SIZE,
@@ -1349,9 +1349,8 @@ pub(crate) fn raw_targets(disks: &[Disk]) -> Vec<SharedBlockDevice> {
     disks
         .iter()
         .map(|d| {
-            Rc::new(StandardDriver::with_policy(
+            Rc::new(StandardDriver::with_priority(
                 d.clone(),
-                Box::new(Clook::default()),
                 Priority::ReadsFirst,
             )) as SharedBlockDevice
         })

@@ -195,6 +195,56 @@ fn read_miss_goes_to_data_disk() {
 }
 
 #[test]
+fn a_read_overtakes_queued_write_backs_on_a_raw_data_disk() {
+    // `TrailDriver::start` puts each raw data disk behind a queueing
+    // driver that serves reads ahead of write-backs (paper §4.3).
+    let mut sim = Simulator::new();
+    let (drv, data) = boot(
+        &mut sim,
+        profiles::tiny_test_disk(),
+        1,
+        TrailConfig::default(),
+    );
+    let writes = 24;
+    let acked = Rc::new(Cell::new(0));
+    for i in 0..writes {
+        let a = Rc::clone(&acked);
+        let done = sim.completion(move |_, d: Delivered<IoDone>| {
+            d.expect("write acknowledged");
+            a.set(a.get() + 1);
+        });
+        // Two sectors every 128: no two write-backs merge.
+        let payload = sector_data(i as u8 + 1, 2);
+        drv.write(&mut sim, 0, 1024 + i * 128, payload, done)
+            .unwrap();
+    }
+    // Each write's record is down, so each write-back is issued.
+    while acked.get() < writes {
+        assert!(sim.step(), "every write is acknowledged");
+    }
+    let disk = data[0].clone();
+    let disk_writes = move || disk.with_stats(|s| s.writes);
+    let before = disk_writes();
+    let at_read = Rc::new(Cell::new(None));
+    let (at_read2, count) = (Rc::clone(&at_read), disk_writes.clone());
+    let done = sim.completion(move |_, d: Delivered<IoDone>| {
+        d.expect("read delivered");
+        at_read2.set(Some(count()));
+    });
+    // Lba 0 sits below every queued write-back, where C-LOOK alone would
+    // reach it last.
+    drv.read(&mut sim, 0, 0, 1, done).unwrap();
+    drv.run_until_quiescent(&mut sim);
+    sim.run();
+    let overtook = at_read.get().expect("read completed") - before;
+    let queued = disk_writes() - before;
+    assert!(
+        queued > 1 && overtook <= 1,
+        "{overtook} of {queued} queued write-backs went first"
+    );
+}
+
+#[test]
 fn clustered_writes_batch_into_fewer_records() {
     let mut sim = Simulator::new();
     let (drv, _) = boot(

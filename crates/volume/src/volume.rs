@@ -298,11 +298,6 @@ impl RaidVolume {
             .collect()
     }
 
-    /// Whether any member has failed.
-    pub fn is_degraded(&self) -> bool {
-        self.inner.borrow().members.iter().any(|m| m.failed)
-    }
-
     /// Addressable capacity in sectors.
     pub fn capacity_sectors(&self) -> u64 {
         self.inner.borrow().capacity

@@ -30,7 +30,7 @@
 
 use std::rc::Rc;
 
-use trail_blockio::{Clook, Priority, SharedBlockDevice, StandardDriver};
+use trail_blockio::{Priority, SharedBlockDevice, StandardDriver};
 use trail_core::{
     format_log_disk, FormatOptions, MultiTrail, RecoveryReport, TrailConfig, TrailDriver,
     TrailError,
@@ -146,7 +146,7 @@ impl Scenario {
                 let d = (old_data.next())
                     .unwrap_or_else(|| Disk::in_pool(name, self.data_profile.clone(), &pool));
                 data_disks.push(d.clone());
-                let drv = StandardDriver::with_policy(d, Box::new(Clook::default()), priority);
+                let drv = StandardDriver::with_priority(d, priority);
                 drivers.push(drv.clone());
                 drv
             };
@@ -622,19 +622,25 @@ mod tests {
     fn reads_overtake_queued_write_backs_on_trail_fronted_volume_members() {
         use std::cell::Cell;
         use trail_sim::Delivered;
-        // `(overtook, queued)`: of the writes still queued on a volume
-        // member when a read was submitted behind them, how many completed
-        // first.
-        let overtaking_writes = |front: fn(StackBuilder) -> StackBuilder| -> (u64, u64) {
+        // `(overtook, queued)`: of the writes still queued on the first
+        // data disk (a volume's member 0) when a read was submitted behind
+        // them, how many completed first.
+        let overtaking_writes = |front: fn(StackBuilder) -> StackBuilder, raid: bool| {
             let b = StackBuilder::new()
                 .data_disks(1)
                 .data_profile(profiles::tiny_test_disk())
-                .log_profile(profiles::tiny_test_disk())
-                .volumes(VolumeLayout::Raid5 { chunk_sectors: 8 }, 3);
+                .log_profile(profiles::tiny_test_disk());
+            let b = if raid {
+                b.volumes(VolumeLayout::Raid5 { chunk_sectors: 8 }, 3)
+            } else {
+                b
+            };
             let mut built = front(b).build().expect("build");
             let sim = &mut built.sim;
-            let vol = built.volumes[0].clone();
+            let (vol, drv) = (built.volumes.first().cloned(), built.drivers[0].clone());
             let writes = 24;
+            // Spread over the device: a volume is twice a disk.
+            let stride = if raid { 256 } else { 128 };
             for i in 0..writes {
                 let done = sim.completion(|_, d: Delivered<_>| {
                     d.expect("write completes");
@@ -642,39 +648,54 @@ mod tests {
                 let data = vec![i as u8; 2 * trail_disk::SECTOR_SIZE];
                 built
                     .stack
-                    .write(sim, 0, 1024 + i * 256, data, done)
+                    .write(sim, 0, 1024 + i * stride, data, done)
                     .unwrap();
             }
-            // Wait until every write has read its stripe's other chunk and
-            // queued its data and parity writes on the members (under
-            // Trail they reach the volume as write-backs, once their log
-            // record is down).
-            let member_reads = || -> u64 {
-                vol.with_stats(|s| s.members.iter().map(|m| m.read_latency.count()).sum())
+            // Wait until every write has queued its disk writes: on a
+            // volume once it has read its stripe's other chunk, on a raw
+            // disk once it reached the driver (under Trail both happen to
+            // write-backs, once their log record is down).
+            let issued = || match &vol {
+                Some(vol) => vol.with_stats(|s| {
+                    s.members
+                        .iter()
+                        .map(|m| m.read_latency.count())
+                        .sum::<u64>()
+                }),
+                None => drv.with_stats(|s| s.submitted),
             };
-            while member_reads() < writes {
-                assert!(sim.step(), "every write reaches the volume");
+            while issued() < writes {
+                assert!(sim.step(), "every write reaches the data disk");
             }
             // The read (lba 0, on member 0) sits below every queued write,
             // where C-LOOK alone would reach it last.
-            let member0_writes = move || vol.with_stats(|s| s.members[0].write_latency.count());
-            let before = member0_writes();
+            let disk = built.data_disks[0].clone();
+            let disk_writes = move || disk.with_stats(|s| s.writes);
+            let before = disk_writes();
             let at_read = Rc::new(Cell::new(0));
-            let (at_read2, count) = (Rc::clone(&at_read), member0_writes.clone());
+            let (at_read2, count) = (Rc::clone(&at_read), disk_writes.clone());
             let done = sim.completion(move |_, d: Delivered<_>| {
                 d.expect("read completes");
                 at_read2.set(count());
             });
             built.stack.read(sim, 0, 0, 2, done).unwrap();
             sim.run();
-            (at_read.get() - before, member0_writes() - before)
+            (at_read.get() - before, disk_writes() - before)
         };
         // Under Trail only the write already under the head finishes
         // first; the standard stack's read waits out the whole sweep.
-        let (overtook, queued) = overtaking_writes(StackBuilder::trail_default);
-        assert!(queued > 1 && overtook <= 1, "{overtook} of {queued}");
-        let (overtook, queued) = overtaking_writes(StackBuilder::standard);
-        assert!(queued > 1 && overtook == queued, "{overtook} of {queued}");
+        for raid in [true, false] {
+            let (overtook, queued) = overtaking_writes(StackBuilder::trail_default, raid);
+            assert!(
+                queued > 1 && overtook <= 1,
+                "raid {raid}: {overtook} of {queued}"
+            );
+            let (overtook, queued) = overtaking_writes(StackBuilder::standard, raid);
+            assert!(
+                queued > 1 && overtook == queued,
+                "raid {raid}: {overtook} of {queued}"
+            );
+        }
     }
 
     #[test]
