@@ -493,8 +493,14 @@ replay_options="$(awk '/^pub struct ReplayOptions \{/ { on = 1 } on { print } on
   crates/trace/src/replay.rs)"
 [ -n "$replay_options" ] \
   || { echo "one-home-per-fact gate cannot find struct ReplayOptions" >&2; exit 1; }
-if grep -nE 'data_disks|sample_every' <<<"$replay_options"; then
-  echo "ReplayOptions grew back a knob no caller sets (data_disks / sample_every)" >&2
+if grep -nE 'data_disks|sample_every|max_in_flight' <<<"$replay_options"; then
+  echo "ReplayOptions grew back a knob no caller sets (data_disks / sample_every / max_in_flight)" >&2
+  exit 1
+fi
+# Replay has one arrival path: records go from Source straight to submit,
+# with no admission queue and no cursor trait between them.
+if grep -rnE --include='*.rs' 'trait RecordCursor|struct ShardCursor|fn drain_deferred' crates; then
+  echo "found a retired replay admission queue or record cursor" >&2
   exit 1
 fi
 # No public function without a caller: every `pub fn` name in the library

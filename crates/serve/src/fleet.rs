@@ -30,7 +30,9 @@ use std::rc::Rc;
 use trail_disk::SECTOR_SIZE;
 use trail_sim::{Delivered, DurationHistogram, SimDuration, SimTime, Simulator};
 use trail_telemetry::{histogram_json, JsonValue, StreamId, StreamMetrics};
-use trail_trace::{generate, ArrivalModel, SpatialModel, SyntheticSpec, TraceOp, TraceRecord};
+use trail_trace::{
+    generate, scale_ns, ArrivalModel, SpatialModel, SyntheticSpec, TraceOp, TraceRecord,
+};
 
 use crate::server::{Server, ServerStats, SessionHandle};
 use crate::wire::{Request, Response, Status};
@@ -302,14 +304,6 @@ impl FleetState {
                 false
             }
         }
-    }
-}
-
-fn scale_ns(ns: u64, overload: f64) -> u64 {
-    if overload == 1.0 {
-        ns
-    } else {
-        (ns as f64 / overload) as u64
     }
 }
 

@@ -59,6 +59,8 @@ pub use gen::{
 pub use import::{
     import_blkparse, import_blkparse_into, scan_blkparse, BlkparseScan, ImportError, ImportOptions,
 };
-pub use replay::{replay, replay_stream, ReplayError, ReplayOptions, ReplayReport, TargetKind};
+pub use replay::{
+    replay, replay_stream, scale_ns, ReplayError, ReplayOptions, ReplayReport, TargetKind,
+};
 pub use shard::{replay_stream_sharded, ShardPlan};
 pub use trail_telemetry::StreamId;

@@ -1,10 +1,10 @@
 //! Open-loop trace replay against any storage stack.
 //!
-//! The replay engine feeds the simulator from a **record cursor** — an
-//! in-memory trace or any [`RecordSource`], such as a binary
-//! [`TraceReader`](crate::TraceReader) decoding one chunk at a time or a
-//! [`JsonlReader`](crate::JsonlReader) parsing one line at a time — and
-//! lets completions land whenever the stack delivers them:
+//! The replay engine feeds the simulator from one stream of records in
+//! file order — an in-memory trace or any [`RecordSource`], such as a
+//! binary [`TraceReader`](crate::TraceReader) decoding one chunk at a
+//! time or a [`JsonlReader`](crate::JsonlReader) parsing one line at a
+//! time — and lets completions land whenever the stack delivers them:
 //! **open loop**, so a slow stack does not slow the arrival process
 //! down, it just builds queue depth. That is the property that makes
 //! replay an apples-to-apples comparison: the same offered load hits a
@@ -58,7 +58,6 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
@@ -66,7 +65,7 @@ use trail::{BuiltStack, StackBuilder};
 use trail_blockio::TapHandle;
 use trail_core::TrailError;
 use trail_db::BlockStack;
-use trail_disk::{Disk, ImagePool, Lba, MediumStats, SECTOR_SIZE};
+use trail_disk::{Disk, ImagePool, MediumStats, SECTOR_SIZE};
 use trail_fs::{FileHandle, FileSystem, FsError, FS_BLOCK_SIZE};
 use trail_sim::{
     Completion, Delivered, DurationHistogram, FaultPlan, SimDuration, SimTime, Simulator,
@@ -109,12 +108,6 @@ pub struct ReplayOptions {
     /// the target does not have are tolerated (armed but unhandled), so
     /// one plan can drive a sweep over heterogeneous targets.
     pub faults: FaultPlan,
-    /// Upper bound on concurrently in-flight requests. Arrivals beyond
-    /// the bound wait in an admission queue and are submitted as
-    /// completions free slots — latency is then measured from
-    /// submission, not arrival. `None` (the default) leaves the replay
-    /// fully open-loop; `Some(0)` is raised to 1.
-    pub max_in_flight: Option<u32>,
 }
 
 impl Default for ReplayOptions {
@@ -127,7 +120,6 @@ impl Default for ReplayOptions {
             recorder: None,
             tap: None,
             faults: FaultPlan::new(),
-            max_in_flight: None,
         }
     }
 }
@@ -313,67 +305,19 @@ impl ReplayReport {
     }
 }
 
-/// One record at a time, in file order, tagged with its **global**
-/// file-order index — the engine's only view of the trace, whether it
-/// lives in memory or on disk. The index rides with the record (rather
-/// than being counted off by the consumer) so a filtering cursor — a
-/// shard seeing every Nth stream — still reports positions in the whole
-/// trace, keeping per-record artifacts like the latency fingerprint
-/// identical however the trace is partitioned.
-pub(crate) trait RecordCursor {
-    fn next_record(&mut self) -> Option<Result<(u64, TraceRecord), TraceError>>;
-}
+/// The records a replay feeds its engine, in file order.
+pub(crate) type Records = Box<dyn Iterator<Item = Result<TraceRecord, TraceError>>>;
 
-/// Records numbered in file order — an in-memory trace's, or a
-/// [`RecordSource`]'s through [`numbered`] — are a cursor.
-impl<I: Iterator<Item = Result<TraceRecord, TraceError>>> RecordCursor for std::iter::Enumerate<I> {
-    fn next_record(&mut self) -> Option<Result<(u64, TraceRecord), TraceError>> {
-        let (idx, r) = self.next()?;
-        Some(r.map(|rec| (idx as u64, rec)))
-    }
-}
-
-/// `source`'s records as a cursor, numbered in file order.
-pub(crate) fn numbered(mut source: impl RecordSource) -> impl RecordCursor {
-    std::iter::from_fn(move || source.next_record()).enumerate()
-}
-
-/// A cursor that yields only the records of one shard (`stream mod
-/// shards == shard`), preserving their global indices. Skipped records
-/// are still decoded — every shard reads and CRC-checks the whole file
-/// — but never enter the engine.
-pub(crate) struct ShardCursor<C> {
-    inner: C,
-    shard: u32,
-    shards: u32,
-}
-
-impl<C> ShardCursor<C> {
-    pub(crate) fn new(inner: C, shard: u32, shards: u32) -> ShardCursor<C> {
-        debug_assert!(shard < shards);
-        ShardCursor {
-            inner,
-            shard,
-            shards,
-        }
-    }
-}
-
-impl<C: RecordCursor> RecordCursor for ShardCursor<C> {
-    fn next_record(&mut self) -> Option<Result<(u64, TraceRecord), TraceError>> {
-        loop {
-            match self.inner.next_record()? {
-                Ok((_, r)) if r.stream.0 % self.shards != self.shard => continue,
-                item => return Some(item),
-            }
-        }
-    }
-}
-
-/// The arrival frontier: the cursor plus at most **one** decoded record
+/// The arrival frontier: the records plus at most **one** decoded record
 /// waiting for its (time-scaled) arrival instant.
 struct Source {
-    cursor: Box<dyn RecordCursor>,
+    records: Records,
+    /// `(shard, shards)`: only records with `stream mod shards == shard`
+    /// enter the engine. Skipped records are still decoded — every shard
+    /// reads and CRC-checks the whole file.
+    shard: Option<(u32, u32)>,
+    /// Global file-order index of the next record off `records`.
+    next_idx: u64,
     pending: Option<(SimTime, u64, TraceRecord)>,
     done: bool,
     failure: Option<ReplayError>,
@@ -382,32 +326,33 @@ struct Source {
 }
 
 impl Source {
-    fn new(cursor: Box<dyn RecordCursor>, speed: f64, start: SimTime) -> Source {
-        Source {
-            cursor,
-            pending: None,
-            done: false,
-            failure: None,
-            speed,
-            start,
-        }
-    }
-
-    /// Pulls the next record off the cursor if nothing is pending.
+    /// Pulls records until one of this engine's is pending or the input
+    /// ends.
     fn fill(&mut self) {
-        if self.pending.is_some() || self.done {
-            return;
-        }
-        match self.cursor.next_record() {
-            None => self.done = true,
-            Some(Err(e)) => {
-                self.failure = Some(ReplayError::Trace(e));
-                self.done = true;
-            }
-            Some(Ok((idx, r))) => {
-                let at =
-                    self.start + SimDuration::from_nanos(scale_ns(r.at.as_nanos(), self.speed));
-                self.pending = Some((at, idx, r));
+        while self.pending.is_none() && !self.done {
+            match self.records.next() {
+                None => self.done = true,
+                Some(Err(e)) => {
+                    self.failure = Some(ReplayError::Trace(e));
+                    self.done = true;
+                }
+                Some(Ok(r)) => {
+                    // Counted before the shard filter, so an index is a
+                    // position in the whole trace and the latency
+                    // fingerprint is the same however the trace is
+                    // partitioned.
+                    let idx = self.next_idx;
+                    self.next_idx += 1;
+                    if self
+                        .shard
+                        .is_some_and(|(shard, shards)| r.stream.0 % shards != shard)
+                    {
+                        continue;
+                    }
+                    let at =
+                        self.start + SimDuration::from_nanos(scale_ns(r.at.as_nanos(), self.speed));
+                    self.pending = Some((at, idx, r));
+                }
             }
         }
     }
@@ -418,8 +363,8 @@ impl Source {
         self.pending.as_ref().map(|(at, _, _)| *at)
     }
 
-    /// Drains every record whose scaled arrival is `<= now`, with the
-    /// cursor-reported global file-order indices.
+    /// Drains every record whose scaled arrival is `<= now`, with their
+    /// global file-order indices.
     fn take_due(&mut self, now: SimTime) -> Vec<(u64, TraceRecord)> {
         let mut batch = Vec::new();
         loop {
@@ -435,7 +380,7 @@ impl Source {
         batch
     }
 
-    /// All input consumed (no cursor left, nothing pending).
+    /// All input consumed (no records left, nothing pending).
     fn exhausted(&self) -> bool {
         self.done && self.pending.is_none()
     }
@@ -501,33 +446,6 @@ impl DepthSamples {
     }
 }
 
-/// One accepted arrival: what [`submit`] needs, and what waits in the
-/// admission queue while the [`ReplayOptions::max_in_flight`] bound is
-/// reached.
-#[derive(Clone, Copy)]
-struct Arrival {
-    idx: u64,
-    dev: usize,
-    lba: Lba,
-    sectors: u32,
-    is_read: bool,
-    stream: StreamId,
-}
-
-impl Arrival {
-    /// Record `r`, at global file-order index `idx`.
-    fn new(idx: u64, r: &TraceRecord) -> Arrival {
-        Arrival {
-            idx,
-            dev: usize::from(r.dev),
-            lba: r.lba,
-            sectors: r.sectors,
-            is_read: r.op.is_read(),
-            stream: r.stream,
-        }
-    }
-}
-
 /// Shared mutable replay accounting. Each completion is recorded once, in
 /// its stream's lane; the report sums the lanes.
 struct State {
@@ -535,11 +453,6 @@ struct State {
     completed: u64,
     inflight: u32,
     max_inflight: u32,
-    /// Admission bound; `u32::MAX` when the replay is fully open-loop.
-    bound: u32,
-    /// Arrivals admitted past the cursor but waiting for an in-flight
-    /// slot. Always empty on the open-loop path.
-    deferred: VecDeque<Arrival>,
     streams: StreamMetrics,
     fingerprint: u64,
     peak_resident: u64,
@@ -551,14 +464,12 @@ struct State {
 }
 
 impl State {
-    fn new(start: SimTime, bound: Option<u32>) -> State {
+    fn new(start: SimTime) -> State {
         State {
             issued: 0,
             completed: 0,
             inflight: 0,
             max_inflight: 0,
-            bound: bound.map_or(u32::MAX, |b| b.max(1)),
-            deferred: VecDeque::new(),
             streams: StreamMetrics::new(),
             fingerprint: 0,
             peak_resident: 0,
@@ -698,47 +609,11 @@ fn issue_batch(sim: &mut Simulator, ctx: &EngineCtx, batch: Vec<(u64, TraceRecor
             src.pending = None;
             return;
         }
-        offer(sim, &ctx.issuer, Arrival::new(idx, &r));
-    }
-}
-
-/// Admission control: submits the request unless the in-flight bound is
-/// reached, in which case it joins the deferred queue and is submitted
-/// by [`drain_deferred`] as completions free slots. On the open-loop
-/// path (bound `u32::MAX`) this is exactly issue-then-submit.
-fn offer(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
-    {
-        let mut s = issuer.state.borrow_mut();
-        if s.inflight >= s.bound {
-            s.deferred.push_back(req);
-            s.peak_resident = s
-                .peak_resident
-                .max(u64::from(s.inflight) + s.deferred.len() as u64);
-            return;
-        }
-        s.issue(sim.now(), req.stream, req.is_read);
-    }
-    submit(sim, issuer, req);
-}
-
-/// Submits deferred arrivals while slots are free. Called from every
-/// completion; a no-op when the deferred queue is empty.
-fn drain_deferred(sim: &mut Simulator, issuer: &Issuer) {
-    loop {
-        let req = {
-            let mut s = issuer.state.borrow_mut();
-            if s.inflight >= s.bound {
-                return;
-            }
-            match s.deferred.pop_front() {
-                Some(r) => {
-                    s.issue(sim.now(), r.stream, r.is_read);
-                    r
-                }
-                None => return,
-            }
-        };
-        submit(sim, issuer, req);
+        ctx.issuer
+            .state
+            .borrow_mut()
+            .issue(sim.now(), r.stream, r.op.is_read());
+        submit(sim, &ctx.issuer, idx, &r);
     }
 }
 
@@ -780,7 +655,8 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport, Repla
     }
     let ndisks = usize::from(trace.max_dev().unwrap_or(0)) + 1;
     run_engine(
-        Box::new(trace.records.clone().into_iter().map(Ok).enumerate()),
+        Box::new(trace.records.clone().into_iter().map(Ok)),
+        None,
         ndisks,
         opts,
     )
@@ -807,11 +683,12 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> Result<ReplayReport, Repla
 ///
 /// As [`replay`].
 pub fn replay_stream<S: RecordSource + 'static>(
-    source: S,
+    mut source: S,
     opts: &ReplayOptions,
 ) -> Result<ReplayReport, ReplayError> {
     let ndisks = usize::from(source.meta().devices).max(1);
-    run_engine(Box::new(numbered(source)), ndisks, opts)
+    let records = std::iter::from_fn(move || source.next_record());
+    run_engine(Box::new(records), None, ndisks, opts)
 }
 
 /// The target `opts` names over `ndisks` data disks, booted with the
@@ -831,8 +708,11 @@ fn build(opts: &ReplayOptions, ndisks: usize) -> Result<BuiltStack, ReplayError>
     Ok(built)
 }
 
+/// Replays `records` — only shard `shard.0` of `shard.1` when sharded —
+/// against the target `opts` names over `ndisks` data disks.
 pub(crate) fn run_engine(
-    cursor: Box<dyn RecordCursor>,
+    records: Records,
+    shard: Option<(u32, u32)>,
     ndisks: usize,
     opts: &ReplayOptions,
 ) -> Result<ReplayReport, ReplayError> {
@@ -850,7 +730,16 @@ pub(crate) fn run_engine(
     } = built;
     let start = sim.now();
 
-    let mut source = Source::new(cursor, speed, start);
+    let mut source = Source {
+        records,
+        shard,
+        next_idx: 0,
+        pending: None,
+        done: false,
+        failure: None,
+        speed,
+        start,
+    };
     let first_at = match source.peek_at() {
         Some(at) => at,
         None => {
@@ -863,7 +752,7 @@ pub(crate) fn run_engine(
             stack,
             mounts: mounts.into(),
             spans,
-            state: Rc::new(RefCell::new(State::new(start, opts.max_in_flight))),
+            state: Rc::new(RefCell::new(State::new(start))),
         },
         ndisks,
     };
@@ -896,8 +785,11 @@ pub(crate) fn run_engine(
     Ok(report)
 }
 
-/// Time-scales a relative arrival; exactly the identity at 1×.
-fn scale_ns(ns: u64, speed: f64) -> u64 {
+/// Time-scales a relative arrival time of `ns` nanoseconds by `speed`
+/// (2.0 offers it twice as fast); exactly the identity at 1×. Callers
+/// clamp `speed` to the range they support.
+#[must_use]
+pub fn scale_ns(ns: u64, speed: f64) -> u64 {
     if speed == 1.0 {
         ns
     } else {
@@ -912,41 +804,34 @@ fn fill_byte(idx: u64) -> u8 {
 
 /// The one completion every replayed request reports through, whatever
 /// the target hands back: `ok` says whether delivery `T` is a success.
-/// Accounts the outcome, then lets a deferred arrival take the slot.
 fn accounting<T: 'static>(
     sim: &Simulator,
     issuer: &Issuer,
-    req: Arrival,
+    idx: u64,
+    r: &TraceRecord,
     ok: fn(&Delivered<T>) -> bool,
 ) -> Completion<T> {
     let issued = sim.now();
-    let issuer = issuer.clone();
+    let (stream, is_read) = (r.stream, r.op.is_read());
+    let state = Rc::clone(&issuer.state);
     sim.completion(move |sim, d: Delivered<T>| {
         let now = sim.now();
         let outcome = ok(&d).then(|| now - issued);
-        issuer
-            .state
+        state
             .borrow_mut()
-            .finish(now, req.idx, req.stream, req.is_read, outcome);
-        drain_deferred(sim, &issuer);
+            .finish(now, idx, stream, is_read, outcome);
     })
 }
 
-fn submit(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
-    let Arrival {
-        idx,
-        dev,
-        lba,
-        sectors,
-        is_read,
-        stream,
-    } = req;
+/// Submits record `r`, at global file-order index `idx`.
+fn submit(sim: &mut Simulator, issuer: &Issuer, idx: u64, r: &TraceRecord) {
+    let (dev, sectors, stream, is_read) = (usize::from(r.dev), r.sectors, r.stream, r.op.is_read());
     let span = issuer.spans[dev];
     match issuer.mounts.get(dev) {
         None => {
             let headroom = span.saturating_sub(u64::from(sectors)) + 1;
-            let lba = lba % headroom;
-            let done = accounting(sim, issuer, req, |d: &Delivered<IoDone>| d.is_ok());
+            let lba = r.lba % headroom;
+            let done = accounting(sim, issuer, idx, r, |d: &Delivered<IoDone>| d.is_ok());
             // A rejected submission drops the armed token, which cancels
             // it — the accounting counts that as an error.
             let _ = if is_read {
@@ -967,19 +852,20 @@ fn submit(sim: &mut Simulator, issuer: &Issuer, req: Arrival) {
             // block-aligned and clamped so the request always fits. The
             // file-system API carries no stream tag; per-stream lanes
             // are still tracked here at the replay layer.
-            let block = (lba / (FS_BLOCK_SIZE / SECTOR_SIZE) as u64)
+            let block = (r.lba / (FS_BLOCK_SIZE / SECTOR_SIZE) as u64)
                 % (span.saturating_sub(blocks_needed) + 1);
             let offset = block * FS_BLOCK_SIZE as u64;
             if is_read {
                 let done = accounting(
                     sim,
                     issuer,
-                    req,
+                    idx,
+                    r,
                     |d: &Delivered<Result<Vec<u8>, FsError>>| matches!(d, Ok(Ok(_))),
                 );
                 let _ = fs.read(sim, *file, offset, bytes, done);
             } else {
-                let done = accounting(sim, issuer, req, |d: &Delivered<Result<(), FsError>>| {
+                let done = accounting(sim, issuer, idx, r, |d: &Delivered<Result<(), FsError>>| {
                     matches!(d, Ok(Ok(())))
                 });
                 let data = vec![fill_byte(idx); bytes];
@@ -1167,6 +1053,44 @@ mod tests {
     }
 
     #[test]
+    fn an_under_declared_header_is_a_bad_device_error() {
+        use crate::format::{TraceMeta, TraceOp};
+        let record = |at_ns, dev, stream| TraceRecord {
+            at: SimTime::from_nanos(at_ns),
+            op: TraceOp::Write,
+            dev,
+            lba: 64,
+            sectors: 8,
+            stream: StreamId(stream),
+        };
+        let trace = Trace {
+            meta: TraceMeta {
+                devices: 1,
+                ..TraceMeta::default()
+            },
+            records: vec![
+                record(0, 0, 0),
+                record(100_000, 1, 1),
+                record(200_000, 0, 0),
+            ],
+        };
+        let bytes = crate::to_binary(&trace);
+        let open = || TraceReader::new(std::io::Cursor::new(bytes.clone()));
+        let opts = ReplayOptions::default();
+        let single = replay_stream(open().expect("header"), &opts);
+        let sharded = crate::replay_stream_sharded(open, crate::ShardPlan::new(2), &opts);
+        for result in [single, sharded] {
+            match result {
+                Err(ReplayError::BadDevice { dev: 1, ndisks: 1 }) => {}
+                other => panic!(
+                    "expected BadDevice {{ dev: 1, ndisks: 1 }}, got {:?}",
+                    other.map(|r| r.requests)
+                ),
+            }
+        }
+    }
+
+    #[test]
     fn multi_log_target_replays() {
         let t = generate(&SyntheticSpec {
             requests: 30,
@@ -1234,68 +1158,6 @@ mod tests {
         assert!(ds.stride > 1, "stride doubled under pressure");
         // Retained samples stay in time order and on the stride grid.
         assert!(ds.samples.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn max_in_flight_bounds_the_open_loop_queue() {
-        // Offer the load four times as fast: unbounded, the open loop
-        // builds real queue depth; bounded, it cannot exceed the knob.
-        let t = generate(&SyntheticSpec {
-            requests: 80,
-            read_fraction: 0.0,
-            arrivals: crate::gen::ArrivalModel::Bursty {
-                burst: 16,
-                iat_in_burst: SimDuration::from_micros(50),
-                gap: SimDuration::from_millis(10),
-            },
-            ..SyntheticSpec::default()
-        });
-        let open = replay(
-            &t,
-            &ReplayOptions {
-                speed: 4.0,
-                ..ReplayOptions::default()
-            },
-        )
-        .expect("open loop");
-        assert!(
-            open.max_queue_depth > 4,
-            "load too light to exercise the bound: depth {}",
-            open.max_queue_depth
-        );
-        let bounded = replay(
-            &t,
-            &ReplayOptions {
-                speed: 4.0,
-                max_in_flight: Some(4),
-                ..ReplayOptions::default()
-            },
-        )
-        .expect("bounded");
-        assert!(
-            bounded.max_queue_depth <= 4,
-            "bound violated: depth {}",
-            bounded.max_queue_depth
-        );
-        // Every deferred arrival was still submitted and completed.
-        assert_eq!(bounded.requests, 80);
-        assert_eq!(bounded.errors, 0);
-        assert_eq!(bounded.latency.count(), 80);
-    }
-
-    #[test]
-    fn slack_bound_is_byte_identical_to_open_loop() {
-        let t = small_trace();
-        let open = replay(&t, &ReplayOptions::default()).expect("open");
-        let slack = replay(
-            &t,
-            &ReplayOptions {
-                max_in_flight: Some(10_000),
-                ..ReplayOptions::default()
-            },
-        )
-        .expect("slack");
-        assert_eq!(open.to_json().to_json(), slack.to_json().to_json());
     }
 
     /// Every count and histogram of the report is its stream lanes

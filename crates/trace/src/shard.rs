@@ -28,8 +28,8 @@
 //!   exactly as a single engine derives them.
 //! - **Order-independent fold**: the latency fingerprint, a
 //!   wrapping sum of per-record mixes over *global* record indices —
-//!   shard cursors preserve file-order indices (see
-//!   [`crate::replay`]), so the fold commutes with partitioning.
+//!   each shard numbers every record of the file before it drops other
+//!   shards' records, so the fold commutes with partitioning.
 //! - **Maxed**: duration (last completion over all shards), plus the
 //!   concurrency witnesses `max_queue_depth` and
 //!   `peak_resident_records`, which become per-shard maxima —
@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use trail_sim::parallel_map;
 
 use crate::codec::{RecordSource, TraceError};
-use crate::replay::{numbered, run_engine, ReplayError, ReplayOptions, ReplayReport, ShardCursor};
+use crate::replay::{run_engine, ReplayError, ReplayOptions, ReplayReport};
 
 /// How to split and schedule a sharded replay.
 #[derive(Clone, Copy, Debug)]
@@ -124,13 +124,12 @@ where
         recorder: _,
         tap: _,
         faults,
-        max_in_flight,
     } = opts;
     let results = parallel_map(
         (0..shards).collect::<Vec<u32>>(),
         plan.threads.max(1),
         |shard| -> Result<Option<ReplayReport>, ReplayError> {
-            let source = open().map_err(ReplayError::Trace)?;
+            let mut source = open().map_err(ReplayError::Trace)?;
             let ndisks = usize::from(source.meta().devices).max(1);
             let opts = ReplayOptions {
                 target: *target,
@@ -139,13 +138,9 @@ where
                 recorder: None,
                 tap: None,
                 faults: faults.clone(),
-                max_in_flight: *max_in_flight,
             };
-            match run_engine(
-                Box::new(ShardCursor::new(numbered(source), shard, shards)),
-                ndisks,
-                &opts,
-            ) {
+            let records = std::iter::from_fn(move || source.next_record());
+            match run_engine(Box::new(records), Some((shard, shards)), ndisks, &opts) {
                 Ok(report) => Ok(Some(report)),
                 Err(ReplayError::EmptyTrace) => Ok(None),
                 Err(e) => Err(e),
