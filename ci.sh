@@ -334,6 +334,30 @@ if [ "$interns" != "write" ]; then
   echo "crates/core/src/driver.rs interns a payload in '${interns//$'\n'/ }', not once in fn write; intern at submit only" >&2
   exit 1
 fi
+# A sector equal to the one before it in its buffer takes that one's slot
+# unhashed, and Pool::resolve (crates/disk/src/store.rs) is the one place
+# that rule lives: the store write, the interned payload and the log copy
+# all call it. A second comparison of a sector with its predecessor, or a
+# second place that takes a reference on a slot it did not look up, is a
+# copy of the rule that can drift from the pool's state. Non-test code
+# (read up to its first #[cfg(test)], comment lines skipped) may compare
+# neighbours in fn resolve alone, and retain a slot only there, in the
+# by-reference write, the alias lookup and a read's view.
+neighbours="$(for file in crates/disk/src/*.rs; do
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       /^[[:space:]]*\/\// { next }
+       /^[[:space:]]*(pub(\([a-z]+\))? )?fn / {
+         f = $0; sub(/^[[:space:]]*(pub(\([a-z]+\))? )?fn /, "", f); sub(/[(<].*$/, "", f) }
+       /windows\(2\)|(prev|last|before|previous|predecessor)[A-Za-z0-9_]*(\.[0-9]+)?[[:space:]]*[!=]=|[!=]=[[:space:]]*[*&]?(Some\()?(prev|last|before|previous|predecessor)/ {
+         print "compare " f ": " FILENAME ":" FNR ": " $0 }
+       /\.retain\(/ { print "retain " f ": " FILENAME ":" FNR ": " $0 }' "$file"
+  done)"
+strays="$(grep -vE '^(compare resolve|retain (resolve|write_held|with_first_byte|read_run)):' <<<"$neighbours" || true)"
+if [ -z "$neighbours" ] || [ -n "$strays" ] || ! grep -q '^compare resolve:' <<<"$neighbours"; then
+  echo "${strays:-payload-path gate cannot find the neighbour compare in fn resolve}" >&2
+  echo "the equal-neighbour rule has one home, Pool::resolve in crates/disk/src/store.rs" >&2
+  exit 1
+fi
 # A read completes as a view of the medium (PayloadBuf::read: one pool
 # reference per sector), so a read that drops its data — Trail's
 # repositioning and idle-refresh reads — costs reference counts, and a
@@ -801,5 +825,20 @@ echo "== repo benchmark gate (benchmark/check.sh) =="
 # The benchmark crate is its own workspace, so nothing above compiles it:
 # this is where a public-API break in the library crates shows up.
 benchmark/check.sh
+
+echo "== paired-run script smoke (scripts/paired.sh) =="
+# scripts/paired.sh is how a host-time claim is measured: alternating
+# parent/change runs of the benchmark, every run printed, medians,
+# quartiles, wins and the verdict. It parses, and one short pair of the
+# benchmark check.sh just built, against itself, prints both runs and the
+# summary.
+bash -n scripts/paired.sh
+bench_bin=benchmark/target/release/benchmark
+paired_out="$(scripts/paired.sh "$bench_bin" "$bench_bin" crash_recover 1 1 0.2)"
+for line in '^ +1 +parent +[0-9.]+ +[0-9.]+ ' '^  parent: median ' '^  change: median ' \
+    '^  virtual-time metrics identical on every run: yes$' '^  verdict: unresolved: fewer than 10 pairs$'; do
+  grep -qE "$line" <<<"$paired_out" \
+    || { echo "$paired_out" >&2; echo "scripts/paired.sh printed no line matching '$line'" >&2; exit 1; }
+done
 
 echo "CI gate passed."

@@ -89,8 +89,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Whether `path` names a JSONL trace; asked only by [`open_records`] and
-/// [`create_records`].
+/// Whether `path` names a JSONL trace; asked only by [`open_records`],
+/// [`stored_meta`] and [`create_records`].
 fn is_jsonl(path: &str) -> bool {
     path.ends_with(".jsonl")
 }
@@ -105,15 +105,10 @@ fn open_records(path: &str) -> Result<Box<dyn RecordSource>, TraceError> {
     })
 }
 
-/// Creates the trace at `path` for writing under `meta`, in the format
-/// its name says. The `--compress`, `--raw` and `--chunk-records` flags
-/// in `args` override how a binary trace is stored; JSONL has no chunks,
-/// so they are an error for a `.jsonl` path.
-fn create_records(
-    path: &str,
-    mut meta: TraceMeta,
-    args: &Args,
-) -> Result<Box<dyn RecordSink>, String> {
+/// `meta` as a trace at `path` stores it: the `--compress`, `--raw` and
+/// `--chunk-records` flags in `args` override how a binary trace is
+/// stored; JSONL has no chunks, so they are an error for a `.jsonl` path.
+fn stored_meta(path: &str, mut meta: TraceMeta, args: &Args) -> Result<TraceMeta, String> {
     let encoding = match (args.has("--compress"), args.has("--raw")) {
         (true, true) => return Err("--compress and --raw are mutually exclusive".to_string()),
         (true, false) => Some(ChunkEncoding::Delta),
@@ -121,19 +116,24 @@ fn create_records(
         (false, false) => None,
     };
     let chunk_records = args.parsed("--chunk-records")?;
-    let jsonl = is_jsonl(path);
-    if jsonl && (encoding.is_some() || chunk_records.is_some()) {
+    if is_jsonl(path) && (encoding.is_some() || chunk_records.is_some()) {
         return Err(format!(
             "--compress, --raw and --chunk-records apply to binary traces, not {path}"
         ));
     }
     meta.encoding = encoding.unwrap_or(meta.encoding);
     meta.chunk_records = chunk_records.unwrap_or(meta.chunk_records);
+    Ok(meta)
+}
+
+/// Creates the trace at `path` for writing under `meta` (see
+/// [`stored_meta`]), in the format its name says.
+fn create_records(path: &str, meta: &TraceMeta) -> Result<Box<dyn RecordSink>, String> {
     let file = BufWriter::new(File::create(path).map_err(|e| format!("{path}: {e}"))?);
-    let sink: Box<dyn RecordSink> = if jsonl {
-        Box::new(JsonlWriter::new(file, &meta).map_err(|e| format!("{path}: {e}"))?)
+    let sink: Box<dyn RecordSink> = if is_jsonl(path) {
+        Box::new(JsonlWriter::new(file, meta).map_err(|e| format!("{path}: {e}"))?)
     } else {
-        Box::new(TraceWriter::new(file, &meta).map_err(|e| format!("{path}: {e}"))?)
+        Box::new(TraceWriter::new(file, meta).map_err(|e| format!("{path}: {e}"))?)
     };
     Ok(sink)
 }
@@ -216,7 +216,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         ..SyntheticSpec::default()
     };
     let mut source = generate_records(&spec);
-    let sink = create_records(out, source.meta().clone(), &args)?;
+    let sink = create_records(out, &stored_meta(out, source.meta().clone(), &args)?)?;
     let count = drain(records(&mut source), sink).map_err(|e| format!("{out}: {e}"))?;
     println!("generated {count} requests -> {out}");
     Ok(())
@@ -250,7 +250,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         ..TraceMeta::default()
     };
     let (trace, report) = capture_tpcc(on_trail, &rig, txns, meta);
-    let sink = create_records(out, trace.meta.clone(), &args)?;
+    let sink = create_records(out, &stored_meta(out, trace.meta.clone(), &args)?)?;
     drain(trace.records.iter().map(|r| Ok(*r)), sink).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "captured {} requests over {:.3} s ({:.0} tpmC) -> {out}",
@@ -287,7 +287,7 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
     };
     let scan = scan_blkparse(open()?, &opts).map_err(|e| e.to_string())?;
     let meta = scan.meta(&opts).map_err(|e| e.to_string())?;
-    let mut sink = create_records(out, meta, &args)?;
+    let mut sink = create_records(out, &stored_meta(out, meta, &args)?)?;
     let window = args.parsed("--reorder-window")?.unwrap_or(0);
     import_blkparse_into(open()?, &opts, &scan, window, &mut *sink).map_err(|e| e.to_string())?;
     sink.finish().map_err(|e| format!("{out}: {e}"))?;
@@ -322,7 +322,7 @@ fn inspect_records(source: &mut dyn RecordSource) -> Result<InspectStats, TraceE
         summaries: Vec::new(),
     };
     let mut builder = StreamSummaryBuilder::new();
-    let mut check = RecordCheck::default();
+    let mut check = RecordCheck::new(source.meta().devices);
     for r in records(source) {
         let r = r?;
         stats.records += 1;
@@ -392,8 +392,17 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let args = Args::parse(args, FLAGS, 2)?;
     let input = args.positional(0).ok_or("missing input file")?;
     let output = args.positional(1).ok_or("missing output file")?;
+    // A trace that breaks an invariant is refused before anything is
+    // written: one streaming pass checks it, a second converts it.
     let mut source = open_records(input).map_err(|e| format!("{input}: {e}"))?;
-    let sink = create_records(output, source.meta().clone(), &args)?;
+    let meta = stored_meta(output, source.meta().clone(), &args)?;
+    let mut check = RecordCheck::new(meta.devices);
+    for r in records(&mut *source) {
+        let r = r.map_err(|e| format!("{input}: {e}"))?;
+        check.check(&r).map_err(|why| format!("{input}: {why}"))?;
+    }
+    let mut source = open_records(input).map_err(|e| format!("{input}: {e}"))?;
+    let sink = create_records(output, &meta)?;
     let count =
         drain(records(&mut *source), sink).map_err(|e| format!("{input} -> {output}: {e}"))?;
     println!("{input} -> {output} ({count} records)");

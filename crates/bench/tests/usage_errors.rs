@@ -187,3 +187,52 @@ fn sharded_file_replay_ignores_the_thread_count() {
     let (plain, _) = replay("plain", &[]);
     assert!(!String::from_utf8(plain).expect("UTF-8").contains("shards"));
 }
+
+#[test]
+fn a_record_on_an_undeclared_device_is_refused_by_inspect_and_convert() {
+    use std::fs::File;
+    use std::io::BufReader;
+    use trail_trace::{JsonlReader, RecordSource, TraceWriter};
+
+    let dir = scratch("undeclared_device");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("UTF-8 path").to_string();
+    let (jsonl, binary) = (path("t.jsonl"), path("t.trace"));
+    // The header declares one device; record 1 is on a second.
+    std::fs::write(
+        &jsonl,
+        concat!(
+            r#"{"format":"trail-trace","version":3,"source":"synthetic","seed":"1","devices":1,"note":"","chunk_records":0,"encoding":"raw"}"#,
+            "\n",
+            r#"{"at_ns":1000,"op":"W","dev":0,"lba":8,"sectors":8,"stream":0}"#,
+            "\n",
+            r#"{"at_ns":2000,"op":"W","dev":1,"lba":8,"sectors":8,"stream":0}"#,
+            "\n",
+            r#"{"at_ns":3000,"op":"R","dev":0,"lba":8,"sectors":8,"stream":0}"#,
+            "\n",
+        ),
+    )
+    .expect("JSONL written");
+    // Its binary conversion, made by the library's codecs, which check
+    // only the encoding.
+    let file = BufReader::new(File::open(&jsonl).expect("JSONL opens"));
+    let mut source = JsonlReader::new(file).expect("JSONL header");
+    let out = File::create(&binary).expect("binary created");
+    let mut sink = TraceWriter::new(out, source.meta()).expect("binary header");
+    while let Some(record) = source.next_record() {
+        sink.write_record(&record.expect("JSONL record"))
+            .expect("binary record");
+    }
+    sink.finish().expect("binary finished");
+
+    let why = "record 1: device 1 beyond the header's 1 devices";
+    for (trace, converted) in [(&jsonl, path("c.trace")), (&binary, path("c.jsonl"))] {
+        trace_tool_usage_error(&["inspect", trace], why);
+        let _ = std::fs::remove_file(&converted);
+        trace_tool_usage_error(&["convert", trace, &converted], why);
+        assert!(
+            !Path::new(&converted).exists(),
+            "convert wrote {converted} for a trace it refused"
+        );
+    }
+}

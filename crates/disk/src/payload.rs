@@ -14,7 +14,9 @@
 //!
 //! A payload can also live in an [`ImagePool`] instead
 //! ([`intern`](PayloadBuf::intern)): one pool reference per sector, four
-//! bytes where the sector took 512, and each sector hashed once, there.
+//! bytes where the sector took 512, and each sector hashed at most once,
+//! there (one equal to the sector before it takes that one's slot
+//! unhashed).
 //! Trail interns every write when it is submitted, into the pool its log
 //! disk keeps records in, and the caller's `Vec` goes at once: the queued
 //! write, the record's log copy ([`with_first_byte`](PayloadBuf::with_first_byte),
@@ -89,11 +91,13 @@ enum Repr {
         len: usize,
     },
     /// Sectors `first..first + count` of a run in an image pool, which
-    /// other handles may share.
+    /// other handles may share. (`u32`s keep a handle eight bytes larger
+    /// than the other forms, not sixteen: a run is one write or read, far
+    /// below 2³² sectors.)
     Pooled {
-        run: Rc<PoolRun>,
-        first: usize,
-        count: usize,
+        run: PoolRun,
+        first: u32,
+        count: u32,
     },
 }
 
@@ -153,9 +157,9 @@ impl PayloadBuf {
                 len: view_len,
             },
             Repr::Pooled { run, first, .. } => Repr::Pooled {
-                run: Rc::clone(run),
-                first: first + offset / SECTOR_SIZE,
-                count: view_len / SECTOR_SIZE,
+                run: run.clone(),
+                first: first + (offset / SECTOR_SIZE) as u32,
+                count: (view_len / SECTOR_SIZE) as u32,
             },
             Repr::Owned(_) => unreachable!("promoted above"),
         };
@@ -169,7 +173,7 @@ impl PayloadBuf {
     pub fn ptr_eq(&self, other: &PayloadBuf) -> bool {
         match (&self.repr, &other.repr) {
             (Repr::Shared { bytes: a, .. }, Repr::Shared { bytes: b, .. }) => Rc::ptr_eq(a, b),
-            (Repr::Pooled { run: a, .. }, Repr::Pooled { run: b, .. }) => Rc::ptr_eq(a, b),
+            (Repr::Pooled { run: a, .. }, Repr::Pooled { run: b, .. }) => PoolRun::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -180,7 +184,7 @@ impl PayloadBuf {
         match &self.repr {
             Repr::Owned(vec) => vec.len(),
             Repr::Shared { len, .. } => *len,
-            Repr::Pooled { count, .. } => count * SECTOR_SIZE,
+            Repr::Pooled { count, .. } => *count as usize * SECTOR_SIZE,
         }
     }
 
@@ -195,7 +199,9 @@ impl PayloadBuf {
         match &self.repr {
             Repr::Owned(vec) => Form::Bytes(vec),
             Repr::Shared { bytes, start, len } => Form::Bytes(&bytes[*start..*start + *len]),
-            Repr::Pooled { run, first, count } => Form::Pooled(run, *first..first + count),
+            Repr::Pooled { run, first, count } => {
+                Form::Pooled(run, *first as usize..(first + count) as usize)
+            }
         }
     }
 
@@ -295,8 +301,8 @@ impl PayloadBuf {
     fn pooled(run: PoolRun) -> Self {
         PayloadBuf {
             repr: Repr::Pooled {
-                count: run.len(),
-                run: Rc::new(run),
+                count: u32::try_from(run.len()).expect("a run is under 2³² sectors"),
+                run,
                 first: 0,
             },
         }
@@ -305,8 +311,10 @@ impl PayloadBuf {
     /// Keeps this handle's sectors in `pool` from now on: it holds one
     /// reference per sector on the pool's images instead of the bytes,
     /// which go with the last handle still reading them. Each sector is
-    /// hashed as a store write would hash it, so one whose body the pool
-    /// holds already under another byte 0 costs a five-byte alias at most.
+    /// resolved as a store write would resolve it — one equal to the
+    /// sector before it takes that one's slot, any other is hashed — so
+    /// one whose body the pool holds already under another byte 0 costs a
+    /// five-byte alias at most.
     /// A payload already in `pool` is left as it is.
     ///
     /// # Panics

@@ -16,12 +16,21 @@
 //! of that body plus its own byte 0 — exactly the byte the log's
 //! self-describing format replaces. A write's payload can be interned
 //! into the pool as well ([`PoolRun`]), each sector holding a reference
-//! as an LBA does and hashed once, there; a store on that pool then writes
-//! it by reference, and writes its log copy — each sector under another
-//! byte 0 — as an alias of it, with no hash, compare or copy. A read
-//! takes the same form ([`SectorStore::read_run`]): a reference per
-//! sector on the slots its LBAs name, which keeps those images however
-//! the LBAs are overwritten.
+//! as an LBA does and hashed at most once, there; a store on that pool
+//! then writes it by reference, and writes its log copy — each sector
+//! under another byte 0 — as an alias of it, with no hash, compare or
+//! copy. A read takes the same form ([`SectorStore::read_run`]): a
+//! reference per sector on the slots its LBAs name, which keeps those
+//! images however the LBAs are overwritten, and a reader walks a whole
+//! image where the pool keeps it, copying only a short or alias one.
+//!
+//! Wherever a buffer's sectors are resolved to slots — a store write, an
+//! interned payload, a log copy — a sector equal to the one before it in
+//! the same buffer takes that one's slot for one compare of the two, with
+//! no hash, table probe, compare against pool memory or alias lookup
+//! (`Pool::resolve`, the one place the rule lives). A 4 KB write of one
+//! fill is hashed once, not eight times, and the pool ends exactly as it
+//! would had every sector been hashed.
 //! The layout is sized for what Trail writes — short runs scattered over
 //! the platter, each led by a unique, mostly-zero header sector: an index
 //! page is one cache line, and an image whose second half is zero occupies
@@ -444,6 +453,12 @@ fn alias_parts(bytes: &[u8; ALIAS_BYTES]) -> (u32, u8) {
     (u32::from_le_bytes(*base), byte0[0])
 }
 
+/// The last sector a buffer resolved in a pool and the entry it resolved
+/// to, kept while the pool would resolve that sector to that entry again
+/// (see [`Pool::resolve`]). A sector is known by its bytes, or for a log
+/// copy by the entry it copies and its new byte 0.
+type Last<K> = Option<(K, u32)>;
+
 /// The distinct sector images behind one or more stores, in three classes
 /// of slot. Whether an image is short follows from its bytes, so equal
 /// images written as bytes always meet in one class; an alias is a full
@@ -523,9 +538,16 @@ impl Pool {
         })
     }
 
-    /// Makes `entry` name a slot holding `data`; returns whether the LBA
-    /// it belongs to was unwritten before.
-    fn write(&mut self, entry: &mut u32, data: &SectorBuf) -> bool {
+    /// Makes `entry` name a slot holding `data`, a sector of a buffer
+    /// whose last resolved sector is `last` (see
+    /// [`resolve`](Self::resolve)); returns whether the LBA it belongs to
+    /// was unwritten before.
+    fn write<'a>(
+        &mut self,
+        entry: &mut u32,
+        data: &'a SectorBuf,
+        last: &mut Last<&'a SectorBuf>,
+    ) -> bool {
         let fresh = *entry == UNWRITTEN;
         if !fresh {
             if self.holds(*entry, Image::of(data)) {
@@ -536,7 +558,7 @@ impl Pool {
             // pool.
             self.release(*entry);
         }
-        *entry = self.intern(data);
+        *entry = self.resolve(last, data, Self::intern);
         fresh
     }
 
@@ -556,11 +578,39 @@ impl Pool {
     }
 
     /// The entry of a slot holding `data`, with one more reference on it:
-    /// what a store write of `data` would make its LBA name.
-    fn intern(&mut self, data: &SectorBuf) -> u32 {
+    /// what a store write of `data` would make its LBA name. Also says
+    /// whether `data` interned again would find that slot (see
+    /// [`resolve`](Self::resolve)).
+    fn intern(&mut self, data: &SectorBuf) -> (u32, bool) {
         let image = Image::of(data);
         self.hashed += 1;
         self.acquire(Self::key(image, (self.hash)(data)), image)
+    }
+
+    /// The entry `sector` resolves to, with one more reference on it. A
+    /// sector equal to `last`'s — the last one its buffer resolved — takes
+    /// `last`'s slot for the one compare of the two: no hash, table probe,
+    /// compare against pool memory or alias lookup. Any other is resolved
+    /// by `find`, which also says whether the pool would find the same
+    /// slot for the same sector again; `last` keeps the sector and its
+    /// slot only then. The pool would not after a hash collision, nor for
+    /// an alias no base links to, so a buffer ends the pool in exactly the
+    /// state that resolving each of its sectors on its own would.
+    fn resolve<K: Copy + PartialEq>(
+        &mut self,
+        last: &mut Last<K>,
+        sector: K,
+        find: impl FnOnce(&mut Self, K) -> (u32, bool),
+    ) -> u32 {
+        if let Some((before, entry)) = *last {
+            if before == sector {
+                self.retain(entry);
+                return entry;
+            }
+        }
+        let (entry, again) = find(self, sector);
+        *last = again.then_some((sector, entry));
+        entry
     }
 
     /// One more reference on the live slot `entry` names.
@@ -581,8 +631,10 @@ impl Pool {
     /// one (see [`share`](Self::share)), else a fresh one. Two different
     /// images with one key therefore never share a slot; the second merely
     /// stays unregistered, so a later copy of it misses the share — a
-    /// collision costs memory, never a wrong byte.
-    fn acquire(&mut self, key: Key, image: Image) -> u32 {
+    /// collision costs memory, never a wrong byte. Also says whether
+    /// `image` would find the same slot again: an unregistered one it
+    /// would not.
+    fn acquire(&mut self, key: Key, image: Image) -> (u32, bool) {
         let registered = self.by_hash.get(&key).copied();
         if let Some(shared) = registered.and_then(|entry| self.share(entry, image)) {
             return shared;
@@ -601,20 +653,21 @@ impl Pool {
         if registered.is_none() {
             self.by_hash.insert(key, entry);
         }
-        entry
+        (entry, registered.is_none())
     }
 
     /// A slot holding `image`, found through the registered `entry`, with
     /// one more reference on it: `entry`'s own slot if it holds the same
     /// bytes, or for a whole image that differs from it in byte 0 only,
     /// its alias under that byte (see
-    /// [`with_first_byte`](Self::with_first_byte)). None if `entry` holds
-    /// another image under the same key.
-    fn share(&mut self, entry: u32, image: Image) -> Option<u32> {
+    /// [`with_first_byte`](Self::with_first_byte)), and whether it would be
+    /// found again. None if `entry` holds another image under the same
+    /// key.
+    fn share(&mut self, entry: u32, image: Image) -> Option<(u32, bool)> {
         match (slot_of(entry), image) {
             ((SHORT, slot), Image::Short(bytes)) if self.short.image(slot) == bytes => {
                 self.short.refs[slot] += 1;
-                Some(entry)
+                Some((entry, true))
             }
             ((FULL, base), Image::Full(bytes)) if self.full.image(base)[1..] == bytes[1..] => {
                 Some(self.with_first_byte(entry, bytes[0]))
@@ -628,8 +681,20 @@ impl Pool {
     /// or its base if one of them has that byte 0, else an alias of the
     /// base — the one found through a full base if it has that byte 0,
     /// else a new one (found through the base from now on if none is). No
-    /// byte is hashed, compared or copied.
-    fn with_first_byte(&mut self, entry: u32, byte0: u8) -> u32 {
+    /// byte is hashed, compared or copied — bar for an unwritten `entry`,
+    /// a zero sector, which has no slot to alias: under a byte 0 of zero it
+    /// stays unwritten, under another it is interned. Also says whether
+    /// the same request would find the same slot again: an alias its base
+    /// does not link to would not.
+    fn with_first_byte(&mut self, entry: u32, byte0: u8) -> (u32, bool) {
+        if entry == UNWRITTEN {
+            if byte0 == 0 {
+                return (UNWRITTEN, false);
+            }
+            let mut zero = [0u8; SECTOR_SIZE];
+            zero[0] = byte0;
+            return self.intern(&zero);
+        }
         let first_byte = |pool: &Self, entry| pool.image(entry).expect("a live slot").first_byte();
         let base = match slot_of(entry) {
             (ALIAS, slot) => alias_parts(self.alias.image(slot)).0,
@@ -644,16 +709,18 @@ impl Pool {
             .find(|&e| e != UNWRITTEN && first_byte(self, e) == byte0);
         if let Some(same) = same {
             self.retain(same);
-            return same;
+            return (same, true);
         }
         self.retain(base);
         let alias = entry_of(ALIAS, self.alias.take(&alias_bytes(base, byte0)));
-        if let (FULL, slot) = slot_of(base) {
-            if linked == UNWRITTEN {
+        let links = match slot_of(base) {
+            (FULL, slot) if linked == UNWRITTEN => {
                 self.aliased[slot] = alias;
+                true
             }
-        }
-        alias
+            _ => false,
+        };
+        (alias, links)
     }
 
     /// Drops one reference; the last one frees the slot and its table
@@ -725,11 +792,13 @@ pub struct PoolStats {
     /// How many of them are aliases: an image kept as another's bytes
     /// under its own byte 0.
     pub alias_images: u64,
-    /// Sectors the pool has hashed to find their image, ever: one per
-    /// sector a store writes as bytes or a payload is interned from. A
-    /// sector written by reference — a pooled payload, or its log copy
-    /// under another byte 0 — is not hashed. (The rehash that unregisters
-    /// a freed image is not counted.)
+    /// Sectors the pool has hashed to find their image, ever: at most one
+    /// per sector a store writes as bytes or a payload is interned from.
+    /// A sector equal to the one before it in the same buffer takes that
+    /// one's slot unhashed (see the [module docs](self)), and a sector
+    /// written by reference — a pooled payload, or its log copy under
+    /// another byte 0 — is not hashed. (The rehash that unregisters a
+    /// freed image is not counted.)
     pub hashed_sectors: u64,
     /// Host bytes the pool keeps allocated: itself, the chunks of every
     /// class, reference counts, free lists, the alias links and the hash
@@ -792,22 +861,25 @@ impl ImagePool {
 
 /// Whole sectors kept in an [`ImagePool`] instead of in bytes of their
 /// own: one entry per sector, each holding one reference on the slot it
-/// names, handed back when the run is dropped, or [`UNWRITTEN`] for a zero
-/// sector a read found unwritten. What a pooled
+/// names, handed back when the last clone of the run is dropped, or
+/// [`UNWRITTEN`] for a zero sector a read found unwritten. What a pooled
 /// [`PayloadBuf`](crate::PayloadBuf) reads from: an interned write, or a
-/// read of a store ([`SectorStore::read_run`]). An entry costs four bytes
-/// where the sector would cost 512; a sector whose body the pool already
-/// holds under another byte 0 adds a five-byte alias at most, and so does
-/// each sector of a run's log copy ([`with_first_bytes`](Self::with_first_bytes)).
+/// read of a store ([`SectorStore::read_run`]). The entries are one
+/// allocation, which clones share. An entry costs four bytes where the
+/// sector would cost 512; a sector whose body the pool already holds under
+/// another byte 0 adds a five-byte alias at most, and so does each sector
+/// of a run's log copy ([`with_first_bytes`](Self::with_first_bytes)).
+#[derive(Clone)]
 pub(crate) struct PoolRun {
     pool: ImagePool,
-    entries: Box<[u32]>,
+    entries: Rc<[u32]>,
 }
 
 impl PoolRun {
     /// Interns `bytes`, whole sectors, into `pool` as a store write would:
-    /// each sector is hashed and shares the slot of an equal image or of
-    /// an equal body.
+    /// a sector equal to the one before it takes that one's slot, and any
+    /// other is hashed and shares the slot of an equal image or of an
+    /// equal body (see [`Pool::resolve`]).
     ///
     /// # Panics
     ///
@@ -820,15 +892,23 @@ impl PoolRun {
             bytes.len()
         );
         let mut p = pool.0.borrow_mut();
+        let mut last = None;
         PoolRun {
             pool: pool.clone(),
-            entries: sectors.iter().map(|sector| p.intern(sector)).collect(),
+            entries: (sectors.iter())
+                .map(|sector| p.resolve(&mut last, sector, Pool::intern))
+                .collect(),
         }
     }
 
     /// The pool the run's sectors are kept in.
     pub(crate) fn pool(&self) -> &ImagePool {
         &self.pool
+    }
+
+    /// Whether `a` and `b` are clones of one run.
+    pub(crate) fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Rc::ptr_eq(&a.entries, &b.entries)
     }
 
     /// Sectors in the run.
@@ -839,7 +919,9 @@ impl PoolRun {
     /// Sectors `sectors` of the run, sector `i` of them with its byte 0
     /// replaced by `byte0(i)`, as a run of their own: each entry the same
     /// slot, its base, or an alias of that base — no byte is hashed,
-    /// compared or copied. (A zero sector under a byte 0 other than zero
+    /// compared or copied, and a sector that repeats the one before it
+    /// under the same byte 0 takes that one's entry (see
+    /// [`Pool::resolve`]). (A zero sector under a byte 0 other than zero
     /// is the one exception: it has no slot to alias, so it is interned.)
     pub(crate) fn with_first_bytes(
         &self,
@@ -847,28 +929,26 @@ impl PoolRun {
         mut byte0: impl FnMut(usize) -> u8,
     ) -> Self {
         let mut p = self.pool.0.borrow_mut();
-        let entries = self.entries[sectors].iter().enumerate();
+        let mut last = None;
+        let find = |p: &mut Pool, (entry, b)| p.with_first_byte(entry, b);
         PoolRun {
             pool: self.pool.clone(),
-            entries: entries
-                .map(|(i, &entry)| match (entry, byte0(i)) {
-                    (UNWRITTEN, 0) => UNWRITTEN,
-                    (UNWRITTEN, b) => {
-                        let mut sector = [0u8; SECTOR_SIZE];
-                        sector[0] = b;
-                        p.intern(&sector)
-                    }
-                    (entry, b) => p.with_first_byte(entry, b),
-                })
+            entries: (self.entries[sectors].iter().enumerate())
+                .map(|(i, &entry)| p.resolve(&mut last, (entry, byte0(i)), find))
                 .collect(),
         }
     }
 
-    /// Calls `f` with each of sectors `sectors` of the run, in order.
+    /// Calls `f` with each of sectors `sectors` of the run, in order: a
+    /// whole image where the pool keeps it, and only a short, alias or
+    /// unwritten one as a sector of its own.
     pub(crate) fn for_each_sector(&self, sectors: Range<usize>, mut f: impl FnMut(&SectorBuf)) {
         let pool = self.pool.0.borrow();
         for &entry in &self.entries[sectors] {
-            f(&pool.image(entry).map_or([0u8; SECTOR_SIZE], Image::sector));
+            match pool.image(entry) {
+                Some(Image::Full(bytes)) => f(bytes),
+                image => f(&image.map_or([0u8; SECTOR_SIZE], Image::sector)),
+            }
         }
     }
 
@@ -887,10 +967,14 @@ impl PoolRun {
 }
 
 impl Drop for PoolRun {
-    /// Hands every reference back, unless the pool goes with this run (or
-    /// a panic is unwinding, which may have left the pool half-updated).
+    /// The last clone hands every reference back, unless the pool goes
+    /// with it (or a panic is unwinding, which may have left the pool
+    /// half-updated).
     fn drop(&mut self) {
-        if Rc::strong_count(&self.pool.0) == 1 || std::thread::panicking() {
+        if Rc::strong_count(&self.entries) > 1
+            || Rc::strong_count(&self.pool.0) == 1
+            || std::thread::panicking()
+        {
             return;
         }
         let mut pool = self.pool.0.borrow_mut();
@@ -1123,25 +1207,25 @@ impl SectorStore {
     pub(crate) fn read_run(&self, lba: Lba, count: u32) -> PoolRun {
         self.check_range("read", lba, count as usize * SECTOR_SIZE);
         let pool = self.pool.clone().unwrap_or_default();
-        let mut entries = Vec::with_capacity(count as usize);
+        let mut entries: Rc<[u32]> = std::iter::repeat_n(UNWRITTEN, count as usize).collect();
         {
             let mut p = pool.0.borrow_mut();
+            let mut out = &mut Rc::get_mut(&mut entries).expect("a fresh run")[..];
             for (at, within) in page_runs(lba, u64::from(count)) {
-                match self.index.page(at) {
-                    Some(page) => entries.extend(page[within].iter().map(|&entry| {
-                        if entry != UNWRITTEN {
-                            p.retain(entry);
-                        }
-                        entry
-                    })),
-                    None => entries.resize(entries.len() + within.len(), UNWRITTEN),
+                let (run, rest) = out.split_at_mut(within.len());
+                out = rest;
+                let Some(page) = self.index.page(at) else {
+                    continue;
+                };
+                for (slot, &entry) in run.iter_mut().zip(&page[within]) {
+                    if entry != UNWRITTEN {
+                        p.retain(entry);
+                    }
+                    *slot = entry;
                 }
             }
         }
-        PoolRun {
-            pool,
-            entries: entries.into_boxed_slice(),
-        }
+        PoolRun { pool, entries }
     }
 
     /// Writes sectors `sectors` of `run` as consecutive sectors from
@@ -1169,13 +1253,14 @@ impl SectorStore {
         self.check_range("write", lba, sectors.len() * SECTOR_SIZE);
         let mut pool = run.pool().0.borrow_mut();
         let mut held = &run.entries[sectors];
+        let mut last = None;
         for (at, within) in page_runs(lba, held.len() as u64) {
             let (part, rest) = held.split_at(within.len());
             held = rest;
             let page = self.index.page_mut(at);
             for (entry, &slot) in page[within].iter_mut().zip(part) {
                 self.written += usize::from(if slot == UNWRITTEN {
-                    pool.write(entry, &[0u8; SECTOR_SIZE])
+                    pool.write(entry, &[0u8; SECTOR_SIZE], &mut last)
                 } else {
                     pool.write_held(entry, slot)
                 });
@@ -1184,7 +1269,9 @@ impl SectorStore {
     }
 
     /// Writes a contiguous buffer as consecutive sectors, probing the
-    /// index once per page the range crosses.
+    /// index once per page the range crosses. A sector equal to the one
+    /// before it takes that one's slot without a hash (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     ///
@@ -1194,12 +1281,13 @@ impl SectorStore {
         self.check_range("write", lba, data.len());
         let mut pool = self.pool.get_or_insert_with(ImagePool::new).0.borrow_mut();
         let mut sectors = data.as_chunks::<SECTOR_SIZE>().0;
+        let mut last = None;
         for (at, within) in page_runs(lba, sectors.len() as u64) {
             let (run, rest) = sectors.split_at(within.len());
             sectors = rest;
             let page = self.index.page_mut(at);
             for (entry, sector) in page[within].iter_mut().zip(run) {
-                self.written += usize::from(pool.write(entry, sector));
+                self.written += usize::from(pool.write(entry, sector, &mut last));
             }
         }
     }
@@ -1814,6 +1902,31 @@ mod tests {
     }
 
     #[test]
+    fn a_4k_fill_is_hashed_once_and_holds_eight_references_on_one_slot() {
+        let pool = ImagePool::new();
+        let fill = [0x5Au8; 8 * SECTOR_SIZE];
+        let run = PoolRun::intern(&pool, &fill);
+        let stats = pool.stats();
+        assert_eq!((stats.hashed_sectors, stats.distinct_sectors), (1, 1));
+        let entry = run.entries[0];
+        assert!(run.entries.iter().all(|&e| e == entry));
+        assert_eq!(slot_of(entry).0, FULL);
+        assert_eq!(pool.0.borrow().full.refs[slot_of(entry).1], 8);
+        // Written as bytes across an index page, the fill is hashed once
+        // more, for its first sector, which finds the same slot.
+        let mut s = SectorStore::in_pool(64, &pool);
+        s.write_range(PAGE_LBAS - 3, &fill);
+        assert_eq!(pool.stats().hashed_sectors, 2);
+        assert_eq!(pool.0.borrow().full.refs[slot_of(entry).1], 16);
+        // Its log copy resolves the marker once: one alias, eight holders.
+        let copy = run.with_first_bytes(0..8, |_| 0);
+        assert!(copy.entries.iter().all(|&e| e == copy.entries[0]));
+        assert_eq!(pool.stats().alias_images, 1);
+        check_pool(&[&s], &[&run, &copy]);
+        assert_eq!(pool.stats().hashed_sectors, 2);
+    }
+
+    #[test]
     fn dense_writes_cost_about_six_index_bytes_per_lba() {
         // Just past a doubling of the page table, where it is emptiest.
         let lbas = (7 * 1024 + 1) * PAGE_LBAS;
@@ -1869,6 +1982,25 @@ mod tests {
         img
     }
 
+    /// The sectors of one buffer of `count` from `lba`, each a
+    /// [`model_image`] by `pattern`: all of `content` (at each position,
+    /// so whole fills and zero runs repeat and unique ones do not), `A B A`
+    /// alternations of `content` and the next content, or a run of
+    /// `content` then a run of another.
+    fn model_buffer(pattern: u8, content: u8, lba: u64, count: u64) -> Vec<SectorBuf> {
+        (0..count)
+            .map(|i| {
+                let content = match pattern % 3 {
+                    0 => content,
+                    1 => content.wrapping_add((i % 2) as u8),
+                    _ if i < count / 2 => content,
+                    _ => content.wrapping_add(7),
+                };
+                model_image(content, lba + i)
+            })
+            .collect()
+    }
+
     /// What `store` must read: the model's bytes, zeros where unwritten.
     fn expect(model: &HashMap<Lba, SectorBuf>, lba: Lba, count: u64) -> Vec<u8> {
         (lba..lba + count)
@@ -1876,8 +2008,15 @@ mod tests {
             .collect()
     }
 
-    /// Applies one step to `store` and its model, checking every read.
-    fn step(store: &mut SectorStore, model: &mut HashMap<Lba, SectorBuf>, step: Step) {
+    /// Applies one step to `store` and its model, checking every read. A
+    /// range write is one buffer, or with `per_sector` one buffer a
+    /// sector: the reference no sector of which has a predecessor.
+    fn step(
+        store: &mut SectorStore,
+        model: &mut HashMap<Lba, SectorBuf>,
+        step: Step,
+        per_sector: bool,
+    ) {
         let (op, lba, sectors, content) = step;
         let count = sectors.min(MODEL_CAPACITY - lba);
         match op % 5 {
@@ -1887,13 +2026,15 @@ mod tests {
                 model.insert(lba, img);
             }
             1 => {
-                let data: Vec<u8> = (0..count)
-                    .flat_map(|i| model_image(content, lba + i))
-                    .collect();
-                store.write_range(lba, &data);
-                for i in 0..count {
-                    model.insert(lba + i, model_image(content, lba + i));
+                let data = model_buffer(op / 5, content, lba, count);
+                if per_sector {
+                    for (at, sector) in (lba..).zip(&data) {
+                        store.write_range(at, sector);
+                    }
+                } else {
+                    store.write_range(lba, data.as_flattened());
                 }
+                model.extend((lba..).zip(data));
             }
             2 => assert_eq!(store.read_sector(lba).to_vec(), expect(model, lba, 1)),
             3 => {
@@ -1914,7 +2055,7 @@ mod tests {
     fn run_model(mut store: SectorStore, steps: &[Step]) {
         let mut model: HashMap<Lba, SectorBuf> = HashMap::new();
         for &s in steps {
-            step(&mut store, &mut model, s);
+            step(&mut store, &mut model, s, false);
             check_invariants(&[&store]);
         }
         assert_eq!(
@@ -1936,7 +2077,7 @@ mod tests {
                 stores[k] = SectorStore::in_pool(MODEL_CAPACITY, shared);
                 models[k].clear();
             } else {
-                step(&mut stores[k], &mut models[k], s);
+                step(&mut stores[k], &mut models[k], s, false);
             }
             check_invariants(&[&stores[0], &stores[1]]);
         }
@@ -1960,6 +2101,55 @@ mod tests {
     /// `(op, which, lba, sectors, content)` of the payload model.
     type RunStep = (u8, u8, u64, u64, u8);
 
+    /// What a model leaves in a pool: its distinct, short and alias
+    /// counts, and every slot's reference count, class by class.
+    type PoolState = ([u64; 3], [Vec<u32>; 3]);
+
+    fn pool_state(pool: &ImagePool) -> PoolState {
+        let p = pool.0.borrow();
+        let stats = p.stats();
+        (
+            [
+                stats.distinct_sectors,
+                stats.short_images,
+                stats.alias_images,
+            ],
+            [
+                p.full.refs.clone(),
+                p.short.refs.clone(),
+                p.alias.refs.clone(),
+            ],
+        )
+    }
+
+    /// `images` interned into `pool` one sector at a time, none of them
+    /// after a predecessor: the reference [`PoolRun::intern`] must match.
+    fn intern_each(pool: &ImagePool, images: &[SectorBuf]) -> PoolRun {
+        let mut p = pool.0.borrow_mut();
+        PoolRun {
+            pool: pool.clone(),
+            entries: images.iter().map(|image| p.intern(image).0).collect(),
+        }
+    }
+
+    /// Sectors `sectors` of `run` under the first bytes `byte0` gives, one
+    /// sector at a time: the reference [`PoolRun::with_first_bytes`] must
+    /// match.
+    fn with_first_bytes_each(
+        run: &PoolRun,
+        sectors: Range<usize>,
+        byte0: impl Fn(usize) -> u8,
+    ) -> PoolRun {
+        let mut p = run.pool.0.borrow_mut();
+        let entries = run.entries[sectors].iter().enumerate();
+        PoolRun {
+            pool: run.pool.clone(),
+            entries: entries
+                .map(|(i, &entry)| p.with_first_byte(entry, byte0(i)).0)
+                .collect(),
+        }
+    }
+
     /// Drives three stores and a plain map for each — two on `shared`,
     /// whose payloads they take by reference, and one on a pool of its
     /// own, which copies them — through byte writes and reads, through
@@ -1967,20 +2157,29 @@ mod tests {
     /// sector under another byte 0, written by reference and dropped in
     /// any order, and through reads kept as views, which must go on
     /// reading what the model held when they were taken however their
-    /// LBAs are overwritten. After every step each slot's refcount is the
-    /// LBAs, aliases and payload entries naming it; dropping everything
-    /// empties `shared`.
-    fn run_payload_model(shared: &ImagePool, steps: &[RunStep]) {
+    /// LBAs are overwritten. Buffers hold runs of equal sectors and
+    /// alternations ([`model_buffer`]); with `per_sector` every write,
+    /// intern and log copy goes a sector at a time instead. After every
+    /// step each slot's refcount is the LBAs, aliases and payload entries
+    /// naming it; dropping everything empties `shared`. Returns the state
+    /// of both pools after each step and the sectors `shared` hashed.
+    fn run_payload_model(
+        shared: &ImagePool,
+        steps: &[RunStep],
+        per_sector: bool,
+    ) -> (Vec<[PoolState; 2]>, u64) {
+        let own_pool = ImagePool::new();
         let mut stores = [
             SectorStore::in_pool(MODEL_CAPACITY, shared),
             SectorStore::in_pool(MODEL_CAPACITY, shared),
-            SectorStore::in_pool(MODEL_CAPACITY, &ImagePool::new()),
+            SectorStore::in_pool(MODEL_CAPACITY, &own_pool),
         ];
         let mut models: [HashMap<Lba, SectorBuf>; 3] = Default::default();
         // Each live payload with the sectors it must read: on `shared`,
         // and views of the third store, on its own pool.
         let mut runs: Vec<(PoolRun, Vec<SectorBuf>)> = Vec::new();
         let mut own: Vec<(PoolRun, Vec<SectorBuf>)> = Vec::new();
+        let mut states = Vec::new();
         for &(op, which, lba, sectors, content) in steps {
             let k = usize::from(which % 3);
             let count = sectors.min(MODEL_CAPACITY - lba);
@@ -1990,11 +2189,14 @@ mod tests {
                     &mut stores[k],
                     &mut models[k],
                     (which, lba, sectors, content),
+                    per_sector,
                 ),
                 1 => {
-                    let images: Vec<SectorBuf> =
-                        (0..count).map(|i| model_image(content, lba + i)).collect();
-                    let run = PoolRun::intern(shared, images.as_flattened());
+                    let images = model_buffer(op / 7, content, lba, count);
+                    let run = match per_sector {
+                        true => intern_each(shared, &images),
+                        false => PoolRun::intern(shared, images.as_flattened()),
+                    };
                     runs.push((run, images));
                 }
                 2 if !runs.is_empty() => {
@@ -2011,14 +2213,20 @@ mod tests {
                 }
                 // A copy of part of a run with each sector under one of
                 // three first bytes: 0 (the log's marker, which the
-                // model's logged images carry too), 0xFF or its own.
+                // model's logged images carry too), 0xFF or its own — or,
+                // as the log has it, every sector under the marker.
                 4 if !runs.is_empty() => {
                     let (run, images) = &runs[usize::from(content) % runs.len()];
                     let first = (lba as usize) % images.len();
                     let n = (count as usize).min(images.len() - first);
-                    let byte0 =
-                        |i: usize| [0, 0xFF, images[first + i][0]][(usize::from(which) + i) % 3];
-                    let copy = run.with_first_bytes(first..first + n, byte0);
+                    let byte0 = |i: usize| match which % 4 {
+                        3 => 0,
+                        _ => [0, 0xFF, images[first + i][0]][(usize::from(which) + i) % 3],
+                    };
+                    let copy = match per_sector {
+                        true => with_first_bytes_each(run, first..first + n, byte0),
+                        false => run.with_first_bytes(first..first + n, byte0),
+                    };
                     let mut logged = images[first..first + n].to_vec();
                     let mut marked = Vec::new();
                     copy.for_each_sector(0..n, |sector| marked.push(*sector));
@@ -2054,6 +2262,7 @@ mod tests {
             check_pool(&[&stores[0], &stores[1]], &held);
             let held: Vec<&PoolRun> = own.iter().map(|(run, _)| run).collect();
             check_pool(&[&stores[2]], &held);
+            states.push([pool_state(shared), pool_state(&own_pool)]);
         }
         for (store, model) in stores.iter().zip(&models) {
             assert_eq!(
@@ -2071,6 +2280,7 @@ mod tests {
         );
         assert!(p.by_hash.is_empty());
         assert!(p.aliased.iter().all(|&alias| alias == UNWRITTEN));
+        (states, p.hashed)
     }
 
     fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
@@ -2110,11 +2320,19 @@ mod tests {
         fn payloads_interned_written_by_reference_and_dropped_keep_every_refcount(
             steps in arb_run_steps()
         ) {
-            run_payload_model(&ImagePool::new(), &steps);
-            run_payload_model(
-                &ImagePool::with_hash(|_| Hashes { content: 0, body: 0 }),
-                &steps,
-            );
+            let hashes: [fn(&SectorBuf) -> Hashes; 2] =
+                [sector_hashes, |_| Hashes { content: 0, body: 0 }];
+            for hash in hashes {
+                // A buffer's repeated sectors take their predecessor's
+                // slot unhashed, and leave every pool exactly as
+                // resolving each sector on its own does.
+                let (states, hashed) =
+                    run_payload_model(&ImagePool::with_hash(hash), &steps, false);
+                let (reference, hashed_each) =
+                    run_payload_model(&ImagePool::with_hash(hash), &steps, true);
+                prop_assert_eq!(states, reference);
+                prop_assert!(hashed <= hashed_each);
+            }
         }
 
         #[test]

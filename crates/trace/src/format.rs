@@ -259,21 +259,34 @@ impl Trace {
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        let mut check = RecordCheck::default();
+        let mut check = RecordCheck::new(self.meta.devices);
         self.records.iter().try_for_each(|r| check.check(r))
     }
 }
 
 /// The invariants of a stored trace, checked one record at a time so a
 /// streamed trace is checked without being held: every request is
-/// non-empty, and records are in `(arrival, stream)` order.
-#[derive(Debug, Default)]
+/// non-empty and addresses a device the header declares, and records are
+/// in `(arrival, stream)` order.
+#[derive(Debug)]
 pub struct RecordCheck {
+    devices: u16,
     checked: u64,
     prev: Option<(SimTime, StreamId)>,
 }
 
 impl RecordCheck {
+    /// A check of the records of a trace whose header declares `devices`
+    /// devices.
+    #[must_use]
+    pub fn new(devices: u16) -> Self {
+        RecordCheck {
+            devices,
+            checked: 0,
+            prev: None,
+        }
+    }
+
     /// Checks the next record in file order.
     ///
     /// # Errors
@@ -285,6 +298,12 @@ impl RecordCheck {
         let prev = self.prev.replace((r.at, r.stream));
         if r.sectors == 0 {
             return Err(format!("record {i}: zero-length request"));
+        }
+        if r.dev >= self.devices {
+            return Err(format!(
+                "record {i}: device {} beyond the header's {} devices",
+                r.dev, self.devices
+            ));
         }
         if prev.is_some_and(|p| p > (r.at, r.stream)) {
             return Err(format!("records {} and {i} out of order", i - 1));
@@ -486,7 +505,10 @@ mod tests {
     #[test]
     fn validate_catches_disorder_and_empties() {
         let mut t = Trace {
-            meta: TraceMeta::default(),
+            meta: TraceMeta {
+                devices: 1,
+                ..TraceMeta::default()
+            },
             records: vec![rec(2000, 0), rec(1000, 0)],
         };
         assert!(t.validate().is_err());
@@ -502,6 +524,24 @@ mod tests {
         assert_eq!(
             t.validate(),
             Err("records 0 and 1 out of order".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_catches_a_device_the_header_does_not_declare() {
+        let mut t = Trace {
+            meta: TraceMeta {
+                devices: 2,
+                ..TraceMeta::default()
+            },
+            records: vec![rec(1000, 0), rec(2000, 0)],
+        };
+        t.records[1].dev = 1;
+        assert!(t.validate().is_ok());
+        t.meta.devices = 1;
+        assert_eq!(
+            t.validate(),
+            Err("record 1: device 1 beyond the header's 1 devices".to_string())
         );
     }
 

@@ -286,7 +286,9 @@ proptest! {
     fn normalize_order_survives_split_merge_round_trips(
         records in proptest::collection::vec(arb_record(), 1..80)
     ) {
-        let mut trace = Trace { meta: TraceMeta::default(), records };
+        // `arb_record` addresses devices 0..3, which the header declares.
+        let meta = TraceMeta { devices: 3, ..TraceMeta::default() };
+        let mut trace = Trace { meta, records };
         trace.normalize();
         prop_assert!(trace.validate().is_ok());
         let mut merged = Trace { meta: trace.meta.clone(), records: Vec::new() };

@@ -1,9 +1,10 @@
 //! What logging a sector costs the host, on the two Trail shapes: a
-//! payload sector is hashed once on its way from submission to the data
-//! disk, and the bytes that reach the media are the same as when each
-//! sector was hashed twice (a record image built from a copy of the
-//! payload, hashed on the log disk, and the payload hashed again when its
-//! record landed).
+//! payload sector is hashed at most once on its way from submission to
+//! the data disk — once if it differs from the sector before it in its
+//! write, never if it repeats it — and the bytes that reach the media are
+//! the same as when each sector was hashed twice (a record image built
+//! from a copy of the payload, hashed on the log disk, and the payload
+//! hashed again when its record landed).
 
 use trail::core::TrailStats;
 use trail::disk::{profiles, Disk, SECTOR_SIZE};
@@ -106,7 +107,8 @@ fn a_logged_payload_sector_is_hashed_once_on_trail_and_trail_multi2() {
             .flat_map(|s| &s.batch_sizes)
             .map(|&n| u64::from(n))
             .sum();
-        let submitted: u64 = (workload().iter().flatten())
+        let writes = workload();
+        let submitted: u64 = (writes.iter().flatten())
             .map(|w| (w.data.len() / SECTOR_SIZE) as u64)
             .sum();
         assert_eq!(payload, submitted, "{kind}: every sector logged once");
@@ -115,11 +117,20 @@ fn a_logged_payload_sector_is_hashed_once_on_trail_and_trail_multi2() {
             "{kind}: every log wrote back"
         );
         // One hash per record header, which is new bytes, and one per
-        // payload sector, at submission: the log copy and the write-back
-        // take the pooled sector by reference.
+        // payload sector that differs from the sector before it in its
+        // write, at submission: a repeat takes its predecessor's slot, and
+        // the log copy and the write-back take the pooled sector by
+        // reference.
+        let differing: u64 = (writes.iter().flatten())
+            .map(|w| {
+                let sectors = w.data.as_chunks::<SECTOR_SIZE>().0;
+                1 + sectors.windows(2).filter(|p| p[0] != p[1]).count() as u64
+            })
+            .sum();
+        assert!(differing < payload, "the workload repeats some sectors");
         assert_eq!(
             hashed - records,
-            payload,
+            differing,
             "{kind}: {hashed} sectors hashed for {records} records of {payload} payload sectors"
         );
     }
