@@ -98,6 +98,23 @@ if grep -rnE --include='*.rs' 'Front::TrailMulti|impl BlockStack for TrailDriver
   exit 1
 fi
 
+echo "== one-stack-face gate =="
+# A stack has one face: BlockStack::submit(IoRequest) in trail-core, the
+# request carrying its stream tag, with untagged write/read provided on
+# top. A tagged twin of write/read must not come back, and the file
+# systems and replay name the stack through trail-core, not the database.
+if grep -rnE --include='*.rs' 'fn (write|read)_tagged' crates src tests examples; then
+  echo "found a _tagged twin of a stack method; submit an IoRequest tagged with its stream" >&2
+  exit 1
+fi
+for manifest in crates/fs/Cargo.toml crates/trace/Cargo.toml; do
+  if awk '/^\[/ { on = ($0 == "[dependencies]") } on && /^trail-db([ .=]|$)/ { found = 1 }
+       END { exit !found }' "$manifest"; then
+    echo "$manifest lists trail-db under [dependencies]; BlockStack lives in trail-core" >&2
+    exit 1
+  fi
+done
+
 echo "== one-stack-vocabulary gate =="
 # A stack has one name: a TargetKind shape, or a StackBuilder spec that
 # adds the data-disk count and the tiny profile, printed and parsed in

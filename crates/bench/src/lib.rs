@@ -16,8 +16,9 @@ use std::rc::Rc;
 
 use trail::drive::Write;
 use trail::{BuiltStack, StackBuilder};
+use trail_core::BlockStack;
 use trail_core::TrailDriver;
-use trail_db::{BlockStack, Database, DbConfig, FlushPolicy};
+use trail_db::{Database, DbConfig, FlushPolicy};
 use trail_disk::{profiles, SECTOR_SIZE};
 use trail_sim::Simulator;
 use trail_telemetry::RecorderHandle;

@@ -22,8 +22,8 @@ use trail::drive::{Pace, Write};
 use trail::explore::{self, TimedWrite};
 use trail::{BuiltStack, StackBuilder};
 use trail_core::{
-    owning_log, read_header, recover, FormatOptions, MissTally, RecoveryOptions, RecoveryReport,
-    TrailConfig, TrailStats, CALIBRATION_TRACK,
+    owning_log, read_header, recover, BlockStack, FormatOptions, MissTally, RecoveryOptions,
+    RecoveryReport, TrailConfig, TrailStats, CALIBRATION_TRACK,
 };
 use trail_db::{FlushPolicy, StorageService};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};

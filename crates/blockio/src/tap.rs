@@ -10,8 +10,8 @@
 //! Like telemetry recorders, taps default to absent and cost nothing when
 //! uninstalled. Unlike recorders, a tap carries the full request address
 //! vocabulary, so it is defined here in `trail-blockio` where that
-//! vocabulary is. It is installed only at a stack's front end (`trail-db`'s
-//! `BlockStack::set_tap`: the Trail array, of one log or several, and the
+//! vocabulary is. It is installed only at a stack's front end
+//! (`trail-core`'s `BlockStack::set_tap`: the Trail array, of one log or several, and the
 //! standard stack), never on a Trail instance or the block targets
 //! beneath, so each logical request is reported once with the stack-level
 //! device index it addressed.

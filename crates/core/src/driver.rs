@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use trail_blockio::{IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver};
+use trail_blockio::{IoDone, IoKind, IoRequest, Priority, SharedBlockDevice, StandardDriver};
 use trail_disk::{
     CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, ImagePool, Lba, PayloadBuf,
     PayloadChain, ServiceBreakdown, SECTOR_SIZE,
@@ -39,9 +39,7 @@ use trail_disk::{
 use trail_sim::{
     Completion, Delivered, DurationHistogram, EventId, IoError, SimDuration, SimTime, Simulator,
 };
-use trail_telemetry::{
-    EventKind, Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown, StreamId,
-};
+use trail_telemetry::{EventKind, Layer, LifecycleEmitter, RecorderHandle, RequestBreakdown};
 
 use crate::config::TrailConfig;
 use crate::error::TrailError;
@@ -606,40 +604,30 @@ impl TrailDriver {
         Ok(())
     }
 
-    /// Submits a read of `count` sectors at `lba` of data disk `dev`.
-    /// Served from pinned buffer memory when every sector is pinned,
-    /// otherwise from the data disk (with priority over write-backs), with
-    /// whatever is pinned patched over what the disk returns: a read sees
-    /// every write acknowledged before it was submitted.
+    /// Submits `req` to data disk `dev`: a write as [`write`](Self::write),
+    /// and a read served from pinned buffer memory when every sector is
+    /// pinned, otherwise from the data disk (with priority over
+    /// write-backs), with whatever is pinned patched over what the disk
+    /// returns: a read sees every write acknowledged before it was
+    /// submitted. A read's stream tag is carried, on a buffer miss, onto
+    /// the forwarded data-disk request; it never changes which copy of the
+    /// block is served.
     ///
     /// # Errors
     ///
-    /// Returns [`TrailError::BadDevice`] or [`TrailError::OutOfRange`] on
-    /// a malformed request.
-    pub fn read(
+    /// As [`write`](Self::write) for a write; [`TrailError::BadDevice`] or
+    /// [`TrailError::OutOfRange`] on a malformed read.
+    pub fn submit(
         &self,
         sim: &mut Simulator,
         dev: usize,
-        lba: Lba,
-        count: u32,
+        req: IoRequest,
         done: Completion<IoDone>,
     ) -> Result<(), TrailError> {
-        self.read_tagged(sim, dev, lba, count, StreamId::UNTAGGED, done)
-    }
-
-    /// [`read`](TrailDriver::read) with an explicit stream tag.
-    ///
-    /// The tag is carried, on a buffer miss, onto the forwarded data-disk
-    /// request; it never changes which copy of the block is served.
-    pub fn read_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
+        let (lba, count) = match req.kind {
+            IoKind::Write { data } => return self.write(sim, dev, req.lba, data, done),
+            IoKind::Read { count } => (req.lba, count),
+        };
         let pinned = {
             let mut d = self.inner.borrow_mut();
             if dev >= d.data.len() {
@@ -659,7 +647,6 @@ impl TrailDriver {
             }
             pinned
         };
-        let req = IoRequest::read(lba, count).tagged(stream);
         match pinned {
             Pinned::All(data) => {
                 // Zero-latency buffer hit; delivery is already deferred by

@@ -21,6 +21,11 @@
 //!   overwrite cancels the stale part of a write-back (§4);
 //! - [`recover`] — the §3.3 three-stage crash recovery with O(lg N)
 //!   binary-search location and `log_head`-bounded back-scan;
+//! - [`BlockStack`] — the one interface a file system or database issues
+//!   requests through, implemented by [`MultiTrail`] (Trail over one log
+//!   disk or several) and [`StandardStack`] (the baseline), with
+//!   [`read_blocking`] / [`write_blocking`] for the callers that own the
+//!   simulation while they wait;
 //! - [`format_log_disk`] — the formatting tool (probes timing, writes the
 //!   header).
 //!
@@ -60,6 +65,7 @@ mod multi;
 mod pinned;
 mod predict;
 mod recovery;
+mod stack;
 mod tracks;
 
 pub use config::TrailConfig;
@@ -73,5 +79,6 @@ pub use formatter::{
 };
 pub use predict::{HeadPredictor, Reference};
 pub use recovery::{recover, recover_with_targets, RecoveryOptions, RecoveryReport};
+pub use stack::{read_blocking, write_blocking, BlockStack, SharedStack, StandardStack};
 pub use tracks::TrackPool;
 pub use trail_probe::TrackLeads;

@@ -23,14 +23,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use trail_blockio::{IoDone, SharedBlockDevice, TapHandle};
+use trail_blockio::{IoDone, IoKind, IoRequest, SharedBlockDevice, TapHandle};
 use trail_disk::{Disk, Lba, PayloadBuf, SECTOR_SIZE};
 use trail_sim::{Completion, Delivered, SimTime, Simulator};
-use trail_telemetry::StreamId;
+use trail_telemetry::RecorderHandle;
 
 use crate::config::TrailConfig;
 use crate::driver::{raw_targets, BootReport, TrailDriver};
 use crate::error::TrailError;
+use crate::stack::BlockStack;
 
 /// Sectors in one data region, the unit a log owns. An unaligned
 /// s-sector extent crosses a region boundary with probability
@@ -62,7 +63,7 @@ pub fn owning_log(logs: usize, dev: usize, lba: Lba) -> usize {
 /// ```
 /// use trail_sim::Simulator;
 /// use trail_disk::{profiles, Disk, SECTOR_SIZE};
-/// use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
+/// use trail_core::{format_log_disk, BlockStack, FormatOptions, MultiTrail, TrailConfig};
 ///
 /// let mut sim = Simulator::new();
 /// let logs: Vec<Disk> = (0..2)
@@ -219,29 +220,9 @@ impl MultiTrail {
         Ok((MultiTrail { drivers, tap, held }, boots))
     }
 
-    /// Number of data devices each instance serves.
-    pub fn devices(&self) -> usize {
-        self.drivers[0].devices()
-    }
-
     /// All Trail instances (for statistics).
     pub fn drivers(&self) -> &[TrailDriver] {
         &self.drivers
-    }
-
-    /// Attaches a telemetry recorder to every Trail instance (and, through
-    /// them, the log disks, the shared data-disk drivers, and the data
-    /// disks themselves).
-    pub fn set_recorder(&self, recorder: trail_telemetry::RecorderHandle) {
-        for d in &self.drivers {
-            d.set_recorder(Rc::clone(&recorder));
-        }
-    }
-
-    /// Installs a workload-capture tap on the array. It sees each accepted
-    /// request once, in submission order, however many logs it spans.
-    pub fn set_tap(&self, tap: TapHandle) {
-        *self.tap.borrow_mut() = Some(tap);
     }
 
     /// `[lba, lba + sectors)` of `dev` cut where its owning log changes, in
@@ -318,112 +299,6 @@ impl MultiTrail {
         whole.into_iter().chain(split)
     }
 
-    /// Reports an accepted request to the tap.
-    fn tap(&self, sim: &Simulator, dev: usize, lba: Lba, sectors: u64, read: bool, s: StreamId) {
-        if let Some(tap) = &*self.tap.borrow() {
-            tap.on_submit(sim.now(), dev as u32, lba, sectors as u32, read, s);
-        }
-    }
-
-    /// Submits a synchronous write; semantics as
-    /// [`TrailDriver::write`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TrailDriver::write`].
-    pub fn write(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: impl Into<PayloadBuf>,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
-    }
-
-    /// [`write`](MultiTrail::write) with an explicit stream tag, carried
-    /// to the tap; it never chooses a log.
-    ///
-    /// # Errors
-    ///
-    /// As [`TrailDriver::write`].
-    pub fn write_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: impl Into<PayloadBuf>,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        let mut data = data.into();
-        // A length that is not whole sectors goes whole, and is refused.
-        let sectors = match data.len() % SECTOR_SIZE {
-            0 => (data.len() / SECTOR_SIZE) as u64,
-            _ => 0,
-        };
-        for ((log, at, n), done) in self.plan(sim, dev, lba, sectors, false, done) {
-            // An unsplit request goes whole, to be checked before its
-            // instance interns it. A split one is valid: it is interned
-            // once, into the pool the array's disks share, then cut.
-            let part = match n == sectors {
-                true => std::mem::take(&mut data),
-                false => {
-                    data.intern(&self.drivers[0].pool());
-                    data.sectors((at - lba) as usize, n as usize)
-                }
-            };
-            self.drivers[log].write(sim, dev, at, part, done)?;
-        }
-        self.tap(sim, dev, lba, sectors, false, stream);
-        Ok(())
-    }
-
-    /// Submits a read; semantics as [`TrailDriver::read`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TrailDriver::read`].
-    pub fn read(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.read_tagged(sim, dev, lba, count, StreamId::UNTAGGED, done)
-    }
-
-    /// [`read`](MultiTrail::read) with an explicit stream tag, carried to
-    /// the tap and the instances.
-    ///
-    /// # Errors
-    ///
-    /// As [`TrailDriver::read`].
-    pub fn read_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        let sectors = u64::from(count);
-        for ((log, at, n), done) in self.plan(sim, dev, lba, sectors, true, done) {
-            self.drivers[log].read_tagged(sim, dev, at, n as u32, stream, done)?;
-        }
-        self.tap(sim, dev, lba, sectors, true, stream);
-        Ok(())
-    }
-
-    /// Outstanding work across all instances.
-    pub fn pending_work(&self) -> usize {
-        self.drivers.iter().map(TrailDriver::pending_work).sum()
-    }
-
     /// Runs the simulation until every instance is quiescent.
     ///
     /// # Panics
@@ -445,6 +320,76 @@ impl MultiTrail {
             d.shutdown(sim)?;
         }
         Ok(())
+    }
+}
+
+// The array is the one Trail stack: each part of a request goes to the
+// log that owns it.
+impl BlockStack for MultiTrail {
+    /// Submits `req`; semantics as [`TrailDriver::write`] and
+    /// [`TrailDriver::submit`]. The stream tag is carried to the tap and,
+    /// for a read, to the instances; it never chooses a log.
+    fn submit(
+        &self,
+        sim: &mut Simulator,
+        dev: usize,
+        req: IoRequest,
+        done: Completion<IoDone>,
+    ) -> Result<(), TrailError> {
+        let IoRequest { lba, kind, stream } = req;
+        let (mut data, sectors) = match kind {
+            IoKind::Read { count } => (None, u64::from(count)),
+            // A length that is not whole sectors goes whole, and is refused.
+            IoKind::Write { data } => {
+                let sectors = match data.len() % SECTOR_SIZE {
+                    0 => (data.len() / SECTOR_SIZE) as u64,
+                    _ => 0,
+                };
+                (Some(data), sectors)
+            }
+        };
+        let is_read = data.is_none();
+        for ((log, at, n), done) in self.plan(sim, dev, lba, sectors, is_read, done) {
+            let part = match &mut data {
+                None => IoRequest::read(at, n as u32),
+                // An unsplit write goes whole, to be checked before its
+                // instance interns it. A split one is valid: it is interned
+                // once, into the pool the array's disks share, then cut.
+                Some(data) if n == sectors => IoRequest::write(at, std::mem::take(data)),
+                Some(data) => {
+                    data.intern(&self.drivers[0].pool());
+                    IoRequest::write(at, data.sectors((at - lba) as usize, n as usize))
+                }
+            };
+            self.drivers[log].submit(sim, dev, part.tagged(stream), done)?;
+        }
+        if let Some(tap) = &*self.tap.borrow() {
+            tap.on_submit(sim.now(), dev as u32, lba, sectors as u32, is_read, stream);
+        }
+        Ok(())
+    }
+
+    fn pending_work(&self) -> usize {
+        self.drivers.iter().map(TrailDriver::pending_work).sum()
+    }
+
+    fn devices(&self) -> usize {
+        self.drivers[0].devices()
+    }
+
+    /// Attaches a telemetry recorder to every Trail instance (and, through
+    /// them, the log disks, the shared data-disk drivers, and the data
+    /// disks themselves).
+    fn set_recorder(&self, recorder: RecorderHandle) {
+        for d in &self.drivers {
+            d.set_recorder(Rc::clone(&recorder));
+        }
+    }
+
+    /// Installs a workload-capture tap on the array. It sees each accepted
+    /// request once, in submission order, however many logs it spans.
+    fn set_tap(&self, tap: TapHandle) {
+        *self.tap.borrow_mut() = Some(tap);
     }
 }
 

@@ -3,10 +3,10 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use trail_blockio::IoDone;
+use trail_blockio::{IoDone, IoRequest};
 use trail_core::{
-    format_log_disk, owning_log, FormatOptions, MultiTrail, TrailConfig, TrailDriver, TrailError,
-    REGION_SECTORS,
+    format_log_disk, owning_log, BlockStack, FormatOptions, MultiTrail, TrailConfig, TrailDriver,
+    TrailError, REGION_SECTORS,
 };
 use trail_disk::{profiles, Disk, ImagePool, SECTOR_SIZE};
 use trail_sim::{Delivered, SimDuration, SimTime, Simulator};
@@ -156,7 +156,8 @@ fn read_hits_pinned_buffer_before_writeback() {
             let read_done = sim.completion(move |_, d: Delivered<IoDone>| {
                 *rd.borrow_mut() = d.expect("read delivered").data.map(|d| d.to_vec());
             });
-            drv2.read(sim, 0, 10, 2, read_done).unwrap();
+            drv2.submit(sim, 0, IoRequest::read(10, 2), read_done)
+                .unwrap();
             let _ = payload2;
         });
         drv.write(&mut sim, 0, 10, payload.clone(), done).unwrap();
@@ -187,7 +188,8 @@ fn read_miss_goes_to_data_disk() {
     let done = sim.completion(move |_, d: Delivered<IoDone>| {
         *g.borrow_mut() = d.expect("read delivered").data.map(|d| d.to_vec());
     });
-    drv.read(&mut sim, 0, 200, 1, done).unwrap();
+    drv.submit(&mut sim, 0, IoRequest::read(200, 1), done)
+        .unwrap();
     drv.run_until_quiescent(&mut sim);
     sim.run();
     assert_eq!(got.borrow().as_ref().unwrap()[7], 0x99);
@@ -233,7 +235,8 @@ fn a_read_overtakes_queued_write_backs_on_a_raw_data_disk() {
     });
     // Lba 0 sits below every queued write-back, where C-LOOK alone would
     // reach it last.
-    drv.read(&mut sim, 0, 0, 1, done).unwrap();
+    drv.submit(&mut sim, 0, IoRequest::read(0, 1), done)
+        .unwrap();
     drv.run_until_quiescent(&mut sim);
     sim.run();
     let overtook = at_read.get().expect("read completed") - before;
@@ -627,12 +630,14 @@ fn request_validation() {
     );
     let done = mint(&sim);
     assert_eq!(
-        drv.read(&mut sim, 0, cap, 1, done).unwrap_err(),
+        drv.submit(&mut sim, 0, IoRequest::read(cap, 1), done)
+            .unwrap_err(),
         TrailError::OutOfRange
     );
     let done = mint(&sim);
     assert_eq!(
-        drv.read(&mut sim, 0, 0, 0, done).unwrap_err(),
+        drv.submit(&mut sim, 0, IoRequest::read(0, 0), done)
+            .unwrap_err(),
         TrailError::OutOfRange
     );
     sim.run();
@@ -806,7 +811,8 @@ fn moved_and_split_buffers_are_the_right_buffers() {
                 let data = d.expect("read delivered").data.expect("read data");
                 out.borrow_mut().push(data.to_vec());
             });
-            drv2.read(sim, 0, lba, count, read_done).unwrap();
+            drv2.submit(sim, 0, IoRequest::read(lba, count), read_done)
+                .unwrap();
         }
     });
     drv.write(&mut sim, 0, 300, newer.clone(), done).unwrap();
@@ -967,7 +973,8 @@ fn overlapping_extents(reads: &'static [(u64, u32)]) -> (TrailDriver, Disk, Vec<
                 out.borrow_mut()
                     .push(data.iter().copied().step_by(SECTOR_SIZE).collect());
             });
-            drv2.read(sim, 0, lba, count, read_done).unwrap();
+            drv2.submit(sim, 0, IoRequest::read(lba, count), read_done)
+                .unwrap();
         }
     });
     drv.write(&mut sim, 0, 158, vec![0xDD; 2 * SECTOR_SIZE], done)

@@ -7,7 +7,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use rand::Rng;
-use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig, REGION_SECTORS};
+use trail_core::{
+    format_log_disk, BlockStack, FormatOptions, MultiTrail, TrailConfig, REGION_SECTORS,
+};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::Simulator;
 

@@ -12,9 +12,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use trail_blockio::IoDone;
+use trail_blockio::{IoDone, IoRequest};
 use trail_core::{
-    format_log_disk, owning_log, FormatOptions, MultiTrail, TrailConfig, TrailDriver,
+    format_log_disk, owning_log, BlockStack, FormatOptions, MultiTrail, TrailConfig, TrailDriver,
     REGION_SECTORS,
 };
 use trail_disk::{profiles, AckLedger, Disk, Lba};
@@ -46,9 +46,10 @@ impl Front {
     }
 
     fn read(&self, sim: &mut Simulator, dev: usize, lba: Lba, count: u32, done: Done) {
+        let req = IoRequest::read(lba, count);
         match self {
-            Front::One(d) => d.read(sim, dev, lba, count, done),
-            Front::Array(m) => m.read(sim, dev, lba, count, done),
+            Front::One(d) => d.submit(sim, dev, req, done),
+            Front::Array(m) => m.submit(sim, dev, req, done),
         }
         .expect("accepted");
     }

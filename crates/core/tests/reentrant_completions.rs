@@ -8,9 +8,10 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use trail_blockio::IoDone;
+use trail_blockio::{IoDone, IoRequest};
 use trail_core::{
-    format_log_disk, FormatOptions, MultiTrail, TrailConfig, TrailDriver, REGION_SECTORS,
+    format_log_disk, BlockStack, FormatOptions, MultiTrail, TrailConfig, TrailDriver,
+    REGION_SECTORS,
 };
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::{Delivered, SimDuration, Simulator};
@@ -85,7 +86,8 @@ fn read_and_write_interleave_from_handlers() {
                 drv2.write(sim, 0, 9, vec![0x77; SECTOR_SIZE], final_done)
                     .unwrap();
             });
-            drv1.read(sim, 0, 5, 1, read_done).unwrap();
+            drv1.submit(sim, 0, IoRequest::read(5, 1), read_done)
+                .unwrap();
         });
         drv.write(&mut sim, 0, 5, payload(0x3C), done).unwrap();
     }

@@ -14,15 +14,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use trail_blockio::IoDone;
-use trail_core::TrailError;
+use trail_blockio::{IoDone, IoRequest};
+use trail_core::{BlockStack, TrailError};
 use trail_disk::{Lba, PayloadBuf, SECTOR_SIZE};
 use trail_sim::{Completion, Delivered, FastMap, IoError, SimDuration, SimTime, Simulator};
-use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle, StreamId};
+use trail_telemetry::{null_recorder, Event, EventKind, Layer, RecorderHandle};
 
 use crate::cache::{BufferPool, CacheStats};
 use crate::page::{Page, PageId, Rid, PAGE_SIZE, SECTORS_PER_PAGE};
-use crate::stack::BlockStack;
 use crate::wal::{FlushJob, FlushPolicy, PendingCommit, Released, Wal, WalRecord, WalStats};
 
 /// Identifies a table.
@@ -621,15 +620,9 @@ impl Database {
             d.stats.page_flushes += 1;
             Rc::clone(&d.stack)
         };
+        let write = IoRequest::write(pid.first_lba(), in_flight);
         stack
-            .write_tagged(
-                sim,
-                pid.dev as usize,
-                pid.first_lba(),
-                in_flight,
-                StreamId::UNTAGGED,
-                done,
-            )
+            .submit(sim, pid.dev as usize, write, done)
             .expect("page write within device bounds");
     }
 
@@ -755,7 +748,7 @@ impl Database {
             Err(e) => db.fail_flush(sim, chain.seq, e),
         });
         stack
-            .write_tagged(sim, dev, lba, piece, StreamId::UNTAGGED, done)
+            .submit(sim, dev, IoRequest::write(lba, piece), done)
             .expect("log chunk write within device bounds");
     }
 

@@ -8,9 +8,9 @@
 //! and background dirty-page write-back — all of which this crate
 //! reproduces over a pluggable storage stack:
 //!
-//! - [`BlockStack`], implemented by [`trail_core::MultiTrail`] (Trail
-//!   over one log disk or several) and [`StandardStack`] — the same
-//!   engine binary-compares `EXT2+Trail`, `EXT2`, and `EXT2+GC`;
+//! - any [`trail_core::BlockStack`] — [`trail_core::MultiTrail`] (Trail
+//!   over one log disk or several) or [`trail_core::StandardStack`] — so
+//!   the same engine binary-compares `EXT2+Trail`, `EXT2`, and `EXT2+GC`;
 //! - [`Page`] / [`BufferPool`] — 4-KiB slotted pages under a clock cache;
 //! - [`Wal`] with [`FlushPolicy::EveryCommit`] and
 //!   [`FlushPolicy::GroupCommit`] — Table 3 counts the group commits;
@@ -32,17 +32,15 @@ mod engine;
 mod page;
 mod recovery;
 mod service;
-mod stack;
 mod wal;
 
 pub use cache::{BufferPool, CacheStats};
 pub use engine::{Database, DbConfig, DbStats, Op, TableId, TxnResult, TxnSpec};
 pub use page::{Page, PageId, Rid, PAGE_SIZE, SECTORS_PER_PAGE};
 pub use recovery::{
-    read_blocking, recover_committed, replay_committed, scan_wal, RecoveredImage, WalRecoveryReport,
+    recover_committed, replay_committed, scan_wal, RecoveredImage, WalRecoveryReport,
 };
 pub use service::StorageService;
-pub use stack::{BlockStack, SharedStack, StandardStack};
 pub use wal::{
     FlushJob, FlushPolicy, PendingCommit, Released, Wal, WalRecord, WalStats, CHUNK_MAGIC,
 };

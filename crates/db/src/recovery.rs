@@ -8,12 +8,11 @@
 //! device's durability guarantee, then WAL redo restores *transaction*
 //! atomicity on top of it.
 
-use trail_core::TrailError;
+use trail_core::{read_blocking, BlockStack, TrailError};
 use trail_disk::Lba;
 use trail_sim::{FastMap, FastSet, Simulator};
 
 use crate::engine::TableId;
-use crate::stack::BlockStack;
 use crate::wal::{Wal, WalRecord};
 
 /// Structured timing/volume breakdown of one WAL redo pass — the
@@ -46,25 +45,6 @@ impl WalRecoveryReport {
             ("scan_ms", J::Num(self.scan_time.as_millis_f64())),
         ])
     }
-}
-
-/// Reads `count` sectors through the stack, blocking (drains the event
-/// queue — recovery owns the simulation).
-///
-/// # Errors
-///
-/// Propagates stack errors; a read the stack failed is [`TrailError::Io`]
-/// with the delivered error (`PoweredOff` on a dark disk).
-pub fn read_blocking(
-    sim: &mut Simulator,
-    stack: &dyn BlockStack,
-    dev: usize,
-    lba: Lba,
-    count: u32,
-) -> Result<Vec<u8>, TrailError> {
-    let res = sim.block_on(|sim, done| stack.read(sim, dev, lba, count, done))?;
-    sim.run();
-    Ok(res?.data.expect("a read returns data").to_vec())
 }
 
 /// Scans the log region, returning every record of every chunk in LSN

@@ -2,7 +2,7 @@
 //! verb set a network front-end serves (`get` / `put` / `commit`).
 //!
 //! A serving layer (see `trail-serve`) wants three things a raw
-//! [`BlockStack`](crate::BlockStack) does not provide directly:
+//! [`BlockStack`](trail_core::BlockStack) does not provide directly:
 //!
 //! - **Admissible addressing** — client-supplied LBAs are folded into the
 //!   device's capacity (the same `lba % (capacity - sectors + 1)` rule the
@@ -26,12 +26,10 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use trail_blockio::IoDone;
-use trail_core::TrailError;
+use trail_blockio::{IoDone, IoRequest};
+use trail_core::{SharedStack, TrailError};
 use trail_sim::{Completion, Delivered, IoError, Simulator};
 use trail_telemetry::StreamId;
-
-use crate::stack::SharedStack;
 
 struct ServiceInner {
     stack: SharedStack,
@@ -138,7 +136,8 @@ impl StorageService {
     ) -> Result<(), TrailError> {
         let (dev, lba) = self.clamp(dev, lba, sectors);
         let stack = Rc::clone(&self.inner.borrow().stack);
-        stack.read_tagged(sim, dev, lba, sectors, stream, done)
+        let read = IoRequest::read(lba, sectors).tagged(stream);
+        stack.submit(sim, dev, read, done)
     }
 
     /// Submits a stream-tagged durable write at the clamped address,
@@ -198,7 +197,8 @@ impl StorageService {
             .outstanding
             .entry(stream)
             .or_insert(0) += 1;
-        stack.write_tagged(sim, dev, lba, data.into(), stream, tracked)
+        let write = IoRequest::write(lba, data).tagged(stream);
+        stack.submit(sim, dev, write, tracked)
     }
 
     /// Completes `done` when every `put` the stream issued before this
@@ -233,8 +233,8 @@ fn resolve(sim: &mut Simulator, commit: Completion<()>, failure: Option<IoError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::StandardStack;
     use std::cell::Cell;
+    use trail_core::StandardStack;
     use trail_disk::{profiles, Disk, SECTOR_SIZE};
 
     fn service(sim_devices: usize) -> (Simulator, StorageService) {

@@ -5,10 +5,12 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use trail_blockio::{BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver};
-use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
+use trail_core::{
+    format_log_disk, read_blocking, FormatOptions, MultiTrail, StandardStack, TrailConfig,
+};
 use trail_db::{
-    scan_wal, Database, DbConfig, FlushPolicy, Op, Page, StandardStack, TxnResult, TxnSpec, Wal,
-    CHUNK_MAGIC, SECTORS_PER_PAGE,
+    scan_wal, Database, DbConfig, FlushPolicy, Op, Page, TxnResult, TxnSpec, Wal, CHUNK_MAGIC,
+    SECTORS_PER_PAGE,
 };
 use trail_disk::{cut_instants, profiles, Disk, DiskError, SECTOR_SIZE};
 use trail_sim::{
@@ -776,14 +778,14 @@ fn a_chunk_torn_between_its_pieces_stops_recovery_though_a_later_force_landed() 
     let mut at = LOG_REGION_START;
     let chunks: Vec<Vec<u8>> = (0..4u32)
         .map(|seq| {
-            let head = trail_db::read_blocking(&mut sim, &stack, LOG_DEV, at, 1).unwrap();
+            let head = read_blocking(&mut sim, &stack, LOG_DEV, at, 1).unwrap();
             assert_eq!(
                 head[0..8],
                 [CHUNK_MAGIC, seq].map(u32::to_le_bytes).concat()
             );
             let len = u32::from_le_bytes(head[12..16].try_into().unwrap()) as usize;
             let sectors = Wal::chunk_sectors(len);
-            let chunk = trail_db::read_blocking(&mut sim, &stack, LOG_DEV, at, sectors as u32);
+            let chunk = read_blocking(&mut sim, &stack, LOG_DEV, at, sectors as u32);
             at += sectors;
             chunk.unwrap()
         })

@@ -81,19 +81,15 @@ pub struct PayloadBuf {
     repr: Repr,
 }
 
+/// Where a handle's bytes are. The two byte-backed forms share one
+/// variant, so the tag lives in a niche of the pooled form and a handle is
+/// 32 bytes, the size of that form (`u32` ranges: a payload is one write
+/// or read, far below 4 GiB).
 enum Repr {
-    /// Sole owner: the `Vec` the payload arrived as.
-    Owned(Vec<u8>),
-    /// `bytes[start..start + len]` of an allocation other handles share.
-    Shared {
-        bytes: Rc<Vec<u8>>,
-        start: usize,
-        len: usize,
-    },
+    /// Bytes the payload holds itself.
+    Bytes(Bytes),
     /// Sectors `first..first + count` of a run in an image pool, which
-    /// other handles may share. (`u32`s keep a handle eight bytes larger
-    /// than the other forms, not sixteen: a run is one write or read, far
-    /// below 2³² sectors.)
+    /// other handles may share.
     Pooled {
         run: PoolRun,
         first: u32,
@@ -101,23 +97,40 @@ enum Repr {
     },
 }
 
+/// The byte-backed forms of [`Repr`].
+enum Bytes {
+    /// Sole owner: the `Vec` the payload arrived as.
+    Owned(Vec<u8>),
+    /// `bytes[start..start + len]` of an allocation other handles share.
+    Shared {
+        bytes: Rc<Vec<u8>>,
+        start: u32,
+        len: u32,
+    },
+}
+
 impl Default for Repr {
     fn default() -> Self {
-        Repr::Owned(Vec::new())
+        Repr::Bytes(Bytes::Owned(Vec::new()))
     }
+}
+
+/// A byte offset or length of a payload as its handle keeps it.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("a payload is under 4 GiB")
 }
 
 impl PayloadBuf {
     /// Moves a sole owner's buffer behind a reference count (the one
     /// allocation sharing ever costs).
     fn promote(&mut self) {
-        if let Repr::Owned(vec) = &mut self.repr {
-            let len = vec.len();
-            self.repr = Repr::Shared {
+        if let Repr::Bytes(Bytes::Owned(vec)) = &mut self.repr {
+            let len = narrow(vec.len());
+            self.repr = Repr::Bytes(Bytes::Shared {
                 bytes: Rc::new(std::mem::take(vec)),
                 start: 0,
                 len,
-            };
+            });
         }
     }
 
@@ -151,17 +164,17 @@ impl PayloadBuf {
     fn view(&mut self, offset: usize, view_len: usize) -> PayloadBuf {
         self.promote();
         let repr = match &self.repr {
-            Repr::Shared { bytes, start, .. } => Repr::Shared {
+            Repr::Bytes(Bytes::Shared { bytes, start, .. }) => Repr::Bytes(Bytes::Shared {
                 bytes: Rc::clone(bytes),
-                start: start + offset,
-                len: view_len,
-            },
+                start: start + narrow(offset),
+                len: narrow(view_len),
+            }),
             Repr::Pooled { run, first, .. } => Repr::Pooled {
                 run: run.clone(),
-                first: first + (offset / SECTOR_SIZE) as u32,
-                count: (view_len / SECTOR_SIZE) as u32,
+                first: first + narrow(offset / SECTOR_SIZE),
+                count: narrow(view_len / SECTOR_SIZE),
             },
-            Repr::Owned(_) => unreachable!("promoted above"),
+            Repr::Bytes(Bytes::Owned(_)) => unreachable!("promoted above"),
         };
         PayloadBuf { repr }
     }
@@ -172,7 +185,10 @@ impl PayloadBuf {
     #[must_use]
     pub fn ptr_eq(&self, other: &PayloadBuf) -> bool {
         match (&self.repr, &other.repr) {
-            (Repr::Shared { bytes: a, .. }, Repr::Shared { bytes: b, .. }) => Rc::ptr_eq(a, b),
+            (
+                Repr::Bytes(Bytes::Shared { bytes: a, .. }),
+                Repr::Bytes(Bytes::Shared { bytes: b, .. }),
+            ) => Rc::ptr_eq(a, b),
             (Repr::Pooled { run: a, .. }, Repr::Pooled { run: b, .. }) => PoolRun::ptr_eq(a, b),
             _ => false,
         }
@@ -182,8 +198,8 @@ impl PayloadBuf {
     #[must_use]
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Owned(vec) => vec.len(),
-            Repr::Shared { len, .. } => *len,
+            Repr::Bytes(Bytes::Owned(vec)) => vec.len(),
+            Repr::Bytes(Bytes::Shared { len, .. }) => *len as usize,
             Repr::Pooled { count, .. } => *count as usize * SECTOR_SIZE,
         }
     }
@@ -197,8 +213,10 @@ impl PayloadBuf {
     /// Where the payload's bytes are.
     fn form(&self) -> Form<'_> {
         match &self.repr {
-            Repr::Owned(vec) => Form::Bytes(vec),
-            Repr::Shared { bytes, start, len } => Form::Bytes(&bytes[*start..*start + *len]),
+            Repr::Bytes(Bytes::Owned(vec)) => Form::Bytes(vec),
+            Repr::Bytes(Bytes::Shared { bytes, start, len }) => {
+                Form::Bytes(&bytes[*start as usize..(start + len) as usize])
+            }
             Repr::Pooled { run, first, count } => {
                 Form::Pooled(run, *first as usize..(first + count) as usize)
             }
@@ -352,7 +370,7 @@ enum Form<'a> {
 impl From<Vec<u8>> for PayloadBuf {
     fn from(bytes: Vec<u8>) -> Self {
         PayloadBuf {
-            repr: Repr::Owned(bytes),
+            repr: Repr::Bytes(Bytes::Owned(bytes)),
         }
     }
 }
@@ -423,7 +441,10 @@ impl fmt::Debug for PayloadBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PayloadBuf")
             .field("len", &self.len())
-            .field("shared", &!matches!(self.repr, Repr::Owned(_)))
+            .field(
+                "shared",
+                &!matches!(self.repr, Repr::Bytes(Bytes::Owned(_))),
+            )
             .field("pooled", &self.as_bytes().is_none())
             .finish()
     }
@@ -441,11 +462,16 @@ mod tests {
         let mut p = PayloadBuf::from(vec);
         let at_of = |p: &PayloadBuf| p.as_bytes().expect("byte-backed").as_ptr();
         assert_eq!(at_of(&p), at, "From<Vec<u8>> copies nothing");
-        assert!(matches!(p.repr, Repr::Owned(_)));
+        assert!(matches!(p.repr, Repr::Bytes(Bytes::Owned(_))));
         assert!(!p.ptr_eq(&p), "an unshared payload is one with nothing");
         let q = p.share();
         assert_eq!((at_of(&p), at_of(&q)), (at, at), "nor does share");
         assert!(p.ptr_eq(&q) && q.ptr_eq(&p));
+    }
+
+    #[test]
+    fn a_handle_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<PayloadBuf>(), 32);
     }
 
     #[test]
@@ -572,7 +598,7 @@ mod tests {
                 let view = (parent.sectors(first, count), *base + first, count);
                 handles.push(view);
             }
-            let Repr::Shared { bytes, .. } = &handles[0].0.repr else {
+            let Repr::Bytes(Bytes::Shared { bytes, .. }) = &handles[0].0.repr else {
                 panic!("cutting a view shares the root");
             };
             let allocation = Rc::downgrade(bytes);

@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
-use trail_db::BlockStack;
+use trail_core::{read_blocking, write_blocking, BlockStack};
 use trail_sim::{Completion, Delivered, FastMap, Simulator};
 
 use crate::vfs::{FileHandle, FileSystem, FsError, FsStats, FS_BLOCK_SIZE};
@@ -103,23 +103,6 @@ pub struct ExtFs {
     inner: Rc<RefCell<Inner>>,
 }
 
-/// One write through the stack, to completion and until everything it
-/// set in motion has settled (format and mount run as offline tools).
-fn write_blocking(
-    sim: &mut Simulator,
-    stack: &dyn BlockStack,
-    dev: usize,
-    lba: u64,
-    data: Vec<u8>,
-) -> Result<(), FsError> {
-    let res = sim
-        .block_on(|sim, token| stack.write(sim, dev, lba, data, token))
-        .map_err(FsError::Storage)?;
-    sim.run();
-    res.map_err(|e| FsError::Storage(e.into()))?;
-    Ok(())
-}
-
 impl ExtFs {
     /// Formats device `dev` (writes an empty superblock) and mounts it.
     ///
@@ -165,7 +148,7 @@ impl ExtFs {
         dev: usize,
         capacity_blocks: u32,
     ) -> Result<ExtFs, FsError> {
-        let sb = trail_db::read_blocking(sim, stack.as_ref(), dev, 0, SECTORS_PER_BLOCK as u32)
+        let sb = read_blocking(sim, stack.as_ref(), dev, 0, SECTORS_PER_BLOCK as u32)
             .map_err(FsError::Storage)?;
         if u32::from_le_bytes(sb[0..4].try_into().expect("len")) != MAGIC {
             return Err(FsError::InvalidArgument);
@@ -189,7 +172,7 @@ impl ExtFs {
             dir.insert(name, ino);
         }
         // Inode table.
-        let itable = trail_db::read_blocking(
+        let itable = read_blocking(
             sim,
             stack.as_ref(),
             dev,
@@ -206,7 +189,7 @@ impl ExtFs {
             }
             if ino.indirect != 0 {
                 max_block = max_block.max(ino.indirect);
-                let raw = trail_db::read_blocking(
+                let raw = read_blocking(
                     sim,
                     stack.as_ref(),
                     dev,

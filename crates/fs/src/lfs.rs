@@ -15,7 +15,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
-use trail_db::BlockStack;
+use trail_core::BlockStack;
 use trail_sim::{Completion, Delivered, FastMap, Simulator};
 
 use crate::vfs::{FileHandle, FileSystem, FsError, FsStats, FS_BLOCK_SIZE};

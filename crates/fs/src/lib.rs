@@ -22,7 +22,7 @@
 //!   [`cleaner`](Lfs::clean) reads live blocks out of cold segments and
 //!   rewrites them — the garbage-collection I/O Trail avoids.
 //!
-//! Both implement [`FileSystem`] over any [`trail_db::BlockStack`], so the
+//! Both implement [`FileSystem`] over any [`trail_core::BlockStack`], so the
 //! same workload drives `EXT2`, `EXT2+Trail`, and `LFS` (the `fs_compare`
 //! bench).
 

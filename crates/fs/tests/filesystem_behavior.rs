@@ -3,7 +3,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use trail_db::StandardStack;
+use trail_core::StandardStack;
 use trail_disk::{profiles, Disk};
 use trail_fs::{ExtFs, FileSystem, FsError, Lfs, LfsConfig};
 use trail_sim::{Delivered, Simulator};

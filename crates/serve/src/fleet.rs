@@ -638,7 +638,8 @@ fn issue_open(sim: &mut Simulator, ctx: &Rc<ClientCtx>, rec: &TraceRecord) {
 mod tests {
     use super::*;
     use crate::server::{AdmissionPolicy, ServerConfig};
-    use trail_db::{SharedStack, StandardStack, StorageService};
+    use trail_core::{SharedStack, StandardStack};
+    use trail_db::StorageService;
     use trail_disk::{profiles, Disk};
 
     fn fleet_server(config: ServerConfig) -> (Simulator, Server) {

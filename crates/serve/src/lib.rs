@@ -26,7 +26,8 @@
 //!
 //! ```
 //! use trail_serve::{run_fleet, FleetMode, FleetSpec, Server, ServerConfig};
-//! use trail_db::{SharedStack, StandardStack, StorageService};
+//! use trail_core::{SharedStack, StandardStack};
+//! use trail_db::StorageService;
 //! use trail_disk::{profiles, Disk};
 //! use trail_sim::Simulator;
 //! use std::rc::Rc;

@@ -601,14 +601,14 @@ mod tests {
     use super::*;
     use std::cell::Cell;
     use std::rc::Rc;
-    use trail_db::StandardStack;
+    use trail_core::{SharedStack, StandardStack};
     use trail_disk::{profiles, Disk};
 
     fn server(config: ServerConfig) -> (Simulator, Server) {
         let sim = Simulator::new();
         let disks = vec![Disk::new("d0", profiles::tiny_test_disk())];
         let capacity = disks.iter().map(|d| d.geometry().total_sectors()).collect();
-        let stack: trail_db::SharedStack = Rc::new(StandardStack::new(disks));
+        let stack: SharedStack = Rc::new(StandardStack::new(disks));
         let service = StorageService::new(stack, capacity);
         (sim, Server::new(service, config))
     }
@@ -692,7 +692,7 @@ mod tests {
         let mut sim = Simulator::new();
         let disk = Disk::new("d0", profiles::tiny_test_disk());
         let capacity = vec![disk.geometry().total_sectors()];
-        let stack: trail_db::SharedStack = Rc::new(StandardStack::new(vec![disk.clone()]));
+        let stack: SharedStack = Rc::new(StandardStack::new(vec![disk.clone()]));
         let srv = Server::new(
             StorageService::new(stack, capacity),
             ServerConfig::default(),

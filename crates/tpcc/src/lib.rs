@@ -7,9 +7,9 @@
 //!
 //! - `EXT2+Trail`: [`trail_core::MultiTrail`] over one log disk,
 //!   every-commit forces, terminals chain on durability;
-//! - `EXT2`: [`trail_db::StandardStack`], every-commit forces, terminals
+//! - `EXT2`: [`trail_core::StandardStack`], every-commit forces, terminals
 //!   chain on durability;
-//! - `EXT2+GC`: [`trail_db::StandardStack`], group commit by log-buffer
+//! - `EXT2+GC`: [`trail_core::StandardStack`], group commit by log-buffer
 //!   size, terminals chain on control (the commit returns before the
 //!   force — which is why its *response time* balloons).
 //!

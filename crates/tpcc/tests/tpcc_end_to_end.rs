@@ -4,8 +4,9 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use trail_core::StandardStack;
 use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
-use trail_db::{Database, DbConfig, FlushPolicy, StandardStack};
+use trail_db::{Database, DbConfig, FlushPolicy};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::{SimDuration, Simulator};
 use trail_tpcc::{populate, run, ChainOn, CpuModel, RunConfig, Scale, TpccReport, Workload};

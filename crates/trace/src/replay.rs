@@ -62,9 +62,8 @@ use std::fmt;
 use std::rc::Rc;
 
 use trail::{BuiltStack, StackBuilder};
-use trail_blockio::TapHandle;
-use trail_core::TrailError;
-use trail_db::BlockStack;
+use trail_blockio::{IoRequest, TapHandle};
+use trail_core::{BlockStack, TrailError};
 use trail_disk::{Disk, ImagePool, MediumStats, SECTOR_SIZE};
 use trail_fs::{FileHandle, FileSystem, FsError, FS_BLOCK_SIZE};
 use trail_sim::{
@@ -834,16 +833,13 @@ fn submit(sim: &mut Simulator, issuer: &Issuer, idx: u64, r: &TraceRecord) {
             let done = accounting(sim, issuer, idx, r, |d: &Delivered<IoDone>| d.is_ok());
             // A rejected submission drops the armed token, which cancels
             // it — the accounting counts that as an error.
-            let _ = if is_read {
-                issuer
-                    .stack
-                    .read_tagged(sim, dev, lba, sectors, stream, done)
-            } else {
-                let data = vec![fill_byte(idx); sectors as usize * SECTOR_SIZE];
-                issuer
-                    .stack
-                    .write_tagged(sim, dev, lba, data.into(), stream, done)
+            let req = match is_read {
+                true => IoRequest::read(lba, sectors),
+                false => {
+                    IoRequest::write(lba, vec![fill_byte(idx); sectors as usize * SECTOR_SIZE])
+                }
             };
+            let _ = issuer.stack.submit(sim, dev, req.tagged(stream), done);
         }
         Some((fs, file)) => {
             let bytes = sectors as usize * SECTOR_SIZE;

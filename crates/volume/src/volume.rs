@@ -343,8 +343,10 @@ impl RaidVolume {
     ///
     /// # Errors
     ///
-    /// Returns [`DiskError::OutOfRange`] / [`DiskError::BadDataLength`]
-    /// for malformed requests; `done` is then cancelled.
+    /// Refuses a malformed request as a [`StandardDriver`] does:
+    /// [`DiskError::OutOfRange`] for a range past the volume or a read of
+    /// no sector, [`DiskError::BadDataLength`] for an empty or ragged
+    /// write; `done` is then cancelled.
     pub fn submit(
         &self,
         sim: &mut Simulator,
@@ -354,13 +356,12 @@ impl RaidVolume {
         let op = {
             let mut v = self.inner.borrow_mut();
             let sectors = req.kind.sectors();
-            if sectors == 0 {
-                return Err(DiskError::BadDataLength);
-            }
-            if let IoKind::Write { data } = &req.kind {
-                if data.len() % SECTOR_SIZE != 0 {
-                    return Err(DiskError::BadDataLength);
+            match &req.kind {
+                IoKind::Read { count: 0 } => return Err(DiskError::OutOfRange),
+                IoKind::Write { data } if data.is_empty() || data.len() % SECTOR_SIZE != 0 => {
+                    return Err(DiskError::BadDataLength)
                 }
+                _ => {}
             }
             if req.lba + u64::from(sectors) > v.capacity {
                 return Err(DiskError::OutOfRange);
@@ -1605,7 +1606,7 @@ mod tests {
         let done = sim.completion(|_, d: Delivered<IoDone>| assert!(d.is_err()));
         assert_eq!(
             vol.submit(&mut sim, IoRequest::read(0, 0), done),
-            Err(DiskError::BadDataLength)
+            Err(DiskError::OutOfRange)
         );
         let done = sim.completion(|_, d: Delivered<IoDone>| assert!(d.is_err()));
         assert_eq!(

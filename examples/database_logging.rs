@@ -6,7 +6,8 @@
 
 use std::rc::Rc;
 
-use trail::db::{Database, DbConfig, FlushPolicy, StandardStack};
+use trail::core::StandardStack;
+use trail::db::{Database, DbConfig, FlushPolicy};
 use trail::prelude::*;
 use trail::tpcc::{populate, run, ChainOn, CpuModel, RunConfig, Scale, Workload};
 

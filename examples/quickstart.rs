@@ -69,7 +69,7 @@ fn main() -> Result<(), TrailError> {
             done.data.unwrap().sector(0)[0]
         );
     });
-    trail.read(&mut sim, 0, 1000, 2, done)?;
+    trail.submit(&mut sim, 0, IoRequest::read(1000, 2), done)?;
     sim.run();
 
     trail.with_stats(|s| {

@@ -8,7 +8,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use trail_blockio::IoDone;
-use trail_db::BlockStack;
+use trail_core::BlockStack;
 use trail_sim::{Delivered, DurationHistogram, SimDuration, SimTime, Simulator};
 
 use crate::scenario::BuiltStack;

@@ -23,6 +23,7 @@
 //! # Quickstart
 //!
 //! ```
+//! use trail::core::BlockStack;
 //! use trail::prelude::*;
 //!
 //! // A simulated machine: one SCSI log disk, one IDE data disk.

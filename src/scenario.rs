@@ -35,7 +35,8 @@ use trail_core::{
     format_log_disk, FormatOptions, MultiTrail, RecoveryReport, TrailConfig, TrailDriver,
     TrailError,
 };
-use trail_db::{BlockStack, Database, DbConfig, StandardStack};
+use trail_core::{BlockStack, StandardStack};
+use trail_db::{Database, DbConfig};
 use trail_disk::profiles::{self, DriveProfile};
 use trail_disk::{Disk, DiskRole, ImagePool};
 use trail_fs::{ExtFs, FileHandle, FileSystem, FsError, Lfs, LfsConfig, FS_BLOCK_SIZE};
