@@ -191,16 +191,12 @@ full_dir="$smoke_dir/full"
 trail_bench all --out-dir "$full_dir" >/dev/null
 [ "$(ls "$full_dir"/BENCH_*.json | wc -l)" -eq 17 ] \
   || { echo "full-size trail-bench all did not write all 17 artifacts" >&2; exit 1; }
-# The RAID sweep at full size: no row loses a request, a healthy 3-member
-# RAID-5 never pays read-modify-write (reconstruct-write reads less), and
-# Trail-fronted reads overtake the members' queued write-backs.
+# The RAID sweep at full size: no row loses a request, and Trail-fronted
+# reads overtake the members' queued write-backs.
 raid_json="$full_dir/BENCH_raid.json"
 awk 'BEGIN { RS = "[{]\"target\":" } NR > 1 {
   rows++
   if ($0 !~ /"errors":0,/) { print "raid row " rows " has errors"; bad = 1 }
-  if ($0 ~ /^"raid5x3/ && $0 ~ /"degraded":0,/ && $0 ~ /"rmw_cycles":[1-9]/) {
-    print "healthy raid5x3 row " rows " ran read-modify-write"; bad = 1
-  }
 } END { exit bad || rows == 0 }' "$raid_json" >&2 \
   || { echo "BENCH_raid.json fails its row checks" >&2; exit 1; }
 read_speedup="$(grep -o '"small_read_speedup":[0-9.]*' "$raid_json" | grep -o '[0-9.]*$' || true)"
@@ -611,15 +607,16 @@ stats_vecs="$(find crates src -name '*.rs' -exec awk '
 
 echo "== one-parity-rule gate =="
 # A RAID volume decides each thing once (crates/volume/src/volume.rs): one
-# `serviceable` rule says whether a request can be served, and a RAID-5
-# span is written by read-modify-write or reconstruct-write — a full
-# stripe and a span without its parity member are reconstruct-writes that
-# read nothing. Non-test code (read up to its first #[cfg(test)], comment
-# lines skipped) must not name the retired span modes or the striped
-# planner's private action enum, and counts failed members in one place.
+# `serviceable` rule says whether a request can be served, and every RAID-5
+# span is written by one parity rule, reconstruct-write — parity from whole
+# rows, so replaying a torn stripe heals it; a full stripe and a span
+# without its parity member read nothing. Non-test code (read up to its
+# first #[cfg(test)], comment lines skipped) must not name the retired span
+# modes (read-modify-write among them) or the striped planner's private
+# action enum, and counts failed members in one place.
 parity_rules="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
   /^[[:space:]]*\/\// { next }
-  /SpanMode::(Full|ParityLess)|enum Act([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }
+  /SpanMode::(Full|ParityLess|Rmw)|Rmw \{|enum Act([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }
   /failed[^;]*\.count\(\)/ { counts = counts FILENAME ":" FNR ": " $0 "\n"; n++ }
   END { if (n > 1) printf "%s", counts }' crates/volume/src/volume.rs)"
 [ -z "$parity_rules" ] || {

@@ -2315,9 +2315,10 @@ type Crashed = (&'static str, &'static str, FaultTarget);
 const RAW: Crashed = ("raw", "trail", FaultTarget::System);
 /// A two-log array over three raw data disks, cut as a whole system.
 const MULTI2: Crashed = ("multi2", "trail_multi2", FaultTarget::System);
-/// Trail over a three-member RAID-5 volume with only its log cut, so the
-/// members keep maintaining parity.
-const RAID5: Crashed = ("raid5", "raid5x3_trail,disks=1", FaultTarget::Log(0));
+/// Trail over a five-member RAID-5 volume, cut as a whole system, members
+/// included: recovery's replay of the live records heals every stripe the
+/// cut tore.
+const RAID5: Crashed = ("raid5", "raid5x5_trail,disks=1", FaultTarget::System);
 
 /// The stack `spec` names, seeded, and its seeded burst of `writes`
 /// extents at measurement start (the fig4 shape: Trail absorbs the queue,
@@ -2598,10 +2599,12 @@ mod tests {
 
     #[test]
     fn raid5_campaign_holds_the_parity_invariant() {
-        // The explorer's redundancy rule counts a stripe that does not XOR
-        // to zero after a log-only cut as a violation.
-        let points = run_campaign(RAID5, 8, 3, 11, 2);
-        assert_eq!(points.len(), 3);
+        // Every enumerated whole-system cut of a burst on a five-member
+        // array: the explorer's redundancy rule counts a touched stripe
+        // that does not XOR to zero after recovery as a violation.
+        let points = run_campaign(RAID5, 8, usize::MAX, 11, 2);
+        assert!(points.len() >= 30, "{} cuts", points.len());
+        assert!(points.iter().any(|p| p.in_data_write));
         assert!(points.iter().all(|p| p.violations == 0));
     }
 }

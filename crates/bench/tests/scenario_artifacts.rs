@@ -30,8 +30,8 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("replaystream", 556, 0x9c9d26b1),
     ("serve", 34753, 0x03fc4d0e),
     ("serve_sweep", 34231, 0x2bddf6cb),
-    ("raid", 9416, 0xcb552bc5),
-    ("recovery", 2829, 0xb8689a97),
+    ("raid", 9266, 0xd679600f),
+    ("recovery", 2837, 0x8b030401),
 ];
 
 /// `(registry name, byte length, CRC-32)` of every `--quick`, seed-0
@@ -54,8 +54,8 @@ const REPORT_GOLDEN: &[(&str, usize, u32)] = &[
     ("replay_stream", 445, 0xbe4c8bca),
     ("serve_fleet", 1294, 0xede40060),
     ("serve_sweep", 1437, 0x7a1d91fc),
-    ("raid_sweep", 1252, 0xa94d6423),
-    ("crash_campaign", 1442, 0x20193afd),
+    ("raid_sweep", 1251, 0xf4a5252d),
+    ("crash_campaign", 1442, 0x5b1e9bd3),
 ];
 
 /// What an artifact must show for the headline claim it backs to hold.

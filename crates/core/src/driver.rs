@@ -386,9 +386,9 @@ impl TrailDriver {
     ///
     /// Trail's write-back path submits to each target's
     /// [`trail_blockio::BlockDevice`] face, so a RAID-5 target pays its
-    /// parity updates — the cheaper of read-modify-write and
-    /// reconstruct-write — in the background while the log front end keeps
-    /// acknowledging at track speed. Several Trail instances may share
+    /// parity updates — reconstruct-writes, parity from whole rows — in
+    /// the background while the log front end keeps acknowledging at
+    /// track speed. Several Trail instances may share
     /// data devices (see [`MultiTrail`](crate::MultiTrail)) only by sharing
     /// clones of the *same* `Rc` targets: each physical disk must have
     /// exactly one queueing driver.

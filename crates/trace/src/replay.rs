@@ -215,7 +215,7 @@ pub struct ReplayReport {
     /// — downsampled by stride doubling to a fixed budget on long runs.
     pub queue_depth: Vec<(SimTime, u32)>,
     /// Per-volume statistics for RAID targets (member latency
-    /// breakdowns, RMW/full-stripe counters, degraded reads), in the
+    /// breakdowns, reconstruct/full-stripe counters, degraded reads), in the
     /// target's volume order; empty for targets without volumes.
     pub volume_stats: Vec<trail::volume::VolumeStats>,
     /// What the stack's recording media cost the host when the replay

@@ -1,9 +1,9 @@
 //! A keyed serialization gate for stripe-atomic operations.
 //!
 //! RAID-5 parity updates and degraded-read reconstructions must not
-//! interleave on the same stripe: two concurrent read-modify-write cycles
-//! that both read old parity before either writes new parity would lose
-//! one delta. The [`Gate`] serializes operations that share any key
+//! interleave on the same stripe: two concurrent reconstruct-writes that
+//! both read the old rows before either writes would each compute a
+//! parity that misses the other's data. The [`Gate`] serializes operations that share any key
 //! (stripe ids for RAID-5, mirror regions for RAID-1) while letting
 //! disjoint operations proceed concurrently.
 //!

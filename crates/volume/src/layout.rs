@@ -22,7 +22,7 @@ pub enum VolumeLayout {
         read_policy: ReadPolicy,
     },
     /// RAID-5 rotating parity (left-asymmetric), small writes via
-    /// read-modify-write or reconstruct-write, whichever reads less.
+    /// reconstruct-write (parity from whole rows).
     Raid5 {
         /// Sectors per chunk (stripe unit).
         chunk_sectors: u32,

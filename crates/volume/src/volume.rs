@@ -7,14 +7,14 @@
 //! an array unchanged.
 //!
 //! The interesting machinery is RAID-5's small-write path. Every stripe a
-//! write touches is brought up to date by one of two parity rules:
-//! read-modify-write reads the old data and old parity, XORs the deltas
-//! into the parity, and writes both back; reconstruct-write reads the data
-//! chunks the write does not overwrite and computes parity from whole
-//! rows. A partial stripe takes whichever reads fewer blocks. A full
-//! stripe is a reconstruct-write with nothing to read, and so is a stripe
-//! whose parity member has failed (it writes no parity); a stripe that
-//! writes a failed data member rebuilds that member's old row first.
+//! write touches is brought up to date by one parity rule,
+//! reconstruct-write: read the data chunks the write does not wholly
+//! cover and compute parity from whole rows. A full stripe reads nothing,
+//! and so does a stripe whose parity member has failed (it writes no
+//! parity); a stripe that would read a failed data member rebuilds that
+//! member's old row from the survivors and the old parity first. Parity
+//! never depends on the parity it replaces, so rewriting a stripe torn
+//! between its data and parity writes heals it.
 //! Those extra mechanical I/Os are exactly the cost Trail's log-append
 //! front end hides. Reads of a failed member's chunks are reconstructed
 //! by XOR on the fly, and one rule decides whether the members left can
@@ -94,14 +94,14 @@ pub struct VolumeStats {
     pub read_latency: DurationHistogram,
     /// End-to-end logical write latencies.
     pub write_latency: DurationHistogram,
-    /// RAID-5 read-modify-write cycles started (one per partial-stripe
-    /// span per attempt).
+    /// Always 0: RAID-5 has no read-modify-write rule, and this field
+    /// is left only for readers outside the workspace, out of every
+    /// summary.
     pub rmw_cycles: u64,
     /// RAID-5 full-stripe writes (parity from new data, no reads).
     pub full_stripe_writes: u64,
-    /// RAID-5 spans written in reconstruct mode: parity from whole rows,
-    /// because that reads no more blocks than read-modify-write or because
-    /// a written data member is failed.
+    /// RAID-5 partial-stripe spans written with parity from whole rows
+    /// (rebuilding a failed data member's old row where one is read).
     pub reconstruct_writes: u64,
     /// RAID-5 spans written with the parity member failed.
     pub parityless_writes: u64,
@@ -133,7 +133,6 @@ impl VolumeStats {
                 "write_p99_ms",
                 JsonValue::Num(self.write_latency.percentile(99.0).as_millis_f64()),
             ),
-            ("rmw_cycles", JsonValue::Num(self.rmw_cycles as f64)),
             (
                 "full_stripe_writes",
                 JsonValue::Num(self.full_stripe_writes as f64),
@@ -197,7 +196,8 @@ struct VolInner {
 /// vol.submit(&mut sim, IoRequest::write(3, vec![7; SECTOR_SIZE]), done)?;
 /// sim.run();
 /// // On three members a small write reads only the other data chunk.
-/// assert_eq!(vol.with_stats(|s| (s.rmw_cycles, s.reconstruct_writes)), (0, 1));
+/// let reads = |s: &trail_volume::VolumeStats| s.members.iter().map(|m| m.read_latency.count()).sum();
+/// assert_eq!(vol.with_stats(|s| (s.reconstruct_writes, reads(s))), (1, 1));
 /// # Ok::<(), trail_disk::DiskError>(())
 /// ```
 #[derive(Clone)]
@@ -769,8 +769,8 @@ fn submit_batch(
 /// [`submit_batch`] plus the continuation every plan shares. A write
 /// that fails transiently goes out again as it is, under the same keys: it
 /// may have torn its RAID-5 stripe, and a replan would compute parity from
-/// the torn stripe (by read-modify-write, or by rebuilding a member that
-/// fails meanwhile). Each re-send spends an attempt and counts as a retry.
+/// the torn stripe (by rebuilding a member that fails meanwhile). Each
+/// re-send spends an attempt and counts as a retry.
 /// Every round's results merge into one slot per sub-operation; then a
 /// failed gather aborts the operation, a failed slot goes to
 /// [`after_failure`], and otherwise `on_ok` gets every sub-result, in
@@ -1073,27 +1073,11 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
     gather_finish(vol, sim, op, ios, pieces);
 }
 
-/// How a RAID-5 span brings its parity up to date.
-enum SpanMode {
-    /// Read old data + old parity, fold the deltas into the parity, write
-    /// both back.
-    Rmw {
-        seg_slots: Vec<usize>,
-        parity_slot: usize,
-    },
-    /// Parity from whole rows: read the data chunks the write does not
-    /// fully cover over `[lo, hi)`, overlay the new data, XOR the rows
-    /// into fresh parity. A full stripe, or a span whose parity is not
-    /// written, reads nothing. With `rebuild`, a written data member is
-    /// failed: every survivor and the old parity are read, and the failed
-    /// chunk's old row is their XOR.
-    Reconstruct {
-        chunk_slots: Vec<(usize, usize)>,
-        /// `(failed chunk, parity slot)` on a degraded stripe.
-        rebuild: Option<(usize, usize)>,
-    },
-}
-
+/// How a RAID-5 span is written. Every span is a reconstruct-write:
+/// parity from whole rows over `[lo, hi)`. The data chunks in
+/// `chunk_slots` are read, the new data is overlaid, and the rows XOR
+/// into fresh parity. A full stripe, or a span whose parity is not
+/// written, reads nothing.
 struct SpanPlan {
     stripe: u64,
     /// The member the new parity goes to; `None` when it had failed at
@@ -1102,23 +1086,24 @@ struct SpanPlan {
     lo: u64,
     hi: u64,
     segs: Vec<layout::R5Seg>,
-    mode: SpanMode,
+    /// `(data chunk, read slot)` for each old row read.
+    chunk_slots: Vec<(usize, usize)>,
+    /// `(failed chunk, parity slot)` when a chunk the write does not
+    /// wholly cover is on a failed member: every survivor and the old
+    /// parity are read, and the failed chunk's old row is their XOR.
+    rebuild: Option<(usize, usize)>,
 }
 
-/// Phase 1 of a RAID-5 write: how each touched stripe will be written
-/// and which old blocks that needs read first.
+/// Phase 1 of a RAID-5 write: the one parity rule, and the old blocks
+/// it needs read first.
 ///
-/// A span that has nothing to read is a reconstruct-write with nothing
-/// uncovered: a full stripe (parity is the XOR of the new rows) or one
-/// whose parity member has failed (no parity is written). A span that
-/// writes a failed data member is a reconstruct-write that rebuilds the
-/// member's old row. A healthy partial stripe is written in whichever of
-/// read-modify-write and reconstruct-write reads fewer member blocks,
-/// reconstruct-write on a tie (Linux md's rule): its reads mostly miss
-/// the chunks it writes, so fewer writes wait a revolution for a sector
-/// just read, and it leaves the row consistent whatever parity held
-/// before. Reconstruct-write is ruled out when a chunk it would read is
-/// on a failed member.
+/// A full stripe, or a span whose parity member has failed, reads
+/// nothing. Otherwise the span reads every data chunk the write does not
+/// wholly cover over `[lo, hi)`; if one of those is on a failed member,
+/// it reads every surviving data chunk and the old parity instead, and
+/// rebuilds the failed chunk's old row from them. Parity is then computed
+/// from the data alone, so every write-back — and every replay of a live
+/// Trail record over a stripe a cut tore — leaves its rows consistent.
 fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> (MemberIos, Vec<SpanPlan>) {
     let n = v.members.len();
     let c64 = u64::from(chunk);
@@ -1127,75 +1112,49 @@ fn raid5_plan_spans(v: &mut VolInner, o: &Op, chunk: u32) -> (MemberIos, Vec<Spa
     for span in layout::raid5_write_stripes(n, chunk, o.lba, o.sectors) {
         let range_sectors = (span.hi - span.lo) as u32;
         let range_lba = span.stripe * c64 + span.lo;
-        let mut read = |member: usize, lba: Lba, sectors: u32| {
-            reads.push((member, IoRequest::read(lba, sectors).tagged(o.stream)));
+        let mut read = |member: usize| {
+            let req = IoRequest::read(range_lba, range_sectors).tagged(o.stream);
+            reads.push((member, req));
             reads.len() - 1
         };
         let failed = |m: usize| v.members[m].failed;
         let data_member = |ch: usize| layout::raid5_data_member(n, span.stripe, ch);
-        // The data chunks whose old row over [lo, hi) a
-        // reconstruct-write needs: those the write does not cover.
-        let uncovered: Vec<usize> = (0..n - 1)
-            .filter(|&ch| {
-                !span.segs.iter().any(|s| {
-                    s.chunk == ch && s.off <= span.lo && s.off + u64::from(s.sectors) >= span.hi
-                })
-            })
-            .collect();
         let parity_written = !failed(span.parity_member);
-        let mode = if !parity_written || span.full {
-            if parity_written {
-                v.stats.full_stripe_writes += 1;
-            } else {
-                v.stats.parityless_writes += 1;
-            }
-            SpanMode::Reconstruct {
-                chunk_slots: Vec::new(),
-                rebuild: None,
-            }
-        } else if let Some(fc) = span.segs.iter().find(|s| failed(s.member)).map(|s| s.chunk) {
-            v.stats.reconstruct_writes += 1;
-            let chunk_slots = (0..n - 1)
-                .filter(|&ch| ch != fc)
-                .map(|ch| (ch, read(data_member(ch), range_lba, range_sectors)))
-                .collect();
-            let parity_slot = read(span.parity_member, range_lba, range_sectors);
-            SpanMode::Reconstruct {
-                chunk_slots,
-                rebuild: Some((fc, parity_slot)),
-            }
-        } else if uncovered.len() <= span.segs.len() + 1
-            && uncovered.iter().all(|&ch| !failed(data_member(ch)))
-        {
-            v.stats.reconstruct_writes += 1;
-            let chunk_slots = uncovered
-                .into_iter()
-                .map(|ch| (ch, read(data_member(ch), range_lba, range_sectors)))
-                .collect();
-            SpanMode::Reconstruct {
-                chunk_slots,
-                rebuild: None,
-            }
+        let (mut chunk_slots, mut rebuild) = (Vec::new(), None);
+        if !parity_written {
+            v.stats.parityless_writes += 1;
+        } else if span.full {
+            v.stats.full_stripe_writes += 1;
         } else {
-            v.stats.rmw_cycles += 1;
-            let seg_slots = span
-                .segs
-                .iter()
-                .map(|seg| read(seg.member, seg.member_lba(chunk), seg.sectors))
+            v.stats.reconstruct_writes += 1;
+            let uncovered: Vec<usize> = (0..n - 1)
+                .filter(|&ch| {
+                    !span.segs.iter().any(|s| {
+                        s.chunk == ch && s.off <= span.lo && s.off + u64::from(s.sectors) >= span.hi
+                    })
+                })
                 .collect();
-            let parity_slot = read(span.parity_member, range_lba, range_sectors);
-            SpanMode::Rmw {
-                seg_slots,
-                parity_slot,
-            }
-        };
+            let lost = uncovered
+                .iter()
+                .copied()
+                .find(|&ch| failed(data_member(ch)));
+            let to_read = match lost {
+                Some(fc) => (0..n - 1).filter(|&ch| ch != fc).collect(),
+                None => uncovered,
+            };
+            chunk_slots = (to_read.into_iter())
+                .map(|ch| (ch, read(data_member(ch))))
+                .collect();
+            rebuild = lost.map(|fc| (fc, read(span.parity_member)));
+        }
         plans.push(SpanPlan {
             stripe: span.stripe,
             parity_member: parity_written.then_some(span.parity_member),
             lo: span.lo,
             hi: span.hi,
             segs: span.segs,
-            mode,
+            chunk_slots,
+            rebuild,
         });
     }
     (reads, plans)
@@ -1213,8 +1172,8 @@ fn plan_raid5_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u3
 
 /// Phase 2 of a RAID-5 write: the member writes, given phase 1's plans
 /// and the old blocks it read. Data segments go out as views of the
-/// logical write's buffer; only parity is computed into new memory (from
-/// one scratch copy of each segment at a time).
+/// logical write's buffer; only parity is computed into new memory, from
+/// one copy of each data chunk's row.
 fn raid5_phase2_writes(
     v: &VolInner,
     o: &mut Op,
@@ -1228,70 +1187,39 @@ fn raid5_phase2_writes(
     let n = v.members.len();
     let c64 = u64::from(chunk);
     let mut writes: MemberIos = Vec::new();
-    // One scratch copy of a new segment and one of the old bytes it
-    // replaces, for the read-modify-write parity.
-    let (mut scratch, mut old_scratch) = (Vec::new(), Vec::new());
     for plan in plans {
         let range_bytes = (plan.hi - plan.lo) as usize * SECTOR_SIZE;
-        let parity = match &plan.mode {
-            SpanMode::Rmw {
-                seg_slots,
-                parity_slot,
-            } => {
-                let mut parity = read_view(results, *parity_slot).to_vec();
-                for (seg, slot) in plan.segs.iter().zip(seg_slots) {
-                    let old = bytes_in(read_view(results, *slot), &mut old_scratch);
-                    let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                    let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
-                    let new_bytes = bytes_in(&new, &mut scratch);
-                    for (j, (ob, nb)) in old.iter().zip(new_bytes).enumerate() {
-                        parity[base + j] ^= ob ^ nb;
-                    }
-                    writes.push((
-                        seg.member,
-                        IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
-                    ));
-                }
-                parity
+        // Every data chunk's row over [lo, hi): the ones read come from
+        // the member, a failed one is parity XOR the survivors, and the
+        // rest are wholly overwritten below.
+        let mut rows: Vec<Vec<u8>> = vec![vec![0u8; range_bytes]; n - 1];
+        for &(ch, slot) in &plan.chunk_slots {
+            rows[ch] = read_view(results, slot).to_vec();
+        }
+        if let Some((failed_chunk, parity_slot)) = plan.rebuild {
+            let mut failed_old = read_view(results, parity_slot).to_vec();
+            for &(ch, _) in &plan.chunk_slots {
+                layout::xor_into(&mut failed_old, &rows[ch]);
             }
-            SpanMode::Reconstruct {
-                chunk_slots,
-                rebuild,
-            } => {
-                // Every data chunk's row over [lo, hi): the ones read
-                // come from the member, a failed one is parity XOR the
-                // survivors, and the rest are wholly overwritten below.
-                let mut rows: Vec<Vec<u8>> = vec![vec![0u8; range_bytes]; n - 1];
-                for (ch, slot) in chunk_slots {
-                    rows[*ch] = read_view(results, *slot).to_vec();
-                }
-                if let Some((failed_chunk, parity_slot)) = rebuild {
-                    let mut failed_old = read_view(results, *parity_slot).to_vec();
-                    for (ch, _) in chunk_slots {
-                        layout::xor_into(&mut failed_old, &rows[*ch]);
-                    }
-                    rows[*failed_chunk] = failed_old;
-                }
-                for seg in &plan.segs {
-                    let new = slice_payload(payload, seg.logical_off, seg.sectors);
-                    let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
-                    new.copy_to(&mut rows[seg.chunk][base..base + new.len()]);
-                    // A failed member's new segment lives on in the
-                    // parity alone, when the parity is written.
-                    if plan.parity_member.is_none() || !v.members[seg.member].failed {
-                        writes.push((
-                            seg.member,
-                            IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
-                        ));
-                    }
-                }
-                let mut parity = vec![0u8; range_bytes];
-                for row in &rows {
-                    layout::xor_into(&mut parity, row);
-                }
-                parity
+            rows[failed_chunk] = failed_old;
+        }
+        for seg in &plan.segs {
+            let new = slice_payload(payload, seg.logical_off, seg.sectors);
+            let base = (seg.off - plan.lo) as usize * SECTOR_SIZE;
+            new.copy_to(&mut rows[seg.chunk][base..base + new.len()]);
+            // A failed member's new segment lives on in the parity
+            // alone, when the parity is written.
+            if plan.parity_member.is_none() || !v.members[seg.member].failed {
+                writes.push((
+                    seg.member,
+                    IoRequest::write(seg.member_lba(chunk), new).tagged(o.stream),
+                ));
             }
-        };
+        }
+        let mut parity = vec![0u8; range_bytes];
+        for row in &rows {
+            layout::xor_into(&mut parity, row);
+        }
         if let Some(member) = plan.parity_member {
             let range_lba = plan.stripe * c64 + plan.lo;
             writes.push((member, IoRequest::write(range_lba, parity).tagged(o.stream)));
@@ -1400,16 +1328,56 @@ mod tests {
         assert_eq!(writes, vec![2, 2], "both mirrors receive every write");
     }
 
-    /// The spans each parity rule has counted so far: `[rmw_cycles,
-    /// reconstruct_writes, full_stripe_writes, parityless_writes]`.
-    fn span_counts(vol: &RaidVolume) -> [u64; 4] {
+    /// The spans each kind of reconstruct-write has counted so far:
+    /// `[reconstruct_writes, full_stripe_writes, parityless_writes]`.
+    fn span_counts(vol: &RaidVolume) -> [u64; 3] {
         vol.with_stats(|s| {
             [
-                s.rmw_cycles,
                 s.reconstruct_writes,
                 s.full_stripe_writes,
                 s.parityless_writes,
             ]
+        })
+    }
+
+    /// The reads a healthy `members`-wide array owes a write of `sectors`
+    /// at `lba`, from the logical address space alone: for each partial
+    /// stripe, every data chunk whose row over the span's `[lo, hi)` the
+    /// write does not wholly cover, as `(member, lba, sectors)`.
+    fn uncovered_reads(
+        members: usize,
+        chunk: u32,
+        lba: Lba,
+        sectors: u32,
+    ) -> Vec<(usize, Lba, u32)> {
+        let (c64, end) = (u64::from(chunk), lba + u64::from(sectors));
+        let mut reads = Vec::new();
+        for span in layout::raid5_write_stripes(members, chunk, lba, sectors) {
+            if span.full {
+                continue;
+            }
+            let row0 = span.stripe * c64 * (members as u64 - 1);
+            for ch in 0..members - 1 {
+                let first = row0 + ch as u64 * c64 + span.lo;
+                if !(lba <= first && first + (span.hi - span.lo) <= end) {
+                    let member = layout::raid5_data_member(members, span.stripe, ch);
+                    reads.push((
+                        member,
+                        span.stripe * c64 + span.lo,
+                        (span.hi - span.lo) as u32,
+                    ));
+                }
+            }
+        }
+        reads
+    }
+
+    /// Total member reads and writes so far.
+    fn member_ios(vol: &RaidVolume) -> (u64, u64) {
+        vol.with_stats(|s| {
+            s.members.iter().fold((0, 0), |(r, w), m| {
+                (r + m.read_latency.count(), w + m.write_latency.count())
+            })
         })
     }
 
@@ -1426,43 +1394,56 @@ mod tests {
     }
 
     #[test]
-    fn raid5_small_write_takes_the_cheaper_parity_update() {
+    fn raid5_partial_stripes_are_reconstruct_writes_of_their_uncovered_chunks() {
         let raid5 = VolumeLayout::Raid5 { chunk_sectors: 4 };
         let mut sim = Simulator::new();
 
-        // 3 members, 8-sector rows. One chunk: reconstruct-write reads the
-        // other chunk (1 read), read-modify-write old data + parity (2).
+        // 3 members, 8-sector rows. One chunk reads the other chunk:
+        // 1 read + 2 writes.
         let vol = volume(raid5, 3);
         write_ok(&mut sim, &vol, 1, pattern(1, 1));
-        assert_eq!(span_counts(&vol), [0, 1, 0, 0]);
-        let (reads, writes) = vol.with_stats(|s| {
-            s.members.iter().fold((0, 0), |(r, w), m| {
-                (r + m.read_latency.count(), w + m.write_latency.count())
-            })
-        });
-        assert_eq!((reads, writes), (1, 2), "3 member I/Os, not 4");
-        // Two chunks (lba 10..14 straddles them): 2 reads against 3.
+        assert_eq!(span_counts(&vol), [1, 0, 0]);
+        assert_eq!(member_ios(&vol), (1, 2), "3 member I/Os");
+        // Two chunks (lba 10..14 straddles them), then a whole row, which
+        // reads nothing.
         write_ok(&mut sim, &vol, 10, pattern(4, 2));
-        assert_eq!(span_counts(&vol), [0, 2, 0, 0]);
-        // A whole row reads nothing.
         write_ok(&mut sim, &vol, 16, pattern(8, 3));
-        assert_eq!(span_counts(&vol), [0, 2, 1, 0]);
+        assert_eq!(span_counts(&vol), [2, 1, 0]);
+        assert_eq!(member_ios(&vol).0, 3);
 
-        // 4 members: one chunk ties at 2 reads, and the tie goes to
-        // reconstruct-write.
-        let vol = volume(raid5, 4);
-        write_ok(&mut sim, &vol, 1, pattern(1, 4));
-        assert_eq!(span_counts(&vol), [0, 1, 0, 0]);
-
-        // 5 members: one chunk is read-modify-write (2 reads against 3)...
-        let vol = volume(raid5, 5);
-        write_ok(&mut sim, &vol, 1, pattern(1, 5));
-        assert_eq!(span_counts(&vol), [1, 0, 0, 0]);
-        // ...and three chunks (lba 2..10, the middle one whole) are
-        // reconstruct-write (3 reads against 4).
-        write_ok(&mut sim, &vol, 2, pattern(8, 6));
-        assert_eq!(span_counts(&vol), [1, 1, 0, 0]);
-        assert_eq!(read_back(&mut sim, &vol, 2, 8), pattern(8, 6));
+        // 3 to 6 members: whatever a write covers, each partial stripe is
+        // a reconstruct-write that reads exactly the chunks it does not
+        // wholly cover (a one-chunk write on n members reads n - 2).
+        for members in 3..=6 {
+            let vol = volume(raid5, members);
+            let row = 4 * (members as u64 - 1);
+            let mut rng = trail_sim::rng(members as u64);
+            for _ in 0..200 {
+                use rand::Rng;
+                let sectors = rng.gen_range(1..=3 * row);
+                let lba = rng.gen_range(0..=4 * row - sectors);
+                let op = write_op(lba, pattern(sectors as usize, 0));
+                let before = span_counts(&vol);
+                let (reads, _) = raid5_plan_spans(&mut vol.inner.borrow_mut(), &op, 4);
+                let got: Vec<_> = (reads.iter())
+                    .map(|(m, r)| (*m, r.lba, r.kind.sectors()))
+                    .collect();
+                assert_eq!(got, uncovered_reads(members, 4, lba, sectors as u32));
+                let spans = layout::raid5_write_stripes(members, 4, lba, sectors as u32);
+                let partial = spans.iter().filter(|s| !s.full).count() as u64;
+                let after = span_counts(&vol);
+                assert_eq!(
+                    after[0] - before[0],
+                    partial,
+                    "{members} members @{lba}+{sectors}"
+                );
+                assert_eq!(after[1] - before[1], spans.len() as u64 - partial);
+            }
+            let before = member_ios(&vol).0;
+            write_ok(&mut sim, &vol, 1, pattern(1, 5));
+            assert_eq!(member_ios(&vol).0 - before, members as u64 - 2);
+            assert_eq!(read_back(&mut sim, &vol, 1, 1), pattern(1, 5));
+        }
     }
 
     #[test]
@@ -1473,17 +1454,17 @@ mod tests {
         let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
         write_ok(&mut sim, &vol, 0, pattern(8, 5));
         vol.fail_member(sim.now(), 1);
-        // A write to chunk 0 alone would read chunk 1 under
-        // reconstruct-write; its member is failed, so it is RMW instead.
+        // A write to chunk 0 alone would read chunk 1; its member is
+        // failed, so the write reads chunk 0 and the parity and rebuilds
+        // chunk 1's old row from them.
         let (reads, plans) =
             raid5_plan_spans(&mut vol.inner.borrow_mut(), &write_op(1, pattern(1, 6)), 4);
-        assert!(matches!(plans[0].mode, SpanMode::Rmw { .. }));
+        assert!(matches!(plans[0].rebuild, Some((1, _))));
         assert_eq!(reads.iter().map(|(m, _)| *m).collect::<Vec<_>>(), [0, 2]);
 
         let before = span_counts(&vol);
         write_ok(&mut sim, &vol, 1, pattern(1, 6));
         assert_eq!(span_counts(&vol)[0], before[0] + 1);
-        assert_eq!(span_counts(&vol)[1], before[1]);
         assert_eq!(
             vol.with_stats(|s| s.retried_ops),
             0,
@@ -1495,26 +1476,55 @@ mod tests {
     }
 
     #[test]
-    fn raid5_reconstruct_write_heals_torn_parity() {
+    fn raid5_write_wholly_covering_a_failed_chunk_reads_only_the_rest() {
+        // 3 members, member 1 (chunk 1 of stripe 0) failed. A write of
+        // all of chunk 1 needs no old row of it: it reads chunk 0 alone,
+        // and the new chunk 1 lives on in the parity.
         let mut sim = Simulator::new();
         let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
-        let disks = vol.member_disks();
-        write_ok(&mut sim, &vol, 0, pattern(8, 1));
-        assert!(row_is_consistent(&disks, 0, 4));
-        // A cut between the data and parity writes of lba 0..2: the new
-        // data reached member 0, its parity never did.
-        let new = vec![0xEE; 2 * SECTOR_SIZE];
-        for lba in 0..2 {
-            disks[0].poke_sector(lba, &[0xEE; SECTOR_SIZE]);
+        write_ok(&mut sim, &vol, 0, pattern(8, 2));
+        vol.fail_member(sim.now(), 1);
+        let (reads, plans) =
+            raid5_plan_spans(&mut vol.inner.borrow_mut(), &write_op(4, pattern(4, 7)), 4);
+        assert!(plans[0].rebuild.is_none());
+        assert_eq!(reads.iter().map(|(m, _)| *m).collect::<Vec<_>>(), [0]);
+
+        let before = member_ios(&vol);
+        write_ok(&mut sim, &vol, 4, pattern(4, 7));
+        let after = member_ios(&vol);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (1, 1),
+            "1 read, parity written"
+        );
+        let mut whole = pattern(8, 2);
+        whole[4 * SECTOR_SIZE..].copy_from_slice(&pattern(4, 7));
+        assert_eq!(read_back(&mut sim, &vol, 0, 8), whole);
+    }
+
+    #[test]
+    fn raid5_reconstruct_write_heals_torn_parity() {
+        for members in 3..=6 {
+            let mut sim = Simulator::new();
+            let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, members);
+            let disks = vol.member_disks();
+            write_ok(&mut sim, &vol, 0, pattern(4 * (members - 1), 1));
+            assert!(row_is_consistent(&disks, 0, 4));
+            // A cut between the data and parity writes of lba 0..2: the
+            // new data reached member 0, its parity never did.
+            let new = vec![0xEE; 2 * SECTOR_SIZE];
+            for lba in 0..2 {
+                disks[0].poke_sector(lba, &[0xEE; SECTOR_SIZE]);
+            }
+            assert!(!row_is_consistent(&disks, 0, 4));
+            // Replaying the write (as recovery does) recomputes parity
+            // from the rows; folding the delta of old and new data into
+            // the old parity would see a zero delta and leave it stale.
+            write_ok(&mut sim, &vol, 0, new.clone());
+            assert_eq!(span_counts(&vol), [1, 1, 0]);
+            assert!(row_is_consistent(&disks, 0, 4), "{members} members");
+            assert_eq!(read_back(&mut sim, &vol, 0, 2), new);
         }
-        assert!(!row_is_consistent(&disks, 0, 4));
-        // Replaying the write (as recovery does) recomputes parity from
-        // the rows; read-modify-write would see a zero delta and leave it
-        // stale.
-        write_ok(&mut sim, &vol, 0, new.clone());
-        assert_eq!(span_counts(&vol), [0, 1, 1, 0]);
-        assert!(row_is_consistent(&disks, 0, 4));
-        assert_eq!(read_back(&mut sim, &vol, 0, 2), new);
     }
 
     #[test]
@@ -1683,14 +1693,14 @@ mod tests {
     /// parity member is alive. Once the sub-writes are applied, every
     /// extent reads back through the volume, and on a healthy array every
     /// touched row XORs to zero across the members. Returns the spans each
-    /// rule counted, as [`span_counts`].
+    /// kind counted, as [`span_counts`].
     fn check_raid5_sub_writes(
         members: usize,
         chunk: u32,
         extents: usize,
         seed: u64,
         failed: Option<usize>,
-    ) -> [u64; 4] {
+    ) -> [u64; 3] {
         use rand::Rng;
         let mut sim = Simulator::new();
         let vol = volume(
@@ -1740,11 +1750,17 @@ mod tests {
                 "one rule a span"
             );
             let parityless = spans.iter().filter(|s| is_failed(s.parity_member));
-            assert_eq!(moved[3], parityless.count() as u64);
+            assert_eq!(moved[2], parityless.count() as u64);
             let full = spans
                 .iter()
                 .filter(|s| s.full && !is_failed(s.parity_member));
-            assert_eq!(moved[2], full.count() as u64);
+            assert_eq!(moved[1], full.count() as u64);
+            if failed.is_none() {
+                let got: Vec<_> = (reads.iter())
+                    .map(|(m, r)| (*m, r.lba, r.kind.sectors()))
+                    .collect();
+                assert_eq!(got, uncovered_reads(members, chunk, lba, sectors as u32));
+            }
             for s in spans
                 .iter()
                 .filter(|s| s.full || is_failed(s.parity_member))
@@ -1805,7 +1821,7 @@ mod tests {
             assert_eq!(views + parity_writes.len(), writes.len());
             assert_eq!(
                 parity_writes.len() as u64,
-                spans.len() as u64 - moved[3],
+                spans.len() as u64 - moved[2],
                 "one parity block per span whose parity member is alive"
             );
 
@@ -1832,7 +1848,7 @@ mod tests {
         }
         let end = span_counts(&vol);
         if failed.is_some() {
-            assert!(end[3] > start[3], "some span's parity member had failed");
+            assert!(end[2] > start[2], "some span's parity member had failed");
             assert!(
                 over_failed_data > 0,
                 "some span wrote the failed member's data"
@@ -1843,14 +1859,10 @@ mod tests {
 
     #[test]
     fn raid5_sub_writes_are_views_of_the_parent_with_its_bytes() {
-        // Up to four members every partial span is reconstruct-write;
-        // from five, single-chunk spans are read-modify-write.
-        let [rmw, rcw, full, _] = check_raid5_sub_writes(4, 4, 120, 7, None);
-        assert!(full > 0 && rcw > 0 && rmw == 0, "{full} {rmw} {rcw}");
-        let [rmw, rcw, full, _] = check_raid5_sub_writes(3, 8, 60, 11, None);
-        assert!(full > 0 && rcw > 0 && rmw == 0, "{full} {rmw} {rcw}");
-        let [rmw, rcw, full, _] = check_raid5_sub_writes(5, 4, 120, 13, None);
-        assert!(full > 0 && rcw > 0 && rmw > 0, "{full} {rmw} {rcw}");
+        for (members, chunk, extents, seed) in [(4, 4, 120, 7), (3, 8, 60, 11), (5, 4, 120, 13)] {
+            let [rcw, full, _] = check_raid5_sub_writes(members, chunk, extents, seed, None);
+            assert!(full > 0 && rcw > 0, "{members} members: {full} {rcw}");
+        }
     }
 
     #[test]
@@ -1861,7 +1873,7 @@ mod tests {
         for members in 3..=6 {
             for failed in [0, members - 1] {
                 let seed = 100 * members as u64 + failed as u64;
-                let [_, rcw, full, parityless] =
+                let [rcw, full, parityless] =
                     check_raid5_sub_writes(members, 4, 40, seed, Some(failed));
                 assert!(
                     full > 0 && rcw > 0 && parityless > 0,
@@ -1897,7 +1909,7 @@ mod tests {
         let data = pattern(1, 9);
         let got = submit_watched(&mut sim, &vol, IoRequest::write(1, data.clone()));
         sim.run_for(SimDuration::from_micros(10));
-        assert_eq!(span_counts(&vol), [0, 1, 1, 0], "planned reconstruct-write");
+        assert_eq!(span_counts(&vol), [1, 1, 0], "planned reconstruct-write");
         assert_eq!(
             vol.with_stats(|s| s.members[1].read_latency.count()),
             0,
@@ -1909,7 +1921,7 @@ mod tests {
         sim.run();
         assert_eq!(*got.borrow(), Some(Ok(())));
         assert_eq!(vol.with_stats(|s| s.retried_ops), 1);
-        assert_eq!(span_counts(&vol), [0, 1, 1, 1]);
+        assert_eq!(span_counts(&vol), [1, 1, 1]);
         let mut whole = pattern(8, 3);
         whole[SECTOR_SIZE..2 * SECTOR_SIZE].copy_from_slice(&data);
         assert_eq!(read_back(&mut sim, &vol, 0, 8), whole);
@@ -1944,7 +1956,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_rmw_on_one_stripe_serializes_through_the_gate() {
+    fn concurrent_small_writes_on_one_stripe_serialize_through_the_gate() {
         let mut sim = Simulator::new();
         let vol = volume(VolumeLayout::Raid5 { chunk_sectors: 4 }, 3);
         // Two overlapping small writes to the same stripe, submitted

@@ -57,8 +57,8 @@ fn random_workload(
     shadow
 }
 
-/// RAID-5 invariant: after any sequence of writes (small RMWs, full
-/// stripes, anything in between), the XOR of every physical row across
+/// RAID-5 invariant: after any sequence of writes (single-chunk
+/// reconstruct-writes, full stripes, anything in between), the XOR of every physical row across
 /// all members is zero — unwritten sectors read back as zeros, so the
 /// identity holds over the whole array, not just touched stripes.
 fn raid5_parity_holds(seed: u64, writes: usize, members: usize, chunk: u32) -> Result<(), String> {

@@ -347,9 +347,10 @@ fn mirror_violations(built: &BuiltStack, ledger: &AckLedger) -> Vec<String> {
 
 /// Runs `plans` seeded plans on one stack, plan `k` drawn from seed
 /// `seed + k`: one to four faults — `cut`, `fail`, `err*k`, `slow+ns*k` —
-/// aimed at the stack's own devices (a RAID-5 stack's cuts at its logs
-/// only, until its write hole is closed) at instants inside a fault-free
-/// run of `writes`. Returns each plan with its outcome.
+/// aimed at the stack's own devices (a cut at `system` half the time, and
+/// at a log when the plan also fails a RAID-5 member: the degraded write
+/// hole) at instants inside a fault-free run of `writes`. Returns each
+/// plan with its outcome.
 ///
 /// # Panics
 ///
@@ -427,14 +428,19 @@ fn draw_plan(builder: &StackBuilder, seed: u64, span_ns: u64) -> FaultPlan {
                 count: rng.gen_range(1..=4),
             },
         };
-        // Until RAID-5 closes its write hole (ROADMAP item 4), its cuts
-        // spare the members.
-        if kind == PowerCut && raid5 {
-            target = FaultTarget::Log(rng.gen_range(0..logs));
-        } else if kind == PowerCut && rng.gen_bool(0.5) {
+        if kind == PowerCut && rng.gen_bool(0.5) {
             target = FaultTarget::System;
         }
         plan.push(Fault { at, target, kind });
+    }
+    // The degraded write hole: a failed RAID-5 member's old row dies with
+    // a torn parity, and no log of new data holds it. A plan that fails a
+    // member keeps its cuts on the logs.
+    let fails_member = |f: &Fault| f.kind == Fail && !matches!(f.target, FaultTarget::Log(_));
+    if raid5 && plan.faults.iter().any(fails_member) {
+        for f in plan.faults.iter_mut().filter(|f| f.kind == PowerCut) {
+            f.target = FaultTarget::Log(rng.gen_range(0..logs));
+        }
     }
     plan
 }

@@ -146,4 +146,19 @@ fn composed_fault_plans_keep_the_contract_on_every_stack() {
     println!("{} plans, at most {events:?} events: {injected} injected errors, {retried} retried ops, cut/fail/err/slow fired {fired:?}", runs.len());
     assert_eq!(runs.len(), 32 * STACKS.len());
     assert!(injected > 0 && retried > 0 && fired.iter().all(|&n| n > 0));
+    // RAID-5's cuts darken its members too: at `system` or at one member.
+    let raid5 = STACKS
+        .iter()
+        .position(|s| s.starts_with("raid5"))
+        .expect("a RAID-5 stack");
+    let cuts: Vec<FaultTarget> = (runs[32 * raid5..32 * (raid5 + 1)].iter())
+        .flat_map(|(p, _)| &p.faults)
+        .filter(|f| f.kind == FaultKind::PowerCut)
+        .map(|f| f.target)
+        .collect();
+    assert!(cuts.contains(&FaultTarget::System), "{cuts:?}");
+    assert!(
+        (cuts.iter()).any(|t| !matches!(t, FaultTarget::System | FaultTarget::Log(_))),
+        "{cuts:?}"
+    );
 }
