@@ -271,6 +271,13 @@ if grep -rnE --include='*.rs' '\.power_cut\(|\.power_on\(\)' tests examples src 
   echo "found a hand-rolled power cut or reboot; use a FaultPlan cut and BuiltStack::reboot" >&2
   exit 1
 fi
+# Transactions and served Puts are levels of the same explorer
+# (explore::Level): a crash campaign over the db or the server enumerates
+# its cuts through explore::run, never by hand beside it.
+if grep -rn --include='*.rs' 'cut_instants(' crates/db/tests crates/serve/tests; then
+  echo "found a hand-enumerated cut loop; run it at a trail::explore::Level" >&2
+  exit 1
+fi
 
 echo "== fault-plane and trace-format gate =="
 # FaultPlan on the stack's FaultClock is the one way harnesses schedule

@@ -19,13 +19,13 @@ use std::rc::Rc;
 
 use rand::Rng;
 use trail::drive::{Pace, Write};
-use trail::explore::{self, TimedWrite};
+use trail::explore::{self, Level, TimedWrite};
 use trail::{BuiltStack, StackBuilder};
 use trail_core::{
     owning_log, read_header, recover, BlockStack, FormatOptions, MissTally, RecoveryOptions,
     RecoveryReport, TrailConfig, TrailStats, CALIBRATION_TRACK,
 };
-use trail_db::{FlushPolicy, StorageService};
+use trail_db::FlushPolicy;
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_fs::{FileSystem, FsError, Lfs, LfsConfig};
 use trail_probe::{
@@ -2091,16 +2091,13 @@ fn replay_tpcc(cfg: &ScenarioConfig) -> ScenarioOutput {
 // ------------------------------------------------------- serving layer
 
 /// Runs `fleet` against a [`Server`] with 8 worker slots and `admission`,
-/// over a [`StorageService`] over the stack `spec` names.
+/// over the stack `spec` names ([`BuiltStack::service`]).
 fn serve_testbed(spec: &str, admission: AdmissionPolicy, fleet: &FleetSpec) -> FleetReport {
     let builder: StackBuilder = spec.parse().expect("a serve stack");
     let mut built = builder.build().expect("serve stack boots");
-    let disks = built.data_disks.iter();
-    let capacity = disks.map(|d| d.geometry().total_sectors()).collect();
-    let service = StorageService::new(Rc::clone(&built.stack), capacity);
     let worker_slots = 8;
     let server = Server::new(
-        service,
+        built.service(),
         ServerConfig {
             worker_slots,
             admission,
@@ -2376,7 +2373,7 @@ fn run_campaign(
     threads: usize,
 ) -> Vec<CrashPoint> {
     let (stack, burst) = campaign_setup(spec, writes, seed);
-    let probe = explore::run(&stack, &burst, &FaultPlan::new());
+    let probe = explore::run(&stack, &Level::Block, &burst, &FaultPlan::new());
     assert_eq!(probe.acked, writes, "the probe acknowledges every write");
     let (cuts, n) = (&probe.cuts, crash_points.min(probe.cuts.len()));
     let picked = (0..n)
@@ -2386,6 +2383,7 @@ fn run_campaign(
         let kind = FaultKind::PowerCut;
         let o = explore::run(
             &stack,
+            &Level::Block,
             &burst,
             &FaultPlan::new().with(Fault { at, target, kind }),
         );

@@ -33,20 +33,6 @@ pub struct WalRecoveryReport {
     pub scan_time: trail_sim::SimDuration,
 }
 
-impl WalRecoveryReport {
-    /// Serializes the report (times in virtual milliseconds).
-    pub fn to_json(&self) -> trail_telemetry::JsonValue {
-        use trail_telemetry::JsonValue as J;
-        J::obj(vec![
-            ("chunks_scanned", J::Num(self.chunks_scanned as f64)),
-            ("records", J::Num(self.records as f64)),
-            ("committed_txns", J::Num(self.committed_txns as f64)),
-            ("rows_applied", J::Num(self.rows_applied as f64)),
-            ("scan_ms", J::Num(self.scan_time.as_millis_f64())),
-        ])
-    }
-}
-
 /// Scans the log region, returning every record of every chunk in LSN
 /// order. Stops at the first invalid, torn or out-of-sequence chunk (the
 /// tail of the log).

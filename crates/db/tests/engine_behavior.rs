@@ -1,5 +1,7 @@
-//! End-to-end engine tests over both storage stacks, including the layered
-//! crash-recovery story (Trail block recovery + WAL redo).
+//! End-to-end engine tests over both storage stacks. The layered
+//! crash-recovery story (Trail block recovery + WAL redo) at every cut is
+//! the umbrella crate's fault explorer at its db level
+//! (`tests/io_errors.rs`).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -12,10 +14,8 @@ use trail_db::{
     scan_wal, Database, DbConfig, FlushPolicy, Op, Page, TxnResult, TxnSpec, Wal, CHUNK_MAGIC,
     SECTORS_PER_PAGE,
 };
-use trail_disk::{cut_instants, profiles, Disk, DiskError, SECTOR_SIZE};
-use trail_sim::{
-    Completion, Delivered, DurationHistogram, IoError, SimDuration, SimTime, Simulator,
-};
+use trail_disk::{profiles, Disk, DiskError, SECTOR_SIZE};
+use trail_sim::{Completion, Delivered, DurationHistogram, IoError, SimDuration, Simulator};
 use trail_telemetry::RecorderHandle;
 
 const LOG_DEV: usize = 0;
@@ -302,110 +302,6 @@ fn trail_stack_commits_much_faster_than_standard() {
     assert!(
         trail < standard * 0.6,
         "Trail response {trail} ms vs standard {standard} ms"
-    );
-}
-
-/// Durable commits of the crash workload: `(key, ack instant)`.
-type Durable = Rc<RefCell<Vec<(u64, SimTime)>>>;
-
-/// `txns` single-row transactions on Trail, one a millisecond: the
-/// simulator, the disks (WAL, tables, Trail log) and the durable commits.
-/// A probe run logs every disk's landings.
-fn crash_workload(txns: u64, probe: bool) -> (Simulator, Database, Vec<Disk>, Durable) {
-    let (mut sim, db, _drv, disks) = trail_setup(FlushPolicy::EveryCommit);
-    if probe {
-        for d in &disks {
-            d.log_landings();
-        }
-    }
-    let durable = Durable::default();
-    let t0 = sim.now();
-    for i in 0..txns {
-        let durable = Rc::clone(&durable);
-        let db2 = db.clone();
-        sim.schedule_at(t0 + SimDuration::from_millis(i), move |sim| {
-            let ctrl = sim.completion(|_, _| {});
-            let dur = sim.completion(move |sim: &mut Simulator, del: Delivered<TxnResult>| {
-                if del.is_ok() {
-                    durable.borrow_mut().push((i, sim.now()));
-                }
-            });
-            db2.execute(sim, put_txn(0, i, (i % 250) as u8 + 1, 120), ctrl, dur)
-                .unwrap();
-        });
-    }
-    (sim, db, disks, durable)
-}
-
-#[test]
-fn full_stack_crash_recovers_committed_transactions() {
-    // Run on Trail and cut power to everything at every landing of the
-    // three disks and one nanosecond either side of every durable commit
-    // (some of them while two WAL forces are outstanding);
-    // recover the block layer, then redo the WAL: every durable
-    // transaction must be visible.
-    const TXNS: u64 = 60;
-    let (mut probe, _, disks, durable) = crash_workload(TXNS, true);
-    probe.run();
-    assert_eq!(durable.borrow().len(), TXNS as usize);
-    let landings: Vec<SimTime> = disks.iter().flat_map(Disk::landings).flatten().collect();
-    let acks: Vec<SimTime> = durable.borrow().iter().map(|&(_, at)| at).collect();
-    let cuts = cut_instants(&landings, &acks);
-    let mut durable_at_cut = Vec::new();
-    let mut cuts_between_overlapping_forces = 0;
-    for cut in cuts {
-        let (mut sim, db, disks, durable) = crash_workload(TXNS, false);
-        sim.run_until(cut);
-        if db.forces_in_flight() >= 2 {
-            cuts_between_overlapping_forces += 1;
-        }
-        // Power back on; Trail recovery runs inside MultiTrail::start.
-        for d in &disks {
-            d.power_cut(sim.now());
-            d.power_on();
-        }
-        let mut sim2 = Simulator::new();
-        let data = vec![disks[0].clone(), disks[1].clone()];
-        let logs = vec![disks[2].clone()];
-        let (drv2, boots) =
-            MultiTrail::start(&mut sim2, logs, data, TrailConfig::default()).unwrap();
-        assert!(
-            boots[0].recovered.is_some(),
-            "dirty Trail disk must recover"
-        );
-        // WAL redo on top, with the structured report.
-        let (image, report) = trail_db::recover_committed(
-            &mut sim2,
-            &drv2,
-            LOG_DEV,
-            LOG_REGION_START,
-            LOG_REGION_SECTORS,
-        )
-        .unwrap();
-        let durable = durable.borrow();
-        assert!(report.committed_txns >= durable.len());
-        assert_eq!(report.rows_applied, image.len());
-        assert!(report.scan_time > SimDuration::ZERO, "scan I/O is timed");
-        assert!(durable.is_empty() || report.chunks_scanned > 0);
-        for &(key, _) in durable.iter() {
-            let got = image
-                .get(&(0u8, key))
-                .unwrap_or_else(|| panic!("cut at {cut}: durable txn for key {key} missing"));
-            let tag = (key % 250) as u8 + 1;
-            assert_eq!(got.as_deref(), Some(&vec![tag; 120][..]), "row {key}");
-        }
-        durable_at_cut.push(durable.len());
-    }
-    let mid_run = |&n: &usize| n > 0 && n < TXNS as usize;
-    assert!(
-        durable_at_cut.contains(&0) && durable_at_cut.iter().any(mid_run),
-        "the cuts span the run: {durable_at_cut:?}"
-    );
-    // Forces overlap, so some cuts fall while one has landed and an
-    // earlier one has not: the durable point, not the landing, acks.
-    assert!(
-        cuts_between_overlapping_forces > 0,
-        "no cut fell while two WAL forces were outstanding"
     );
 }
 

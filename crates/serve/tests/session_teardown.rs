@@ -17,8 +17,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use trail::StackBuilder;
-use trail_db::StorageService;
-use trail_serve::{Request, Server, ServerConfig, SessionHandle};
+use trail_serve::{Request, Response, Server, ServerConfig, SessionHandle, Status};
 use trail_sim::{Delivered, Simulator};
 use trail_telemetry::{StreamId, StreamMetrics};
 
@@ -29,13 +28,8 @@ fn trail_server() -> (Simulator, Server) {
         .trail_default()
         .build()
         .expect("stack builds");
-    let capacity = built
-        .data_disks
-        .iter()
-        .map(|d| d.geometry().total_sectors())
-        .collect();
-    let service = StorageService::new(Rc::clone(&built.stack), capacity);
-    (built.sim, Server::new(service, ServerConfig::default()))
+    let server = Server::new(built.service(), ServerConfig::default());
+    (built.sim, server)
 }
 
 /// Settled outcomes for a batch of replies, shared with the closures.
@@ -170,4 +164,44 @@ fn other_sessions_are_untouched_by_a_teardown() {
     assert_eq!(doomed_out.ok.get() + doomed_out.cancelled.get(), 6);
     assert!(doomed_out.cancelled.get() > 0);
     assert_eq!(sim.events_pending(), 0);
+}
+
+/// A service over a RAID volume is sized by the volume, one capacity per
+/// stack device, not one per member disk: a session Puts, Commits and Gets
+/// its bytes back.
+#[test]
+fn a_session_over_a_raid5_volume_reads_back_what_it_committed() {
+    let stack: StackBuilder = "raid5x3_trail,disks=1,tiny".parse().expect("spec parses");
+    let mut built = stack.build().expect("stack builds");
+    let (session, _) = Server::new(built.service(), ServerConfig::default()).open(StreamId(3));
+    let (dev, lba, data) = (0, 4_000, (0..2048u32).map(|i| i as u8).collect::<Vec<u8>>());
+    let put = Request::Put {
+        dev,
+        lba,
+        data: data.clone(),
+    };
+    let mut answers = Vec::new();
+    for req in [
+        put,
+        Request::Commit,
+        Request::Get {
+            dev,
+            lba,
+            sectors: 4,
+        },
+    ] {
+        let (sim, answer) = (&mut built.sim, Rc::new(RefCell::new(None)));
+        let heard = Rc::clone(&answer);
+        let reply = sim.completion(move |_, d: Delivered<Vec<u8>>| *heard.borrow_mut() = d.ok());
+        session.submit(sim, &req.encode(), reply);
+        sim.run();
+        let frame = answer.take().expect("answered");
+        answers.push(Response::decode(&frame).expect("a response frame").0);
+    }
+    let ok = Response::Done { status: Status::Ok };
+    let read = Response::Data {
+        status: Status::Ok,
+        payload: data,
+    };
+    assert_eq!(answers, [ok.clone(), ok, read]);
 }

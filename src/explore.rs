@@ -1,5 +1,6 @@
 //! The fault explorer: [`run`] drives a timed write list on any stack
-//! under any [`FaultPlan`], reboots after a cut through
+//! under any [`FaultPlan`], through the door a [`Level`] names (block
+//! writes, db transactions or served Puts), reboots after a cut through
 //! [`BuiltStack::reboot`], and checks delivery, durability and redundancy
 //! rules drawn from the plan and the stack's shape (DESIGN.md §4, "Fault
 //! plane"). [`search`] draws seeded composed plans against one stack and
@@ -12,11 +13,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use rand::Rng;
-use trail_blockio::IoDone;
-use trail_core::{MultiTrail, RecoveryReport, TrailDriver, TrailError};
+use trail_core::{BlockStack, MultiTrail, RecoveryReport, TrailDriver, TrailError};
+use trail_db::{recover_committed, Database, DbConfig, Op, TxnSpec, WalRecoveryReport};
 use trail_disk::{cut_instants, AckLedger, Disk, SECTOR_SIZE};
 use trail_sim::FaultKind::{Fail, LatencySpike, PowerCut, TransientError};
-use trail_sim::{Delivered, Fault, FaultPlan, FaultTarget, IoError, SimDuration, SimTime};
+use trail_sim::{
+    Delivered, Fault, FaultPlan, FaultTarget, IoError, SimDuration, SimTime, Simulator,
+};
 use trail_volume::{RaidVolume, VolumeLayout};
 
 use crate::scenario::{BuiltStack, StackBuilder};
@@ -39,6 +42,31 @@ pub struct TimedWrite {
     pub sectors: u64,
 }
 
+/// The door each write of a [`run`] enters the stack by. Every level
+/// carries the ledger's sector images and is judged by the one
+/// [`AckLedger`]; a write is acknowledged when its durability arrives.
+#[derive(Clone, Debug)]
+pub enum Level {
+    /// A block write to [`BuiltStack::stack`].
+    Block,
+    /// A transaction through [`BuiltStack::database`], one [`Op::Write`]
+    /// row per sector: table `dev`, key the sector's LBA. The rows are
+    /// read back from what WAL redo ([`recover_committed`]) commits; an
+    /// absent row reads as a zero sector.
+    Db(DbConfig),
+    /// A `Put` frame on one session of a server over
+    /// [`BuiltStack::service`], acknowledged by its `Ok` answer. The
+    /// serving crate builds on this one, so the caller opens the session
+    /// (the function) and says how to send a write on it ([`Sender`]).
+    Serve(fn(trail_db::StorageService) -> Sender),
+}
+
+/// Sends a write on a session as a `Put` of its payload at its `(dev,
+/// lba)`. The completion hears `Ok` for an `Ok` answer and the
+/// [`IoError`] an error status names (6–8); any other refusal is a
+/// `Cancelled`, which no plan explains.
+pub type Sender = Rc<dyn Fn(&mut Simulator, TimedWrite, Vec<u8>, trail_sim::Completion<()>)>;
+
 /// What one [`run`] produced; instants are relative to measurement start.
 #[derive(Clone, Debug, Default)]
 pub struct Outcome {
@@ -55,6 +83,8 @@ pub struct Outcome {
     /// The reboot's recovery, summed over the logs (`None`: no reboot, or
     /// a log came up without recovering).
     pub recovered: Option<RecoveryReport>,
+    /// The db level's WAL redo after the run (and its reboot, if any).
+    pub redo: Option<WalRecoveryReport>,
     /// Transient errors the disks delivered.
     pub injected_errors: u64,
     /// Operations the RAID volumes retried.
@@ -75,21 +105,26 @@ pub struct Outcome {
     pub violations: Vec<String>,
 }
 
-/// Runs `writes` on the stack `builder` describes under `plan` within a
-/// fixed event budget, reboots after a cut (again after each transient
-/// boot error the plan's charges explain), and checks the rules:
+/// Runs `writes` on the stack `builder` describes, each through the door
+/// `level` names, under `plan` within a fixed event budget, reboots after
+/// a cut (again after each transient boot error the plan's charges
+/// explain), and checks the rules:
 ///
 /// - every write is delivered exactly once, only with an error the plan
 ///   can cause (`PoweredOff` a cut, `MediaFailed` a failure, `Transient`
-///   an error charge on the standard stack — Trail retries those), and
-///   fails if submitted after a `system cut`;
+///   an error charge on the standard stack — Trail retries those; a
+///   served Put's status 6–8 names its error, and any other refusal is a
+///   `Cancelled` no plan explains), and fails if submitted after a
+///   `system cut`;
 /// - after a cut each sector reads back as its newest acknowledged write
 ///   or a later one ([`AckLedger::check_crashed`]); with no cut, as its
 ///   newest acknowledged one ([`AckLedger::check_read`]), and nothing
-///   stays pinned unless a disk failed;
-/// - with no data disk failed, every touched RAID-5 stripe XORs to zero,
-///   RAID-1 mirrors agree over the whole volume, and after a cut each
-///   mirror holds every acknowledged write on its own.
+///   stays pinned unless a disk failed. The block and serve levels read
+///   through the stack, the db level its redone rows;
+/// - with no data disk failed, every touched RAID-5 stripe (every stripe,
+///   at the db level) XORs to zero, RAID-1 mirrors agree over the whole
+///   volume, and after a cut each mirror holds every acknowledged block
+///   or served write on its own.
 ///
 /// A disk the plan failed that no redundancy covers answers the reboot or
 /// a read with `MediaFailed`; the checks that need its bytes stop there.
@@ -98,7 +133,12 @@ pub struct Outcome {
 ///
 /// Panics if the stack fails to build or refuses a write synchronously.
 #[must_use]
-pub fn run(builder: &StackBuilder, writes: &[TimedWrite], plan: &FaultPlan) -> Outcome {
+pub fn run(
+    builder: &StackBuilder,
+    level: &Level,
+    writes: &[TimedWrite],
+    plan: &FaultPlan,
+) -> Outcome {
     let stack = builder.clone().faults(plan.clone());
     let mut built = stack.build().expect("the stack boots");
     let disks = [&built.log_disks[..], &built.data_disks[..]].concat();
@@ -107,32 +147,37 @@ pub fn run(builder: &StackBuilder, writes: &[TimedWrite], plan: &FaultPlan) -> O
     let delivered = Rc::new(RefCell::new(vec![None; writes.len()]));
     let acks = Rc::new(RefCell::new(Vec::new()));
     let start = built.sim.now();
+    let door = Rc::new(match level {
+        Level::Block => Door::Block(Rc::clone(&built.stack)),
+        Level::Db(config) => Door::Db(built.database(config.clone())),
+        Level::Serve(open) => Door::Serve(open(built.service())),
+    });
     for (i, &w) in writes.iter().enumerate() {
-        let stack = Rc::clone(&built.stack);
+        let door = Rc::clone(&door);
         let (ledger, delivered, acks) = (ledger.clone(), delivered.clone(), acks.clone());
         built.sim.schedule_at(start + w.at, move |sim| {
             let (tag, payload) = ledger.borrow_mut().submit(w.dev, w.lba, w.sectors);
-            let done = sim.completion(move |sim, d: Delivered<IoDone>| {
+            let heard = move |sim: &mut Simulator, d: Delivered<()>| {
                 if d.is_ok() {
                     ledger.borrow_mut().ack(tag);
                     acks.borrow_mut().push(sim.now());
                 }
-                delivered.borrow_mut()[i] = Some(d.map(|_| ()));
-            });
-            stack
-                .write(sim, w.dev, w.lba, payload, done)
-                .expect("write accepted");
+                delivered.borrow_mut()[i] = Some(d);
+            };
+            door.enter(sim, w, payload, heard);
         });
     }
     let budget = built.sim.events_executed() + EVENT_BUDGET;
     let mut hung = false;
-    while !hung && built.sim.step() {
+    while !hung && (built.sim.step() || door.settle(&mut built.sim)) {
         hung = built.sim.events_executed() > budget;
     }
 
     let since = |t: SimTime| t.duration_since(start);
     let landings: Vec<SimTime> = disks.iter().flat_map(Disk::landings).flatten().collect();
-    let cuts = cut_instants(&landings, &acks.take());
+    let mut cuts = cut_instants(&landings, &acks.take());
+    // A door that answers at submission puts its first cut before start.
+    cuts.retain(|&t| t >= start);
     let retried = |v: &RaidVolume| v.with_stats(|s| s.retried_ops);
     let mut out = Outcome {
         delivered: delivered.take(),
@@ -194,19 +239,14 @@ pub fn run(builder: &StackBuilder, writes: &[TimedWrite], plan: &FaultPlan) -> O
         v.push(format!("{} blocks stay pinned", out.pinned));
     }
 
-    let mut rebooted = None;
-    let mut tries = 0;
-    while cut && rebooted.is_none() {
-        match built.reboot() {
-            Ok(stack) => rebooted = Some(stack),
-            Err(TrailError::Io(IoError::Transient)) if tries < charges => tries += 1,
-            Err(TrailError::Io(IoError::MediaFailed)) if fail => break,
-            Err(e) => {
-                v.push(format!("the reboot failed: {e}"));
-                break;
-            }
+    let mut rebooted = match cut.then(|| again(charges, || built.reboot())).transpose() {
+        Ok(rebooted) => rebooted,
+        Err(TrailError::Io(IoError::MediaFailed)) if fail => None,
+        Err(e) => {
+            v.push(format!("the reboot failed: {e}"));
+            None
         }
-    }
+    };
     out.recovered = (rebooted.as_ref())
         .filter(|r| r.recovered.len() == r.log_disks.len())
         .map(|r| summed(&r.recovered));
@@ -215,7 +255,12 @@ pub fn run(builder: &StackBuilder, writes: &[TimedWrite], plan: &FaultPlan) -> O
     let spans = spans(writes);
     if checks {
         let ledger = ledger.borrow();
-        match read_back(last, &spans, charges) {
+        let images = match level {
+            Level::Db(config) => redo(last, config, &spans, charges, &mut out.redo),
+            _ => read_back(last, &spans, charges),
+        };
+        let v = &mut out.violations;
+        match images {
             Ok(images) if cut => v.extend(ledger.check_crashed(|dev, lba| {
                 let (lo, data) = &images[&dev];
                 let at = (lba - lo) as usize * SECTOR_SIZE;
@@ -227,19 +272,81 @@ pub fn run(builder: &StackBuilder, writes: &[TimedWrite], plan: &FaultPlan) -> O
                     v.extend(ledger.check_read(dev, lo, &data, &horizon));
                 }
             }
-            Err(IoError::MediaFailed) if fail => {}
-            Err(e) => v.push(format!("a read back delivered {e:?}")),
+            Err(TrailError::Io(IoError::MediaFailed)) if fail => {}
+            Err(e) => v.push(format!("a read back failed: {e}")),
         }
+        // The db level's rows are not where its pages and log land.
+        let db = matches!(level, Level::Db(_));
+        let whole = |dev: usize| (dev, (0, last.targets[dev].capacity_sectors()));
+        let touched = match db {
+            true => (0..last.targets.len()).map(whole).collect(),
+            false => spans,
+        };
         if !data_fail {
-            v.extend(redundancy_violations(last, &spans));
+            v.extend(redundancy_violations(last, &touched));
         }
-        if cut && !data_fail {
+        if cut && !data_fail && !db {
             v.extend(mirror_violations(last, &ledger));
         }
     }
     let injected = |d: &Disk| d.with_stats(|s| s.injected_errors);
     out.injected_errors = disks.iter().map(injected).sum();
     out
+}
+
+/// A [`Level`]'s way into one built stack.
+enum Door {
+    Block(Rc<dyn BlockStack>),
+    Db(Database),
+    Serve(Sender),
+}
+
+impl Door {
+    /// Ends a drained run the way its level would: a database forces
+    /// whatever group commit still buffers. Whether that set work going.
+    fn settle(&self, sim: &mut Simulator) -> bool {
+        if let Door::Db(db) = self {
+            db.force_log(sim);
+        }
+        sim.events_pending() > 0
+    }
+
+    /// Submits `w`, whose sector images are `payload`; `heard` learns
+    /// whether it became durable.
+    fn enter(
+        &self,
+        sim: &mut Simulator,
+        w: TimedWrite,
+        payload: Vec<u8>,
+        heard: impl FnOnce(&mut Simulator, Delivered<()>) + 'static,
+    ) {
+        match self {
+            Door::Block(stack) => {
+                let done = sim.completion(move |sim, d| heard(sim, d.map(drop)));
+                let accepted = stack.write(sim, w.dev, w.lba, payload, done);
+                accepted.expect("write accepted");
+            }
+            Door::Db(db) => {
+                let mut txn = TxnSpec::default();
+                let rows = payload.chunks(SECTOR_SIZE).zip(w.lba..);
+                let ops = rows.map(|(row, key)| Op::Write(w.dev as u8, key, row.to_vec()));
+                txn.ops = ops.collect();
+                let done = sim.completion(move |sim, d| heard(sim, d.map(drop)));
+                let control = sim.completion(|_, _| {});
+                let accepted = db.execute(sim, txn, control, done);
+                accepted.expect("transaction accepted");
+            }
+            Door::Serve(send) => send(sim, w, payload, sim.completion(heard)),
+        }
+    }
+}
+
+/// `attempt`, again after each transient error the plan's `charges`
+/// explain: the first other result, or the last.
+fn again<T>(charges: u32, mut attempt: impl FnMut() -> Tried<T>) -> Tried<T> {
+    let transient = |r: &Tried<T>| matches!(r, Err(TrailError::Io(IoError::Transient)));
+    let settled = (0..charges).map(|_| attempt()).find(|r| !transient(r));
+    settled.unwrap_or_else(attempt)
 }
 
 /// A multi-log boot's recovery reports, summed.
@@ -260,8 +367,8 @@ fn summed(reports: &[RecoveryReport]) -> RecoveryReport {
     sum
 }
 
-/// Each device's written sectors as one `[lo, hi)` span.
-fn spans(writes: &[TimedWrite]) -> BTreeMap<usize, (u64, u64)> {
+/// The spans `writes` cover.
+fn spans(writes: &[TimedWrite]) -> Spans {
     let mut spans = BTreeMap::new();
     for w in writes {
         let s = spans.entry(w.dev).or_insert((w.lba, w.lba + w.sectors));
@@ -270,32 +377,57 @@ fn spans(writes: &[TimedWrite]) -> BTreeMap<usize, (u64, u64)> {
     spans
 }
 
-/// Reads each span back through the stack, again after each transient
-/// error the plan's `charges` explain: `(lo, bytes)` per device.
-fn read_back(
-    built: &mut BuiltStack,
-    spans: &BTreeMap<usize, (u64, u64)>,
-    charges: u32,
-) -> Result<BTreeMap<usize, (u64, Vec<u8>)>, IoError> {
+/// Each device's written sectors as one `[lo, hi)` span.
+type Spans = BTreeMap<usize, (u64, u64)>;
+
+/// Each device's span read back, `(lo, bytes)` per device.
+type Images = BTreeMap<usize, (u64, Vec<u8>)>;
+
+/// A result the stack or its boot can fail.
+type Tried<T> = Result<T, TrailError>;
+
+/// Reads each span back through the stack.
+fn read_back(built: &mut BuiltStack, spans: &Spans, charges: u32) -> Tried<Images> {
     let mut images = BTreeMap::new();
-    let mut tries = 0;
     for (&dev, &(lo, hi)) in spans {
         let stack = Rc::clone(&built.stack);
-        let read = loop {
+        let read = again(charges, || {
             let read = |sim: &mut _, done| stack.read(sim, dev, lo, (hi - lo) as u32, done);
-            match built.sim.block_on(read).expect("read accepted") {
-                Err(IoError::Transient) if tries < charges => tries += 1,
-                read => break read?,
-            }
-        };
+            Ok(built.sim.block_on(read).expect("read accepted")?)
+        })?;
         images.insert(dev, (lo, read.data.expect("a read returns data").to_vec()));
+    }
+    Ok(images)
+}
+
+/// Redoes the WAL `config` places (its report in `report`), and lays
+/// each span out of the committed rows: row `(dev, lba)` is sector `lba`
+/// of device `dev`, and an absent row is a zero sector.
+fn redo(
+    built: &mut BuiltStack,
+    config: &DbConfig,
+    spans: &Spans,
+    charges: u32,
+    report: &mut Option<WalRecoveryReport>,
+) -> Tried<Images> {
+    let (sim, stack) = (&mut built.sim, &*built.stack);
+    let (start, sectors) = (config.log_region_start, config.log_region_sectors);
+    let redo = || recover_committed(sim, stack, config.log_dev, start, sectors);
+    let (rows, redone) = again(charges, redo)?;
+    *report = Some(redone);
+    let zero = vec![0; SECTOR_SIZE];
+    let row = |dev: usize, lba| rows.get(&(dev as u8, lba)).and_then(Option::as_ref);
+    let mut images = Images::new();
+    for (&dev, &(lo, hi)) in spans {
+        let bytes = (lo..hi).flat_map(|lba| row(dev, lba).unwrap_or(&zero).clone());
+        images.insert(dev, (lo, bytes.collect()));
     }
     Ok(images)
 }
 
 /// One line per member row where a RAID-5 stripe the spans touched does
 /// not XOR to zero, or where RAID-1 mirrors differ anywhere in the volume.
-fn redundancy_violations(built: &BuiltStack, spans: &BTreeMap<usize, (u64, u64)>) -> Vec<String> {
+fn redundancy_violations(built: &BuiltStack, spans: &Spans) -> Vec<String> {
     let mut bad = Vec::new();
     for (dev, vol) in built.volumes.iter().enumerate() {
         let members = vol.member_disks();
@@ -314,8 +446,10 @@ fn redundancy_violations(built: &BuiltStack, spans: &BTreeMap<usize, (u64, u64)>
         for row in rows {
             let images: Vec<_> = members.iter().map(|m| m.peek_sector(row)).collect();
             let xor = |b: usize| images.iter().fold(0, |x, s| x ^ s[b]);
+            // A row no write reached is zero on every member.
             let consistent = if raid5 {
-                (0..SECTOR_SIZE).all(|b| xor(b) == 0)
+                images.iter().all(|s| *s == [0; SECTOR_SIZE])
+                    || (0..SECTOR_SIZE).all(|b| xor(b) == 0)
             } else {
                 images.iter().all(|s| *s == images[0])
             };
@@ -345,34 +479,36 @@ fn mirror_violations(built: &BuiltStack, ledger: &AckLedger) -> Vec<String> {
         .collect()
 }
 
-/// Runs `plans` seeded plans on one stack, plan `k` drawn from seed
-/// `seed + k`: one to four faults — `cut`, `fail`, `err*k`, `slow+ns*k` —
-/// aimed at the stack's own devices (a cut at `system` half the time, and
-/// at a log when the plan also fails a RAID-5 member: the degraded write
-/// hole) at instants inside a fault-free run of `writes`. Returns each
-/// plan with its outcome.
+/// Runs `plans` seeded plans on one stack at one [`Level`], plan `k`
+/// drawn from seed `seed + k`: one to four faults — `cut`, `fail`,
+/// `err*k`, `slow+ns*k` — aimed at the stack's own devices (a cut at
+/// `system` half the time, and at a log when the plan also fails a RAID-5
+/// member: the degraded write hole) at instants inside a fault-free run of
+/// `writes`. Returns each plan with its outcome.
 ///
 /// # Panics
 ///
 /// Panics at the first plan whose run panics or breaks a rule, with its
-/// seed, what broke, and the plan [`shrink`] reduced it to — a one-line
-/// reproducer in the `@ns target kind` grammar.
+/// seed, what broke, and the plan [`shrink`] reduced it to at the same
+/// level — a one-line reproducer in the `@ns target kind` grammar.
 #[must_use]
 pub fn search(
     builder: &StackBuilder,
+    level: &Level,
     writes: &[TimedWrite],
     seed: u64,
     plans: u64,
 ) -> Vec<(FaultPlan, Outcome)> {
-    let probe = checked(builder, writes, &FaultPlan::new()).expect("the fault-free run holds");
+    let checked = |plan: &FaultPlan| checked(builder, level, writes, plan);
+    let probe = checked(&FaultPlan::new()).expect("the fault-free run holds");
     let span = probe.cuts.last().map_or(1, |t| t.as_nanos());
     (seed..seed + plans)
         .map(|seed| {
             let plan = draw_plan(builder, seed, span);
-            match checked(builder, writes, &plan) {
+            match checked(&plan) {
                 Ok(outcome) => (plan, outcome),
                 Err(why) => {
-                    let small = shrink(plan.clone(), |p| checked(builder, writes, p).is_err());
+                    let small = shrink(plan.clone(), |p| checked(p).is_err());
                     panic!("composed-fault search, seed {seed}: {why}\n  plan:   {plan}\n  shrunk: {small}")
                 }
             }
@@ -383,10 +519,11 @@ pub fn search(
 /// [`run`], with a panic, a broken rule or an unfired fault as the error.
 fn checked(
     builder: &StackBuilder,
+    level: &Level,
     writes: &[TimedWrite],
     plan: &FaultPlan,
 ) -> Result<Outcome, String> {
-    let o = catch_unwind(AssertUnwindSafe(|| run(builder, writes, plan))).map_err(|p| {
+    let o = catch_unwind(AssertUnwindSafe(|| run(builder, level, writes, plan))).map_err(|p| {
         let msg = (p.downcast_ref::<String>().cloned())
             .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string));
         format!("panicked: {}", msg.unwrap_or_default())

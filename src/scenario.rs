@@ -36,7 +36,7 @@ use trail_core::{
     TrailError,
 };
 use trail_core::{BlockStack, StandardStack};
-use trail_db::{Database, DbConfig};
+use trail_db::{Database, DbConfig, StorageService};
 use trail_disk::profiles::{self, DriveProfile};
 use trail_disk::{Disk, DiskRole, ImagePool};
 use trail_fs::{ExtFs, FileHandle, FileSystem, FsError, Lfs, LfsConfig, FS_BLOCK_SIZE};
@@ -523,6 +523,14 @@ impl BuiltStack {
     #[must_use]
     pub fn database(&self, config: DbConfig) -> Database {
         Database::new(Rc::clone(&self.stack), config)
+    }
+
+    /// Opens the serving layer's storage adapter over the stack, one
+    /// capacity per device: its block target's, a RAID volume's included.
+    #[must_use]
+    pub fn service(&self) -> StorageService {
+        let capacity = self.targets.iter().map(|t| t.capacity_sectors()).collect();
+        StorageService::new(Rc::clone(&self.stack), capacity)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use trail::explore::{self, TimedWrite};
+use trail::explore::{self, Level, TimedWrite};
 use trail::prelude::*;
 
 proptest! {
@@ -43,7 +43,7 @@ proptest! {
             .data_profile(profiles::tiny_test_disk())
             .log_profile(profiles::tiny_test_disk())
             .trail_default();
-        let o = explore::run(&stack, &writes, &plan.parse().expect("plan parses"));
+        let o = explore::run(&stack, &Level::Block, &writes, &plan.parse().expect("plan parses"));
         prop_assert!(o.violations.is_empty(), "{plan}: {:#?}", o.violations);
         prop_assert!(o.recovered.is_some(), "{plan}: the dirty log is recovered");
     }
@@ -75,7 +75,7 @@ fn every_cut_through_merged_write_backs_keeps_the_acknowledged_writes() {
         .data_profile(profiles::tiny_test_disk())
         .log_profile(profiles::tiny_test_disk())
         .trail_default();
-    let probe = explore::run(&stack, &writes, &FaultPlan::new());
+    let probe = explore::run(&stack, &Level::Block, &writes, &FaultPlan::new());
     assert!(probe.violations.is_empty(), "{:#?}", probe.violations);
     assert!(probe.commands < probe.requests, "the write-backs merge");
     // A command longer than any one write carries several.
@@ -86,6 +86,7 @@ fn every_cut_through_merged_write_backs_keeps_the_acknowledged_writes() {
         let (target, kind) = (FaultTarget::System, FaultKind::PowerCut);
         let o = explore::run(
             &stack,
+            &Level::Block,
             &writes,
             &FaultPlan::new().with(Fault { at, target, kind }),
         );

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use trail::explore::{self, TimedWrite};
+use trail::explore::{self, Level, TimedWrite};
 use trail::prelude::*;
 
 proptest! {
@@ -40,7 +40,7 @@ proptest! {
             )
             .trail_default();
         let plan = FaultPlan::power_cut_at(SimDuration::from_millis(crash_ms));
-        let o = explore::run(&stack, &writes, &plan);
+        let o = explore::run(&stack, &Level::Block, &writes, &plan);
         prop_assert!(o.violations.is_empty(), "cut at {crash_ms} ms: {:#?}", o.violations);
         prop_assert!(o.recovered.is_some(), "the dirty log is recovered");
     }
