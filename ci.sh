@@ -850,13 +850,16 @@ benchmark/check.sh
 echo "== paired-run script smoke (scripts/paired.sh) =="
 # scripts/paired.sh is how a host-time claim is measured: alternating
 # parent/change runs of the benchmark, every run printed, medians,
-# quartiles, wins and the verdict. It parses, and one short pair of the
+# quartiles, wins and a verdict for each host end-to-end metric
+# (host_ops_per_s, peak_rss_mb, setup_s). It parses, and one short pair of the
 # benchmark check.sh just built, against itself, prints both runs and the
 # summary.
 bash -n scripts/paired.sh
 bench_bin=benchmark/target/release/benchmark
 paired_out="$(scripts/paired.sh "$bench_bin" "$bench_bin" crash_recover 1 1 0.2)"
 for line in '^ +1 +parent +[0-9.]+ +[0-9.]+ ' '^  parent: median ' '^  change: median ' \
+    '^host_ops_per_s \(higher is better\)$' '^peak_rss_mb \(lower is better\)$' \
+    '^setup_s \(lower is better\)$' \
     '^  virtual-time metrics identical on every run: yes$' '^  verdict: unresolved: fewer than 10 pairs$'; do
   grep -qE "$line" <<<"$paired_out" \
     || { echo "$paired_out" >&2; echo "scripts/paired.sh printed no line matching '$line'" >&2; exit 1; }

@@ -136,10 +136,11 @@ pub fn vm_hwm() -> String {
 pub fn media_line(m: &MediumStats) -> String {
     let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     format!(
-        "  media: {} written / {} distinct sectors ({} short, {} aliased); \
+        "  media: {} written / {} distinct sectors ({} packed, {} short, {} aliased); \
          index {:.1} MB + pool {:.1} MB = {:.1} MB resident",
         m.written_sectors,
         m.pool.distinct_sectors,
+        m.pool.packed_images,
         m.pool.short_images,
         m.pool.alias_images,
         mb(m.index_bytes),

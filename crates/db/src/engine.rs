@@ -325,16 +325,20 @@ impl Database {
     /// Bulk-loads rows without timing (the "restore from backup" path used
     /// to populate benchmarks). Returns the page images the caller must
     /// place onto the devices (e.g. via [`trail_disk::Disk::poke_sector`]).
+    /// A row is any byte slice, borrowed or owned, and is copied into its
+    /// page; the index is reserved for the rows' size hint up front.
     ///
     /// # Panics
     ///
     /// Panics if a row is too large for a page.
-    pub fn load(
+    pub fn load<R: AsRef<[u8]>>(
         &self,
         table: TableId,
-        rows: impl IntoIterator<Item = (u64, Vec<u8>)>,
+        rows: impl IntoIterator<Item = (u64, R)>,
     ) -> Vec<(PageId, Vec<u8>)> {
+        let rows = rows.into_iter();
         let mut d = self.inner.borrow_mut();
+        d.index.reserve(rows.size_hint().0);
         let dev = d.table_device(table);
         let mut images: Vec<(PageId, Page)> = Vec::new();
         let mut current: Option<(PageId, Page)> = None;
@@ -350,7 +354,7 @@ impl Database {
                     current = Some((pid, Page::new()));
                 }
                 let (pid, page) = current.as_mut().expect("just ensured");
-                if let Some(slot) = page.insert(&value) {
+                if let Some(slot) = page.insert(value.as_ref()) {
                     d.index.insert((table, key), Rid { page: *pid, slot });
                     break;
                 }

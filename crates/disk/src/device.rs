@@ -862,6 +862,47 @@ mod tests {
         assert_eq!(got.borrow().as_deref(), Some(&[0x5A; 2 * SECTOR_SIZE][..]));
     }
 
+    /// The rotational wait of ROADMAP item 5(b), pinned. A write issued
+    /// at the instant the write before it completes, at the very next
+    /// sector, cannot start there: the command overhead and the
+    /// write-after-write settle pass first, the sector has gone by, and the
+    /// write waits a revolution less those two. On the data disks' profile
+    /// that is 11.111 − 0.5 − 0.1 = 10.511 ms, which is what a write-back
+    /// stream pays per command when it issues one command per completion.
+    #[test]
+    fn a_sequential_write_issued_at_the_previous_completion_waits_a_revolution_less_its_overheads()
+    {
+        let profile = profiles::wd_caviar_10gb();
+        let mech = profile.mech.clone();
+        let mut sim = Simulator::new();
+        let disk = Disk::new("data0", profile);
+        let wait = Rc::new(Cell::new(SimDuration::ZERO));
+        let (d2, w2) = (disk.clone(), Rc::clone(&wait));
+        let second = sim.completion(move |_, res: Delivered<DiskResult>| {
+            w2.set(res.expect("delivered").breakdown.rotation);
+        });
+        let first = sim.completion(move |sim: &mut Simulator, res: Delivered<DiskResult>| {
+            res.expect("delivered");
+            let next = DiskCommand::Write {
+                lba: 24,
+                data: write_buf(2, 8),
+            };
+            d2.submit(sim, next, second).expect("idle");
+        });
+        let data = write_buf(1, 8);
+        disk.submit(&mut sim, DiskCommand::Write { lba: 16, data }, first)
+            .unwrap();
+        sim.run();
+        // To the nanosecond but for rounding to the sector grid.
+        let expected = mech.rotation_period - mech.write_overhead - mech.write_after_write;
+        let wait = wait.get();
+        assert!(
+            wait.as_nanos().abs_diff(expected.as_nanos()) < 10,
+            "waited {wait:?}, expected {expected:?}"
+        );
+        assert_eq!(wait.as_nanos() / 1_000, 10_511);
+    }
+
     #[test]
     fn busy_disk_rejects_submission() {
         let (mut sim, disk) = setup();
@@ -1241,6 +1282,7 @@ mod tests {
         let m = disk.medium_stats();
         assert_eq!((m.written_sectors, m.pool.distinct_sectors), (8, 1));
         assert_eq!((m.pool.short_images, m.pool.alias_images), (0, 0));
+        assert_eq!(m.pool.packed_images, 1, "one fill, packed");
         assert!(m.index_bytes > 0 && m.pool.pool_bytes > 0);
         assert_eq!(m.resident_bytes(), m.index_bytes + m.pool.pool_bytes);
         assert_eq!(m.pool, disk.pool().stats());

@@ -522,12 +522,16 @@ mod tests {
 
     #[test]
     fn a_log_copy_of_a_pooled_payload_is_aliases_of_its_sectors() {
-        // Whole, short and zero sectors, first bytes marker and not.
-        let mut plain = vec![0u8; 4 * SECTOR_SIZE];
-        plain[..SECTOR_SIZE].fill(9);
-        plain[SECTOR_SIZE..SECTOR_SIZE + 100].fill(7);
-        plain[3 * SECTOR_SIZE..].fill(5);
+        // Whole, short, zero and packed sectors (the whole and the short
+        // one too varied to pack), first bytes marker and not.
+        let mut plain = vec![0u8; 5 * SECTOR_SIZE];
+        for (i, byte) in plain[..SECTOR_SIZE + 200].iter_mut().enumerate() {
+            *byte = 9u8.wrapping_add(i as u8);
+        }
+        plain[SECTOR_SIZE] = 7;
+        plain[3 * SECTOR_SIZE..4 * SECTOR_SIZE].fill(5);
         plain[3 * SECTOR_SIZE] = 0;
+        plain[4 * SECTOR_SIZE..].fill(6);
         let logged = |mut bytes: Vec<u8>| {
             for sector in bytes.chunks_exact_mut(SECTOR_SIZE) {
                 sector[0] = 0;
@@ -538,24 +542,25 @@ mod tests {
         let mut p = PayloadBuf::from(plain.clone());
         p.intern(&pool);
         let before = pool.stats();
-        assert_eq!(before.hashed_sectors, 4);
+        assert_eq!(before.hashed_sectors, 5);
         let copy = p.with_first_byte(0);
         assert_eq!(copy.to_vec(), logged(plain.clone()));
         let mut sectors = Vec::new();
         copy.for_each_sector(|s| sectors.extend_from_slice(s));
         assert_eq!(sectors, logged(plain.clone()));
-        // The whole and the short sector gain an alias each; the zero
-        // sector and the one whose byte 0 is the marker are their own log
-        // copies. Nothing was hashed.
+        // The whole, the short and the packed sector gain an alias each;
+        // the zero sector and the one whose byte 0 is the marker are their
+        // own log copies. Nothing was hashed.
         let after = pool.stats();
         assert_eq!(after.hashed_sectors, before.hashed_sectors);
-        assert_eq!(after.alias_images - before.alias_images, 2);
-        assert_eq!(after.distinct_sectors - before.distinct_sectors, 2);
-        // A second copy under the same byte shares the whole sector's
-        // alias; a short base's alias is not found again.
+        assert_eq!(after.alias_images - before.alias_images, 3);
+        assert_eq!(after.distinct_sectors - before.distinct_sectors, 3);
+        // A second copy under the same byte shares the whole and the
+        // packed sector's aliases; a short base's alias is not found again.
         let again = p.sectors(0, 2).with_first_byte(0);
+        let packed_again = p.sectors(4, 1).with_first_byte(0);
         assert_eq!(pool.stats().alias_images - after.alias_images, 1);
-        drop((p, copy, again));
+        drop((p, copy, again, packed_again));
         assert_eq!(pool.stats().distinct_sectors, 0);
         // A byte-backed payload is copied.
         let bytes = PayloadBuf::from(plain.clone());

@@ -10,8 +10,9 @@
 //! is kept once: a paged index per store maps an LBA to a slot in an
 //! [`ImagePool`], a 64-bit hash finds an existing identical image, and
 //! slots are reference-counted. The disks of one stack share one pool, so
-//! the log copy of a sector and its write-back meet in it: a whole image is
-//! found by the hash of its bytes 1..512, and one whose bytes 1..512 equal
+//! the log copy of a sector and its write-back meet in it: a whole or
+//! packed image is found by the hash of its bytes 1..512, and one whose
+//! bytes 1..512 equal
 //! a stored image's but whose byte 0 differs is kept as a five-byte alias
 //! of that body plus its own byte 0 — exactly the byte the log's
 //! self-describing format replaces. A write's payload can be interned
@@ -22,7 +23,8 @@
 //! copy. A read takes the same form ([`SectorStore::read_run`]): a
 //! reference per sector on the slots its LBAs name, which keeps those
 //! images however the LBAs are overwritten, and a reader walks a whole
-//! image where the pool keeps it, copying only a short or alias one.
+//! image where the pool keeps it, decoding a packed, short or alias one
+//! into a stack buffer.
 //!
 //! Wherever a buffer's sectors are resolved to slots — a store write, an
 //! interned payload, a log copy — a sector equal to the one before it in
@@ -33,12 +35,16 @@
 //! would had every sector been hashed.
 //! The layout is sized for what Trail writes — short runs scattered over
 //! the platter, each led by a unique, mostly-zero header sector: an index
-//! page is one cache line, and an image whose second half is zero occupies
-//! half a slot. Workloads whose payloads repeat (trace replays carry
-//! synthetic fills, logs carry padding) cost about six index bytes per
-//! densely written LBA instead of 512; workloads whose payloads are unique
-//! cost what a plain `LBA → bytes` map would, once per stack rather than
-//! once per disk.
+//! page is one cache line; an image that is mostly runs of equal 8-byte
+//! words — a table row's fill between its key stamps, a record header —
+//! is packed into a quarter of a slot, as a mask of the words that repeat
+//! the one before them and the others; and one that does not pack but
+//! whose second half is zero occupies half a slot. Workloads whose
+//! payloads repeat (trace replays carry synthetic fills, logs carry
+//! padding) cost about six index bytes per densely written LBA instead of
+//! 512; workloads whose payloads are unique and incompressible cost what a
+//! plain `LBA → bytes` map would, once per stack rather than once per
+//! disk.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -54,21 +60,42 @@ use crate::geometry::{Lba, SECTOR_SIZE};
 /// One sector's payload.
 pub type SectorBuf = [u8; SECTOR_SIZE];
 
-/// Images per pool chunk (8 KB of whole sectors, 4 KB of short ones). A
-/// class of the pool grows one chunk at a time and a chunk never moves, so
-/// a stored image is written once and growth never copies the medium.
-/// Small enough that the first write to a fresh disk (every crash point
-/// boots several) asks for no more memory than its index page, one chunk
-/// of each class, the pool itself and a few table entries: about 14 KB.
+/// Images per pool chunk (8 KB of whole sectors, 4 KB of short ones, 2 KB
+/// of packed ones). A class of the pool grows one chunk at a time and a
+/// chunk never moves, so a stored image is written once and growth never
+/// copies the medium. Small enough that the first write to a fresh disk
+/// (every crash point boots several) asks for no more memory than its
+/// index page, one chunk of each class, the pool itself and a few table
+/// entries: about 16 KB.
 const CHUNK_SLOTS: usize = 16;
 
-/// Bytes kept for an image whose remaining bytes are all zero. Trail's
-/// record headers, the most numerous unique images a log disk holds, end
-/// well before it.
+/// Bytes kept for an image whose remaining bytes are all zero and that
+/// does not pack. Trail's record headers, the most numerous unique images
+/// a log disk holds, end well before it.
 const SHORT_BYTES: usize = SECTOR_SIZE / 2;
 
-/// Bytes of an alias slot: the index entry of its base, a full or short
-/// slot (`u32`, little endian), and the alias's own byte 0.
+/// Bytes of a word, the unit a packed image's runs are counted in.
+const WORD: usize = 8;
+
+/// Words in a sector.
+const WORDS: usize = SECTOR_SIZE / WORD;
+
+/// Bytes of a packed slot: a `u64` mask whose bit `i` says that word `i`
+/// of the sector equals word `i - 1` (word 0 is compared with zero),
+/// then every other word, in order, as a literal, then zeros. The
+/// encoding of a sector is unique, so two packed images are equal exactly
+/// when their slots' bytes are. A row of a table or a log record is a run
+/// of fill words between a few stamps: most of its sectors pack.
+const PACKED_BYTES: usize = SECTOR_SIZE / 4;
+
+/// Literals a packed slot has room for.
+const PACKED_LITERALS: usize = PACKED_BYTES / WORD - 1;
+
+/// The bytes of a packed slot.
+type Packed = [u8; PACKED_BYTES];
+
+/// Bytes of an alias slot: the index entry of its base, a full, short or
+/// packed slot (`u32`, little endian), and the alias's own byte 0.
 const ALIAS_BYTES: usize = 5;
 
 /// LBAs per index page: 16 entries of four bytes, one cache line. A page
@@ -93,11 +120,12 @@ const UNWRITTEN: u32 = 0;
 
 type IndexPage = [u32; PAGE_LBAS as usize];
 
-/// The three slot classes of the pool (see [`Image`]), as the low two bits
-/// of an index entry.
+/// The four slot classes of the pool (see [`Kept`] and [`Image`]), as the
+/// low two bits of an index entry.
 const FULL: usize = 0;
 const SHORT: usize = 1;
 const ALIAS: usize = 2;
+const PACKED: usize = 3;
 const CLASS_BITS: u32 = 2;
 
 /// Slot numbers a class can hand out: an entry is a `u32` that spends two
@@ -315,8 +343,8 @@ struct Slots<const N: usize> {
     // `CHUNK_SLOTS` images each, as bytes so that a chunk comes zeroed
     // from the allocator and is first touched when an image lands on it.
     chunks: Vec<Box<[u8]>>,
-    // Per allocated slot: how many LBAs and payload entries (and, for a
-    // full slot, aliases) hold it. The hash an image is registered under is not kept: the
+    // Per allocated slot: how many LBAs and payload entries (and, but for
+    // an alias slot, aliases) hold it. The hash an image is registered under is not kept: the
     // release that frees a slot rehashes its image instead, which is
     // cheaper than eight more bytes on every slot.
     refs: Vec<u32>,
@@ -372,23 +400,77 @@ impl<const N: usize> Slots<N> {
     }
 }
 
-/// A sector image as the pool keeps it: whole, its first half when the
-/// second half is zero, or a stored whole or short image (its bytes as
-/// kept) under a byte 0 of its own.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Image<'a> {
-    Full(&'a SectorBuf),
-    Short(&'a [u8; SHORT_BYTES]),
-    Alias(&'a [u8], u8),
+/// Packs `data` into `out` if its encoding fits a packed slot (see
+/// [`PACKED_BYTES`]); returns whether it did. A word at a time, and it
+/// gives up at the first literal too many, so a sector that does not pack
+/// costs a few dozen compares.
+fn pack(data: &SectorBuf, out: &mut Packed) -> bool {
+    let (mask, literals) = out
+        .split_first_chunk_mut::<WORD>()
+        .expect("a slot holds a mask");
+    let literals = literals.as_chunks_mut::<WORD>().0;
+    // `run` is the word the current run repeats.
+    let (mut same, mut kept, mut run) = (0u64, 0, [0u8; WORD]);
+    for (i, word) in data.as_chunks::<WORD>().0.iter().enumerate() {
+        if *word == run {
+            same |= 1 << i;
+        } else if kept == PACKED_LITERALS {
+            return false;
+        } else {
+            literals[kept] = *word;
+            kept += 1;
+            run = *word;
+        }
+    }
+    literals[kept..].fill([0; WORD]);
+    *mask = same.to_le_bytes();
+    true
 }
 
-impl<'a> Image<'a> {
-    /// The image `data` is written as: whole or short, by its bytes.
-    /// Whether a whole one is kept as an alias is the pool's to find.
-    fn of(data: &'a SectorBuf) -> Self {
+/// Writes the sector `packed` encodes into `out`: one fill per run of
+/// equal words.
+fn unpack(packed: &Packed, out: &mut SectorBuf) {
+    let (mask, literals) = packed
+        .split_first_chunk::<WORD>()
+        .expect("a slot holds a mask");
+    let mut literals = literals.as_chunks::<WORD>().0.iter();
+    let words = out.as_chunks_mut::<WORD>().0;
+    // Bit `i` set: word `i` is a literal, the first word of a run.
+    let mut starts = !u64::from_le_bytes(*mask);
+    let (mut at, mut word) = (0, [0u8; WORD]);
+    loop {
+        let end = starts.trailing_zeros() as usize;
+        words[at..end].fill(word);
+        if end == WORDS {
+            return;
+        }
+        word = *literals.next().expect("a literal per run");
+        at = end;
+        starts &= starts - 1;
+    }
+}
+
+/// An image as a full, short or packed slot keeps it: the whole sector,
+/// its first half when the second half is zero, or its packed encoding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kept<'a> {
+    Full(&'a SectorBuf),
+    Short(&'a [u8; SHORT_BYTES]),
+    Packed(&'a Packed),
+}
+
+impl<'a> Kept<'a> {
+    /// How `data` is kept, by its bytes: packed if its encoding fits
+    /// (written into `packed`), else short if its second half is zero,
+    /// else whole. Whether a whole or packed one is kept as an alias is
+    /// the pool's to find.
+    fn of(data: &'a SectorBuf, packed: &'a mut Packed) -> Self {
+        if pack(data, packed) {
+            return Kept::Packed(packed);
+        }
         match data.split_first_chunk() {
-            Some((head, tail)) if tail == [0u8; SECTOR_SIZE - SHORT_BYTES] => Image::Short(head),
-            _ => Image::Full(data),
+            Some((head, tail)) if tail == [0u8; SECTOR_SIZE - SHORT_BYTES] => Kept::Short(head),
+            _ => Kept::Full(data),
         }
     }
 
@@ -397,17 +479,16 @@ impl<'a> Image<'a> {
     /// local first is measurably slower there.)
     fn sector(self) -> SectorBuf {
         match self {
-            Image::Full(bytes) => *bytes,
-            Image::Short(bytes) => {
+            Kept::Full(bytes) => *bytes,
+            Kept::Short(bytes) => {
                 let mut padded = [0u8; SECTOR_SIZE];
                 padded[..SHORT_BYTES].copy_from_slice(bytes);
                 padded
             }
-            Image::Alias(base, byte0) => {
-                let mut patched = [0u8; SECTOR_SIZE];
-                patched[..base.len()].copy_from_slice(base);
-                patched[0] = byte0;
-                patched
+            Kept::Packed(packed) => {
+                let mut sector = [0u8; SECTOR_SIZE];
+                unpack(packed, &mut sector);
+                sector
             }
         }
     }
@@ -415,33 +496,62 @@ impl<'a> Image<'a> {
     /// The sector's byte 0.
     fn first_byte(self) -> u8 {
         match self {
-            Image::Full(bytes) => bytes[0],
-            Image::Short(bytes) => bytes[0],
-            Image::Alias(_, byte0) => byte0,
+            Kept::Full(bytes) => bytes[0],
+            Kept::Short(bytes) => bytes[0],
+            // Word 0 is the first literal unless it equals zero.
+            Kept::Packed(packed) if packed[0] & 1 == 0 => packed[WORD],
+            Kept::Packed(_) => 0,
         }
     }
 
     /// Writes the sector this is the image of into a caller's buffer.
     fn copy_to(self, out: &mut SectorBuf) {
         match self {
-            Image::Full(bytes) => *out = *bytes,
-            Image::Short(bytes) => {
+            Kept::Full(bytes) => *out = *bytes,
+            Kept::Short(bytes) => {
                 let (head, tail) = out.split_at_mut(SHORT_BYTES);
                 head.copy_from_slice(bytes);
                 tail.fill(0);
             }
-            Image::Alias(base, byte0) => {
-                let (head, tail) = out.split_at_mut(base.len());
-                head.copy_from_slice(base);
-                tail.fill(0);
-                out[0] = byte0;
-            }
+            Kept::Packed(packed) => unpack(packed, out),
         }
     }
 }
 
-/// The bytes of an alias slot naming the full or short slot whose entry is
-/// `base` under `byte0`.
+/// A sector image as the pool keeps it: a full, short or packed slot's
+/// image, read as it is or, for an alias, under a byte 0 of its own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Image<'a> {
+    kept: Kept<'a>,
+    byte0: Option<u8>,
+}
+
+impl Image<'_> {
+    /// The sector this is the image of.
+    fn sector(self) -> SectorBuf {
+        let mut sector = self.kept.sector();
+        if let Some(byte0) = self.byte0 {
+            sector[0] = byte0;
+        }
+        sector
+    }
+
+    /// The sector's byte 0.
+    fn first_byte(self) -> u8 {
+        self.byte0.unwrap_or_else(|| self.kept.first_byte())
+    }
+
+    /// Writes the sector this is the image of into a caller's buffer.
+    fn copy_to(self, out: &mut SectorBuf) {
+        self.kept.copy_to(out);
+        if let Some(byte0) = self.byte0 {
+            out[0] = byte0;
+        }
+    }
+}
+
+/// The bytes of an alias slot naming the full, short or packed slot whose
+/// entry is `base` under `byte0`.
 fn alias_bytes(base: u32, byte0: u8) -> [u8; ALIAS_BYTES] {
     let [a, b, c, d] = base.to_le_bytes();
     [a, b, c, d, byte0]
@@ -459,23 +569,25 @@ fn alias_parts(bytes: &[u8; ALIAS_BYTES]) -> (u32, u8) {
 /// copy by the entry it copies and its new byte 0.
 type Last<K> = Option<(K, u32)>;
 
-/// The distinct sector images behind one or more stores, in three classes
-/// of slot. Whether an image is short follows from its bytes, so equal
-/// images written as bytes always meet in one class; an alias is a full
-/// or short image whose bytes from 1 on a slot already holds under
-/// another byte 0.
+/// The distinct sector images behind one or more stores, in four classes
+/// of slot. Whether an image is packed, short or full follows from its
+/// bytes, so equal images written as bytes always meet in one class; an
+/// alias is an image whose bytes from 1 on a full, short or packed slot
+/// already holds under another byte 0.
 #[derive(Debug)]
 struct Pool {
     full: Slots<SECTOR_SIZE>,
     short: Slots<SHORT_BYTES>,
     alias: Slots<ALIAS_BYTES>,
-    // Per full slot: the entry of the one alias found through it, or
-    // `UNWRITTEN`. Only ever names a live alias of that slot. (An alias of
-    // a short slot is found through none.)
+    packed: Slots<PACKED_BYTES>,
+    // Per full and per packed slot: the entry of the one alias found
+    // through it, or `UNWRITTEN`. Only ever names a live alias of that
+    // slot. (An alias of a short slot is found through none.)
     aliased: Vec<u32>,
-    // Body hash of a full image, or content hash of a short one → the
-    // entry of the one slot registered under it. Only ever names a live
-    // full or short slot kept under that key.
+    packed_aliased: Vec<u32>,
+    // Body hash of a full or packed image, or content hash of a short one
+    // → the entry of the one slot registered under it. Only ever names a
+    // live full, short or packed slot kept under that key.
     by_hash: FastMap<Key, u32>,
     hash: fn(&SectorBuf) -> Hashes,
     // Sectors hashed to find their image, ever.
@@ -488,52 +600,69 @@ impl Pool {
             full: Slots::default(),
             short: Slots::default(),
             alias: Slots::default(),
+            packed: Slots::default(),
             aliased: Vec::new(),
+            packed_aliased: Vec::new(),
             by_hash: FastMap::default(),
             hash,
             hashed: 0,
         }
     }
 
-    /// The image `entry` names; none if its LBA was never written.
-    fn image(&self, entry: u32) -> Option<Image<'_>> {
-        (entry != UNWRITTEN).then(|| match slot_of(entry) {
-            (FULL, slot) => Image::Full(self.full.image(slot)),
-            (SHORT, slot) => Image::Short(self.short.image(slot)),
-            (_, slot) => {
-                let (base, byte0) = alias_parts(self.alias.image(slot));
-                let bytes: &[u8] = match slot_of(base) {
-                    (FULL, base) => self.full.image(base),
-                    (_, base) => self.short.image(base),
-                };
-                Image::Alias(bytes, byte0)
-            }
-        })
-    }
-
-    /// Whether `entry`'s slot already holds exactly `image`, an image of
-    /// [`Image::of`].
-    fn holds(&self, entry: u32, image: Image) -> bool {
-        let bytes: &[u8] = match image {
-            Image::Full(bytes) => bytes,
-            Image::Short(bytes) => bytes,
-            Image::Alias(..) => unreachable!("Image::of makes no alias"),
-        };
-        match self.image(entry).expect("a written entry") {
-            Image::Full(held) => held[..] == *bytes,
-            Image::Short(held) => held[..] == *bytes,
-            Image::Alias(base, byte0) => {
-                base.len() == bytes.len() && byte0 == bytes[0] && base[1..] == bytes[1..]
-            }
+    /// The image the full, short or packed slot `entry` names keeps.
+    fn kept(&self, entry: u32) -> Kept<'_> {
+        match slot_of(entry) {
+            (FULL, slot) => Kept::Full(self.full.image(slot)),
+            (SHORT, slot) => Kept::Short(self.short.image(slot)),
+            (PACKED, slot) => Kept::Packed(self.packed.image(slot)),
+            _ => unreachable!("an alias keeps no image of its own"),
         }
     }
 
-    /// The table key of `image`, whose sector has `hashes`: a short image
-    /// is found by content, a whole one by body, so that an image differing
-    /// from it in byte 0 only finds it too.
-    fn key(image: Image, hashes: Hashes) -> Key {
-        Key::from(match image {
-            Image::Short(_) => hashes.content,
+    /// The image `entry` names; none if its LBA was never written.
+    fn image(&self, entry: u32) -> Option<Image<'_>> {
+        (entry != UNWRITTEN).then(|| match slot_of(entry) {
+            (ALIAS, slot) => {
+                let (base, byte0) = alias_parts(self.alias.image(slot));
+                Image {
+                    kept: self.kept(base),
+                    byte0: Some(byte0),
+                }
+            }
+            _ => Image {
+                kept: self.kept(entry),
+                byte0: None,
+            },
+        })
+    }
+
+    /// The alias link of the slot `entry` names: a full or packed slot's,
+    /// none for a short slot or an alias.
+    fn link(&mut self, entry: u32) -> Option<&mut u32> {
+        match slot_of(entry) {
+            (FULL, slot) => Some(&mut self.aliased[slot]),
+            (PACKED, slot) => Some(&mut self.packed_aliased[slot]),
+            _ => None,
+        }
+    }
+
+    /// Whether `entry`'s slot already holds exactly `data`.
+    fn holds(&self, entry: u32, data: &SectorBuf) -> bool {
+        match self.image(entry).expect("a written entry") {
+            Image {
+                kept: Kept::Full(held),
+                byte0: None,
+            } => held == data,
+            image => image.sector() == *data,
+        }
+    }
+
+    /// The table key of `kept`, whose sector has `hashes`: a short image
+    /// is found by content, a full or packed one by body, so that an image
+    /// differing from it in byte 0 only finds it too.
+    fn key(kept: Kept, hashes: Hashes) -> Key {
+        Key::from(match kept {
+            Kept::Short(_) => hashes.content,
             _ => hashes.body,
         })
     }
@@ -550,7 +679,7 @@ impl Pool {
     ) -> bool {
         let fresh = *entry == UNWRITTEN;
         if !fresh {
-            if self.holds(*entry, Image::of(data)) {
+            if self.holds(*entry, data) {
                 return false;
             }
             // Release first: a sole owner's slot is recycled for the new
@@ -582,9 +711,10 @@ impl Pool {
     /// whether `data` interned again would find that slot (see
     /// [`resolve`](Self::resolve)).
     fn intern(&mut self, data: &SectorBuf) -> (u32, bool) {
-        let image = Image::of(data);
+        let mut packed = [0u8; PACKED_BYTES];
+        let kept = Kept::of(data, &mut packed);
         self.hashed += 1;
-        self.acquire(Self::key(image, (self.hash)(data)), image)
+        self.acquire(Self::key(kept, (self.hash)(data)), kept, data)
     }
 
     /// The entry `sector` resolves to, with one more reference on it. A
@@ -619,36 +749,36 @@ impl Pool {
         let refs = match class {
             FULL => &mut self.full.refs,
             SHORT => &mut self.short.refs,
-            _ => &mut self.alias.refs,
+            ALIAS => &mut self.alias.refs,
+            _ => &mut self.packed.refs,
         };
         debug_assert!(refs[slot] > 0, "only a live slot is retained");
         refs[slot] += 1;
     }
 
-    /// Returns the entry of a slot holding `image` (an image of
-    /// [`Image::of`], whose table key is `key`), with one more reference
-    /// on it: shared through the slot registered under `key` if there is
-    /// one (see [`share`](Self::share)), else a fresh one. Two different
-    /// images with one key therefore never share a slot; the second merely
-    /// stays unregistered, so a later copy of it misses the share — a
-    /// collision costs memory, never a wrong byte. Also says whether
-    /// `image` would find the same slot again: an unregistered one it
-    /// would not.
-    fn acquire(&mut self, key: Key, image: Image) -> (u32, bool) {
+    /// Returns the entry of a slot holding `data`, kept as `kept` (see
+    /// [`Kept::of`]) and found under the table key `key`, with one more
+    /// reference on it: shared through the slot registered under `key` if
+    /// there is one (see [`share`](Self::share)), else a fresh one. Two
+    /// different images with one key therefore never share a slot; the
+    /// second merely stays unregistered, so a later copy of it misses the
+    /// share — a collision costs memory, never a wrong byte. Also says
+    /// whether `data` would find the same slot again: an unregistered one
+    /// it would not.
+    fn acquire(&mut self, key: Key, kept: Kept, data: &SectorBuf) -> (u32, bool) {
         let registered = self.by_hash.get(&key).copied();
-        if let Some(shared) = registered.and_then(|entry| self.share(entry, image)) {
+        if let Some(shared) = registered.and_then(|entry| self.share(entry, kept, data)) {
             return shared;
         }
-        let entry = match image {
-            Image::Short(bytes) => entry_of(SHORT, self.short.take(bytes)),
-            Image::Full(bytes) => {
-                let slot = self.full.take(bytes);
-                if slot == self.aliased.len() {
-                    self.aliased.push(UNWRITTEN);
-                }
-                entry_of(FULL, slot)
+        let entry = match kept {
+            Kept::Short(bytes) => entry_of(SHORT, self.short.take(bytes)),
+            Kept::Full(bytes) => {
+                entry_of(FULL, take_linked(&mut self.full, &mut self.aliased, bytes))
             }
-            Image::Alias(..) => unreachable!("Image::of makes no alias"),
+            Kept::Packed(bytes) => entry_of(
+                PACKED,
+                take_linked(&mut self.packed, &mut self.packed_aliased, bytes),
+            ),
         };
         if registered.is_none() {
             self.by_hash.insert(key, entry);
@@ -656,21 +786,30 @@ impl Pool {
         (entry, registered.is_none())
     }
 
-    /// A slot holding `image`, found through the registered `entry`, with
-    /// one more reference on it: `entry`'s own slot if it holds the same
-    /// bytes, or for a whole image that differs from it in byte 0 only,
-    /// its alias under that byte (see
-    /// [`with_first_byte`](Self::with_first_byte)), and whether it would be
-    /// found again. None if `entry` holds another image under the same
-    /// key.
-    fn share(&mut self, entry: u32, image: Image) -> Option<(u32, bool)> {
-        match (slot_of(entry), image) {
-            ((SHORT, slot), Image::Short(bytes)) if self.short.image(slot) == bytes => {
+    /// A slot holding `data`, kept as `kept`, found through the registered
+    /// `entry`, with one more reference on it: `entry`'s own slot if it
+    /// keeps the same image, or for a full or packed image whose bytes
+    /// from 1 on match a full or packed `entry`'s, the slot
+    /// [`with_first_byte`](Self::with_first_byte) finds for its byte 0 —
+    /// and whether it would be found again. None if `entry` holds another
+    /// image under the same key.
+    fn share(&mut self, entry: u32, kept: Kept, data: &SectorBuf) -> Option<(u32, bool)> {
+        match (slot_of(entry), kept) {
+            ((SHORT, slot), Kept::Short(bytes)) if self.short.image(slot) == bytes => {
                 self.short.refs[slot] += 1;
                 Some((entry, true))
             }
-            ((FULL, base), Image::Full(bytes)) if self.full.image(base)[1..] == bytes[1..] => {
-                Some(self.with_first_byte(entry, bytes[0]))
+            // Encodings are canonical: equal bytes, equal images.
+            ((PACKED, slot), Kept::Packed(bytes)) if self.packed.image(slot) == bytes => {
+                self.packed.refs[slot] += 1;
+                Some((entry, true))
+            }
+            ((FULL | PACKED, _), Kept::Full(_) | Kept::Packed(_)) => {
+                let same_body = match self.kept(entry) {
+                    Kept::Full(held) => held[1..] == data[1..],
+                    held => held.sector()[1..] == data[1..],
+                };
+                same_body.then(|| self.with_first_byte(entry, data[0]))
             }
             _ => None,
         }
@@ -679,13 +818,13 @@ impl Pool {
     /// The entry of a slot holding the image `entry` names with its byte 0
     /// replaced by `byte0`, with one more reference on it: `entry` itself
     /// or its base if one of them has that byte 0, else an alias of the
-    /// base — the one found through a full base if it has that byte 0,
-    /// else a new one (found through the base from now on if none is). No
-    /// byte is hashed, compared or copied — bar for an unwritten `entry`,
-    /// a zero sector, which has no slot to alias: under a byte 0 of zero it
-    /// stays unwritten, under another it is interned. Also says whether
-    /// the same request would find the same slot again: an alias its base
-    /// does not link to would not.
+    /// base — the one found through a full or packed base if it has that
+    /// byte 0, else a new one (found through the base from now on if none
+    /// is). No byte is hashed, compared or copied — bar for an unwritten
+    /// `entry`, a zero sector, which has no slot to alias: under a byte 0
+    /// of zero it stays unwritten, under another it is interned. Also says
+    /// whether the same request would find the same slot again: an alias
+    /// its base does not link to would not.
     fn with_first_byte(&mut self, entry: u32, byte0: u8) -> (u32, bool) {
         if entry == UNWRITTEN {
             if byte0 == 0 {
@@ -700,10 +839,7 @@ impl Pool {
             (ALIAS, slot) => alias_parts(self.alias.image(slot)).0,
             _ => entry,
         };
-        let linked = match slot_of(base) {
-            (FULL, slot) => self.aliased[slot],
-            _ => UNWRITTEN,
-        };
+        let linked = self.link(base).map_or(UNWRITTEN, |link| *link);
         let same = [entry, base, linked]
             .into_iter()
             .find(|&e| e != UNWRITTEN && first_byte(self, e) == byte0);
@@ -713,9 +849,9 @@ impl Pool {
         }
         self.retain(base);
         let alias = entry_of(ALIAS, self.alias.take(&alias_bytes(base, byte0)));
-        let links = match slot_of(base) {
-            (FULL, slot) if linked == UNWRITTEN => {
-                self.aliased[slot] = alias;
+        let links = match self.link(base) {
+            Some(link) if *link == UNWRITTEN => {
+                *link = alias;
                 true
             }
             _ => false,
@@ -729,27 +865,25 @@ impl Pool {
     /// reference on its base.
     fn release(&mut self, entry: u32) {
         let (class, slot) = slot_of(entry);
-        if class == ALIAS {
-            if self.alias.release(slot) {
-                let (base, _) = alias_parts(self.alias.image(slot));
-                if let (FULL, full) = slot_of(base) {
-                    if self.aliased[full] == entry {
-                        self.aliased[full] = UNWRITTEN;
-                    }
-                }
-                self.release(base);
-            }
-            return;
-        }
         let freed = match class {
             FULL => self.full.release(slot),
-            _ => self.short.release(slot),
+            SHORT => self.short.release(slot),
+            ALIAS => self.alias.release(slot),
+            _ => self.packed.release(slot),
         };
         if !freed {
             return;
         }
-        let image = self.image(entry).expect("a written entry");
-        let key = Self::key(image, (self.hash)(&image.sector()));
+        if class == ALIAS {
+            let (base, _) = alias_parts(self.alias.image(slot));
+            if let Some(link) = self.link(base).filter(|link| **link == entry) {
+                *link = UNWRITTEN;
+            }
+            self.release(base);
+            return;
+        }
+        let kept = self.kept(entry);
+        let key = Self::key(kept, (self.hash)(&kept.sector()));
         // An unregistered (collided) slot leaves the entry to its owner.
         if let Entry::Occupied(e) = self.by_hash.entry(key) {
             if *e.get() == entry {
@@ -761,19 +895,40 @@ impl Pool {
     fn stats(&self) -> PoolStats {
         // The pool's own allocation: `Rc`'s two counts and the `RefCell`.
         let itself = 2 * size_of::<usize>() + size_of::<RefCell<Pool>>();
+        let links = self.aliased.capacity() + self.packed_aliased.capacity();
         PoolStats {
-            distinct_sectors: (self.full.live() + self.short.live() + self.alias.live()) as u64,
+            distinct_sectors: (self.full.live()
+                + self.short.live()
+                + self.alias.live()
+                + self.packed.live()) as u64,
             short_images: self.short.live() as u64,
             alias_images: self.alias.live() as u64,
+            packed_images: self.packed.live() as u64,
             hashed_sectors: self.hashed,
             pool_bytes: (itself
                 + self.full.bytes()
                 + self.short.bytes()
                 + self.alias.bytes()
-                + self.aliased.capacity() * size_of::<u32>()
+                + self.packed.bytes()
+                + links * size_of::<u32>()
                 + map_bytes(&self.by_hash)) as u64,
         }
     }
+}
+
+/// A slot of `slots`, a class whose slots each have an alias link in
+/// `links`, holding `image` under one reference; a new slot's link starts
+/// [`UNWRITTEN`].
+fn take_linked<const N: usize>(
+    slots: &mut Slots<N>,
+    links: &mut Vec<u32>,
+    image: &[u8; N],
+) -> usize {
+    let slot = slots.take(image);
+    if slot == links.len() {
+        links.push(UNWRITTEN);
+    }
+    slot
 }
 
 /// Host-side counters of an [`ImagePool`]: what the images behind one or
@@ -781,17 +936,21 @@ impl Pool {
 /// disk of a stack, so a sum over disks counts each pool once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Images the pool keeps, of all three classes: the distinct contents
+    /// Images the pool keeps, of all four classes: the distinct contents
     /// among the sectors its stores hold (a hash collision, which keeps
     /// two equal images apart, can only make it larger; a body kept only
     /// for its aliases counts too).
     pub distinct_sectors: u64,
     /// How many of them are kept in half a slot because their second half
-    /// is zero.
+    /// is zero and they do not pack.
     pub short_images: u64,
     /// How many of them are aliases: an image kept as another's bytes
     /// under its own byte 0.
     pub alias_images: u64,
+    /// How many of them are packed into a quarter of a slot: a mask of
+    /// which words repeat the word before them, and the others, fit in 128
+    /// bytes.
+    pub packed_images: u64,
     /// Sectors the pool has hashed to find their image, ever: at most one
     /// per sector a store writes as bytes or a payload is interned from.
     /// A sector equal to the one before it in the same buffer takes that
@@ -812,6 +971,7 @@ impl std::ops::AddAssign for PoolStats {
         self.distinct_sectors += other.distinct_sectors;
         self.short_images += other.short_images;
         self.alias_images += other.alias_images;
+        self.packed_images += other.packed_images;
         self.hashed_sectors += other.hashed_sectors;
         self.pool_bytes += other.pool_bytes;
     }
@@ -940,14 +1100,28 @@ impl PoolRun {
     }
 
     /// Calls `f` with each of sectors `sectors` of the run, in order: a
-    /// whole image where the pool keeps it, and only a short, alias or
-    /// unwritten one as a sector of its own.
+    /// whole image where the pool keeps it, and only a short, packed,
+    /// alias or unwritten one as a sector of its own, in one stack buffer
+    /// that a run of equal entries is decoded into once.
     pub(crate) fn for_each_sector(&self, sectors: Range<usize>, mut f: impl FnMut(&SectorBuf)) {
         let pool = self.pool.0.borrow();
+        let (mut buf, mut decoded) = ([0u8; SECTOR_SIZE], None);
         for &entry in &self.entries[sectors] {
             match pool.image(entry) {
-                Some(Image::Full(bytes)) => f(bytes),
-                image => f(&image.map_or([0u8; SECTOR_SIZE], Image::sector)),
+                Some(Image {
+                    kept: Kept::Full(bytes),
+                    byte0: None,
+                }) => f(bytes),
+                image => {
+                    if decoded != Some(entry) {
+                        match image {
+                            Some(image) => image.copy_to(&mut buf),
+                            None => buf.fill(0),
+                        }
+                        decoded = Some(entry);
+                    }
+                    f(&buf);
+                }
             }
         }
     }
@@ -1325,14 +1499,29 @@ mod tests {
             .map_or(UNWRITTEN, |page| page[(lba % PAGE_LBAS) as usize])
     }
 
-    /// The refcounts of the three classes, `[FULL, SHORT, ALIAS]`.
-    fn refs(s: &SectorStore) -> [Vec<u32>; 3] {
-        let p = pool(s);
-        [
-            p.full.refs.clone(),
-            p.short.refs.clone(),
-            p.alias.refs.clone(),
-        ]
+    /// The refcounts of the four classes, `[FULL, SHORT, ALIAS, PACKED]`.
+    fn refs(s: &SectorStore) -> [Vec<u32>; 4] {
+        class_refs(&pool(s))
+    }
+
+    fn class_refs(p: &Pool) -> [Vec<u32>; 4] {
+        [&p.full.refs, &p.short.refs, &p.alias.refs, &p.packed.refs].map(Clone::clone)
+    }
+
+    /// The class a sector written as bytes is kept in, bar an alias.
+    fn class_of(data: &SectorBuf) -> usize {
+        match Kept::of(data, &mut [0u8; PACKED_BYTES]) {
+            Kept::Full(_) => FULL,
+            Kept::Short(_) => SHORT,
+            Kept::Packed(_) => PACKED,
+        }
+    }
+
+    /// Literals in the encoding of `data`, whether or not it fits.
+    fn literals(data: &SectorBuf) -> usize {
+        let words = data.as_chunks::<WORD>().0;
+        let first = usize::from(words[0] != [0; WORD]);
+        first + words.windows(2).filter(|w| w[0] != w[1]).count()
     }
 
     /// What one slot class relies on; `holders[slot]` is how many index
@@ -1396,9 +1585,9 @@ mod tests {
             .is_some_and(|p| ImagePool::ptr_eq(p, handle))));
         let p = handle.0.borrow();
 
-        // Every written LBA names a slot of the class its bytes belong in
-        // (an alias is a whole image), and reads back as that slot's image.
-        let mut holders = [&p.full.refs, &p.short.refs, &p.alias.refs].map(|r| vec![0u32; r.len()]);
+        // Every written LBA names a slot of the class its bytes belong in,
+        // or an alias, and reads back as that slot's image.
+        let mut holders = class_refs(&p).map(|r| vec![0u32; r.len()]);
         let mut written = 0;
         for s in stores {
             for (page_no, &at) in &s.index.at {
@@ -1417,15 +1606,10 @@ mod tests {
                         read,
                         "a read is the kept image, patched or padded"
                     );
-                    // An alias reads short exactly when its base is short.
-                    let kept_as = match (class, slot) {
-                        (ALIAS, slot) => slot_of(alias_parts(p.alias.image(slot)).0).0,
-                        (class, _) => class,
-                    };
-                    assert_eq!(
-                        matches!(Image::of(&read), Image::Short(_)),
-                        kept_as == SHORT
-                    );
+                    assert_eq!(kept.first_byte(), read[0]);
+                    if class != ALIAS {
+                        assert_eq!(class_of(&read), class, "kept in the class of its bytes");
+                    }
                 }
             }
         }
@@ -1441,17 +1625,18 @@ mod tests {
             }
         }
 
-        // A live alias holds one reference on its base, a live full or
-        // short slot, whose byte 0 differs from the alias's; a full base
-        // finds at most one live alias of its own.
+        // A live alias holds one reference on its base, a live full, short
+        // or packed slot, whose byte 0 differs from the alias's; a full or
+        // packed base finds at most one live alias of its own.
+        let live = class_refs(&p);
         for slot in (0..p.alias.refs.len()).filter(|&slot| p.alias.refs[slot] > 0) {
             let (base, byte0) = alias_parts(p.alias.image(slot));
             let (class, at) = slot_of(base);
-            assert_ne!(class, ALIAS, "an alias's base is a full or short slot");
-            assert!(
-                [&p.full.refs, &p.short.refs][class][at] > 0,
-                "an alias's base is live"
+            assert_ne!(
+                class, ALIAS,
+                "an alias's base is a full, short or packed slot"
             );
+            assert!(live[class][at] > 0, "an alias's base is live");
             assert_ne!(
                 p.image(base).expect("live").first_byte(),
                 byte0,
@@ -1462,35 +1647,40 @@ mod tests {
         check_class(&p.full, &holders[FULL]);
         check_class(&p.short, &holders[SHORT]);
         check_class(&p.alias, &holders[ALIAS]);
+        check_class(&p.packed, &holders[PACKED]);
         assert_eq!(p.aliased.len(), p.full.refs.len());
-        for (base, &alias) in p.aliased.iter().enumerate() {
-            if alias != UNWRITTEN {
-                let (class, slot) = slot_of(alias);
-                assert_eq!(class, ALIAS);
-                assert!(p.alias.refs[slot] > 0, "a base finds a live alias");
-                assert_eq!(alias_parts(p.alias.image(slot)).0, entry_of(FULL, base));
+        assert_eq!(p.packed_aliased.len(), p.packed.refs.len());
+        let links = [(FULL, &p.aliased), (PACKED, &p.packed_aliased)];
+        for (class, links) in links {
+            for (base, &alias) in links.iter().enumerate() {
+                if alias != UNWRITTEN {
+                    let (kind, slot) = slot_of(alias);
+                    assert_eq!(kind, ALIAS);
+                    assert!(p.alias.refs[slot] > 0, "a base finds a live alias");
+                    assert_eq!(alias_parts(p.alias.image(slot)).0, entry_of(class, base));
+                }
             }
         }
 
-        // Every table entry names a live full or short slot whose image has
-        // the entry's key: the body hash of a full image, the content hash
-        // of a short one.
+        // Every table entry names a live full, short or packed slot whose
+        // image has the entry's key: the body hash of a full or packed
+        // image, the content hash of a short one.
         for (&key, &entry) in &p.by_hash {
-            let image = p.image(entry).expect("registered");
             let (class, slot) = slot_of(entry);
-            let live = match class {
-                FULL => p.full.refs[slot],
-                SHORT => p.short.refs[slot],
-                _ => panic!("an alias is found through its base, not the table"),
-            };
-            assert!(live > 0, "table entry names a live slot");
-            assert_eq!(Pool::key(image, (p.hash)(&image.sector())), key);
+            assert_ne!(
+                class, ALIAS,
+                "an alias is found through its base, not the table"
+            );
+            assert!(live[class][slot] > 0, "table entry names a live slot");
+            let kept = p.kept(entry);
+            assert_eq!(Pool::key(kept, (p.hash)(&kept.sector())), key);
         }
         let stats = p.stats();
-        let live = p.full.live() + p.short.live() + p.alias.live();
+        let live = p.full.live() + p.short.live() + p.alias.live() + p.packed.live();
         assert_eq!(stats.distinct_sectors, live as u64);
         assert_eq!(stats.short_images, p.short.live() as u64);
         assert_eq!(stats.alias_images, p.alias.live() as u64);
+        assert_eq!(stats.packed_images, p.packed.live() as u64);
         for s in stores {
             assert_eq!(s.resident_bytes(), s.index_bytes() + s.pool_bytes());
         }
@@ -1500,17 +1690,42 @@ mod tests {
         [fill; SECTOR_SIZE]
     }
 
-    /// `fill` up to `len`, zeros after: short once `len <= SHORT_BYTES`.
+    /// `fill` up to `len`, zeros after: packed, as any few runs are.
     fn image_of_len(fill: u8, len: usize) -> SectorBuf {
         let mut img = [0u8; SECTOR_SIZE];
         img[..len].fill(fill);
         img
     }
 
-    /// A whole image of `fill` whose body is unique per `n`.
+    /// Bytes counting up from `fill` up to `len`, zeros after: no word
+    /// repeats the one before it, so it packs only when `len` is a few
+    /// words, and is short once `len <= SHORT_BYTES`, full after.
+    fn noise_of_len(fill: u8, len: usize) -> SectorBuf {
+        let mut img = [0u8; SECTOR_SIZE];
+        for (i, byte) in img[..len].iter_mut().enumerate() {
+            *byte = fill.wrapping_add(i as u8);
+        }
+        img
+    }
+
+    /// A whole image that does not pack, of `fill`.
+    fn noise(fill: u8) -> SectorBuf {
+        noise_of_len(fill, SECTOR_SIZE)
+    }
+
+    /// A whole image that does not pack, of `fill`, whose body is unique
+    /// per `n`.
     fn unique(fill: u8, n: u64) -> SectorBuf {
-        let mut img = image(fill);
+        let mut img = noise(fill);
         img[8..16].copy_from_slice(&n.to_le_bytes());
+        img
+    }
+
+    /// A packed image: a run of `fill` with `n` stamped into it across a
+    /// word boundary, unique per `n`, as a table row's key stamp lands.
+    fn stamped(fill: u8, n: u64) -> SectorBuf {
+        let mut img = image(fill);
+        img[13..21].copy_from_slice(&n.to_le_bytes());
         img
     }
 
@@ -1626,10 +1841,11 @@ mod tests {
         }
         assert_eq!(s.written_sectors(), 1000);
         assert_eq!(s.distinct_sectors(), 4);
-        // Three whole-sector images and the all-zero one, which is short.
-        assert_eq!(s.short_images(), 1);
-        assert_eq!(pool(&s).full.chunks.len(), 1);
-        assert_eq!(pool(&s).short.chunks.len(), 1);
+        // Four fills, the all-zero one among them: each is one run, which
+        // packs.
+        assert_eq!(s.pool_stats().packed_images, 4);
+        assert_eq!(pool(&s).packed.chunks.len(), 1);
+        assert!(pool(&s).full.chunks.is_empty() && pool(&s).short.chunks.is_empty());
         assert_eq!(s.index.at.len(), 1000usize.div_ceil(PAGE_LBAS as usize));
         // An explicitly written zero sector is a written sector like any
         // other, not an unwritten one.
@@ -1648,7 +1864,7 @@ mod tests {
         let chunks = pool(&s).full.chunks.len();
         assert_eq!(chunks, 300usize.div_ceil(CHUNK_SLOTS));
         for lba in 0..300 {
-            s.write_sector(lba, &image(9));
+            s.write_sector(lba, &noise(9));
         }
         assert_eq!(s.written_sectors(), 300);
         assert_eq!(s.distinct_sectors(), 1);
@@ -1688,10 +1904,10 @@ mod tests {
     fn the_class_boundary_is_the_last_non_zero_byte() {
         let mut s = SectorStore::new(10);
         // Last non-zero byte at offset 255: short. At offset 256: full,
-        // though the two agree on their first 256 bytes.
+        // though the two agree on their first 256 bytes. (Neither packs.)
         let (short, full) = (
-            image_of_len(7, SHORT_BYTES),
-            image_of_len(7, SHORT_BYTES + 1),
+            noise_of_len(7, SHORT_BYTES),
+            noise_of_len(7, SHORT_BYTES + 1),
         );
         s.write_sector(0, &short);
         s.write_sector(1, &full);
@@ -1717,7 +1933,7 @@ mod tests {
     #[test]
     fn class_changing_overwrite_of_a_sole_owner_frees_its_slot() {
         let mut s = SectorStore::new(10);
-        let (short, full) = (image_of_len(1, 150), image(2));
+        let (short, full) = (noise_of_len(1, 150), noise(2));
         s.write_sector(0, &short);
         s.write_sector(0, &full);
         assert_eq!(s.read_sector(0), full);
@@ -1728,12 +1944,20 @@ mod tests {
             .contains_key(&Key::from(sector_hashes(&short).content)));
         check_invariants(&[&s]);
         // And back: the freed short slot is the one reused.
-        s.write_sector(0, &image_of_len(3, 10));
-        assert_eq!(s.read_sector(0), image_of_len(3, 10));
+        s.write_sector(0, &noise_of_len(3, 200));
+        assert_eq!(s.read_sector(0), noise_of_len(3, 200));
         assert_eq!((s.distinct_sectors(), s.short_images()), (1, 1));
         assert!(pool(&s).short.free.is_empty());
         assert_eq!(pool(&s).full.free, [0]);
         assert_eq!(s.written_sectors(), 1);
+        check_invariants(&[&s]);
+        // To a packed image and back: the short slot is freed, then reused.
+        s.write_sector(0, &image(4));
+        assert_eq!((s.distinct_sectors(), s.pool_stats().packed_images), (1, 1));
+        assert_eq!(pool(&s).short.free, [0]);
+        s.write_sector(0, &noise_of_len(3, 200));
+        assert_eq!(pool(&s).packed.free, [0]);
+        assert!(pool(&s).short.free.is_empty());
         check_invariants(&[&s]);
     }
 
@@ -1825,7 +2049,7 @@ mod tests {
         for n in 0..100u64 {
             log.write_sector(n, &image(3));
         }
-        assert_eq!(pool(&log).full.live(), 101);
+        assert_eq!((pool(&log).full.live(), pool(&log).packed.live()), (100, 1));
         for n in 0..100u64 {
             assert_eq!(data.read_sector(500 + n), payload(n));
         }
@@ -1876,16 +2100,31 @@ mod tests {
             s.write_sector(lba, &image(1 + (lba % 16) as u8));
         }
         assert_eq!(s.distinct_sectors(), 16);
+        assert_eq!(s.pool_stats().packed_images, 16);
         let shared = s.resident_bytes();
-        // One chunk of images; the rest is the index, well under the 512
-        // bytes per sector a plain map would hold.
-        assert!(s.pool_bytes() >= CHUNK_SLOTS * SECTOR_SIZE);
+        // One chunk of packed images; the rest is the index, well under
+        // the 512 bytes per sector a plain map would hold.
+        assert!(s.pool_bytes() >= CHUNK_SLOTS * PACKED_BYTES);
         assert!(shared < 10_000 * 16, "resident {shared} B");
         for lba in 0..10_000u64 {
             s.write_sector(lba, &unique(1, lba));
         }
         assert_eq!(s.distinct_sectors(), 10_000);
+        assert_eq!(s.pool_stats().packed_images, 0);
         assert!(s.pool_bytes() >= 10_000 * SECTOR_SIZE);
+        // Unique stamped runs, as table rows are: a quarter of a slot
+        // each, and the whole slots they replace are free.
+        for lba in 0..10_000u64 {
+            s.write_sector(lba, &stamped(1, lba));
+        }
+        let stats = s.pool_stats();
+        assert_eq!(
+            (stats.distinct_sectors, stats.packed_images),
+            (10_000, 10_000)
+        );
+        assert_eq!(pool(&s).full.free.len(), 10_000);
+        let packed = pool(&s).packed.bytes();
+        assert!((10_000 * PACKED_BYTES..10_000 * (PACKED_BYTES + 16)).contains(&packed));
     }
 
     #[test]
@@ -1910,14 +2149,14 @@ mod tests {
         assert_eq!((stats.hashed_sectors, stats.distinct_sectors), (1, 1));
         let entry = run.entries[0];
         assert!(run.entries.iter().all(|&e| e == entry));
-        assert_eq!(slot_of(entry).0, FULL);
-        assert_eq!(pool.0.borrow().full.refs[slot_of(entry).1], 8);
+        assert_eq!(slot_of(entry).0, PACKED);
+        assert_eq!(pool.0.borrow().packed.refs[slot_of(entry).1], 8);
         // Written as bytes across an index page, the fill is hashed once
         // more, for its first sector, which finds the same slot.
         let mut s = SectorStore::in_pool(64, &pool);
         s.write_range(PAGE_LBAS - 3, &fill);
         assert_eq!(pool.stats().hashed_sectors, 2);
-        assert_eq!(pool.0.borrow().full.refs[slot_of(entry).1], 16);
+        assert_eq!(pool.0.borrow().packed.refs[slot_of(entry).1], 16);
         // Its log copy resolves the marker once: one alias, eight holders.
         let copy = run.with_first_bytes(0..8, |_| 0);
         assert!(copy.entries.iter().all(|&e| e == copy.entries[0]));
@@ -1941,16 +2180,149 @@ mod tests {
     #[test]
     fn header_like_images_cost_half_a_sector() {
         // Unique images that are non-zero only below byte 192, as Trail's
-        // record headers are.
+        // record headers are, and too varied to pack.
         let mut s = SectorStore::new(10_000);
         for lba in 0..10_000u64 {
-            let mut header = image_of_len(0xA5, 192);
+            let mut header = noise_of_len(0xA5, 192);
             header[..8].copy_from_slice(&lba.to_le_bytes());
             s.write_sector(lba, &header);
         }
         assert_eq!(s.short_images(), 10_000);
         let share = s.resident_bytes() as f64 / (10_000 * SECTOR_SIZE) as f64;
         assert!(share <= 0.65, "{:.1} % of whole sectors", share * 100.0);
+    }
+
+    /// A sector whose first `n` words each differ from the word before
+    /// them and whose rest repeats the last of them: `n` literals.
+    fn with_literals(n: usize) -> SectorBuf {
+        let mut img = [0u8; SECTOR_SIZE];
+        for (i, word) in img.as_chunks_mut::<WORD>().0.iter_mut().enumerate() {
+            *word = (1 + i.min(n - 1) as u64).to_le_bytes();
+        }
+        img
+    }
+
+    #[test]
+    fn a_sector_packs_up_to_the_128_byte_limit_and_reads_back_exactly() {
+        let mut packed = [0xEEu8; PACKED_BYTES];
+        // Fifteen literals fill the slot exactly; a sixteenth is a word
+        // over, and the packing gives up.
+        let at_limit = with_literals(PACKED_LITERALS);
+        assert_eq!(literals(&at_limit), PACKED_LITERALS);
+        assert!(pack(&at_limit, &mut packed));
+        assert_eq!(Kept::Packed(&packed).sector(), at_limit);
+        assert!(!pack(
+            &with_literals(PACKED_LITERALS + 1),
+            &mut [0u8; PACKED_BYTES]
+        ));
+        assert_eq!(class_of(&with_literals(PACKED_LITERALS + 1)), FULL);
+        // The zero sector is a mask of ones and nothing else; word 0 is
+        // compared with zero.
+        assert!(pack(&[0u8; SECTOR_SIZE], &mut packed));
+        assert_eq!(packed[..WORD], [0xFF; WORD]);
+        assert!(
+            packed[WORD..].iter().all(|&b| b == 0),
+            "unused literals are zero"
+        );
+        // A stamp across a word boundary costs the two words it touches
+        // and the fill word after it.
+        let row = stamped(0x3C, 0x0123_4567_89AB_CDEF);
+        assert_eq!(literals(&row), 4);
+        let mut out = [0u8; SECTOR_SIZE];
+        assert!(pack(&row, &mut packed));
+        Kept::Packed(&packed).copy_to(&mut out);
+        assert_eq!(out, row);
+        // Byte 0 is word 0's low byte, whether word 0 is a literal or not.
+        for first in [0u8, 7] {
+            let mut img = image(0);
+            img[0] = first;
+            img[37 * WORD] = 9;
+            assert!(pack(&img, &mut packed));
+            assert_eq!(Kept::Packed(&packed).first_byte(), first);
+        }
+    }
+
+    #[test]
+    fn model_images_draw_every_class_and_both_sides_of_the_packed_limit() {
+        let mut classes = [0usize; 4];
+        let (mut at_limit, mut one_over, mut twins_apart) = (0, 0, 0);
+        for content in 0..=255u8 {
+            for i in [0, 1, 37] {
+                let img = model_image(content, i);
+                classes[class_of(&img)] += 1;
+                at_limit += usize::from(literals(&img) == PACKED_LITERALS);
+                one_over += usize::from(literals(&img) == PACKED_LITERALS + 1);
+                let twin = model_image(content | 0x80, i);
+                twins_apart +=
+                    usize::from((class_of(&img) == PACKED) != (class_of(&twin) == PACKED));
+            }
+        }
+        assert!(
+            classes[FULL] > 0 && classes[SHORT] > 0 && classes[PACKED] > 0,
+            "{classes:?}"
+        );
+        assert!(at_limit > 0 && one_over > 0 && twins_apart > 0);
+    }
+
+    /// A sector that packs at exactly the limit, its word 0 repeating
+    /// into word 1 (every byte of word `i` is `k` plus `i - 1`, up to 14
+    /// more), and its twin under another byte 0, whose word 0 no longer
+    /// repeats: a word over the limit, so whole.
+    fn twins_at_the_limit(k: u8) -> (SectorBuf, SectorBuf) {
+        let mut packed = [0u8; SECTOR_SIZE];
+        for (i, word) in packed.as_chunks_mut::<WORD>().0.iter_mut().enumerate() {
+            *word = [k + i.saturating_sub(1).min(PACKED_LITERALS - 1) as u8; WORD];
+        }
+        let mut whole = packed;
+        whole[0] ^= 0x80;
+        (packed, whole)
+    }
+
+    #[test]
+    fn a_packed_base_carries_aliases_across_classes() {
+        for (mut s, hashed) in [(SectorStore::new(64), true), (colliding(64), false)] {
+            // A packed row and its log copy: the copy is an alias of the
+            // packed slot, linked, and a second copy shares it.
+            let row = stamped(0x3C, 5);
+            let mut logged = row;
+            logged[0] = 0;
+            s.write_sector(0, &row);
+            s.write_sector(1, &logged);
+            s.write_sector(2, &logged);
+            assert_eq!(slot_of(entry_at(&s, 0)).0, PACKED);
+            assert_eq!(slot_of(entry_at(&s, 1)).0, ALIAS);
+            assert_eq!(entry_at(&s, 2), entry_at(&s, 1));
+            let (_, base) = slot_of(entry_at(&s, 0));
+            assert_eq!(pool(&s).packed_aliased[base], entry_at(&s, 1));
+            // Twins either side of the limit find each other by body: the
+            // whole twin of a packed base is its alias, and the packed twin
+            // of a whole base is that one's. (Under one hash for all, only
+            // the row is registered, and the twins miss it.)
+            let (packed, whole) = twins_at_the_limit(1);
+            assert_eq!((class_of(&packed), class_of(&whole)), (PACKED, FULL));
+            assert_eq!(literals(&packed), PACKED_LITERALS);
+            s.write_sector(3, &packed);
+            s.write_sector(4, &whole);
+            let (packed_2, whole_2) = twins_at_the_limit(40);
+            s.write_sector(5, &whole_2);
+            s.write_sector(6, &packed_2);
+            let classes: Vec<usize> = (3..7).map(|lba| slot_of(entry_at(&s, lba)).0).collect();
+            if hashed {
+                assert_eq!(classes, [PACKED, ALIAS, FULL, ALIAS]);
+            } else {
+                assert_eq!(classes, [PACKED, FULL, FULL, PACKED]);
+            }
+            let written = [row, logged, logged, packed, whole, whole_2, packed_2];
+            for (lba, img) in (0..).zip(written) {
+                assert_eq!(s.read_sector(lba), img);
+            }
+            check_invariants(&[&s]);
+            // Freeing a packed base's last LBA keeps it for its aliases.
+            s.write_sector(0, &image(0));
+            s.write_sector(3, &image(0));
+            assert_eq!((s.read_sector(1), s.read_sector(4)), (logged, whole));
+            check_invariants(&[&s]);
+        }
     }
 
     const MODEL_CAPACITY: u64 = 48;
@@ -1960,21 +2332,32 @@ mod tests {
     /// all occur.
     type Step = (u8, u64, u64, u8);
 
-    /// One of five fills over one of four lengths: a whole sector, a
-    /// header's worth, and the two either side of the class boundary (last
-    /// non-zero byte at offset 255 and at 256), so both classes occur, an
-    /// overwrite may change class, and a short and a full image may agree
-    /// on their first half. Fill 0 is the all-zero image at every length.
+    /// One of five fills over one of four lengths — a whole sector, a
+    /// header's worth, and the two either side of the short boundary (last
+    /// non-zero byte at offset 255 and at 256) — under one of five
+    /// textures: from word 2 on, 0, 12, 13, 14 or every word differs from
+    /// the word before it. So every class occurs: a fill packs, a fill
+    /// with 13 textured words packs at exactly the 128-byte limit (word 0,
+    /// the 13 and the fill after them) and one with 14 is a word over it,
+    /// and one textured throughout is short or full by its length; an
+    /// overwrite may change class, a short and a full image may agree on
+    /// their first half, and every third content value carries an 8-byte
+    /// stamp unique per position that straddles a word boundary. Fill 0
+    /// with no texture and no stamp is the all-zero image at every length.
     /// The top bit of `content` zeroes byte 0, as the log copy of a sector
-    /// has it, so body twins occur too.
+    /// has it, so body twins occur too — one of them packed and the other
+    /// a word over the limit when word 0 no longer repeats into word 1.
     fn model_image(content: u8, i: u64) -> SectorBuf {
         let (logged, content) = (content & 0x80 != 0, content & 0x7F);
         let len = [SECTOR_SIZE, 192, SHORT_BYTES, SHORT_BYTES + 1][usize::from(content / 5 % 4)];
         let mut img = image_of_len(content % 5, len);
-        // Every third content value is unique per position.
+        let textured = [0, 12, 13, 14, WORDS][usize::from(content / 20 % 5)];
+        for word in 2..(2 + textured).min(len / WORD) {
+            img[word * WORD] = 0x40 | word as u8;
+        }
         if content.is_multiple_of(3) {
-            img[100] = i as u8;
-            img[101] = content;
+            let stamp = i << 8 | u64::from(content);
+            img[100..100 + WORD].copy_from_slice(&stamp.to_le_bytes());
         }
         if logged {
             img[0] = 0;
@@ -2101,9 +2484,9 @@ mod tests {
     /// `(op, which, lba, sectors, content)` of the payload model.
     type RunStep = (u8, u8, u64, u64, u8);
 
-    /// What a model leaves in a pool: its distinct, short and alias
-    /// counts, and every slot's reference count, class by class.
-    type PoolState = ([u64; 3], [Vec<u32>; 3]);
+    /// What a model leaves in a pool: its distinct, short, alias and
+    /// packed counts, and every slot's reference count, class by class.
+    type PoolState = ([u64; 4], [Vec<u32>; 4]);
 
     fn pool_state(pool: &ImagePool) -> PoolState {
         let p = pool.0.borrow();
@@ -2113,12 +2496,9 @@ mod tests {
                 stats.distinct_sectors,
                 stats.short_images,
                 stats.alias_images,
+                stats.packed_images,
             ],
-            [
-                p.full.refs.clone(),
-                p.short.refs.clone(),
-                p.alias.refs.clone(),
-            ],
+            class_refs(&p),
         )
     }
 
@@ -2257,6 +2637,9 @@ mod tests {
                 let mut out = vec![0u8; images.len() * SECTOR_SIZE];
                 run.copy_to(0..images.len(), &mut out);
                 assert_eq!(out, images.as_flattened(), "a payload reads its own bytes");
+                let mut walked = Vec::new();
+                run.for_each_sector(0..images.len(), |sector| walked.push(*sector));
+                assert_eq!(&walked, images, "and walks them");
             }
             let held: Vec<&PoolRun> = runs.iter().map(|(run, _)| run).collect();
             check_pool(&[&stores[0], &stores[1]], &held);

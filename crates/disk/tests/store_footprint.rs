@@ -94,26 +94,45 @@ fn assert_exact(what: &str, said: usize, live: u64) {
     );
 }
 
-/// A whole sector of `fill`, unique per `n` in bytes 1..512.
+/// Bytes counting up from `fill` below `len`, zeros after: no 8-byte
+/// word repeats the one before it, so the sector does not pack.
+fn noise(fill: u8, len: usize) -> [u8; SECTOR_SIZE] {
+    let mut sector = [0u8; SECTOR_SIZE];
+    for (i, byte) in sector[..len].iter_mut().enumerate() {
+        *byte = fill.wrapping_add(i as u8);
+    }
+    sector
+}
+
+/// A whole sector of `fill` that does not pack, unique per `n` in bytes
+/// 1..512.
 fn unique(fill: u8, n: u64) -> [u8; SECTOR_SIZE] {
-    let mut sector = [fill; SECTOR_SIZE];
+    let mut sector = noise(fill, SECTOR_SIZE);
     sector[8..16].copy_from_slice(&n.to_le_bytes());
     sector
 }
 
-/// A sector that is non-zero below byte 192 only, unique per `n`: the
-/// shape of a Trail record header.
+/// A sector that is non-zero below byte 192 only and does not pack,
+/// unique per `n`: the shape of a Trail record header.
 fn header(n: u64) -> [u8; SECTOR_SIZE] {
-    let mut sector = [0u8; SECTOR_SIZE];
-    sector[..192].fill(0xA5);
+    let mut sector = noise(0xA5, 192);
     sector[..8].copy_from_slice(&n.to_le_bytes());
+    sector
+}
+
+/// A run of `fill` with `n` stamped across a word boundary: a table row,
+/// which packs.
+fn row(fill: u8, n: u64) -> [u8; SECTOR_SIZE] {
+    let mut sector = [fill; SECTOR_SIZE];
+    sector[13..21].copy_from_slice(&n.to_le_bytes());
     sector
 }
 
 #[test]
 fn resident_bytes_is_what_the_allocator_holds() {
     // Sparse: one record per 64 LBAs, a unique header and seven sectors
-    // of a fill that repeats — what a Trail log disk is written like.
+    // of a fill that repeats, which packs — what a Trail log disk is
+    // written like.
     let (sparse, live) = filled(|s| {
         let mut record = [0x3Cu8; 8 * SECTOR_SIZE];
         for n in 0..20_000u64 {
@@ -123,6 +142,7 @@ fn resident_bytes_is_what_the_allocator_holds() {
     });
     assert_eq!(sparse.written_sectors(), 160_000);
     assert_eq!(sparse.short_images(), 20_000);
+    assert_eq!(sparse.pool_stats().packed_images, 1);
     assert_exact("sparse fill", sparse.resident_bytes(), live);
     drop(sparse);
 
@@ -133,20 +153,36 @@ fn resident_bytes_is_what_the_allocator_holds() {
         }
     });
     assert_eq!(dense.distinct_sectors(), 100_000);
+    assert_eq!(dense.pool_stats().packed_images, 0);
     assert_exact("dense fill", dense.resident_bytes(), live);
     drop(dense);
+
+    // Rows: consecutive LBAs, every sector a unique image that packs.
+    let (rows, live) = filled(|s| {
+        for lba in 0..100_000u64 {
+            s.write_sector(lba, &row(0x77, lba));
+        }
+    });
+    assert_eq!(rows.pool_stats().packed_images, 100_000);
+    assert_exact("row fill", rows.resident_bytes(), live);
+    drop(rows);
 
     // Shared: what a Trail stack does with every payload sector. Each is
     // logged with byte 0 zeroed (the log's self-describing format) and
     // written back whole to a data disk; the two stores share one pool,
     // which keeps the body once and the write-back as an alias of it.
+    // Every other sector packs.
     const N: u64 = 50_000;
     let ((pool, log, data), live) = counted(|| {
         let pool = ImagePool::new();
         let mut log = SectorStore::in_pool(u64::MAX, &pool);
         let mut data = SectorStore::in_pool(u64::MAX, &pool);
         for n in 0..N {
-            let mut sector = unique(0x3C, n);
+            let mut sector = if n % 2 == 0 {
+                unique(0x3C, n)
+            } else {
+                row(0x3C, n)
+            };
             sector[0] = 1 + (n % 255) as u8;
             data.write_sector(7 * n, &sector);
             sector[0] = 0;
@@ -156,6 +192,7 @@ fn resident_bytes_is_what_the_allocator_holds() {
     });
     let stats = pool.stats();
     assert_eq!((stats.distinct_sectors, stats.alias_images), (2 * N, N));
+    assert_eq!(stats.packed_images, N / 2);
     assert_exact(
         "shared pool",
         log.index_bytes() + data.index_bytes() + stats.pool_bytes as usize,
@@ -170,20 +207,30 @@ fn resident_bytes_is_what_the_allocator_holds() {
     drop(pool);
 
     // A fresh store costs nothing until it is written, and its first
-    // write — here one full and one short image, the most it can ask for
-    // without an alias, with the pool itself — stays at what one 16 KB
-    // pool chunk and a 256-byte index page used to cost: every crash point
-    // and every ladder rung boots several.
+    // write — here one full, one short and one packed image, the most it
+    // can ask for without an alias, with the pool itself — stays at what
+    // one 16 KB pool chunk and a 256-byte index page used to cost: every
+    // crash point and every ladder rung boots several.
     let before = read(&REQUESTED);
     let mut fresh = SectorStore::new(u64::MAX);
     assert_eq!(read(&REQUESTED), before);
-    let mut first = [0x11u8; 2 * SECTOR_SIZE];
+    let mut first = [0x11u8; 3 * SECTOR_SIZE];
     first[..SECTOR_SIZE].copy_from_slice(&header(0));
+    first[SECTOR_SIZE..2 * SECTOR_SIZE].copy_from_slice(&unique(0x22, 0));
     fresh.write_range(1 << 40, &first);
     let requested = read(&REQUESTED) - before;
+    let stats = fresh.pool_stats();
+    assert_eq!(
+        (
+            stats.short_images,
+            stats.packed_images,
+            stats.distinct_sectors
+        ),
+        (1, 1, 3)
+    );
     assert!(
         requested <= 16_896,
         "first write to an empty store requested {requested} B"
     );
-    assert_eq!(fresh.read_range(1 << 40, 2), first);
+    assert_eq!(fresh.read_range(1 << 40, 3), first);
 }

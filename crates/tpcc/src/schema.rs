@@ -150,11 +150,37 @@ pub mod key {
 /// A synthetic row image: `size` bytes stamped with the key so data flows
 /// are distinguishable in tests.
 pub fn row(key: u64, size: usize) -> Vec<u8> {
-    let mut v = vec![(key % 251) as u8; size];
-    let stamp = key.to_le_bytes();
-    let n = stamp.len().min(size);
-    v[..n].copy_from_slice(&stamp[..n]);
-    v
+    RowImage::new(key, size).as_ref().to_vec()
+}
+
+/// [`row`]'s bytes held on the stack, up to the widest row (CUSTOMER's):
+/// what a bulk load passes, a few hundred thousand rows without an
+/// allocation each.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RowImage {
+    bytes: [u8; row_size::CUSTOMER],
+    len: usize,
+}
+
+impl RowImage {
+    /// The row of `key`, `size` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` exceeds the widest TPC-C row.
+    pub(crate) fn new(key: u64, size: usize) -> Self {
+        let mut bytes = [(key % 251) as u8; row_size::CUSTOMER];
+        let stamp = key.to_le_bytes();
+        let n = stamp.len().min(size);
+        bytes[..n].copy_from_slice(&stamp[..n]);
+        RowImage { bytes, len: size }
+    }
+}
+
+impl AsRef<[u8]> for RowImage {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 #[cfg(test)]

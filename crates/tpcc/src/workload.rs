@@ -13,7 +13,7 @@ use trail_db::{Op, TxnSpec};
 use trail_sim::{FastMap, SimDuration};
 
 use crate::gen::{nurand, TxnType};
-use crate::schema::{key, row, row_size, table, Scale};
+use crate::schema::{key, row, row_size, table, RowImage, Scale};
 
 /// Per-transaction-type CPU cost (a 300-MHz-Pentium-II-era pathlength;
 /// the paper notes CPU time per transaction is much smaller than the
@@ -294,68 +294,48 @@ impl Workload {
 /// from backup"). Returns the page images the caller must place on the
 /// devices and warm into the cache.
 pub fn populate(db: &trail_db::Database, scale: &Scale) -> Vec<(trail_db::PageId, Vec<u8>)> {
+    // A keyed row, on the stack.
+    let r = |key: u64, size: usize| (key, RowImage::new(key, size));
     let mut images = Vec::new();
     images.extend(db.load(
         table::ITEM,
-        (1..=scale.items).map(|i| (key::item(i), row(key::item(i), row_size::ITEM))),
+        (1..=scale.items).map(|i| r(key::item(i), row_size::ITEM)),
     ));
     for w in 1..=scale.warehouses {
         images.extend(db.load(
             table::WAREHOUSE,
-            [(
-                key::warehouse(w),
-                row(key::warehouse(w), row_size::WAREHOUSE),
-            )],
+            [r(key::warehouse(w), row_size::WAREHOUSE)],
         ));
-        images.extend(
-            db.load(
-                table::STOCK,
-                (1..=scale.items)
-                    .map(move |i| (key::stock(w, i), row(key::stock(w, i), row_size::STOCK))),
-            ),
-        );
+        images.extend(db.load(
+            table::STOCK,
+            (1..=scale.items).map(|i| r(key::stock(w, i), row_size::STOCK)),
+        ));
         for d in 1..=scale.districts {
             images.extend(db.load(
                 table::DISTRICT,
-                [(
-                    key::district(w, d),
-                    row(key::district(w, d), row_size::DISTRICT),
-                )],
+                [r(key::district(w, d), row_size::DISTRICT)],
             ));
-            images.extend(db.load(
-                table::CUSTOMER,
-                (1..=scale.customers_per_district).map(move |c| {
-                    let k = key::customer(scale, w, d, c);
-                    (k, row(k, row_size::CUSTOMER))
-                }),
-            ));
+            images.extend(
+                db.load(
+                    table::CUSTOMER,
+                    (1..=scale.customers_per_district)
+                        .map(|c| r(key::customer(scale, w, d, c), row_size::CUSTOMER)),
+                ),
+            );
             let orders = u64::from(scale.initial_orders_per_district);
             images.extend(db.load(
                 table::ORDERS,
-                (0..orders).map(move |o| {
-                    (
-                        key::order(w, d, o),
-                        row(key::order(w, d, o), row_size::ORDERS),
-                    )
-                }),
+                (0..orders).map(|o| r(key::order(w, d, o), row_size::ORDERS)),
             ));
             images.extend(db.load(
                 table::ORDER_LINE,
-                (0..orders).flat_map(move |o| {
-                    (0..10u32).map(move |l| {
-                        let k = key::order_line(w, d, o, l);
-                        (k, row(k, row_size::ORDER_LINE))
-                    })
+                (0..orders).flat_map(|o| {
+                    (0..10u32).map(move |l| r(key::order_line(w, d, o, l), row_size::ORDER_LINE))
                 }),
             ));
             images.extend(db.load(
                 table::NEW_ORDER,
-                (orders / 2..orders).map(move |o| {
-                    (
-                        key::new_order(w, d, o),
-                        row(key::new_order(w, d, o), row_size::NEW_ORDER),
-                    )
-                }),
+                (orders / 2..orders).map(|o| r(key::new_order(w, d, o), row_size::NEW_ORDER)),
             ));
         }
     }

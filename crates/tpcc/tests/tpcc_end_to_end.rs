@@ -7,7 +7,7 @@ use std::rc::Rc;
 use trail_core::StandardStack;
 use trail_core::{format_log_disk, FormatOptions, MultiTrail, TrailConfig};
 use trail_db::{Database, DbConfig, FlushPolicy};
-use trail_disk::{profiles, Disk, SECTOR_SIZE};
+use trail_disk::{profiles, Disk, ImagePool, SECTOR_SIZE};
 use trail_sim::{SimDuration, Simulator};
 use trail_tpcc::{populate, run, ChainOn, CpuModel, RunConfig, Scale, TpccReport, Workload};
 
@@ -45,19 +45,20 @@ fn run_tpcc(
     txns: usize,
     conc: usize,
 ) -> TpccReport {
-    let (mut sim, db) = boot(trail, db_config(policy));
+    let (mut sim, db, _) = boot(trail, db_config(policy));
     run_on(&mut sim, &db, chain, txns, conc)
 }
 
 /// A populated, warmed database under `config`, on Trail or on the
-/// standard stack.
-fn boot(trail: bool, config: DbConfig) -> (Simulator, Database) {
+/// standard stack, with the one image pool its disks share.
+fn boot(trail: bool, config: DbConfig) -> (Simulator, Database, ImagePool) {
     let mut sim = Simulator::new();
+    let pool = ImagePool::new();
     let disks: Vec<Disk> = (0..3)
-        .map(|i| Disk::new(format!("d{i}"), profiles::wd_caviar_10gb()))
+        .map(|i| Disk::in_pool(format!("d{i}"), profiles::wd_caviar_10gb(), &pool))
         .collect();
     let db = if trail {
-        let log = Disk::new("trail-log", profiles::seagate_st41601n());
+        let log = Disk::in_pool("trail-log", profiles::seagate_st41601n(), &pool);
         format_log_disk(&mut sim, &log, FormatOptions::default()).unwrap();
         let (trail, _) =
             MultiTrail::start(&mut sim, vec![log], disks.clone(), TrailConfig::default()).unwrap();
@@ -76,7 +77,7 @@ fn boot(trail: bool, config: DbConfig) -> (Simulator, Database) {
         }
         db.warm(*pid, bytes);
     }
-    (sim, db)
+    (sim, db, pool)
 }
 
 /// Runs `txns` transactions from `conc` terminals.
@@ -109,7 +110,7 @@ fn the_engine_splits_every_response_exactly() {
         single_cpu: true,
         ..db_config(FlushPolicy::EveryCommit)
     };
-    let (mut sim, db) = boot(true, config);
+    let (mut sim, db, _) = boot(true, config);
     let report = run_on(&mut sim, &db, ChainOn::Durable, 200, 4);
     let responses = report
         .response
@@ -131,6 +132,23 @@ fn the_engine_splits_every_response_exactly() {
         parts.iter().fold(SimDuration::ZERO, |sum, &p| sum + p),
         responses,
         "queue + cpu + page reads + commit = response, to the nanosecond"
+    );
+}
+
+#[test]
+fn most_whole_images_of_a_run_are_packed() {
+    // Rows are a fill between key stamps, and WAL records are rows and
+    // their headers: of the sectors the pool keeps neither short nor as
+    // an alias, most are runs of equal words, which pack into a quarter
+    // of a slot (1 452 of 2 068 here; three in five is the floor).
+    let (mut sim, db, pool) = boot(true, db_config(FlushPolicy::EveryCommit));
+    run_on(&mut sim, &db, ChainOn::Durable, 200, 4);
+    let stats = pool.stats();
+    let whole = stats.distinct_sectors - stats.short_images - stats.alias_images;
+    assert!(
+        stats.packed_images * 5 > whole * 3,
+        "{} of {whole} whole images packed",
+        stats.packed_images
     );
 }
 

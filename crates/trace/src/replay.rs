@@ -907,12 +907,20 @@ mod tests {
             "the pool is counted once, not twice"
         );
         assert_eq!((m.pool.distinct_sectors, m.pool.alias_images), (2, 1));
+        assert_eq!(
+            m.pool.packed_images, 1,
+            "the fill packs, its twin aliases it"
+        );
         // A disk of another stack brings its own pool.
         let lone = Disk::new("lone", profiles::tiny_test_disk());
         lone.poke_sector(0, &sector);
         let mut both = m;
         both += lone.medium_stats();
         assert_eq!(media_of(&[disks[0].clone(), lone, disks[1].clone()]), both);
+        assert_eq!(
+            both.pool.packed_images, 2,
+            "each pool's packed images, summed"
+        );
     }
 
     #[test]

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Paired host-time comparison of two builds of the repo benchmark, by the
+# Paired host-side comparison of two builds of the repo benchmark, by the
 # rule a performance claim in this repository is held to: runs of the
 # parent and the change alternate (the parent goes first in odd pairs, the
-# change in even ones), every run is printed, then each side's median and
-# quartiles of host_ops_per_s, the pairs each side won, and the verdict.
-# A gain is claimed only when the change wins at least nine tenths of the
-# pairs (ties count for neither side) and the medians differ by more than
-# the parent's own quartile spread; a loss by the same rule reversed;
-# anything else, or fewer than ten pairs, is unresolved.
+# change in even ones), every run is printed, then for each host end-to-end
+# metric — host_ops_per_s (higher is better), peak_rss_mb and setup_s
+# (lower is better) — each side's median and quartiles, the pairs each side
+# won, and a verdict. A gain is claimed only when the change is better in
+# at least nine tenths of the pairs (ties count for neither side) and the
+# medians differ by more than the parent's own quartile spread; a loss by
+# the same rule reversed; anything else, or fewer than ten pairs, is
+# unresolved.
 #
 #   scripts/paired.sh PARENT_BIN CHANGE_BIN WORKLOAD SEED PAIRS [SECONDS]
 #
@@ -51,7 +53,7 @@ run() {
       grep "^$workload sim_fingerprint " <<<"$out" | awk '{ print $3 }')"
 }
 
-echo "$workload, seed $seed, --seconds $seconds, $pairs pairs (host_ops_per_s, higher is better)"
+echo "$workload, seed $seed, --seconds $seconds, $pairs pairs"
 echo "  pair  first   parent /s  change /s  parent MB  change MB  parent setup s  change setup s"
 results=""
 for i in $(seq 1 "$pairs"); do
@@ -68,7 +70,7 @@ for i in $(seq 1 "$pairs"); do
   read -r c_ops c_rss c_setup c_sim <<<"$c"
   printf '  %4d  %-6s  %9.1f  %9.1f  %9.2f  %9.2f  %14.4f  %14.4f\n' \
     "$i" "$first" "$p_ops" "$c_ops" "$p_rss" "$c_rss" "$p_setup" "$c_setup"
-  results+="$p_ops $c_ops $p_sim $c_sim"$'\n'
+  results+="$p_ops $c_ops $p_rss $c_rss $p_setup $c_setup $p_sim $c_sim"$'\n'
 done
 
 awk '
@@ -81,26 +83,39 @@ awk '
     for (i = 2; i <= n; i++)
       for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
   }
-  NF == 4 {
-    n++; p[n] = $1 + 0; c[n] = $2 + 0
-    if ($2 + 0 > $1 + 0) won++; else if ($1 + 0 > $2 + 0) lost++
-    if (sim == "") sim = $3
-    if ($3 != sim || $4 != sim) simdiff = 1
-  }
-  END {
+  # Medians, quartiles, pairs won and the verdict of metric `name`, whose
+  # parent and change values are columns `col` and `col + 1` of every
+  # pair; `sign` is 1 when higher is better and -1 when lower is.
+  function judge(name, col, sign, better,    i, p, c, won, lost, pm, pq1, pq3, cm, cq1, cq3, iqr, verdict) {
+    for (i = 1; i <= n; i++) {
+      p[i] = row[i, col]; c[i] = row[i, col + 1]
+      if (sign * (c[i] - p[i]) > 0) won++; else if (sign * (p[i] - c[i]) > 0) lost++
+    }
     sort(p, n); sort(c, n)
     pm = quantile(p, n, 0.5); pq1 = quantile(p, n, 0.25); pq3 = quantile(p, n, 0.75)
     cm = quantile(c, n, 0.5); cq1 = quantile(c, n, 0.25); cq3 = quantile(c, n, 0.75)
     iqr = pq3 - pq1
-    printf "  parent: median %.1f  quartiles %.1f .. %.1f  (IQR %.1f)\n", pm, pq1, pq3, iqr
-    printf "  change: median %.1f  quartiles %.1f .. %.1f  (IQR %.1f)\n", cm, cq1, cq3, cq3 - cq1
-    printf "  change ahead in %d of %d pairs, parent ahead in %d, %d tied\n", won, n, lost, n - won - lost
-    printf "  median change %+.1f (%+.1f %% of the parent median), parent IQR %.1f\n",
+    printf "%s (%s is better)\n", name, better
+    printf "  parent: median %.6g  quartiles %.6g .. %.6g  (IQR %.6g)\n", pm, pq1, pq3, iqr
+    printf "  change: median %.6g  quartiles %.6g .. %.6g  (IQR %.6g)\n", cm, cq1, cq3, cq3 - cq1
+    printf "  change better in %d of %d pairs, parent better in %d, %d tied\n", won, n, lost, n - won - lost
+    printf "  median change %+.4g (%+.1f %% of the parent median), parent IQR %.6g\n",
       cm - pm, (pm > 0 ? 100 * (cm - pm) / pm : 0), iqr
-    printf "  virtual-time metrics identical on every run: %s\n", simdiff ? "NO" : "yes"
     if (n < 10) verdict = "unresolved: fewer than 10 pairs"
-    else if (10 * won >= 9 * n && cm - pm > iqr) verdict = "gain: >= 9/10 pairs won and medians apart by more than the parent IQR"
-    else if (10 * lost >= 9 * n && pm - cm > iqr) verdict = "loss: >= 9/10 pairs lost and medians apart by more than the parent IQR"
+    else if (10 * won >= 9 * n && sign * (cm - pm) > iqr) verdict = "gain: >= 9/10 pairs better and medians apart by more than the parent IQR"
+    else if (10 * lost >= 9 * n && sign * (pm - cm) > iqr) verdict = "loss: >= 9/10 pairs worse and medians apart by more than the parent IQR"
     else verdict = "unresolved: no claim either way"
     print "  verdict: " verdict
+  }
+  NF == 8 {
+    n++
+    for (i = 1; i <= 6; i++) row[n, i] = $i + 0
+    if (sim == "") sim = $7
+    if ($7 != sim || $8 != sim) simdiff = 1
+  }
+  END {
+    judge("host_ops_per_s", 1, 1, "higher")
+    judge("peak_rss_mb", 3, -1, "lower")
+    judge("setup_s", 5, -1, "lower")
+    printf "  virtual-time metrics identical on every run: %s\n", simdiff ? "NO" : "yes"
   }' <<<"$results"
